@@ -21,7 +21,8 @@ use storm_iscsi::{
 };
 use storm_net::{App, CloseReason, Cx, SendQueue, SockAddr, SockId};
 use storm_nvmeq::{NvmeqConfig, NvmeqInitiator};
-use storm_sim::metrics::{LatencyStats, Meter, Timeline};
+use storm_sim::hist::Histogram;
+use storm_sim::metrics::{Meter, Timeline};
 use storm_sim::trace::{req_token, Hop, TraceEvent, TraceHook};
 use storm_sim::{SimDuration, SimRng, SimTime};
 
@@ -164,11 +165,11 @@ pub struct ClientStats {
     /// Completed writes.
     pub writes: Meter,
     /// Read latencies.
-    pub read_latency: LatencyStats,
+    pub read_latency: Histogram,
     /// Write latencies.
-    pub write_latency: LatencyStats,
+    pub write_latency: Histogram,
     /// All-request latencies.
-    pub latency: LatencyStats,
+    pub latency: Histogram,
     /// Completions per second (Figure-13 style timeline).
     pub timeline: Option<Timeline>,
     /// I/O errors observed.

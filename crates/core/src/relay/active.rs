@@ -5,16 +5,14 @@ use std::collections::{BTreeMap, HashMap};
 use bytes::Bytes;
 
 use storm_iscsi::{
-    Initiator, InitiatorConfig, InitiatorEvent, IoTag, Iqn, Pdu, PduStream, ScsiStatus,
-    SessionParams, SHARE_THRESHOLD,
+    Initiator, InitiatorConfig, InitiatorEvent, IoTag, Iqn, Pdu, ScsiStatus, SessionParams,
 };
 use storm_net::{App, BusMsg, CloseReason, Cx, HostId, SendQueue, SockAddr, SockId};
-use storm_nvmeq::{FrameKind, FrameWire, UnitEntry, FRAME_HDR_LEN, MAGIC};
 use storm_qos::{RateLimitSpec, RateLimiter};
-use storm_sim::trace::{flow_token, req_token, Hop, TraceEvent, TraceHook};
+use storm_sim::trace::{flow_token, req_token, Hop, ReqToken, TraceEvent, TraceHook};
 use storm_sim::{FaultAction, FaultHook, FaultSite, SerialResource, SimDuration, SimTime};
 
-use super::queue::{self, NvqPair, UnitOut};
+use super::edge::{Batch, Edge, Unit, UnitOut};
 use crate::service::{Dir, ReplicaIo, StorageService, SvcAction, SvcCtx};
 
 /// A replica volume the middle-box attaches for side I/O (the replication
@@ -135,34 +133,16 @@ impl ActiveRelayConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Side {
-    Server,
-    Client,
-}
-
-/// Which wire protocol a relayed flow speaks. Decided by the first byte
-/// the tenant VM sends (nvmeq's frame magic `0xB5` vs iSCSI's login
-/// opcode), exactly like the storage target's portal sniffing — so one
-/// steering rule covers both transports.
-enum PairProto {
-    /// No tenant-side bytes seen yet.
-    Undecided,
-    /// Classic one-command-conversation iSCSI.
-    Iscsi,
-    /// Multi-queue doorbell/completion frames with per-flow ring state.
-    Nvmeq(Box<NvqPair>),
-}
-
+/// One relayed flow: the pseudo-server leg facing the tenant VM, the
+/// pseudo-client leg facing the storage network, and the edge codec that
+/// speaks the flow's wire protocol on both.
 struct FlowPair {
     server: SockId,
     client: SockId,
     /// The flow's original (initiator-side) source port — the request-token
     /// prefix shared with the guest and the target.
     src_port: u16,
-    proto: PairProto,
-    s_stream: PduStream,
-    c_stream: PduStream,
+    edge: Edge,
     s_out: SendQueue,
     c_out: SendQueue,
     /// Bytes received from the server side, not yet released upstream.
@@ -170,6 +150,40 @@ struct FlowPair {
     paused: bool,
     proc: SerialResource,
     closed: bool,
+}
+
+impl FlowPair {
+    /// The edge codec plus the send queue and socket of the leg carrying
+    /// bytes in `dir`.
+    fn leg(&mut self, dir: Dir) -> (&mut Edge, &mut SendQueue, SockId) {
+        match dir {
+            Dir::ToTarget => (&mut self.edge, &mut self.c_out, self.client),
+            Dir::ToInitiator => (&mut self.edge, &mut self.s_out, self.server),
+        }
+    }
+
+    /// Encodes `units` onto the leg travelling `dir` through the flow's
+    /// edge codec; returns how many were queued.
+    fn queue(
+        &mut self,
+        dir: Dir,
+        units: impl IntoIterator<Item = UnitOut>,
+        copy: &mut RelayCopyStats,
+    ) -> u64 {
+        let (edge, q, _) = self.leg(dir);
+        edge.queue(dir, units, q, copy)
+    }
+
+    fn pump(&mut self, cx: &mut Cx<'_>, dir: Dir) {
+        let (_, q, sock) = self.leg(dir);
+        q.pump(cx, sock);
+    }
+
+    /// Persistence-buffer bytes held by whole messages awaiting release
+    /// (everything buffered except a partial message still reassembling).
+    fn in_flight(&self) -> usize {
+        self.buffered_in.saturating_sub(self.edge.pending_bytes())
+    }
 }
 
 /// One in-flight replica request: the owning service, its completion
@@ -199,35 +213,37 @@ struct ReplicaSession {
     timeouts: u32,
 }
 
-/// A PDU headed for a send queue: either the original received wire bytes
-/// (the verbatim-forward fast path — nothing is re-encoded or copied) or a
-/// PDU the chain produced/modified, encoded on release.
-enum PduOut {
-    Verbatim(Vec<Bytes>),
-    Encode(Pdu),
-    /// An nvmeq frame every unit of which passed the chain untouched:
-    /// the received wire image re-emitted as-is (`units` commands).
-    NvqVerbatim {
-        wire: Vec<Bytes>,
-        units: u64,
-    },
-    /// An nvmeq frame rebuilt from chain outputs (fresh header; entries
-    /// re-encoded as needed; data segments still shared views).
-    NvqFrame {
-        kind: FrameKind,
-        units: Vec<UnitOut>,
-    },
+/// A side I/O a chain service asked for: `(service, replica, io, ctx)`.
+type ReplicaOp = (usize, usize, ReplicaIo, u64);
+
+/// A batch's forwards, headed onward in its direction of travel.
+enum Forwards {
+    /// Every unit passed the chain untouched (or bypassed it): the
+    /// received wire image re-emitted as is — nothing is re-encoded or
+    /// copied. Counts as `units` forwarded PDUs.
+    Verbatim { wire: Vec<Bytes>, units: u64 },
+    /// Rebuilt from chain outputs, encoded by the edge codec on release.
+    Rebuilt(Vec<UnitOut>),
 }
 
-enum Deferred {
-    Release {
-        pair: usize,
-        forwards: Vec<PduOut>,
-        replies: Vec<Pdu>,
-        dir: Dir,
-        replica_ops: Vec<(usize, usize, ReplicaIo, u64)>,
-        input_bytes: usize,
-    },
+/// What one batch's trip through the service chain produced.
+struct ChainOut {
+    forwards: Forwards,
+    /// PDUs headed back where the batch came from.
+    replies: Vec<Pdu>,
+    replica_ops: Vec<ReplicaOp>,
+    /// CPU the batch cost: `per_pdu_cost` plus service charges per unit.
+    cost: SimDuration,
+}
+
+/// A processed batch waiting out its processing time in the persistence
+/// buffer; [`ActiveRelayMb::release`] puts it on the wire.
+struct Deferred {
+    pair: usize,
+    dir: Dir,
+    out: ChainOut,
+    /// Persistence-buffer bytes the batch holds (tenant side only).
+    input_bytes: usize,
 }
 
 /// Memcpy accounting for the relay datapath (see
@@ -238,8 +254,9 @@ pub struct RelayCopyStats {
     /// reassembly plus small-segment batching on encode. Zero for a
     /// passthrough chain.
     pub data_bytes_copied: u64,
-    /// 48-byte BHS copies (decode scratch) — the allowed fixed-size
-    /// header copies.
+    /// Fixed-size protocol-metadata copies — the allowed ones: 48-byte
+    /// BHS / 16-byte frame-header decode scratch, fresh nvmeq frame
+    /// headers and re-encoded entries.
     pub header_bytes_copied: u64,
     /// PDUs that took the verbatim fast path (original wire bytes
     /// forwarded, no re-encode).
@@ -251,7 +268,8 @@ pub struct ActiveRelayMb {
     cfg: ActiveRelayConfig,
     services: Vec<Box<dyn StorageService>>,
     pairs: Vec<FlowPair>,
-    by_sock: HashMap<SockId, (usize, Side)>,
+    /// Flow socket -> its pair and the direction its received bytes travel.
+    by_sock: HashMap<SockId, (usize, Dir)>,
     replicas: Vec<ReplicaSession>,
     replica_socks: HashMap<SockId, usize>,
     deferred: HashMap<u64, Deferred>,
@@ -264,14 +282,11 @@ pub struct ActiveRelayMb {
     next_token: u64,
     alerts: Vec<(SimTime, String)>,
     pdus_forwarded: u64,
-    verbatim_forwards: u64,
-    encode_bytes_copied: u64,
-    /// Fixed-size metadata copies on nvmeq re-framing (fresh frame
-    /// headers + re-encoded entries) — the multi-queue analogue of BHS
-    /// decode scratch.
-    encode_header_bytes: u64,
-    /// Copy counters of streams whose pairs were dropped by a crash.
-    retired_copy_stats: RelayCopyStats,
+    /// Verbatim forwards, encode-side copies (small-segment batching,
+    /// fresh nvmeq frame headers and re-encoded entries — the multi-queue
+    /// analogue of BHS decode scratch) and the reassembly copies of
+    /// streams whose pairs a crash dropped.
+    copy: RelayCopyStats,
     crashed: bool,
     fault: FaultHook,
     fault_mb: u32,
@@ -299,10 +314,7 @@ impl ActiveRelayMb {
             next_token: 1,
             alerts: Vec::new(),
             pdus_forwarded: 0,
-            verbatim_forwards: 0,
-            encode_bytes_copied: 0,
-            encode_header_bytes: 0,
-            retired_copy_stats: RelayCopyStats::default(),
+            copy: RelayCopyStats::default(),
             crashed: false,
             fault: FaultHook::none(),
             fault_mb: 0,
@@ -373,36 +385,11 @@ impl ActiveRelayMb {
     /// on both flow streams plus small-segment batching on encode. Feeds
     /// the `relay.bytes_copied` metric and the zero-copy acceptance test.
     pub fn copy_stats(&self) -> RelayCopyStats {
-        let mut s = self.retired_copy_stats;
-        s.data_bytes_copied += self.encode_bytes_copied;
-        s.header_bytes_copied += self.encode_header_bytes;
-        s.verbatim_forwards += self.verbatim_forwards;
+        let mut s = self.copy;
         for p in &self.pairs {
-            s.data_bytes_copied += p.s_stream.bytes_copied() + p.c_stream.bytes_copied();
-            s.header_bytes_copied +=
-                p.s_stream.header_bytes_copied() + p.c_stream.header_bytes_copied();
-            if let PairProto::Nvmeq(nvq) = &p.proto {
-                s.data_bytes_copied += nvq.s_stream.bytes_copied() + nvq.c_stream.bytes_copied();
-                s.header_bytes_copied +=
-                    nvq.s_stream.header_bytes_copied() + nvq.c_stream.header_bytes_copied();
-            }
+            p.edge.add_stream_copies(&mut s);
         }
         s
-    }
-
-    /// Encodes a PDU onto a send queue as chunks: the header (and a small
-    /// data segment, counted) by copy; a large data segment as a shared
-    /// view of the service's buffer.
-    fn queue_pdu(encode_bytes_copied: &mut u64, q: &mut SendQueue, pdu: &Pdu) {
-        let w = pdu.wire_chunks();
-        q.push(&w.header);
-        if w.data.len() >= SHARE_THRESHOLD {
-            q.push_bytes(w.data);
-        } else {
-            *encode_bytes_copied += w.data.len() as u64;
-            q.push(&w.data);
-        }
-        q.push(w.pad);
     }
 
     /// Access a service by index (use
@@ -423,61 +410,101 @@ impl ActiveRelayMb {
         t
     }
 
-    /// Runs a PDU through the chain, collecting outputs and costs. The
-    /// final element attributes CPU charges to the service that emitted
-    /// them (index, total charge) for latency-attribution traces.
-    #[allow(clippy::type_complexity)]
+    fn stage(&self, now: SimTime, req: ReqToken, hop: Hop, id: u32, dur: SimDuration) {
+        self.trace
+            .emit_with(now, || TraceEvent::Stage { req, hop, id, dur });
+    }
+
+    fn arm_svc_timer(&mut self, cx: &mut Cx<'_>, svc_idx: usize, delay: SimDuration, token: u64) {
+        let t = self.token();
+        self.svc_timers.insert(t, (svc_idx, token));
+        cx.set_timer(delay, t);
+    }
+
+    /// Runs every unit of a batch through the service chain, one PDU at a
+    /// time, and rebuilds the batch from what the chain emitted. Units the
+    /// chain passes untouched stay wire views; if *all* of them do, the
+    /// whole received batch forwards verbatim — one iSCSI PDU or a whole
+    /// doorbell frame alike. CPU charges are attributed to the service
+    /// that emitted them as [`Hop::Service`] stages for latency
+    /// attribution.
     fn run_chain(
         &mut self,
+        cx: &mut Cx<'_>,
         now: SimTime,
         dir: Dir,
-        pdu: Pdu,
-    ) -> (
-        Vec<Pdu>,
-        Vec<Pdu>,
-        Vec<(usize, usize, ReplicaIo, u64)>,
-        SimDuration,
-        Vec<(usize, SimDuration, u64)>,
-        Vec<(usize, SimDuration)>,
-    ) {
-        let order: Vec<usize> = match dir {
-            Dir::ToTarget => (0..self.services.len()).collect(),
-            Dir::ToInitiator => (0..self.services.len()).rev().collect(),
+        pair_idx: usize,
+        batch: Batch,
+    ) -> ChainOut {
+        let src_port = self.pairs[pair_idx].src_port;
+        let per_pdu_cost = self.cfg.per_pdu_cost;
+        let n_units = batch.units.len();
+        let mut out = ChainOut {
+            forwards: Forwards::Verbatim {
+                wire: batch.wire,
+                units: (n_units as u64).max(1),
+            },
+            replies: Vec::new(),
+            replica_ops: Vec::new(),
+            // A chain-bypass batch still costs one decapsulation.
+            cost: if n_units == 0 {
+                per_pdu_cost
+            } else {
+                SimDuration::ZERO
+            },
         };
-        let mut frontier = vec![pdu];
-        let mut replies = Vec::new();
-        let mut replica_ops = Vec::new();
-        let mut cost = self.cfg.per_pdu_cost;
-        let mut timers = Vec::new();
-        let mut svc_costs: Vec<(usize, SimDuration)> = Vec::new();
-        for idx in order {
-            let mut next = Vec::new();
-            let mut charged = SimDuration::ZERO;
-            for p in frontier {
-                let mut cx = SvcCtx::new(now);
-                self.services[idx].on_pdu(&mut cx, dir, p);
-                for action in cx.take_actions() {
-                    match action {
-                        SvcAction::Forward(p) => next.push(p),
-                        SvcAction::Reply(p) => replies.push(p),
-                        SvcAction::Replica { replica, io, ctx } => {
-                            replica_ops.push((idx, replica, io, ctx))
+        let mut rebuilt = Vec::new();
+        let mut untouched = true;
+        for Unit { pdu, src } in batch.units {
+            let req = req_token(src_port, pdu.itt());
+            out.cost += per_pdu_cost;
+            self.stage(now, req, Hop::Relay, self.trace_mb, per_pdu_cost);
+            let mut frontier = vec![pdu];
+            let n = self.services.len();
+            for step in 0..n {
+                let idx = match dir {
+                    Dir::ToTarget => step,
+                    Dir::ToInitiator => n - 1 - step,
+                };
+                let mut next = Vec::new();
+                let mut charged = SimDuration::ZERO;
+                for p in frontier {
+                    let mut scx = SvcCtx::new(now);
+                    self.services[idx].on_pdu(&mut scx, dir, p);
+                    for action in scx.take_actions() {
+                        match action {
+                            SvcAction::Forward(p) => next.push(p),
+                            SvcAction::Reply(p) => out.replies.push(p),
+                            SvcAction::Replica { replica, io, ctx } => {
+                                out.replica_ops.push((idx, replica, io, ctx))
+                            }
+                            SvcAction::Alert(msg) => self.alerts.push((now, msg)),
+                            SvcAction::Charge(c) => charged += c,
+                            SvcAction::Timer { delay, token } => {
+                                self.arm_svc_timer(cx, idx, delay, token)
+                            }
                         }
-                        SvcAction::Alert(msg) => self.alerts.push((now, msg)),
-                        SvcAction::Charge(c) => {
-                            cost += c;
-                            charged += c;
-                        }
-                        SvcAction::Timer { delay, token } => timers.push((idx, delay, token)),
                     }
                 }
+                if charged > SimDuration::ZERO {
+                    out.cost += charged;
+                    self.stage(now, req, Hop::Service, idx as u32, charged);
+                }
+                frontier = next;
             }
-            if charged > SimDuration::ZERO {
-                svc_costs.push((idx, charged));
+            if self.pairs[pair_idx]
+                .edge
+                .rebuild(src, frontier, &mut rebuilt)
+            {
+                self.copy.verbatim_forwards += 1;
+            } else {
+                untouched = false;
             }
-            frontier = next;
         }
-        (frontier, replies, replica_ops, cost, timers, svc_costs)
+        if !untouched {
+            out.forwards = Forwards::Rebuilt(rebuilt);
+        }
+        out
     }
 
     /// The flow pair side actions should route to: the originating pair
@@ -504,35 +531,14 @@ impl ActiveRelayMb {
         let now = cx.now();
         for action in actions {
             match action {
-                SvcAction::Reply(p) => {
-                    // Side-context replies flow back towards the initiator
-                    // (e.g. replication serving a read from a replica) —
-                    // on the flow the request came in on.
-                    if let Some(i) = self.route_pair(origin) {
-                        Self::queue_pdu(
-                            &mut self.encode_bytes_copied,
-                            &mut self.pairs[i].s_out,
-                            &p,
-                        );
-                        let server = self.pairs[i].server;
-                        self.pairs[i].s_out.pump(cx, server);
-                        self.pdus_forwarded += 1;
-                    }
-                }
-                SvcAction::Forward(p) => {
-                    // Side-context forwards continue upstream (e.g. a
-                    // failed replica read re-dispatched to the primary).
-                    if let Some(i) = self.route_pair(origin) {
-                        Self::queue_pdu(
-                            &mut self.encode_bytes_copied,
-                            &mut self.pairs[i].c_out,
-                            &p,
-                        );
-                        let client = self.pairs[i].client;
-                        self.pairs[i].c_out.pump(cx, client);
-                        self.pdus_forwarded += 1;
-                    }
-                }
+                // Side-context replies flow back towards the initiator
+                // (e.g. replication serving a read from a replica, the
+                // write-back cache acknowledging a journalled write),
+                // side-context forwards continue upstream (e.g. a failed
+                // replica read re-dispatched to the primary) — on the flow
+                // the request came in on, in that flow's wire protocol.
+                SvcAction::Reply(p) => self.queue_side(cx, origin, Dir::ToInitiator, p),
+                SvcAction::Forward(p) => self.queue_side(cx, origin, Dir::ToTarget, p),
                 SvcAction::Replica { replica, io, ctx } => {
                     self.issue_replica(cx, svc_idx, replica, io, ctx, origin);
                 }
@@ -540,12 +546,16 @@ impl ActiveRelayMb {
                 SvcAction::Charge(c) => {
                     let _ = cx.charge(c, &self.cfg.label);
                 }
-                SvcAction::Timer { delay, token } => {
-                    let t = self.token();
-                    self.svc_timers.insert(t, (svc_idx, token));
-                    cx.set_timer(delay, t);
-                }
+                SvcAction::Timer { delay, token } => self.arm_svc_timer(cx, svc_idx, delay, token),
             }
+        }
+    }
+
+    fn queue_side(&mut self, cx: &mut Cx<'_>, origin: Option<usize>, dir: Dir, pdu: Pdu) {
+        if let Some(i) = self.route_pair(origin) {
+            let p = &mut self.pairs[i];
+            self.pdus_forwarded += p.queue(dir, [UnitOut::Pdu(pdu)], &mut self.copy);
+            p.pump(cx, dir);
         }
     }
 
@@ -656,67 +666,45 @@ impl ActiveRelayMb {
         }
     }
 
-    fn handle_pair_data(&mut self, cx: &mut Cx<'_>, pair_idx: usize, side: Side, data: Bytes) {
-        // The tenant VM's first byte decides the flow's wire protocol:
-        // nvmeq frames all start with the magic byte, iSCSI logins never
-        // do. One relay (and one steering rule) serves both transports.
-        {
-            let pair = &mut self.pairs[pair_idx];
-            if matches!(pair.proto, PairProto::Undecided) && side == Side::Server {
-                pair.proto = if data.first() == Some(&MAGIC) {
-                    PairProto::Nvmeq(Box::new(NvqPair::new()))
-                } else {
-                    PairProto::Iscsi
-                };
-            }
-        }
-        if matches!(self.pairs[pair_idx].proto, PairProto::Nvmeq(_)) {
-            self.handle_pair_data_nvq(cx, pair_idx, side, data);
-            return;
-        }
+    /// The one relay datapath: bytes received on a flow leg are reassembled
+    /// into batches by the flow's edge codec, and every batch takes one
+    /// fault verdict, one QoS admission, one trip through the chain and
+    /// one store-and-forward deferral — so up to `queue_depth` commands
+    /// stay in flight across the relay on a multi-queue flow while the
+    /// chain still sees one PDU at a time.
+    fn handle_pair_data(&mut self, cx: &mut Cx<'_>, pair_idx: usize, dir: Dir, data: Bytes) {
         let now = cx.now();
-        let dir = match side {
-            Side::Server => Dir::ToTarget,
-            Side::Client => Dir::ToInitiator,
-        };
-        let pdus = {
-            let pair = &mut self.pairs[pair_idx];
-            if side == Side::Server {
-                pair.buffered_in += data.len();
-            }
-            let stream = match side {
-                Side::Server => &mut pair.s_stream,
-                Side::Client => &mut pair.c_stream,
-            };
-            match stream.feed_bytes(data) {
-                Ok(p) => p,
-                Err(_) => {
-                    let (s, c) = (pair.server, pair.client);
-                    pair.closed = true;
-                    cx.abort(s);
-                    cx.abort(c);
-                    return;
-                }
-            }
-        };
-        // Backpressure: the persistence buffer is full.
-        {
-            let pair = &mut self.pairs[pair_idx];
-            if side == Side::Server && !pair.paused && pair.buffered_in > self.cfg.buffer_cap {
-                pair.paused = true;
-                let s = pair.server;
-                let src_port = pair.src_port;
-                cx.pause(s);
-                self.trace.emit_with(now, || TraceEvent::Mark {
-                    req: flow_token(src_port),
-                    hop: Hop::Buffer,
-                    id: self.trace_mb,
-                });
-            }
+        // Tenant-side bytes occupy the persistence buffer until released.
+        let inbound = dir == Dir::ToTarget;
+        let pair = &mut self.pairs[pair_idx];
+        if inbound {
+            pair.buffered_in += data.len();
         }
-        for pw in pdus {
-            let input_bytes = pw.pdu.wire_len();
-            // Fault injection: an armed plan may drop or slow PDU
+        let Ok(batches) = pair.edge.feed(dir, data) else {
+            let (s, c) = (pair.server, pair.client);
+            pair.closed = true;
+            cx.abort(s);
+            cx.abort(c);
+            return;
+        };
+        // Backpressure: the persistence buffer is full. A partial message
+        // alone never pauses the source — nothing would await release, so
+        // nothing would ever resume it; the codec's own message-size cap
+        // bounds that memory.
+        if inbound && !pair.paused && pair.buffered_in > self.cfg.buffer_cap && pair.in_flight() > 0
+        {
+            pair.paused = true;
+            let (s, src_port) = (pair.server, pair.src_port);
+            cx.pause(s);
+            self.trace.emit_with(now, || TraceEvent::Mark {
+                req: flow_token(src_port),
+                hop: Hop::Buffer,
+                id: self.trace_mb,
+            });
+        }
+        for batch in batches {
+            let input_bytes = if inbound { batch.wire_len } else { 0 };
+            // Fault injection: an armed plan may drop or slow batch
             // processing inside the middle-box.
             let mut fault_delay = SimDuration::ZERO;
             match self
@@ -726,415 +714,80 @@ impl ActiveRelayMb {
                 FaultAction::Proceed => {}
                 FaultAction::Drop | FaultAction::Fail => {
                     // Keep the persistence-buffer accounting draining.
-                    if side == Side::Server {
-                        let p = &mut self.pairs[pair_idx];
-                        p.buffered_in = p.buffered_in.saturating_sub(input_bytes);
-                    }
+                    let p = &mut self.pairs[pair_idx];
+                    p.buffered_in = p.buffered_in.saturating_sub(input_bytes);
                     continue;
                 }
                 FaultAction::Delay(d) => fault_delay = d,
             }
-            let itt = pw.pdu.itt();
-            // Tenant rate limiting: request-direction PDUs draw from the
-            // token bucket; the shaping delay is queueing (a later serve
-            // start), not CPU, so an under-limit tenant's datapath is
-            // byte-identical to the unlimited one.
+            // Tenant rate limiting: request-direction batches draw from
+            // the token bucket, one admit per batch (a doorbell is one
+            // shaping decision, matching its one network transfer); the
+            // shaping delay is queueing (a later serve start), not CPU, so
+            // an under-limit tenant's datapath is byte-identical to the
+            // unlimited one.
             let qos_delay = match &mut self.limiter {
-                Some(l) if dir == Dir::ToTarget => l.admit(now, input_bytes as u64),
+                Some(l) if inbound => l.admit(now, batch.wire_len as u64),
                 _ => SimDuration::ZERO,
             };
-            if qos_delay > SimDuration::ZERO && self.trace.is_armed() {
-                let req = req_token(self.pairs[pair_idx].src_port, itt);
-                self.trace.emit(
-                    now,
-                    TraceEvent::Stage {
-                        req,
-                        hop: Hop::Qos,
-                        id: self.trace_mb,
-                        dur: qos_delay,
-                    },
-                );
+            if qos_delay > SimDuration::ZERO {
+                let req = req_token(self.pairs[pair_idx].src_port, batch.tag);
+                self.stage(now, req, Hop::Qos, self.trace_mb, qos_delay);
             }
-            let (in_bhs, in_data, in_wire) = (pw.bhs, pw.data, pw.wire);
-            let (forwards, replies, replica_ops, cost, timers, svc_costs) =
-                self.run_chain(now, dir, pw.pdu);
-            let cost = cost + fault_delay;
-            // Verbatim-forward fast path: the chain emitted exactly the
-            // PDU it was given (same header bytes, same data storage), so
-            // the original wire image is forwarded and nothing re-encodes.
-            // The storage-identity check makes this O(header): a service
-            // that rewrote the payload necessarily produced new storage.
-            let forwards = if forwards.len() == 1
-                && forwards[0].encode_bhs() == in_bhs
-                && forwards[0].data().same_storage(&in_data)
-            {
-                self.verbatim_forwards += 1;
-                vec![PduOut::Verbatim(in_wire)]
-            } else {
-                forwards.into_iter().map(PduOut::Encode).collect()
-            };
-            if self.trace.is_armed() {
-                let req = req_token(self.pairs[pair_idx].src_port, itt);
-                self.trace.emit(
-                    now,
-                    TraceEvent::Stage {
-                        req,
-                        hop: Hop::Relay,
-                        id: self.trace_mb,
-                        dur: self.cfg.per_pdu_cost,
-                    },
-                );
-                for (svc_idx, charged) in &svc_costs {
-                    self.trace.emit(
-                        now,
-                        TraceEvent::Stage {
-                            req,
-                            hop: Hop::Service,
-                            id: *svc_idx as u32,
-                            dur: *charged,
-                        },
-                    );
-                }
-            }
-            for (svc_idx, delay, token) in timers {
-                let t = self.token();
-                self.svc_timers.insert(t, (svc_idx, token));
-                cx.set_timer(delay, t);
-            }
+            let mut out = self.run_chain(cx, now, dir, pair_idx, batch);
+            out.cost += fault_delay;
             // Account CPU and serialize processing per flow.
-            let _ = cx.charge(cost, &self.cfg.label);
-            let done = self.pairs[pair_idx].proc.serve(now + qos_delay, cost);
+            let _ = cx.charge(out.cost, &self.cfg.label);
+            let done = self.pairs[pair_idx].proc.serve(now + qos_delay, out.cost);
             let token = self.token();
             self.deferred.insert(
                 token,
-                Deferred::Release {
+                Deferred {
                     pair: pair_idx,
-                    forwards,
-                    replies,
                     dir,
-                    replica_ops,
-                    input_bytes: if side == Side::Server { input_bytes } else { 0 },
+                    out,
+                    input_bytes,
                 },
             );
             cx.set_timer(done - now, token);
         }
-    }
-
-    /// The multi-queue datapath: reassembles nvmeq frames, runs every
-    /// command unit of a doorbell/completion frame through the service
-    /// chain, and releases each frame as one store-and-forward deferral —
-    /// so up to `queue_depth` commands stay in flight across the relay
-    /// while the chain still sees one PDU at a time.
-    fn handle_pair_data_nvq(&mut self, cx: &mut Cx<'_>, pair_idx: usize, side: Side, data: Bytes) {
-        let now = cx.now();
-        let dir = match side {
-            Side::Server => Dir::ToTarget,
-            Side::Client => Dir::ToInitiator,
-        };
-        let frames = {
-            let pair = &mut self.pairs[pair_idx];
-            if side == Side::Server {
-                pair.buffered_in += data.len();
-            }
-            let PairProto::Nvmeq(nvq) = &mut pair.proto else {
-                return;
-            };
-            let stream = match side {
-                Side::Server => &mut nvq.s_stream,
-                Side::Client => &mut nvq.c_stream,
-            };
-            match stream.feed_bytes(data) {
-                Ok(f) => f,
-                Err(_) => {
-                    let (s, c) = (pair.server, pair.client);
-                    pair.closed = true;
-                    cx.abort(s);
-                    cx.abort(c);
-                    return;
-                }
-            }
-        };
-        // Backpressure: the persistence buffer is full.
-        {
-            let pair = &mut self.pairs[pair_idx];
-            if side == Side::Server && !pair.paused && pair.buffered_in > self.cfg.buffer_cap {
-                pair.paused = true;
-                let s = pair.server;
-                let src_port = pair.src_port;
-                cx.pause(s);
-                self.trace.emit_with(now, || TraceEvent::Mark {
-                    req: flow_token(src_port),
-                    hop: Hop::Buffer,
-                    id: self.trace_mb,
-                });
-            }
-        }
-        for fw in frames {
-            let input_bytes = FRAME_HDR_LEN + fw.header.payload_len as usize;
-            let mut fault_delay = SimDuration::ZERO;
-            match self
-                .fault
-                .decide(now, FaultSite::MbProcess { mb: self.fault_mb })
-            {
-                FaultAction::Proceed => {}
-                FaultAction::Drop | FaultAction::Fail => {
-                    if side == Side::Server {
-                        let p = &mut self.pairs[pair_idx];
-                        p.buffered_in = p.buffered_in.saturating_sub(input_bytes);
-                    }
-                    continue;
-                }
-                FaultAction::Delay(d) => fault_delay = d,
-            }
-            // Tenant rate limiting draws one admit per frame — a doorbell
-            // batch is one shaping decision, matching its one network
-            // transfer.
-            let qos_delay = match &mut self.limiter {
-                Some(l) if dir == Dir::ToTarget => l.admit(now, input_bytes as u64),
-                _ => SimDuration::ZERO,
-            };
-            if qos_delay > SimDuration::ZERO && self.trace.is_armed() {
-                let cid = fw.units.first().map_or(0, |u| match &u.entry {
-                    UnitEntry::Sqe(s) => s.cid,
-                    UnitEntry::Cqe(c) => c.cid,
-                });
-                let req = req_token(self.pairs[pair_idx].src_port, cid);
-                self.trace.emit(
-                    now,
-                    TraceEvent::Stage {
-                        req,
-                        hop: Hop::Qos,
-                        id: self.trace_mb,
-                        dur: qos_delay,
-                    },
-                );
-            }
-            let (fout, replies, replica_ops, cost) =
-                if matches!(fw.header.kind, FrameKind::Doorbell | FrameKind::Completion) {
-                    self.run_chain_frame(cx, now, dir, pair_idx, &fw, fault_delay)
-                } else {
-                    // Handshake frames bypass the chain: the relay
-                    // forwards the connect/disconnect exchange verbatim,
-                    // like splicing does for iSCSI login on the passive
-                    // path.
-                    (
-                        PduOut::NvqVerbatim {
-                            wire: fw.wire,
-                            units: 1,
-                        },
-                        Vec::new(),
-                        Vec::new(),
-                        self.cfg.per_pdu_cost + fault_delay,
-                    )
-                };
-            let _ = cx.charge(cost, &self.cfg.label);
-            let done = self.pairs[pair_idx].proc.serve(now + qos_delay, cost);
-            let token = self.token();
-            self.deferred.insert(
-                token,
-                Deferred::Release {
-                    pair: pair_idx,
-                    forwards: vec![fout],
-                    replies,
-                    dir,
-                    replica_ops,
-                    input_bytes: if side == Side::Server { input_bytes } else { 0 },
-                },
-            );
-            cx.set_timer(done - now, token);
-        }
-    }
-
-    /// Runs every command unit of one doorbell/completion frame through
-    /// the service chain. Units the chain passes untouched stay wire
-    /// views; if *all* of them do, the whole received frame forwards
-    /// verbatim — the batched analogue of the iSCSI fast path.
-    #[allow(clippy::type_complexity)]
-    fn run_chain_frame(
-        &mut self,
-        cx: &mut Cx<'_>,
-        now: SimTime,
-        dir: Dir,
-        pair_idx: usize,
-        fw: &FrameWire,
-        fault_delay: SimDuration,
-    ) -> (
-        PduOut,
-        Vec<Pdu>,
-        Vec<(usize, usize, ReplicaIo, u64)>,
-        SimDuration,
-    ) {
-        let src_port = self.pairs[pair_idx].src_port;
-        let mut cost = fault_delay;
-        let mut out_units: Vec<UnitOut> = Vec::with_capacity(fw.units.len());
-        let mut replies = Vec::new();
-        let mut replica_ops = Vec::new();
-        let mut frame_verbatim = true;
-        for unit in &fw.units {
-            let pdu = queue::unit_to_pdu(unit);
-            let cid = pdu.itt();
-            let in_bhs = pdu.encode_bhs();
-            let (forwards, mut unit_replies, mut unit_replica, unit_cost, timers, svc_costs) =
-                self.run_chain(now, dir, pdu);
-            cost += unit_cost;
-            if self.trace.is_armed() {
-                let req = req_token(src_port, cid);
-                self.trace.emit(
-                    now,
-                    TraceEvent::Stage {
-                        req,
-                        hop: Hop::Relay,
-                        id: self.trace_mb,
-                        dur: self.cfg.per_pdu_cost,
-                    },
-                );
-                for (svc_idx, charged) in &svc_costs {
-                    self.trace.emit(
-                        now,
-                        TraceEvent::Stage {
-                            req,
-                            hop: Hop::Service,
-                            id: *svc_idx as u32,
-                            dur: *charged,
-                        },
-                    );
-                }
-            }
-            for (svc_idx, delay, token) in timers {
-                let t = self.token();
-                self.svc_timers.insert(t, (svc_idx, token));
-                cx.set_timer(delay, t);
-            }
-            let verbatim = forwards.len() == 1
-                && forwards[0].encode_bhs() == in_bhs
-                && forwards[0].data().same_storage(&unit.data);
-            let PairProto::Nvmeq(nvq) = &mut self.pairs[pair_idx].proto else {
-                return (
-                    PduOut::NvqVerbatim {
-                        wire: Vec::new(),
-                        units: 0,
-                    },
-                    replies,
-                    replica_ops,
-                    cost,
-                );
-            };
-            if verbatim {
-                self.verbatim_forwards += 1;
-                queue::note_verbatim(unit, nvq);
-                out_units.push(UnitOut::Verbatim {
-                    entry_wire: unit.entry_wire.clone(),
-                    data: unit.data.clone(),
-                });
-            } else {
-                frame_verbatim = false;
-                for f in &forwards {
-                    if let Some(u) = queue::pdu_to_unit(dir, f, nvq) {
-                        out_units.push(u);
-                    }
-                }
-            }
-            replies.append(&mut unit_replies);
-            replica_ops.append(&mut unit_replica);
-        }
-        let fout = if frame_verbatim {
-            PduOut::NvqVerbatim {
-                wire: fw.wire.clone(),
-                units: (fw.units.len() as u64).max(1),
-            }
-        } else {
-            PduOut::NvqFrame {
-                kind: fw.header.kind,
-                units: out_units,
-            }
-        };
-        (fout, replies, replica_ops, cost)
     }
 
     fn release(&mut self, cx: &mut Cx<'_>, d: Deferred) {
-        let Deferred::Release {
+        let Deferred {
             pair,
-            forwards,
-            replies,
             dir,
-            replica_ops,
+            out,
             input_bytes,
         } = d;
         if pair >= self.pairs.len() || self.pairs[pair].closed {
             return;
         }
-        for (svc_idx, replica, io, ctx) in replica_ops {
+        for (svc_idx, replica, io, ctx) in out.replica_ops {
             self.issue_replica(cx, svc_idx, replica, io, ctx, Some(pair));
         }
-        let copied = &mut self.encode_bytes_copied;
-        let hdr_copied = &mut self.encode_header_bytes;
         let p = &mut self.pairs[pair];
-        for f in forwards {
-            let q = match dir {
-                Dir::ToTarget => &mut p.c_out,
-                Dir::ToInitiator => &mut p.s_out,
-            };
-            match f {
-                PduOut::Verbatim(chunks) => {
-                    self.pdus_forwarded += 1;
-                    q.push_all(chunks);
-                }
-                PduOut::Encode(pdu) => {
-                    self.pdus_forwarded += 1;
-                    Self::queue_pdu(copied, q, &pdu);
-                }
-                PduOut::NvqVerbatim { wire, units } => {
-                    self.pdus_forwarded += units;
-                    q.push_all(wire);
-                }
-                PduOut::NvqFrame { kind, units } => {
-                    self.pdus_forwarded += units.len() as u64;
-                    queue::queue_frame(kind, units, q, copied, hdr_copied);
-                }
+        let forwarded = match out.forwards {
+            Forwards::Verbatim { wire, units } => {
+                p.leg(dir).1.push_all(wire);
+                units
             }
-        }
-        if !replies.is_empty() {
-            if let PairProto::Nvmeq(nvq) = &mut p.proto {
-                // Chain replies on a multi-queue flow coalesce into one
-                // frame headed back where the triggering frame came from.
-                let units: Vec<UnitOut> = replies
-                    .iter()
-                    .filter_map(|r| queue::pdu_to_unit(dir.flip(), r, nvq))
-                    .collect();
-                if !units.is_empty() {
-                    let kind = match dir {
-                        Dir::ToTarget => FrameKind::Completion,
-                        Dir::ToInitiator => FrameKind::Doorbell,
-                    };
-                    let q = match dir {
-                        Dir::ToTarget => &mut p.s_out,
-                        Dir::ToInitiator => &mut p.c_out,
-                    };
-                    self.pdus_forwarded += units.len() as u64;
-                    queue::queue_frame(kind, units, q, copied, hdr_copied);
-                }
-            } else {
-                for r in replies {
-                    self.pdus_forwarded += 1;
-                    let q = match dir {
-                        Dir::ToTarget => &mut p.s_out,
-                        Dir::ToInitiator => &mut p.c_out,
-                    };
-                    Self::queue_pdu(copied, q, &r);
-                }
-            }
-        }
-        let (server, client) = (p.server, p.client);
+            Forwards::Rebuilt(units) => p.queue(dir, units, &mut self.copy),
+        };
+        // Chain replies head back where the triggering batch came from
+        // (coalesced into one frame on a multi-queue flow).
+        let replies = out.replies.into_iter().map(UnitOut::Pdu);
+        let replied = p.queue(dir.flip(), replies, &mut self.copy);
+        self.pdus_forwarded += forwarded + replied;
         p.buffered_in = p.buffered_in.saturating_sub(input_bytes);
-        let resume = p.paused && p.buffered_in < self.cfg.buffer_cap / 2;
+        let resume = p.paused && (p.buffered_in < self.cfg.buffer_cap / 2 || p.in_flight() == 0);
         if resume {
             p.paused = false;
         }
-        let pr = &mut self.pairs[pair];
-        pr.c_out.pump(cx, client);
-        pr.s_out.pump(cx, server);
+        p.pump(cx, Dir::ToTarget);
+        p.pump(cx, Dir::ToInitiator);
         if resume {
-            cx.resume(server);
+            cx.resume(p.server);
         }
     }
 
@@ -1225,16 +878,7 @@ impl ActiveRelayMb {
                 cx.abort(pair.server);
                 cx.abort(pair.client);
             }
-            self.retired_copy_stats.data_bytes_copied +=
-                pair.s_stream.bytes_copied() + pair.c_stream.bytes_copied();
-            self.retired_copy_stats.header_bytes_copied +=
-                pair.s_stream.header_bytes_copied() + pair.c_stream.header_bytes_copied();
-            if let PairProto::Nvmeq(nvq) = &pair.proto {
-                self.retired_copy_stats.data_bytes_copied +=
-                    nvq.s_stream.bytes_copied() + nvq.c_stream.bytes_copied();
-                self.retired_copy_stats.header_bytes_copied +=
-                    nvq.s_stream.header_bytes_copied() + nvq.c_stream.header_bytes_copied();
-            }
+            pair.edge.add_stream_copies(&mut self.copy);
         }
         self.pairs.clear();
         self.by_sock.clear();
@@ -1342,9 +986,7 @@ impl App for ActiveRelayMb {
             server: sock,
             client,
             src_port: src_port.unwrap_or(0),
-            proto: PairProto::Undecided,
-            s_stream: PduStream::new(),
-            c_stream: PduStream::new(),
+            edge: Edge::Undecided,
             s_out: SendQueue::new(),
             c_out: SendQueue::new(),
             buffered_in: 0,
@@ -1352,8 +994,8 @@ impl App for ActiveRelayMb {
             proc: SerialResource::new(),
             closed: false,
         });
-        self.by_sock.insert(sock, (pair_idx, Side::Server));
-        self.by_sock.insert(client, (pair_idx, Side::Client));
+        self.by_sock.insert(sock, (pair_idx, Dir::ToTarget));
+        self.by_sock.insert(client, (pair_idx, Dir::ToInitiator));
     }
 
     fn on_data(&mut self, cx: &mut Cx<'_>, sock: SockId, data: Bytes) {
@@ -1362,8 +1004,8 @@ impl App for ActiveRelayMb {
             self.handle_replica_events(cx, idx, events);
             return;
         }
-        if let Some(&(pair, side)) = self.by_sock.get(&sock) {
-            self.handle_pair_data(cx, pair, side, data);
+        if let Some(&(pair, dir)) = self.by_sock.get(&sock) {
+            self.handle_pair_data(cx, pair, dir, data);
         }
     }
 
@@ -1372,18 +1014,9 @@ impl App for ActiveRelayMb {
             self.flush_replica(cx, idx);
             return;
         }
-        if let Some(&(pair, side)) = self.by_sock.get(&sock) {
-            let p = &mut self.pairs[pair];
-            match side {
-                Side::Server => {
-                    let s = p.server;
-                    p.s_out.pump(cx, s);
-                }
-                Side::Client => {
-                    let c = p.client;
-                    p.c_out.pump(cx, c);
-                }
-            }
+        if let Some(&(pair, dir)) = self.by_sock.get(&sock) {
+            // The socket receiving `dir` bytes sends the opposite leg's.
+            self.pairs[pair].pump(cx, dir.flip());
         }
     }
 
@@ -1407,16 +1040,12 @@ impl App for ActiveRelayMb {
             self.fail_replica(cx, idx);
             return;
         }
-        if let Some(&(pair, side)) = self.by_sock.get(&sock) {
+        if let Some(&(pair, dir)) = self.by_sock.get(&sock) {
             let p = &mut self.pairs[pair];
             if !p.closed {
                 p.closed = true;
                 // Propagate the close to the other leg.
-                let other = match side {
-                    Side::Server => p.client,
-                    Side::Client => p.server,
-                };
-                cx.close(other);
+                cx.close(p.leg(dir).2);
             }
         }
     }
@@ -1429,5 +1058,196 @@ impl std::fmt::Debug for ActiveRelayMb {
             .field("services", &self.services.len())
             .field("replicas", &self.replicas.len())
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    use super::*;
+    use storm_iscsi::BHS_LEN;
+    use storm_net::{LinkSpec, Network};
+    use storm_nvmeq::{FrameHeader, FrameKind, Sqe, SqeOp, SQE_LEN};
+    use storm_sim::trace::TraceSink;
+
+    /// Streams a prepared wire image at the relay.
+    struct Source {
+        to: SockAddr,
+        q: SendQueue,
+    }
+
+    impl App for Source {
+        fn on_start(&mut self, cx: &mut Cx<'_>) {
+            cx.connect(self.to);
+        }
+        fn on_connected(&mut self, cx: &mut Cx<'_>, sock: SockId) {
+            self.q.pump(cx, sock);
+        }
+        fn on_writable(&mut self, cx: &mut Cx<'_>, sock: SockId) {
+            self.q.pump(cx, sock);
+        }
+    }
+
+    /// Stands in for the storage side: counts what the relay delivers.
+    #[derive(Default)]
+    struct Sink {
+        got: usize,
+    }
+
+    impl App for Sink {
+        fn on_start(&mut self, cx: &mut Cx<'_>) {
+            cx.listen(3260);
+        }
+        fn on_data(&mut self, _cx: &mut Cx<'_>, _sock: SockId, data: Bytes) {
+            self.got += data.len();
+        }
+    }
+
+    /// Counts the relay's marks — it emits one per persistence-buffer
+    /// pause and no other.
+    #[derive(Default)]
+    struct PauseCount(AtomicUsize);
+
+    impl TraceSink for PauseCount {
+        fn record(&self, _now: SimTime, ev: &TraceEvent) {
+            if matches!(ev, TraceEvent::Mark { .. }) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Charges a fixed CPU cost per PDU and forwards it.
+    struct Slow(SimDuration);
+
+    impl StorageService for Slow {
+        fn name(&self) -> &str {
+            "slow"
+        }
+        fn on_pdu(&mut self, cx: &mut SvcCtx, _dir: Dir, pdu: Pdu) {
+            cx.charge(self.0);
+            cx.forward(pdu);
+        }
+    }
+
+    /// Sends `wire` through a relay in front of a sink; returns (bytes the
+    /// sink received, PDUs the relay forwarded, times the relay paused).
+    fn relay_run(
+        wire: Vec<Bytes>,
+        buffer_cap: usize,
+        services: Vec<Box<dyn StorageService>>,
+    ) -> (usize, u64, usize) {
+        let mut net = Network::new(7);
+        let sw = net.add_switch("sw", 8);
+        let hosts: Vec<HostId> = (1..=3u8)
+            .map(|i| {
+                let h = net.add_host(format!("h{i}"), 4);
+                let iface = net.add_iface(h, [10, 0, 0, i].into());
+                net.link_host_switch(h, iface, sw, LinkSpec::gigabit());
+                h
+            })
+            .collect();
+        let mut cfg = ActiveRelayConfig::new(SockAddr::new([10, 0, 0, 3].into(), 3260));
+        cfg.buffer_cap = buffer_cap;
+        let mut relay = ActiveRelayMb::new(cfg, services);
+        let pauses = Arc::new(PauseCount::default());
+        relay.set_trace_hook(TraceHook::armed(pauses.clone()), 0);
+        let sink = net.add_app(hosts[2], Box::new(Sink::default()));
+        let mb = net.add_app(hosts[1], Box::new(relay));
+        let mut q = SendQueue::new();
+        q.push_all(wire);
+        let to = SockAddr::new([10, 0, 0, 2].into(), 13260);
+        net.add_app(hosts[0], Box::new(Source { to, q }));
+        net.run_until(SimTime::from_nanos(2_000_000_000));
+        let got = net.app_mut(hosts[2], sink).unwrap();
+        let got = got.downcast_mut::<Sink>().unwrap().got;
+        let relay = net.app_mut(hosts[1], mb).unwrap();
+        let forwarded = relay
+            .downcast_mut::<ActiveRelayMb>()
+            .unwrap()
+            .pdus_forwarded;
+        (got, forwarded, pauses.0.load(Ordering::Relaxed))
+    }
+
+    /// A NOP-Out header announcing `dsl` data bytes, then the bytes.
+    fn iscsi_message(dsl: usize) -> Vec<Bytes> {
+        let mut bhs = [0u8; BHS_LEN];
+        bhs[1] = 0x80;
+        bhs[5..8].copy_from_slice(&(dsl as u32).to_be_bytes()[1..]);
+        vec![Bytes::copy_from_slice(&bhs), Bytes::from(vec![0x5A; dsl])]
+    }
+
+    /// A one-write doorbell frame carrying `len` in-capsule bytes.
+    fn nvmeq_message(len: usize) -> Vec<Bytes> {
+        let header = FrameHeader {
+            kind: FrameKind::Doorbell,
+            count: 1,
+            payload_len: (SQE_LEN + len) as u32,
+            queue_depth: 0,
+        };
+        let sqe = Sqe {
+            op: SqeOp::Write,
+            cid: 1,
+            lba: 0,
+            sectors: (len / 512) as u32,
+            data_len: len as u32,
+        };
+        vec![
+            Bytes::copy_from_slice(&header.encode()),
+            Bytes::copy_from_slice(&sqe.encode()),
+            Bytes::from(vec![0xA5; len]),
+        ]
+    }
+
+    const OVERSIZE: usize = 9 << 20;
+
+    /// One message larger than the whole persistence buffer must not
+    /// pause the source while it is still reassembling: nothing awaits
+    /// release then, so nothing would ever resume it.
+    #[test]
+    fn oversize_iscsi_message_does_not_stall() {
+        let (got, forwarded, _) = relay_run(iscsi_message(OVERSIZE), 8 << 20, Vec::new());
+        assert_eq!((got, forwarded), (BHS_LEN + OVERSIZE, 1));
+    }
+
+    #[test]
+    fn oversize_nvmeq_message_does_not_stall() {
+        let wire = nvmeq_message(OVERSIZE);
+        let total = wire.iter().map(Bytes::len).sum::<usize>();
+        let (got, forwarded, _) = relay_run(wire, 8 << 20, Vec::new());
+        assert_eq!((got, forwarded), (total, 1));
+    }
+
+    /// A source paused behind an in-flight PDU resumes when that PDU is
+    /// released even if the partial message buffered behind it is itself
+    /// larger than the resume threshold — again nothing else would.
+    #[test]
+    fn oversize_partial_behind_a_release_resumes() {
+        let mut wire = iscsi_message(512);
+        wire.extend(iscsi_message(64 << 10));
+        let total = wire.iter().map(Bytes::len).sum::<usize>();
+        let slow: Vec<Box<dyn StorageService>> = vec![Box::new(Slow(SimDuration::from_millis(1)))];
+        let (got, forwarded, pauses) = relay_run(wire, 16 << 10, slow);
+        assert_eq!((got, forwarded), (total, 2));
+        assert!(
+            pauses > 0,
+            "the partial message arrived behind a PDU in flight"
+        );
+    }
+
+    /// With whole PDUs in flight the buffer still pauses the source, and
+    /// releases still resume it.
+    #[test]
+    fn full_buffer_with_pdus_in_flight_still_pauses() {
+        let wire: Vec<Bytes> = (0..64).flat_map(|_| iscsi_message(4096)).collect();
+        let total = wire.iter().map(Bytes::len).sum::<usize>();
+        let slow: Vec<Box<dyn StorageService>> = vec![Box::new(Slow(SimDuration::from_millis(1)))];
+        let (got, forwarded, pauses) = relay_run(wire, 16 << 10, slow);
+        assert_eq!((got, forwarded), (total, 64));
+        assert!(
+            pauses > 0,
+            "a full persistence buffer must stall the source"
+        );
     }
 }

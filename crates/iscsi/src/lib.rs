@@ -77,7 +77,7 @@ pub use pdu::{
     LogoutResponse, NopIn, NopOut, Pdu, PduError, R2t, ScsiCommand, ScsiResponse, TextRequest,
     TextResponse, WireChunks, BHS_LEN,
 };
-pub use stream::{PduStream, PduWire, WireBuf, SHARE_THRESHOLD};
+pub use stream::{ChunkDeque, PduStream, PduWire, WireBuf, SHARE_THRESHOLD};
 pub use target::{TargetConfig, TargetConn, TargetEvent};
 pub use transport::{IscsiTransport, TargetTransport, Transport, TransportEvent, TransportKind};
 

@@ -24,27 +24,135 @@ pub struct PduWire {
     pub wire: Vec<Bytes>,
 }
 
+/// The reassembly buffer under [`PduStream`] and `storm_nvmeq`'s
+/// `FrameStream`: a deque of refcounted [`Bytes`] chunks, never one flat
+/// buffer. Adjacent chunks that continue the same backing storage re-join
+/// for free ([`Bytes::try_join`]), so a message cut into TCP segments on
+/// the sender side comes back out as zero-copy slices of the sender's
+/// original allocation. The protocol streams on top keep only their
+/// header and unit parsing.
+#[derive(Debug, Default)]
+pub struct ChunkDeque {
+    chunks: VecDeque<Bytes>,
+    len: usize,
+}
+
+impl ChunkDeque {
+    /// Bytes buffered.
+    pub fn buffered(&self) -> usize {
+        self.len
+    }
+
+    /// Appends a received chunk by reference.
+    pub fn push_chunk(&mut self, bytes: Bytes) {
+        self.len += bytes.len();
+        if let Some(last) = self.chunks.back_mut() {
+            if let Some(joined) = last.try_join(&bytes) {
+                *last = joined;
+                return;
+            }
+        }
+        self.chunks.push_back(bytes);
+    }
+
+    /// Copies the first `dst.len()` buffered bytes into `dst` without
+    /// consuming (the fixed-size header peek; the caller checks
+    /// [`buffered`](Self::buffered) first).
+    pub fn peek_into(&self, dst: &mut [u8]) {
+        let mut off = 0;
+        for c in &self.chunks {
+            if off == dst.len() {
+                break;
+            }
+            let take = (dst.len() - off).min(c.len());
+            // storm-lint: allow(no-hot-path-copy): the fixed-size header
+            // decode copy, permitted by design and counted separately.
+            dst[off..off + take].copy_from_slice(&c.chunk()[..take]);
+            off += take;
+        }
+        debug_assert_eq!(off, dst.len());
+    }
+
+    /// Pops the next `total` bytes as wire chunks. `None` if the chunk
+    /// list runs dry first — `len` accounting no longer matches the
+    /// buffered chunks. The caller checks [`buffered`](Self::buffered)
+    /// first, so this only fires on an internal bookkeeping bug;
+    /// reporting it as the protocol's `Desync` error (instead of
+    /// panicking) lets a relay drop the one poisoned connection and keep
+    /// serving the rest.
+    pub fn take_wire(&mut self, mut total: usize) -> Option<Vec<Bytes>> {
+        // storm-lint: allow(no-alloc-on-datapath): the wire image owns
+        // its chunk list by contract — one exact-sized Vec per completed
+        // message, not per byte; payload Bytes stay refcounted.
+        let mut wire = Vec::with_capacity(1);
+        while total > 0 {
+            let front = self.chunks.front_mut()?;
+            if front.len() <= total {
+                total -= front.len();
+                self.len -= front.len();
+                wire.push(self.chunks.pop_front()?);
+            } else {
+                let head = front.slice(..total);
+                *front = front.slice(total..);
+                self.len -= total;
+                wire.push(head);
+                total = 0;
+            }
+        }
+        Some(wire)
+    }
+
+    /// Extracts `[start, start+len)` of a wire image as one `Bytes`: a
+    /// zero-copy slice when the range sits inside a single chunk, an
+    /// assembled copy (added to `copied`) otherwise.
+    pub fn extract(wire: &[Bytes], start: usize, len: usize, copied: &mut u64) -> Bytes {
+        if len == 0 {
+            return Bytes::new();
+        }
+        let mut off = 0;
+        for c in wire {
+            if start >= off && start + len <= off + c.len() {
+                return c.slice(start - off..start - off + len);
+            }
+            off += c.len();
+        }
+        // Straddles chunk boundaries: assemble (the counted slow path).
+        *copied += len as u64;
+        // storm-lint: allow(no-alloc-on-datapath): counted slow path for
+        // ranges straddling a chunk boundary; the fast path above returns
+        // a refcounted slice without allocating.
+        let mut buf = Vec::with_capacity(len);
+        let mut off = 0;
+        for c in wire {
+            let c_start = start.max(off);
+            let c_end = (start + len).min(off + c.len());
+            if c_start < c_end {
+                // storm-lint: allow(no-hot-path-copy): counted slow path
+                // (`copied` above); zero on the relay fast path.
+                buf.extend_from_slice(&c.chunk()[c_start - off..c_end - off]);
+            }
+            off += c.len();
+        }
+        Bytes::from(buf)
+    }
+}
+
 /// Reassembles PDUs from arbitrarily fragmented stream bytes.
 ///
 /// This is the parsing core of StorM's middle-box API: pseudo-server and
 /// pseudo-client processes feed received TCP bytes in and get whole PDUs
 /// out, regardless of how the network segmented them.
 ///
-/// Internally the stream is a deque of refcounted [`Bytes`] chunks, never
-/// one flat buffer: adjacent chunks that continue the same backing
-/// storage re-join for free ([`Bytes::try_join`]), so a data segment that
-/// was cut into TCP segments on the sender side comes back out as a
-/// single zero-copy slice of the sender's original allocation. The only
-/// unconditional copy is the 48-byte header (read into a stack array for
-/// decoding); data-segment bytes are copied *only* when a segment
-/// genuinely straddles two allocations, and [`bytes_copied`] counts every
-/// such byte so fast paths can prove themselves copy-free.
+/// Buffering is a [`ChunkDeque`]. The only unconditional copy is the
+/// 48-byte header (read into a stack array for decoding); data-segment
+/// bytes are copied *only* when a segment genuinely straddles two
+/// allocations, and [`bytes_copied`] counts every such byte so fast paths
+/// can prove themselves copy-free.
 ///
 /// [`bytes_copied`]: PduStream::bytes_copied
 #[derive(Debug, Default)]
 pub struct PduStream {
-    chunks: VecDeque<Bytes>,
-    len: usize,
+    buf: ChunkDeque,
     pdus_out: u64,
     bytes_copied: u64,
     header_bytes_copied: u64,
@@ -79,7 +187,7 @@ impl PduStream {
     /// Propagates [`PduError`] for undecodable headers.
     pub fn feed_bytes(&mut self, bytes: Bytes) -> Result<Vec<PduWire>, PduError> {
         if !bytes.is_empty() {
-            self.push_chunk(bytes);
+            self.buf.push_chunk(bytes);
         }
         let mut out = Vec::new();
         while let Some(pw) = self.next_pdu()? {
@@ -90,7 +198,7 @@ impl PduStream {
 
     /// Bytes buffered awaiting a complete PDU.
     pub fn pending_bytes(&self) -> usize {
-        self.len
+        self.buf.buffered()
     }
 
     /// Total PDUs produced.
@@ -111,117 +219,20 @@ impl PduStream {
         self.header_bytes_copied
     }
 
-    fn push_chunk(&mut self, bytes: Bytes) {
-        self.len += bytes.len();
-        if let Some(last) = self.chunks.back_mut() {
-            if let Some(joined) = last.try_join(&bytes) {
-                *last = joined;
-                return;
-            }
-        }
-        self.chunks.push_back(bytes);
-    }
-
-    /// Copies the first `n` buffered bytes into `dst` without consuming.
-    fn peek_into(&self, dst: &mut [u8]) {
-        let mut off = 0;
-        for c in &self.chunks {
-            if off == dst.len() {
-                break;
-            }
-            let take = (dst.len() - off).min(c.len());
-            // storm-lint: allow(no-hot-path-copy): the 48-byte header
-            // decode copy, permitted by design and counted separately.
-            dst[off..off + take].copy_from_slice(&c.chunk()[..take]);
-            off += take;
-        }
-        debug_assert_eq!(off, dst.len());
-    }
-
-    /// Pops the next `total` bytes off the stream as wire chunks.
-    ///
-    /// # Errors
-    ///
-    /// [`PduError::Desync`] if the chunk list runs dry before `total`
-    /// bytes — `len` accounting no longer matches the buffered chunks.
-    /// The caller checks `len` first, so this only fires on an internal
-    /// bookkeeping bug; reporting it (instead of panicking) lets a relay
-    /// drop the one poisoned connection and keep serving the rest.
-    fn take_wire(&mut self, mut total: usize) -> Result<Vec<Bytes>, PduError> {
-        // storm-lint: allow(no-alloc-on-datapath): the wire image owns
-        // its chunk list by contract — one exact-sized Vec per completed
-        // PDU, not per byte; payload Bytes stay refcounted.
-        let mut wire = Vec::with_capacity(1);
-        while total > 0 {
-            let Some(front) = self.chunks.front_mut() else {
-                return Err(PduError::Desync);
-            };
-            if front.len() <= total {
-                total -= front.len();
-                self.len -= front.len();
-                match self.chunks.pop_front() {
-                    Some(c) => wire.push(c),
-                    None => return Err(PduError::Desync),
-                }
-            } else {
-                let head = front.slice(..total);
-                *front = front.slice(total..);
-                self.len -= total;
-                wire.push(head);
-                total = 0;
-            }
-        }
-        Ok(wire)
-    }
-
-    /// Extracts `[start, start+len)` of the wire image as one `Bytes`:
-    /// a zero-copy slice when the range sits inside a single chunk, an
-    /// assembled (counted) copy otherwise.
-    fn extract(&mut self, wire: &[Bytes], start: usize, len: usize) -> Bytes {
-        if len == 0 {
-            return Bytes::new();
-        }
-        let mut off = 0;
-        for c in wire {
-            if start >= off && start + len <= off + c.len() {
-                return c.slice(start - off..start - off + len);
-            }
-            off += c.len();
-        }
-        // Straddles chunk boundaries: assemble (the counted slow path).
-        self.bytes_copied += len as u64;
-        // storm-lint: allow(no-alloc-on-datapath): counted slow path for
-        // header fields straddling a chunk boundary; the verbatim fast
-        // path above returns a refcounted slice without allocating.
-        let mut buf = Vec::with_capacity(len);
-        let mut off = 0;
-        for c in wire {
-            let c_start = start.max(off);
-            let c_end = (start + len).min(off + c.len());
-            if c_start < c_end {
-                // storm-lint: allow(no-hot-path-copy): counted slow path
-                // (bytes_copied above); zero on the relay fast path.
-                buf.extend_from_slice(&c.chunk()[c_start - off..c_end - off]);
-            }
-            off += c.len();
-        }
-        Bytes::from(buf)
-    }
-
     fn next_pdu(&mut self) -> Result<Option<PduWire>, PduError> {
-        if self.len < BHS_LEN {
+        if self.buf.buffered() < BHS_LEN {
             return Ok(None);
         }
         let mut bhs = [0u8; BHS_LEN];
-        self.peek_into(&mut bhs);
+        self.buf.peek_into(&mut bhs);
         self.header_bytes_copied += BHS_LEN as u64;
         let dsl = data_segment_length(&bhs)?;
         let total = BHS_LEN + padded(dsl);
-        if self.len < total {
+        if self.buf.buffered() < total {
             return Ok(None);
         }
-        let wire = self.take_wire(total)?;
-        let data = self.extract(&wire, BHS_LEN, dsl);
+        let wire = self.buf.take_wire(total).ok_or(PduError::Desync)?;
+        let data = ChunkDeque::extract(&wire, BHS_LEN, dsl, &mut self.bytes_copied);
         let pdu = Pdu::decode(&bhs, data.clone())?;
         self.pdus_out += 1;
         Ok(Some(PduWire {

@@ -91,7 +91,7 @@ impl Default for Config {
             determinism_files: ["crates/bench/src/fleet.rs"].map(String::from).to_vec(),
             datapath_files: [
                 "crates/core/src/relay/active.rs",
-                "crates/core/src/relay/queue.rs",
+                "crates/core/src/relay/edge.rs",
                 "crates/iscsi/src/stream.rs",
                 "crates/nvmeq/src/stream.rs",
                 "crates/net/src/tcp.rs",
@@ -107,23 +107,23 @@ impl Default for Config {
             // The curation line: these functions move bytes per PDU and
             // are allocation-free today — the rule locks that in.
             // Deliberately absent: the chain orchestrators
-            // (`run_chain`, `handle_pair_data*`, `release`, ...) whose
-            // contract is to *produce* new PDUs and side actions, and
-            // the wire-image extractors (`take_wire`, `extract`,
-            // `split_units`, `next_frame`) which return owned buffers
-            // by design.
+            // (`handle_pair_data`, `run_chain`, `release`, the edge
+            // codec's `feed`/`rebuild`/`queue`/`queue_frame`) whose
+            // contract is to *produce* new PDUs, frames and side
+            // actions, and the wire-image extractors (`take_wire`,
+            // `extract`, `split_units`, `next_frame`) which return
+            // owned buffers by design. `push_chunk`/`peek_into` are the
+            // shared `ChunkDeque`'s, under both reassemblers.
             alloc_roots: [
-                ("crates/core/src/relay/active.rs", "queue_pdu"),
-                ("crates/core/src/relay/queue.rs", "note_submit"),
-                ("crates/core/src/relay/queue.rs", "complete"),
+                ("crates/core/src/relay/edge.rs", "queue_pdu"),
+                ("crates/core/src/relay/edge.rs", "push_data"),
+                ("crates/core/src/relay/edge.rs", "note"),
                 ("crates/iscsi/src/stream.rs", "feed_bytes"),
                 ("crates/iscsi/src/stream.rs", "push_chunk"),
                 ("crates/iscsi/src/stream.rs", "peek_into"),
                 ("crates/iscsi/src/stream.rs", "next_pdu"),
                 ("crates/iscsi/src/stream.rs", "push_bytes"),
                 ("crates/nvmeq/src/stream.rs", "feed_bytes"),
-                ("crates/nvmeq/src/stream.rs", "push_chunk"),
-                ("crates/nvmeq/src/stream.rs", "peek_into"),
                 ("crates/net/src/tcp.rs", "send_bytes"),
                 ("crates/net/src/tcp.rs", "send_chunks"),
                 ("crates/net/src/tcp.rs", "input"),
@@ -217,10 +217,10 @@ mod tests {
         )));
         assert!(cfg.is_datapath(&FileClass::from_rel_path("crates/net/src/frame.rs")));
         assert!(!cfg.is_datapath(&FileClass::from_rel_path("crates/net/src/nat.rs")));
-        // The multi-queue wire path and its relay bridge are datapath;
+        // The multi-queue wire path and the relay's edge codec are datapath;
         // the whole nvmeq crate is determinism-scoped.
         assert!(cfg.is_datapath(&FileClass::from_rel_path("crates/nvmeq/src/stream.rs")));
-        assert!(cfg.is_datapath(&FileClass::from_rel_path("crates/core/src/relay/queue.rs")));
+        assert!(cfg.is_datapath(&FileClass::from_rel_path("crates/core/src/relay/edge.rs")));
         assert!(cfg.is_determinism_scoped(&FileClass::from_rel_path("crates/nvmeq/src/codec.rs")));
     }
 

@@ -1,15 +1,14 @@
 //! Incremental frame reassembly over a TCP byte stream.
 //!
-//! Mirrors `storm_iscsi::PduStream`: a deque of refcounted chunks,
-//! adjacent slices of one allocation re-join for free, fixed-size
-//! headers are peeked into stack arrays, and payload bytes are copied
-//! *only* when a segment genuinely straddles two receive allocations —
-//! every such byte is counted so the relay fast path can prove itself
-//! copy-free on this transport too.
-
-use std::collections::VecDeque;
+//! Buffers in the same [`ChunkDeque`] as `storm_iscsi::PduStream` (chunks
+//! of one allocation re-join for free, fixed-size headers are peeked into
+//! stack arrays, payload bytes are copied *only* when a segment genuinely
+//! straddles two receive allocations, and every such byte is counted), so
+//! the relay fast path can prove itself copy-free on this transport too.
+//! What lives here is the frame header and command-unit parsing.
 
 use bytes::Bytes;
+use storm_iscsi::ChunkDeque;
 
 use crate::codec::{Cqe, FrameHeader, FrameKind, NvmeqError, Sqe, CQE_LEN, FRAME_HDR_LEN, SQE_LEN};
 
@@ -54,42 +53,10 @@ pub struct FrameWire {
 /// Reassembles frames from arbitrarily fragmented stream bytes.
 #[derive(Debug, Default)]
 pub struct FrameStream {
-    chunks: VecDeque<Bytes>,
-    len: usize,
+    buf: ChunkDeque,
     frames_out: u64,
     bytes_copied: u64,
     header_bytes_copied: u64,
-}
-
-/// Extracts `[start, start+len)` of `wire` as one `Bytes`: a zero-copy
-/// slice when the range sits inside a single chunk, an assembled copy
-/// (added to `copied`) otherwise.
-fn extract(wire: &[Bytes], start: usize, len: usize, copied: &mut u64) -> Bytes {
-    if len == 0 {
-        return Bytes::new();
-    }
-    let mut off = 0;
-    for c in wire {
-        if start >= off && start + len <= off + c.len() {
-            return c.slice(start - off..start - off + len);
-        }
-        off += c.len();
-    }
-    // Straddles chunk boundaries: assemble (the counted slow path).
-    *copied += len as u64;
-    let mut buf = Vec::with_capacity(len);
-    let mut off = 0;
-    for c in wire {
-        let c_start = start.max(off);
-        let c_end = (start + len).min(off + c.len());
-        if c_start < c_end {
-            // storm-lint: allow(no-hot-path-copy): counted slow path
-            // (copied above); zero on the relay fast path.
-            buf.extend_from_slice(&c.chunk()[c_start - off..c_end - off]);
-        }
-        off += c.len();
-    }
-    Bytes::from(buf)
 }
 
 impl FrameStream {
@@ -108,7 +75,7 @@ impl FrameStream {
     /// (callers drop the connection).
     pub fn feed_bytes(&mut self, bytes: Bytes) -> Result<Vec<FrameWire>, NvmeqError> {
         if !bytes.is_empty() {
-            self.push_chunk(bytes);
+            self.buf.push_chunk(bytes);
         }
         let mut out = Vec::new();
         while let Some(fw) = self.next_frame()? {
@@ -119,7 +86,7 @@ impl FrameStream {
 
     /// Bytes buffered awaiting a complete frame.
     pub fn pending_bytes(&self) -> usize {
-        self.len
+        self.buf.buffered()
     }
 
     /// Total frames produced.
@@ -140,87 +107,24 @@ impl FrameStream {
         self.header_bytes_copied
     }
 
-    fn push_chunk(&mut self, bytes: Bytes) {
-        self.len += bytes.len();
-        if let Some(last) = self.chunks.back_mut() {
-            if let Some(joined) = last.try_join(&bytes) {
-                *last = joined;
-                return;
-            }
-        }
-        self.chunks.push_back(bytes);
-    }
-
-    /// Copies the first `dst.len()` buffered bytes into `dst` without
-    /// consuming.
-    fn peek_into(&self, dst: &mut [u8]) {
-        let mut off = 0;
-        for c in &self.chunks {
-            if off == dst.len() {
-                break;
-            }
-            let take = (dst.len() - off).min(c.len());
-            // storm-lint: allow(no-hot-path-copy): the 16-byte header
-            // decode copy, permitted by design and counted separately.
-            dst[off..off + take].copy_from_slice(&c.chunk()[..take]);
-            off += take;
-        }
-        debug_assert_eq!(off, dst.len());
-    }
-
-    /// Pops the next `total` bytes off the stream as wire chunks.
-    ///
-    /// # Errors
-    ///
-    /// [`NvmeqError::Desync`] if the chunk list runs dry before `total`
-    /// bytes — only possible on an internal bookkeeping bug; reporting it
-    /// (instead of panicking) lets a relay drop the one poisoned
-    /// connection and keep serving the rest.
-    fn take_wire(&mut self, mut total: usize) -> Result<Vec<Bytes>, NvmeqError> {
-        // storm-lint: allow(no-alloc-on-datapath): the wire image owns
-        // its chunk list by contract — one exact-sized Vec per completed
-        // frame, not per byte; payload Bytes stay refcounted.
-        let mut wire = Vec::with_capacity(1);
-        while total > 0 {
-            let Some(front) = self.chunks.front_mut() else {
-                return Err(NvmeqError::Desync);
-            };
-            if front.len() <= total {
-                total -= front.len();
-                self.len -= front.len();
-                match self.chunks.pop_front() {
-                    Some(c) => wire.push(c),
-                    None => return Err(NvmeqError::Desync),
-                }
-            } else {
-                let head = front.slice(..total);
-                *front = front.slice(total..);
-                self.len -= total;
-                wire.push(head);
-                total = 0;
-            }
-        }
-        Ok(wire)
-    }
-
     fn next_frame(&mut self) -> Result<Option<FrameWire>, NvmeqError> {
-        if self.len < FRAME_HDR_LEN {
+        if self.buf.buffered() < FRAME_HDR_LEN {
             return Ok(None);
         }
         let mut hdr = [0u8; FRAME_HDR_LEN];
-        self.peek_into(&mut hdr);
+        self.buf.peek_into(&mut hdr);
         self.header_bytes_copied += FRAME_HDR_LEN as u64;
         let header = FrameHeader::decode(&hdr)?;
         let total = FRAME_HDR_LEN + header.payload_len as usize;
-        if self.len < total {
+        if self.buf.buffered() < total {
             return Ok(None);
         }
-        let wire = self.take_wire(total)?;
+        let wire = self.buf.take_wire(total).ok_or(NvmeqError::Desync)?;
         let (units, payload) = match header.kind {
             FrameKind::Doorbell => (self.split_units(&wire, &header, SQE_LEN)?, Bytes::new()),
             FrameKind::Completion => (self.split_units(&wire, &header, CQE_LEN)?, Bytes::new()),
             _ => {
-                let payload = extract(
+                let payload = ChunkDeque::extract(
                     &wire,
                     FRAME_HDR_LEN,
                     header.payload_len as usize,
@@ -253,7 +157,7 @@ impl FrameStream {
         let mut units = Vec::with_capacity(count);
         let mut data_off = FRAME_HDR_LEN + count * entry_len;
         for i in 0..count {
-            let entry_wire = extract(
+            let entry_wire = ChunkDeque::extract(
                 wire,
                 FRAME_HDR_LEN + i * entry_len,
                 entry_len,
@@ -269,7 +173,7 @@ impl FrameStream {
             if data_off + data_len > total {
                 return Err(NvmeqError::Truncated);
             }
-            let data = extract(wire, data_off, data_len, &mut self.bytes_copied);
+            let data = ChunkDeque::extract(wire, data_off, data_len, &mut self.bytes_copied);
             data_off += data_len;
             units.push(UnitWire {
                 entry,

@@ -1,5 +1,5 @@
 //! The three tenant-defined middle-box services of the paper's case
-//! studies (§V-B), plus a threaded processing pipeline.
+//! studies (§V-B).
 //!
 //! * [`MonitorService`] — the storage access monitor: classification /
 //!   update / analysis over reconstructed file operations, watch lists and
@@ -11,10 +11,6 @@
 //! * [`ReplicationService`] — tenant-defined replica dispatch: ordered
 //!   write fan-out to backup volumes, striped reads across replicas,
 //!   failure detection and removal (Case 3; Figure 13).
-//! * [`CipherPipeline`] — a multi-threaded sector-encryption pipeline
-//!   (crossbeam workers), the "multi-threaded, high throughput design"
-//!   the paper's API section calls for, used where real (non-simulated)
-//!   throughput matters.
 //!
 //! Beyond the paper's three case studies, the data-reduction & caching
 //! suite extends the catalogue along ROADMAP item 3:
@@ -39,7 +35,6 @@ mod compress;
 mod dedup;
 mod encryption;
 mod monitor;
-mod pipeline;
 mod replication;
 mod snapshot;
 
@@ -49,6 +44,5 @@ pub use compress::{CompressService, CompressStats};
 pub use dedup::{DedupService, DedupStats};
 pub use encryption::{CipherKind, EncryptionService};
 pub use monitor::{MonitorConfig, MonitorService, NumberedAccess};
-pub use pipeline::CipherPipeline;
 pub use replication::{ReplicationService, ReplicationStats};
 pub use snapshot::{SnapStats, SnapshotService};

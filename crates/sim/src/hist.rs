@@ -1,7 +1,7 @@
 //! Log-bucketed duration histogram with `&self` percentile queries.
 //!
-//! The shared recording primitive behind [`crate::metrics::LatencyStats`]
-//! and the telemetry registry. Values are bucketed by power of two with 64
+//! The one latency-population type: client I/O stats, per-volume target
+//! stats and the telemetry registry all record into it. Values are bucketed by power of two with 64
 //! linear sub-buckets per power, bounding the relative quantile error to
 //! about 1.6% while keeping a record O(1) with no allocation after the
 //! bucket table stops growing. Count, sum, min and max are kept exactly,

@@ -1,4 +1,5 @@
-//! Measurement primitives: latency histograms, rate meters, time series.
+//! Measurement primitives: rate meters and time series (latency
+//! populations live in [`crate::hist::Histogram`]).
 //!
 //! These feed the evaluation harness: IOPS and latency for Figures 4–9,
 //! utilization for Figure 10, per-second transaction timelines for
@@ -6,64 +7,7 @@
 
 use std::fmt;
 
-use crate::hist::Histogram;
 use crate::{SimDuration, SimTime};
-
-/// Records a population of durations and answers mean / percentile queries.
-///
-/// A thin façade over the log-bucketed [`Histogram`]: recording is O(1)
-/// with no per-sample allocation, queries take `&self` with no interior
-/// cache, and percentiles are approximate within the bucket width (~1.6%)
-/// while `count`/`mean`/`min`/`max` stay exact.
-#[derive(Debug, Clone, Default)]
-pub struct LatencyStats {
-    hist: Histogram,
-}
-
-impl LatencyStats {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, d: SimDuration) {
-        self.hist.record(d);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> usize {
-        self.hist.count() as usize
-    }
-
-    /// Exact arithmetic mean, or zero when empty.
-    pub fn mean(&self) -> SimDuration {
-        self.hist.mean()
-    }
-
-    /// Percentile in `[0, 100]`, or zero when empty.
-    ///
-    /// Approximate within the histogram's bucket width; `0` and `100`
-    /// return the exact minimum and maximum.
-    pub fn percentile(&self, p: f64) -> SimDuration {
-        self.hist.percentile(p)
-    }
-
-    /// Largest sample (exact), or zero when empty.
-    pub fn max(&self) -> SimDuration {
-        self.hist.max()
-    }
-
-    /// Smallest sample (exact), or zero when empty.
-    pub fn min(&self) -> SimDuration {
-        self.hist.min()
-    }
-
-    /// The underlying histogram (for registry export and merging).
-    pub fn histogram(&self) -> &Histogram {
-        &self.hist
-    }
-}
 
 /// Counts events over a window and reports a rate (events per second).
 ///
@@ -185,54 +129,6 @@ impl fmt::Display for Pct {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ms(n: u64) -> SimDuration {
-        SimDuration::from_millis(n)
-    }
-
-    #[test]
-    fn latency_mean_and_percentiles() {
-        let mut s = LatencyStats::new();
-        for i in 1..=100 {
-            s.record(ms(i));
-        }
-        assert_eq!(s.count(), 100);
-        assert_eq!(s.mean(), SimDuration::from_micros(50_500));
-        assert_eq!(s.percentile(0.0), ms(1));
-        assert_eq!(s.percentile(100.0), ms(100));
-        // Bucketed percentiles are exact to within ~1.6%.
-        let p50 = s.percentile(50.0);
-        assert!(p50 >= ms(49) && p50 <= ms(51), "{p50}");
-        assert_eq!(s.min(), ms(1));
-        assert_eq!(s.max(), ms(100));
-    }
-
-    #[test]
-    fn empty_latency_stats_are_zero() {
-        let s = LatencyStats::new();
-        assert_eq!(s.mean(), SimDuration::ZERO);
-        assert_eq!(s.percentile(99.0), SimDuration::ZERO);
-        assert_eq!(s.max(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn percentile_takes_shared_ref_and_tracks_new_samples() {
-        let mut s = LatencyStats::new();
-        s.record(ms(10));
-        s.record(ms(30));
-        // Query through a shared reference; no interior cache involved.
-        let shared: &LatencyStats = &s;
-        assert_eq!(shared.percentile(100.0), ms(30));
-        assert_eq!(shared.percentile(0.0), ms(10));
-        // Later records are visible immediately (out of order on purpose).
-        s.record(ms(20));
-        let p50 = s.percentile(50.0);
-        assert!(p50 >= ms(19) && p50 <= ms(21), "{p50}");
-        assert_eq!(s.percentile(100.0), ms(30));
-        // Clones answer queries independently.
-        let c = s.clone();
-        assert_eq!(c.percentile(0.0), ms(10));
-    }
 
     #[test]
     fn meter_rates() {

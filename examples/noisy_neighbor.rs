@@ -81,10 +81,7 @@ fn contended_run(shaped: bool) -> (f64, u64) {
         assert!(client.is_ready(), "tenant {tenant} login failed");
         assert_eq!(client.stats.errors, 0);
         registry.inc(&tenant_scoped("vm.ops", tenant), client.stats.ops());
-        registry.merge_histogram(
-            &tenant_scoped("vm.latency", tenant),
-            client.stats.latency.histogram(),
-        );
+        registry.merge_histogram(&tenant_scoped("vm.latency", tenant), &client.stats.latency);
     }
     let label = if shaped { "with QoS" } else { "no QoS" };
     println!("[{label}]");

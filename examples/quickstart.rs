@@ -113,10 +113,7 @@ fn main() {
     let client = cloud.client_mut(0, app);
     registry.inc(&tenant_scoped("vm.reads", 1), client.stats.reads.count());
     registry.inc(&tenant_scoped("vm.writes", 1), client.stats.writes.count());
-    registry.merge_histogram(
-        &tenant_scoped("vm.latency", 1),
-        client.stats.latency.histogram(),
-    );
+    registry.merge_histogram(&tenant_scoped("vm.latency", 1), &client.stats.latency);
     print!("[metrics]\n{}", registry.report());
     let report = analyze::attribute(&recorder.events());
     print!(

@@ -126,10 +126,7 @@ fn main() {
     registry.inc(&tenant_scoped("mb.enc_bytes", 0), enc_bytes);
     let client = cloud.client_mut(0, app);
     registry.inc(&tenant_scoped("vm.ops", 0), client.stats.ops());
-    registry.merge_histogram(
-        &tenant_scoped("vm.latency", 0),
-        client.stats.latency.histogram(),
-    );
+    registry.merge_histogram(&tenant_scoped("vm.latency", 0), &client.stats.latency);
     print!("\n[metrics]\n{}", registry.report());
     let report = analyze::attribute(&recorder.events());
     print!("\n[trace] {} events\n{}", recorder.len(), report.table());
