@@ -25,11 +25,13 @@ use storm_workloads::{FioJob, FioWorkload};
 mod fleet;
 mod qos;
 mod results;
+mod scenarios;
 mod services_suite;
 
 pub use fleet::{run_fleet, FleetConfig, FleetRun};
 pub use qos::{interference_point, provisioning_churn_point, ChurnOutcome, InterferenceOutcome};
-pub use results::{BenchResults, ScenarioResult};
+pub use results::{render_json, Row};
+pub use scenarios::{Output, Scenario, SCENARIOS};
 pub use services_suite::{
     cache_hit_point, dedup_ratio_point, suite_passthrough_point, CacheHitOutcome, DedupRatioOutcome,
 };
@@ -315,8 +317,6 @@ pub struct TransportPoint {
     /// `(completion frames received, CQEs they carried)` — `(0, 0)` on
     /// iSCSI.
     pub cq: (u64, u64),
-    /// `(target dispatch ticks, commands admitted across them)`.
-    pub dispatch: (u64, u64),
     /// Command units forwarded through the relay chain.
     pub pdus_forwarded: u64,
     /// The relay's memcpy accounting.
@@ -338,11 +338,6 @@ impl TransportPoint {
     /// interrupt-moderation coalescing factor.
     pub fn cq_batch(&self) -> f64 {
         ratio(self.cq.1, self.cq.0)
-    }
-
-    /// Average commands the target admitted per dispatch tick.
-    pub fn dispatch_batch(&self) -> f64 {
-        ratio(self.dispatch.1, self.dispatch.0)
     }
 
     /// Data-segment bytes copied per forwarded unit (the zero-copy
@@ -417,7 +412,6 @@ pub fn transport_point(
     let label = format!("{kind} qd{queue_depth}");
     let point = run_and_measure(&mut cloud, app, testbed, &label);
     let (pdus_forwarded, copy) = relay_copy_stats(&mut cloud, &deployment);
-    let (ticks, admitted, _peak_batch) = cloud.target_mut(0).dispatch_stats();
     let t = cloud.client_mut(0, app).transport();
     TransportPoint {
         point,
@@ -426,7 +420,6 @@ pub fn transport_point(
         sq_peak: t.sq_peak(),
         doorbell: t.doorbell_stats(),
         cq: t.cq_stats(),
-        dispatch: (ticks, admitted),
         pdus_forwarded,
         copy,
     }

@@ -1,14 +1,11 @@
 //! Machine-readable benchmark results (`BENCH_results.json`).
 
-use std::io::Write as _;
-use std::path::Path;
-
 use crate::{FioPoint, PathMode};
 
-/// One measured scenario, ready for serialization.
+/// One row of `BENCH_results.json`: a measured scenario point.
 #[derive(Debug, Clone)]
-pub struct ScenarioResult {
-    /// Scenario name, e.g. `fig5.active.64k`.
+pub struct Row {
+    /// Row name, e.g. `fig5.active.64k`.
     pub name: String,
     /// The data path measured.
     pub mode: PathMode,
@@ -24,120 +21,75 @@ pub struct ScenarioResult {
     /// Extra scenario-specific metrics, serialized after `p99_ms` in
     /// insertion order (e.g. `bytes_copied_per_pdu` for the zero-copy
     /// passthrough scenario).
-    pub extras: Vec<(String, f64)>,
+    pub extras: Vec<(&'static str, f64)>,
 }
 
-/// Accumulates scenario results and writes `BENCH_results.json`.
-///
-/// The JSON is hand-rolled with fixed key order and fixed-precision
-/// floats, so equal runs produce byte-identical files — the same contract
-/// as trace exports. The one exception is the `fleet.*` family's
-/// `wall_ms` / `events_per_sec` / `peak_rss_mb` extras, which measure the
-/// host and are inherently run-to-run noisy; `bench_compare` guards them
-/// with wide margins instead of equality.
-#[derive(Debug, Clone, Default)]
-pub struct BenchResults {
-    scenarios: Vec<ScenarioResult>,
-}
-
-impl BenchResults {
-    /// Creates an empty result set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one measured scenario.
-    pub fn push(
-        &mut self,
+impl Row {
+    /// A row without extras.
+    pub fn new(
         name: &str,
         mode: PathMode,
         block_bytes: usize,
         threads: usize,
         queue_depth: usize,
         point: FioPoint,
-    ) {
-        self.push_with_extras(
-            name,
-            mode,
-            block_bytes,
-            threads,
-            queue_depth,
-            point,
-            Vec::new(),
-        );
-    }
-
-    /// Adds one measured scenario with extra named metrics.
-    #[allow(clippy::too_many_arguments)]
-    pub fn push_with_extras(
-        &mut self,
-        name: &str,
-        mode: PathMode,
-        block_bytes: usize,
-        threads: usize,
-        queue_depth: usize,
-        point: FioPoint,
-        extras: Vec<(String, f64)>,
-    ) {
-        self.scenarios.push(ScenarioResult {
+    ) -> Row {
+        Row {
             name: name.to_string(),
             mode,
             block_bytes,
             threads,
             queue_depth,
             point,
-            extras,
-        });
-    }
-
-    /// The accumulated scenarios.
-    pub fn scenarios(&self) -> &[ScenarioResult] {
-        &self.scenarios
-    }
-
-    /// Serializes all scenarios as JSON.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\n  \"benchmarks\": [\n");
-        for (i, s) in self.scenarios.iter().enumerate() {
-            let p = &s.point;
-            let throughput_mbps = p.iops * s.block_bytes as f64 / 1e6;
-            let _ = write!(
-                out,
-                "    {{\"name\":\"{}\",\"mode\":\"{}\",\"block_bytes\":{},\"threads\":{},\
-                 \"queue_depth\":{},\"ops\":{},\"iops\":{:.1},\"throughput_mbps\":{:.2},\
-                 \"mean_ms\":{:.3},\"p50_ms\":{:.3},\"p99_ms\":{:.3}",
-                s.name,
-                s.mode,
-                s.block_bytes,
-                s.threads,
-                s.queue_depth,
-                p.ops,
-                p.iops,
-                throughput_mbps,
-                p.mean_latency_ms,
-                p.p50_ms,
-                p.p99_ms
-            );
-            for (key, value) in &s.extras {
-                let _ = write!(out, ",\"{key}\":{value:.3}");
-            }
-            out.push('}');
-            out.push_str(if i + 1 < self.scenarios.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
+            extras: Vec::new(),
         }
-        out.push_str("  ]\n}\n");
-        out
     }
 
-    /// Writes the JSON to `path`.
-    pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.to_json().as_bytes())
+    /// Appends one extra named metric.
+    pub fn extra(mut self, key: &'static str, value: f64) -> Row {
+        self.extras.push((key, value));
+        self
     }
+}
+
+/// Serializes `rows` as the `BENCH_results.json` document.
+///
+/// The JSON is hand-rolled with fixed key order and fixed-precision
+/// floats, and every field is a sim-clock quantity, so equal runs produce
+/// byte-identical files — the same contract as trace exports, and what
+/// lets CI gate the file with a plain `diff` against
+/// `BENCH_baseline.json`.
+pub fn render_json(rows: &[Row]) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::from("{\n  \"benchmarks\": [\n");
+    for (i, s) in rows.iter().enumerate() {
+        let p = &s.point;
+        let throughput_mbps = p.iops * s.block_bytes as f64 / 1e6;
+        let _ = write!(
+            out,
+            "    {{\"name\":\"{}\",\"mode\":\"{}\",\"block_bytes\":{},\"threads\":{},\
+             \"queue_depth\":{},\"ops\":{},\"iops\":{:.1},\"throughput_mbps\":{:.2},\
+             \"mean_ms\":{:.3},\"p50_ms\":{:.3},\"p99_ms\":{:.3}",
+            s.name,
+            s.mode,
+            s.block_bytes,
+            s.threads,
+            s.queue_depth,
+            p.ops,
+            p.iops,
+            throughput_mbps,
+            p.mean_latency_ms,
+            p.p50_ms,
+            p.p99_ms
+        );
+        for (key, value) in &s.extras {
+            let _ = write!(out, ",\"{key}\":{value:.3}");
+        }
+        out.push('}');
+        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
+    }
+    out.push_str("  ]\n}\n");
+    out
 }
 
 #[cfg(test)]
@@ -146,37 +98,38 @@ mod tests {
 
     #[test]
     fn json_shape_is_stable() {
-        let mut r = BenchResults::new();
-        r.push(
-            "fig4.legacy.4k",
-            PathMode::Legacy,
-            4096,
-            1,
-            1,
-            FioPoint {
-                ops: 1000,
-                iops: 500.0,
-                mean_latency_ms: 1.25,
-                p50_ms: 1.0,
-                p99_ms: 3.5,
-            },
-        );
-        r.push_with_extras(
-            "fig5.active.64k",
-            PathMode::MbActiveRelay,
-            65536,
-            1,
-            32,
-            FioPoint {
-                ops: 100,
-                iops: 50.0,
-                mean_latency_ms: 20.0,
-                p50_ms: 19.0,
-                p99_ms: 40.0,
-            },
-            vec![("bytes_copied_per_pdu".to_string(), 0.0)],
-        );
-        let json = r.to_json();
+        let rows = [
+            Row::new(
+                "fig4.legacy.4k",
+                PathMode::Legacy,
+                4096,
+                1,
+                1,
+                FioPoint {
+                    ops: 1000,
+                    iops: 500.0,
+                    mean_latency_ms: 1.25,
+                    p50_ms: 1.0,
+                    p99_ms: 3.5,
+                },
+            ),
+            Row::new(
+                "fig5.active.64k",
+                PathMode::MbActiveRelay,
+                65536,
+                1,
+                32,
+                FioPoint {
+                    ops: 100,
+                    iops: 50.0,
+                    mean_latency_ms: 20.0,
+                    p50_ms: 19.0,
+                    p99_ms: 40.0,
+                },
+            )
+            .extra("bytes_copied_per_pdu", 0.0),
+        ];
+        let json = render_json(&rows);
         assert!(json.starts_with("{\n  \"benchmarks\": [\n"));
         assert!(json.contains("\"name\":\"fig4.legacy.4k\""));
         assert!(json.contains("\"mode\":\"MB-ACTIVE-RELAY\""));
@@ -187,8 +140,7 @@ mod tests {
         assert!(json.contains("\"p99_ms\":3.500"));
         // Extras append after p99_ms inside the same object.
         assert!(json.contains("\"p99_ms\":40.000,\"bytes_copied_per_pdu\":0.000}"));
-        assert_eq!(r.scenarios().len(), 2);
-        // Two runs, same inputs -> identical bytes.
-        assert_eq!(json, r.clone().to_json());
+        // Two renders, same inputs -> identical bytes.
+        assert_eq!(json, render_json(&rows));
     }
 }

@@ -5,17 +5,14 @@
 //! middle-box services, (2) the middle-boxes' storage service types and
 //! virtual resources, and (3) the organization of these middle-boxes."
 //!
-//! Policies are plain data (serde-serializable) submitted to the provider;
+//! Policies are plain data submitted to the provider;
 //! the platform validates them and maps each [`ServiceSpec`] to a concrete
 //! middle-box deployment.
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// The interception mode requested for a service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RelayModeSpec {
     /// Split-TCP store-and-forward (default; lowest overhead).
     #[default]
@@ -27,23 +24,19 @@ pub enum RelayModeSpec {
 }
 
 /// One middle-box service in a chain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceSpec {
     /// Service type: `"monitor"`, `"encryption"`, `"replication"` (or a
     /// tenant-custom name).
     pub kind: String,
     /// Interception mode.
-    #[serde(default)]
     pub mode: RelayModeSpec,
     /// Requested vCPUs for the middle-box VM.
-    #[serde(default = "default_vcpus")]
     pub vcpus: u32,
     /// Requested memory in MiB.
-    #[serde(default = "default_memory")]
     pub memory_mb: u32,
     /// Free-form service parameters (watch lists, cipher ids, replica
     /// counts…).
-    #[serde(default)]
     pub params: BTreeMap<String, String>,
 }
 
@@ -74,7 +67,7 @@ impl ServiceSpec {
 }
 
 /// Services requested for one VM/volume pair, in chain order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VolumePolicy {
     /// The tenant VM this applies to.
     pub vm: String,
@@ -85,7 +78,7 @@ pub struct VolumePolicy {
 }
 
 /// A tenant's full policy document.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantPolicy {
     /// Tenant identifier.
     pub tenant: u32,

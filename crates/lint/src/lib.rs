@@ -48,16 +48,10 @@
 //! cargo run -p storm-lint -- --workspace            # human diagnostics
 //! cargo run -p storm-lint -- --workspace --json     # machine-readable
 //! cargo run -p storm-lint -- --workspace --sarif    # code-scanning upload
-//! cargo run -p storm-lint -- --workspace --no-cache # ignore summary cache
 //! ```
-//!
-//! Workspace scans keep a per-file summary cache under
-//! `target/storm-lint-cache/` keyed by content hash (see [`cache`]);
-//! `--no-cache` bypasses it.
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod callgraph;
 pub mod config;
 pub mod diag;
@@ -87,63 +81,16 @@ pub fn analyze_source(class: &FileClass, source: &str, cfg: &Config) -> Vec<Find
     out
 }
 
-/// Knobs for [`analyze_workspace_opts`].
-#[derive(Debug, Clone, Copy)]
-pub struct ScanOptions {
-    /// Use the on-disk summary cache under `target/storm-lint-cache/`.
-    pub cache: bool,
-}
-
-impl Default for ScanOptions {
-    fn default() -> ScanOptions {
-        ScanOptions { cache: true }
-    }
-}
-
-/// What a workspace scan did, for reporting and benchmarking.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ScanStats {
-    /// Files visited.
-    pub files_scanned: usize,
-    /// Files whose summary came from the cache.
-    pub cache_hits: usize,
-}
-
-/// Scans the whole workspace rooted at `root`: summarize (or reuse
-/// cached summaries), build the call graph, run taint propagation, and
-/// evaluate every rule. Findings sorted by `(file, line, col, rule)`.
-pub fn analyze_workspace_opts(
-    root: &Path,
-    cfg: &Config,
-    opts: ScanOptions,
-) -> io::Result<(Vec<Finding>, ScanStats)> {
+/// Scans the whole workspace rooted at `root`: summarize every file,
+/// build the call graph, run taint propagation, and evaluate every rule.
+/// Returns the findings sorted by `(file, line, col, rule)` and the number
+/// of files scanned.
+pub fn analyze_workspace(root: &Path, cfg: &Config) -> io::Result<(Vec<Finding>, usize)> {
     let files = walk::workspace_files(root)?;
-    let mut store = if opts.cache {
-        cache::Cache::load(root)
-    } else {
-        cache::Cache::default()
-    };
-    let mut stats = ScanStats {
-        files_scanned: files.len(),
-        cache_hits: 0,
-    };
     let mut summaries = Vec::with_capacity(files.len());
     for rel in &files {
         let source = fs::read_to_string(root.join(rel))?;
-        let hash = cache::fnv64(source.as_bytes());
-        if let Some(s) = store.get(rel, hash) {
-            stats.cache_hits += 1;
-            summaries.push(s.clone());
-        } else {
-            let s = symbols::summarize(rel, &source);
-            store.put(rel, hash, s.clone());
-            summaries.push(s);
-        }
-    }
-    if opts.cache {
-        store.retain_files(&files);
-        // Best-effort: a read-only checkout still lints fine.
-        let _ = store.save(root);
+        summaries.push(symbols::summarize(rel, &source));
     }
     let ws = callgraph::Workspace::build(summaries);
     let t = taint::propagate(&ws);
@@ -151,12 +98,7 @@ pub fn analyze_workspace_opts(
     findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.col, a.rule).cmp(&(b.file.as_str(), b.line, b.col, b.rule))
     });
-    Ok((findings, stats))
-}
-
-/// [`analyze_workspace_opts`] with defaults (cache enabled).
-pub fn analyze_workspace(root: &Path, cfg: &Config) -> io::Result<(Vec<Finding>, usize)> {
-    analyze_workspace_opts(root, cfg, ScanOptions::default()).map(|(f, s)| (f, s.files_scanned))
+    Ok((findings, files.len()))
 }
 
 #[cfg(test)]

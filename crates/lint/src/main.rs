@@ -1,5 +1,5 @@
 //! CLI entry point: `storm-lint [--workspace] [--json | --sarif]
-//! [--no-cache] [--root DIR] [FILES...]`.
+//! [--root DIR] [FILES...]`.
 //!
 //! Exit codes: `0` clean, `1` findings, `2` usage or I/O error.
 
@@ -10,8 +10,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use storm_lint::{
-    analyze_source, analyze_workspace_opts, render_human, render_json, render_sarif, Config,
-    FileClass, ScanOptions,
+    analyze_source, analyze_workspace, render_human, render_json, render_sarif, Config, FileClass,
 };
 
 enum Format {
@@ -23,7 +22,6 @@ enum Format {
 struct Args {
     workspace: bool,
     format: Format,
-    cache: bool,
     root: PathBuf,
     files: Vec<String>,
 }
@@ -32,7 +30,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         workspace: false,
         format: Format::Human,
-        cache: true,
         root: PathBuf::from("."),
         files: Vec::new(),
     };
@@ -42,14 +39,12 @@ fn parse_args() -> Result<Args, String> {
             "--workspace" => args.workspace = true,
             "--json" => args.format = Format::Json,
             "--sarif" => args.format = Format::Sarif,
-            "--no-cache" => args.cache = false,
             "--root" => {
                 args.root = PathBuf::from(it.next().ok_or("--root needs a directory")?);
             }
             "--help" | "-h" => {
                 return Err(
-                    "usage: storm-lint [--workspace] [--json | --sarif] [--no-cache] \
-                     [--root DIR] [FILES...]"
+                    "usage: storm-lint [--workspace] [--json | --sarif] [--root DIR] [FILES...]"
                         .to_string(),
                 )
             }
@@ -73,9 +68,8 @@ fn main() -> ExitCode {
     };
     let cfg = Config::default();
     let (findings, scanned) = if args.workspace {
-        let opts = ScanOptions { cache: args.cache };
-        match analyze_workspace_opts(&args.root, &cfg, opts) {
-            Ok((f, stats)) => (f, stats.files_scanned),
+        match analyze_workspace(&args.root, &cfg) {
+            Ok(scan) => scan,
             Err(e) => {
                 eprintln!("storm-lint: workspace scan failed: {e}");
                 return ExitCode::from(2);

@@ -31,10 +31,10 @@
 //!   total order derived only from simulation state — so every shard's
 //!   incoming FIFO sequence numbers are reproducible.
 //!
-//! Worker threads merely multiplex shards (shard `i` belongs to worker
-//! `i % threads`); moving a shard to a different worker changes wall
-//! clock, not results. Merged outputs (traces, stats) are returned as the
-//! shard vector in shard-id order for the caller to concatenate.
+//! Workers merely multiplex shards (shard `i` belongs to worker
+//! `i % threads`, worker 0 being the caller); moving a shard to another
+//! worker changes wall clock, not results. Merged outputs (traces, stats)
+//! come back as the shard vector in shard-id order for the caller to join.
 
 use std::sync::mpsc;
 
@@ -122,25 +122,49 @@ pub struct ShardedExecutor {
     threads: usize,
 }
 
-/// Per-round work order sent to a worker.
-enum Cmd<M> {
-    /// Deliver the bundled messages, then run owned shards to `bound`.
-    Round {
-        bound: SimTime,
-        /// `(dest shard, arrival, msg)` in global injection order.
-        inbox: Vec<(usize, SimTime, M)>,
-    },
-    Done,
-}
+/// Messages routed to one worker for a round: `(dest shard, arrival,
+/// msg)` in global injection order.
+type Inbox<M> = Vec<(usize, SimTime, M)>;
 
-/// A worker's report after a round: per owned shard, the next pending
-/// time and the outbox contents (tagged with the emission index).
+/// A worker's report after a round.
 struct Report<M> {
-    worker: usize,
     /// `(shard id, next_time)` for each owned shard.
     next: Vec<(usize, Option<SimTime>)>,
     /// `(source shard, emission index, msg)` for each buffered message.
     sent: Vec<(usize, usize, ShardMsg<M>)>,
+}
+
+/// One worker's share of a round: deliver `inbox`, then run every owned
+/// shard to `bound`. `owned` holds shards `w, w + threads, ...` in
+/// ascending id order, so shard `dest` sits at index `dest / threads`.
+fn run_round<S: ShardSim>(
+    owned: &mut [(usize, S)],
+    threads: usize,
+    outbox: &mut Outbox<S::Msg>,
+    bound: SimTime,
+    inbox: Inbox<S::Msg>,
+) -> Report<S::Msg> {
+    for (dest, at, msg) in inbox {
+        let (id, shard) = &mut owned[dest / threads];
+        debug_assert_eq!(*id, dest, "routed to owner");
+        shard.deliver(at, msg);
+    }
+    let mut report = Report {
+        next: Vec::with_capacity(owned.len()),
+        sent: Vec::new(),
+    };
+    for (id, shard) in owned.iter_mut() {
+        shard.run_until(bound, outbox);
+        for (emit_idx, m) in outbox.msgs.drain(..).enumerate() {
+            debug_assert!(
+                m.at >= bound,
+                "cross-shard message undercuts the lookahead bound"
+            );
+            report.sent.push((*id, emit_idx, m));
+        }
+        report.next.push((*id, shard.next_time()));
+    }
+    report
 }
 
 impl ShardedExecutor {
@@ -163,151 +187,112 @@ impl ShardedExecutor {
     /// Runs every shard until all local events at or before `end` (and
     /// every message they trigger) have executed, then returns the shards
     /// in shard-id order.
-    pub fn run<S: ShardSim>(&self, mut shards: Vec<S>, end: SimTime) -> Vec<S> {
+    ///
+    /// The calling thread is worker 0; only workers `1..threads` are
+    /// spawned, each behind one command and one report channel, so a
+    /// single-threaded run involves no thread and no channel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a shard panics, on whichever worker it ran.
+    pub fn run<S: ShardSim>(&self, shards: Vec<S>, end: SimTime) -> Vec<S> {
         if shards.is_empty() {
             return shards;
         }
-        let threads = self.threads.min(shards.len());
-        let lookahead = self.lookahead;
+        let shard_count = shards.len();
+        let threads = self.threads.min(shard_count);
         // Shard i lives on worker i % threads for the whole run.
-        let shard_ids: Vec<Vec<usize>> = (0..threads)
-            .map(|w| (w..shards.len()).step_by(threads).collect())
-            .collect();
         let mut owned: Vec<Vec<(usize, S)>> = (0..threads).map(|_| Vec::new()).collect();
-        for (id, shard) in shards.drain(..).enumerate().rev() {
+        for (id, shard) in shards.into_iter().enumerate() {
             owned[id % threads].push((id, shard));
         }
-        for set in &mut owned {
-            set.reverse(); // ascending shard id within each worker
-        }
+        let mut mine = owned.remove(0);
 
-        let mut finished: Vec<Option<(usize, S)>> = Vec::new();
-        std::thread::scope(|scope| {
-            let (report_tx, report_rx) = mpsc::channel::<Report<S::Msg>>();
-            let mut cmd_txs = Vec::with_capacity(threads);
-            let mut handles = Vec::with_capacity(threads);
-            for (worker, mut set) in owned.into_iter().enumerate() {
-                let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd<S::Msg>>();
-                cmd_txs.push(cmd_tx);
-                let report_tx = report_tx.clone();
-                handles.push(scope.spawn(move || {
-                    // Initial report so the coordinator can seed the
-                    // first round's global minimum.
-                    let mut outbox = Outbox::new();
-                    let next = set.iter_mut().map(|(id, s)| (*id, s.next_time())).collect();
-                    report_tx
-                        .send(Report {
-                            worker,
-                            next,
-                            sent: Vec::new(),
-                        })
-                        .expect("coordinator alive");
-                    while let Ok(Cmd::Round { bound, inbox }) = cmd_rx.recv() {
-                        let mut sent = Vec::new();
-                        for (dest, at, msg) in inbox {
-                            let (_, shard) = set
-                                .iter_mut()
-                                .find(|(id, _)| *id == dest)
-                                .expect("routed to owner");
-                            shard.deliver(at, msg);
-                        }
-                        let mut next = Vec::with_capacity(set.len());
-                        for (id, shard) in set.iter_mut() {
-                            shard.run_until(bound, &mut outbox);
-                            for (emit_idx, m) in outbox.msgs.drain(..).enumerate() {
-                                debug_assert!(
-                                    m.at >= bound,
-                                    "cross-shard message undercuts the lookahead bound"
-                                );
-                                sent.push((*id, emit_idx, m));
+        let mut finished = std::thread::scope(|scope| {
+            let helpers: Vec<_> = owned
+                .into_iter()
+                .map(|mut set| {
+                    let (cmd_tx, cmd_rx) = mpsc::channel::<(SimTime, Inbox<S::Msg>)>();
+                    let (report_tx, report_rx) = mpsc::channel();
+                    let handle = scope.spawn(move || {
+                        let mut outbox = Outbox::new();
+                        // Ends when the caller drops `cmd_tx`: run over, or
+                        // the caller is unwinding from a peer's panic.
+                        while let Ok((bound, inbox)) = cmd_rx.recv() {
+                            let report = run_round(&mut set, threads, &mut outbox, bound, inbox);
+                            if report_tx.send(report).is_err() {
+                                break;
                             }
-                            next.push((*id, shard.next_time()));
                         }
-                        report_tx
-                            .send(Report { worker, next, sent })
-                            .expect("coordinator alive");
-                    }
-                    set
-                }));
-            }
-            drop(report_tx);
+                        set
+                    });
+                    (cmd_tx, report_rx, handle)
+                })
+                .collect();
 
-            // Coordinator: global-barrier rounds.
-            let mut next_times: Vec<Option<SimTime>> =
-                vec![None; shard_ids.iter().map(Vec::len).sum()];
-            let mut round_inbox: Vec<(usize, usize, ShardMsg<S::Msg>)> = Vec::new();
-            let await_reports =
-                |round_inbox: &mut Vec<(usize, usize, ShardMsg<S::Msg>)>,
-                 next_times: &mut Vec<Option<SimTime>>| {
-                    for _ in 0..threads {
-                        let report = report_rx.recv().expect("workers alive");
-                        let _ = report.worker;
-                        for (id, t) in report.next {
-                            next_times[id] = t;
-                        }
-                        round_inbox.extend(report.sent);
-                    }
-                };
-            await_reports(&mut round_inbox, &mut next_times);
-
+            let mut outbox = Outbox::new();
+            let mut next_times: Vec<Option<SimTime>> = vec![None; shard_count];
+            let mut in_flight: Vec<(usize, usize, ShardMsg<S::Msg>)> = Vec::new();
+            let mut inboxes: Vec<Inbox<S::Msg>> = (0..threads).map(|_| Vec::new()).collect();
+            // Round zero runs nothing (`bound` 0) and seeds `next_times`.
+            let mut bound = SimTime::ZERO;
             loop {
+                // Total injection order: (arrival, sender key, source
+                // shard, emission index) — reproducible from simulation
+                // state alone, never from thread timing.
+                in_flight.sort_by_key(|(src, emit_idx, m)| (m.at, m.key, *src, *emit_idx));
+                for (_, _, m) in in_flight.drain(..) {
+                    assert!(m.dest < shard_count, "message to unknown shard");
+                    inboxes[m.dest % threads].push((m.dest, m.at, m.msg));
+                }
+                for ((cmd_tx, _, _), inbox) in helpers.iter().zip(&mut inboxes[1..]) {
+                    let cmd = (bound, std::mem::take(inbox));
+                    cmd_tx.send(cmd).expect("shard worker panicked");
+                }
+                let mut absorb = |report: Report<S::Msg>| {
+                    for (id, t) in report.next {
+                        next_times[id] = t;
+                    }
+                    in_flight.extend(report.sent);
+                };
+                let my_inbox = std::mem::take(&mut inboxes[0]);
+                absorb(run_round(&mut mine, threads, &mut outbox, bound, my_inbox));
+                for (_, report_rx, _) in &helpers {
+                    absorb(report_rx.recv().expect("shard worker panicked"));
+                }
+
                 // The horizon is the earliest thing that can still happen:
                 // the minimum over local queues AND in-flight message
                 // arrivals. An in-flight message can precede every local
                 // event, and its consequences (delivered at round start,
-                // below) may emit new messages as early as `arrival + L` —
+                // above) may emit new messages as early as `arrival + L` —
                 // so the bound must not outrun `arrival + L` either.
-                let global_next = next_times.iter().flatten().min().copied();
-                let inflight_next = round_inbox.iter().map(|(_, _, m)| m.at).min();
-                let horizon = match [global_next, inflight_next].into_iter().flatten().min() {
+                let local_next = next_times.iter().flatten().min().copied();
+                let inflight_next = in_flight.iter().map(|(_, _, m)| m.at).min();
+                let horizon = match [local_next, inflight_next].into_iter().flatten().min() {
                     Some(t) if t <= end => t,
                     // Nothing left at or before `end` (later arrivals can
                     // only schedule work past `end`).
                     _ => break,
                 };
-                let bound = SimTime::from_nanos(
+                bound = SimTime::from_nanos(
                     horizon
                         .as_nanos()
-                        .saturating_add(lookahead.as_nanos())
+                        .saturating_add(self.lookahead.as_nanos())
                         .min(end.as_nanos().saturating_add(1)),
                 );
-                // Total injection order: (arrival, sender key, source
-                // shard, emission index) — reproducible from simulation
-                // state alone, never from thread timing.
-                round_inbox.sort_by_key(|(src, emit_idx, m)| (m.at, m.key, *src, *emit_idx));
-                let mut inboxes: Vec<Vec<(usize, SimTime, S::Msg)>> =
-                    (0..threads).map(|_| Vec::new()).collect();
-                for (_, _, m) in round_inbox.drain(..) {
-                    assert!(m.dest < next_times.len(), "message to unknown shard");
-                    inboxes[m.dest % threads].push((m.dest, m.at, m.msg));
-                }
-                for (w, inbox) in inboxes.into_iter().enumerate() {
-                    cmd_txs[w]
-                        .send(Cmd::Round { bound, inbox })
-                        .expect("worker alive");
-                }
-                await_reports(&mut round_inbox, &mut next_times);
             }
 
-            for tx in &cmd_txs {
-                let _ = tx.send(Cmd::Done);
+            for (cmd_tx, _, handle) in helpers {
+                drop(cmd_tx);
+                mine.extend(handle.join().expect("shard worker panicked"));
             }
-            for handle in handles {
-                for entry in handle.join().expect("worker panicked") {
-                    finished.push(Some(entry));
-                }
-            }
+            mine
         });
 
         // Return in shard-id order regardless of worker ownership.
-        let mut out: Vec<Option<S>> = (0..finished.len()).map(|_| None).collect();
-        for entry in finished.into_iter().flatten() {
-            let (id, shard) = entry;
-            out[id] = Some(shard);
-        }
-        out.into_iter()
-            .map(|s| s.expect("every shard returned"))
-            .collect()
+        finished.sort_by_key(|(id, _)| *id);
+        finished.into_iter().map(|(_, shard)| shard).collect()
     }
 }
 
@@ -317,11 +302,10 @@ mod tests {
     use crate::EventQueue;
 
     /// A toy shard: a queue of `(time, value)` events; every multiple-of-k
-    /// value forwards `value + 1` to the next shard after `latency`.
+    /// value forwards `value + 1` to the next shard after `LATENCY`.
     struct Toy {
         id: usize,
         shards: usize,
-        latency: SimDuration,
         q: EventQueue<u64>,
         log: Vec<(u64, u64)>, // (time ns, value)
     }
@@ -339,9 +323,10 @@ mod tests {
                     break;
                 }
                 let (t, v) = self.q.pop().expect("peeked");
+                assert_ne!(v, POISON, "shard hit the poisoned event");
                 self.log.push((t.as_nanos(), v));
                 if v % 3 == 0 {
-                    outbox.send((self.id + 1) % self.shards, t + self.latency, 0, v + 1);
+                    outbox.send((self.id + 1) % self.shards, t + LATENCY, 0, v + 1);
                 }
             }
         }
@@ -351,25 +336,33 @@ mod tests {
         }
     }
 
-    fn run_toy(shards: usize, threads: usize) -> Vec<Vec<(u64, u64)>> {
-        let latency = SimDuration::from_micros(5);
-        let mut sims: Vec<Toy> = (0..shards)
-            .map(|id| Toy {
-                id,
-                shards,
-                latency,
-                q: EventQueue::new(),
-                log: Vec::new(),
-            })
-            .collect();
+    /// An event value whose execution panics the shard running it.
+    const POISON: u64 = u64::MAX;
+    const LATENCY: SimDuration = SimDuration::from_micros(5);
+
+    fn toy(id: usize, shards: usize) -> Toy {
+        Toy {
+            id,
+            shards,
+            q: EventQueue::new(),
+            log: Vec::new(),
+        }
+    }
+
+    fn toys(shards: usize) -> Vec<Toy> {
+        let mut sims: Vec<Toy> = (0..shards).map(|id| toy(id, shards)).collect();
         for (id, sim) in sims.iter_mut().enumerate() {
             for k in 0..20u64 {
                 sim.q
                     .push(SimTime::from_nanos(1 + k * 700 + id as u64), k * 3);
             }
         }
-        let exec = ShardedExecutor::new(latency, threads);
-        let done = exec.run(sims, SimTime::from_millis(10));
+        sims
+    }
+
+    fn run_toy(shards: usize, threads: usize) -> Vec<Vec<(u64, u64)>> {
+        let exec = ShardedExecutor::new(LATENCY, threads);
+        let done = exec.run(toys(shards), SimTime::from_millis(10));
         done.into_iter().map(|s| s.log).collect()
     }
 
@@ -380,6 +373,18 @@ mod tests {
         assert_eq!(base, run_toy(4, 4));
         // Messages actually crossed shards.
         assert!(base.iter().all(|log| log.len() > 20));
+        // More threads than shards: the surplus workers are never spawned.
+        assert_eq!(run_toy(2, 1), run_toy(2, 4));
+    }
+
+    /// Shard 1 runs on the helper thread; its panic must surface from
+    /// `run` through the closed channel, not leave the caller waiting.
+    #[test]
+    #[should_panic(expected = "shard worker panicked")]
+    fn helper_panic_fails_the_run_instead_of_hanging() {
+        let mut sims = toys(2);
+        sims[1].q.push(SimTime::from_nanos(50_000), POISON);
+        ShardedExecutor::new(LATENCY, 2).run(sims, SimTime::from_millis(10));
     }
 
     #[test]
@@ -392,13 +397,7 @@ mod tests {
 
     #[test]
     fn events_at_end_instant_run() {
-        let mut sims = vec![Toy {
-            id: 0,
-            shards: 1,
-            latency: SimDuration::from_micros(1),
-            q: EventQueue::new(),
-            log: Vec::new(),
-        }];
+        let mut sims = vec![toy(0, 1)];
         sims[0].q.push(SimTime::from_millis(10), 1);
         let exec = ShardedExecutor::new(SimDuration::from_micros(1), 1);
         let done = exec.run(sims, SimTime::from_millis(10));
