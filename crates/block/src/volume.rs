@@ -7,9 +7,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use storm_sim::{FaultAction, FaultHook, FaultSite, SimTime};
 
@@ -197,7 +195,7 @@ impl BlockDevice for Volume {
         }
         self.check_fault(lba, false)?;
         let sectors = check_access(self.num_sectors, lba, buf.len())?;
-        let mut disk = self.backing.lock();
+        let mut disk = self.backing.lock().expect("poisoned");
         for (off, plba, run) in self.runs(lba, sectors) {
             let b = off as usize * SECTOR_SIZE;
             disk.read(plba, &mut buf[b..b + run as usize * SECTOR_SIZE])?;
@@ -211,7 +209,7 @@ impl BlockDevice for Volume {
         }
         self.check_fault(lba, true)?;
         let sectors = check_access(self.num_sectors, lba, data.len())?;
-        let mut disk = self.backing.lock();
+        let mut disk = self.backing.lock().expect("poisoned");
         for (off, plba, run) in self.runs(lba, sectors) {
             let b = off as usize * SECTOR_SIZE;
             disk.write(plba, &data[b..b + run as usize * SECTOR_SIZE])?;
@@ -220,7 +218,7 @@ impl BlockDevice for Volume {
     }
 
     fn flush(&mut self) -> Result<(), BlockError> {
-        self.backing.lock().flush()
+        self.backing.lock().expect("poisoned").flush()
     }
 }
 
@@ -240,37 +238,37 @@ impl SharedVolume {
 
     /// The wrapped volume's identifier.
     pub fn id(&self) -> VolumeId {
-        self.0.lock().id()
+        self.0.lock().expect("poisoned").id()
     }
 
     /// Injects a failure on the shared volume.
     pub fn fail(&self) {
-        self.0.lock().fail();
+        self.0.lock().expect("poisoned").fail();
     }
 
     /// Clears an injected failure.
     pub fn recover(&self) {
-        self.0.lock().recover();
+        self.0.lock().expect("poisoned").recover();
     }
 
     /// Arms the wrapped volume's fault hook.
     pub fn set_fault_hook(&self, hook: FaultHook) {
-        self.0.lock().set_fault_hook(hook);
+        self.0.lock().expect("poisoned").set_fault_hook(hook);
     }
 }
 
 impl BlockDevice for SharedVolume {
     fn num_sectors(&self) -> u64 {
-        self.0.lock().num_sectors()
+        self.0.lock().expect("poisoned").num_sectors()
     }
     fn read(&mut self, lba: u64, buf: &mut [u8]) -> Result<(), BlockError> {
-        self.0.lock().read(lba, buf)
+        self.0.lock().expect("poisoned").read(lba, buf)
     }
     fn write(&mut self, lba: u64, data: &[u8]) -> Result<(), BlockError> {
-        self.0.lock().write(lba, data)
+        self.0.lock().expect("poisoned").write(lba, data)
     }
     fn flush(&mut self) -> Result<(), BlockError> {
-        self.0.lock().flush()
+        self.0.lock().expect("poisoned").flush()
     }
 }
 

@@ -16,8 +16,7 @@ use std::collections::HashMap;
 use bytes::Bytes;
 
 use storm_iscsi::{
-    Initiator, InitiatorConfig, IoTag, IscsiTransport, ScsiStatus, Transport, TransportEvent,
-    TransportKind,
+    Initiator, InitiatorConfig, IoTag, ScsiStatus, Transport, TransportEvent, TransportKind,
 };
 use storm_net::{App, CloseReason, Cx, SendQueue, SockAddr, SockId};
 use storm_nvmeq::{NvmeqConfig, NvmeqInitiator};
@@ -257,9 +256,7 @@ impl VolumeClient {
     pub fn new(cfg: VolumeClientConfig, workload: Box<dyn Workload>) -> Self {
         let rng = SimRng::seed_from_u64(cfg.seed);
         let ini: Box<dyn Transport> = match cfg.transport {
-            TransportKind::Iscsi => {
-                Box::new(IscsiTransport::new(Initiator::new(cfg.initiator.clone())))
-            }
+            TransportKind::Iscsi => Box::new(Initiator::new(cfg.initiator.clone())),
             TransportKind::Nvmeq => Box::new(NvmeqInitiator::new(NvmeqConfig {
                 initiator_iqn: cfg.initiator.initiator_iqn.clone(),
                 target_iqn: cfg.initiator.target_iqn.clone(),

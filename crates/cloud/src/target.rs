@@ -5,17 +5,25 @@
 //! (sessions select their volume by `TargetName` at login/connect). The
 //! wire protocol is sniffed per connection from the first byte — nvmeq
 //! frames open with magic `0xB5`, iSCSI logins with opcode `0x43` — so
-//! steering rules written for one portal cover both. Reads and writes
-//! pass through the shared [`DiskModel`] so concurrent sessions contend
-//! for the spindle, as on the paper's Cinder node.
+//! steering rules written for one portal cover both.
+//!
+//! Every Read/Write/Flush either transport surfaces becomes one `DiskJob`
+//! and walks one pipeline — admit → shape → schedule → serve → respond —
+//! whose stages are the methods of those names below. Jobs share the
+//! host's [`DiskModel`], so concurrent sessions contend for the spindle
+//! as on the paper's Cinder node; per-tenant QoS
+//! ([`TargetHostApp::enable_qos`]) is two stages of that pipeline (token
+//! bucket, per-tier WFQ gate) that only registered volumes enter, not a
+//! path beside it.
 //!
 //! An nvmeq doorbell delivers a whole batch of submissions in one frame;
-//! `handle_events` drains them in one dispatch tick (every command is
-//! admitted to the disk model before the first completes), and held
+//! `handle_events` admits them in one dispatch tick (every command
+//! reaches the disk model before the first completes), and held
 //! completions go out when the connection's interrupt-moderation timer
 //! fires ([`storm_iscsi::TargetTransport::cq_deadline_ns`]).
 
 use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
 
 use bytes::Bytes;
 
@@ -27,7 +35,7 @@ use storm_iscsi::{
 use storm_net::{App, CloseReason, Cx, FourTuple, SendQueue, SockId};
 use storm_nvmeq::{scan_connect_payload, NvmeqTargetConfig, NvmeqTargetConn, MAGIC, NVMEQ_PORT};
 use storm_qos::{DiskTier, RateLimitSpec, RateLimiter, WeightedFairQueue};
-use storm_sim::trace::{req_token, Hop, ReqToken, TraceEvent, TraceHook};
+use storm_sim::trace::{req_token, Hop, TraceEvent, TraceHook};
 use storm_sim::{FaultAction, FaultHook, FaultSite, Histogram, SimDuration, SimTime};
 
 use crate::disk::{DiskModel, DiskSpec};
@@ -69,8 +77,9 @@ impl Default for TargetHostConfig {
 struct Session {
     conn: Box<dyn TargetTransport>,
     volume: Option<SharedVolume>,
-    /// IQN the session bound to (QoS tenant/tier lookups).
-    iqn: Option<String>,
+    /// IQN the session bound to (QoS tenant/tier lookups); shared with
+    /// the session's jobs, so admitting a command never copies it.
+    iqn: Option<Rc<str>>,
     sendq: SendQueue,
     /// The initiator name seen at login (connection attribution).
     initiator: Option<Iqn>,
@@ -80,47 +89,88 @@ struct Session {
     armed_cq: Option<u64>,
 }
 
-#[derive(Debug)]
-enum PendingDisk {
-    Read {
-        sock: SockId,
-        itt: u32,
-        lba: u64,
-        sectors: u32,
-    },
-    Write {
-        sock: SockId,
-        itt: u32,
-    },
-    Flush {
-        sock: SockId,
-        itt: u32,
-    },
+impl Session {
+    /// Moves the connection's queued wire bytes to the socket.
+    fn flush_wire(&mut self, cx: &mut Cx<'_>, sock: SockId) {
+        self.sendq.push_all(self.conn.take_wire());
+        self.sendq.pump(cx, sock);
+    }
 }
 
-/// A disk job held back by the per-tier WFQ dispatch gate.
-#[derive(Debug)]
-enum QueuedKind {
+/// What a command asks of the disk.
+#[derive(Debug, Clone, Copy)]
+enum DiskOp {
     Read { lba: u64, sectors: u32 },
     Write { lba: u64, bytes: usize },
     Flush,
 }
 
+impl DiskOp {
+    /// Payload size: CPU charge, token-bucket draw and WFQ cost (a flush
+    /// counts as one sector).
+    fn bytes(self) -> u64 {
+        match self {
+            DiskOp::Read { sectors, .. } => sectors as u64 * 512,
+            DiskOp::Write { bytes, .. } => bytes as u64,
+            DiskOp::Flush => 512,
+        }
+    }
+}
+
+/// One Read/Write/Flush on its way through the host's pipeline:
+///
+/// ```text
+/// admit ──► shape ──► schedule ──► serve ──► respond
+///  CPU      token     per-tier     disk      complete_* on the
+///  write    bucket    WFQ gate     model     connection, flush
+///  verdict  (QoS volumes only)     timer     wire, arm CQ timer
+/// ```
 #[derive(Debug)]
-struct QosJob {
+struct DiskJob {
     sock: SockId,
     itt: u32,
-    kind: QueuedKind,
+    op: DiskOp,
     /// Arrival instant (latency accounting starts here).
     arrived: SimTime,
     /// Earliest allowed start: arrival plus token-bucket shaping delay.
     earliest: SimTime,
     /// Fault-injected extra completion delay.
     extra: SimDuration,
-    /// Volume the job belongs to.
-    iqn: String,
     /// Target CPU already charged for this job (trace attribution).
     cpu: SimDuration,
+    /// `(tenant, volume)` when the volume is registered for QoS: the job
+    /// then passes the shape and schedule stages and is served by its
+    /// tier's disk; otherwise it goes straight to the shared disk.
+    qos: Option<(u32, Rc<str>)>,
+}
+
+/// How the host answers a job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Answer {
+    /// Failed at admission: no disk access happened, so a read carries
+    /// no buffer.
+    Rejected,
+    /// The disk served it; the volume's own result is the status.
+    Served,
+    /// Served, but the response path was told to fail it.
+    Failed,
+}
+
+/// What a timer token stands for.
+#[derive(Debug)]
+enum Timer {
+    /// Interrupt moderation: flush the session's held completions.
+    CqFlush(SockId),
+    /// A shaping delay elapsed: the job becomes scheduler-eligible. The
+    /// shaper runs *before* the scheduler: a throttled job must not hold
+    /// the dispatch gate or a WFQ tag while its token debt drains, or it
+    /// head-of-line blocks every other tenant for its whole delay.
+    Admit(DiskJob),
+    /// The disk finished `job`; `slot` is the tier dispatch slot it held.
+    Done {
+        job: DiskJob,
+        slot: Option<DiskTier>,
+    },
 }
 
 fn tier_idx(tier: DiskTier) -> usize {
@@ -130,12 +180,11 @@ fn tier_idx(tier: DiskTier) -> usize {
     }
 }
 
-/// Payload size of a queued disk job, for token-bucket draw and WFQ cost.
-fn job_bytes(kind: &QueuedKind) -> u64 {
-    match kind {
-        QueuedKind::Read { sectors, .. } => *sectors as u64 * 512,
-        QueuedKind::Write { bytes, .. } => *bytes as u64,
-        QueuedKind::Flush => 512,
+fn status(ok: bool) -> ScsiStatus {
+    if ok {
+        ScsiStatus::Good
+    } else {
+        ScsiStatus::CheckCondition
     }
 }
 
@@ -143,7 +192,7 @@ fn job_bytes(kind: &QueuedKind) -> u64 {
 /// per disk tier, tiered disk models and the volume → tier map.
 struct QosState {
     limiters: BTreeMap<u32, RateLimiter>,
-    wfq: [WeightedFairQueue<QosJob>; 2],
+    wfq: [WeightedFairQueue<DiskJob>; 2],
     /// One job in service per tier; the next is popped at completion —
     /// the "dispatch queue" the WFQ actually orders.
     busy: [bool; 2],
@@ -155,7 +204,7 @@ struct QosState {
     /// lazily once the copy's cutover instant has passed.
     pending_cutover: BTreeMap<String, (DiskTier, SimTime)>,
     /// Per-volume service latency (arrival → completion) histograms.
-    latency: BTreeMap<String, Histogram>,
+    latency: BTreeMap<Rc<str>, Histogram>,
     /// Committed tier migrations.
     migrations_done: u64,
 }
@@ -182,20 +231,11 @@ pub struct TargetHostApp {
     cfg: TargetHostConfig,
     volumes: HashMap<String, SharedVolume>,
     sessions: HashMap<SockId, Session>,
+    /// The shared disk every volume not registered for QoS is served by.
     disk: DiskModel,
-    pending: HashMap<u64, PendingDisk>,
-    /// Tier owning each in-flight QoS job's dispatch slot (by timer
-    /// token); the slot frees when the completion timer fires.
-    qos_slot: HashMap<u64, DiskTier>,
-    /// Jobs waiting out a shaping delay (by timer token). The shaper runs
-    /// *before* the scheduler: a throttled job must not hold the dispatch
-    /// gate or a WFQ tag while its token debt drains, or it head-of-line
-    /// blocks every other tenant for its whole delay.
-    qos_admit: HashMap<u64, QosJob>,
     qos: Option<QosState>,
-    /// Interrupt-moderation timers: token → session whose completion
-    /// queue should flush when it fires.
-    cq_wait: HashMap<u64, SockId>,
+    /// Every armed timer, by token.
+    timers: HashMap<u64, Timer>,
     /// Submission-batch dispatch stats: `(ticks, commands, max batch)` —
     /// one tick per `handle_events` call that admitted commands.
     dispatch: (u64, u64, usize),
@@ -217,11 +257,8 @@ impl TargetHostApp {
             volumes: HashMap::new(),
             sessions: HashMap::new(),
             disk,
-            pending: HashMap::new(),
-            qos_slot: HashMap::new(),
-            qos_admit: HashMap::new(),
             qos: None,
-            cq_wait: HashMap::new(),
+            timers: HashMap::new(),
             dispatch: (0, 0, 0),
             next_token: 1,
             logins: Vec::new(),
@@ -246,48 +283,31 @@ impl TargetHostApp {
         self.trace_host = host;
     }
 
-    /// The request token for `itt` on session `sock`: the connection's
-    /// remote (initiator-side) source port plus the wire ITT — the same
-    /// token the guest minted, because splicing preserves source ports.
-    fn trace_req(&self, sock: SockId, itt: u32) -> Option<ReqToken> {
-        let t = self.sessions.get(&sock)?.tuple?;
-        Some(req_token(t.dst.port, itt))
-    }
-
-    /// Emits the target-side stages for one served request: request
-    /// parsing/copy CPU and the disk model's service time.
-    fn trace_serve(
-        &self,
-        now: SimTime,
-        sock: SockId,
-        itt: u32,
-        cpu: SimDuration,
-        disk: SimDuration,
-    ) {
+    /// Emits the target-side stages of a job going into service: shaping
+    /// plus WFQ wait (its own cost center, only when there was any),
+    /// request parsing/copy CPU and the disk model's service time.
+    fn trace_serve(&self, now: SimTime, job: &DiskJob, wait: SimDuration, disk: SimDuration) {
         if !self.trace.is_armed() {
             return;
         }
-        let Some(req) = self.trace_req(sock, itt) else {
+        // The request token is the connection's remote (initiator-side)
+        // source port plus the wire ITT — the same token the guest
+        // minted, because splicing preserves source ports.
+        let Some(tuple) = self.sessions.get(&job.sock).and_then(|s| s.tuple) else {
             return;
         };
-        self.trace.emit(
-            now,
-            TraceEvent::Stage {
-                req,
-                hop: Hop::TargetCpu,
-                id: self.trace_host,
-                dur: cpu,
-            },
-        );
-        self.trace.emit(
-            now,
-            TraceEvent::Stage {
-                req,
-                hop: Hop::Disk,
-                id: self.trace_host,
-                dur: disk,
-            },
-        );
+        let req = req_token(tuple.dst.port, job.itt);
+        for (hop, dur) in [
+            (Hop::Qos, wait),
+            (Hop::TargetCpu, job.cpu),
+            (Hop::Disk, disk),
+        ] {
+            if hop != Hop::Qos || dur > SimDuration::ZERO {
+                let id = self.trace_host;
+                self.trace
+                    .emit(now, TraceEvent::Stage { req, hop, id, dur });
+            }
+        }
     }
 
     /// Exports `volume` under `iqn`.
@@ -311,11 +331,11 @@ impl TargetHostApp {
         &self.disk
     }
 
-    /// Turns on QoS enforcement with the given tier disks. Volumes then
-    /// registered via [`Self::register_qos_volume`] are scheduled through
-    /// per-tenant token buckets and a per-tier WFQ dispatch gate instead
-    /// of the legacy shared disk; unregistered volumes keep the legacy
-    /// path untouched.
+    /// Turns on QoS enforcement with the given tier disks. Jobs of
+    /// volumes then registered via [`Self::register_qos_volume`] pass two
+    /// more pipeline stages — their tenant's token bucket and a per-tier
+    /// WFQ dispatch gate — and are served by their tier's disk;
+    /// unregistered volumes skip both and stay on the shared disk.
     pub fn enable_qos(&mut self, fast: DiskSpec, slow: DiskSpec) {
         self.qos = Some(QosState {
             limiters: BTreeMap::new(),
@@ -365,10 +385,7 @@ impl TargetHostApp {
     /// tier). Returns the cutover instant, or `None` when QoS is off,
     /// the volume is unknown, or it is already on `to`.
     pub fn migrate_volume(&mut self, now: SimTime, iqn: &Iqn, to: DiskTier) -> Option<SimTime> {
-        let bytes = {
-            use storm_block::BlockDevice as _;
-            self.volumes.get(iqn.as_str())?.clone().num_sectors() * 512
-        };
+        let bytes = self.volumes.get(iqn.as_str())?.clone().num_sectors() * 512;
         let qos = self.qos.as_mut()?;
         let from = qos.tier_of(iqn.as_str(), now);
         if from == to || qos.pending_cutover.contains_key(iqn.as_str()) {
@@ -435,199 +452,163 @@ impl TargetHostApp {
         self.dispatch
     }
 
+    /// Arms `timer` to fire `after` from now.
+    fn arm(&mut self, cx: &mut Cx<'_>, after: SimDuration, timer: Timer) {
+        let token = self.next_token;
+        self.next_token += 1;
+        self.timers.insert(token, timer);
+        cx.set_timer(after, token);
+    }
+
     /// Arms the interrupt-moderation timer for `sock`'s held
     /// completions, at most one timer per deadline. Stale timers no-op
     /// (a batch-full flush clears the deadline before they fire).
     fn arm_cq(&mut self, cx: &mut Cx<'_>, sock: SockId) {
-        let deadline = match self.sessions.get_mut(&sock) {
-            Some(sess) => match sess.conn.cq_deadline_ns() {
-                Some(d) if sess.armed_cq != Some(d) => {
-                    sess.armed_cq = Some(d);
-                    d
-                }
-                Some(_) => return,
-                None => {
-                    sess.armed_cq = None;
-                    return;
-                }
-            },
-            None => return,
+        let Some(sess) = self.sessions.get_mut(&sock) else {
+            return;
         };
-        let token = self.token();
-        self.cq_wait.insert(token, sock);
-        let now_ns = cx.now().as_nanos();
-        cx.set_timer(
-            SimDuration::from_nanos(deadline.saturating_sub(now_ns)),
-            token,
-        );
-    }
-
-    fn token(&mut self) -> u64 {
-        let t = self.next_token;
-        self.next_token += 1;
-        t
-    }
-
-    /// Routes a disk job through the QoS scheduler when the session's
-    /// volume is registered for it. Returns `true` when the job was taken
-    /// over (the caller skips the legacy direct-dispatch path).
-    fn qos_route(
-        &mut self,
-        cx: &mut Cx<'_>,
-        sock: SockId,
-        itt: u32,
-        kind: QueuedKind,
-        cpu: SimDuration,
-        extra: SimDuration,
-    ) -> bool {
-        if self.qos.is_none() {
-            return false;
+        let deadline = sess.conn.cq_deadline_ns();
+        if deadline == sess.armed_cq {
+            return;
         }
-        let Some(iqn) = self.sessions.get(&sock).and_then(|s| s.iqn.clone()) else {
-            return false;
-        };
+        sess.armed_cq = deadline;
+        if let Some(d) = deadline {
+            let wait = SimDuration::from_nanos(d.saturating_sub(cx.now().as_nanos()));
+            self.arm(cx, wait, Timer::CqFlush(sock));
+        }
+    }
+
+    /// Admit stage, entered by every Read/Write/Flush a transport
+    /// surfaces: charges target CPU, takes the [`FaultSite::DiskServe`]
+    /// verdict and hands the job on. `ok` is false when the functional
+    /// write already failed; such a job, like one the verdict fails, is
+    /// answered on the spot and never reaches the disk.
+    fn admit(&mut self, cx: &mut Cx<'_>, sock: SockId, itt: u32, op: DiskOp, ok: bool) {
         let now = cx.now();
-        let delay = {
-            let qos = self.qos.as_mut().expect("checked above");
-            if !qos.tenant_of.contains_key(&iqn) {
-                return false;
-            }
-            let tenant = qos.tenant_of[&iqn];
-            match qos.limiters.get_mut(&tenant) {
-                Some(l) => l.admit(now, job_bytes(&kind)),
-                None => SimDuration::ZERO,
+        let cpu = match op {
+            DiskOp::Flush => SimDuration::ZERO,
+            _ => {
+                let cpu = self.cfg.per_io_cpu + self.cfg.per_byte_cpu * op.bytes();
+                let _ = cx.charge(cpu, "target");
+                cpu
             }
         };
-        let job = QosJob {
+        let mut job = DiskJob {
             sock,
             itt,
-            kind,
+            op,
             arrived: now,
-            earliest: now + delay,
-            extra,
-            iqn,
+            earliest: now,
+            extra: SimDuration::ZERO,
             cpu,
+            qos: self.qos_binding(sock),
+        };
+        let site = FaultSite::DiskServe {
+            host: self.fault_host,
+            write: !matches!(op, DiskOp::Read { .. }),
+        };
+        match self.fault.decide(now, site) {
+            FaultAction::Proceed if ok => {}
+            FaultAction::Delay(d) if ok => job.extra = d,
+            // The request vanishes: an unresponsive target.
+            FaultAction::Drop => return,
+            _ => return self.respond(cx, &job, Answer::Rejected),
+        }
+        // Shape stage: a QoS volume's tenant pays from its token bucket.
+        let delay = match (&mut self.qos, &job.qos) {
+            (Some(qos), Some((tenant, _))) => qos
+                .limiters
+                .get_mut(tenant)
+                .map_or(SimDuration::ZERO, |l| l.admit(now, op.bytes())),
+            _ => SimDuration::ZERO,
         };
         if delay > SimDuration::ZERO {
-            // Shaper before scheduler: the job only becomes eligible for
-            // the WFQ and the dispatch gate once its token debt clears.
-            let token = self.token();
-            self.qos_admit.insert(token, job);
-            cx.set_timer(delay, token);
+            job.earliest = now + delay;
+            self.arm(cx, delay, Timer::Admit(job));
         } else {
-            self.enqueue_qos(cx, job);
+            self.schedule(cx, job);
         }
-        true
     }
 
-    /// Hands an admission-eligible job to `tier`'s scheduler: straight
-    /// into service if the dispatch gate is open, queued on the WFQ
-    /// otherwise.
-    fn enqueue_qos(&mut self, cx: &mut Cx<'_>, job: QosJob) {
-        let now = cx.now();
-        let (tier, ready) = {
-            let qos = self.qos.as_mut().expect("enqueue requires qos");
-            let tenant = qos.tenant_of.get(&job.iqn).copied().unwrap_or(0);
-            let bytes = job_bytes(&job.kind);
-            let tier = qos.tier_of(&job.iqn, now);
-            let idx = tier_idx(tier);
-            if qos.busy[idx] {
-                // Fairness is byte-weighted: large ops cost more credit.
-                qos.wfq[idx].push(tenant, bytes.max(512), job);
-                (tier, None)
-            } else {
-                (tier, Some(job))
-            }
+    /// `(tenant, volume)` if `sock`'s volume is registered for QoS. With
+    /// QoS off this is one `None` check: no lookup, no allocation.
+    fn qos_binding(&self, sock: SockId) -> Option<(u32, Rc<str>)> {
+        let qos = self.qos.as_ref()?;
+        let iqn = self.sessions.get(&sock)?.iqn.as_ref()?;
+        Some((*qos.tenant_of.get(&**iqn)?, Rc::clone(iqn)))
+    }
+
+    /// Schedule stage: a QoS job goes into service if its tier's dispatch
+    /// gate is open and waits on the tier's WFQ otherwise; any other job
+    /// goes straight to the shared disk.
+    fn schedule(&mut self, cx: &mut Cx<'_>, job: DiskJob) {
+        let (Some(qos), Some((tenant, iqn))) = (&mut self.qos, &job.qos) else {
+            return self.serve(cx, None, job);
         };
-        if let Some(job) = ready {
-            self.dispatch_qos(cx, tier, job);
+        let tier = qos.tier_of(iqn, cx.now());
+        if qos.busy[tier_idx(tier)] {
+            // Fairness is byte-weighted: large ops cost more credit.
+            let (tenant, cost) = (*tenant, job.op.bytes().max(512));
+            qos.wfq[tier_idx(tier)].push(tenant, cost, job);
+        } else {
+            self.serve(cx, Some(tier), job);
         }
     }
 
-    /// Puts `job` in service on `tier`'s disk and arms its completion
-    /// timer. The tier's dispatch slot stays held until that timer fires.
-    fn dispatch_qos(&mut self, cx: &mut Cx<'_>, tier: DiskTier, job: QosJob) {
+    /// Serve stage: puts `job` on its disk — `slot`'s tier disk, whose
+    /// dispatch slot it then holds until the completion timer fires, or
+    /// the shared disk — and arms that timer.
+    fn serve(&mut self, cx: &mut Cx<'_>, slot: Option<DiskTier>, job: DiskJob) {
         let now = cx.now();
-        let QosJob {
-            sock,
-            itt,
-            kind,
-            arrived,
-            earliest,
-            extra,
-            iqn,
-            cpu,
-        } = job;
-        let start = earliest.max(now);
-        let (done, pend) = {
-            let qos = self.qos.as_mut().expect("dispatch requires qos");
-            qos.busy[tier_idx(tier)] = true;
-            let disk = &mut qos.disks[tier_idx(tier)];
-            let done = match kind {
-                QueuedKind::Read { lba, sectors } => {
-                    disk.serve_read(start, lba, sectors as usize * 512)
-                }
-                QueuedKind::Write { lba, bytes } => disk.serve_write(start, lba, bytes),
-                QueuedKind::Flush => disk.serve_flush(start),
-            } + extra;
-            qos.latency.entry(iqn).or_default().record(done - arrived);
-            let pend = match kind {
-                QueuedKind::Read { lba, sectors } => PendingDisk::Read {
-                    sock,
-                    itt,
-                    lba,
-                    sectors,
-                },
-                QueuedKind::Write { .. } => PendingDisk::Write { sock, itt },
-                QueuedKind::Flush => PendingDisk::Flush { sock, itt },
-            };
-            (done, pend)
+        let start = job.earliest.max(now);
+        let disk = match (&mut self.qos, slot) {
+            (Some(qos), Some(tier)) => {
+                qos.busy[tier_idx(tier)] = true;
+                &mut qos.disks[tier_idx(tier)]
+            }
+            _ => &mut self.disk,
         };
-        // Shaping + queueing wait shows up as its own cost center.
-        let wait = start - arrived;
-        if wait > SimDuration::ZERO && self.trace.is_armed() {
-            if let Some(req) = self.trace_req(sock, itt) {
-                self.trace.emit(
-                    now,
-                    TraceEvent::Stage {
-                        req,
-                        hop: Hop::Qos,
-                        id: self.trace_host,
-                        dur: wait,
-                    },
-                );
-            }
+        let done = match job.op {
+            DiskOp::Read { lba, sectors } => disk.serve_read(start, lba, sectors as usize * 512),
+            DiskOp::Write { lba, bytes } => disk.serve_write(start, lba, bytes),
+            DiskOp::Flush => disk.serve_flush(start),
+        } + job.extra;
+        if let (Some(qos), Some((_, iqn))) = (&mut self.qos, &job.qos) {
+            let latency = qos.latency.entry(Rc::clone(iqn)).or_default();
+            latency.record(done - job.arrived);
         }
-        self.trace_serve(now, sock, itt, cpu, done - start);
-        let token = self.token();
-        self.pending.insert(token, pend);
-        self.qos_slot.insert(token, tier);
-        cx.set_timer(done - now, token);
+        self.trace_serve(now, &job, start - job.arrived, done - start);
+        self.arm(cx, done - now, Timer::Done { job, slot });
     }
 
-    /// Frees `tier`'s dispatch slot: the next WFQ job goes into service,
-    /// or the gate opens if the queue is dry.
-    fn next_qos(&mut self, cx: &mut Cx<'_>, tier: DiskTier) {
-        let popped = self.qos.as_mut().and_then(|q| q.wfq[tier_idx(tier)].pop());
-        match popped {
-            Some((_tenant, job)) => self.dispatch_qos(cx, tier, job),
-            None => {
-                if let Some(qos) = &mut self.qos {
-                    qos.busy[tier_idx(tier)] = false;
-                }
+    /// Respond stage: answers `job` on its connection and puts the answer
+    /// on the wire.
+    fn respond(&mut self, cx: &mut Cx<'_>, job: &DiskJob, answer: Answer) {
+        let now_ns = cx.now().as_nanos();
+        let Some(sess) = self.sessions.get_mut(&job.sock) else {
+            return;
+        };
+        let ok = answer == Answer::Served;
+        let volume = sess.volume.as_mut().filter(|_| ok);
+        match job.op {
+            DiskOp::Read { lba, sectors } => {
+                let len = match answer {
+                    Answer::Rejected => 0,
+                    _ => sectors as usize * 512,
+                };
+                let mut buf = vec![0u8; len];
+                let ok = volume.is_some_and(|v| v.read(lba, &mut buf).is_ok());
+                sess.conn
+                    .complete_read(now_ns, job.itt, Bytes::from(buf), status(ok));
+            }
+            DiskOp::Write { .. } => sess.conn.complete_write(now_ns, job.itt, status(ok)),
+            DiskOp::Flush => {
+                let ok = volume.is_some_and(|v| v.flush().is_ok());
+                sess.conn.complete_flush(now_ns, job.itt, status(ok));
             }
         }
-    }
-
-    /// Fault verdict for a disk access starting now.
-    fn disk_verdict(&self, now: storm_sim::SimTime, write: bool) -> FaultAction {
-        self.fault.decide(
-            now,
-            FaultSite::DiskServe {
-                host: self.fault_host,
-                write,
-            },
-        )
+        sess.flush_wire(cx, job.sock);
+        self.arm_cq(cx, job.sock);
     }
 
     fn handle_events(&mut self, cx: &mut Cx<'_>, sock: SockId, events: Vec<TargetEvent>) {
@@ -635,152 +616,47 @@ impl TargetHostApp {
         // batch is admitted to the disk model before anything completes.
         let mut admitted = 0usize;
         for ev in events {
-            match ev {
+            let (itt, op, ok) = match ev {
                 TargetEvent::LoggedIn { initiator_name } => {
-                    let sess = self.sessions.get_mut(&sock).expect("session exists");
-                    // The login carried the TargetName; our TargetConn
-                    // negotiated already. Resolve the volume by the target
-                    // IQN this connection was configured with.
+                    // The volume was bound when the login bytes arrived;
+                    // what is left is connection attribution.
+                    let Some(sess) = self.sessions.get_mut(&sock) else {
+                        break;
+                    };
                     sess.tuple = cx.tuple_of(sock);
-                    if let Ok(iqn) = Iqn::parse(initiator_name.clone()) {
+                    if let Ok(iqn) = Iqn::parse(initiator_name) {
                         sess.initiator = Some(iqn.clone());
                         if let Some(t) = sess.tuple {
                             // Record in initiator -> target orientation.
                             self.logins.push((iqn, t.reversed()));
                         }
                     }
+                    continue;
                 }
-                TargetEvent::ReadReady { itt, lba, sectors } => {
-                    let now = cx.now();
-                    admitted += 1;
-                    let cpu = self.cfg.per_io_cpu + self.cfg.per_byte_cpu * (sectors as u64 * 512);
-                    let _ = cx.charge(cpu, "target");
-                    let extra = match self.disk_verdict(now, false) {
-                        FaultAction::Proceed => SimDuration::ZERO,
-                        FaultAction::Delay(d) => d,
-                        // The request vanishes: an unresponsive target.
-                        FaultAction::Drop => continue,
-                        FaultAction::Fail => {
-                            if let Some(sess) = self.sessions.get_mut(&sock) {
-                                sess.conn.complete_read(
-                                    now.as_nanos(),
-                                    itt,
-                                    Bytes::new(),
-                                    ScsiStatus::CheckCondition,
-                                );
-                            }
-                            continue;
-                        }
-                    };
-                    if self.qos_route(cx, sock, itt, QueuedKind::Read { lba, sectors }, cpu, extra)
-                    {
-                        continue;
-                    }
-                    let done = self.disk.serve_read(now, lba, sectors as usize * 512) + extra;
-                    let token = self.token();
-                    self.pending.insert(
-                        token,
-                        PendingDisk::Read {
-                            sock,
-                            itt,
-                            lba,
-                            sectors,
-                        },
-                    );
-                    cx.set_timer(done - now, token);
-                    self.trace_serve(now, sock, itt, cpu, done - now);
-                }
-                TargetEvent::WriteReady { itt, lba, data } => {
-                    let now = cx.now();
-                    admitted += 1;
-                    let cpu = self.cfg.per_io_cpu + self.cfg.per_byte_cpu * data.len() as u64;
-                    let _ = cx.charge(cpu, "target");
-                    // Functional write happens immediately; the response
-                    // waits for the disk model.
-                    let status = {
-                        let sess = self.sessions.get_mut(&sock).expect("session exists");
-                        match &mut sess.volume {
-                            Some(vol) => match vol.write(lba, &data) {
-                                Ok(()) => ScsiStatus::Good,
-                                Err(_) => ScsiStatus::CheckCondition,
-                            },
-                            None => ScsiStatus::CheckCondition,
-                        }
-                    };
-                    let mut extra = SimDuration::ZERO;
-                    let status = match self.disk_verdict(now, true) {
-                        FaultAction::Proceed => status,
-                        FaultAction::Delay(d) => {
-                            extra = d;
-                            status
-                        }
-                        FaultAction::Drop => continue,
-                        FaultAction::Fail => ScsiStatus::CheckCondition,
-                    };
-                    if status == ScsiStatus::Good {
-                        if self.qos_route(
-                            cx,
-                            sock,
-                            itt,
-                            QueuedKind::Write {
-                                lba,
-                                bytes: data.len(),
-                            },
-                            cpu,
-                            extra,
-                        ) {
-                            continue;
-                        }
-                        let done = self.disk.serve_write(now, lba, data.len()) + extra;
-                        let token = self.token();
-                        self.pending.insert(token, PendingDisk::Write { sock, itt });
-                        cx.set_timer(done - now, token);
-                        self.trace_serve(now, sock, itt, cpu, done - now);
-                    } else if let Some(sess) = self.sessions.get_mut(&sock) {
-                        sess.conn.complete_write(now.as_nanos(), itt, status);
-                        for c in sess.conn.take_wire() {
-                            sess.sendq.push_bytes(c);
-                        }
-                        sess.sendq.pump(cx, sock);
-                    }
-                }
-                TargetEvent::FlushReady { itt } => {
-                    let now = cx.now();
-                    admitted += 1;
-                    let extra = match self.disk_verdict(now, true) {
-                        FaultAction::Proceed => SimDuration::ZERO,
-                        FaultAction::Delay(d) => d,
-                        FaultAction::Drop => continue,
-                        FaultAction::Fail => {
-                            if let Some(sess) = self.sessions.get_mut(&sock) {
-                                sess.conn.complete_flush(
-                                    now.as_nanos(),
-                                    itt,
-                                    ScsiStatus::CheckCondition,
-                                );
-                            }
-                            continue;
-                        }
-                    };
-                    if self.qos_route(cx, sock, itt, QueuedKind::Flush, SimDuration::ZERO, extra) {
-                        continue;
-                    }
-                    let done = self.disk.serve_flush(now) + extra;
-                    let token = self.token();
-                    self.pending.insert(token, PendingDisk::Flush { sock, itt });
-                    cx.set_timer(done - now, token);
-                    self.trace_serve(now, sock, itt, SimDuration::ZERO, done - now);
-                }
-                TargetEvent::LoggedOut => {
-                    // Keep the session until the TCP close arrives.
-                }
-                TargetEvent::ProtocolError(e) => {
-                    // Real targets drop offending connections.
-                    let _ = e;
+                // Keep the session until the TCP close arrives.
+                TargetEvent::LoggedOut => continue,
+                TargetEvent::ProtocolError(_) => {
+                    // Real targets drop offending connections, and
+                    // whatever followed the offence in this batch.
                     cx.abort(sock);
                     self.sessions.remove(&sock);
+                    break;
                 }
-            }
+                TargetEvent::ReadReady { itt, lba, sectors } => {
+                    (itt, DiskOp::Read { lba, sectors }, true)
+                }
+                TargetEvent::WriteReady { itt, lba, data } => {
+                    // Functional write happens immediately; the response
+                    // waits for the disk model.
+                    let volume = self.sessions.get_mut(&sock).and_then(|s| s.volume.as_mut());
+                    let ok = volume.is_some_and(|v| v.write(lba, &data).is_ok());
+                    let bytes = data.len();
+                    (itt, DiskOp::Write { lba, bytes }, ok)
+                }
+                TargetEvent::FlushReady { itt } => (itt, DiskOp::Flush, true),
+            };
+            admitted += 1;
+            self.admit(cx, sock, itt, op, ok);
         }
         if admitted > 0 {
             self.dispatch.0 += 1;
@@ -788,10 +664,7 @@ impl TargetHostApp {
             self.dispatch.2 = self.dispatch.2.max(admitted);
         }
         if let Some(sess) = self.sessions.get_mut(&sock) {
-            for c in sess.conn.take_wire() {
-                sess.sendq.push_bytes(c);
-            }
-            sess.sendq.pump(cx, sock);
+            sess.flush_wire(cx, sock);
         }
         self.arm_cq(cx, sock);
     }
@@ -804,12 +677,11 @@ impl App for TargetHostApp {
     }
 
     fn on_accepted(&mut self, _cx: &mut Cx<'_>, _port: u16, sock: SockId) {
-        // The volume is bound after login (TargetName key); export the
-        // largest registered capacity so READ CAPACITY during early login
-        // phases is sane; per-session capacity is fixed at bind time. The
-        // protocol is unknown until the first bytes arrive: start with an
-        // iSCSI placeholder and swap in an nvmeq connection if the first
-        // byte is the nvmeq magic.
+        // The volume is bound after login (TargetName key); per-session
+        // capacity is fixed at bind time. The protocol is unknown until
+        // the first bytes arrive: start with an iSCSI placeholder and
+        // swap in an nvmeq connection if the first byte is the nvmeq
+        // magic.
         let conn = Box::new(TargetConn::new(TargetConfig {
             target_iqn: Iqn::for_volume(0),
             params: self.cfg.params.clone(),
@@ -831,57 +703,50 @@ impl App for TargetHostApp {
     }
 
     fn on_data(&mut self, cx: &mut Cx<'_>, sock: SockId, data: Bytes) {
+        let Some(sess) = self.sessions.get_mut(&sock) else {
+            return;
+        };
         // Bind the volume on the first bytes if not yet bound: sniff the
         // protocol by magic byte, then peek the login/connect TargetName.
         // The state machines handle real parsing; we pre-scan for the key
         // (cheap linear scan over the handshake text).
-        if let Some(sess) = self.sessions.get_mut(&sock) {
-            if sess.volume.is_none() {
-                if data.first() == Some(&MAGIC) {
-                    // nvmeq connect: bind and swap the protocol machine.
-                    // An unknown TargetName gets a deliberately unbound
-                    // connection, which refuses the connect itself.
-                    let name = scan_connect_payload(&data, "TargetName");
-                    let bound = name
-                        .as_ref()
-                        .and_then(|n| self.volumes.get(n))
-                        .map(|v| (v.clone(), v.clone().num_sectors()));
-                    let target_iqn = match (&bound, name) {
-                        (Some(_), Some(n)) => {
-                            sess.iqn = Some(n.clone());
-                            Iqn::parse(n).unwrap_or_else(|_| Iqn::for_volume(0))
-                        }
-                        _ => Iqn::for_volume(u32::MAX),
-                    };
-                    let num_sectors = bound.as_ref().map_or(0, |(_, s)| *s);
-                    sess.volume = bound.map(|(v, _)| v);
-                    sess.conn = Box::new(NvmeqTargetConn::new(NvmeqTargetConfig {
-                        target_iqn,
-                        num_sectors,
-                        queue_depth: self.cfg.queue_depth,
-                        cq_max_batch: self.cfg.cq_max_batch,
-                        cq_window_ns: self.cfg.cq_window_ns,
-                    }));
-                } else if let Some(name) = scan_target_name(&data) {
-                    if let Some(vol) = self.volumes.get(&name) {
-                        let volume = vol.clone();
-                        let sectors = volume.num_sectors();
-                        sess.volume = Some(volume);
-                        sess.iqn = Some(name.clone());
-                        sess.conn = Box::new(TargetConn::new(TargetConfig {
-                            target_iqn: Iqn::parse(name).unwrap_or_else(|_| Iqn::for_volume(0)),
-                            params: self.cfg.params.clone(),
-                            num_sectors: sectors,
-                            tsih: 1,
-                        }));
-                    }
-                }
+        if sess.volume.is_none() {
+            let nvmeq = data.first() == Some(&MAGIC);
+            let name = if nvmeq {
+                scan_connect_payload(&data, "TargetName")
+            } else {
+                scan_target_name(&data)
+            };
+            let bound = name.and_then(|n| Some((self.volumes.get(&n)?.clone(), n)));
+            let num_sectors = bound.as_ref().map_or(0, |(v, _)| v.clone().num_sectors());
+            let target_iqn = match &bound {
+                Some((_, n)) => Iqn::parse(n.clone()).unwrap_or_else(|_| Iqn::for_volume(0)),
+                // An unknown TargetName gets a deliberately unbound
+                // connection, which refuses the connect itself.
+                None => Iqn::for_volume(u32::MAX),
+            };
+            if nvmeq {
+                sess.conn = Box::new(NvmeqTargetConn::new(NvmeqTargetConfig {
+                    target_iqn,
+                    num_sectors,
+                    queue_depth: self.cfg.queue_depth,
+                    cq_max_batch: self.cfg.cq_max_batch,
+                    cq_window_ns: self.cfg.cq_window_ns,
+                }));
+            } else if bound.is_some() {
+                sess.conn = Box::new(TargetConn::new(TargetConfig {
+                    target_iqn,
+                    params: self.cfg.params.clone(),
+                    num_sectors,
+                    tsih: 1,
+                }));
+            }
+            if let Some((volume, name)) = bound {
+                sess.volume = Some(volume);
+                sess.iqn = Some(Rc::from(name));
             }
         }
-        let events = match self.sessions.get_mut(&sock) {
-            Some(sess) => sess.conn.feed_bytes(data),
-            None => return,
-        };
+        let events = sess.conn.feed_bytes(data);
         self.handle_events(cx, sock, events);
     }
 
@@ -892,126 +757,48 @@ impl App for TargetHostApp {
     }
 
     fn on_timer(&mut self, cx: &mut Cx<'_>, token: u64) {
-        // An interrupt-moderation timer firing flushes the session's held
-        // completions (unless a batch-full flush already drained them, or
-        // the deadline moved — then re-arm for the new instant).
-        if let Some(sock) = self.cq_wait.remove(&token) {
-            let now_ns = cx.now().as_nanos();
-            if let Some(sess) = self.sessions.get_mut(&sock) {
-                sess.armed_cq = None;
-                if sess.conn.cq_deadline_ns().is_some_and(|d| d <= now_ns) {
-                    sess.conn.flush_cq(now_ns);
-                    for c in sess.conn.take_wire() {
-                        sess.sendq.push_bytes(c);
-                    }
-                    sess.sendq.pump(cx, sock);
-                }
-            }
-            self.arm_cq(cx, sock);
-            return;
-        }
-        // A shaping delay elapsing makes its job scheduler-eligible.
-        if let Some(job) = self.qos_admit.remove(&token) {
-            self.enqueue_qos(cx, job);
-            return;
-        }
-        let Some(pending) = self.pending.remove(&token) else {
-            return;
-        };
-        // A QoS job finishing frees its tier's dispatch slot regardless
-        // of response-path faults below: the disk really is done.
-        if let Some(tier) = self.qos_slot.remove(&token) {
-            self.next_qos(cx, tier);
-        }
-        // Fault injection on the response path: a muted target swallows
-        // the completion (the initiator sees an unresponsive replica).
-        let mut force_error = false;
-        match self.fault.decide(
-            cx.now(),
-            FaultSite::TargetRespond {
-                host: self.fault_host,
-            },
-        ) {
-            FaultAction::Proceed => {}
-            FaultAction::Drop => return,
-            FaultAction::Delay(d) => {
-                let t = self.token();
-                self.pending.insert(t, pending);
-                cx.set_timer(d, t);
-                return;
-            }
-            FaultAction::Fail => force_error = true,
-        }
-        let now_ns = cx.now().as_nanos();
-        let done_sock = match &pending {
-            PendingDisk::Read { sock, .. }
-            | PendingDisk::Write { sock, .. }
-            | PendingDisk::Flush { sock, .. } => *sock,
-        };
-        match pending {
-            PendingDisk::Read {
-                sock,
-                itt,
-                lba,
-                sectors,
-            } => {
+        match self.timers.remove(&token) {
+            // Flush the session's held completions — unless a batch-full
+            // flush already drained them, or the deadline moved: then
+            // re-arm for the new instant.
+            Some(Timer::CqFlush(sock)) => {
+                let now_ns = cx.now().as_nanos();
                 if let Some(sess) = self.sessions.get_mut(&sock) {
-                    let mut buf = vec![0u8; sectors as usize * 512];
-                    let status = if force_error {
-                        ScsiStatus::CheckCondition
-                    } else {
-                        match &mut sess.volume {
-                            Some(vol) => match vol.read(lba, &mut buf) {
-                                Ok(()) => ScsiStatus::Good,
-                                Err(_) => ScsiStatus::CheckCondition,
-                            },
-                            None => ScsiStatus::CheckCondition,
-                        }
-                    };
-                    sess.conn
-                        .complete_read(now_ns, itt, Bytes::from(buf), status);
-                    for c in sess.conn.take_wire() {
-                        sess.sendq.push_bytes(c);
+                    sess.armed_cq = None;
+                    if sess.conn.cq_deadline_ns().is_some_and(|d| d <= now_ns) {
+                        sess.conn.flush_cq(now_ns);
+                        sess.flush_wire(cx, sock);
                     }
-                    sess.sendq.pump(cx, sock);
+                }
+                self.arm_cq(cx, sock);
+            }
+            Some(Timer::Admit(job)) => self.schedule(cx, job),
+            Some(Timer::Done { job, slot }) => {
+                // A finished job frees its tier's dispatch slot whatever
+                // happens to the response below — the disk really is
+                // done: the next WFQ job goes into service, or the gate
+                // opens if the queue is dry.
+                if let (Some(qos), Some(tier)) = (&mut self.qos, slot) {
+                    match qos.wfq[tier_idx(tier)].pop() {
+                        Some((_tenant, next)) => self.serve(cx, slot, next),
+                        None => qos.busy[tier_idx(tier)] = false,
+                    }
+                }
+                // Fault injection on the response path: a muted target
+                // swallows the completion (the initiator sees an
+                // unresponsive replica).
+                let site = FaultSite::TargetRespond {
+                    host: self.fault_host,
+                };
+                match self.fault.decide(cx.now(), site) {
+                    FaultAction::Proceed => self.respond(cx, &job, Answer::Served),
+                    FaultAction::Fail => self.respond(cx, &job, Answer::Failed),
+                    FaultAction::Drop => {}
+                    FaultAction::Delay(d) => self.arm(cx, d, Timer::Done { job, slot: None }),
                 }
             }
-            PendingDisk::Write { sock, itt } => {
-                if let Some(sess) = self.sessions.get_mut(&sock) {
-                    let status = if force_error {
-                        ScsiStatus::CheckCondition
-                    } else {
-                        ScsiStatus::Good
-                    };
-                    sess.conn.complete_write(now_ns, itt, status);
-                    for c in sess.conn.take_wire() {
-                        sess.sendq.push_bytes(c);
-                    }
-                    sess.sendq.pump(cx, sock);
-                }
-            }
-            PendingDisk::Flush { sock, itt } => {
-                if let Some(sess) = self.sessions.get_mut(&sock) {
-                    let status = if force_error {
-                        ScsiStatus::CheckCondition
-                    } else {
-                        match &mut sess.volume {
-                            Some(vol) => match vol.flush() {
-                                Ok(()) => ScsiStatus::Good,
-                                Err(_) => ScsiStatus::CheckCondition,
-                            },
-                            None => ScsiStatus::CheckCondition,
-                        }
-                    };
-                    sess.conn.complete_flush(now_ns, itt, status);
-                    for c in sess.conn.take_wire() {
-                        sess.sendq.push_bytes(c);
-                    }
-                    sess.sendq.pump(cx, sock);
-                }
-            }
+            None => {}
         }
-        self.arm_cq(cx, done_sock);
     }
 
     fn on_closed(&mut self, _cx: &mut Cx<'_>, sock: SockId, _reason: CloseReason) {
@@ -1066,6 +853,97 @@ mod tests {
         assert_eq!(app.completed_migrations(), 1);
         // Migrating to the tier it is already on is a no-op.
         assert!(app.migrate_volume(cutover, &iqn, DiskTier::Fast).is_none());
+    }
+
+    /// Streams one prepared TCP segment at the storage host.
+    struct Source {
+        to: storm_net::SockAddr,
+        q: SendQueue,
+    }
+
+    impl App for Source {
+        fn on_start(&mut self, cx: &mut Cx<'_>) {
+            cx.connect(self.to);
+        }
+        fn on_connected(&mut self, cx: &mut Cx<'_>, sock: SockId) {
+            self.q.pump(cx, sock);
+        }
+    }
+
+    /// Delivers `segment` to a storage host exporting volume 1 on `port`
+    /// and returns how many sessions the host still holds afterwards.
+    fn sessions_after(port: u16, segment: Vec<u8>) -> usize {
+        use storm_block::VolumeGroup;
+        use storm_net::{LinkSpec, Network, SockAddr};
+        let mut net = Network::new(7);
+        let sw = net.add_switch("sw", 4);
+        let hosts: Vec<_> = (1..=2u8)
+            .map(|i| {
+                let h = net.add_host(format!("h{i}"), 4);
+                let iface = net.add_iface(h, [10, 0, 0, i].into());
+                net.link_host_switch(h, iface, sw, LinkSpec::gigabit());
+                h
+            })
+            .collect();
+        let mut app = TargetHostApp::new(TargetHostConfig::default());
+        let vol = VolumeGroup::new(8 << 20).create_volume(4 << 20).unwrap();
+        app.register_volume(Iqn::for_volume(1), SharedVolume::new(vol));
+        let target = net.add_app(hosts[1], Box::new(app));
+        let mut q = SendQueue::new();
+        q.push_bytes(Bytes::from(segment));
+        let to = SockAddr::new([10, 0, 0, 2].into(), port);
+        net.add_app(hosts[0], Box::new(Source { to, q }));
+        net.run_until(SimTime::from_millis(50));
+        let app = net.app_mut(hosts[1], target).unwrap();
+        app.downcast_mut::<TargetHostApp>().unwrap().session_count()
+    }
+
+    #[test]
+    fn iscsi_pdu_after_protocol_error_aborts_instead_of_panicking() {
+        use storm_iscsi::{Initiator, InitiatorConfig, Pdu, ScsiCommand};
+        let mut cdb = [0u8; 16];
+        cdb[0] = 0xEE;
+        let mut segment = Pdu::ScsiCommand(ScsiCommand {
+            immediate: false,
+            final_pdu: true,
+            read: false,
+            write: false,
+            lun: 0,
+            itt: 7,
+            edtl: 0,
+            cmd_sn: 1,
+            exp_stat_sn: 1,
+            cdb,
+            data: Bytes::new(),
+        })
+        .encode();
+        let mut ini = Initiator::new(InitiatorConfig::example());
+        ini.start_login();
+        segment.extend(ini.take_wire().iter().flat_map(|c| c.to_vec()));
+        assert_eq!(sessions_after(ISCSI_PORT, segment), 0);
+    }
+
+    #[test]
+    fn nvmeq_frame_after_protocol_error_aborts_instead_of_panicking() {
+        use storm_nvmeq::{encode_connect_payload, FrameHeader, FrameKind};
+        let frame = |kind, payload: &[u8]| {
+            let mut f = FrameHeader {
+                kind,
+                count: 0,
+                payload_len: payload.len() as u32,
+                queue_depth: 8,
+            }
+            .encode()
+            .to_vec();
+            f.extend_from_slice(payload);
+            f
+        };
+        // An ack-kind frame is refused on the target side; the connect
+        // behind it names a registered volume and would log in.
+        let mut segment = frame(FrameKind::ConnectAck, &[]);
+        let connect = encode_connect_payload("iqn.x:host", Iqn::for_volume(1).as_str());
+        segment.extend(frame(FrameKind::Connect, &connect));
+        assert_eq!(sessions_after(NVMEQ_PORT, segment), 0);
     }
 
     #[test]

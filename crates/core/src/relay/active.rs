@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, HashMap};
 use bytes::Bytes;
 
 use storm_iscsi::{
-    Initiator, InitiatorConfig, InitiatorEvent, IoTag, Iqn, Pdu, ScsiStatus, SessionParams,
+    Initiator, InitiatorConfig, IoTag, Iqn, Pdu, ScsiStatus, SessionParams, TransportEvent,
 };
 use storm_net::{App, BusMsg, CloseReason, Cx, HostId, SendQueue, SockAddr, SockId};
 use storm_qos::{RateLimitSpec, RateLimiter};
@@ -791,10 +791,10 @@ impl ActiveRelayMb {
         }
     }
 
-    fn handle_replica_events(&mut self, cx: &mut Cx<'_>, idx: usize, events: Vec<InitiatorEvent>) {
+    fn handle_replica_events(&mut self, cx: &mut Cx<'_>, idx: usize, events: Vec<TransportEvent>) {
         for ev in events {
             match ev {
-                InitiatorEvent::LoginComplete => {
+                TransportEvent::Ready => {
                     let parked = {
                         let sess = &mut self.replicas[idx];
                         sess.up = true;
@@ -804,9 +804,9 @@ impl ActiveRelayMb {
                         self.issue_replica(cx, svc_idx, idx, io, ctx, origin);
                     }
                 }
-                InitiatorEvent::LoginFailed { .. } => self.fail_replica(cx, idx),
-                InitiatorEvent::WriteComplete { tag, status }
-                | InitiatorEvent::FlushComplete { tag, status } => {
+                TransportEvent::ConnectFailed { .. } => self.fail_replica(cx, idx),
+                TransportEvent::WriteDone { tag, status }
+                | TransportEvent::FlushDone { tag, status } => {
                     if let Some(req) = self.replicas[idx].pending.remove(&tag) {
                         self.replicas[idx].timeouts = 0;
                         let ok = status == ScsiStatus::Good;
@@ -821,7 +821,7 @@ impl ActiveRelayMb {
                         self.run_side_actions(cx, req.svc, scx, req.origin);
                     }
                 }
-                InitiatorEvent::ReadComplete { tag, status, data } => {
+                TransportEvent::ReadDone { tag, status, data } => {
                     if let Some(req) = self.replicas[idx].pending.remove(&tag) {
                         self.replicas[idx].timeouts = 0;
                         let ok = status == ScsiStatus::Good;
@@ -830,8 +830,8 @@ impl ActiveRelayMb {
                         self.run_side_actions(cx, req.svc, scx, req.origin);
                     }
                 }
-                InitiatorEvent::LoggedOut => self.fail_replica(cx, idx),
-                InitiatorEvent::ProtocolError(_) => self.fail_replica(cx, idx),
+                TransportEvent::Closed => self.fail_replica(cx, idx),
+                TransportEvent::ProtocolError(_) => self.fail_replica(cx, idx),
             }
         }
         self.flush_replica(cx, idx);

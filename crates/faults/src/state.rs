@@ -1,9 +1,7 @@
 //! The armed fault plan: condition matching, seeded randomness, and the
 //! event trace.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use storm_sim::{FaultAction, FaultHook, FaultPoint, FaultSite, SimRng, SimTime};
 
@@ -59,7 +57,7 @@ impl FaultState {
     /// Command faults ([`Fault::is_command`]) have no data-path effect and
     /// are rejected with a trace note.
     pub fn arm(&self, now: SimTime, fault: Fault) -> u64 {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect("poisoned");
         if fault.is_command() {
             inner
                 .trace
@@ -77,7 +75,7 @@ impl FaultState {
 
     /// Disarms a previously armed condition. Unknown ids are ignored.
     pub fn disarm(&self, now: SimTime, id: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect("poisoned");
         let before = inner.conditions.len();
         inner.conditions.retain(|c| c.id != id);
         if inner.conditions.len() != before {
@@ -92,18 +90,19 @@ impl FaultState {
     pub fn note(&self, now: SimTime, msg: &str) {
         self.inner
             .lock()
+            .expect("poisoned")
             .trace
             .push(format!("t={} {msg}", now.as_nanos()));
     }
 
     /// Number of currently armed conditions.
     pub fn armed_len(&self) -> usize {
-        self.inner.lock().conditions.len()
+        self.inner.lock().expect("poisoned").conditions.len()
     }
 
     /// A copy of the event trace so far.
     pub fn trace(&self) -> Vec<String> {
-        self.inner.lock().trace.clone()
+        self.inner.lock().expect("poisoned").trace.clone()
     }
 }
 
@@ -132,7 +131,7 @@ fn matches(fault: &Fault, site: &FaultSite) -> bool {
 
 impl FaultPoint for FaultState {
     fn decide(&self, now: SimTime, site: FaultSite) -> FaultAction {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect("poisoned");
         // First matching condition wins, in arm order. The RNG is only
         // consumed when a probabilistic condition matches the site, so
         // unaffected traffic does not perturb the stream.
@@ -193,7 +192,7 @@ impl FaultPoint for FaultState {
 
 impl std::fmt::Debug for FaultState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().expect("poisoned");
         f.debug_struct("FaultState")
             .field("conditions", &inner.conditions.len())
             .field("trace_len", &inner.trace.len())

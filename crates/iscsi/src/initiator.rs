@@ -4,11 +4,12 @@ use std::collections::HashMap;
 
 use bytes::{Bytes, BytesMut};
 
-use crate::cdb::{Cdb, ScsiStatus};
+use crate::cdb::Cdb;
 use crate::iqn::Iqn;
 use crate::params::{decode_text, encode_text, SessionParams};
 use crate::pdu::{DataOut, LoginRequest, LogoutRequest, NopOut, Pdu, ScsiCommand};
 use crate::stream::{PduStream, WireBuf};
+use crate::transport::TransportEvent;
 
 /// Identifies an outstanding I/O issued through [`Initiator`].
 ///
@@ -44,47 +45,6 @@ impl InitiatorConfig {
             isid: [0x80, 0, 0, 0x01, 0, 1],
         }
     }
-}
-
-/// Events surfaced to the initiator's driver.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum InitiatorEvent {
-    /// The session reached full-feature phase.
-    LoginComplete,
-    /// The target rejected the login.
-    LoginFailed {
-        /// Status class from the login response.
-        class: u8,
-        /// Status detail.
-        detail: u8,
-    },
-    /// A read finished.
-    ReadComplete {
-        /// The I/O's tag.
-        tag: IoTag,
-        /// SCSI status.
-        status: ScsiStatus,
-        /// The data (empty on error).
-        data: Bytes,
-    },
-    /// A write finished.
-    WriteComplete {
-        /// The I/O's tag.
-        tag: IoTag,
-        /// SCSI status.
-        status: ScsiStatus,
-    },
-    /// A flush finished.
-    FlushComplete {
-        /// The I/O's tag.
-        tag: IoTag,
-        /// SCSI status.
-        status: ScsiStatus,
-    },
-    /// The session logged out.
-    LoggedOut,
-    /// The peer violated the protocol; drop the connection.
-    ProtocolError(String),
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -356,16 +316,16 @@ impl Initiator {
     }
 
     /// Feeds received bytes; returns completed events.
-    pub fn feed(&mut self, bytes: &[u8]) -> Vec<InitiatorEvent> {
+    pub fn feed(&mut self, bytes: &[u8]) -> Vec<TransportEvent> {
         self.feed_bytes(Bytes::copy_from_slice(bytes))
     }
 
     /// Feeds a received chunk by reference (no copy into the
     /// reassembler); returns completed events.
-    pub fn feed_bytes(&mut self, bytes: Bytes) -> Vec<InitiatorEvent> {
+    pub fn feed_bytes(&mut self, bytes: Bytes) -> Vec<TransportEvent> {
         let pdus = match self.stream.feed_bytes(bytes) {
             Ok(p) => p,
-            Err(e) => return vec![InitiatorEvent::ProtocolError(e.to_string())],
+            Err(e) => return vec![TransportEvent::ProtocolError(e.to_string())],
         };
         let mut events = Vec::new();
         for pw in pdus {
@@ -374,19 +334,19 @@ impl Initiator {
         events
     }
 
-    fn handle(&mut self, pdu: Pdu, events: &mut Vec<InitiatorEvent>) {
+    fn handle(&mut self, pdu: Pdu, events: &mut Vec<TransportEvent>) {
         match pdu {
             Pdu::LoginResponse(r) => {
                 self.exp_stat_sn = r.stat_sn.wrapping_add(1);
                 if self.state != State::LoginSent {
-                    events.push(InitiatorEvent::ProtocolError(
+                    events.push(TransportEvent::ProtocolError(
                         "unexpected login response".into(),
                     ));
                     return;
                 }
                 if r.status_class != 0 {
                     self.state = State::Idle;
-                    events.push(InitiatorEvent::LoginFailed {
+                    events.push(TransportEvent::ConnectFailed {
                         class: r.status_class,
                         detail: r.status_detail,
                     });
@@ -396,7 +356,7 @@ impl Initiator {
                 self.params = self.cfg.params.negotiate(&peer);
                 if r.transit && r.nsg == 3 {
                     self.state = State::FullFeature;
-                    events.push(InitiatorEvent::LoginComplete);
+                    events.push(TransportEvent::Ready);
                 }
             }
             Pdu::DataIn(d) => {
@@ -406,7 +366,7 @@ impl Initiator {
                         let off = d.buffer_offset as usize;
                         let end = off + d.data.len();
                         if end > *expected {
-                            events.push(InitiatorEvent::ProtocolError(format!(
+                            events.push(TransportEvent::ProtocolError(format!(
                                 "data-in overruns buffer: {end} > {expected}"
                             )));
                             return;
@@ -415,7 +375,7 @@ impl Initiator {
                         d.final_pdu && d.status_present
                     }
                     _ => {
-                        events.push(InitiatorEvent::ProtocolError(format!(
+                        events.push(TransportEvent::ProtocolError(format!(
                             "data-in for unknown itt {}",
                             d.itt
                         )));
@@ -424,7 +384,7 @@ impl Initiator {
                 };
                 if complete {
                     if let Some(Pending::Read { buf, .. }) = self.pending.remove(&d.itt) {
-                        events.push(InitiatorEvent::ReadComplete {
+                        events.push(TransportEvent::ReadDone {
                             tag: IoTag(d.itt),
                             status: d.status,
                             data: buf.freeze(),
@@ -434,7 +394,7 @@ impl Initiator {
             }
             Pdu::R2t(r) => {
                 let Some(Pending::Write { data }) = self.pending.get(&r.itt) else {
-                    events.push(InitiatorEvent::ProtocolError(format!(
+                    events.push(TransportEvent::ProtocolError(format!(
                         "r2t for unknown itt {}",
                         r.itt
                     )));
@@ -466,20 +426,20 @@ impl Initiator {
             Pdu::ScsiResponse(r) => {
                 self.exp_stat_sn = r.stat_sn.wrapping_add(1);
                 match self.pending.remove(&r.itt) {
-                    Some(Pending::Write { .. }) => events.push(InitiatorEvent::WriteComplete {
+                    Some(Pending::Write { .. }) => events.push(TransportEvent::WriteDone {
                         tag: IoTag(r.itt),
                         status: r.status,
                     }),
-                    Some(Pending::Flush) => events.push(InitiatorEvent::FlushComplete {
+                    Some(Pending::Flush) => events.push(TransportEvent::FlushDone {
                         tag: IoTag(r.itt),
                         status: r.status,
                     }),
-                    Some(Pending::Read { .. }) => events.push(InitiatorEvent::ReadComplete {
+                    Some(Pending::Read { .. }) => events.push(TransportEvent::ReadDone {
                         tag: IoTag(r.itt),
                         status: r.status,
                         data: Bytes::new(),
                     }),
-                    None => events.push(InitiatorEvent::ProtocolError(format!(
+                    None => events.push(TransportEvent::ProtocolError(format!(
                         "response for unknown itt {}",
                         r.itt
                     ))),
@@ -500,9 +460,9 @@ impl Initiator {
             }
             Pdu::LogoutResponse(_) => {
                 self.state = State::Idle;
-                events.push(InitiatorEvent::LoggedOut);
+                events.push(TransportEvent::Closed);
             }
-            other => events.push(InitiatorEvent::ProtocolError(format!(
+            other => events.push(TransportEvent::ProtocolError(format!(
                 "unexpected pdu at initiator: {other:?}"
             ))),
         }
@@ -512,6 +472,7 @@ impl Initiator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cdb::ScsiStatus;
     use crate::target::{TargetConfig, TargetConn, TargetEvent};
 
     fn logged_in_pair() -> (Initiator, TargetConn) {
@@ -522,7 +483,7 @@ mod tests {
         for _ in 0..4 {
             let _ = tgt.feed(&ini.take_output());
             for ev in ini.feed(&tgt.take_output()) {
-                if ev == InitiatorEvent::LoginComplete {
+                if ev == TransportEvent::Ready {
                     ok = true;
                 }
             }
@@ -539,7 +500,7 @@ mod tests {
         ini: &mut Initiator,
         tgt: &mut TargetConn,
         disk: &mut TestDisk,
-    ) -> Vec<InitiatorEvent> {
+    ) -> Vec<TransportEvent> {
         let mut events = Vec::new();
         for _ in 0..64 {
             let out = ini.take_output();
@@ -574,7 +535,7 @@ mod tests {
         events
     }
 
-    fn drive(ini: &mut Initiator, tgt: &mut TargetConn) -> Vec<InitiatorEvent> {
+    fn drive(ini: &mut Initiator, tgt: &mut TargetConn) -> Vec<TransportEvent> {
         let mut disk = TestDisk::new();
         drive_with(ini, tgt, &mut disk)
     }
@@ -584,7 +545,7 @@ mod tests {
         let (mut ini, mut tgt) = logged_in_pair();
         let tag = ini.write(10, Bytes::from(vec![0x42u8; 4096]));
         let evs = drive(&mut ini, &mut tgt);
-        assert!(evs.contains(&InitiatorEvent::WriteComplete {
+        assert!(evs.contains(&TransportEvent::WriteDone {
             tag,
             status: ScsiStatus::Good
         }));
@@ -599,7 +560,7 @@ mod tests {
         let data: Vec<u8> = (0..256 * 1024).map(|i| (i % 251) as u8).collect();
         let tag = ini.write(100, Bytes::from(data.clone()));
         let evs = drive_with(&mut ini, &mut tgt, &mut disk);
-        assert!(evs.contains(&InitiatorEvent::WriteComplete {
+        assert!(evs.contains(&TransportEvent::WriteDone {
             tag,
             status: ScsiStatus::Good
         }));
@@ -609,9 +570,7 @@ mod tests {
         let got = evs
             .iter()
             .find_map(|e| match e {
-                InitiatorEvent::ReadComplete { tag, data, .. } if *tag == rtag => {
-                    Some(data.clone())
-                }
+                TransportEvent::ReadDone { tag, data, .. } if *tag == rtag => Some(data.clone()),
                 _ => None,
             })
             .expect("read completed");
@@ -626,13 +585,13 @@ mod tests {
         let evs = drive_with(&mut ini, &mut tgt, &mut disk);
         assert!(evs
             .iter()
-            .any(|e| matches!(e, InitiatorEvent::WriteComplete { tag, .. } if *tag == wtag)));
+            .any(|e| matches!(e, TransportEvent::WriteDone { tag, .. } if *tag == wtag)));
         let rtag = ini.read(0, 256); // 128 KiB > 64 KiB MRDSL -> 2+ Data-In PDUs
         let evs = drive_with(&mut ini, &mut tgt, &mut disk);
         let got = evs
             .iter()
             .find_map(|e| match e {
-                InitiatorEvent::ReadComplete { tag, data, status } if *tag == rtag => {
+                TransportEvent::ReadDone { tag, data, status } if *tag == rtag => {
                     assert_eq!(*status, ScsiStatus::Good);
                     Some(data.clone())
                 }
@@ -648,13 +607,13 @@ mod tests {
         let (mut ini, mut tgt) = logged_in_pair();
         let tag = ini.flush();
         let evs = drive(&mut ini, &mut tgt);
-        assert!(evs.contains(&InitiatorEvent::FlushComplete {
+        assert!(evs.contains(&TransportEvent::FlushDone {
             tag,
             status: ScsiStatus::Good
         }));
         ini.logout();
         let evs = drive(&mut ini, &mut tgt);
-        assert!(evs.contains(&InitiatorEvent::LoggedOut));
+        assert!(evs.contains(&TransportEvent::Closed));
         assert!(!ini.is_logged_in());
     }
 
@@ -672,6 +631,6 @@ mod tests {
         let mut junk = [0u8; 48];
         junk[0] = 0x3F;
         let evs = ini.feed(&junk);
-        assert!(matches!(evs[0], InitiatorEvent::ProtocolError(_)));
+        assert!(matches!(evs[0], TransportEvent::ProtocolError(_)));
     }
 }

@@ -18,8 +18,8 @@
 //! # Example: login and a 4 KiB write, initiator against target
 //!
 //! ```
-//! use storm_iscsi::{Initiator, InitiatorConfig, InitiatorEvent, TargetConn, TargetConfig,
-//!                   TargetEvent, ScsiStatus};
+//! use storm_iscsi::{Initiator, InitiatorConfig, TargetConn, TargetConfig, TargetEvent,
+//!                   TransportEvent, ScsiStatus};
 //!
 //! let mut ini = Initiator::new(InitiatorConfig::example());
 //! let mut tgt = TargetConn::new(TargetConfig::example(2048));
@@ -30,7 +30,7 @@
 //! for _ in 0..8 {
 //!     for ev in tgt.feed(&ini.take_output()) { let _ = ev; }
 //!     for ev in ini.feed(&tgt.take_output()) {
-//!         if matches!(ev, InitiatorEvent::LoginComplete) { logged_in = true; }
+//!         if matches!(ev, TransportEvent::Ready) { logged_in = true; }
 //!     }
 //! }
 //! assert!(logged_in);
@@ -46,7 +46,7 @@
 //!         }
 //!     }
 //!     for ev in ini.feed(&tgt.take_output()) {
-//!         if let InitiatorEvent::WriteComplete { tag: t, status } = ev {
+//!         if let TransportEvent::WriteDone { tag: t, status } = ev {
 //!             assert_eq!(t, tag);
 //!             assert_eq!(status, ScsiStatus::Good);
 //!             done = true;
@@ -69,7 +69,7 @@ mod target;
 mod transport;
 
 pub use cdb::{Cdb, ScsiStatus};
-pub use initiator::{Initiator, InitiatorConfig, InitiatorEvent, IoTag};
+pub use initiator::{Initiator, InitiatorConfig, IoTag};
 pub use iqn::Iqn;
 pub use params::SessionParams;
 pub use pdu::{
@@ -79,7 +79,7 @@ pub use pdu::{
 };
 pub use stream::{ChunkDeque, PduStream, PduWire, WireBuf, SHARE_THRESHOLD};
 pub use target::{TargetConfig, TargetConn, TargetEvent};
-pub use transport::{IscsiTransport, TargetTransport, Transport, TransportEvent, TransportKind};
+pub use transport::{TargetTransport, Transport, TransportEvent, TransportKind};
 
 /// The IANA-assigned iSCSI target port.
 pub const ISCSI_PORT: u16 = 3260;

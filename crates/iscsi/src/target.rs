@@ -266,7 +266,15 @@ impl TargetConn {
                             self.scsi_response(c.itt, ScsiStatus::CheckCondition);
                             return;
                         }
-                        self.reads.insert(c.itt, ());
+                        // `complete_read` asserts the tag is outstanding, so
+                        // a reused tag must be refused here, not found there.
+                        if self.reads.insert(c.itt, ()).is_some() {
+                            events.push(TargetEvent::ProtocolError(format!(
+                                "read reuses outstanding itt {}",
+                                c.itt
+                            )));
+                            return;
+                        }
                         self.note_ready();
                         events.push(TargetEvent::ReadReady {
                             itt: c.itt,
@@ -493,7 +501,8 @@ impl TargetConn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::initiator::{Initiator, InitiatorConfig, InitiatorEvent};
+    use crate::initiator::{Initiator, InitiatorConfig};
+    use crate::transport::TransportEvent;
 
     #[test]
     fn login_reports_initiator_name_for_attribution() {
@@ -512,7 +521,7 @@ mod tests {
         }
         assert!(tgt.is_logged_in());
         let evs = ini.feed(&tgt.take_output());
-        assert!(evs.contains(&InitiatorEvent::LoginComplete));
+        assert!(evs.contains(&TransportEvent::Ready));
     }
 
     #[test]
@@ -527,9 +536,43 @@ mod tests {
         let evs = ini.feed(&tgt.take_output());
         assert!(evs.iter().any(|e| matches!(
             e,
-            InitiatorEvent::ReadComplete { tag: t, status: ScsiStatus::CheckCondition, .. }
+            TransportEvent::ReadDone { tag: t, status: ScsiStatus::CheckCondition, .. }
             if *t == tag
         )));
+    }
+
+    #[test]
+    fn read_reusing_an_outstanding_itt_is_a_protocol_error() {
+        let mut ini = Initiator::new(InitiatorConfig::example());
+        let mut tgt = TargetConn::new(TargetConfig::example(64));
+        ini.start_login();
+        let _ = tgt.feed(&ini.take_output());
+        let read = |cmd_sn| {
+            Pdu::ScsiCommand(crate::pdu::ScsiCommand {
+                immediate: false,
+                final_pdu: true,
+                read: true,
+                write: false,
+                lun: 0,
+                itt: 9,
+                edtl: 512,
+                cmd_sn,
+                exp_stat_sn: 2,
+                cdb: Cdb::Read { lba: 0, sectors: 1 }.to_bytes(),
+                data: Bytes::new(),
+            })
+            .encode()
+        };
+        let evs = tgt.feed(&read(2));
+        assert!(matches!(evs[..], [TargetEvent::ReadReady { itt: 9, .. }]));
+        let evs = tgt.feed(&read(3));
+        assert!(
+            matches!(evs[..], [TargetEvent::ProtocolError(_)]),
+            "{evs:?}"
+        );
+        // The first read is still the one outstanding command.
+        assert_eq!(tgt.in_flight(), 1);
+        tgt.complete_read(9, Bytes::from(vec![0u8; 512]), ScsiStatus::Good);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! module makes that claim structural. [`Transport`] is the guest-side
 //! face of a block session (login, tagged reads/writes/flushes, sans-io
 //! bytes in/out) and [`TargetTransport`] the storage-server side. The
-//! iSCSI stack implements both here ([`IscsiTransport`] wrapping
-//! [`Initiator`], plus a [`TargetTransport`] impl on [`TargetConn`]);
+//! iSCSI stack implements both here ([`Transport`] on [`Initiator`],
+//! [`TargetTransport`] on [`TargetConn`]);
 //! `storm-nvmeq` implements them for the NVMe-oF-style multi-queue
 //! protocol. The guest client, the cloud target host and the benches
 //! select a protocol with [`TransportKind`] and never touch wire formats
@@ -20,7 +20,7 @@
 use bytes::Bytes;
 
 use crate::cdb::ScsiStatus;
-use crate::initiator::{Initiator, InitiatorEvent, IoTag};
+use crate::initiator::{Initiator, IoTag};
 use crate::target::{TargetConn, TargetEvent};
 
 /// Which wire protocol a session speaks.
@@ -203,88 +203,49 @@ pub trait TargetTransport: std::fmt::Debug {
     fn occupancy_peak(&self) -> usize;
 }
 
-/// The iSCSI implementation of [`Transport`]: a thin adapter over
-/// [`Initiator`] that maps [`InitiatorEvent`]s onto [`TransportEvent`]s.
-#[derive(Debug)]
-pub struct IscsiTransport {
-    ini: Initiator,
-}
-
-impl IscsiTransport {
-    /// Wraps a configured initiator.
-    pub fn new(ini: Initiator) -> Self {
-        IscsiTransport { ini }
-    }
-
-    /// The wrapped initiator (session parameters, counters).
-    pub fn initiator(&self) -> &Initiator {
-        &self.ini
-    }
-}
-
-impl Transport for IscsiTransport {
+impl Transport for Initiator {
     fn kind(&self) -> TransportKind {
         TransportKind::Iscsi
     }
 
     fn start(&mut self) {
-        self.ini.start_login();
+        self.start_login();
     }
 
     fn is_ready(&self) -> bool {
-        self.ini.is_logged_in()
+        self.is_logged_in()
     }
 
     fn read(&mut self, lba: u64, sectors: u32) -> IoTag {
-        self.ini.read(lba, sectors)
+        Initiator::read(self, lba, sectors)
     }
 
     fn write(&mut self, lba: u64, data: Bytes) -> IoTag {
-        self.ini.write(lba, data)
+        Initiator::write(self, lba, data)
     }
 
     fn flush(&mut self) -> IoTag {
-        self.ini.flush()
+        Initiator::flush(self)
     }
 
     fn shutdown(&mut self) {
-        self.ini.logout();
+        self.logout();
     }
 
     fn in_flight(&self) -> usize {
-        self.ini.in_flight()
+        Initiator::in_flight(self)
     }
 
     fn feed_bytes(&mut self, bytes: Bytes) -> Vec<TransportEvent> {
-        self.ini
-            .feed_bytes(bytes)
-            .into_iter()
-            .map(|ev| match ev {
-                InitiatorEvent::LoginComplete => TransportEvent::Ready,
-                InitiatorEvent::LoginFailed { class, detail } => {
-                    TransportEvent::ConnectFailed { class, detail }
-                }
-                InitiatorEvent::ReadComplete { tag, status, data } => {
-                    TransportEvent::ReadDone { tag, status, data }
-                }
-                InitiatorEvent::WriteComplete { tag, status } => {
-                    TransportEvent::WriteDone { tag, status }
-                }
-                InitiatorEvent::FlushComplete { tag, status } => {
-                    TransportEvent::FlushDone { tag, status }
-                }
-                InitiatorEvent::LoggedOut => TransportEvent::Closed,
-                InitiatorEvent::ProtocolError(e) => TransportEvent::ProtocolError(e),
-            })
-            .collect()
+        Initiator::feed_bytes(self, bytes)
     }
 
     fn take_wire(&mut self) -> Vec<Bytes> {
-        self.ini.take_wire()
+        Initiator::take_wire(self)
     }
 
     fn bytes_copied(&self) -> u64 {
-        self.ini.bytes_copied()
+        Initiator::bytes_copied(self)
     }
 }
 
@@ -340,9 +301,7 @@ mod tests {
     /// through the trait objects — no iSCSI types leak through.
     #[test]
     fn iscsi_session_through_trait_objects() {
-        let mut ini: Box<dyn Transport> = Box::new(IscsiTransport::new(Initiator::new(
-            InitiatorConfig::example(),
-        )));
+        let mut ini: Box<dyn Transport> = Box::new(Initiator::new(InitiatorConfig::example()));
         let mut tgt: Box<dyn TargetTransport> =
             Box::new(TargetConn::new(TargetConfig::example(2048)));
         assert_eq!(ini.kind(), TransportKind::Iscsi);

@@ -3,10 +3,10 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use storm_iscsi::{
-    data_segment_length, Cdb, DataIn, DataOut, Initiator, InitiatorConfig, InitiatorEvent,
-    LoginRequest, LoginResponse, LogoutRequest, LogoutResponse, NopIn, NopOut, Pdu, PduError,
-    PduStream, R2t, ScsiCommand, ScsiResponse, ScsiStatus, TargetConfig, TargetConn, TargetEvent,
-    TextRequest, TextResponse, BHS_LEN,
+    data_segment_length, Cdb, DataIn, DataOut, Initiator, InitiatorConfig, LoginRequest,
+    LoginResponse, LogoutRequest, LogoutResponse, NopIn, NopOut, Pdu, PduError, PduStream, R2t,
+    ScsiCommand, ScsiResponse, ScsiStatus, TargetConfig, TargetConn, TargetEvent, TextRequest,
+    TextResponse, TransportEvent, BHS_LEN,
 };
 
 /// A data segment deliberately biased toward non-4-byte-aligned lengths,
@@ -332,16 +332,16 @@ proptest! {
             let back = tgt.take_output();
             for ev in ini.feed(&back) {
                 match ev {
-                    InitiatorEvent::WriteComplete { tag: t, status } if t == tag => {
+                    TransportEvent::WriteDone { tag: t, status } if t == tag => {
                         prop_assert_eq!(status, ScsiStatus::Good);
                         rtag = Some(ini.read(lba, sectors));
                     }
-                    InitiatorEvent::ReadComplete { tag: t, status, data } if Some(t) == rtag => {
+                    TransportEvent::ReadDone { tag: t, status, data } if Some(t) == rtag => {
                         prop_assert_eq!(status, ScsiStatus::Good);
                         read_back = Some(data);
                         done = true;
                     }
-                    InitiatorEvent::ProtocolError(e) => prop_assert!(false, "protocol error: {e}"),
+                    TransportEvent::ProtocolError(e) => prop_assert!(false, "protocol error: {e}"),
                     _ => {}
                 }
             }

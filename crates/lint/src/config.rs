@@ -60,8 +60,6 @@ pub struct Config {
     /// flagged. Curated rather than "every fn in a datapath file" so
     /// that constructors and setup paths stay free to allocate.
     pub alloc_roots: Vec<(String, String)>,
-    /// Trait names whose impl methods root `no-blocking-in-shard`.
-    pub shard_traits: Vec<String>,
     /// Files whose `pub const NAME: &str = "..."` items define the
     /// legal metric names for `metric-name-registry`.
     pub metric_name_files: Vec<String>,
@@ -100,6 +98,7 @@ impl Default for Config {
                 "crates/services/src/dedup.rs",
                 "crates/services/src/compress.rs",
                 "crates/services/src/snapshot.rs",
+                "crates/cloud/src/target.rs",
             ]
             .map(String::from)
             .to_vec(),
@@ -133,7 +132,6 @@ impl Default for Config {
             ]
             .map(|(f, n)| (f.to_string(), n.to_string()))
             .to_vec(),
-            shard_traits: ["ShardSim"].map(String::from).to_vec(),
             metric_name_files: ["crates/telemetry/src/names.rs"].map(String::from).to_vec(),
             metric_names: Vec::new(),
         }
@@ -171,11 +169,6 @@ impl Config {
         self.alloc_roots
             .iter()
             .any(|(f, n)| rel_path.ends_with(f.as_str()) && n == fn_name)
-    }
-
-    /// Whether `trait_name` roots `no-blocking-in-shard`.
-    pub fn is_shard_trait(&self, trait_name: &str) -> bool {
-        self.shard_traits.iter().any(|t| t == trait_name)
     }
 
     /// Whether `rel_path` defines the legal metric names.

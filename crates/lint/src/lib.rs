@@ -30,7 +30,6 @@
 //! | `forbid-unsafe` | every crate root | `#![forbid(unsafe_code)]` present |
 //! | `no-transitive-nondeterminism` | determinism crates | no call chain reaching clock/rand/hash-order sources |
 //! | `no-alloc-on-datapath` | curated hot functions | no reachable allocation (`vec!`, `Box::new`, `.collect()`, ...) |
-//! | `no-blocking-in-shard` | `ShardSim` impls | no reachable `sleep`/`.lock()`/`.recv()` |
 //! | `metric-name-registry` | whole workspace | metric-name literals must match `storm_telemetry::names` constants |
 //! | `stale-allow` | whole workspace | every allow-comment must suppress something |
 //!

@@ -8,7 +8,7 @@
 //!   checker ([`check_file`]) and the interprocedural engine's per-file
 //!   summaries (where hits double as taint sources).
 //! - **Interprocedural rules** (`no-transitive-nondeterminism`,
-//!   `no-alloc-on-datapath`, `no-blocking-in-shard`, plus `stale-allow`)
+//!   `no-alloc-on-datapath`, plus `stale-allow`)
 //!   need the workspace call graph and live in [`crate::taint`]; they
 //!   only exist in `--workspace` mode.
 
@@ -45,9 +45,6 @@ pub enum Rule {
     /// Interprocedural zero-alloc: a hot datapath function reaches an
     /// allocation (`Vec`/`Box`/`String` growth) through its callees.
     NoAllocOnDatapath,
-    /// Interprocedural executor safety: a `ShardSim` implementation
-    /// reaches `thread::sleep` / blocking `lock()` / channel `recv()`.
-    NoBlockingInShard,
     /// Metric hygiene: string literals passed to the metrics registry
     /// must match a constant exported from `storm_telemetry::names`.
     MetricNameRegistry,
@@ -57,7 +54,7 @@ pub enum Rule {
 }
 
 /// All rules, in reporting order.
-pub const ALL_RULES: [Rule; 11] = [
+pub const ALL_RULES: [Rule; 10] = [
     Rule::NoWallClock,
     Rule::NoAmbientRand,
     Rule::NoHashIter,
@@ -66,7 +63,6 @@ pub const ALL_RULES: [Rule; 11] = [
     Rule::ForbidUnsafe,
     Rule::NoTransitiveNondeterminism,
     Rule::NoAllocOnDatapath,
-    Rule::NoBlockingInShard,
     Rule::MetricNameRegistry,
     Rule::StaleAllow,
 ];
@@ -83,7 +79,6 @@ impl Rule {
             Rule::ForbidUnsafe => "forbid-unsafe",
             Rule::NoTransitiveNondeterminism => "no-transitive-nondeterminism",
             Rule::NoAllocOnDatapath => "no-alloc-on-datapath",
-            Rule::NoBlockingInShard => "no-blocking-in-shard",
             Rule::MetricNameRegistry => "metric-name-registry",
             Rule::StaleAllow => "stale-allow",
         }
@@ -121,10 +116,6 @@ impl Rule {
             Rule::NoAllocOnDatapath => {
                 "hot-path I/O must reuse pooled buffers and refcounted Bytes; hoist the \
                  allocation to setup or a counted slow path, or allow with a justification"
-            }
-            Rule::NoBlockingInShard => {
-                "ShardSim handlers run inside the conservative-lookahead executor; blocking \
-                 stalls the whole lane — use try_ variants or route through the event queue"
             }
             Rule::MetricNameRegistry => {
                 "use the constants exported from storm_telemetry::names; a typo'd literal \
@@ -222,12 +213,6 @@ const ALLOC_PATHS: [(&str, &str); 7] = [
 
 /// Allocating macros (`name!`).
 const ALLOC_MACROS: [&str; 2] = ["vec", "format"];
-
-/// Blocking method calls (taint sources for `no-blocking-in-shard`).
-const BLOCKING_METHODS: [&str; 5] = ["lock", "recv", "recv_timeout", "wait", "wait_timeout"];
-
-/// Blocking `thread::x` path calls.
-const BLOCKING_THREAD_FNS: [&str; 2] = ["sleep", "park"];
 
 /// Registry methods whose first string-literal argument is a metric
 /// name; `tenant_scoped` is the free-function form.
@@ -619,50 +604,6 @@ pub fn alloc_hits(lx: &Lexed) -> Vec<Hit> {
                         toks[i].col,
                         format!("`{}::{}`", name, m.text),
                         format!("allocating constructor `{}::{}`", name, m.text),
-                    ));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Raw blocking hits: `thread::sleep`/`thread::park`, blocking
-/// `lock()`/`recv()`/`wait()` method calls. Only used as taint sources
-/// for `no-blocking-in-shard`.
-pub fn blocking_hits(lx: &Lexed) -> Vec<Hit> {
-    let mut out = Vec::new();
-    let toks = &lx.toks;
-    for i in 0..toks.len() {
-        if toks[i].kind != TokKind::Ident {
-            continue;
-        }
-        let name = toks[i].text.as_str();
-        if BLOCKING_METHODS.contains(&name)
-            && i >= 1
-            && toks[i - 1].is_punct('.')
-            && toks.get(i + 1).is_some_and(|t| t.is_punct('('))
-        {
-            out.push(Hit::new(
-                toks[i].line,
-                toks[i].col,
-                format!("`.{name}()`"),
-                format!("blocking call `.{name}()`"),
-            ));
-        }
-        // `thread :: sleep (` / `thread :: park (`
-        if toks[i].is_ident("thread")
-            && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
-            && toks.get(i + 4).is_some_and(|t| t.is_punct('('))
-        {
-            if let Some(m) = toks.get(i + 3).filter(|t| t.kind == TokKind::Ident) {
-                if BLOCKING_THREAD_FNS.contains(&m.text.as_str()) {
-                    out.push(Hit::new(
-                        toks[i].line,
-                        toks[i].col,
-                        format!("`thread::{}`", m.text),
-                        format!("blocking call `thread::{}`", m.text),
                     ));
                 }
             }

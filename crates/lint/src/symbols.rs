@@ -28,17 +28,14 @@ pub const P_HASH_ITER: u8 = 1 << 2;
 pub const P_MAY_PANIC: u8 = 1 << 3;
 /// Heap allocation / buffer growth.
 pub const P_ALLOCATES: u8 = 1 << 4;
-/// Blocking sleep/lock/recv.
-pub const P_BLOCKS_THREAD: u8 = 1 << 5;
 
 /// All property bits in reporting order.
-pub const ALL_PROPS: [u8; 6] = [
+pub const ALL_PROPS: [u8; 5] = [
     P_WALL_CLOCK,
     P_AMBIENT_RAND,
     P_HASH_ITER,
     P_MAY_PANIC,
     P_ALLOCATES,
-    P_BLOCKS_THREAD,
 ];
 
 /// The stable name of a property bit.
@@ -49,7 +46,6 @@ pub fn prop_name(p: u8) -> &'static str {
         P_HASH_ITER => "hash-order-iteration",
         P_MAY_PANIC => "may-panic",
         P_ALLOCATES => "allocates",
-        P_BLOCKS_THREAD => "blocks-thread",
         _ => "unknown-property",
     }
 }
@@ -271,7 +267,6 @@ pub fn summarize(rel_path: &str, src: &str) -> FileSummary {
     attach(P_HASH_ITER, rules::hash_iter_hits(&lx), &mut out.fns);
     attach(P_MAY_PANIC, rules::panic_hits(&lx), &mut out.fns);
     attach(P_ALLOCATES, rules::alloc_hits(&lx), &mut out.fns);
-    attach(P_BLOCKS_THREAD, rules::blocking_hits(&lx), &mut out.fns);
 
     // Metric literals outside test code.
     for (method, value, line, col) in rules::metric_call_literals(&lx) {
@@ -763,15 +758,11 @@ fn clocky() {
 fn allocy() -> Vec<u8> {
     vec![0u8; 4]
 }
-fn blocky(rx: &Receiver<u8>) {
-    let _ = rx.recv();
-}
 ";
         let s = summarize("crates/x/src/util.rs", src);
         assert_eq!(s.fns[0].props[0].prop, P_WALL_CLOCK);
         assert_eq!(s.fns[0].props[0].what, "`Instant`");
         assert!(s.fns[1].props.iter().any(|p| p.prop == P_ALLOCATES));
-        assert!(s.fns[2].props.iter().any(|p| p.prop == P_BLOCKS_THREAD));
     }
 
     #[test]

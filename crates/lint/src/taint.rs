@@ -24,11 +24,10 @@
 //!
 //! Transitive rules fire only where taint **crosses a scope boundary**
 //! (a determinism-scoped caller invoking an unscoped tainted callee,
-//! a curated hot-path root reaching an allocation, a `ShardSim` method
-//! reaching a blocking call). Cascading reports up the call graph are
-//! avoided by skipping callees that are themselves inside the scope —
-//! the boundary closest to the source gets the single report, and an
-//! inline allow anywhere on the chain silences it.
+//! a curated hot-path root reaching an allocation). Cascading reports up
+//! the call graph are avoided by skipping callees that are themselves
+//! inside the scope — the boundary closest to the source gets the single
+//! report, and an inline allow anywhere on the chain silences it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -37,7 +36,7 @@ use crate::config::{Config, FileClass};
 use crate::diag::{Finding, Frame};
 use crate::rules::{self, Rule};
 use crate::symbols::{
-    prop_name, ALL_PROPS, P_ALLOCATES, P_AMBIENT_RAND, P_BLOCKS_THREAD, P_HASH_ITER, P_WALL_CLOCK,
+    prop_name, ALL_PROPS, P_ALLOCATES, P_AMBIENT_RAND, P_HASH_ITER, P_WALL_CLOCK,
 };
 
 /// How a function acquired a property.
@@ -464,77 +463,6 @@ pub fn evaluate(ws: &Workspace, t: &Taint, cfg: &Config) -> Vec<Finding> {
         }
     }
 
-    // 3c. no-blocking-in-shard: every method of a ShardSim impl.
-    for id in 0..ws.fns.len() {
-        let fi = ws.file_of(id);
-        let f = ws.fn_def(id);
-        if f.in_test || !cfg.is_shard_trait(&f.trait_name) {
-            continue;
-        }
-        let rule = Rule::NoBlockingInShard;
-        let class = &classes[fi];
-        for p in &f.props {
-            if p.prop != P_BLOCKS_THREAD {
-                continue;
-            }
-            let frames = vec![
-                Frame {
-                    fn_name: f.name.clone(),
-                    file: ws.files[fi].rel_path.clone(),
-                    line: f.line,
-                },
-                Frame {
-                    fn_name: p.what.clone(),
-                    file: ws.files[fi].rel_path.clone(),
-                    line: p.line,
-                },
-            ];
-            if ledger.chain_suppresses(rule, &frames) || cfg.is_path_allowed(rule, class) {
-                continue;
-            }
-            out.push(Finding {
-                rule: rule.name(),
-                file: ws.files[fi].rel_path.clone(),
-                line: p.line,
-                col: p.col,
-                message: format!(
-                    "blocking call {} in `{}::{}` ({} impl)",
-                    p.what, f.impl_type, f.name, f.trait_name
-                ),
-                suggestion: rule.suggestion(),
-                chain: frames,
-            });
-        }
-        for (ci, targets) in &ws.edges[id] {
-            let call = &f.calls[*ci];
-            let target = targets.iter().copied().find(|&tg| {
-                t.props[tg] & P_BLOCKS_THREAD != 0 && !cfg.is_shard_trait(&ws.fn_def(tg).trait_name)
-            });
-            let Some(tg) = target else { continue };
-            let frames = chain_from_call(ws, t, id, call.line, tg, P_BLOCKS_THREAD);
-            let (what, _) = chain_source(&frames);
-            if ledger.chain_suppresses(rule, &frames) || cfg.is_path_allowed(rule, class) {
-                continue;
-            }
-            out.push(Finding {
-                rule: rule.name(),
-                file: ws.files[fi].rel_path.clone(),
-                line: call.line,
-                col: call.col,
-                message: format!(
-                    "{} method `{}::{}` reaches blocking {} via `{}`",
-                    f.trait_name,
-                    f.impl_type,
-                    f.name,
-                    what,
-                    ws.fn_def(tg).name
-                ),
-                suggestion: rule.suggestion(),
-                chain: frames,
-            });
-        }
-    }
-
     // 4. Stale allows: declared (non-test) allows that suppressed
     // nothing above, plus unknown rule names.
     for (fi, file) in ws.files.iter().enumerate() {
@@ -698,21 +626,6 @@ mod tests {
         )]);
         let findings = evaluate(&ws, &t, &Config::default());
         assert!(findings.is_empty(), "{findings:?}");
-    }
-
-    #[test]
-    fn shard_impl_blocking_via_helper() {
-        let (ws, t) = build(&[(
-            "crates/bench/src/fleet.rs",
-            "struct FleetShard;\nimpl ShardSim for FleetShard {\n    fn deliver(&mut self) {\n        drain_inbox();\n    }\n}\nfn drain_inbox() {\n    let _ = rx.recv();\n}\n",
-        )]);
-        let findings = evaluate(&ws, &t, &Config::default());
-        let f = findings
-            .iter()
-            .find(|f| f.rule == "no-blocking-in-shard")
-            .expect("blocking reachable from ShardSim impl");
-        assert!(f.message.contains("`.recv()`"));
-        assert_eq!(f.chain.first().unwrap().fn_name, "deliver");
     }
 
     #[test]

@@ -140,18 +140,6 @@ fn alloc_on_datapath_direct_and_transitive() {
     assert!(alloc.iter().any(|f| f.message.contains("via `log_drop`")));
 }
 
-#[test]
-fn blocking_in_shard_via_helper() {
-    let (findings, _) = scan();
-    let f = findings
-        .iter()
-        .find(|f| f.rule == "no-blocking-in-shard")
-        .expect("blocking chain reported");
-    assert_eq!(f.file, "crates/bench/src/fleet.rs");
-    assert_eq!(chain_names(f).first(), Some(&"deliver"));
-    assert!(f.message.contains("`.lock()`"), "{}", f.message);
-}
-
 fn snapshot(name: &str, rendered: &str) {
     let path = fixture_root().join(name);
     if std::env::var_os("STORM_LINT_BLESS").is_some() {

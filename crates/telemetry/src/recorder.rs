@@ -1,8 +1,7 @@
 //! The trace recorder: an armable [`TraceSink`] with JSONL export.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use storm_sim::trace::{TraceEvent, TraceHook, TraceSink};
 use storm_sim::SimTime;
 
@@ -33,7 +32,7 @@ impl Recorder {
 
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.events.lock().expect("poisoned").len()
     }
 
     /// Whether nothing has been recorded.
@@ -43,12 +42,12 @@ impl Recorder {
 
     /// A copy of all recorded events, in arrival order.
     pub fn events(&self) -> Vec<(SimTime, TraceEvent)> {
-        self.events.lock().clone()
+        self.events.lock().expect("poisoned").clone()
     }
 
     /// Serializes the whole trace as JSONL (one event per line).
     pub fn to_jsonl(&self) -> String {
-        let events = self.events.lock();
+        let events = self.events.lock().expect("poisoned");
         let mut out = String::with_capacity(events.len() * 64);
         for (t, ev) in events.iter() {
             jsonl::write_event(&mut out, *t, ev);
@@ -58,16 +57,16 @@ impl Recorder {
 
     /// Drops all recorded events.
     pub fn clear(&self) {
-        self.events.lock().clear();
+        self.events.lock().expect("poisoned").clear();
     }
 }
 
 impl TraceSink for Recorder {
     fn record(&self, now: SimTime, ev: &TraceEvent) {
-        // storm-lint: allow(no-blocking-in-shard): uncontended in-process
-        // trace mutex with a bounded append critical section — not a
-        // scheduling block for the shard executor.
-        self.events.lock().push((now, ev.clone()));
+        self.events
+            .lock()
+            .expect("poisoned")
+            .push((now, ev.clone()));
     }
 }
 
