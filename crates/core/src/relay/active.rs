@@ -246,6 +246,18 @@ struct Deferred {
     input_bytes: usize,
 }
 
+/// Everything the relay has a timer armed for, by timer token.
+enum Timer {
+    /// A processed batch finished its processing time: release it.
+    Release(Deferred),
+    /// A chain service's own timer and the token it chose.
+    Service { svc: usize, token: u64 },
+    /// The watchdog of one replica request.
+    Watchdog { replica: usize, tag: IoTag },
+    /// Backoff elapsed: re-issue the request.
+    Retry { replica: usize, req: PendingIo },
+}
+
 /// Memcpy accounting for the relay datapath (see
 /// [`ActiveRelayMb::copy_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -272,12 +284,7 @@ pub struct ActiveRelayMb {
     by_sock: HashMap<SockId, (usize, Dir)>,
     replicas: Vec<ReplicaSession>,
     replica_socks: HashMap<SockId, usize>,
-    deferred: HashMap<u64, Deferred>,
-    svc_timers: HashMap<u64, (usize, u64)>,
-    /// Watchdog token -> the replica request it guards.
-    watchdogs: HashMap<u64, (usize, IoTag)>,
-    /// Backoff token -> the request to re-issue when it fires.
-    retries: HashMap<u64, (usize, PendingIo)>,
+    timers: HashMap<u64, Timer>,
     limiter: Option<RateLimiter>,
     next_token: u64,
     alerts: Vec<(SimTime, String)>,
@@ -307,10 +314,7 @@ impl ActiveRelayMb {
             by_sock: HashMap::new(),
             replicas: Vec::new(),
             replica_socks: HashMap::new(),
-            deferred: HashMap::new(),
-            svc_timers: HashMap::new(),
-            watchdogs: HashMap::new(),
-            retries: HashMap::new(),
+            timers: HashMap::new(),
             next_token: 1,
             alerts: Vec::new(),
             pdus_forwarded: 0,
@@ -404,21 +408,17 @@ impl ActiveRelayMb {
         self.services.get_mut(idx).map(|s| s.as_mut())
     }
 
-    fn token(&mut self) -> u64 {
-        let t = self.next_token;
+    /// Arms `timer` to fire after `delay` under a fresh token.
+    fn arm(&mut self, cx: &mut Cx<'_>, delay: SimDuration, timer: Timer) {
+        let token = self.next_token;
         self.next_token += 1;
-        t
+        self.timers.insert(token, timer);
+        cx.set_timer(delay, token);
     }
 
     fn stage(&self, now: SimTime, req: ReqToken, hop: Hop, id: u32, dur: SimDuration) {
         self.trace
             .emit_with(now, || TraceEvent::Stage { req, hop, id, dur });
-    }
-
-    fn arm_svc_timer(&mut self, cx: &mut Cx<'_>, svc_idx: usize, delay: SimDuration, token: u64) {
-        let t = self.token();
-        self.svc_timers.insert(t, (svc_idx, token));
-        cx.set_timer(delay, t);
     }
 
     /// Runs every unit of a batch through the service chain, one PDU at a
@@ -481,7 +481,7 @@ impl ActiveRelayMb {
                             SvcAction::Alert(msg) => self.alerts.push((now, msg)),
                             SvcAction::Charge(c) => charged += c,
                             SvcAction::Timer { delay, token } => {
-                                self.arm_svc_timer(cx, idx, delay, token)
+                                self.arm(cx, delay, Timer::Service { svc: idx, token })
                             }
                         }
                     }
@@ -523,7 +523,7 @@ impl ActiveRelayMb {
     fn run_side_actions(
         &mut self,
         cx: &mut Cx<'_>,
-        svc_idx: usize,
+        svc: usize,
         mut scx: SvcCtx,
         origin: Option<usize>,
     ) {
@@ -540,13 +540,15 @@ impl ActiveRelayMb {
                 SvcAction::Reply(p) => self.queue_side(cx, origin, Dir::ToInitiator, p),
                 SvcAction::Forward(p) => self.queue_side(cx, origin, Dir::ToTarget, p),
                 SvcAction::Replica { replica, io, ctx } => {
-                    self.issue_replica(cx, svc_idx, replica, io, ctx, origin);
+                    self.issue_replica(cx, svc, replica, io, ctx, origin);
                 }
                 SvcAction::Alert(msg) => self.alerts.push((now, msg)),
                 SvcAction::Charge(c) => {
                     let _ = cx.charge(c, &self.cfg.label);
                 }
-                SvcAction::Timer { delay, token } => self.arm_svc_timer(cx, svc_idx, delay, token),
+                SvcAction::Timer { delay, token } => {
+                    self.arm(cx, delay, Timer::Service { svc, token })
+                }
             }
         }
     }
@@ -586,11 +588,7 @@ impl ActiveRelayMb {
             return;
         };
         if sess.failed {
-            let (svc, ctx, origin) = (req.svc, req.ctx, req.origin);
-            let mut scx = SvcCtx::new(cx.now());
-            self.services[svc].on_replica_done(&mut scx, replica, ctx, false, Bytes::new());
-            self.run_side_actions(cx, svc, scx, origin);
-            return;
+            return self.fail_io(cx, replica, &req);
         }
         if !sess.up {
             sess.parked.push((req.svc, req.io, req.ctx, req.origin));
@@ -609,10 +607,15 @@ impl ActiveRelayMb {
         }
         // Arm the request watchdog.
         if let Some(policy) = self.cfg.retry {
-            let token = self.token();
-            self.watchdogs.insert(token, (replica, tag));
-            cx.set_timer(policy.timeout, token);
+            self.arm(cx, policy.timeout, Timer::Watchdog { replica, tag });
         }
+    }
+
+    /// Fails one replica request back to the service that issued it.
+    fn fail_io(&mut self, cx: &mut Cx<'_>, replica: usize, req: &PendingIo) {
+        let mut scx = SvcCtx::new(cx.now());
+        self.services[req.svc].on_replica_done(&mut scx, replica, req.ctx, false, Bytes::new());
+        self.run_side_actions(cx, req.svc, scx, req.origin);
     }
 
     /// A replica request produced no response within the timeout window:
@@ -631,28 +634,17 @@ impl ActiveRelayMb {
         };
         sess.timeouts += 1;
         if sess.timeouts >= policy.fail_threshold {
-            let (svc, ctx, origin) = (req.svc, req.ctx, req.origin);
+            // Drains the remaining pending requests; this one was removed
+            // above, so it is failed separately below.
             self.fail_replica(cx, replica);
-            // `fail_replica` drained the remaining pending requests; this
-            // one was removed above, so report it failed separately.
-            let mut scx = SvcCtx::new(cx.now());
-            self.services[svc].on_replica_done(&mut scx, replica, ctx, false, Bytes::new());
-            self.run_side_actions(cx, svc, scx, origin);
-            return;
-        }
-        if req.attempts < policy.max_retries {
+        } else if req.attempts < policy.max_retries {
             req.attempts += 1;
             let backoff = policy.backoff(req.attempts);
-            let token = self.token();
-            self.retries.insert(token, (replica, req));
-            cx.set_timer(backoff, token);
-        } else {
-            // Out of retries: this request alone is failed to its service.
-            let (svc, ctx, origin) = (req.svc, req.ctx, req.origin);
-            let mut scx = SvcCtx::new(cx.now());
-            self.services[svc].on_replica_done(&mut scx, replica, ctx, false, Bytes::new());
-            self.run_side_actions(cx, svc, scx, origin);
+            return self.arm(cx, backoff, Timer::Retry { replica, req });
         }
+        // Replica gone or out of retries: this request is failed to its
+        // service.
+        self.fail_io(cx, replica, &req);
     }
 
     fn flush_replica(&mut self, cx: &mut Cx<'_>, idx: usize) {
@@ -739,17 +731,13 @@ impl ActiveRelayMb {
             // Account CPU and serialize processing per flow.
             let _ = cx.charge(out.cost, &self.cfg.label);
             let done = self.pairs[pair_idx].proc.serve(now + qos_delay, out.cost);
-            let token = self.token();
-            self.deferred.insert(
-                token,
-                Deferred {
-                    pair: pair_idx,
-                    dir,
-                    out,
-                    input_bytes,
-                },
-            );
-            cx.set_timer(done - now, token);
+            let deferred = Deferred {
+                pair: pair_idx,
+                dir,
+                out,
+                input_bytes,
+            };
+            self.arm(cx, done - now, Timer::Release(deferred));
         }
     }
 
@@ -889,10 +877,7 @@ impl ActiveRelayMb {
         }
         self.replicas.clear();
         self.replica_socks.clear();
-        self.deferred.clear();
-        self.svc_timers.clear();
-        self.watchdogs.clear();
-        self.retries.clear();
+        self.timers.clear();
     }
 
     /// Boots the middle-box back up. Replica sessions reconnect from
@@ -907,28 +892,21 @@ impl ActiveRelayMb {
     }
 
     fn fail_replica(&mut self, cx: &mut Cx<'_>, idx: usize) {
-        let outstanding: Vec<(usize, u64, Option<usize>)> = {
-            let sess = &mut self.replicas[idx];
-            if sess.failed {
-                return;
-            }
-            sess.failed = true;
-            sess.up = false;
-            std::mem::take(&mut sess.pending)
-                .into_values()
-                .map(|v| (v.svc, v.ctx, v.origin))
-                .collect()
-        };
+        let sess = &mut self.replicas[idx];
+        if sess.failed {
+            return;
+        }
+        sess.failed = true;
+        sess.up = false;
+        let outstanding = std::mem::take(&mut sess.pending);
         self.trace.emit_with(cx.now(), || TraceEvent::ReplicaEvict {
             mb: self.trace_mb,
             replica: idx as u32,
         });
         // Fail outstanding I/O back to the owning services, then tell
         // every service the replica is gone.
-        for (svc_idx, ctx, origin) in outstanding {
-            let mut scx = SvcCtx::new(cx.now());
-            self.services[svc_idx].on_replica_done(&mut scx, idx, ctx, false, Bytes::new());
-            self.run_side_actions(cx, svc_idx, scx, origin);
+        for req in outstanding.into_values() {
+            self.fail_io(cx, idx, &req);
         }
         for svc_idx in 0..self.services.len() {
             let mut scx = SvcCtx::new(cx.now());
@@ -1021,17 +999,19 @@ impl App for ActiveRelayMb {
     }
 
     fn on_timer(&mut self, cx: &mut Cx<'_>, token: u64) {
-        if let Some(d) = self.deferred.remove(&token) {
-            self.release(cx, d);
-        } else if let Some((svc_idx, user_token)) = self.svc_timers.remove(&token) {
-            let mut scx = SvcCtx::new(cx.now());
-            self.services[svc_idx].on_timer(&mut scx, user_token);
-            self.run_side_actions(cx, svc_idx, scx, None);
-        } else if let Some((replica, tag)) = self.watchdogs.remove(&token) {
-            self.handle_replica_timeout(cx, replica, tag);
-        } else if let Some((replica, req)) = self.retries.remove(&token) {
-            self.issue_replica_attempt(cx, replica, req);
-            self.flush_replica(cx, replica);
+        match self.timers.remove(&token) {
+            Some(Timer::Release(d)) => self.release(cx, d),
+            Some(Timer::Service { svc, token }) => {
+                let mut scx = SvcCtx::new(cx.now());
+                self.services[svc].on_timer(&mut scx, token);
+                self.run_side_actions(cx, svc, scx, None);
+            }
+            Some(Timer::Watchdog { replica, tag }) => self.handle_replica_timeout(cx, replica, tag),
+            Some(Timer::Retry { replica, req }) => {
+                self.issue_replica_attempt(cx, replica, req);
+                self.flush_replica(cx, replica);
+            }
+            None => {}
         }
     }
 

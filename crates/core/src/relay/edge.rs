@@ -25,13 +25,10 @@
 //!    segments travel as refcounted views — the zero-copy invariant holds
 //!    on both transports.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 
-use storm_iscsi::{
-    Cdb, DataIn, Pdu, PduStream, PduWire, ScsiCommand, ScsiResponse, BHS_LEN, SHARE_THRESHOLD,
-};
+use storm_iscsi::exchange::{data_in_final, status_response, BlockCmd, Exchange, Step};
+use storm_iscsi::{Pdu, PduStream, PduWire, BHS_LEN, SHARE_THRESHOLD};
 use storm_net::SendQueue;
 use storm_nvmeq::{
     Cqe, FrameHeader, FrameKind, FrameStream, FrameWire, Sqe, SqeOp, UnitEntry, UnitWire, CQE_LEN,
@@ -80,12 +77,13 @@ pub(crate) enum Edge {
 }
 
 /// nvmeq per-flow state: the frame reassemblers plus the in-flight command
-/// table (cid → opcode) that lets completions produced by services (which
-/// only know the SCSI shape) re-encode with the correct opcode echo.
+/// table (cid → command) that lets completions produced by services (which
+/// only know the SCSI shape) re-encode with the correct opcode echo. It
+/// stays until `StorageService` speaks block operations instead of PDUs.
 #[derive(Debug, Default)]
 pub(crate) struct NvqEdge {
     legs: Legs<FrameStream>,
-    inflight: HashMap<u32, SqeOp>,
+    inflight: Exchange,
 }
 
 /// The batches one [`Edge::feed`] completed, converted as the relay loop
@@ -135,8 +133,8 @@ pub(crate) struct UnitSrc {
     bhs: [u8; BHS_LEN],
     /// The received data segment view.
     data: Bytes,
-    /// nvmeq: the decoded entry and its wire bytes (64 B SQE / 16 B CQE).
-    entry: Option<(UnitEntry, Bytes)>,
+    /// nvmeq: the entry's wire bytes (64 B SQE / 16 B CQE).
+    entry_wire: Option<Bytes>,
 }
 
 /// One unit headed for a send queue.
@@ -175,7 +173,7 @@ impl Iterator for Batches {
                     src: UnitSrc {
                         bhs: pw.bhs,
                         data: pw.data,
-                        entry: None,
+                        entry_wire: None,
                     },
                 })),
                 wire: pw.wire,
@@ -283,8 +281,12 @@ impl Edge {
             [f] if f.encode_bhs() == src.bhs && f.data().same_storage(&src.data));
         if !untouched {
             out.extend(forwards.into_iter().map(UnitOut::Pdu));
-        } else if let (Edge::Nvmeq(nvq), Some((entry, entry_wire))) = (self, src.entry) {
-            nvq.note(&entry);
+        } else if let (Edge::Nvmeq(nvq), Some(entry_wire), [pdu]) =
+            (self, src.entry_wire, &forwards[..])
+        {
+            // The fast path never reaches `entry_of`; keep the in-flight
+            // table current here.
+            nvq.inflight.observe(pdu);
             out.push(UnitOut::Verbatim {
                 entry_wire,
                 data: src.data,
@@ -340,43 +342,26 @@ fn push_data(q: &mut SendQueue, data: Bytes, copy: &mut RelayCopyStats) {
 }
 
 impl NvqEdge {
-    /// Keeps the in-flight table current for a unit the chain passed
-    /// through untouched (the fast path never reaches [`Self::entry_of`]).
-    fn note(&mut self, entry: &UnitEntry) {
-        match entry {
-            UnitEntry::Sqe(sqe) => self.inflight.insert(sqe.cid, sqe.op),
-            UnitEntry::Cqe(cqe) => self.inflight.remove(&cqe.cid),
-        };
-    }
-
     /// Maps a chain-produced PDU to a frame entry plus data segment,
-    /// maintaining the in-flight table.
+    /// keeping the in-flight table current ([`Edge::rebuild`] does the same
+    /// for the units that leave as received).
     fn entry_of(&mut self, dir: Dir, pdu: Pdu) -> Option<(Entry, Bytes)> {
-        match (dir, pdu) {
-            (Dir::ToTarget, Pdu::ScsiCommand(c)) => {
-                let (op, lba, sectors) = match Cdb::parse(&c.cdb).ok()? {
-                    Cdb::Read { lba, sectors } => (SqeOp::Read, lba, sectors),
-                    Cdb::Write { lba, sectors } => (SqeOp::Write, lba, sectors),
-                    Cdb::SynchronizeCache => (SqeOp::Flush, 0, 0),
-                    _ => return None,
+        match (dir, self.inflight.observe(&pdu), pdu) {
+            (Dir::ToTarget, Step::Command(cmd), Pdu::ScsiCommand(c)) => {
+                let data = match cmd.op {
+                    SqeOp::Write => c.data,
+                    _ => Bytes::new(),
                 };
-                let data = if op == SqeOp::Write {
-                    c.data
-                } else {
-                    Bytes::new()
-                };
-                self.inflight.insert(c.itt, op);
                 let sqe = Sqe {
-                    op,
+                    op: cmd.op,
                     cid: c.itt,
-                    lba,
-                    sectors,
+                    lba: cmd.lba,
+                    sectors: cmd.sectors,
                     data_len: data.len() as u32,
                 };
                 Some((Entry::Sqe(sqe), data))
             }
-            (Dir::ToInitiator, Pdu::DataIn(d)) if d.final_pdu && d.status_present => {
-                self.inflight.remove(&d.itt);
+            (Dir::ToInitiator, _, Pdu::DataIn(d)) if d.final_pdu && d.status_present => {
                 let cqe = Cqe {
                     cid: d.itt,
                     status: d.status,
@@ -385,11 +370,11 @@ impl NvqEdge {
                 };
                 Some((Entry::Cqe(cqe), d.data))
             }
-            (Dir::ToInitiator, Pdu::ScsiResponse(r)) => {
+            (Dir::ToInitiator, Step::Status(cmd), Pdu::ScsiResponse(r)) => {
                 let cqe = Cqe {
                     cid: r.itt,
                     status: r.status,
-                    op: self.inflight.remove(&r.itt).unwrap_or(SqeOp::Write),
+                    op: cmd.map_or(SqeOp::Write, |c| c.op),
                     data_len: 0,
                 };
                 Some((Entry::Cqe(cqe), Bytes::new()))
@@ -465,69 +450,27 @@ impl NvqEdge {
 /// processes. Doorbell SQEs become `ScsiCommand`s (writes carry their
 /// in-capsule data, the immediate-data idiom); completion CQEs become a
 /// phase-collapsed `DataIn` (reads) or a `ScsiResponse` (writes/flushes).
+/// An SQE is mapped as received, unchecked: one whose fields fail
+/// [`BlockCmd::parse`] encodes as a command that services and the edge's
+/// own table refuse to track, and reaches the target — which rejects it —
+/// verbatim.
 fn unit_of(unit: UnitWire) -> Unit {
     let data = unit.data.clone();
-    let pdu = match &unit.entry {
-        UnitEntry::Sqe(sqe) => {
-            let cdb = match sqe.op {
-                SqeOp::Read => Cdb::Read {
-                    lba: sqe.lba,
-                    sectors: sqe.sectors,
-                },
-                SqeOp::Write => Cdb::Write {
-                    lba: sqe.lba,
-                    sectors: sqe.sectors,
-                },
-                SqeOp::Flush => Cdb::SynchronizeCache,
-            };
-            Pdu::ScsiCommand(ScsiCommand {
-                immediate: false,
-                final_pdu: true,
-                read: sqe.op == SqeOp::Read,
-                write: sqe.op == SqeOp::Write,
-                lun: 0,
-                itt: sqe.cid,
-                edtl: match sqe.op {
-                    SqeOp::Read => sqe.sectors * 512,
-                    _ => sqe.data_len,
-                },
-                cmd_sn: sqe.cid,
-                exp_stat_sn: 0,
-                cdb: cdb.to_bytes(),
-                data,
-            })
+    let pdu = match unit.entry {
+        UnitEntry::Sqe(sqe) => BlockCmd {
+            op: sqe.op,
+            lba: sqe.lba,
+            sectors: sqe.sectors,
         }
-        UnitEntry::Cqe(cqe) if cqe.op == SqeOp::Read => Pdu::DataIn(DataIn {
-            final_pdu: true,
-            status_present: true,
-            status: cqe.status,
-            lun: 0,
-            itt: cqe.cid,
-            ttt: 0xffff_ffff,
-            stat_sn: 0,
-            exp_cmd_sn: 0,
-            max_cmd_sn: 0,
-            data_sn: 0,
-            buffer_offset: 0,
-            residual: 0,
-            data,
-        }),
-        UnitEntry::Cqe(cqe) => Pdu::ScsiResponse(ScsiResponse {
-            itt: cqe.cid,
-            response: 0,
-            status: cqe.status,
-            stat_sn: 0,
-            exp_cmd_sn: 0,
-            max_cmd_sn: 0,
-            residual: 0,
-            data: Bytes::new(),
-        }),
+        .command(sqe.cid, sqe.cid, 0, data),
+        UnitEntry::Cqe(cqe) if cqe.op == SqeOp::Read => data_in_final(cqe.cid, data, cqe.status),
+        UnitEntry::Cqe(cqe) => status_response(cqe.cid, cqe.status),
     };
     Unit {
         src: UnitSrc {
             bhs: pdu.encode_bhs(),
             data: unit.data,
-            entry: Some((unit.entry, unit.entry_wire)),
+            entry_wire: Some(unit.entry_wire),
         },
         pdu,
     }
@@ -570,13 +513,8 @@ mod tests {
         };
         assert!(c.write && !c.read);
         assert_eq!((c.itt, c.data.len()), (9, 4096));
-        assert_eq!(
-            Cdb::parse(&c.cdb),
-            Ok(Cdb::Write {
-                lba: 64,
-                sectors: 8
-            })
-        );
+        let cmd = BlockCmd::parse(c, u64::MAX).expect("a valid write");
+        assert_eq!((cmd.op, cmd.lba, cmd.sectors), (SqeOp::Write, 64, 8));
         match nvq.entry_of(Dir::ToTarget, u.pdu) {
             Some((Entry::Sqe(s), data)) => {
                 assert_eq!(s, sqe);
@@ -584,7 +522,7 @@ mod tests {
             }
             _ => panic!("expected an SQE out"),
         }
-        assert_eq!(nvq.inflight.remove(&9), Some(SqeOp::Write));
+        assert_eq!(nvq.inflight.len(), 1);
     }
 
     #[test]
@@ -612,25 +550,18 @@ mod tests {
     #[test]
     fn flush_completion_recovers_opcode_from_inflight_table() {
         let mut nvq = NvqEdge::default();
-        nvq.note(&UnitEntry::Sqe(Sqe {
-            op: SqeOp::Flush,
-            cid: 7,
-            lba: 0,
-            sectors: 0,
-            data_len: 0,
-        }));
-        let resp = || {
-            Pdu::ScsiResponse(ScsiResponse {
-                itt: 7,
-                response: 0,
-                status: ScsiStatus::Good,
-                stat_sn: 0,
-                exp_cmd_sn: 0,
-                max_cmd_sn: 0,
-                residual: 0,
-                data: Bytes::new(),
-            })
-        };
+        let flush = unit_of(unit(
+            UnitEntry::Sqe(Sqe {
+                op: SqeOp::Flush,
+                cid: 7,
+                lba: 0,
+                sectors: 0,
+                data_len: 0,
+            }),
+            &[],
+        ));
+        nvq.inflight.observe(&flush.pdu);
+        let resp = || status_response(7, ScsiStatus::Good);
         let op_of = |out: Option<(Entry, Bytes)>| match out {
             Some((Entry::Cqe(cqe), _)) => cqe.op,
             _ => panic!("expected a CQE"),
@@ -674,11 +605,87 @@ mod tests {
         let Edge::Nvmeq(nvq) = edge else {
             unreachable!()
         };
+        assert_eq!(nvq.inflight.len(), 1, "fast path notes it");
+    }
+
+    fn frame(kind: FrameKind, entry: &[u8], data: &[u8]) -> Bytes {
+        let header = FrameHeader {
+            kind,
+            count: 1,
+            payload_len: (entry.len() + data.len()) as u32,
+            queue_depth: 0,
+        };
+        Bytes::from([&header.encode()[..], entry, data].concat())
+    }
+
+    /// What a chain service does with a unit: observe it, forward it.
+    fn relay(edge: &mut Edge, svc: &mut Exchange, dir: Dir, wire: Bytes) -> Vec<UnitOut> {
+        let mut out = Vec::new();
+        for batch in edge.feed(dir, wire).expect("decodes") {
+            for Unit { pdu, src } in batch.units {
+                svc.observe(&pdu);
+                assert!(edge.rebuild(src, vec![pdu], &mut out));
+            }
+        }
+        out
+    }
+
+    /// A read completes with status on its Data-In — over nvmeq, the read
+    /// CQE — and no SCSI Response: a service's command table and the
+    /// edge's own must both retire it there.
+    #[test]
+    fn read_sqe_then_read_cqe_leaves_no_table_entry() {
+        let (mut edge, mut svc) = (Edge::Undecided, Exchange::default());
+        let sqe = Sqe {
+            op: SqeOp::Read,
+            cid: 5,
+            lba: 8,
+            sectors: 1,
+            data_len: 0,
+        };
+        let doorbell = frame(FrameKind::Doorbell, &sqe.encode(), &[]);
+        assert_eq!(relay(&mut edge, &mut svc, Dir::ToTarget, doorbell).len(), 1);
+        assert_eq!(svc.len(), 1);
+        let cqe = Cqe {
+            cid: 5,
+            status: ScsiStatus::Good,
+            op: SqeOp::Read,
+            data_len: 512,
+        };
+        let completion = frame(FrameKind::Completion, &cqe.encode(), &[0x3C; 512]);
         assert_eq!(
-            nvq.inflight.get(&2),
-            Some(&SqeOp::Write),
-            "fast path notes it"
+            relay(&mut edge, &mut svc, Dir::ToInitiator, completion).len(),
+            1
         );
+        assert_eq!(svc.len(), 0, "service table leaked the read");
+        let Edge::Nvmeq(nvq) = edge else {
+            unreachable!()
+        };
+        assert_eq!(nvq.inflight.len(), 0, "edge table leaked the read");
+    }
+
+    /// `sectors * 512` of a tenant SQE used to be computed unchecked.
+    #[test]
+    fn oversize_sqe_maps_to_a_command_nothing_tracks() {
+        let (mut edge, mut svc) = (Edge::Undecided, Exchange::default());
+        for (cid, sectors) in [(1, 0x0080_0000), (2, u32::MAX)] {
+            let sqe = Sqe {
+                op: SqeOp::Read,
+                cid,
+                lba: 0,
+                sectors,
+                data_len: 0,
+            };
+            let doorbell = frame(FrameKind::Doorbell, &sqe.encode(), &[]);
+            // Forwarded as received, for the target to reject.
+            let out = relay(&mut edge, &mut svc, Dir::ToTarget, doorbell);
+            assert!(matches!(out[..], [UnitOut::Verbatim { .. }]));
+        }
+        assert!(svc.is_empty());
+        let Edge::Nvmeq(nvq) = edge else {
+            unreachable!()
+        };
+        assert!(nvq.inflight.is_empty());
     }
 
     #[test]

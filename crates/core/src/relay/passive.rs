@@ -2,7 +2,8 @@
 
 use std::collections::HashMap;
 
-use storm_iscsi::Cdb;
+use storm_iscsi::exchange::Exchange;
+use storm_iscsi::BHS_LEN;
 use storm_net::{App, Cx, FourTuple, Frame, TapVerdict};
 use storm_sim::trace::{flow_token, Hop, TraceEvent, TraceHook};
 use storm_sim::{SimDuration, SimTime};
@@ -24,14 +25,6 @@ impl Default for PassiveTapConfig {
     }
 }
 
-/// Context of an in-flight data segment, derived from its PDU header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct DataCtx {
-    /// Absolute byte offset on the volume of the segment's first byte
-    /// (None for non-data segments: login text, sense data…).
-    vol_offset: Option<u64>,
-}
-
 #[derive(Debug)]
 enum TrackState {
     /// Collecting the 48-byte BHS.
@@ -40,7 +33,9 @@ enum TrackState {
     Data {
         remaining: usize,
         pad: usize,
-        ctx: DataCtx,
+        /// Absolute byte offset on the volume of the segment's first byte
+        /// (None for non-data segments: login text, sense data…).
+        vol_offset: Option<u64>,
         consumed: usize,
     },
 }
@@ -80,34 +75,36 @@ impl WireTracker {
     }
 
     /// Walks `payload`, returning `(range_in_payload, vol_offset)` for
-    /// every data-segment byte run. `lba_of` resolves an itt to the
-    /// command's first sector (shared between both directions' trackers).
+    /// every data-segment byte run. `cmds` is the flow's open-command
+    /// table (shared between both directions' trackers): each completed
+    /// header is classified through it, which learns commands, resolves
+    /// Data-In/Data-Out volume offsets and retires commands on status.
     pub fn walk(
         &mut self,
         payload: &[u8],
-        shared_cmds: &mut HashMap<u32, u64>,
+        cmds: &mut Exchange,
     ) -> Vec<(std::ops::Range<usize>, u64)> {
         let mut out = Vec::new();
         let mut pos = 0usize;
         while pos < payload.len() {
             match &mut self.state {
                 TrackState::Header => {
-                    let need = 48 - self.hdr.len();
+                    let need = BHS_LEN - self.hdr.len();
                     let take = need.min(payload.len() - pos);
+                    // storm-lint: allow(no-hot-path-copy): the fixed-size
+                    // header scratch; payload bytes are never buffered.
                     self.hdr.extend_from_slice(&payload[pos..pos + take]);
                     pos += take;
-                    if self.hdr.len() == 48 {
+                    if self.hdr.len() == BHS_LEN {
                         self.pdus += 1;
-                        let dsl = storm_iscsi::data_segment_length(&self.hdr)
-                            .expect("hdr is exactly BHS_LEN bytes");
-                        let pad = dsl.div_ceil(4) * 4 - dsl;
-                        let ctx = self.classify_header(shared_cmds);
+                        let dsl = storm_iscsi::data_segment_length(&self.hdr).unwrap_or(0);
+                        let vol_offset = cmds.observe_header(&self.hdr).volume_offset();
                         self.hdr.clear();
                         if dsl > 0 {
                             self.state = TrackState::Data {
                                 remaining: dsl,
-                                pad,
-                                ctx,
+                                pad: dsl.div_ceil(4) * 4 - dsl,
+                                vol_offset,
                                 consumed: 0,
                             };
                         }
@@ -116,13 +113,14 @@ impl WireTracker {
                 TrackState::Data {
                     remaining,
                     pad,
-                    ctx,
+                    vol_offset,
                     consumed,
                 } => {
                     if *remaining > 0 {
                         let take = (*remaining).min(payload.len() - pos);
-                        if let Some(base) = ctx.vol_offset {
-                            out.push((pos..pos + take, base + *consumed as u64));
+                        // A run whose position overflows is not block data.
+                        if let Some(at) = vol_offset.and_then(|b| b.checked_add(*consumed as u64)) {
+                            out.push((pos..pos + take, at));
                         }
                         *consumed += take;
                         *remaining -= take;
@@ -141,40 +139,6 @@ impl WireTracker {
         }
         out
     }
-
-    /// Parses the buffered header, learning itt→lba mappings from SCSI
-    /// commands and resolving Data-In/Data-Out volume offsets.
-    fn classify_header(&mut self, shared_cmds: &mut HashMap<u32, u64>) -> DataCtx {
-        let h = &self.hdr;
-        let opcode = h[0] & 0x3F;
-        let itt = u32::from_be_bytes(h[16..20].try_into().expect("4 bytes"));
-        match opcode {
-            0x01 => {
-                // SCSI Command: learn the LBA; immediate data starts at
-                // offset 0 of the buffer.
-                let cdb: [u8; 16] = h[32..48].try_into().expect("16 bytes");
-                if let Ok(Cdb::Write { lba, .. } | Cdb::Read { lba, .. }) = Cdb::parse(&cdb) {
-                    shared_cmds.insert(itt, lba);
-                    return DataCtx {
-                        vol_offset: Some(lba * 512),
-                    };
-                }
-                DataCtx { vol_offset: None }
-            }
-            0x05 | 0x25 => {
-                // Data-Out / Data-In: buffer offset at bytes 40..44.
-                let buf_off = u32::from_be_bytes(h[40..44].try_into().expect("4 bytes"));
-                let vol = shared_cmds.get(&itt).map(|lba| lba * 512 + buf_off as u64);
-                DataCtx { vol_offset: vol }
-            }
-            0x21 => {
-                // SCSI Response: the command is complete.
-                shared_cmds.remove(&itt);
-                DataCtx { vol_offset: None }
-            }
-            _ => DataCtx { vol_offset: None },
-        }
-    }
 }
 
 /// The passive-relay tap application. Installed on a forwarding
@@ -184,7 +148,7 @@ pub struct PassiveTap {
     cfg: PassiveTapConfig,
     services: Vec<Box<dyn StorageService>>,
     trackers: HashMap<(FourTuple, Dir), WireTracker>,
-    cmds: HashMap<FourTuple, HashMap<u32, u64>>,
+    cmds: HashMap<FourTuple, Exchange>,
     packets: u64,
     bytes_transformed: u64,
     trace: TraceHook,
@@ -290,14 +254,14 @@ impl App for PassiveTap {
             per_byte += svc.per_byte_cost();
         }
         if !runs.is_empty() {
-            let mut data = flat.to_vec();
+            let mut data = bytes::BytesMut::from(&flat[..]);
             for (range, vol_offset) in &runs {
                 for svc in &mut self.services {
                     svc.transform(dir, *vol_offset, &mut data[range.clone()]);
                 }
                 self.bytes_transformed += range.len() as u64;
             }
-            frame.tcp.payload = bytes::Bytes::from(data).into();
+            frame.tcp.payload = data.freeze().into();
         }
         // The whole payload is copied to user space (one syscall per
         // packet); processing cost scales with payload bytes.
@@ -318,46 +282,35 @@ impl std::fmt::Debug for PassiveTap {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use storm_iscsi::{DataOut, Pdu, ScsiCommand};
+    use storm_iscsi::exchange::{data_in_final, data_out_train, BlockCmd, BlockOp};
+    use storm_iscsi::{Pdu, ScsiStatus};
 
     fn write_cmd(itt: u32, lba: u64, edtl: u32, imm: &[u8]) -> Vec<u8> {
-        Pdu::ScsiCommand(ScsiCommand {
-            immediate: false,
-            final_pdu: true,
-            read: false,
-            write: true,
-            lun: 0,
-            itt,
-            edtl,
-            cmd_sn: 1,
-            exp_stat_sn: 1,
-            cdb: Cdb::Write {
-                lba,
-                sectors: edtl / 512,
-            }
-            .to_bytes(),
-            data: Bytes::copy_from_slice(imm),
-        })
-        .encode()
+        let cmd = BlockCmd {
+            op: BlockOp::Write,
+            lba,
+            sectors: edtl / 512,
+        };
+        cmd.command(itt, 1, 1, Bytes::copy_from_slice(imm)).encode()
     }
 
     #[test]
     fn tracker_locates_immediate_data() {
         let mut t = WireTracker::new();
-        let mut cmds = HashMap::new();
+        let mut cmds = Exchange::default();
         let wire = write_cmd(1, 100, 1024, &[0xAA; 1024]);
         let runs = t.walk(&wire, &mut cmds);
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].0, 48..48 + 1024);
         assert_eq!(runs[0].1, 100 * 512);
-        assert_eq!(cmds.get(&1), Some(&100));
+        assert_eq!(cmds.len(), 1);
         assert_eq!(t.pdus(), 1);
     }
 
     #[test]
     fn tracker_handles_fragmentation_across_packets() {
         let mut t = WireTracker::new();
-        let mut cmds = HashMap::new();
+        let mut cmds = Exchange::default();
         let wire = write_cmd(2, 8, 2048, &[0xBB; 2048]);
         // Feed in 100-byte fragments; collect (vol_offset, len) runs.
         let mut runs = Vec::new();
@@ -380,22 +333,16 @@ mod tests {
     #[test]
     fn tracker_resolves_data_out_by_itt() {
         let mut t = WireTracker::new();
-        let mut cmds = HashMap::new();
+        let mut cmds = Exchange::default();
         // Command with no immediate data...
         let wire = write_cmd(3, 50, 4096, &[]);
         assert!(t.walk(&wire, &mut cmds).is_empty());
         // ...followed by a Data-Out at buffer offset 1024.
-        let dout = Pdu::DataOut(DataOut {
-            final_pdu: true,
-            lun: 0,
-            itt: 3,
-            ttt: 9,
-            exp_stat_sn: 1,
-            data_sn: 0,
-            buffer_offset: 1024,
-            data: Bytes::from(vec![0xCC; 512]),
-        })
-        .encode();
+        let payload = Bytes::from(vec![0xCC; 4096]);
+        let dout = data_out_train(3, 9, 1, &payload, 1024..1536, 512)
+            .next()
+            .unwrap()
+            .encode();
         let runs = t.walk(&dout, &mut cmds);
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].1, 50 * 512 + 1024);
@@ -404,7 +351,7 @@ mod tests {
     #[test]
     fn non_data_pdus_produce_no_runs() {
         let mut t = WireTracker::new();
-        let mut cmds = HashMap::new();
+        let mut cmds = Exchange::default();
         let nop = Pdu::NopOut(storm_iscsi::NopOut {
             itt: 5,
             ttt: 0xFFFF_FFFF,
@@ -415,6 +362,37 @@ mod tests {
         .encode();
         // NOP payload is a data segment but has no volume offset.
         assert!(t.walk(&nop, &mut cmds).is_empty());
+        assert_eq!(t.pdus(), 1);
+    }
+
+    /// A successful read never produces a SCSI Response: its status rides
+    /// on the final Data-In, which must retire the command.
+    #[test]
+    fn successful_read_leaves_no_table_entry() {
+        let (mut to_target, mut to_initiator) = (WireTracker::new(), WireTracker::new());
+        let mut cmds = Exchange::default();
+        let read = BlockCmd {
+            op: BlockOp::Read,
+            lba: 6,
+            sectors: 1,
+        };
+        let cmd = read.command(4, 1, 1, Bytes::new()).encode();
+        assert!(to_target.walk(&cmd, &mut cmds).is_empty());
+        assert_eq!(cmds.len(), 1);
+        let din = data_in_final(4, Bytes::from(vec![0xDD; 512]), ScsiStatus::Good);
+        let runs = to_initiator.walk(&din.encode(), &mut cmds);
+        assert_eq!(runs, vec![(48..48 + 512, 6 * 512)]);
+        assert_eq!(cmds.len(), 0);
+    }
+
+    /// `lba * 512 + buffer_offset` of a hostile command has no volume
+    /// position; its bytes are walked past, not transformed.
+    #[test]
+    fn overflowing_volume_offset_yields_no_runs() {
+        let mut t = WireTracker::new();
+        let mut cmds = Exchange::default();
+        let wire = write_cmd(1, u64::MAX / 512 + 1, 512, &[0xEE; 512]);
+        assert!(t.walk(&wire, &mut cmds).is_empty());
         assert_eq!(t.pdus(), 1);
     }
 }

@@ -135,19 +135,6 @@ impl Cdb {
             op => return Err(op),
         })
     }
-
-    /// Whether this command transfers data from target to initiator.
-    pub fn is_read(&self) -> bool {
-        matches!(
-            self,
-            Cdb::Read { .. } | Cdb::Inquiry { .. } | Cdb::ReadCapacity10
-        )
-    }
-
-    /// Whether this command transfers data from initiator to target.
-    pub fn is_write(&self) -> bool {
-        matches!(self, Cdb::Write { .. })
-    }
 }
 
 #[cfg(test)]
@@ -200,15 +187,6 @@ mod tests {
         let mut b = [0u8; 16];
         b[0] = 0xEE;
         assert_eq!(Cdb::parse(&b), Err(0xEE));
-    }
-
-    #[test]
-    fn direction_predicates() {
-        assert!(Cdb::Read { lba: 0, sectors: 1 }.is_read());
-        assert!(!Cdb::Read { lba: 0, sectors: 1 }.is_write());
-        assert!(Cdb::Write { lba: 0, sectors: 1 }.is_write());
-        assert!(Cdb::ReadCapacity10.is_read());
-        assert!(!Cdb::SynchronizeCache.is_read());
     }
 
     #[test]

@@ -2,12 +2,12 @@
 
 use std::collections::HashMap;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 
-use crate::cdb::Cdb;
+use crate::exchange::{data_out_train, BlockCmd, BlockOp, Transfer};
 use crate::iqn::Iqn;
 use crate::params::{decode_text, encode_text, SessionParams};
-use crate::pdu::{DataOut, LoginRequest, LogoutRequest, NopOut, Pdu, ScsiCommand};
+use crate::pdu::{LoginRequest, LogoutRequest, NopOut, Pdu};
 use crate::stream::{PduStream, WireBuf};
 use crate::transport::TransportEvent;
 
@@ -57,7 +57,7 @@ enum State {
 
 #[derive(Debug)]
 enum Pending {
-    Read { buf: BytesMut, expected: usize },
+    Read(Transfer),
     Write { data: Bytes },
     Flush,
 }
@@ -174,30 +174,32 @@ impl Initiator {
     pub fn read(&mut self, lba: u64, sectors: u32) -> IoTag {
         assert_eq!(self.state, State::FullFeature, "read before login");
         assert!(sectors > 0, "zero-length read");
+        let xfer = Transfer::new(sectors as usize * 512);
+        self.issue(
+            BlockOp::Read,
+            lba,
+            sectors,
+            Bytes::new(),
+            Pending::Read(xfer),
+        )
+    }
+
+    /// Queues the command PDU for a new task and records what it awaits.
+    fn issue(&mut self, op: BlockOp, lba: u64, sectors: u32, imm: Bytes, wait: Pending) -> IoTag {
         let itt = self.alloc_itt();
-        let expected = sectors as usize * 512;
-        self.pending.insert(
-            itt,
-            Pending::Read {
-                buf: BytesMut::zeroed(expected),
-                expected,
-            },
-        );
-        let pdu = Pdu::ScsiCommand(ScsiCommand {
-            immediate: false,
-            final_pdu: true,
-            read: true,
-            write: false,
-            lun: 0,
-            itt,
-            edtl: expected as u32,
-            cmd_sn: self.bump_cmd_sn(),
-            exp_stat_sn: self.exp_stat_sn,
-            cdb: Cdb::Read { lba, sectors }.to_bytes(),
-            data: Bytes::new(),
-        });
+        let cmd = BlockCmd { op, lba, sectors };
+        let pdu = cmd.command(itt, self.bump_cmd_sn(), self.exp_stat_sn, imm);
         self.out.push_pdu(&pdu);
+        self.pending.insert(itt, wait);
         IoTag(itt)
+    }
+
+    /// Queues `data[range]` as Data-Out PDUs answering transfer tag `ttt`.
+    fn send_data(&mut self, itt: u32, ttt: u32, data: &Bytes, range: std::ops::Range<usize>) {
+        let mrdsl = self.params.max_recv_data_segment_length as usize;
+        for pdu in data_out_train(itt, ttt, self.exp_stat_sn, data, range, mrdsl) {
+            self.out.push_pdu(&pdu);
+        }
     }
 
     /// Issues a write of `data` (a whole number of sectors) at `lba`.
@@ -214,7 +216,6 @@ impl Initiator {
             !data.is_empty() && data.len().is_multiple_of(512),
             "unaligned write"
         );
-        let itt = self.alloc_itt();
         let sectors = (data.len() / 512) as u32;
         let mrdsl = self.params.max_recv_data_segment_length as usize;
         let first_burst = self.params.first_burst_length as usize;
@@ -225,45 +226,14 @@ impl Initiator {
             0
         };
         let imm = data.len().min(immediate_limit);
-        let pdu = Pdu::ScsiCommand(ScsiCommand {
-            immediate: false,
-            final_pdu: true,
-            read: false,
-            write: true,
-            lun: 0,
-            itt,
-            edtl: data.len() as u32,
-            cmd_sn: self.bump_cmd_sn(),
-            exp_stat_sn: self.exp_stat_sn,
-            cdb: Cdb::Write { lba, sectors }.to_bytes(),
-            data: data.slice(..imm),
-        });
-        self.out.push_pdu(&pdu);
+        let wait = Pending::Write { data: data.clone() };
+        let tag = self.issue(BlockOp::Write, lba, sectors, data.slice(..imm), wait);
         // InitialR2T=No: the rest of the first burst flows as unsolicited
         // Data-Out (ttt = 0xffffffff) without waiting for an R2T.
         if !self.params.initial_r2t {
-            let unsolicited_end = data.len().min(first_burst);
-            let mut off = imm;
-            let mut data_sn = 0;
-            while off < unsolicited_end {
-                let end = (off + mrdsl).min(unsolicited_end);
-                let out = Pdu::DataOut(DataOut {
-                    final_pdu: end == unsolicited_end,
-                    lun: 0,
-                    itt,
-                    ttt: 0xFFFF_FFFF,
-                    exp_stat_sn: self.exp_stat_sn,
-                    data_sn,
-                    buffer_offset: off as u32,
-                    data: data.slice(off..end),
-                });
-                self.out.push_pdu(&out);
-                data_sn += 1;
-                off = end;
-            }
+            self.send_data(tag.0, 0xFFFF_FFFF, &data, imm..first_burst);
         }
-        self.pending.insert(itt, Pending::Write { data });
-        IoTag(itt)
+        tag
     }
 
     /// Issues a cache flush.
@@ -273,23 +243,7 @@ impl Initiator {
     /// Panics if the session is not logged in.
     pub fn flush(&mut self) -> IoTag {
         assert_eq!(self.state, State::FullFeature, "flush before login");
-        let itt = self.alloc_itt();
-        self.pending.insert(itt, Pending::Flush);
-        let pdu = Pdu::ScsiCommand(ScsiCommand {
-            immediate: false,
-            final_pdu: true,
-            read: false,
-            write: false,
-            lun: 0,
-            itt,
-            edtl: 0,
-            cmd_sn: self.bump_cmd_sn(),
-            exp_stat_sn: self.exp_stat_sn,
-            cdb: Cdb::SynchronizeCache.to_bytes(),
-            data: Bytes::new(),
-        });
-        self.out.push_pdu(&pdu);
-        IoTag(itt)
+        self.issue(BlockOp::Flush, 0, 0, Bytes::new(), Pending::Flush)
     }
 
     /// Requests a session logout.
@@ -361,33 +315,24 @@ impl Initiator {
             }
             Pdu::DataIn(d) => {
                 self.exp_stat_sn = d.stat_sn.wrapping_add(1);
-                let complete = match self.pending.get_mut(&d.itt) {
-                    Some(Pending::Read { buf, expected }) => {
-                        let off = d.buffer_offset as usize;
-                        let end = off + d.data.len();
-                        if end > *expected {
-                            events.push(TransportEvent::ProtocolError(format!(
-                                "data-in overruns buffer: {end} > {expected}"
-                            )));
-                            return;
-                        }
-                        buf[off..end].copy_from_slice(&d.data);
-                        d.final_pdu && d.status_present
-                    }
-                    _ => {
-                        events.push(TransportEvent::ProtocolError(format!(
-                            "data-in for unknown itt {}",
-                            d.itt
-                        )));
-                        return;
-                    }
+                let Some(Pending::Read(xfer)) = self.pending.get_mut(&d.itt) else {
+                    events.push(TransportEvent::ProtocolError(format!(
+                        "data-in for unknown itt {}",
+                        d.itt
+                    )));
+                    return;
                 };
-                if complete {
-                    if let Some(Pending::Read { buf, .. }) = self.pending.remove(&d.itt) {
+                if xfer.absorb(d.buffer_offset, &d.data).is_err() {
+                    events.push(TransportEvent::ProtocolError(format!(
+                        "data-in for itt {} overruns its buffer",
+                        d.itt
+                    )));
+                } else if d.final_pdu && d.status_present {
+                    if let Some(Pending::Read(xfer)) = self.pending.remove(&d.itt) {
                         events.push(TransportEvent::ReadDone {
                             tag: IoTag(d.itt),
                             status: d.status,
-                            data: buf.freeze(),
+                            data: xfer.into_bytes(),
                         });
                     }
                 }
@@ -402,26 +347,8 @@ impl Initiator {
                 };
                 let data = data.clone();
                 let start = r.buffer_offset as usize;
-                let end = (start + r.desired_length as usize).min(data.len());
-                let mrdsl = self.params.max_recv_data_segment_length as usize;
-                let mut off = start;
-                let mut data_sn = 0;
-                while off < end {
-                    let chunk_end = (off + mrdsl).min(end);
-                    let pdu = Pdu::DataOut(DataOut {
-                        final_pdu: chunk_end == end,
-                        lun: 0,
-                        itt: r.itt,
-                        ttt: r.ttt,
-                        exp_stat_sn: self.exp_stat_sn,
-                        data_sn,
-                        buffer_offset: off as u32,
-                        data: data.slice(off..chunk_end),
-                    });
-                    self.out.push_pdu(&pdu);
-                    data_sn += 1;
-                    off = chunk_end;
-                }
+                let end = start.saturating_add(r.desired_length as usize);
+                self.send_data(r.itt, r.ttt, &data, start..end);
             }
             Pdu::ScsiResponse(r) => {
                 self.exp_stat_sn = r.stat_sn.wrapping_add(1);
@@ -434,7 +361,7 @@ impl Initiator {
                         tag: IoTag(r.itt),
                         status: r.status,
                     }),
-                    Some(Pending::Read { .. }) => events.push(TransportEvent::ReadDone {
+                    Some(Pending::Read(_)) => events.push(TransportEvent::ReadDone {
                         tag: IoTag(r.itt),
                         status: r.status,
                         data: Bytes::new(),

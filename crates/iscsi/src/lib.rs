@@ -11,6 +11,9 @@
 //! * [`Cdb`] — SCSI CDBs (READ/WRITE 10/16, READ CAPACITY, INQUIRY, TEST
 //!   UNIT READY, SYNCHRONIZE CACHE).
 //! * [`PduStream`] — incremental framing over a TCP byte stream.
+//! * [`exchange`] — the one model of a command conversation every
+//!   consumer shares: checked [`exchange::BlockCmd`]s, the
+//!   [`exchange::Transfer`] assembler, the [`exchange::Exchange`] table.
 //! * [`Initiator`] / [`TargetConn`] — sans-io session state machines:
 //!   bytes in, events + bytes out; no I/O or clock dependencies, so they
 //!   run both inside the simulator and in threaded pipelines.
@@ -60,6 +63,7 @@
 #![warn(missing_docs)]
 
 mod cdb;
+pub mod exchange;
 mod initiator;
 mod iqn;
 mod params;

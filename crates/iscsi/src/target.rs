@@ -7,13 +7,18 @@
 
 use std::collections::HashMap;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 
 use crate::cdb::{Cdb, ScsiStatus};
+use crate::exchange::{data_in_train, status_response, BlockCmd, BlockOp, CmdReject, Transfer};
 use crate::iqn::Iqn;
 use crate::params::{decode_text, encode_text, SessionParams};
-use crate::pdu::{DataIn, LoginResponse, LogoutResponse, NopIn, Pdu, R2t, ScsiResponse};
+use crate::pdu::{LoginResponse, LogoutResponse, NopIn, Pdu, PduError};
 use crate::stream::{PduStream, WireBuf};
+
+/// Standard INQUIRY data: direct-access block device, SPC-4, 31 more
+/// bytes of vendor / product / revision.
+const INQUIRY: &[u8; 36] = b"\x00\x00\x06\x00\x1f\x00\x00\x00STORM   VIRTUAL VOLUME  0001";
 
 /// Target-side configuration.
 #[derive(Debug, Clone)]
@@ -79,18 +84,6 @@ pub enum TargetEvent {
     ProtocolError(String),
 }
 
-#[derive(Debug)]
-struct WriteXfer {
-    lba: u64,
-    buf: BytesMut,
-    received: usize,
-    expected: usize,
-    /// Bytes the initiator will push unsolicited (immediate + first
-    /// burst); only beyond this does the target solicit with R2Ts.
-    unsolicited: usize,
-    next_ttt: u32,
-}
-
 /// One target-side connection state machine.
 #[derive(Debug)]
 pub struct TargetConn {
@@ -101,7 +94,8 @@ pub struct TargetConn {
     stat_sn: u32,
     exp_cmd_sn: u32,
     logged_in: bool,
-    writes: HashMap<u32, WriteXfer>,
+    /// Incomplete writes: first sector and the data assembled so far.
+    writes: HashMap<u32, (u64, Transfer)>,
     reads: HashMap<u32, ()>,
     next_ttt: u32,
     outstanding: usize,
@@ -182,21 +176,28 @@ impl TargetConn {
         sn
     }
 
-    /// Feeds received bytes; returns events for the hosting app.
+    /// Feeds received bytes (copied into the reassembler; see
+    /// [`TargetConn::feed_bytes`]); returns events for the hosting app.
     pub fn feed(&mut self, bytes: &[u8]) -> Vec<TargetEvent> {
-        self.feed_bytes(Bytes::copy_from_slice(bytes))
+        let pdus = self.stream.feed(bytes);
+        self.handle_all(pdus)
     }
 
     /// Feeds a received chunk by reference (no copy into the
     /// reassembler); returns events for the hosting app.
     pub fn feed_bytes(&mut self, bytes: Bytes) -> Vec<TargetEvent> {
-        let pdus = match self.stream.feed_bytes(bytes) {
-            Ok(p) => p,
-            Err(e) => return vec![TargetEvent::ProtocolError(e.to_string())],
-        };
+        let pdus = self.stream.feed_bytes(bytes);
+        self.handle_all(pdus.map(|pdus| pdus.into_iter().map(|pw| pw.pdu)))
+    }
+
+    fn handle_all(
+        &mut self,
+        pdus: Result<impl IntoIterator<Item = Pdu>, PduError>,
+    ) -> Vec<TargetEvent> {
         let mut events = Vec::new();
-        for pw in pdus {
-            self.handle(pw.pdu, &mut events);
+        match pdus {
+            Ok(pdus) => pdus.into_iter().for_each(|p| self.handle(p, &mut events)),
+            Err(e) => events.push(TargetEvent::ProtocolError(e.to_string())),
         }
         events
     }
@@ -230,42 +231,36 @@ impl TargetConn {
             }
             Pdu::ScsiCommand(c) => {
                 self.exp_cmd_sn = c.cmd_sn.wrapping_add(1);
-                let cdb = match Cdb::parse(&c.cdb) {
-                    Ok(cdb) => cdb,
-                    Err(op) => {
+                let cmd = match BlockCmd::parse(&c, self.cfg.num_sectors) {
+                    Ok(cmd) => cmd,
+                    Err(CmdReject::NotBlockIo(cdb)) => {
+                        let data = match cdb {
+                            Cdb::Inquiry { alloc } => {
+                                Bytes::from_static(&INQUIRY[..INQUIRY.len().min(alloc as usize)])
+                            }
+                            Cdb::ReadCapacity10 => {
+                                let last = self.cfg.num_sectors.saturating_sub(1);
+                                let [a, b, c, d] =
+                                    u32::try_from(last).unwrap_or(u32::MAX).to_be_bytes();
+                                Bytes::from(vec![a, b, c, d, 0, 0, 2, 0]) // 512-byte blocks
+                            }
+                            _ => return self.scsi_response(c.itt, ScsiStatus::Good), // TEST UNIT READY
+                        };
+                        return self.data_in_with_status(c.itt, data);
+                    }
+                    Err(reject) => {
                         self.scsi_response(c.itt, ScsiStatus::CheckCondition);
-                        events.push(TargetEvent::ProtocolError(format!(
-                            "unsupported cdb opcode {op:#04x}"
-                        )));
+                        if let CmdReject::Opcode(op) = reject {
+                            events.push(TargetEvent::ProtocolError(format!(
+                                "unsupported cdb opcode {op:#04x}"
+                            )));
+                        }
                         return;
                     }
                 };
-                match cdb {
-                    Cdb::TestUnitReady => self.scsi_response(c.itt, ScsiStatus::Good),
-                    Cdb::Inquiry { alloc } => {
-                        let mut inq = vec![0u8; 36];
-                        inq[0] = 0x00; // direct-access block device
-                        inq[2] = 0x06; // SPC-4
-                        inq[4] = 31; // additional length
-                        inq[8..16].copy_from_slice(b"STORM   ");
-                        inq[16..32].copy_from_slice(b"VIRTUAL VOLUME  ");
-                        inq[32..36].copy_from_slice(b"0001");
-                        inq.truncate(alloc as usize);
-                        self.data_in_with_status(c.itt, Bytes::from(inq), ScsiStatus::Good);
-                    }
-                    Cdb::ReadCapacity10 => {
-                        let last = self.cfg.num_sectors.saturating_sub(1);
-                        let last32 = u32::try_from(last).unwrap_or(u32::MAX);
-                        let mut cap = Vec::with_capacity(8);
-                        cap.extend_from_slice(&last32.to_be_bytes());
-                        cap.extend_from_slice(&512u32.to_be_bytes());
-                        self.data_in_with_status(c.itt, Bytes::from(cap), ScsiStatus::Good);
-                    }
-                    Cdb::Read { lba, sectors } => {
-                        if lba + sectors as u64 > self.cfg.num_sectors {
-                            self.scsi_response(c.itt, ScsiStatus::CheckCondition);
-                            return;
-                        }
+                let BlockCmd { lba, sectors, .. } = cmd;
+                match cmd.op {
+                    BlockOp::Read => {
                         // `complete_read` asserts the tag is outstanding, so
                         // a reused tag must be refused here, not found there.
                         if self.reads.insert(c.itt, ()).is_some() {
@@ -276,95 +271,46 @@ impl TargetConn {
                             return;
                         }
                         self.note_ready();
-                        events.push(TargetEvent::ReadReady {
-                            itt: c.itt,
-                            lba,
-                            sectors,
-                        });
+                        let itt = c.itt;
+                        events.push(TargetEvent::ReadReady { itt, lba, sectors });
                     }
-                    Cdb::Write { lba, sectors } => {
-                        let expected = sectors as usize * 512;
-                        if lba + sectors as u64 > self.cfg.num_sectors
-                            || expected != c.edtl as usize
-                        {
-                            self.scsi_response(c.itt, ScsiStatus::CheckCondition);
-                            return;
-                        }
-                        let unsolicited = if self.params.initial_r2t {
-                            c.data.len().min(expected)
+                    BlockOp::Write => {
+                        let mut xfer = Transfer::new(cmd.bytes() as usize);
+                        // Immediate data beyond the buffer is dropped.
+                        let _ = xfer.absorb(0, &c.data);
+                        if xfer.is_complete() {
+                            self.write_ready(c.itt, lba, xfer, events);
                         } else {
-                            expected.min(self.params.first_burst_length as usize)
-                        };
-                        let mut xfer = WriteXfer {
-                            lba,
-                            buf: BytesMut::zeroed(expected),
-                            received: 0,
-                            expected,
-                            unsolicited,
-                            next_ttt: 0,
-                        };
-                        let imm = c.data.len().min(expected);
-                        xfer.buf[..imm].copy_from_slice(&c.data[..imm]);
-                        xfer.received = imm;
-                        if xfer.received >= xfer.expected {
-                            let data = xfer.buf.freeze();
-                            self.note_ready();
-                            events.push(TargetEvent::WriteReady {
-                                itt: c.itt,
-                                lba,
-                                data,
-                            });
-                        } else {
-                            // Solicit only what the initiator will not
-                            // push unsolicited.
-                            if xfer.received >= xfer.unsolicited {
-                                self.solicit(c.itt, &mut xfer);
-                            }
-                            self.writes.insert(c.itt, xfer);
+                            self.request_data(c.itt, &mut xfer);
+                            self.writes.insert(c.itt, (lba, xfer));
                         }
                     }
-                    Cdb::SynchronizeCache => {
+                    BlockOp::Flush => {
                         self.note_ready();
                         events.push(TargetEvent::FlushReady { itt: c.itt });
                     }
                 }
             }
             Pdu::DataOut(d) => {
-                let Some(xfer) = self.writes.get_mut(&d.itt) else {
+                let Some((lba, mut xfer)) = self.writes.remove(&d.itt) else {
                     events.push(TargetEvent::ProtocolError(format!(
                         "data-out for unknown itt {}",
                         d.itt
                     )));
                     return;
                 };
-                let off = d.buffer_offset as usize;
-                let end = off + d.data.len();
-                if end > xfer.expected {
+                if xfer.absorb(d.buffer_offset, &d.data).is_err() {
+                    let itt = d.itt;
                     events.push(TargetEvent::ProtocolError(format!(
-                        "data-out overruns buffer: {end} > {}",
-                        xfer.expected
+                        "data-out for itt {itt} overruns its buffer"
                     )));
-                    return;
+                } else if d.final_pdu && xfer.is_complete() {
+                    return self.write_ready(d.itt, lba, xfer, events);
+                } else if d.final_pdu {
+                    // The burst is in; solicit the next one.
+                    self.request_data(d.itt, &mut xfer);
                 }
-                xfer.buf[off..end].copy_from_slice(&d.data);
-                xfer.received += d.data.len();
-                if !d.final_pdu {
-                    return;
-                }
-                if xfer.received >= xfer.expected {
-                    let xfer = self.writes.remove(&d.itt).expect("just updated");
-                    self.note_ready();
-                    events.push(TargetEvent::WriteReady {
-                        itt: d.itt,
-                        lba: xfer.lba,
-                        data: xfer.buf.freeze(),
-                    });
-                } else if xfer.received >= xfer.unsolicited {
-                    // The unsolicited burst is in; solicit the next one.
-                    let mut xfer = self.writes.remove(&d.itt).expect("just updated");
-                    self.solicit(d.itt, &mut xfer);
-                    self.writes.insert(d.itt, xfer);
-                }
+                self.writes.insert(d.itt, (lba, xfer));
             }
             Pdu::NopOut(n) => {
                 if n.itt != 0xFFFF_FFFF {
@@ -397,77 +343,55 @@ impl TargetConn {
         }
     }
 
-    /// Emits an R2T for the next burst of an incomplete write.
-    fn solicit(&mut self, itt: u32, xfer: &mut WriteXfer) {
-        let remaining = xfer.expected - xfer.received;
-        let burst = remaining.min(self.params.max_burst_length as usize);
-        let ttt = self.next_ttt;
-        self.next_ttt = self.next_ttt.wrapping_add(1);
-        let r2t = Pdu::R2t(R2t {
-            lun: 0,
-            itt,
-            ttt,
-            stat_sn: self.stat_sn,
-            exp_cmd_sn: self.exp_cmd_sn,
-            max_cmd_sn: self.exp_cmd_sn.wrapping_add(64),
-            r2t_sn: xfer.next_ttt,
-            buffer_offset: xfer.received as u32,
-            desired_length: burst as u32,
-        });
-        xfer.next_ttt += 1;
-        self.out.push_pdu(&r2t);
+    /// Queues a PDU built by [`crate::exchange`], stamped with this
+    /// connection's sequence numbers.
+    fn send(&mut self, mut pdu: Pdu) {
+        let max_cmd_sn = self.exp_cmd_sn.wrapping_add(64);
+        let sn = (self.stat_sn, self.exp_cmd_sn, max_cmd_sn);
+        match &mut pdu {
+            Pdu::DataIn(p) => (p.stat_sn, p.exp_cmd_sn, p.max_cmd_sn) = sn,
+            Pdu::ScsiResponse(p) => (p.stat_sn, p.exp_cmd_sn, p.max_cmd_sn) = sn,
+            Pdu::R2t(p) => (p.stat_sn, p.exp_cmd_sn, p.max_cmd_sn) = sn,
+            _ => {}
+        }
+        self.out.push_pdu(&pdu);
+    }
+
+    fn write_ready(&mut self, itt: u32, lba: u64, xfer: Transfer, events: &mut Vec<TargetEvent>) {
+        self.note_ready();
+        let data = xfer.into_bytes();
+        events.push(TargetEvent::WriteReady { itt, lba, data });
+    }
+
+    /// Solicits the next burst of an incomplete write with an R2T, once
+    /// the data the initiator pushes unasked (immediate + first burst;
+    /// none beyond immediate under InitialR2T) is in.
+    fn request_data(&mut self, itt: u32, xfer: &mut Transfer) {
+        let first_burst = match self.params.initial_r2t {
+            true => 0,
+            false => self.params.first_burst_length as usize,
+        };
+        let max_burst = self.params.max_burst_length as usize;
+        if let Some(mut r2t) = xfer.next_r2t(itt, first_burst, max_burst) {
+            r2t.ttt = self.next_ttt;
+            self.next_ttt = self.next_ttt.wrapping_add(1);
+            self.send(Pdu::R2t(r2t));
+        }
     }
 
     fn scsi_response(&mut self, itt: u32, status: ScsiStatus) {
-        let resp = Pdu::ScsiResponse(ScsiResponse {
-            itt,
-            response: 0,
-            status,
-            stat_sn: self.bump_stat_sn(),
-            exp_cmd_sn: self.exp_cmd_sn,
-            max_cmd_sn: self.exp_cmd_sn.wrapping_add(64),
-            residual: 0,
-            data: Bytes::new(),
-        });
-        self.out.push_pdu(&resp);
+        self.send(status_response(itt, status));
+        self.bump_stat_sn();
     }
 
     /// Sends read payload as Data-In PDUs with phase-collapsed status on
     /// the final one.
-    fn data_in_with_status(&mut self, itt: u32, data: Bytes, status: ScsiStatus) {
+    fn data_in_with_status(&mut self, itt: u32, data: Bytes) {
         let mrdsl = self.params.max_recv_data_segment_length as usize;
-        let total = data.len();
-        let mut off = 0;
-        let mut data_sn = 0;
-        loop {
-            let end = (off + mrdsl).min(total);
-            let last = end == total;
-            let pdu = Pdu::DataIn(DataIn {
-                final_pdu: last,
-                status_present: last,
-                status,
-                lun: 0,
-                itt,
-                ttt: 0xFFFF_FFFF,
-                stat_sn: if last {
-                    self.bump_stat_sn()
-                } else {
-                    self.stat_sn
-                },
-                exp_cmd_sn: self.exp_cmd_sn,
-                max_cmd_sn: self.exp_cmd_sn.wrapping_add(64),
-                data_sn,
-                buffer_offset: off as u32,
-                residual: 0,
-                data: data.slice(off..end),
-            });
-            self.out.push_pdu(&pdu);
-            if last {
-                break;
-            }
-            data_sn += 1;
-            off = end;
+        for pdu in data_in_train(itt, data, mrdsl) {
+            self.send(pdu);
         }
+        self.bump_stat_sn();
     }
 
     /// Completes a read surfaced by [`TargetEvent::ReadReady`].
@@ -479,7 +403,7 @@ impl TargetConn {
         assert!(self.reads.remove(&itt).is_some(), "unknown read itt {itt}");
         self.outstanding = self.outstanding.saturating_sub(1);
         if status == ScsiStatus::Good {
-            self.data_in_with_status(itt, data, status);
+            self.data_in_with_status(itt, data);
         } else {
             self.scsi_response(itt, status);
         }
@@ -547,22 +471,12 @@ mod tests {
         let mut tgt = TargetConn::new(TargetConfig::example(64));
         ini.start_login();
         let _ = tgt.feed(&ini.take_output());
-        let read = |cmd_sn| {
-            Pdu::ScsiCommand(crate::pdu::ScsiCommand {
-                immediate: false,
-                final_pdu: true,
-                read: true,
-                write: false,
-                lun: 0,
-                itt: 9,
-                edtl: 512,
-                cmd_sn,
-                exp_stat_sn: 2,
-                cdb: Cdb::Read { lba: 0, sectors: 1 }.to_bytes(),
-                data: Bytes::new(),
-            })
-            .encode()
+        let cmd = BlockCmd {
+            op: BlockOp::Read,
+            lba: 0,
+            sectors: 1,
         };
+        let read = |cmd_sn| cmd.command(9, cmd_sn, 2, Bytes::new()).encode();
         let evs = tgt.feed(&read(2));
         assert!(matches!(evs[..], [TargetEvent::ReadReady { itt: 9, .. }]));
         let evs = tgt.feed(&read(3));
@@ -573,6 +487,43 @@ mod tests {
         // The first read is still the one outstanding command.
         assert_eq!(tgt.in_flight(), 1);
         tgt.complete_read(9, Bytes::from(vec![0u8; 512]), ScsiStatus::Good);
+    }
+
+    /// Tenant-controlled CDB fields must not reach unchecked arithmetic:
+    /// `lba + sectors` wraps for READ(16) at the top of the LBA space.
+    #[test]
+    fn hostile_cdb_fields_get_check_condition_and_keep_the_connection() {
+        let mut ini = Initiator::new(InitiatorConfig::example());
+        let mut tgt = TargetConn::new(TargetConfig::example(64));
+        ini.start_login();
+        let _ = tgt.feed(&ini.take_output());
+        let _ = tgt.take_output();
+        let hostile = [
+            (BlockOp::Read, u64::MAX, 1),
+            (BlockOp::Write, u64::MAX - 3, 8),
+            (BlockOp::Read, 0, 0x0080_0000),
+            (BlockOp::Read, 0, u32::MAX),
+        ];
+        for (n, (op, lba, sectors)) in (2u32..).zip(hostile) {
+            let cmd = BlockCmd { op, lba, sectors };
+            let evs = tgt.feed(&cmd.command(n, n, 2, Bytes::new()).encode());
+            assert!(evs.is_empty(), "{cmd:?}: {evs:?}");
+            let out = PduStream::new().feed(&tgt.take_output()).unwrap();
+            assert!(
+                matches!(&out[..], [Pdu::ScsiResponse(r)]
+                    if r.itt == n && r.status == ScsiStatus::CheckCondition),
+                "{cmd:?}: {out:?}"
+            );
+        }
+        assert_eq!(tgt.in_flight(), 0);
+        // The connection still serves a valid command.
+        let ok = BlockCmd {
+            op: BlockOp::Read,
+            lba: 0,
+            sectors: 1,
+        };
+        let evs = tgt.feed(&ok.command(9, 9, 2, Bytes::new()).encode());
+        assert!(matches!(evs[..], [TargetEvent::ReadReady { itt: 9, .. }]));
     }
 
     #[test]

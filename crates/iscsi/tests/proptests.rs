@@ -2,11 +2,12 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
+use storm_iscsi::exchange::{BlockCmd, Exchange, Staged, Step, Transfer};
 use storm_iscsi::{
     data_segment_length, Cdb, DataIn, DataOut, Initiator, InitiatorConfig, LoginRequest,
     LoginResponse, LogoutRequest, LogoutResponse, NopIn, NopOut, Pdu, PduError, PduStream, R2t,
-    ScsiCommand, ScsiResponse, ScsiStatus, TargetConfig, TargetConn, TargetEvent, TextRequest,
-    TextResponse, TransportEvent, BHS_LEN,
+    ScsiCommand, ScsiResponse, ScsiStatus, SessionParams, TargetConfig, TargetConn, TargetEvent,
+    TextRequest, TextResponse, TransportEvent, BHS_LEN,
 };
 
 /// A data segment deliberately biased toward non-4-byte-aligned lengths,
@@ -352,6 +353,149 @@ proptest! {
         prop_assert!(done, "I/O did not complete");
         prop_assert_eq!(&read_back.unwrap()[..], &data[..]);
         prop_assert_eq!(ini.in_flight(), 0);
+    }
+}
+
+/// An offset biased to the interesting places: inside the buffer, around
+/// its end, and at the top of the field.
+fn buffer_offset(kind: u8, raw: u32, expected: u32) -> u32 {
+    match kind % 4 {
+        0 => raw % (expected + 1),
+        1 => expected.saturating_sub(8) + raw % 72,
+        2 => u32::MAX,
+        _ => u32::MAX - raw % 600,
+    }
+}
+
+mod exchange_model {
+    use super::*;
+
+    proptest! {
+        /// `Transfer` against a plain `Vec` model: any `(offset, data)`
+        /// sequence — overlapping, past the end, at `u32::MAX` — never panics,
+        /// reports an overrun exactly when bytes fell outside the buffer, and
+        /// assembles what the model (which keeps the in-range prefix) holds.
+        #[test]
+        fn transfer_matches_vec_model(
+            expected in 0u32..2048,
+            ops in prop::collection::vec((any::<u8>(), any::<u32>(), 0usize..600, any::<u8>()), 0..12),
+        ) {
+            let mut xfer = Transfer::new(expected as usize);
+            let mut model = vec![0u8; expected as usize];
+            let mut received = 0usize;
+            for (kind, raw, len, fill) in ops {
+                let offset = buffer_offset(kind, raw, expected);
+                let data = vec![fill; len];
+                let start = (offset as usize).min(model.len());
+                let take = len.min(model.len() - start);
+                model[start..start + take].copy_from_slice(&data[..take]);
+                received += take;
+                let overrun = offset as u64 + len as u64 > expected as u64;
+                prop_assert_eq!(xfer.absorb(offset, &data).is_err(), overrun);
+                prop_assert_eq!(xfer.is_complete(), received >= model.len());
+            }
+            prop_assert_eq!(&xfer.into_bytes()[..], &model[..]);
+        }
+
+        /// Every consumer of one write conversation assembles the same bytes:
+        /// the target (`WriteReady`), a monitor-style observer (classify with
+        /// `Exchange::observe`, then stage/absorb) and a cache-style one
+        /// (`BlockCmd::parse`, then stage/absorb by the PDU's own offset).
+        /// Small negotiated limits force immediate data, the unsolicited first
+        /// burst and several R2T rounds.
+        #[test]
+        fn every_consumer_assembles_the_same_write(
+            sectors in 1u32..96,
+            lba in 0u64..1000,
+            mrdsl in 1u32..9,           // x 512 bytes
+            first_burst in 0u32..17,    // x 512 bytes
+            max_burst in 1u32..17,      // x 512 bytes
+            flags in 0u8..4,
+            seed in any::<u8>(),
+        ) {
+            let params = SessionParams {
+                max_recv_data_segment_length: mrdsl * 512,
+                first_burst_length: first_burst * 512,
+                max_burst_length: max_burst * 512,
+                initial_r2t: flags & 1 != 0,
+                immediate_data: flags & 2 != 0,
+            };
+            let mut ini = Initiator::new(InitiatorConfig {
+                params: params.clone(),
+                ..InitiatorConfig::example()
+            });
+            let mut tgt = TargetConn::new(TargetConfig {
+                params,
+                ..TargetConfig::example(1 << 20)
+            });
+            ini.start_login();
+            for _ in 0..4 {
+                let _ = tgt.feed(&ini.take_output());
+                let _ = ini.feed(&tgt.take_output());
+            }
+            prop_assert!(ini.is_logged_in());
+            let data: Vec<u8> =
+                (0..sectors as usize * 512).map(|i| (i as u8).wrapping_mul(seed | 1)).collect();
+            let tag = ini.write(lba, Bytes::from(data.clone()));
+
+            let (mut tap, mut monitor, mut cache) = (PduStream::new(), Exchange::default(), Exchange::default());
+            let (mut at_target, mut at_monitor, mut at_cache) = (None, None, None);
+            let mut done = false;
+            for _ in 0..256 {
+                let out = ini.take_output();
+                for pdu in tap.feed(&out).unwrap() {
+                    let staged = match (monitor.observe(&pdu), &pdu) {
+                        (Step::Command(cmd), Pdu::ScsiCommand(c)) => monitor.stage(c.itt, cmd, &c.data),
+                        (Step::WriteData(_, offset), Pdu::DataOut(d)) => {
+                            monitor.absorb(d.itt, offset, &d.data)
+                        }
+                        _ => Staged::Untracked,
+                    };
+                    if let Staged::Complete(cmd, bytes) = staged {
+                        at_monitor = Some((cmd.lba, bytes));
+                    }
+                    let staged = match &pdu {
+                        Pdu::ScsiCommand(c) => {
+                            let cmd = BlockCmd::parse(c, u64::MAX).unwrap();
+                            cache.stage(c.itt, cmd, &c.data)
+                        }
+                        Pdu::DataOut(d) => cache.absorb(d.itt, d.buffer_offset, &d.data),
+                        _ => Staged::Untracked,
+                    };
+                    if let Staged::Complete(cmd, bytes) = staged {
+                        at_cache = Some((cmd.lba, bytes));
+                    }
+                }
+                for ev in tgt.feed(&out) {
+                    match ev {
+                        TargetEvent::WriteReady { itt, lba, data } => {
+                            at_target = Some((lba, data));
+                            tgt.complete_write(itt, ScsiStatus::Good);
+                        }
+                        other => prop_assert!(false, "unexpected target event {other:?}"),
+                    }
+                }
+                for ev in ini.feed(&tgt.take_output()) {
+                    match ev {
+                        TransportEvent::WriteDone { tag: t, status } => {
+                            prop_assert_eq!((t, status), (tag, ScsiStatus::Good));
+                            done = true;
+                        }
+                        other => prop_assert!(false, "unexpected initiator event {other:?}"),
+                    }
+                }
+                if done {
+                    break;
+                }
+            }
+            prop_assert!(done, "write did not complete");
+            let want = Some((lba, Bytes::from(data)));
+            prop_assert_eq!(&at_target, &want);
+            prop_assert_eq!(&at_monitor, &want);
+            prop_assert_eq!(&at_cache, &want);
+            // Completion retired the command everywhere.
+            prop_assert!(monitor.is_empty() && cache.is_empty());
+        }
     }
 }
 

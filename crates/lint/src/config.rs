@@ -90,14 +90,21 @@ impl Default for Config {
             datapath_files: [
                 "crates/core/src/relay/active.rs",
                 "crates/core/src/relay/edge.rs",
+                "crates/core/src/relay/passive.rs",
+                "crates/iscsi/src/exchange.rs",
                 "crates/iscsi/src/stream.rs",
+                "crates/iscsi/src/target.rs",
                 "crates/nvmeq/src/stream.rs",
+                "crates/nvmeq/src/target.rs",
                 "crates/net/src/tcp.rs",
                 "crates/net/src/frame.rs",
                 "crates/services/src/cache.rs",
                 "crates/services/src/dedup.rs",
                 "crates/services/src/compress.rs",
                 "crates/services/src/snapshot.rs",
+                "crates/services/src/encryption.rs",
+                "crates/services/src/monitor.rs",
+                "crates/services/src/replication.rs",
                 "crates/cloud/src/target.rs",
             ]
             .map(String::from)
@@ -116,7 +123,6 @@ impl Default for Config {
             alloc_roots: [
                 ("crates/core/src/relay/edge.rs", "queue_pdu"),
                 ("crates/core/src/relay/edge.rs", "push_data"),
-                ("crates/core/src/relay/edge.rs", "note"),
                 ("crates/iscsi/src/stream.rs", "feed_bytes"),
                 ("crates/iscsi/src/stream.rs", "push_chunk"),
                 ("crates/iscsi/src/stream.rs", "peek_into"),

@@ -179,34 +179,25 @@ impl FrameHeader {
     }
 }
 
-/// SQE opcode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SqeOp {
-    /// Read `sectors` sectors at `lba`.
-    Read,
-    /// Write `data_len` in-capsule bytes at `lba`.
-    Write,
-    /// Flush/barrier.
-    Flush,
+/// SQE opcode: the protocol-neutral block operation, so a command crosses
+/// the transports without a mapping table.
+pub use storm_iscsi::exchange::BlockOp as SqeOp;
+
+fn op_to_byte(op: SqeOp) -> u8 {
+    match op {
+        SqeOp::Read => 1,
+        SqeOp::Write => 2,
+        SqeOp::Flush => 3,
+    }
 }
 
-impl SqeOp {
-    fn to_byte(self) -> u8 {
-        match self {
-            SqeOp::Read => 1,
-            SqeOp::Write => 2,
-            SqeOp::Flush => 3,
-        }
-    }
-
-    fn from_byte(b: u8) -> Result<SqeOp, NvmeqError> {
-        Ok(match b {
-            1 => SqeOp::Read,
-            2 => SqeOp::Write,
-            3 => SqeOp::Flush,
-            other => return Err(NvmeqError::UnknownOpcode(other)),
-        })
-    }
+fn op_from_byte(b: u8) -> Result<SqeOp, NvmeqError> {
+    Ok(match b {
+        1 => SqeOp::Read,
+        2 => SqeOp::Write,
+        3 => SqeOp::Flush,
+        other => return Err(NvmeqError::UnknownOpcode(other)),
+    })
 }
 
 /// A 64-byte submission queue entry.
@@ -230,7 +221,7 @@ impl Sqe {
     /// Serializes the entry.
     pub fn encode(&self) -> [u8; SQE_LEN] {
         let mut b = [0u8; SQE_LEN];
-        b[0] = self.op.to_byte();
+        b[0] = op_to_byte(self.op);
         b[4..8].copy_from_slice(&self.cid.to_be_bytes());
         b[8..16].copy_from_slice(&self.lba.to_be_bytes());
         b[16..20].copy_from_slice(&self.sectors.to_be_bytes());
@@ -249,7 +240,7 @@ impl Sqe {
             return Err(NvmeqError::Truncated);
         }
         Ok(Sqe {
-            op: SqeOp::from_byte(b[0])?,
+            op: op_from_byte(b[0])?,
             cid: u32::from_be_bytes([b[4], b[5], b[6], b[7]]),
             lba: u64::from_be_bytes([b[8], b[9], b[10], b[11], b[12], b[13], b[14], b[15]]),
             sectors: u32::from_be_bytes([b[16], b[17], b[18], b[19]]),
@@ -279,7 +270,7 @@ impl Cqe {
         let mut b = [0u8; CQE_LEN];
         b[0..4].copy_from_slice(&self.cid.to_be_bytes());
         b[4] = self.status.to_byte();
-        b[5] = self.op.to_byte();
+        b[5] = op_to_byte(self.op);
         b[8..12].copy_from_slice(&self.data_len.to_be_bytes());
         b
     }
@@ -297,7 +288,7 @@ impl Cqe {
         Ok(Cqe {
             cid: u32::from_be_bytes([b[0], b[1], b[2], b[3]]),
             status: ScsiStatus::from_byte(b[4]),
-            op: SqeOp::from_byte(b[5])?,
+            op: op_from_byte(b[5])?,
             data_len: u32::from_be_bytes([b[8], b[9], b[10], b[11]]),
         })
     }

@@ -2,6 +2,7 @@
 
 use bytes::Bytes;
 
+use storm_iscsi::exchange::BlockCmd;
 use storm_iscsi::{
     Iqn, ScsiStatus, TargetEvent, TargetTransport, TransportKind, WireBuf, SHARE_THRESHOLD,
 };
@@ -152,6 +153,7 @@ impl NvmeqTargetConn {
                     self.on_connect(&fw.payload, fw.header.queue_depth, &mut events)
                 }
                 FrameKind::Doorbell => {
+                    let capacity = self.cfg.num_sectors;
                     for unit in fw.units {
                         let UnitEntry::Sqe(sqe) = unit.entry else {
                             events.push(TargetEvent::ProtocolError(
@@ -165,19 +167,31 @@ impl NvmeqTargetConn {
                             ));
                             continue;
                         }
+                        // Same admission as the iSCSI target: range,
+                        // transfer ceiling, and in-capsule data that
+                        // matches the sector count.
+                        let cmd = BlockCmd::checked(sqe.op, sqe.lba, sqe.sectors, capacity)
+                            .ok()
+                            .filter(|c| {
+                                sqe.op != SqeOp::Write || unit.data.len() as u64 == c.bytes()
+                            });
+                        let Some(BlockCmd { lba, sectors, .. }) = cmd else {
+                            // An error CQE, sent at once (no clock here to
+                            // open a moderation window); the queue stays up.
+                            self.hold(sqe.cid, sqe.op, ScsiStatus::CheckCondition, Bytes::new());
+                            self.flush_cq(0);
+                            continue;
+                        };
                         self.note_ready();
+                        let itt = sqe.cid;
                         events.push(match sqe.op {
-                            SqeOp::Read => TargetEvent::ReadReady {
-                                itt: sqe.cid,
-                                lba: sqe.lba,
-                                sectors: sqe.sectors,
-                            },
+                            SqeOp::Read => TargetEvent::ReadReady { itt, lba, sectors },
                             SqeOp::Write => TargetEvent::WriteReady {
-                                itt: sqe.cid,
-                                lba: sqe.lba,
+                                itt,
+                                lba,
                                 data: unit.data,
                             },
-                            SqeOp::Flush => TargetEvent::FlushReady { itt: sqe.cid },
+                            SqeOp::Flush => TargetEvent::FlushReady { itt },
                         });
                     }
                 }
@@ -204,12 +218,13 @@ impl NvmeqTargetConn {
         let initiator_name = scan_connect_payload(payload, "InitiatorName");
         let target_name = scan_connect_payload(payload, "TargetName");
         let accept = matches!(&target_name, Some(t) if t == self.cfg.target_iqn.as_str());
-        let mut ack = [0u8; 16];
-        if accept {
-            ack[8..16].copy_from_slice(&self.cfg.num_sectors.to_be_bytes());
+        // Ack payload: status byte (1 = no such target), 7 reserved, then
+        // the capacity in sectors.
+        let (status, capacity) = if accept {
+            (0, self.cfg.num_sectors)
         } else {
-            ack[0] = 1; // no such target
-        }
+            (1, 0)
+        };
         let header = FrameHeader {
             kind: FrameKind::ConnectAck,
             count: 0,
@@ -217,7 +232,8 @@ impl NvmeqTargetConn {
             queue_depth: self.cfg.queue_depth,
         };
         self.out.push_slice(&header.encode());
-        self.out.push_slice(&ack);
+        self.out.push_slice(&[status, 0, 0, 0, 0, 0, 0, 0]);
+        self.out.push_slice(&capacity.to_be_bytes());
         if accept {
             self.peer_queue_depth = peer_qd;
             self.logged_in = true;
@@ -231,9 +247,22 @@ impl NvmeqTargetConn {
         }
     }
 
-    fn park(&mut self, now_ns: u64, cqe: Cqe, data: Bytes) {
-        self.outstanding = self.outstanding.saturating_sub(1);
+    /// Holds one command's CQE (and read payload) for the next completion
+    /// frame.
+    fn hold(&mut self, cid: u32, op: SqeOp, status: ScsiStatus, data: Bytes) {
+        let data_len = data.len() as u32;
+        let cqe = Cqe {
+            cid,
+            status,
+            op,
+            data_len,
+        };
         self.pending.push((cqe, data));
+    }
+
+    fn park(&mut self, now_ns: u64, cid: u32, op: SqeOp, status: ScsiStatus, data: Bytes) {
+        self.outstanding = self.outstanding.saturating_sub(1);
+        self.hold(cid, op, status, data);
         if self.pending.len() >= self.cfg.cq_max_batch {
             self.flush_cq(now_ns);
         } else if self.cq_deadline.is_none() {
@@ -244,35 +273,17 @@ impl NvmeqTargetConn {
     /// Completes a read surfaced by [`TargetEvent::ReadReady`]; the CQE
     /// is held for coalescing.
     pub fn complete_read(&mut self, now_ns: u64, itt: u32, data: Bytes, status: ScsiStatus) {
-        let cqe = Cqe {
-            cid: itt,
-            status,
-            op: SqeOp::Read,
-            data_len: data.len() as u32,
-        };
-        self.park(now_ns, cqe, data);
+        self.park(now_ns, itt, SqeOp::Read, status, data);
     }
 
     /// Completes a write surfaced by [`TargetEvent::WriteReady`].
     pub fn complete_write(&mut self, now_ns: u64, itt: u32, status: ScsiStatus) {
-        let cqe = Cqe {
-            cid: itt,
-            status,
-            op: SqeOp::Write,
-            data_len: 0,
-        };
-        self.park(now_ns, cqe, Bytes::new());
+        self.park(now_ns, itt, SqeOp::Write, status, Bytes::new());
     }
 
     /// Completes a flush surfaced by [`TargetEvent::FlushReady`].
     pub fn complete_flush(&mut self, now_ns: u64, itt: u32, status: ScsiStatus) {
-        let cqe = Cqe {
-            cid: itt,
-            status,
-            op: SqeOp::Flush,
-            data_len: 0,
-        };
-        self.park(now_ns, cqe, Bytes::new());
+        self.park(now_ns, itt, SqeOp::Flush, status, Bytes::new());
     }
 
     /// Flushes every held completion as one frame (the hosting app calls
@@ -362,6 +373,7 @@ impl TargetTransport for NvmeqTargetConn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{Sqe, SQE_LEN};
     use crate::initiator::{NvmeqConfig, NvmeqInitiator};
     use storm_iscsi::{Transport, TransportEvent};
 
@@ -431,6 +443,54 @@ mod tests {
         assert_eq!(ini.in_flight(), 0);
         assert_eq!(tgt.in_flight(), 0);
         assert_eq!(ini.bytes_copied() + tgt.bytes_copied(), 0);
+    }
+
+    /// The target used to surface any SQE as an event, so the host sized
+    /// its read buffer from a bare tenant `sectors` (up to 2 TiB).
+    #[test]
+    fn hostile_sqe_gets_an_error_cqe_and_the_queue_stays_up() {
+        let (mut ini, mut tgt) = connected_pair(8);
+        let doorbell = |sqe: Sqe, data: &[u8]| {
+            let header = FrameHeader {
+                kind: FrameKind::Doorbell,
+                count: 1,
+                payload_len: (SQE_LEN + data.len()) as u32,
+                queue_depth: 0,
+            };
+            let mut wire = header.encode().to_vec();
+            wire.extend_from_slice(&sqe.encode());
+            wire.extend_from_slice(data);
+            Bytes::from(wire)
+        };
+        let sqe = |op, cid, lba, sectors, data_len| Sqe {
+            op,
+            cid,
+            lba,
+            sectors,
+            data_len,
+        };
+        let hostile = [
+            (sqe(SqeOp::Read, 1, 0, u32::MAX, 0), &[][..]),
+            (sqe(SqeOp::Read, 2, u64::MAX, 1, 0), &[][..]),
+            (sqe(SqeOp::Read, 3, 4090, 8, 0), &[][..]),
+            (sqe(SqeOp::Write, 4, 0, 8, 512), &[0u8; 512][..]),
+        ];
+        for (sqe, data) in hostile {
+            let evs = tgt.feed_bytes(doorbell(sqe, data));
+            assert!(evs.is_empty(), "{sqe:?}: {evs:?}");
+            let evs: Vec<_> = tgt
+                .take_wire()
+                .into_iter()
+                .flat_map(|c| ini.feed_bytes(c))
+                .collect();
+            // The initiator never issued these cids, so it reports the
+            // stray completions; what matters is that each got exactly one.
+            assert_eq!(evs.len(), 1, "{sqe:?}: {evs:?}");
+        }
+        assert_eq!(tgt.in_flight(), 0);
+        assert!(tgt.is_logged_in());
+        let evs = tgt.feed_bytes(doorbell(sqe(SqeOp::Read, 9, 0, 8, 0), &[]));
+        assert!(matches!(evs[..], [TargetEvent::ReadReady { itt: 9, .. }]));
     }
 
     #[test]

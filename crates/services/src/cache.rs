@@ -29,7 +29,10 @@ use bytes::{Bytes, BytesMut};
 
 use storm_block::{BlockDevice, BlockError, SECTOR_SIZE};
 use storm_core::{Dir, StorageService, SvcCtx};
-use storm_iscsi::{Cdb, DataIn, Pdu, R2t, ScsiResponse, ScsiStatus};
+use storm_iscsi::exchange::{
+    data_in_train, status_response, BlockCmd, BlockOp, Exchange, Staged, Step, Transfer,
+};
+use storm_iscsi::{DataIn, Pdu, ScsiCommand, ScsiStatus};
 use storm_sim::SimDuration;
 
 /// Journal entry header magic ("SJH1").
@@ -131,17 +134,6 @@ struct Sector {
     tick: u64,
 }
 
-/// An in-flight staged write transfer (the cache's own R2T machine).
-#[derive(Debug)]
-struct WriteStage {
-    lba: u64,
-    buf: BytesMut,
-    received: usize,
-    expected: usize,
-    unsolicited: usize,
-    next_ttt: u32,
-}
-
 /// A fully received write waiting on (or parked for) the journal.
 #[derive(Debug, Clone)]
 struct CompletedWrite {
@@ -160,8 +152,9 @@ pub struct WriteBackCacheService {
     dirty_count: u64,
     tick: u64,
     gen: u64,
-    stages: BTreeMap<u32, WriteStage>,
-    pending_reads: BTreeMap<u32, (u64, u32)>,
+    /// Open commands: writes being staged (the cache's own R2T machine)
+    /// and miss reads awaiting the target's Data-In.
+    cmds: Exchange,
     /// Journal cursor: next free sector (sector 0 is the checkpoint).
     tail: u64,
     next_seq: u64,
@@ -194,8 +187,7 @@ impl WriteBackCacheService {
             dirty_count: 0,
             tick: 0,
             gen: 0,
-            stages: BTreeMap::new(),
-            pending_reads: BTreeMap::new(),
+            cmds: Exchange::default(),
             tail: 1,
             next_seq: 1,
             seq_floor: 1,
@@ -322,68 +314,14 @@ impl WriteBackCacheService {
         (lba..lba + sectors as u64).all(|s| self.sectors.contains_key(&s))
     }
 
-    /// Synthesizes the Data-In + status train for a cache-served read.
-    fn synth_read_reply(cx: &mut SvcCtx, itt: u32, data: Bytes) {
-        let total = data.len();
-        let chunk = 64 * 1024;
-        let mut off = 0;
-        let mut data_sn = 0;
-        loop {
-            let end = (off + chunk).min(total);
-            let last = end == total;
-            cx.reply(Pdu::DataIn(DataIn {
-                final_pdu: last,
-                status_present: last,
-                status: ScsiStatus::Good,
-                lun: 0,
-                itt,
-                ttt: 0xFFFF_FFFF,
-                stat_sn: 0,
-                exp_cmd_sn: 0,
-                max_cmd_sn: 0,
-                data_sn,
-                buffer_offset: off as u32,
-                residual: 0,
-                data: data.slice(off..end),
-            }));
-            if last {
-                break;
-            }
-            data_sn += 1;
-            off = end;
+    /// Emits the next R2T for a staged write, if one is due. The cache
+    /// numbers its R2Ts from 1 and tags each with the following number.
+    fn request_data(cx: &mut SvcCtx, cfg: &CacheConfig, itt: u32, stage: &mut Transfer) {
+        if let Some(mut r2t) = stage.next_r2t(itt, cfg.first_burst, cfg.max_burst) {
+            r2t.r2t_sn += 1;
+            r2t.ttt = r2t.r2t_sn + 1;
+            cx.reply(Pdu::R2t(r2t));
         }
-    }
-
-    fn ack_write(cx: &mut SvcCtx, itt: u32) {
-        cx.reply(Pdu::ScsiResponse(ScsiResponse {
-            itt,
-            response: 0,
-            status: ScsiStatus::Good,
-            stat_sn: 0,
-            exp_cmd_sn: 0,
-            max_cmd_sn: 0,
-            residual: 0,
-            data: Bytes::new(),
-        }));
-    }
-
-    /// Emits the next R2T for a staged write.
-    fn solicit(cx: &mut SvcCtx, cfg: &CacheConfig, itt: u32, stage: &mut WriteStage) {
-        let remaining = stage.expected - stage.received;
-        let burst = remaining.min(cfg.max_burst);
-        let r2t_sn = stage.next_ttt;
-        stage.next_ttt += 1;
-        cx.reply(Pdu::R2t(R2t {
-            lun: 0,
-            itt,
-            ttt: stage.next_ttt,
-            stat_sn: 0,
-            exp_cmd_sn: 0,
-            max_cmd_sn: 0,
-            r2t_sn,
-            buffer_offset: stage.received as u32,
-            desired_length: burst as u32,
-        }));
     }
 
     /// A write transfer is fully received: journal it (or park / fall
@@ -449,24 +387,12 @@ impl WriteBackCacheService {
                 );
             }
         }
-        let sectors = (write.data.len() / SECTOR_SIZE) as u32;
-        cx.forward(Pdu::ScsiCommand(storm_iscsi::ScsiCommand {
-            immediate: false,
-            final_pdu: true,
-            read: false,
-            write: true,
-            lun: 0,
-            itt: write.itt,
-            edtl: write.data.len() as u32,
-            cmd_sn: 0,
-            exp_stat_sn: 0,
-            cdb: Cdb::Write {
-                lba: write.lba,
-                sectors,
-            }
-            .to_bytes(),
-            data: write.data,
-        }));
+        let cmd = BlockCmd {
+            op: BlockOp::Write,
+            lba: write.lba,
+            sectors: n as u32,
+        };
+        cx.forward(cmd.command(write.itt, 0, 0, write.data));
     }
 
     /// Installs a committed write into the cache as dirty sectors.
@@ -565,82 +491,37 @@ impl WriteBackCacheService {
         }
     }
 
-    fn on_write_cmd(&mut self, cx: &mut SvcCtx, c: storm_iscsi::ScsiCommand, lba: u64) {
-        let expected = c.edtl as usize;
-        if expected == 0 || !expected.is_multiple_of(SECTOR_SIZE) {
+    fn on_write_cmd(&mut self, cx: &mut SvcCtx, c: ScsiCommand, cmd: BlockCmd) {
+        if cmd.sectors == 0 {
             cx.forward(Pdu::ScsiCommand(c));
             return;
         }
-        let imm = c.data.len().min(expected);
-        if imm >= expected {
-            self.complete_write(
-                cx,
-                CompletedWrite {
-                    itt: c.itt,
-                    lba,
-                    data: c.data.slice(0..expected),
-                },
-            );
-            return;
+        let (itt, lba) = (c.itt, cmd.lba);
+        match self.cmds.stage(itt, cmd, &c.data) {
+            Staged::Complete(_, data) => self.complete_write(cx, CompletedWrite { itt, lba, data }),
+            Staged::Partial(stage) => Self::request_data(cx, &self.cfg, itt, stage),
+            Staged::Untracked => {}
         }
-        let mut buf = BytesMut::zeroed(expected);
-        // storm-lint: allow(no-hot-path-copy): armed write-staging path;
-        // an idle cache forwards the PDU verbatim above.
-        buf[..imm].copy_from_slice(&c.data[..imm]);
-        let mut stage = WriteStage {
-            lba,
-            buf,
-            received: imm,
-            expected,
-            unsolicited: expected.min(self.cfg.first_burst),
-            next_ttt: 1,
-        };
-        if stage.received >= stage.unsolicited {
-            Self::solicit(cx, &self.cfg, c.itt, &mut stage);
-        }
-        self.stages.insert(c.itt, stage);
     }
 
     fn on_data_out(&mut self, cx: &mut SvcCtx, d: storm_iscsi::DataOut) {
-        let Some(stage) = self.stages.get_mut(&d.itt) else {
-            cx.forward(Pdu::DataOut(d));
-            return;
-        };
-        let off = d.buffer_offset as usize;
-        let end = (off + d.data.len()).min(stage.expected);
-        if off < end {
-            // storm-lint: allow(no-hot-path-copy): armed write-staging
-            // path (cache-owned transfer, never forwarded).
-            stage.buf[off..end].copy_from_slice(&d.data[..end - off]);
-            stage.received += end - off;
-        }
-        if stage.received >= stage.expected {
-            if let Some(stage) = self.stages.remove(&d.itt) {
-                self.complete_write(
-                    cx,
-                    CompletedWrite {
-                        itt: d.itt,
-                        lba: stage.lba,
-                        data: stage.buf.freeze(),
-                    },
-                );
+        let itt = d.itt;
+        match self.cmds.absorb(itt, d.buffer_offset, &d.data) {
+            Staged::Untracked => cx.forward(Pdu::DataOut(d)),
+            Staged::Complete(BlockCmd { lba, .. }, data) => {
+                self.complete_write(cx, CompletedWrite { itt, lba, data })
             }
-        } else if d.final_pdu && stage.received >= stage.unsolicited {
-            Self::solicit(cx, &self.cfg, d.itt, stage);
+            Staged::Partial(stage) if d.final_pdu => Self::request_data(cx, &self.cfg, itt, stage),
+            Staged::Partial(_) => {}
         }
     }
 
-    fn on_read_cmd(
-        &mut self,
-        cx: &mut SvcCtx,
-        c: storm_iscsi::ScsiCommand,
-        lba: u64,
-        sectors: u32,
-    ) {
-        cx.charge(self.per_byte * (sectors as u64 * SECTOR_SIZE as u64));
+    fn on_read_cmd(&mut self, cx: &mut SvcCtx, c: ScsiCommand, cmd: BlockCmd) {
+        let BlockCmd { lba, sectors, .. } = cmd;
+        cx.charge(self.per_byte * cmd.bytes());
         if sectors > 0 && self.full_hit(lba, sectors) {
             self.stats.read_hits += 1;
-            let mut buf = BytesMut::with_capacity(sectors as usize * SECTOR_SIZE);
+            let mut buf = BytesMut::with_capacity(cmd.bytes() as usize);
             for s in lba..lba + sectors as u64 {
                 if let Some(sec) = self.sectors.get(&s) {
                     // storm-lint: allow(no-hot-path-copy): armed cache-hit
@@ -649,24 +530,19 @@ impl WriteBackCacheService {
                 }
                 self.touch(s);
             }
-            Self::synth_read_reply(cx, c.itt, buf.freeze());
+            for pdu in data_in_train(c.itt, buf.freeze(), 64 * 1024) {
+                cx.reply(pdu);
+            }
             return;
         }
         self.stats.read_misses += 1;
-        self.pending_reads.insert(c.itt, (lba, sectors));
+        self.cmds.begin(c.itt, cmd);
         cx.forward(Pdu::ScsiCommand(c));
     }
 
     /// Target Data-In for a miss read: patch dirty sectors in, populate
     /// clean ones.
-    fn on_data_in(&mut self, cx: &mut SvcCtx, mut d: DataIn) {
-        let Some(&(lba, _)) = self.pending_reads.get(&d.itt) else {
-            cx.forward(Pdu::DataIn(d));
-            return;
-        };
-        if d.final_pdu {
-            self.pending_reads.remove(&d.itt);
-        }
+    fn on_data_in(&mut self, cx: &mut SvcCtx, mut d: DataIn, lba: u64) {
         let off = d.buffer_offset as usize;
         if d.data.is_empty()
             || !off.is_multiple_of(SECTOR_SIZE)
@@ -720,25 +596,21 @@ impl StorageService for WriteBackCacheService {
             return;
         }
         match (dir, pdu) {
-            (Dir::ToTarget, Pdu::ScsiCommand(c)) => match Cdb::parse(&c.cdb) {
-                Ok(Cdb::Write { lba, .. }) if c.write => self.on_write_cmd(cx, c, lba),
-                Ok(Cdb::Read { lba, sectors }) if c.read => self.on_read_cmd(cx, c, lba, sectors),
-                Ok(Cdb::SynchronizeCache) => {
-                    if self.is_clean() {
-                        cx.forward(Pdu::ScsiCommand(c));
-                    } else {
-                        self.parked_syncs.push(Pdu::ScsiCommand(c));
-                        self.kick_flush(cx);
-                    }
+            (Dir::ToTarget, Pdu::ScsiCommand(c)) => match BlockCmd::parse(&c, u64::MAX) {
+                Ok(cmd) if cmd.op == BlockOp::Write && c.write => self.on_write_cmd(cx, c, cmd),
+                Ok(cmd) if cmd.op == BlockOp::Read && c.read => self.on_read_cmd(cx, c, cmd),
+                Ok(cmd) if cmd.op == BlockOp::Flush && !self.is_clean() => {
+                    self.parked_syncs.push(Pdu::ScsiCommand(c));
+                    self.kick_flush(cx);
                 }
                 _ => cx.forward(Pdu::ScsiCommand(c)),
             },
             (Dir::ToTarget, Pdu::DataOut(d)) => self.on_data_out(cx, d),
-            (Dir::ToInitiator, Pdu::DataIn(d)) => self.on_data_in(cx, d),
-            (Dir::ToInitiator, Pdu::ScsiResponse(r)) => {
-                self.pending_reads.remove(&r.itt);
-                cx.forward(Pdu::ScsiResponse(r));
-            }
+            // The target's answer to a miss read (status retires it).
+            (Dir::ToInitiator, pdu) => match (self.cmds.observe(&pdu), pdu) {
+                (Step::ReadData(cmd, _), Pdu::DataIn(d)) => self.on_data_in(cx, d, cmd.lba),
+                (_, pdu) => cx.forward(pdu),
+            },
             (_, other) => cx.forward(other),
         }
     }
@@ -788,7 +660,7 @@ impl StorageService for WriteBackCacheService {
                     return;
                 }
                 // Commit durable: acknowledge, then install dirty sectors.
-                Self::ack_write(cx, write.itt);
+                cx.reply(status_response(write.itt, ScsiStatus::Good));
                 self.apply_committed(cx, &write);
             }
             CTX_FLUSH => {
@@ -988,43 +860,22 @@ mod tests {
     use super::*;
     use storm_block::MemDisk;
     use storm_core::service::{ReplicaIo, SvcAction};
-    use storm_iscsi::{DataOut, ScsiCommand};
+    use storm_iscsi::exchange::{data_in_final, data_out_train};
     use storm_sim::SimTime;
 
+    /// A write of `edtl` bytes carrying `data` as immediate data.
     fn write_cmd(itt: u32, lba: u64, data: Vec<u8>, edtl: u32) -> Pdu {
-        Pdu::ScsiCommand(ScsiCommand {
-            immediate: false,
-            final_pdu: true,
-            read: false,
-            write: true,
-            lun: 0,
-            itt,
-            edtl,
-            cmd_sn: 1,
-            exp_stat_sn: 1,
-            cdb: Cdb::Write {
-                lba,
-                sectors: edtl / 512,
-            }
-            .to_bytes(),
-            data: Bytes::from(data),
-        })
+        let cmd = BlockCmd {
+            op: BlockOp::Write,
+            lba,
+            sectors: edtl / 512,
+        };
+        cmd.command(itt, 1, 1, Bytes::from(data))
     }
 
     fn read_cmd(itt: u32, lba: u64, sectors: u32) -> Pdu {
-        Pdu::ScsiCommand(ScsiCommand {
-            immediate: false,
-            final_pdu: true,
-            read: true,
-            write: false,
-            lun: 0,
-            itt,
-            edtl: sectors * 512,
-            cmd_sn: 1,
-            exp_stat_sn: 1,
-            cdb: Cdb::Read { lba, sectors }.to_bytes(),
-            data: Bytes::new(),
-        })
+        let op = BlockOp::Read;
+        BlockCmd { op, lba, sectors }.command(itt, 1, 1, Bytes::new())
     }
 
     /// A tiny relay stand-in: applies replica ops to MemDisks, loops
@@ -1150,23 +1001,9 @@ mod tests {
         );
         assert!(!h.acked(2));
         // Unsolicited Data-Out up to first_burst.
-        let mut off = 8192usize;
-        while off < 64 * 1024 {
-            let end = off + 8192;
-            h.pdu(
-                Dir::ToTarget,
-                Pdu::DataOut(DataOut {
-                    final_pdu: end == 64 * 1024,
-                    lun: 0,
-                    itt: 2,
-                    ttt: 0xFFFF_FFFF,
-                    exp_stat_sn: 1,
-                    data_sn: 0,
-                    buffer_offset: off as u32,
-                    data: Bytes::from(vec![1u8; 8192]),
-                }),
-            );
-            off = end;
+        let payload = Bytes::from(vec![1u8; total]);
+        for pdu in data_out_train(2, 0xFFFF_FFFF, 1, &payload, 8192..64 * 1024, 8192) {
+            h.pdu(Dir::ToTarget, pdu);
         }
         let r2t = h
             .replies
@@ -1179,26 +1016,25 @@ mod tests {
         assert_eq!(r2t.buffer_offset as usize, 64 * 1024);
         assert_eq!(r2t.desired_length as usize, total - 64 * 1024);
         // Solicited Data-Out completes the transfer.
-        while off < total {
-            let end = off + 8192;
-            h.pdu(
-                Dir::ToTarget,
-                Pdu::DataOut(DataOut {
-                    final_pdu: end == total,
-                    lun: 0,
-                    itt: 2,
-                    ttt: r2t.ttt,
-                    exp_stat_sn: 1,
-                    data_sn: 0,
-                    buffer_offset: off as u32,
-                    data: Bytes::from(vec![1u8; 8192]),
-                }),
-            );
-            off = end;
+        for pdu in data_out_train(2, r2t.ttt, 1, &payload, 64 * 1024..total, 8192) {
+            h.pdu(Dir::ToTarget, pdu);
         }
         assert!(h.acked(2), "write acked after full transfer");
         assert!(h.forwards.is_empty());
         assert_eq!(h.svc.stats.bytes_absorbed, total as u64);
+    }
+
+    /// A bare tenant `edtl` used to size the staging buffer.
+    #[test]
+    fn write_whose_length_disagrees_with_its_cdb_is_forwarded_unstaged() {
+        let mut h = Harness::new(CacheConfig::default());
+        let Pdu::ScsiCommand(mut c) = write_cmd(1, 0, Vec::new(), 512) else {
+            unreachable!()
+        };
+        c.edtl = 0xFFFF_FE00;
+        h.pdu(Dir::ToTarget, Pdu::ScsiCommand(c.clone()));
+        assert!(matches!(&h.forwards[..], [Pdu::ScsiCommand(f)] if *f == c));
+        assert!(h.svc.cmds.is_empty() && h.replies.is_empty());
     }
 
     #[test]
@@ -1233,21 +1069,7 @@ mod tests {
         // The target answers with stale bytes for sector 5.
         h.pdu(
             Dir::ToInitiator,
-            Pdu::DataIn(DataIn {
-                final_pdu: true,
-                status_present: true,
-                status: ScsiStatus::Good,
-                lun: 0,
-                itt: 2,
-                ttt: 0xFFFF_FFFF,
-                stat_sn: 1,
-                exp_cmd_sn: 2,
-                max_cmd_sn: 34,
-                data_sn: 0,
-                buffer_offset: 0,
-                residual: 0,
-                data: Bytes::from(vec![0x11; 4 * 512]),
-            }),
+            data_in_final(2, Bytes::from(vec![0x11; 4 * 512]), ScsiStatus::Good),
         );
         let out = match h.forwards.last() {
             Some(Pdu::DataIn(d)) => d.clone(),
@@ -1307,19 +1129,12 @@ mod tests {
     fn synchronize_cache_waits_for_clean() {
         let mut h = Harness::new(CacheConfig::default());
         h.pdu(Dir::ToTarget, write_cmd(1, 0, vec![7u8; 4096], 4096));
-        let sync = Pdu::ScsiCommand(ScsiCommand {
-            immediate: false,
-            final_pdu: true,
-            read: false,
-            write: false,
-            lun: 0,
-            itt: 9,
-            edtl: 0,
-            cmd_sn: 2,
-            exp_stat_sn: 1,
-            cdb: Cdb::SynchronizeCache.to_bytes(),
-            data: Bytes::new(),
-        });
+        let sync = BlockCmd {
+            op: BlockOp::Flush,
+            lba: 0,
+            sectors: 0,
+        }
+        .command(9, 2, 1, Bytes::new());
         h.pdu(Dir::ToTarget, sync);
         // The sync is parked; the kicked flush cleans the cache and the
         // checkpoint releases it to the target.

@@ -212,24 +212,16 @@ impl std::fmt::Debug for DedupService {
 mod tests {
     use super::*;
     use storm_core::service::SvcAction;
-    use storm_iscsi::{Cdb, ScsiCommand};
+    use storm_iscsi::exchange::{BlockCmd, BlockOp};
     use storm_sim::SimTime;
 
     fn write_pdu(itt: u32, data: Vec<u8>) -> Pdu {
-        let sectors = (data.len() / 512) as u32;
-        Pdu::ScsiCommand(ScsiCommand {
-            immediate: false,
-            final_pdu: true,
-            read: false,
-            write: true,
-            lun: 0,
-            itt,
-            edtl: data.len() as u32,
-            cmd_sn: 1,
-            exp_stat_sn: 1,
-            cdb: Cdb::Write { lba: 0, sectors }.to_bytes(),
-            data: Bytes::from(data),
-        })
+        let cmd = BlockCmd {
+            op: BlockOp::Write,
+            lba: 0,
+            sectors: (data.len() / 512) as u32,
+        };
+        cmd.command(itt, 1, 1, Bytes::from(data))
     }
 
     fn run(svc: &mut DedupService, pdu: Pdu) -> Vec<SvcAction> {

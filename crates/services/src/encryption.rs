@@ -12,11 +12,12 @@
 //!   so it also works on the passive path where data crosses in arbitrary
 //!   packet-sized pieces.
 
-use std::collections::HashMap;
+use bytes::BytesMut;
 
 use storm_core::{Dir, StorageService, SvcCtx};
 use storm_crypto::{AesXts, ChaCha20};
-use storm_iscsi::{Cdb, Pdu};
+use storm_iscsi::exchange::Exchange;
+use storm_iscsi::Pdu;
 use storm_sim::SimDuration;
 
 /// The tenant-selected cipher.
@@ -49,7 +50,7 @@ impl CipherKind {
 pub struct EncryptionService {
     cipher: CipherKind,
     per_byte: SimDuration,
-    cmds: HashMap<u32, u64>,
+    cmds: Exchange,
     bytes_encrypted: u64,
     bytes_decrypted: u64,
 }
@@ -73,7 +74,7 @@ impl EncryptionService {
             cipher,
             // ~1.5 GB/s single-core cipher throughput.
             per_byte: SimDuration::from_nanos(1),
-            cmds: HashMap::new(),
+            cmds: Exchange::default(),
             bytes_encrypted: 0,
             bytes_decrypted: 0,
         }
@@ -96,46 +97,27 @@ impl StorageService for EncryptionService {
     }
 
     fn on_pdu(&mut self, cx: &mut SvcCtx, dir: Dir, mut pdu: Pdu) {
-        match (&mut pdu, dir) {
-            (Pdu::ScsiCommand(c), Dir::ToTarget) => {
-                if let Ok(Cdb::Read { lba, .. } | Cdb::Write { lba, .. }) = Cdb::parse(&c.cdb) {
-                    self.cmds.insert(c.itt, lba);
-                }
-                if !c.data.is_empty() {
-                    // Immediate write data encrypts at buffer offset 0.
-                    if let Some(&lba) = self.cmds.get(&c.itt) {
-                        let mut data = c.data.to_vec();
-                        self.cipher.apply(true, lba * 512, &mut data);
-                        cx.charge(self.per_byte * data.len() as u64);
-                        self.bytes_encrypted += data.len() as u64;
-                        c.data = data.into();
-                    }
-                }
+        // Where the PDU's data segment sits on the volume, if it carries
+        // block data of an open command (immediate data, Data-Out, Data-In).
+        let at = self.cmds.observe(&pdu).volume_offset();
+        let data = match (&mut pdu, dir) {
+            (Pdu::ScsiCommand(c), Dir::ToTarget) => Some(&mut c.data),
+            (Pdu::DataOut(d), Dir::ToTarget) => Some(&mut d.data),
+            (Pdu::DataIn(d), Dir::ToInitiator) => Some(&mut d.data),
+            _ => None,
+        };
+        if let (Some(at), Some(data)) = (at, data.filter(|d| !d.is_empty())) {
+            let encrypt = dir == Dir::ToTarget;
+            // The transform's output needs storage of its own.
+            let mut buf = BytesMut::from(&data[..]);
+            self.cipher.apply(encrypt, at, &mut buf);
+            cx.charge(self.per_byte * buf.len() as u64);
+            if encrypt {
+                self.bytes_encrypted += buf.len() as u64;
+            } else {
+                self.bytes_decrypted += buf.len() as u64;
             }
-            (Pdu::DataOut(d), Dir::ToTarget) => {
-                if let Some(&lba) = self.cmds.get(&d.itt) {
-                    let mut data = d.data.to_vec();
-                    self.cipher
-                        .apply(true, lba * 512 + d.buffer_offset as u64, &mut data);
-                    cx.charge(self.per_byte * data.len() as u64);
-                    self.bytes_encrypted += data.len() as u64;
-                    d.data = data.into();
-                }
-            }
-            (Pdu::DataIn(d), Dir::ToInitiator) => {
-                if let Some(&lba) = self.cmds.get(&d.itt) {
-                    let mut data = d.data.to_vec();
-                    self.cipher
-                        .apply(false, lba * 512 + d.buffer_offset as u64, &mut data);
-                    cx.charge(self.per_byte * data.len() as u64);
-                    self.bytes_decrypted += data.len() as u64;
-                    d.data = data.into();
-                }
-            }
-            (Pdu::ScsiResponse(r), Dir::ToInitiator) => {
-                self.cmds.remove(&r.itt);
-            }
-            _ => {}
+            *data = buf.freeze();
         }
         cx.forward(pdu);
     }
@@ -172,28 +154,19 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use storm_core::service::SvcAction;
-    use storm_iscsi::{DataIn, DataOut, ScsiCommand, ScsiStatus};
+    use storm_iscsi::exchange::{
+        data_in_final, data_out_train, status_response, BlockCmd, BlockOp,
+    };
+    use storm_iscsi::ScsiStatus;
     use storm_sim::SimTime;
 
     fn svc() -> EncryptionService {
         EncryptionService::aes_xts(&[0x42; 64])
     }
 
-    fn write_cmd(itt: u32, lba: u64, data: Bytes) -> Pdu {
-        let sectors = (data.len() / 512) as u32;
-        Pdu::ScsiCommand(ScsiCommand {
-            immediate: false,
-            final_pdu: true,
-            read: false,
-            write: true,
-            lun: 0,
-            itt,
-            edtl: data.len() as u32,
-            cmd_sn: 1,
-            exp_stat_sn: 1,
-            cdb: Cdb::Write { lba, sectors }.to_bytes(),
-            data,
-        })
+    /// A command of `sectors` sectors carrying `imm` as immediate data.
+    fn cmd(op: BlockOp, itt: u32, lba: u64, sectors: u32, imm: Bytes) -> Pdu {
+        BlockCmd { op, lba, sectors }.command(itt, 1, 1, imm)
     }
 
     fn run(svc: &mut EncryptionService, dir: Dir, pdu: Pdu) -> Pdu {
@@ -213,28 +186,18 @@ mod tests {
         let mut enc = svc();
         let plain = Bytes::from(vec![0x11u8; 4096]);
         // Write path: immediate data is encrypted.
-        let out = run(&mut enc, Dir::ToTarget, write_cmd(1, 64, plain.clone()));
+        let write = cmd(BlockOp::Write, 1, 64, 8, plain.clone());
+        let out = run(&mut enc, Dir::ToTarget, write);
         let stored = match &out {
             Pdu::ScsiCommand(c) => c.data.clone(),
             other => panic!("unexpected {other:?}"),
         };
         assert_ne!(stored, plain, "ciphertext must differ");
         // Read path: a Data-In carrying the ciphertext decrypts back.
-        let din = Pdu::DataIn(DataIn {
-            final_pdu: true,
-            status_present: true,
-            status: ScsiStatus::Good,
-            lun: 0,
-            itt: 1,
-            ttt: 0xFFFF_FFFF,
-            stat_sn: 1,
-            exp_cmd_sn: 2,
-            max_cmd_sn: 66,
-            data_sn: 0,
-            buffer_offset: 0,
-            residual: 0,
-            data: stored,
-        });
+        let _ = run(&mut enc, Dir::ToInitiator, status_of(1));
+        let read = cmd(BlockOp::Read, 2, 64, 8, Bytes::new());
+        assert_eq!(run(&mut enc, Dir::ToTarget, read.clone()), read);
+        let din = data_in_final(2, stored, ScsiStatus::Good);
         let back = run(&mut enc, Dir::ToInitiator, din);
         match back {
             Pdu::DataIn(d) => assert_eq!(d.data, plain),
@@ -242,24 +205,60 @@ mod tests {
         }
         let (e, d) = enc.counters();
         assert_eq!((e, d), (4096, 4096));
+        // Status retired the write, status on the final Data-In the read.
+        assert!(enc.cmds.is_empty(), "{} commands leaked", enc.cmds.len());
+    }
+
+    fn status_of(itt: u32) -> Pdu {
+        status_response(itt, ScsiStatus::Good)
+    }
+
+    /// A successful read ends with status collapsed into its final
+    /// Data-In — no SCSI Response follows — and must still be retired.
+    #[test]
+    fn successful_read_leaves_no_table_entry() {
+        let mut enc = svc();
+        let _ = run(
+            &mut enc,
+            Dir::ToTarget,
+            cmd(BlockOp::Read, 5, 0, 1, Bytes::new()),
+        );
+        assert_eq!(enc.cmds.len(), 1);
+        let din = data_in_final(5, Bytes::from(vec![0u8; 512]), ScsiStatus::Good);
+        let _ = run(&mut enc, Dir::ToInitiator, din);
+        assert_eq!(enc.cmds.len(), 0);
+    }
+
+    /// `lba * 512` overflows for a hostile LBA: no volume offset, so the
+    /// data passes through untouched instead of panicking.
+    #[test]
+    fn overflowing_volume_offset_passes_data_untouched() {
+        let mut enc = svc();
+        let write = cmd(
+            BlockOp::Write,
+            6,
+            u64::MAX - 8,
+            1,
+            Bytes::from(vec![7u8; 512]),
+        );
+        assert_eq!(run(&mut enc, Dir::ToTarget, write.clone()), write);
+        assert_eq!(enc.counters(), (0, 0));
     }
 
     #[test]
     fn data_out_uses_buffer_offset() {
         let mut enc = svc();
         // Establish the command context with no immediate data.
-        let _ = run(&mut enc, Dir::ToTarget, write_cmd(7, 100, Bytes::new()));
+        let _ = run(
+            &mut enc,
+            Dir::ToTarget,
+            cmd(BlockOp::Write, 7, 100, 6, Bytes::new()),
+        );
         let plain = vec![0xABu8; 1024];
-        let dout = Pdu::DataOut(DataOut {
-            final_pdu: true,
-            lun: 0,
-            itt: 7,
-            ttt: 1,
-            exp_stat_sn: 1,
-            data_sn: 0,
-            buffer_offset: 2048,
-            data: Bytes::from(plain.clone()),
-        });
+        let whole = Bytes::from([vec![0u8; 2048], plain.clone()].concat());
+        let dout = data_out_train(7, 1, 1, &whole, 2048..3072, 1024)
+            .next()
+            .unwrap();
         let out = run(&mut enc, Dir::ToTarget, dout);
         let cipher1 = match &out {
             Pdu::DataOut(d) => d.data.clone(),

@@ -7,12 +7,9 @@
 //! [`Reconstructor`]'s system view), **Update** (metadata writes refresh
 //! the view) and **Analysis** (logging + watch-list alerts).
 
-use std::collections::HashMap;
-
-use bytes::BytesMut;
-
 use storm_core::{Dir, FsAccess, FsOp, FsTargetKind, Reconstructor, StorageService, SvcCtx};
-use storm_iscsi::{Cdb, Pdu};
+use storm_iscsi::exchange::{BlockOp, Exchange, Staged, Step};
+use storm_iscsi::Pdu;
 use storm_sim::SimDuration;
 
 /// Monitor configuration.
@@ -39,22 +36,14 @@ impl std::fmt::Display for NumberedAccess {
     }
 }
 
-#[derive(Debug)]
-struct WriteAssembly {
-    lba: u64,
-    buf: BytesMut,
-    received: usize,
-    expected: usize,
-}
-
 /// The storage access monitor service (active relay).
 pub struct MonitorService {
     cfg: MonitorConfig,
     recon: Reconstructor,
     log: Vec<NumberedAccess>,
     next_id: u64,
-    writes: HashMap<u32, WriteAssembly>,
-    reads: HashMap<u32, (u64, u32)>,
+    /// Open commands; writes assemble their payload here.
+    cmds: Exchange,
 }
 
 impl MonitorService {
@@ -65,8 +54,7 @@ impl MonitorService {
             recon,
             log: Vec::new(),
             next_id: 1,
-            writes: HashMap::new(),
-            reads: HashMap::new(),
+            cmds: Exchange::default(),
         }
     }
 
@@ -134,64 +122,25 @@ impl StorageService for MonitorService {
         "monitor"
     }
 
-    fn on_pdu(&mut self, cx: &mut SvcCtx, dir: Dir, pdu: Pdu) {
-        match (&pdu, dir) {
-            (Pdu::ScsiCommand(c), Dir::ToTarget) => {
-                if let Ok(cdb) = Cdb::parse(&c.cdb) {
-                    match cdb {
-                        Cdb::Read { lba, sectors } => {
-                            self.reads.insert(c.itt, (lba, sectors));
-                            let rows =
-                                self.recon
-                                    .observe(FsOp::Read, lba, sectors as usize * 512, None);
-                            self.record(cx, rows);
-                        }
-                        Cdb::Write { lba, .. } => {
-                            let expected = c.edtl as usize;
-                            let mut asm = WriteAssembly {
-                                lba,
-                                buf: BytesMut::zeroed(expected),
-                                received: 0,
-                                expected,
-                            };
-                            let imm = c.data.len().min(expected);
-                            asm.buf[..imm].copy_from_slice(&c.data[..imm]);
-                            asm.received = imm;
-                            if asm.received >= asm.expected {
-                                let data = asm.buf.freeze();
-                                self.observe_write(cx, lba, &data);
-                            } else {
-                                self.writes.insert(c.itt, asm);
-                            }
-                        }
-                        _ => {}
-                    }
+    fn on_pdu(&mut self, cx: &mut SvcCtx, _dir: Dir, pdu: Pdu) {
+        let written = match (self.cmds.observe(&pdu), &pdu) {
+            (Step::Command(cmd), Pdu::ScsiCommand(c)) => match cmd.op {
+                BlockOp::Read => {
+                    let len = cmd.bytes() as usize;
+                    let rows = self.recon.observe(FsOp::Read, cmd.lba, len, None);
+                    self.record(cx, rows);
+                    Staged::Untracked
                 }
+                BlockOp::Write => self.cmds.stage(c.itt, cmd, &c.data),
+                BlockOp::Flush => Staged::Untracked,
+            },
+            (Step::WriteData(_, offset), Pdu::DataOut(d)) => {
+                self.cmds.absorb(d.itt, offset, &d.data)
             }
-            (Pdu::DataOut(d), Dir::ToTarget) => {
-                let complete = if let Some(asm) = self.writes.get_mut(&d.itt) {
-                    let off = d.buffer_offset as usize;
-                    let end = (off + d.data.len()).min(asm.expected);
-                    if off < end {
-                        asm.buf[off..end].copy_from_slice(&d.data[..end - off]);
-                        asm.received += end - off;
-                    }
-                    asm.received >= asm.expected
-                } else {
-                    false
-                };
-                if complete {
-                    if let Some(asm) = self.writes.remove(&d.itt) {
-                        let data = asm.buf.freeze();
-                        self.observe_write(cx, asm.lba, &data);
-                    }
-                }
-            }
-            (Pdu::ScsiResponse(r), Dir::ToInitiator) => {
-                self.reads.remove(&r.itt);
-                self.writes.remove(&r.itt);
-            }
-            _ => {}
+            _ => Staged::Untracked,
+        };
+        if let Staged::Complete(cmd, data) = written {
+            self.observe_write(cx, cmd.lba, &data);
         }
         cx.forward(pdu);
     }
@@ -217,7 +166,7 @@ mod tests {
     use storm_block::{AccessKind, MemDisk, RecordingDevice};
     use storm_core::service::SvcAction;
     use storm_extfs::ExtFs;
-    use storm_iscsi::ScsiCommand;
+    use storm_iscsi::exchange::BlockCmd;
     use storm_sim::SimTime;
 
     fn monitored_fs() -> (ExtFs<RecordingDevice<MemDisk>>, MonitorService) {
@@ -241,39 +190,16 @@ mod tests {
         let mut actions = Vec::new();
         for (itt, rec) in (101u32..).zip(log) {
             let mut cx = SvcCtx::new(SimTime::ZERO);
-            let (read, write, cdb, data) = match rec.kind {
-                AccessKind::Read => (
-                    true,
-                    false,
-                    Cdb::Read {
-                        lba: rec.lba,
-                        sectors: rec.sectors as u32,
-                    },
-                    Bytes::new(),
-                ),
-                AccessKind::Write => (
-                    false,
-                    true,
-                    Cdb::Write {
-                        lba: rec.lba,
-                        sectors: rec.sectors as u32,
-                    },
-                    Bytes::from(rec.data.clone()),
-                ),
+            let (op, data) = match rec.kind {
+                AccessKind::Read => (BlockOp::Read, Bytes::new()),
+                AccessKind::Write => (BlockOp::Write, Bytes::from(rec.data.clone())),
             };
-            let pdu = Pdu::ScsiCommand(ScsiCommand {
-                immediate: false,
-                final_pdu: true,
-                read,
-                write,
-                lun: 0,
-                itt,
-                edtl: (rec.sectors * 512) as u32,
-                cmd_sn: itt,
-                exp_stat_sn: 1,
-                cdb: cdb.to_bytes(),
-                data,
-            });
+            let cmd = BlockCmd {
+                op,
+                lba: rec.lba,
+                sectors: rec.sectors as u32,
+            };
+            let pdu = cmd.command(itt, itt, 1, data);
             mon.on_pdu(&mut cx, Dir::ToTarget, pdu);
             actions.extend(cx.take_actions());
         }
@@ -343,5 +269,26 @@ mod tests {
             )),
             "events: {events:?}"
         );
+    }
+
+    /// A bare tenant `edtl` used to size the staging buffer (here 4 GiB
+    /// for a one-sector CDB).
+    #[test]
+    fn write_whose_length_disagrees_with_its_cdb_is_forwarded_untracked() {
+        let (_, mut mon) = monitored_fs();
+        let cmd = BlockCmd {
+            op: BlockOp::Write,
+            lba: 0,
+            sectors: 1,
+        };
+        let Pdu::ScsiCommand(mut c) = cmd.command(1, 1, 1, Bytes::new()) else {
+            unreachable!()
+        };
+        c.edtl = 0xFFFF_FE00;
+        let mut cx = SvcCtx::new(SimTime::ZERO);
+        mon.on_pdu(&mut cx, Dir::ToTarget, Pdu::ScsiCommand(c.clone()));
+        let acts = cx.take_actions();
+        assert!(matches!(&acts[..], [SvcAction::Forward(Pdu::ScsiCommand(f))] if *f == c));
+        assert!(mon.cmds.is_empty() && mon.log().is_empty());
     }
 }

@@ -13,7 +13,8 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 
 use storm_core::{Dir, StorageService, SvcCtx};
-use storm_iscsi::{Cdb, DataIn, Pdu, ScsiCommand, ScsiStatus};
+use storm_iscsi::exchange::{data_in_train, BlockCmd, BlockOp, Exchange, Staged};
+use storm_iscsi::{Pdu, ScsiCommand};
 use storm_sim::SimDuration;
 
 /// Counters for the experiment harness.
@@ -33,7 +34,9 @@ pub struct ReplicationStats {
 
 #[derive(Debug, Clone)]
 struct PendingRead {
-    cmd: ScsiCommand,
+    /// The command PDU as received (forwarded if the primary must serve).
+    pdu: ScsiCommand,
+    cmd: BlockCmd,
     replica: usize,
 }
 
@@ -54,7 +57,8 @@ pub struct ReplicationService {
     /// Measurements.
     pub stats: ReplicationStats,
     per_byte: SimDuration,
-    write_bufs: BTreeMap<u32, (u64, bytes::BytesMut, usize, usize)>,
+    /// Writes whose payload is still arriving as Data-Out.
+    staging: Exchange,
     /// Consecutive I/O failures per replica; at `fail_threshold` the
     /// replica is declared unresponsive and removed (the paper's
     /// "eliminated from future operations").
@@ -74,7 +78,7 @@ impl ReplicationService {
             pending_reads: BTreeMap::new(),
             stats: ReplicationStats::default(),
             per_byte: SimDuration::from_nanos(0),
-            write_bufs: BTreeMap::new(),
+            staging: Exchange::default(),
             consecutive_failures: vec![0; replica_count],
             fail_threshold: 3,
         }
@@ -125,36 +129,25 @@ impl ReplicationService {
         }
     }
 
-    /// Synthesizes the Data-In + status train for a replica-served read.
-    fn synth_read_reply(cx: &mut SvcCtx, itt: u32, data: Bytes) {
-        let total = data.len();
-        let chunk = 64 * 1024;
-        let mut off = 0;
-        let mut data_sn = 0;
-        loop {
-            let end = (off + chunk).min(total);
-            let last = end == total;
-            cx.reply(Pdu::DataIn(DataIn {
-                final_pdu: last,
-                status_present: last,
-                status: ScsiStatus::Good,
-                lun: 0,
-                itt,
-                ttt: 0xFFFF_FFFF,
-                stat_sn: 0,
-                exp_cmd_sn: 0,
-                max_cmd_sn: 0,
-                data_sn,
-                buffer_offset: off as u32,
-                residual: 0,
-                data: data.slice(off..end),
-            }));
-            if last {
-                break;
+    /// Sends a read to the next source in the stripe: a replica (the
+    /// completion comes back through `on_replica_done`) or, when the
+    /// rotation lands on it or no replica is left, the primary. Returns
+    /// whether a replica took it.
+    fn dispatch_read(&mut self, cx: &mut SvcCtx, pdu: ScsiCommand, cmd: BlockCmd) -> bool {
+        let source = self.pick_read_source();
+        match source {
+            None => {
+                self.stats.primary_reads += 1;
+                cx.forward(Pdu::ScsiCommand(pdu));
             }
-            data_sn += 1;
-            off = end;
+            Some(replica) => {
+                let ctx_id = self.ctx();
+                self.pending_reads
+                    .insert(ctx_id, PendingRead { pdu, cmd, replica });
+                cx.replica_read(replica, cmd.lba, cmd.sectors, ctx_id);
+            }
         }
+        source.is_some()
     }
 }
 
@@ -169,55 +162,25 @@ impl StorageService for ReplicationService {
             return;
         }
         match pdu {
-            Pdu::ScsiCommand(c) => {
-                match Cdb::parse(&c.cdb) {
-                    Ok(Cdb::Write { lba, .. }) => {
-                        let expected = c.edtl as usize;
-                        // Mirror immediate data now; stage the rest.
-                        if c.data.len() >= expected {
-                            self.mirror_write(cx, lba, &c.data);
-                        } else {
-                            let mut buf = bytes::BytesMut::zeroed(expected);
-                            let imm = c.data.len();
-                            buf[..imm].copy_from_slice(&c.data);
-                            self.write_bufs.insert(c.itt, (lba, buf, imm, expected));
-                        }
-                        cx.forward(Pdu::ScsiCommand(c));
+            Pdu::ScsiCommand(c) => match BlockCmd::parse(&c, u64::MAX) {
+                Ok(cmd) if cmd.op == BlockOp::Write => {
+                    // Mirror immediate data now; stage the rest.
+                    if let Staged::Complete(_, data) = self.staging.stage(c.itt, cmd, &c.data) {
+                        self.mirror_write(cx, cmd.lba, &data);
                     }
-                    Ok(Cdb::Read { lba, sectors }) => match self.pick_read_source() {
-                        None => {
-                            self.stats.primary_reads += 1;
-                            cx.forward(Pdu::ScsiCommand(c));
-                        }
-                        Some(replica) => {
-                            self.stats.striped_reads += 1;
-                            let ctx_id = self.ctx();
-                            self.pending_reads
-                                .insert(ctx_id, PendingRead { cmd: c, replica });
-                            cx.replica_read(replica, lba, sectors, ctx_id);
-                        }
-                    },
-                    _ => cx.forward(Pdu::ScsiCommand(c)),
+                    cx.forward(Pdu::ScsiCommand(c));
                 }
-            }
-            Pdu::DataOut(d) => {
-                let complete =
-                    if let Some((_, buf, recv, expected)) = self.write_bufs.get_mut(&d.itt) {
-                        let off = d.buffer_offset as usize;
-                        let end = (off + d.data.len()).min(*expected);
-                        if off < end {
-                            buf[off..end].copy_from_slice(&d.data[..end - off]);
-                            *recv += end - off;
-                        }
-                        *recv >= *expected
-                    } else {
-                        false
-                    };
-                if complete {
-                    if let Some((lba, buf, _, _)) = self.write_bufs.remove(&d.itt) {
-                        let data = buf.freeze();
-                        self.mirror_write(cx, lba, &data);
+                Ok(cmd) if cmd.op == BlockOp::Read => {
+                    if self.dispatch_read(cx, c, cmd) {
+                        self.stats.striped_reads += 1;
                     }
+                }
+                _ => cx.forward(Pdu::ScsiCommand(c)),
+            },
+            Pdu::DataOut(d) => {
+                let staged = self.staging.absorb(d.itt, d.buffer_offset, &d.data);
+                if let Staged::Complete(cmd, data) = staged {
+                    self.mirror_write(cx, cmd.lba, &data);
                 }
                 cx.forward(Pdu::DataOut(d));
             }
@@ -252,30 +215,16 @@ impl StorageService for ReplicationService {
         }
         if let Some(pending) = pending {
             if ok {
-                Self::synth_read_reply(cx, pending.cmd.itt, data);
+                // The primary would answer in its negotiated segment size;
+                // the middle-box uses the 64 KiB default.
+                for pdu in data_in_train(pending.pdu.itt, data, 64 * 1024) {
+                    cx.reply(pdu);
+                }
             } else {
                 // Retry: another replica, else fall back to the primary.
                 // `pick_read_source` only ever returns alive replicas.
                 self.stats.retried_reads += 1;
-                match self.pick_read_source() {
-                    Some(replica) => {
-                        if let Ok(Cdb::Read { lba, sectors }) = Cdb::parse(&pending.cmd.cdb) {
-                            let ctx_id = self.ctx();
-                            self.pending_reads.insert(
-                                ctx_id,
-                                PendingRead {
-                                    cmd: pending.cmd,
-                                    replica,
-                                },
-                            );
-                            cx.replica_read(replica, lba, sectors, ctx_id);
-                        }
-                    }
-                    None => {
-                        self.stats.primary_reads += 1;
-                        cx.forward(Pdu::ScsiCommand(pending.cmd));
-                    }
-                }
+                self.dispatch_read(cx, pending.pdu, pending.cmd);
             }
         } else if !ok {
             self.stats.write_failures += 1;
@@ -300,25 +249,7 @@ impl StorageService for ReplicationService {
             for ctx_id in stranded {
                 if let Some(pending) = self.pending_reads.remove(&ctx_id) {
                     self.stats.retried_reads += 1;
-                    match self.pick_read_source() {
-                        Some(r) => {
-                            if let Ok(Cdb::Read { lba, sectors }) = Cdb::parse(&pending.cmd.cdb) {
-                                let new_ctx = self.ctx();
-                                self.pending_reads.insert(
-                                    new_ctx,
-                                    PendingRead {
-                                        cmd: pending.cmd,
-                                        replica: r,
-                                    },
-                                );
-                                cx.replica_read(r, lba, sectors, new_ctx);
-                            }
-                        }
-                        None => {
-                            self.stats.primary_reads += 1;
-                            cx.forward(Pdu::ScsiCommand(pending.cmd));
-                        }
-                    }
+                    self.dispatch_read(cx, pending.pdu, pending.cmd);
                 }
             }
         }
@@ -343,39 +274,19 @@ impl std::fmt::Debug for ReplicationService {
 mod tests {
     use super::*;
     use storm_core::service::{ReplicaIo, SvcAction};
+    use storm_iscsi::exchange::{data_out_train, status_response};
+    use storm_iscsi::ScsiStatus;
     use storm_sim::SimTime;
 
     fn write_cmd(itt: u32, lba: u64, data: Bytes) -> Pdu {
         let sectors = (data.len() / 512) as u32;
-        Pdu::ScsiCommand(ScsiCommand {
-            immediate: false,
-            final_pdu: true,
-            read: false,
-            write: true,
-            lun: 0,
-            itt,
-            edtl: data.len() as u32,
-            cmd_sn: 1,
-            exp_stat_sn: 1,
-            cdb: Cdb::Write { lba, sectors }.to_bytes(),
-            data,
-        })
+        let op = BlockOp::Write;
+        BlockCmd { op, lba, sectors }.command(itt, 1, 1, data)
     }
 
     fn read_cmd(itt: u32, lba: u64, sectors: u32) -> Pdu {
-        Pdu::ScsiCommand(ScsiCommand {
-            immediate: false,
-            final_pdu: true,
-            read: true,
-            write: false,
-            lun: 0,
-            itt,
-            edtl: sectors * 512,
-            cmd_sn: 1,
-            exp_stat_sn: 1,
-            cdb: Cdb::Read { lba, sectors }.to_bytes(),
-            data: Bytes::new(),
-        })
+        let op = BlockOp::Read;
+        BlockCmd { op, lba, sectors }.command(itt, 1, 1, Bytes::new())
     }
 
     fn actions(svc: &mut ReplicationService, dir: Dir, pdu: Pdu) -> Vec<SvcAction> {
@@ -412,32 +323,22 @@ mod tests {
         // Command with half the data immediate.
         let mut full = vec![0u8; 2048];
         full[0] = 0xAA;
-        let cmd = Pdu::ScsiCommand(ScsiCommand {
-            immediate: false,
-            final_pdu: true,
-            read: false,
-            write: true,
-            lun: 0,
-            itt: 4,
-            edtl: 2048,
-            cmd_sn: 1,
-            exp_stat_sn: 1,
-            cdb: Cdb::Write { lba: 0, sectors: 4 }.to_bytes(),
-            data: Bytes::from(full[..1024].to_vec()),
-        });
-        let acts = actions(&mut svc, Dir::ToTarget, cmd);
+        let full = Bytes::from(full);
+        let cmd = BlockCmd {
+            op: BlockOp::Write,
+            lba: 0,
+            sectors: 4,
+        };
+        let acts = actions(
+            &mut svc,
+            Dir::ToTarget,
+            cmd.command(4, 1, 1, full.slice(..1024)),
+        );
         assert!(!acts.iter().any(|a| matches!(a, SvcAction::Replica { .. })));
         // The trailing Data-Out completes the buffer and triggers mirror.
-        let dout = Pdu::DataOut(storm_iscsi::DataOut {
-            final_pdu: true,
-            lun: 0,
-            itt: 4,
-            ttt: 1,
-            exp_stat_sn: 1,
-            data_sn: 0,
-            buffer_offset: 1024,
-            data: Bytes::from(full[1024..].to_vec()),
-        });
+        let dout = data_out_train(4, 1, 1, &full, 1024..2048, 1024)
+            .next()
+            .unwrap();
         let acts = actions(&mut svc, Dir::ToTarget, dout);
         let mirrored = acts.iter().any(
             |a| matches!(a, SvcAction::Replica { io: ReplicaIo::Write { lba: 0, data }, .. } if data.len() == 2048),
@@ -661,17 +562,21 @@ mod tests {
     #[test]
     fn responses_pass_through_untouched() {
         let mut svc = ReplicationService::new(2, true);
-        let resp = Pdu::ScsiResponse(storm_iscsi::ScsiResponse {
-            itt: 3,
-            response: 0,
-            status: ScsiStatus::Good,
-            stat_sn: 1,
-            exp_cmd_sn: 2,
-            max_cmd_sn: 66,
-            residual: 0,
-            data: Bytes::new(),
-        });
+        let resp = status_response(3, ScsiStatus::Good);
         let acts = actions(&mut svc, Dir::ToInitiator, resp.clone());
         assert!(matches!(&acts[..], [SvcAction::Forward(p)] if *p == resp));
+    }
+
+    /// A bare tenant `edtl` used to size the staging buffer.
+    #[test]
+    fn write_whose_length_disagrees_with_its_cdb_is_forwarded_unstaged() {
+        let mut svc = ReplicationService::new(1, false);
+        let Pdu::ScsiCommand(mut c) = write_cmd(1, 0, Bytes::from(vec![1u8; 512])) else {
+            unreachable!()
+        };
+        c.edtl = 0xFFFF_FE00;
+        let acts = actions(&mut svc, Dir::ToTarget, Pdu::ScsiCommand(c.clone()));
+        assert!(matches!(&acts[..], [SvcAction::Forward(Pdu::ScsiCommand(f))] if *f == c));
+        assert!(svc.staging.is_empty());
     }
 }

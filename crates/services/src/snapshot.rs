@@ -27,7 +27,8 @@ use bytes::Bytes;
 
 use storm_block::CowExtentMap;
 use storm_core::{Dir, StorageService, SvcCtx};
-use storm_iscsi::{Cdb, Pdu};
+use storm_iscsi::exchange::{BlockCmd, BlockOp};
+use storm_iscsi::{Pdu, ScsiCommand};
 use storm_sim::SimDuration;
 
 /// Replica session index of the primary volume (pre-image reads).
@@ -101,10 +102,15 @@ impl SnapshotService {
     }
 
     /// Starts pre-image fetches for every unprotected extent under the
-    /// write; returns true when the write must wait for at least one.
-    fn fetch_preimages(&mut self, cx: &mut SvcCtx, lba: u64, sectors: u64) -> bool {
+    /// write; returns true when the write must wait for at least one. A
+    /// command that fails the exchange checks touches no extent.
+    fn fetch_preimages(&mut self, cx: &mut SvcCtx, c: &ScsiCommand) -> bool {
+        let cmd = match BlockCmd::parse(c, u64::MAX) {
+            Ok(cmd) if cmd.op == BlockOp::Write => cmd,
+            _ => return false,
+        };
         let mut must_wait = false;
-        for extent in self.cow.extents_of(lba, sectors) {
+        for extent in self.cow.extents_of(cmd.lba, cmd.sectors as u64) {
             if self.broken.contains(&extent) {
                 continue;
             }
@@ -128,13 +134,9 @@ impl SnapshotService {
         while !self.parked.is_empty() {
             let pdu = self.parked.remove(0);
             if let Pdu::ScsiCommand(c) = &pdu {
-                if c.write {
-                    if let Ok(Cdb::Write { lba, sectors }) = Cdb::parse(&c.cdb) {
-                        if self.fetch_preimages(cx, lba, sectors as u64) {
-                            self.parked.insert(0, pdu);
-                            return;
-                        }
-                    }
+                if c.write && self.fetch_preimages(cx, c) {
+                    self.parked.insert(0, pdu);
+                    return;
                 }
             }
             cx.forward(pdu);
@@ -161,12 +163,10 @@ impl StorageService for SnapshotService {
                     self.parked.push(Pdu::ScsiCommand(c));
                     return;
                 }
-                if let Ok(Cdb::Write { lba, sectors }) = Cdb::parse(&c.cdb) {
-                    if self.fetch_preimages(cx, lba, sectors as u64) {
-                        self.stats.parked_pdus += 1;
-                        self.parked.push(Pdu::ScsiCommand(c));
-                        return;
-                    }
+                if self.fetch_preimages(cx, &c) {
+                    self.stats.parked_pdus += 1;
+                    self.parked.push(Pdu::ScsiCommand(c));
+                    return;
                 }
                 cx.forward(Pdu::ScsiCommand(c));
             }
@@ -257,40 +257,17 @@ mod tests {
     use super::*;
     use storm_block::{BlockDevice, MemDisk, SECTOR_SIZE};
     use storm_core::service::{ReplicaIo, SvcAction};
-    use storm_iscsi::ScsiCommand;
     use storm_sim::SimTime;
 
     fn write_cmd(itt: u32, lba: u64, data: Vec<u8>) -> Pdu {
         let sectors = (data.len() / 512) as u32;
-        Pdu::ScsiCommand(ScsiCommand {
-            immediate: false,
-            final_pdu: true,
-            read: false,
-            write: true,
-            lun: 0,
-            itt,
-            edtl: data.len() as u32,
-            cmd_sn: 1,
-            exp_stat_sn: 1,
-            cdb: Cdb::Write { lba, sectors }.to_bytes(),
-            data: Bytes::from(data),
-        })
+        let op = BlockOp::Write;
+        BlockCmd { op, lba, sectors }.command(itt, 1, 1, Bytes::from(data))
     }
 
     fn read_cmd(itt: u32, lba: u64, sectors: u32) -> Pdu {
-        Pdu::ScsiCommand(ScsiCommand {
-            immediate: false,
-            final_pdu: true,
-            read: true,
-            write: false,
-            lun: 0,
-            itt,
-            edtl: sectors * 512,
-            cmd_sn: 1,
-            exp_stat_sn: 1,
-            cdb: Cdb::Read { lba, sectors }.to_bytes(),
-            data: Bytes::new(),
-        })
+        let op = BlockOp::Read;
+        BlockCmd { op, lba, sectors }.command(itt, 1, 1, Bytes::new())
     }
 
     fn actions(svc: &mut SnapshotService, dir: Dir, pdu: Pdu) -> Vec<SvcAction> {
@@ -317,8 +294,8 @@ mod tests {
                         svc.on_replica_done(&mut next, 0, ctx, true, Bytes::from(buf));
                     }
                     SvcAction::Forward(Pdu::ScsiCommand(c)) if c.write => {
-                        if let Ok(Cdb::Write { lba, .. }) = Cdb::parse(&c.cdb) {
-                            disk.write(lba, &c.data).unwrap();
+                        if let Ok(cmd) = BlockCmd::parse(&c, u64::MAX) {
+                            disk.write(cmd.lba, &c.data).unwrap();
                         }
                     }
                     _ => {}
