@@ -6,16 +6,19 @@
 //! primitives are implemented here and validated against published test
 //! vectors (FIPS-197 for AES, RFC 7539 for ChaCha20):
 //!
-//! * [`Aes128`] / [`Aes256`] — the AES block cipher.
+//! * [`Aes256`] — the AES block cipher, 256-bit keys, as four table
+//!   lookups per column and round in either direction; the tables and
+//!   both S-boxes are derived from the field definition at compile time.
 //! * [`AesXts`] — XTS sector mode, the dm-crypt default, used by the
 //!   encryption middle-box for data-at-rest (Figures 10 and 11).
 //! * [`ChaCha20`] — a position-seekable stream cipher, used as the paper's
 //!   "stream cipher service that operates on each bit of the raw data"
 //!   (Figures 5, 6, 8 and 9).
 //!
-//! These implementations favour clarity over speed and are **not**
-//! side-channel hardened; they exist to make the reproduction
-//! self-contained, not for production cryptography.
+//! These implementations are **not** side-channel hardened (AES indexes
+//! tables by secret bytes, and `unsafe` is forbidden, so there is no
+//! AES-NI either); they exist to make the reproduction self-contained,
+//! not for production cryptography.
 //!
 //! # Example
 //!
@@ -39,6 +42,6 @@ mod aes;
 mod chacha;
 mod xts;
 
-pub use aes::{Aes128, Aes256, BLOCK_SIZE};
+pub use aes::{Aes256, BLOCK_SIZE};
 pub use chacha::ChaCha20;
 pub use xts::AesXts;

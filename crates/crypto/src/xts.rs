@@ -33,25 +33,11 @@ impl AesXts {
         Self::new(&k1, &k2)
     }
 
-    fn initial_tweak(&self, sector: u64) -> [u8; BLOCK_SIZE] {
-        // "plain64" tweak: little-endian sector number.
-        let mut t = [0u8; BLOCK_SIZE];
-        t[..8].copy_from_slice(&sector.to_le_bytes());
-        self.tweak_cipher.encrypt_block(&mut t);
-        t
-    }
-
-    /// Multiplies the tweak by alpha in GF(2^128) (little-endian convention).
-    fn next_tweak(t: &mut [u8; BLOCK_SIZE]) {
-        let mut carry = 0u8;
-        for b in t.iter_mut() {
-            let new_carry = *b >> 7;
-            *b = (*b << 1) | carry;
-            carry = new_carry;
-        }
-        if carry != 0 {
-            t[0] ^= 0x87;
-        }
+    /// Multiplies the tweak by alpha in GF(2^128). IEEE 1619 reads the
+    /// tweak block as one little-endian integer, so this is a shift with
+    /// the carry out of bit 127 folding back as x^7 + x^2 + x + 1.
+    fn next_tweak(t: u128) -> u128 {
+        (t << 1) ^ ((t >> 127) * 0x87)
     }
 
     fn process(&self, sector: u64, data: &mut [u8], encrypt: bool) {
@@ -60,23 +46,19 @@ impl AesXts {
             "XTS data must be a positive multiple of {BLOCK_SIZE} bytes, got {}",
             data.len()
         );
-        let mut tweak = self.initial_tweak(sector);
-        for chunk in data.chunks_exact_mut(BLOCK_SIZE) {
-            let mut block = [0u8; BLOCK_SIZE];
-            block.copy_from_slice(chunk);
-            for (b, t) in block.iter_mut().zip(&tweak) {
-                *b ^= t;
-            }
+        // "plain64" tweak: little-endian sector number, encrypted.
+        let mut first = u128::from(sector).to_le_bytes();
+        self.tweak_cipher.encrypt_block(&mut first);
+        let mut tweak = u128::from_le_bytes(first);
+        for block in data.as_chunks_mut::<BLOCK_SIZE>().0 {
+            *block = (u128::from_le_bytes(*block) ^ tweak).to_le_bytes();
             if encrypt {
-                self.data_cipher.encrypt_block(&mut block);
+                self.data_cipher.encrypt_block(block);
             } else {
-                self.data_cipher.decrypt_block(&mut block);
+                self.data_cipher.decrypt_block(block);
             }
-            for (b, t) in block.iter_mut().zip(&tweak) {
-                *b ^= t;
-            }
-            chunk.copy_from_slice(&block);
-            Self::next_tweak(&mut tweak);
+            *block = (u128::from_le_bytes(*block) ^ tweak).to_le_bytes();
+            tweak = Self::next_tweak(tweak);
         }
     }
 
@@ -99,7 +81,8 @@ impl AesXts {
     }
 
     /// Encrypts a run of consecutive sectors in place. `data` must be a
-    /// whole number of `sector_bytes`-sized sectors.
+    /// whole number of `sector_bytes`-sized sectors; sector numbers wrap
+    /// past `u64::MAX`.
     ///
     /// # Panics
     ///
@@ -129,7 +112,7 @@ impl AesXts {
             data.len()
         );
         for (i, sector) in data.chunks_exact_mut(sector_bytes).enumerate() {
-            self.process(first_sector + i as u64, sector, encrypt);
+            self.process(first_sector.wrapping_add(i as u64), sector, encrypt);
         }
     }
 }
@@ -137,6 +120,7 @@ impl AesXts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cipher() -> AesXts {
         let mut master = [0u8; 64];
@@ -194,18 +178,103 @@ mod tests {
         assert_eq!(&run[..4], &[0, 1, 2, 3]);
     }
 
+    /// The tweak chain as IEEE 1619 spells it, byte by byte.
+    fn next_tweak_bytewise(t: &mut [u8; BLOCK_SIZE]) {
+        let mut carry = 0u8;
+        for b in t.iter_mut() {
+            let new_carry = *b >> 7;
+            *b = (*b << 1) | carry;
+            carry = new_carry;
+        }
+        if carry != 0 {
+            t[0] ^= 0x87;
+        }
+    }
+
     #[test]
     fn tweak_doubling_carries() {
         let mut t = [0u8; 16];
         t[15] = 0x80;
-        AesXts::next_tweak(&mut t);
+        let t = AesXts::next_tweak(u128::from_le_bytes(t)).to_le_bytes();
         // The carry out of the top bit folds back as 0x87.
         assert_eq!(t[0], 0x87);
         assert_eq!(t[15], 0x00);
-        let mut t2 = [1u8; 16];
-        AesXts::next_tweak(&mut t2);
+        let t2 = AesXts::next_tweak(u128::from_le_bytes([1u8; 16])).to_le_bytes();
         assert_eq!(t2[0], 2);
         assert_eq!(t2[1], 2);
+    }
+
+    proptest! {
+        /// One `u128` shift is the byte-wise loop, carry or no carry.
+        #[test]
+        fn tweak_doubling_matches_bytewise(tweak in prop::array::uniform16(any::<u8>()),
+                                           carry in any::<bool>()) {
+            let mut bytes = tweak;
+            bytes[15] = (bytes[15] & 0x7F) | (u8::from(carry) << 7);
+            let fast = AesXts::next_tweak(u128::from_le_bytes(bytes)).to_le_bytes();
+            next_tweak_bytewise(&mut bytes);
+            prop_assert_eq!(fast, bytes);
+        }
+    }
+
+    /// IEEE 1619-2007 Annex B, XTS-AES-256 vector 10 (data unit 0xff, 512
+    /// bytes), in both directions.
+    #[test]
+    fn ieee1619_vector_10() {
+        let xts = AesXts::new(
+            &hex("2718281828459045235360287471352662497757247093699959574966967627"),
+            &hex("3141592653589793238462643383279502884197169399375105820974944592"),
+        );
+        let plain: [u8; 512] = core::array::from_fn(|i| i as u8);
+        let cipher: [u8; 512] = hex(IEEE1619_V10_CIPHERTEXT);
+        let mut data = plain;
+        xts.encrypt_sector(0xff, &mut data);
+        assert_eq!(data, cipher);
+        xts.decrypt_sector(0xff, &mut data);
+        assert_eq!(data, plain);
+    }
+
+    fn hex<const N: usize>(s: &str) -> [u8; N] {
+        let digits: Vec<u8> = s
+            .bytes()
+            .filter_map(|c| (c as char).to_digit(16))
+            .map(|d| d as u8)
+            .collect();
+        assert_eq!(digits.len(), 2 * N);
+        core::array::from_fn(|i| (digits[2 * i] << 4) | digits[2 * i + 1])
+    }
+
+    const IEEE1619_V10_CIPHERTEXT: &str = "
+        1c3b3a102f770386e4836c99e370cf9bea00803f5e482357a4ae12d414a3e63b
+        5d31e276f8fe4a8d66b317f9ac683f44680a86ac35adfc3345befecb4bb188fd
+        5776926c49a3095eb108fd1098baec70aaa66999a72a82f27d848b21d4a741b0
+        c5cd4d5fff9dac89aeba122961d03a757123e9870f8acf1000020887891429ca
+        2a3e7a7d7df7b10355165c8b9a6d0a7de8b062c4500dc4cd120c0f7418dae3d0
+        b5781c34803fa75421c790dfe1de1834f280d7667b327f6c8cd7557e12ac3a0f
+        93ec05c52e0493ef31a12d3d9260f79a289d6a379bc70c50841473d1a8cc81ec
+        583e9645e07b8d9670655ba5bbcfecc6dc3966380ad8fecb17b6ba02469a020a
+        84e18e8f84252070c13e9f1f289be54fbc481457778f616015e1327a02b140f1
+        505eb309326d68378f8374595c849d84f4c333ec4423885143cb47bd71c5edae
+        9be69a2ffeceb1bec9de244fbe15992b11b77c040f12bd8f6a975a44a0f90c29
+        a9abc3d4d893927284c58754cce294529f8614dcd2aba991925fedc4ae74ffac
+        6e333b93eb4aff0479da9a410e4450e0dd7ae4c6e2910900575da401fc07059f
+        645e8b7e9bfdef33943054ff84011493c27b3429eaedb4ed5376441a77ed4385
+        1ad77f16f541dfd269d50d6a5f14fb0aab1cbb4c1550be97f7ab4066193c4caa
+        773dad38014bd2092fa755c824bb5e54c4f36ffda9fcea70b9c6e693e148c151";
+
+    /// Sector numbers wrap: a run starting at the last sector continues at
+    /// sector 0 instead of overflowing.
+    #[test]
+    fn run_wraps_past_the_last_sector() {
+        let xts = cipher();
+        let mut run: Vec<u8> = (0..1024).map(|i| (i % 251) as u8).collect();
+        let mut individually = run.clone();
+        xts.encrypt_run(u64::MAX, 512, &mut run);
+        xts.encrypt_sector(u64::MAX, &mut individually[..512]);
+        xts.encrypt_sector(0, &mut individually[512..]);
+        assert_eq!(run, individually);
+        xts.decrypt_run(u64::MAX, 512, &mut run);
+        assert_eq!(&run[..4], &[0, 1, 2, 3]);
     }
 
     #[test]

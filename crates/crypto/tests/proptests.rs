@@ -1,20 +1,9 @@
 //! Property-based tests for the cipher implementations.
 
 use proptest::prelude::*;
-use storm_crypto::{Aes128, Aes256, AesXts, ChaCha20};
+use storm_crypto::{Aes256, AesXts, ChaCha20};
 
 proptest! {
-    /// AES-128: decrypt ∘ encrypt = identity for arbitrary keys/blocks.
-    #[test]
-    fn aes128_round_trip(key in prop::array::uniform16(any::<u8>()),
-                         block in prop::array::uniform16(any::<u8>())) {
-        let aes = Aes128::new(&key);
-        let mut b = block;
-        aes.encrypt_block(&mut b);
-        aes.decrypt_block(&mut b);
-        prop_assert_eq!(b, block);
-    }
-
     /// AES-256 round trip.
     #[test]
     fn aes256_round_trip(key in prop::array::uniform32(any::<u8>()),

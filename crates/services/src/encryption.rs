@@ -6,18 +6,21 @@
 //! provider-controlled encryption:
 //!
 //! * [`CipherKind::AesXts`] — the dm-crypt equivalent; needs whole
-//!   sectors, so it runs in the active relay.
+//!   sectors, so it runs in the active relay, and a data segment that is
+//!   not whole sectors is refused rather than passed on as plaintext.
 //! * [`CipherKind::Stream`] — the byte-wise "stream cipher" used in the
 //!   paper's API-overhead experiments (Figures 5/6/8/9); position-keyed,
 //!   so it also works on the passive path where data crosses in arbitrary
 //!   packet-sized pieces.
 
+use std::collections::BTreeSet;
+
 use bytes::BytesMut;
 
 use storm_core::{Dir, StorageService, SvcCtx};
 use storm_crypto::{AesXts, ChaCha20};
-use storm_iscsi::exchange::Exchange;
-use storm_iscsi::Pdu;
+use storm_iscsi::exchange::{status_response, Exchange};
+use storm_iscsi::{Pdu, ScsiStatus};
 use storm_sim::SimDuration;
 
 /// The tenant-selected cipher.
@@ -29,11 +32,17 @@ pub enum CipherKind {
 }
 
 impl CipherKind {
-    fn apply(&self, encrypt: bool, vol_offset: u64, data: &mut [u8]) {
+    /// Transforms `data` in place. `false`, with `data` untouched, when
+    /// the cipher works on whole sectors and `data` at `vol_offset` is not
+    /// that: segment bounds are the tenant's to choose, so this is input
+    /// validation, not an invariant.
+    #[must_use]
+    fn apply(&self, encrypt: bool, vol_offset: u64, data: &mut [u8]) -> bool {
         match self {
             CipherKind::AesXts(xts) => {
-                debug_assert_eq!(vol_offset % 512, 0, "XTS needs sector alignment");
-                debug_assert_eq!(data.len() % 512, 0, "XTS needs whole sectors");
+                if !vol_offset.is_multiple_of(512) || !data.len().is_multiple_of(512) {
+                    return false;
+                }
                 let sector = vol_offset / 512;
                 if encrypt {
                     xts.encrypt_run(sector, 512, data);
@@ -43,6 +52,7 @@ impl CipherKind {
             }
             CipherKind::Stream(c) => c.apply_keystream_at(vol_offset, data),
         }
+        true
     }
 }
 
@@ -51,6 +61,9 @@ pub struct EncryptionService {
     cipher: CipherKind,
     per_byte: SimDuration,
     cmds: Exchange,
+    /// Tags of writes refused for unaligned data; their later Data-Out is
+    /// dropped until the tag is reused or its status passes.
+    refused: BTreeSet<u32>,
     bytes_encrypted: u64,
     bytes_decrypted: u64,
 }
@@ -75,6 +88,7 @@ impl EncryptionService {
             // ~1.5 GB/s single-core cipher throughput.
             per_byte: SimDuration::from_nanos(1),
             cmds: Exchange::default(),
+            refused: BTreeSet::new(),
             bytes_encrypted: 0,
             bytes_decrypted: 0,
         }
@@ -100,6 +114,16 @@ impl StorageService for EncryptionService {
         // Where the PDU's data segment sits on the volume, if it carries
         // block data of an open command (immediate data, Data-Out, Data-In).
         let at = self.cmds.observe(&pdu).volume_offset();
+        let itt = pdu.itt();
+        // A refused write's remaining data stops here, until a new command
+        // takes the tag or a status for it passes.
+        match &pdu {
+            Pdu::ScsiCommand(_) | Pdu::ScsiResponse(_) => {
+                self.refused.remove(&itt);
+            }
+            Pdu::DataOut(_) if self.refused.contains(&itt) => return,
+            _ => {}
+        }
         let data = match (&mut pdu, dir) {
             (Pdu::ScsiCommand(c), Dir::ToTarget) => Some(&mut c.data),
             (Pdu::DataOut(d), Dir::ToTarget) => Some(&mut d.data),
@@ -110,14 +134,36 @@ impl StorageService for EncryptionService {
             let encrypt = dir == Dir::ToTarget;
             // The transform's output needs storage of its own.
             let mut buf = BytesMut::from(&data[..]);
-            self.cipher.apply(encrypt, at, &mut buf);
-            cx.charge(self.per_byte * buf.len() as u64);
-            if encrypt {
-                self.bytes_encrypted += buf.len() as u64;
+            if self.cipher.apply(encrypt, at, &mut buf) {
+                cx.charge(self.per_byte * buf.len() as u64);
+                if encrypt {
+                    self.bytes_encrypted += buf.len() as u64;
+                } else {
+                    self.bytes_decrypted += buf.len() as u64;
+                }
+                *data = buf.freeze();
             } else {
-                self.bytes_decrypted += buf.len() as u64;
+                let what = if encrypt {
+                    "refused"
+                } else {
+                    "passed undecrypted"
+                };
+                cx.alert(format!(
+                    "encryption: {what} command {itt:#x}, {} bytes at volume offset {at} \
+                     are not whole sectors",
+                    buf.len()
+                ));
+                if encrypt {
+                    // Fail closed: plaintext never goes on. The initiator
+                    // is told its write failed, and the tag is retired here
+                    // because the target may never answer for it.
+                    let status = status_response(itt, ScsiStatus::CheckCondition);
+                    self.cmds.observe(&status);
+                    self.refused.insert(itt);
+                    cx.reply(status);
+                    return;
+                }
             }
-            *data = buf.freeze();
         }
         cx.forward(pdu);
     }
@@ -128,10 +174,9 @@ impl StorageService for EncryptionService {
 
     fn transform(&mut self, dir: Dir, vol_offset: u64, data: &mut [u8]) {
         // Passive path: only position-keyed ciphers can run here.
-        if let CipherKind::Stream(_) = self.cipher {
-            let encrypt = dir == Dir::ToTarget;
-            self.cipher.apply(encrypt, vol_offset, data);
-            if encrypt {
+        if let CipherKind::Stream(c) = &self.cipher {
+            c.apply_keystream_at(vol_offset, data);
+            if dir == Dir::ToTarget {
                 self.bytes_encrypted += data.len() as u64;
             } else {
                 self.bytes_decrypted += data.len() as u64;
@@ -169,16 +214,32 @@ mod tests {
         BlockCmd { op, lba, sectors }.command(itt, 1, 1, imm)
     }
 
-    fn run(svc: &mut EncryptionService, dir: Dir, pdu: Pdu) -> Pdu {
+    /// What one PDU made the service do, by kind.
+    #[derive(Default)]
+    struct Outcome {
+        forwarded: Vec<Pdu>,
+        replies: Vec<Pdu>,
+        alerts: usize,
+    }
+
+    fn outcome(svc: &mut EncryptionService, dir: Dir, pdu: Pdu) -> Outcome {
         let mut cx = SvcCtx::new(SimTime::ZERO);
         svc.on_pdu(&mut cx, dir, pdu);
-        cx.take_actions()
-            .into_iter()
-            .find_map(|a| match a {
-                SvcAction::Forward(p) => Some(p),
-                _ => None,
-            })
-            .expect("forwarded")
+        let mut out = Outcome::default();
+        for action in cx.take_actions() {
+            match action {
+                SvcAction::Forward(p) => out.forwarded.push(p),
+                SvcAction::Reply(p) => out.replies.push(p),
+                SvcAction::Alert(_) => out.alerts += 1,
+                _ => {}
+            }
+        }
+        out
+    }
+
+    /// The PDU the service forwarded.
+    fn run(svc: &mut EncryptionService, dir: Dir, pdu: Pdu) -> Pdu {
+        outcome(svc, dir, pdu).forwarded.pop().expect("forwarded")
     }
 
     #[test]
@@ -269,6 +330,120 @@ mod tests {
         let mut direct = plain.clone();
         AesXts::from_master_key(&[0x42; 64]).encrypt_run(100 + 4, 512, &mut direct);
         assert_eq!(&cipher1[..], &direct[..]);
+    }
+
+    /// One Data-Out of command `itt` carrying `range` of a 3 KiB payload.
+    fn data_out(itt: u32, range: std::ops::Range<usize>) -> Pdu {
+        let whole = Bytes::from(vec![0xABu8; 3072]);
+        let max = range.len();
+        let pdu = data_out_train(itt, 1, 1, &whole, range, max).next();
+        pdu.expect("non-empty range")
+    }
+
+    fn assert_refused(out: &Outcome, itt: u32) {
+        assert!(
+            out.forwarded.is_empty(),
+            "plaintext went on: {:?}",
+            out.forwarded
+        );
+        assert_eq!(
+            out.replies,
+            [status_response(itt, ScsiStatus::CheckCondition)]
+        );
+        assert_eq!(out.alerts, 1);
+    }
+
+    /// Segment bounds are the tenant's to choose: a Data-Out that is not
+    /// whole sectors is refused, not a panic and not plaintext at rest.
+    #[test]
+    fn unaligned_data_out_length_fails_closed() {
+        let mut enc = svc();
+        let write = cmd(BlockOp::Write, 7, 100, 6, Bytes::new());
+        let _ = run(&mut enc, Dir::ToTarget, write);
+        assert_refused(&outcome(&mut enc, Dir::ToTarget, data_out(7, 0..100)), 7);
+        assert_eq!(enc.counters(), (0, 0));
+        assert!(enc.cmds.is_empty(), "the refused command stayed open");
+    }
+
+    #[test]
+    fn unaligned_buffer_offset_fails_closed() {
+        let mut enc = svc();
+        let write = cmd(BlockOp::Write, 7, 100, 6, Bytes::new());
+        let _ = run(&mut enc, Dir::ToTarget, write);
+        assert_refused(&outcome(&mut enc, Dir::ToTarget, data_out(7, 7..519)), 7);
+    }
+
+    /// The command PDU itself is held back when its immediate data is the
+    /// unaligned segment.
+    #[test]
+    fn unaligned_immediate_data_fails_closed() {
+        let mut enc = svc();
+        let write = cmd(BlockOp::Write, 7, 100, 6, Bytes::from(vec![1u8; 100]));
+        assert_refused(&outcome(&mut enc, Dir::ToTarget, write), 7);
+    }
+
+    /// Once refused, none of the command's later data goes on either,
+    /// aligned or not, and it raises no second alert; other tags, a new
+    /// command on the same tag and a passing status are unaffected.
+    #[test]
+    fn refused_command_stays_refused_until_tag_reuse_or_status() {
+        let mut enc = svc();
+        let write = cmd(BlockOp::Write, 7, 100, 6, Bytes::new());
+        let _ = run(&mut enc, Dir::ToTarget, write.clone());
+        let _ = run(
+            &mut enc,
+            Dir::ToTarget,
+            cmd(BlockOp::Write, 8, 200, 6, Bytes::new()),
+        );
+        assert_refused(&outcome(&mut enc, Dir::ToTarget, data_out(7, 0..100)), 7);
+        let later = outcome(&mut enc, Dir::ToTarget, data_out(7, 512..1024));
+        assert!(later.forwarded.is_empty() && later.replies.is_empty());
+        assert_eq!(later.alerts, 0);
+        // Another command on the flow still encrypts.
+        let other = run(&mut enc, Dir::ToTarget, data_out(8, 0..512));
+        assert_ne!(other, data_out(8, 0..512));
+        // The target's own status for the tag lifts the refusal...
+        assert_eq!(run(&mut enc, Dir::ToInitiator, status_of(7)), status_of(7));
+        assert!(enc.refused.is_empty());
+        // ...and so does a new command reusing it.
+        let _ = run(&mut enc, Dir::ToTarget, write.clone());
+        assert_refused(&outcome(&mut enc, Dir::ToTarget, data_out(7, 0..100)), 7);
+        let _ = run(&mut enc, Dir::ToTarget, write);
+        let again = run(&mut enc, Dir::ToTarget, data_out(7, 512..1024));
+        assert_ne!(again, data_out(7, 512..1024));
+        assert_eq!(enc.counters().0, 1024);
+    }
+
+    /// Ciphertext the target segments off a sector boundary cannot be
+    /// decrypted; it reaches the initiator as it is, with an alert.
+    #[test]
+    fn unaligned_data_in_passes_ciphertext_with_an_alert() {
+        let mut enc = svc();
+        let _ = run(
+            &mut enc,
+            Dir::ToTarget,
+            cmd(BlockOp::Read, 9, 0, 1, Bytes::new()),
+        );
+        let din = data_in_final(9, Bytes::from(vec![3u8; 100]), ScsiStatus::Good);
+        let out = outcome(&mut enc, Dir::ToInitiator, din.clone());
+        assert_eq!(out.forwarded, [din]);
+        assert_eq!((out.alerts, out.replies.len()), (1, 0));
+        assert_eq!(enc.counters(), (0, 0));
+    }
+
+    /// The stream cipher is position-keyed: no alignment to check.
+    #[test]
+    fn stream_cipher_takes_unaligned_segments() {
+        let mut enc = EncryptionService::stream_cipher(&[7; 32], &[9; 12]);
+        let _ = run(
+            &mut enc,
+            Dir::ToTarget,
+            cmd(BlockOp::Write, 7, 100, 6, Bytes::new()),
+        );
+        let out = outcome(&mut enc, Dir::ToTarget, data_out(7, 7..107));
+        assert_eq!((out.forwarded.len(), out.alerts), (1, 0));
+        assert_ne!(out.forwarded[0], data_out(7, 7..107));
+        assert_eq!(enc.counters(), (100, 0));
     }
 
     #[test]

@@ -544,3 +544,128 @@ fn chained_monitor_then_encryption() {
         .unwrap();
     assert!(pt.pdus() > 4, "first chain stage saw the PDUs");
 }
+
+/// The trust boundary of Case 2: a tenant that cuts its write data off a
+/// sector boundary gets that write refused by the encryption middle-box —
+/// no panic, no plaintext towards storage — and the same connection goes
+/// on to complete a well-formed write.
+#[test]
+fn encryption_middlebox_refuses_unaligned_write_and_carries_on() {
+    use storm::core::ActiveRelayConfig;
+    use storm::iscsi::exchange::{data_out_train, status_response, BlockCmd, BlockOp};
+    use storm::iscsi::{Pdu, PduStream, ScsiStatus};
+    use storm::net::{App, Cx, LinkSpec, Network, SendQueue, SockAddr, SockId};
+
+    /// A raw initiator: streams a prepared wire image, decodes what returns.
+    struct Tenant {
+        to: SockAddr,
+        q: SendQueue,
+        stream: PduStream,
+        got: Vec<Pdu>,
+    }
+    impl App for Tenant {
+        fn on_start(&mut self, cx: &mut Cx<'_>) {
+            cx.connect(self.to);
+        }
+        fn on_connected(&mut self, cx: &mut Cx<'_>, sock: SockId) {
+            self.q.pump(cx, sock);
+        }
+        fn on_writable(&mut self, cx: &mut Cx<'_>, sock: SockId) {
+            self.q.pump(cx, sock);
+        }
+        fn on_data(&mut self, _cx: &mut Cx<'_>, _sock: SockId, data: Bytes) {
+            self.got.extend(self.stream.feed(&data).unwrap());
+        }
+    }
+
+    /// Stands in for storage: records every PDU and acknowledges a write
+    /// once its command carried all of its data.
+    #[derive(Default)]
+    struct Storage {
+        stream: PduStream,
+        got: Vec<Pdu>,
+    }
+    impl App for Storage {
+        fn on_start(&mut self, cx: &mut Cx<'_>) {
+            cx.listen(3260);
+        }
+        fn on_data(&mut self, cx: &mut Cx<'_>, sock: SockId, data: Bytes) {
+            for pdu in self.stream.feed(&data).unwrap() {
+                if let Pdu::ScsiCommand(c) = &pdu {
+                    if c.data.len() == c.edtl as usize {
+                        cx.send(sock, &status_response(c.itt, ScsiStatus::Good).encode());
+                    }
+                }
+                self.got.push(pdu);
+            }
+        }
+    }
+
+    let write = |lba, sectors| BlockCmd {
+        op: BlockOp::Write,
+        lba,
+        sectors,
+    };
+    let plain = Bytes::from((0..3072).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
+    let good = plain.slice(..1024);
+    let mut wire = vec![write(100, 6).command(1, 1, 1, Bytes::new())];
+    // 100 bytes of a sector, then a well-formed rest that must not pass
+    // either: its command is dead.
+    wire.extend(data_out_train(1, 1, 1, &plain, 0..100, 100));
+    wire.extend(data_out_train(1, 1, 1, &plain, 512..3072, 1024));
+    wire.push(write(8, 2).command(2, 2, 1, good.clone()));
+
+    let mut net = Network::new(7);
+    let sw = net.add_switch("sw", 8);
+    let hosts: Vec<_> = (1..=3u8)
+        .map(|i| {
+            let h = net.add_host(format!("h{i}"), 4);
+            let iface = net.add_iface(h, [10, 0, 0, i].into());
+            net.link_host_switch(h, iface, sw, LinkSpec::gigabit());
+            h
+        })
+        .collect();
+    let cfg = ActiveRelayConfig::new(SockAddr::new([10, 0, 0, 3].into(), 3260));
+    let enc = EncryptionService::aes_xts(&[0x5C; 64]);
+    let relay = ActiveRelayMb::new(cfg, vec![Box::new(enc)]);
+    let storage = net.add_app(hosts[2], Box::new(Storage::default()));
+    let mb = net.add_app(hosts[1], Box::new(relay));
+    let mut q = SendQueue::new();
+    q.push_all(wire.iter().map(|p| Bytes::from(p.encode())));
+    let tenant = net.add_app(
+        hosts[0],
+        Box::new(Tenant {
+            to: SockAddr::new([10, 0, 0, 2].into(), 13260),
+            q,
+            stream: PduStream::new(),
+            got: Vec::new(),
+        }),
+    );
+    net.run_until(SimTime::from_nanos(1_000_000_000));
+
+    // Storage saw both commands, no byte of the refused write's data, and
+    // the second write as ciphertext.
+    let mut stored = good.to_vec();
+    storm_crypto::AesXts::from_master_key(&[0x5C; 64]).encrypt_run(8, 512, &mut stored);
+    let storage = net.app_mut(hosts[2], storage).unwrap();
+    let storage = storage.downcast_mut::<Storage>().unwrap();
+    assert_eq!(
+        storage.got,
+        [
+            wire[0].clone(),
+            write(8, 2).command(2, 2, 1, Bytes::from(stored))
+        ]
+    );
+    // The tenant heard about both.
+    let tenant = net.app_mut(hosts[0], tenant).unwrap();
+    assert_eq!(
+        tenant.downcast_mut::<Tenant>().unwrap().got,
+        [
+            status_response(1, ScsiStatus::CheckCondition),
+            status_response(2, ScsiStatus::Good)
+        ]
+    );
+    let relay = net.app_mut(hosts[1], mb).unwrap();
+    let relay = relay.downcast_mut::<ActiveRelayMb>().unwrap();
+    assert_eq!(relay.alerts().len(), 1, "{:?}", relay.alerts());
+}
