@@ -1,17 +1,17 @@
-//! Per-tenant QoS experiment runners: two-tenant interference and
-//! SLO-driven provisioning churn.
+//! Per-tenant QoS scenarios: two-tenant interference and SLO-driven
+//! provisioning churn.
 //!
 //! Both scenarios run the target-side QoS machinery (per-tenant token
 //! buckets + weighted fair queueing on tiered disks) end to end from real
 //! tenant VMs:
 //!
-//! * [`interference_point`] — a latency-sensitive *victim* shares the
+//! * [`qos_interference`] — a latency-sensitive *victim* shares the
 //!   fast tier with a bandwidth-hungry *aggressor*. Three runs: victim
 //!   solo, contended with no limits, and contended with the aggressor
 //!   rate-limited plus a WFQ weight favouring the victim. The acceptance
 //!   bar is the paper-style isolation claim: victim p99 under QoS within
 //!   1.2x of its solo p99.
-//! * [`provisioning_churn_point`] — the [`ProvisioningEngine`] control
+//! * [`qos_churn`] — the [`ProvisioningEngine`] control
 //!   loop in anger: an SLO'd volume lands on the slow tier next to a
 //!   best-effort hog, its p99 blows through the ceiling, and the engine
 //!   live-migrates it to the fast tier mid-run (copy-then-cutover).
@@ -19,11 +19,11 @@
 use storm_cloud::{Cloud, DiskSpec, ProvisioningEngine};
 use storm_net::AppId;
 use storm_qos::{DiskTier, RateLimitSpec, VolumeSlo};
-use storm_sim::{SimDuration, SimTime};
+use storm_sim::SimDuration;
 use storm_telemetry::analyze;
 use storm_workloads::{FioJob, FioWorkload};
 
-use crate::{build_cloud, FioPoint, Testbed};
+use crate::{build_cloud, client_point, FioPoint, Output, PathMode, Row, Testbed};
 
 /// Aggressor IOPS cap in the shaped run.
 const AGGRESSOR_IOPS: u64 = 200;
@@ -36,66 +36,6 @@ const AGGRESSOR_BURST: u64 = 4;
 const AGGRESSOR_BLOCK: usize = 4096;
 /// WFQ weight handed to the victim (aggressor keeps the default 1).
 const VICTIM_WEIGHT: u64 = 8;
-
-/// Outcome of the two-tenant interference experiment.
-#[derive(Debug, Clone, Copy)]
-pub struct InterferenceOutcome {
-    /// Victim alone on the fast tier.
-    pub solo: FioPoint,
-    /// Victim sharing the fast tier with an unshaped aggressor.
-    pub contended: FioPoint,
-    /// Victim sharing the fast tier with a rate-limited, de-weighted
-    /// aggressor.
-    pub shaped: FioPoint,
-    /// The aggressor's own point in the shaped run (shows the limit
-    /// biting).
-    pub shaped_aggressor: FioPoint,
-    /// Target-side ops that drew a shaping delay in the shaped run.
-    pub throttled_ops: u64,
-}
-
-impl InterferenceOutcome {
-    /// Victim p99 under QoS relative to solo — the isolation headline.
-    pub fn qos_over_solo(&self) -> f64 {
-        if self.solo.p99_ms == 0.0 {
-            return 1.0;
-        }
-        self.shaped.p99_ms / self.solo.p99_ms
-    }
-}
-
-/// Outcome of the provisioning-churn experiment.
-#[derive(Debug, Clone, Copy)]
-pub struct ChurnOutcome {
-    /// The SLO'd tenant's end-to-end point across the whole run
-    /// (pre-migration slow-tier pain included).
-    pub point: FioPoint,
-    /// Copy-then-cutover migrations the control loop started.
-    pub migrations_started: u64,
-    /// Migrations whose cutover committed before the run ended.
-    pub migrations_completed: u64,
-    /// Fraction of the SLO'd volume's target-side samples at or under
-    /// its p99 ceiling.
-    pub slo_attainment: f64,
-    /// Whether the deliberately oversized third request was rejected.
-    pub overload_rejected: bool,
-    /// The tier the SLO'd volume ended the run on.
-    pub final_tier: DiskTier,
-}
-
-fn point_from(cloud: &mut Cloud, host: usize, app: AppId, duration: SimDuration) -> FioPoint {
-    let client = cloud.client_mut(host, app);
-    assert!(client.is_ready(), "login failed (host {host})");
-    assert_eq!(client.stats.errors, 0, "I/O errors (host {host})");
-    let ops = client.stats.ops();
-    FioPoint {
-        ops,
-        iops: ops as f64 / duration.as_secs_f64(),
-        mean_latency_ms: client.stats.latency.mean().as_nanos() as f64 / 1e6,
-        p50_ms: client.stats.latency.percentile(50.0).as_nanos() as f64 / 1e6,
-        p99_ms: client.stats.latency.percentile(99.0).as_nanos() as f64 / 1e6,
-    }
-}
 
 fn drive_logins(cloud: &mut Cloud, apps: &[(usize, AppId)]) {
     let deadline = cloud.net.now() + SimDuration::from_secs(5);
@@ -111,12 +51,9 @@ fn drive_logins(cloud: &mut Cloud, apps: &[(usize, AppId)]) {
 }
 
 /// One interference case: victim always runs; the aggressor and the
-/// shaping knobs are optional. Returns `(victim, aggressor, throttled)`.
-fn interference_case(
-    testbed: &Testbed,
-    with_aggressor: bool,
-    shaped: bool,
-) -> (FioPoint, Option<FioPoint>, u64) {
+/// shaping knobs are optional. Returns the victim's point and the
+/// target-side ops that drew a shaping delay.
+fn interference_case(testbed: &Testbed, with_aggressor: bool, shaped: bool) -> (FioPoint, u64) {
     let mut cloud = build_cloud(testbed.seed);
     let victim_vol = cloud.create_volume(testbed.volume_bytes, 0);
     let aggr_vol = cloud.create_volume(testbed.volume_bytes, 0);
@@ -143,7 +80,7 @@ fn interference_case(
         false,
     );
     let mut apps = vec![(0usize, victim)];
-    let aggressor = if with_aggressor {
+    if with_aggressor {
         let job = FioJob::randrw(AGGRESSOR_BLOCK, testbed.duration, aggr_vol.sectors).threads(4);
         let app = cloud.attach_volume(
             1,
@@ -154,33 +91,42 @@ fn interference_case(
             false,
         );
         apps.push((1, app));
-        Some(app)
-    } else {
-        None
-    };
+    }
     drive_logins(&mut cloud, &apps);
     let end = cloud.net.now() + testbed.duration + SimDuration::from_secs(2);
-    cloud.net.run_until(SimTime::from_nanos(end.as_nanos()));
+    cloud.net.run_until(end);
     let (throttled, _) = cloud.target_mut(0).qos_throttle_stats();
-    let victim_point = point_from(&mut cloud, 0, victim, testbed.duration);
-    let aggr_point = aggressor.map(|app| point_from(&mut cloud, 1, app, testbed.duration));
-    (victim_point, aggr_point, throttled)
+    // Reading a point checks its tenant logged in and saw no error; the
+    // victim's is the one reported.
+    let points: Vec<FioPoint> = apps
+        .iter()
+        .map(|&(host, app)| client_point(&mut cloud, host, app, testbed.duration))
+        .collect();
+    (points[0], throttled)
 }
 
-/// Runs the two-tenant interference experiment: solo, contended, and
-/// shaped (aggressor limited to `AGGRESSOR_IOPS`, victim WFQ weight
-/// `VICTIM_WEIGHT`).
-pub fn interference_point(testbed: &Testbed) -> InterferenceOutcome {
-    let (solo, _, _) = interference_case(testbed, false, false);
-    let (contended, _, _) = interference_case(testbed, true, false);
-    let (shaped, shaped_aggressor, throttled_ops) = interference_case(testbed, true, true);
-    InterferenceOutcome {
-        solo,
-        contended,
-        shaped,
-        shaped_aggressor: shaped_aggressor.expect("aggressor ran"),
-        throttled_ops,
-    }
+/// `qos.interference.2tenant`: victim solo, contended, and shaped
+/// (aggressor limited to `AGGRESSOR_IOPS`, victim WFQ weight
+/// `VICTIM_WEIGHT`). The shaped victim's p99 must stay within 20 % of its
+/// solo baseline.
+pub(crate) fn qos_interference(testbed: &Testbed) -> Output {
+    let (solo, _) = interference_case(testbed, false, false);
+    let (contended, _) = interference_case(testbed, true, false);
+    let (shaped, throttled_ops) = interference_case(testbed, true, true);
+    assert!(
+        shaped.p99_ms <= solo.p99_ms * 1.2,
+        "QoS failed to protect the victim: shaped p99 {:.3} ms vs solo {:.3} ms",
+        shaped.p99_ms,
+        solo.p99_ms
+    );
+    assert!(throttled_ops > 0, "the aggressor was never throttled");
+    let name = "qos.interference.2tenant";
+    vec![Row::new(name, PathMode::Legacy, 64 * 1024, 1, 1, shaped)
+        .extra("solo_p99_ms", solo.p99_ms)
+        .extra("contended_p99_ms", contended.p99_ms)
+        .extra("qos_over_solo", shaped.p99_ms / solo.p99_ms)
+        .extra("throttled_ops", throttled_ops as f64)]
+    .into()
 }
 
 /// SLO'd volume size: small enough that the copy-then-cutover migration
@@ -189,10 +135,11 @@ const CHURN_VOLUME_BYTES: u64 = 16 << 20;
 /// The SLO'd tenant's p99 ceiling.
 const CHURN_P99_CEILING_US: u64 = 1_500;
 
-/// Runs the provisioning-churn experiment: an SLO'd volume deliberately
-/// placed on the slow tier next to a best-effort hog, with the
-/// [`ProvisioningEngine`] ticking every 50 ms of simulated time.
-pub fn provisioning_churn_point(testbed: &Testbed) -> ChurnOutcome {
+/// `qos.provisioning.churn`: an SLO'd volume deliberately placed on the
+/// slow tier next to a best-effort hog, with the [`ProvisioningEngine`]
+/// ticking every 50 ms of simulated time. The control loop must
+/// live-migrate the violating volume to the fast tier mid-run.
+pub(crate) fn qos_churn(testbed: &Testbed) -> Output {
     let mut cloud = build_cloud(testbed.seed);
     cloud
         .target_mut(0)
@@ -260,21 +207,24 @@ pub fn provisioning_churn_point(testbed: &Testbed) -> ChurnOutcome {
     }
 
     let ceiling = SimDuration::from_micros(CHURN_P99_CEILING_US);
-    let (migrations_completed, slo_attainment, final_tier) = {
+    let (migrations_completed, slo_attainment) = {
         let t = cloud.target_mut(0);
-        let now = SimTime::from_nanos(end.as_nanos());
-        let tier = t.poll_migration(now, &watched.handle.iqn);
+        t.poll_migration(end, &watched.handle.iqn);
         let attainment = t
             .volume_latency(&watched.handle.iqn)
             .map_or(1.0, |h| analyze::slo_attainment(h, ceiling));
-        (t.completed_migrations(), attainment, tier)
+        (t.completed_migrations(), attainment)
     };
-    ChurnOutcome {
-        point: point_from(&mut cloud, 0, watched_app, testbed.duration),
-        migrations_started: engine.migrations_started(),
-        migrations_completed,
-        slo_attainment,
-        overload_rejected,
-        final_tier,
-    }
+    assert!(
+        migrations_completed >= 1,
+        "no tier migration cut over mid-run"
+    );
+    assert!(overload_rejected, "overload request was not rejected");
+    assert!(slo_attainment > 0.0, "SLO attainment metric missing");
+    let point = client_point(&mut cloud, 0, watched_app, testbed.duration);
+    let name = "qos.provisioning.churn";
+    vec![Row::new(name, PathMode::Legacy, 4096, 1, 1, point)
+        .extra("migrations", migrations_completed as f64)
+        .extra("slo_attainment", slo_attainment)]
+    .into()
 }

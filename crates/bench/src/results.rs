@@ -50,6 +50,23 @@ impl Row {
         self.extras.push((key, value));
         self
     }
+
+    /// Data throughput in MB/s (decimal, as the paper's figures label).
+    fn throughput_mbps(&self) -> f64 {
+        self.point.iops * self.block_bytes as f64 / 1e6
+    }
+
+    /// Reads a metric back by its `BENCH_results.json` key: `threads`,
+    /// `iops`, `throughput_mbps`, `mean_ms` or one of the extras.
+    pub fn metric(&self, key: &str) -> Option<f64> {
+        match key {
+            "threads" => Some(self.threads as f64),
+            "iops" => Some(self.point.iops),
+            "throughput_mbps" => Some(self.throughput_mbps()),
+            "mean_ms" => Some(self.point.mean_latency_ms),
+            _ => self.extras.iter().find(|(k, _)| *k == key).map(|&(_, v)| v),
+        }
+    }
 }
 
 /// Serializes `rows` as the `BENCH_results.json` document.
@@ -64,7 +81,7 @@ pub fn render_json(rows: &[Row]) -> String {
     let mut out = String::from("{\n  \"benchmarks\": [\n");
     for (i, s) in rows.iter().enumerate() {
         let p = &s.point;
-        let throughput_mbps = p.iops * s.block_bytes as f64 / 1e6;
+        let throughput_mbps = s.throughput_mbps();
         let _ = write!(
             out,
             "    {{\"name\":\"{}\",\"mode\":\"{}\",\"block_bytes\":{},\"threads\":{},\

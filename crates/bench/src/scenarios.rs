@@ -1,23 +1,31 @@
-//! The scenario table behind `bench_smoke`: one entry per figure family.
+//! The scenario table behind `bench_smoke`: one entry per figure family,
+//! paper figures and tables included.
 //!
 //! Each entry declares the `BENCH_results.json` rows it produces and owns
 //! the asserts that relate them ("qd32 >= 4x qd1", "shaped p99 <= 1.2x
-//! solo", "0 data bytes copied"). Every row field is a sim-clock quantity,
-//! so the rendered file is byte-identical across equal runs and CI gates it
-//! with `diff -u BENCH_baseline.json BENCH_results.json`; a deliberate
-//! behaviour change re-blesses the baseline in the same PR. Host-clock
-//! measurement (wall time, events/s, RSS) lives in `benchmark/`.
+//! solo", "0 data bytes copied"); the paper's entries own theirs as
+//! [`Claim`]s, the rows of EXPERIMENTS.md's fidelity table, which
+//! `bench_smoke` checks and `BENCH_figures.md` reports. Every row field is
+//! a sim-clock quantity, so the rendered files are byte-identical across
+//! equal runs and CI gates them with `diff -u BENCH_baseline.json
+//! BENCH_results.json`; a deliberate behaviour change re-blesses the
+//! baseline in the same PR. Host-clock measurement (wall time, events/s,
+//! RSS) lives in `benchmark/`.
 
 use std::sync::Arc;
 
+use storm_cloud::{Cloud, CloudConfig, VolumeHandle};
+use storm_core::{MbSpec, RelayCopyStats, RelayMode};
 use storm_iscsi::TransportKind;
+use storm_net::{AppId, LinkSpec};
+use storm_sim::SimDuration;
 use storm_telemetry::{analyze, Recorder};
+use storm_workloads::{FioJob, FioWorkload};
 
+use crate::figures::Claim;
 use crate::{
-    cache_hit_point, dedup_ratio_point, fio_point, fio_point_traced, interference_point,
-    passthrough_point, provisioning_churn_point, run_fleet, suite_passthrough_point,
-    transport_point, FioPoint, FleetConfig, PassthroughPoint, PathMode, Row, Testbed,
-    TransportPoint,
+    attach_steered, build_cloud, figures, fio_point, fio_point_traced, paper, qos, ratio, relay_of,
+    run_and_measure, run_fleet, services_suite, FioPoint, FleetConfig, PathMode, Row, Testbed,
 };
 
 /// What running one [`Scenario`] hands back.
@@ -40,6 +48,9 @@ pub struct Scenario {
     pub rows: &'static [&'static str],
     /// Runs the scenario, checks its invariants and returns its rows.
     pub run: fn(&Testbed) -> Output,
+    /// Paper claims this entry answers for, checked over its rows and
+    /// those of the entries before it.
+    pub claims: &'static [Claim],
 }
 
 /// Every scenario `bench_smoke` runs, in `BENCH_results.json` row order.
@@ -47,18 +58,22 @@ pub const SCENARIOS: &[Scenario] = &[
     Scenario {
         rows: &["fleet.1k_tenants.1m_requests"],
         run: fleet,
+        claims: &[],
     },
     Scenario {
         rows: &["fig4.legacy.64k", "fig4.fwd.64k", "fig5.passive.64k"],
         run: fig_paths,
+        claims: &[],
     },
     Scenario {
         rows: &["fig5.active.64k"],
         run: fig5_active_traced,
+        claims: &[],
     },
     Scenario {
         rows: &["zerocopy.passthrough.64k"],
         run: zerocopy_passthrough,
+        claims: &[],
     },
     Scenario {
         rows: &[
@@ -68,26 +83,104 @@ pub const SCENARIOS: &[Scenario] = &[
             "transport.nvmeq_vs_iscsi.64k",
         ],
         run: transport_lab,
+        claims: &[],
     },
     Scenario {
         rows: &["services.cache.hit"],
-        run: cache_hit,
+        run: services_suite::cache_hit,
+        claims: &[],
     },
     Scenario {
         rows: &["services.dedup.ratio"],
-        run: dedup_ratio,
+        run: services_suite::dedup_ratio,
+        claims: &[],
     },
     Scenario {
         rows: &["zerocopy.suite_idle.64k"],
-        run: zerocopy_suite_idle,
+        run: services_suite::zerocopy_suite_idle,
+        claims: &[],
     },
     Scenario {
         rows: &["qos.interference.2tenant"],
-        run: qos_interference,
+        run: qos::qos_interference,
+        claims: &[],
     },
     Scenario {
         rows: &["qos.provisioning.churn"],
-        run: qos_churn,
+        run: qos::qos_churn,
+        claims: &[],
+    },
+    Scenario {
+        rows: &[
+            "fig4.legacy.4k",
+            "fig4.fwd.4k",
+            "fig5.passive.4k",
+            "fig5.active.4k",
+            "fig4.legacy.16k",
+            "fig4.fwd.16k",
+            "fig5.passive.16k",
+            "fig5.active.16k",
+            "fig4.legacy.256k",
+            "fig4.fwd.256k",
+            "fig5.passive.256k",
+            "fig5.active.256k",
+        ],
+        run: size_sweep,
+        claims: &[
+            figures::REDIRECTION_COST_GROWS,
+            figures::ACTIVE_OVERTAKES_FWD,
+        ],
+    },
+    Scenario {
+        rows: &[
+            "fig6.legacy.t4",
+            "fig6.fwd.t4",
+            "fig6.passive.t4",
+            "fig6.active.t4",
+            "fig6.legacy.t8",
+            "fig6.fwd.t8",
+            "fig6.passive.t8",
+            "fig6.active.t8",
+            "fig6.legacy.t16",
+            "fig6.fwd.t16",
+            "fig6.passive.t16",
+            "fig6.active.t16",
+            "fig6.legacy.t32",
+            "fig6.fwd.t32",
+            "fig6.passive.t32",
+            "fig6.active.t32",
+        ],
+        run: thread_sweep,
+        claims: &[
+            figures::PASSIVE_PAYS_PER_PACKET,
+            figures::ACTIVE_GAIN_GROWS_WITH_THREADS,
+            figures::ACTIVE_NEAR_LEGACY,
+        ],
+    },
+    Scenario {
+        rows: &["fig10.in_guest.ftp", "fig10.middlebox.ftp"],
+        run: paper::fig10,
+        claims: &[figures::MIDDLEBOX_HALVES_GUEST_CPU],
+    },
+    Scenario {
+        rows: &["fig11.in_guest.postmark", "fig11.middlebox.postmark"],
+        run: paper::fig11,
+        claims: &[figures::POSTMARK_GAINS],
+    },
+    Scenario {
+        rows: &["fig13.replicated.oltp", "fig13.single.oltp"],
+        run: paper::fig13,
+        claims: &[figures::REPLICATION_SURVIVES_AND_STRIPES],
+    },
+    Scenario {
+        rows: &["table1.monitor.synthetic"],
+        run: paper::table1,
+        claims: &[],
+    },
+    Scenario {
+        rows: &["table3.ganiw.install"],
+        run: paper::table3,
+        claims: &[figures::MONITOR_RECONSTRUCTS],
     },
 ];
 
@@ -157,60 +250,139 @@ fn fig5_active_traced(testbed: &Testbed) -> Output {
     }
 }
 
-/// The shared tail of a zero-copy acceptance scenario: enforce the
-/// invariant, build the row with its copy-accounting extras.
-fn zerocopy_row(name: &str, pt: &PassthroughPoint) -> Output {
+/// The four path modes in sweep-row order, with their row-name stems.
+const MODES: [(&str, PathMode); 4] = [
+    ("legacy", PathMode::Legacy),
+    ("fwd", PathMode::MbFwd),
+    ("passive", PathMode::MbPassiveRelay),
+    ("active", PathMode::MbActiveRelay),
+];
+
+/// Fig 4/5/7/8: one outstanding request at 4, 16 and 256 KiB over the four
+/// path modes. The 64 KiB column is the four rows above, computed once.
+fn size_sweep(testbed: &Testbed) -> Output {
+    let mut rows = Vec::new();
+    for kib in [4, 16, 256] {
+        for (stem, mode) in MODES {
+            let name = figures::sweep_row(stem, &format!("{kib}k"));
+            let point = fio_point(mode, kib * 1024, 1, testbed);
+            rows.push(Row::new(&name, mode, kib * 1024, 1, 1, point));
+        }
+    }
+    rows.into()
+}
+
+/// Fig 6/9: 16 KiB requests at 4-32 fio threads over the four path modes.
+/// The active row carries its ratio to LEGACY, the reproduction's one
+/// known gap ([`figures::ACTIVE_NEAR_LEGACY`]).
+fn thread_sweep(testbed: &Testbed) -> Output {
+    let mut rows = Vec::new();
+    for threads in [4, 8, 16, 32] {
+        let mut legacy_iops = 0.0;
+        for (stem, mode) in MODES {
+            let name = figures::sweep_row(stem, &format!("t{threads}"));
+            let point = fio_point(mode, 16 * 1024, threads, testbed);
+            let mut row = Row::new(&name, mode, 16 * 1024, threads, 1, point);
+            match mode {
+                PathMode::Legacy => legacy_iops = point.iops,
+                PathMode::MbActiveRelay => {
+                    row = row.extra("active_over_legacy", point.iops / legacy_iops);
+                }
+                _ => {}
+            }
+            rows.push(row);
+        }
+    }
+    rows.into()
+}
+
+/// 64 KiB fio with `depth` requests outstanding through the active relay
+/// `spec` on `cloud`. However many commands are in flight, the relay must
+/// forward every data segment verbatim (only the fixed 48-byte header
+/// copies are allowed). Returns the row, carrying `bytes_copied_per_pdu`,
+/// plus the client app and the relay's copy counters for further extras.
+fn verbatim_row(
+    name: &str,
+    cloud: &mut Cloud,
+    vol: &VolumeHandle,
+    spec: MbSpec,
+    depth: usize,
+    testbed: &Testbed,
+) -> (Row, AppId, RelayCopyStats) {
+    let job = FioJob::randrw(BLOCK, testbed.duration, vol.sectors).threads(depth);
+    let workload = Box::new(FioWorkload::new(job));
+    let (deployment, app) = attach_steered(cloud, vol, spec, "vm:tenant", workload, testbed.seed);
+    let point = run_and_measure(cloud, app, testbed);
+    let relay = relay_of(cloud, &deployment);
+    let (pdus, copy) = (relay.pdus_forwarded(), relay.copy_stats());
+    assert!(pdus > 0, "{name}: nothing was forwarded");
     assert_eq!(
-        pt.copy.data_bytes_copied, 0,
+        copy.data_bytes_copied, 0,
         "{name}: chain must not copy data segments"
     );
-    vec![
-        Row::new(name, PathMode::MbActiveRelay, BLOCK, 1, 1, pt.point)
-            .extra("bytes_copied_per_pdu", pt.bytes_copied_per_pdu())
-            .extra("verbatim_forwards", pt.copy.verbatim_forwards as f64),
-    ]
-    .into()
+    let row = Row::new(name, PathMode::MbActiveRelay, BLOCK, depth, depth, point)
+        .extra("bytes_copied_per_pdu", ratio(copy.data_bytes_copied, pdus));
+    (row, app, copy)
 }
 
-/// An active relay with an empty chain must forward every data segment
-/// verbatim — 0 data bytes copied per PDU.
+/// The shared body of a zero-copy acceptance scenario: one outstanding
+/// request through `spec`, every PDU a verbatim forward.
+pub(crate) fn zerocopy_row(
+    name: &str,
+    mut cloud: Cloud,
+    vol: &VolumeHandle,
+    spec: MbSpec,
+    testbed: &Testbed,
+) -> Output {
+    let (row, _, copy) = verbatim_row(name, &mut cloud, vol, spec, 1, testbed);
+    vec![row.extra("verbatim_forwards", copy.verbatim_forwards as f64)].into()
+}
+
+/// An active relay with an **empty** service chain (pure passthrough).
 fn zerocopy_passthrough(testbed: &Testbed) -> Output {
-    zerocopy_row(
-        "zerocopy.passthrough.64k",
-        &passthrough_point(BLOCK, 1, testbed),
-    )
+    let mut cloud = build_cloud(testbed.seed);
+    let vol = cloud.create_volume(testbed.volume_bytes, 0);
+    let spec = MbSpec::bare(3, RelayMode::Active);
+    zerocopy_row("zerocopy.passthrough.64k", cloud, &vol, spec, testbed)
 }
 
-/// The whole data-reduction suite installed but idle must keep the
-/// verbatim fast path.
-fn zerocopy_suite_idle(testbed: &Testbed) -> Output {
-    zerocopy_row(
-        "zerocopy.suite_idle.64k",
-        &suite_passthrough_point(BLOCK, 1, testbed),
-    )
-}
-
-/// One point of the queue-depth sweep as a row; the passthrough path must
-/// stay zero-copy however many commands are in flight.
-fn sweep_row(tp: &TransportPoint) -> Row {
-    let name = format!("transport.qd_sweep.qd{}", tp.queue_depth);
-    assert_eq!(
-        tp.copy.data_bytes_copied, 0,
-        "{name}: deep pipelining broke the zero-copy passthrough path"
-    );
-    let depth = usize::from(tp.queue_depth);
-    Row::new(
-        &name,
-        PathMode::MbActiveRelay,
-        BLOCK,
-        depth,
-        depth,
-        tp.point,
-    )
-    .extra("bytes_copied_per_pdu", tp.bytes_copied_per_pdu())
-    .extra("sq_peak", tp.sq_peak as f64)
-    .extra("doorbell_batch", tp.doorbell_batch())
-    .extra("cq_batch_avg", tp.cq_batch())
+/// One transport-lab point: `kind` at `queue_depth` through a **bare**
+/// active relay, with the workload keeping `queue_depth` requests
+/// outstanding so the ring actually fills.
+///
+/// The lab swaps the testbed's 1 GbE storage fabric for 10 GbE and its
+/// vhost-copied virtio vifs for SR-IOV-style passthrough vNICs (full
+/// duplex, no 7 µs per-packet software copy) — the sweep measures how
+/// deep queues amortize per-command costs, and either software ceiling
+/// would clip the QD=32 point at ~110 MB/s before the rings matter.
+fn transport_row(name: &str, kind: TransportKind, queue_depth: u16, testbed: &Testbed) -> Row {
+    let mut cfg = CloudConfig {
+        seed: testbed.seed,
+        backing_bytes: 64 << 30,
+        transport: kind,
+        queue_depth,
+        phys_link: LinkSpec {
+            bandwidth_bps: 10_000_000_000,
+            ..LinkSpec::gigabit()
+        },
+        virtio_link: LinkSpec {
+            per_packet: SimDuration::from_micros(1),
+            half_duplex: false,
+            ..LinkSpec::virtio()
+        },
+        ..CloudConfig::default()
+    };
+    cfg.target.disk.prewarmed = true;
+    let mut cloud = Cloud::build(cfg);
+    let vol = cloud.create_volume(testbed.volume_bytes, 0);
+    let spec = MbSpec::bare(3, RelayMode::Active);
+    let depth = usize::from(queue_depth);
+    let (row, app, _) = verbatim_row(name, &mut cloud, &vol, spec, depth, testbed);
+    let t = cloud.client_mut(0, app).transport();
+    let ((doorbells, sqes), (frames, cqes)) = (t.doorbell_stats(), t.cq_stats());
+    row.extra("sq_peak", t.sq_peak() as f64)
+        .extra("doorbell_batch", ratio(sqes, doorbells))
+        .extra("cq_batch_avg", ratio(cqes, frames))
 }
 
 /// Transport lab (offload-vs-relay): sweep the multi-queue protocol over
@@ -218,131 +390,38 @@ fn sweep_row(tp: &TransportPoint) -> Row {
 /// then the serial protocol head-to-head at the deepest point. Deep
 /// pipelining must close the middle-box throughput gap.
 fn transport_lab(testbed: &Testbed) -> Output {
-    let sweep: Vec<TransportPoint> = [1u16, 8, 32]
-        .iter()
-        .map(|&qd| transport_point(TransportKind::Nvmeq, qd, BLOCK, testbed))
-        .collect();
-    let mut rows: Vec<Row> = sweep.iter().map(sweep_row).collect();
-    let (qd1, qd32) = (sweep[0].throughput_mbps(), sweep[2].throughput_mbps());
+    let sweep = |qd| {
+        let name = format!("transport.qd_sweep.qd{qd}");
+        transport_row(&name, TransportKind::Nvmeq, qd, testbed)
+    };
+    let mut rows = vec![sweep(1), sweep(8), sweep(32)];
+    let metric = |r: &Row, key| r.metric(key).expect("transport rows carry it");
+    let (qd1, qd32) = (
+        metric(&rows[0], "throughput_mbps"),
+        metric(&rows[2], "throughput_mbps"),
+    );
     assert!(
         qd32 >= 4.0 * qd1,
         "deep queues must close the relay gap: qd32 {qd32:.1} MB/s vs qd1 {qd1:.1} MB/s"
     );
+    let cq_batch = metric(&rows[2], "cq_batch_avg");
     assert!(
-        sweep[2].cq_batch() > 1.0,
-        "interrupt moderation never coalesced completions: {:.2} cqes/frame",
-        sweep[2].cq_batch()
+        cq_batch > 1.0,
+        "interrupt moderation never coalesced completions: {cq_batch:.2} cqes/frame"
     );
 
     // Head-to-head at the same depth: the serial protocol's best effort
     // with 32 outstanding commands is the row; the extras carry the
     // multi-queue side of the comparison.
-    let iscsi = transport_point(TransportKind::Iscsi, 32, BLOCK, testbed);
-    rows.push(
-        Row::new(
-            "transport.nvmeq_vs_iscsi.64k",
-            PathMode::MbActiveRelay,
-            BLOCK,
-            32,
-            32,
-            iscsi.point,
-        )
-        .extra("nvmeq_mbps", qd32)
-        .extra("nvmeq_over_iscsi", qd32 / iscsi.throughput_mbps()),
-    );
+    let name = "transport.nvmeq_vs_iscsi.64k";
+    let mut iscsi = transport_row(name, TransportKind::Iscsi, 32, testbed);
+    let iscsi_mbps = metric(&iscsi, "throughput_mbps");
+    iscsi.extras = vec![
+        ("nvmeq_mbps", qd32),
+        ("nvmeq_over_iscsi", qd32 / iscsi_mbps),
+    ];
+    rows.push(iscsi);
     rows.into()
-}
-
-/// Data-reduction suite: hot-set reads against the write-back cache.
-fn cache_hit(testbed: &Testbed) -> Output {
-    let ch = cache_hit_point(testbed);
-    assert!(
-        ch.hit_rate > 0.5,
-        "hot-set workload must mostly hit the cache: {:.3}",
-        ch.hit_rate
-    );
-    assert!(ch.flushed_bytes > 0, "cache flush never reached the volume");
-    vec![Row::new(
-        "services.cache.hit",
-        PathMode::MbActiveRelay,
-        4096,
-        1,
-        1,
-        ch.point,
-    )
-    .extra("hit_rate", ch.hit_rate)
-    .extra("absorbed_writes", ch.absorbed_writes as f64)]
-    .into()
-}
-
-/// Data-reduction suite: duplicate-heavy writes against CDC dedup.
-fn dedup_ratio(testbed: &Testbed) -> Output {
-    let dr = dedup_ratio_point(testbed);
-    assert!(
-        dr.ratio >= 1.5,
-        "duplicate-heavy workload must reduce >= 1.5x: {:.3}",
-        dr.ratio
-    );
-    vec![Row::new(
-        "services.dedup.ratio",
-        PathMode::MbActiveRelay,
-        65536,
-        1,
-        1,
-        dr.point,
-    )
-    .extra("dedup_ratio", dr.ratio)
-    .extra("duplicate_chunks", dr.duplicate_chunks as f64)]
-    .into()
-}
-
-/// Per-tenant QoS: a rate-limited, de-weighted aggressor must not push
-/// the victim's p99 more than 20% past its solo baseline.
-fn qos_interference(testbed: &Testbed) -> Output {
-    let qi = interference_point(testbed);
-    assert!(
-        qi.shaped.p99_ms <= qi.solo.p99_ms * 1.2,
-        "QoS failed to protect the victim: shaped p99 {:.3} ms vs solo {:.3} ms",
-        qi.shaped.p99_ms,
-        qi.solo.p99_ms
-    );
-    assert!(qi.throttled_ops > 0, "the aggressor was never throttled");
-    vec![Row::new(
-        "qos.interference.2tenant",
-        PathMode::Legacy,
-        BLOCK,
-        1,
-        1,
-        qi.shaped,
-    )
-    .extra("solo_p99_ms", qi.solo.p99_ms)
-    .extra("contended_p99_ms", qi.contended.p99_ms)
-    .extra("qos_over_solo", qi.qos_over_solo())
-    .extra("throttled_ops", qi.throttled_ops as f64)]
-    .into()
-}
-
-/// SLO-driven provisioning: the control loop must live-migrate the
-/// violating volume to the fast tier mid-run.
-fn qos_churn(testbed: &Testbed) -> Output {
-    let qc = provisioning_churn_point(testbed);
-    assert!(
-        qc.migrations_completed >= 1,
-        "no tier migration cut over mid-run"
-    );
-    assert!(qc.overload_rejected, "overload request was not rejected");
-    assert!(qc.slo_attainment > 0.0, "SLO attainment metric missing");
-    vec![Row::new(
-        "qos.provisioning.churn",
-        PathMode::Legacy,
-        4096,
-        1,
-        1,
-        qc.point,
-    )
-    .extra("migrations", qc.migrations_completed as f64)
-    .extra("slo_attainment", qc.slo_attainment)]
-    .into()
 }
 
 #[cfg(test)]

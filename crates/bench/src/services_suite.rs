@@ -1,12 +1,12 @@
-//! Scenario runners for the data-reduction & caching service suite.
+//! Scenarios for the data-reduction & caching service suite.
 //!
 //! Three acceptance scenarios back the suite's claims:
 //!
-//! - [`cache_hit_point`]: a hot-set workload against the write-back
-//!   cache middle-box; the interesting output is the read hit rate.
-//! - [`dedup_ratio_point`]: a duplicate-heavy workload against the CDC
-//!   dedup stage; the interesting output is the data-reduction ratio.
-//! - [`suite_passthrough_point`]: all four suite services installed but
+//! - [`cache_hit`]: a hot-set workload against the write-back cache
+//!   middle-box; the interesting output is the read hit rate.
+//! - [`dedup_ratio`]: a duplicate-heavy workload against the CDC dedup
+//!   stage; the interesting output is the data-reduction ratio.
+//! - [`zerocopy_suite_idle`]: all four suite services installed but
 //!   idle — the verbatim fast path must still copy zero data bytes.
 //!
 //! The cache middle-box attaches two replica sessions exactly as the
@@ -15,17 +15,17 @@
 //! path targets, so flushed data lands where misses read from.
 
 use bytes::Bytes;
-use storm_cloud::{Cloud, CloudConfig, IoCtx, IoKind, IoResult, ReqId, Workload};
-use storm_core::relay::{ActiveRelayMb, ReplicaTarget};
+use storm_cloud::{Cloud, CloudConfig, IoCtx, IoKind, IoResult, ReqId, VolumeHandle, Workload};
+use storm_core::relay::ReplicaTarget;
 use storm_core::service::StorageService;
-use storm_core::{MbSpec, RelayMode, StormPlatform};
+use storm_core::{MbSpec, RelayMode};
 use storm_services::{
     CacheConfig, CompressService, DedupService, SnapshotService, WriteBackCacheService,
 };
-use storm_sim::{SimDuration, SimRng, SimTime};
-use storm_workloads::{FioJob, FioWorkload};
+use storm_sim::{SimDuration, SimRng};
 
-use crate::{FioPoint, PassthroughPoint, Testbed};
+use crate::scenarios::zerocopy_row;
+use crate::{attach_steered, client_point, service_of, Output, PathMode, Row, Testbed};
 
 /// Cloud for the suite scenarios: the standard compute layout plus a
 /// second storage host that exports the cache's journal volume.
@@ -38,21 +38,6 @@ fn build_suite_cloud(seed: u64) -> Cloud {
     };
     cfg.target.disk.prewarmed = true;
     Cloud::build(cfg)
-}
-
-/// Reads the measured point back out of the tenant client.
-fn client_point(cloud: &mut Cloud, app: storm_net::AppId, elapsed: SimDuration) -> FioPoint {
-    let client = cloud.client_mut(0, app);
-    assert!(client.is_ready(), "login failed in suite scenario");
-    assert_eq!(client.stats.errors, 0, "I/O errors in suite scenario");
-    let ops = client.stats.ops();
-    FioPoint {
-        ops,
-        iops: ops as f64 / elapsed.as_secs_f64(),
-        mean_latency_ms: client.stats.latency.mean().as_nanos() as f64 / 1e6,
-        p50_ms: client.stats.latency.percentile(50.0).as_nanos() as f64 / 1e6,
-        p99_ms: client.stats.latency.percentile(99.0).as_nanos() as f64 / 1e6,
-    }
 }
 
 /// 4 KiB blocks: writes a hot set once, then reads it repeatedly with a
@@ -116,79 +101,52 @@ impl Workload for HotSetWorkload {
     }
 }
 
-/// Outcome of the `services.cache.hit` scenario.
-#[derive(Debug, Clone, Copy)]
-pub struct CacheHitOutcome {
-    /// The measured latency/throughput point.
-    pub point: FioPoint,
-    /// Read hit rate over the whole run (0.0–1.0).
-    pub hit_rate: f64,
-    /// Writes absorbed (acked from the journal, not the target).
-    pub absorbed_writes: u64,
-    /// Dirty bytes flushed to the primary volume during the run.
-    pub flushed_bytes: u64,
-    /// Sectors still dirty when the run ended.
-    pub dirty_sectors: u64,
-}
-
-/// Runs the hot-set workload through an armed write-back cache
-/// middle-box and reads the cache's counters back out of the relay.
-pub fn cache_hit_point(testbed: &Testbed) -> CacheHitOutcome {
+/// `services.cache.hit`: the hot-set workload through an armed write-back
+/// cache middle-box. Reads must mostly hit, and the flush must reach the
+/// primary volume.
+pub(crate) fn cache_hit(testbed: &Testbed) -> Output {
     let mut cloud = build_suite_cloud(testbed.seed);
     let vol = cloud.create_volume(1 << 30, 0);
     let journal = cloud.create_volume(64 << 20, 1);
-    let platform = StormPlatform::default();
-    let cache = WriteBackCacheService::new(CacheConfig::default());
-    let mbs = vec![MbSpec {
+    let spec = MbSpec {
         host_idx: 3,
         mode: RelayMode::Active,
-        services: vec![Box::new(cache)],
-        replicas: vec![
-            ReplicaTarget {
-                portal: journal.portal,
-                iqn: journal.iqn.clone(),
-            },
-            ReplicaTarget {
-                portal: vol.portal,
-                iqn: vol.iqn.clone(),
-            },
-        ],
-    }];
-    let deployment = platform.deploy_chain(&mut cloud, &vol, (1, 2), mbs);
-    let app = platform.attach_volume_steered(
-        &mut cloud,
-        &deployment,
-        0,
-        "vm:cache",
-        &vol,
-        Box::new(HotSetWorkload::new(64, 2000)),
-        testbed.seed,
-        false,
-    );
-    let start = cloud.net.now();
+        services: vec![Box::new(WriteBackCacheService::new(CacheConfig::default()))],
+        replicas: journal_and_primary(&journal, &vol),
+    };
+    let workload = Box::new(HotSetWorkload::new(64, 2000));
+    let (deployment, app) =
+        attach_steered(&mut cloud, &vol, spec, "vm:cache", workload, testbed.seed);
     let horizon = testbed.duration + SimDuration::from_secs(5);
-    cloud
-        .net
-        .run_until(SimTime::from_nanos((start + horizon).as_nanos()));
-    let point = client_point(&mut cloud, app, horizon);
-    let relay = cloud
-        .net
-        .app_mut(deployment.mb_nodes[0].node, deployment.mb_apps[0].unwrap())
-        .unwrap()
-        .downcast_mut::<ActiveRelayMb>()
-        .unwrap();
-    let cache = relay
-        .service(0)
-        .unwrap()
-        .downcast_ref::<WriteBackCacheService>()
-        .unwrap();
-    CacheHitOutcome {
-        point,
-        hit_rate: cache.stats.hit_rate(),
-        absorbed_writes: cache.stats.writes_absorbed,
-        flushed_bytes: cache.stats.flushed_bytes,
-        dirty_sectors: cache.dirty_sectors(),
-    }
+    cloud.net.run_for(horizon);
+    let point = client_point(&mut cloud, 0, app, horizon);
+    let stats = service_of::<WriteBackCacheService>(&mut cloud, &deployment).stats;
+    let hit_rate = stats.hit_rate();
+    assert!(
+        hit_rate > 0.5,
+        "hot-set workload must mostly hit the cache: {hit_rate:.3}"
+    );
+    assert!(stats.writes_absorbed >= 64, "{stats:?}");
+    assert!(
+        stats.flushed_bytes > 0,
+        "cache flush never reached the volume"
+    );
+    let mode = PathMode::MbActiveRelay;
+    vec![Row::new("services.cache.hit", mode, 4096, 1, 1, point)
+        .extra("hit_rate", hit_rate)
+        .extra("absorbed_writes", stats.writes_absorbed as f64)]
+    .into()
+}
+
+/// The two replica sessions the cache service expects: 0 is the journal,
+/// 1 the primary volume.
+fn journal_and_primary(journal: &VolumeHandle, primary: &VolumeHandle) -> Vec<ReplicaTarget> {
+    [journal, primary]
+        .map(|v| ReplicaTarget {
+            portal: v.portal,
+            iqn: v.iqn.clone(),
+        })
+        .into()
 }
 
 /// Writes 64 KiB blocks to distinct offsets, cycling a small set of
@@ -244,168 +202,72 @@ impl Workload for DupWorkload {
     }
 }
 
-/// Outcome of the `services.dedup.ratio` scenario.
-#[derive(Debug, Clone, Copy)]
-pub struct DedupRatioOutcome {
-    /// The measured latency/throughput point.
-    pub point: FioPoint,
-    /// Logical bytes over unique bytes (1.0 = no duplication found).
-    pub ratio: f64,
-    /// Chunks matching an already-indexed fingerprint.
-    pub duplicate_chunks: u64,
-    /// Total chunks cut by the CDC boundary scan.
-    pub chunks: u64,
-}
-
-/// Runs the duplicate-heavy workload through an armed dedup middle-box
-/// and reads the reduction ratio back out of the relay.
-pub fn dedup_ratio_point(testbed: &Testbed) -> DedupRatioOutcome {
+/// `services.dedup.ratio`: the duplicate-heavy workload through an armed
+/// CDC dedup middle-box, which must reduce it at least 1.5x.
+pub(crate) fn dedup_ratio(testbed: &Testbed) -> Output {
     let mut cloud = build_suite_cloud(testbed.seed);
     let vol = cloud.create_volume(1 << 30, 0);
-    let platform = StormPlatform::default();
     let dedup = DedupService::new(testbed.seed, 12);
-    let mbs = vec![MbSpec::with_services(
-        3,
-        RelayMode::Active,
-        vec![Box::new(dedup)],
-    )];
-    let deployment = platform.deploy_chain(&mut cloud, &vol, (1, 2), mbs);
-    let app = platform.attach_volume_steered(
-        &mut cloud,
-        &deployment,
-        0,
-        "vm:dedup",
-        &vol,
-        Box::new(DupWorkload::new(testbed.seed, 4, 48)),
-        testbed.seed,
-        false,
-    );
-    let start = cloud.net.now();
+    let spec = MbSpec::with_services(3, RelayMode::Active, vec![Box::new(dedup)]);
+    let workload = Box::new(DupWorkload::new(testbed.seed, 4, 48));
+    let (deployment, app) =
+        attach_steered(&mut cloud, &vol, spec, "vm:dedup", workload, testbed.seed);
     let horizon = testbed.duration + SimDuration::from_secs(5);
-    cloud
-        .net
-        .run_until(SimTime::from_nanos((start + horizon).as_nanos()));
-    let point = client_point(&mut cloud, app, horizon);
-    let relay = cloud
-        .net
-        .app_mut(deployment.mb_nodes[0].node, deployment.mb_apps[0].unwrap())
-        .unwrap()
-        .downcast_mut::<ActiveRelayMb>()
-        .unwrap();
-    let dedup = relay
-        .service(0)
-        .unwrap()
-        .downcast_ref::<DedupService>()
-        .unwrap();
-    DedupRatioOutcome {
-        point,
-        ratio: dedup.stats.reduction_ratio(),
-        duplicate_chunks: dedup.stats.duplicate_chunks,
-        chunks: dedup.stats.chunks,
-    }
+    cloud.net.run_for(horizon);
+    let point = client_point(&mut cloud, 0, app, horizon);
+    let stats = service_of::<DedupService>(&mut cloud, &deployment).stats;
+    let ratio = stats.reduction_ratio();
+    assert!(
+        ratio >= 1.5 && stats.duplicate_chunks > 0,
+        "duplicate-heavy workload must reduce >= 1.5x: {stats:?}"
+    );
+    let mode = PathMode::MbActiveRelay;
+    vec![Row::new("services.dedup.ratio", mode, 65536, 1, 1, point)
+        .extra("dedup_ratio", ratio)
+        .extra("duplicate_chunks", stats.duplicate_chunks as f64)]
+    .into()
 }
 
-/// Runs the zero-copy acceptance scenario with the whole suite installed
-/// but idle: disarmed cache, dedup and compression plus a snapshot
-/// service with no snapshot taken. Every data PDU must still take the
-/// verbatim fast path — `copy.data_bytes_copied` stays 0.
-pub fn suite_passthrough_point(
-    block_bytes: usize,
-    threads: usize,
-    testbed: &Testbed,
-) -> PassthroughPoint {
+/// `zerocopy.suite_idle.64k`: the whole suite installed but idle (disarmed
+/// cache, dedup and compression plus a snapshot service with no snapshot
+/// taken). Every data PDU must still take the verbatim fast path.
+pub(crate) fn zerocopy_suite_idle(testbed: &Testbed) -> Output {
     let mut cloud = build_suite_cloud(testbed.seed);
     let vol = cloud.create_volume(testbed.volume_bytes, 0);
     let journal = cloud.create_volume(64 << 20, 1);
-    let platform = StormPlatform::default();
     let services: Vec<Box<dyn StorageService>> = vec![
         Box::new(WriteBackCacheService::disarmed(CacheConfig::default())),
         Box::new(DedupService::disarmed(testbed.seed, 12)),
         Box::new(CompressService::disarmed(4096)),
         Box::new(SnapshotService::new(128)),
     ];
-    let mbs = vec![MbSpec {
+    let spec = MbSpec {
         host_idx: 3,
         mode: RelayMode::Active,
         services,
-        replicas: vec![
-            ReplicaTarget {
-                portal: journal.portal,
-                iqn: journal.iqn.clone(),
-            },
-            ReplicaTarget {
-                portal: vol.portal,
-                iqn: vol.iqn.clone(),
-            },
-        ],
-    }];
-    let deployment = platform.deploy_chain(&mut cloud, &vol, (1, 2), mbs);
-    let job = FioJob::randrw(block_bytes, testbed.duration, vol.sectors).threads(threads);
-    let app = platform.attach_volume_steered(
-        &mut cloud,
-        &deployment,
-        0,
-        "vm:tenant",
-        &vol,
-        Box::new(FioWorkload::new(job)),
-        testbed.seed,
-        false,
-    );
-    let start = cloud.net.now();
-    let end = start + testbed.duration + SimDuration::from_secs(2);
-    cloud.net.run_until(SimTime::from_nanos(end.as_nanos()));
-    let point = client_point(&mut cloud, app, testbed.duration);
-    let relay = cloud
-        .net
-        .app_mut(deployment.mb_nodes[0].node, deployment.mb_apps[0].unwrap())
-        .unwrap()
-        .downcast_ref::<ActiveRelayMb>()
-        .unwrap();
-    PassthroughPoint {
-        point,
-        pdus_forwarded: relay.pdus_forwarded(),
-        copy: relay.copy_stats(),
-    }
+        replicas: journal_and_primary(&journal, &vol),
+    };
+    zerocopy_row("zerocopy.suite_idle.64k", cloud, &vol, spec, testbed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn short_testbed() -> Testbed {
-        Testbed {
-            duration: SimDuration::from_secs(1),
-            volume_bytes: 1 << 30,
-            ..Testbed::default()
-        }
-    }
+    // Each scenario asserts its own acceptance bar; running it is the test.
 
     #[test]
     fn hot_set_workload_hits_the_cache() {
-        let out = cache_hit_point(&short_testbed());
-        assert!(
-            out.hit_rate > 0.5,
-            "hot-set hit rate too low: {:.3}",
-            out.hit_rate
-        );
-        assert!(out.absorbed_writes >= 64, "{out:?}");
-        assert!(out.flushed_bytes > 0, "flush never ran: {out:?}");
+        cache_hit(&Testbed::default());
     }
 
     #[test]
     fn duplicate_heavy_workload_deduplicates() {
-        let out = dedup_ratio_point(&short_testbed());
-        assert!(out.ratio >= 1.5, "reduction ratio too low: {out:?}");
-        assert!(out.duplicate_chunks > 0, "{out:?}");
+        dedup_ratio(&Testbed::default());
     }
 
     #[test]
     fn idle_suite_preserves_zero_copy() {
-        let pt = suite_passthrough_point(65536, 1, &short_testbed());
-        assert!(pt.pdus_forwarded > 0);
-        assert_eq!(
-            pt.copy.data_bytes_copied, 0,
-            "idle suite must not copy data segments"
-        );
+        zerocopy_suite_idle(&Testbed::default());
     }
 }

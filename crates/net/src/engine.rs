@@ -73,8 +73,6 @@ pub enum Ev {
     },
     /// A frame arrives at an endpoint after traversing a link.
     Arrive {
-        /// The delivering link.
-        link: LinkId,
         /// Receiving endpoint.
         to: Endpoint,
         /// The frame.
@@ -457,10 +455,11 @@ impl Network {
     fn handle(&mut self, ev: Ev) {
         match ev {
             Ev::Start { host, app } => self.dispatch(host, app, Callback::Start),
-            Ev::Arrive { link: _, to, frame } => match to {
+            Ev::Arrive { to, frame } => match to {
                 Endpoint::Switch { sw, port } => {
-                    let deliveries = self.fabric.switch_input(sw, port, frame, self.now);
-                    self.push_deliveries(deliveries);
+                    for d in self.fabric.switch_input(sw, port, frame, self.now) {
+                        self.push_delivery(d);
+                    }
                 }
                 Endpoint::Host { host, iface } => self.host_input(host, iface, frame),
             },
@@ -485,28 +484,19 @@ impl Network {
         }
     }
 
-    fn push_deliveries(&mut self, deliveries: Vec<Delivery>) {
-        for d in deliveries {
-            // LinkId is only informational here; reuse 0.
-            self.q.push(
-                d.at,
-                Ev::Arrive {
-                    link: LinkId(0),
-                    to: d.to,
-                    frame: d.frame,
-                },
-            );
-        }
+    fn push_delivery(&mut self, d: Delivery) {
+        self.q.push(
+            d.at,
+            Ev::Arrive {
+                to: d.to,
+                frame: d.frame,
+            },
+        );
     }
 
     /// A frame arrived at a host NIC.
     fn host_input(&mut self, host: HostId, iface: IfaceId, mut frame: Frame) {
-        let (local_mac, is_local_ip) = {
-            let h = &self.hosts[host.0 as usize];
-            let ifc = &h.ifaces[iface.0 as usize];
-            (ifc.mac, true)
-        };
-        let _ = is_local_ip;
+        let local_mac = self.hosts[host.0 as usize].ifaces[iface.0 as usize].mac;
         if frame.dst_mac != local_mac && !frame.dst_mac.is_broadcast() {
             // Not for us (switch flooded); NICs are not promiscuous.
             return;
@@ -611,7 +601,7 @@ impl Network {
         };
         let from = Endpoint::Host { host, iface };
         if let Some(d) = self.fabric.transmit(link, from, frame, self.now) {
-            self.push_deliveries(vec![d]);
+            self.push_delivery(d);
         }
     }
 

@@ -59,7 +59,13 @@ impl CpuModel {
         let start = (*core).max(now);
         let done = start + cost;
         *core = done;
-        *self.busy.entry(label.to_owned()).or_default() += cost;
+        // Allocate the key only on a label's first charge.
+        match self.busy.get_mut(label) {
+            Some(busy) => *busy += cost,
+            None => {
+                self.busy.insert(label.to_owned(), cost);
+            }
+        }
         self.total_busy += cost;
         done
     }
