@@ -329,11 +329,7 @@ impl ShardSim for FleetShard {
     }
 
     fn run_until(&mut self, bound: SimTime, outbox: &mut Outbox<Msg>) {
-        while let Some(t) = self.q.peek_time() {
-            if t >= bound {
-                break;
-            }
-            let (now, (local, ev)) = self.q.pop().expect("peeked");
+        while let Some((now, (local, ev))) = self.q.pop_if(|t| t < bound) {
             self.events += 1;
             self.last_event = now;
             match ev {

@@ -74,10 +74,12 @@ impl DiskSpec {
 pub struct DiskModel {
     spec: DiskSpec,
     queue: SerialResource,
-    // LRU cache over 4 KiB-aligned block numbers. BTreeMap so the
-    // eviction sweep visits blocks in a fixed order: with a HashMap, an
-    // LRU tie would evict whichever entry the hasher served first.
-    cache: BTreeMap<u64, u64>, // block -> last-use stamp
+    // LRU cache over 4 KiB-aligned block numbers, indexed both ways:
+    // `cache` answers "is this block resident", `by_stamp` (its inverse;
+    // stamps are unique) yields the least recently used block in
+    // O(log n) instead of a scan of the whole cache per eviction.
+    cache: BTreeMap<u64, u64>,    // block -> last-use stamp
+    by_stamp: BTreeMap<u64, u64>, // last-use stamp -> block
     stamp: u64,
     hits: u64,
     misses: u64,
@@ -90,6 +92,7 @@ impl DiskModel {
             spec,
             queue: SerialResource::new(),
             cache: BTreeMap::new(),
+            by_stamp: BTreeMap::new(),
             stamp: 0,
             hits: 0,
             misses: 0,
@@ -111,14 +114,18 @@ impl DiskModel {
             return false;
         }
         self.stamp += 1;
-        let hit = self.cache.insert(block, self.stamp).is_some() || self.spec.prewarmed;
+        let previous = self.cache.insert(block, self.stamp);
+        if let Some(stale) = previous {
+            self.by_stamp.remove(&stale);
+        }
+        self.by_stamp.insert(self.stamp, block);
         if self.cache.len() > self.spec.cache_blocks {
             // Evict the least recently used entry.
-            if let Some((&lru, _)) = self.cache.iter().min_by_key(|(_, &s)| s) {
+            if let Some((_, lru)) = self.by_stamp.pop_first() {
                 self.cache.remove(&lru);
             }
         }
-        hit
+        previous.is_some() || self.spec.prewarmed
     }
 
     fn transfer(&self, bytes: usize) -> SimDuration {
@@ -183,9 +190,52 @@ impl DiskModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn at(us: u64) -> SimTime {
         SimTime::from_nanos(us * 1000)
+    }
+
+    /// The eviction rule `touch` had before `by_stamp`: scan the whole
+    /// cache for the smallest stamp. Kept as the oracle for the index.
+    struct ScanLru {
+        cache: BTreeMap<u64, u64>,
+        stamp: u64,
+        capacity: usize,
+    }
+
+    impl ScanLru {
+        fn touch(&mut self, block: u64) -> bool {
+            self.stamp += 1;
+            let hit = self.cache.insert(block, self.stamp).is_some();
+            if self.cache.len() > self.capacity {
+                if let Some((&lru, _)) = self.cache.iter().min_by_key(|(_, &s)| s) {
+                    self.cache.remove(&lru);
+                }
+            }
+            hit
+        }
+    }
+
+    proptest! {
+        /// The stamp index evicts the block the end-to-end scan would:
+        /// equal hit/miss verdicts and equal resident sets after every
+        /// touch, from a one-block cache up to one that never fills.
+        #[test]
+        fn indexed_eviction_matches_scan(
+            capacity in 1usize..65,
+            blocks in prop::collection::vec(0u64..96, 1..400),
+        ) {
+            let mut disk = DiskModel::new(DiskSpec { cache_blocks: capacity, ..DiskSpec::default() });
+            let mut scan = ScanLru { cache: BTreeMap::new(), stamp: 0, capacity };
+            for block in blocks {
+                prop_assert_eq!(disk.touch(block), scan.touch(block), "block {}", block);
+                prop_assert_eq!(&disk.cache, &scan.cache);
+                let inverse: BTreeMap<u64, u64> =
+                    disk.by_stamp.iter().map(|(&stamp, &block)| (block, stamp)).collect();
+                prop_assert_eq!(&inverse, &disk.cache);
+            }
+        }
     }
 
     #[test]

@@ -17,9 +17,16 @@
 //!    normalized and `use`-aliases expanded, then exact module match,
 //!    then `Type::method` impl lookup, then crate-wide by name;
 //! 3. method `x.m()` — `self.m()` prefers the surrounding impl type;
-//!    otherwise every impl or trait method named `m` in the workspace.
+//!    otherwise every trait method named `m` in the workspace (dynamic
+//!    dispatch can land in any crate) plus every inherent method named
+//!    `m` in a crate the caller's crate can name a type of: itself and
+//!    the transitive closure of the `storm_*` crates its files name in
+//!    a `use` or a qualified call.
+//!    `queue.serve(..)` in `storm-net` therefore links to `storm-sim`'s
+//!    `SerialResource::serve`, not to the storage host's `serve` three
+//!    layers above.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::symbols::{CallKind, FileSummary, FnDef};
 
@@ -76,6 +83,9 @@ pub struct Workspace {
     by_type_method: BTreeMap<(String, String), Vec<FnId>>,
     /// method name -> every impl/trait method with that name.
     by_method: BTreeMap<String, Vec<FnId>>,
+    /// crate -> itself plus every workspace crate it (transitively)
+    /// imports from: the crates whose inherent methods it can call.
+    reach: BTreeMap<String, BTreeSet<String>>,
 }
 
 /// Derives `(crate short name, module path segments)` from a
@@ -110,6 +120,38 @@ fn crate_of_segment(seg: &str) -> Option<String> {
         return Some("storm".to_string());
     }
     seg.strip_prefix("storm_").map(str::to_string)
+}
+
+/// Per crate: itself plus the transitive closure of the workspace crates
+/// its `use` imports and qualified calls name.
+fn import_closure(files: &[FileSummary]) -> BTreeMap<String, BTreeSet<String>> {
+    let mut reach: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    for file in files {
+        let krate = file_modules(&file.rel_path).0;
+        let uses = file.uses.iter().map(|u| &u.path);
+        let calls = file.fns.iter().flat_map(|f| &f.calls).map(|c| &c.path);
+        let set = reach.entry(krate.clone()).or_default();
+        set.extend(
+            uses.chain(calls)
+                .filter_map(|p| crate_of_segment(p.first()?)),
+        );
+        set.insert(krate);
+    }
+    loop {
+        let mut grown = false;
+        let snapshot = reach.clone();
+        for set in reach.values_mut() {
+            let before = set.len();
+            let via: Vec<&BTreeSet<String>> = set.iter().filter_map(|c| snapshot.get(c)).collect();
+            for deps in via {
+                set.extend(deps.iter().cloned());
+            }
+            grown |= set.len() != before;
+        }
+        if !grown {
+            return reach;
+        }
+    }
 }
 
 impl Workspace {
@@ -149,6 +191,7 @@ impl Workspace {
                 }
             }
         }
+        ws.reach = import_closure(&ws.files);
         // Resolve all call sites.
         let mut edges: Vec<Vec<(usize, Vec<FnId>)>> = Vec::with_capacity(ws.fns.len());
         for id in 0..ws.fns.len() {
@@ -216,7 +259,16 @@ impl Workspace {
                 if UBIQUITOUS_METHODS.contains(&name) {
                     Vec::new()
                 } else {
-                    self.by_method.get(name).cloned().unwrap_or_default()
+                    // An inherent method needs a value of its type, which
+                    // only a crate the caller imports from can supply.
+                    let reach = self.reach.get(&crate_name);
+                    let mut all = self.by_method.get(name).cloned().unwrap_or_default();
+                    all.retain(|&id| {
+                        let krate = file_modules(&self.files[self.file_of(id)].rel_path).0;
+                        !self.fn_def(id).trait_name.is_empty()
+                            || reach.is_some_and(|r| r.contains(&krate))
+                    });
+                    all
                 }
             }
             CallKind::Plain => {
@@ -444,20 +496,41 @@ mod tests {
         let w = ws(&[
             (
                 "crates/a/src/lib.rs",
-                "struct S;\nimpl S {\n    fn go(&self) { self.own(); }\n    fn own(&self) {}\n}\nfn outside(x: &Unknown) { x.own(); }\n",
+                "use storm_b::T;\nstruct S;\nimpl S {\n    fn go(&self) { self.own(); }\n    fn own(&self) {}\n}\nfn outside(x: &Unknown) { x.own(); }\n",
             ),
             (
                 "crates/b/src/lib.rs",
-                "struct T;\nimpl T {\n    fn own(&self) {}\n}\n",
+                "use storm_c::U;\npub struct T;\nimpl T {\n    fn own(&self) {}\n}\n",
+            ),
+            (
+                "crates/c/src/lib.rs",
+                "pub struct U;\nimpl U {\n    fn own(&self) {}\n}\n",
+            ),
+            (
+                "crates/d/src/lib.rs",
+                "struct V;\nimpl V {\n    fn own(&self) {}\n}\nimpl Plug for V {\n    fn own(&self) {}\n}\n",
             ),
         ]);
         // self.own() resolves to exactly the surrounding impl's method.
         let go = fn_id(&w, "go");
         assert_eq!(w.edges[go].len(), 1);
         assert_eq!(w.edges[go][0].1.len(), 1);
-        // x.own() (unknown receiver) links every impl named `own`.
+        // x.own() (unknown receiver) links every inherent `own` in the
+        // crates `a` imports from, directly (b) or through them (c), and
+        // every trait impl anywhere (d's `Plug::own`) — but not d's
+        // inherent `own`: `a` cannot name a `V`.
         let outside = fn_id(&w, "outside");
-        assert_eq!(w.edges[outside][0].1.len(), 2, "ambiguity links all");
+        let linked: Vec<(String, &str)> = w.edges[outside][0]
+            .1
+            .iter()
+            .map(|&t| {
+                let krate = file_modules(&w.files[w.file_of(t)].rel_path).0;
+                (krate, w.fn_def(t).trait_name.as_str())
+            })
+            .collect();
+        let expect =
+            [("a", ""), ("b", ""), ("c", ""), ("d", "Plug")].map(|(c, t)| (c.to_string(), t));
+        assert_eq!(linked, expect, "ambiguity links all reachable");
     }
 
     #[test]

@@ -60,6 +60,12 @@ pub struct Config {
     /// flagged. Curated rather than "every fn in a datapath file" so
     /// that constructors and setup paths stay free to allocate.
     pub alloc_roots: Vec<(String, String)>,
+    /// `(file suffix, fn name)` cold boundaries of
+    /// `no-alloc-on-datapath`: plug-in points a hot function crosses on
+    /// every call but which allocate only when something is armed. The
+    /// rule does not follow a call into them. Stated here, once per
+    /// boundary, rather than as an inline allow per caller.
+    pub alloc_cold: Vec<(String, String)>,
     /// Files whose `pub const NAME: &str = "..."` items define the
     /// legal metric names for `metric-name-registry`.
     pub metric_name_files: Vec<String>,
@@ -110,8 +116,9 @@ impl Default for Config {
             .map(String::from)
             .to_vec(),
             allow_paths: Vec::new(),
-            // The curation line: these functions move bytes per PDU and
-            // are allocation-free today — the rule locks that in.
+            // The curation line: these functions move bytes per PDU, or
+            // one frame per hop, and are allocation-free today — the rule
+            // locks that in.
             // Deliberately absent: the chain orchestrators
             // (`handle_pair_data`, `run_chain`, `release`, the edge
             // codec's `feed`/`rebuild`/`queue`/`queue_frame`) whose
@@ -120,6 +127,22 @@ impl Default for Config {
             // `extract`, `split_units`, `next_frame`) which return
             // owned buffers by design. `push_chunk`/`peek_into` are the
             // shared `ChunkDeque`'s, under both reassemblers.
+            // In `storm-net` the roots are the appending TCP cores and
+            // the per-hop forwarding functions. Absent on purpose:
+            // `host_output`, whose `Box::new(Frame { .. })` is the one
+            // designated allocation per segment; the `Vec`-returning
+            // `input`/`send_chunks`/`process` wrappers, whose job is to
+            // allocate what they return; and `Network::forward`, whose
+            // `h.cpu.run(..)` the call graph cannot tell from
+            // `ShardedExecutor::run` (same crate, same name), so it
+            // would be charged with what fleet shards allocate.
+            // What the rule cannot see (see `rules::alloc_hits`): growth
+            // of a `Vec::new()` by `push`, and `.clone()` of a value that
+            // owns a `Vec` (`Frame`, `Payload`). It passed on
+            // `TcpStack::input` while the counting allocator saw three
+            // allocations per segment there; `host.allocs_per_op` in the
+            // benchmark is the oracle for those two shapes, and for
+            // `forward`.
             alloc_roots: [
                 ("crates/core/src/relay/edge.rs", "queue_pdu"),
                 ("crates/core/src/relay/edge.rs", "push_data"),
@@ -130,11 +153,23 @@ impl Default for Config {
                 ("crates/iscsi/src/stream.rs", "push_bytes"),
                 ("crates/nvmeq/src/stream.rs", "feed_bytes"),
                 ("crates/net/src/tcp.rs", "send_bytes"),
-                ("crates/net/src/tcp.rs", "send_chunks"),
-                ("crates/net/src/tcp.rs", "input"),
+                ("crates/net/src/tcp.rs", "send_chunks_into"),
+                ("crates/net/src/tcp.rs", "input_into"),
+                ("crates/net/src/tcp.rs", "resume"),
                 ("crates/net/src/tcp.rs", "rx_data"),
                 ("crates/net/src/tcp.rs", "pump"),
                 ("crates/net/src/tcp.rs", "unsent_payload"),
+                ("crates/net/src/switch.rs", "forward_in_place"),
+                ("crates/net/src/fabric.rs", "transmit"),
+                ("crates/net/src/fabric.rs", "switch_forward"),
+                ("crates/net/src/engine.rs", "emit"),
+            ]
+            .map(|(f, n)| (f.to_string(), n.to_string()))
+            .to_vec(),
+            alloc_cold: [
+                // The armed fault plan logs each verdict it injects; an
+                // unarmed `FaultHook` never gets here.
+                ("crates/faults/src/state.rs", "decide"),
             ]
             .map(|(f, n)| (f.to_string(), n.to_string()))
             .to_vec(),
@@ -173,6 +208,14 @@ impl Config {
     /// Whether `fn_name` in `rel_path` roots `no-alloc-on-datapath`.
     pub fn is_alloc_root(&self, rel_path: &str, fn_name: &str) -> bool {
         self.alloc_roots
+            .iter()
+            .any(|(f, n)| rel_path.ends_with(f.as_str()) && n == fn_name)
+    }
+
+    /// Whether `fn_name` in `rel_path` is a cold boundary of
+    /// `no-alloc-on-datapath`.
+    pub fn is_alloc_cold(&self, rel_path: &str, fn_name: &str) -> bool {
+        self.alloc_cold
             .iter()
             .any(|(f, n)| rel_path.ends_with(f.as_str()) && n == fn_name)
     }

@@ -92,7 +92,7 @@ pub fn analyze_workspace(root: &Path, cfg: &Config) -> io::Result<(Vec<Finding>,
         summaries.push(symbols::summarize(rel, &source));
     }
     let ws = callgraph::Workspace::build(summaries);
-    let t = taint::propagate(&ws);
+    let t = taint::propagate(&ws, cfg);
     let mut findings = taint::evaluate(&ws, &t, cfg);
     findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.col, a.rule).cmp(&(b.file.as_str(), b.line, b.col, b.rule))

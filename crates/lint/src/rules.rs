@@ -564,6 +564,13 @@ pub fn panic_hits(lx: &Lexed) -> Vec<Hit> {
 /// Raw allocation hits: growth/box methods, allocating `Type::method`
 /// constructors and `vec!`/`format!` macros. Only used as taint sources
 /// for `no-alloc-on-datapath` (there is no file-scoped alloc rule).
+///
+/// Two shapes allocate and are **not** seen, because a token scan cannot
+/// type the receiver: `Vec::new()` (free) followed by `push`/`extend`
+/// (the allocation), and `.clone()` of a value that owns a `Vec`
+/// (`Frame`, `Payload`; indistinguishable from a refcount bump on
+/// `Bytes`). The benchmark's counting allocator (`host.allocs_per_op`)
+/// is the oracle for both.
 pub fn alloc_hits(lx: &Lexed) -> Vec<Hit> {
     let mut out = Vec::new();
     let toks = &lx.toks;

@@ -76,9 +76,14 @@ fn bit_idx(p: u8) -> usize {
     p.trailing_zeros() as usize
 }
 
-/// Runs the fixpoint over the workspace call graph.
-pub fn propagate(ws: &Workspace) -> Taint {
+/// Runs the fixpoint over the workspace call graph. `allocates` does not
+/// flow out of a cold boundary ([`Config::alloc_cold`]): its callers do
+/// not "reach" what it allocates.
+pub fn propagate(ws: &Workspace, cfg: &Config) -> Taint {
     let n = ws.fns.len();
+    let cold: Vec<bool> = (0..n)
+        .map(|id| cfg.is_alloc_cold(&ws.files[ws.file_of(id)].rel_path, &ws.fn_def(id).name))
+        .collect();
     let mut t = Taint {
         props: vec![0; n],
         evidence: vec![[None, None, None, None, None, None]; n],
@@ -109,7 +114,10 @@ pub fn propagate(ws: &Workspace) -> Taint {
             for (ci, targets) in &ws.edges[id] {
                 let call = &f.calls[*ci];
                 for &target in targets {
-                    let add = t.props[target] & !t.props[id];
+                    let mut add = t.props[target] & !t.props[id];
+                    if cold[target] {
+                        add &= !P_ALLOCATES;
+                    }
                     if add != 0 {
                         t.props[id] |= add;
                         for p in ALL_PROPS {
@@ -392,8 +400,8 @@ pub fn evaluate(ws: &Workspace, t: &Taint, cfg: &Config) -> Vec<Finding> {
 
     // 3b. no-alloc-on-datapath: curated hot roots. Direct allocation
     // sites are reported unless the lexical copy rule already covers
-    // them; calls are reported when the callee (not itself a root)
-    // reaches an allocation.
+    // them; calls are reported when the callee (neither itself a root
+    // nor a cold boundary) reaches an allocation.
     let copy_whats = ["`.to_vec()`", "`.to_owned()`", "`.extend_from_slice()`"];
     for id in 0..ws.fns.len() {
         let fi = ws.file_of(id);
@@ -436,8 +444,8 @@ pub fn evaluate(ws: &Workspace, t: &Taint, cfg: &Config) -> Vec<Finding> {
             let call = &f.calls[*ci];
             let target = targets.iter().copied().find(|&tg| {
                 t.props[tg] & P_ALLOCATES != 0 && {
-                    let tf = ws.fn_def(tg);
-                    !cfg.is_alloc_root(&ws.files[ws.file_of(tg)].rel_path, &tf.name)
+                    let (file, name) = (&ws.files[ws.file_of(tg)].rel_path, &ws.fn_def(tg).name);
+                    !cfg.is_alloc_root(file, name) && !cfg.is_alloc_cold(file, name)
                 }
             });
             let Some(tg) = target else { continue };
@@ -507,7 +515,7 @@ mod tests {
 
     fn build(files: &[(&str, &str)]) -> (Workspace, Taint) {
         let ws = Workspace::build(files.iter().map(|(p, s)| summarize(p, s)).collect());
-        let t = propagate(&ws);
+        let t = propagate(&ws, &Config::default());
         (ws, t)
     }
 
@@ -642,5 +650,33 @@ mod tests {
         assert_eq!(alloc.len(), 2, "{findings:?}");
         assert!(alloc.iter().any(|f| f.message.contains("`vec!`")));
         assert!(alloc.iter().any(|f| f.message.contains("via `slow_path`")));
+    }
+
+    #[test]
+    fn alloc_cold_boundary_cuts_the_chain() {
+        // The fault plan's `decide` is a cold boundary: neither the
+        // direct call from the root nor the one through `helper` reaches
+        // its `format!`; `helper`'s own `vec!` is still reached.
+        let (ws, t) = build(&[
+            (
+                "crates/net/src/tcp.rs",
+                "fn pump(h: &Hook) {\n    h.decide();\n    helper(h);\n}\nfn helper(h: &Hook) {\n    h.decide();\n    let v = vec![1];\n}\n",
+            ),
+            (
+                "crates/faults/src/state.rs",
+                "impl Hook {\n    pub fn decide(&self) {\n        let s = format!(\"x\");\n    }\n}\n",
+            ),
+        ]);
+        assert_ne!(props_of(&ws, &t, "decide") & P_ALLOCATES, 0);
+        let findings = evaluate(&ws, &t, &Config::default());
+        let alloc: Vec<_> = findings
+            .iter()
+            .filter(|f| f.rule == "no-alloc-on-datapath")
+            .collect();
+        assert_eq!(alloc.len(), 1, "{findings:?}");
+        assert!(
+            alloc[0].message.contains("`vec!` via `helper`"),
+            "{alloc:?}"
+        );
     }
 }

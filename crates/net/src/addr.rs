@@ -4,10 +4,30 @@ use std::fmt;
 use std::net::Ipv4Addr;
 
 /// A 48-bit Ethernet MAC address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct MacAddr(pub [u8; 6]);
 
+/// Ordered as one big-endian integer: the same order as comparing the six
+/// bytes lexicographically, in one compare instead of a byte loop (every
+/// switch hop does two FDB lookups keyed by MAC).
+impl Ord for MacAddr {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.to_u64().cmp(&other.to_u64())
+    }
+}
+
+impl PartialOrd for MacAddr {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 impl MacAddr {
+    fn to_u64(self) -> u64 {
+        let b = self.0;
+        u64::from_be_bytes([0, 0, b[0], b[1], b[2], b[3], b[4], b[5]])
+    }
+
     /// The broadcast address `ff:ff:ff:ff:ff:ff`.
     pub const BROADCAST: MacAddr = MacAddr([0xFF; 6]);
 

@@ -21,7 +21,7 @@ use crate::frame::Frame;
 use crate::host::{AppId, CloseReason, Host, HostId, Iface, IfaceId, Route, SteerRule, TapConfig};
 use crate::nat::{DnatRule, SnatRule};
 use crate::switch::{PortNo, SwitchId, VirtualSwitch};
-use crate::tcp::{OutSeg, SockId, TcpConfig, TcpEvent};
+use crate::tcp::{OutSeg, SockId, TcpConfig, TcpEvent, TcpStack};
 
 /// An opaque message on the hypervisor bus (virtio-blk requests, control
 /// signals). Receivers downcast to their expected concrete type.
@@ -76,7 +76,7 @@ pub enum Ev {
         /// Receiving endpoint.
         to: Endpoint,
         /// The frame.
-        frame: Frame,
+        frame: Box<Frame>,
     },
     /// A forwarded frame leaves a host after its forwarding/tap delay.
     Egress {
@@ -85,14 +85,14 @@ pub enum Ev {
         /// Egress interface.
         iface: IfaceId,
         /// The frame.
-        frame: Frame,
+        frame: Box<Frame>,
     },
     /// Loopback / local delivery.
     Local {
         /// The host.
         host: HostId,
         /// The frame.
-        frame: Frame,
+        frame: Box<Frame>,
     },
     /// An application timer fired.
     Timer {
@@ -171,6 +171,14 @@ pub struct Network {
     mac_counter: u64,
     default_tcp: TcpConfig,
     trace: TraceHook,
+    /// Scratch the TCP stack appends outgoing segments to. Every user
+    /// takes it, drains it into `host_output` and puts it back before any
+    /// app callback runs, so it is never taken twice.
+    seg_buf: Vec<OutSeg>,
+    /// Scratch the TCP stack appends app upcalls to. Held across the
+    /// dispatch loop of `local_input` / `Ev::Resume`; callbacks only send
+    /// (through `seg_buf`) and schedule events, they never re-enter either.
+    tcp_events: Vec<(AppId, TcpEvent)>,
 }
 
 impl std::fmt::Debug for Network {
@@ -195,6 +203,8 @@ impl Network {
             mac_counter: 1,
             default_tcp: TcpConfig::default(),
             trace: TraceHook::none(),
+            seg_buf: Vec::new(),
+            tcp_events: Vec::new(),
         }
     }
 
@@ -422,16 +432,13 @@ impl Network {
     /// fixed-size `run_for` quanta, re-checking the condition thousands
     /// of times at fleet scale.
     pub fn step_until(&mut self, end: SimTime) -> bool {
-        match self.q.peek_time() {
-            Some(t) if t <= end => {
-                let (t, ev) = self.q.pop().expect("peeked");
-                debug_assert!(t >= self.now, "time went backwards");
-                self.now = t;
-                self.handle(ev);
-                true
-            }
-            _ => false,
-        }
+        let Some((t, ev)) = self.q.pop_if(|t| t <= end) else {
+            return false;
+        };
+        debug_assert!(t >= self.now, "time went backwards");
+        self.now = t;
+        self.handle(ev);
+        true
     }
 
     /// Runs until the queue drains or `end` is reached; time advances to
@@ -457,14 +464,14 @@ impl Network {
             Ev::Start { host, app } => self.dispatch(host, app, Callback::Start),
             Ev::Arrive { to, frame } => match to {
                 Endpoint::Switch { sw, port } => {
-                    for d in self.fabric.switch_input(sw, port, frame, self.now) {
-                        self.push_delivery(d);
-                    }
+                    let q = &mut self.q;
+                    self.fabric
+                        .switch_forward(sw, port, frame, self.now, |d| push_delivery(q, d));
                 }
                 Endpoint::Host { host, iface } => self.host_input(host, iface, frame),
             },
             Ev::Egress { host, iface, frame } => self.emit(host, iface, frame),
-            Ev::Local { host, frame } => self.local_input(host, frame),
+            Ev::Local { host, frame } => self.local_input(host, *frame),
             Ev::Timer { host, app, token } => self.dispatch(host, app, Callback::Timer(token)),
             Ev::Bus {
                 host,
@@ -473,29 +480,40 @@ impl Network {
                 msg,
             } => self.dispatch(host, app, Callback::Bus(from, msg)),
             Ev::Resume { host, sock } => {
-                let (outs, events) = self.hosts[host.0 as usize].tcp.resume(sock);
-                for seg in outs {
-                    self.host_output(host, seg);
-                }
-                for (app, ev) in events {
-                    self.dispatch(host, app, Callback::Tcp(ev));
-                }
+                self.with_tcp(host, |tcp, outs, events| tcp.resume(sock, outs, events))
             }
         }
     }
 
-    fn push_delivery(&mut self, d: Delivery) {
-        self.q.push(
-            d.at,
-            Ev::Arrive {
-                to: d.to,
-                frame: d.frame,
-            },
-        );
+    /// Runs `f` on `host`'s TCP stack with the engine's scratch buffers,
+    /// then transmits the segments and dispatches the upcalls it appended
+    /// (segments first, as the stack produced them).
+    fn with_tcp(
+        &mut self,
+        host: HostId,
+        f: impl FnOnce(&mut TcpStack, &mut Vec<OutSeg>, &mut Vec<(AppId, TcpEvent)>),
+    ) {
+        let mut outs = std::mem::take(&mut self.seg_buf);
+        let mut events = std::mem::take(&mut self.tcp_events);
+        f(&mut self.hosts[host.0 as usize].tcp, &mut outs, &mut events);
+        self.flush_segments(host, outs);
+        for (app, ev) in events.drain(..) {
+            self.dispatch(host, app, Callback::Tcp(ev));
+        }
+        self.tcp_events = events;
+    }
+
+    /// Transmits the segments a TCP call appended to the taken `seg_buf`
+    /// and puts the (now empty) buffer back.
+    fn flush_segments(&mut self, host: HostId, mut outs: Vec<OutSeg>) {
+        for seg in outs.drain(..) {
+            self.host_output(host, seg);
+        }
+        self.seg_buf = outs;
     }
 
     /// A frame arrived at a host NIC.
-    fn host_input(&mut self, host: HostId, iface: IfaceId, mut frame: Frame) {
+    fn host_input(&mut self, host: HostId, iface: IfaceId, mut frame: Box<Frame>) {
         let local_mac = self.hosts[host.0 as usize].ifaces[iface.0 as usize].mac;
         if frame.dst_mac != local_mac && !frame.dst_mac.is_broadcast() {
             // Not for us (switch flooded); NICs are not promiscuous.
@@ -509,7 +527,7 @@ impl Network {
             frame.set_tuple(xlat);
         }
         if self.hosts[host.0 as usize].has_ip(frame.dst_ip) {
-            self.local_input(host, frame);
+            self.local_input(host, *frame);
         } else if self.hosts[host.0 as usize].ip_forward {
             self.forward(host, frame);
         }
@@ -517,7 +535,7 @@ impl Network {
     }
 
     /// IP forwarding with per-packet cost and the optional tap.
-    fn forward(&mut self, host: HostId, mut frame: Frame) {
+    fn forward(&mut self, host: HostId, mut frame: Box<Frame>) {
         // Tap (passive relay) first: it may modify or drop the frame.
         let mut tap_work = SimDuration::ZERO;
         let mut tap_pp = SimDuration::ZERO;
@@ -594,27 +612,25 @@ impl Network {
     }
 
     /// Emits a frame out of a host interface onto its link.
-    fn emit(&mut self, host: HostId, iface: IfaceId, frame: Frame) {
+    fn emit(&mut self, host: HostId, iface: IfaceId, frame: Box<Frame>) {
         let h = &self.hosts[host.0 as usize];
         let Some(link) = h.ifaces[iface.0 as usize].link else {
             return;
         };
         let from = Endpoint::Host { host, iface };
         if let Some(d) = self.fabric.transmit(link, from, frame, self.now) {
-            self.push_delivery(d);
+            push_delivery(&mut self.q, d);
         }
     }
 
     /// Delivers a frame to the local TCP stack and dispatches app events.
+    /// This is where a frame's box is opened: the segment moves into the
+    /// stack and the payload chunks on into the app.
     fn local_input(&mut self, host: HostId, frame: Frame) {
         let tuple = frame.tuple();
-        let (outs, events) = self.hosts[host.0 as usize].tcp.input(tuple, frame.tcp);
-        for seg in outs {
-            self.host_output(host, seg);
-        }
-        for (app, ev) in events {
-            self.dispatch(host, app, Callback::Tcp(ev));
-        }
+        self.with_tcp(host, |tcp, outs, events| {
+            tcp.input_into(tuple, frame.tcp, outs, events)
+        });
     }
 
     /// Sends a locally generated segment: OUTPUT NAT, routing (with flow
@@ -627,14 +643,14 @@ impl Network {
         let tuple = h.nat.translate_output(seg.tuple);
         // Loopback delivery for local destinations.
         if h.has_ip(tuple.dst.ip) {
-            let mut frame = Frame {
+            let mut frame = Box::new(Frame {
                 src_mac: crate::addr::MacAddr::nth(0),
                 dst_mac: crate::addr::MacAddr::nth(0),
                 src_ip: tuple.src.ip,
                 dst_ip: tuple.dst.ip,
                 tcp: seg.seg,
                 hops: 0,
-            };
+            });
             frame.set_tuple(tuple);
             self.q.push(
                 self.now + SimDuration::from_micros(1),
@@ -651,14 +667,16 @@ impl Network {
             self.hosts[host.0 as usize].dropped_no_route += 1;
             return;
         };
-        let mut frame = Frame {
+        // The frame's one allocation: from here to the receiver's
+        // `local_input` every hop moves this box.
+        let mut frame = Box::new(Frame {
             src_mac,
             dst_mac,
             src_ip: tuple.src.ip,
             dst_ip: tuple.dst.ip,
             tcp: seg.seg,
             hops: 0,
-        };
+        });
         frame.set_tuple(tuple);
         self.emit(host, out_iface, frame);
     }
@@ -706,6 +724,16 @@ impl Network {
         }
         self.hosts[host.0 as usize].apps[app.0 as usize] = Some(a);
     }
+}
+
+fn push_delivery(q: &mut EventQueue<Ev>, d: Delivery) {
+    q.push(
+        d.at,
+        Ev::Arrive {
+            to: d.to,
+            frame: d.frame,
+        },
+    );
 }
 
 impl dyn App {
@@ -816,10 +844,15 @@ impl<'a> Cx<'a> {
     /// Queues bytes on a socket; returns how many were accepted (the rest
     /// should be retried from [`App::on_writable`]).
     pub fn send(&mut self, sock: SockId, data: &[u8]) -> usize {
-        let (n, segs) = self.net.hosts[self.host.0 as usize].tcp.send(sock, data);
-        for seg in segs {
-            self.net.host_output(self.host, seg);
-        }
+        self.send_with(|tcp, outs| tcp.send(sock, data, outs))
+    }
+
+    /// Runs a TCP send call with the engine's segment scratch buffer and
+    /// transmits what it appended.
+    fn send_with(&mut self, f: impl FnOnce(&mut TcpStack, &mut Vec<OutSeg>) -> usize) -> usize {
+        let mut outs = std::mem::take(&mut self.net.seg_buf);
+        let n = f(&mut self.net.hosts[self.host.0 as usize].tcp, &mut outs);
+        self.net.flush_segments(self.host, outs);
         n
     }
 
@@ -827,13 +860,7 @@ impl<'a> Cx<'a> {
     /// returns how many were accepted (see
     /// [`crate::tcp::TcpStack::send_bytes`]).
     pub fn send_bytes(&mut self, sock: SockId, data: Bytes) -> usize {
-        let (n, segs) = self.net.hosts[self.host.0 as usize]
-            .tcp
-            .send_bytes(sock, data);
-        for seg in segs {
-            self.net.host_output(self.host, seg);
-        }
-        n
+        self.send_with(|tcp, outs| tcp.send_bytes(sock, data, outs))
     }
 
     /// Queues chunks on a socket in one batch (single segmentation pass —
@@ -841,13 +868,7 @@ impl<'a> Cx<'a> {
     /// from the front of `chunks` and returns how many bytes were
     /// accepted.
     pub fn send_chunks(&mut self, sock: SockId, chunks: &mut VecDeque<Bytes>) -> usize {
-        let (n, segs) = self.net.hosts[self.host.0 as usize]
-            .tcp
-            .send_chunks(sock, chunks);
-        for seg in segs {
-            self.net.host_output(self.host, seg);
-        }
-        n
+        self.send_with(|tcp, outs| tcp.send_chunks_into(sock, chunks, outs))
     }
 
     /// Free space in the socket's send buffer.

@@ -11,8 +11,16 @@
 //! the hypervisor "uses a single thread per VM's virtual interface", so a
 //! VM-facing link with a few microseconds of per-packet cost reproduces the
 //! observation that intra-host packet transfer dominates routing overhead.
+//!
+//! # Frame ownership
+//!
+//! A frame in flight is one heap object (`Box<Frame>`), allocated where a
+//! host emits it. [`Fabric::transmit`] and [`Fabric::switch_forward`]
+//! take the box and hand it on inside the [`Delivery`]: a link or switch
+//! hop moves a pointer and allocates nothing. The one exception is a
+//! flood, which clones the frame for every egress port but the last.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use storm_sim::{FaultAction, FaultHook, FaultSite, SerialResource, SimDuration, SimTime};
@@ -158,7 +166,7 @@ pub struct Delivery {
     /// Receiving endpoint.
     pub to: Endpoint,
     /// The frame.
-    pub frame: Frame,
+    pub frame: Box<Frame>,
 }
 
 /// The wiring graph: switches, links and the (static) ARP map.
@@ -166,10 +174,15 @@ pub struct Delivery {
 pub struct Fabric {
     switches: Vec<VirtualSwitch>,
     links: Vec<Link>,
-    switch_port_links: HashMap<(SwitchId, PortNo), LinkId>,
-    arp: HashMap<Ipv4Addr, MacAddr>,
+    /// The link wired to each switch port: `[switch][port]`.
+    port_links: Vec<Vec<Option<LinkId>>>,
+    arp: BTreeMap<Ipv4Addr, MacAddr>,
     dropped: u64,
     fault: FaultHook,
+    /// Scratch for one switch hop's egress ports, reused across hops so
+    /// forwarding allocates nothing. `switch_forward` takes it and puts
+    /// it back; nothing it calls comes back into the fabric.
+    egress_ports: Vec<PortNo>,
 }
 
 impl Fabric {
@@ -180,6 +193,7 @@ impl Fabric {
 
     /// Adds a switch, returning its id.
     pub fn add_switch(&mut self, sw: VirtualSwitch) -> SwitchId {
+        self.port_links.push(vec![None; sw.port_count()]);
         self.switches.push(sw);
         SwitchId(self.switches.len() as u32 - 1)
     }
@@ -207,7 +221,11 @@ impl Fabric {
         let id = LinkId(self.links.len() as u32);
         for end in [a, b] {
             if let Endpoint::Switch { sw, port } = end {
-                let prev = self.switch_port_links.insert((sw, port), id);
+                let ports = &mut self.port_links[sw.0 as usize];
+                if ports.len() <= port.0 as usize {
+                    ports.resize(port.0 as usize + 1, None);
+                }
+                let prev = ports[port.0 as usize].replace(id);
                 assert!(prev.is_none(), "switch port {sw}:{port} wired twice");
             }
         }
@@ -260,7 +278,7 @@ impl Fabric {
 
     /// The link wired to a switch port, if any.
     pub fn link_at(&self, sw: SwitchId, port: PortNo) -> Option<LinkId> {
-        self.switch_port_links.get(&(sw, port)).copied()
+        *self.port_links.get(sw.0 as usize)?.get(port.0 as usize)?
     }
 
     /// Arms (or, with an unarmed hook, clears) the fabric's fault hook.
@@ -279,7 +297,7 @@ impl Fabric {
         &mut self,
         id: LinkId,
         from: Endpoint,
-        frame: Frame,
+        frame: Box<Frame>,
         now: SimTime,
     ) -> Option<Delivery> {
         // Fault injection: an armed plan may drop or delay the frame.
@@ -328,28 +346,44 @@ impl Fabric {
     }
 
     /// Runs switch forwarding for a frame arriving at `sw` on `port` and
-    /// transmits the results, returning all onward deliveries.
-    pub fn switch_input(
+    /// transmits the results, handing every onward delivery to `sink`.
+    ///
+    /// The switch rewrites the frame in place; the frame itself moves to
+    /// the last egress port and is cloned only for the others (a flood).
+    pub fn switch_forward(
         &mut self,
         sw: SwitchId,
         port: PortNo,
-        frame: Frame,
+        mut frame: Box<Frame>,
         now: SimTime,
-    ) -> Vec<Delivery> {
-        let outputs = self.switches[sw.0 as usize].process(frame, port);
-        let mut deliveries = Vec::with_capacity(outputs.len());
-        for (out_port, f) in outputs {
-            match self.link_at(sw, out_port) {
-                Some(link) => {
-                    let from = Endpoint::Switch { sw, port: out_port };
-                    if let Some(d) = self.transmit(link, from, f, now) {
-                        deliveries.push(d);
-                    }
-                }
-                None => self.dropped += 1,
+        mut sink: impl FnMut(Delivery),
+    ) {
+        let mut ports = std::mem::take(&mut self.egress_ports);
+        self.switches[sw.0 as usize].forward_in_place(&mut frame, port, &mut ports);
+        if let Some((&last, rest)) = ports.split_last() {
+            for &out_port in rest {
+                self.switch_output(sw, out_port, frame.clone(), now, &mut sink);
             }
+            self.switch_output(sw, last, frame, now, &mut sink);
         }
-        deliveries
+        self.egress_ports = ports;
+    }
+
+    fn switch_output(
+        &mut self,
+        sw: SwitchId,
+        port: PortNo,
+        frame: Box<Frame>,
+        now: SimTime,
+        sink: &mut impl FnMut(Delivery),
+    ) {
+        let Some(link) = self.link_at(sw, port) else {
+            self.dropped += 1;
+            return;
+        };
+        if let Some(d) = self.transmit(link, Endpoint::Switch { sw, port }, frame, now) {
+            sink(d);
+        }
     }
 }
 
@@ -359,8 +393,8 @@ mod tests {
     use crate::frame::{TcpFlags, TcpSegment};
     use bytes::Bytes;
 
-    fn frame(bytes: usize) -> Frame {
-        Frame {
+    fn frame(bytes: usize) -> Box<Frame> {
+        Box::new(Frame {
             src_mac: MacAddr::nth(1),
             dst_mac: MacAddr::nth(2),
             src_ip: Ipv4Addr::new(10, 0, 0, 1),
@@ -375,7 +409,7 @@ mod tests {
                 payload: Bytes::from(vec![0u8; bytes]).into(),
             },
             hops: 0,
-        }
+        })
     }
 
     fn host_end(h: u32, i: u32) -> Endpoint {
@@ -451,7 +485,7 @@ mod tests {
     }
 
     #[test]
-    fn switch_input_forwards_via_learned_port() {
+    fn switch_forward_moves_the_frame_to_the_learned_port() {
         let mut f = Fabric::new();
         let sw = f.add_switch(VirtualSwitch::new("sw", 4));
         let la = f.add_link(
@@ -472,9 +506,44 @@ mod tests {
         );
         assert_eq!(f.link_at(sw, PortNo(0)), Some(la));
         f.switch_mut(sw).learn(MacAddr::nth(2), PortNo(1));
-        let deliveries = f.switch_input(sw, PortNo(0), frame(100), SimTime::ZERO);
+        let frame = frame(100);
+        let sent: *const Frame = &*frame;
+        let mut deliveries = Vec::new();
+        f.switch_forward(sw, PortNo(0), frame, SimTime::ZERO, |d| deliveries.push(d));
         assert_eq!(deliveries.len(), 1);
         assert_eq!(deliveries[0].to, host_end(1, 0));
+        // A unicast hop moves the frame: same heap object, rewritten in place.
+        assert!(std::ptr::eq(&*deliveries[0].frame, sent));
+        assert_eq!(deliveries[0].frame.hops, 1);
+    }
+
+    #[test]
+    fn flood_clones_share_payload_storage() {
+        let mut f = Fabric::new();
+        let sw = f.add_switch(VirtualSwitch::new("sw", 4));
+        for p in 0..4 {
+            let port = PortNo(p as u16);
+            f.add_link(
+                host_end(p, 0),
+                Endpoint::Switch { sw, port },
+                LinkSpec::instant(),
+            );
+        }
+        // Unknown destination: one frame per other port, in port order,
+        // the sender's own box last.
+        let frame = frame(100);
+        let sent: *const Frame = &*frame;
+        let storage = frame.tcp.payload.chunks()[0].clone();
+        let mut deliveries = Vec::new();
+        f.switch_forward(sw, PortNo(0), frame, SimTime::ZERO, |d| deliveries.push(d));
+        let to: Vec<Endpoint> = deliveries.iter().map(|d| d.to).collect();
+        assert_eq!(to, [host_end(1, 0), host_end(2, 0), host_end(3, 0)]);
+        for d in &deliveries {
+            assert!(d.frame.tcp.payload.chunks()[0].same_storage(&storage));
+            assert_eq!(d.frame.hops, 1);
+        }
+        assert!(std::ptr::eq(&*deliveries[2].frame, sent));
+        assert!(!std::ptr::eq(&*deliveries[0].frame, sent));
     }
 
     #[test]
@@ -490,8 +559,9 @@ mod tests {
             LinkSpec::instant(),
         );
         // Unknown destination floods to ports 1 and 2, neither wired.
-        let deliveries = f.switch_input(sw, PortNo(0), frame(10), SimTime::ZERO);
-        assert!(deliveries.is_empty());
+        let mut deliveries = 0;
+        f.switch_forward(sw, PortNo(0), frame(10), SimTime::ZERO, |_| deliveries += 1);
+        assert_eq!(deliveries, 0);
         assert_eq!(f.dropped(), 2);
     }
 

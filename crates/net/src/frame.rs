@@ -108,18 +108,21 @@ impl Payload {
     }
 
     /// The payload with the first `n` bytes dropped (chunks stay views).
-    pub fn skip(&self, n: usize) -> Payload {
-        let mut out = Payload::empty();
+    /// Trims in place: `skip(0)`, the in-order receive case, is a move.
+    pub fn skip(mut self, n: usize) -> Payload {
         let mut n = n.min(self.len);
-        for c in &self.chunks {
-            if n >= c.len() {
-                n -= c.len();
-            } else {
-                out.push(c.slice(n..));
-                n = 0;
+        self.len -= n;
+        let mut whole = 0;
+        for c in &mut self.chunks {
+            if n < c.len() {
+                c.advance(n);
+                break;
             }
+            n -= c.len();
+            whole += 1;
         }
-        out
+        self.chunks.drain(..whole);
+        self
     }
 
     /// Flattens to contiguous bytes — zero-copy for a single chunk, a
@@ -267,6 +270,23 @@ mod tests {
     #[test]
     fn wire_len_counts_headers() {
         assert_eq!(frame().wire_len(), 54 + 5);
+    }
+
+    #[test]
+    fn skip_trims_whole_and_partial_chunks() {
+        let chunk = |b: &'static [u8]| Bytes::from_static(b);
+        let mut p = Payload::from(chunk(b"abc"));
+        p.push(chunk(b"defg"));
+        let whole = p.chunks()[0].clone();
+        let kept = p.clone().skip(0);
+        assert!(kept.chunks()[0].same_storage(&whole));
+        assert_eq!(kept.len(), 7);
+        for n in 0..=8 {
+            let got = p.clone().skip(n);
+            assert_eq!(got.to_bytes(), b"abcdefg"[n.min(7)..], "skip {n}");
+            assert_eq!(got.len(), 7 - n.min(7));
+            assert!(got.chunks().iter().all(|c| !c.is_empty()));
+        }
     }
 
     #[test]

@@ -1,4 +1,10 @@
 //! Virtual switches: flow-table steering with an L2 learning fallback.
+//!
+//! A switch never owns a frame. [`VirtualSwitch::forward_in_place`]
+//! rewrites the caller's frame where it lies and reports the egress ports
+//! through a caller-owned buffer; whether the frame is then moved (one
+//! port) or cloned (a flood) is the fabric's decision, so a unicast hop
+//! allocates nothing.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -96,61 +102,66 @@ impl VirtualSwitch {
         self.dropped
     }
 
-    /// Processes a frame arriving on `in_port`, returning the frames to
-    /// emit as `(out_port, frame)` pairs (flooding may produce several).
-    pub fn process(&mut self, mut frame: Frame, in_port: PortNo) -> Vec<(PortNo, Frame)> {
+    /// Forwards a frame arriving on `in_port`, in place: bumps its hop
+    /// count, learns the sender's port, applies the matching flow rule's
+    /// rewrites to `frame` itself and leaves the egress ports in `out`
+    /// (cleared first; several on a flood, none on a drop). Nothing is
+    /// allocated once `out` has grown to the switch's port count — the
+    /// caller moves or clones the frame per port as it sees fit.
+    pub fn forward_in_place(&mut self, frame: &mut Frame, in_port: PortNo, out: &mut Vec<PortNo>) {
+        out.clear();
         if frame.hops >= Frame::MAX_HOPS {
             self.dropped += 1;
-            return Vec::new();
+            return;
         }
         frame.hops += 1;
         // Learn the sender's location.
         self.fdb.insert(frame.src_mac, in_port);
 
-        let mut outputs = Vec::new();
         let mut normal = true;
-        if let Some(rule) = self.flows.lookup(&frame, in_port) {
+        if let Some(rule) = self.flows.lookup(frame, in_port) {
             normal = false;
-            let actions: Vec<FlowAction> = rule.actions.clone();
-            for action in actions {
-                match action {
+            for action in &rule.actions {
+                match *action {
                     FlowAction::SetDstMac(m) => frame.dst_mac = m,
                     FlowAction::SetSrcMac(m) => frame.src_mac = m,
-                    FlowAction::Output(p) => outputs.push(p),
+                    FlowAction::Output(p) => out.push(p),
                     FlowAction::Normal => normal = true,
                     FlowAction::Drop => {
                         self.dropped += 1;
-                        return Vec::new();
+                        out.clear();
+                        return;
                     }
                 }
             }
         }
         if normal {
             match self.fdb.get(&frame.dst_mac) {
-                Some(&p) if p != in_port => outputs.push(p),
+                Some(&p) if p != in_port => out.push(p),
                 Some(_) => {
                     // Destination is behind the ingress port: nothing to do.
                 }
                 None => {
                     // Unknown destination: flood.
-                    for p in 0..self.ports as u16 {
-                        if PortNo(p) != in_port {
-                            outputs.push(PortNo(p));
-                        }
-                    }
+                    out.extend((0..self.ports as u16).map(PortNo).filter(|&p| p != in_port));
                 }
             }
         }
         // Tenant isolation: only emit to ports compatible with the ingress
         // tenant tag (untagged ports are infrastructure and always allowed).
-        let in_tenant = self.tenant_tags.get(&in_port).copied();
-        let before = outputs.len();
-        outputs.retain(|p| match (in_tenant, self.tenant_tags.get(p)) {
-            (Some(a), Some(b)) => a == *b,
-            _ => true,
-        });
-        self.dropped += (before - outputs.len()) as u64;
-        outputs.into_iter().map(|p| (p, frame.clone())).collect()
+        if let Some(in_tenant) = self.tenant_tags.get(&in_port) {
+            let before = out.len();
+            out.retain(|p| self.tenant_tags.get(p).is_none_or(|t| t == in_tenant));
+            self.dropped += (before - out.len()) as u64;
+        }
+    }
+
+    /// [`forward_in_place`](Self::forward_in_place) for callers that want
+    /// owned `(out_port, frame)` pairs: one clone of the frame per port.
+    pub fn process(&mut self, mut frame: Frame, in_port: PortNo) -> Vec<(PortNo, Frame)> {
+        let mut ports = Vec::new();
+        self.forward_in_place(&mut frame, in_port, &mut ports);
+        ports.into_iter().map(|p| (p, frame.clone())).collect()
     }
 }
 

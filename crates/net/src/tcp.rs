@@ -14,6 +14,13 @@
 //! Loss and retransmission are not modelled: the simulated fabric delivers
 //! reliably and in order (failures abort connections instead), matching a
 //! healthy datacenter storage network.
+//!
+//! The per-segment entry points ([`TcpStack::input_into`],
+//! [`TcpStack::send_bytes`], [`TcpStack::send_chunks_into`],
+//! [`TcpStack::resume`]) *append* the segments to transmit and the app
+//! upcalls to caller-owned buffers, which the engine reuses across events;
+//! they allocate nothing themselves beyond each data segment's
+//! scatter-gather list.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
@@ -317,32 +324,33 @@ impl TcpStack {
         self.conns.get(&sock.0).map(|t| t.app)
     }
 
-    /// Queues up to `data.len()` bytes for sending; returns `(accepted,
-    /// segments to transmit)`. Copying wrapper over
-    /// [`TcpStack::send_bytes`].
-    pub fn send(&mut self, sock: SockId, data: &[u8]) -> (usize, Vec<OutSeg>) {
+    /// Queues up to `data.len()` bytes for sending, appending the segments
+    /// to transmit to `out`; returns how many bytes were accepted. Copying
+    /// wrapper over [`TcpStack::send_bytes`].
+    pub fn send(&mut self, sock: SockId, data: &[u8], out: &mut Vec<OutSeg>) -> usize {
         // storm-lint: allow(no-hot-path-copy): documented copying
         // wrapper; the datapath uses send_bytes/send_chunks.
-        self.send_bytes(sock, Bytes::copy_from_slice(data))
+        self.send_bytes(sock, Bytes::copy_from_slice(data), out)
     }
 
-    /// Queues a refcounted chunk for sending without copying; returns
-    /// `(accepted, segments to transmit)`.
+    /// Queues a refcounted chunk for sending without copying, appending
+    /// the segments to transmit to `out`; returns how many bytes were
+    /// accepted.
     ///
     /// The accepted prefix is stored as a view of `data`'s backing
     /// storage; segments are cut at chunk boundaries so their payloads
     /// stay views too. This is the zero-copy half of the split-TCP relay:
     /// forwarded PDUs travel from the receive side's reassembler to the
     /// peer's receive buffer as slices of one allocation.
-    pub fn send_bytes(&mut self, sock: SockId, data: Bytes) -> (usize, Vec<OutSeg>) {
+    pub fn send_bytes(&mut self, sock: SockId, data: Bytes, out: &mut Vec<OutSeg>) -> usize {
         let Some(tcb) = self.conns.get_mut(&sock.0) else {
-            return (0, Vec::new());
+            return 0;
         };
         if !matches!(
             tcb.state,
             State::Established | State::SynSent | State::SynRcvd
         ) {
-            return (0, Vec::new());
+            return 0;
         }
         let space = self.config.snd_buf.saturating_sub(tcb.snd_buf_len);
         let n = space.min(data.len());
@@ -354,35 +362,46 @@ impl TcpStack {
         if n < data.len() {
             tcb.wants_writable = true;
         }
-        let out = if tcb.state == State::Established {
-            Self::pump(&mut self.counters, self.config, tcb)
-        } else {
-            Vec::new() // flushed when the handshake completes
-        };
-        (n, out)
+        // Before the handshake completes, data waits for it.
+        if tcb.state == State::Established {
+            Self::pump(&mut self.counters, self.config, tcb, out);
+        }
+        n
     }
 
-    /// Drains as many whole or partial chunks from `chunks` into the send
-    /// buffer as there is space, then pumps **once**; returns `(accepted,
-    /// segments to transmit)`.
-    ///
-    /// Batching matters for packetization: queueing a PDU's header chunk
-    /// and data chunk before cutting segments lets one full-MSS frame
-    /// carry both (scatter-gather), instead of flushing the 48-byte
-    /// header as its own packet.
+    /// [`send_chunks_into`](Self::send_chunks_into) returning the
+    /// segments in a fresh `Vec`.
     pub fn send_chunks(
         &mut self,
         sock: SockId,
         chunks: &mut VecDeque<Bytes>,
     ) -> (usize, Vec<OutSeg>) {
+        let mut out = Vec::new();
+        (self.send_chunks_into(sock, chunks, &mut out), out)
+    }
+
+    /// Drains as many whole or partial chunks from `chunks` into the send
+    /// buffer as there is space, then pumps **once**, appending the
+    /// segments to transmit to `out`; returns how many bytes were accepted.
+    ///
+    /// Batching matters for packetization: queueing a PDU's header chunk
+    /// and data chunk before cutting segments lets one full-MSS frame
+    /// carry both (scatter-gather), instead of flushing the 48-byte
+    /// header as its own packet.
+    pub fn send_chunks_into(
+        &mut self,
+        sock: SockId,
+        chunks: &mut VecDeque<Bytes>,
+        out: &mut Vec<OutSeg>,
+    ) -> usize {
         let Some(tcb) = self.conns.get_mut(&sock.0) else {
-            return (0, Vec::new());
+            return 0;
         };
         if !matches!(
             tcb.state,
             State::Established | State::SynSent | State::SynRcvd
         ) {
-            return (0, Vec::new());
+            return 0;
         }
         let mut accepted = 0;
         loop {
@@ -411,12 +430,11 @@ impl TcpStack {
         if !chunks.is_empty() {
             tcb.wants_writable = true;
         }
-        let out = if tcb.state == State::Established {
-            Self::pump(&mut self.counters, self.config, tcb)
-        } else {
-            Vec::new() // flushed when the handshake completes
-        };
-        (accepted, out)
+        // Before the handshake completes, data waits for it.
+        if tcb.state == State::Established {
+            Self::pump(&mut self.counters, self.config, tcb, out);
+        }
+        accepted
     }
 
     /// Free space in the send buffer.
@@ -441,21 +459,24 @@ impl TcpStack {
         }
     }
 
-    /// Resumes delivery: returns the buffered data events plus a window
-    /// update to un-stall the sender.
-    pub fn resume(&mut self, sock: SockId) -> (Vec<OutSeg>, Vec<(AppId, TcpEvent)>) {
+    /// Resumes delivery: appends the buffered data events to `events` and
+    /// a window update that un-stalls the sender to `out`.
+    pub fn resume(
+        &mut self,
+        sock: SockId,
+        out: &mut Vec<OutSeg>,
+        events: &mut Vec<(AppId, TcpEvent)>,
+    ) {
         let Some(tcb) = self.conns.get_mut(&sock.0) else {
-            return (Vec::new(), Vec::new());
+            return;
         };
         tcb.paused = false;
-        let mut events = Vec::new();
         while let Some(chunk) = tcb.rcv_buf.pop_front() {
             tcb.rcv_buf_len -= chunk.len();
             self.counters.bytes_delivered += chunk.len() as u64;
             events.push((tcb.app, TcpEvent::Data { sock, data: chunk }));
         }
-        let update = Self::bare_ack(&mut self.counters, tcb, self.config.rcv_wnd);
-        (vec![update], events)
+        out.push(Self::bare_ack(&mut self.counters, tcb, self.config.rcv_wnd));
     }
 
     /// Initiates a graceful close; returns the FIN to transmit.
@@ -551,12 +572,11 @@ impl TcpStack {
         payload
     }
 
-    /// Emits as many data segments as the peer window allows. Payloads
-    /// are scatter-gather lists of refcounted send-buffer views, so data
-    /// bytes are not copied here.
-    fn pump(counters: &mut TcpCounters, config: TcpConfig, tcb: &mut Tcb) -> Vec<OutSeg> {
+    /// Appends to `out` as many data segments as the peer window allows.
+    /// Payloads are scatter-gather lists of refcounted send-buffer views,
+    /// so data bytes are not copied here.
+    fn pump(counters: &mut TcpCounters, config: TcpConfig, tcb: &mut Tcb, out: &mut Vec<OutSeg>) {
         let mss = config.mss;
-        let mut out = Vec::new();
         loop {
             let inflight = tcb.inflight();
             let usable = (tcb.peer_wnd as u64).saturating_sub(inflight) as usize;
@@ -582,21 +602,32 @@ impl TcpStack {
             });
             tcb.snd_nxt += n as u64;
         }
-        out
     }
 
-    /// Processes an incoming segment. `tuple` is the segment's on-wire
-    /// direction (src = remote, dst = local). Returns segments to transmit
-    /// and app events to dispatch.
+    /// [`input_into`](Self::input_into) returning the segments and events
+    /// in fresh `Vec`s.
     pub fn input(
         &mut self,
         tuple: FourTuple,
         seg: TcpSegment,
     ) -> (Vec<OutSeg>, Vec<(AppId, TcpEvent)>) {
+        let (mut out, mut events) = (Vec::new(), Vec::new());
+        self.input_into(tuple, seg, &mut out, &mut events);
+        (out, events)
+    }
+
+    /// Processes an incoming segment. `tuple` is the segment's on-wire
+    /// direction (src = remote, dst = local). Appends the segments to
+    /// transmit to `out` and the app events to dispatch to `events`.
+    pub fn input_into(
+        &mut self,
+        tuple: FourTuple,
+        mut seg: TcpSegment,
+        out: &mut Vec<OutSeg>,
+        events: &mut Vec<(AppId, TcpEvent)>,
+    ) {
         self.counters.segs_in += 1;
         let key = tuple.reversed();
-        let mut out = Vec::new();
-        let mut events = Vec::new();
 
         let sid = match self.by_tuple.get(&key) {
             Some(&sid) => sid,
@@ -672,7 +703,7 @@ impl TcpStack {
                         },
                     });
                 }
-                return (out, events);
+                return;
             }
         };
 
@@ -684,7 +715,7 @@ impl TcpStack {
             // than aborting the stack.
             let Some(tcb) = self.conns.get_mut(&sid) else {
                 self.by_tuple.remove(&key);
-                return (out, events);
+                return;
             };
             if seg.flags.rst {
                 if tcb.state == State::SynSent {
@@ -709,7 +740,7 @@ impl TcpStack {
                         tcb.peer_wnd = seg.wnd;
                         out.push(Self::bare_ack(&mut self.counters, tcb, self.config.rcv_wnd));
                         events.push((tcb.app, TcpEvent::Connected(sock)));
-                        out.extend(Self::pump(&mut self.counters, self.config, tcb));
+                        Self::pump(&mut self.counters, self.config, tcb, out);
                     }
                     State::SynSent => { /* ignore anything else mid-handshake */ }
                     State::SynRcvd if seg.flags.ack => {
@@ -724,11 +755,11 @@ impl TcpStack {
                             self.config,
                             tcb,
                             sock,
-                            &seg,
-                            &mut out,
-                            &mut events,
+                            &mut seg,
+                            out,
+                            events,
                         );
-                        out.extend(Self::pump(&mut self.counters, self.config, tcb));
+                        Self::pump(&mut self.counters, self.config, tcb, out);
                     }
                     State::SynRcvd => {}
                     State::Established | State::FinSent => {
@@ -757,7 +788,7 @@ impl TcpStack {
                             }
                             tcb.peer_wnd = seg.wnd;
                             let had_backlog = tcb.wants_writable;
-                            out.extend(Self::pump(&mut self.counters, self.config, tcb));
+                            Self::pump(&mut self.counters, self.config, tcb, out);
                             if had_backlog && tcb.snd_buf_len < self.config.snd_buf {
                                 tcb.wants_writable = false;
                                 events.push((tcb.app, TcpEvent::Writable(sock)));
@@ -769,9 +800,9 @@ impl TcpStack {
                             self.config,
                             tcb,
                             sock,
-                            &seg,
-                            &mut out,
-                            &mut events,
+                            &mut seg,
+                            out,
+                            events,
                         );
                         // FIN processing.
                         if seg.flags.fin && seg.seq <= tcb.rcv_nxt {
@@ -831,37 +862,40 @@ impl TcpStack {
                 self.by_tuple.remove(&tcb.key());
             }
         }
-        (out, events)
     }
 
+    /// Receive-side processing of a segment's payload, which it takes out
+    /// of `seg`: in the in-order case the segment's own chunks are handed
+    /// to the app.
     fn rx_data(
         counters: &mut TcpCounters,
         config: TcpConfig,
         tcb: &mut Tcb,
         sock: SockId,
-        seg: &TcpSegment,
+        seg: &mut TcpSegment,
         out: &mut Vec<OutSeg>,
         events: &mut Vec<(AppId, TcpEvent)>,
     ) {
-        if seg.payload.is_empty() {
+        let (seq, payload) = (seg.seq, std::mem::take(&mut seg.payload));
+        if payload.is_empty() {
             return;
         }
-        if seg.seq > tcb.rcv_nxt {
+        if seq > tcb.rcv_nxt {
             // Out of order: stash and send a duplicate ack.
-            tcb.ooo.insert(seg.seq, seg.payload.clone());
+            tcb.ooo.insert(seq, payload);
             out.push(Self::bare_ack(counters, tcb, config.rcv_wnd));
             return;
         }
-        if seg.seq + seg.payload.len() as u64 <= tcb.rcv_nxt {
+        if seq + payload.len() as u64 <= tcb.rcv_nxt {
             // Entirely duplicate.
             out.push(Self::bare_ack(counters, tcb, config.rcv_wnd));
             return;
         }
         // Trim any already-received prefix. Each scatter-gather piece is
         // delivered as its own chunk, preserving its backing storage.
-        let skip = (tcb.rcv_nxt - seg.seq) as usize;
-        let mut chunks = seg.payload.skip(skip).into_chunks();
-        tcb.rcv_nxt += (seg.payload.len() - skip) as u64;
+        let skip = (tcb.rcv_nxt - seq) as usize;
+        tcb.rcv_nxt += (payload.len() - skip) as u64;
+        let mut chunks = payload.skip(skip).into_chunks();
         // Drain contiguous out-of-order segments.
         loop {
             match tcb.ooo.first_key_value() {
@@ -922,6 +956,12 @@ mod tests {
         }
     }
 
+    /// `TcpStack::send` with the segments in a fresh `Vec`.
+    fn send(stack: &mut TcpStack, sock: SockId, data: &[u8]) -> (usize, Vec<OutSeg>) {
+        let mut out = Vec::new();
+        (stack.send(sock, data, &mut out), out)
+    }
+
     fn pair() -> (TcpStack, TcpStack) {
         (TcpStack::new(small_config()), TcpStack::new(small_config()))
     }
@@ -970,7 +1010,7 @@ mod tests {
     fn handshake_and_data_both_ways() {
         let (mut a, mut b) = pair();
         let (ca, cb) = establish(&mut a, &mut b);
-        let (n, segs) = a.send(ca, b"hello iscsi");
+        let (n, segs) = send(&mut a, ca, b"hello iscsi");
         assert_eq!(n, 11);
         let (_, eb) = shuttle(&mut a, &mut b, segs, vec![]);
         let got: Vec<u8> = eb
@@ -983,7 +1023,7 @@ mod tests {
             .collect();
         assert_eq!(got, b"hello iscsi");
         // Reverse direction.
-        let (_, segs) = b.send(cb, b"response");
+        let (_, segs) = send(&mut b, cb, b"response");
         let (ea, _) = shuttle(&mut a, &mut b, vec![], segs);
         assert!(ea.iter().any(|e| matches!(e, TcpEvent::Data { .. })));
         // All data acked after the exchange.
@@ -996,7 +1036,7 @@ mod tests {
         let (mut a, mut b) = pair();
         let (ca, _cb) = establish(&mut a, &mut b);
         let data = vec![7u8; 200 * 1024];
-        let (n, segs) = a.send(ca, &data);
+        let (n, segs) = send(&mut a, ca, &data);
         assert_eq!(n, data.len());
         // Only one window's worth may be in flight initially.
         let sent: usize = segs.iter().map(|s| s.seg.payload.len()).sum();
@@ -1020,7 +1060,7 @@ mod tests {
         let (mut a, mut b) = pair();
         let (ca, _) = establish(&mut a, &mut b);
         let huge = vec![1u8; 300 * 1024];
-        let (n, segs) = a.send(ca, &huge);
+        let (n, segs) = send(&mut a, ca, &huge);
         assert_eq!(n, 256 * 1024); // snd_buf cap
         assert!(a.send_capacity(ca) == 0);
         let (ea, _) = shuttle(&mut a, &mut b, segs, vec![]);
@@ -1035,13 +1075,14 @@ mod tests {
         let (ca, cb) = establish(&mut a, &mut b);
         b.pause(cb);
         let data = vec![9u8; 100 * 1024];
-        let (_, segs) = a.send(ca, &data);
+        let (_, segs) = send(&mut a, ca, &data);
         let (_, eb) = shuttle(&mut a, &mut b, segs, vec![]);
         // Nothing delivered while paused.
         assert!(!eb.iter().any(|e| matches!(e, TcpEvent::Data { .. })));
         // Sender is stalled: exactly one window of data is unacknowledged...
         // actually acked-but-buffered; the sender has sent only 64 KiB.
-        let (update, events) = b.resume(cb);
+        let (mut update, mut events) = (Vec::new(), Vec::new());
+        b.resume(cb, &mut update, &mut events);
         let buffered: usize = events
             .iter()
             .filter_map(|(_, e)| match e {
@@ -1083,7 +1124,7 @@ mod tests {
             }
         )));
         // Both sides cleaned up: further sends are no-ops.
-        let (n, _) = a.send(ca, b"x");
+        let (n, _) = send(&mut a, ca, b"x");
         assert_eq!(n, 0);
     }
 
@@ -1147,7 +1188,7 @@ mod tests {
         b.listen(AppId(0), 3260);
         let (ca, syn) = a.connect(AppId(0), A, SockAddr::new(B, 3260));
         // Queue data before the handshake completes (common for iSCSI login).
-        let (n, segs) = a.send(ca, b"early");
+        let (n, segs) = send(&mut a, ca, b"early");
         assert_eq!(n, 5);
         assert!(segs.is_empty());
         let (_, eb) = shuttle(&mut a, &mut b, vec![syn], vec![]);

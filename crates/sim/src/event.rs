@@ -184,8 +184,23 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_if(|_| true)
+    }
+
+    /// Removes and returns the earliest event if `due` accepts its
+    /// delivery instant; a refused event stays queued.
+    ///
+    /// One search where [`peek_time`](Self::peek_time) followed by
+    /// [`pop`](Self::pop) does two — the shape of every bounded run loop
+    /// ("deliver while the head is at or before `end`"). Like `peek_time`,
+    /// a refused call may still cascade and advance the cursor up to (never
+    /// past) the refused head.
+    pub fn pop_if(&mut self, due: impl FnOnce(SimTime) -> bool) -> Option<(SimTime, E)> {
         let idx = self.find_earliest()?;
         let at = self.slab[idx as usize].at;
+        if !due(SimTime::from_nanos(at)) {
+            return None;
+        }
         self.unlink(idx);
         let event = self.release(idx);
         self.len -= 1;
@@ -553,6 +568,22 @@ mod tests {
         q.pop();
         assert_eq!(q.delivered(), 1);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn pop_if_refuses_without_removing() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_nanos(5_000), "late");
+        assert_eq!(q.pop_if(|t| t < SimTime::from_nanos(5_000)), None);
+        assert_eq!(q.len(), 1);
+        // The refused search cascaded towards 5000; an earlier push still
+        // pops first.
+        q.push(SimTime::from_nanos(70), "early");
+        let bound = SimTime::from_nanos(5_000);
+        assert_eq!(q.pop_if(|t| t <= bound).unwrap().1, "early");
+        assert_eq!(q.pop_if(|t| t <= bound).unwrap().1, "late");
+        assert_eq!(q.pop_if(|_| true), None);
+        assert_eq!(q.delivered(), 2);
     }
 
     #[test]

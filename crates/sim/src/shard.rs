@@ -211,11 +211,7 @@ mod tests {
         }
 
         fn run_until(&mut self, bound: SimTime, outbox: &mut Outbox<u64>) {
-            while let Some(t) = self.q.peek_time() {
-                if t >= bound {
-                    break;
-                }
-                let (t, v) = self.q.pop().expect("peeked");
+            while let Some((t, v)) = self.q.pop_if(|t| t < bound) {
                 self.log.push((t.as_nanos(), v));
                 if v % 3 == 0 {
                     outbox.send((self.id + 1) % self.shards, t + LATENCY, 0, v + 1);

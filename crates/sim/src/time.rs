@@ -146,8 +146,15 @@ impl SimDuration {
         if bits_per_sec == 0 {
             return SimDuration::ZERO;
         }
-        let bits = bytes as u128 * 8;
-        SimDuration(((bits * 1_000_000_000) / bits_per_sec as u128) as u64)
+        // bit-nanoseconds fit u64 for every frame and disk transfer (up to
+        // ~2.3 GB); the u128 division is kept for anything larger.
+        const BIT_NANOS_PER_BYTE: u64 = 8 * 1_000_000_000;
+        match (bytes as u64).checked_mul(BIT_NANOS_PER_BYTE) {
+            Some(bit_nanos) => SimDuration(bit_nanos / bits_per_sec),
+            None => SimDuration(
+                (bytes as u128 * BIT_NANOS_PER_BYTE as u128 / bits_per_sec as u128) as u64,
+            ),
+        }
     }
 
     /// Raw nanoseconds.

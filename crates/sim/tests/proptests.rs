@@ -37,6 +37,17 @@ impl HeapModel {
         }
         None
     }
+
+    /// Time of the earliest live event (drops tombstones on the way).
+    fn peek(&mut self) -> Option<u64> {
+        while let Some(&Reverse((at, seq))) = self.heap.peek() {
+            if self.live.contains_key(&seq) {
+                return Some(at);
+            }
+            self.heap.pop();
+        }
+        None
+    }
 }
 
 /// One step of the differential driver.
@@ -50,6 +61,15 @@ enum Op {
         nth: usize,
     },
     Pop,
+    /// `pop_if` with a bound `delta` ns around the head's time, strict
+    /// (`<`) or inclusive (`<=`). When it refuses, an event is pushed
+    /// `early` ns (mod the gap) after the last pop — before the refused
+    /// head, behind wherever the refused search moved the cursor.
+    PopIf {
+        delta: i64,
+        inclusive: bool,
+        early: u64,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -61,14 +81,26 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u64..3_000).prop_map(|at| Op::Push { at }),
         (0usize..64).prop_map(|nth| Op::Cancel { nth }),
         Just(Op::Pop),
+        (-3i64..4, any::<bool>(), any::<u64>()).prop_map(|(delta, inclusive, early)| Op::PopIf {
+            delta,
+            inclusive,
+            early
+        }),
+        (-70_000i64..70_000, any::<bool>(), any::<u64>()).prop_map(|(delta, inclusive, early)| {
+            Op::PopIf {
+                delta,
+                inclusive,
+                early,
+            }
+        }),
     ]
 }
 
 proptest! {
     /// Differential test: the timer wheel agrees with the old
-    /// `BinaryHeap` queue on every interleaving of pushes, cancels, and
-    /// pops — identical pop order (time AND sequence) and identical
-    /// cancel outcomes.
+    /// `BinaryHeap` queue on every interleaving of pushes, cancels, pops
+    /// and bounded pops — identical pop order (time AND sequence),
+    /// identical cancel outcomes and identical `pop_if` verdicts.
     #[test]
     fn wheel_matches_heap_reference(ops in prop::collection::vec(op_strategy(), 1..400)) {
         let mut wheel: EventQueue<u64> = EventQueue::new();
@@ -101,6 +133,30 @@ proptest! {
                     if let Some((at, seq)) = got {
                         floor = at;
                         tokens.retain(|(s, _)| *s != seq);
+                    }
+                }
+                Op::PopIf { delta, inclusive, early } => {
+                    let Some(head) = heap.peek() else {
+                        prop_assert_eq!(wheel.pop_if(|_| true), None);
+                        continue;
+                    };
+                    let bound = SimTime::from_nanos(head.saturating_add_signed(delta));
+                    let due = |t: SimTime| if inclusive { t <= bound } else { t < bound };
+                    let expect = if due(SimTime::from_nanos(head)) { heap.pop() } else { None };
+                    let got = wheel.pop_if(due).map(|(t, seq)| (t.as_nanos(), seq));
+                    prop_assert_eq!(got, expect, "pop_if diverged");
+                    match got {
+                        Some((at, seq)) => {
+                            floor = at;
+                            tokens.retain(|(s, _)| *s != seq);
+                        }
+                        None if head > floor => {
+                            let at = floor + early % (head - floor);
+                            let seq = heap.push(at);
+                            let tok = wheel.push_cancelable(SimTime::from_nanos(at), seq);
+                            tokens.push((seq, tok));
+                        }
+                        None => {}
                     }
                 }
             }
@@ -175,5 +231,26 @@ proptest! {
         prop_assert!(latest.as_nanos() * cores as u64 >= total);
         // And utilization never exceeds 1.
         prop_assert!(cpu.utilization(latest) <= 1.0 + 1e-9);
+    }
+
+    /// `transmission` divides in `u64` when `bytes × 8·10⁹` fits and in
+    /// `u128` otherwise: both agree with the `u128` formula, in particular
+    /// on either side of the overflow boundary.
+    #[test]
+    fn transmission_matches_u128_formula(
+        small in 0usize..4_000_000,
+        around in -64i64..64,
+        large in any::<u64>(),
+        bps in 1u64..400_000_000_000,
+    ) {
+        let boundary = u64::MAX / 8_000_000_000;
+        for bytes in [small as u64, boundary.saturating_add_signed(around), large >> 8] {
+            let exact = (bytes as u128 * 8 * 1_000_000_000 / bps as u128) as u64;
+            prop_assert_eq!(
+                SimDuration::transmission(bytes as usize, bps).as_nanos(),
+                exact,
+                "{} bytes at {} bps", bytes, bps
+            );
+        }
     }
 }
