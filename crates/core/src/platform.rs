@@ -10,7 +10,7 @@ use storm_cloud::sdn::{self, ChainHop, ChainSpec};
 use storm_cloud::{Cloud, GuestVm, VolumeHandle, Workload};
 use storm_iscsi::{Iqn, ISCSI_PORT};
 use storm_net::{AppId, DnatRule, SockAddr, TapConfig};
-use storm_sim::{SimDuration, SimTime};
+use storm_sim::SimDuration;
 
 use crate::relay::{
     ActiveRelayConfig, ActiveRelayMb, PassiveTap, PassiveTapConfig, RelayQosConfig, ReplicaTarget,
@@ -346,10 +346,5 @@ impl StormPlatform {
             removed += sdn::remove_chain(&mut cloud.net, seg);
         }
         removed
-    }
-
-    /// Runs the cloud until `end` (convenience passthrough).
-    pub fn run_until(&self, cloud: &mut Cloud, end: SimTime) {
-        cloud.net.run_until(end);
     }
 }

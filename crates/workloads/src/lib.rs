@@ -15,6 +15,8 @@
 //!   database volume (Figure 13).
 //! * [`FtpWorkload`] — bulk sequential transfer, the FTP up/download of
 //!   the CPU-utilization experiment (Figure 10).
+//! * [`VerifyWorkload`] — the integrity probe of the end-to-end tests:
+//!   write a salted pattern, read it back, compare, repeat.
 //! * [`malware`] — a scripted re-enactment of the
 //!   `HEUR:Backdoor.Linux.Ganiw.a` installation (Table III).
 
@@ -27,8 +29,10 @@ pub mod malware;
 mod oltp;
 pub mod postmark;
 mod replay;
+mod verify;
 
 pub use fio::{FioJob, FioWorkload};
 pub use ftp::{FtpDirection, FtpWorkload};
 pub use oltp::{OltpConfig, OltpWorkload};
 pub use replay::{OpClass, OpGroup, TraceWorkload};
+pub use verify::VerifyWorkload;

@@ -9,10 +9,9 @@
 //! cargo run --release --example access_monitor
 //! ```
 
-use storm::cloud::{Cloud, CloudConfig};
-use storm::core::relay::ActiveRelayMb;
 use storm::core::semantics::FsEvent;
-use storm::core::{MbSpec, Reconstructor, RelayMode, StormPlatform};
+use storm::core::Reconstructor;
+use storm::scenario::Spec;
 use storm::services::{MonitorConfig, MonitorService};
 use storm::workloads::malware;
 use storm::workloads::postmark::install_image;
@@ -28,17 +27,10 @@ fn main() {
         steps.len()
     );
 
-    let mut cloud = Cloud::build(CloudConfig {
-        backing_bytes: 2 << 30,
-        ..CloudConfig::default()
-    });
-    let platform = StormPlatform::default();
-    let volume = cloud.create_volume(256 << 20, 0);
-    install_image(&mut image, &mut volume.shared.clone());
-
     // The tenant marks sensitive paths; the platform bootstraps the
-    // monitor's system view from the volume at attach time (dumpe2fs).
-    let recon = Reconstructor::from_device(&mut volume.shared.clone(), "").unwrap();
+    // monitor's system view (dumpe2fs) from the image the volume is
+    // provisioned with.
+    let recon = Reconstructor::from_device(&mut image, "").unwrap();
     let monitor = MonitorService::new(
         MonitorConfig {
             watch: vec!["/etc/init.d".into(), "/bin".into()],
@@ -46,44 +38,24 @@ fn main() {
         },
         recon,
     );
-    let deployment = platform.deploy_chain(
-        &mut cloud,
-        &volume,
-        (1, 2),
-        vec![MbSpec::with_services(
-            3,
-            RelayMode::Active,
-            vec![Box::new(monitor)],
-        )],
-    );
-    let app = platform.attach_volume_steered(
-        &mut cloud,
-        &deployment,
-        0,
-        "vm:victim",
-        &volume,
-        Box::new(TraceWorkload::new(trace)),
-        7,
-        false,
-    );
-    cloud.net.run_until(SimTime::from_nanos(60_000_000_000));
-    assert_eq!(cloud.client_mut(0, app).stats.errors, 0);
+    let spec = Spec {
+        client_seed: 7,
+        label: "vm:victim",
+        volume_bytes: 256 << 20,
+        services: vec![Box::new(monitor)],
+        ..Spec::default()
+    };
+    let mut run = spec.build(TraceWorkload::new(trace), |_, volume| {
+        install_image(&mut image, &mut volume.shared.clone());
+    });
+    run.run_until(SimTime::from_nanos(60_000_000_000));
+    assert_eq!(run.client().stats.errors, 0);
 
-    let relay = cloud
-        .net
-        .app_mut(deployment.mb_nodes[0].node, deployment.mb_apps[0].unwrap())
-        .unwrap()
-        .downcast_mut::<ActiveRelayMb>()
-        .unwrap();
     println!("\nalerts raised while the malware installed itself:");
-    for (at, msg) in relay.alerts() {
+    for (at, msg) in run.relay().alerts() {
         println!("  [{at}] {msg}");
     }
-    let monitor = relay
-        .service_mut(0)
-        .unwrap()
-        .downcast_mut::<MonitorService>()
-        .unwrap();
+    let monitor = run.service::<MonitorService>(0);
     println!("\nfile creations inferred from metadata writes:");
     for ev in monitor.events() {
         if let FsEvent::Created { path, .. } = ev {

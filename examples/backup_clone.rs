@@ -14,14 +14,14 @@
 //! ```
 
 use bytes::Bytes;
-use storm::cloud::{Cloud, CloudConfig, IoCtx, IoKind, IoResult, ReqId, Workload};
-use storm::core::relay::{ActiveRelayMb, ReplicaTarget};
-use storm::core::{MbSpec, RelayMode, StormPlatform};
+use storm::cloud::{IoCtx, IoKind, IoResult, ReqId, Workload};
+use storm::net::AppId;
+use storm::scenario::{Replica, Run, Spec};
 use storm::services::SnapshotService;
 use storm::telemetry::names::{self, tenant_scoped};
 use storm::telemetry::MetricsRegistry;
 use storm_block::{BlockDevice, MemDisk};
-use storm_sim::{SimDuration, SimTime};
+use storm_sim::SimDuration;
 
 const BLOCKS: u64 = 8;
 /// One CoW extent (128 sectors = 64 KiB) per written block.
@@ -65,63 +65,28 @@ impl Workload for WriteSet {
     }
 }
 
-fn run_phase(cloud: &mut Cloud, platform: &StormPlatform, args: PhaseArgs<'_>) {
-    let app = platform.attach_volume_steered(
-        cloud,
-        args.deployment,
-        0,
-        args.vm,
-        args.vol,
-        Box::new(WriteSet::new(args.ops)),
-        args.seed,
-        false,
-    );
-    let deadline = cloud.net.now() + SimDuration::from_secs(10);
-    cloud
-        .net
-        .run_until(SimTime::from_nanos(deadline.as_nanos()));
-    let client = cloud.client_mut(0, app);
-    assert_eq!(client.stats.errors, 0, "phase saw I/O errors");
+/// Runs ten more seconds and checks the phase's writer finished cleanly.
+fn finish_phase(run: &mut Run, app: AppId) {
+    let deadline = run.cloud.net.now() + SimDuration::from_secs(10);
+    run.run_until(deadline);
+    let errors = run.cloud.client_mut(0, app).stats.errors;
+    assert_eq!(errors, 0, "phase saw I/O errors");
     assert!(
-        client
-            .workload_ref()
-            .unwrap()
-            .downcast_ref::<WriteSet>()
-            .unwrap()
-            .done,
+        run.workload_of::<WriteSet>(0, app).done,
         "phase did not finish"
     );
 }
 
-struct PhaseArgs<'a> {
-    deployment: &'a storm::core::ChainDeployment,
-    vm: &'a str,
-    vol: &'a storm::cloud::VolumeHandle,
-    ops: Vec<(u64, Bytes)>,
-    seed: u64,
-}
-
 fn main() {
-    let mut cloud = Cloud::build(CloudConfig::default());
-    let platform = StormPlatform::default();
-    let vol = cloud.create_volume(64 << 20, 0);
-
     // One middle-box running the snapshot service; its replica session
     // points at the primary volume for pre-image fetches.
-    let deployment = platform.deploy_chain(
-        &mut cloud,
-        &vol,
-        (1, 2),
-        vec![MbSpec {
-            host_idx: 3,
-            mode: RelayMode::Active,
-            services: vec![Box::new(SnapshotService::new(EXTENT_SECTORS))],
-            replicas: vec![ReplicaTarget {
-                portal: vol.portal,
-                iqn: vol.iqn.clone(),
-            }],
-        }],
-    );
+    let spec = Spec {
+        client_seed: 31,
+        label: "vm:db-v1",
+        services: vec![Box::new(SnapshotService::new(EXTENT_SECTORS))],
+        replicas: vec![Replica::Primary],
+        ..Spec::default()
+    };
 
     // Phase 1: the "database" lays down version-1 content, one block per
     // CoW extent. Epoch 0: the service forwards verbatim, zero overhead.
@@ -133,35 +98,13 @@ fn main() {
             )
         })
         .collect();
-    run_phase(
-        &mut cloud,
-        &platform,
-        PhaseArgs {
-            deployment: &deployment,
-            vm: "vm:db-v1",
-            vol: &vol,
-            ops: v1.clone(),
-            seed: 31,
-        },
-    );
+    let mut run = spec.build(WriteSet::new(v1.clone()), |_, _| {});
+    let app = run.app;
+    finish_phase(&mut run, app);
 
     // Instant snapshot: one O(1) epoch bump at the middle-box. No I/O,
     // no quiesce, no copy yet.
-    let (mb_node, mb_app) = (deployment.mb_nodes[0].node, deployment.mb_apps[0].unwrap());
-    let snap_id = {
-        let relay = cloud
-            .net
-            .app_mut(mb_node, mb_app)
-            .unwrap()
-            .downcast_mut::<ActiveRelayMb>()
-            .unwrap();
-        let snap = relay
-            .service_mut(0)
-            .unwrap()
-            .downcast_mut::<SnapshotService>()
-            .unwrap();
-        snap.take_snapshot()
-    };
+    let snap_id = run.service::<SnapshotService>(0).take_snapshot();
     println!("snapshot {snap_id} taken at the middle-box (O(1), no copy)");
 
     // Phase 2: the live volume diverges — every even block is
@@ -175,38 +118,18 @@ fn main() {
             )
         })
         .collect();
-    run_phase(
-        &mut cloud,
-        &platform,
-        PhaseArgs {
-            deployment: &deployment,
-            vm: "vm:db-v2",
-            vol: &vol,
-            ops: v2,
-            seed: 32,
-        },
-    );
+    let app = run.attach(0, "vm:db-v2", WriteSet::new(v2), 32);
+    finish_phase(&mut run, app);
 
     // Clone: materialize the snapshot image onto a fresh device — live
     // data except where a preserved pre-image supersedes it.
     let mut clone = MemDisk::with_capacity_bytes(64 << 20);
-    let (cow_copies, preserved_bytes) = {
-        let relay = cloud
-            .net
-            .app_mut(mb_node, mb_app)
-            .unwrap()
-            .downcast_mut::<ActiveRelayMb>()
-            .unwrap();
-        let snap = relay
-            .service(0)
-            .unwrap()
-            .downcast_ref::<SnapshotService>()
-            .unwrap();
-        snap.cow()
-            .materialize(snap_id, &mut vol.shared.clone(), &mut clone)
-            .expect("materialize clone");
-        (snap.stats.cow_copies, snap.stats.preserved_bytes)
-    };
+    let mut live = run.volume.shared.clone();
+    let snap = run.service::<SnapshotService>(0);
+    snap.cow()
+        .materialize(snap_id, &mut live, &mut clone)
+        .expect("materialize clone");
+    let (cow_copies, preserved_bytes) = (snap.stats.cow_copies, snap.stats.preserved_bytes);
     println!(
         "clone cut: {cow_copies} extents were copy-on-first-write ({preserved_bytes} bytes preserved)"
     );
@@ -224,7 +147,6 @@ fn main() {
         assert_eq!(&buf[..], &data[..], "clone block {i} diverged from v1");
     }
     // ...while the live volume carries the v2 overwrites.
-    let mut live = vol.shared.clone();
     for i in (0..BLOCKS).step_by(2) {
         live.read(i * EXTENT_SECTORS, &mut buf).unwrap();
         assert!(

@@ -9,91 +9,51 @@
 //!
 //! Run with `cargo run --release --example fault_injection`.
 
-use storm::cloud::{Cloud, CloudConfig};
-use storm::core::relay::{ActiveRelayMb, ReplicaTarget};
-use storm::core::{MbSpec, RelayMode, StormPlatform};
-use storm::faults::{Fault, FaultPlan, FaultRunner};
+use storm::cloud::DiskSpec;
+use storm::faults::{Fault, FaultPlan};
+use storm::scenario::{Replica, Spec};
 use storm::services::ReplicationService;
 use storm::sim::{SimDuration, SimTime};
 use storm::workloads::{OltpConfig, OltpWorkload};
 
 const RUN_SECS: u64 = 10;
 const FAIL_AT_SECS: u64 = 4;
+/// Replica 0 is spare 0, which lives on storage host 1.
+const MUTED_HOST: u32 = 1;
 
 fn main() {
-    let mut cfg = CloudConfig {
-        storage_hosts: 3,
-        backing_bytes: 8 << 30,
-        ..CloudConfig::default()
-    };
-    cfg.target.disk.cache_blocks = 32_768;
-    let mut cloud = Cloud::build(cfg);
-    let platform = StormPlatform::default();
-    let vol = cloud.create_volume(1 << 30, 0);
-    let rep1 = cloud.create_volume(1 << 30, 1);
-    let rep2 = cloud.create_volume(1 << 30, 2);
-    let deployment = platform.deploy_chain(
-        &mut cloud,
-        &vol,
-        (1, 2),
-        vec![MbSpec {
-            host_idx: 3,
-            mode: RelayMode::Active,
-            services: vec![Box::new(ReplicationService::new(2, true))],
-            replicas: vec![
-                ReplicaTarget {
-                    portal: rep1.portal,
-                    iqn: rep1.iqn.clone(),
-                },
-                ReplicaTarget {
-                    portal: rep2.portal,
-                    iqn: rep2.iqn.clone(),
-                },
-            ],
-        }],
-    );
-    let app = platform.attach_volume_steered(
-        &mut cloud,
-        &deployment,
-        0,
-        "vm:mysql",
-        &vol,
-        Box::new(OltpWorkload::new(OltpConfig {
-            threads: 2,
-            reads_per_txn: 2,
-            area_sectors: 1 << 19,
-            duration: SimDuration::from_secs(RUN_SECS),
-        })),
-        77,
-        false,
-    );
-
-    let plan = FaultPlan::new(0xF1613).at(
-        SimTime::from_secs(FAIL_AT_SECS),
-        Fault::MuteTarget {
-            host: rep1.storage_host as u32,
+    let spec = Spec {
+        client_seed: 77,
+        label: "vm:mysql",
+        volume_bytes: 1 << 30,
+        spares: vec![1 << 30, 1 << 30],
+        disk: DiskSpec {
+            cache_blocks: 32_768,
+            ..DiskSpec::default()
         },
-    );
-    let mut runner = FaultRunner::new(plan.schedule());
-    runner.arm_cloud(&mut cloud);
-    let (mb_node, mb_app) = (deployment.mb_nodes[0].node, deployment.mb_apps[0].unwrap());
-    assert!(runner.arm_mb(&mut cloud, 0, mb_node, mb_app));
+        services: vec![Box::new(ReplicationService::new(2, true))],
+        replicas: vec![Replica::Spare(0), Replica::Spare(1)],
+        faults: Some(FaultPlan::new(0xF1613).at(
+            SimTime::from_secs(FAIL_AT_SECS),
+            Fault::MuteTarget { host: MUTED_HOST },
+        )),
+        ..Spec::default()
+    };
+    let oltp = OltpWorkload::new(OltpConfig {
+        threads: 2,
+        reads_per_txn: 2,
+        area_sectors: 1 << 19,
+        duration: SimDuration::from_secs(RUN_SECS),
+    });
+    let mut run = spec.build(oltp, |_, _| {});
 
     println!("fault plan (seed 0xF1613):");
-    println!(
-        "  t={FAIL_AT_SECS}s  mute storage host {} (replica 0)",
-        rep1.storage_host
-    );
+    println!("  t={FAIL_AT_SECS}s  mute storage host {MUTED_HOST} (replica 0)");
     println!();
-    runner.run(&mut cloud, SimTime::from_secs(RUN_SECS + 2));
+    run.run_until(SimTime::from_secs(RUN_SECS + 2));
 
-    let client = cloud.client_mut(0, app);
-    let errors = client.stats.errors;
-    let w = client
-        .workload_ref()
-        .unwrap()
-        .downcast_ref::<OltpWorkload>()
-        .unwrap();
+    let errors = run.client().stats.errors;
+    let w = run.workload::<OltpWorkload>();
     println!("TPS timeline (failure at t={FAIL_AT_SECS}s):");
     for s in 0..RUN_SECS as usize {
         let tps = w.mean_tps(s, s + 1);
@@ -107,17 +67,8 @@ fn main() {
     }
     println!();
 
-    let relay = cloud
-        .net
-        .app_mut(mb_node, mb_app)
-        .unwrap()
-        .downcast_mut::<ActiveRelayMb>()
-        .unwrap();
-    let svc = relay
-        .service(0)
-        .unwrap()
-        .downcast_ref::<ReplicationService>()
-        .unwrap();
+    let trace = run.fault_trace();
+    let svc = run.service::<ReplicationService>(0);
     println!("recovery:");
     println!("  guest-visible I/O errors : {errors}");
     println!("  alive replicas           : {} of 2", svc.alive_replicas());
@@ -125,7 +76,6 @@ fn main() {
     println!("  replica write failures   : {}", svc.stats.write_failures);
     println!();
 
-    let trace = runner.trace();
     println!("fault trace ({} events, first 6):", trace.len());
     for line in trace.iter().take(6) {
         println!("  {line}");

@@ -10,77 +10,40 @@
 //! cargo run --release --example replicated_database
 //! ```
 
-use storm::cloud::{Cloud, CloudConfig};
-use storm::core::relay::{ActiveRelayMb, ReplicaTarget};
-use storm::core::{MbSpec, RelayMode, StormPlatform};
+use storm::scenario::{Replica, Spec};
 use storm::services::ReplicationService;
 use storm::workloads::{OltpConfig, OltpWorkload};
 use storm_sim::{SimDuration, SimTime};
 
 fn main() {
-    let mut cloud = Cloud::build(CloudConfig {
-        storage_hosts: 3,
-        backing_bytes: 8 << 30,
-        ..CloudConfig::default()
-    });
-    let platform = StormPlatform::default();
-    let primary = cloud.create_volume(2 << 30, 0);
-    let rep1 = cloud.create_volume(2 << 30, 1);
-    let rep2 = cloud.create_volume(2 << 30, 2);
-
-    let deployment = platform.deploy_chain(
-        &mut cloud,
-        &primary,
-        (1, 2),
-        vec![MbSpec {
-            host_idx: 3,
-            mode: RelayMode::Active,
-            services: vec![Box::new(ReplicationService::new(2, true))],
-            replicas: vec![
-                ReplicaTarget {
-                    portal: rep1.portal,
-                    iqn: rep1.iqn.clone(),
-                },
-                ReplicaTarget {
-                    portal: rep2.portal,
-                    iqn: rep2.iqn.clone(),
-                },
-            ],
-        }],
-    );
-    println!("replication middle-box deployed: primary + 2 replicas, read striping on");
-
+    let spec = Spec {
+        client_seed: 3,
+        label: "vm:mysql",
+        volume_bytes: 2 << 30,
+        spares: vec![2 << 30, 2 << 30],
+        services: vec![Box::new(ReplicationService::new(2, true))],
+        replicas: vec![Replica::Spare(0), Replica::Spare(1)],
+        ..Spec::default()
+    };
     let oltp = OltpConfig {
         duration: SimDuration::from_secs(30),
         ..OltpConfig::default()
     };
-    let app = platform.attach_volume_steered(
-        &mut cloud,
-        &deployment,
-        0,
-        "vm:mysql",
-        &primary,
-        Box::new(OltpWorkload::new(oltp)),
-        3,
-        false,
-    );
+    let mut run = spec.build(OltpWorkload::new(oltp), |_, _| {});
+    println!("replication middle-box deployed: primary + 2 replicas, read striping on");
 
     // Fail replica 1 at the 15-second mark.
-    cloud.net.run_until(SimTime::from_nanos(15_000_000_000));
+    run.run_until(SimTime::from_nanos(15_000_000_000));
     println!("t=15s: replica 1's backing store fails");
-    rep1.shared.fail();
-    cloud.net.run_until(SimTime::from_nanos(40_000_000_000));
+    run.spares[0].shared.fail();
+    run.run_until(SimTime::from_nanos(40_000_000_000));
 
-    let client = cloud.client_mut(0, app);
     assert_eq!(
-        client.stats.errors, 0,
+        run.client().stats.errors,
+        0,
         "the database must never see the failure"
     );
-    let w = client
-        .workload_ref()
-        .unwrap()
-        .downcast_ref::<OltpWorkload>()
-        .unwrap();
+    let w = run.workload::<OltpWorkload>();
     println!("\nper-second transactions:");
     for (t, tps) in w.tps.series().iter().enumerate().step_by(3) {
         let bar = "#".repeat((*tps as usize) / 20);
@@ -91,20 +54,10 @@ fn main() {
         w.transactions
     );
 
-    let relay = cloud
-        .net
-        .app_mut(deployment.mb_nodes[0].node, deployment.mb_apps[0].unwrap())
-        .unwrap()
-        .downcast_mut::<ActiveRelayMb>()
-        .unwrap();
-    for (at, msg) in relay.alerts() {
+    for (at, msg) in run.relay().alerts() {
         println!("alert [{at}]: {msg}");
     }
-    let svc = relay
-        .service(0)
-        .unwrap()
-        .downcast_ref::<ReplicationService>()
-        .unwrap();
+    let svc = run.service::<ReplicationService>(0);
     println!(
         "replica writes: {}, striped reads: {}, retried reads: {}, replicas alive: {}",
         svc.stats.replica_writes,

@@ -13,14 +13,11 @@
 //! cargo run --release --example service_chain
 //! ```
 
-use std::sync::Arc;
-
-use storm::cloud::{Cloud, CloudConfig};
-use storm::core::relay::ActiveRelayMb;
-use storm::core::{MbSpec, Reconstructor, RelayMode, StormPlatform};
+use storm::core::Reconstructor;
+use storm::scenario::Spec;
 use storm::services::{EncryptionService, MonitorConfig, MonitorService};
 use storm::telemetry::names::tenant_scoped;
-use storm::telemetry::{analyze, MetricsRegistry, Recorder};
+use storm::telemetry::{analyze, MetricsRegistry};
 use storm::workloads::postmark::install_image;
 use storm::workloads::{OpClass, OpGroup, TraceWorkload};
 use storm_block::{MemDisk, RecordingDevice};
@@ -41,15 +38,8 @@ fn main() {
     let ops = fs.device_mut().take_log();
     let mut image = fs.into_device().unwrap().into_inner();
 
-    let mut cloud = Cloud::build(CloudConfig::default());
-    let recorder = Arc::new(Recorder::new());
-    cloud.set_trace_hook(Recorder::hook(&recorder));
-    let platform = StormPlatform::default();
-    let volume = cloud.create_volume(128 << 20, 0);
-    install_image(&mut image, &mut volume.shared.clone());
-
     // The chain: monitor first, then encryption — order matters.
-    let recon = Reconstructor::from_device(&mut volume.shared.clone(), "").unwrap();
+    let recon = Reconstructor::from_device(&mut image, "").unwrap();
     let monitor = MonitorService::new(
         MonitorConfig {
             watch: vec!["/finance".into()],
@@ -58,81 +48,57 @@ fn main() {
         recon,
     );
     let encryption = EncryptionService::aes_xts(&[0x99; 64]);
-    let deployment = platform.deploy_chain(
-        &mut cloud,
-        &volume,
-        (1, 2),
-        vec![MbSpec::with_services(
-            3,
-            RelayMode::Active,
-            vec![Box::new(monitor), Box::new(encryption)],
-        )],
-    );
-
+    let spec = Spec {
+        client_seed: 5,
+        label: "vm:erp",
+        volume_bytes: 128 << 20,
+        services: vec![Box::new(monitor), Box::new(encryption)],
+        traced: true,
+        ..Spec::default()
+    };
     let groups = vec![OpGroup {
         class: OpClass::Create,
         label: "create+write /finance/q3-forecast.xlsx".into(),
         accesses: ops,
     }];
-    let app = platform.attach_volume_steered(
-        &mut cloud,
-        &deployment,
-        0,
-        "vm:erp",
-        &volume,
-        Box::new(TraceWorkload::new(groups)),
-        5,
-        false,
-    );
-    cloud.net.run_until(SimTime::from_nanos(20_000_000_000));
-    assert_eq!(cloud.client_mut(0, app).stats.errors, 0);
+    let mut run = spec.build(TraceWorkload::new(groups), |_, volume| {
+        install_image(&mut image, &mut volume.shared.clone());
+    });
+    run.run_until(SimTime::from_nanos(20_000_000_000));
+    assert_eq!(run.client().stats.errors, 0);
 
     // The monitor (stage 1) saw the plaintext file operation...
-    let relay = cloud
-        .net
-        .app_mut(deployment.mb_nodes[0].node, deployment.mb_apps[0].unwrap())
-        .unwrap()
-        .downcast_mut::<ActiveRelayMb>()
-        .unwrap();
     println!("audit log (stage 1 — monitor, sees plaintext):");
-    for (at, msg) in relay.alerts() {
+    for (at, msg) in run.relay().alerts() {
         println!("  [{at}] {msg}");
     }
-    let mon = relay
-        .service(0)
-        .unwrap()
-        .downcast_ref::<MonitorService>()
-        .unwrap();
-    for e in mon.analysis().iter().take(8) {
+    for e in run.service::<MonitorService>(0).analysis().iter().take(8) {
         println!("  {e}");
     }
-    let enc = relay
-        .service(1)
-        .unwrap()
-        .downcast_ref::<EncryptionService>()
-        .unwrap();
-    let (enc_bytes, _) = enc.counters();
+    let (enc_bytes, _) = run.service::<EncryptionService>(1).counters();
     println!("\nstage 2 — encryption: {enc_bytes} bytes encrypted on the write path");
 
     // Telemetry: per-stage counters and the chain's latency attribution.
     // The Meta events the relay emitted at arm time label the service
     // rows by name (service:monitor, service:encryption).
     let mut registry = MetricsRegistry::new();
+    let relay = run.relay();
     registry.inc(&tenant_scoped("mb.alerts", 0), relay.alerts().len() as u64);
     registry.inc(
         &tenant_scoped("mb.pdus_forwarded", 0),
         relay.pdus_forwarded(),
     );
     registry.inc(&tenant_scoped("mb.enc_bytes", 0), enc_bytes);
-    let client = cloud.client_mut(0, app);
+    let client = run.client();
     registry.inc(&tenant_scoped("vm.ops", 0), client.stats.ops());
     registry.merge_histogram(&tenant_scoped("vm.latency", 0), &client.stats.latency);
     print!("\n[metrics]\n{}", registry.report());
+    let recorder = run.recorder();
     let report = analyze::attribute(&recorder.events());
     print!("\n[trace] {} events\n{}", recorder.len(), report.table());
 
     // ...while the volume holds ciphertext.
-    let mut fs_check = ExtFs::mount(volume.shared.clone());
+    let mut fs_check = ExtFs::mount(run.volume.shared.clone());
     match fs_check {
         Ok(ref mut f) => {
             let data = f.read_file_to_end("/finance/q3-forecast.xlsx");

@@ -12,62 +12,36 @@
 //! cargo run --release --example trace_breakdown
 //! ```
 
-use std::sync::Arc;
-
-use storm::cloud::{Cloud, CloudConfig};
-use storm::core::{MbSpec, RelayMode, StormPlatform};
+use storm::scenario::Spec;
 use storm::services::EncryptionService;
-use storm::telemetry::{analyze, Recorder};
+use storm::telemetry::analyze;
 use storm::workloads::{FtpDirection, FtpWorkload};
 use storm_sim::{SimDuration, SimTime};
 
 fn main() {
-    let mut cloud = Cloud::build(CloudConfig::default());
-    let recorder = Arc::new(Recorder::new());
-    cloud.set_trace_hook(Recorder::hook(&recorder));
-
-    let platform = StormPlatform::default();
-    let volume = cloud.create_volume(256 << 20, 0);
     let mut cipher = EncryptionService::stream_cipher(&[0x11u8; 32], &[0x22u8; 12]);
     cipher.set_per_byte_cost(SimDuration::from_nanos(4));
-    let deployment = platform.deploy_chain(
-        &mut cloud,
-        &volume,
-        (1, 2),
-        vec![MbSpec::with_services(
-            3,
-            RelayMode::Active,
-            vec![Box::new(cipher)],
-        )],
-    );
-
+    let spec = Spec {
+        client_seed: 7,
+        label: "vm:ftp",
+        volume_bytes: 256 << 20,
+        services: vec![Box::new(cipher)],
+        traced: true,
+        ..Spec::default()
+    };
     let total = 16u64 << 20;
-    let app = platform.attach_volume_steered(
-        &mut cloud,
-        &deployment,
-        0,
-        "vm:ftp",
-        &volume,
-        Box::new(FtpWorkload::new(FtpDirection::Upload, total)),
-        7,
-        false,
-    );
-    cloud.net.run_until(SimTime::from_nanos(30_000_000_000));
+    let mut run = spec.build(FtpWorkload::new(FtpDirection::Upload, total), |_, _| {});
+    run.run_until(SimTime::from_nanos(30_000_000_000));
 
-    let client = cloud.client_mut(0, app);
-    assert!(client.is_ready(), "login failed");
-    assert_eq!(client.stats.errors, 0);
-    let w = client
-        .workload_ref()
-        .unwrap()
-        .downcast_ref::<FtpWorkload>()
-        .unwrap();
+    assert_eq!(run.client().stats.errors, 0);
+    let w = run.workload::<FtpWorkload>();
     println!(
         "uploaded {} MiB at {:.1} MB/s through the encryption middle-box",
         w.done_bytes >> 20,
         w.throughput_mbps().expect("transfer finished")
     );
 
+    let recorder = run.recorder();
     let report = analyze::attribute(&recorder.events());
     println!("\nlatency attribution ({} trace events):", recorder.len());
     print!("{}", report.table());

@@ -2,8 +2,13 @@
 //!
 //! Umbrella crate re-exporting the whole workspace. See the individual
 //! crates for details; [`storm_core`] holds the paper's contribution.
+//! [`scenario`] is the one thing defined here: the paper's single-tenant
+//! testbed as a value, which `tests/` and `examples/` build on.
 
 #![forbid(unsafe_code)]
+#![warn(missing_docs)]
+
+pub mod scenario;
 
 pub use storm_block as block;
 pub use storm_cloud as cloud;

@@ -1,8 +1,9 @@
 //! Ablation studies for the design choices DESIGN.md calls out.
 
 use bytes::Bytes;
-use storm::cloud::{Cloud, CloudConfig, IoCtx, IoKind, IoResult, ReqId, Workload};
-use storm::core::{MbSpec, RelayMode, StormPlatform};
+use storm::cloud::{DiskSpec, IoCtx, IoKind, IoResult, ReqId, Workload};
+use storm::core::StormPlatform;
+use storm::scenario::Spec;
 use storm_sim::{SimDuration, SimTime};
 
 /// Keeps `depth` 16 KiB writes in flight for `secs` seconds.
@@ -32,36 +33,26 @@ impl Workload for Load {
 }
 
 fn throughput(platform: StormPlatform) -> u64 {
-    let mut cfg = CloudConfig {
-        backing_bytes: 16 << 30,
-        ..CloudConfig::default()
+    let spec = Spec {
+        client_seed: 5,
+        label: "vm:load",
+        volume_bytes: 1 << 30,
+        disk: DiskSpec {
+            prewarmed: true,
+            ..DiskSpec::default()
+        },
+        platform,
+        ..Spec::default()
     };
-    cfg.target.disk.prewarmed = true;
-    let mut cloud = Cloud::build(cfg);
-    let vol = cloud.create_volume(1 << 30, 0);
-    let deployment = platform.deploy_chain(
-        &mut cloud,
-        &vol,
-        (1, 2),
-        vec![MbSpec::bare(3, RelayMode::Active)],
-    );
-    let app = platform.attach_volume_steered(
-        &mut cloud,
-        &deployment,
-        0,
-        "vm:load",
-        &vol,
-        Box::new(Load {
-            depth: 16,
-            deadline: None,
-            secs: 3,
-            done: 0,
-        }),
-        5,
-        false,
-    );
-    cloud.net.run_until(SimTime::from_nanos(8_000_000_000));
-    let client = cloud.client_mut(0, app);
+    let load = Load {
+        depth: 16,
+        deadline: None,
+        secs: 3,
+        done: 0,
+    };
+    let mut run = spec.build(load, |_, _| {});
+    run.run_until(SimTime::from_nanos(8_000_000_000));
+    let client = run.client();
     assert_eq!(client.stats.errors, 0);
     client.stats.ops()
 }

@@ -12,11 +12,10 @@
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
-use storm::cloud::{Cloud, CloudConfig, IoCtx, IoKind, IoResult, ReqId, Workload};
-use storm::core::relay::ReplicaTarget;
-use storm::core::{MbSpec, RelayMode, StormPlatform};
+use storm::cloud::{IoCtx, IoKind, IoResult, ReqId, Workload};
+use storm::scenario::{Replica, Spec};
 use storm_block::BlockDevice;
-use storm_faults::{Fault, FaultPlan, FaultRunner};
+use storm_faults::{Fault, FaultPlan};
 use storm_services::{recover_journal, CacheConfig, WriteBackCacheService};
 use storm_sim::SimTime;
 
@@ -90,65 +89,25 @@ impl Workload for RecordingWorkload {
 /// middle-box, crash the middle-box VM at `crash_ms`, replay the journal
 /// and audit the backing volume.
 fn power_cut_round(seed: u64, crash_ms: u64) {
-    let mut cloud = Cloud::build(CloudConfig {
-        storage_hosts: 2,
-        backing_bytes: 4 << 30,
+    let spec = Spec {
         seed,
-        ..CloudConfig::default()
-    });
-    let platform = StormPlatform::default();
-    let vol = cloud.create_volume(256 << 20, 0);
-    let journal = cloud.create_volume(64 << 20, 1);
-    let deployment = platform.deploy_chain(
-        &mut cloud,
-        &vol,
-        (1, 2),
-        vec![MbSpec {
-            host_idx: 3,
-            mode: RelayMode::Active,
-            services: vec![Box::new(WriteBackCacheService::new(CacheConfig::default()))],
-            replicas: vec![
-                ReplicaTarget {
-                    portal: journal.portal,
-                    iqn: journal.iqn.clone(),
-                },
-                ReplicaTarget {
-                    portal: vol.portal,
-                    iqn: vol.iqn.clone(),
-                },
-            ],
-        }],
-    );
-    let app = platform.attach_volume_steered(
-        &mut cloud,
-        &deployment,
-        0,
-        "vm:crash",
-        &vol,
-        Box::new(RecordingWorkload::new()),
-        seed,
-        false,
-    );
+        client_seed: seed,
+        label: "vm:crash",
+        volume_bytes: 256 << 20,
+        spares: vec![64 << 20],
+        services: vec![Box::new(WriteBackCacheService::new(CacheConfig::default()))],
+        // Replica 0 is the journal, replica 1 the primary (flush path).
+        replicas: vec![Replica::Spare(0), Replica::Primary],
+        faults: Some(FaultPlan::new(0xCAC4E ^ seed).at(
+            SimTime::from_nanos(crash_ms * 1_000_000),
+            Fault::MbCrash { mb: 0 },
+        )),
+        ..Spec::default()
+    };
+    let mut run = spec.build(RecordingWorkload::new(), |_, _| {});
+    run.run_until(SimTime::from_nanos((crash_ms + 200) * 1_000_000));
 
-    let plan = FaultPlan::new(0xCAC4E ^ seed).at(
-        SimTime::from_nanos(crash_ms * 1_000_000),
-        Fault::MbCrash { mb: 0 },
-    );
-    let mut runner = FaultRunner::new(plan.schedule());
-    runner.arm_cloud(&mut cloud);
-    let (mb_node, mb_app) = (deployment.mb_nodes[0].node, deployment.mb_apps[0].unwrap());
-    assert!(runner.arm_mb(&mut cloud, 0, mb_node, mb_app));
-    runner.run(
-        &mut cloud,
-        SimTime::from_nanos((crash_ms + 200) * 1_000_000),
-    );
-
-    let client = cloud.client_mut(0, app);
-    let w = client
-        .workload_ref()
-        .unwrap()
-        .downcast_ref::<RecordingWorkload>()
-        .unwrap();
+    let w = run.workload::<RecordingWorkload>();
     let acked = w.acked.clone();
     let issued = w.issued.clone();
     assert!(
@@ -159,8 +118,8 @@ fn power_cut_round(seed: u64, crash_ms: u64) {
 
     // Out-of-band recovery, exactly what a rebooted middle-box would run
     // before re-exporting the volume.
-    let mut journal_dev = journal.shared.clone();
-    let mut backing_dev = vol.shared.clone();
+    let mut journal_dev = run.spares[0].shared.clone();
+    let mut backing_dev = run.volume.shared.clone();
     let report = recover_journal(&mut journal_dev, &mut backing_dev).expect("recovery I/O");
 
     // Audit every block the workload ever touched.

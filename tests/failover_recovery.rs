@@ -9,13 +9,10 @@
 //! its unfinished reads; the database keeps running with zero lost reads
 //! and throughput dips then recovers on the surviving lanes.
 
-use std::sync::Arc;
-
-use storm::cloud::{Cloud, CloudConfig};
-use storm::core::relay::{ActiveRelayMb, ReplicaTarget};
-use storm::core::{MbSpec, RelayMode, StormPlatform};
-use storm::telemetry::{analyze, Recorder};
-use storm_faults::{Fault, FaultPlan, FaultRunner};
+use storm::cloud::DiskSpec;
+use storm::scenario::{Replica, Spec};
+use storm::telemetry::analyze;
+use storm_faults::{Fault, FaultPlan};
 use storm_services::ReplicationService;
 use storm_sim::{SimDuration, SimTime};
 use storm_workloads::{OltpConfig, OltpWorkload};
@@ -25,86 +22,49 @@ const FAIL_AT_SECS: u64 = 4;
 
 #[test]
 fn replica_goes_mute_mid_workload_and_is_evicted() {
-    let mut cfg = CloudConfig {
-        storage_hosts: 3,
-        backing_bytes: 8 << 30,
-        ..CloudConfig::default()
-    };
-    // Keep the page cache small so reads hit the spindles — the regime
-    // where read striping (and losing a stripe lane) matters.
-    cfg.target.disk.cache_blocks = 32_768;
-    let mut cloud = Cloud::build(cfg);
-    // Record the telemetry trace alongside the fault trace: the eviction
-    // must be visible to an observability consumer, not just test hooks.
-    let recorder = Arc::new(Recorder::new());
-    cloud.set_trace_hook(Recorder::hook(&recorder));
-    let platform = StormPlatform::default();
-    let vol = cloud.create_volume(1 << 30, 0);
-    let rep1 = cloud.create_volume(1 << 30, 1);
-    let rep2 = cloud.create_volume(1 << 30, 2);
-    let deployment = platform.deploy_chain(
-        &mut cloud,
-        &vol,
-        (1, 2),
-        vec![MbSpec {
-            host_idx: 3,
-            mode: RelayMode::Active,
-            services: vec![Box::new(ReplicationService::new(2, true))],
-            replicas: vec![
-                ReplicaTarget {
-                    portal: rep1.portal,
-                    iqn: rep1.iqn.clone(),
-                },
-                ReplicaTarget {
-                    portal: rep2.portal,
-                    iqn: rep2.iqn.clone(),
-                },
-            ],
-        }],
-    );
-    let app = platform.attach_volume_steered(
-        &mut cloud,
-        &deployment,
-        0,
-        "vm:mysql",
-        &vol,
-        Box::new(OltpWorkload::new(OltpConfig {
-            threads: 2,
-            reads_per_txn: 2,
-            area_sectors: 1 << 19,
-            duration: SimDuration::from_secs(RUN_SECS),
-        })),
-        77,
-        false,
-    );
-
-    // Replica 0 lives on storage host 1: mute that target at the fail
-    // mark. Served requests produce no responses from then on.
-    let plan = FaultPlan::new(0xF1613).at(
-        SimTime::from_secs(FAIL_AT_SECS),
-        Fault::MuteTarget {
-            host: rep1.storage_host as u32,
+    let spec = Spec {
+        client_seed: 77,
+        label: "vm:mysql",
+        volume_bytes: 1 << 30,
+        spares: vec![1 << 30, 1 << 30],
+        // Keep the page cache small so reads hit the spindles — the regime
+        // where read striping (and losing a stripe lane) matters.
+        disk: DiskSpec {
+            cache_blocks: 32_768,
+            ..DiskSpec::default()
         },
-    );
-    let mut runner = FaultRunner::new(plan.schedule());
-    runner.arm_cloud(&mut cloud);
-    let (mb_node, mb_app) = (deployment.mb_nodes[0].node, deployment.mb_apps[0].unwrap());
-    assert!(runner.arm_mb(&mut cloud, 0, mb_node, mb_app));
-
-    runner.run(&mut cloud, SimTime::from_secs(RUN_SECS + 2));
+        services: vec![Box::new(ReplicationService::new(2, true))],
+        replicas: vec![Replica::Spare(0), Replica::Spare(1)],
+        // Replica 0 lives on storage host 1: mute that target at the fail
+        // mark. Served requests produce no responses from then on.
+        faults: Some(FaultPlan::new(0xF1613).at(
+            SimTime::from_secs(FAIL_AT_SECS),
+            Fault::MuteTarget { host: 1 },
+        )),
+        // Record the telemetry trace alongside the fault trace: the
+        // eviction must be visible to an observability consumer, not just
+        // test hooks.
+        traced: true,
+        ..Spec::default()
+    };
+    let oltp = OltpWorkload::new(OltpConfig {
+        threads: 2,
+        reads_per_txn: 2,
+        area_sectors: 1 << 19,
+        duration: SimDuration::from_secs(RUN_SECS),
+    });
+    let mut run = spec.build(oltp, |_, _| {});
+    assert_eq!(run.spares[0].storage_host, 1);
+    run.run_until(SimTime::from_secs(RUN_SECS + 2));
 
     // Zero lost reads: the guest never sees an I/O error; every read the
     // muted replica swallowed was timed out and re-served elsewhere.
-    let client = cloud.client_mut(0, app);
     assert_eq!(
-        client.stats.errors, 0,
+        run.client().stats.errors,
+        0,
         "the database must never see an I/O error"
     );
-    let w = client
-        .workload_ref()
-        .unwrap()
-        .downcast_ref::<OltpWorkload>()
-        .unwrap();
+    let w = run.workload::<OltpWorkload>();
     let before = w.mean_tps(2, FAIL_AT_SECS as usize);
     let dip = w.mean_tps(FAIL_AT_SECS as usize, FAIL_AT_SECS as usize + 2);
     let after = w.mean_tps(FAIL_AT_SECS as usize + 3, RUN_SECS as usize);
@@ -122,18 +82,8 @@ fn replica_goes_mute_mid_workload_and_is_evicted() {
     );
 
     // The watchdog evicted exactly the muted replica.
-    let relay = cloud
-        .net
-        .app_mut(mb_node, mb_app)
-        .unwrap()
-        .downcast_mut::<ActiveRelayMb>()
-        .unwrap();
-    assert!(!relay.is_crashed());
-    let svc = relay
-        .service(0)
-        .unwrap()
-        .downcast_ref::<ReplicationService>()
-        .unwrap();
+    assert!(!run.relay().is_crashed());
+    let svc = run.service::<ReplicationService>(0);
     assert_eq!(
         svc.alive_replicas(),
         1,
@@ -146,7 +96,7 @@ fn replica_goes_mute_mid_workload_and_is_evicted() {
     assert!(svc.stats.striped_reads > 0);
 
     // The muted responses are visible in the fault trace.
-    let trace = runner.trace();
+    let trace = run.fault_trace();
     assert!(
         trace.iter().any(|l| l.contains("arm #1 MuteTarget")),
         "{trace:?}"
@@ -158,7 +108,7 @@ fn replica_goes_mute_mid_workload_and_is_evicted() {
 
     // The telemetry trace carries the eviction too, after the fail mark,
     // naming the muted replica (index 0 = rep1).
-    let report = analyze::attribute(&recorder.events());
+    let report = analyze::attribute(&run.recorder().events());
     assert_eq!(
         report.evictions.len(),
         1,

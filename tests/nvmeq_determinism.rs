@@ -6,59 +6,39 @@
 //! units through an encrypting chain — none of which may draw on ambient
 //! state, so two runs of one seed still export the same bytes.
 
-use std::sync::Arc;
-
 use proptest::prelude::*;
-use storm::cloud::{Cloud, CloudConfig};
-use storm::core::{MbSpec, RelayMode, StormPlatform};
 use storm::iscsi::TransportKind;
+use storm::scenario::{assert_replays, Spec};
 use storm::services::EncryptionService;
-use storm::telemetry::{parse_jsonl, Recorder};
 use storm_sim::{SimDuration, SimTime};
 use storm_workloads::{FioJob, FioWorkload};
+
+const VOLUME_BYTES: u64 = 1 << 30;
 
 /// Runs a short encrypted active-relay fio scenario over nvmeq with the
 /// recorder armed and returns the JSONL trace export.
 fn traced_run(seed: u64) -> String {
-    let mut cloud = Cloud::build(CloudConfig {
+    let spec = Spec {
         seed,
+        client_seed: seed ^ 0x5EED,
         transport: TransportKind::Nvmeq,
         queue_depth: 16,
-        ..CloudConfig::default()
-    });
-    let recorder = Arc::new(Recorder::new());
-    cloud.set_trace_hook(Recorder::hook(&recorder));
-    let platform = StormPlatform::default();
-    let vol = cloud.create_volume(1 << 30, 0);
-    let enc = EncryptionService::stream_cipher(&[7u8; 32], &[3u8; 12]);
-    let deployment = platform.deploy_chain(
-        &mut cloud,
-        &vol,
-        (1, 2),
-        vec![MbSpec::with_services(
-            3,
-            RelayMode::Active,
-            vec![Box::new(enc)],
-        )],
-    );
-    let job = FioJob::randrw(4096, SimDuration::from_millis(300), vol.sectors).threads(2);
-    let app = platform.attach_volume_steered(
-        &mut cloud,
-        &deployment,
-        0,
-        "vm:nvq-det",
-        &vol,
-        Box::new(FioWorkload::new(job)),
-        seed ^ 0x5EED,
-        false,
-    );
-    cloud.net.run_until(SimTime::from_nanos(1_200_000_000));
-    let client = cloud.client_mut(0, app);
-    assert!(client.is_ready(), "connect failed");
+        label: "vm:nvq-det",
+        volume_bytes: VOLUME_BYTES,
+        services: vec![Box::new(EncryptionService::stream_cipher(
+            &[7u8; 32], &[3u8; 12],
+        ))],
+        traced: true,
+        ..Spec::default()
+    };
+    let job = FioJob::randrw(4096, SimDuration::from_millis(300), VOLUME_BYTES / 512).threads(2);
+    let mut run = spec.build(FioWorkload::new(job), |_, _| {});
+    run.run_until(SimTime::from_nanos(1_200_000_000));
+    let client = run.client();
     assert_eq!(client.transport().kind(), TransportKind::Nvmeq);
     assert_eq!(client.stats.errors, 0, "I/O errors through encrypted chain");
     assert!(client.stats.ops() > 0, "no I/O completed");
-    recorder.to_jsonl()
+    run.trace()
 }
 
 proptest! {
@@ -68,11 +48,7 @@ proptest! {
     /// doorbell batching and CQ moderation machinery fully engaged.
     #[test]
     fn equal_seeds_equal_traces_over_nvmeq(seed in 1u64..1_000_000) {
-        let a = traced_run(seed);
-        let b = traced_run(seed);
-        prop_assert!(!a.is_empty());
-        prop_assert_eq!(&a, &b);
-        prop_assert!(parse_jsonl(&a).is_some(), "export must parse back");
+        assert_replays(seed, traced_run);
     }
 }
 

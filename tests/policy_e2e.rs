@@ -1,27 +1,12 @@
 //! Policy-driven deployment: a tenant policy document, validated and
 //! instantiated through the provider catalogue, drives a full deployment.
 
-use bytes::Bytes;
-use storm::cloud::{Cloud, CloudConfig, IoCtx, IoKind, IoResult, ReqId, Workload};
+use storm::cloud::{Cloud, CloudConfig};
 use storm::core::{MbSpec, ServiceSpec, StormPlatform, TenantPolicy, VolumePolicy};
 use storm::services::catalog;
 use storm_block::BlockDevice;
 use storm_sim::SimTime;
-
-struct WriteOnce {
-    done: bool,
-}
-
-impl Workload for WriteOnce {
-    fn start(&mut self, io: &mut IoCtx<'_>) {
-        io.write(64, Bytes::from(vec![0x17u8; 8192]));
-    }
-    fn completed(&mut self, io: &mut IoCtx<'_>, _r: ReqId, _k: IoKind, result: IoResult) {
-        assert!(result.ok);
-        self.done = true;
-        io.stop();
-    }
-}
+use storm_workloads::VerifyWorkload;
 
 #[test]
 fn policy_document_deploys_and_enforces() {
@@ -71,7 +56,7 @@ fn policy_document_deploys_and_enforces() {
         0,
         &format!("vm:{}", vp.vm),
         &volume,
-        Box::new(WriteOnce { done: false }),
+        Box::new(VerifyWorkload::new(64, 8192)),
         9,
         false,
     );
@@ -79,13 +64,13 @@ fn policy_document_deploys_and_enforces() {
     let client = cloud.client_mut(0, app);
     assert!(client.is_ready());
     assert_eq!(client.stats.errors, 0);
-    assert!(
-        client
-            .workload_ref()
+    let workload = client.workload_ref().unwrap();
+    assert_eq!(
+        workload
+            .downcast_ref::<VerifyWorkload>()
             .unwrap()
-            .downcast_ref::<WriteOnce>()
-            .unwrap()
-            .done
+            .verified(),
+        1
     );
 
     // 4. The policy's encryption is in force: ciphertext at rest.
@@ -93,7 +78,7 @@ fn policy_document_deploys_and_enforces() {
     volume.shared.clone().read(64, &mut at_rest).unwrap();
     assert_ne!(
         at_rest,
-        vec![0x17u8; 8192],
+        VerifyWorkload::pattern(0, 0, 8192),
         "policy-mandated encryption must apply"
     );
 

@@ -8,21 +8,18 @@
 //! failure prints the new values; re-record them only for a change that
 //! is *meant* to move the relay's timing, token order or copy accounting.
 
-use std::sync::Arc;
-
-use storm::cloud::{Cloud, CloudConfig};
-use storm::core::relay::ActiveRelayMb;
 use storm::core::service::StorageService;
-use storm::core::{MbSpec, RelayCopyStats, RelayMode, RelayQosConfig, StormPlatform};
+use storm::core::{RelayCopyStats, RelayQosConfig, StormPlatform};
 use storm::iscsi::TransportKind;
 use storm::qos::RateLimitSpec;
+use storm::scenario::Spec;
 use storm::services::{CompressService, DedupService, EncryptionService};
-use storm::telemetry::Recorder;
-use storm_faults::{Fault, FaultPlan, FaultRunner};
+use storm_faults::{Fault, FaultPlan};
 use storm_sim::{SimDuration, SimTime};
 use storm_workloads::{FioJob, FioWorkload};
 
 const SEED: u64 = 20160628;
+const VOLUME_BYTES: u64 = 1 << 30;
 
 /// What a scenario is pinned to.
 #[derive(Debug, PartialEq, Eq)]
@@ -48,71 +45,45 @@ fn run(
     qos: bool,
     mb_fault: bool,
 ) -> Golden {
-    let mut cloud = Cloud::build(CloudConfig {
+    let qos_config = RelayQosConfig {
+        tenant: 1,
+        limit: RateLimitSpec::iops_limit(600, 4),
+    };
+    let mb_delay = FaultPlan::new(SEED ^ 0xFA17).at(
+        SimTime::from_millis(500),
+        Fault::MbDelay {
+            mb: 0,
+            delay: SimDuration::from_micros(40),
+            prob: 0.5,
+        },
+    );
+    let spec = Spec {
         seed: SEED,
+        client_seed: SEED ^ 0x5EED,
         transport,
         queue_depth,
-        ..CloudConfig::default()
-    });
-    let recorder = Arc::new(Recorder::new());
-    cloud.set_trace_hook(Recorder::hook(&recorder));
-    let mut platform = StormPlatform::default();
-    if qos {
-        platform.qos = Some(RelayQosConfig {
-            tenant: 1,
-            limit: RateLimitSpec::iops_limit(600, 4),
-        });
-    }
-    let vol = cloud.create_volume(1 << 30, 0);
-    let deployment = platform.deploy_chain(
-        &mut cloud,
-        &vol,
-        (1, 2),
-        vec![MbSpec::with_services(3, RelayMode::Active, services)],
-    );
-    let job = FioJob::randrw(4096, SimDuration::from_millis(300), vol.sectors)
+        label: "vm:golden",
+        volume_bytes: VOLUME_BYTES,
+        services,
+        platform: StormPlatform {
+            qos: qos.then_some(qos_config),
+            ..StormPlatform::default()
+        },
+        faults: mb_fault.then_some(mb_delay),
+        traced: true,
+        ..Spec::default()
+    };
+    let job = FioJob::randrw(4096, SimDuration::from_millis(300), VOLUME_BYTES / 512)
         .threads(usize::from(queue_depth));
-    let app = platform.attach_volume_steered(
-        &mut cloud,
-        &deployment,
-        0,
-        "vm:golden",
-        &vol,
-        Box::new(FioWorkload::new(job)),
-        SEED ^ 0x5EED,
-        false,
-    );
-    let until = SimTime::from_nanos(1_200_000_000);
-    let (node, mb_app) = (deployment.mb_nodes[0].node, deployment.mb_apps[0].unwrap());
-    if mb_fault {
-        let plan = FaultPlan::new(SEED ^ 0xFA17).at(
-            SimTime::from_millis(500),
-            Fault::MbDelay {
-                mb: 0,
-                delay: SimDuration::from_micros(40),
-                prob: 0.5,
-            },
-        );
-        let mut runner = FaultRunner::new(plan.schedule());
-        runner.arm_cloud(&mut cloud);
-        assert!(runner.arm_mb(&mut cloud, 0, node, mb_app));
-        runner.run(&mut cloud, until);
-    } else {
-        cloud.net.run_until(until);
-    }
-    let client = cloud.client_mut(0, app);
-    assert!(client.is_ready(), "connect failed");
+    let mut run = spec.build(FioWorkload::new(job), |_, _| {});
+    run.run_until(SimTime::from_nanos(1_200_000_000));
+    let client = run.client();
     assert_eq!(client.transport().kind(), transport);
     assert_eq!(client.stats.errors, 0, "I/O errors through the relay");
     assert!(client.stats.ops() > 0, "no I/O completed");
-    let relay = cloud
-        .net
-        .app_mut(node, mb_app)
-        .unwrap()
-        .downcast_mut::<ActiveRelayMb>()
-        .unwrap();
-    let trace = recorder.to_jsonl();
+    let trace = run.trace();
     assert_eq!(trace.contains("\"hop\":\"qos\""), qos, "QoS engagement");
+    let relay = run.relay();
     Golden {
         trace_fnv1a: fnv1a(trace.as_bytes()),
         trace_len: trace.len(),

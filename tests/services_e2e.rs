@@ -2,95 +2,43 @@
 //! middle-boxes on the full spliced path.
 
 use bytes::Bytes;
-use storm::cloud::{Cloud, CloudConfig, IoCtx, IoKind, IoResult, ReqId, Workload};
-use storm::core::relay::{ActiveRelayMb, ReplicaTarget};
-use storm::core::{FsOp, FsTargetKind, MbSpec, Reconstructor, RelayMode, StormPlatform};
+use storm::cloud::{IoCtx, IoKind, IoResult, ReqId, Workload};
+use storm::core::relay::ActiveRelayMb;
+use storm::core::service::PassthroughService;
+use storm::core::{FsOp, FsTargetKind, Reconstructor, RelayMode};
+use storm::scenario::{Replica, Spec};
 use storm::services::{
     DedupService, EncryptionService, MonitorConfig, MonitorService, ReplicationService,
 };
-use storm::workloads::{malware, postmark, TraceWorkload};
+use storm::workloads::{malware, postmark, TraceWorkload, VerifyWorkload};
 use storm_block::BlockDevice;
-use storm_sim::{SimDuration, SimRng, SimTime};
+use storm_sim::{SimDuration, SimTime};
 
-struct VerifyWorkload {
-    wrote: Option<ReqId>,
-    read: Option<ReqId>,
-    verified: bool,
-    lba: u64,
-    bytes: usize,
-}
+const TEN_SECS: SimTime = SimTime::from_nanos(10_000_000_000);
 
-impl VerifyWorkload {
-    fn new(lba: u64, bytes: usize) -> Self {
-        VerifyWorkload {
-            wrote: None,
-            read: None,
-            verified: false,
-            lba,
-            bytes,
-        }
-    }
-    fn pattern(&self) -> Vec<u8> {
-        (0..self.bytes)
-            .map(|i| ((i * 3 + 11) % 251) as u8)
-            .collect()
-    }
-}
-
-impl Workload for VerifyWorkload {
-    fn start(&mut self, io: &mut IoCtx<'_>) {
-        self.wrote = Some(io.write(self.lba, Bytes::from(self.pattern())));
-    }
-    fn completed(&mut self, io: &mut IoCtx<'_>, req: ReqId, _kind: IoKind, result: IoResult) {
-        assert!(result.ok);
-        if Some(req) == self.wrote {
-            self.read = Some(io.read(self.lba, (self.bytes / 512) as u32));
-        } else if Some(req) == self.read {
-            assert_eq!(&result.data[..], &self.pattern()[..]);
-            self.verified = true;
-            io.stop();
-        }
-    }
+/// Runs one verified round of `bytes` at `lba` through `spec` and returns
+/// what the volume holds there afterwards.
+fn verified_at_rest(spec: Spec, lba: u64, bytes: usize) -> Vec<u8> {
+    let mut run = spec.build(VerifyWorkload::new(lba, bytes), |_, _| {});
+    run.run_until(TEN_SECS);
+    assert_eq!(run.client().stats.errors, 0);
+    assert_eq!(run.workload::<VerifyWorkload>().verified(), 1);
+    let mut at_rest = vec![0u8; bytes];
+    run.volume.shared.clone().read(lba, &mut at_rest).unwrap();
+    at_rest
 }
 
 /// Case 2 (encryption): plaintext in the VM, ciphertext at rest.
 #[test]
 fn encryption_middlebox_encrypts_at_rest() {
-    let mut cloud = Cloud::build(CloudConfig::default());
-    let platform = StormPlatform::default();
-    let vol = cloud.create_volume(64 << 20, 0);
-    let enc = EncryptionService::aes_xts(&[0x5C; 64]);
-    let mbs = vec![MbSpec::with_services(
-        3,
-        RelayMode::Active,
-        vec![Box::new(enc)],
-    )];
-    let deployment = platform.deploy_chain(&mut cloud, &vol, (1, 2), mbs);
-    let app = platform.attach_volume_steered(
-        &mut cloud,
-        &deployment,
-        0,
-        "vm:enc",
-        &vol,
-        Box::new(VerifyWorkload::new(4096, 32 * 1024)),
-        7,
-        false,
-    );
-    cloud.net.run_until(SimTime::from_nanos(10_000_000_000));
-    let client = cloud.client_mut(0, app);
-    assert!(
-        client
-            .workload_ref()
-            .unwrap()
-            .downcast_ref::<VerifyWorkload>()
-            .unwrap()
-            .verified
-    );
-    // At rest: the backing volume holds ciphertext, not the pattern.
-    let mut shared = vol.shared.clone();
-    let mut at_rest = vec![0u8; 32 * 1024];
-    shared.read(4096, &mut at_rest).unwrap();
-    let plain: Vec<u8> = (0..32 * 1024).map(|i| ((i * 3 + 11) % 251) as u8).collect();
+    let spec = Spec {
+        client_seed: 7,
+        label: "vm:enc",
+        services: vec![Box::new(EncryptionService::aes_xts(&[0x5C; 64]))],
+        ..Spec::default()
+    };
+    let mut at_rest = verified_at_rest(spec, 4096, 32 * 1024);
+    let plain = VerifyWorkload::pattern(0, 0, 32 * 1024);
     assert_ne!(at_rest, plain, "volume must hold ciphertext");
     // Decrypting at rest with the tenant key yields the plaintext.
     let xts = storm_crypto::AesXts::from_master_key(&[0x5C; 64]);
@@ -102,40 +50,18 @@ fn encryption_middlebox_encrypts_at_rest() {
 /// flight.
 #[test]
 fn passive_stream_cipher_encrypts_at_rest() {
-    let mut cloud = Cloud::build(CloudConfig::default());
-    let platform = StormPlatform::default();
-    let vol = cloud.create_volume(64 << 20, 0);
-    let enc = EncryptionService::stream_cipher(&[0x77; 32], &[0x13; 12]);
-    let mbs = vec![MbSpec::with_services(
-        3,
-        RelayMode::Passive,
-        vec![Box::new(enc)],
-    )];
-    let deployment = platform.deploy_chain(&mut cloud, &vol, (1, 2), mbs);
-    let app = platform.attach_volume_steered(
-        &mut cloud,
-        &deployment,
-        0,
-        "vm:stream",
-        &vol,
-        Box::new(VerifyWorkload::new(512, 16 * 1024)),
-        8,
-        false,
-    );
-    cloud.net.run_until(SimTime::from_nanos(10_000_000_000));
-    let client = cloud.client_mut(0, app);
-    assert!(
-        client
-            .workload_ref()
-            .unwrap()
-            .downcast_ref::<VerifyWorkload>()
-            .unwrap()
-            .verified
-    );
-    let mut shared = vol.shared.clone();
-    let mut at_rest = vec![0u8; 16 * 1024];
-    shared.read(512, &mut at_rest).unwrap();
-    let plain: Vec<u8> = (0..16 * 1024).map(|i| ((i * 3 + 11) % 251) as u8).collect();
+    let spec = Spec {
+        client_seed: 8,
+        label: "vm:stream",
+        mode: RelayMode::Passive,
+        services: vec![Box::new(EncryptionService::stream_cipher(
+            &[0x77; 32],
+            &[0x13; 12],
+        ))],
+        ..Spec::default()
+    };
+    let mut at_rest = verified_at_rest(spec, 512, 16 * 1024);
+    let plain = VerifyWorkload::pattern(0, 0, 16 * 1024);
     assert_ne!(at_rest, plain, "volume must hold ciphertext");
     // The keystream at the right volume offset recovers the data.
     let c = storm_crypto::ChaCha20::new(&[0x77; 32], &[0x13; 12]);
@@ -147,18 +73,12 @@ fn passive_stream_cipher_encrypts_at_rest() {
 /// reconstructed with paths, through the whole spliced chain.
 #[test]
 fn monitor_reconstructs_malware_install_over_the_wire() {
-    let mut cloud = Cloud::build(CloudConfig::default());
-    let platform = StormPlatform::default();
-    let vol = cloud.create_volume(192 << 20, 0);
-
-    // Install the pre-infection system image on the volume.
+    // The pre-infection system image the volume is provisioned with, and
+    // the monitor bootstrapped from it (what the platform does at attach
+    // time).
     let mut image = malware::build_system_image();
     let (groups, steps) = malware::ganiw_trace(image.clone());
-    postmark::install_image(&mut image, &mut vol.shared.clone());
-
-    // Bootstrap the monitor from the attached volume (what the platform
-    // does at attach time).
-    let recon = Reconstructor::from_device(&mut vol.shared.clone(), "").unwrap();
+    let recon = Reconstructor::from_device(&mut image, "").unwrap();
     let monitor = MonitorService::new(
         MonitorConfig {
             watch: vec!["/etc/init.d".into()],
@@ -166,49 +86,25 @@ fn monitor_reconstructs_malware_install_over_the_wire() {
         },
         recon,
     );
-    let mbs = vec![MbSpec::with_services(
-        3,
-        RelayMode::Active,
-        vec![Box::new(monitor)],
-    )];
-    let deployment = platform.deploy_chain(&mut cloud, &vol, (1, 2), mbs);
-    let app = platform.attach_volume_steered(
-        &mut cloud,
-        &deployment,
-        0,
-        "vm:victim",
-        &vol,
-        Box::new(TraceWorkload::new(groups)),
-        9,
-        false,
-    );
-    cloud.net.run_until(SimTime::from_nanos(30_000_000_000));
-    let client = cloud.client_mut(0, app);
-    assert_eq!(client.stats.errors, 0);
-    assert!(client
-        .workload_ref()
-        .unwrap()
-        .downcast_ref::<TraceWorkload>()
-        .unwrap()
-        .is_finished());
+    let spec = Spec {
+        client_seed: 9,
+        label: "vm:victim",
+        volume_bytes: 192 << 20,
+        services: vec![Box::new(monitor)],
+        ..Spec::default()
+    };
+    let mut run = spec.build(TraceWorkload::new(groups), |_, vol| {
+        postmark::install_image(&mut image, &mut vol.shared.clone());
+    });
+    run.run_until(SimTime::from_nanos(30_000_000_000));
+    assert_eq!(run.client().stats.errors, 0);
+    assert!(run.workload::<TraceWorkload>().is_finished());
 
     // Read the monitor's analysis out of the middle-box.
-    let mb_node = deployment.mb_nodes[0].node;
-    let mb_app = deployment.mb_apps[0].unwrap();
-    let relay = cloud
-        .net
-        .app_mut(mb_node, mb_app)
-        .unwrap()
-        .downcast_mut::<ActiveRelayMb>()
-        .unwrap();
+    let relay = run.relay();
     assert!(relay.pdus_forwarded() > 0);
     assert!(!relay.alerts().is_empty(), "watched /etc/init.d must alert");
-    let monitor = relay
-        .service(0)
-        .unwrap()
-        .downcast_ref::<MonitorService>()
-        .unwrap();
-    let rows = monitor.analysis();
+    let rows = run.service::<MonitorService>(0).analysis();
     assert!(!rows.is_empty());
     // Every Table III artifact the steps name must appear in the log.
     for step in &steps {
@@ -229,32 +125,6 @@ fn monitor_reconstructs_malware_install_over_the_wire() {
 /// removed while the client keeps running (the Figure 13 scenario).
 #[test]
 fn replication_mirrors_and_survives_replica_failure() {
-    let mut cloud = Cloud::build(CloudConfig {
-        storage_hosts: 3,
-        ..CloudConfig::default()
-    });
-    let platform = StormPlatform::default();
-    let vol = cloud.create_volume(64 << 20, 0);
-    let rep1 = cloud.create_volume(64 << 20, 1);
-    let rep2 = cloud.create_volume(64 << 20, 2);
-    let svc = ReplicationService::new(2, true);
-    let mbs = vec![MbSpec {
-        host_idx: 3,
-        mode: RelayMode::Active,
-        services: vec![Box::new(svc)],
-        replicas: vec![
-            ReplicaTarget {
-                portal: rep1.portal,
-                iqn: rep1.iqn.clone(),
-            },
-            ReplicaTarget {
-                portal: rep2.portal,
-                iqn: rep2.iqn.clone(),
-            },
-        ],
-    }];
-    let deployment = platform.deploy_chain(&mut cloud, &vol, (1, 2), mbs);
-
     /// Writes then reads blocks repeatedly; tolerates no errors.
     struct Churn {
         rounds: usize,
@@ -281,188 +151,95 @@ fn replication_mirrors_and_survives_replica_failure() {
             self.next_is_read = !self.next_is_read;
         }
     }
-    let app = platform.attach_volume_steered(
-        &mut cloud,
-        &deployment,
-        0,
-        "vm:db",
-        &vol,
-        Box::new(Churn {
-            rounds: 3000,
-            issued: 0,
-            next_is_read: false,
-        }),
-        10,
-        false,
-    );
+    let spec = Spec {
+        client_seed: 10,
+        label: "vm:db",
+        spares: vec![64 << 20, 64 << 20],
+        services: vec![Box::new(ReplicationService::new(2, true))],
+        replicas: vec![Replica::Spare(0), Replica::Spare(1)],
+        ..Spec::default()
+    };
+    let churn = Churn {
+        rounds: 3000,
+        issued: 0,
+        next_is_read: false,
+    };
+    let mut run = spec.build(churn, |_, _| {});
     // Run briefly, then fail replica 1's backing volume mid-workload.
-    cloud.net.run_for(SimDuration::from_millis(50));
-    rep1.shared.fail();
-    cloud.net.run_until(SimTime::from_nanos(60_000_000_000));
+    run.cloud.net.run_for(SimDuration::from_millis(50));
+    run.spares[0].shared.fail();
+    run.run_until(SimTime::from_nanos(60_000_000_000));
 
-    let client = cloud.client_mut(0, app);
+    let client = run.client();
     assert_eq!(client.stats.errors, 0, "client must not see the failure");
     assert!(client.stats.ops() >= 3000, "ops: {}", client.stats.ops());
 
-    let mb_node = deployment.mb_nodes[0].node;
-    let mb_app = deployment.mb_apps[0].unwrap();
-    let relay = cloud
-        .net
-        .app_mut(mb_node, mb_app)
-        .unwrap()
-        .downcast_mut::<ActiveRelayMb>()
-        .unwrap();
-    let svc = relay
-        .service(0)
-        .unwrap()
-        .downcast_ref::<ReplicationService>()
-        .unwrap();
+    let svc = run.service::<ReplicationService>(0);
     assert_eq!(svc.alive_replicas(), 1, "failed replica must be removed");
     assert!(svc.stats.replica_writes > 0);
     assert!(svc.stats.striped_reads > 0);
-    assert!(relay.alerts().iter().any(|(_, m)| m.contains("replica")));
+    let alerts = run.relay().alerts();
+    assert!(alerts.iter().any(|(_, m)| m.contains("replica")));
     // The surviving replica holds the mirrored writes: block 0 was written
     // with 1s before the failure.
     let mut buf = vec![0u8; 4096];
-    rep2.shared.clone().read(0, &mut buf).unwrap();
+    run.spares[1].shared.clone().read(0, &mut buf).unwrap();
     assert!(
         buf.iter().all(|&b| b == 1),
         "replica 2 missing mirrored write"
     );
 }
 
-/// Writes a fixed set of `(lba, payload)` pairs one at a time, then
-/// reads each back and verifies the bytes byte-for-byte.
-struct WriteReadVerify {
-    ops: Vec<(u64, Bytes)>,
-    next_write: usize,
-    next_read: usize,
-    verified: bool,
-}
+const DEDUP_ROUNDS: usize = 5;
+const DEDUP_BYTES: usize = 32 * 1024;
 
-impl WriteReadVerify {
-    fn new(ops: Vec<(u64, Bytes)>) -> Self {
-        WriteReadVerify {
-            ops,
-            next_write: 0,
-            next_read: 0,
-            verified: false,
-        }
+/// `vms` tenant VMs each lay down the same five 32 KiB extents (every
+/// extent different from the other four) at disjoint addresses through
+/// one armed dedup middle-box. Verifies every byte round-trips and
+/// survives at rest, and returns the service's stats.
+///
+/// The payloads are [`VerifyWorkload`]'s seeded noise: periodic data
+/// degenerates CDC to fixed max-size cuts, hiding the behaviour under
+/// test.
+fn dedup_roundtrip(seed: u64, vms: usize) -> storm::services::DedupStats {
+    let spec = Spec {
+        client_seed: seed,
+        label: "vm:dedup",
+        services: vec![Box::new(DedupService::new(seed, 12))],
+        ..Spec::default()
+    };
+    let workload =
+        |vm: usize| VerifyWorkload::new(vm as u64 * 1024, DEDUP_BYTES).rounds(DEDUP_ROUNDS);
+    let mut run = spec.build(workload(0), |_, _| {});
+    let mut clients = vec![(0, run.app)];
+    for vm in 1..vms {
+        let app = run.attach(vm, "vm:dedup-clone", workload(vm), seed);
+        clients.push((vm, app));
     }
-}
-
-impl Workload for WriteReadVerify {
-    fn start(&mut self, io: &mut IoCtx<'_>) {
-        let (lba, data) = self.ops[0].clone();
-        self.next_write = 1;
-        io.write(lba, data);
-    }
-
-    fn completed(&mut self, io: &mut IoCtx<'_>, _req: ReqId, kind: IoKind, result: IoResult) {
-        assert!(result.ok, "I/O failed");
-        if kind == IoKind::Read {
-            let (_, expected) = &self.ops[self.next_read - 1];
-            assert_eq!(
-                &result.data[..],
-                &expected[..],
-                "read-back mismatch at op {}",
-                self.next_read - 1
-            );
-        }
-        if self.next_write < self.ops.len() {
-            let (lba, data) = self.ops[self.next_write].clone();
-            self.next_write += 1;
-            io.write(lba, data);
-        } else if self.next_read < self.ops.len() {
-            let (lba, data) = self.ops[self.next_read].clone();
-            self.next_read += 1;
-            io.read(lba, (data.len() / 512) as u32);
-        } else {
-            self.verified = true;
-            io.stop();
-        }
-    }
-}
-
-/// Runs `ops` through an armed dedup middle-box, verifies every byte
-/// round-trips and survives at rest, and returns the service's stats.
-fn dedup_roundtrip(seed: u64, ops: Vec<(u64, Bytes)>) -> storm::services::DedupStats {
-    let mut cloud = Cloud::build(CloudConfig::default());
-    let platform = StormPlatform::default();
-    let vol = cloud.create_volume(64 << 20, 0);
-    let svc = DedupService::new(seed, 12);
-    let mbs = vec![MbSpec::with_services(
-        3,
-        RelayMode::Active,
-        vec![Box::new(svc)],
-    )];
-    let deployment = platform.deploy_chain(&mut cloud, &vol, (1, 2), mbs);
-    let app = platform.attach_volume_steered(
-        &mut cloud,
-        &deployment,
-        0,
-        "vm:dedup",
-        &vol,
-        Box::new(WriteReadVerify::new(ops.clone())),
-        seed,
-        false,
-    );
-    cloud.net.run_until(SimTime::from_nanos(10_000_000_000));
-    let client = cloud.client_mut(0, app);
-    assert!(
-        client
-            .workload_ref()
-            .unwrap()
-            .downcast_ref::<WriteReadVerify>()
-            .unwrap()
-            .verified
-    );
+    run.run_until(TEN_SECS);
     // Dedup is inspection-only: the exact bytes sit at rest.
-    let mut shared = vol.shared.clone();
-    for (lba, data) in &ops {
-        let mut at_rest = vec![0u8; data.len()];
-        shared.read(*lba, &mut at_rest).unwrap();
-        assert_eq!(&at_rest[..], &data[..], "at-rest bytes diverge at {lba}");
+    let mut shared = run.volume.shared.clone();
+    let mut at_rest = vec![0u8; DEDUP_BYTES];
+    for (vm, app) in clients {
+        let verified = run.workload_of::<VerifyWorkload>(vm, app).verified();
+        assert_eq!(verified, DEDUP_ROUNDS, "vm {vm}");
+        for round in 0..DEDUP_ROUNDS {
+            let lba = (vm * 1024 + round * DEDUP_BYTES / 512) as u64;
+            shared.read(lba, &mut at_rest).unwrap();
+            let wrote = VerifyWorkload::pattern(0, round, DEDUP_BYTES);
+            assert_eq!(at_rest, wrote, "at-rest bytes diverge at {lba}");
+        }
     }
-    let relay = cloud
-        .net
-        .app_mut(deployment.mb_nodes[0].node, deployment.mb_apps[0].unwrap())
-        .unwrap()
-        .downcast_mut::<ActiveRelayMb>()
-        .unwrap();
-    relay
-        .service(0)
-        .unwrap()
-        .downcast_ref::<DedupService>()
-        .unwrap()
-        .stats
-}
-
-/// Random (not patterned) payloads: periodic data degenerates CDC to
-/// fixed max-size cuts, hiding the behaviour under test.
-fn random_payload(rng: &mut SimRng, bytes: usize) -> Bytes {
-    let mut buf = vec![0u8; bytes];
-    rng.fill(&mut buf);
-    Bytes::from(buf)
+    run.service::<DedupService>(0).stats
 }
 
 /// Duplicate-heavy workload through the dedup middle-box: the same
-/// content written to many places dedups well past the 1.5x acceptance
-/// floor, and the data itself is untouched in flight and at rest.
+/// content written to many places (two VMs cloned from one image) dedups
+/// well past the 1.5x acceptance floor, and the data itself is untouched
+/// in flight and at rest.
 #[test]
 fn dedup_reduces_duplicate_heavy_workload() {
-    let mut rng = SimRng::seed_from_u64(0xD1D1);
-    let a = random_payload(&mut rng, 32 * 1024);
-    let b = random_payload(&mut rng, 32 * 1024);
-    // `a` written four times (three duplicates), `b` once.
-    let ops = vec![
-        (0, a.clone()),
-        (64, a.clone()),
-        (128, a.clone()),
-        (192, a),
-        (256, b),
-    ];
-    let stats = dedup_roundtrip(21, ops);
+    let stats = dedup_roundtrip(21, 2);
     assert!(stats.duplicate_chunks > 0, "{stats:?}");
     assert!(
         stats.reduction_ratio() >= 1.5,
@@ -475,11 +252,7 @@ fn dedup_reduces_duplicate_heavy_workload() {
 /// ratio stays at 1.0 — and still round-trips byte-for-byte.
 #[test]
 fn dedup_is_honest_on_incompressible_workload() {
-    let mut rng = SimRng::seed_from_u64(0xD2D2);
-    let ops = (0..5)
-        .map(|i| (i * 64, random_payload(&mut rng, 32 * 1024)))
-        .collect();
-    let stats = dedup_roundtrip(22, ops);
+    let stats = dedup_roundtrip(22, 1);
     assert_eq!(stats.duplicate_chunks, 0, "{stats:?}");
     assert!(
         stats.reduction_ratio() < 1.01,
@@ -492,57 +265,27 @@ fn dedup_is_honest_on_incompressible_workload() {
 /// the monitor sees plaintext, the volume sees ciphertext.
 #[test]
 fn chained_monitor_then_encryption() {
-    let mut cloud = Cloud::build(CloudConfig::default());
-    let platform = StormPlatform::default();
-    let vol = cloud.create_volume(64 << 20, 0);
     // A raw (unformatted) volume has nothing to reconstruct; stage one is
     // a counting passthrough standing in for any inspection service.
-    let monitor_counts = storm::core::service::PassthroughService::new();
-    let enc = EncryptionService::aes_xts(&[0xD4; 64]);
-    let mbs = vec![MbSpec::with_services(
-        3,
-        RelayMode::Active,
-        vec![Box::new(monitor_counts), Box::new(enc)],
-    )];
-    let deployment = platform.deploy_chain(&mut cloud, &vol, (1, 2), mbs);
-    let app = platform.attach_volume_steered(
-        &mut cloud,
-        &deployment,
-        0,
-        "vm:chain",
-        &vol,
-        Box::new(VerifyWorkload::new(1024, 8192)),
-        11,
-        false,
-    );
-    cloud.net.run_until(SimTime::from_nanos(10_000_000_000));
-    let client = cloud.client_mut(0, app);
-    assert!(
-        client
-            .workload_ref()
-            .unwrap()
-            .downcast_ref::<VerifyWorkload>()
-            .unwrap()
-            .verified
-    );
+    let spec = Spec {
+        client_seed: 11,
+        label: "vm:chain",
+        services: vec![
+            Box::new(PassthroughService::new()),
+            Box::new(EncryptionService::aes_xts(&[0xD4; 64])),
+        ],
+        ..Spec::default()
+    };
+    let mut run = spec.build(VerifyWorkload::new(1024, 8192), |_, _| {});
+    run.run_until(TEN_SECS);
+    assert_eq!(run.workload::<VerifyWorkload>().verified(), 1);
     // Ciphertext at rest proves the encryption stage ran *after* the
     // monitor stage on the write path.
     let mut at_rest = vec![0u8; 8192];
-    vol.shared.clone().read(1024, &mut at_rest).unwrap();
-    let plain: Vec<u8> = (0..8192).map(|i| ((i * 3 + 11) % 251) as u8).collect();
-    assert_ne!(at_rest, plain);
-    let relay = cloud
-        .net
-        .app_mut(deployment.mb_nodes[0].node, deployment.mb_apps[0].unwrap())
-        .unwrap()
-        .downcast_mut::<ActiveRelayMb>()
-        .unwrap();
-    let pt = relay
-        .service(0)
-        .unwrap()
-        .downcast_ref::<storm::core::service::PassthroughService>()
-        .unwrap();
-    assert!(pt.pdus() > 4, "first chain stage saw the PDUs");
+    run.volume.shared.clone().read(1024, &mut at_rest).unwrap();
+    assert_ne!(at_rest, VerifyWorkload::pattern(0, 0, 8192));
+    let pdus = run.service::<PassthroughService>(0).pdus();
+    assert!(pdus > 4, "first chain stage saw the PDUs");
 }
 
 /// The trust boundary of Case 2: a tenant that cuts its write data off a
@@ -665,7 +408,6 @@ fn encryption_middlebox_refuses_unaligned_write_and_carries_on() {
             status_response(2, ScsiStatus::Good)
         ]
     );
-    let relay = net.app_mut(hosts[1], mb).unwrap();
-    let relay = relay.downcast_mut::<ActiveRelayMb>().unwrap();
+    let relay: &mut ActiveRelayMb = net.app_mut(hosts[1], mb).unwrap().downcast_mut().unwrap();
     assert_eq!(relay.alerts().len(), 1, "{:?}", relay.alerts());
 }

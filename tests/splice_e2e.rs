@@ -1,98 +1,35 @@
 //! End-to-end network-splicing tests: tenant I/O steered through gateway
 //! pairs and middle-boxes in every relay mode, with data integrity checks.
 
-use bytes::Bytes;
-use storm::cloud::{Cloud, CloudConfig, IoCtx, IoKind, IoResult, ReqId, Workload};
-use storm::core::{MbSpec, RelayMode, StormPlatform};
+use storm::core::RelayMode;
+use storm::scenario::Spec;
 use storm_block::BlockDevice;
 use storm_sim::{SimDuration, SimTime};
+use storm_workloads::VerifyWorkload;
 
-/// Writes a recognizable pattern, reads it back, verifies, stops.
-struct VerifyWorkload {
-    wrote: Option<ReqId>,
-    read: Option<ReqId>,
-    pub verified: bool,
-    lba: u64,
-    bytes: usize,
-}
-
-impl VerifyWorkload {
-    fn new(lba: u64, bytes: usize) -> Self {
-        VerifyWorkload {
-            wrote: None,
-            read: None,
-            verified: false,
-            lba,
-            bytes,
-        }
-    }
-    fn pattern(&self) -> Vec<u8> {
-        (0..self.bytes)
-            .map(|i| ((i / 512 + 7) % 251) as u8)
-            .collect()
-    }
-}
-
-impl Workload for VerifyWorkload {
-    fn start(&mut self, io: &mut IoCtx<'_>) {
-        self.wrote = Some(io.write(self.lba, Bytes::from(self.pattern())));
-    }
-    fn completed(&mut self, io: &mut IoCtx<'_>, req: ReqId, _kind: IoKind, result: IoResult) {
-        assert!(result.ok, "I/O failed");
-        if Some(req) == self.wrote {
-            self.read = Some(io.read(self.lba, (self.bytes / 512) as u32));
-        } else if Some(req) == self.read {
-            assert_eq!(result.data.len(), self.bytes);
-            assert_eq!(
-                &result.data[..],
-                &self.pattern()[..],
-                "data corrupted in flight"
-            );
-            self.verified = true;
-            io.stop();
-        }
-    }
-}
-
-/// Deploys a 1-MB chain in `mode`, runs the verify workload through it,
-/// and returns (cloud, deployment, client_app) for further inspection.
+/// Deploys a bare one-middle-box chain in `mode`, runs the verify
+/// workload through it and checks both ends: the bytes at rest and the
+/// middle-box having carried them. Returns whether the round verified.
 fn run_mode(mode: RelayMode, bytes: usize) -> bool {
-    let mut cloud = Cloud::build(CloudConfig::default());
-    let platform = StormPlatform::default();
-    let vol = cloud.create_volume(128 << 20, 0);
-    let mbs = vec![MbSpec::bare(3, mode)];
-    let deployment = platform.deploy_chain(&mut cloud, &vol, (1, 2), mbs);
-    let app = platform.attach_volume_steered(
-        &mut cloud,
-        &deployment,
-        0,
-        "vm:verify",
-        &vol,
-        Box::new(VerifyWorkload::new(2048, bytes)),
-        99,
-        false,
-    );
-    cloud.net.run_until(SimTime::from_nanos(10_000_000_000));
-    let client = cloud.client_mut(0, app);
-    assert!(
-        client.is_ready(),
-        "steered login must complete in mode {mode:?}"
-    );
-    assert_eq!(client.stats.errors, 0);
-    let verified = client
-        .workload_ref()
-        .unwrap()
-        .downcast_ref::<VerifyWorkload>()
-        .unwrap()
-        .verified;
-    // The data really landed on the backing volume (end-to-end).
-    let mut shared = vol.shared.clone();
+    let spec = Spec {
+        client_seed: 99,
+        label: "vm:verify",
+        volume_bytes: 128 << 20,
+        mode,
+        ..Spec::default()
+    };
+    let mut run = spec.build(VerifyWorkload::new(2048, bytes), |_, _| {});
+    run.run_until(SimTime::from_nanos(10_000_000_000));
+    assert_eq!(run.client().stats.errors, 0, "mode {mode:?}");
+    let verified = run.workload::<VerifyWorkload>().verified() == 1;
+    // The data really landed on the backing volume (end-to-end): no
+    // cipher in a bare chain, so at rest is plaintext in every mode.
     let mut buf = vec![0u8; 512];
-    shared.read(2048, &mut buf).unwrap();
+    run.volume.shared.clone().read(2048, &mut buf).unwrap();
+    assert_eq!(buf, VerifyWorkload::pattern(0, 0, 512), "mode {mode:?}");
     // The middle-box VM actually carried traffic: its node forwarded
     // packets or terminated connections.
-    let mb = deployment.mb_nodes[0];
-    let host = cloud.net.host(mb.node);
+    let host = run.cloud.net.host(run.deployment.mb_nodes[0].node);
     let saw_traffic = match mode {
         RelayMode::Forward | RelayMode::Passive => host.cpu.busy_for("fwd") > SimDuration::ZERO,
         RelayMode::Active => host.tcp.counters().segs_in > 0,
@@ -134,52 +71,28 @@ fn active_mode_round_trip_large() {
 /// stays pinned through the chain.
 #[test]
 fn atomic_attachment_scopes_steering() {
-    let mut cloud = Cloud::build(CloudConfig::default());
-    let platform = StormPlatform::default();
-    let vol1 = cloud.create_volume(64 << 20, 0);
-    let vol2 = cloud.create_volume(64 << 20, 0);
-    let deployment = platform.deploy_chain(
-        &mut cloud,
-        &vol1,
-        (1, 2),
-        vec![MbSpec::bare(3, RelayMode::Forward)],
-    );
-    let app1 = platform.attach_volume_steered(
-        &mut cloud,
-        &deployment,
-        0,
-        "vm:steered",
-        &vol1,
-        Box::new(VerifyWorkload::new(100, 4096)),
-        1,
-        false,
-    );
+    let spec = Spec {
+        label: "vm:steered",
+        mode: RelayMode::Forward,
+        ..Spec::default()
+    };
+    let mut run = spec.build(VerifyWorkload::new(100, 4096), |_, _| {});
     // The steering rule is gone now; attach the second volume plainly.
-    let app2 = cloud.attach_volume(
-        0,
-        "vm:direct",
-        &vol2,
-        Box::new(VerifyWorkload::new(100, 4096)),
-        2,
-        false,
-    );
-    cloud.net.run_until(SimTime::from_nanos(10_000_000_000));
-    for app in [app1, app2] {
-        let client = cloud.client_mut(0, app);
-        assert!(client.is_ready());
-        assert!(
-            client
-                .workload_ref()
-                .unwrap()
-                .downcast_ref::<VerifyWorkload>()
-                .unwrap()
-                .verified
-        );
+    let vol2 = run.cloud.create_volume(64 << 20, 0);
+    let direct = Box::new(VerifyWorkload::new(100, 4096));
+    let app2 = run
+        .cloud
+        .attach_volume(0, "vm:direct", &vol2, direct, 2, false);
+    run.run_until(SimTime::from_nanos(10_000_000_000));
+    for app in [run.app, app2] {
+        assert!(run.cloud.client_mut(0, app).is_ready());
+        assert_eq!(run.workload_of::<VerifyWorkload>(0, app).verified(), 1);
     }
     // Flow pinning: exactly one flow remains pinned on the compute host.
-    assert_eq!(cloud.net.host(cloud.computes[0].host).pinned_flows(), 1);
+    let compute = run.cloud.computes[0].host;
+    assert_eq!(run.cloud.net.host(compute).pinned_flows(), 1);
     // Attribution distinguishes the two VMs' connections.
-    let attrs = cloud.attributions();
+    let attrs = run.cloud.attributions();
     assert_eq!(attrs.len(), 2);
     let ports: Vec<u16> = attrs
         .iter()
@@ -193,34 +106,20 @@ fn atomic_attachment_scopes_steering() {
 /// network: frames on the middle-box only carry gateway addresses.
 #[test]
 fn masquerading_hides_storage_addresses() {
-    let mut cloud = Cloud::build(CloudConfig::default());
-    let platform = StormPlatform::default();
-    let vol = cloud.create_volume(64 << 20, 0);
-    let deployment = platform.deploy_chain(
-        &mut cloud,
-        &vol,
-        (1, 2),
-        vec![MbSpec::bare(3, RelayMode::Active)],
-    );
-    let app = platform.attach_volume_steered(
-        &mut cloud,
-        &deployment,
-        0,
-        "vm:masq",
-        &vol,
-        Box::new(VerifyWorkload::new(8, 4096)),
-        3,
-        false,
-    );
-    cloud.net.run_until(SimTime::from_nanos(5_000_000_000));
-    let _ = cloud.client_mut(0, app);
+    let spec = Spec {
+        client_seed: 3,
+        label: "vm:masq",
+        ..Spec::default()
+    };
+    let mut run = spec.build(VerifyWorkload::new(8, 4096), |_, _| {});
+    run.run_until(SimTime::from_nanos(5_000_000_000));
     // The active relay terminated connections on the MB: its TCP stack's
     // view of peers must be gateway instance addresses, not 10.1/16
     // storage addresses.
-    let mb = deployment.mb_nodes[0];
-    let counters = cloud.net.host(mb.node).tcp.counters();
+    let mb = run.deployment.mb_nodes[0];
+    let counters = run.cloud.net.host(mb.node).tcp.counters();
     assert!(counters.segs_in > 0, "MB saw no traffic");
-    let gw_in = deployment.gateways.ingress.instance_ip;
-    let gw_out = deployment.gateways.egress.instance_ip;
+    let gw_in = run.deployment.gateways.ingress.instance_ip;
+    let gw_out = run.deployment.gateways.egress.instance_ip;
     assert!(gw_in.octets()[0] == 192 && gw_out.octets()[0] == 192);
 }

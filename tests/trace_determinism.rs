@@ -6,22 +6,26 @@
 //! fault schedule armed too: `storm-faults` draws every decision from the
 //! seeded state, so even a run full of drops and delays replays exactly.
 
-use std::sync::Arc;
-
 use proptest::prelude::*;
-use storm::cloud::{Cloud, CloudConfig, DiskSpec};
-use storm::core::relay::ReplicaTarget;
-use storm::core::service::StorageService;
-use storm::core::{MbSpec, RelayMode, RelayQosConfig, StormPlatform};
+use storm::cloud::DiskSpec;
+use storm::core::{RelayQosConfig, StormPlatform};
 use storm::qos::{DiskTier, RateLimitSpec};
+use storm::scenario::{assert_replays, Replica, Spec};
 use storm::services::{
     CacheConfig, CompressService, DedupService, EncryptionService, SnapshotService,
     WriteBackCacheService,
 };
-use storm::telemetry::{parse_jsonl, Recorder};
-use storm_faults::{Fault, FaultPlan, FaultRunner};
+use storm_faults::{Fault, FaultPlan};
 use storm_sim::{SimDuration, SimTime};
 use storm_workloads::{FioJob, FioWorkload};
+
+const VOLUME_BYTES: u64 = 1 << 30;
+
+/// 300 ms of two-thread 4 KiB randrw over the whole volume.
+fn fio() -> FioWorkload {
+    let job = FioJob::randrw(4096, SimDuration::from_millis(300), VOLUME_BYTES / 512).threads(2);
+    FioWorkload::new(job)
+}
 
 /// Runs a short encrypted active-relay fio scenario with the recorder
 /// armed; with `faulted`, a disk-delay + middle-box-delay schedule fires
@@ -29,79 +33,51 @@ use storm_workloads::{FioJob, FioWorkload};
 /// enforcement points (relay token bucket + target WFQ dispatch).
 /// Returns the JSONL trace export.
 fn traced_run(seed: u64, faulted: bool, qos: bool) -> String {
-    let mut cloud = Cloud::build(CloudConfig {
+    let limit = RateLimitSpec::iops_limit(600, 4);
+    let plan = FaultPlan::new(seed ^ 0xFA17)
+        .at(
+            SimTime::from_millis(400),
+            Fault::DiskDelay {
+                host: 0,
+                extra: SimDuration::from_micros(150),
+                prob: 0.3,
+            },
+        )
+        .at(
+            SimTime::from_millis(500),
+            Fault::MbDelay {
+                mb: 0,
+                delay: SimDuration::from_micros(40),
+                prob: 0.5,
+            },
+        );
+    let spec = Spec {
         seed,
-        ..CloudConfig::default()
+        client_seed: seed ^ 0x5EED,
+        label: "vm:det",
+        volume_bytes: VOLUME_BYTES,
+        services: vec![Box::new(EncryptionService::stream_cipher(
+            &[7u8; 32], &[3u8; 12],
+        ))],
+        platform: StormPlatform {
+            qos: qos.then_some(RelayQosConfig { tenant: 1, limit }),
+            ..StormPlatform::default()
+        },
+        faults: faulted.then_some(plan),
+        traced: true,
+        ..Spec::default()
+    };
+    let mut run = spec.build(fio(), |cloud, vol| {
+        if qos {
+            let target = cloud.target_mut(0);
+            target.enable_qos(DiskSpec::fast_tier(), DiskSpec::slow_tier());
+            target.register_qos_volume(&vol.iqn, 1, DiskTier::Fast);
+            target.set_tenant_limit(1, limit);
+        }
     });
-    let recorder = Arc::new(Recorder::new());
-    cloud.set_trace_hook(Recorder::hook(&recorder));
-    let mut platform = StormPlatform::default();
-    if qos {
-        platform.qos = Some(RelayQosConfig {
-            tenant: 1,
-            limit: RateLimitSpec::iops_limit(600, 4),
-        });
-    }
-    let vol = cloud.create_volume(1 << 30, 0);
-    if qos {
-        let target = cloud.target_mut(0);
-        target.enable_qos(DiskSpec::fast_tier(), DiskSpec::slow_tier());
-        target.register_qos_volume(&vol.iqn, 1, DiskTier::Fast);
-        target.set_tenant_limit(1, RateLimitSpec::iops_limit(600, 4));
-    }
-    let enc = EncryptionService::stream_cipher(&[7u8; 32], &[3u8; 12]);
-    let deployment = platform.deploy_chain(
-        &mut cloud,
-        &vol,
-        (1, 2),
-        vec![MbSpec::with_services(
-            3,
-            RelayMode::Active,
-            vec![Box::new(enc)],
-        )],
-    );
-    let job = FioJob::randrw(4096, SimDuration::from_millis(300), vol.sectors).threads(2);
-    let app = platform.attach_volume_steered(
-        &mut cloud,
-        &deployment,
-        0,
-        "vm:det",
-        &vol,
-        Box::new(FioWorkload::new(job)),
-        seed ^ 0x5EED,
-        false,
-    );
-    let until = SimTime::from_nanos(1_200_000_000);
-    if faulted {
-        let plan = FaultPlan::new(seed ^ 0xFA17)
-            .at(
-                SimTime::from_millis(400),
-                Fault::DiskDelay {
-                    host: 0,
-                    extra: SimDuration::from_micros(150),
-                    prob: 0.3,
-                },
-            )
-            .at(
-                SimTime::from_millis(500),
-                Fault::MbDelay {
-                    mb: 0,
-                    delay: SimDuration::from_micros(40),
-                    prob: 0.5,
-                },
-            );
-        let mut runner = FaultRunner::new(plan.schedule());
-        runner.arm_cloud(&mut cloud);
-        let (node, mb_app) = (deployment.mb_nodes[0].node, deployment.mb_apps[0].unwrap());
-        assert!(runner.arm_mb(&mut cloud, 0, node, mb_app));
-        runner.run(&mut cloud, until);
-    } else {
-        cloud.net.run_until(until);
-    }
-    let client = cloud.client_mut(0, app);
-    assert!(client.is_ready(), "login failed");
-    assert!(client.stats.ops() > 0, "no I/O completed");
-    recorder.to_jsonl()
+    run.run_until(SimTime::from_nanos(1_200_000_000));
+    assert!(run.client().stats.ops() > 0, "no I/O completed");
+    run.trace()
 }
 
 proptest! {
@@ -110,20 +86,13 @@ proptest! {
     /// Two clean runs with the same seed export identical bytes.
     #[test]
     fn equal_seeds_equal_traces(seed in 1u64..1_000_000) {
-        let a = traced_run(seed, false, false);
-        let b = traced_run(seed, false, false);
-        prop_assert!(!a.is_empty());
-        prop_assert_eq!(&a, &b);
-        prop_assert!(parse_jsonl(&a).is_some(), "export must parse back");
+        assert_replays(seed, |seed| traced_run(seed, false, false));
     }
 
     /// Determinism survives an armed fault schedule.
     #[test]
     fn equal_seeds_equal_traces_under_faults(seed in 1u64..1_000_000) {
-        let a = traced_run(seed, true, false);
-        let b = traced_run(seed, true, false);
-        prop_assert!(!a.is_empty());
-        prop_assert_eq!(&a, &b);
+        assert_replays(seed, |seed| traced_run(seed, true, false));
     }
 
     /// Determinism survives QoS shaping: the token buckets and WFQ draw
@@ -131,12 +100,8 @@ proptest! {
     /// — and the shaping is real (qos stage events appear in the trace).
     #[test]
     fn equal_seeds_equal_traces_with_qos(seed in 1u64..1_000_000) {
-        let a = traced_run(seed, false, true);
-        let b = traced_run(seed, false, true);
-        prop_assert!(!a.is_empty());
-        prop_assert_eq!(&a, &b);
-        prop_assert!(a.contains("\"hop\":\"qos\""), "QoS never engaged");
-        prop_assert!(parse_jsonl(&a).is_some(), "export must parse back");
+        let trace = assert_replays(seed, |seed| traced_run(seed, false, true));
+        prop_assert!(trace.contains("\"hop\":\"qos\""), "QoS never engaged");
     }
 }
 
@@ -153,60 +118,29 @@ fn different_seeds_diverge() {
 /// **armed** (a snapshot is taken at deploy time so copy-on-first-write
 /// triggers) — and exports the JSONL trace.
 fn suite_traced_run(seed: u64) -> String {
-    let mut cloud = Cloud::build(CloudConfig {
-        seed,
-        storage_hosts: 2,
-        ..CloudConfig::default()
-    });
-    let recorder = Arc::new(Recorder::new());
-    cloud.set_trace_hook(Recorder::hook(&recorder));
-    let platform = StormPlatform::default();
-    let vol = cloud.create_volume(1 << 30, 0);
-    let journal = cloud.create_volume(64 << 20, 1);
     let mut snap = SnapshotService::new(128);
     snap.take_snapshot();
-    let services: Vec<Box<dyn StorageService>> = vec![
-        Box::new(WriteBackCacheService::new(CacheConfig::default())),
-        Box::new(DedupService::new(seed, 12)),
-        Box::new(CompressService::new(4096)),
-        Box::new(snap),
-    ];
-    let deployment = platform.deploy_chain(
-        &mut cloud,
-        &vol,
-        (1, 2),
-        vec![MbSpec {
-            host_idx: 3,
-            mode: RelayMode::Active,
-            services,
-            replicas: vec![
-                ReplicaTarget {
-                    portal: journal.portal,
-                    iqn: journal.iqn.clone(),
-                },
-                ReplicaTarget {
-                    portal: vol.portal,
-                    iqn: vol.iqn.clone(),
-                },
-            ],
-        }],
-    );
-    let job = FioJob::randrw(4096, SimDuration::from_millis(300), vol.sectors).threads(2);
-    let app = platform.attach_volume_steered(
-        &mut cloud,
-        &deployment,
-        0,
-        "vm:suite",
-        &vol,
-        Box::new(FioWorkload::new(job)),
-        seed ^ 0x5EED,
-        false,
-    );
-    cloud.net.run_until(SimTime::from_nanos(1_200_000_000));
-    let client = cloud.client_mut(0, app);
-    assert!(client.is_ready(), "login failed");
-    assert!(client.stats.ops() > 0, "no I/O completed");
-    recorder.to_jsonl()
+    let spec = Spec {
+        seed,
+        client_seed: seed ^ 0x5EED,
+        label: "vm:suite",
+        volume_bytes: VOLUME_BYTES,
+        spares: vec![64 << 20],
+        services: vec![
+            Box::new(WriteBackCacheService::new(CacheConfig::default())),
+            Box::new(DedupService::new(seed, 12)),
+            Box::new(CompressService::new(4096)),
+            Box::new(snap),
+        ],
+        // Replica 0 is the cache's journal, replica 1 the primary.
+        replicas: vec![Replica::Spare(0), Replica::Primary],
+        traced: true,
+        ..Spec::default()
+    };
+    let mut run = spec.build(fio(), |_, _| {});
+    run.run_until(SimTime::from_nanos(1_200_000_000));
+    assert!(run.client().stats.ops() > 0, "no I/O completed");
+    run.trace()
 }
 
 mod suite_determinism {
@@ -222,11 +156,7 @@ mod suite_determinism {
         /// export byte-identical traces.
         #[test]
         fn equal_seeds_equal_traces_with_suite_armed(seed in 1u64..1_000_000) {
-            let a = suite_traced_run(seed);
-            let b = suite_traced_run(seed);
-            prop_assert!(!a.is_empty());
-            prop_assert_eq!(&a, &b);
-            prop_assert!(parse_jsonl(&a).is_some(), "export must parse back");
+            assert_replays(seed, suite_traced_run);
         }
     }
 }

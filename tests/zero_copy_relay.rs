@@ -2,190 +2,67 @@
 //! verbatim, and side-action routing stays correct with multiple
 //! initiators sharing one middle-box.
 
-use bytes::Bytes;
-use storm::cloud::{Cloud, CloudConfig, IoCtx, IoKind, IoResult, ReqId, Workload};
-use storm::core::relay::{ActiveRelayMb, ReplicaTarget};
-use storm::core::{MbSpec, RelayMode, StormPlatform};
 use storm::iscsi::TransportKind;
+use storm::scenario::{Replica, Spec};
 use storm::services::ReplicationService;
 use storm_sim::SimTime;
+use storm_workloads::VerifyWorkload;
 
-/// Writes a pattern, reads it back, verifies, repeats; patterns differ
-/// per client (`salt`) and per round so misrouted replies can't pass
-/// verification by accident.
-struct PatternRounds {
-    salt: u8,
-    lba: u64,
-    rounds: usize,
-    verified: usize,
-    wrote: Option<ReqId>,
-    read: Option<ReqId>,
-}
-
-impl PatternRounds {
-    const BYTES: usize = 16 * 1024;
-
-    fn new(salt: u8, lba: u64, rounds: usize) -> Self {
-        PatternRounds {
-            salt,
-            lba,
-            rounds,
-            verified: 0,
-            wrote: None,
-            read: None,
-        }
-    }
-
-    fn lba_for(&self, round: usize) -> u64 {
-        self.lba + (round as u64) * (Self::BYTES as u64 / 512)
-    }
-
-    fn pattern(&self, round: usize) -> Vec<u8> {
-        (0..Self::BYTES)
-            .map(|i| ((i * 3 + 11 + self.salt as usize + round * 7) % 251) as u8)
-            .collect()
-    }
-}
-
-impl Workload for PatternRounds {
-    fn start(&mut self, io: &mut IoCtx<'_>) {
-        self.wrote = Some(io.write(self.lba_for(0), Bytes::from(self.pattern(0))));
-    }
-    fn completed(&mut self, io: &mut IoCtx<'_>, req: ReqId, _kind: IoKind, result: IoResult) {
-        assert!(result.ok, "I/O failed for salt {}", self.salt);
-        if Some(req) == self.wrote {
-            self.wrote = None;
-            self.read = Some(io.read(self.lba_for(self.verified), (Self::BYTES / 512) as u32));
-        } else if Some(req) == self.read {
-            self.read = None;
-            assert_eq!(
-                &result.data[..],
-                &self.pattern(self.verified)[..],
-                "read-back mismatch for salt {} round {}",
-                self.salt,
-                self.verified
-            );
-            self.verified += 1;
-            if self.verified >= self.rounds {
-                io.stop();
-            } else {
-                self.wrote = Some(io.write(
-                    self.lba_for(self.verified),
-                    Bytes::from(self.pattern(self.verified)),
-                ));
-            }
-        }
-    }
-}
-
-/// Tentpole acceptance: a bare active-relay chain forwards every data
-/// segment verbatim — byte-identical wire data, zero data bytes copied.
-/// Only fixed-size header copies into reassembly scratch are allowed.
-#[test]
-fn passthrough_relay_forwards_verbatim_with_zero_copies() {
-    let mut cloud = Cloud::build(CloudConfig::default());
-    let platform = StormPlatform::default();
-    let vol = cloud.create_volume(64 << 20, 0);
-    let mbs = vec![MbSpec::bare(3, RelayMode::Active)];
-    let deployment = platform.deploy_chain(&mut cloud, &vol, (1, 2), mbs);
-    let app = platform.attach_volume_steered(
-        &mut cloud,
-        &deployment,
-        0,
-        "vm:zc",
-        &vol,
-        Box::new(PatternRounds::new(0, 64, 8)),
-        21,
-        false,
-    );
-    cloud.net.run_until(SimTime::from_nanos(10_000_000_000));
-    let client = cloud.client_mut(0, app);
+/// Tentpole acceptance, on either wire protocol: a bare active-relay
+/// chain forwards every data segment verbatim — byte-identical wire data,
+/// zero data bytes copied. Only fixed-size header copies into reassembly
+/// scratch are allowed.
+fn passthrough_stays_zero_copy(transport: TransportKind, label: &'static str, salt: u8) {
+    let spec = Spec {
+        client_seed: 21,
+        transport,
+        label,
+        ..Spec::default()
+    };
+    let workload = VerifyWorkload::new(64, 16 * 1024).rounds(8).salt(salt);
+    let mut run = spec.build(workload, |_, _| {});
+    run.run_until(SimTime::from_nanos(10_000_000_000));
+    let client = run.client();
     assert_eq!(client.stats.errors, 0);
+    assert_eq!(client.transport().kind(), transport);
     assert_eq!(
-        client
-            .workload_ref()
-            .unwrap()
-            .downcast_ref::<PatternRounds>()
-            .unwrap()
-            .verified,
+        run.workload::<VerifyWorkload>().verified(),
         8,
         "every round must read back byte-identical data through the relay"
     );
 
-    let relay = cloud
-        .net
-        .app_mut(deployment.mb_nodes[0].node, deployment.mb_apps[0].unwrap())
-        .unwrap()
-        .downcast_mut::<ActiveRelayMb>()
-        .unwrap();
+    let relay = run.relay();
     let copy = relay.copy_stats();
     assert!(relay.pdus_forwarded() > 0, "chain must have carried PDUs");
     assert_eq!(
         copy.data_bytes_copied, 0,
-        "passthrough must not copy forwarded data segments"
+        "passthrough must not copy forwarded data segments on {transport:?}"
     );
-    assert_eq!(
-        copy.verbatim_forwards,
-        relay.pdus_forwarded(),
-        "every forwarded PDU must take the verbatim fast path"
-    );
+    match transport {
+        TransportKind::Iscsi => assert_eq!(
+            copy.verbatim_forwards,
+            relay.pdus_forwarded(),
+            "every forwarded PDU must take the verbatim fast path"
+        ),
+        // The relay bridges doorbell/completion units; the command units
+        // among them are the ones forwarded verbatim.
+        TransportKind::Nvmeq => assert!(
+            copy.verbatim_forwards > 0,
+            "command units must take the verbatim fast path"
+        ),
+    }
 }
 
-/// The same acceptance over the multi-queue transport: the relay sniffs
-/// the nvmeq magic byte, bridges doorbell/completion units through the
-/// (empty) chain, and still forwards every frame verbatim with zero data
-/// bytes copied — the zero-copy invariant is wire-protocol agnostic.
+#[test]
+fn passthrough_relay_forwards_verbatim_with_zero_copies() {
+    passthrough_stays_zero_copy(TransportKind::Iscsi, "vm:zc", 0);
+}
+
+/// The relay sniffs the nvmeq magic byte and bridges units through the
+/// (empty) chain: the zero-copy invariant is wire-protocol agnostic.
 #[test]
 fn passthrough_relay_stays_zero_copy_over_nvmeq() {
-    let mut cloud = Cloud::build(CloudConfig {
-        transport: TransportKind::Nvmeq,
-        ..CloudConfig::default()
-    });
-    let platform = StormPlatform::default();
-    let vol = cloud.create_volume(64 << 20, 0);
-    let mbs = vec![MbSpec::bare(3, RelayMode::Active)];
-    let deployment = platform.deploy_chain(&mut cloud, &vol, (1, 2), mbs);
-    let app = platform.attach_volume_steered(
-        &mut cloud,
-        &deployment,
-        0,
-        "vm:zc-nvq",
-        &vol,
-        Box::new(PatternRounds::new(5, 64, 8)),
-        21,
-        false,
-    );
-    cloud.net.run_until(SimTime::from_nanos(10_000_000_000));
-    let client = cloud.client_mut(0, app);
-    assert_eq!(client.stats.errors, 0);
-    assert_eq!(client.transport().kind(), TransportKind::Nvmeq);
-    assert_eq!(
-        client
-            .workload_ref()
-            .unwrap()
-            .downcast_ref::<PatternRounds>()
-            .unwrap()
-            .verified,
-        8,
-        "every round must read back byte-identical data through the relay"
-    );
-
-    let relay = cloud
-        .net
-        .app_mut(deployment.mb_nodes[0].node, deployment.mb_apps[0].unwrap())
-        .unwrap()
-        .downcast_mut::<ActiveRelayMb>()
-        .unwrap();
-    let copy = relay.copy_stats();
-    assert!(relay.pdus_forwarded() > 0, "chain must have carried units");
-    assert_eq!(
-        copy.data_bytes_copied, 0,
-        "passthrough must not copy forwarded data segments on nvmeq either"
-    );
-    assert!(
-        copy.verbatim_forwards > 0,
-        "command units must take the verbatim fast path"
-    );
+    passthrough_stays_zero_copy(TransportKind::Nvmeq, "vm:zc-nvq", 5);
 }
 
 /// Regression test for side-action routing: with TWO initiators on one
@@ -195,83 +72,44 @@ fn passthrough_relay_stays_zero_copy_over_nvmeq() {
 /// initiator logged in.)
 #[test]
 fn two_initiators_side_actions_route_to_originating_pair() {
-    let mut cloud = Cloud::build(CloudConfig {
-        storage_hosts: 2,
-        ..CloudConfig::default()
-    });
-    let platform = StormPlatform::default();
-    let vol = cloud.create_volume(64 << 20, 0);
-    let rep = cloud.create_volume(64 << 20, 1);
-    let svc = ReplicationService::new(1, true);
-    let mbs = vec![MbSpec {
-        host_idx: 3,
-        mode: RelayMode::Active,
-        services: vec![Box::new(svc)],
-        replicas: vec![ReplicaTarget {
-            portal: rep.portal,
-            iqn: rep.iqn.clone(),
-        }],
-    }];
-    let deployment = platform.deploy_chain(&mut cloud, &vol, (1, 2), mbs);
-
+    let spec = Spec {
+        client_seed: 22,
+        label: "vm:tenant-a",
+        spares: vec![64 << 20],
+        services: vec![Box::new(ReplicationService::new(1, true))],
+        replicas: vec![Replica::Spare(0)],
+        ..Spec::default()
+    };
     // Two clients on different compute hosts, disjoint LBA ranges,
     // different data patterns.
-    let app_a = platform.attach_volume_steered(
-        &mut cloud,
-        &deployment,
-        0,
-        "vm:tenant-a",
-        &vol,
-        Box::new(PatternRounds::new(17, 0, 24)),
-        22,
-        false,
-    );
-    let app_b = platform.attach_volume_steered(
-        &mut cloud,
-        &deployment,
-        1,
-        "vm:tenant-b",
-        &vol,
-        Box::new(PatternRounds::new(91, 32 * 1024, 24)),
-        23,
-        false,
-    );
-    cloud.net.run_until(SimTime::from_nanos(30_000_000_000));
+    let pattern_a = VerifyWorkload::new(0, 16 * 1024).rounds(24).salt(17);
+    let pattern_b = VerifyWorkload::new(32 * 1024, 16 * 1024)
+        .rounds(24)
+        .salt(91);
+    let mut run = spec.build(pattern_a, |_, _| {});
+    let app_b = run.attach(1, "vm:tenant-b", pattern_b, 23);
+    run.run_until(SimTime::from_nanos(30_000_000_000));
 
-    for (idx, app, rounds) in [(0, app_a, 24), (1, app_b, 24)] {
-        let client = cloud.client_mut(idx, app);
+    for (idx, app) in [(0, run.app), (1, app_b)] {
+        let client = run.cloud.client_mut(idx, app);
         assert_eq!(client.stats.errors, 0, "client {idx} saw errors");
+        let workload = client.workload_ref().unwrap();
         assert_eq!(
-            client
-                .workload_ref()
+            workload
+                .downcast_ref::<VerifyWorkload>()
                 .unwrap()
-                .downcast_ref::<PatternRounds>()
-                .unwrap()
-                .verified,
-            rounds,
+                .verified(),
+            24,
             "client {idx} must verify all rounds"
         );
     }
 
     // The replies were genuinely served by side actions: reads striped to
     // the replica produce Reply actions, writes produce replica Forwards.
-    let relay = cloud
-        .net
-        .app_mut(deployment.mb_nodes[0].node, deployment.mb_apps[0].unwrap())
-        .unwrap()
-        .downcast_mut::<ActiveRelayMb>()
-        .unwrap();
-    let svc = relay
-        .service(0)
-        .unwrap()
-        .downcast_ref::<ReplicationService>()
-        .unwrap();
+    let stats = run.service::<ReplicationService>(0).stats;
+    assert!(stats.replica_writes > 0, "writes must mirror to replica");
     assert!(
-        svc.stats.replica_writes > 0,
-        "writes must mirror to replica"
-    );
-    assert!(
-        svc.stats.striped_reads > 0,
+        stats.striped_reads > 0,
         "reads must stripe to the replica (Reply side actions)"
     );
 }
