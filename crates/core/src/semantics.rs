@@ -10,17 +10,21 @@
 //! 2. **Run time** — every intercepted write is classified; inode-table
 //!    writes update sizes and block pointers, directory-block writes bind
 //!    names, indirect-block writes extend block ownership. The maps live
-//!    in hash tables "for fast searching" exactly as §IV describes.
+//!    in hash tables "for fast searching" exactly as §IV describes; the
+//!    directory table is kept per directory *block*, the unit a write
+//!    replaces, so a directory costs what its written block holds, not
+//!    what the directory holds.
 //! 3. **Query** — each I/O yields [`FsAccess`] rows (the paper's Table I)
 //!    and higher-level [`FsEvent`]s (create/unlink) for the monitor's
 //!    analysis phase.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::rc::Rc;
 
 use storm_block::BlockDevice;
 use storm_extfs::{
-    parse_dirents, FileType, FsView, Inode, Region, BLOCK_SIZE, INODE_SIZE, ROOT_INO,
-    SECTORS_PER_BLOCK,
+    block_pointers, dirents, Dirent, FileType, FsView, Inode, Region, BLOCK_SIZE, INODE_SIZE,
+    ROOT_INO, SECTORS_PER_BLOCK,
 };
 
 /// Read or write, as carried by the SCSI command.
@@ -136,6 +140,19 @@ struct InodeLite {
     block: [u32; 15],
 }
 
+/// One known name of a directory: the inode it binds and the directory
+/// block its dirent lives in.
+#[derive(Debug, Clone, Copy)]
+struct Child {
+    ino: u32,
+    block: u64,
+}
+
+/// [`Child::block`] of a name that left its block in the write being
+/// applied and has not turned up again yet; never outlives
+/// [`Reconstructor::update_directory`].
+const LEFT: u64 = u64::MAX;
+
 /// The reconstruction engine.
 #[derive(Debug)]
 pub struct Reconstructor {
@@ -143,9 +160,12 @@ pub struct Reconstructor {
     mount: String,
     inodes: HashMap<u32, InodeLite>,
     paths: HashMap<u32, String>,
-    // The per-directory name table is a BTreeMap: directory diffs iterate
-    // it, and unlink events must come out in name order, not hasher order.
-    children: HashMap<u32, BTreeMap<String, u32>>,
+    /// Directory inode → name → what the name binds and where it lives.
+    children: HashMap<u32, HashMap<Rc<str>, Child>>,
+    /// Directory block → the `(name, inode)` pairs it held when last
+    /// written, in block order (`.`/`..` left out): what the next write
+    /// of that block is diffed against. Names are shared with `children`.
+    held: HashMap<u64, Vec<(Rc<str>, u32)>>,
     owner: HashMap<u64, BlockRole>,
     events: Vec<FsEvent>,
     /// Recent data-region writes whose owner was unknown at write time.
@@ -154,6 +174,10 @@ pub struct Reconstructor {
     /// arrives late the block's content is replayed from here.
     recent_writes: HashMap<u64, Vec<u8>>,
     recent_order: std::collections::VecDeque<u64>,
+    /// When set, directory writes go to the whole-directory table the
+    /// per-block one replaced, kept as the reference it is checked against.
+    #[cfg(test)]
+    reference: Option<HashMap<u32, std::collections::BTreeMap<String, u32>>>,
 }
 
 /// Bound on the deferred-content cache (4096 blocks = 16 MiB).
@@ -177,10 +201,13 @@ impl Reconstructor {
             inodes: HashMap::new(),
             paths: HashMap::new(),
             children: HashMap::new(),
+            held: HashMap::new(),
             owner: HashMap::new(),
             events: Vec::new(),
             recent_writes: HashMap::new(),
             recent_order: std::collections::VecDeque::new(),
+            #[cfg(test)]
+            reference: None,
         };
         r.paths.insert(ROOT_INO, r.mount.clone());
         r.walk(dev, ROOT_INO)?;
@@ -241,46 +268,27 @@ impl Reconstructor {
 
     fn walk<D: BlockDevice>(&mut self, dev: &mut D, ino: u32) -> Result<(), storm_extfs::FsError> {
         let inode = self.read_inode(dev, ino)?;
-        self.register_inode(ino, &inode.into_lite());
+        self.register_inode(ino, &InodeLite::from(&inode));
         if inode.is_dir() {
-            let blocks: Vec<u32> = inode.block[..12]
-                .iter()
-                .copied()
-                .filter(|&b| b != 0)
-                .collect();
-            for b in blocks {
+            for b in inode.block[..12].iter().copied().filter(|&b| b != 0) {
                 let buf = Self::read_block(dev, b as u64)?;
-                for e in parse_dirents(&buf) {
-                    if e.name == "." || e.name == ".." {
-                        continue;
-                    }
-                    let parent_path = self.paths.get(&ino).cloned().unwrap_or_default();
-                    let path = format!("{parent_path}/{}", e.name);
-                    self.paths.insert(e.inode, path);
-                    self.children
-                        .entry(ino)
-                        .or_default()
-                        .insert(e.name.clone(), e.inode);
+                self.update_directory(ino, b as u64, &buf);
+                for e in dirents(&buf).filter(|e| !e.is_dot()) {
                     self.walk(dev, e.inode)?;
                 }
             }
-        } else if inode.block[12] != 0 || inode.block[13] != 0 {
+        } else {
             // Resolve indirect pointers so data blocks map to this file.
             if inode.block[12] != 0 {
                 let buf = Self::read_block(dev, inode.block[12] as u64)?;
-                self.absorb_indirect(ino, &buf, false);
+                self.absorb_indirect(ino, &buf);
             }
             if inode.block[13] != 0 {
                 let outer = Self::read_block(dev, inode.block[13] as u64)?;
-                let ptrs: Vec<u32> = outer
-                    .chunks_exact(4)
-                    .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-                    .filter(|&p| p != 0)
-                    .collect();
-                for p in ptrs {
+                for p in block_pointers(&outer) {
                     self.owner.insert(p as u64, BlockRole::Indirect(ino));
                     let buf = Self::read_block(dev, p as u64)?;
-                    self.absorb_indirect(ino, &buf, false);
+                    self.absorb_indirect(ino, &buf);
                 }
             }
         }
@@ -297,19 +305,12 @@ impl Reconstructor {
                 }
             }
         }
-        let is_dir = new.mode & 0xF000 == 0x4000;
         for (slot, &b) in new.block.iter().enumerate() {
             if b == 0 {
                 continue;
             }
             let role = match slot {
-                0..=11 => {
-                    if is_dir {
-                        BlockRole::DirData(ino)
-                    } else {
-                        BlockRole::FileData(ino)
-                    }
-                }
+                0..=11 => data_role(new.mode, ino),
                 12 => BlockRole::Indirect(ino),
                 _ => BlockRole::DoubleIndirect(ino),
             };
@@ -321,48 +322,34 @@ impl Reconstructor {
     /// Assigns a role to a block, replaying any cached content that was
     /// written before the role was known.
     fn assign_role(&mut self, bno: u64, role: BlockRole) {
-        let fresh = self.owner.insert(bno, role) != Some(role);
-        if !fresh {
+        if self.owner.insert(bno, role) == Some(role) {
             return;
         }
         if let Some(content) = self.recent_writes.remove(&bno) {
-            match role {
-                BlockRole::Indirect(ino) => {
-                    let is_dir = self
-                        .inodes
-                        .get(&ino)
-                        .is_some_and(|i| i.mode & 0xF000 == 0x4000);
-                    self.absorb_indirect_late(ino, &content, is_dir);
-                }
-                BlockRole::DoubleIndirect(ino) => {
-                    for chunk in content.chunks_exact(4) {
-                        let p = u32::from_le_bytes(chunk.try_into().expect("4 bytes"));
-                        if p != 0 {
-                            self.assign_role(p as u64, BlockRole::Indirect(ino));
-                        }
-                    }
-                }
-                BlockRole::DirData(ino) => {
-                    if content.len() == BLOCK_SIZE {
-                        self.update_directory(ino, &content);
-                    }
-                }
-                BlockRole::FileData(_) => {}
-            }
+            self.absorb_block(bno, role, &content);
         }
     }
 
-    fn absorb_indirect_late(&mut self, ino: u32, data: &[u8], is_dir: bool) {
-        for chunk in data.chunks_exact(4) {
-            let p = u32::from_le_bytes(chunk.try_into().expect("4 bytes"));
-            if p != 0 {
-                let role = if is_dir {
-                    BlockRole::DirData(ino)
-                } else {
-                    BlockRole::FileData(ino)
-                };
-                self.assign_role(p as u64, role);
+    /// Applies the content of whole block `bno`, whose role is known, to
+    /// the view: names for a directory block, roles for the blocks an
+    /// indirect block points at.
+    fn absorb_block(&mut self, bno: u64, role: BlockRole, content: &[u8]) {
+        match role {
+            BlockRole::DirData(ino) => self.update_directory(ino, bno, content),
+            BlockRole::Indirect(ino) => self.absorb_indirect(ino, content),
+            BlockRole::DoubleIndirect(ino) => {
+                for p in block_pointers(content) {
+                    self.assign_role(p as u64, BlockRole::Indirect(ino));
+                }
             }
+            BlockRole::FileData(_) => {}
+        }
+    }
+
+    fn absorb_indirect(&mut self, ino: u32, data: &[u8]) {
+        let role = data_role(self.inodes.get(&ino).map_or(0, |i| i.mode), ino);
+        for p in block_pointers(data) {
+            self.assign_role(p as u64, role);
         }
     }
 
@@ -373,20 +360,6 @@ impl Reconstructor {
                 if let Some(old) = self.recent_order.pop_front() {
                     self.recent_writes.remove(&old);
                 }
-            }
-        }
-    }
-
-    fn absorb_indirect(&mut self, ino: u32, data: &[u8], is_dir: bool) {
-        for chunk in data.chunks_exact(4) {
-            let p = u32::from_le_bytes(chunk.try_into().expect("4 bytes"));
-            if p != 0 {
-                let role = if is_dir {
-                    BlockRole::DirData(ino)
-                } else {
-                    BlockRole::FileData(ino)
-                };
-                self.owner.insert(p as u64, role);
             }
         }
     }
@@ -438,7 +411,9 @@ impl Reconstructor {
     /// system view); for reads pass `None`.
     ///
     /// Returns Table-I style access rows, one per contiguous
-    /// same-classification run.
+    /// same-classification run. `lba` and `len` come off the wire: an
+    /// access of no bytes, or one running past the last addressable
+    /// sector, yields no rows and touches no state.
     pub fn observe(
         &mut self,
         op: FsOp,
@@ -446,21 +421,24 @@ impl Reconstructor {
         len: usize,
         data: Option<&[u8]>,
     ) -> Vec<FsAccess> {
+        let more = (len as u64).div_ceil(512).checked_sub(1);
+        let Some(last_sector) = more.and_then(|more| lba.checked_add(more)) else {
+            return Vec::new();
+        };
         // Update phase first (writes refresh the view), then classify.
         if let (FsOp::Write, Some(data)) = (op, data) {
             self.update_from_write(lba, data);
         }
-        let first_block = lba / SECTORS_PER_BLOCK;
-        let last_block = (lba + (len as u64).div_ceil(512) - 1).max(lba) / SECTORS_PER_BLOCK;
         let mut rows: Vec<FsAccess> = Vec::new();
-        for bno in first_block..=last_block {
+        // Bytes of the access not yet attributed, and how many of them
+        // the block at hand can take.
+        let mut left = len;
+        let mut room = BLOCK_SIZE - (lba % SECTORS_PER_BLOCK) as usize * 512;
+        for bno in lba / SECTORS_PER_BLOCK..=last_sector / SECTORS_PER_BLOCK {
             let target = self.classify(bno);
-            // Bytes of the access overlapping this block.
-            let block_start = bno * SECTORS_PER_BLOCK * 512;
-            let block_end = block_start + BLOCK_SIZE as u64;
-            let acc_start = lba * 512;
-            let acc_end = acc_start + len as u64;
-            let bytes = (acc_end.min(block_end) - acc_start.max(block_start)) as usize;
+            let bytes = left.min(room);
+            left -= bytes;
+            room = BLOCK_SIZE;
             match rows.last_mut() {
                 Some(last) if last.target == target => last.bytes += bytes,
                 _ => rows.push(FsAccess { op, target, bytes }),
@@ -469,57 +447,29 @@ impl Reconstructor {
         rows
     }
 
-    /// Applies a write's contents to the tracked system view.
-    fn update_from_write(&mut self, lba: u64, data: &[u8]) {
-        let start_byte = lba * 512;
-        let first_block = start_byte / BLOCK_SIZE as u64;
-        let end_byte = start_byte + data.len() as u64;
-        let last_block = (end_byte.saturating_sub(1)) / BLOCK_SIZE as u64;
-        for bno in first_block..=last_block {
-            let block_start = bno * BLOCK_SIZE as u64;
-            // Slice of `data` overlapping this block.
-            let lo = block_start.max(start_byte);
-            let hi = (block_start + BLOCK_SIZE as u64).min(end_byte);
-            let slice = &data[(lo - start_byte) as usize..(hi - start_byte) as usize];
-            let offset_in_block = (lo - block_start) as usize;
+    /// Applies a write's contents to the tracked system view, one
+    /// filesystem block's worth of `data` at a time.
+    fn update_from_write(&mut self, lba: u64, mut data: &[u8]) {
+        let mut bno = lba / SECTORS_PER_BLOCK;
+        let mut offset_in_block = (lba % SECTORS_PER_BLOCK) as usize * 512;
+        while !data.is_empty() {
+            let (slice, rest) = data.split_at(data.len().min(BLOCK_SIZE - offset_in_block));
+            let whole_block = slice.len() == BLOCK_SIZE;
             match self.view.classify_block(bno) {
                 Region::InodeTable { .. } => {
                     self.update_inode_table(bno, offset_in_block, slice);
                 }
-                Region::Data => match self.owner.get(&bno).copied() {
-                    Some(BlockRole::DirData(dir_ino))
-                        if offset_in_block == 0 && slice.len() == BLOCK_SIZE =>
-                    {
-                        self.update_directory(dir_ino, slice);
-                    }
-                    Some(BlockRole::Indirect(ino))
-                        if offset_in_block == 0 && slice.len() == BLOCK_SIZE =>
-                    {
-                        let is_dir = self
-                            .inodes
-                            .get(&ino)
-                            .is_some_and(|i| i.mode & 0xF000 == 0x4000);
-                        self.absorb_indirect_late(ino, slice, is_dir);
-                    }
-                    Some(BlockRole::DoubleIndirect(ino))
-                        if offset_in_block == 0 && slice.len() == BLOCK_SIZE =>
-                    {
-                        for chunk in slice.chunks_exact(4) {
-                            let p = u32::from_le_bytes(chunk.try_into().expect("4 bytes"));
-                            if p != 0 {
-                                self.assign_role(p as u64, BlockRole::Indirect(ino));
-                            }
-                        }
-                    }
-                    None if offset_in_block == 0 && slice.len() == BLOCK_SIZE => {
-                        // Owner not known yet: stash content for late
-                        // role assignment.
-                        self.remember_write(bno, slice);
-                    }
-                    _ => {}
+                Region::Data if whole_block => match self.owner.get(&bno).copied() {
+                    Some(role) => self.absorb_block(bno, role, slice),
+                    // Owner not known yet: stash content for late role
+                    // assignment.
+                    None => self.remember_write(bno, slice),
                 },
                 _ => {}
             }
+            data = rest;
+            offset_in_block = 0;
+            bno += 1;
         }
     }
 
@@ -535,7 +485,7 @@ impl Reconstructor {
             let rel = slot * INODE_SIZE - offset;
             let inode = Inode::from_bytes(&slice[rel..rel + INODE_SIZE]);
             let ino = first_ino + slot as u32;
-            let lite = inode.into_lite();
+            let lite = InodeLite::from(&inode);
             if lite.links == 0 && lite.mode == 0 {
                 // Freed: retire block ownership.
                 if let Some(old) = self.inodes.remove(&ino) {
@@ -551,74 +501,93 @@ impl Reconstructor {
         }
     }
 
-    fn update_directory(&mut self, dir_ino: u32, block: &[u8]) {
+    /// Applies a whole-block write of directory block `bno` of `dir_ino`.
+    ///
+    /// The block is diffed against what it held when last written: the
+    /// entries both versions share at the front and at the back cost one
+    /// comparison each, and only the span between them — usually the one
+    /// record an operation added or dropped — reaches the hash tables.
+    /// A name of that span that is bound to the same inode elsewhere in
+    /// the directory (another block, or further along in this one) has
+    /// moved: no event. Everything else that came is a create, everything
+    /// else that went an unlink, for a directory of any number of blocks.
+    fn update_directory(&mut self, dir_ino: u32, bno: u64, block: &[u8]) {
+        #[cfg(test)]
+        if self.reference.is_some() {
+            return tests::reference_update_directory(self, dir_ino, block);
+        }
+        let new: Vec<Dirent<'_>> = dirents(block).filter(|e| !e.is_dot()).collect();
+        let mut old = self.held.remove(&bno).unwrap_or_default();
+        let same =
+            |(was, is): &(&(Rc<str>, u32), &Dirent<'_>)| was.1 == is.inode && *was.0 == *is.name;
+        let head = old.iter().zip(&new).take_while(same).count();
+        let tail = old[head..]
+            .iter()
+            .rev()
+            .zip(new[head..].iter().rev())
+            .take_while(same)
+            .count();
+        let went = head..old.len() - tail;
+        let came = &new[head..new.len() - tail];
         let parent_path = self.display_path(dir_ino);
-        let entries = parse_dirents(block);
-        let fresh: BTreeMap<String, u32> = entries
-            .iter()
-            .filter(|e| e.name != "." && e.name != "..")
-            .map(|e| (e.name.clone(), e.inode))
-            .collect();
         let known = self.children.entry(dir_ino).or_default();
-        // Additions.
-        let mut created = Vec::new();
-        for e in &entries {
-            if e.name == "." || e.name == ".." {
-                continue;
-            }
-            if known.get(&e.name) != Some(&e.inode) {
-                created.push((e.inode, e.name.clone(), e.file_type));
+        for (name, ino) in &old[went.clone()] {
+            if let Some(child) = known.get_mut(name) {
+                if child.ino == *ino && child.block == bno {
+                    child.block = LEFT;
+                }
             }
         }
-        // Removals. NOTE: a directory spanning several blocks yields
-        // per-block diffs; names in other blocks are unaffected because
-        // each dirent lives in exactly one block.
-        let removed: Vec<(String, u32)> = known
-            .iter()
-            .filter(|(name, _)| !fresh.contains_key(*name))
-            .map(|(n, i)| (n.clone(), *i))
-            .collect();
-        // Only treat names as removed if they could have lived in this
-        // block: conservatively, a name is removed when absent from the
-        // fresh block but previously recorded. Multi-block directories
-        // re-add their entries on their own block's write.
-        for (ino, name, ft) in created {
-            let path = format!("{parent_path}/{name}");
-            self.paths.insert(ino, path.clone());
-            self.children.entry(dir_ino).or_default().insert(name, ino);
-            self.events.push(FsEvent::Created {
-                path,
-                file_type: ft,
-            });
+        let mut fresh = Vec::with_capacity(came.len());
+        for e in came {
+            let name = match known.get_key_value(e.name) {
+                Some((name, child)) if child.ino == e.inode => name.clone(),
+                _ => {
+                    let path = format!("{parent_path}/{}", e.name);
+                    self.paths.insert(e.inode, path.clone());
+                    self.events.push(FsEvent::Created {
+                        path,
+                        file_type: e.file_type,
+                    });
+                    Rc::from(e.name)
+                }
+            };
+            let child = Child {
+                ino: e.inode,
+                block: bno,
+            };
+            known.insert(name.clone(), child);
+            fresh.push((name, e.inode));
         }
-        let dir_has_single_block = self
-            .inodes
-            .get(&dir_ino)
-            .map(|i| i.block[1] == 0 && i.block[12] == 0)
-            .unwrap_or(true);
-        if dir_has_single_block {
-            for (name, ino) in removed {
+        for (name, ino) in old.splice(went, fresh) {
+            if known.get(&name).is_some_and(|c| c.block == LEFT) {
+                known.remove(&name);
                 let path = format!("{parent_path}/{name}");
-                self.children.entry(dir_ino).or_default().remove(&name);
-                if self.paths.get(&ino).map(String::as_str) == Some(path.as_str()) {
+                if self.paths.get(&ino) == Some(&path) {
                     self.paths.remove(&ino);
                 }
                 self.events.push(FsEvent::Unlinked { path });
             }
         }
+        self.held.insert(bno, old);
     }
 }
 
-// Conversion helper kept private to this module.
-trait IntoLite {
-    fn into_lite(self) -> InodeLite;
+/// The role of a data block of `ino`, which its inode's mode decides.
+fn data_role(mode: u16, ino: u32) -> BlockRole {
+    if mode & 0xF000 == 0x4000 {
+        BlockRole::DirData(ino)
+    } else {
+        BlockRole::FileData(ino)
+    }
 }
-impl IntoLite for Inode {
-    fn into_lite(self) -> InodeLite {
+
+impl From<&Inode> for InodeLite {
+    fn from(inode: &Inode) -> InodeLite {
         InodeLite {
-            mode: self.mode,
-            links: self.links_count,
-            block: self.block,
+            mode: inode.mode,
+            links: inode.links_count,
+            block: inode.block,
         }
     }
 }
@@ -626,8 +595,76 @@ impl IntoLite for Inode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use storm_block::{AccessKind, MemDisk, RecordingDevice};
     use storm_extfs::ExtFs;
+    use storm_sim::SimRng;
+
+    /// `update_directory` as it was before the per-block table: the block
+    /// rebuilt as owned entries, diffed against every name of the
+    /// directory, removals honoured for single-block directories only.
+    pub(super) fn reference_update_directory(r: &mut Reconstructor, dir_ino: u32, block: &[u8]) {
+        let parent_path = r.display_path(dir_ino);
+        let entries: Vec<(String, u32, FileType)> = dirents(block)
+            .filter(|e| !e.is_dot())
+            .map(|e| (e.name.to_owned(), e.inode, e.file_type))
+            .collect();
+        let fresh: BTreeMap<&str, u32> = entries.iter().map(|e| (e.0.as_str(), e.1)).collect();
+        let children = r.reference.as_mut().expect("reference mode");
+        let known = children.entry(dir_ino).or_default();
+        let created: Vec<_> = entries
+            .iter()
+            .filter(|(name, ino, _)| known.get(name) != Some(ino))
+            .collect();
+        let removed: Vec<(String, u32)> = known
+            .iter()
+            .filter(|(name, _)| !fresh.contains_key(name.as_str()))
+            .map(|(n, i)| (n.clone(), *i))
+            .collect();
+        for (name, ino, ft) in created {
+            let path = format!("{parent_path}/{name}");
+            r.paths.insert(*ino, path.clone());
+            known.insert(name.clone(), *ino);
+            r.events.push(FsEvent::Created {
+                path,
+                file_type: *ft,
+            });
+        }
+        let dir_has_single_block = r
+            .inodes
+            .get(&dir_ino)
+            .map(|i| i.block[1] == 0 && i.block[12] == 0)
+            .unwrap_or(true);
+        if dir_has_single_block {
+            for (name, ino) in removed {
+                let path = format!("{parent_path}/{name}");
+                known.remove(&name);
+                if r.paths.get(&ino).map(String::as_str) == Some(path.as_str()) {
+                    r.paths.remove(&ino);
+                }
+                r.events.push(FsEvent::Unlinked { path });
+            }
+        }
+    }
+
+    /// Switches a bootstrapped reconstructor to the reference directory
+    /// table, seeded with the names the bootstrap walk found.
+    fn into_reference(mut r: Reconstructor) -> Reconstructor {
+        let seeded = r
+            .children
+            .iter()
+            .map(|(dir, names)| {
+                let names = names.iter().map(|(n, c)| (n.to_string(), c.ino)).collect();
+                (*dir, names)
+            })
+            .collect();
+        r.reference = Some(seeded);
+        r
+    }
+
+    fn tracked_names(r: &Reconstructor) -> usize {
+        r.children.values().map(HashMap::len).sum()
+    }
 
     /// Builds a populated fs, returns (device, reconstructor bootstrapped
     /// at this point).
@@ -830,6 +867,269 @@ mod tests {
             // Contiguous blocks of the same file merge into one row.
             assert_eq!(rows.len(), 1, "rows: {rows:?}");
             assert_eq!(rows[0].bytes, 32768);
+        }
+    }
+
+    #[test]
+    fn empty_and_unaddressable_accesses_yield_no_rows_and_touch_nothing() {
+        let (_fs, mut recon) = setup();
+        let tracked = recon.tracked_blocks();
+        for lba in [0, 8, 1 << 40] {
+            assert_eq!(recon.observe(FsOp::Read, lba, 0, None), vec![]);
+            assert_eq!(recon.observe(FsOp::Write, lba, 0, Some(&[])), vec![]);
+        }
+        // The last sector lies beyond u64: refused, not wrapped.
+        assert_eq!(recon.observe(FsOp::Read, u64::MAX, 1024, None), vec![]);
+        let block = vec![0u8; BLOCK_SIZE];
+        assert_eq!(
+            recon.observe(FsOp::Write, u64::MAX - 3, BLOCK_SIZE, Some(&block)),
+            vec![]
+        );
+        // The last addressable sector itself is an access like any other:
+        // far beyond the volume, so unclassifiable.
+        let rows = recon.observe(FsOp::Write, u64::MAX - 7, BLOCK_SIZE, Some(&block));
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].bytes, BLOCK_SIZE);
+        assert!(matches!(rows[0].target, FsTargetKind::Unknown { .. }));
+        assert_eq!(recon.tracked_blocks(), tracked);
+        assert!(recon.recent_writes.is_empty() && recon.take_events().is_empty());
+    }
+
+    #[test]
+    fn unaligned_access_splits_its_bytes_at_block_boundaries() {
+        let (_fs, mut recon) = setup();
+        // Sectors 7..=9 of the volume: the last sector of block 0 (the
+        // superblock) and the first two of block 1 (the descriptor table).
+        let rows = recon.observe(FsOp::Read, 7, 1300, None);
+        let got: Vec<(String, usize)> = rows
+            .iter()
+            .map(|r| (r.target.to_string(), r.bytes))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                ("META: superblock".to_string(), 512),
+                ("META: group_desc_table".to_string(), 788)
+            ]
+        );
+    }
+
+    /// A directory of 300 files spans two blocks: unlinks are reported
+    /// from either, and the tables track the live names, not every name
+    /// ever seen.
+    #[test]
+    fn multi_block_directory_reports_unlinks_and_stays_bounded() {
+        let dev = RecordingDevice::new(MemDisk::with_capacity_bytes(64 << 20));
+        let mut fs = ExtFs::mkfs(dev).unwrap();
+        fs.mkdir("/mail").unwrap();
+        let name = |i: usize| format!("/mail/message-{i:05}");
+        for i in 0..300 {
+            fs.create(&name(i)).unwrap();
+        }
+        fs.sync().unwrap();
+        fs.device_mut().take_log();
+        let mut recon = Reconstructor::from_device(fs.device_mut().inner_mut(), "/mnt").unwrap();
+        let dir = fs.stat("/mail").unwrap();
+        assert!(
+            dir.size > BLOCK_SIZE as u64,
+            "the directory must span two blocks"
+        );
+        assert_eq!(tracked_names(&recon), 301);
+
+        let (first, last) = (
+            fs.stat(&name(0)).unwrap().ino,
+            fs.stat(&name(299)).unwrap().ino,
+        );
+        fs.unlink(&name(0)).unwrap();
+        fs.unlink(&name(299)).unwrap();
+        fs.sync().unwrap();
+        let _ = replay(&mut recon, fs.device_mut().take_log());
+        assert_eq!(
+            recon.take_events(),
+            vec![
+                FsEvent::Unlinked {
+                    path: "/mnt/mail/message-00000".into()
+                },
+                FsEvent::Unlinked {
+                    path: "/mnt/mail/message-00299".into()
+                },
+            ]
+        );
+        assert_eq!(recon.path_of(first), None);
+        assert_eq!(recon.path_of(last), None);
+
+        let mut live: std::collections::VecDeque<usize> = (1..299).collect();
+        for fresh in 300..1300 {
+            fs.create(&name(fresh)).unwrap();
+            live.push_back(fresh);
+            fs.unlink(&name(live.pop_front().unwrap())).unwrap();
+            fs.sync().unwrap();
+            let _ = replay(&mut recon, fs.device_mut().take_log());
+        }
+        let live = fs.readdir("/mail").unwrap().len();
+        assert_eq!(live, 298);
+        assert!(fs.stat("/mail").unwrap().size > BLOCK_SIZE as u64);
+        assert_eq!(tracked_names(&recon), live + 1);
+        assert_eq!(
+            recon.paths.len(),
+            live + 2,
+            "root, /mail and the live files"
+        );
+        let held: usize = recon.held.values().map(Vec::len).sum();
+        assert_eq!(held, live + 1);
+        let events = recon.take_events();
+        assert_eq!(events.len(), 2000);
+        assert!(events
+            .chunks(2)
+            .all(|pair| matches!(pair, [FsEvent::Created { .. }, FsEvent::Unlinked { .. }])));
+    }
+
+    /// One directory block holding `entries`, each in a minimal record
+    /// and the last padded to the end of the block.
+    fn dir_block(entries: &[(&str, u32)]) -> Vec<u8> {
+        let mut block = vec![0u8; BLOCK_SIZE];
+        let mut off = 0;
+        for (i, (name, ino)) in entries.iter().enumerate() {
+            let rec_len = if i + 1 == entries.len() {
+                BLOCK_SIZE - off
+            } else {
+                (8 + name.len()).div_ceil(4) * 4
+            };
+            block[off..off + 4].copy_from_slice(&ino.to_le_bytes());
+            block[off + 4..off + 6].copy_from_slice(&(rec_len as u16).to_le_bytes());
+            block[off + 6] = name.len() as u8;
+            block[off + 7] = FileType::Regular.to_byte();
+            block[off + 8..off + 8 + name.len()].copy_from_slice(name.as_bytes());
+            off += rec_len;
+        }
+        block
+    }
+
+    #[test]
+    fn a_name_that_turns_up_elsewhere_in_its_directory_is_a_move() {
+        let (_fs, mut recon) = setup();
+        let dir = 9_000;
+        recon.paths.insert(dir, "/mnt/box/d".into());
+        let (b1, b2) = (50_000, 50_001);
+        recon.update_directory(dir, b1, &dir_block(&[("a", 101), ("b", 102), ("c", 103)]));
+        recon.update_directory(dir, b2, &dir_block(&[("x", 201)]));
+        assert_eq!(recon.take_events().len(), 4);
+
+        // Reordered inside its block: nothing happened.
+        recon.update_directory(dir, b1, &dir_block(&[("c", 103), ("a", 101), ("b", 102)]));
+        assert_eq!(recon.take_events(), vec![]);
+
+        // Copied into another block first, dropped from its own second.
+        recon.update_directory(dir, b2, &dir_block(&[("x", 201), ("b", 102)]));
+        recon.update_directory(dir, b1, &dir_block(&[("c", 103), ("a", 101)]));
+        assert_eq!(recon.take_events(), vec![]);
+        assert_eq!(recon.path_of(102), Some("/mnt/box/d/b"));
+        assert_eq!(recon.children[&dir]["b"].block, b2);
+
+        // It now lives in `b2`: dropping it there is the unlink.
+        recon.update_directory(dir, b2, &dir_block(&[("x", 201)]));
+        assert_eq!(
+            recon.take_events(),
+            vec![FsEvent::Unlinked {
+                path: "/mnt/box/d/b".into()
+            }]
+        );
+        assert_eq!(recon.path_of(102), None);
+
+        // The same name bound to another inode is a new file, wherever
+        // the old binding still sits; the old block dropping its stale
+        // copy later is not an unlink of the new one.
+        recon.update_directory(dir, b2, &dir_block(&[("x", 201), ("a", 301)]));
+        assert_eq!(
+            recon.take_events(),
+            vec![FsEvent::Created {
+                path: "/mnt/box/d/a".into(),
+                file_type: FileType::Regular
+            }]
+        );
+        recon.update_directory(dir, b1, &dir_block(&[("c", 103)]));
+        assert_eq!(recon.take_events(), vec![]);
+        assert_eq!(recon.path_of(301), Some("/mnt/box/d/a"));
+        assert_eq!(tracked_names(&recon), 100 + 10 + 3);
+    }
+
+    /// Random create / unlink / rename / mkdir / write sequences over
+    /// single-block directories, replayed into the per-block table and
+    /// into the whole-directory reference: same events in the same
+    /// order, same rows, same paths.
+    #[test]
+    fn per_block_table_matches_the_reference_on_single_block_directories() {
+        for seed in 0..12 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let (mut fs, recon) = setup();
+            let mut model = recon;
+            let reference = Reconstructor::from_device(fs.device_mut().inner_mut(), "/mnt/box");
+            let mut reference = into_reference(reference.unwrap());
+            let mut dirs: Vec<String> = (0..10).map(|d| format!("/name{d}")).collect();
+            let mut files: Vec<String> = (0..10)
+                .flat_map(|d| (1..=10).map(move |i| format!("/name{d}/{i}.img")))
+                .collect();
+            for step in 0..150 {
+                let dir = rng.pick(&dirs).clone();
+                match rng.below(6) {
+                    0 | 1 => {
+                        let path = format!("{dir}/new-{step}");
+                        fs.create(&path).unwrap();
+                        files.push(path);
+                    }
+                    2 if !files.is_empty() => {
+                        let gone = files.swap_remove(rng.below(files.len() as u64) as usize);
+                        fs.unlink(&gone).unwrap();
+                    }
+                    3 if !files.is_empty() => {
+                        let at = rng.below(files.len() as u64) as usize;
+                        let to = format!("{dir}/moved-{step}");
+                        fs.rename(&files[at], &to).unwrap();
+                        files[at] = to;
+                    }
+                    4 => {
+                        let path = format!("{dir}/sub-{step}");
+                        fs.mkdir(&path).unwrap();
+                        dirs.push(path);
+                    }
+                    _ if !files.is_empty() => {
+                        let len = rng.range(1, 3 * BLOCK_SIZE as u64) as usize;
+                        let file: &String = rng.pick(&files);
+                        fs.write_file(file, 0, &vec![step as u8; len]).unwrap();
+                    }
+                    _ => {}
+                }
+                if rng.chance(0.5) {
+                    fs.sync().unwrap();
+                }
+                let log = fs.device_mut().take_log();
+                assert_eq!(
+                    replay(&mut model, log.clone()),
+                    replay(&mut reference, log),
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(
+                    model.take_events(),
+                    reference.take_events(),
+                    "seed {seed} step {step}"
+                );
+            }
+            let mut paths: Vec<_> = model.paths.iter().collect();
+            let mut reference_paths: Vec<_> = reference.paths.iter().collect();
+            paths.sort();
+            reference_paths.sort();
+            assert_eq!(paths, reference_paths, "seed {seed}");
+            assert!(paths.len() > 100);
+            for (dir, names) in reference.reference.as_ref().unwrap() {
+                let ours: BTreeMap<String, u32> = model
+                    .children
+                    .get(dir)
+                    .into_iter()
+                    .flatten()
+                    .map(|(n, c)| (n.to_string(), c.ino))
+                    .collect();
+                assert_eq!(&ours, names, "seed {seed} directory {dir}");
+            }
         }
     }
 }

@@ -5,8 +5,12 @@ use std::fmt;
 
 use storm_block::{BlockDevice, BlockError};
 
-use crate::dirent::{parse_dirents, rec_len_for, write_dirent, DirEntry, FileType, MAX_NAME_LEN};
-use crate::inode::{Inode, DIND_SLOT, DIRECT_BLOCKS, IND_SLOT, PTRS_PER_BLOCK};
+use crate::dirent::{
+    dirents, raw_dirents, rec_len_for, write_dirent, DirEntry, FileType, MAX_NAME_LEN,
+};
+use crate::inode::{
+    block_pointers, pointer_at, Inode, DIND_SLOT, DIRECT_BLOCKS, IND_SLOT, PTRS_PER_BLOCK,
+};
 use crate::layout::{
     GroupDesc, Superblock, BLOCKS_PER_GROUP, BLOCK_SIZE, EXT_MAGIC, FIRST_FREE_INO,
     INODES_PER_GROUP, INODE_SIZE, INODE_TABLE_BLOCKS, ROOT_INO, SECTORS_PER_BLOCK,
@@ -426,7 +430,7 @@ impl<D: BlockDevice> ExtFs<D> {
                 return Ok(None);
             }
             let buf = self.read_block(ind as u64)?;
-            let b = u32::from_le_bytes(buf[idx * 4..idx * 4 + 4].try_into().expect("4 bytes"));
+            let b = pointer_at(&buf, idx);
             return Ok(if b == 0 { None } else { Some(b) });
         }
         let idx = idx - PTRS_PER_BLOCK;
@@ -437,18 +441,13 @@ impl<D: BlockDevice> ExtFs<D> {
             }
             let outer = self.read_block(dind as u64)?;
             let slot = idx / PTRS_PER_BLOCK;
-            let ind =
-                u32::from_le_bytes(outer[slot * 4..slot * 4 + 4].try_into().expect("4 bytes"));
+            let ind = pointer_at(&outer, slot);
             if ind == 0 {
                 return Ok(None);
             }
             let inner = self.read_block(ind as u64)?;
             let within = idx % PTRS_PER_BLOCK;
-            let b = u32::from_le_bytes(
-                inner[within * 4..within * 4 + 4]
-                    .try_into()
-                    .expect("4 bytes"),
-            );
+            let b = pointer_at(&inner, within);
             return Ok(if b == 0 { None } else { Some(b) });
         }
         Ok(None) // beyond double-indirect reach
@@ -504,8 +503,7 @@ impl<D: BlockDevice> ExtFs<D> {
         let dind = inode.block[DIND_SLOT] as u64;
         let mut outer = self.read_block(dind)?;
         let slot = rel / PTRS_PER_BLOCK;
-        let mut ind =
-            u32::from_le_bytes(outer[slot * 4..slot * 4 + 4].try_into().expect("4 bytes"));
+        let mut ind = pointer_at(&outer, slot);
         if ind == 0 {
             ind = self.alloc_block(group)?;
             inode.blocks512 += SECTORS_PER_BLOCK as u32;
@@ -529,28 +527,17 @@ impl<D: BlockDevice> ExtFs<D> {
         }
         if inode.block[IND_SLOT] != 0 {
             let buf = self.read_block(inode.block[IND_SLOT] as u64)?;
-            for i in 0..PTRS_PER_BLOCK {
-                let b = u32::from_le_bytes(buf[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
-                if b != 0 {
-                    self.free_block(b)?;
-                }
+            for b in block_pointers(&buf) {
+                self.free_block(b)?;
             }
             self.free_block(inode.block[IND_SLOT])?;
         }
         if inode.block[DIND_SLOT] != 0 {
             let outer = self.read_block(inode.block[DIND_SLOT] as u64)?;
-            for s in 0..PTRS_PER_BLOCK {
-                let ind = u32::from_le_bytes(outer[s * 4..s * 4 + 4].try_into().expect("4 bytes"));
-                if ind == 0 {
-                    continue;
-                }
+            for ind in block_pointers(&outer) {
                 let inner = self.read_block(ind as u64)?;
-                for i in 0..PTRS_PER_BLOCK {
-                    let b =
-                        u32::from_le_bytes(inner[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
-                    if b != 0 {
-                        self.free_block(b)?;
-                    }
+                for b in block_pointers(&inner) {
+                    self.free_block(b)?;
                 }
                 self.free_block(ind)?;
             }
@@ -572,15 +559,17 @@ impl<D: BlockDevice> ExtFs<D> {
         Ok(out)
     }
 
-    fn dir_lookup(&mut self, dir_ino: u32, name: &str) -> Result<Option<DirEntry>, FsError> {
+    /// The inode and type `name` is bound to in directory `dir_ino`.
+    fn dir_lookup(&mut self, dir_ino: u32, name: &str) -> Result<Option<(u32, FileType)>, FsError> {
         let dir = self.read_inode(dir_ino)?;
         if !dir.is_dir() {
             return Err(FsError::NotADirectory);
         }
         for b in self.dir_blocks(&dir)? {
             let buf = self.read_block(b)?;
-            if let Some(e) = parse_dirents(&buf).into_iter().find(|e| e.name == name) {
-                return Ok(Some(e));
+            let hit = dirents(&buf).find(|e| e.name == name);
+            if let Some(e) = hit {
+                return Ok(Some((e.inode, e.file_type)));
             }
         }
         Ok(None)
@@ -598,32 +587,24 @@ impl<D: BlockDevice> ExtFs<D> {
         // Scan blocks for slack inside an existing record.
         for b in self.dir_blocks(&dir)? {
             let mut buf = self.read_block(b)?;
-            let mut off = 0usize;
-            while off + 8 <= BLOCK_SIZE {
-                let entry_ino = u32::from_le_bytes(buf[off..off + 4].try_into().expect("4 bytes"));
-                let rec_len =
-                    u16::from_le_bytes(buf[off + 4..off + 6].try_into().expect("2 bytes")) as usize;
-                if rec_len < 8 || off + rec_len > BLOCK_SIZE {
-                    break;
-                }
-                let name_len = buf[off + 6] as usize;
-                let used = if entry_ino == 0 {
+            // The first record with room behind its own name (all of a
+            // deleted placeholder is room).
+            let slack = raw_dirents(&buf).find_map(|r| {
+                let used = if r.inode == 0 {
                     0
                 } else {
-                    rec_len_for(name_len)
+                    rec_len_for(r.name.len())
                 };
-                if rec_len - used >= needed {
-                    // Split: shrink the existing record, place ours after.
-                    if entry_ino != 0 {
-                        buf[off + 4..off + 6].copy_from_slice(&(used as u16).to_le_bytes());
-                    }
-                    let new_off = off + used;
-                    let new_len = rec_len - used;
-                    write_dirent(&mut buf[new_off..], ino, ft, name, new_len);
-                    self.write_block(b, &buf)?;
-                    return Ok(());
+                (r.rec_len.saturating_sub(used) >= needed).then_some((r.offset, r.rec_len, used))
+            });
+            if let Some((off, rec_len, used)) = slack {
+                // Split: shrink the existing record, place ours after.
+                if used != 0 {
+                    buf[off + 4..off + 6].copy_from_slice(&(used as u16).to_le_bytes());
                 }
-                off += rec_len;
+                write_dirent(&mut buf[off + used..], ino, ft, name, rec_len - used);
+                self.write_block(b, &buf)?;
+                return Ok(());
             }
         }
         // No slack: append a fresh directory block.
@@ -643,38 +624,29 @@ impl<D: BlockDevice> ExtFs<D> {
         let dir = self.read_inode(dir_ino)?;
         for b in self.dir_blocks(&dir)? {
             let mut buf = self.read_block(b)?;
-            let mut off = 0usize;
-            let mut prev: Option<usize> = None;
-            while off + 8 <= BLOCK_SIZE {
-                let entry_ino = u32::from_le_bytes(buf[off..off + 4].try_into().expect("4 bytes"));
-                let rec_len =
-                    u16::from_le_bytes(buf[off + 4..off + 6].try_into().expect("2 bytes")) as usize;
-                if rec_len < 8 || off + rec_len > BLOCK_SIZE {
-                    break;
+            // The record binding `name`, and the one before it.
+            let mut prev = None;
+            let hit = raw_dirents(&buf).find_map(|r| {
+                if r.inode != 0 && r.name == name.as_bytes() {
+                    return Some((r.offset, r.rec_len, prev));
                 }
-                let name_len = buf[off + 6] as usize;
-                let entry_name =
-                    std::str::from_utf8(&buf[off + 8..off + 8 + name_len]).unwrap_or("");
-                if entry_ino != 0 && entry_name == name {
-                    match prev {
-                        Some(p) => {
-                            // Merge into the previous record (classic ext2).
-                            let prev_len =
-                                u16::from_le_bytes(buf[p + 4..p + 6].try_into().expect("2 bytes"))
-                                    as usize;
-                            let merged = (prev_len + rec_len) as u16;
-                            buf[p + 4..p + 6].copy_from_slice(&merged.to_le_bytes());
-                        }
-                        None => {
-                            // First record: just clear its inode field.
-                            buf[off..off + 4].copy_from_slice(&0u32.to_le_bytes());
-                        }
+                prev = Some((r.offset, r.rec_len));
+                None
+            });
+            if let Some((off, rec_len, prev)) = hit {
+                match prev {
+                    Some((p, prev_len)) => {
+                        // Merge into the previous record (classic ext2).
+                        let merged = (prev_len + rec_len) as u16;
+                        buf[p + 4..p + 6].copy_from_slice(&merged.to_le_bytes());
                     }
-                    self.write_block(b, &buf)?;
-                    return Ok(());
+                    None => {
+                        // First record: just clear its inode field.
+                        buf[off..off + 4].copy_from_slice(&0u32.to_le_bytes());
+                    }
                 }
-                prev = Some(off);
-                off += rec_len;
+                self.write_block(b, &buf)?;
+                return Ok(());
             }
         }
         Err(FsError::NotFound)
@@ -697,8 +669,7 @@ impl<D: BlockDevice> ExtFs<D> {
         let comps = Self::split_path(path)?;
         let mut ino = ROOT_INO;
         for c in comps {
-            let entry = self.dir_lookup(ino, c)?.ok_or(FsError::NotFound)?;
-            ino = entry.inode;
+            (ino, _) = self.dir_lookup(ino, c)?.ok_or(FsError::NotFound)?;
         }
         Ok(ino)
     }
@@ -708,8 +679,7 @@ impl<D: BlockDevice> ExtFs<D> {
         let (&last, parents) = comps.split_last().ok_or(FsError::InvalidPath)?;
         let mut ino = ROOT_INO;
         for c in parents {
-            let entry = self.dir_lookup(ino, c)?.ok_or(FsError::NotFound)?;
-            ino = entry.inode;
+            (ino, _) = self.dir_lookup(ino, c)?.ok_or(FsError::NotFound)?;
         }
         Ok((ino, last))
     }
@@ -829,11 +799,11 @@ impl<D: BlockDevice> ExtFs<D> {
         let mut out = Vec::new();
         for b in self.dir_blocks(&dir)? {
             let buf = self.read_block(b)?;
-            out.extend(
-                parse_dirents(&buf)
-                    .into_iter()
-                    .filter(|e| e.name != "." && e.name != ".."),
-            );
+            out.extend(dirents(&buf).filter(|e| !e.is_dot()).map(|e| DirEntry {
+                inode: e.inode,
+                file_type: e.file_type,
+                name: e.name.to_owned(),
+            }));
         }
         Ok(out)
     }
@@ -965,8 +935,8 @@ impl<D: BlockDevice> ExtFs<D> {
     /// [`FsError::IsADirectory`] for directories (use [`ExtFs::rmdir`]).
     pub fn unlink(&mut self, path: &str) -> Result<(), FsError> {
         let (parent, name) = self.namei_parent(path)?;
-        let entry = self.dir_lookup(parent, name)?.ok_or(FsError::NotFound)?;
-        let mut inode = self.read_inode(entry.inode)?;
+        let (ino, _) = self.dir_lookup(parent, name)?.ok_or(FsError::NotFound)?;
+        let mut inode = self.read_inode(ino)?;
         if inode.is_dir() {
             return Err(FsError::IsADirectory);
         }
@@ -974,9 +944,9 @@ impl<D: BlockDevice> ExtFs<D> {
         inode.links_count = inode.links_count.saturating_sub(1);
         if inode.links_count == 0 {
             self.free_inode_blocks(&inode)?;
-            self.free_inode(entry.inode, false)?;
+            self.free_inode(ino, false)?;
         } else {
-            self.write_inode(entry.inode, &inode)?;
+            self.write_inode(ino, &inode)?;
         }
         Ok(())
     }
@@ -989,23 +959,20 @@ impl<D: BlockDevice> ExtFs<D> {
     /// for non-directories.
     pub fn rmdir(&mut self, path: &str) -> Result<(), FsError> {
         let (parent, name) = self.namei_parent(path)?;
-        let entry = self.dir_lookup(parent, name)?.ok_or(FsError::NotFound)?;
-        let inode = self.read_inode(entry.inode)?;
+        let (ino, _) = self.dir_lookup(parent, name)?.ok_or(FsError::NotFound)?;
+        let inode = self.read_inode(ino)?;
         if !inode.is_dir() {
             return Err(FsError::NotADirectory);
         }
         for b in self.dir_blocks(&inode)? {
             let buf = self.read_block(b)?;
-            if parse_dirents(&buf)
-                .iter()
-                .any(|e| e.name != "." && e.name != "..")
-            {
+            if dirents(&buf).any(|e| !e.is_dot()) {
                 return Err(FsError::DirNotEmpty);
             }
         }
         self.dir_remove(parent, name)?;
         self.free_inode_blocks(&inode)?;
-        self.free_inode(entry.inode, true)?;
+        self.free_inode(ino, true)?;
         let mut p = self.read_inode(parent)?;
         p.links_count = p.links_count.saturating_sub(1);
         self.write_inode(parent, &p)
@@ -1020,7 +987,7 @@ impl<D: BlockDevice> ExtFs<D> {
     /// otherwise.
     pub fn rename(&mut self, from: &str, to: &str) -> Result<(), FsError> {
         let (from_parent, from_name) = self.namei_parent(from)?;
-        let entry = self
+        let (ino, file_type) = self
             .dir_lookup(from_parent, from_name)?
             .ok_or(FsError::NotFound)?;
         let (to_parent, to_name) = self.namei_parent(to)?;
@@ -1028,20 +995,20 @@ impl<D: BlockDevice> ExtFs<D> {
         if from_parent == to_parent && from_name == to_name {
             return Ok(());
         }
-        if let Some(existing) = self.dir_lookup(to_parent, to_name)? {
-            if existing.inode == entry.inode {
+        if let Some((existing, _)) = self.dir_lookup(to_parent, to_name)? {
+            if existing == ino {
                 // Same underlying file reached via both names: no-op.
                 return Ok(());
             }
-            let existing_inode = self.read_inode(existing.inode)?;
+            let existing_inode = self.read_inode(existing)?;
             if existing_inode.is_dir() {
                 return Err(FsError::AlreadyExists);
             }
             self.unlink(to)?;
         }
-        self.dir_add(to_parent, to_name, entry.inode, entry.file_type)?;
+        self.dir_add(to_parent, to_name, ino, file_type)?;
         self.dir_remove(from_parent, from_name)?;
-        if entry.file_type == FileType::Directory && from_parent != to_parent {
+        if file_type == FileType::Directory && from_parent != to_parent {
             // Fix "..".
             let mut p_from = self.read_inode(from_parent)?;
             p_from.links_count = p_from.links_count.saturating_sub(1);

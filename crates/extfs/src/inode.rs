@@ -122,6 +122,21 @@ impl Inode {
     }
 }
 
+/// The block pointer in slot `slot` of an indirect block (0: a hole).
+pub(crate) fn pointer_at(block: &[u8], slot: usize) -> u32 {
+    u32::from_le_bytes(block.as_chunks::<4>().0[slot])
+}
+
+/// The non-zero block pointers of an indirect block, in slot order
+/// (whatever `block` holds: it may be sniffed off the wire).
+pub fn block_pointers(block: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    let (words, _) = block.as_chunks::<4>();
+    words
+        .iter()
+        .map(|w| u32::from_le_bytes(*w))
+        .filter(|&p| p != 0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

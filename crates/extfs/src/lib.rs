@@ -12,7 +12,7 @@
 //! * [`FsView`] — the `dumpe2fs` equivalent: a layout snapshot
 //!   (superblock geometry, per-group bitmap/inode-table extents) that
 //!   classifies any raw block access, plus parsers for on-disk inodes and
-//!   directory entries ([`Inode::from_bytes`], [`parse_dirents`]).
+//!   directory entries ([`Inode::from_bytes`], [`dirents`]).
 //!
 //! The on-disk format keeps ext2's structure and field offsets for the
 //! fields it uses (magic `0xEF53`, 4 KiB blocks, 128-byte inodes,
@@ -45,9 +45,9 @@ mod inode;
 mod layout;
 mod view;
 
-pub use dirent::{parse_dirents, DirEntry, FileType};
+pub use dirent::{dirents, raw_dirents, DirEntry, Dirent, FileType, RawDirent};
 pub use fs::{ExtFs, FsError, Stat};
-pub use inode::Inode;
+pub use inode::{block_pointers, Inode};
 pub use layout::{
     GroupDesc, Superblock, BLOCK_SIZE, EXT_MAGIC, INODES_PER_GROUP, INODE_SIZE, ROOT_INO,
     SECTORS_PER_BLOCK,

@@ -291,4 +291,35 @@ mod tests {
         assert!(matches!(&acts[..], [SvcAction::Forward(Pdu::ScsiCommand(f))] if *f == c));
         assert!(mon.cmds.is_empty() && mon.log().is_empty());
     }
+
+    /// READ/WRITE with transfer length 0 is legal SCSI and parses
+    /// (`edtl == 0 == bytes`): it moves nothing, so it logs nothing.
+    #[test]
+    fn zero_length_commands_are_forwarded_and_log_nothing() {
+        let (_, mut mon) = monitored_fs();
+        let cases = [BlockOp::Read, BlockOp::Write]
+            .into_iter()
+            .flat_map(|op| [0, 8, 1 << 33].map(|lba| (op, lba)));
+        for (itt, (op, lba)) in (1u32..).zip(cases) {
+            let cmd = BlockCmd {
+                op,
+                lba,
+                sectors: 0,
+            };
+            let pdu = cmd.command(itt, itt, 1, Bytes::new());
+            let mut cx = SvcCtx::new(SimTime::ZERO);
+            mon.on_pdu(&mut cx, Dir::ToTarget, pdu.clone());
+            let acts = cx.take_actions();
+            let forwarded: Vec<_> = acts
+                .iter()
+                .filter_map(|a| match a {
+                    SvcAction::Forward(f) => Some(f),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(forwarded, [&pdu], "{op:?} at {lba}: {acts:?}");
+            assert!(mon.log().is_empty(), "{op:?} at {lba}: {:?}", mon.log());
+            assert!(mon.events().is_empty());
+        }
+    }
 }

@@ -8,7 +8,9 @@
 //! * **Hierarchical buckets** — [`LEVELS`] levels of [`SLOTS`] slots each;
 //!   level `l` slots are `SLOTS^l` ns wide, so the wheel spans
 //!   `SLOTS^LEVELS` ns (≈ 73 minutes) of lookahead. Push is `O(1)`;
-//!   pop amortizes cascades over the events that caused them. Events
+//!   pop amortizes cascades over the events that caused them, and reads
+//!   a short higher-level slot where it lies instead of cascading it
+//!   when its earliest event is provably the queue's. Events
 //!   beyond the horizon wait in a `BTreeMap` overflow ("far") list and
 //!   re-enter the wheel lazily.
 //! * **Slab-allocated nodes** — events live in one grow-only `Vec` with an
@@ -48,6 +50,12 @@ const SPAN: u64 = 1 << (SLOT_BITS * LEVELS as u32); // 64^LEVELS
 
 /// Sentinel slab index ("null pointer" of the intrusive lists).
 const NIL: u32 = u32::MAX;
+
+/// Longest higher-level slot the search reads in place instead of
+/// cascading (see [`EventQueue::direct_candidate`]): reading costs one
+/// visit per node per pop, cascading one re-placement per node once, so
+/// only a short slot is cheaper read where it lies.
+const DIRECT_MAX: usize = 8;
 
 /// Where a live node currently lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,7 +131,10 @@ pub struct EventQueue<E> {
     slab: Vec<Node<E>>,
     /// LIFO free list of slab indices (deterministic reuse order).
     free: Vec<u32>,
-    levels: Vec<Level>,
+    levels: [Level; LEVELS],
+    /// Bit `l` is set iff `levels[l]` holds a node: the search visits
+    /// only those levels.
+    occupied_levels: u8,
     /// Beyond-horizon events keyed by `(at, seq)` — exact global order.
     far: BTreeMap<(u64, u64), u32>,
     /// The wheel cursor in ns. Never passes the earliest pending event.
@@ -139,7 +150,8 @@ impl<E> EventQueue<E> {
         EventQueue {
             slab: Vec::new(),
             free: Vec::new(),
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
+            levels: std::array::from_fn(|_| Level::new()),
+            occupied_levels: 0,
             far: BTreeMap::new(),
             cursor: 0,
             seq: 0,
@@ -318,6 +330,15 @@ impl<E> EventQueue<E> {
             s.tail = idx;
         }
         self.levels[level].occupied |= 1 << slot;
+        self.occupied_levels |= 1 << level;
+    }
+
+    /// Marks `levels[level].slots[slot]` (just emptied) unoccupied.
+    fn vacate(&mut self, level: usize, slot: usize) {
+        self.levels[level].occupied &= !(1 << slot);
+        if self.levels[level].occupied == 0 {
+            self.occupied_levels &= !(1 << level);
+        }
     }
 
     /// Unlinks a live node from whichever container holds it.
@@ -342,7 +363,7 @@ impl<E> EventQueue<E> {
                     s.tail = prev;
                 }
                 if s.head == NIL {
-                    self.levels[level as usize].occupied &= !(1 << slot);
+                    self.vacate(level as usize, slot as usize);
                 }
             }
             Loc::Far => {
@@ -360,19 +381,18 @@ impl<E> EventQueue<E> {
     // Search & cascades
     // ------------------------------------------------------------------
 
-    /// Lower-bound arrival time of the first occupied slot of `level`, as
-    /// `(slot, start_time)`, walking forward from the cursor.
+    /// Lower-bound arrival time of the first occupied slot of `level`
+    /// (which must hold a node), as `(slot, start_time)`, walking forward
+    /// from the cursor.
     ///
     /// The start is a lower bound on every event in the slot, exact for
     /// all but two mixed-content cases (late pushes in level 0's current
     /// slot; a higher level's current slot straddling the cursor's block
     /// and the next rotation), which the caller resolves by scanning or
     /// cascading respectively.
-    fn level_candidate(&self, level: usize) -> Option<(usize, u64)> {
+    fn level_candidate(&self, level: usize) -> (usize, u64) {
         let lv = &self.levels[level];
-        if lv.occupied == 0 {
-            return None;
-        }
+        debug_assert!(lv.occupied != 0, "candidate of an empty level");
         let shift = SLOT_BITS * level as u32;
         let block = self.cursor >> shift; // current slot counter
         let cur = (block as usize) & (SLOTS - 1);
@@ -387,7 +407,7 @@ impl<E> EventQueue<E> {
                 // times read by the caller); a higher level holding a
                 // current-block event must cascade now. Either way the
                 // cursor does not move.
-                return Some((slot, self.cursor));
+                return (slot, self.cursor);
             }
             // The cursor's slot holds only next-rotation events (same
             // residue, 64 blocks on) — a full rotation LATER than any
@@ -398,16 +418,16 @@ impl<E> EventQueue<E> {
             if rest != 0 {
                 let dist = rest.trailing_zeros() as u64;
                 let slot = (cur + dist as usize) & (SLOTS - 1);
-                return Some((slot, (block + dist) << shift));
+                return (slot, (block + dist) << shift);
             }
-            return Some((slot, (block + SLOTS as u64) << shift));
+            return (slot, (block + SLOTS as u64) << shift);
         }
         // A distance-d slot (d >= 1) holds exactly block `block + d`
         // events: an older rotation would already have been passed (the
         // cursor never passes a pending event) and a newer one would need
         // placement distance d + 64 > 64, more than placement allows.
         let slot = (cur + dist as usize) & (SLOTS - 1);
-        Some((slot, (block + dist) << shift))
+        (slot, (block + dist) << shift)
     }
 
     /// Whether any node in `levels[level].slots[slot]` belongs to the
@@ -426,10 +446,34 @@ impl<E> EventQueue<E> {
         false
     }
 
+    /// The `(at, seq)`-earliest node of a higher-level slot, if the slot
+    /// holds at most [`DIRECT_MAX`] nodes and that node's instant is
+    /// strictly earlier than `rest`, a lower bound on every event outside
+    /// the slot's level.
+    ///
+    /// Such a node is the queue's earliest where it lies: the slot is its
+    /// level's first, so the rest of the level is later, and strictness
+    /// leaves no equal-instant twin elsewhere that a lower `seq` would put
+    /// ahead of it.
+    fn direct_candidate(&self, level: usize, slot: usize, rest: u64) -> Option<u32> {
+        let mut cur = self.levels[level].slots[slot].head;
+        let mut min = (u64::MAX, u64::MAX, NIL);
+        for _ in 0..DIRECT_MAX {
+            if cur == NIL {
+                break;
+            }
+            let n = &self.slab[cur as usize];
+            min = min.min((n.at, n.seq, cur));
+            cur = n.next;
+        }
+        (cur == NIL && min.0 < rest).then_some(min.2)
+    }
+
     /// Finds the slab index of the earliest `(at, seq)` event, cascading
     /// higher-level buckets down (and pulling far events in) until it sits
-    /// in a level-0 slot. Advances the cursor, but never past the earliest
-    /// pending event. Returns `None` when the queue is empty.
+    /// in a level-0 slot or is the [`direct_candidate`](Self::direct_candidate)
+    /// of a short higher-level one. Advances the cursor, but never past
+    /// the earliest pending event. Returns `None` when the queue is empty.
     fn find_earliest(&mut self) -> Option<u32> {
         if self.len == 0 {
             return None;
@@ -441,33 +485,39 @@ impl<E> EventQueue<E> {
             // stuck up-wheel would pop after a later-pushed twin (FIFO
             // violation). Cascading on a tie is always safe — it only
             // redistributes nodes — so `<=` keeps the last (highest) tie.
+            // `rest` is the lowest bound among the levels that lost.
             let mut best: Option<(usize, usize, u64)> = None; // (level, slot, start)
-            for level in 0..LEVELS {
-                if let Some((slot, start)) = self.level_candidate(level) {
-                    if best.is_none_or(|(_, _, s)| start <= s) {
+            let mut rest = u64::MAX;
+            let mut levels = self.occupied_levels;
+            while levels != 0 {
+                let level = levels.trailing_zeros() as usize;
+                levels &= levels - 1;
+                let (slot, start) = self.level_candidate(level);
+                match best {
+                    Some((_, _, s)) if s < start => rest = rest.min(start),
+                    Some((_, _, s)) => {
+                        rest = rest.min(s);
                         best = Some((level, slot, start));
                     }
+                    None => best = Some((level, slot, start)),
                 }
             }
-            let far_at = self.far.keys().next().map(|&(at, _)| at);
-            match (best, far_at) {
+            let far = self.far.first_key_value().map(|(&key, &idx)| (key, idx));
+            match (best, far) {
                 (None, None) => return None,
                 // Far event at or before every wheel lower bound: advance
                 // and pull it in. Ties also pull (`<=`): an equal-time far
                 // event may carry a lower seq than its wheel twin, and
                 // once in the wheel the level-0 scan orders them exactly.
-                (best, Some(fat)) if best.is_none_or(|(_, _, s)| fat <= s) => {
-                    // `fat` lower-bounds nothing: every wheel event's at
-                    // is >= its slot's start >= ... >= fat is false in
-                    // general, but fat <= min start <= min wheel at, so
-                    // the cursor may jump to fat without passing anything.
-                    self.cursor = self.cursor.max(fat);
-                    let (&key, &idx) = self.far.iter().next().expect("far nonempty");
+                (best, Some((key, idx))) if best.is_none_or(|(_, _, s)| key.0 <= s) => {
+                    // `key.0 <= min start <= min wheel at`, so the cursor
+                    // may jump to it without passing anything. The guard
+                    // is vacuously true for an empty wheel, so a far
+                    // event always finds a home here.
+                    self.cursor = self.cursor.max(key.0);
                     self.far.remove(&key);
                     self.place(idx);
                 }
-                // The far-pull guard is vacuously true for an empty wheel,
-                // so a far event always finds a home above.
                 (None, Some(_)) => unreachable!("far pull guard covers an empty wheel"),
                 (Some((0, slot, start)), _) => {
                     // Exact: scan the slot for the minimum (at, seq).
@@ -491,17 +541,25 @@ impl<E> EventQueue<E> {
                     }
                     return Some(min_idx);
                 }
-                (Some((level, slot, start)), _) => {
-                    // Cascade: no pending event precedes `start`, so the
-                    // cursor may advance to it. Current-block nodes then
-                    // re-place at least one level lower (their delta from
-                    // the cursor is under this level's slot width);
-                    // next-rotation nodes re-place by their own delta and
-                    // are found again via their true block start.
+                (Some((level, slot, start)), far) => {
+                    // No pending event precedes `start`, so the cursor
+                    // may advance to it: the slot is then the cursor's
+                    // own block at its level, which `level_candidate`
+                    // reports as `(slot, cursor)` for as long as a
+                    // current-block node stays in it.
                     self.cursor = self.cursor.max(start);
+                    let rest = far.map_or(rest, |((at, _), _)| rest.min(at));
+                    if let Some(idx) = self.direct_candidate(level, slot, rest) {
+                        return Some(idx);
+                    }
+                    // Cascade. Current-block nodes re-place at least one
+                    // level lower (their delta from the cursor is under
+                    // this level's slot width); next-rotation nodes
+                    // re-place by their own delta and are found again via
+                    // their true block start.
                     let mut cur = self.levels[level].slots[slot].head;
                     self.levels[level].slots[slot] = Slot::EMPTY;
-                    self.levels[level].occupied &= !(1 << slot);
+                    self.vacate(level, slot);
                     while cur != NIL {
                         let next = self.slab[cur as usize].next;
                         self.slab[cur as usize].prev = NIL;
@@ -688,5 +746,58 @@ mod tests {
         }
         let got: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(got, (0..SLOTS as u64).collect::<Vec<_>>());
+    }
+
+    /// The earliest pending instant, by brute force over the slab.
+    fn earliest_pending<E>(q: &EventQueue<E>) -> Option<u64> {
+        q.slab
+            .iter()
+            .filter(|n| n.loc != Loc::Free)
+            .map(|n| n.at)
+            .min()
+    }
+
+    #[test]
+    fn short_slots_pop_where_they_lie_and_the_cursor_never_passes_an_event() {
+        let mut rng = crate::SimRng::seed_from_u64(22);
+        let mut q = EventQueue::new();
+        let mut in_place = 0;
+        // Every push is at or after the cursor (a push behind it is the
+        // late-push case, delivered next whatever the cursor says), so
+        // the cursor must never be found past a pending event.
+        for step in 0..4_000u64 {
+            // A cluster of 1..=9 events some microseconds ahead: one
+            // higher-level slot, on either side of the cap.
+            let base = q.cursor + rng.range(64, 300_000);
+            for i in 0..rng.range(1, 10) {
+                q.push(SimTime::from_nanos(base + i * rng.below(4)), step);
+            }
+            for _ in 0..rng.range(1, 12) {
+                let Some(idx) = q.find_earliest() else {
+                    break;
+                };
+                let head = q.slab[idx as usize].at;
+                assert_eq!(Some(head), earliest_pending(&q));
+                assert!(q.cursor <= head, "the search passed the head");
+                if matches!(q.slab[idx as usize].loc, Loc::Wheel { level, .. } if level > 0) {
+                    in_place += 1;
+                }
+                if rng.chance(0.2) {
+                    // A refused peek, then a push before the refused head:
+                    // into the head's own block, where the cursor now is.
+                    assert_eq!(q.pop_if(|t| t.as_nanos() < head), None);
+                    assert!(q.cursor <= head);
+                    q.push(SimTime::from_nanos(rng.range(q.cursor, head + 1)), step);
+                }
+                let (at, _) = q.pop().expect("a head was found");
+                assert!(at.as_nanos() <= head);
+                assert_eq!(q.cursor, at.as_nanos());
+                assert!(earliest_pending(&q).is_none_or(|next| q.cursor <= next));
+            }
+        }
+        assert!(
+            in_place > 1_000,
+            "only {in_place} pops were served in place"
+        );
     }
 }

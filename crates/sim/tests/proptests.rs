@@ -38,15 +38,35 @@ impl HeapModel {
         None
     }
 
-    /// Time of the earliest live event (drops tombstones on the way).
-    fn peek(&mut self) -> Option<u64> {
+    /// `(time, seq)` of the earliest live event (drops tombstones on the
+    /// way).
+    fn peek(&mut self) -> Option<(u64, u64)> {
         while let Some(&Reverse((at, seq))) = self.heap.peek() {
             if self.live.contains_key(&seq) {
-                return Some(at);
+                return Some((at, seq));
             }
             self.heap.pop();
         }
         None
+    }
+}
+
+/// The wheel and its reference, pushed into together.
+#[derive(Default)]
+struct Pair {
+    wheel: EventQueue<u64>,
+    heap: HeapModel,
+    /// seq -> wheel token, for cancel targeting (kept sorted by seq).
+    tokens: Vec<(u64, CancelToken)>,
+}
+
+impl Pair {
+    /// The engine never schedules into the past; callers mirror it by
+    /// pushing at or after the last popped instant.
+    fn push(&mut self, at: u64) {
+        let seq = self.heap.push(at);
+        let tok = self.wheel.push_cancelable(SimTime::from_nanos(at), seq);
+        self.tokens.push((seq, tok));
     }
 }
 
@@ -63,12 +83,33 @@ enum Op {
     Pop,
     /// `pop_if` with a bound `delta` ns around the head's time, strict
     /// (`<`) or inclusive (`<=`). When it refuses, an event is pushed
-    /// `early` ns (mod the gap) after the last pop — before the refused
-    /// head, behind wherever the refused search moved the cursor.
+    /// before the refused head, behind wherever the refused search moved
+    /// the cursor: `early` ns (mod the gap) after the last pop, or, when
+    /// `near`, up to 4 µs before the head — the head's own wheel block.
     PopIf {
         delta: i64,
         inclusive: bool,
         early: u64,
+        near: bool,
+    },
+    /// `n` pushes `gap` ns apart (0: one instant), close enough to share
+    /// a higher-level slot: with `n` up to 9, both sides of the cap on
+    /// the slots the wheel pops where they lie.
+    Cluster {
+        at: u64,
+        n: u64,
+        gap: u64,
+    },
+    /// A push at the exact instant of the nth pending event. The cursor
+    /// has usually moved since that one was placed, so the twins sit at
+    /// two levels, or one in the wheel and one in the far list.
+    Twin {
+        nth: usize,
+    },
+    /// Cancel the earliest pending event, after a `peek_time` that made
+    /// it the wheel's candidate when `peek` is set.
+    CancelHead {
+        peek: bool,
     },
 }
 
@@ -81,80 +122,109 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u64..3_000).prop_map(|at| Op::Push { at }),
         (0usize..64).prop_map(|nth| Op::Cancel { nth }),
         Just(Op::Pop),
-        (-3i64..4, any::<bool>(), any::<u64>()).prop_map(|(delta, inclusive, early)| Op::PopIf {
-            delta,
-            inclusive,
-            early
-        }),
-        (-70_000i64..70_000, any::<bool>(), any::<u64>()).prop_map(|(delta, inclusive, early)| {
-            Op::PopIf {
+        (-3i64..4, any::<bool>(), any::<u64>(), any::<bool>()).prop_map(
+            |(delta, inclusive, early, near)| Op::PopIf {
                 delta,
                 inclusive,
                 early,
+                near
             }
-        }),
+        ),
+        (
+            -70_000i64..70_000,
+            any::<bool>(),
+            any::<u64>(),
+            any::<bool>()
+        )
+            .prop_map(|(delta, inclusive, early, near)| Op::PopIf {
+                delta,
+                inclusive,
+                early,
+                near
+            }),
+        (64u64..50_000_000, 1u64..10, 0u64..6).prop_map(|(at, n, gap)| Op::Cluster { at, n, gap }),
+        (0usize..64).prop_map(|nth| Op::Twin { nth }),
+        any::<bool>().prop_map(|peek| Op::CancelHead { peek }),
     ]
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
     /// Differential test: the timer wheel agrees with the old
     /// `BinaryHeap` queue on every interleaving of pushes, cancels, pops
     /// and bounded pops — identical pop order (time AND sequence),
     /// identical cancel outcomes and identical `pop_if` verdicts.
     #[test]
     fn wheel_matches_heap_reference(ops in prop::collection::vec(op_strategy(), 1..400)) {
-        let mut wheel: EventQueue<u64> = EventQueue::new();
-        let mut heap = HeapModel::default();
-        // seq -> wheel token, for cancel targeting (kept sorted by seq).
-        let mut tokens: Vec<(u64, CancelToken)> = Vec::new();
+        let mut pair = Pair::default();
         let mut floor = 0u64; // wheel pops must not go back in time
         for op in ops {
             match op {
-                Op::Push { at } => {
-                    // The engine never schedules into the past; mirror it.
-                    let at = floor + at;
-                    let seq = heap.push(at);
-                    let tok = wheel.push_cancelable(SimTime::from_nanos(at), seq);
-                    tokens.push((seq, tok));
+                Op::Push { at } => pair.push(floor + at),
+                Op::Cluster { at, n, gap } => {
+                    for i in 0..n {
+                        pair.push(floor + at + i * gap);
+                    }
+                }
+                Op::Twin { nth } => {
+                    let pending = pair.heap.live.len().max(1);
+                    if let Some(&at) = pair.heap.live.values().nth(nth % pending) {
+                        pair.push(at);
+                    }
+                }
+                Op::CancelHead { peek } => {
+                    let Some((at, seq)) = pair.heap.peek() else {
+                        continue;
+                    };
+                    if peek {
+                        prop_assert_eq!(pair.wheel.peek_time(), Some(SimTime::from_nanos(at)));
+                    }
+                    let held = pair.tokens.iter().position(|(s, _)| *s == seq);
+                    let (_, tok) = pair.tokens.remove(held.expect("pending events keep a token"));
+                    prop_assert_eq!(pair.wheel.cancel(tok), Some(seq), "head cancel diverged");
+                    prop_assert!(pair.heap.cancel(seq));
                 }
                 Op::Cancel { nth } => {
-                    if tokens.is_empty() {
+                    if pair.tokens.is_empty() {
                         continue;
                     }
-                    let (seq, tok) = tokens.remove(nth % tokens.len());
-                    let wheel_hit = wheel.cancel(tok).is_some();
-                    let heap_hit = heap.cancel(seq);
+                    let (seq, tok) = pair.tokens.remove(nth % pair.tokens.len());
+                    let wheel_hit = pair.wheel.cancel(tok).is_some();
+                    let heap_hit = pair.heap.cancel(seq);
                     prop_assert_eq!(wheel_hit, heap_hit, "cancel outcome diverged");
                 }
                 Op::Pop => {
-                    let expect = heap.pop();
-                    let got = wheel.pop().map(|(t, seq)| (t.as_nanos(), seq));
+                    let expect = pair.heap.pop();
+                    let got = pair.wheel.pop().map(|(t, seq)| (t.as_nanos(), seq));
                     prop_assert_eq!(got, expect, "pop order diverged");
                     if let Some((at, seq)) = got {
                         floor = at;
-                        tokens.retain(|(s, _)| *s != seq);
+                        pair.tokens.retain(|(s, _)| *s != seq);
                     }
                 }
-                Op::PopIf { delta, inclusive, early } => {
-                    let Some(head) = heap.peek() else {
-                        prop_assert_eq!(wheel.pop_if(|_| true), None);
+                Op::PopIf { delta, inclusive, early, near } => {
+                    let Some((head, _)) = pair.heap.peek() else {
+                        prop_assert_eq!(pair.wheel.pop_if(|_| true), None);
                         continue;
                     };
                     let bound = SimTime::from_nanos(head.saturating_add_signed(delta));
                     let due = |t: SimTime| if inclusive { t <= bound } else { t < bound };
-                    let expect = if due(SimTime::from_nanos(head)) { heap.pop() } else { None };
-                    let got = wheel.pop_if(due).map(|(t, seq)| (t.as_nanos(), seq));
+                    let expect = if due(SimTime::from_nanos(head)) { pair.heap.pop() } else { None };
+                    let got = pair.wheel.pop_if(due).map(|(t, seq)| (t.as_nanos(), seq));
                     prop_assert_eq!(got, expect, "pop_if diverged");
                     match got {
                         Some((at, seq)) => {
                             floor = at;
-                            tokens.retain(|(s, _)| *s != seq);
+                            pair.tokens.retain(|(s, _)| *s != seq);
                         }
                         None if head > floor => {
-                            let at = floor + early % (head - floor);
-                            let seq = heap.push(at);
-                            let tok = wheel.push_cancelable(SimTime::from_nanos(at), seq);
-                            tokens.push((seq, tok));
+                            let gap = head - floor;
+                            pair.push(if near {
+                                head - 1 - early % gap.min(4096)
+                            } else {
+                                floor + early % gap
+                            });
                         }
                         None => {}
                     }
@@ -163,14 +233,14 @@ proptest! {
         }
         // Drain: the remaining contents must match exactly too.
         loop {
-            let expect = heap.pop();
-            let got = wheel.pop().map(|(t, seq)| (t.as_nanos(), seq));
+            let expect = pair.heap.pop();
+            let got = pair.wheel.pop().map(|(t, seq)| (t.as_nanos(), seq));
             prop_assert_eq!(got, expect, "drain diverged");
             if got.is_none() {
                 break;
             }
         }
-        prop_assert!(wheel.is_empty());
+        prop_assert!(pair.wheel.is_empty());
     }
 
     /// The event queue always pops in non-decreasing time order, and ties
