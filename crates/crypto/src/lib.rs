@@ -13,7 +13,10 @@
 //!   encryption middle-box for data-at-rest (Figures 10 and 11).
 //! * [`ChaCha20`] — a position-seekable stream cipher, used as the paper's
 //!   "stream cipher service that operates on each bit of the raw data"
-//!   (Figures 5, 6, 8 and 9).
+//!   (Figures 5, 6, 8 and 9). Four blocks per pass, in a shape the
+//!   compiler vectorises; a 64-bit block counter, so the keystream does
+//!   not repeat anywhere in a volume's byte space (RFC 7539 below
+//!   256 GiB).
 //!
 //! These implementations are **not** side-channel hardened (AES indexes
 //! tables by secret bytes, and `unsafe` is forbidden, so there is no

@@ -62,7 +62,7 @@ proptest! {
     fn chacha_involution(key in prop::array::uniform32(any::<u8>()),
                          nonce in prop::array::uniform12(any::<u8>()),
                          offset in 0u64..1_000_000,
-                         data in prop::collection::vec(any::<u8>(), 0..512)) {
+                         data in prop::collection::vec(any::<u8>(), 0..2048)) {
         let c = ChaCha20::new(&key, &nonce);
         let mut buf = data.clone();
         c.apply_keystream_at(offset, &mut buf);
@@ -74,8 +74,8 @@ proptest! {
     /// one-shot processing — the property the passive relay depends on.
     #[test]
     fn chacha_piecewise(offset in 0u64..100_000,
-                        data in prop::collection::vec(any::<u8>(), 1..400),
-                        split in 0usize..400) {
+                        data in prop::collection::vec(any::<u8>(), 1..2048),
+                        split in 0usize..2048) {
         let split = split.min(data.len());
         let c = ChaCha20::new(&[5u8; 32], &[6u8; 12]);
         let mut whole = data.clone();
@@ -85,4 +85,30 @@ proptest! {
         c.apply_keystream_at(offset + split as u64, &mut pieces[split..]);
         prop_assert_eq!(whole, pieces);
     }
+
+    /// ChaCha20: `apply_keystream_at` (head, four-block passes, tail)
+    /// equals the keystream taken one `block()` at a time.
+    #[test]
+    fn chacha_matches_blockwise_reference(key in prop::array::uniform32(any::<u8>()),
+                                          nonce in prop::array::uniform12(any::<u8>()),
+                                          offset in 0u64..1 << 40,
+                                          data in prop::collection::vec(any::<u8>(), 0..2048)) {
+        let mut buf = data.clone();
+        ChaCha20::new(&key, &nonce).apply_keystream_at(offset, &mut buf);
+        let expect: Vec<u8> = data
+            .iter()
+            .zip(offset..)
+            .map(|(d, pos)| d ^ reference_block(&key, &nonce, pos / 64)[(pos % 64) as usize])
+            .collect();
+        prop_assert_eq!(buf, expect);
+    }
+}
+
+/// Keystream block `index` through the public 32-bit `block()`: the high
+/// half of the index is carried into the first nonce word.
+fn reference_block(key: &[u8; 32], nonce: &[u8; 12], index: u64) -> [u8; 64] {
+    let word = u32::from_le_bytes([nonce[0], nonce[1], nonce[2], nonce[3]]);
+    let mut carried = *nonce;
+    carried[..4].copy_from_slice(&word.wrapping_add((index >> 32) as u32).to_le_bytes());
+    ChaCha20::new(key, &carried).block(index as u32)
 }

@@ -115,8 +115,11 @@ impl VirtualSwitch {
             return;
         }
         frame.hops += 1;
-        // Learn the sender's location.
-        self.fdb.insert(frame.src_mac, in_port);
+        // Learn the sender's location. The table changes at topology
+        // build and on a move, not per frame: a read is all most frames pay.
+        if self.fdb.get(&frame.src_mac) != Some(&in_port) {
+            self.fdb.insert(frame.src_mac, in_port);
+        }
 
         let mut normal = true;
         if let Some(rule) = self.flows.lookup(frame, in_port) {
@@ -222,6 +225,11 @@ mod tests {
         let out = sw.process(frame(a, b), PortNo(0));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, PortNo(2));
+        // B moves to port 3: its next frame re-learns it.
+        sw.process(frame(b, a), PortNo(3));
+        let out = sw.process(frame(a, b), PortNo(0));
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].0, PortNo(3));
     }
 
     #[test]

@@ -29,14 +29,15 @@ fn fio() -> FioWorkload {
 
 /// Runs a short encrypted active-relay fio scenario with the recorder
 /// armed; with `faulted`, a disk-delay + middle-box-delay schedule fires
-/// mid-run; with `qos`, tight per-tenant limits shape the flow at both
-/// enforcement points (relay token bucket + target WFQ dispatch).
+/// inside the job's 300 ms window; with `qos`, tight per-tenant limits
+/// shape the flow at both enforcement points (relay token bucket + target
+/// WFQ dispatch).
 /// Returns the JSONL trace export.
 fn traced_run(seed: u64, faulted: bool, qos: bool) -> String {
     let limit = RateLimitSpec::iops_limit(600, 4);
     let plan = FaultPlan::new(seed ^ 0xFA17)
         .at(
-            SimTime::from_millis(400),
+            SimTime::from_millis(100),
             Fault::DiskDelay {
                 host: 0,
                 extra: SimDuration::from_micros(150),
@@ -44,7 +45,7 @@ fn traced_run(seed: u64, faulted: bool, qos: bool) -> String {
             },
         )
         .at(
-            SimTime::from_millis(500),
+            SimTime::from_millis(150),
             Fault::MbDelay {
                 mb: 0,
                 delay: SimDuration::from_micros(40),
@@ -89,10 +90,12 @@ proptest! {
         assert_replays(seed, |seed| traced_run(seed, false, false));
     }
 
-    /// Determinism survives an armed fault schedule.
+    /// Determinism survives an armed fault schedule — one that fires:
+    /// the faulted trace is not the clean trace of the same seed.
     #[test]
     fn equal_seeds_equal_traces_under_faults(seed in 1u64..1_000_000) {
-        assert_replays(seed, |seed| traced_run(seed, true, false));
+        let faulted = assert_replays(seed, |seed| traced_run(seed, true, false));
+        prop_assert!(faulted != traced_run(seed, false, false), "no fault fired");
     }
 
     /// Determinism survives QoS shaping: the token buckets and WFQ draw
