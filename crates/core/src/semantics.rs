@@ -266,7 +266,15 @@ impl Reconstructor {
         Ok(Inode::from_bytes(&buf[off..off + INODE_SIZE]))
     }
 
+    /// Registers `ino` and, for a directory, everything its entries name.
+    /// An inode is walked once: the tenant writes the image, and a
+    /// directory that names one of its own ancestors (or a file with two
+    /// links) must not send the walk round again — `inodes` is the
+    /// visited set, so the recursion is bounded by the inode count.
     fn walk<D: BlockDevice>(&mut self, dev: &mut D, ino: u32) -> Result<(), storm_extfs::FsError> {
+        if self.inodes.contains_key(&ino) {
+            return Ok(());
+        }
         let inode = self.read_inode(dev, ino)?;
         self.register_inode(ino, &InodeLite::from(&inode));
         if inode.is_dir() {
@@ -703,6 +711,48 @@ mod tests {
         let (_fs, recon) = setup();
         assert_eq!(recon.path_of(ROOT_INO), Some("/mnt/box"));
         assert!(recon.tracked_blocks() > 10);
+    }
+
+    #[test]
+    fn a_directory_that_names_its_ancestor_is_walked_once() {
+        let mut fs = ExtFs::mkfs(MemDisk::with_capacity_bytes(32 << 20)).unwrap();
+        fs.mkdir("/sub").unwrap();
+        fs.create("/sub/loop").unwrap();
+        fs.mkdir("/sub/deeper").unwrap();
+        fs.create("/sub/deeper/leaf").unwrap();
+        fs.mkdir("/other").unwrap();
+        fs.create("/other/data").unwrap();
+        fs.write_file("/other/data", 0, &vec![3u8; 8192]).unwrap();
+        fs.sync().unwrap();
+        let dev = fs.device_mut();
+        let clean = Reconstructor::from_device(dev, "/mnt/box").unwrap();
+        let ino_of = |path: &str| {
+            let found = clean.paths.iter().find(|(_, p)| p.as_str() == path);
+            *found.unwrap().0
+        };
+        let sub = ino_of("/mnt/box/sub");
+        let (&bno, _) = clean
+            .owner
+            .iter()
+            .find(|(_, role)| **role == BlockRole::DirData(sub))
+            .unwrap();
+        // Point /sub/loop back at the root: root → sub → root → ...
+        let mut block = Reconstructor::read_block(dev, bno).unwrap();
+        let at = dirents(&block).find(|e| e.name == "loop").unwrap().offset;
+        block[at..at + 4].copy_from_slice(&ROOT_INO.to_le_bytes());
+        dev.write(bno * SECTORS_PER_BLOCK, &block).unwrap();
+
+        let looped = Reconstructor::from_device(dev, "/mnt/box").unwrap();
+        for path in [
+            "/mnt/box/sub/deeper/leaf",
+            "/mnt/box/other",
+            "/mnt/box/other/data",
+        ] {
+            assert_eq!(looped.path_of(ino_of(path)), Some(path));
+        }
+        // Only the inode /sub/loop used to name is out of the picture.
+        assert_eq!(looped.inodes.len(), clean.inodes.len() - 1);
+        assert_eq!(looped.tracked_blocks(), clean.tracked_blocks());
     }
 
     #[test]

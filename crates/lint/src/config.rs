@@ -109,6 +109,7 @@ impl Default for Config {
                 "crates/services/src/cache.rs",
                 "crates/services/src/dedup.rs",
                 "crates/services/src/compress.rs",
+                "crates/services/src/lz.rs",
                 "crates/services/src/snapshot.rs",
                 "crates/services/src/encryption.rs",
                 "crates/services/src/monitor.rs",
@@ -121,10 +122,17 @@ impl Default for Config {
             // the list for the panic rule. Neither forwards a payload:
             // the Reconstructor's one copy is its bounded stash of blocks
             // written before their inode, `write_dirent` is the guest
-            // filesystem's writer.
-            allow_paths: ["crates/core/src/semantics.rs", "crates/extfs/src/dirent.rs"]
-                .map(|f| (Rule::NoHotPathCopy, f.to_string()))
-                .to_vec(),
+            // filesystem's writer. The codec is there for the same rule, on
+            // tenant-written frames: a literal-run emit or a header field is
+            // the transform's output, not a payload copied on its way
+            // through.
+            allow_paths: [
+                "crates/core/src/semantics.rs",
+                "crates/extfs/src/dirent.rs",
+                "crates/services/src/lz.rs",
+            ]
+            .map(|f| (Rule::NoHotPathCopy, f.to_string()))
+            .to_vec(),
             // The curation line: these functions move bytes per PDU, or
             // one frame per hop, and are allocation-free today — the rule
             // locks that in.

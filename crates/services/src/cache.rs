@@ -35,6 +35,8 @@ use storm_iscsi::exchange::{
 use storm_iscsi::{DataIn, Pdu, ScsiCommand, ScsiStatus};
 use storm_sim::SimDuration;
 
+use crate::lz::{fnv32, put_field};
+
 /// Journal entry header magic ("SJH1").
 const HDR_MAGIC: u32 = 0x534A_4831;
 /// Journal commit record magic ("SJC1").
@@ -747,22 +749,6 @@ impl std::fmt::Debug for WriteBackCacheService {
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
-}
-
-/// Encodes one little-endian metadata field into a record buffer.
-fn put_field(buf: &mut [u8], at: usize, field: &[u8]) {
-    // storm-lint: allow(no-hot-path-copy): fixed-size record-header field
-    // encoding (journal metadata, not payload), armed paths only.
-    buf[at..at + field.len()].copy_from_slice(field);
-}
-
-/// FNV-1a over a byte slice (journal payload checksum).
-fn fnv32(data: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in data {
-        h = (h ^ b as u32).wrapping_mul(0x0100_0193);
-    }
-    h
 }
 
 /// What [`recover_journal`] did.

@@ -18,11 +18,13 @@
 //! extent are not supported (the tenant policy pins the extent size to
 //! the workload block size).
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 
 use storm_core::{Dir, StorageService, SvcCtx};
 use storm_iscsi::Pdu;
 use storm_sim::SimDuration;
+
+use crate::lz::{fnv32, lz_compress, lz_decompress, put_field, ENCODER_OVERRUN};
 
 /// Frame header magic ("SCZ1").
 const MAGIC: u32 = 0x5343_5A31;
@@ -95,87 +97,89 @@ impl CompressService {
         self.per_byte = cost;
     }
 
+    /// Whether the transform engages for a payload at `offset`.
+    fn aligned(&self, offset: usize, data: &Bytes) -> bool {
+        !data.is_empty()
+            && offset.is_multiple_of(self.extent)
+            && data.len().is_multiple_of(self.extent)
+    }
+
     /// Compresses aligned write payload extents into same-size frames.
     /// Returns `None` when the payload is left untouched (unaligned, or
     /// every extent skipped) so the caller can forward the original.
     fn encode_payload(&mut self, offset: usize, data: &Bytes) -> Option<Bytes> {
-        if data.is_empty()
-            || !offset.is_multiple_of(self.extent)
-            || !data.len().is_multiple_of(self.extent)
-        {
+        if !self.aligned(offset, data) {
             return None;
         }
-        let mut out = BytesMut::with_capacity(data.len());
+        // One buffer for the whole payload; the encoder may run past the
+        // last extent's end before it gives that extent up.
+        let mut out = Vec::with_capacity(data.len() + ENCODER_OVERRUN);
         let mut any = false;
         for ext in data.chunks(self.extent) {
             self.stats.logical_bytes += ext.len() as u64;
-            match lz_compress(ext, ext.len() - HEADER - 1) {
-                Some(comp) => {
-                    self.stats.compressed_extents += 1;
-                    self.stats.stored_bytes += (HEADER + comp.len()) as u64;
-                    let mut hdr = [0u8; HEADER];
-                    put_field(&mut hdr, 0, &MAGIC.to_le_bytes());
-                    put_field(&mut hdr, 4, &(comp.len() as u32).to_le_bytes());
-                    put_field(&mut hdr, 8, &(ext.len() as u32).to_le_bytes());
-                    put_field(&mut hdr, 12, &fnv32(&comp).to_le_bytes());
-                    // storm-lint: allow(no-hot-path-copy): armed transform
-                    // path; the idle service never reaches this function.
-                    out.extend_from_slice(&hdr);
-                    // storm-lint: allow(no-hot-path-copy): armed transform
-                    // path, compressed extent body.
-                    out.extend_from_slice(&comp);
-                    // storm-lint: allow(no-hot-path-copy): armed transform
-                    // path, zero padding to keep extents frame-aligned.
-                    out.extend_from_slice(&vec![0u8; ext.len() - HEADER - comp.len()]);
-                    any = true;
-                }
-                None => {
-                    self.stats.skipped_extents += 1;
-                    self.stats.stored_bytes += ext.len() as u64;
-                    // storm-lint: allow(no-hot-path-copy): armed transform
-                    // path, incompressible extent stored raw.
-                    out.extend_from_slice(ext);
-                }
+            let at = out.len();
+            out.resize(at + HEADER, 0);
+            if lz_compress(ext, ext.len() - HEADER - 1, &mut out) {
+                let comp_len = out.len() - at - HEADER;
+                self.stats.compressed_extents += 1;
+                self.stats.stored_bytes += (HEADER + comp_len) as u64;
+                let sum = fnv32(&out[at + HEADER..]);
+                let hdr = &mut out[at..at + HEADER];
+                put_field(hdr, 0, &MAGIC.to_le_bytes());
+                put_field(hdr, 4, &(comp_len as u32).to_le_bytes());
+                put_field(hdr, 8, &(ext.len() as u32).to_le_bytes());
+                put_field(hdr, 12, &sum.to_le_bytes());
+                // Zero pad: the frame keeps the extent's stored size.
+                out.resize(at + ext.len(), 0);
+                any = true;
+            } else {
+                self.stats.skipped_extents += 1;
+                self.stats.stored_bytes += ext.len() as u64;
+                out.truncate(at);
+                // storm-lint: allow(no-hot-path-copy): armed transform
+                // path, incompressible extent stored raw.
+                out.extend_from_slice(ext);
             }
         }
-        if any {
-            Some(out.freeze())
-        } else {
-            None
-        }
+        any.then(|| Bytes::from(out))
     }
 
     /// Decompresses framed extents in a read payload. Returns `None`
     /// when no extent held a valid frame (forward the original).
     fn decode_payload(&mut self, offset: usize, data: &Bytes) -> Option<Bytes> {
-        if data.is_empty()
-            || !offset.is_multiple_of(self.extent)
-            || !data.len().is_multiple_of(self.extent)
-        {
+        if !self.aligned(offset, data) {
             return None;
         }
-        if !data
-            .chunks(self.extent)
-            .any(|ext| frame_payload(ext).is_some())
-        {
-            // Pure raw payload: keep the original Bytes (zero-copy).
-            return None;
-        }
-        let mut out = BytesMut::with_capacity(data.len());
-        for ext in data.chunks(self.extent) {
-            match frame_payload(ext).and_then(|comp| lz_decompress(comp, ext.len())) {
-                Some(orig) => {
-                    self.stats.decompressed_extents += 1;
-                    // storm-lint: allow(no-hot-path-copy): armed read-side
-                    // transform reassembling decompressed extents.
-                    out.extend_from_slice(&orig);
-                }
-                // storm-lint: allow(no-hot-path-copy): raw extent copied
-                // only because a framed sibling forced reassembly.
-                None => out.extend_from_slice(ext),
+        // Stays unallocated while every extent so far is raw: a pure raw
+        // payload keeps the original Bytes (zero-copy).
+        let mut out = Vec::new();
+        let mut framed = false;
+        let mut raw_from = 0;
+        for (k, ext) in data.chunks(self.extent).enumerate() {
+            let Some(comp) = frame_payload(ext) else {
+                continue;
+            };
+            if !framed {
+                framed = true;
+                out.reserve_exact(data.len());
+            }
+            let at = k * self.extent;
+            // storm-lint: allow(no-hot-path-copy): raw extents copied only
+            // because a framed sibling forced reassembly.
+            out.extend_from_slice(&data[raw_from..at]);
+            raw_from = at;
+            if lz_decompress(comp, ext.len(), &mut out) {
+                self.stats.decompressed_extents += 1;
+                raw_from += ext.len();
             }
         }
-        Some(out.freeze())
+        if !framed {
+            return None;
+        }
+        // storm-lint: allow(no-hot-path-copy): raw tail after the last
+        // framed extent, same reassembly.
+        out.extend_from_slice(&data[raw_from..]);
+        Some(Bytes::from(out))
     }
 }
 
@@ -198,126 +202,6 @@ fn frame_payload(ext: &[u8]) -> Option<&[u8]> {
         return None;
     }
     Some(comp)
-}
-
-/// Encodes one little-endian metadata field into a frame header.
-fn put_field(buf: &mut [u8], at: usize, field: &[u8]) {
-    // storm-lint: allow(no-hot-path-copy): fixed-size frame-header field
-    // encoding (metadata, not payload), armed paths only.
-    buf[at..at + field.len()].copy_from_slice(field);
-}
-
-/// FNV-1a over a byte slice (frame payload checksum).
-fn fnv32(data: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in data {
-        h = (h ^ b as u32).wrapping_mul(0x0100_0193);
-    }
-    h
-}
-
-/// Greedy LZ77 with a 4-byte match hash; emits `None` when the output
-/// would not fit in `budget` bytes (skip-if-incompressible).
-///
-/// Token stream: a control byte `t < 0x80` is a literal run of `t + 1`
-/// bytes; `t >= 0x80` is a match of length `(t & 0x7f) + 4` at a 16-bit
-/// little-endian back-distance that follows.
-fn lz_compress(input: &[u8], budget: usize) -> Option<Vec<u8>> {
-    const TABLE: usize = 1 << 12;
-    let mut out = Vec::with_capacity(budget.min(input.len()));
-    let mut table = [0usize; TABLE];
-    let mut seen = [false; TABLE];
-    let hash = |w: &[u8]| {
-        (u32::from_le_bytes([w[0], w[1], w[2], w[3]]).wrapping_mul(0x9E37_79B1) >> 20) as usize
-            % TABLE
-    };
-    let mut lit_start = 0;
-    let mut i = 0;
-    let flush_literals = |out: &mut Vec<u8>, from: usize, to: usize| {
-        let mut s = from;
-        while s < to {
-            let run = (to - s).min(128);
-            out.push((run - 1) as u8);
-            // storm-lint: allow(no-hot-path-copy): codec-internal
-            // literal-run emit, armed transform path only.
-            out.extend_from_slice(&input[s..s + run]);
-            s += run;
-        }
-    };
-    while i + 4 <= input.len() {
-        let h = hash(&input[i..i + 4]);
-        let cand = table[h];
-        let mut matched = 0;
-        if seen[h] && cand < i && i - cand <= u16::MAX as usize {
-            let max_len = (input.len() - i).min(131);
-            while matched < max_len && input[cand + matched] == input[i + matched] {
-                matched += 1;
-            }
-        }
-        table[h] = i;
-        seen[h] = true;
-        if matched >= 4 {
-            flush_literals(&mut out, lit_start, i);
-            out.push(0x80 | (matched - 4) as u8);
-            // storm-lint: allow(no-hot-path-copy): two-byte match
-            // distance token, codec-internal.
-            out.extend_from_slice(&((i - cand) as u16).to_le_bytes());
-            i += matched;
-            lit_start = i;
-        } else {
-            i += 1;
-        }
-        if out.len() + (input.len() - lit_start) / 128 + (input.len() - lit_start) > budget + 64 {
-            // Even ignoring future matches the stream is hopeless.
-            return None;
-        }
-    }
-    flush_literals(&mut out, lit_start, input.len());
-    if out.len() <= budget {
-        Some(out)
-    } else {
-        None
-    }
-}
-
-/// Inverse of [`lz_compress`]; `None` on a malformed stream or when the
-/// output does not decode to exactly `expected` bytes.
-fn lz_decompress(mut comp: &[u8], expected: usize) -> Option<Vec<u8>> {
-    let mut out = Vec::with_capacity(expected);
-    while let Some((&t, rest)) = comp.split_first() {
-        comp = rest;
-        if t < 0x80 {
-            let run = t as usize + 1;
-            if comp.len() < run || out.len() + run > expected {
-                return None;
-            }
-            // storm-lint: allow(no-hot-path-copy): codec-internal
-            // literal-run replay, armed transform path only.
-            out.extend_from_slice(&comp[..run]);
-            comp = &comp[run..];
-        } else {
-            let len = (t & 0x7f) as usize + 4;
-            if comp.len() < 2 {
-                return None;
-            }
-            let dist = u16::from_le_bytes([comp[0], comp[1]]) as usize;
-            comp = &comp[2..];
-            if dist == 0 || dist > out.len() || out.len() + len > expected {
-                return None;
-            }
-            // Byte-by-byte so overlapping matches (RLE-style) replay.
-            let start = out.len() - dist;
-            for k in 0..len {
-                let b = out[start + k];
-                out.push(b);
-            }
-        }
-    }
-    if out.len() == expected {
-        Some(out)
-    } else {
-        None
-    }
 }
 
 impl StorageService for CompressService {
@@ -378,6 +262,7 @@ impl std::fmt::Debug for CompressService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lz::tests::{compress_vec, decompress_vec, word_text};
     use storm_core::service::SvcAction;
     use storm_iscsi::{DataIn, DataOut, ScsiStatus};
     use storm_sim::{SimRng, SimTime};
@@ -399,15 +284,15 @@ mod tests {
             vec![0u8; 4096],
             (0..255u8).cycle().take(4096).collect(),
         ] {
-            let comp = lz_compress(&data, data.len() - HEADER - 1).expect("compresses");
+            let comp = compress_vec(&data, data.len() - HEADER - 1).expect("compresses");
             assert!(comp.len() < data.len());
-            assert_eq!(lz_decompress(&comp, data.len()).expect("decodes"), data);
+            assert_eq!(decompress_vec(&comp, data.len()).expect("decodes"), data);
         }
     }
 
     #[test]
     fn incompressible_input_is_skipped() {
-        assert!(lz_compress(&incompressible(4096), 4096 - HEADER - 1).is_none());
+        assert!(compress_vec(&incompressible(4096), 4096 - HEADER - 1).is_none());
     }
 
     fn run(svc: &mut CompressService, dir: Dir, pdu: Pdu) -> Pdu {
@@ -472,6 +357,23 @@ mod tests {
         assert_eq!(svc.stats.decompressed_extents, 2);
     }
 
+    /// The on-volume format: what a later read must still decode. A
+    /// change to the encoder's choices or the header moves this.
+    #[test]
+    fn frame_of_a_fixed_text_extent_is_pinned() {
+        let mut svc = CompressService::new(4096);
+        let plain = word_text(&mut SimRng::seed_from_u64(0x601D), 4096);
+        let framed = match run(&mut svc, Dir::ToTarget, data_out(0, plain)) {
+            Pdu::DataOut(d) => d.data,
+            other => panic!("unexpected {other:?}"),
+        };
+        assert_eq!(framed.len(), 4096);
+        assert_eq!(
+            (svc.stats.stored_bytes, fnv32(&framed)),
+            (1513, 0xA46E_F298)
+        );
+    }
+
     #[test]
     fn incompressible_extents_pass_raw_and_decode_raw() {
         let mut svc = CompressService::new(4096);
@@ -490,6 +392,35 @@ mod tests {
         };
         assert_eq!(&back[..], &noise[..]);
         assert_eq!(svc.stats.decompressed_extents, 0);
+    }
+
+    #[test]
+    fn mixed_raw_framed_and_undecodable_extents_reassemble() {
+        let mut svc = CompressService::new(4096);
+        let plain = compressible(4096);
+        let framed = match run(&mut svc, Dir::ToTarget, data_out(0, plain.clone())) {
+            Pdu::DataOut(d) => d.data,
+            other => panic!("unexpected {other:?}"),
+        };
+        // A well-formed header over a stream that does not decode (a match
+        // with nothing before it): handed back as stored.
+        let mut undecodable = incompressible(4096);
+        let stream = [0x80, 0x01, 0x00];
+        put_field(&mut undecodable, 0, &MAGIC.to_le_bytes());
+        put_field(&mut undecodable, 4, &(stream.len() as u32).to_le_bytes());
+        put_field(&mut undecodable, 8, &4096u32.to_le_bytes());
+        put_field(&mut undecodable, 12, &fnv32(&stream).to_le_bytes());
+        put_field(&mut undecodable, HEADER, &stream);
+        assert!(frame_payload(&undecodable).is_some());
+        let noise = incompressible(4096);
+        let stored = [&noise[..], &framed, &undecodable, &noise, &framed, &noise].concat();
+        let expect = [&noise[..], &plain, &undecodable, &noise, &plain, &noise].concat();
+        let back = match run(&mut svc, Dir::ToInitiator, data_in(0, Bytes::from(stored))) {
+            Pdu::DataIn(d) => d.data,
+            other => panic!("unexpected {other:?}"),
+        };
+        assert_eq!(&back[..], &expect[..]);
+        assert_eq!(svc.stats.decompressed_extents, 2);
     }
 
     #[test]

@@ -19,6 +19,10 @@ use storm_core::{Dir, StorageService, SvcCtx};
 use storm_iscsi::Pdu;
 use storm_sim::{SimDuration, SimRng};
 
+/// Steps after which the Gear hash (one left shift per byte, 64 bits)
+/// has forgotten a byte.
+const GEAR_MEMORY: usize = 64;
+
 /// Counters for the experiment harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DedupStats {
@@ -108,35 +112,60 @@ impl DedupService {
         self.per_byte = cost;
     }
 
-    /// Content-defined chunk boundaries of `data` (end offsets).
-    fn boundaries(&self, data: &[u8]) -> Vec<usize> {
-        let mut cuts = Vec::new();
-        let mut start = 0;
+    /// End offset of the content-defined chunk of `data` that starts at
+    /// `start` (`start < data.len()`): the first position at least
+    /// `min_chunk` in where the Gear hash has its low `boundary_bits` clear,
+    /// else `max_chunk` in, else the end of the data.
+    ///
+    /// `hash = (hash << 1) + gear[b]` has shifted a byte out entirely 64
+    /// steps later, so the hash at the first position that is tested
+    /// depends only on the 64 bytes up to it: the bytes of the chunk before
+    /// those are never hashed. The warm-up loop has no test in it and the
+    /// search loop only the mask test; both ends are slice bounds.
+    fn next_cut(&self, data: &[u8], start: usize) -> usize {
+        let limit = data.len().min(start + self.max_chunk);
+        // The first byte whose hash is tested ends a chunk of `min_chunk`.
+        let first = start + self.min_chunk - 1;
+        let Some(warm_up) = data.get(first.saturating_sub(GEAR_MEMORY - 1).max(start)..first)
+        else {
+            return limit;
+        };
         let mut hash = 0u64;
-        for (i, &b) in data.iter().enumerate() {
+        for &b in warm_up {
             hash = (hash << 1).wrapping_add(self.gear[b as usize]);
-            let len = i + 1 - start;
-            if (len >= self.min_chunk && hash & self.boundary_mask == 0) || len >= self.max_chunk {
-                cuts.push(i + 1);
-                start = i + 1;
-                hash = 0;
+        }
+        for (i, &b) in data[first..limit].iter().enumerate() {
+            hash = (hash << 1).wrapping_add(self.gear[b as usize]);
+            if hash & self.boundary_mask == 0 {
+                return first + i + 1;
             }
         }
-        if start < data.len() {
-            cuts.push(data.len());
-        }
-        cuts
+        limit
     }
 
-    /// 128-bit chunk fingerprint: two independent FNV-1a lanes.
+    /// 128-bit chunk fingerprint: two multiply-rotate lanes over 8-byte
+    /// words, then the zero-filled tail word and the length. Only the
+    /// index key — every hit is verified by a byte compare, so no count
+    /// or byte anywhere depends on its value.
     fn fingerprint(chunk: &[u8]) -> u128 {
-        let mut a: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut b: u64 = 0x6c62_272e_07bb_0142;
-        for &byte in chunk {
-            a = (a ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
-            b = (b ^ (byte as u64).rotate_left(17)).wrapping_mul(0x0000_0100_0000_01b3);
+        let step = |(a, b): (u64, u64), w: u64| {
+            (
+                (a ^ w).wrapping_mul(0x9E37_79B1_85EB_CA87).rotate_left(31),
+                (b ^ w).wrapping_mul(0xC2B2_AE3D_27D4_EB4F).rotate_left(27),
+            )
+        };
+        let (words, tail) = chunk.as_chunks::<8>();
+        let mut last = [0u8; 8];
+        for (dst, &src) in last.iter_mut().zip(tail) {
+            *dst = src;
         }
-        ((a as u128) << 64) | b as u128
+        let lanes = words
+            .iter()
+            .chain([&last, &(chunk.len() as u64).to_le_bytes()])
+            .fold((0xcbf2_9ce4_8422_2325, 0x6c62_272e_07bb_0142), |h, w| {
+                step(h, u64::from_le_bytes(*w))
+            });
+        ((lanes.0 as u128) << 64) | lanes.1 as u128
     }
 
     /// Chunks and indexes one write payload.
@@ -146,7 +175,8 @@ impl DedupService {
         }
         cx.charge(self.per_byte * data.len() as u64);
         let mut start = 0;
-        for end in self.boundaries(data) {
+        while start < data.len() {
+            let end = self.next_cut(data, start);
             let chunk = data.slice(start..end);
             start = end;
             self.stats.chunks += 1;
@@ -228,6 +258,83 @@ mod tests {
         let mut cx = SvcCtx::new(SimTime::ZERO);
         svc.on_pdu(&mut cx, Dir::ToTarget, pdu);
         cx.take_actions()
+    }
+
+    impl DedupService {
+        /// Every cut of `data` (end offsets), by [`DedupService::next_cut`].
+        fn boundaries(&self, data: &[u8]) -> Vec<usize> {
+            let mut cuts = Vec::new();
+            let mut start = 0;
+            while start < data.len() {
+                start = self.next_cut(data, start);
+                cuts.push(start);
+            }
+            cuts
+        }
+
+        /// The chunker before the skip-ahead rewrite: hashes every byte and
+        /// tests every position. The oracle for where chunks end.
+        fn boundaries_oracle(&self, data: &[u8]) -> Vec<usize> {
+            let mut cuts = Vec::new();
+            let mut start = 0;
+            let mut hash = 0u64;
+            for (i, &b) in data.iter().enumerate() {
+                hash = (hash << 1).wrapping_add(self.gear[b as usize]);
+                let len = i + 1 - start;
+                if (len >= self.min_chunk && hash & self.boundary_mask == 0)
+                    || len >= self.max_chunk
+                {
+                    cuts.push(i + 1);
+                    start = i + 1;
+                    hash = 0;
+                }
+            }
+            if start < data.len() {
+                cuts.push(data.len());
+            }
+            cuts
+        }
+    }
+
+    #[test]
+    fn cuts_match_the_every_byte_oracle() {
+        let mut rng = SimRng::seed_from_u64(0xB0DA);
+        let mut cuts_seen = 0;
+        for bits in [6, 7, 8, 10, 12, 14] {
+            let svc = DedupService::new(u64::from(bits) * 31, bits);
+            for len in [0, 1, 63, 64, 1_000, 16_384, 300_000] {
+                let mut random = vec![0u8; len];
+                rng.fill(&mut random);
+                let one_bit: Vec<u8> = random.iter().map(|b| b & 1).collect();
+                for data in [random, one_bit, vec![0u8; len], patterned(len, 3)] {
+                    let cuts = svc.boundaries(&data);
+                    assert_eq!(cuts, svc.boundaries_oracle(&data), "bits {bits} len {len}");
+                    cuts_seen += cuts.len();
+                }
+            }
+        }
+        assert!(cuts_seen > 10_000);
+    }
+
+    #[test]
+    fn fingerprint_tells_apart_what_differs_by_a_byte_or_a_length() {
+        let base = patterned(4096, 9);
+        let mut seen = std::collections::BTreeSet::new();
+        for len in [0, 1, 7, 8, 9, 63, 64, 4095, 4096] {
+            assert!(seen.insert(DedupService::fingerprint(&base[..len])));
+            // Zero-extended tails are where a length-blind hash collides.
+            assert!(seen.insert(DedupService::fingerprint(&vec![0u8; len + 10_000])));
+        }
+        for at in [0, 7, 8, 2049, 4088, 4095] {
+            for bit in 0..8 {
+                let mut v = base.clone();
+                v[at] ^= 1 << bit;
+                assert!(
+                    seen.insert(DedupService::fingerprint(&v)),
+                    "flip {at}.{bit}"
+                );
+            }
+        }
     }
 
     fn patterned(len: usize, phase: u8) -> Vec<u8> {

@@ -34,6 +34,7 @@ pub mod catalog;
 mod compress;
 mod dedup;
 mod encryption;
+mod lz;
 mod monitor;
 mod replication;
 mod snapshot;
