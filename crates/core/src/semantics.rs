@@ -263,7 +263,8 @@ impl Reconstructor {
     ) -> Result<Inode, storm_extfs::FsError> {
         let (block, off) = self.view.inode_location(ino);
         let buf = Self::read_block(dev, block)?;
-        Ok(Inode::from_bytes(&buf[off..off + INODE_SIZE]))
+        let (slots, _) = buf.as_chunks();
+        Ok(Inode::from_bytes(&slots[off / INODE_SIZE]))
     }
 
     /// Registers `ino` and, for a directory, everything its entries name.
@@ -485,14 +486,14 @@ impl Reconstructor {
         let Some(inos) = self.view.inodes_in_block(bno) else {
             return;
         };
-        let first_ino = inos.start;
         // Parse every whole inode slot covered by the write.
         let first_slot = offset.div_ceil(INODE_SIZE);
-        let last_slot = (offset + slice.len()) / INODE_SIZE;
-        for slot in first_slot..last_slot {
-            let rel = slot * INODE_SIZE - offset;
-            let inode = Inode::from_bytes(&slice[rel..rel + INODE_SIZE]);
-            let ino = first_ino + slot as u32;
+        let Some(whole) = slice.get(first_slot * INODE_SIZE - offset..) else {
+            return;
+        };
+        let (slots, _) = whole.as_chunks();
+        for (ino, raw) in (inos.start + first_slot as u32..).zip(slots) {
+            let inode = Inode::from_bytes(raw);
             let lite = InodeLite::from(&inode);
             if lite.links == 0 && lite.mode == 0 {
                 // Freed: retire block ownership.

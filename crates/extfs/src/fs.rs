@@ -223,15 +223,20 @@ impl<D: BlockDevice> ExtFs<D> {
     pub fn mount(mut dev: D) -> Result<ExtFs<D>, FsError> {
         let mut block0 = vec![0u8; BLOCK_SIZE];
         dev.read(0, &mut block0)?;
-        let sb = Superblock::read_from(&block0).ok_or(FsError::BadMagic)?;
+        let sb = block0
+            .first_chunk()
+            .and_then(Superblock::read_from)
+            .ok_or(FsError::BadMagic)?;
         let groups = sb.group_count();
         let gdt_blocks = (groups as usize * GroupDesc::SIZE).div_ceil(BLOCK_SIZE) as u64;
-        let mut gds = Vec::with_capacity(groups as usize);
         let mut gdt = vec![0u8; (gdt_blocks as usize) * BLOCK_SIZE];
         dev.read(SECTORS_PER_BLOCK, &mut gdt)?;
-        for g in 0..groups as usize {
-            gds.push(GroupDesc::read_from(&gdt[g * GroupDesc::SIZE..]));
-        }
+        let (slots, _) = gdt.as_chunks();
+        let gds = slots
+            .iter()
+            .take(groups as usize)
+            .map(GroupDesc::read_from)
+            .collect();
         Ok(ExtFs {
             dev,
             sb,
@@ -316,7 +321,8 @@ impl<D: BlockDevice> ExtFs<D> {
     fn read_inode(&mut self, ino: u32) -> Result<Inode, FsError> {
         let (block, offset) = self.inode_location(ino);
         let buf = self.read_block(block)?;
-        Ok(Inode::from_bytes(&buf[offset..offset + INODE_SIZE]))
+        let (slots, _) = buf.as_chunks();
+        Ok(Inode::from_bytes(&slots[offset / INODE_SIZE]))
     }
 
     fn write_inode(&mut self, ino: u32, inode: &Inode) -> Result<(), FsError> {

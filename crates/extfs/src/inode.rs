@@ -1,6 +1,6 @@
 //! On-disk inodes.
 
-use crate::layout::{BLOCK_SIZE, INODE_SIZE};
+use crate::layout::{le16, le32, BLOCK_SIZE, INODE_SIZE};
 
 /// Mode bits: file type mask and values (ext2 / POSIX).
 pub const S_IFMT: u16 = 0xF000;
@@ -103,21 +103,15 @@ impl Inode {
     }
 
     /// Parses a 128-byte inode-table slot.
-    pub fn from_bytes(slot: &[u8]) -> Inode {
-        let le16 = |off: usize| u16::from_le_bytes(slot[off..off + 2].try_into().expect("2 bytes"));
-        let le32 = |off: usize| u32::from_le_bytes(slot[off..off + 4].try_into().expect("4 bytes"));
-        let mut block = [0u32; 15];
-        for (i, b) in block.iter_mut().enumerate() {
-            *b = le32(40 + 4 * i);
-        }
+    pub fn from_bytes(slot: &[u8; INODE_SIZE]) -> Inode {
         Inode {
-            mode: le16(0),
-            uid: le16(2),
-            size: le32(4) as u64,
-            mtime: le32(16),
-            links_count: le16(26),
-            blocks512: le32(28),
-            block,
+            mode: le16(slot, 0),
+            uid: le16(slot, 2),
+            size: le32(slot, 4) as u64,
+            mtime: le32(slot, 16),
+            links_count: le16(slot, 26),
+            blocks512: le32(slot, 28),
+            block: std::array::from_fn(|i| le32(slot, 40 + 4 * i)),
         }
     }
 }

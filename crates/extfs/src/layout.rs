@@ -67,27 +67,26 @@ impl Superblock {
         sb[56..58].copy_from_slice(&self.magic.to_le_bytes());
     }
 
-    /// Parses from a block-0 buffer.
+    /// Parses from block 0.
     ///
     /// # Errors
     ///
     /// Returns `None` when the magic is wrong.
-    pub fn read_from(block0: &[u8]) -> Option<Superblock> {
+    pub fn read_from(block0: &[u8; BLOCK_SIZE]) -> Option<Superblock> {
         let sb = &block0[SUPERBLOCK_OFFSET..];
-        let le32 = |off: usize| u32::from_le_bytes(sb[off..off + 4].try_into().expect("4 bytes"));
-        let magic = u16::from_le_bytes(sb[56..58].try_into().expect("2 bytes"));
+        let magic = le16(sb, 56);
         if magic != EXT_MAGIC {
             return None;
         }
         Some(Superblock {
-            inodes_count: le32(0),
-            blocks_count: le32(4) as u64,
-            free_blocks_count: le32(12) as u64,
-            free_inodes_count: le32(16),
-            first_data_block: le32(20) as u64,
-            log_block_size: le32(24),
-            blocks_per_group: le32(32) as u64,
-            inodes_per_group: le32(40),
+            inodes_count: le32(sb, 0),
+            blocks_count: le32(sb, 4) as u64,
+            free_blocks_count: le32(sb, 12) as u64,
+            free_inodes_count: le32(sb, 16),
+            first_data_block: le32(sb, 20) as u64,
+            log_block_size: le32(sb, 24),
+            blocks_per_group: le32(sb, 32) as u64,
+            inodes_per_group: le32(sb, 40),
             magic,
         })
     }
@@ -126,19 +125,28 @@ impl GroupDesc {
     }
 
     /// Parses a 32-byte slot.
-    pub fn read_from(slot: &[u8]) -> GroupDesc {
-        let le32 =
-            |off: usize| u32::from_le_bytes(slot[off..off + 4].try_into().expect("4 bytes")) as u64;
-        let le16 = |off: usize| u16::from_le_bytes(slot[off..off + 2].try_into().expect("2 bytes"));
+    pub fn read_from(slot: &[u8; Self::SIZE]) -> GroupDesc {
         GroupDesc {
-            block_bitmap: le32(0),
-            inode_bitmap: le32(4),
-            inode_table: le32(8),
-            free_blocks_count: le16(12),
-            free_inodes_count: le16(14),
-            used_dirs_count: le16(16),
+            block_bitmap: le32(slot, 0) as u64,
+            inode_bitmap: le32(slot, 4) as u64,
+            inode_table: le32(slot, 8) as u64,
+            free_blocks_count: le16(slot, 12),
+            free_inodes_count: le16(slot, 14),
+            used_dirs_count: le16(slot, 16),
         }
     }
+}
+
+/// The little-endian `u16` at byte `off` of an on-disk record. The
+/// decoders pass fixed-size records and constant offsets, so the bounds
+/// are known where this is inlined.
+pub(crate) fn le16(rec: &[u8], off: usize) -> u16 {
+    u16::from_le_bytes([rec[off], rec[off + 1]])
+}
+
+/// The little-endian `u32` at byte `off` of an on-disk record.
+pub(crate) fn le32(rec: &[u8], off: usize) -> u32 {
+    u32::from_le_bytes([rec[off], rec[off + 1], rec[off + 2], rec[off + 3]])
 }
 
 #[cfg(test)]
@@ -158,7 +166,7 @@ mod tests {
             inodes_per_group: INODES_PER_GROUP,
             magic: EXT_MAGIC,
         };
-        let mut block = vec![0u8; BLOCK_SIZE];
+        let mut block = [0u8; BLOCK_SIZE];
         sb.write_to(&mut block);
         assert_eq!(Superblock::read_from(&block), Some(sb));
         assert_eq!(sb.group_count(), 2);
@@ -166,8 +174,7 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let block = vec![0u8; BLOCK_SIZE];
-        assert_eq!(Superblock::read_from(&block), None);
+        assert_eq!(Superblock::read_from(&[0u8; BLOCK_SIZE]), None);
     }
 
     #[test]

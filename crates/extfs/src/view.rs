@@ -65,13 +65,19 @@ impl FsView {
     pub fn from_device<D: BlockDevice>(dev: &mut D) -> Result<FsView, FsError> {
         let mut block0 = vec![0u8; BLOCK_SIZE];
         dev.read(0, &mut block0)?;
-        let sb = Superblock::read_from(&block0).ok_or(FsError::BadMagic)?;
+        let sb = block0
+            .first_chunk()
+            .and_then(Superblock::read_from)
+            .ok_or(FsError::BadMagic)?;
         let groups = sb.group_count();
         let gdt_blocks = (groups as usize * GroupDesc::SIZE).div_ceil(BLOCK_SIZE) as u64;
         let mut gdt = vec![0u8; (gdt_blocks as usize) * BLOCK_SIZE];
         dev.read(SECTORS_PER_BLOCK, &mut gdt)?;
-        let descs = (0..groups as usize)
-            .map(|g| GroupDesc::read_from(&gdt[g * GroupDesc::SIZE..]))
+        let (slots, _) = gdt.as_chunks();
+        let descs = slots
+            .iter()
+            .take(groups as usize)
+            .map(GroupDesc::read_from)
             .collect();
         Ok(FsView {
             sb,

@@ -81,9 +81,9 @@ impl ChunkDeque {
     /// panicking) lets a relay drop the one poisoned connection and keep
     /// serving the rest.
     pub fn take_wire(&mut self, mut total: usize) -> Option<Vec<Bytes>> {
-        // storm-lint: allow(no-alloc-on-datapath): the wire image owns
-        // its chunk list by contract — one exact-sized Vec per completed
-        // message, not per byte; payload Bytes stay refcounted.
+        // The wire image owns its chunk list by contract: one exact-sized
+        // Vec per completed message, not per byte; payload Bytes stay
+        // refcounted.
         let mut wire = Vec::with_capacity(1);
         while total > 0 {
             let front = self.chunks.front_mut()?;
@@ -118,9 +118,9 @@ impl ChunkDeque {
         }
         // Straddles chunk boundaries: assemble (the counted slow path).
         *copied += len as u64;
-        // storm-lint: allow(no-alloc-on-datapath): counted slow path for
-        // ranges straddling a chunk boundary; the fast path above returns
-        // a refcounted slice without allocating.
+        // The one allocation is here, on the counted slow path for ranges
+        // straddling a chunk boundary; the fast path above returns a
+        // refcounted slice without allocating.
         let mut buf = Vec::with_capacity(len);
         let mut off = 0;
         for c in wire {

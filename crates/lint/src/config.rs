@@ -4,7 +4,9 @@
 //! (reviewed like any other change) rather than in a config file:
 //!
 //! - **Determinism rules** cover every crate whose state feeds the
-//!   simulation, traces or metrics.
+//!   simulation, traces or metrics, and every crate those depend on: the
+//!   scope is closed under `[dependencies]` (a test below checks it), so
+//!   a call out of scoped code always lands in code the rules scan.
 //! - **Datapath rules** cover the modules on the relay fast path, where
 //!   PR 3's `bytes_copied_per_pdu = 0` result and the no-abort
 //!   guarantee are measured.
@@ -19,7 +21,8 @@ pub struct FileClass {
     pub crate_name: String,
     /// Workspace-relative path.
     pub rel_path: String,
-    /// True for `src/lib.rs` of a workspace crate.
+    /// True for a crate root: `src/lib.rs`, `src/main.rs` or a
+    /// `src/bin/*.rs` binary.
     pub is_crate_root: bool,
 }
 
@@ -32,7 +35,11 @@ impl FileClass {
             .and_then(|r| r.split('/').next())
             .unwrap_or("storm")
             .to_string();
-        let is_crate_root = rel.ends_with("src/lib.rs");
+        let is_crate_root = rel.ends_with("src/lib.rs")
+            || rel.ends_with("src/main.rs")
+            || rel
+                .rsplit_once('/')
+                .is_some_and(|(dir, _)| dir.ends_with("src/bin"));
         FileClass {
             crate_name,
             rel_path: rel,
@@ -55,25 +62,6 @@ pub struct Config {
     pub datapath_files: Vec<String>,
     /// `(rule, path suffix)` pairs exempting whole files from a rule.
     pub allow_paths: Vec<(Rule, String)>,
-    /// `(file suffix, fn name)` roots of the `no-alloc-on-datapath`
-    /// rule: the hot functions from which reachable allocations are
-    /// flagged. Curated rather than "every fn in a datapath file" so
-    /// that constructors and setup paths stay free to allocate.
-    pub alloc_roots: Vec<(String, String)>,
-    /// `(file suffix, fn name)` cold boundaries of
-    /// `no-alloc-on-datapath`: plug-in points a hot function crosses on
-    /// every call but which allocate only when something is armed. The
-    /// rule does not follow a call into them. Stated here, once per
-    /// boundary, rather than as an inline allow per caller.
-    pub alloc_cold: Vec<(String, String)>,
-    /// Files whose `pub const NAME: &str = "..."` items define the
-    /// legal metric names for `metric-name-registry`.
-    pub metric_name_files: Vec<String>,
-    /// Extra metric names accepted by `metric-name-registry` on top of
-    /// the constants harvested from `metric_name_files`. Workspace mode
-    /// unions both; single-file mode (`analyze_source`) only checks the
-    /// rule at all when this list is non-empty.
-    pub metric_names: Vec<String>,
 }
 
 impl Default for Config {
@@ -89,6 +77,10 @@ impl Default for Config {
                 "qos",
                 "services",
                 "nvmeq",
+                "iscsi",
+                "block",
+                "extfs",
+                "crypto",
             ]
             .map(String::from)
             .to_vec(),
@@ -99,6 +91,8 @@ impl Default for Config {
                 "crates/core/src/relay/passive.rs",
                 "crates/core/src/semantics.rs",
                 "crates/extfs/src/dirent.rs",
+                "crates/extfs/src/inode.rs",
+                "crates/extfs/src/layout.rs",
                 "crates/iscsi/src/exchange.rs",
                 "crates/iscsi/src/stream.rs",
                 "crates/iscsi/src/target.rs",
@@ -118,80 +112,24 @@ impl Default for Config {
             ]
             .map(String::from)
             .to_vec(),
-            // The two parsers of tenant-written filesystem bytes are on
-            // the list for the panic rule. Neither forwards a payload:
-            // the Reconstructor's one copy is its bounded stash of blocks
+            // The parsers of tenant-written filesystem bytes are on the
+            // list for the panic rule. None forwards a payload: the
+            // Reconstructor's one copy is its bounded stash of blocks
             // written before their inode, `write_dirent` is the guest
-            // filesystem's writer. The codec is there for the same rule, on
-            // tenant-written frames: a literal-run emit or a header field is
-            // the transform's output, not a payload copied on its way
-            // through.
+            // filesystem's writer, and the inode / superblock / group
+            // descriptor `write_to` methods are field serialisers. The
+            // codec is there for the same rule, on tenant-written frames:
+            // a literal-run emit or a header field is the transform's
+            // output, not a payload copied on its way through.
             allow_paths: [
                 "crates/core/src/semantics.rs",
                 "crates/extfs/src/dirent.rs",
+                "crates/extfs/src/inode.rs",
+                "crates/extfs/src/layout.rs",
                 "crates/services/src/lz.rs",
             ]
             .map(|f| (Rule::NoHotPathCopy, f.to_string()))
             .to_vec(),
-            // The curation line: these functions move bytes per PDU, or
-            // one frame per hop, and are allocation-free today — the rule
-            // locks that in.
-            // Deliberately absent: the chain orchestrators
-            // (`handle_pair_data`, `run_chain`, `release`, the edge
-            // codec's `feed`/`rebuild`/`queue`/`queue_frame`) whose
-            // contract is to *produce* new PDUs, frames and side
-            // actions, and the wire-image extractors (`take_wire`,
-            // `extract`, `split_units`, `next_frame`) which return
-            // owned buffers by design. `push_chunk`/`peek_into` are the
-            // shared `ChunkDeque`'s, under both reassemblers.
-            // In `storm-net` the roots are the appending TCP cores and
-            // the per-hop forwarding functions. Absent on purpose:
-            // `host_output`, whose `Box::new(Frame { .. })` is the one
-            // designated allocation per segment; the `Vec`-returning
-            // `input`/`send_chunks`/`process` wrappers, whose job is to
-            // allocate what they return; and `Network::forward`, whose
-            // `h.cpu.run(..)` the call graph cannot tell from
-            // `ShardedExecutor::run` (same crate, same name), so it
-            // would be charged with what fleet shards allocate.
-            // What the rule cannot see (see `rules::alloc_hits`): growth
-            // of a `Vec::new()` by `push`, and `.clone()` of a value that
-            // owns a `Vec` (`Frame`, `Payload`). It passed on
-            // `TcpStack::input` while the counting allocator saw three
-            // allocations per segment there; `host.allocs_per_op` in the
-            // benchmark is the oracle for those two shapes, and for
-            // `forward`.
-            alloc_roots: [
-                ("crates/core/src/relay/edge.rs", "queue_pdu"),
-                ("crates/core/src/relay/edge.rs", "push_data"),
-                ("crates/iscsi/src/stream.rs", "feed_bytes"),
-                ("crates/iscsi/src/stream.rs", "push_chunk"),
-                ("crates/iscsi/src/stream.rs", "peek_into"),
-                ("crates/iscsi/src/stream.rs", "next_pdu"),
-                ("crates/iscsi/src/stream.rs", "push_bytes"),
-                ("crates/nvmeq/src/stream.rs", "feed_bytes"),
-                ("crates/net/src/tcp.rs", "send_bytes"),
-                ("crates/net/src/tcp.rs", "send_chunks_into"),
-                ("crates/net/src/tcp.rs", "input_into"),
-                ("crates/net/src/tcp.rs", "resume"),
-                ("crates/net/src/tcp.rs", "rx_data"),
-                ("crates/net/src/tcp.rs", "pump"),
-                ("crates/net/src/tcp.rs", "unsent_payload"),
-                ("crates/net/src/switch.rs", "forward_in_place"),
-                ("crates/net/src/fabric.rs", "transmit"),
-                ("crates/net/src/fabric.rs", "switch_forward"),
-                ("crates/net/src/engine.rs", "emit"),
-            ]
-            .map(|(f, n)| (f.to_string(), n.to_string()))
-            .to_vec(),
-            alloc_cold: [
-                // The armed fault plan logs each verdict it injects; an
-                // unarmed `FaultHook` never gets here.
-                ("crates/faults/src/state.rs", "decide"),
-            ]
-            .map(|(f, n)| (f.to_string(), n.to_string()))
-            .to_vec(),
-            metric_name_files: ["crates/telemetry/src/names.rs"].map(String::from).to_vec(),
-            metric_names: Vec::new(),
         }
     }
 }
@@ -221,36 +159,20 @@ impl Config {
             .iter()
             .any(|(r, p)| *r == rule && class.rel_path.ends_with(p.as_str()))
     }
-
-    /// Whether `fn_name` in `rel_path` roots `no-alloc-on-datapath`.
-    pub fn is_alloc_root(&self, rel_path: &str, fn_name: &str) -> bool {
-        self.alloc_roots
-            .iter()
-            .any(|(f, n)| rel_path.ends_with(f.as_str()) && n == fn_name)
-    }
-
-    /// Whether `fn_name` in `rel_path` is a cold boundary of
-    /// `no-alloc-on-datapath`.
-    pub fn is_alloc_cold(&self, rel_path: &str, fn_name: &str) -> bool {
-        self.alloc_cold
-            .iter()
-            .any(|(f, n)| rel_path.ends_with(f.as_str()) && n == fn_name)
-    }
-
-    /// Whether `rel_path` defines the legal metric names.
-    pub fn is_metric_name_file(&self, rel_path: &str) -> bool {
-        self.metric_name_files
-            .iter()
-            .any(|f| rel_path.ends_with(f.as_str()))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
+    use std::path::Path;
 
     #[test]
     fn classify_crate_and_root() {
+        let bin = FileClass::from_rel_path("crates/bench/src/bin/bench_smoke.rs");
+        assert_eq!(bin.crate_name, "bench");
+        assert!(bin.is_crate_root);
+        assert!(FileClass::from_rel_path("crates/lint/src/main.rs").is_crate_root);
         let c = FileClass::from_rel_path("crates/net/src/tcp.rs");
         assert_eq!(c.crate_name, "net");
         assert!(!c.is_crate_root);
@@ -281,6 +203,35 @@ mod tests {
         assert!(cfg.is_datapath(&FileClass::from_rel_path("crates/nvmeq/src/stream.rs")));
         assert!(cfg.is_datapath(&FileClass::from_rel_path("crates/core/src/relay/edge.rs")));
         assert!(cfg.is_determinism_scoped(&FileClass::from_rel_path("crates/nvmeq/src/codec.rs")));
+    }
+
+    /// The guarantee the transitive determinism rule gave, as a property
+    /// of the scope: every `[dependencies]` entry of a determinism crate is
+    /// itself a determinism crate, so its code is scanned by the same
+    /// rules. Vendored stand-ins are outside every scan (see `walk`).
+    #[test]
+    fn determinism_scope_is_closed_under_dependencies() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let cfg = Config::default();
+        for krate in &cfg.determinism_crates {
+            let manifest = root.join("crates").join(krate).join("Cargo.toml");
+            let toml = fs::read_to_string(&manifest).unwrap();
+            let deps = toml
+                .split("\n[")
+                .find_map(|section| section.strip_prefix("dependencies]"))
+                .unwrap_or_default();
+            let vendored = |dep: &str| root.join("vendor").join(dep).is_dir();
+            for dep in deps.lines().filter_map(|l| l.split(['.', '=', ' ']).next()) {
+                if dep.is_empty() || dep.starts_with('#') || vendored(dep) {
+                    continue;
+                }
+                let dep_crate = dep.strip_prefix("storm-").unwrap_or(dep);
+                assert!(
+                    cfg.determinism_crates.iter().any(|c| c == dep_crate),
+                    "{krate} depends on {dep}, which is outside the determinism scope"
+                );
+            }
+        }
     }
 
     #[test]

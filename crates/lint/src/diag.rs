@@ -1,26 +1,6 @@
-//! Findings and their three output formats (human, JSON, SARIF).
-//!
-//! The JSON form is hand-rolled with a fixed key order (the same policy
-//! as `storm-telemetry`'s JSONL export): byte-identical output for
-//! identical input is part of the reproducibility contract, and CI diffs
-//! depend on it. The SARIF form follows the same determinism rules so
-//! uploaded scans diff cleanly between runs.
+//! Findings and their compiler-style human rendering.
 
 use std::fmt::Write as _;
-
-/// One frame of a taint chain: the function through which a source
-/// property reached the reported call site. The final frame describes
-/// the source itself (e.g. `` `Instant` ``) instead of a function name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frame {
-    /// Function name, or the backticked source description for the
-    /// final frame.
-    pub fn_name: String,
-    /// Workspace-relative file path.
-    pub file: String,
-    /// 1-based line.
-    pub line: u32,
-}
 
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,76 +17,6 @@ pub struct Finding {
     pub message: String,
     /// How to fix it.
     pub suggestion: &'static str,
-    /// For interprocedural findings: the call chain from the reported
-    /// site down to the source. Empty for lexical findings.
-    pub chain: Vec<Frame>,
-}
-
-/// Escapes a string for JSON output.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders a chain as `a (file:1) -> b (file:2) -> `src` (file:3)`.
-fn chain_text(chain: &[Frame]) -> String {
-    chain
-        .iter()
-        .map(|fr| format!("{} ({}:{})", fr.fn_name, fr.file, fr.line))
-        .collect::<Vec<_>>()
-        .join(" -> ")
-}
-
-/// Renders findings as a deterministic JSON document. Keys are emitted
-/// in a fixed order; findings must already be sorted by the caller.
-pub fn render_json(findings: &[Finding], files_scanned: usize) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"version\": 2,");
-    let _ = writeln!(out, "  \"files_scanned\": {files_scanned},");
-    let _ = writeln!(out, "  \"finding_count\": {},", findings.len());
-    out.push_str("  \"findings\": [\n");
-    for (i, f) in findings.iter().enumerate() {
-        let comma = if i + 1 == findings.len() { "" } else { "," };
-        let mut chain = String::from("[");
-        for (j, fr) in f.chain.iter().enumerate() {
-            let _ = write!(
-                chain,
-                "{}{{\"fn\": \"{}\", \"file\": \"{}\", \"line\": {}}}",
-                if j == 0 { "" } else { ", " },
-                json_escape(&fr.fn_name),
-                json_escape(&fr.file),
-                fr.line,
-            );
-        }
-        chain.push(']');
-        let _ = writeln!(
-            out,
-            "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"col\": {}, \
-             \"message\": \"{}\", \"suggestion\": \"{}\", \"chain\": {chain}}}{comma}",
-            json_escape(f.rule),
-            json_escape(&f.file),
-            f.line,
-            f.col,
-            json_escape(&f.message),
-            json_escape(f.suggestion),
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 /// Renders findings as compiler-style human diagnostics.
@@ -118,9 +28,6 @@ pub fn render_human(findings: &[Finding], files_scanned: usize) -> String {
             "error[{}]: {}\n  --> {}:{}:{}",
             f.rule, f.message, f.file, f.line, f.col
         );
-        if !f.chain.is_empty() {
-            let _ = writeln!(out, "  = chain: {}", chain_text(&f.chain));
-        }
         let _ = writeln!(out, "  = help: {}", f.suggestion);
     }
     if findings.is_empty() {
@@ -141,74 +48,6 @@ pub fn render_human(findings: &[Finding], files_scanned: usize) -> String {
     out
 }
 
-/// Renders findings as a SARIF 2.1.0 document (hand-rolled, fixed key
-/// order, deterministic). Chain frames become `relatedLocations` so
-/// code-scanning UIs show the path to the source.
-pub fn render_sarif(findings: &[Finding]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n");
-    out.push_str("  \"version\": \"2.1.0\",\n");
-    out.push_str("  \"runs\": [{\n");
-    out.push_str("    \"tool\": {\"driver\": {\n");
-    out.push_str("      \"name\": \"storm-lint\",\n");
-    out.push_str("      \"informationUri\": \"https://github.com/storm/storm\",\n");
-    out.push_str("      \"rules\": [\n");
-    let rules = crate::rules::ALL_RULES;
-    for (i, r) in rules.iter().enumerate() {
-        let comma = if i + 1 == rules.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "        {{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}}}{comma}",
-            r.name(),
-            json_escape(r.suggestion()),
-        );
-    }
-    out.push_str("      ]\n");
-    out.push_str("    }},\n");
-    out.push_str("    \"results\": [\n");
-    for (i, f) in findings.iter().enumerate() {
-        let comma = if i + 1 == findings.len() { "" } else { "," };
-        let mut related = String::new();
-        if !f.chain.is_empty() {
-            related.push_str(", \"relatedLocations\": [");
-            for (j, fr) in f.chain.iter().enumerate() {
-                let _ = write!(
-                    related,
-                    "{}{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": \"{}\"}}, \
-                     \"region\": {{\"startLine\": {}}}}}, \"message\": {{\"text\": \"{}\"}}}}",
-                    if j == 0 { "" } else { ", " },
-                    json_escape(&fr.file),
-                    fr.line,
-                    json_escape(&fr.fn_name),
-                );
-            }
-            related.push(']');
-        }
-        let message = if f.chain.is_empty() {
-            f.message.clone()
-        } else {
-            format!("{} (chain: {})", f.message, chain_text(&f.chain))
-        };
-        let _ = writeln!(
-            out,
-            "      {{\"ruleId\": \"{}\", \"level\": \"error\", \"message\": {{\"text\": \
-             \"{}\"}}, \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": \
-             {{\"uri\": \"{}\"}}, \"region\": {{\"startLine\": {}, \"startColumn\": \
-             {}}}}}}}]{related}}}{comma}",
-            json_escape(f.rule),
-            json_escape(&message),
-            json_escape(&f.file),
-            f.line,
-            f.col,
-        );
-    }
-    out.push_str("    ]\n");
-    out.push_str("  }]\n");
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,60 +60,7 @@ mod tests {
             col: 7,
             message: "`.unwrap()` can abort the datapath".to_string(),
             suggestion: "return a typed error",
-            chain: Vec::new(),
         }
-    }
-
-    fn chained() -> Finding {
-        Finding {
-            rule: "no-transitive-nondeterminism",
-            file: "crates/sim/src/lib.rs".to_string(),
-            line: 4,
-            col: 9,
-            message: "call reaches wall-clock source".to_string(),
-            suggestion: "thread the simulated clock",
-            chain: vec![
-                Frame {
-                    fn_name: "tick".to_string(),
-                    file: "crates/sim/src/lib.rs".to_string(),
-                    line: 4,
-                },
-                Frame {
-                    fn_name: "helper".to_string(),
-                    file: "crates/util/src/lib.rs".to_string(),
-                    line: 2,
-                },
-                Frame {
-                    fn_name: "`Instant`".to_string(),
-                    file: "crates/util/src/lib.rs".to_string(),
-                    line: 3,
-                },
-            ],
-        }
-    }
-
-    #[test]
-    fn json_is_stable_and_escaped() {
-        let mut f = sample();
-        f.message = "quote \" backslash \\ newline \n".to_string();
-        let doc = render_json(&[f], 1);
-        assert!(doc.contains("\\\""));
-        assert!(doc.contains("\\\\"));
-        assert!(doc.contains("\\n"));
-        assert!(doc.starts_with("{\n  \"version\": 2,"));
-        assert!(doc.contains("\"chain\": []"));
-        assert!(doc.ends_with("]\n}\n"));
-    }
-
-    #[test]
-    fn json_chain_has_fixed_keys() {
-        let doc = render_json(&[chained()], 2);
-        assert!(doc.contains(
-            "\"chain\": [{\"fn\": \"tick\", \"file\": \"crates/sim/src/lib.rs\", \"line\": 4}, "
-        ));
-        assert!(doc.contains(
-            "{\"fn\": \"`Instant`\", \"file\": \"crates/util/src/lib.rs\", \"line\": 3}]"
-        ));
     }
 
     #[test]
@@ -286,31 +72,8 @@ mod tests {
     }
 
     #[test]
-    fn human_output_shows_chain() {
-        let text = render_human(&[chained()], 4);
-        assert!(text.contains(
-            "= chain: tick (crates/sim/src/lib.rs:4) -> helper (crates/util/src/lib.rs:2) -> \
-             `Instant` (crates/util/src/lib.rs:3)"
-        ));
-    }
-
-    #[test]
     fn clean_output() {
         let text = render_human(&[], 9);
         assert!(text.contains("clean (9 files scanned)"));
-    }
-
-    #[test]
-    fn sarif_is_valid_shape_and_deterministic() {
-        let doc = render_sarif(&[sample(), chained()]);
-        assert!(doc.contains("\"version\": \"2.1.0\""));
-        assert!(doc.contains("\"name\": \"storm-lint\""));
-        assert!(doc.contains("\"id\": \"no-transitive-nondeterminism\""));
-        assert!(doc.contains("\"startLine\": 3, \"startColumn\": 7"));
-        assert!(doc.contains("\"relatedLocations\""));
-        assert_eq!(doc, render_sarif(&[sample(), chained()]));
-        // Empty runs still produce a structurally complete document.
-        let empty = render_sarif(&[]);
-        assert!(empty.contains("\"results\": [\n    ]"));
     }
 }

@@ -13,31 +13,25 @@
 //! - `#[cfg(test)]` / `#[test]` item ranges, so test code is exempt;
 //! - brace depth, so item boundaries can be found.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-/// Token kind. Number and char literals keep no text; string literals
-/// keep their inner text so registry-facing rules (metric names) can
-/// match on the value — no other rule reads it.
+/// Token kind. Literals keep no text: no rule reads a literal's value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {
     /// Identifier or keyword.
     Ident,
     /// Single punctuation character.
     Punct(char),
-    /// Number, char or byte literal.
+    /// Number, char, byte or string literal.
     Lit,
-    /// String / byte-string / raw-string literal; `text` holds the
-    /// content between the quotes (escape sequences unprocessed).
-    Str,
 }
 
 /// One token with its source position (1-based line and column).
 #[derive(Debug, Clone)]
 pub struct Tok {
-    /// Kind (identifier and string text lives in `text`).
+    /// Kind (identifier text lives in `text`).
     pub kind: TokKind,
-    /// Identifier or string-literal text; empty for punctuation and
-    /// other literals.
+    /// Identifier text; empty for punctuation and literals.
     pub text: String,
     /// 1-based source line.
     pub line: u32,
@@ -57,6 +51,15 @@ impl Tok {
     }
 }
 
+/// One rule named by an inline allow comment.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Allow {
+    /// The rule name as written (not validated here).
+    pub rule: String,
+    /// Set by [`Lexed::allowed`] once the allow has suppressed a finding.
+    pub used: bool,
+}
+
 /// Lexed source: tokens plus the per-line rule allowances and the line
 /// ranges covered by test-only items.
 #[derive(Debug, Default)]
@@ -67,10 +70,10 @@ pub struct Lexed {
     /// comment. An allow covers its own line and the next code line,
     /// looking through any comment-only lines in between (so the
     /// directive may open a multi-line explanation).
-    pub allows: BTreeMap<u32, Vec<String>>,
+    pub allows: BTreeMap<u32, Vec<Allow>>,
     /// Lines where a `//` comment starts; token-bearing lines are
     /// removed after lexing, leaving comment-only lines.
-    pub comment_lines: std::collections::BTreeSet<u32>,
+    pub comment_lines: BTreeSet<u32>,
     /// Inclusive line ranges of `#[cfg(test)]` / `#[test]` items.
     pub test_ranges: Vec<(u32, u32)>,
 }
@@ -85,40 +88,41 @@ impl Lexed {
 
     /// True when `rule` is allowed at `line`: by a comment on the same
     /// line, or by one above it separated only by comment-only lines.
-    pub fn allowed(&self, rule: &str, line: u32) -> bool {
-        let hit = |l: u32| {
-            self.allows
-                .get(&l)
-                .is_some_and(|rs| rs.iter().any(|r| r == rule))
-        };
-        if hit(line) {
-            return true;
-        }
+    /// The allow that answers is marked used, for stale-allow reporting.
+    pub fn allowed(&mut self, rule: &str, line: u32) -> bool {
         let mut l = line;
-        while l > 1 {
-            l -= 1;
-            if hit(l) {
+        loop {
+            let allow = self
+                .allows
+                .get_mut(&l)
+                .and_then(|at| at.iter_mut().find(|a| a.rule == rule));
+            if let Some(a) = allow {
+                a.used = true;
                 return true;
             }
-            if !self.comment_lines.contains(&l) {
+            if l == 1 || (l != line && !self.comment_lines.contains(&l)) {
                 return false;
             }
+            l -= 1;
         }
-        false
     }
 }
 
 const ALLOW_PREFIX: &str = "storm-lint: allow(";
 
 /// Extracts rule names from a `storm-lint: allow(a, b)` comment body.
-fn parse_allow(comment: &str) -> Option<Vec<String>> {
+fn parse_allow(comment: &str) -> Option<Vec<Allow>> {
     let start = comment.find(ALLOW_PREFIX)? + ALLOW_PREFIX.len();
     let end = comment[start..].find(')')? + start;
     Some(
         comment[start..end]
             .split(',')
-            .map(|s| s.trim().to_string())
+            .map(str::trim)
             .filter(|s| !s.is_empty())
+            .map(|rule| Allow {
+                rule: rule.to_string(),
+                used: false,
+            })
             .collect(),
     )
 }
@@ -190,39 +194,25 @@ pub fn lex(src: &str) -> Lexed {
             continue;
         }
         // Raw strings: r"..." / r#"..."# / br"..." etc.
-        if (c == 'r' || c == 'b') && raw_string_start(b, i).is_some() {
-            let (hashes, open) = raw_string_start(b, i).unwrap_or((0, i));
+        if let Some((hashes, open)) = raw_string_start(b, i) {
             let (l, cl) = (line, col);
             while i < open {
                 bump!();
             }
             bump!(); // the opening quote
-            let content_start = i;
-            let content_end;
-            loop {
-                if i >= b.len() {
-                    content_end = i;
-                    break;
-                }
+            while i < b.len() {
                 if b[i] == b'"'
                     && b[i + 1..].len() >= hashes
                     && b[i + 1..i + 1 + hashes].iter().all(|&h| h == b'#')
                 {
-                    content_end = i;
-                    bump!();
-                    for _ in 0..hashes {
+                    for _ in 0..=hashes {
                         bump!();
                     }
                     break;
                 }
                 bump!();
             }
-            lx.toks.push(Tok {
-                kind: TokKind::Str,
-                text: src[content_start..content_end].to_string(),
-                line: l,
-                col: cl,
-            });
+            lx.toks.push(literal(l, cl));
             continue;
         }
         // String and byte-string literals.
@@ -232,23 +222,16 @@ pub fn lex(src: &str) -> Lexed {
                 bump!();
             }
             bump!(); // opening quote
-            let content_start = i;
             while i < b.len() && b[i] != b'"' {
                 if b[i] == b'\\' && i + 1 < b.len() {
                     bump!();
                 }
                 bump!();
             }
-            let content_end = i;
             if i < b.len() {
                 bump!(); // closing quote
             }
-            lx.toks.push(Tok {
-                kind: TokKind::Str,
-                text: src[content_start..content_end].to_string(),
-                line: l,
-                col: cl,
-            });
+            lx.toks.push(literal(l, cl));
             continue;
         }
         // Char literal vs lifetime.
@@ -258,12 +241,7 @@ pub fn lex(src: &str) -> Lexed {
                 while i < end {
                     bump!();
                 }
-                lx.toks.push(Tok {
-                    kind: TokKind::Lit,
-                    text: String::new(),
-                    line: l,
-                    col: cl,
-                });
+                lx.toks.push(literal(l, cl));
             } else {
                 // Lifetime: skip the quote and the identifier.
                 bump!();
@@ -298,12 +276,7 @@ pub fn lex(src: &str) -> Lexed {
                 }
                 bump!();
             }
-            lx.toks.push(Tok {
-                kind: TokKind::Lit,
-                text: String::new(),
-                line: l,
-                col: cl,
-            });
+            lx.toks.push(literal(l, cl));
             continue;
         }
         // Whitespace.
@@ -328,6 +301,15 @@ pub fn lex(src: &str) -> Lexed {
     }
     find_test_ranges(&mut lx);
     lx
+}
+
+fn literal(line: u32, col: u32) -> Tok {
+    Tok {
+        kind: TokKind::Lit,
+        text: String::new(),
+        line,
+        col,
+    }
 }
 
 fn is_ident_start(c: u8) -> bool {
@@ -504,17 +486,19 @@ mod tests {
     #[test]
     fn allow_comments_attach_to_their_line() {
         let src = "fn f() {\n    // storm-lint: allow(no-panic): invariant\n    x.unwrap();\n}\n";
-        let lx = lex(src);
+        let mut lx = lex(src);
+        assert!(!lx.allows[&2][0].used);
         assert!(lx.allowed("no-panic", 2));
         assert!(lx.allowed("no-panic", 3), "next line is covered too");
         assert!(!lx.allowed("no-panic", 4), "code line ends the cover");
         assert!(!lx.allowed("no-hash-iter", 3));
+        assert!(lx.allows[&2][0].used, "the answering allow is recorded");
     }
 
     #[test]
     fn allow_covers_through_comment_block() {
         let src = "fn f() {\n    // storm-lint: allow(no-panic): a long\n    // justification over\n    // several lines\n    x.unwrap();\n    y.unwrap();\n}\n";
-        let lx = lex(src);
+        let mut lx = lex(src);
         assert!(lx.allowed("no-panic", 5), "reaches through comments");
         assert!(!lx.allowed("no-panic", 6), "but only the next code line");
     }
@@ -522,7 +506,7 @@ mod tests {
     #[test]
     fn trailing_comment_on_code_line_blocks_walk() {
         let src = "fn f() {\n    a(); // storm-lint: allow(no-panic): here\n    x.unwrap();\n    y.unwrap();\n}\n";
-        let lx = lex(src);
+        let mut lx = lex(src);
         assert!(lx.allowed("no-panic", 2));
         assert!(lx.allowed("no-panic", 3), "directly-below still covered");
         assert!(!lx.allowed("no-panic", 4));
@@ -566,7 +550,7 @@ mod tests {
         // its target used to end the upward walk (block-comment lines
         // were never recorded as comment lines).
         let src = "fn f() {\n    // storm-lint: allow(no-panic): next code line\n    /* a block\n       comment between\n       allow and target */\n    x.unwrap();\n    y.unwrap();\n}\n";
-        let lx = lex(src);
+        let mut lx = lex(src);
         assert!(lx.allowed("no-panic", 6), "reaches through the block");
         assert!(!lx.allowed("no-panic", 7), "but only the next code line");
     }
@@ -594,18 +578,6 @@ mod tests {
         assert_eq!(f.line, 4);
         assert!(lx.in_test(6));
         assert!(!lx.in_test(4));
-    }
-
-    #[test]
-    fn string_tokens_keep_inner_text() {
-        let lx = lex("reg.inc(\"relay.pdus\", 1); let r = r#\"raw.name\"#; let b = b\"bytes\";");
-        let strs: Vec<_> = lx
-            .toks
-            .iter()
-            .filter(|t| t.kind == TokKind::Str)
-            .map(|t| t.text.as_str())
-            .collect();
-        assert_eq!(strs, ["relay.pdus", "raw.name", "bytes"]);
     }
 
     #[test]

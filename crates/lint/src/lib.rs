@@ -11,12 +11,10 @@
 //!
 //! Because the offline build vendors no parser crates, the scanner is a
 //! small hand-rolled token lexer ([`lexer`]) rather than a `syn` AST
-//! walk. On top of it, [`symbols`] extracts per-file item summaries
-//! (functions, calls, imports, direct taint sources), [`callgraph`]
-//! links call sites to definitions workspace-wide, and [`taint`] runs a
-//! fixpoint that propagates source properties backward along calls — so
-//! a simulation function that reaches `Instant::now()` three crates
-//! away is flagged at the boundary call with the full chain.
+//! walk, and every rule is lexical: one pass per file, `lex` →
+//! [`rules::check_file`] → stale-allow. A call out of a determinism
+//! crate needs no call graph to be checked, because the determinism
+//! scope is closed under crate dependencies (tested in [`config`]).
 //!
 //! # Rules
 //!
@@ -27,76 +25,58 @@
 //! | `no-hash-iter` | determinism crates | no iteration over `HashMap`/`HashSet` |
 //! | `no-hot-path-copy` | datapath modules | no `.to_vec()`/`copy_from_slice`/`extend_from_slice` |
 //! | `no-panic` | datapath modules | no `unwrap`/`expect`/`panic!` |
-//! | `forbid-unsafe` | every crate root | `#![forbid(unsafe_code)]` present |
-//! | `no-transitive-nondeterminism` | determinism crates | no call chain reaching clock/rand/hash-order sources |
-//! | `no-alloc-on-datapath` | curated hot functions | no reachable allocation (`vec!`, `Box::new`, `.collect()`, ...) |
-//! | `metric-name-registry` | whole workspace | metric-name literals must match `storm_telemetry::names` constants |
-//! | `stale-allow` | whole workspace | every allow-comment must suppress something |
+//! | `forbid-unsafe` | every crate root and binary | `#![forbid(unsafe_code)]` present |
+//! | `stale-allow` | every file | every allow-comment suppresses something in its file |
 //!
 //! Escape hatches: a per-rule path allowlist in [`Config`], and inline
 //! `// storm-lint: allow(<rule>): <why>` comments covering their own
 //! line and the next code line (the justification may continue over
-//! further comment lines). For chain findings an allow on **any frame**
-//! of the chain silences the finding. Test code (`#[cfg(test)]` /
-//! `#[test]` items) is exempt from all location rules. Allows that
-//! suppress nothing are themselves findings (`stale-allow`).
+//! further comment lines). Test code (`#[cfg(test)]` / `#[test]` items)
+//! is exempt from all location rules. Allows that suppress nothing, or
+//! name no rule, are themselves findings (`stale-allow`).
 //!
 //! # Invocation
 //!
 //! ```text
-//! cargo run -p storm-lint -- --workspace            # human diagnostics
-//! cargo run -p storm-lint -- --workspace --json     # machine-readable
-//! cargo run -p storm-lint -- --workspace --sarif    # code-scanning upload
+//! cargo run -p storm-lint -- --workspace   # exit 0 clean, 1 findings, 2 usage/I/O
 //! ```
 
 #![forbid(unsafe_code)]
 
-pub mod callgraph;
 pub mod config;
 pub mod diag;
 pub mod lexer;
 pub mod rules;
-pub mod symbols;
-pub mod taint;
 pub mod walk;
 
 pub use config::{Config, FileClass};
-pub use diag::{render_human, render_json, render_sarif, Finding};
+pub use diag::{render_human, Finding};
 pub use rules::{Rule, ALL_RULES};
 
 use std::fs;
 use std::io;
 use std::path::Path;
 
-/// Analyzes one file's source text under `class`, appending findings.
-/// Findings within the file come out in source order. Single-file mode
-/// runs only the lexical rules — interprocedural rules need the whole
-/// workspace ([`analyze_workspace`]).
+/// Analyzes one file's source text under `class`: every rule, then the
+/// stale allows. Findings come out in source order.
 pub fn analyze_source(class: &FileClass, source: &str, cfg: &Config) -> Vec<Finding> {
-    let lexed = lexer::lex(source);
+    let mut lexed = lexer::lex(source);
     let mut out = Vec::new();
-    rules::check_file(class, &lexed, cfg, &mut out);
+    rules::check_file(class, &mut lexed, cfg, &mut out);
     out.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
     out
 }
 
-/// Scans the whole workspace rooted at `root`: summarize every file,
-/// build the call graph, run taint propagation, and evaluate every rule.
+/// Scans the whole workspace rooted at `root`, one file at a time.
 /// Returns the findings sorted by `(file, line, col, rule)` and the number
 /// of files scanned.
 pub fn analyze_workspace(root: &Path, cfg: &Config) -> io::Result<(Vec<Finding>, usize)> {
     let files = walk::workspace_files(root)?;
-    let mut summaries = Vec::with_capacity(files.len());
+    let mut findings = Vec::new();
     for rel in &files {
         let source = fs::read_to_string(root.join(rel))?;
-        summaries.push(symbols::summarize(rel, &source));
+        findings.extend(analyze_source(&FileClass::from_rel_path(rel), &source, cfg));
     }
-    let ws = callgraph::Workspace::build(summaries);
-    let t = taint::propagate(&ws, cfg);
-    let mut findings = taint::evaluate(&ws, &t, cfg);
-    findings.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.col, a.rule).cmp(&(b.file.as_str(), b.line, b.col, b.rule))
-    });
     Ok((findings, files.len()))
 }
 
@@ -123,6 +103,16 @@ mod tests {
         assert!(out[0].line < out[1].line);
         assert_eq!(out[0].rule, "no-wall-clock");
         assert_eq!(out[1].rule, "no-ambient-rand");
+    }
+
+    #[test]
+    fn stale_and_unknown_allows_are_reported() {
+        let src = "// storm-lint: allow(no-wall-clock): nothing here\n// storm-lint: allow(no-such-rule): typo\npub fn quiet() {}\n";
+        let out = analyze_source(&net_class("quiet.rs"), src, &Config::default());
+        assert_eq!(out.len(), 2, "{out:?}");
+        assert!(out.iter().all(|f| f.rule == "stale-allow"));
+        assert!(out[0].message.starts_with("stale allow: `no-wall-clock`"));
+        assert!(out[1].message.starts_with("unknown rule `no-such-rule`"));
     }
 
     #[test]

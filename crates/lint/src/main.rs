@@ -1,5 +1,4 @@
-//! CLI entry point: `storm-lint [--workspace] [--json | --sarif]
-//! [--root DIR] [FILES...]`.
+//! CLI entry point: `storm-lint [--workspace] [--root DIR] [FILES...]`.
 //!
 //! Exit codes: `0` clean, `1` findings, `2` usage or I/O error.
 
@@ -9,19 +8,10 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use storm_lint::{
-    analyze_source, analyze_workspace, render_human, render_json, render_sarif, Config, FileClass,
-};
-
-enum Format {
-    Human,
-    Json,
-    Sarif,
-}
+use storm_lint::{analyze_source, analyze_workspace, render_human, Config, FileClass};
 
 struct Args {
     workspace: bool,
-    format: Format,
     root: PathBuf,
     files: Vec<String>,
 }
@@ -29,7 +19,6 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         workspace: false,
-        format: Format::Human,
         root: PathBuf::from("."),
         files: Vec::new(),
     };
@@ -37,16 +26,11 @@ fn parse_args() -> Result<Args, String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--workspace" => args.workspace = true,
-            "--json" => args.format = Format::Json,
-            "--sarif" => args.format = Format::Sarif,
             "--root" => {
                 args.root = PathBuf::from(it.next().ok_or("--root needs a directory")?);
             }
             "--help" | "-h" => {
-                return Err(
-                    "usage: storm-lint [--workspace] [--json | --sarif] [--root DIR] [FILES...]"
-                        .to_string(),
-                )
+                return Err("usage: storm-lint [--workspace] [--root DIR] [FILES...]".to_string())
             }
             f if !f.starts_with('-') => args.files.push(f.to_string()),
             other => return Err(format!("unknown flag `{other}` (see --help)")),
@@ -93,12 +77,7 @@ fn main() -> ExitCode {
         let n = args.files.len();
         (findings, n)
     };
-    let rendered = match args.format {
-        Format::Json => render_json(&findings, scanned),
-        Format::Sarif => render_sarif(&findings),
-        Format::Human => render_human(&findings, scanned),
-    };
-    print!("{rendered}");
+    print!("{}", render_human(&findings, scanned));
     if findings.is_empty() {
         ExitCode::SUCCESS
     } else {

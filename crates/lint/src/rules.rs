@@ -1,16 +1,9 @@
 //! The rule set: which invariants are checked, where, and how.
 //!
-//! Rules come in two layers:
-//!
-//! - **Lexical rules** match token patterns in one file. Their raw
-//!   detectors (`*_hits`) report every occurrence with no scope or
-//!   suppression filtering, so the same scan feeds both the per-file
-//!   checker ([`check_file`]) and the interprocedural engine's per-file
-//!   summaries (where hits double as taint sources).
-//! - **Interprocedural rules** (`no-transitive-nondeterminism`,
-//!   `no-alloc-on-datapath`, plus `stale-allow`)
-//!   need the workspace call graph and live in [`crate::taint`]; they
-//!   only exist in `--workspace` mode.
+//! Every rule matches token patterns in one file. The raw detectors
+//! (`*_hits`) report every occurrence; [`check_file`] applies scope, the
+//! test-code exemption and both escape hatches, then reports the allows
+//! that suppressed nothing.
 
 use std::collections::BTreeSet;
 
@@ -20,7 +13,7 @@ use crate::lexer::{Lexed, TokKind};
 
 /// Stable identifiers for every rule. These names appear in inline
 /// `// storm-lint: allow(<name>)` comments, config allowlists and the
-/// JSON/SARIF output, so they are part of the tool's interface.
+/// diagnostics, so they are part of the tool's interface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// Determinism: no wall-clock time sources in simulation crates.
@@ -38,32 +31,19 @@ pub enum Rule {
     /// Unsafe coverage: every crate root carries
     /// `#![forbid(unsafe_code)]`.
     ForbidUnsafe,
-    /// Interprocedural determinism: a determinism-scoped function calls
-    /// (transitively) into a wall-clock / ambient-randomness /
-    /// hash-order source outside the scoped file set.
-    NoTransitiveNondeterminism,
-    /// Interprocedural zero-alloc: a hot datapath function reaches an
-    /// allocation (`Vec`/`Box`/`String` growth) through its callees.
-    NoAllocOnDatapath,
-    /// Metric hygiene: string literals passed to the metrics registry
-    /// must match a constant exported from `storm_telemetry::names`.
-    MetricNameRegistry,
     /// Escape hygiene: an inline `storm-lint: allow(...)` that no
     /// longer suppresses any finding.
     StaleAllow,
 }
 
 /// All rules, in reporting order.
-pub const ALL_RULES: [Rule; 10] = [
+pub const ALL_RULES: [Rule; 7] = [
     Rule::NoWallClock,
     Rule::NoAmbientRand,
     Rule::NoHashIter,
     Rule::NoHotPathCopy,
     Rule::NoPanic,
     Rule::ForbidUnsafe,
-    Rule::NoTransitiveNondeterminism,
-    Rule::NoAllocOnDatapath,
-    Rule::MetricNameRegistry,
     Rule::StaleAllow,
 ];
 
@@ -77,9 +57,6 @@ impl Rule {
             Rule::NoHotPathCopy => "no-hot-path-copy",
             Rule::NoPanic => "no-panic",
             Rule::ForbidUnsafe => "forbid-unsafe",
-            Rule::NoTransitiveNondeterminism => "no-transitive-nondeterminism",
-            Rule::NoAllocOnDatapath => "no-alloc-on-datapath",
-            Rule::MetricNameRegistry => "metric-name-registry",
             Rule::StaleAllow => "stale-allow",
         }
     }
@@ -108,19 +85,6 @@ impl Rule {
                  invariant failure degrades instead of aborting the relay"
             }
             Rule::ForbidUnsafe => "add `#![forbid(unsafe_code)]` to the crate root",
-            Rule::NoTransitiveNondeterminism => {
-                "the callee (transitively) reaches a nondeterministic source; thread the \
-                 simulated clock / seeded rng through its arguments, or allow at the call \
-                 site with a justification"
-            }
-            Rule::NoAllocOnDatapath => {
-                "hot-path I/O must reuse pooled buffers and refcounted Bytes; hoist the \
-                 allocation to setup or a counted slow path, or allow with a justification"
-            }
-            Rule::MetricNameRegistry => {
-                "use the constants exported from storm_telemetry::names; a typo'd literal \
-                 silently splits the metric series"
-            }
             Rule::StaleAllow => {
                 "this allow no longer suppresses any finding; delete the comment (or fix its \
                  rule name) so unused escapes cannot hide regressions"
@@ -134,30 +98,18 @@ impl Rule {
     }
 }
 
-/// One raw lexical hit: a source location plus a short backticked
-/// description (`what`, used as the final frame of taint chains) and the
-/// full finding message. Raw hits carry no scope or suppression
-/// decisions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Hit {
-    /// 1-based line.
-    pub line: u32,
-    /// 1-based column.
-    pub col: u32,
-    /// Short description, e.g. `` `Instant` `` or `` `.to_vec()` ``.
-    pub what: String,
-    /// Full finding message.
-    pub message: String,
+/// One raw lexical hit: a source location and the finding message. Raw
+/// hits carry no scope or suppression decisions.
+#[derive(Debug)]
+struct Hit {
+    line: u32,
+    col: u32,
+    message: String,
 }
 
 impl Hit {
-    fn new(line: u32, col: u32, what: String, message: String) -> Hit {
-        Hit {
-            line,
-            col,
-            what,
-            message,
-        }
+    fn new(line: u32, col: u32, message: String) -> Hit {
+        Hit { line, col, message }
     }
 }
 
@@ -189,56 +141,11 @@ const COPY_IDENTS: [&str; 4] = ["to_vec", "to_owned", "copy_from_slice", "extend
 const PANIC_METHODS: [&str; 2] = ["unwrap", "expect"];
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 
-/// Allocating method calls (taint sources for `no-alloc-on-datapath`).
-const ALLOC_METHODS: [&str; 7] = [
-    "to_vec",
-    "to_owned",
-    "to_string",
-    "push_str",
-    "extend_from_slice",
-    "into_owned",
-    "collect",
-];
-
-/// Allocating `Type::method` path calls.
-const ALLOC_PATHS: [(&str, &str); 7] = [
-    ("Box", "new"),
-    ("Vec", "with_capacity"),
-    ("Vec", "from"),
-    ("String", "with_capacity"),
-    ("String", "from"),
-    ("VecDeque", "with_capacity"),
-    ("BytesMut", "with_capacity"),
-];
-
-/// Allocating macros (`name!`).
-const ALLOC_MACROS: [&str; 2] = ["vec", "format"];
-
-/// Registry methods whose first string-literal argument is a metric
-/// name; `tenant_scoped` is the free-function form.
-const METRIC_METHODS: [&str; 8] = [
-    "inc",
-    "observe",
-    "set_gauge",
-    "merge_histogram",
-    "counter",
-    "gauge",
-    "histogram",
-    "tenant_scoped",
-];
-
-/// Runs every applicable rule over one lexed file.
-///
-/// This is the single-file (lexical) layer; interprocedural rules need
-/// the whole workspace and are evaluated in [`crate::taint`]. The
-/// metric-name rule only fires here when `cfg.metric_names` is
-/// populated (in workspace mode the engine harvests the registry
-/// constants itself).
-pub fn check_file(class: &FileClass, lexed: &Lexed, cfg: &Config, out: &mut Vec<Finding>) {
-    let deterministic = cfg.is_determinism_scoped(class);
-    let datapath = cfg.is_datapath(class);
-
-    if deterministic {
+/// Runs every applicable rule over one lexed file, then reports the
+/// allows that suppressed nothing (stale-allow must come last: the rules
+/// before it record each allow they consult).
+pub fn check_file(class: &FileClass, lexed: &mut Lexed, cfg: &Config, out: &mut Vec<Finding>) {
+    if cfg.is_determinism_scoped(class) {
         for h in wall_clock_hits(lexed) {
             emit(Rule::NoWallClock, class, lexed, cfg, h, out);
         }
@@ -249,7 +156,7 @@ pub fn check_file(class: &FileClass, lexed: &Lexed, cfg: &Config, out: &mut Vec<
             emit(Rule::NoHashIter, class, lexed, cfg, h, out);
         }
     }
-    if datapath {
+    if cfg.is_datapath(class) {
         for h in hot_path_copy_hits(lexed) {
             emit(Rule::NoHotPathCopy, class, lexed, cfg, h, out);
         }
@@ -257,30 +164,15 @@ pub fn check_file(class: &FileClass, lexed: &Lexed, cfg: &Config, out: &mut Vec<
             emit(Rule::NoPanic, class, lexed, cfg, h, out);
         }
     }
-    if !cfg.metric_names.is_empty() {
-        for (method, value, line, col) in metric_call_literals(lexed) {
-            if !cfg.metric_names.iter().any(|n| n == &value) {
-                let h = Hit::new(
-                    line,
-                    col,
-                    format!("\"{value}\""),
-                    metric_message(&method, &value),
-                );
-                emit(Rule::MetricNameRegistry, class, lexed, cfg, h, out);
-            }
-        }
+    // A file-level property: no test-range check.
+    if class.is_crate_root
+        && !has_forbid_unsafe(lexed)
+        && !lexed.allowed(Rule::ForbidUnsafe.name(), 1)
+    {
+        let message = "crate root lacks `#![forbid(unsafe_code)]`".to_string();
+        push(Rule::ForbidUnsafe, class, cfg, Hit::new(1, 1, message), out);
     }
-    if class.is_crate_root {
-        check_forbid_unsafe(class, lexed, cfg, out);
-    }
-}
-
-/// The message for a metric-name finding (shared with workspace mode).
-pub fn metric_message(method: &str, value: &str) -> String {
-    format!(
-        "metric literal \"{value}\" passed to `{method}` is not a name exported from \
-         storm_telemetry::names"
-    )
+    check_stale_allows(class, lexed, cfg, out);
 }
 
 /// Pushes a finding unless the site is in test code, inline-allowed, or
@@ -288,33 +180,59 @@ pub fn metric_message(method: &str, value: &str) -> String {
 fn emit(
     rule: Rule,
     class: &FileClass,
-    lexed: &Lexed,
+    lexed: &mut Lexed,
     cfg: &Config,
     hit: Hit,
     out: &mut Vec<Finding>,
 ) {
-    if lexed.in_test(hit.line) {
-        return;
+    if !lexed.in_test(hit.line) && !lexed.allowed(rule.name(), hit.line) {
+        push(rule, class, cfg, hit, out);
     }
-    if lexed.allowed(rule.name(), hit.line) {
-        return;
+}
+
+fn push(rule: Rule, class: &FileClass, cfg: &Config, hit: Hit, out: &mut Vec<Finding>) {
+    if !cfg.is_path_allowed(rule, class) {
+        out.push(Finding {
+            rule: rule.name(),
+            file: class.rel_path.clone(),
+            line: hit.line,
+            col: hit.col,
+            message: hit.message,
+            suggestion: rule.suggestion(),
+        });
     }
-    if cfg.is_path_allowed(rule, class) {
-        return;
+}
+
+/// Reports every allow outside test code that suppressed nothing in this
+/// file, and every allow naming no rule. An allow only ever covers lines
+/// of its own file, so this is complete once the file's rules have run.
+fn check_stale_allows(class: &FileClass, lexed: &Lexed, cfg: &Config, out: &mut Vec<Finding>) {
+    for (&line, allows) in &lexed.allows {
+        if lexed.in_test(line) {
+            continue;
+        }
+        for a in allows {
+            let message = match Rule::from_name(&a.rule) {
+                None => format!("unknown rule `{}` in allow comment", a.rule),
+                Some(_) if a.used => continue,
+                Some(_) => format!(
+                    "stale allow: `{}` does not suppress any finding here",
+                    a.rule
+                ),
+            };
+            push(
+                Rule::StaleAllow,
+                class,
+                cfg,
+                Hit::new(line, 1, message),
+                out,
+            );
+        }
     }
-    out.push(Finding {
-        rule: rule.name(),
-        file: class.rel_path.clone(),
-        line: hit.line,
-        col: hit.col,
-        message: hit.message,
-        suggestion: rule.suggestion(),
-        chain: Vec::new(),
-    });
 }
 
 /// Raw wall-clock hits: `SystemTime` / `Instant` / `std::time`.
-pub fn wall_clock_hits(lx: &Lexed) -> Vec<Hit> {
+fn wall_clock_hits(lx: &Lexed) -> Vec<Hit> {
     let mut out = Vec::new();
     for (i, t) in lx.toks.iter().enumerate() {
         if t.kind != TokKind::Ident {
@@ -324,7 +242,6 @@ pub fn wall_clock_hits(lx: &Lexed) -> Vec<Hit> {
             out.push(Hit::new(
                 t.line,
                 t.col,
-                format!("`{}`", t.text),
                 format!("wall-clock type `{}` in deterministic code", t.text),
             ));
         }
@@ -337,7 +254,6 @@ pub fn wall_clock_hits(lx: &Lexed) -> Vec<Hit> {
             out.push(Hit::new(
                 t.line,
                 t.col,
-                "`std::time`".to_string(),
                 "`std::time` in deterministic code".to_string(),
             ));
         }
@@ -346,7 +262,7 @@ pub fn wall_clock_hits(lx: &Lexed) -> Vec<Hit> {
 }
 
 /// Raw ambient-randomness hits.
-pub fn ambient_rand_hits(lx: &Lexed) -> Vec<Hit> {
+fn ambient_rand_hits(lx: &Lexed) -> Vec<Hit> {
     let mut out = Vec::new();
     for (i, t) in lx.toks.iter().enumerate() {
         if t.kind != TokKind::Ident {
@@ -356,7 +272,6 @@ pub fn ambient_rand_hits(lx: &Lexed) -> Vec<Hit> {
             out.push(Hit::new(
                 t.line,
                 t.col,
-                format!("`{}`", t.text),
                 format!("ambient randomness source `{}`", t.text),
             ));
         }
@@ -370,7 +285,6 @@ pub fn ambient_rand_hits(lx: &Lexed) -> Vec<Hit> {
             out.push(Hit::new(
                 t.line,
                 t.col,
-                "`rand::random`".to_string(),
                 "`rand::random` draws from the ambient thread RNG".to_string(),
             ));
         }
@@ -444,7 +358,7 @@ fn hash_bound_names(lx: &Lexed) -> BTreeSet<String> {
 }
 
 /// Raw hasher-order iteration hits.
-pub fn hash_iter_hits(lx: &Lexed) -> Vec<Hit> {
+fn hash_iter_hits(lx: &Lexed) -> Vec<Hit> {
     let mut out = Vec::new();
     let tracked = hash_bound_names(lx);
     if tracked.is_empty() {
@@ -465,7 +379,6 @@ pub fn hash_iter_hits(lx: &Lexed) -> Vec<Hit> {
             out.push(Hit::new(
                 toks[i].line,
                 toks[i].col,
-                format!("`{}.{}()`", toks[i - 2].text, toks[i].text),
                 format!(
                     "hasher-order iteration: `{}.{}()` on a HashMap/HashSet",
                     toks[i - 2].text,
@@ -496,7 +409,6 @@ pub fn hash_iter_hits(lx: &Lexed) -> Vec<Hit> {
                     out.push(Hit::new(
                         t.line,
                         t.col,
-                        format!("`for .. in {}`", t.text),
                         format!("hasher-order iteration: `for .. in {}`", t.text),
                     ));
                 }
@@ -507,7 +419,7 @@ pub fn hash_iter_hits(lx: &Lexed) -> Vec<Hit> {
 }
 
 /// Raw payload-copy hits.
-pub fn hot_path_copy_hits(lx: &Lexed) -> Vec<Hit> {
+fn hot_path_copy_hits(lx: &Lexed) -> Vec<Hit> {
     let mut out = Vec::new();
     let toks = &lx.toks;
     for i in 0..toks.len() {
@@ -520,7 +432,6 @@ pub fn hot_path_copy_hits(lx: &Lexed) -> Vec<Hit> {
             out.push(Hit::new(
                 toks[i].line,
                 toks[i].col,
-                format!("`.{}()`", toks[i].text),
                 format!("payload copy `{}()` on a zero-copy datapath", toks[i].text),
             ));
         }
@@ -529,7 +440,7 @@ pub fn hot_path_copy_hits(lx: &Lexed) -> Vec<Hit> {
 }
 
 /// Raw panic hits (`.unwrap()` / `panic!` forms).
-pub fn panic_hits(lx: &Lexed) -> Vec<Hit> {
+fn panic_hits(lx: &Lexed) -> Vec<Hit> {
     let mut out = Vec::new();
     let toks = &lx.toks;
     for i in 0..toks.len() {
@@ -545,7 +456,6 @@ pub fn panic_hits(lx: &Lexed) -> Vec<Hit> {
             out.push(Hit::new(
                 toks[i].line,
                 toks[i].col,
-                format!("`.{name}()`"),
                 format!("`.{name}()` can abort the datapath"),
             ));
         }
@@ -553,7 +463,6 @@ pub fn panic_hits(lx: &Lexed) -> Vec<Hit> {
             out.push(Hit::new(
                 toks[i].line,
                 toks[i].col,
-                format!("`{name}!`"),
                 format!("`{name}!` can abort the datapath"),
             ));
         }
@@ -561,91 +470,8 @@ pub fn panic_hits(lx: &Lexed) -> Vec<Hit> {
     out
 }
 
-/// Raw allocation hits: growth/box methods, allocating `Type::method`
-/// constructors and `vec!`/`format!` macros. Only used as taint sources
-/// for `no-alloc-on-datapath` (there is no file-scoped alloc rule).
-///
-/// Two shapes allocate and are **not** seen, because a token scan cannot
-/// type the receiver: `Vec::new()` (free) followed by `push`/`extend`
-/// (the allocation), and `.clone()` of a value that owns a `Vec`
-/// (`Frame`, `Payload`; indistinguishable from a refcount bump on
-/// `Bytes`). The benchmark's counting allocator (`host.allocs_per_op`)
-/// is the oracle for both.
-pub fn alloc_hits(lx: &Lexed) -> Vec<Hit> {
-    let mut out = Vec::new();
-    let toks = &lx.toks;
-    for i in 0..toks.len() {
-        if toks[i].kind != TokKind::Ident {
-            continue;
-        }
-        let name = toks[i].text.as_str();
-        if ALLOC_METHODS.contains(&name)
-            && i >= 1
-            && toks[i - 1].is_punct('.')
-            && toks.get(i + 1).is_some_and(|t| t.is_punct('('))
-        {
-            out.push(Hit::new(
-                toks[i].line,
-                toks[i].col,
-                format!("`.{name}()`"),
-                format!("allocating call `.{name}()`"),
-            ));
-        }
-        if ALLOC_MACROS.contains(&name) && toks.get(i + 1).is_some_and(|t| t.is_punct('!')) {
-            out.push(Hit::new(
-                toks[i].line,
-                toks[i].col,
-                format!("`{name}!`"),
-                format!("allocating macro `{name}!`"),
-            ));
-        }
-        // `Type :: method (`
-        if toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
-            && toks.get(i + 4).is_some_and(|t| t.is_punct('('))
-        {
-            if let Some(m) = toks.get(i + 3).filter(|t| t.kind == TokKind::Ident) {
-                if ALLOC_PATHS.contains(&(name, m.text.as_str())) {
-                    out.push(Hit::new(
-                        toks[i].line,
-                        toks[i].col,
-                        format!("`{}::{}`", name, m.text),
-                        format!("allocating constructor `{}::{}`", name, m.text),
-                    ));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// String literals passed as the first argument to a metrics-registry
-/// method (`reg.inc("...")`, `names::tenant_scoped("...", id)`).
-/// Returns `(method, literal value, line, col)` per site, including
-/// test code (the caller filters).
-pub fn metric_call_literals(lx: &Lexed) -> Vec<(String, String, u32, u32)> {
-    let mut out = Vec::new();
-    let toks = &lx.toks;
-    for i in 0..toks.len() {
-        if toks[i].kind != TokKind::Ident || !METRIC_METHODS.contains(&toks[i].text.as_str()) {
-            continue;
-        }
-        let is_method = i >= 1 && (toks[i - 1].is_punct('.') || toks[i - 1].is_punct(':'));
-        if toks[i].text != "tenant_scoped" && !is_method {
-            continue; // bare `inc(...)` is some other function
-        }
-        if !toks.get(i + 1).is_some_and(|t| t.is_punct('(')) {
-            continue;
-        }
-        if let Some(lit) = toks.get(i + 2).filter(|t| t.kind == TokKind::Str) {
-            out.push((toks[i].text.clone(), lit.text.clone(), lit.line, lit.col));
-        }
-    }
-    out
-}
-
 /// Whether the file carries `#![forbid(unsafe_code)]`.
-pub fn has_forbid_unsafe(lx: &Lexed) -> bool {
+fn has_forbid_unsafe(lx: &Lexed) -> bool {
     let toks = &lx.toks;
     for i in 0..toks.len() {
         if toks[i].is_punct('#')
@@ -659,21 +485,4 @@ pub fn has_forbid_unsafe(lx: &Lexed) -> bool {
         }
     }
     false
-}
-
-fn check_forbid_unsafe(class: &FileClass, lx: &Lexed, cfg: &Config, out: &mut Vec<Finding>) {
-    if !has_forbid_unsafe(lx) {
-        // Bypass the test-range check: this is a file-level property.
-        if !cfg.is_path_allowed(Rule::ForbidUnsafe, class) && !lx.allowed("forbid-unsafe", 1) {
-            out.push(Finding {
-                rule: Rule::ForbidUnsafe.name(),
-                file: class.rel_path.clone(),
-                line: 1,
-                col: 1,
-                message: "crate root lacks `#![forbid(unsafe_code)]`".to_string(),
-                suggestion: Rule::ForbidUnsafe.suggestion(),
-                chain: Vec::new(),
-            });
-        }
-    }
 }
