@@ -13,48 +13,50 @@
 //!   disk or — with probability `remote_permille / 1000` — a remote
 //!   rack's disk, crossing an inter-rack link
 //!   ([`LinkSpec::inter_rack`]) each way;
-//! * racks are grouped into `shards` [`ShardSim`]s run by a
-//!   [`ShardedExecutor`] whose lookahead is the inter-rack link latency
-//!   ([`LinkSpec::lookahead`]).
+//! * every rack's events share one [`EventQueue`], run in
+//!   conservative-lookahead rounds whose lookahead is the inter-rack link
+//!   latency ([`LinkSpec::lookahead`]).
+//!
+//! # Rounds
+//!
+//! Each round runs every queued event strictly before `horizon +
+//! lookahead`, where the horizon is the earliest pending event or
+//! in-flight message arrival. Cross-rack messages emitted in the round
+//! are buffered, not pushed: at the round boundary they are sorted by
+//! `(arrival, key, emission index)` — the key is `(source rack,
+//! per-rack counter)` — and only then pushed into the queue, where they
+//! become events at their arrival instant. Strict `<` matters: an event
+//! exactly at the horizon may emit a message arriving exactly at
+//! `horizon + lookahead`, which must be queued before that instant runs.
+//!
+//! The rounds are not an optimisation. Pushing each message straight
+//! into the queue is also causal, but it resolves same-instant ties in
+//! push order instead of injection order, which moves the digest.
 //!
 //! # Determinism contract
 //!
-//! Equal-seed runs produce byte-identical merged traces regardless of
-//! shard count (1, 2 or 4 shards of the same 4-rack topology). Three
-//! design rules buy that:
-//!
-//! * all tenant randomness comes from per-tenant [`SimRng`]s forked from
-//!   the master seed in tenant-id order, never from shared shard state;
-//! * every cross-RACK interaction goes through the executor's
-//!   [`Outbox`] even when both racks live on the same shard, so message
-//!   timing never depends on co-residence;
-//! * outbox messages carry a `(source rack, per-rack counter)` ordering
-//!   key, so same-instant injection order is a function of simulation
-//!   state alone, not of how racks are packed into shards.
-//!
-//! Incoming messages are turned into *queued events* at their arrival
-//! instant (never acted on at delivery time), so each rack's disk serves
-//! strictly in event-time order.
+//! Equal seeds produce byte-identical traces: all tenant randomness comes
+//! from per-tenant [`SimRng`]s forked from the master seed in tenant-id
+//! order, and same-instant ties resolve by the queue's FIFO order, which
+//! the sorted injection above makes a function of simulation state alone.
 //!
 //! Each rack keeps its own trace (and a running FNV-1a digest of it);
 //! [`FleetRun::merged_trace`] concatenates them in rack-id order.
 
 use storm_net::LinkSpec;
-use storm_sim::shard::{Outbox, ShardSim, ShardedExecutor};
 use storm_sim::{EventQueue, Histogram, SerialResource, SimDuration, SimRng, SimTime};
 
 /// Parameters of one fleet run.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Number of racks (fixed topology; must be a multiple of `shards`).
+    /// Number of racks (fixed topology).
     pub racks: usize,
-    /// Number of executor shards the racks are grouped into.
-    pub shards: usize,
-    /// Ignored: the executor is single-threaded (its threaded path
-    /// measured 0.04× the inline one and was deleted). The field stays
-    /// only because the frozen `benchmark/src/fleet.rs` builds this struct
+    /// Ignored: every rack runs on one event queue. The field stays only
+    /// because the frozen `benchmark/src/fleet.rs` builds this struct
     /// field by field; ROADMAP queues its removal for the next
     /// `benchmark` PR.
+    pub shards: usize,
+    /// Ignored, like `shards`: the model is single-threaded.
     pub threads: usize,
     /// Total tenants, spread round-robin across racks.
     pub tenants: usize,
@@ -88,7 +90,7 @@ impl Default for FleetConfig {
 pub struct FleetRun {
     /// Requests completed (every tenant must finish its quota).
     pub requests: u64,
-    /// Events executed across all shards (queue deliveries).
+    /// Events executed (queue deliveries).
     pub events: u64,
     /// Final simulation time (latest event across racks).
     pub sim_end: SimTime,
@@ -158,13 +160,13 @@ struct Tenant {
 struct Rack {
     id: usize,
     disk: SerialResource,
-    /// `(tenant id, state)` for tenants homed here.
-    tenants: Vec<(u32, Tenant)>,
+    /// Tenants homed here, in id order: tenant `t` is `tenants[t / racks]`.
+    tenants: Vec<Tenant>,
     trace: Vec<u8>,
     digest: Fnv,
     lat: Histogram,
     keep_trace: bool,
-    /// Outgoing-message counter feeding the layout-invariant order key.
+    /// Outgoing-message counter feeding the injection-order key.
     msg_seq: u64,
     requests_done: u64,
 }
@@ -172,7 +174,7 @@ struct Rack {
 impl Rack {
     /// Records one trace event and folds it into the digest.
     fn record(&mut self, at: SimTime, tenant: u32, op: u8) {
-        let mut buf = [0u8; 13];
+        let mut buf = [0u8; RECORD];
         buf[..8].copy_from_slice(&at.as_nanos().to_le_bytes());
         buf[8..12].copy_from_slice(&tenant.to_le_bytes());
         buf[12] = op;
@@ -182,16 +184,13 @@ impl Rack {
         }
     }
 
-    fn tenant_mut(&mut self, tenant: u32) -> &mut Tenant {
-        &mut self
-            .tenants
-            .iter_mut()
-            .find(|(id, _)| *id == tenant)
-            .expect("tenant homed on this rack")
-            .1
+    /// Tenant `tenant`'s state, given the fleet's rack count (tenants are
+    /// homed round-robin).
+    fn tenant_mut(&mut self, tenant: u32, racks: usize) -> &mut Tenant {
+        &mut self.tenants[tenant as usize / racks]
     }
 
-    /// The next outbox ordering key for this rack.
+    /// The next injection-order key for a message this rack sends.
     fn next_key(&mut self) -> u64 {
         let key = ((self.id as u64) << 40) | self.msg_seq;
         self.msg_seq += 1;
@@ -199,17 +198,20 @@ impl Rack {
     }
 }
 
+/// Trace record: `(time ns u64, tenant u32, opcode u8)`, little-endian.
+const RECORD: usize = 13;
 /// Trace opcodes.
 const OP_ISSUE: u8 = b'I';
 const OP_DONE: u8 = b'D';
 
-/// Local events within one shard's queue: `(local rack index, kind)`.
+/// Queued events, each tagged with the rack it runs on.
 enum Ev {
     /// Tenant wakes up and issues its next request.
     Issue { tenant: u32 },
     /// The rack's disk finished a request for a resident tenant.
     LocalDone { tenant: u32 },
-    /// A remote tenant's request arrives at this (target) rack.
+    /// A remote tenant's request arrives at this (target) rack. The
+    /// service time was drawn by the tenant, so racks need no RNG.
     RemoteArrive { tenant: u32, svc_ns: u32, home: u32 },
     /// This (target) rack's disk finished a remote tenant's request.
     RemoteServed { tenant: u32, home: u32 },
@@ -217,98 +219,122 @@ enum Ev {
     RemoteDone { tenant: u32 },
 }
 
-/// Cross-rack messages (used even between co-resident racks).
-enum Msg {
-    /// Serve `tenant`'s request on rack `target` (service time pre-drawn
-    /// by the tenant, so target racks need no RNG of their own).
-    Request {
-        tenant: u32,
-        svc_ns: u32,
-        home: u32,
-        target: u32,
-    },
-    /// Rack `target` finished `tenant`'s request; deliver to its home.
-    Reply { tenant: u32, home: u32 },
-}
+/// A cross-rack message buffered until the round boundary:
+/// `(arrival, injection key, destination rack, event)`.
+type InFlight = (SimTime, u64, u16, Ev);
 
-/// One executor shard hosting `racks.len()` racks.
-struct FleetShard {
-    cfg: ShardCfg,
+/// Every rack, on one queue.
+struct Fleet {
     racks: Vec<Rack>,
     q: EventQueue<(u16, Ev)>,
+    /// Messages emitted by the current round, in emission order.
+    in_flight: Vec<InFlight>,
+    remote_permille: u64,
+    link: SimDuration,
     events: u64,
     last_event: SimTime,
 }
 
-/// The per-shard copy of the run-wide constants.
-#[derive(Clone, Copy)]
-struct ShardCfg {
-    racks_total: usize,
-    shards: usize,
-    remote_permille: u64,
-    link: SimDuration,
-}
-
-impl ShardCfg {
-    /// Maps a rack id to its shard (round-robin).
-    fn shard_of(&self, rack: usize) -> usize {
-        rack % self.shards
+impl Fleet {
+    /// Runs lookahead rounds until no event or message is left.
+    fn run(&mut self) {
+        // Round zero runs nothing (`bound` 0) and reads the first horizon.
+        let mut bound = SimTime::ZERO;
+        loop {
+            // Stable sort: equal `(arrival, key)` keep emission order.
+            self.in_flight.sort_by_key(|&(at, key, _, _)| (at, key));
+            for (at, _, rack, ev) in self.in_flight.drain(..) {
+                self.q.push(at, (rack, ev));
+            }
+            while let Some((now, (rack, ev))) = self.q.pop_if(|t| t < bound) {
+                self.events += 1;
+                self.last_event = now;
+                self.dispatch(now, rack, ev);
+            }
+            debug_assert!(
+                self.in_flight.iter().all(|m| m.0 >= bound),
+                "cross-rack message undercuts the lookahead bound"
+            );
+            // The horizon counts in-flight arrivals too: a message can
+            // precede every queued event, and what it triggers may send
+            // again as early as `arrival + lookahead`.
+            let inflight_next = self.in_flight.iter().map(|m| m.0).min();
+            let next = [self.q.peek_time(), inflight_next]
+                .into_iter()
+                .flatten()
+                .min();
+            let Some(horizon) = next else { return };
+            bound = horizon + self.link;
+        }
     }
-}
 
-impl FleetShard {
-    fn local_idx(&self, rack: usize) -> u16 {
-        self.racks
-            .iter()
-            .position(|r| r.id == rack)
-            .expect("rack homed on this shard") as u16
+    fn dispatch(&mut self, now: SimTime, rack: u16, ev: Ev) {
+        match ev {
+            Ev::Issue { tenant } => self.issue(now, rack, tenant),
+            Ev::LocalDone { tenant } | Ev::RemoteDone { tenant } => {
+                self.complete(now, rack, tenant)
+            }
+            Ev::RemoteArrive {
+                tenant,
+                svc_ns,
+                home,
+            } => {
+                let svc = SimDuration::from_nanos(svc_ns as u64);
+                let done = self.racks[rack as usize].disk.serve(now, svc);
+                self.q.push(done, (rack, Ev::RemoteServed { tenant, home }));
+            }
+            Ev::RemoteServed { tenant, home } => {
+                self.send(rack, home as u16, now, Ev::RemoteDone { tenant });
+            }
+        }
     }
 
-    /// Tenant `tenant` on rack `local` issues its next request at `now`.
-    fn issue(&mut self, now: SimTime, local: u16, tenant: u32, outbox: &mut Outbox<Msg>) {
-        let cfg = self.cfg;
-        let rack = &mut self.racks[local as usize];
-        let home = rack.id;
+    /// Buffers `ev` for rack `to`, one link latency after `now`.
+    fn send(&mut self, from: u16, to: u16, now: SimTime, ev: Ev) {
+        let key = self.racks[from as usize].next_key();
+        self.in_flight.push((now + self.link, key, to, ev));
+    }
+
+    /// Tenant `tenant` on rack `home` issues its next request at `now`.
+    fn issue(&mut self, now: SimTime, home: u16, tenant: u32) {
+        let racks = self.racks.len();
+        let remote_p = self.remote_permille as f64 / 1000.0;
+        let rack = &mut self.racks[home as usize];
         let (svc_ns, target) = {
-            let t = rack.tenant_mut(tenant);
+            let t = rack.tenant_mut(tenant, racks);
             t.issued_at = now;
             // 2-10 µs of disk service.
             let svc_ns = t.rng.range(2_000, 10_000) as u32;
-            let remote = t.rng.chance(cfg.remote_permille as f64 / 1000.0);
-            let target = if remote && cfg.racks_total > 1 {
-                (home + 1 + t.rng.below(cfg.racks_total as u64 - 1) as usize) % cfg.racks_total
+            let remote = t.rng.chance(remote_p);
+            let target = if remote && racks > 1 {
+                (home as usize + 1 + t.rng.below(racks as u64 - 1) as usize) % racks
             } else {
-                home
+                home as usize
             };
             (svc_ns, target)
         };
         rack.record(now, tenant, OP_ISSUE);
-        if target == home {
+        if target == home as usize {
             let done = rack.disk.serve(now, SimDuration::from_nanos(svc_ns as u64));
-            self.q.push(done, (local, Ev::LocalDone { tenant }));
+            self.q.push(done, (home, Ev::LocalDone { tenant }));
         } else {
-            let key = rack.next_key();
-            outbox.send(
-                cfg.shard_of(target),
-                now + cfg.link,
-                key,
-                Msg::Request {
-                    tenant,
-                    svc_ns,
-                    home: home as u32,
-                    target: target as u32,
-                },
-            );
+            let ev = Ev::RemoteArrive {
+                tenant,
+                svc_ns,
+                home: home as u32,
+            };
+            self.send(home, target as u16, now, ev);
         }
     }
 
     /// Tenant `tenant` finished a request at `now`: think, then go again.
-    fn complete(&mut self, now: SimTime, local: u16, tenant: u32) {
-        let rack = &mut self.racks[local as usize];
+    fn complete(&mut self, now: SimTime, home: u16, tenant: u32) {
+        let racks = self.racks.len();
+        let rack = &mut self.racks[home as usize];
         rack.record(now, tenant, OP_DONE);
         rack.requests_done += 1;
         let (remaining, think, issued_at) = {
-            let t = rack.tenant_mut(tenant);
+            let t = rack.tenant_mut(tenant, racks);
             t.remaining -= 1;
             // 20-100 µs think time.
             let think = SimDuration::from_nanos(t.rng.range(20_000, 100_000));
@@ -316,79 +342,7 @@ impl FleetShard {
         };
         rack.lat.record(now - issued_at);
         if remaining > 0 {
-            self.q.push(now + think, (local, Ev::Issue { tenant }));
-        }
-    }
-}
-
-impl ShardSim for FleetShard {
-    type Msg = Msg;
-
-    fn next_time(&mut self) -> Option<SimTime> {
-        self.q.peek_time()
-    }
-
-    fn run_until(&mut self, bound: SimTime, outbox: &mut Outbox<Msg>) {
-        while let Some((now, (local, ev))) = self.q.pop_if(|t| t < bound) {
-            self.events += 1;
-            self.last_event = now;
-            match ev {
-                Ev::Issue { tenant } => self.issue(now, local, tenant, outbox),
-                Ev::LocalDone { tenant } | Ev::RemoteDone { tenant } => {
-                    self.complete(now, local, tenant)
-                }
-                Ev::RemoteArrive {
-                    tenant,
-                    svc_ns,
-                    home,
-                } => {
-                    let rack = &mut self.racks[local as usize];
-                    let done = rack.disk.serve(now, SimDuration::from_nanos(svc_ns as u64));
-                    self.q
-                        .push(done, (local, Ev::RemoteServed { tenant, home }));
-                }
-                Ev::RemoteServed { tenant, home } => {
-                    let cfg = self.cfg;
-                    let rack = &mut self.racks[local as usize];
-                    let key = rack.next_key();
-                    outbox.send(
-                        cfg.shard_of(home as usize),
-                        now + cfg.link,
-                        key,
-                        Msg::Reply { tenant, home },
-                    );
-                }
-            }
-        }
-    }
-
-    fn deliver(&mut self, at: SimTime, msg: Msg) {
-        // Messages become queued events at their arrival instant — never
-        // acted on here — so disks serve strictly in event-time order.
-        match msg {
-            Msg::Request {
-                tenant,
-                svc_ns,
-                home,
-                target,
-            } => {
-                let local = self.local_idx(target as usize);
-                self.q.push(
-                    at,
-                    (
-                        local,
-                        Ev::RemoteArrive {
-                            tenant,
-                            svc_ns,
-                            home,
-                        },
-                    ),
-                );
-            }
-            Msg::Reply { tenant, home } => {
-                let local = self.local_idx(home as usize);
-                self.q.push(at, (local, Ev::RemoteDone { tenant }));
-            }
+            self.q.push(now + think, (home, Ev::Issue { tenant }));
         }
     }
 }
@@ -397,108 +351,73 @@ impl ShardSim for FleetShard {
 ///
 /// # Panics
 ///
-/// Panics if the configuration is degenerate (zero racks/shards, racks
-/// not divisible by shards) or if any tenant fails to finish its
-/// request quota (a scheduling bug, not a workload outcome).
+/// Panics if the configuration is degenerate (zero racks) or if any
+/// tenant fails to finish its request quota (a scheduling bug, not a
+/// workload outcome).
 pub fn run_fleet(cfg: &FleetConfig) -> FleetRun {
-    assert!(cfg.racks >= 1 && cfg.shards >= 1);
-    assert!(
-        cfg.racks.is_multiple_of(cfg.shards),
-        "racks must divide evenly into shards"
-    );
-    let link = LinkSpec::inter_rack();
-    let shard_cfg = ShardCfg {
-        racks_total: cfg.racks,
-        shards: cfg.shards,
+    assert!(cfg.racks >= 1 && cfg.racks <= u16::MAX as usize);
+    let mut fleet = Fleet {
+        racks: (0..cfg.racks)
+            .map(|id| Rack {
+                id,
+                disk: SerialResource::new(),
+                tenants: Vec::new(),
+                trace: Vec::new(),
+                digest: Fnv::new(),
+                lat: Histogram::new(),
+                keep_trace: cfg.keep_trace,
+                msg_seq: 0,
+                requests_done: 0,
+            })
+            .collect(),
+        q: EventQueue::new(),
+        in_flight: Vec::new(),
         remote_permille: cfg.remote_permille,
-        link: link.lookahead(),
+        link: LinkSpec::inter_rack().lookahead(),
+        events: 0,
+        last_event: SimTime::ZERO,
     };
+    // Home tenants round-robin; fork each rng from the master in
+    // tenant-id order.
     let mut master = SimRng::seed_from_u64(cfg.seed);
-    let mut shards: Vec<FleetShard> = (0..cfg.shards)
-        .map(|_| FleetShard {
-            cfg: shard_cfg,
-            racks: Vec::new(),
-            q: EventQueue::new(),
-            events: 0,
-            last_event: SimTime::ZERO,
-        })
-        .collect();
-    for rack in 0..cfg.racks {
-        shards[shard_cfg.shard_of(rack)].racks.push(Rack {
-            id: rack,
-            disk: SerialResource::new(),
-            tenants: Vec::new(),
-            trace: Vec::new(),
-            digest: Fnv::new(),
-            lat: Histogram::new(),
-            keep_trace: cfg.keep_trace,
-            msg_seq: 0,
-            requests_done: 0,
+    for tenant in 0..cfg.tenants {
+        fleet.racks[tenant % cfg.racks].tenants.push(Tenant {
+            rng: master.fork(),
+            remaining: cfg.requests_per_tenant,
+            issued_at: SimTime::ZERO,
         });
     }
-    // Home tenants round-robin; fork each rng from the master in
-    // tenant-id order so the draw sequence is layout-invariant.
-    for tenant in 0..cfg.tenants as u32 {
-        let rng = master.fork();
-        let home = tenant as usize % cfg.racks;
-        let shard = &mut shards[shard_cfg.shard_of(home)];
-        let local = shard.local_idx(home) as usize;
-        shard.racks[local].tenants.push((
-            tenant,
-            Tenant {
-                rng,
-                remaining: cfg.requests_per_tenant,
-                issued_at: SimTime::ZERO,
-            },
-        ));
+    // A kept trace is two records per request; sizing it once keeps the
+    // doubling reallocations out of the peak RSS.
+    if cfg.keep_trace {
+        for rack in &mut fleet.racks {
+            let records = rack.tenants.len() * cfg.requests_per_tenant as usize * 2;
+            rack.trace.reserve_exact(records * RECORD);
+        }
     }
     // First wakeups: jittered so disks don't see a thundering herd.
-    for shard in &mut shards {
-        for li in 0..shard.racks.len() {
-            for ti in 0..shard.racks[li].tenants.len() {
-                let (tenant, jitter) = {
-                    let (id, t) = &mut shard.racks[li].tenants[ti];
-                    (*id, t.rng.below(100_000))
-                };
-                shard.q.push(
-                    SimTime::from_nanos(jitter),
-                    (li as u16, Ev::Issue { tenant }),
-                );
-            }
+    for (r, rack) in fleet.racks.iter_mut().enumerate() {
+        for (i, t) in rack.tenants.iter_mut().enumerate() {
+            let tenant = (i * cfg.racks + r) as u32;
+            let jitter = SimTime::from_nanos(t.rng.below(100_000));
+            fleet.q.push(jitter, (r as u16, Ev::Issue { tenant }));
         }
     }
-    let exec = ShardedExecutor::new(link.lookahead());
-    let done = exec.run(shards, SimTime::MAX);
-    let mut requests = 0;
-    let mut events = 0;
-    let mut sim_end = SimTime::ZERO;
-    let mut rack_digests = vec![0u64; cfg.racks];
-    let mut rack_traces: Vec<Vec<u8>> = vec![Vec::new(); cfg.racks];
-    let mut rack_lats: Vec<Histogram> = Vec::new();
-    rack_lats.resize_with(cfg.racks, Histogram::new);
-    for shard in done {
-        events += shard.events;
-        sim_end = sim_end.max(shard.last_event);
-        for rack in shard.racks {
-            requests += rack.requests_done;
-            rack_digests[rack.id] = rack.digest.finish();
-            rack_traces[rack.id] = rack.trace;
-            rack_lats[rack.id] = rack.lat;
-        }
-    }
+    fleet.run();
     let mut latency = Histogram::new();
-    for l in &rack_lats {
-        latency.merge(l);
+    for rack in &fleet.racks {
+        latency.merge(&rack.lat);
     }
+    let requests = fleet.racks.iter().map(|r| r.requests_done).sum();
     let expected = cfg.tenants as u64 * cfg.requests_per_tenant;
     assert_eq!(requests, expected, "every tenant must finish its quota");
     FleetRun {
         requests,
-        events,
-        sim_end,
+        events: fleet.events,
+        sim_end: fleet.last_event,
         latency,
-        rack_digests,
-        rack_traces,
+        rack_digests: fleet.racks.iter().map(|r| r.digest.finish()).collect(),
+        rack_traces: fleet.racks.into_iter().map(|r| r.trace).collect(),
     }
 }
 
@@ -506,50 +425,21 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetRun {
 mod tests {
     use super::*;
 
-    fn small(shards: usize) -> FleetConfig {
-        FleetConfig {
+    #[test]
+    fn completes_the_request_quota() {
+        let run = run_fleet(&FleetConfig {
             racks: 4,
-            shards,
+            shards: 4,
             threads: 1,
             tenants: 40,
             requests_per_tenant: 25,
             seed: 7,
             remote_permille: 300,
             keep_trace: true,
-        }
-    }
-
-    #[test]
-    fn completes_the_request_quota() {
-        let run = run_fleet(&small(4));
+        });
         assert_eq!(run.requests, 40 * 25);
         assert!(run.events > run.requests, "issue + done per request");
         assert!(run.sim_end > SimTime::ZERO);
-        assert!(!run.merged_trace().is_empty());
-    }
-
-    #[test]
-    fn trace_is_identical_across_shard_counts() {
-        let base = run_fleet(&small(4));
-        let trace = base.merged_trace();
-        for shards in [1, 2] {
-            let other = run_fleet(&small(shards));
-            assert_eq!(
-                other.merged_trace(),
-                trace,
-                "trace diverged at shards={shards}"
-            );
-            assert_eq!(other.digest(), base.digest());
-        }
-    }
-
-    #[test]
-    fn different_seeds_diverge() {
-        let a = run_fleet(&small(2));
-        let b = run_fleet(&FleetConfig {
-            seed: 8,
-            ..small(2)
-        });
-        assert_ne!(a.digest(), b.digest());
+        assert_eq!(run.merged_trace().len(), 40 * 25 * 2 * RECORD);
     }
 }

@@ -315,11 +315,6 @@ impl TargetHostApp {
         self.volumes.insert(iqn.to_string(), volume);
     }
 
-    /// Stops exporting `iqn`; established sessions keep their handle.
-    pub fn unregister_volume(&mut self, iqn: &Iqn) {
-        self.volumes.remove(iqn.as_str());
-    }
-
     /// Login records observed so far: `(initiator IQN, on-wire tuple)` —
     /// the target half of connection attribution.
     pub fn logins(&self) -> &[(Iqn, FourTuple)] {
@@ -348,11 +343,6 @@ impl TargetHostApp {
             latency: BTreeMap::new(),
             migrations_done: 0,
         });
-    }
-
-    /// Whether QoS enforcement is enabled.
-    pub fn qos_enabled(&self) -> bool {
-        self.qos.is_some()
     }
 
     /// Sets `tenant`'s rate limits (requires [`Self::enable_qos`] first).

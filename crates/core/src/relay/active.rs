@@ -377,17 +377,9 @@ impl ActiveRelayMb {
         self.pdus_forwarded
     }
 
-    /// `(throttled_ops, total_shaping_delay)` of the tenant rate limiter;
-    /// zeros when QoS is not configured.
-    pub fn qos_throttle_stats(&self) -> (u64, SimDuration) {
-        self.limiter
-            .as_ref()
-            .map_or((0, SimDuration::ZERO), |l| l.throttle_stats())
-    }
-
     /// Memcpy accounting across the relay's datapath: reassembly copies
     /// on both flow streams plus small-segment batching on encode. Feeds
-    /// the `relay.bytes_copied` metric and the zero-copy acceptance test.
+    /// the zero-copy bench rows and acceptance test.
     pub fn copy_stats(&self) -> RelayCopyStats {
         let mut s = self.copy;
         for p in &self.pairs {

@@ -252,11 +252,6 @@ impl<D: BlockDevice> ExtFs<D> {
         &self.sb
     }
 
-    /// The cached group descriptors.
-    pub fn group_descs(&self) -> &[GroupDesc] {
-        &self.groups
-    }
-
     /// Mutable access to the underlying device (e.g. to drain a
     /// recording log).
     pub fn device_mut(&mut self) -> &mut D {

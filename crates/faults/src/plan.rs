@@ -241,11 +241,6 @@ impl FaultSchedule {
     pub fn timed_len(&self) -> usize {
         self.timed.len()
     }
-
-    /// Number of predicate-triggered events.
-    pub fn predicate_len(&self) -> usize {
-        self.predicates.len()
-    }
 }
 
 impl std::fmt::Debug for FaultSchedule {

@@ -215,11 +215,6 @@ impl Network {
         self.trace = hook;
     }
 
-    /// Sets the TCP configuration used by hosts added afterwards.
-    pub fn set_default_tcp(&mut self, config: TcpConfig) {
-        self.default_tcp = config;
-    }
-
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -789,16 +784,6 @@ impl<'a> Cx<'a> {
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.net.now
-    }
-
-    /// The host this app runs on.
-    pub fn host_id(&self) -> HostId {
-        self.host
-    }
-
-    /// This app's id.
-    pub fn app_id(&self) -> AppId {
-        self.app
     }
 
     /// The simulation RNG.

@@ -104,9 +104,9 @@ impl LinkSpec {
         }
     }
 
-    /// An inter-rack (cross-partition) uplink: 10 Gbps with spine-hop
-    /// propagation. Sharded fleet runs partition the topology at links
-    /// like this one, so its latency doubles as the sharding lookahead.
+    /// An inter-rack uplink: 10 Gbps with spine-hop propagation. The
+    /// fleet model's cross-rack messages cross links like this one, so
+    /// its latency doubles as the lookahead of the fleet's rounds.
     pub fn inter_rack() -> Self {
         LinkSpec {
             latency: SimDuration::from_micros(5), // ToR → spine → ToR
@@ -116,10 +116,9 @@ impl LinkSpec {
         }
     }
 
-    /// The conservative-sync lookahead this link affords a sharded
-    /// executor: nothing sent across it can take effect on the far side
-    /// sooner than its one-way propagation latency. Zero-latency links
-    /// afford none and must stay inside one shard.
+    /// The conservative-sync lookahead this link affords: nothing sent
+    /// across it can take effect on the far side sooner than its one-way
+    /// propagation latency.
     pub fn lookahead(&self) -> SimDuration {
         self.latency
     }
@@ -265,15 +264,6 @@ impl Fabric {
     /// Number of links in the fabric (link ids are `0..count`).
     pub fn link_count(&self) -> usize {
         self.links.len()
-    }
-
-    /// The smallest [`LinkSpec::lookahead`] over every link, or `None`
-    /// for an empty fabric. A sharded executor that may cut the topology
-    /// at *any* link must bound its rounds by this; partitioning only at
-    /// high-latency inter-rack links (the intended cut) lets it use those
-    /// links' larger lookahead instead.
-    pub fn min_link_lookahead(&self) -> Option<SimDuration> {
-        self.links.iter().map(|l| l.spec.lookahead()).min()
     }
 
     /// The link wired to a switch port, if any.
@@ -447,25 +437,6 @@ mod tests {
         assert_eq!(d3.at.as_micros(), 112);
         assert_eq!(f.link(l).frames(), 3);
         assert_eq!(f.link(l).bytes(), 3 * 1500);
-    }
-
-    #[test]
-    fn lookahead_tracks_the_slowest_safe_cut() {
-        let mut f = Fabric::new();
-        assert_eq!(f.min_link_lookahead(), None);
-        f.add_link(host_end(0, 0), host_end(1, 0), LinkSpec::inter_rack());
-        assert_eq!(
-            f.min_link_lookahead(),
-            Some(SimDuration::from_micros(5)),
-            "inter-rack propagation is the lookahead"
-        );
-        // A fast intra-rack link tightens the bound for arbitrary cuts.
-        f.add_link(host_end(1, 0), host_end(2, 0), LinkSpec::gigabit());
-        assert_eq!(f.min_link_lookahead(), Some(SimDuration::from_nanos(500)));
-        assert_eq!(
-            LinkSpec::inter_rack().lookahead(),
-            LinkSpec::inter_rack().latency
-        );
     }
 
     #[test]

@@ -98,11 +98,6 @@ impl Nat {
         self.dnat.retain(|r| r != rule);
     }
 
-    /// Removes SNAT rules equal to `rule`.
-    pub fn remove_snat(&mut self, rule: &SnatRule) {
-        self.snat.retain(|r| r != rule);
-    }
-
     /// Number of live conntrack entries.
     pub fn conntrack_len(&self) -> usize {
         self.forward.len()

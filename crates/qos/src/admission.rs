@@ -48,7 +48,7 @@ pub struct AdmissionController {
     capacity: BTreeMap<DiskTier, u64>,
     /// Sum of admitted floors per tier.
     committed: BTreeMap<DiskTier, u64>,
-    /// Decision counts per label, for `qos.admission.*` metrics.
+    /// Decision counts per label.
     decisions: BTreeMap<&'static str, u64>,
 }
 

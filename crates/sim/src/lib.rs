@@ -8,6 +8,12 @@
 //! build the network fabric, hosts and middle-boxes on top of these
 //! primitives.
 //!
+//! There is no executor beyond the queue: every simulation, from one
+//! initiator to `storm-bench`'s thousand-tenant fleet, runs its events on
+//! a single [`EventQueue`] on the calling thread. The fleet adds its own
+//! conservative-lookahead rounds on top, to fix the order in which
+//! cross-rack messages enter the queue.
+//!
 //! # Example
 //!
 //! ```
@@ -30,7 +36,6 @@ pub mod fault;
 pub mod hist;
 pub mod metrics;
 mod rng;
-pub mod shard;
 mod time;
 pub mod trace;
 
@@ -39,6 +44,5 @@ pub use event::{CancelToken, EventQueue};
 pub use fault::{FaultAction, FaultHook, FaultPoint, FaultSite};
 pub use hist::Histogram;
 pub use rng::SimRng;
-pub use shard::{Outbox, ShardMsg, ShardSim, ShardedExecutor};
 pub use time::{SimDuration, SimTime};
 pub use trace::{flow_token, req_token, Hop, ReqToken, TraceEvent, TraceHook, TraceSink};

@@ -1,90 +1,10 @@
-//! Canonical metric names shared by producers and dashboards.
+//! Metric names shared by producers and readers of a
+//! [`MetricsRegistry`](crate::MetricsRegistry).
 //!
-//! `storm-core` sits below this crate in the dependency graph, so the
-//! relay exports raw counters (e.g. `ActiveRelayMb::copy_stats` in
-//! `storm-core`) and harnesses publish them into a
-//! [`MetricsRegistry`](crate::MetricsRegistry) under these names. Keeping
-//! the strings here — rather than scattered across benches and tests —
-//! makes registry reports and `BENCH_results.json` extras greppable from
-//! one place.
-
-/// Data-segment bytes memcpy'd on the relay datapath (reassembly plus
-/// small-segment batching on encode). A passthrough chain must report 0.
-pub const RELAY_BYTES_COPIED: &str = "relay.bytes_copied";
-
-/// Fixed-size 48-byte header copies on the relay datapath — the allowed
-/// decode-scratch copies, reported separately from data bytes.
-pub const RELAY_HEADER_BYTES_COPIED: &str = "relay.header_bytes_copied";
-
-/// PDUs forwarded through the relay on the verbatim fast path (original
-/// wire bytes, no re-encode).
-pub const RELAY_VERBATIM_FORWARDS: &str = "relay.verbatim_forwards";
-
-/// Total PDUs forwarded through the relay's service chain.
-pub const RELAY_PDUS_FORWARDED: &str = "relay.pdus_forwarded";
-
-/// High-water mark of commands simultaneously in a session's submission
-/// ring (gauge; 0 for transports without rings).
-pub const TRANSPORT_SQ_PEAK: &str = "transport.sq_peak";
-
-/// Doorbell frames the initiator sent (counter). Together with
-/// [`TRANSPORT_DOORBELL_SQES`] this yields the submission batching
-/// factor — SQEs flushed per doorbell write.
-pub const TRANSPORT_DOORBELL_FRAMES: &str = "transport.doorbell_frames";
-
-/// SQEs carried by all doorbell frames (counter).
-pub const TRANSPORT_DOORBELL_SQES: &str = "transport.doorbell_sqes";
-
-/// Completion frames the initiator received (counter). Together with
-/// [`TRANSPORT_CQ_CQES`] this yields the realized interrupt-moderation
-/// coalescing factor — CQEs per completion interrupt.
-pub const TRANSPORT_CQ_FRAMES: &str = "transport.cq_frames";
-
-/// CQEs carried by all completion frames (counter).
-pub const TRANSPORT_CQ_CQES: &str = "transport.cq_cqes";
-
-/// Commands the target admitted per dispatch tick, published as a gauge
-/// in hundredths (250 = 2.5 commands per batch drain).
-pub const TARGET_DISPATCH_BATCH_X100: &str = "target.dispatch_batch_x100";
-
-/// Operations delayed by a tenant's token-bucket rate limiter (counter).
-pub const QOS_THROTTLED_OPS: &str = "qos.throttled_ops";
-
-/// Total shaping delay imposed by rate limiting (histogram of per-op
-/// delays).
-pub const QOS_THROTTLE_DELAY: &str = "qos.throttle_delay";
-
-/// Admission-controller decisions at volume create, suffixed by outcome
-/// (`qos.admission.accepted` / `.degraded` / `.rejected`).
-pub const QOS_ADMISSION: &str = "qos.admission";
-
-/// Completed backing-disk tier migrations (counter).
-pub const QOS_MIGRATIONS: &str = "qos.migrations";
-
-/// Fraction of sampled requests meeting their volume's p99 ceiling,
-/// published as a gauge in basis points (10_000 = 100%).
-pub const QOS_SLO_ATTAINMENT_BP: &str = "qos.slo_attainment_bp";
-
-/// Write-back cache read hit rate, gauge in basis points.
-pub const SVC_CACHE_HIT_BP: &str = "svc.cache.hit_bp";
-
-/// Writes absorbed by the write-back cache (counter).
-pub const SVC_CACHE_ABSORBED_WRITES: &str = "svc.cache.absorbed_writes";
-
-/// Dirty sectors flushed to the primary volume (counter of bytes).
-pub const SVC_CACHE_FLUSHED_BYTES: &str = "svc.cache.flushed_bytes";
-
-/// Dedup data-reduction ratio, gauge in basis points (15_000 = 1.5x).
-pub const SVC_DEDUP_RATIO_BP: &str = "svc.dedup.ratio_bp";
-
-/// Duplicate chunks detected by dedup (counter).
-pub const SVC_DEDUP_DUP_CHUNKS: &str = "svc.dedup.duplicate_chunks";
-
-/// Compression space-saving ratio, gauge in basis points.
-pub const SVC_COMPRESS_RATIO_BP: &str = "svc.compress.ratio_bp";
-
-/// Extents stored raw because compression did not shrink them (counter).
-pub const SVC_COMPRESS_SKIPPED: &str = "svc.compress.skipped_extents";
+//! Only names that something in the tree publishes live here: today the
+//! snapshot service's counters, which `examples/backup_clone.rs` records.
+//! A new registry metric adds its name here so reports stay greppable from
+//! one place; per-tenant keys go through [`tenant_scoped`].
 
 /// Copy-on-first-write pre-image copies performed (counter).
 pub const SVC_SNAP_COW_COPIES: &str = "svc.snap.cow_copies";
@@ -110,8 +30,8 @@ mod tests {
     fn tenant_scoped_is_uniform() {
         assert_eq!(tenant_scoped("reads", 0), "tenant.0.reads");
         assert_eq!(
-            tenant_scoped(QOS_THROTTLED_OPS, 7),
-            "tenant.7.qos.throttled_ops"
+            tenant_scoped(SVC_SNAP_COW_COPIES, 7),
+            "tenant.7.svc.snap.cow_copies"
         );
     }
 }
