@@ -11,8 +11,6 @@
 //! issuing and completing I/O is charged to the VM's label, which is how
 //! the Figure-10 utilization breakdown gets its per-VM numbers.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 
 use storm_iscsi::{
@@ -23,7 +21,7 @@ use storm_nvmeq::{NvmeqConfig, NvmeqInitiator};
 use storm_sim::hist::Histogram;
 use storm_sim::metrics::{Meter, Timeline};
 use storm_sim::trace::{req_token, Hop, TraceEvent, TraceHook};
-use storm_sim::{SimDuration, SimRng, SimTime};
+use storm_sim::{IdMap, SimDuration, SimRng, SimTime};
 
 /// A workload-chosen request identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -241,7 +239,7 @@ pub struct VolumeClient {
     sock: Option<SockId>,
     sendq: SendQueue,
     workload: Option<Box<dyn Workload>>,
-    pending: HashMap<IoTag, (ReqId, IoKind, SimTime, usize)>,
+    pending: IdMap<IoTag, (ReqId, IoKind, SimTime, usize)>,
     next_req: u64,
     rng: SimRng,
     /// Measurements (public for harnesses to read after a run).
@@ -272,7 +270,7 @@ impl VolumeClient {
             sock: None,
             sendq: SendQueue::new(),
             workload: Some(workload),
-            pending: HashMap::new(),
+            pending: IdMap::default(),
             next_req: 0,
             rng,
             stats: ClientStats {

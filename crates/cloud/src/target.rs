@@ -36,7 +36,7 @@ use storm_net::{App, CloseReason, Cx, FourTuple, SendQueue, SockId};
 use storm_nvmeq::{scan_connect_payload, NvmeqTargetConfig, NvmeqTargetConn, MAGIC, NVMEQ_PORT};
 use storm_qos::{DiskTier, RateLimitSpec, RateLimiter, WeightedFairQueue};
 use storm_sim::trace::{req_token, Hop, TraceEvent, TraceHook};
-use storm_sim::{FaultAction, FaultHook, FaultSite, Histogram, SimDuration, SimTime};
+use storm_sim::{FaultAction, FaultHook, FaultSite, Histogram, IdMap, SimDuration, SimTime};
 
 use crate::disk::{DiskModel, DiskSpec};
 
@@ -230,12 +230,12 @@ impl QosState {
 pub struct TargetHostApp {
     cfg: TargetHostConfig,
     volumes: HashMap<String, SharedVolume>,
-    sessions: HashMap<SockId, Session>,
+    sessions: IdMap<SockId, Session>,
     /// The shared disk every volume not registered for QoS is served by.
     disk: DiskModel,
     qos: Option<QosState>,
     /// Every armed timer, by token.
-    timers: HashMap<u64, Timer>,
+    timers: IdMap<u64, Timer>,
     /// Submission-batch dispatch stats: `(ticks, commands, max batch)` —
     /// one tick per `handle_events` call that admitted commands.
     dispatch: (u64, u64, usize),
@@ -255,10 +255,10 @@ impl TargetHostApp {
         TargetHostApp {
             cfg,
             volumes: HashMap::new(),
-            sessions: HashMap::new(),
+            sessions: IdMap::default(),
             disk,
             qos: None,
-            timers: HashMap::new(),
+            timers: IdMap::default(),
             dispatch: (0, 0, 0),
             next_token: 1,
             logins: Vec::new(),

@@ -1,6 +1,6 @@
 //! The active relay: split-TCP store-and-forward middle-box engine.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
 
@@ -10,7 +10,7 @@ use storm_iscsi::{
 use storm_net::{App, BusMsg, CloseReason, Cx, HostId, SendQueue, SockAddr, SockId};
 use storm_qos::{RateLimitSpec, RateLimiter};
 use storm_sim::trace::{flow_token, req_token, Hop, ReqToken, TraceEvent, TraceHook};
-use storm_sim::{FaultAction, FaultHook, FaultSite, SerialResource, SimDuration, SimTime};
+use storm_sim::{FaultAction, FaultHook, FaultSite, IdMap, SerialResource, SimDuration, SimTime};
 
 use super::edge::{Batch, Edge, Unit, UnitOut};
 use crate::service::{Dir, ReplicaIo, StorageService, SvcAction, SvcCtx};
@@ -281,10 +281,10 @@ pub struct ActiveRelayMb {
     services: Vec<Box<dyn StorageService>>,
     pairs: Vec<FlowPair>,
     /// Flow socket -> its pair and the direction its received bytes travel.
-    by_sock: HashMap<SockId, (usize, Dir)>,
+    by_sock: IdMap<SockId, (usize, Dir)>,
     replicas: Vec<ReplicaSession>,
-    replica_socks: HashMap<SockId, usize>,
-    timers: HashMap<u64, Timer>,
+    replica_socks: IdMap<SockId, usize>,
+    timers: IdMap<u64, Timer>,
     limiter: Option<RateLimiter>,
     next_token: u64,
     alerts: Vec<(SimTime, String)>,
@@ -311,10 +311,10 @@ impl ActiveRelayMb {
             limiter,
             services,
             pairs: Vec::new(),
-            by_sock: HashMap::new(),
+            by_sock: IdMap::default(),
             replicas: Vec::new(),
-            replica_socks: HashMap::new(),
-            timers: HashMap::new(),
+            replica_socks: IdMap::default(),
+            timers: IdMap::default(),
             next_token: 1,
             alerts: Vec::new(),
             pdus_forwarded: 0,

@@ -22,7 +22,7 @@
 //! |------|-------|-----------|
 //! | `no-wall-clock` | determinism crates | no `SystemTime`/`Instant`/`std::time` |
 //! | `no-ambient-rand` | determinism crates | no `thread_rng`/`OsRng`/`rand::random` |
-//! | `no-hash-iter` | determinism crates | no iteration over `HashMap`/`HashSet` |
+//! | `no-hash-iter` | determinism crates | no iteration over `HashMap`/`HashSet`/`IdMap` |
 //! | `no-hot-path-copy` | datapath modules | no `.to_vec()`/`copy_from_slice`/`extend_from_slice` |
 //! | `no-panic` | datapath modules | no `unwrap`/`expect`/`panic!` |
 //! | `forbid-unsafe` | every crate root and binary | `#![forbid(unsafe_code)]` present |

@@ -21,8 +21,8 @@ pub enum Rule {
     /// Determinism: no ambient (OS-seeded) randomness in simulation
     /// crates.
     NoAmbientRand,
-    /// Determinism: no iteration over `HashMap`/`HashSet` in simulation
-    /// crates (hasher order leaks into traces and metrics).
+    /// Determinism: no iteration over `HashMap`/`HashSet`/`IdMap` in
+    /// simulation crates (hasher order leaks into traces and metrics).
     NoHashIter,
     /// Zero-copy: no payload copies on datapath modules.
     NoHotPathCopy,
@@ -292,7 +292,8 @@ fn ambient_rand_hits(lx: &Lexed) -> Vec<Hit> {
     out
 }
 
-/// Collects identifiers bound to `HashMap`/`HashSet` in this file:
+/// Collects identifiers bound to `HashMap`/`HashSet`, or to
+/// `storm_sim::IdMap` (a `HashMap` under another name), in this file:
 /// struct fields and annotated bindings (`name: HashMap<..>`, possibly
 /// behind `&`/`&mut`), plus `let name = HashMap::new()`-style inits.
 fn hash_bound_names(lx: &Lexed) -> BTreeSet<String> {
@@ -300,7 +301,7 @@ fn hash_bound_names(lx: &Lexed) -> BTreeSet<String> {
     let toks = &lx.toks;
     let is_hash = |i: usize| {
         toks.get(i)
-            .is_some_and(|t| t.is_ident("HashMap") || t.is_ident("HashSet"))
+            .is_some_and(|t| t.is_ident("HashMap") || t.is_ident("HashSet") || t.is_ident("IdMap"))
     };
     for i in 0..toks.len() {
         if toks[i].kind != TokKind::Ident {

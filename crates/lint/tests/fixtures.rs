@@ -74,6 +74,16 @@ fn inline_allow_is_honored() {
     }
 }
 
+/// `storm_sim::IdMap` is a `HashMap` under another name: iterating an
+/// `IdMap` field leaks hasher order just the same, both ways of writing it.
+#[test]
+fn id_map_iteration_is_caught() {
+    let findings = run("no-hash-iter", "crates/net/src/fixture.rs", "id_map.rs");
+    let lines: Vec<u32> = findings.iter().map(|f| f.line).collect();
+    assert_eq!(lines, [9, 14], "{findings:?}");
+    assert!(findings.iter().all(|f| f.rule == "no-hash-iter"));
+}
+
 /// Regression (lexer line-map): an allow stays in force across a
 /// multi-line block comment sitting between it and the code line.
 #[test]

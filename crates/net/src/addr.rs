@@ -1,15 +1,24 @@
 //! Addressing primitives: MAC addresses, socket addresses, 4-tuples.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
 
 /// A 48-bit Ethernet MAC address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MacAddr(pub [u8; 6]);
 
+/// Hashed as one integer: one hasher word per key instead of a length
+/// prefix and six bytes (every switch hop does two FDB lookups keyed by
+/// MAC).
+impl Hash for MacAddr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.to_u64());
+    }
+}
+
 /// Ordered as one big-endian integer: the same order as comparing the six
-/// bytes lexicographically, in one compare instead of a byte loop (every
-/// switch hop does two FDB lookups keyed by MAC).
+/// bytes lexicographically, in one compare instead of a byte loop.
 impl Ord for MacAddr {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.to_u64().cmp(&other.to_u64())

@@ -20,10 +20,9 @@
 //! hop moves a pointer and allocates nothing. The one exception is a
 //! flood, which clones the frame for every egress port but the last.
 
-use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
-use storm_sim::{FaultAction, FaultHook, FaultSite, SerialResource, SimDuration, SimTime};
+use storm_sim::{FaultAction, FaultHook, FaultSite, IdMap, SerialResource, SimDuration, SimTime};
 
 use crate::addr::MacAddr;
 use crate::frame::Frame;
@@ -175,7 +174,7 @@ pub struct Fabric {
     links: Vec<Link>,
     /// The link wired to each switch port: `[switch][port]`.
     port_links: Vec<Vec<Option<LinkId>>>,
-    arp: BTreeMap<Ipv4Addr, MacAddr>,
+    arp: IdMap<Ipv4Addr, MacAddr>,
     dropped: u64,
     fault: FaultHook,
     /// Scratch for one switch hop's egress ports, reused across hops so

@@ -4,9 +4,7 @@
 use std::fmt;
 use std::net::Ipv4Addr;
 
-use std::collections::HashMap;
-
-use storm_sim::{CpuModel, SimDuration};
+use storm_sim::{CpuModel, IdMap, SimDuration};
 
 use crate::addr::{FourTuple, MacAddr};
 use crate::fabric::LinkId;
@@ -114,7 +112,7 @@ pub struct Host {
     /// originated flows).
     pub steer_rules: Vec<SteerRule>,
     /// Pinned per-flow next-hops created by steering-rule hits on SYNs.
-    pub flow_pins: HashMap<FourTuple, (Ipv4Addr, IfaceId)>,
+    pub flow_pins: IdMap<FourTuple, (Ipv4Addr, IfaceId)>,
     /// NAT rules and conntrack.
     pub nat: Nat,
     /// TCP stack.
@@ -160,7 +158,7 @@ impl Host {
             ifaces: Vec::new(),
             routes: Vec::new(),
             steer_rules: Vec::new(),
-            flow_pins: HashMap::new(),
+            flow_pins: IdMap::default(),
             nat: Nat::new(),
             tcp: TcpStack::new(tcp_config),
             cpu: CpuModel::new(cores),

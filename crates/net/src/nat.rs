@@ -8,8 +8,9 @@
 //! automatically — exactly netfilter's behaviour, which the paper's
 //! prototype relies on.
 
-use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
+
+use storm_sim::IdMap;
 
 use crate::addr::{FourTuple, SockAddr};
 
@@ -69,10 +70,11 @@ pub struct Nat {
     dnat: Vec<DnatRule>,
     snat: Vec<SnatRule>,
     // Keyed by both the original tuple (forward direction) and the reversed
-    // translated tuple (reply direction). BTreeMap, not HashMap: conntrack
-    // sweeps must never depend on hasher state (no-hash-iter invariant).
-    forward: BTreeMap<FourTuple, NatEntry>,
-    reply: BTreeMap<FourTuple, NatEntry>,
+    // translated tuple (reply direction). Point lookups only, so a
+    // fixed-hasher map; a conntrack sweep would have to sort first (the
+    // no-hash-iter lint flags iteration).
+    forward: IdMap<FourTuple, NatEntry>,
+    reply: IdMap<FourTuple, NatEntry>,
 }
 
 impl Nat {

@@ -9,6 +9,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use storm_sim::IdMap;
+
 use crate::addr::MacAddr;
 use crate::flow::{FlowAction, FlowRule, FlowTable};
 use crate::frame::Frame;
@@ -44,9 +46,9 @@ impl fmt::Display for PortNo {
 pub struct VirtualSwitch {
     name: String,
     ports: usize,
-    // BTreeMaps so port sweeps and any future FDB iteration are in
-    // address order, never hasher order (no-hash-iter invariant).
-    fdb: BTreeMap<MacAddr, PortNo>,
+    // Read twice per hop and never iterated: a fixed-hasher map (the
+    // no-hash-iter lint would flag a sweep over it).
+    fdb: IdMap<MacAddr, PortNo>,
     flows: FlowTable,
     tenant_tags: BTreeMap<PortNo, u32>,
     dropped: u64,
@@ -58,7 +60,7 @@ impl VirtualSwitch {
         VirtualSwitch {
             name: name.into(),
             ports,
-            fdb: BTreeMap::new(),
+            fdb: IdMap::default(),
             flows: FlowTable::new(),
             tenant_tags: BTreeMap::new(),
             dropped: 0,

@@ -22,10 +22,11 @@
 //! they allocate nothing themselves beyond each data segment's
 //! scatter-gather list.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use bytes::Bytes;
+use storm_sim::IdMap;
 
 use crate::addr::{FourTuple, SockAddr};
 use crate::frame::{Payload, TcpFlags, TcpSegment};
@@ -168,9 +169,9 @@ pub struct TcpCounters {
 #[derive(Debug)]
 pub struct TcpStack {
     config: TcpConfig,
-    conns: HashMap<u32, Tcb>,
-    by_tuple: HashMap<FourTuple, u32>,
-    listeners: HashMap<u16, AppId>,
+    conns: IdMap<u32, Tcb>,
+    by_tuple: IdMap<FourTuple, u32>,
+    listeners: IdMap<u16, AppId>,
     next_sock: u32,
     next_port: u16,
     counters: TcpCounters,
@@ -181,9 +182,9 @@ impl TcpStack {
     pub fn new(config: TcpConfig) -> Self {
         TcpStack {
             config,
-            conns: HashMap::new(),
-            by_tuple: HashMap::new(),
-            listeners: HashMap::new(),
+            conns: IdMap::default(),
+            by_tuple: IdMap::default(),
+            listeners: IdMap::default(),
             next_sock: 1,
             next_port: 40_000,
             counters: TcpCounters::default(),

@@ -7,8 +7,6 @@
 //! Figure 10 utilization breakdown); [`SerialResource`] models a strictly
 //! FIFO single-threaded resource (virtio vif queue, SATA disk).
 
-use std::collections::BTreeMap;
-
 use crate::{SimDuration, SimTime};
 
 /// A multi-core CPU with FIFO earliest-free-core scheduling and per-label
@@ -20,9 +18,10 @@ use crate::{SimDuration, SimTime};
 #[derive(Debug, Clone)]
 pub struct CpuModel {
     cores: Vec<SimTime>,
-    // Label-keyed BTreeMap: breakdowns iterate this, and utilization
-    // reports feed traces, so order must not depend on hasher state.
-    busy: BTreeMap<String, SimDuration>,
+    // A handful of labels per host, charged on every forwarded frame: a
+    // short list compared by `==`, in first-charge order. `breakdown`
+    // sorts, so reports never see that order.
+    busy: Vec<(String, SimDuration)>,
     total_busy: SimDuration,
 }
 
@@ -36,7 +35,7 @@ impl CpuModel {
         assert!(cores > 0, "a CPU needs at least one core");
         CpuModel {
             cores: vec![SimTime::ZERO; cores],
-            busy: BTreeMap::new(),
+            busy: Vec::new(),
             total_busy: SimDuration::ZERO,
         }
     }
@@ -59,12 +58,10 @@ impl CpuModel {
         let start = (*core).max(now);
         let done = start + cost;
         *core = done;
-        // Allocate the key only on a label's first charge.
-        match self.busy.get_mut(label) {
-            Some(busy) => *busy += cost,
-            None => {
-                self.busy.insert(label.to_owned(), cost);
-            }
+        // Allocate the label only on its first charge.
+        match self.busy.iter_mut().find(|(l, _)| l == label) {
+            Some((_, busy)) => *busy += cost,
+            None => self.busy.push((label.to_owned(), cost)),
         }
         self.total_busy += cost;
         done
@@ -72,7 +69,10 @@ impl CpuModel {
 
     /// Total busy time attributed to `label`.
     pub fn busy_for(&self, label: &str) -> SimDuration {
-        self.busy.get(label).copied().unwrap_or_default()
+        self.busy
+            .iter()
+            .find(|(l, _)| l == label)
+            .map_or(SimDuration::ZERO, |&(_, d)| d)
     }
 
     /// Busy time across all labels.
@@ -91,10 +91,11 @@ impl CpuModel {
         (self.total_busy.as_nanos() as f64 / capacity).min(1.0)
     }
 
-    /// Per-label busy times, in label order (BTreeMap iteration is
-    /// already sorted, so no post-sort is needed).
+    /// Per-label busy times, in label order.
     pub fn breakdown(&self) -> Vec<(String, SimDuration)> {
-        self.busy.iter().map(|(k, d)| (k.clone(), *d)).collect()
+        let mut out = self.busy.clone();
+        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        out
     }
 }
 

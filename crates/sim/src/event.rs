@@ -1,113 +1,40 @@
-//! The simulation event queue: a hierarchical bucketed timer wheel.
+//! The simulation event queue: a radix heap over event instants.
 //!
-//! Up to PR 7 this was a `BinaryHeap<(SimTime, seq)>`; at fleet scale
-//! (millions of queued events across thousands of tenants) the heap's
-//! `O(log n)` sift on every push/pop and its per-event allocation churn
-//! dominated the simulator's own profile. The wheel replaces it with:
+//! A monotone priority queue keyed by nanoseconds. `last` is the instant
+//! of the most recently settled head; every pending instant above it sits
+//! in one of 64 buckets, bucket `b` holding the instants whose highest bit
+//! that differs from `last` is bit `b`. Events at exactly `last` wait in a
+//! FIFO, and the rare push behind `last` (possible only after a refused
+//! [`EventQueue::pop_if`]) waits in a small ordered map that pops first.
 //!
-//! * **Hierarchical buckets** — [`LEVELS`] levels of [`SLOTS`] slots each;
-//!   level `l` slots are `SLOTS^l` ns wide, so the wheel spans
-//!   `SLOTS^LEVELS` ns (≈ 73 minutes) of lookahead. Push is `O(1)`;
-//!   pop amortizes cascades over the events that caused them, and reads
-//!   a short higher-level slot where it lies instead of cascading it
-//!   when its earliest event is provably the queue's. Events
-//!   beyond the horizon wait in a `BTreeMap` overflow ("far") list and
-//!   re-enter the wheel lazily.
-//! * **Slab-allocated nodes** — events live in one grow-only `Vec` with an
-//!   embedded free list; slot membership is an intrusive doubly-linked
-//!   list of slab indices, so steady-state scheduling allocates nothing.
-//! * **Cancel tokens** — [`EventQueue::push_cancelable`] returns a
-//!   generation-checked [`CancelToken`]; [`EventQueue::cancel`] unlinks
-//!   the node in `O(1)` and returns the event. The heap could only
-//!   tombstone.
+//! When the FIFO runs dry, the lowest occupied bucket's minimum becomes
+//! the new `last` and the bucket's keys move into lower buckets (or the
+//! FIFO): the keys of every higher bucket agree with both the old and the
+//! new `last` above their bucket bit, so they stay where they are, and a
+//! key only ever moves down. Push is `O(1)`; a pop is amortised over the
+//! at most 64 moves of each key.
 //!
-//! # Ordering contract (unchanged from the heap)
+//! Events live in a slab with a free list, and buckets hold `(at, slab
+//! index)` keys, so steady-state scheduling allocates nothing and a
+//! redistribution moves 16-byte keys, not events.
+//!
+//! # Ordering contract
 //!
 //! Events pop in non-decreasing `(time, push sequence)` order: equal
-//! instants are FIFO, which keeps equal-seed traces byte-identical. The
-//! wheel may internally advance its cursor while *peeking* (cascading a
-//! higher-level slot down), but the cursor never passes the earliest
-//! pending event, so an event pushed at or after the last popped time is
-//! always delivered in exact order. Pushing *before* the last popped time
-//! is delivered as soon as possible (next pop), still `(time, seq)`
-//! ordered against any other late events — the same observable behavior
-//! the engine's `debug_assert!(t >= now)` permits.
+//! instants are FIFO, which keeps equal-seed traces byte-identical. No
+//! sequence number is compared for it. Equal instants always share a
+//! bucket (the bucket is a function of the instant and `last`), pushes
+//! append, and a bucket is refilled from a higher one only while it is
+//! empty, so every bucket lists each instant's keys in push order, and
+//! the FIFO receives them that way. Pushing *before* the last settled
+//! instant is delivered as soon as possible (next pop), `(time, push
+//! order)`-ordered against other late events — the same observable
+//! behaviour the engine's `debug_assert!(t >= now)` permits.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use crate::SimTime;
-
-/// Slots per wheel level (must be 64: occupancy is a `u64` bitmap).
-const SLOTS: usize = 64;
-/// log2(SLOTS).
-const SLOT_BITS: u32 = 6;
-/// Wheel levels. Level `l` covers deltas in `[64^l, 64^(l+1))` ns, so the
-/// whole wheel spans `64^7` ns ≈ 4398 s; longer timers go to the far list.
-const LEVELS: usize = 7;
-/// First delta that no longer fits the wheel.
-const SPAN: u64 = 1 << (SLOT_BITS * LEVELS as u32); // 64^LEVELS
-
-/// Sentinel slab index ("null pointer" of the intrusive lists).
-const NIL: u32 = u32::MAX;
-
-/// Longest higher-level slot the search reads in place instead of
-/// cascading (see [`EventQueue::direct_candidate`]): reading costs one
-/// visit per node per pop, cascading one re-placement per node once, so
-/// only a short slot is cheaper read where it lies.
-const DIRECT_MAX: usize = 8;
-
-/// Where a live node currently lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Loc {
-    /// In `levels[level].slots[slot]`'s linked list.
-    Wheel { level: u8, slot: u8 },
-    /// In the far (beyond-horizon) `BTreeMap`.
-    Far,
-    /// On the free list (not a live event).
-    Free,
-}
-
-/// One slab entry: the event plus its intrusive list links.
-struct Node<E> {
-    at: u64,
-    seq: u64,
-    /// Bumped on every free; stale [`CancelToken`]s fail the check.
-    gen: u32,
-    prev: u32,
-    next: u32,
-    loc: Loc,
-    event: Option<E>,
-}
-
-/// Head/tail of one slot's doubly-linked node list.
-#[derive(Clone, Copy)]
-struct Slot {
-    head: u32,
-    tail: u32,
-}
-
-impl Slot {
-    const EMPTY: Slot = Slot {
-        head: NIL,
-        tail: NIL,
-    };
-}
-
-/// One wheel level: 64 slots plus an occupancy bitmap.
-struct Level {
-    occupied: u64,
-    slots: [Slot; SLOTS],
-}
-
-impl Level {
-    fn new() -> Self {
-        Level {
-            occupied: 0,
-            slots: [Slot::EMPTY; SLOTS],
-        }
-    }
-}
 
 /// A handle to a scheduled event, returned by
 /// [`EventQueue::push_cancelable`].
@@ -117,31 +44,48 @@ impl Level {
 /// slab entry has been reused for a different event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CancelToken {
+    at: u64,
     idx: u32,
     gen: u32,
+}
+
+/// One slab entry.
+struct Slot<E> {
+    /// Bumped on every release; stale [`CancelToken`]s fail the check.
+    gen: u32,
+    event: Option<E>,
 }
 
 /// A time-ordered queue of simulation events.
 ///
 /// Events scheduled for the same instant are delivered in insertion order
 /// (FIFO), which makes simulations deterministic: replaying the same seed
-/// yields the same event interleaving. See the module docs for the wheel
-/// internals and the exact ordering contract.
+/// yields the same event interleaving. See the module docs for the layout
+/// and the exact ordering contract.
 pub struct EventQueue<E> {
-    slab: Vec<Node<E>>,
+    slab: Vec<Slot<E>>,
     /// LIFO free list of slab indices (deterministic reuse order).
     free: Vec<u32>,
-    levels: [Level; LEVELS],
-    /// Bit `l` is set iff `levels[l]` holds a node: the search visits
-    /// only those levels.
-    occupied_levels: u8,
-    /// Beyond-horizon events keyed by `(at, seq)` — exact global order.
-    far: BTreeMap<(u64, u64), u32>,
-    /// The wheel cursor in ns. Never passes the earliest pending event.
-    cursor: u64,
-    seq: u64,
+    /// `(at, slab index)` keys of the events pending after `last`, by the
+    /// highest bit in which `at` differs from `last`.
+    buckets: [Vec<(u64, u32)>; 64],
+    /// Bit `b` is set iff `buckets[b]` is non-empty.
+    occupied: u64,
+    /// Slab indices of the events at exactly `last`, in push order.
+    now: VecDeque<u32>,
+    /// Events pushed behind `last`, keyed by `(at, late push number)`.
+    late: BTreeMap<(u64, u64), u32>,
+    late_pushes: u64,
+    /// The settled head instant in ns; no pending event outside `late` is
+    /// earlier.
+    last: u64,
     popped: u64,
     len: usize,
+}
+
+/// The bucket of a pending instant `at > last`.
+fn bucket(at: u64, last: u64) -> usize {
+    63 - (at ^ last).leading_zeros() as usize
 }
 
 impl<E> EventQueue<E> {
@@ -150,11 +94,12 @@ impl<E> EventQueue<E> {
         EventQueue {
             slab: Vec::new(),
             free: Vec::new(),
-            levels: std::array::from_fn(|_| Level::new()),
-            occupied_levels: 0,
-            far: BTreeMap::new(),
-            cursor: 0,
-            seq: 0,
+            buckets: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
+            now: VecDeque::new(),
+            late: BTreeMap::new(),
+            late_pushes: 0,
+            last: 0,
             popped: 0,
             len: 0,
         }
@@ -168,12 +113,21 @@ impl<E> EventQueue<E> {
     /// Schedules `event` for delivery at instant `at`, returning a token
     /// that can later [`cancel`](Self::cancel) it.
     pub fn push_cancelable(&mut self, at: SimTime, event: E) -> CancelToken {
-        let seq = self.seq;
-        self.seq += 1;
-        let idx = self.alloc(at.as_nanos(), seq, event);
-        self.place(idx);
+        let at = at.as_nanos();
+        let idx = self.alloc(event);
+        if at > self.last {
+            let b = bucket(at, self.last);
+            self.buckets[b].push((at, idx));
+            self.occupied |= 1 << b;
+        } else if at == self.last {
+            self.now.push_back(idx);
+        } else {
+            self.late.insert((at, self.late_pushes), idx);
+            self.late_pushes += 1;
+        }
         self.len += 1;
         CancelToken {
+            at,
             idx,
             gen: self.slab[idx as usize].gen,
         }
@@ -181,17 +135,35 @@ impl<E> EventQueue<E> {
 
     /// Cancels a scheduled event, returning it if it was still pending.
     ///
-    /// Unlinks the slab node in `O(1)`; a token whose event already popped
-    /// (or was already cancelled) returns `None`.
+    /// A token whose event already popped (or was already cancelled)
+    /// returns `None`. The key is searched from the back of its one
+    /// bucket, so cancelling a recent push is cheap.
     pub fn cancel(&mut self, token: CancelToken) -> Option<E> {
-        let node = self.slab.get(token.idx as usize)?;
-        if node.gen != token.gen || node.loc == Loc::Free {
+        let CancelToken { at, idx, gen } = token;
+        if self.slab.get(idx as usize)?.gen != gen {
             return None;
         }
-        self.unlink(token.idx);
-        let event = self.release(token.idx);
+        if at > self.last {
+            let b = bucket(at, self.last);
+            let keys = &mut self.buckets[b];
+            let pos = keys.iter().rposition(|&key| key == (at, idx));
+            keys.remove(pos.expect("a pending key sits in its bucket"));
+            if keys.is_empty() {
+                self.occupied &= !(1 << b);
+            }
+        } else if at == self.last {
+            let pos = self.now.iter().rposition(|&i| i == idx);
+            self.now
+                .remove(pos.expect("an event at `last` is in `now`"));
+        } else {
+            let mut late = self.late.range((at, 0)..=(at, u64::MAX));
+            let (&key, _) = late
+                .find(|&(_, &i)| i == idx)
+                .expect("an early event is late");
+            self.late.remove(&key);
+        }
         self.len -= 1;
-        Some(event)
+        Some(self.release(idx))
     }
 
     /// Removes and returns the earliest event, if any.
@@ -205,30 +177,28 @@ impl<E> EventQueue<E> {
     /// One search where [`peek_time`](Self::peek_time) followed by
     /// [`pop`](Self::pop) does two — the shape of every bounded run loop
     /// ("deliver while the head is at or before `end`"). Like `peek_time`,
-    /// a refused call may still cascade and advance the cursor up to (never
-    /// past) the refused head.
+    /// a refused call may settle the refused head's instant as `last`.
     pub fn pop_if(&mut self, due: impl FnOnce(SimTime) -> bool) -> Option<(SimTime, E)> {
-        let idx = self.find_earliest()?;
-        let at = self.slab[idx as usize].at;
+        let at = self.head()?;
         if !due(SimTime::from_nanos(at)) {
             return None;
         }
-        self.unlink(idx);
-        let event = self.release(idx);
+        let idx = match self.late.pop_first() {
+            Some((_, idx)) => idx,
+            None => self.now.pop_front().expect("a settled head is in `now`"),
+        };
         self.len -= 1;
         self.popped += 1;
-        self.cursor = self.cursor.max(at);
-        Some((SimTime::from_nanos(at), event))
+        Some((SimTime::from_nanos(at), self.release(idx)))
     }
 
     /// The delivery instant of the next event, if any.
     ///
-    /// Takes `&mut self`: locating the earliest event may cascade
-    /// higher-level buckets down (never past that event), which is exactly
-    /// the work a subsequent [`pop`](Self::pop) would have done anyway.
+    /// Takes `&mut self`: locating the earliest event may settle a bucket,
+    /// which is exactly the work a subsequent [`pop`](Self::pop) would
+    /// have done anyway.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        let idx = self.find_earliest()?;
-        Some(SimTime::from_nanos(self.slab[idx as usize].at))
+        self.head().map(SimTime::from_nanos)
     }
 
     /// Number of events waiting in the queue.
@@ -246,330 +216,63 @@ impl<E> EventQueue<E> {
         self.popped
     }
 
-    // ------------------------------------------------------------------
-    // Slab management
-    // ------------------------------------------------------------------
-
-    fn alloc(&mut self, at: u64, seq: u64, event: E) -> u32 {
-        if let Some(idx) = self.free.pop() {
-            let node = &mut self.slab[idx as usize];
-            node.at = at;
-            node.seq = seq;
-            node.prev = NIL;
-            node.next = NIL;
-            node.event = Some(event);
-            idx
-        } else {
-            let idx = self.slab.len() as u32;
-            assert!(idx != NIL, "event slab exhausted");
-            self.slab.push(Node {
-                at,
-                seq,
-                gen: 0,
-                prev: NIL,
-                next: NIL,
-                loc: Loc::Free,
-                event: Some(event),
-            });
-            idx
+    /// The earliest pending instant: the first late event's, else `last`
+    /// once `now` holds the events there.
+    fn head(&mut self) -> Option<u64> {
+        if let Some((&(at, _), _)) = self.late.first_key_value() {
+            return Some(at);
         }
+        if self.now.is_empty() {
+            self.settle()?;
+        }
+        Some(self.last)
     }
 
-    /// Frees a node (bumping its generation) and takes its event out.
-    fn release(&mut self, idx: u32) -> E {
-        let node = &mut self.slab[idx as usize];
-        node.loc = Loc::Free;
-        node.gen = node.gen.wrapping_add(1);
-        node.prev = NIL;
-        node.next = NIL;
-        self.free.push(idx);
-        node.event.take().expect("released node holds an event")
-    }
-
-    // ------------------------------------------------------------------
-    // Placement
-    // ------------------------------------------------------------------
-
-    /// Inserts node `idx` into the wheel (or far list) according to its
-    /// delta from the cursor, appending at the slot tail so same-instant
-    /// events keep push order.
-    fn place(&mut self, idx: u32) {
-        let at = self.slab[idx as usize].at;
-        let delta = at.saturating_sub(self.cursor);
-        if delta >= SPAN {
-            let seq = self.slab[idx as usize].seq;
-            self.slab[idx as usize].loc = Loc::Far;
-            self.far.insert((at, seq), idx);
-            return;
-        }
-        // Level from the highest set bit of the delta: level l covers
-        // deltas in [64^l, 64^(l+1)). A past-time push (delta 0 via
-        // saturation) lands in the cursor's own level-0 slot and is
-        // delivered on the next pop.
-        let level = if delta < SLOTS as u64 {
-            0
-        } else {
-            ((63 - delta.leading_zeros()) / SLOT_BITS) as usize
-        };
-        let slot = if level == 0 && at < self.cursor {
-            (self.cursor >> (SLOT_BITS * level as u32)) as usize & (SLOTS - 1)
-        } else {
-            (at >> (SLOT_BITS * level as u32)) as usize & (SLOTS - 1)
-        };
-        self.slab[idx as usize].loc = Loc::Wheel {
-            level: level as u8,
-            slot: slot as u8,
-        };
-        let s = &mut self.levels[level].slots[slot];
-        if s.tail == NIL {
-            s.head = idx;
-            s.tail = idx;
-        } else {
-            self.slab[s.tail as usize].next = idx;
-            self.slab[idx as usize].prev = s.tail;
-            s.tail = idx;
-        }
-        self.levels[level].occupied |= 1 << slot;
-        self.occupied_levels |= 1 << level;
-    }
-
-    /// Marks `levels[level].slots[slot]` (just emptied) unoccupied.
-    fn vacate(&mut self, level: usize, slot: usize) {
-        self.levels[level].occupied &= !(1 << slot);
-        if self.levels[level].occupied == 0 {
-            self.occupied_levels &= !(1 << level);
-        }
-    }
-
-    /// Unlinks a live node from whichever container holds it.
-    fn unlink(&mut self, idx: u32) {
-        match self.slab[idx as usize].loc {
-            Loc::Wheel { level, slot } => {
-                let (prev, next) = {
-                    let n = &self.slab[idx as usize];
-                    (n.prev, n.next)
-                };
-                if prev != NIL {
-                    self.slab[prev as usize].next = next;
-                }
-                if next != NIL {
-                    self.slab[next as usize].prev = prev;
-                }
-                let s = &mut self.levels[level as usize].slots[slot as usize];
-                if s.head == idx {
-                    s.head = next;
-                }
-                if s.tail == idx {
-                    s.tail = prev;
-                }
-                if s.head == NIL {
-                    self.vacate(level as usize, slot as usize);
-                }
-            }
-            Loc::Far => {
-                let key = {
-                    let n = &self.slab[idx as usize];
-                    (n.at, n.seq)
-                };
-                self.far.remove(&key);
-            }
-            Loc::Free => unreachable!("unlink of a free node"),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Search & cascades
-    // ------------------------------------------------------------------
-
-    /// Lower-bound arrival time of the first occupied slot of `level`
-    /// (which must hold a node), as `(slot, start_time)`, walking forward
-    /// from the cursor.
-    ///
-    /// The start is a lower bound on every event in the slot, exact for
-    /// all but two mixed-content cases (late pushes in level 0's current
-    /// slot; a higher level's current slot straddling the cursor's block
-    /// and the next rotation), which the caller resolves by scanning or
-    /// cascading respectively.
-    fn level_candidate(&self, level: usize) -> (usize, u64) {
-        let lv = &self.levels[level];
-        debug_assert!(lv.occupied != 0, "candidate of an empty level");
-        let shift = SLOT_BITS * level as u32;
-        let block = self.cursor >> shift; // current slot counter
-        let cur = (block as usize) & (SLOTS - 1);
-        // Rotate so the current slot is bit 0, then take the first set bit.
-        let rotated = lv.occupied.rotate_right(cur as u32);
-        let dist = rotated.trailing_zeros() as u64; // 0 = the current slot
-        if dist == 0 {
-            let slot = cur;
-            if level == 0 || self.slot_holds_current_block(level, slot, block) {
-                // The cursor's own slot with current-tick content: level 0
-                // may mix late pushes with the cursor-tick event (exact
-                // times read by the caller); a higher level holding a
-                // current-block event must cascade now. Either way the
-                // cursor does not move.
-                return (slot, self.cursor);
-            }
-            // The cursor's slot holds only next-rotation events (same
-            // residue, 64 blocks on) — a full rotation LATER than any
-            // other occupied slot at this level, so rotation distance is
-            // not monotone in time here: prefer the next occupied slot if
-            // there is one.
-            let rest = rotated & !1;
-            if rest != 0 {
-                let dist = rest.trailing_zeros() as u64;
-                let slot = (cur + dist as usize) & (SLOTS - 1);
-                return (slot, (block + dist) << shift);
-            }
-            return (slot, (block + SLOTS as u64) << shift);
-        }
-        // A distance-d slot (d >= 1) holds exactly block `block + d`
-        // events: an older rotation would already have been passed (the
-        // cursor never passes a pending event) and a newer one would need
-        // placement distance d + 64 > 64, more than placement allows.
-        let slot = (cur + dist as usize) & (SLOTS - 1);
-        (slot, (block + dist) << shift)
-    }
-
-    /// Whether any node in `levels[level].slots[slot]` belongs to the
-    /// cursor's current block at that level (as opposed to the next
-    /// rotation, 64 blocks later — the only other possibility).
-    fn slot_holds_current_block(&self, level: usize, slot: usize, block: u64) -> bool {
-        let shift = SLOT_BITS * level as u32;
-        let mut cur = self.levels[level].slots[slot].head;
-        while cur != NIL {
-            let n = &self.slab[cur as usize];
-            if n.at >> shift == block {
-                return true;
-            }
-            cur = n.next;
-        }
-        false
-    }
-
-    /// The `(at, seq)`-earliest node of a higher-level slot, if the slot
-    /// holds at most [`DIRECT_MAX`] nodes and that node's instant is
-    /// strictly earlier than `rest`, a lower bound on every event outside
-    /// the slot's level.
-    ///
-    /// Such a node is the queue's earliest where it lies: the slot is its
-    /// level's first, so the rest of the level is later, and strictness
-    /// leaves no equal-instant twin elsewhere that a lower `seq` would put
-    /// ahead of it.
-    fn direct_candidate(&self, level: usize, slot: usize, rest: u64) -> Option<u32> {
-        let mut cur = self.levels[level].slots[slot].head;
-        let mut min = (u64::MAX, u64::MAX, NIL);
-        for _ in 0..DIRECT_MAX {
-            if cur == NIL {
-                break;
-            }
-            let n = &self.slab[cur as usize];
-            min = min.min((n.at, n.seq, cur));
-            cur = n.next;
-        }
-        (cur == NIL && min.0 < rest).then_some(min.2)
-    }
-
-    /// Finds the slab index of the earliest `(at, seq)` event, cascading
-    /// higher-level buckets down (and pulling far events in) until it sits
-    /// in a level-0 slot or is the [`direct_candidate`](Self::direct_candidate)
-    /// of a short higher-level one. Advances the cursor, but never past
-    /// the earliest pending event. Returns `None` when the queue is empty.
-    fn find_earliest(&mut self) -> Option<u32> {
-        if self.len == 0 {
+    /// Makes the lowest occupied bucket's minimum the new `last`: its
+    /// events go to `now` in bucket order, the rest of the bucket's keys
+    /// to lower buckets. `None` when no bucket holds a key.
+    fn settle(&mut self) -> Option<()> {
+        if self.occupied == 0 {
             return None;
         }
-        loop {
-            // Best wheel candidate: the lowest lower-bound start time.
-            // Ties prefer the HIGHEST level: a tied higher-level slot must
-            // cascade before level 0 is read, or a same-instant event
-            // stuck up-wheel would pop after a later-pushed twin (FIFO
-            // violation). Cascading on a tie is always safe — it only
-            // redistributes nodes — so `<=` keeps the last (highest) tie.
-            // `rest` is the lowest bound among the levels that lost.
-            let mut best: Option<(usize, usize, u64)> = None; // (level, slot, start)
-            let mut rest = u64::MAX;
-            let mut levels = self.occupied_levels;
-            while levels != 0 {
-                let level = levels.trailing_zeros() as usize;
-                levels &= levels - 1;
-                let (slot, start) = self.level_candidate(level);
-                match best {
-                    Some((_, _, s)) if s < start => rest = rest.min(start),
-                    Some((_, _, s)) => {
-                        rest = rest.min(s);
-                        best = Some((level, slot, start));
-                    }
-                    None => best = Some((level, slot, start)),
-                }
-            }
-            let far = self.far.first_key_value().map(|(&key, &idx)| (key, idx));
-            match (best, far) {
-                (None, None) => return None,
-                // Far event at or before every wheel lower bound: advance
-                // and pull it in. Ties also pull (`<=`): an equal-time far
-                // event may carry a lower seq than its wheel twin, and
-                // once in the wheel the level-0 scan orders them exactly.
-                (best, Some((key, idx))) if best.is_none_or(|(_, _, s)| key.0 <= s) => {
-                    // `key.0 <= min start <= min wheel at`, so the cursor
-                    // may jump to it without passing anything. The guard
-                    // is vacuously true for an empty wheel, so a far
-                    // event always finds a home here.
-                    self.cursor = self.cursor.max(key.0);
-                    self.far.remove(&key);
-                    self.place(idx);
-                }
-                (None, Some(_)) => unreachable!("far pull guard covers an empty wheel"),
-                (Some((0, slot, start)), _) => {
-                    // Exact: scan the slot for the minimum (at, seq).
-                    // Normally all nodes share one tick (only push order
-                    // varies); the cursor's own slot may also hold late
-                    // pushes with arbitrary earlier times.
-                    self.cursor = self.cursor.max(start);
-                    let mut cur = self.levels[0].slots[slot].head;
-                    let mut min_idx = cur;
-                    let mut min_key = {
-                        let n = &self.slab[cur as usize];
-                        (n.at, n.seq)
-                    };
-                    while cur != NIL {
-                        let n = &self.slab[cur as usize];
-                        if (n.at, n.seq) < min_key {
-                            min_key = (n.at, n.seq);
-                            min_idx = cur;
-                        }
-                        cur = n.next;
-                    }
-                    return Some(min_idx);
-                }
-                (Some((level, slot, start)), far) => {
-                    // No pending event precedes `start`, so the cursor
-                    // may advance to it: the slot is then the cursor's
-                    // own block at its level, which `level_candidate`
-                    // reports as `(slot, cursor)` for as long as a
-                    // current-block node stays in it.
-                    self.cursor = self.cursor.max(start);
-                    let rest = far.map_or(rest, |((at, _), _)| rest.min(at));
-                    if let Some(idx) = self.direct_candidate(level, slot, rest) {
-                        return Some(idx);
-                    }
-                    // Cascade. Current-block nodes re-place at least one
-                    // level lower (their delta from the cursor is under
-                    // this level's slot width); next-rotation nodes
-                    // re-place by their own delta and are found again via
-                    // their true block start.
-                    let mut cur = self.levels[level].slots[slot].head;
-                    self.levels[level].slots[slot] = Slot::EMPTY;
-                    self.vacate(level, slot);
-                    while cur != NIL {
-                        let next = self.slab[cur as usize].next;
-                        self.slab[cur as usize].prev = NIL;
-                        self.slab[cur as usize].next = NIL;
-                        self.place(cur);
-                        cur = next;
-                    }
-                }
+        let b = self.occupied.trailing_zeros() as usize;
+        self.occupied &= !(1 << b);
+        let mut keys = std::mem::take(&mut self.buckets[b]);
+        let last = keys.iter().map(|&(at, _)| at).min()?;
+        self.last = last;
+        for &(at, idx) in &keys {
+            if at == last {
+                self.now.push_back(idx);
+            } else {
+                let lower = bucket(at, last);
+                self.buckets[lower].push((at, idx));
+                self.occupied |= 1 << lower;
             }
         }
+        keys.clear();
+        self.buckets[b] = keys;
+        Some(())
+    }
+
+    fn alloc(&mut self, event: E) -> u32 {
+        if let Some(idx) = self.free.pop() {
+            self.slab[idx as usize].event = Some(event);
+            return idx;
+        }
+        let idx = u32::try_from(self.slab.len()).expect("event slab exhausted");
+        self.slab.push(Slot {
+            gen: 0,
+            event: Some(event),
+        });
+        idx
+    }
+
+    /// Frees a slot (bumping its generation) and takes its event out.
+    fn release(&mut self, idx: u32) -> E {
+        let slot = &mut self.slab[idx as usize];
+        slot.gen = slot.gen.wrapping_add(1);
+        self.free.push(idx);
+        slot.event.take().expect("a released slot holds an event")
     }
 }
 
@@ -584,7 +287,7 @@ impl<E> fmt::Debug for EventQueue<E> {
         f.debug_struct("EventQueue")
             .field("len", &self.len)
             .field("delivered", &self.popped)
-            .field("cursor_ns", &self.cursor)
+            .field("last_ns", &self.last)
             .finish_non_exhaustive()
     }
 }
@@ -593,6 +296,12 @@ impl<E> fmt::Debug for EventQueue<E> {
 mod tests {
     use super::*;
     use crate::SimDuration;
+
+    fn drain<E>(q: &mut EventQueue<E>) -> Vec<(u64, E)> {
+        std::iter::from_fn(|| q.pop())
+            .map(|(t, e)| (t.as_nanos(), e))
+            .collect()
+    }
 
     #[test]
     fn pops_in_time_order() {
@@ -634,8 +343,8 @@ mod tests {
         q.push(SimTime::from_nanos(5_000), "late");
         assert_eq!(q.pop_if(|t| t < SimTime::from_nanos(5_000)), None);
         assert_eq!(q.len(), 1);
-        // The refused search cascaded towards 5000; an earlier push still
-        // pops first.
+        // The refused search settled 5000; an earlier push still pops
+        // first.
         q.push(SimTime::from_nanos(70), "early");
         let bound = SimTime::from_nanos(5_000);
         assert_eq!(q.pop_if(|t| t <= bound).unwrap().1, "early");
@@ -645,31 +354,16 @@ mod tests {
     }
 
     #[test]
-    fn crosses_level_boundaries() {
-        // One event per level, including one past the wheel horizon.
+    fn spans_many_buckets() {
         let mut q = EventQueue::new();
         let mut expect = Vec::new();
-        for l in 0..=LEVELS as u32 {
-            let t = 3u64 << (SLOT_BITS * l);
-            q.push(SimTime::from_nanos(t), l);
-            expect.push((t, l));
+        for k in 0..=10u32 {
+            let t = 3u64 << (6 * k);
+            q.push(SimTime::from_nanos(t), k);
+            expect.push((t, k));
         }
         expect.sort_unstable();
-        let got: Vec<_> = std::iter::from_fn(|| q.pop())
-            .map(|(t, e)| (t.as_nanos(), e))
-            .collect();
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn far_events_reenter_the_wheel() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_nanos(SPAN * 2 + 5), "far");
-        q.push(SimTime::from_nanos(1), "near");
-        assert_eq!(q.pop().unwrap().1, "near");
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(SPAN * 2 + 5)));
-        assert_eq!(q.pop().unwrap().1, "far");
-        assert!(q.pop().is_none());
+        assert_eq!(drain(&mut q), expect);
     }
 
     #[test]
@@ -677,7 +371,7 @@ mod tests {
         let mut q = EventQueue::new();
         let a = q.push_cancelable(SimTime::from_nanos(10), "a");
         let b = q.push_cancelable(SimTime::from_nanos(20), "b");
-        let far = q.push_cancelable(SimTime::from_nanos(SPAN * 3), "far");
+        let far = q.push_cancelable(SimTime::from_nanos(1 << 50), "far");
         assert_eq!(q.cancel(a), Some("a"));
         assert_eq!(q.cancel(far), Some("far"));
         assert_eq!(q.len(), 1);
@@ -686,6 +380,20 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime::from_nanos(20), "b")));
         assert_eq!(q.cancel(b), None);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn cancel_reaches_now_and_late_events() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_nanos(100), "first");
+        let twin = q.push_cancelable(SimTime::from_nanos(500), "twin");
+        q.push(SimTime::from_nanos(500), "head");
+        assert_eq!(q.pop().unwrap().1, "first");
+        assert_eq!(q.pop_if(|t| t.as_nanos() < 500), None); // settles 500
+        let late = q.push_cancelable(SimTime::from_nanos(300), "late");
+        assert_eq!(q.cancel(late), Some("late"));
+        assert_eq!(q.cancel(twin), Some("twin"));
+        assert_eq!(drain(&mut q), [(500, "head")]);
     }
 
     #[test]
@@ -719,85 +427,68 @@ mod tests {
     }
 
     #[test]
-    fn next_rotation_slot_does_not_mask_nearer_slots() {
-        // Regression: with the cursor at 100 (level-1 block 1, residue 1),
-        // an event at 4160 lands in level-1 block 65 — the SAME residue,
-        // i.e. the cursor's own slot, one rotation ahead. A later event at
-        // 200 (block 3) sits two slots "ahead" by rotation distance but
-        // 3960 ns earlier in time. The level scan must not let the
-        // rotation-distance-0 slot shadow it.
+    fn push_at_a_refused_head_pops_after_it() {
         let mut q = EventQueue::new();
-        q.push(SimTime::from_nanos(100), "setup");
-        assert_eq!(q.pop().unwrap().1, "setup"); // cursor -> 100
-        q.push(SimTime::from_nanos(4_160), "next-rotation");
-        q.push(SimTime::from_nanos(200), "nearer");
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(200), "nearer")));
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(4_160), "next-rotation")));
-        assert!(q.pop().is_none());
+        q.push(SimTime::from_nanos(5_000), "head");
+        q.push(SimTime::from_nanos(9_000), "later");
+        // The refusal settles 5000 and moves "head" into `now`; a twin
+        // pushed afterwards must queue behind it.
+        assert_eq!(q.pop_if(|t| t.as_nanos() < 5_000), None);
+        q.push(SimTime::from_nanos(5_000), "twin");
+        assert_eq!(
+            drain(&mut q),
+            [(5_000, "head"), (5_000, "twin"), (9_000, "later")]
+        );
     }
 
     #[test]
-    fn dense_same_slot_distinct_ticks_stay_sorted() {
-        // Distinct nanoseconds mapping to one level-1 slot must still pop
-        // in time order after the cascade redistributes them.
+    fn push_between_last_pop_and_refused_head_pops_first() {
         let mut q = EventQueue::new();
-        for i in (0..SLOTS as u64).rev() {
-            q.push(SimTime::from_nanos(SLOTS as u64 + i), i);
-        }
-        let got: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(got, (0..SLOTS as u64).collect::<Vec<_>>());
-    }
-
-    /// The earliest pending instant, by brute force over the slab.
-    fn earliest_pending<E>(q: &EventQueue<E>) -> Option<u64> {
-        q.slab
-            .iter()
-            .filter(|n| n.loc != Loc::Free)
-            .map(|n| n.at)
-            .min()
+        q.push(SimTime::from_nanos(100), "popped");
+        q.push(SimTime::from_nanos(5_000), "head");
+        assert_eq!(q.pop().unwrap().1, "popped");
+        assert_eq!(q.pop_if(|t| t.as_nanos() <= 1_000), None);
+        // Behind the settled 5000: through the late map, in (time, push)
+        // order, ahead of the head.
+        q.push(SimTime::from_nanos(4_000), "late-b");
+        q.push(SimTime::from_nanos(3_000), "late-a");
+        q.push(SimTime::from_nanos(4_000), "late-c");
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(3_000)));
+        assert_eq!(
+            drain(&mut q),
+            [
+                (3_000, "late-a"),
+                (4_000, "late-b"),
+                (4_000, "late-c"),
+                (5_000, "head")
+            ]
+        );
     }
 
     #[test]
-    fn short_slots_pop_where_they_lie_and_the_cursor_never_passes_an_event() {
-        let mut rng = crate::SimRng::seed_from_u64(22);
+    fn instants_across_bit_63_up_to_the_last_nanosecond() {
+        let top = 1u64 << 63;
         let mut q = EventQueue::new();
-        let mut in_place = 0;
-        // Every push is at or after the cursor (a push behind it is the
-        // late-push case, delivered next whatever the cursor says), so
-        // the cursor must never be found past a pending event.
-        for step in 0..4_000u64 {
-            // A cluster of 1..=9 events some microseconds ahead: one
-            // higher-level slot, on either side of the cap.
-            let base = q.cursor + rng.range(64, 300_000);
-            for i in 0..rng.range(1, 10) {
-                q.push(SimTime::from_nanos(base + i * rng.below(4)), step);
-            }
-            for _ in 0..rng.range(1, 12) {
-                let Some(idx) = q.find_earliest() else {
-                    break;
-                };
-                let head = q.slab[idx as usize].at;
-                assert_eq!(Some(head), earliest_pending(&q));
-                assert!(q.cursor <= head, "the search passed the head");
-                if matches!(q.slab[idx as usize].loc, Loc::Wheel { level, .. } if level > 0) {
-                    in_place += 1;
-                }
-                if rng.chance(0.2) {
-                    // A refused peek, then a push before the refused head:
-                    // into the head's own block, where the cursor now is.
-                    assert_eq!(q.pop_if(|t| t.as_nanos() < head), None);
-                    assert!(q.cursor <= head);
-                    q.push(SimTime::from_nanos(rng.range(q.cursor, head + 1)), step);
-                }
-                let (at, _) = q.pop().expect("a head was found");
-                assert!(at.as_nanos() <= head);
-                assert_eq!(q.cursor, at.as_nanos());
-                assert!(earliest_pending(&q).is_none_or(|next| q.cursor <= next));
-            }
+        for (i, t) in [u64::MAX, top, top - 1, 7, u64::MAX - 1, top, u64::MAX]
+            .into_iter()
+            .enumerate()
+        {
+            q.push(SimTime::from_nanos(t), i);
         }
-        assert!(
-            in_place > 1_000,
-            "only {in_place} pops were served in place"
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(7), 3)));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(top - 1), 2)));
+        // Past bit 63 now: a push there still orders against the rest.
+        q.push(SimTime::from_nanos(top + 1), 7);
+        assert_eq!(
+            drain(&mut q),
+            [
+                (top, 1),
+                (top, 5),
+                (top + 1, 7),
+                (u64::MAX - 1, 4),
+                (u64::MAX, 0),
+                (u64::MAX, 6)
+            ]
         );
     }
 }

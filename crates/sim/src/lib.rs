@@ -2,11 +2,11 @@
 //!
 //! The paper evaluates StorM on a 10-machine OpenStack testbed. This crate
 //! replaces that hardware with a deterministic discrete-event engine: virtual
-//! time ([`SimTime`]), an ordered event queue ([`EventQueue`]), contended
-//! resources ([`CpuModel`], [`SerialResource`]) and measurement primitives
-//! ([`metrics`]). Higher layers (`storm-net`, `storm-cloud`, `storm-core`)
-//! build the network fabric, hosts and middle-boxes on top of these
-//! primitives.
+//! time ([`SimTime`]), a radix-heap event queue ([`EventQueue`]), contended
+//! resources ([`CpuModel`], [`SerialResource`]), fixed-hasher lookup
+//! tables ([`IdMap`]) and measurement primitives ([`metrics`]). Higher
+//! layers (`storm-net`, `storm-cloud`, `storm-core`) build the network
+//! fabric, hosts and middle-boxes on top of these primitives.
 //!
 //! There is no executor beyond the queue: every simulation, from one
 //! initiator to `storm-bench`'s thousand-tenant fleet, runs its events on
@@ -34,6 +34,7 @@ mod cpu;
 mod event;
 pub mod fault;
 pub mod hist;
+mod idmap;
 pub mod metrics;
 mod rng;
 mod time;
@@ -43,6 +44,7 @@ pub use cpu::{CpuModel, SerialResource};
 pub use event::{CancelToken, EventQueue};
 pub use fault::{FaultAction, FaultHook, FaultPoint, FaultSite};
 pub use hist::Histogram;
+pub use idmap::{IdHasher, IdMap};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 pub use trace::{flow_token, req_token, Hop, ReqToken, TraceEvent, TraceHook, TraceSink};

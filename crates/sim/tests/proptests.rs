@@ -6,8 +6,8 @@ use std::collections::BinaryHeap;
 use proptest::prelude::*;
 use storm_sim::{CancelToken, CpuModel, EventQueue, SerialResource, SimDuration, SimTime};
 
-/// The event queue the timer wheel replaced, kept as the differential
-/// reference model: a binary heap ordered by `(time, push sequence)`.
+/// The event queue's differential reference model: a binary heap
+/// ordered by `(time, push sequence)`.
 #[derive(Default)]
 struct HeapModel {
     heap: BinaryHeap<Reverse<(u64, u64)>>,
@@ -51,12 +51,12 @@ impl HeapModel {
     }
 }
 
-/// The wheel and its reference, pushed into together.
+/// The queue and its reference, pushed into together.
 #[derive(Default)]
 struct Pair {
-    wheel: EventQueue<u64>,
+    queue: EventQueue<u64>,
     heap: HeapModel,
-    /// seq -> wheel token, for cancel targeting (kept sorted by seq).
+    /// seq -> queue token, for cancel targeting (kept sorted by seq).
     tokens: Vec<(u64, CancelToken)>,
 }
 
@@ -65,7 +65,7 @@ impl Pair {
     /// pushing at or after the last popped instant.
     fn push(&mut self, at: u64) {
         let seq = self.heap.push(at);
-        let tok = self.wheel.push_cancelable(SimTime::from_nanos(at), seq);
+        let tok = self.queue.push_cancelable(SimTime::from_nanos(at), seq);
         self.tokens.push((seq, tok));
     }
 }
@@ -83,9 +83,9 @@ enum Op {
     Pop,
     /// `pop_if` with a bound `delta` ns around the head's time, strict
     /// (`<`) or inclusive (`<=`). When it refuses, an event is pushed
-    /// before the refused head, behind wherever the refused search moved
-    /// the cursor: `early` ns (mod the gap) after the last pop, or, when
-    /// `near`, up to 4 µs before the head — the head's own wheel block.
+    /// before the refused head, which the refusal settled: `early` ns (mod
+    /// the gap) after the last pop, or, when `near`, up to 4 µs before the
+    /// head.
     PopIf {
         delta: i64,
         inclusive: bool,
@@ -93,29 +93,28 @@ enum Op {
         near: bool,
     },
     /// `n` pushes `gap` ns apart (0: one instant), close enough to share
-    /// a higher-level slot: with `n` up to 9, both sides of the cap on
-    /// the slots the wheel pops where they lie.
+    /// a bucket.
     Cluster {
         at: u64,
         n: u64,
         gap: u64,
     },
-    /// A push at the exact instant of the nth pending event. The cursor
-    /// has usually moved since that one was placed, so the twins sit at
-    /// two levels, or one in the wheel and one in the far list.
+    /// A push at the exact instant of the nth pending event. The head
+    /// has usually moved since that one was placed, so the twin arrives
+    /// after its sibling was redistributed, or beside it in `now`.
     Twin {
         nth: usize,
     },
-    /// Cancel the earliest pending event, after a `peek_time` that made
-    /// it the wheel's candidate when `peek` is set.
+    /// Cancel the earliest pending event, after a `peek_time` that
+    /// settled it when `peek` is set.
     CancelHead {
         peek: bool,
     },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    // Pushes dominate (three arms); deltas span every wheel level, from
-    // same-tick up past the ~73-minute horizon into the far list.
+    // Pushes dominate (three arms); deltas span same-tick up to well past
+    // an hour, so keys start in buckets from the lowest to bit 42.
     prop_oneof![
         (0u64..20_000_000_000).prop_map(|at| Op::Push { at }),
         (0u64..5_000_000_000_000).prop_map(|at| Op::Push { at }),
@@ -151,14 +150,14 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
 
-    /// Differential test: the timer wheel agrees with the old
+    /// Differential test: the radix heap agrees with a
     /// `BinaryHeap` queue on every interleaving of pushes, cancels, pops
     /// and bounded pops — identical pop order (time AND sequence),
     /// identical cancel outcomes and identical `pop_if` verdicts.
     #[test]
-    fn wheel_matches_heap_reference(ops in prop::collection::vec(op_strategy(), 1..400)) {
+    fn queue_matches_heap_reference(ops in prop::collection::vec(op_strategy(), 1..400)) {
         let mut pair = Pair::default();
-        let mut floor = 0u64; // wheel pops must not go back in time
+        let mut floor = 0u64; // pops must not go back in time
         for op in ops {
             match op {
                 Op::Push { at } => pair.push(floor + at),
@@ -178,11 +177,11 @@ proptest! {
                         continue;
                     };
                     if peek {
-                        prop_assert_eq!(pair.wheel.peek_time(), Some(SimTime::from_nanos(at)));
+                        prop_assert_eq!(pair.queue.peek_time(), Some(SimTime::from_nanos(at)));
                     }
                     let held = pair.tokens.iter().position(|(s, _)| *s == seq);
                     let (_, tok) = pair.tokens.remove(held.expect("pending events keep a token"));
-                    prop_assert_eq!(pair.wheel.cancel(tok), Some(seq), "head cancel diverged");
+                    prop_assert_eq!(pair.queue.cancel(tok), Some(seq), "head cancel diverged");
                     prop_assert!(pair.heap.cancel(seq));
                 }
                 Op::Cancel { nth } => {
@@ -190,13 +189,13 @@ proptest! {
                         continue;
                     }
                     let (seq, tok) = pair.tokens.remove(nth % pair.tokens.len());
-                    let wheel_hit = pair.wheel.cancel(tok).is_some();
+                    let queue_hit = pair.queue.cancel(tok).is_some();
                     let heap_hit = pair.heap.cancel(seq);
-                    prop_assert_eq!(wheel_hit, heap_hit, "cancel outcome diverged");
+                    prop_assert_eq!(queue_hit, heap_hit, "cancel outcome diverged");
                 }
                 Op::Pop => {
                     let expect = pair.heap.pop();
-                    let got = pair.wheel.pop().map(|(t, seq)| (t.as_nanos(), seq));
+                    let got = pair.queue.pop().map(|(t, seq)| (t.as_nanos(), seq));
                     prop_assert_eq!(got, expect, "pop order diverged");
                     if let Some((at, seq)) = got {
                         floor = at;
@@ -205,13 +204,13 @@ proptest! {
                 }
                 Op::PopIf { delta, inclusive, early, near } => {
                     let Some((head, _)) = pair.heap.peek() else {
-                        prop_assert_eq!(pair.wheel.pop_if(|_| true), None);
+                        prop_assert_eq!(pair.queue.pop_if(|_| true), None);
                         continue;
                     };
                     let bound = SimTime::from_nanos(head.saturating_add_signed(delta));
                     let due = |t: SimTime| if inclusive { t <= bound } else { t < bound };
                     let expect = if due(SimTime::from_nanos(head)) { pair.heap.pop() } else { None };
-                    let got = pair.wheel.pop_if(due).map(|(t, seq)| (t.as_nanos(), seq));
+                    let got = pair.queue.pop_if(due).map(|(t, seq)| (t.as_nanos(), seq));
                     prop_assert_eq!(got, expect, "pop_if diverged");
                     match got {
                         Some((at, seq)) => {
@@ -234,13 +233,13 @@ proptest! {
         // Drain: the remaining contents must match exactly too.
         loop {
             let expect = pair.heap.pop();
-            let got = pair.wheel.pop().map(|(t, seq)| (t.as_nanos(), seq));
+            let got = pair.queue.pop().map(|(t, seq)| (t.as_nanos(), seq));
             prop_assert_eq!(got, expect, "drain diverged");
             if got.is_none() {
                 break;
             }
         }
-        prop_assert!(pair.wheel.is_empty());
+        prop_assert!(pair.queue.is_empty());
     }
 
     /// The event queue always pops in non-decreasing time order, and ties
