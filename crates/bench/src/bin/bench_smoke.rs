@@ -11,8 +11,6 @@
 //! with `diff -u BENCH_baseline.json BENCH_results.json` and
 //! `git diff --exit-code BENCH_figures.md`.
 
-#![forbid(unsafe_code)]
-
 use storm_bench::{render_figures, render_json, Testbed, SCENARIOS};
 use storm_telemetry::analyze;
 

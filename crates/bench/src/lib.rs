@@ -12,7 +12,6 @@
 //! routing impact in the worst case"), scaled to a smoke run (1 sim-s per
 //! fio point, 1 GiB volume instead of the paper's 20 GB).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use storm_cloud::{Cloud, CloudConfig, VolumeHandle, Workload};

@@ -8,7 +8,9 @@
 //! bytes directly instead of zero-filling a chunk first.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::hash::RandomState;
+
+use storm_sim::IdMap;
 
 use crate::device::{check_access, BlockDevice, BlockError, SECTOR_SIZE};
 
@@ -25,7 +27,7 @@ const CHUNK_BYTES: usize = CHUNK_SECTORS as usize * SECTOR_SIZE;
 #[derive(Debug, Clone, Default)]
 pub struct MemDisk {
     num_sectors: u64,
-    chunks: HashMap<u64, Box<[u8]>>,
+    chunks: IdMap<u64, Box<[u8]>, RandomState>,
     failed: bool,
 }
 
@@ -54,7 +56,7 @@ impl MemDisk {
     pub fn new(num_sectors: u64) -> Self {
         MemDisk {
             num_sectors,
-            chunks: HashMap::new(),
+            chunks: IdMap::default(),
             failed: false,
         }
     }

@@ -5,11 +5,11 @@
 //! fixed-size extents from a backing physical disk; [`Volume`] is a logical
 //! device stitched from those extents.
 
-use std::collections::HashMap;
 use std::fmt;
+use std::hash::RandomState;
 use std::sync::{Arc, Mutex};
 
-use storm_sim::{FaultAction, FaultHook, FaultSite, SimTime};
+use storm_sim::{FaultAction, FaultHook, FaultSite, IdMap, SimTime};
 
 use crate::device::{check_access, BlockDevice, BlockError, SECTOR_SIZE};
 use crate::MemDisk;
@@ -32,7 +32,7 @@ impl fmt::Display for VolumeId {
 pub struct VolumeGroup {
     backing: Arc<Mutex<MemDisk>>,
     extent_used: Vec<bool>,
-    volumes: HashMap<VolumeId, Vec<u64>>,
+    volumes: IdMap<VolumeId, Vec<u64>, RandomState>,
     next_id: u32,
 }
 
@@ -44,7 +44,7 @@ impl VolumeGroup {
         VolumeGroup {
             backing: Arc::new(Mutex::new(disk)),
             extent_used: vec![false; extents as usize],
-            volumes: HashMap::new(),
+            volumes: IdMap::default(),
             next_id: 1,
         }
     }

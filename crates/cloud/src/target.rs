@@ -22,7 +22,13 @@
 //! completions go out when the connection's interrupt-moderation timer
 //! fires ([`storm_iscsi::TargetTransport::cq_deadline_ns`]).
 
-use std::collections::{BTreeMap, HashMap};
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
+use std::collections::BTreeMap;
+use std::hash::RandomState;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -229,7 +235,7 @@ impl QosState {
 /// [`TargetHostApp::register_volume`].
 pub struct TargetHostApp {
     cfg: TargetHostConfig,
-    volumes: HashMap<String, SharedVolume>,
+    volumes: IdMap<String, SharedVolume, RandomState>,
     sessions: IdMap<SockId, Session>,
     /// The shared disk every volume not registered for QoS is served by.
     disk: DiskModel,
@@ -254,7 +260,7 @@ impl TargetHostApp {
         let disk = DiskModel::new(cfg.disk);
         TargetHostApp {
             cfg,
-            volumes: HashMap::new(),
+            volumes: IdMap::default(),
             sessions: IdMap::default(),
             disk,
             qos: None,

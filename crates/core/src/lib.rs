@@ -25,7 +25,6 @@
 //! the `StorageService` API tenant middle-box logic implements
 //! (monitoring, encryption and replication live in `storm-services`).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod platform;

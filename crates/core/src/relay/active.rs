@@ -1,5 +1,10 @@
 //! The active relay: split-TCP store-and-forward middle-box engine.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 use std::collections::BTreeMap;
 
 use bytes::Bytes;

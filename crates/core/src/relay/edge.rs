@@ -25,6 +25,11 @@
 //!    segments travel as refcounted views — the zero-copy invariant holds
 //!    on both transports.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 use bytes::Bytes;
 
 use storm_iscsi::exchange::{data_in_final, status_response, BlockCmd, Exchange, Step};

@@ -1,12 +1,17 @@
 //! The passive relay: per-packet interception on the forwarding path.
 
-use std::collections::HashMap;
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
+use std::hash::RandomState;
 
 use storm_iscsi::exchange::Exchange;
 use storm_iscsi::BHS_LEN;
 use storm_net::{App, Cx, FourTuple, Frame, TapVerdict};
 use storm_sim::trace::{flow_token, Hop, TraceEvent, TraceHook};
-use storm_sim::{SimDuration, SimTime};
+use storm_sim::{IdMap, SimDuration, SimTime};
 
 use crate::service::{Dir, StorageService};
 
@@ -91,8 +96,10 @@ impl WireTracker {
                 TrackState::Header => {
                     let need = BHS_LEN - self.hdr.len();
                     let take = need.min(payload.len() - pos);
-                    // storm-lint: allow(no-hot-path-copy): the fixed-size
-                    // header scratch; payload bytes are never buffered.
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "the fixed-size header scratch; payload bytes are never buffered."
+                    )]
                     self.hdr.extend_from_slice(&payload[pos..pos + take]);
                     pos += take;
                     if self.hdr.len() == BHS_LEN {
@@ -147,8 +154,8 @@ impl WireTracker {
 pub struct PassiveTap {
     cfg: PassiveTapConfig,
     services: Vec<Box<dyn StorageService>>,
-    trackers: HashMap<(FourTuple, Dir), WireTracker>,
-    cmds: HashMap<FourTuple, Exchange>,
+    trackers: IdMap<(FourTuple, Dir), WireTracker, RandomState>,
+    cmds: IdMap<FourTuple, Exchange, RandomState>,
     packets: u64,
     bytes_transformed: u64,
     trace: TraceHook,
@@ -160,8 +167,8 @@ impl PassiveTap {
         PassiveTap {
             cfg,
             services,
-            trackers: HashMap::new(),
-            cmds: HashMap::new(),
+            trackers: IdMap::default(),
+            cmds: IdMap::default(),
             packets: 0,
             bytes_transformed: 0,
             trace: TraceHook::none(),

@@ -18,7 +18,13 @@
 //!    and higher-level [`FsEvent`]s (create/unlink) for the monitor's
 //!    analysis phase.
 
-use std::collections::HashMap;
+// Parses tenant-written bytes, so it must not abort; its one copy is the
+// bounded stash of blocks written before their inode, not a forwarded payload.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
+use std::hash::RandomState;
 use std::rc::Rc;
 
 use storm_block::BlockDevice;
@@ -26,6 +32,7 @@ use storm_extfs::{
     block_pointers, dirents, Dirent, FileType, FsView, Inode, Region, BLOCK_SIZE, INODE_SIZE,
     ROOT_INO, SECTORS_PER_BLOCK,
 };
+use storm_sim::IdMap;
 
 /// Read or write, as carried by the SCSI command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -158,26 +165,26 @@ const LEFT: u64 = u64::MAX;
 pub struct Reconstructor {
     view: FsView,
     mount: String,
-    inodes: HashMap<u32, InodeLite>,
-    paths: HashMap<u32, String>,
+    inodes: IdMap<u32, InodeLite, RandomState>,
+    paths: IdMap<u32, String, RandomState>,
     /// Directory inode → name → what the name binds and where it lives.
-    children: HashMap<u32, HashMap<Rc<str>, Child>>,
+    children: IdMap<u32, IdMap<Rc<str>, Child, RandomState>, RandomState>,
     /// Directory block → the `(name, inode)` pairs it held when last
     /// written, in block order (`.`/`..` left out): what the next write
     /// of that block is diffed against. Names are shared with `children`.
-    held: HashMap<u64, Vec<(Rc<str>, u32)>>,
-    owner: HashMap<u64, BlockRole>,
+    held: IdMap<u64, Vec<(Rc<str>, u32)>, RandomState>,
+    owner: IdMap<u64, BlockRole, RandomState>,
     events: Vec<FsEvent>,
     /// Recent data-region writes whose owner was unknown at write time.
     /// Metadata usually lands *after* the data it points to (allocate,
     /// write data/indirect content, then write the inode), so when a role
     /// arrives late the block's content is replayed from here.
-    recent_writes: HashMap<u64, Vec<u8>>,
+    recent_writes: IdMap<u64, Vec<u8>, RandomState>,
     recent_order: std::collections::VecDeque<u64>,
     /// When set, directory writes go to the whole-directory table the
     /// per-block one replaced, kept as the reference it is checked against.
     #[cfg(test)]
-    reference: Option<HashMap<u32, std::collections::BTreeMap<String, u32>>>,
+    reference: Option<std::collections::BTreeMap<u32, std::collections::BTreeMap<String, u32>>>,
 }
 
 /// Bound on the deferred-content cache (4096 blocks = 16 MiB).
@@ -198,13 +205,13 @@ impl Reconstructor {
         let mut r = Reconstructor {
             view,
             mount: mount.into(),
-            inodes: HashMap::new(),
-            paths: HashMap::new(),
-            children: HashMap::new(),
-            held: HashMap::new(),
-            owner: HashMap::new(),
+            inodes: IdMap::default(),
+            paths: IdMap::default(),
+            children: IdMap::default(),
+            held: IdMap::default(),
+            owner: IdMap::default(),
             events: Vec::new(),
-            recent_writes: HashMap::new(),
+            recent_writes: IdMap::default(),
             recent_order: std::collections::VecDeque::new(),
             #[cfg(test)]
             reference: None,
@@ -661,10 +668,11 @@ mod tests {
     fn into_reference(mut r: Reconstructor) -> Reconstructor {
         let seeded = r
             .children
-            .iter()
+            .sorted()
+            .into_iter()
             .map(|(dir, names)| {
-                let names = names.iter().map(|(n, c)| (n.to_string(), c.ino)).collect();
-                (*dir, names)
+                let names = names.sorted().into_iter();
+                (*dir, names.map(|(n, c)| (n.to_string(), c.ino)).collect())
             })
             .collect();
         r.reference = Some(seeded);
@@ -672,7 +680,11 @@ mod tests {
     }
 
     fn tracked_names(r: &Reconstructor) -> usize {
-        r.children.values().map(HashMap::len).sum()
+        r.children
+            .sorted()
+            .iter()
+            .map(|(_, names)| names.len())
+            .sum()
     }
 
     /// Builds a populated fs, returns (device, reconstructor bootstrapped
@@ -728,13 +740,14 @@ mod tests {
         let dev = fs.device_mut();
         let clean = Reconstructor::from_device(dev, "/mnt/box").unwrap();
         let ino_of = |path: &str| {
-            let found = clean.paths.iter().find(|(_, p)| p.as_str() == path);
+            let found = clean.paths.sorted().into_iter().find(|(_, p)| *p == path);
             *found.unwrap().0
         };
         let sub = ino_of("/mnt/box/sub");
         let (&bno, _) = clean
             .owner
-            .iter()
+            .sorted()
+            .into_iter()
             .find(|(_, role)| **role == BlockRole::DirData(sub))
             .unwrap();
         // Point /sub/loop back at the root: root → sub → root → ...
@@ -1026,7 +1039,7 @@ mod tests {
             live + 2,
             "root, /mail and the live files"
         );
-        let held: usize = recon.held.values().map(Vec::len).sum();
+        let held: usize = recon.held.sorted().iter().map(|(_, v)| v.len()).sum();
         assert_eq!(held, live + 1);
         let events = recon.take_events();
         assert_eq!(events.len(), 2000);
@@ -1075,7 +1088,8 @@ mod tests {
         recon.update_directory(dir, b1, &dir_block(&[("c", 103), ("a", 101)]));
         assert_eq!(recon.take_events(), vec![]);
         assert_eq!(recon.path_of(102), Some("/mnt/box/d/b"));
-        assert_eq!(recon.children[&dir]["b"].block, b2);
+        let b = recon.children.get(&dir).and_then(|names| names.get("b"));
+        assert_eq!(b.map(|c| c.block), Some(b2));
 
         // It now lives in `b2`: dropping it there is the unlink.
         recon.update_directory(dir, b2, &dir_block(&[("x", 201)]));
@@ -1165,18 +1179,16 @@ mod tests {
                     "seed {seed} step {step}"
                 );
             }
-            let mut paths: Vec<_> = model.paths.iter().collect();
-            let mut reference_paths: Vec<_> = reference.paths.iter().collect();
-            paths.sort();
-            reference_paths.sort();
-            assert_eq!(paths, reference_paths, "seed {seed}");
+            let paths = model.paths.sorted();
+            assert_eq!(paths, reference.paths.sorted(), "seed {seed}");
             assert!(paths.len() > 100);
             for (dir, names) in reference.reference.as_ref().unwrap() {
                 let ours: BTreeMap<String, u32> = model
                     .children
                     .get(dir)
+                    .map(IdMap::sorted)
+                    .unwrap_or_default()
                     .into_iter()
-                    .flatten()
                     .map(|(n, c)| (n.to_string(), c.ino))
                     .collect();
                 assert_eq!(&ours, names, "seed {seed} directory {dir}");

@@ -38,7 +38,6 @@
 //! assert_eq!(sector, original);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod aes;

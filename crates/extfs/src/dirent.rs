@@ -1,5 +1,11 @@
 //! Directory entries (variable-length ext2 dirents).
 
+// Parses tenant-written bytes, so it must not abort; `write_dirent` is the
+// guest filesystem's writer, not a forwarded payload.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 /// File type byte stored in directory entries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FileType {

@@ -1,5 +1,11 @@
 //! On-disk inodes.
 
+// Parses tenant-written bytes, so it must not abort; `write_to` is a field
+// serialiser, not a forwarded payload.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::layout::{le16, le32, BLOCK_SIZE, INODE_SIZE};
 
 /// Mode bits: file type mask and values (ext2 / POSIX).

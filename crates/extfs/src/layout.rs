@@ -1,5 +1,11 @@
 //! On-disk layout: constants, superblock and group descriptors.
 
+// Parses tenant-written bytes, so it must not abort; the superblock and
+// group-descriptor `write_to`s are field serialisers, not forwarded payloads.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 /// Filesystem block size in bytes.
 pub const BLOCK_SIZE: usize = 4096;
 /// 512-byte sectors per filesystem block.

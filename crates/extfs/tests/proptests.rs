@@ -1,11 +1,11 @@
 //! Property-based tests: the filesystem against an in-memory model.
 //!
 //! A random sequence of file operations runs against both [`ExtFs`] and a
-//! plain `HashMap` model; externally visible state (file contents,
+//! plain `BTreeMap` model; externally visible state (file contents,
 //! directory listings, errors) must agree, and the filesystem must also
 //! survive a remount with identical contents.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use storm_block::MemDisk;
@@ -59,12 +59,12 @@ proptest! {
     #[test]
     fn fs_matches_model(ops in prop::collection::vec(op_strategy(), 1..60)) {
         let mut fs = ExtFs::mkfs(MemDisk::with_capacity_bytes(96 << 20)).unwrap();
-        let mut model: HashMap<u8, Vec<u8>> = HashMap::new();
+        let mut model: BTreeMap<u8, Vec<u8>> = BTreeMap::new();
         for op in &ops {
             match *op {
                 Op::Create(f) => {
                     let real = fs.create(&path(f));
-                    if let std::collections::hash_map::Entry::Vacant(e) = model.entry(f) {
+                    if let std::collections::btree_map::Entry::Vacant(e) = model.entry(f) {
                         prop_assert_eq!(real, Ok(()));
                         e.insert(Vec::new());
                     } else {

@@ -40,7 +40,6 @@
 //! assert_eq!(schedule.timed_len(), 2);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod plan;

@@ -1,12 +1,13 @@
 //! Drives a cloud through a fault schedule.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::hash::RandomState;
 use std::sync::Arc;
 
 use storm_cloud::{Cloud, VolumeHandle};
 use storm_core::relay::{ActiveRelayMb, MbControl};
 use storm_net::{AppId, BusMsg, HostId, LinkId};
-use storm_sim::{SimDuration, SimTime};
+use storm_sim::{IdMap, SimDuration, SimTime};
 
 use crate::plan::{Fault, FaultSchedule, PredicateEvent, TimedEvent};
 use crate::state::FaultState;
@@ -33,7 +34,7 @@ pub struct FaultRunner {
     heals: Vec<(SimTime, u64, Heal)>,
     next_heal_seq: u64,
     poll: SimDuration,
-    mbs: HashMap<u32, (HostId, AppId)>,
+    mbs: IdMap<u32, (HostId, AppId), RandomState>,
 }
 
 impl FaultRunner {
@@ -47,7 +48,7 @@ impl FaultRunner {
             heals: Vec::new(),
             next_heal_seq: 0,
             poll: schedule.poll,
-            mbs: HashMap::new(),
+            mbs: IdMap::default(),
         }
     }
 

@@ -18,9 +18,15 @@
 //! final Data-Out); observers use [`Exchange::stage`]/[`Exchange::absorb`]
 //! (clamp, complete once every byte was seen).
 
-use std::collections::HashMap;
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
+use std::hash::RandomState;
 
 use bytes::{Bytes, BytesMut};
+use storm_sim::IdMap;
 
 use crate::cdb::{Cdb, ScsiStatus};
 use crate::pdu::{DataIn, DataOut, Pdu, R2t, ScsiCommand, ScsiResponse};
@@ -181,8 +187,10 @@ impl Transfer {
     pub fn absorb(&mut self, offset: u32, data: &[u8]) -> Result<(), Overrun> {
         let start = (offset as usize).min(self.buf.len());
         let take = data.len().min(self.buf.len() - start);
-        // storm-lint: allow(no-hot-path-copy): the one reassembly copy of
-        // a segmented data phase; single-PDU payloads never reach it.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the one reassembly copy of a segmented data phase; single-PDU payloads never reach it."
+        )]
         self.buf[start..start + take].copy_from_slice(&data[..take]);
         self.received += take;
         if take < data.len() {
@@ -353,7 +361,7 @@ pub enum Staged<'a> {
 /// One connection's open commands by initiator task tag.
 #[derive(Debug, Default)]
 pub struct Exchange {
-    open: HashMap<u32, (BlockCmd, Option<Transfer>)>,
+    open: IdMap<u32, (BlockCmd, Option<Transfer>), RandomState>,
 }
 
 impl Exchange {

@@ -1,8 +1,9 @@
 //! The sans-io iSCSI initiator (the compute host's Open-iSCSI equivalent).
 
-use std::collections::HashMap;
+use std::hash::RandomState;
 
 use bytes::Bytes;
+use storm_sim::IdMap;
 
 use crate::exchange::{data_out_train, BlockCmd, BlockOp, Transfer};
 use crate::iqn::Iqn;
@@ -74,7 +75,7 @@ pub struct Initiator {
     next_itt: u32,
     cmd_sn: u32,
     exp_stat_sn: u32,
-    pending: HashMap<u32, Pending>,
+    pending: IdMap<u32, Pending, RandomState>,
 }
 
 impl Initiator {
@@ -90,7 +91,7 @@ impl Initiator {
             next_itt: 1,
             cmd_sn: 1,
             exp_stat_sn: 0,
-            pending: HashMap::new(),
+            pending: IdMap::default(),
         }
     }
 
@@ -419,7 +420,7 @@ mod tests {
         (ini, tgt)
     }
 
-    type TestDisk = std::collections::HashMap<u64, [u8; 512]>;
+    type TestDisk = std::collections::BTreeMap<u64, [u8; 512]>;
 
     /// Drives both machines until quiescent, auto-serving target I/O from
     /// `disk`, and returns initiator events.

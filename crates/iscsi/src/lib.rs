@@ -59,7 +59,6 @@
 //! assert!(done);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cdb;

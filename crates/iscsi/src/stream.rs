@@ -1,5 +1,10 @@
 //! Incremental PDU framing over a TCP byte stream.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 use std::collections::VecDeque;
 
 use bytes::Bytes;
@@ -65,8 +70,10 @@ impl ChunkDeque {
                 break;
             }
             let take = (dst.len() - off).min(c.len());
-            // storm-lint: allow(no-hot-path-copy): the fixed-size header
-            // decode copy, permitted by design and counted separately.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the fixed-size header decode copy, permitted by design and counted separately."
+            )]
             dst[off..off + take].copy_from_slice(&c.chunk()[..take]);
             off += take;
         }
@@ -127,8 +134,10 @@ impl ChunkDeque {
             let c_start = start.max(off);
             let c_end = (start + len).min(off + c.len());
             if c_start < c_end {
-                // storm-lint: allow(no-hot-path-copy): counted slow path
-                // (`copied` above); zero on the relay fast path.
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "counted slow path (`copied` above); zero on the relay fast path."
+                )]
                 buf.extend_from_slice(&c.chunk()[c_start - off..c_end - off]);
             }
             off += c.len();
@@ -173,8 +182,10 @@ impl PduStream {
     /// unusable afterwards (callers drop the connection, as a real
     /// initiator/target would).
     pub fn feed(&mut self, bytes: &[u8]) -> Result<Vec<Pdu>, PduError> {
-        // storm-lint: allow(no-hot-path-copy): documented copying
-        // convenience wrapper; hot callers use feed_bytes.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "documented copying convenience wrapper; hot callers use feed_bytes."
+        )]
         let out = self.feed_bytes(Bytes::copy_from_slice(bytes))?;
         Ok(out.into_iter().map(|p| p.pdu).collect())
     }
@@ -299,9 +310,10 @@ impl WireBuf {
     /// Appends raw bytes by copy (headers, handshake payloads).
     pub fn push_slice(&mut self, bytes: &[u8]) {
         self.len += bytes.len();
-        // storm-lint: allow(no-hot-path-copy): header/pad scratch batch;
-        // data segments above SHARE_THRESHOLD never take this path, and
-        // push_pdu counts every data byte that does.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "header/pad scratch batch; data segments above SHARE_THRESHOLD never take this path, and push_pdu counts every data byte that does."
+        )]
         self.scratch.extend_from_slice(bytes);
     }
 
@@ -348,8 +360,10 @@ impl WireBuf {
     pub fn take_output(&mut self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.len);
         for c in self.take_chunks() {
-            // storm-lint: allow(no-hot-path-copy): flattening
-            // compatibility path for tests and non-hot callers.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "flattening compatibility path for tests and non-hot callers."
+            )]
             out.extend_from_slice(&c);
         }
         out

@@ -5,9 +5,15 @@
 //! application completes them (after its simulated disk latency) with
 //! [`TargetConn::complete_read`]/[`TargetConn::complete_write`].
 
-use std::collections::HashMap;
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
+use std::hash::RandomState;
 
 use bytes::Bytes;
+use storm_sim::IdMap;
 
 use crate::cdb::{Cdb, ScsiStatus};
 use crate::exchange::{data_in_train, status_response, BlockCmd, BlockOp, CmdReject, Transfer};
@@ -95,8 +101,8 @@ pub struct TargetConn {
     exp_cmd_sn: u32,
     logged_in: bool,
     /// Incomplete writes: first sector and the data assembled so far.
-    writes: HashMap<u32, (u64, Transfer)>,
-    reads: HashMap<u32, ()>,
+    writes: IdMap<u32, (u64, Transfer), RandomState>,
+    reads: IdMap<u32, (), RandomState>,
     next_ttt: u32,
     outstanding: usize,
     peak: usize,
@@ -114,8 +120,8 @@ impl TargetConn {
             stat_sn: 1,
             exp_cmd_sn: 1,
             logged_in: false,
-            writes: HashMap::new(),
-            reads: HashMap::new(),
+            writes: IdMap::default(),
+            reads: IdMap::default(),
             next_ttt: 1,
             outstanding: 0,
             peak: 0,

@@ -306,7 +306,7 @@ proptest! {
             (0..sectors as usize * 512).map(|i| (i as u8).wrapping_mul(seed | 1)).collect();
         let tag = ini.write(lba, Bytes::from(data.clone()));
         // Shuttle with an in-memory disk at the target.
-        let mut disk: std::collections::HashMap<u64, [u8; 512]> = Default::default();
+        let mut disk: std::collections::BTreeMap<u64, [u8; 512]> = Default::default();
         let mut done = false;
         let mut read_back: Option<Bytes> = None;
         let mut rtag = None;

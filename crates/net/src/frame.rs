@@ -1,5 +1,10 @@
 //! Ethernet/IP/TCP frames carrying real payload bytes.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
@@ -134,9 +139,10 @@ impl Payload {
             _ => {
                 let mut flat = Vec::with_capacity(self.len);
                 for c in &self.chunks {
-                    // storm-lint: allow(no-hot-path-copy): documented
-                    // flatten for passive taps that parse in place; the
-                    // forwarding path moves chunks without flattening.
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "documented flatten for passive taps that parse in place; the forwarding path moves chunks without flattening."
+                    )]
                     flat.extend_from_slice(c);
                 }
                 Bytes::from(flat)

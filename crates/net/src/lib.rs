@@ -65,7 +65,6 @@
 //! net.run_until(SimTime::from_nanos(1_000_000_000));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod addr;

@@ -22,6 +22,11 @@
 //! they allocate nothing themselves beyond each data segment's
 //! scatter-gather list.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
@@ -328,9 +333,11 @@ impl TcpStack {
     /// Queues up to `data.len()` bytes for sending, appending the segments
     /// to transmit to `out`; returns how many bytes were accepted. Copying
     /// wrapper over [`TcpStack::send_bytes`].
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "documented copying wrapper; the datapath uses send_bytes/send_chunks."
+    )]
     pub fn send(&mut self, sock: SockId, data: &[u8], out: &mut Vec<OutSeg>) -> usize {
-        // storm-lint: allow(no-hot-path-copy): documented copying
-        // wrapper; the datapath uses send_bytes/send_chunks.
         self.send_bytes(sock, Bytes::copy_from_slice(data), out)
     }
 

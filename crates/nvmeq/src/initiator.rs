@@ -1,9 +1,12 @@
 //! Host-side queue pair: submission ring, batched doorbells, overflow
 //! software queue.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::hash::RandomState;
 
 use bytes::Bytes;
+
+use storm_sim::IdMap;
 
 use storm_iscsi::{IoTag, Iqn, Transport, TransportEvent, TransportKind, WireBuf, SHARE_THRESHOLD};
 
@@ -68,7 +71,7 @@ pub struct NvmeqInitiator {
     next_cid: u32,
     /// cid → opcode for every command issued and not yet completed
     /// (ring + overflow). Lookup/remove only — never iterated.
-    issued: HashMap<u32, SqeOp>,
+    issued: IdMap<u32, SqeOp, RandomState>,
     /// Commands occupying ring slots (staged, doorbelled, or in
     /// flight at the target).
     in_sq: usize,
@@ -99,7 +102,7 @@ impl NvmeqInitiator {
             cfg,
             state: State::Idle,
             next_cid: 1,
-            issued: HashMap::new(),
+            issued: IdMap::default(),
             in_sq: 0,
             sq_peak: 0,
             batch: Vec::new(),

@@ -34,7 +34,6 @@
 //! [`Transport`]: storm_iscsi::Transport
 //! [`TargetTransport`]: storm_iscsi::TargetTransport
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod codec;

@@ -7,6 +7,11 @@
 //! the relay fast path can prove itself copy-free on this transport too.
 //! What lives here is the frame header and command-unit parsing.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 use bytes::Bytes;
 use storm_iscsi::ChunkDeque;
 

@@ -1,5 +1,10 @@
 //! Target-side queue pair: submission drain, completion coalescing.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 use bytes::Bytes;
 
 use storm_iscsi::exchange::BlockCmd;

@@ -20,9 +20,9 @@
 //!
 //! Everything here is pure mechanism over the virtual clock: no wall
 //! time, no ambient randomness, `BTreeMap` iteration only — the same
-//! determinism contract storm-lint enforces on the rest of the stack.
+//! determinism contract the workspace lints enforce on the rest of the
+//! stack.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod admission;

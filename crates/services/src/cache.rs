@@ -23,6 +23,11 @@
 //! and its middle-box needs two replica targets — index 0 the journal
 //! volume, index 1 the primary volume itself for flush traffic.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 use std::collections::BTreeMap;
 
 use bytes::{Bytes, BytesMut};
@@ -361,11 +366,15 @@ impl WriteBackCacheService {
         put_field(&mut hdr, 12, &write.lba.to_le_bytes());
         put_field(&mut hdr, 20, &sectors.to_le_bytes());
         put_field(&mut hdr, 24, &fnv32(&write.data).to_le_bytes());
-        // storm-lint: allow(no-hot-path-copy): journal record assembly on
-        // the armed write path; idle caches never journal.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "journal record assembly on the armed write path; idle caches never journal."
+        )]
         rec.extend_from_slice(&hdr);
-        // storm-lint: allow(no-hot-path-copy): journal payload staging on
-        // the armed write path (durability copy, counted in the journal).
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "journal payload staging on the armed write path (durability copy, counted in the journal)."
+        )]
         rec.extend_from_slice(&write.data);
         let id = self.next_io_id();
         self.journal_waits.insert(id, (write, seq, at));
@@ -444,8 +453,10 @@ impl WriteBackCacheService {
             let mut gens = Vec::with_capacity(run_end - run_start);
             for &lba in &picked[run_start..run_end] {
                 if let Some(s) = self.sectors.get_mut(&lba) {
-                    // storm-lint: allow(no-hot-path-copy): flush-run
-                    // assembly on the armed background path.
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "flush-run assembly on the armed background path."
+                    )]
                     buf.extend_from_slice(&s.data);
                     s.flushing = true;
                     gens.push((lba, s.gen));
@@ -475,8 +486,10 @@ impl WriteBackCacheService {
         put_field(&mut ck, 0, &CKPT_MAGIC.to_le_bytes());
         put_field(&mut ck, 4, &self.next_seq.to_le_bytes());
         let id = self.next_io_id();
-        // storm-lint: allow(no-hot-path-copy): one-sector checkpoint
-        // record upload (metadata, background path).
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "one-sector checkpoint record upload (metadata, background path)."
+        )]
         cx.replica_write(JOURNAL, 0, Bytes::copy_from_slice(&ck), CTX_CHECKPOINT | id);
     }
 
@@ -526,8 +539,10 @@ impl WriteBackCacheService {
             let mut buf = BytesMut::with_capacity(cmd.bytes() as usize);
             for s in lba..lba + sectors as u64 {
                 if let Some(sec) = self.sectors.get(&s) {
-                    // storm-lint: allow(no-hot-path-copy): armed cache-hit
-                    // assembly; the idle path forwards verbatim.
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "armed cache-hit assembly; the idle path forwards verbatim."
+                    )]
                     buf.extend_from_slice(&sec.data);
                 }
                 self.touch(s);
@@ -563,8 +578,10 @@ impl WriteBackCacheService {
             for i in 0..n {
                 if let Some(e) = self.sectors.get(&(start + i as u64)) {
                     if e.dirty || e.flushing {
-                        // storm-lint: allow(no-hot-path-copy): armed
-                        // dirty-sector overlay onto the miss reply.
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "armed dirty-sector overlay onto the miss reply."
+                        )]
                         buf[i * SECTOR_SIZE..(i + 1) * SECTOR_SIZE].copy_from_slice(&e.data);
                     }
                 }
@@ -643,11 +660,13 @@ impl StorageService for WriteBackCacheService {
                 put_field(&mut ck, 4, &seq.to_le_bytes());
                 let at = base + 1 + sectors;
                 self.journal_waits.insert(id, (write, seq, base));
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "one-sector commit record upload (metadata, armed write path)."
+                )]
                 cx.replica_write(
                     JOURNAL,
                     at,
-                    // storm-lint: allow(no-hot-path-copy): one-sector
-                    // commit record upload (metadata, armed write path).
                     Bytes::copy_from_slice(&ck),
                     CTX_JOURNAL_COMMIT | id,
                 );

@@ -18,6 +18,11 @@
 //! extent are not supported (the tenant policy pins the extent size to
 //! the workload block size).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 use bytes::Bytes;
 
 use storm_core::{Dir, StorageService, SvcCtx};
@@ -136,8 +141,10 @@ impl CompressService {
                 self.stats.skipped_extents += 1;
                 self.stats.stored_bytes += ext.len() as u64;
                 out.truncate(at);
-                // storm-lint: allow(no-hot-path-copy): armed transform
-                // path, incompressible extent stored raw.
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "armed transform path, incompressible extent stored raw."
+                )]
                 out.extend_from_slice(ext);
             }
         }
@@ -164,8 +171,10 @@ impl CompressService {
                 out.reserve_exact(data.len());
             }
             let at = k * self.extent;
-            // storm-lint: allow(no-hot-path-copy): raw extents copied only
-            // because a framed sibling forced reassembly.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "raw extents copied only because a framed sibling forced reassembly."
+            )]
             out.extend_from_slice(&data[raw_from..at]);
             raw_from = at;
             if lz_decompress(comp, ext.len(), &mut out) {
@@ -176,8 +185,10 @@ impl CompressService {
         if !framed {
             return None;
         }
-        // storm-lint: allow(no-hot-path-copy): raw tail after the last
-        // framed extent, same reassembly.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "raw tail after the last framed extent, same reassembly."
+        )]
         out.extend_from_slice(&data[raw_from..]);
         Some(Bytes::from(out))
     }

@@ -11,6 +11,11 @@
 //! fingerprinting are charged per byte, so the Fig-10 per-service
 //! attribution breaks dedup's cost out of the relay total.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 use std::collections::BTreeMap;
 
 use bytes::Bytes;

@@ -13,6 +13,11 @@
 //!   so it also works on the passive path where data crosses in arbitrary
 //!   packet-sized pieces.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 use std::collections::BTreeSet;
 
 use bytes::BytesMut;

@@ -26,7 +26,6 @@
 //! * [`SnapshotService`] — instant block-level snapshots with
 //!   copy-on-first-write, materializable into clones.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cache;

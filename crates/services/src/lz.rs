@@ -12,6 +12,12 @@
 //! produces is part of the on-volume format (DESIGN §3.13): the encoder
 //! is differential-tested against the byte-at-a-time one it replaced.
 
+// Decodes tenant-written frames, so it must not abort; a literal-run emit or
+// a header field is the transform's output, not a payload copied through.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 /// Hash-table slots (12-bit hash of a 4-byte window).
 const TABLE: usize = 1 << 12;
 /// Shortest and longest match a token can carry.

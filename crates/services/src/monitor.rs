@@ -7,6 +7,11 @@
 //! [`Reconstructor`]'s system view), **Update** (metadata writes refresh
 //! the view) and **Analysis** (logging + watch-list alerts).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 use storm_core::{Dir, FsAccess, FsOp, FsTargetKind, Reconstructor, StorageService, SvcCtx};
 use storm_iscsi::exchange::{BlockOp, Exchange, Staged, Step};
 use storm_iscsi::Pdu;

@@ -21,6 +21,11 @@
 //! With no snapshot taken the service forwards the received PDU value
 //! untouched and charges nothing: the zero-copy fast path survives.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 use std::collections::BTreeSet;
 
 use bytes::Bytes;
@@ -204,8 +209,10 @@ impl StorageService for SnapshotService {
         if ok {
             self.stats.cow_copies += 1;
             self.stats.preserved_bytes += data.len() as u64;
-            // storm-lint: allow(no-hot-path-copy): copy-on-first-write
-            // pre-image retention; only runs with a snapshot active.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "copy-on-first-write pre-image retention; only runs with a snapshot active."
+            )]
             self.cow.preserve(extent, data.to_vec());
         } else {
             self.stats.failed_copies += 1;

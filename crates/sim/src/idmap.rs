@@ -1,15 +1,124 @@
-//! [`IdMap`]: a `HashMap` with one fixed hasher, for the lookup tables the
-//! frame path searches per hop (FDB, ARP, conntrack, sockets, timers).
+//! [`IdMap`]: the workspace's one hash map, lookup-only, for the tables the
+//! frame path searches per hop (FDB, ARP, conntrack, sockets, timers) and
+//! every other keyed table whose order nobody reads.
+//!
+//! `clippy.toml` bans `std::collections::{HashMap, HashSet}` everywhere
+//! else: their iteration order is the hasher's, and a per-process seed in
+//! that order would reach traces and metrics. `IdMap` cannot be iterated
+//! in that order, so no caller can observe it, whichever hasher it uses.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the one wrapper around std's HashMap"
+)]
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::borrow::Borrow;
+use std::collections::hash_map::{Entry, HashMap};
+use std::fmt;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
-/// A `HashMap` hashed by [`IdHasher`]: no per-process seed, and one
-/// multiply-rotate per key word instead of SipHash's rounds.
+/// A hash map with point operations only: `get`, `insert`, `remove`,
+/// `entry` and friends, but no `iter`, `keys`, `values`, `drain` or
+/// `retain`. [`IdMap::sorted`] is the whole-table view, in key order.
 ///
-/// For point lookups only. Its iteration order is the hasher's, so
-/// `storm-lint`'s `no-hash-iter` rule tracks `IdMap` like `HashMap`.
-pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+/// The hasher defaults to [`IdHasher`]: no per-process seed, and one
+/// multiply-rotate per key word instead of SipHash's rounds. The other
+/// tables name `std::hash::RandomState` and keep SipHash, whose collision
+/// resistance the ones keyed by tenant-written values need.
+#[derive(Clone)]
+pub struct IdMap<K, V, S = BuildHasherDefault<IdHasher>>(HashMap<K, V, S>);
+
+impl<K, V, S: Default> Default for IdMap<K, V, S> {
+    fn default() -> Self {
+        IdMap(HashMap::default())
+    }
+}
+
+/// Prints the size only: the entries' order is the hasher's.
+impl<K, V, S> fmt::Debug for IdMap<K, V, S> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("IdMap").field("len", &self.0.len()).finish()
+    }
+}
+
+impl<K: Eq + Hash, V, S: BuildHasher> IdMap<K, V, S> {
+    /// The value at `k`.
+    pub fn get<Q: Hash + Eq + ?Sized>(&self, k: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+    {
+        self.0.get(k)
+    }
+
+    /// The stored key equal to `k`, and its value.
+    pub fn get_key_value<Q: Hash + Eq + ?Sized>(&self, k: &Q) -> Option<(&K, &V)>
+    where
+        K: Borrow<Q>,
+    {
+        self.0.get_key_value(k)
+    }
+
+    /// The value at `k`, mutably.
+    pub fn get_mut<Q: Hash + Eq + ?Sized>(&mut self, k: &Q) -> Option<&mut V>
+    where
+        K: Borrow<Q>,
+    {
+        self.0.get_mut(k)
+    }
+
+    /// Whether `k` has a value.
+    pub fn contains_key<Q: Hash + Eq + ?Sized>(&self, k: &Q) -> bool
+    where
+        K: Borrow<Q>,
+    {
+        self.0.contains_key(k)
+    }
+
+    /// Stores `v` at `k`, returning the value it replaces.
+    pub fn insert(&mut self, k: K, v: V) -> Option<V> {
+        self.0.insert(k, v)
+    }
+
+    /// Removes and returns the value at `k`.
+    pub fn remove<Q: Hash + Eq + ?Sized>(&mut self, k: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+    {
+        self.0.remove(k)
+    }
+
+    /// The slot at `k`, for in-place update or insertion.
+    pub fn entry(&mut self, k: K) -> Entry<'_, K, V> {
+        self.0.entry(k)
+    }
+}
+
+impl<K, V, S> IdMap<K, V, S> {
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the map has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Removes every entry.
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    /// Every entry, in key order: the one whole-table view, for tests
+    /// and reports. It sorts, so keep it off per-frame paths.
+    pub fn sorted(&self) -> Vec<(&K, &V)>
+    where
+        K: Ord,
+    {
+        let mut all: Vec<_> = self.0.iter().collect();
+        all.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        all
+    }
+}
 
 /// An FxHash-style word hasher: each word is folded in as
 /// `(hash.rotate_left(5) ^ word) * K`, and `finish` rotates the
@@ -67,7 +176,6 @@ impl Hasher for IdHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::hash::BuildHasher;
 
     #[test]
     fn hashes_are_fixed_across_maps_and_keys_resolve() {
@@ -81,5 +189,6 @@ mod tests {
         }
         assert!((0..1_000).all(|i| m.get(&i) == Some(&(i * 2))));
         assert_eq!(m.get(&1_000), None);
+        assert_eq!(format!("{m:?}"), "IdMap { len: 1000 }");
     }
 }

@@ -27,7 +27,6 @@
 //! assert_eq!(t.as_micros(), 1_000);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cpu;

@@ -5,8 +5,6 @@
 //! utilization for Figure 10, per-second transaction timelines for
 //! Figure 13.
 
-use std::fmt;
-
 use crate::{SimDuration, SimTime};
 
 /// Counts events over a window and reports a rate (events per second).
@@ -111,21 +109,6 @@ impl Timeline {
     }
 }
 
-/// Formats a fraction as a percentage string for experiment tables.
-pub fn pct(x: f64) -> Pct {
-    Pct(x)
-}
-
-/// Display adapter produced by [`pct`].
-#[derive(Debug, Clone, Copy)]
-pub struct Pct(f64);
-
-impl fmt::Display for Pct {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.1}%", self.0 * 100.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,10 +138,5 @@ mod tests {
         assert_eq!(t.series(), &[2, 1, 0, 1]);
         assert!((t.mean_over(0, 2) - 1.5).abs() < 1e-9);
         assert_eq!(t.mean_over(5, 9), 0.0);
-    }
-
-    #[test]
-    fn pct_formats() {
-        assert_eq!(pct(0.0731).to_string(), "7.3%");
     }
 }

@@ -4,8 +4,6 @@
 //! per-hop attribution table — the software analogue of Figure 10 — and
 //! any replica evictions found in the trace.
 
-#![forbid(unsafe_code)]
-
 use std::io::Read as _;
 use std::process::ExitCode;
 

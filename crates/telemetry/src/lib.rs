@@ -42,7 +42,6 @@
 //! assert_eq!(jsonl.lines().count(), 3);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analyze;

@@ -1,11 +1,11 @@
 //! Bulk sequential transfer (the FTP case of Figure 10).
 
-use std::collections::HashMap;
+use std::hash::RandomState;
 
 use bytes::Bytes;
 
 use storm_cloud::{IoCtx, IoKind, IoResult, ReqId, Workload};
-use storm_sim::{SimDuration, SimTime};
+use storm_sim::{IdMap, SimDuration, SimTime};
 
 /// Transfer direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,7 +33,7 @@ pub struct FtpWorkload {
     /// not gate a deep pipeline's throughput — but it burns the VM's
     /// cores, which is exactly what Figure 10 measures).
     pub vm_cipher_per_byte: SimDuration,
-    sizes: HashMap<ReqId, usize>,
+    sizes: IdMap<ReqId, usize, RandomState>,
     /// Bytes completed.
     pub done_bytes: u64,
     started: Option<SimTime>,
@@ -51,7 +51,7 @@ impl FtpWorkload {
             next_offset: 0,
             app_cpu_per_byte: SimDuration::from_nanos(7),
             vm_cipher_per_byte: SimDuration::ZERO,
-            sizes: HashMap::new(),
+            sizes: IdMap::default(),
             done_bytes: 0,
             started: None,
             finished: None,

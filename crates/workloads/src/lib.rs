@@ -20,7 +20,6 @@
 //! * [`malware`] — a scripted re-enactment of the
 //!   `HEUR:Backdoor.Linux.Ganiw.a` installation (Table III).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod fio;

@@ -7,9 +7,11 @@
 //! block groups replay through [`crate::TraceWorkload`], whose per-class
 //! counters yield exactly the components Figure 11 reports.
 
+use std::hash::RandomState;
+
 use storm_block::{BlockDevice, MemDisk, RecordingDevice};
 use storm_extfs::ExtFs;
-use storm_sim::SimRng;
+use storm_sim::{IdMap, SimRng};
 
 use crate::replay::{OpClass, OpGroup};
 
@@ -61,7 +63,7 @@ pub fn prepare(cfg: &PostmarkConfig) -> (MemDisk, Vec<OpGroup>) {
     fs.mkdir("/mail").expect("mkdir");
     let mut live: Vec<usize> = Vec::new();
     let mut next_file = 0usize;
-    let mut size_of = std::collections::HashMap::new();
+    let mut size_of: IdMap<_, _, RandomState> = IdMap::default();
     for _ in 0..cfg.initial_files {
         let i = next_file;
         next_file += 1;

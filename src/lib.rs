@@ -5,7 +5,6 @@
 //! [`scenario`] is the one thing defined here: the paper's single-tenant
 //! testbed as a value, which `tests/` and `examples/` build on.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod scenario;

@@ -50,7 +50,7 @@ fn run(
         limit: RateLimitSpec::iops_limit(600, 4),
     };
     let mb_delay = FaultPlan::new(SEED ^ 0xFA17).at(
-        SimTime::from_millis(500),
+        SimTime::from_millis(150),
         Fault::MbDelay {
             mb: 0,
             delay: SimDuration::from_micros(40),
@@ -83,6 +83,8 @@ fn run(
     assert!(client.stats.ops() > 0, "no I/O completed");
     let trace = run.trace();
     assert_eq!(trace.contains("\"hop\":\"qos\""), qos, "QoS engagement");
+    let delayed = run.fault_trace().iter().any(|l| l.contains("MbProcess"));
+    assert_eq!(delayed, mb_fault, "middle-box delay engagement");
     let relay = run.relay();
     Golden {
         trace_fnv1a: fnv1a(trace.as_bytes()),
@@ -131,7 +133,7 @@ fn iscsi_dedup_compress_xts_chain() {
 fn iscsi_chacha_qos_and_mb_delay_fault() {
     assert_eq!(
         run(TransportKind::Iscsi, 2, chacha(), true, true),
-        golden(5434361379201059638, 334237, 370, [0, 44304, 186]),
+        golden(16068552644889463073, 334237, 370, [0, 44304, 186]),
         "{DRIFT}"
     );
 }
