@@ -40,21 +40,14 @@ pub struct ServiceSpec {
     pub params: BTreeMap<String, String>,
 }
 
-fn default_vcpus() -> u32 {
-    2
-}
-fn default_memory() -> u32 {
-    4096
-}
-
 impl ServiceSpec {
     /// A service spec with defaults.
     pub fn new(kind: impl Into<String>) -> Self {
         ServiceSpec {
             kind: kind.into(),
             mode: RelayModeSpec::Active,
-            vcpus: default_vcpus(),
-            memory_mb: default_memory(),
+            vcpus: 2,
+            memory_mb: 4096,
             params: BTreeMap::new(),
         }
     }
@@ -112,6 +105,12 @@ pub enum PolicyError {
         /// Offending VM name.
         vm: String,
     },
+    /// Replication ahead of encryption: replica I/O skips later stages, so
+    /// the mirrors would hold plaintext.
+    ReplicaBeforeEncryption {
+        /// Offending VM name.
+        vm: String,
+    },
 }
 
 impl std::fmt::Display for PolicyError {
@@ -123,6 +122,9 @@ impl std::fmt::Display for PolicyError {
                 write!(f, "service {kind} requires the active relay")
             }
             PolicyError::ZeroVolume { vm } => write!(f, "vm {vm}: zero-sized volume"),
+            PolicyError::ReplicaBeforeEncryption { vm } => {
+                write!(f, "vm {vm}: replication ahead of encryption")
+            }
         }
     }
 }
@@ -158,6 +160,11 @@ impl TenantPolicy {
                         kind: s.kind.clone(),
                     });
                 }
+            }
+            let kinds = || v.services.iter().map(|s| s.kind.as_str());
+            let replica = kinds().position(|k| k == "replication");
+            if replica.is_some_and(|r| kinds().skip(r).any(|k| k == "encryption")) {
+                return Err(PolicyError::ReplicaBeforeEncryption { vm: v.vm.clone() });
             }
         }
         Ok(())

@@ -18,8 +18,9 @@
 //!
 //! The active relay is one datapath for every wire protocol. `active`
 //! runs a single loop over *batches* of chain *units* — stream-error
-//! abort, backpressure pause, fault verdict, QoS admission, the service
-//! chain, CPU accounting and the deferred release each exist once — and
+//! abort, backpressure pause, fault verdict, QoS admission, the chain walk
+//! every service output takes, CPU accounting and the deferred release
+//! each exist once — and
 //! `edge` holds the per-flow edge codec that is all the loop knows of
 //! iSCSI or nvmeq: it reassembles received bytes into batches (an iSCSI
 //! PDU is a batch of one unit, a doorbell/completion frame a batch of

@@ -233,7 +233,11 @@ enum Forwards {
 
 /// What one batch's trip through the service chain produced.
 struct ChainOut {
+    /// The batch's direction of travel.
+    dir: Dir,
     forwards: Forwards,
+    /// PDUs a reply's walk sent out in `dir`; they join the unit's forwards.
+    ahead: Vec<Pdu>,
     /// PDUs headed back where the batch came from.
     replies: Vec<Pdu>,
     replica_ops: Vec<ReplicaOp>,
@@ -241,11 +245,20 @@ struct ChainOut {
     cost: SimDuration,
 }
 
+/// Where a chain walk's output goes: into a batch on the data path, whose
+/// release waits for the charges (one [`Hop::Service`] stage per stage,
+/// under the unit's token) and carries its replica I/O; or, from a replica
+/// completion or a timer, out at once in emission order, on the flow the
+/// PDU that led there came in on.
+enum Sink<'a> {
+    Batch(ReqToken, &'a mut ChainOut),
+    Side(Option<usize>),
+}
+
 /// A processed batch waiting out its processing time in the persistence
 /// buffer; [`ActiveRelayMb::release`] puts it on the wire.
 struct Deferred {
     pair: usize,
-    dir: Dir,
     out: ChainOut,
     /// Persistence-buffer bytes the batch holds (tenant side only).
     input_bytes: usize,
@@ -422,9 +435,7 @@ impl ActiveRelayMb {
     /// time, and rebuilds the batch from what the chain emitted. Units the
     /// chain passes untouched stay wire views; if *all* of them do, the
     /// whole received batch forwards verbatim — one iSCSI PDU or a whole
-    /// doorbell frame alike. CPU charges are attributed to the service
-    /// that emitted them as [`Hop::Service`] stages for latency
-    /// attribution.
+    /// doorbell frame alike.
     fn run_chain(
         &mut self,
         cx: &mut Cx<'_>,
@@ -437,10 +448,12 @@ impl ActiveRelayMb {
         let per_pdu_cost = self.cfg.per_pdu_cost;
         let n_units = batch.units.len();
         let mut out = ChainOut {
+            dir,
             forwards: Forwards::Verbatim {
                 wire: batch.wire,
                 units: (n_units as u64).max(1),
             },
+            ahead: Vec::new(),
             replies: Vec::new(),
             replica_ops: Vec::new(),
             // A chain-bypass batch still costs one decapsulation.
@@ -456,42 +469,11 @@ impl ActiveRelayMb {
             let req = req_token(src_port, pdu.itt());
             out.cost += per_pdu_cost;
             self.stage(now, req, Hop::Relay, self.trace_mb, per_pdu_cost);
-            let mut frontier = vec![pdu];
-            let n = self.services.len();
-            for step in 0..n {
-                let idx = match dir {
-                    Dir::ToTarget => step,
-                    Dir::ToInitiator => n - 1 - step,
-                };
-                let mut next = Vec::new();
-                let mut charged = SimDuration::ZERO;
-                for p in frontier {
-                    let mut scx = SvcCtx::new(now);
-                    self.services[idx].on_pdu(&mut scx, dir, p);
-                    for action in scx.take_actions() {
-                        match action {
-                            SvcAction::Forward(p) => next.push(p),
-                            SvcAction::Reply(p) => out.replies.push(p),
-                            SvcAction::Replica { replica, io, ctx } => {
-                                out.replica_ops.push((idx, replica, io, ctx))
-                            }
-                            SvcAction::Alert(msg) => self.alerts.push((now, msg)),
-                            SvcAction::Charge(c) => charged += c,
-                            SvcAction::Timer { delay, token } => {
-                                self.arm(cx, delay, Timer::Service { svc: idx, token })
-                            }
-                        }
-                    }
-                }
-                if charged > SimDuration::ZERO {
-                    out.cost += charged;
-                    self.stage(now, req, Hop::Service, idx as u32, charged);
-                }
-                frontier = next;
-            }
+            let mut forwards = self.walk(cx, &mut Sink::Batch(req, &mut out), dir, 0, vec![pdu]);
+            forwards.append(&mut out.ahead);
             if self.pairs[pair_idx]
                 .edge
-                .rebuild(src, frontier, &mut rebuilt)
+                .rebuild(src, forwards, &mut rebuilt)
             {
                 self.copy.verbatim_forwards += 1;
             } else {
@@ -514,47 +496,123 @@ impl ActiveRelayMb {
         }
     }
 
-    /// Executes the actions a service emitted outside the data path
-    /// (replica completions, timers). `origin` is the flow pair whose PDU
-    /// led here, when there is one.
-    fn run_side_actions(
+    /// Calls service `svc` outside the data path (replica completions,
+    /// timers) and executes what it emits. `origin` is the flow pair whose
+    /// PDU led here, when there is one.
+    fn run_side(
         &mut self,
         cx: &mut Cx<'_>,
         svc: usize,
-        mut scx: SvcCtx,
         origin: Option<usize>,
+        call: impl FnOnce(&mut dyn StorageService, &mut SvcCtx),
     ) {
-        let actions = scx.take_actions();
-        let now = cx.now();
-        for action in actions {
-            match action {
-                // Side-context replies flow back towards the initiator
-                // (e.g. replication serving a read from a replica, the
-                // write-back cache acknowledging a journalled write),
-                // side-context forwards continue upstream (e.g. a failed
-                // replica read re-dispatched to the primary) — on the flow
-                // the request came in on, in that flow's wire protocol.
-                SvcAction::Reply(p) => self.queue_side(cx, origin, Dir::ToInitiator, p),
-                SvcAction::Forward(p) => self.queue_side(cx, origin, Dir::ToTarget, p),
-                SvcAction::Replica { replica, io, ctx } => {
-                    self.issue_replica(cx, svc, replica, io, ctx, origin);
-                }
-                SvcAction::Alert(msg) => self.alerts.push((now, msg)),
-                SvcAction::Charge(c) => {
-                    let _ = cx.charge(c, &self.cfg.label);
-                }
-                SvcAction::Timer { delay, token } => {
-                    self.arm(cx, delay, Timer::Service { svc, token })
-                }
-            }
+        let mut scx = SvcCtx::new(cx.now());
+        call(self.services[svc].as_mut(), &mut scx);
+        self.emit(cx, &mut Sink::Side(origin), Dir::ToTarget, svc, scx, None);
+    }
+
+    /// The chain index of the `pos`-th stage a PDU travelling `dir` meets.
+    fn stage_at(&self, dir: Dir, pos: usize) -> usize {
+        match dir {
+            Dir::ToTarget => pos,
+            Dir::ToInitiator => self.services.len() - 1 - pos,
         }
     }
 
-    fn queue_side(&mut self, cx: &mut Cx<'_>, origin: Option<usize>, dir: Dir, pdu: Pdu) {
-        if let Some(i) = self.route_pair(origin) {
-            let p = &mut self.pairs[i];
-            self.pdus_forwarded += p.queue(dir, [UnitOut::Pdu(pdu)], &mut self.copy);
-            p.pump(cx, dir);
+    /// The one chain walk: `pdus` travel `dir` through the stages from
+    /// position `from` on; the survivors are returned.
+    fn walk(
+        &mut self,
+        cx: &mut Cx<'_>,
+        sink: &mut Sink,
+        dir: Dir,
+        from: usize,
+        mut pdus: Vec<Pdu>,
+    ) -> Vec<Pdu> {
+        let now = cx.now();
+        for pos in from..self.services.len() {
+            let idx = self.stage_at(dir, pos);
+            // A stage takes the previous stage's forwards in one round, so
+            // its charges make one trace stage.
+            let (mut next, mut charged) = (Vec::new(), SimDuration::ZERO);
+            for p in pdus {
+                let mut scx = SvcCtx::new(now);
+                self.services[idx].on_pdu(&mut scx, dir, p);
+                charged += self.emit(cx, sink, dir, pos, scx, Some(&mut next));
+            }
+            if let (Sink::Batch(req, out), true) = (&mut *sink, charged > SimDuration::ZERO) {
+                out.cost += charged;
+                self.stage(now, *req, Hop::Service, idx as u32, charged);
+            }
+            pdus = next;
+        }
+        pdus
+    }
+
+    /// Carries out what the service at position `pos` emitted travelling
+    /// `dir` (a side context's forwards travel `ToTarget`): a forward goes
+    /// on, into `next` if a walk's next stage takes it, and a reply turns
+    /// back, each through every stage between the service and the wire.
+    /// Returns what the service charged a batch.
+    fn emit(
+        &mut self,
+        cx: &mut Cx<'_>,
+        sink: &mut Sink,
+        dir: Dir,
+        pos: usize,
+        mut scx: SvcCtx,
+        mut next: Option<&mut Vec<Pdu>>,
+    ) -> SimDuration {
+        let (idx, back) = (self.stage_at(dir, pos), self.services.len() - pos);
+        let mut charged = SimDuration::ZERO;
+        for action in scx.take_actions() {
+            match (action, &mut *sink) {
+                (SvcAction::Forward(p), _) => match next.as_deref_mut() {
+                    Some(next) => next.push(p),
+                    None => self.send(cx, sink, dir, pos + 1, p),
+                },
+                (SvcAction::Reply(p), _) => self.send(cx, sink, dir.flip(), back, p),
+                (SvcAction::Replica { replica, io, ctx }, Sink::Batch(_, out)) => {
+                    out.replica_ops.push((idx, replica, io, ctx))
+                }
+                (SvcAction::Replica { replica, io, ctx }, &mut Sink::Side(origin)) => {
+                    self.issue_replica(cx, idx, replica, io, ctx, origin)
+                }
+                (SvcAction::Alert(msg), _) => self.alerts.push((cx.now(), msg)),
+                (SvcAction::Charge(c), Sink::Batch(..)) => charged += c,
+                (SvcAction::Charge(c), Sink::Side(_)) => _ = cx.charge(c, &self.cfg.label),
+                (SvcAction::Timer { delay, token }, _) => {
+                    self.arm(cx, delay, Timer::Service { svc: idx, token })
+                }
+            }
+        }
+        charged
+    }
+
+    /// Sends `pdu` on in `dir` through the stages from position `from`,
+    /// then out.
+    fn send(&mut self, cx: &mut Cx<'_>, sink: &mut Sink, dir: Dir, from: usize, pdu: Pdu) {
+        if from == self.services.len() {
+            return self.leave(cx, sink, dir, pdu);
+        }
+        for p in self.walk(cx, sink, dir, from, vec![pdu]) {
+            self.leave(cx, sink, dir, p);
+        }
+    }
+
+    /// A PDU leaves the chain travelling `dir`: into the batch, or onto
+    /// the flow in that flow's wire protocol.
+    fn leave(&mut self, cx: &mut Cx<'_>, sink: &mut Sink, dir: Dir, pdu: Pdu) {
+        match sink {
+            Sink::Batch(_, out) if dir == out.dir => out.ahead.push(pdu),
+            Sink::Batch(_, out) => out.replies.push(pdu),
+            &mut Sink::Side(origin) => {
+                if let Some(i) = self.route_pair(origin) {
+                    let p = &mut self.pairs[i];
+                    self.pdus_forwarded += p.queue(dir, [UnitOut::Pdu(pdu)], &mut self.copy);
+                    p.pump(cx, dir);
+                }
+            }
         }
     }
 
@@ -596,12 +654,7 @@ impl ActiveRelayMb {
             ReplicaIo::Read { lba, sectors } => sess.ini.read(*lba, *sectors),
         };
         sess.pending.insert(tag, req);
-        if let Some(sock) = sess.sock {
-            for c in sess.ini.take_wire() {
-                sess.sendq.push_bytes(c);
-            }
-            sess.sendq.pump(cx, sock);
-        }
+        self.flush_replica(cx, replica);
         // Arm the request watchdog.
         if let Some(policy) = self.cfg.retry {
             self.arm(cx, policy.timeout, Timer::Watchdog { replica, tag });
@@ -610,9 +663,9 @@ impl ActiveRelayMb {
 
     /// Fails one replica request back to the service that issued it.
     fn fail_io(&mut self, cx: &mut Cx<'_>, replica: usize, req: &PendingIo) {
-        let mut scx = SvcCtx::new(cx.now());
-        self.services[req.svc].on_replica_done(&mut scx, replica, req.ctx, false, Bytes::new());
-        self.run_side_actions(cx, req.svc, scx, req.origin);
+        self.run_side(cx, req.svc, req.origin, |s, scx| {
+            s.on_replica_done(scx, replica, req.ctx, false, Bytes::new())
+        });
     }
 
     /// A replica request produced no response within the timeout window:
@@ -730,7 +783,6 @@ impl ActiveRelayMb {
             let done = self.pairs[pair_idx].proc.serve(now + qos_delay, out.cost);
             let deferred = Deferred {
                 pair: pair_idx,
-                dir,
                 out,
                 input_bytes,
             };
@@ -741,13 +793,13 @@ impl ActiveRelayMb {
     fn release(&mut self, cx: &mut Cx<'_>, d: Deferred) {
         let Deferred {
             pair,
-            dir,
             out,
             input_bytes,
         } = d;
         if pair >= self.pairs.len() || self.pairs[pair].closed {
             return;
         }
+        let dir = out.dir;
         for (svc_idx, replica, io, ctx) in out.replica_ops {
             self.issue_replica(cx, svc_idx, replica, io, ctx, Some(pair));
         }
@@ -795,24 +847,18 @@ impl ActiveRelayMb {
                     if let Some(req) = self.replicas[idx].pending.remove(&tag) {
                         self.replicas[idx].timeouts = 0;
                         let ok = status == ScsiStatus::Good;
-                        let mut scx = SvcCtx::new(cx.now());
-                        self.services[req.svc].on_replica_done(
-                            &mut scx,
-                            idx,
-                            req.ctx,
-                            ok,
-                            Bytes::new(),
-                        );
-                        self.run_side_actions(cx, req.svc, scx, req.origin);
+                        self.run_side(cx, req.svc, req.origin, |s, scx| {
+                            s.on_replica_done(scx, idx, req.ctx, ok, Bytes::new())
+                        });
                     }
                 }
                 TransportEvent::ReadDone { tag, status, data } => {
                     if let Some(req) = self.replicas[idx].pending.remove(&tag) {
                         self.replicas[idx].timeouts = 0;
                         let ok = status == ScsiStatus::Good;
-                        let mut scx = SvcCtx::new(cx.now());
-                        self.services[req.svc].on_replica_done(&mut scx, idx, req.ctx, ok, data);
-                        self.run_side_actions(cx, req.svc, scx, req.origin);
+                        self.run_side(cx, req.svc, req.origin, |s, scx| {
+                            s.on_replica_done(scx, idx, req.ctx, ok, data)
+                        });
                     }
                 }
                 TransportEvent::Closed => self.fail_replica(cx, idx),
@@ -905,10 +951,8 @@ impl ActiveRelayMb {
         for req in outstanding.into_values() {
             self.fail_io(cx, idx, &req);
         }
-        for svc_idx in 0..self.services.len() {
-            let mut scx = SvcCtx::new(cx.now());
-            self.services[svc_idx].on_replica_failed(&mut scx, idx);
-            self.run_side_actions(cx, svc_idx, scx, None);
+        for svc in 0..self.services.len() {
+            self.run_side(cx, svc, None, |s, scx| s.on_replica_failed(scx, idx));
         }
     }
 }
@@ -999,9 +1043,7 @@ impl App for ActiveRelayMb {
         match self.timers.remove(&token) {
             Some(Timer::Release(d)) => self.release(cx, d),
             Some(Timer::Service { svc, token }) => {
-                let mut scx = SvcCtx::new(cx.now());
-                self.services[svc].on_timer(&mut scx, token);
-                self.run_side_actions(cx, svc, scx, None);
+                self.run_side(cx, svc, None, |s, scx| s.on_timer(scx, token))
             }
             Some(Timer::Watchdog { replica, tag }) => self.handle_replica_timeout(cx, replica, tag),
             Some(Timer::Retry { replica, req }) => {

@@ -10,6 +10,7 @@ use std::hash::RandomState;
 use storm_iscsi::exchange::Exchange;
 use storm_iscsi::BHS_LEN;
 use storm_net::{App, Cx, FourTuple, Frame, TapVerdict};
+use storm_nvmeq::MAGIC;
 use storm_sim::trace::{flow_token, Hop, TraceEvent, TraceHook};
 use storm_sim::{IdMap, SimDuration, SimTime};
 
@@ -155,9 +156,9 @@ pub struct PassiveTap {
     cfg: PassiveTapConfig,
     services: Vec<Box<dyn StorageService>>,
     trackers: IdMap<(FourTuple, Dir), WireTracker, RandomState>,
-    cmds: IdMap<FourTuple, Exchange, RandomState>,
-    packets: u64,
-    bytes_transformed: u64,
+    /// Each flow's open-command table; `None` for a refused flow.
+    cmds: IdMap<FourTuple, Option<Exchange>, RandomState>,
+    refused_flows: u64,
     trace: TraceHook,
 }
 
@@ -169,8 +170,7 @@ impl PassiveTap {
             services,
             trackers: IdMap::default(),
             cmds: IdMap::default(),
-            packets: 0,
-            bytes_transformed: 0,
+            refused_flows: 0,
             trace: TraceHook::none(),
         }
     }
@@ -202,14 +202,9 @@ impl PassiveTap {
         }
     }
 
-    /// Packets inspected.
-    pub fn packets(&self) -> u64 {
-        self.packets
-    }
-
-    /// Data-segment bytes transformed.
-    pub fn bytes_transformed(&self) -> u64 {
-        self.bytes_transformed
+    /// Multi-queue flows dropped because the chain had data to transform.
+    pub fn refused_flows(&self) -> u64 {
+        self.refused_flows
     }
 
     fn flow_key(&self, frame: &Frame) -> Option<(FourTuple, Dir)> {
@@ -228,10 +223,20 @@ impl App for PassiveTap {
         let Some((base_tuple, dir)) = self.flow_key(frame) else {
             return TapVerdict::Forward;
         };
-        self.packets += 1;
         if frame.tcp.payload.is_empty() {
             return TapVerdict::Forward;
         }
+        // A flow's first byte says what it speaks, as at the relay edge and
+        // the target: a chain cannot walk multi-queue frames as iSCSI, so it
+        // refuses such a flow rather than pass its data on untransformed.
+        let first = frame.tcp.payload.chunks().first().and_then(|c| c.first());
+        let Some(cmds) = self.cmds.entry(base_tuple).or_insert_with(|| {
+            let refuse = first == Some(&MAGIC) && !self.services.is_empty();
+            self.refused_flows += u64::from(refuse);
+            (!refuse).then(Exchange::default)
+        }) else {
+            return TapVerdict::Drop;
+        };
         let payload_len = frame.tcp.payload.len();
         // Per-service per-byte work, attributed to the flow (the net layer
         // separately charges the tap's fixed per-packet cost as Relay).
@@ -249,7 +254,6 @@ impl App for PassiveTap {
                 );
             }
         }
-        let cmds = self.cmds.entry(base_tuple).or_default();
         let tracker = self.trackers.entry((base_tuple, dir)).or_default();
         // The tap copies the packet to user space anyway, so flattening a
         // scatter-gather payload here models the passive approach's cost,
@@ -266,7 +270,6 @@ impl App for PassiveTap {
                 for svc in &mut self.services {
                     svc.transform(dir, *vol_offset, &mut data[range.clone()]);
                 }
-                self.bytes_transformed += range.len() as u64;
             }
             frame.tcp.payload = data.freeze().into();
         }
@@ -279,7 +282,7 @@ impl App for PassiveTap {
 impl std::fmt::Debug for PassiveTap {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PassiveTap")
-            .field("packets", &self.packets)
+            .field("refused_flows", &self.refused_flows)
             .field("services", &self.services.len())
             .finish_non_exhaustive()
     }

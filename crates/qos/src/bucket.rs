@@ -115,7 +115,7 @@ impl RateLimitSpec {
     };
 
     /// An IOPS-only limit with `burst` operations of credit.
-    pub fn iops_limit(iops: u64, burst: u64) -> Self {
+    pub const fn iops_limit(iops: u64, burst: u64) -> Self {
         RateLimitSpec {
             iops,
             iops_burst: burst,

@@ -18,10 +18,10 @@
 //! patched with any dirty sectors the cache holds (the cache is the
 //! point of truth until a flush lands).
 //!
-//! Deployment: the cache must be the *first* service in the chain (its
-//! synthesized replies and acks travel straight back to the initiator)
-//! and its middle-box needs two replica targets — index 0 the journal
-//! volume, index 1 the primary volume itself for flush traffic.
+//! Deployment: the cache must be the *last* service in the chain (its
+//! journal and flush writes go out over replica sessions, past no later
+//! stage) and its middle-box needs two replica targets — index 0 the
+//! journal volume, index 1 the primary volume itself for flush traffic.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]

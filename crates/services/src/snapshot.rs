@@ -14,9 +14,9 @@
 //! queues behind it so writes reach the target in arrival order; reads
 //! may overtake parked writes (legal — those writes are unacknowledged).
 //!
-//! Deployment: the service must be the *last* in the chain (released
-//! PDUs travel straight on to the target) and its middle-box needs one
-//! replica target — index 0, pointing at the primary volume itself.
+//! Deployment: last in the chain, as its pre-image reads pass no later
+//! stage, and its middle-box needs one replica target — index 0, pointing
+//! at the primary volume itself.
 //!
 //! With no snapshot taken the service forwards the received PDU value
 //! untouched and charges nothing: the zero-copy fast path survives.

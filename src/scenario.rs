@@ -26,41 +26,55 @@
 //! A knob only one value reaches is a constant inside `build`: the
 //! placement above, `backing_bytes` (the `CloudConfig` default; volume
 //! groups are sparse) and `timeline = false`. Each field of [`Spec`] is
-//! set to different values by at least two callers in `tests/` and
-//! `examples/`:
+//! set to different values by at least two callers in `tests/`,
+//! `examples/` and [`Case`]:
 //!
 //! | field | one caller | another |
 //! |---|---|---|
-//! | `seed` | `relay_golden_trace` (20160628) | `trace_determinism` (drawn per case) |
-//! | `client_seed` | `relay_golden_trace` (`SEED ^ 0x5EED`) | `splice_e2e` (99) |
-//! | `transport` | `nvmeq_determinism` (nvmeq) | `trace_determinism` (iSCSI) |
-//! | `queue_depth` | `relay_golden_trace::nvmeq_qd8_chacha` (8) | `nvmeq_determinism` (16) |
-//! | `label` | `relay_golden_trace` (`vm:golden`; it reaches the login PDU) | `trace_determinism` (`vm:det`) |
-//! | `volume_bytes` | `relay_golden_trace` (1 GiB) | `splice_e2e` (128 MiB) |
-//! | `spares` | `nvmeq_side_actions` (one, 64 MiB) | `failover_recovery` (two, 1 GiB) |
+//! | `seed` | `relay_golden_trace` (20160628) | [`Case`] (drawn) |
+//! | `client_seed` | `relay_golden_trace` (`SEED ^ 0x5EED`) | `splice_e2e` (3) |
+//! | `transport` | `relay_golden_trace::nvmeq_qd8_chacha` (nvmeq) | [`Case`] (drawn) |
+//! | `queue_depth` | `relay_golden_trace::nvmeq_qd8_chacha` (8) | [`Case`] (1 to 32) |
+//! | `label` | `relay_golden_trace` (`vm:golden`; it reaches the login PDU) | [`Case`] (`vm:case`) |
+//! | `volume_bytes` | `relay_golden_trace` (1 GiB) | `services_e2e` (192 MiB) |
+//! | `spares` | [`Case`] (one, 64 MiB) | `failover_recovery` (two, 1 GiB) |
 //! | `disk` | `ablations` (prewarmed cache) | `failover_recovery` (128 MiB page cache) |
-//! | `mode` | `splice_e2e` (all three) | `services_e2e` (passive stream cipher) |
-//! | `services` | `relay_golden_trace` (dedup, compress, XTS) | `zero_copy_relay` (none) |
-//! | `replicas` | `nvmeq_side_actions` (journal, then primary) | `examples/backup_clone` (primary only) |
-//! | `platform` | `ablations` (`tso`, `buffer_cap`) | `trace_determinism` (relay QoS) |
+//! | `mode` | [`Case`] (all three) | `services_e2e` (passive stream cipher) |
+//! | `services` | `relay_golden_trace` (dedup, compress, XTS) | [`Case`] (none to four) |
+//! | `replicas` | [`Case`] (journal, then primary) | `examples/backup_clone` (primary only) |
+//! | `platform` | `ablations` (`tso`, `buffer_cap`) | [`Case`] (relay QoS) |
 //! | `faults` | `cache_crash_consistency` (`MbCrash`) | `failover_recovery` (`MuteTarget`) |
-//! | `traced` | `trace_determinism` (on) | `ablations` (off: 3 s at depth 16) |
+//! | `traced` | [`Case`] (on) | `ablations` (off: 3 s at depth 16) |
 //!
 //! Multi-tenant, direct-attach and scripted-initiator set-ups are not this
 //! shape and stay on [`Cloud`] and [`StormPlatform`] directly;
 //! `examples/quickstart.rs` shows the three calls `build` expands to.
+//!
+//! # Generated cases
+//!
+//! [`Case`] is a drawn `Spec` plus workload and fault: [`Case::draw`]
+//! picks transport, depth, mode, an order-valid chain, QoS, workload and a
+//! fault inside the job's window from a seed, and [`Case::check`] holds
+//! it to every oracle the determinism tests share.
 
 use std::sync::Arc;
 
+use storm_block::BlockDevice;
 use storm_cloud::{Cloud, CloudConfig, DiskSpec, VolumeClient, VolumeHandle, Workload};
 use storm_core::relay::{ActiveRelayMb, ReplicaTarget};
 use storm_core::service::StorageService;
-use storm_core::{ChainDeployment, MbSpec, RelayMode, StormPlatform};
-use storm_faults::{FaultPlan, FaultRunner};
+use storm_core::{ChainDeployment, MbSpec, RelayMode, RelayQosConfig, StormPlatform};
+use storm_faults::{Fault, FaultPlan, FaultRunner};
 use storm_iscsi::TransportKind;
 use storm_net::AppId;
-use storm_sim::SimTime;
+use storm_qos::{DiskTier, RateLimitSpec};
+use storm_services::{
+    CacheConfig, CompressService, DedupService, EncryptionService, ReplicationService,
+    SnapshotService, WriteBackCacheService,
+};
+use storm_sim::{SimDuration, SimRng, SimTime};
 use storm_telemetry::{parse_jsonl, Recorder};
+use storm_workloads::{FioJob, FioWorkload, VerifyWorkload};
 
 /// A volume the relay opens its own session to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,18 +202,7 @@ impl Spec {
             self.client_seed,
             false,
         );
-        let faults = self.faults.map(|plan| {
-            let mut runner = FaultRunner::new(plan.schedule());
-            runner.arm_cloud(&mut cloud);
-            // Forward and passive chains run no relay app to arm; fabric
-            // and target faults still fire.
-            if let (RelayMode::Active, Some(mb_app)) = (self.mode, deployment.mb_apps[0]) {
-                let armed = runner.arm_mb(&mut cloud, 0, deployment.mb_nodes[0].node, mb_app);
-                assert!(armed, "active middle-box runs an ActiveRelayMb");
-            }
-            runner
-        });
-        Run {
+        let mut run = Run {
             cloud,
             volume,
             spares,
@@ -207,8 +210,12 @@ impl Spec {
             app,
             platform,
             recorder,
-            faults,
+            faults: None,
+        };
+        if let Some(plan) = self.faults {
+            run.arm(plan);
         }
+        run
     }
 }
 
@@ -231,6 +238,20 @@ pub struct Run {
 }
 
 impl Run {
+    /// Arms `plan` on the fabric, the targets and the relay.
+    fn arm(&mut self, plan: FaultPlan) {
+        let mut runner = FaultRunner::new(plan.schedule());
+        runner.arm_cloud(&mut self.cloud);
+        // Forward and passive chains run no relay app to arm; fabric and
+        // target faults still fire.
+        let d = &self.deployment;
+        if let (RelayMode::Active, Some(mb_app)) = (d.modes[0], d.mb_apps[0]) {
+            let armed = runner.arm_mb(&mut self.cloud, 0, d.mb_nodes[0].node, mb_app);
+            assert!(armed, "active middle-box runs an ActiveRelayMb");
+        }
+        self.faults = Some(runner);
+    }
+
     /// Runs the simulation to `end`, firing the fault plan on the way.
     pub fn run_until(&mut self, end: SimTime) {
         match &mut self.faults {
@@ -346,7 +367,7 @@ impl Run {
 ///
 /// Panics if the trace is empty, differs between the runs or is not
 /// well-formed JSONL.
-pub fn assert_replays(seed: u64, scenario: impl Fn(u64) -> String) -> String {
+pub fn assert_replays(seed: u64, mut scenario: impl FnMut(u64) -> String) -> String {
     let trace = scenario(seed);
     assert!(!trace.is_empty(), "seed {seed} traced nothing");
     assert!(
@@ -357,45 +378,327 @@ pub fn assert_replays(seed: u64, scenario: impl Fn(u64) -> String) -> String {
     trace
 }
 
+/// A service [`Case::draw`] can put in a chain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Svc {
+    /// Content-defined dedup.
+    Dedup,
+    /// Inline compression in 4 KiB extents.
+    Compress,
+    /// AES-XTS.
+    Xts,
+    /// The ChaCha20 stream cipher, the one service a passive tap runs.
+    ChaCha,
+    /// The write-back cache, journalling to the spare volume.
+    Cache,
+    /// Copy-on-write, with a snapshot taken at deploy.
+    Snapshot,
+    /// One mirror, on the spare volume, with striped reads.
+    Replication,
+}
+
+impl Svc {
+    fn service(self, seed: u64) -> Box<dyn StorageService> {
+        match self {
+            Svc::Dedup => Box::new(DedupService::new(seed, 12)),
+            Svc::Compress => Box::new(CompressService::new(4096)),
+            Svc::Xts => Box::new(EncryptionService::aes_xts(&[0x5C; 64])),
+            Svc::ChaCha => Box::new(EncryptionService::stream_cipher(&[7; 32], &[3; 12])),
+            Svc::Cache => Box::new(WriteBackCacheService::new(CacheConfig::default())),
+            Svc::Snapshot => {
+                let mut snap = SnapshotService::new(128);
+                snap.take_snapshot();
+                Box::new(snap)
+            }
+            Svc::Replication => Box::new(ReplicationService::new(1, true)),
+        }
+    }
+}
+
+/// What the guest runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Load {
+    /// 50/50 random fio: `(request bytes, threads, milliseconds)`.
+    Fio(usize, usize, u64),
+    /// [`VerifyWorkload`] at sector 64: `(bytes per round, rounds)`.
+    Verify(usize, usize),
+}
+
+/// A latency fault armed `at_ms` into the job and never healed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Delay {
+    /// `(at_ms, us)`: [`Fault::DiskDelay`] of `us` microseconds on every
+    /// access to every storage host's disk. A throttled or cached job may
+    /// reach a disk a few times only, so each access is delayed.
+    Disk(u64, u64),
+    /// `(at_ms, us, percent)`: [`Fault::MbDelay`] of `us` microseconds on
+    /// `percent` % of the middle-box's batches.
+    Mb(u64, u64, u8),
+}
+
+/// One generated scenario: what the determinism tests vary, as a value.
+/// [`Case::draw`] picks one from a seed; its `Debug` form is the literal
+/// that replays it, so a failing draw becomes a regression test by
+/// committing what the test printed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Case {
+    /// Simulation seed; the guest's and the services' derive from it.
+    pub seed: u64,
+    /// Wire protocol.
+    pub transport: TransportKind,
+    /// nvmeq ring depth.
+    pub queue_depth: u16,
+    /// Interception mode.
+    pub mode: RelayMode,
+    /// Service chain, in write-path order.
+    pub chain: Vec<Svc>,
+    /// Tenant 1 rate-limited at the relay and at the target.
+    pub qos: bool,
+    /// A fault armed inside the job's window.
+    pub fault: Option<Delay>,
+    /// The guest's workload.
+    pub load: Load,
+}
+
+impl Default for Case {
+    /// Four verified 16 KiB rounds through a bare active relay over iSCSI.
+    fn default() -> Self {
+        Case {
+            seed: 1,
+            transport: TransportKind::Iscsi,
+            queue_depth: 1,
+            mode: RelayMode::Active,
+            chain: Vec::new(),
+            qos: false,
+            fault: None,
+            load: Load::Verify(16 * 1024, 4),
+        }
+    }
+}
+
+const QOS_LIMIT: RateLimitSpec = RateLimitSpec::iops_limit(600, 4);
+
+impl Case {
+    /// Draws transport × queue depth × mode × an order-valid chain × QoS
+    /// × workload × fault from `seed`. A chain is dedup, compress and one
+    /// cipher, each or not, in any order, then at most one service that
+    /// issues replica I/O, placed last because that I/O skips the stages
+    /// after it (DESIGN §3.3). A passive tap runs iSCSI and at most the
+    /// stream cipher; a forward chain runs nothing.
+    pub fn draw(seed: u64) -> Case {
+        use {RelayMode::*, Svc::*};
+        let mut rng = SimRng::seed_from_u64(seed);
+        let transport = *rng.pick(&[TransportKind::Iscsi, TransportKind::Nvmeq]);
+        let queue_depth = *rng.pick(&[1, 8, 16, 32]);
+        let iscsi = usize::from(transport == TransportKind::Iscsi);
+        let mode = *rng.pick(&[Active, Forward, Passive][..2 + iscsi]);
+        let mut chain = Vec::new();
+        if mode == Passive && rng.chance(0.5) {
+            chain.push(ChaCha);
+        }
+        if mode == Active {
+            for svc in [Dedup, Compress, *rng.pick(&[Xts, ChaCha])] {
+                if rng.chance(0.5) {
+                    // Uniform insertion points make a uniform order.
+                    chain.insert(rng.below(chain.len() as u64 + 1) as usize, svc);
+                }
+            }
+            chain.extend(*rng.pick(&[None, Some(Cache), Some(Snapshot), Some(Replication)]));
+        }
+        let qos = rng.chance(0.3);
+        let block = *rng.pick(&[4096, 16384, 65536]);
+        let load = if rng.chance(0.5) {
+            Load::Fio(block, rng.range(1, 5) as usize, *rng.pick(&[50, 100]))
+        } else {
+            Load::Verify(block, rng.range(4, 9) as usize)
+        };
+        // A verify job may last a few milliseconds only: armed at its start.
+        let at_ms = match load {
+            Load::Fio(_, _, ms) => rng.below(ms / 2),
+            Load::Verify(..) => 0,
+        };
+        let (us, percent) = (rng.range(20, 200), *rng.pick(&[50, 100]));
+        let delays = [Delay::Disk(at_ms, us), Delay::Mb(at_ms, us, percent)];
+        let relay = usize::from(mode == Active);
+        let fault = rng.chance(0.5).then(|| *rng.pick(&delays[..1 + relay]));
+        Case {
+            seed,
+            transport,
+            queue_depth,
+            mode,
+            chain,
+            qos,
+            fault,
+            load,
+        }
+    }
+
+    /// Checks the first `n` draws from seed `from` on that `pin` accepts.
+    pub fn check_draws(from: u64, n: usize, pin: impl Fn(&Case) -> bool) -> Vec<(Case, Run)> {
+        let draws = (from..).map(Case::draw).filter(pin).take(n);
+        draws.map(|case| (case.clone(), case.check())).collect()
+    }
+
+    /// The case's testbed, traced: a 64 MiB primary, plus a 64 MiB spare
+    /// when the chain journals or mirrors to one.
+    fn spec(&self) -> Spec {
+        let wiring = |svc: &Svc| match svc {
+            Svc::Cache => Some((1, vec![Replica::Spare(0), Replica::Primary])),
+            Svc::Snapshot => Some((0, vec![Replica::Primary])),
+            Svc::Replication => Some((1, vec![Replica::Spare(0)])),
+            _ => None,
+        };
+        let (spares, replicas) = self.chain.iter().find_map(wiring).unwrap_or_default();
+        let limit = QOS_LIMIT;
+        let qos = self.qos.then_some(RelayQosConfig { tenant: 1, limit });
+        Spec {
+            seed: self.seed,
+            client_seed: self.seed ^ 0x5EED,
+            transport: self.transport,
+            queue_depth: self.queue_depth,
+            label: "vm:case",
+            spares: vec![64 << 20; spares],
+            mode: self.mode,
+            services: self.chain.iter().map(|s| s.service(self.seed)).collect(),
+            replicas,
+            platform: StormPlatform {
+                qos,
+                ..StormPlatform::default()
+            },
+            traced: true,
+            ..Spec::default()
+        }
+    }
+
+    /// Builds the case, arms its fault `at_ms` after the guest logged in
+    /// and runs to the end of the job's window: a fio job's time plus
+    /// 300 ms to drain, or 2 s for the verify rounds.
+    pub fn run(&self) -> Run {
+        let prepare = |cloud: &mut Cloud, vol: &VolumeHandle| {
+            if self.qos {
+                let target = cloud.target_mut(0);
+                target.enable_qos(DiskSpec::fast_tier(), DiskSpec::slow_tier());
+                target.register_qos_volume(&vol.iqn, 1, DiskTier::Fast);
+                target.set_tenant_limit(1, QOS_LIMIT);
+            }
+        };
+        let spec = self.spec();
+        let (mut run, window) = match self.load {
+            Load::Fio(block, threads, ms) => {
+                let (time, area) = (SimDuration::from_millis(ms), spec.volume_bytes / 512);
+                let fio = FioWorkload::new(FioJob::randrw(block, time, area).threads(threads));
+                (spec.build(fio, prepare), ms + 300)
+            }
+            Load::Verify(block, rounds) => {
+                let verify = VerifyWorkload::new(64, block).rounds(rounds);
+                (spec.build(verify, prepare), 2000)
+            }
+        };
+        let start = run.cloud.net.now();
+        if let Some(delay) = self.fault {
+            let (Delay::Disk(at_ms, us) | Delay::Mb(at_ms, us, _)) = delay;
+            let at = start + SimDuration::from_millis(at_ms);
+            let (extra, prob) = (SimDuration::from_micros(us), 1.0);
+            let mut plan = FaultPlan::new(self.seed ^ 0xFA17);
+            match delay {
+                // Every disk: a cache's journal takes the writes it absorbs.
+                Delay::Disk(..) => {
+                    for host in 0..=run.spares.len() as u32 {
+                        plan = plan.at(at, Fault::DiskDelay { host, extra, prob });
+                    }
+                }
+                Delay::Mb(.., percent) => {
+                    let (delay, prob) = (extra, f64::from(percent) / 100.0);
+                    plan = plan.at(at, Fault::MbDelay { mb: 0, delay, prob });
+                }
+            }
+            run.arm(plan);
+        }
+        run.run_until(start + SimDuration::from_millis(window));
+        run
+    }
+
+    /// Runs the case twice and holds it to every oracle, returning the
+    /// second run: equal seeds replay byte-identically
+    /// ([`assert_replays`]); the guest completes I/O without errors; a
+    /// fault fires; a verify job completes every round and, behind a
+    /// cipher, leaves its plaintext on no volume; an active relay copies
+    /// no payload byte, and every stage of its chain sees writes.
+    ///
+    /// # Panics
+    ///
+    /// On the first oracle that fails.
+    pub fn check(&self) -> Run {
+        // Printed first, so a failing test's captured output is the
+        // literal that replays it.
+        println!("{self:?}");
+        let mut last = None;
+        assert_replays(self.seed, |_| last.insert(self.run()).trace());
+        let mut run = last.expect("ran");
+        let stats = &run.client().stats;
+        assert!(stats.ops() > 0 && stats.errors == 0, "{stats:?}");
+        let faults = run.fault_trace();
+        let fired = faults.iter().any(|l| l.contains(" -> "));
+        assert!(fired || self.fault.is_none(), "no fault fired: {faults:?}");
+        if let Load::Verify(block, rounds) = self.load {
+            assert_eq!(run.workload::<VerifyWorkload>().verified(), rounds);
+            let ciphered = self.chain.contains(&Svc::Xts) || self.chain.contains(&Svc::ChaCha);
+            let mut at_rest = vec![0u8; block];
+            let volumes = std::iter::once(&run.volume).chain(&run.spares);
+            for mut disk in volumes.filter(|_| ciphered).map(|v| v.shared.clone()) {
+                for round in 0..rounds {
+                    let lba = 64 + (round * block / 512) as u64;
+                    disk.read(lba, &mut at_rest).expect("in range");
+                    let plain = VerifyWorkload::pattern(0, round, block);
+                    assert!(at_rest != plain, "plaintext at rest at sector {lba}");
+                }
+            }
+        }
+        if self.mode == RelayMode::Active {
+            assert_eq!(run.relay().copy_stats().data_bytes_copied, 0);
+            for (idx, svc) in self.chain.iter().enumerate() {
+                let written = match svc {
+                    Svc::Dedup => run.service::<DedupService>(idx).stats.logical_bytes,
+                    Svc::Compress => run.service::<CompressService>(idx).stats.logical_bytes,
+                    Svc::Xts | Svc::ChaCha => run.service::<EncryptionService>(idx).counters().0,
+                    Svc::Cache => {
+                        run.service::<WriteBackCacheService>(idx)
+                            .stats
+                            .writes_absorbed
+                    }
+                    Svc::Snapshot => run.service::<SnapshotService>(idx).stats.cow_copies,
+                    Svc::Replication => run.service::<ReplicationService>(idx).stats.replica_writes,
+                };
+                assert!(written > 0, "{svc:?} saw no writes");
+            }
+        }
+        run
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use storm_faults::Fault;
-    use storm_sim::SimDuration;
-    use storm_workloads::VerifyWorkload;
 
-    fn forward(faults: Option<FaultPlan>) -> Run {
-        let spec = Spec {
+    fn forward(fault: Option<Delay>) -> Case {
+        Case {
             mode: RelayMode::Forward,
-            faults,
-            ..Spec::default()
-        };
-        spec.build(VerifyWorkload::new(64, 16 * 1024).rounds(4), |_, _| {})
+            fault,
+            ..Case::default()
+        }
     }
 
     /// A forward chain has no relay app for `arm_mb`; the plan must still
     /// arm the fabric and the targets, and fire there.
     #[test]
     fn faults_on_a_forward_chain_arm_the_cloud_only() {
-        let plan = FaultPlan::new(7).at(
-            SimTime::ZERO,
-            Fault::DiskDelay {
-                host: 0,
-                extra: SimDuration::from_micros(150),
-                prob: 1.0,
-            },
-        );
-        let mut run = forward(Some(plan));
-        run.run_until(SimTime::from_secs(5));
-        assert_eq!(run.client().stats.errors, 0);
-        assert_eq!(run.workload::<VerifyWorkload>().verified(), 4);
-        let faults = run.fault_trace();
+        let faults = forward(Some(Delay::Disk(0, 150))).check().fault_trace();
         assert!(faults.iter().any(|l| l.contains("DiskServe")), "{faults:?}");
     }
 
     #[test]
     #[should_panic(expected = "no active relay: the chain's mode is Forward")]
     fn relay_on_a_forward_chain_names_the_mode() {
-        forward(None).relay();
+        forward(None).run().relay();
     }
 }

@@ -1,0 +1,54 @@
+//! Defects the `Case` generator found, pinned as the literals that
+//! reproduce them.
+
+use storm::block::BlockDevice;
+use storm::core::{PassiveTap, RelayMode};
+use storm::iscsi::TransportKind;
+use storm::scenario::{Case, Svc};
+use storm::workloads::VerifyWorkload;
+
+/// Whatever a service emits walks every stage between it and the wire. A
+/// cache hit, a read a replica served and a write a snapshot released
+/// from its pre-image completion used to skip the stages between their
+/// service and the wire, so the first two read back ciphertext and the
+/// third stored plaintext the cipher then "decrypted" on the way back.
+#[test]
+fn service_outputs_walk_the_rest_of_the_chain() {
+    use Svc::{Cache, Replication, Snapshot, Xts};
+    for chain in [
+        vec![Xts, Cache],
+        vec![Snapshot, Xts],
+        vec![Xts, Replication],
+    ] {
+        let case = Case {
+            chain,
+            ..Case::default()
+        };
+        case.check();
+    }
+}
+
+/// A passive tap cannot walk multi-queue frames as iSCSI PDUs, so with a
+/// chain to apply it refuses an nvmeq flow instead of passing its data
+/// on untransformed: the session never logs in and nothing lands at rest.
+#[test]
+fn passive_tap_refuses_an_nvmeq_flow_it_cannot_transform() {
+    let case = Case {
+        transport: TransportKind::Nvmeq,
+        mode: RelayMode::Passive,
+        chain: vec![Svc::ChaCha],
+        ..Case::default()
+    };
+    let mut run = case.run();
+    let mut at_rest = vec![0u8; 16 * 1024];
+    run.volume.shared.clone().read(64, &mut at_rest).unwrap();
+    assert_ne!(
+        at_rest,
+        VerifyWorkload::pattern(0, 0, 16 * 1024),
+        "plaintext at rest"
+    );
+    assert!(!run.cloud.client_mut(0, run.app).is_ready());
+    let (node, app) = (run.deployment.mb_nodes[0].node, run.deployment.mb_apps[0]);
+    let tap = run.cloud.net.app_mut(node, app.unwrap()).unwrap();
+    assert_eq!(tap.downcast_mut::<PassiveTap>().unwrap().refused_flows(), 1);
+}

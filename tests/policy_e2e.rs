@@ -2,6 +2,7 @@
 //! instantiated through the provider catalogue, drives a full deployment.
 
 use storm::cloud::{Cloud, CloudConfig};
+use storm::core::policy::PolicyError;
 use storm::core::{MbSpec, ServiceSpec, StormPlatform, TenantPolicy, VolumePolicy};
 use storm::services::catalog;
 use storm_block::BlockDevice;
@@ -87,6 +88,27 @@ fn policy_document_deploys_and_enforces() {
     assert_eq!(attrs.len(), 1);
     assert_eq!(attrs[0].vm_label, "vm:db-1");
     assert!(attrs[0].tuple.is_some());
+}
+
+/// Replica I/O skips the stages after the service that issues it, so
+/// replication ahead of encryption would mirror plaintext: refused. The
+/// other order encrypts what it mirrors.
+#[test]
+fn replication_ahead_of_encryption_is_refused() {
+    let policy = |kinds: [&str; 2]| TenantPolicy {
+        tenant: 1,
+        volumes: vec![VolumePolicy {
+            vm: "db".into(),
+            volume_gb: 1,
+            services: kinds.map(ServiceSpec::new).to_vec(),
+        }],
+    };
+    let refused = PolicyError::ReplicaBeforeEncryption { vm: "db".into() };
+    assert_eq!(
+        policy(["replication", "encryption"]).validate(),
+        Err(refused)
+    );
+    assert_eq!(policy(["encryption", "replication"]).validate(), Ok(()));
 }
 
 #[test]

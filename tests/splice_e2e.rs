@@ -2,30 +2,25 @@
 //! pairs and middle-boxes in every relay mode, with data integrity checks.
 
 use storm::core::RelayMode;
-use storm::scenario::Spec;
+use storm::scenario::{Case, Load, Spec};
 use storm_block::BlockDevice;
 use storm_sim::{SimDuration, SimTime};
 use storm_workloads::VerifyWorkload;
 
-/// Deploys a bare one-middle-box chain in `mode`, runs the verify
-/// workload through it and checks both ends: the bytes at rest and the
-/// middle-box having carried them. Returns whether the round verified.
-fn run_mode(mode: RelayMode, bytes: usize) -> bool {
-    let spec = Spec {
-        client_seed: 99,
-        label: "vm:verify",
-        volume_bytes: 128 << 20,
+/// Runs one verified round through a bare one-middle-box chain in `mode`,
+/// held to [`Case::check`], and checks both ends: the bytes at rest and
+/// the middle-box having carried them.
+fn round_trip(mode: RelayMode, bytes: usize) {
+    let case = Case {
         mode,
-        ..Spec::default()
+        load: Load::Verify(bytes, 1),
+        ..Case::default()
     };
-    let mut run = spec.build(VerifyWorkload::new(2048, bytes), |_, _| {});
-    run.run_until(SimTime::from_nanos(10_000_000_000));
-    assert_eq!(run.client().stats.errors, 0, "mode {mode:?}");
-    let verified = run.workload::<VerifyWorkload>().verified() == 1;
+    let run = case.check();
     // The data really landed on the backing volume (end-to-end): no
     // cipher in a bare chain, so at rest is plaintext in every mode.
     let mut buf = vec![0u8; 512];
-    run.volume.shared.clone().read(2048, &mut buf).unwrap();
+    run.volume.shared.clone().read(64, &mut buf).unwrap();
     assert_eq!(buf, VerifyWorkload::pattern(0, 0, 512), "mode {mode:?}");
     // The middle-box VM actually carried traffic: its node forwarded
     // packets or terminated connections.
@@ -38,32 +33,31 @@ fn run_mode(mode: RelayMode, bytes: usize) -> bool {
         saw_traffic,
         "traffic must traverse the middle-box in {mode:?}"
     );
-    verified
 }
 
 #[test]
 fn forward_mode_round_trip_small() {
-    assert!(run_mode(RelayMode::Forward, 4096));
+    round_trip(RelayMode::Forward, 4096);
 }
 
 #[test]
 fn forward_mode_round_trip_large() {
-    assert!(run_mode(RelayMode::Forward, 256 * 1024));
+    round_trip(RelayMode::Forward, 256 * 1024);
 }
 
 #[test]
 fn passive_mode_round_trip() {
-    assert!(run_mode(RelayMode::Passive, 64 * 1024));
+    round_trip(RelayMode::Passive, 64 * 1024);
 }
 
 #[test]
 fn active_mode_round_trip_small() {
-    assert!(run_mode(RelayMode::Active, 4096));
+    round_trip(RelayMode::Active, 4096);
 }
 
 #[test]
 fn active_mode_round_trip_large() {
-    assert!(run_mode(RelayMode::Active, 256 * 1024));
+    round_trip(RelayMode::Active, 256 * 1024);
 }
 
 /// The atomic-attachment property: after the steering rule is removed, a

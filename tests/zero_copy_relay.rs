@@ -3,41 +3,25 @@
 //! initiators sharing one middle-box.
 
 use storm::iscsi::TransportKind;
-use storm::scenario::{Replica, Spec};
+use storm::scenario::{Case, Load, Replica, Spec};
 use storm::services::ReplicationService;
 use storm_sim::SimTime;
 use storm_workloads::VerifyWorkload;
 
 /// Tentpole acceptance, on either wire protocol: a bare active-relay
-/// chain forwards every data segment verbatim — byte-identical wire data,
-/// zero data bytes copied. Only fixed-size header copies into reassembly
-/// scratch are allowed.
-fn passthrough_stays_zero_copy(transport: TransportKind, label: &'static str, salt: u8) {
-    let spec = Spec {
-        client_seed: 21,
+/// chain forwards every data segment verbatim. [`Case::check`] holds it
+/// to byte-identical read-back and zero data bytes copied; only
+/// fixed-size header copies into reassembly scratch are allowed.
+fn passthrough_stays_zero_copy(transport: TransportKind) {
+    let case = Case {
         transport,
-        label,
-        ..Spec::default()
+        load: Load::Verify(16 * 1024, 8),
+        ..Case::default()
     };
-    let workload = VerifyWorkload::new(64, 16 * 1024).rounds(8).salt(salt);
-    let mut run = spec.build(workload, |_, _| {});
-    run.run_until(SimTime::from_nanos(10_000_000_000));
-    let client = run.client();
-    assert_eq!(client.stats.errors, 0);
-    assert_eq!(client.transport().kind(), transport);
-    assert_eq!(
-        run.workload::<VerifyWorkload>().verified(),
-        8,
-        "every round must read back byte-identical data through the relay"
-    );
-
+    let mut run = case.check();
     let relay = run.relay();
     let copy = relay.copy_stats();
     assert!(relay.pdus_forwarded() > 0, "chain must have carried PDUs");
-    assert_eq!(
-        copy.data_bytes_copied, 0,
-        "passthrough must not copy forwarded data segments on {transport:?}"
-    );
     match transport {
         TransportKind::Iscsi => assert_eq!(
             copy.verbatim_forwards,
@@ -55,14 +39,14 @@ fn passthrough_stays_zero_copy(transport: TransportKind, label: &'static str, sa
 
 #[test]
 fn passthrough_relay_forwards_verbatim_with_zero_copies() {
-    passthrough_stays_zero_copy(TransportKind::Iscsi, "vm:zc", 0);
+    passthrough_stays_zero_copy(TransportKind::Iscsi);
 }
 
 /// The relay sniffs the nvmeq magic byte and bridges units through the
 /// (empty) chain: the zero-copy invariant is wire-protocol agnostic.
 #[test]
 fn passthrough_relay_stays_zero_copy_over_nvmeq() {
-    passthrough_stays_zero_copy(TransportKind::Nvmeq, "vm:zc-nvq", 5);
+    passthrough_stays_zero_copy(TransportKind::Nvmeq);
 }
 
 /// Regression test for side-action routing: with TWO initiators on one
