@@ -122,10 +122,10 @@ const POSTMARK_MB_CIPHER_PER_BYTE: SimDuration = SimDuration::from_nanos(6);
 pub(crate) fn fig11(testbed: &Testbed) -> Output {
     let run = |name: &str, middlebox: bool| {
         let cfg = postmark::PostmarkConfig::default();
-        let (mut image, groups) = postmark::prepare(&cfg);
+        let (image, groups) = postmark::prepare(&cfg);
         let mut cloud = build_cloud(testbed.seed);
         let vol = cloud.create_volume(cfg.volume_bytes, 0);
-        install_image(&mut image, &mut vol.shared.clone());
+        install_image(&image, &mut vol.shared.clone());
         let mut trace = TraceWorkload::new(groups);
         if !middlebox {
             trace = trace.with_vm_cipher(POSTMARK_VM_CIPHER.0, POSTMARK_VM_CIPHER.1);
@@ -295,7 +295,7 @@ impl Monitored {
 /// and reads the monitor's findings back out of the relay.
 fn monitored_replay(
     testbed: &Testbed,
-    image: &mut MemDisk,
+    image: &MemDisk,
     groups: Vec<OpGroup>,
     mount: &str,
     watch: &[&str],
@@ -364,8 +364,8 @@ pub(crate) fn table1(testbed: &Testbed) -> Output {
         group(OpClass::Append, "write name1/1.img", write),
         group(OpClass::Read, "read name9/7.img", read),
     ];
-    let mut image = fs.into_device().expect("unmount").into_inner();
-    let seen = monitored_replay(testbed, &mut image, groups, "/mnt/box", &["/mnt/box/name9"]);
+    let image = fs.into_device().expect("unmount").into_inner();
+    let seen = monitored_replay(testbed, &image, groups, "/mnt/box", &["/mnt/box/name9"]);
     let written = seen.bytes(FsOp::Write, "/mnt/box/name1/1.img");
     let read = seen.bytes(FsOp::Read, "/mnt/box/name9/7.img");
     vec![seen
@@ -379,9 +379,9 @@ pub(crate) fn table1(testbed: &Testbed) -> Output {
 /// installation (`storm_workloads::malware`), replayed through the
 /// monitor, which must recover every artifact of every step.
 pub(crate) fn table3(testbed: &Testbed) -> Output {
-    let mut image = malware::build_system_image();
+    let image = malware::build_system_image();
     let (groups, steps) = malware::ganiw_trace(image.clone());
-    let seen = monitored_replay(testbed, &mut image, groups, "", &["/etc/init.d", "/bin"]);
+    let seen = monitored_replay(testbed, &image, groups, "", &["/etc/init.d", "/bin"]);
     let artifacts: Vec<&String> = steps.iter().flat_map(|s| &s.touches).collect();
     let missed = artifacts.iter().filter(|p| !seen.recovered(p)).count();
     vec![seen

@@ -88,6 +88,29 @@ impl MemDisk {
     pub fn allocated_bytes(&self) -> usize {
         self.chunks.len() * CHUNK_BYTES
     }
+
+    /// Writes every populated 4 KiB chunk to the same sectors of `dst`, in
+    /// sector order: a copy that costs what the disk holds, not what it
+    /// could hold. Sectors this disk never wrote are left alone on `dst`,
+    /// so the copy is exact only onto a device that reads zero there.
+    ///
+    /// # Errors
+    ///
+    /// [`BlockError::Unavailable`] if this disk is failed, or the first
+    /// error `dst` returns.
+    pub fn copy_into<D: BlockDevice>(&self, dst: &mut D) -> Result<(), BlockError> {
+        if self.failed {
+            return Err(BlockError::Unavailable);
+        }
+        for (&chunk, stored) in self.chunks.sorted() {
+            let lba = chunk * CHUNK_SECTORS;
+            // The last chunk may run past a capacity that is not a whole
+            // number of chunks.
+            let sectors = CHUNK_SECTORS.min(self.num_sectors - lba);
+            dst.write(lba, &stored[..sectors as usize * SECTOR_SIZE])?;
+        }
+        Ok(())
+    }
 }
 
 impl BlockDevice for MemDisk {
@@ -229,6 +252,69 @@ mod tests {
             disk.read(0, &mut all).unwrap();
             prop_assert_eq!(all, flat);
         }
+
+        /// Random sparse writes, zero-filled ones included, on a disk of
+        /// two and a bit 1 MiB pieces whose last chunk is partial: the
+        /// chunk copy reads back what the source and the scan-and-copy
+        /// hold, and allocates exactly the source's chunks (the scan's
+        /// whole 1 MiB pieces, zeros inside them included, are gone).
+        #[test]
+        fn copy_into_matches_scan_and_copy(writes in prop::collection::vec(
+            (0u64..COPY_SECTORS, 1u64..20, 0u8..4), 0..40,
+        )) {
+            let mut src = MemDisk::new(COPY_SECTORS);
+            for (lba, sectors, fill) in writes {
+                let sectors = sectors.min(COPY_SECTORS - lba);
+                let data: Vec<u8> = (0..sectors as usize * SECTOR_SIZE)
+                    .map(|i| fill.wrapping_mul(i as u8 | 1))
+                    .collect();
+                src.write(lba, &data).unwrap();
+            }
+            let (mut chunked, mut scanned) = (MemDisk::new(COPY_SECTORS), MemDisk::new(COPY_SECTORS));
+            src.copy_into(&mut chunked).unwrap();
+            scan_and_copy(&mut src, &mut scanned);
+            let whole = |d: &mut MemDisk| {
+                let mut all = vec![0xEEu8; COPY_SECTORS as usize * SECTOR_SIZE];
+                d.read(0, &mut all).unwrap();
+                all
+            };
+            let expected = whole(&mut src);
+            prop_assert!(whole(&mut chunked) == expected);
+            prop_assert!(whole(&mut scanned) == expected);
+            prop_assert_eq!(chunked.allocated_bytes(), src.allocated_bytes());
+        }
+    }
+
+    const COPY_SECTORS: u64 = 2 * 2048 + 301;
+
+    /// The image install `copy_into` replaced: read the whole source in
+    /// 1 MiB pieces and write each piece holding a non-zero byte.
+    fn scan_and_copy(src: &mut MemDisk, dst: &mut MemDisk) {
+        const PIECE: u64 = 2048;
+        let mut buf = vec![0u8; PIECE as usize * SECTOR_SIZE];
+        let mut lba = 0;
+        while lba < src.num_sectors() {
+            let n = PIECE.min(src.num_sectors() - lba);
+            let bytes = n as usize * SECTOR_SIZE;
+            src.read(lba, &mut buf[..bytes]).unwrap();
+            if buf[..bytes].iter().any(|&b| b != 0) {
+                dst.write(lba, &buf[..bytes]).unwrap();
+            }
+            lba += n;
+        }
+    }
+
+    #[test]
+    fn copy_from_a_failed_disk_writes_nothing() {
+        let mut src = MemDisk::new(64);
+        src.write(8, &[3u8; SECTOR_SIZE]).unwrap();
+        src.fail();
+        let mut dst = MemDisk::new(64);
+        assert_eq!(src.copy_into(&mut dst), Err(BlockError::Unavailable));
+        assert_eq!(dst.allocated_bytes(), 0);
+        // A destination too small for the source's chunks refuses them.
+        src.recover();
+        assert!(src.copy_into(&mut MemDisk::new(8)).is_err());
     }
 
     #[test]

@@ -161,6 +161,16 @@ pub fn dirents(block: &[u8]) -> impl Iterator<Item = Dirent<'_>> {
     })
 }
 
+/// The inode and type of the first live entry of `block` named `name`:
+/// what `dirents(block).find(|e| e.name == name)` yields, but compared as
+/// bytes, so no record's name is UTF-8-checked on the way. A non-UTF-8
+/// name never equals a `&str`, so the first hit is the same record.
+pub fn lookup(block: &[u8], name: &str) -> Option<(u32, FileType)> {
+    raw_dirents(block)
+        .filter(|r| r.inode != 0 && !r.name.is_empty() && r.name == name.as_bytes())
+        .find_map(|r| Some((r.inode, FileType::from_byte(r.type_byte)?)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,5 +363,47 @@ mod tests {
             }
             prop_assert_eq!(owned(block), parse_dirents_reference(block));
         }
+
+        /// `lookup` against the `dirents(..).find` it replaced, on blocks
+        /// of records drawn from deleted ones, unknown and known types,
+        /// empty names, `.`/`..`, repeated names and non-UTF-8 names, each
+        /// queried by every name a `&str` can carry.
+        #[test]
+        fn lookup_matches_find_over_dirents(
+            records in prop::collection::vec((0u32..3, 0usize..5, 0usize..NAMES.len()), 0..60),
+            cut in 0usize..BLOCK_SIZE + 1,
+        ) {
+            let mut block = vec![0u8; BLOCK_SIZE];
+            let mut off = 0;
+            for (inode, ty, name) in records {
+                let name = NAMES[name];
+                let rec_len = rec_len_for(name.len());
+                if off + rec_len > BLOCK_SIZE {
+                    break;
+                }
+                block[off..off + 4].copy_from_slice(&inode.to_le_bytes());
+                block[off + 4..off + 6].copy_from_slice(&(rec_len as u16).to_le_bytes());
+                block[off + 6] = name.len() as u8;
+                block[off + 7] = [0, 1, 2, 7, 9][ty];
+                block[off + 8..off + 8 + name.len()].copy_from_slice(name);
+                off += rec_len;
+            }
+            let block = &block[..cut];
+            for query in NAMES.iter().filter_map(|n| std::str::from_utf8(n).ok()) {
+                let old = dirents(block).find(|e| e.name == query).map(|e| (e.inode, e.file_type));
+                prop_assert_eq!(lookup(block, query), old, "query {:?}", query);
+            }
+        }
     }
+
+    const NAMES: [&[u8]; 8] = [
+        b"",
+        b".",
+        b"..",
+        b"msg1",
+        b"msg10",
+        b"\xFFmsg1",
+        b"\xC3",
+        b"\xC3\xA9",
+    ];
 }

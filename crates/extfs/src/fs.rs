@@ -6,7 +6,7 @@ use std::fmt;
 use storm_block::{BlockDevice, BlockError};
 
 use crate::dirent::{
-    dirents, raw_dirents, rec_len_for, write_dirent, DirEntry, FileType, MAX_NAME_LEN,
+    dirents, lookup, raw_dirents, rec_len_for, write_dirent, DirEntry, FileType, MAX_NAME_LEN,
 };
 use crate::inode::{
     block_pointers, pointer_at, Inode, DIND_SLOT, DIRECT_BLOCKS, IND_SLOT, PTRS_PER_BLOCK,
@@ -64,6 +64,21 @@ impl From<BlockError> for FsError {
     fn from(e: BlockError) -> Self {
         FsError::Block(e)
     }
+}
+
+/// The first clear bit below `limit` in `bitmap` (bit `i` is bit `i % 8`
+/// of byte `i / 8`), found a 64-bit word at a time.
+fn first_clear_bit(bitmap: &[u8], limit: usize) -> Option<usize> {
+    let (words, _) = bitmap.as_chunks::<8>();
+    words
+        .iter()
+        .take(limit.div_ceil(64))
+        .enumerate()
+        .find_map(|(w, word)| {
+            let ones = u64::from_le_bytes(*word).trailing_ones() as usize;
+            (ones < 64).then_some(w * 64 + ones)
+        })
+        .filter(|&idx| idx < limit)
 }
 
 /// File metadata returned by [`ExtFs::stat`].
@@ -335,16 +350,12 @@ impl<D: BlockDevice> ExtFs<D> {
         limit: usize,
     ) -> Result<Option<usize>, FsError> {
         let mut bitmap = self.read_block(bitmap_block)?;
-        for idx in 0..limit {
-            let byte = idx / 8;
-            let bit = 1u8 << (idx % 8);
-            if bitmap[byte] & bit == 0 {
-                bitmap[byte] |= bit;
-                self.write_block(bitmap_block, &bitmap)?;
-                return Ok(Some(idx));
-            }
-        }
-        Ok(None)
+        let Some(idx) = first_clear_bit(&bitmap, limit) else {
+            return Ok(None);
+        };
+        bitmap[idx / 8] |= 1 << (idx % 8);
+        self.write_block(bitmap_block, &bitmap)?;
+        Ok(Some(idx))
     }
 
     fn alloc_block(&mut self, preferred_group: usize) -> Result<u32, FsError> {
@@ -568,9 +579,8 @@ impl<D: BlockDevice> ExtFs<D> {
         }
         for b in self.dir_blocks(&dir)? {
             let buf = self.read_block(b)?;
-            let hit = dirents(&buf).find(|e| e.name == name);
-            if let Some(e) = hit {
-                return Ok(Some((e.inode, e.file_type)));
+            if let Some(hit) = lookup(&buf, name) {
+                return Ok(Some(hit));
             }
         }
         Ok(None)
@@ -1048,6 +1058,53 @@ mod tests {
 
     fn fs() -> ExtFs<MemDisk> {
         ExtFs::mkfs(MemDisk::with_capacity_bytes(128 << 20)).unwrap()
+    }
+
+    /// The bit-at-a-time scan `first_clear_bit` replaced.
+    fn first_clear_bit_reference(bitmap: &[u8], limit: usize) -> Option<usize> {
+        (0..limit).find(|idx| bitmap[idx / 8] & (1 << (idx % 8)) == 0)
+    }
+
+    /// Both group limits and some that are not whole words, at every
+    /// fill level from empty to full: filled in index order (allocation's
+    /// own order) and in a shuffled one, with the bits past `limit` clear
+    /// or set (as mkfs sets the inode bitmap's).
+    #[test]
+    fn word_scan_matches_bit_scan_at_every_fill_level() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for limit in [
+            BLOCKS_PER_GROUP as usize,
+            INODES_PER_GROUP as usize,
+            1,
+            63,
+            65,
+            4_000,
+        ] {
+            let mut shuffled: Vec<usize> = (0..limit).collect();
+            for i in (1..limit).rev() {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                shuffled.swap(i, (x % (i as u64 + 1)) as usize);
+            }
+            let in_order: Vec<usize> = (0..limit).collect();
+            for (order, tail_set) in [(&in_order, false), (&in_order, true), (&shuffled, true)] {
+                let mut bitmap = vec![0u8; BLOCK_SIZE];
+                if tail_set {
+                    (limit..BLOCK_SIZE * 8).for_each(|i| bitmap[i / 8] |= 1 << (i % 8));
+                }
+                for fill in 0..=limit {
+                    assert_eq!(
+                        first_clear_bit(&bitmap, limit),
+                        first_clear_bit_reference(&bitmap, limit),
+                        "limit {limit} fill {fill}"
+                    );
+                    if let Some(&i) = order.get(fill) {
+                        bitmap[i / 8] |= 1 << (i % 8);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

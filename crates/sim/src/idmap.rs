@@ -108,8 +108,8 @@ impl<K, V, S> IdMap<K, V, S> {
         self.0.clear();
     }
 
-    /// Every entry, in key order: the one whole-table view, for tests
-    /// and reports. It sorts, so keep it off per-frame paths.
+    /// Every entry, in key order: the one whole-table view, for tests,
+    /// reports and set-up. It sorts, so keep it off per-frame paths.
     pub fn sorted(&self) -> Vec<(&K, &V)>
     where
         K: Ord,

@@ -133,39 +133,37 @@ pub fn prepare(cfg: &PostmarkConfig) -> (MemDisk, Vec<OpGroup>) {
     (image, groups)
 }
 
+/// File contents: byte `i` is `(i + tag) % 251`, copied out of one
+/// rotated 251-byte period.
 fn pattern(len: usize, tag: usize) -> Vec<u8> {
-    (0..len).map(|i| ((i + tag) % 251) as u8).collect()
+    const PERIOD: usize = 251;
+    let twice: [u8; 2 * PERIOD] = std::array::from_fn(|i| (i % PERIOD) as u8);
+    let start = tag % PERIOD;
+    let mut out = twice[start..start + PERIOD].repeat(len.div_ceil(PERIOD));
+    out.truncate(len);
+    out
 }
 
 /// Copies a prepared disk image onto a (larger or equal) device — how a
-/// pre-formatted volume is installed before attaching.
+/// pre-formatted volume is installed before attaching. Only the chunks
+/// the image holds are written, so `dst` must read zero everywhere else:
+/// a fresh volume.
 ///
 /// # Panics
 ///
 /// Panics if `dst` is smaller than `src` or on device errors.
-pub fn install_image<S: BlockDevice, D: BlockDevice>(src: &mut S, dst: &mut D) {
+pub fn install_image<D: BlockDevice>(src: &MemDisk, dst: &mut D) {
     assert!(
         dst.num_sectors() >= src.num_sectors(),
         "destination too small"
     );
-    const CHUNK: u64 = 2048; // 1 MiB
-    let mut buf = vec![0u8; (CHUNK * 512) as usize];
-    let mut lba = 0;
-    while lba < src.num_sectors() {
-        let n = CHUNK.min(src.num_sectors() - lba);
-        let bytes = (n * 512) as usize;
-        src.read(lba, &mut buf[..bytes]).expect("read image");
-        // Skip all-zero runs (sparse copy).
-        if buf[..bytes].iter().any(|&b| b != 0) {
-            dst.write(lba, &buf[..bytes]).expect("write image");
-        }
-        lba += n;
-    }
+    src.copy_into(dst).expect("install image");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use storm_block::AccessKind;
 
     #[test]
     fn trace_contains_all_classes() {
@@ -214,13 +212,89 @@ mod tests {
             initial_files: 5,
             ..Default::default()
         };
-        let (mut image, _) = prepare(&cfg);
+        let (image, _) = prepare(&cfg);
         let mut volume = MemDisk::with_capacity_bytes(cfg.volume_bytes);
-        install_image(&mut image, &mut volume);
+        install_image(&image, &mut volume);
+        // Installing costs what the image holds.
+        assert_eq!(volume.allocated_bytes(), image.allocated_bytes());
         // The copied volume mounts and lists the mail pool.
         let mut fs = ExtFs::mount(volume).unwrap();
         let entries = fs.readdir("/mail").unwrap();
         // Deletes keep at least two files alive.
         assert!(entries.len() >= 2, "got {}", entries.len());
+    }
+
+    fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(h, |h, b| {
+            (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// What the benchmark replays, pinned to digests recorded before the
+    /// set-up was made cheaper: the image's non-zero 4 KiB blocks (index
+    /// and bytes) and every traced access in order (kind, address,
+    /// length, data), on a two-group volume. A set-up optimisation must
+    /// leave both alone.
+    #[test]
+    fn prepared_image_and_trace_are_pinned() {
+        let cfg = PostmarkConfig {
+            initial_files: 30,
+            transactions: 60,
+            volume_bytes: 40 << 20,
+            ..PostmarkConfig::default()
+        };
+        let (mut image, groups) = prepare(&cfg);
+        let (mut image_fnv, mut used) = (0xcbf2_9ce4_8422_2325, 0);
+        let mut block = vec![0u8; 4096];
+        for b in 0..image.num_sectors() / 8 {
+            image.read(b * 8, &mut block).unwrap();
+            if block != [0u8; 4096] {
+                used += 1;
+                image_fnv = fnv1a(fnv1a(image_fnv, &b.to_le_bytes()), &block);
+            }
+        }
+        let (mut trace_fnv, mut accesses) = (0xcbf2_9ce4_8422_2325, 0);
+        for g in &groups {
+            trace_fnv = fnv1a(trace_fnv, format!("{}|{}", g.class, g.label).as_bytes());
+            for a in &g.accesses {
+                accesses += 1;
+                trace_fnv = fnv1a(trace_fnv, &[u8::from(a.kind == AccessKind::Write)]);
+                trace_fnv = fnv1a(trace_fnv, &a.lba.to_le_bytes());
+                trace_fnv = fnv1a(trace_fnv, &a.sectors.to_le_bytes());
+                trace_fnv = fnv1a(trace_fnv, &a.data);
+            }
+        }
+        assert_eq!(
+            ((image_fnv, used), (trace_fnv, accesses)),
+            ((0x472f_a7ad_0969_2177, 73), (0x00c9_3bcc_1a3a_320f, 994))
+        );
+    }
+
+    /// The per-byte formula `pattern` replaced, at every length up to
+    /// 600 and random ones up to 20 000, under tags near zero and far
+    /// from it.
+    #[test]
+    fn pattern_matches_the_per_byte_formula() {
+        let reference = |len: usize, tag: usize| -> Vec<u8> {
+            (0..len).map(|i| ((i + tag) % 251) as u8).collect()
+        };
+        let mut rng = SimRng::seed_from_u64(251);
+        for len in 0..=600 {
+            let tag = rng.below(1 << 40) as usize;
+            assert_eq!(
+                pattern(len, tag),
+                reference(len, tag),
+                "len {len} tag {tag}"
+            );
+        }
+        for tag in 0..600 {
+            let len = rng.below(20_001) as usize;
+            assert_eq!(
+                pattern(len, tag),
+                reference(len, tag),
+                "len {len} tag {tag}"
+            );
+        }
+        assert_eq!(pattern(20_000, 7), reference(20_000, 7));
     }
 }

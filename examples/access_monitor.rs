@@ -46,7 +46,7 @@ fn main() {
         ..Spec::default()
     };
     let mut run = spec.build(TraceWorkload::new(trace), |_, volume| {
-        install_image(&mut image, &mut volume.shared.clone());
+        install_image(&image, &mut volume.shared.clone());
     });
     run.run_until(SimTime::from_nanos(60_000_000_000));
     assert_eq!(run.client().stats.errors, 0);

@@ -62,7 +62,7 @@ fn main() {
         accesses: ops,
     }];
     let mut run = spec.build(TraceWorkload::new(groups), |_, volume| {
-        install_image(&mut image, &mut volume.shared.clone());
+        install_image(&image, &mut volume.shared.clone());
     });
     run.run_until(SimTime::from_nanos(20_000_000_000));
     assert_eq!(run.client().stats.errors, 0);

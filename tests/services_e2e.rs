@@ -94,7 +94,7 @@ fn monitor_reconstructs_malware_install_over_the_wire() {
         ..Spec::default()
     };
     let mut run = spec.build(TraceWorkload::new(groups), |_, vol| {
-        postmark::install_image(&mut image, &mut vol.shared.clone());
+        postmark::install_image(&image, &mut vol.shared.clone());
     });
     run.run_until(SimTime::from_nanos(30_000_000_000));
     assert_eq!(run.client().stats.errors, 0);
