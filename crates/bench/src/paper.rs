@@ -9,7 +9,7 @@
 
 use storm_block::{MemDisk, RecordingDevice};
 use storm_cloud::{Cloud, CloudConfig, VolumeHandle, Workload};
-use storm_core::relay::ReplicaTarget;
+use storm_core::relay::{ReplicaTarget, CPU_LABEL};
 use storm_core::semantics::FsEvent;
 use storm_core::{FsOp, FsTargetKind, MbSpec, Reconstructor, RelayMode};
 use storm_extfs::ExtFs;
@@ -92,7 +92,7 @@ pub(crate) fn fig10(testbed: &Testbed) -> Output {
             100.0 * busy / (elapsed.as_secs_f64() * 2.0)
         };
         let vm = pct(cloud.computes[0].host, &["vm:tenant"]);
-        let mb = mb_node.map_or(0.0, |node| pct(node, &["mb", "fwd"]));
+        let mb = mb_node.map_or(0.0, |node| pct(node, &[CPU_LABEL, "fwd"]));
         let target = pct(cloud.storages[0].host, &["target"]);
         // 256 KiB chunks, four in flight (`FtpWorkload::new`).
         let point = client_point(&mut cloud, 0, app, elapsed);

@@ -9,7 +9,11 @@
 //! paper's Figure 3 shows. Removing the rules detaches middle-boxes from
 //! an existing flow (on-demand service scaling).
 
+use storm_iscsi::ISCSI_PORT;
 use storm_net::{steering_rule, FlowMatch, MacAddr, Network, SwitchId};
+
+/// The priority of every chain rule the controller installs.
+const PRIORITY: u16 = 100;
 
 /// One middle-box hop in a chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,8 +31,6 @@ pub struct ChainSpec {
     /// connection attribution port). `None` matches any port — used when a
     /// whole gateway pair is dedicated to one volume.
     pub vm_port: Option<u16>,
-    /// iSCSI destination port (3260).
-    pub iscsi_port: u16,
     /// Ingress gateway vif (where steered traffic enters the instance
     /// network).
     pub ingress_mac: MacAddr,
@@ -40,8 +42,6 @@ pub struct ChainSpec {
     pub egress_ovs: SwitchId,
     /// Middle-boxes, in traversal order.
     pub hops: Vec<ChainHop>,
-    /// Rule priority.
-    pub priority: u16,
 }
 
 impl ChainSpec {
@@ -54,7 +54,7 @@ impl ChainSpec {
             let mut m = FlowMatch::any()
                 .src_mac(prev_mac)
                 .dst_mac(self.egress_mac)
-                .dst_port(self.iscsi_port);
+                .dst_port(ISCSI_PORT);
             if let Some(p) = self.vm_port {
                 m = m.src_port(p);
             }
@@ -74,7 +74,7 @@ impl ChainSpec {
             let mut m = FlowMatch::any()
                 .src_mac(prev_mac)
                 .dst_mac(self.ingress_mac)
-                .src_port(self.iscsi_port);
+                .src_port(ISCSI_PORT);
             if let Some(p) = self.vm_port {
                 m = m.dst_port(p);
             }
@@ -93,27 +93,27 @@ impl ChainSpec {
 
 /// Installs a chain's rules into the fabric.
 pub fn install_chain(net: &mut Network, chain: &ChainSpec) {
-    install_rules(net, chain.priority, chain.forward_rules());
-    install_rules(net, chain.priority, chain.reverse_rules());
+    install_rules(net, chain.forward_rules());
+    install_rules(net, chain.reverse_rules());
 }
 
 /// Installs only the forward-direction rules (used when active relays
 /// split the chain into per-segment reverse paths).
 pub fn install_forward(net: &mut Network, chain: &ChainSpec) {
-    install_rules(net, chain.priority, chain.forward_rules());
+    install_rules(net, chain.forward_rules());
 }
 
 /// Installs only the reverse-direction rules for one segment.
 pub fn install_reverse(net: &mut Network, chain: &ChainSpec) {
-    install_rules(net, chain.priority, chain.reverse_rules());
+    install_rules(net, chain.reverse_rules());
 }
 
-fn install_rules(net: &mut Network, priority: u16, rules: Vec<(SwitchId, FlowMatch, MacAddr)>) {
+fn install_rules(net: &mut Network, rules: Vec<(SwitchId, FlowMatch, MacAddr)>) {
     for (ovs, m, next) in rules {
         net.fabric
             .switch_mut(ovs)
             .flows_mut()
-            .install(steering_rule(priority, m, next));
+            .install(steering_rule(PRIORITY, m, next));
     }
 }
 
@@ -143,7 +143,6 @@ mod tests {
         let mb_ovs = net.add_switch("ovs-mb", 8);
         let spec = ChainSpec {
             vm_port,
-            iscsi_port: 3260,
             ingress_mac: MacAddr::nth(1),
             ingress_ovs,
             egress_mac: MacAddr::nth(2),
@@ -154,7 +153,6 @@ mod tests {
                     ovs: mb_ovs,
                 })
                 .collect(),
-            priority: 100,
         };
         (net, spec)
     }

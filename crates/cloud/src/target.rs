@@ -57,12 +57,6 @@ pub struct TargetHostConfig {
     pub per_io_cpu: SimDuration,
     /// Per-byte target CPU cost (TCP + page-cache copies).
     pub per_byte_cpu: SimDuration,
-    /// Ring size offered to nvmeq hosts in the connect ack.
-    pub queue_depth: u16,
-    /// nvmeq completion coalescing: flush once this many CQEs are held.
-    pub cq_max_batch: usize,
-    /// nvmeq interrupt-moderation window in nanoseconds.
-    pub cq_window_ns: u64,
 }
 
 impl Default for TargetHostConfig {
@@ -72,9 +66,6 @@ impl Default for TargetHostConfig {
             params: SessionParams::default(),
             per_io_cpu: SimDuration::from_micros(20),
             per_byte_cpu: SimDuration::from_nanos(4),
-            queue_depth: 32,
-            cq_max_batch: 8,
-            cq_window_ns: 20_000,
         }
     }
 }
@@ -725,9 +716,6 @@ impl App for TargetHostApp {
                 sess.conn = Box::new(NvmeqTargetConn::new(NvmeqTargetConfig {
                     target_iqn,
                     num_sectors,
-                    queue_depth: self.cfg.queue_depth,
-                    cq_max_batch: self.cfg.cq_max_batch,
-                    cq_window_ns: self.cfg.cq_window_ns,
                 }));
             } else if bound.is_some() {
                 sess.conn = Box::new(TargetConn::new(TargetConfig {

@@ -11,21 +11,27 @@ use storm_sim::SimDuration;
 use crate::client::{VolumeClient, VolumeClientConfig, Workload};
 use crate::target::{TargetHostApp, TargetHostConfig};
 
+/// Compute hosts in every cloud (Figure 1's testbed).
+const COMPUTE_HOSTS: usize = 4;
+/// CPU cores per compute and storage host.
+const HOST_CORES: usize = 8;
+/// Gateway-namespace veth links: cheaper than a virtio vif.
+const VETH_LINK: LinkSpec = LinkSpec {
+    latency: SimDuration::from_nanos(300),
+    bandwidth_bps: 10_000_000_000,
+    per_packet: SimDuration::from_nanos(400),
+    half_duplex: false,
+};
+
 /// Cloud-wide build parameters.
 #[derive(Debug, Clone)]
 pub struct CloudConfig {
-    /// Number of compute hosts.
-    pub compute_hosts: usize,
     /// Number of storage hosts.
     pub storage_hosts: usize,
-    /// CPU cores per host.
-    pub cores: usize,
     /// Physical (1 GbE) link parameters.
     pub phys_link: LinkSpec,
     /// VM vif (virtio) link parameters.
     pub virtio_link: LinkSpec,
-    /// Gateway-namespace veth link parameters (cheaper than virtio).
-    pub veth_link: LinkSpec,
     /// Storage host configuration.
     pub target: TargetHostConfig,
     /// Bytes of backing disk per storage host.
@@ -42,17 +48,9 @@ pub struct CloudConfig {
 impl Default for CloudConfig {
     fn default() -> Self {
         CloudConfig {
-            compute_hosts: 4,
             storage_hosts: 1,
-            cores: 8,
             phys_link: LinkSpec::gigabit(),
             virtio_link: LinkSpec::virtio(),
-            veth_link: LinkSpec {
-                latency: SimDuration::from_nanos(300),
-                bandwidth_bps: 10_000_000_000,
-                per_packet: SimDuration::from_nanos(400),
-                half_duplex: false,
-            },
             target: TargetHostConfig::default(),
             backing_bytes: 8 << 30,
             transport: TransportKind::Iscsi,
@@ -160,8 +158,8 @@ impl Cloud {
         let storage_sw = net.add_switch("storage-sw", 64);
         let instance_sw = net.add_switch("instance-sw", 64);
         let mut computes = Vec::new();
-        for i in 0..cfg.compute_hosts {
-            let host = net.add_host(format!("compute{i}"), cfg.cores);
+        for i in 0..COMPUTE_HOSTS {
+            let host = net.add_host(format!("compute{i}"), HOST_CORES);
             let storage_ip = Ipv4Addr::new(10, 1, 0, 10 + i as u8);
             let instance_ip = Ipv4Addr::new(10, 2, 0, 10 + i as u8);
             let storage_iface = net.add_iface_with(host, storage_ip, 16);
@@ -189,7 +187,7 @@ impl Cloud {
         let mut storages = Vec::new();
         let mut vgs = Vec::new();
         for j in 0..cfg.storage_hosts {
-            let host = net.add_host(format!("storage{j}"), cfg.cores);
+            let host = net.add_host(format!("storage{j}"), HOST_CORES);
             let storage_ip = Ipv4Addr::new(10, 1, 1, 10 + j as u8);
             let iface = net.add_iface_with(host, storage_ip, 16);
             net.link_host_switch(host, iface, storage_sw, cfg.phys_link);
@@ -369,7 +367,7 @@ impl Cloud {
         let iface = self.net.add_iface_with(node, instance_ip, 24);
         let ovs = self.computes[host_idx].ovs;
         let spec = if is_namespace {
-            self.cfg.veth_link
+            VETH_LINK
         } else {
             self.cfg.virtio_link
         };
@@ -391,7 +389,7 @@ impl Cloud {
             let ip = Ipv4Addr::new(10, 1, 2, 10 + (n % 200) as u8);
             let siface = self.net.add_iface_with(node, ip, 16);
             self.net
-                .link_host_switch(node, siface, self.storage_sw, self.cfg.veth_link);
+                .link_host_switch(node, siface, self.storage_sw, VETH_LINK);
             Some(ip)
         } else {
             None

@@ -37,8 +37,7 @@ pub mod splice;
 pub use platform::{ChainDeployment, MbSpec, RelayMode, StormPlatform};
 pub use policy::{ServiceSpec, TenantPolicy, VolumePolicy};
 pub use relay::{
-    ActiveRelayConfig, ActiveRelayMb, MbControl, PassiveTap, PassiveTapConfig, RelayCopyStats,
-    RelayQosConfig, RetryPolicy,
+    ActiveRelayConfig, ActiveRelayMb, MbControl, PassiveTap, RelayCopyStats, RelayQosConfig,
 };
 pub use semantics::{FsAccess, FsOp, FsTargetKind, Reconstructor};
 pub use service::{Dir, ReplicaIo, StorageService, SvcAction, SvcCtx};

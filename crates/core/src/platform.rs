@@ -8,12 +8,12 @@
 
 use storm_cloud::sdn::{self, ChainHop, ChainSpec};
 use storm_cloud::{Cloud, GuestVm, VolumeHandle, Workload};
-use storm_iscsi::{Iqn, ISCSI_PORT};
+use storm_iscsi::Iqn;
 use storm_net::{AppId, DnatRule, SockAddr, TapConfig};
 use storm_sim::SimDuration;
 
 use crate::relay::{
-    ActiveRelayConfig, ActiveRelayMb, PassiveTap, PassiveTapConfig, RelayQosConfig, ReplicaTarget,
+    ActiveRelayConfig, ActiveRelayMb, PassiveTap, RelayQosConfig, ReplicaTarget, LISTEN_PORT,
 };
 use crate::service::StorageService;
 use crate::splice::{self, GatewayPair};
@@ -116,8 +116,6 @@ pub struct StormPlatform {
     /// large frames so vif copies batch ("the TCP handler packs several
     /// packets together for each copy"). Disable for ablation studies.
     pub tso: bool,
-    /// SDN rule priority.
-    pub priority: u16,
     /// Per-tenant rate shaping applied at every active relay this
     /// platform deploys; `None` (default) admits everything unshaped.
     pub qos: Option<RelayQosConfig>,
@@ -132,7 +130,6 @@ impl Default for StormPlatform {
             per_pdu_cost: SimDuration::from_micros(2),
             buffer_cap: 8 << 20,
             tso: true,
-            priority: 100,
             qos: None,
         }
     }
@@ -180,7 +177,7 @@ impl StormPlatform {
                 }
                 RelayMode::Passive => {
                     cloud.net.enable_forwarding(guest.node, self.forward_cost);
-                    let mut tap = PassiveTap::new(PassiveTapConfig::default(), spec.services);
+                    let mut tap = PassiveTap::new(spec.services);
                     tap.set_trace_hook(cloud.trace_hook(), i as u32);
                     let app = cloud.net.add_app(guest.node, Box::new(tap));
                     cloud.net.set_tap(
@@ -206,7 +203,6 @@ impl StormPlatform {
                     cfg.replicas = spec.replicas;
                     cfg.initiator_iqn = Iqn::for_host(&format!("mb{i}-t{}", self.tenant));
                     cfg.qos = self.qos.clone();
-                    let listen_port = cfg.listen_port;
                     let mut relay = ActiveRelayMb::new(cfg, spec.services);
                     relay.set_trace_hook(cloud.trace_hook(), i as u32);
                     let app = cloud.net.add_app(guest.node, Box::new(relay));
@@ -217,7 +213,7 @@ impl StormPlatform {
                             match_dst_ip: egress_portal.ip,
                             match_dst_port: Some(egress_portal.port),
                             match_src_ip: None,
-                            to: SockAddr::new(guest.instance_ip, listen_port),
+                            to: SockAddr::new(guest.instance_ip, LISTEN_PORT),
                         },
                     );
                     Some(app)
@@ -238,13 +234,11 @@ impl StormPlatform {
             .collect();
         let forward_chain = ChainSpec {
             vm_port: None,
-            iscsi_port: ISCSI_PORT,
             ingress_mac: pair.ingress.mac,
             ingress_ovs: cloud.computes[pair.ingress.host_idx].ovs,
             egress_mac: pair.egress.mac,
             egress_ovs: cloud.computes[pair.egress.host_idx].ovs,
             hops: hops.clone(),
-            priority: self.priority,
         };
         sdn::install_forward(&mut cloud.net, &forward_chain);
 
@@ -259,13 +253,11 @@ impl StormPlatform {
                     // Close the current segment at this active relay.
                     let seg = ChainSpec {
                         vm_port: None,
-                        iscsi_port: ISCSI_PORT,
                         ingress_mac: seg_start_mac,
                         ingress_ovs: seg_start_ovs,
                         egress_mac: pair.egress.mac,
                         egress_ovs: cloud.computes[mb_nodes[i].host_idx].ovs,
                         hops: seg_hops.clone(),
-                        priority: self.priority,
                     };
                     reverse_chains.push(seg);
                     seg_start_mac = mb_nodes[i].mac;
@@ -278,13 +270,11 @@ impl StormPlatform {
         // Final segment towards the egress gateway.
         reverse_chains.push(ChainSpec {
             vm_port: None,
-            iscsi_port: ISCSI_PORT,
             ingress_mac: seg_start_mac,
             ingress_ovs: seg_start_ovs,
             egress_mac: pair.egress.mac,
             egress_ovs: cloud.computes[pair.egress.host_idx].ovs,
             hops: seg_hops,
-            priority: self.priority,
         });
         for seg in &reverse_chains {
             sdn::install_reverse(&mut cloud.net, seg);

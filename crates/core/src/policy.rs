@@ -26,8 +26,7 @@ pub enum RelayModeSpec {
 /// One middle-box service in a chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceSpec {
-    /// Service type: `"monitor"`, `"encryption"`, `"replication"` (or a
-    /// tenant-custom name).
+    /// Service type: one of [`KNOWN_KINDS`].
     pub kind: String,
     /// Interception mode.
     pub mode: RelayModeSpec,
@@ -79,8 +78,24 @@ pub struct TenantPolicy {
     pub volumes: Vec<VolumePolicy>,
 }
 
-/// Service kinds the bundled implementations understand.
-pub const KNOWN_KINDS: &[&str] = &["monitor", "encryption", "replication", "passthrough"];
+/// Service kinds the bundled catalogue builds.
+pub const KNOWN_KINDS: &[&str] = &[
+    "monitor",
+    "encryption",
+    "replication",
+    "passthrough",
+    "dedup",
+    "compress",
+    "cache",
+    "snapshot",
+];
+
+/// The kinds a passive tap can host: it transforms bytes as they stream
+/// past and never holds a whole PDU.
+const PASSIVE_KINDS: &[&str] = &["encryption", "passthrough"];
+
+/// The kinds that issue replica I/O, which passes no later stage.
+const REPLICA_KINDS: &[&str] = &["replication", "cache", "snapshot"];
 
 /// Policy validation failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,7 +110,8 @@ pub enum PolicyError {
         /// Offending kind.
         kind: String,
     },
-    /// Passive mode cannot host buffering services.
+    /// Passive mode hosts only byte-wise transforms (encryption,
+    /// passthrough).
     PassiveBuffering {
         /// Offending kind.
         kind: String,
@@ -105,8 +121,9 @@ pub enum PolicyError {
         /// Offending VM name.
         vm: String,
     },
-    /// Replication ahead of encryption: replica I/O skips later stages, so
-    /// the mirrors would hold plaintext.
+    /// Replication, a cache or a snapshot ahead of encryption: replica I/O
+    /// skips later stages, so mirrors, flushes and journals would hold
+    /// plaintext.
     ReplicaBeforeEncryption {
         /// Offending VM name.
         vm: String,
@@ -123,7 +140,7 @@ impl std::fmt::Display for PolicyError {
             }
             PolicyError::ZeroVolume { vm } => write!(f, "vm {vm}: zero-sized volume"),
             PolicyError::ReplicaBeforeEncryption { vm } => {
-                write!(f, "vm {vm}: replication ahead of encryption")
+                write!(f, "vm {vm}: replica I/O ahead of encryption")
             }
         }
     }
@@ -151,18 +168,14 @@ impl TenantPolicy {
                         kind: s.kind.clone(),
                     });
                 }
-                // Monitoring and replication must see whole PDUs; only
-                // stream transforms fit the passive path.
-                if s.mode == RelayModeSpec::Passive
-                    && (s.kind == "monitor" || s.kind == "replication")
-                {
+                if s.mode == RelayModeSpec::Passive && !PASSIVE_KINDS.contains(&s.kind.as_str()) {
                     return Err(PolicyError::PassiveBuffering {
                         kind: s.kind.clone(),
                     });
                 }
             }
             let kinds = || v.services.iter().map(|s| s.kind.as_str());
-            let replica = kinds().position(|k| k == "replication");
+            let replica = kinds().position(|k| REPLICA_KINDS.contains(&k));
             if replica.is_some_and(|r| kinds().skip(r).any(|k| k == "encryption")) {
                 return Err(PolicyError::ReplicaBeforeEncryption { vm: v.vm.clone() });
             }

@@ -33,8 +33,9 @@ mod active;
 mod edge;
 mod passive;
 
+pub(crate) use active::LISTEN_PORT;
 pub use active::{
     ActiveRelayConfig, ActiveRelayMb, MbControl, RelayCopyStats, RelayQosConfig, ReplicaTarget,
-    RetryPolicy,
+    CPU_LABEL,
 };
-pub use passive::{PassiveTap, PassiveTapConfig, WireTracker};
+pub use passive::{PassiveTap, WireTracker};

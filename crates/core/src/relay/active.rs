@@ -30,45 +30,33 @@ pub struct ReplicaTarget {
     pub iqn: Iqn,
 }
 
-/// Watchdog policy for replica I/O: a request that produces no response
-/// within `timeout` is retried with bounded exponential backoff; a replica
-/// that times out `fail_threshold` times in a row is declared unresponsive
+/// The replica I/O watchdog: a request that produces no response within
+/// `REPLICA_TIMEOUT` is retried with bounded exponential backoff; a replica
+/// that times out `FAIL_THRESHOLD` times in a row is declared unresponsive
 /// and failed over (the paper's "once a replica is not responsive ... it
 /// will be eliminated from future operations").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Time allowed for one replica request to complete.
-    pub timeout: SimDuration,
-    /// Re-issues per request before the request is failed to its service.
-    pub max_retries: u32,
-    /// Delay before the first retry; doubles per attempt.
-    pub backoff_base: SimDuration,
-    /// Upper bound on the backoff delay.
-    pub backoff_cap: SimDuration,
-    /// Consecutive timeouts after which the whole replica is failed.
-    pub fail_threshold: u32,
+const REPLICA_TIMEOUT: SimDuration = SimDuration::from_millis(500);
+/// Re-issues per request before the request is failed to its service.
+const MAX_RETRIES: u32 = 2;
+/// Delay before the first retry; doubles per attempt.
+const BACKOFF_BASE: SimDuration = SimDuration::from_millis(10);
+/// Upper bound on the backoff delay.
+const BACKOFF_CAP: SimDuration = SimDuration::from_millis(200);
+/// Consecutive timeouts after which the whole replica is failed.
+const FAIL_THRESHOLD: u32 = 3;
+
+/// Backoff before retry number `attempt` (1-based), capped.
+fn backoff(attempt: u32) -> SimDuration {
+    let exp = attempt.saturating_sub(1).min(16);
+    (BACKOFF_BASE * (1u64 << exp)).min(BACKOFF_CAP)
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            timeout: SimDuration::from_millis(500),
-            max_retries: 2,
-            backoff_base: SimDuration::from_millis(10),
-            backoff_cap: SimDuration::from_millis(200),
-            fail_threshold: 3,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff before retry number `attempt` (1-based), capped.
-    fn backoff(&self, attempt: u32) -> SimDuration {
-        let exp = attempt.saturating_sub(1).min(16);
-        let d = self.backoff_base * (1u64 << exp);
-        d.min(self.backoff_cap)
-    }
-}
+/// The port the pseudo-server listens on; the platform DNAT-redirects
+/// steered flows here.
+pub(crate) const LISTEN_PORT: u16 = 13260;
+/// The CPU accounting label every relay charges (Figure 10's middle-box
+/// row sums it).
+pub const CPU_LABEL: &str = "mb";
 
 /// Control messages a fault driver delivers over the hypervisor bus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,9 +86,6 @@ pub struct RelayQosConfig {
 /// Active relay configuration.
 #[derive(Debug, Clone)]
 pub struct ActiveRelayConfig {
-    /// Local port the pseudo-server listens on (flows are DNAT-redirected
-    /// here).
-    pub listen_port: u16,
     /// Where the pseudo-client connects onward (the egress gateway).
     pub upstream: SockAddr,
     /// Persistence buffer capacity in bytes; beyond it the pseudo-server
@@ -109,30 +94,23 @@ pub struct ActiveRelayConfig {
     pub buffer_cap: usize,
     /// Per-PDU API overhead (decapsulation/encapsulation).
     pub per_pdu_cost: SimDuration,
-    /// CPU accounting label (e.g. `"mb"`).
-    pub label: String,
     /// Replica volumes to attach.
     pub replicas: Vec<ReplicaTarget>,
     /// Initiator identity for replica sessions.
     pub initiator_iqn: Iqn,
-    /// Replica I/O watchdog; `None` disables timeouts entirely.
-    pub retry: Option<RetryPolicy>,
     /// Per-tenant rate shaping; `None` (default) admits everything.
     pub qos: Option<RelayQosConfig>,
 }
 
 impl ActiveRelayConfig {
-    /// Defaults: listen on 13260, 8 MiB buffer, 4 µs per PDU.
+    /// Defaults: 8 MiB buffer, 4 µs per PDU.
     pub fn new(upstream: SockAddr) -> Self {
         ActiveRelayConfig {
-            listen_port: 13260,
             upstream,
             buffer_cap: 8 << 20,
             per_pdu_cost: SimDuration::from_micros(4),
-            label: "mb".into(),
             replicas: Vec::new(),
             initiator_iqn: Iqn::for_host("middlebox"),
-            retry: Some(RetryPolicy::default()),
             qos: None,
         }
     }
@@ -580,7 +558,7 @@ impl ActiveRelayMb {
                 }
                 (SvcAction::Alert(msg), _) => self.alerts.push((cx.now(), msg)),
                 (SvcAction::Charge(c), Sink::Batch(..)) => charged += c,
-                (SvcAction::Charge(c), Sink::Side(_)) => _ = cx.charge(c, &self.cfg.label),
+                (SvcAction::Charge(c), Sink::Side(_)) => _ = cx.charge(c, CPU_LABEL),
                 (SvcAction::Timer { delay, token }, _) => {
                     self.arm(cx, delay, Timer::Service { svc: idx, token })
                 }
@@ -655,10 +633,7 @@ impl ActiveRelayMb {
         };
         sess.pending.insert(tag, req);
         self.flush_replica(cx, replica);
-        // Arm the request watchdog.
-        if let Some(policy) = self.cfg.retry {
-            self.arm(cx, policy.timeout, Timer::Watchdog { replica, tag });
-        }
+        self.arm(cx, REPLICA_TIMEOUT, Timer::Watchdog { replica, tag });
     }
 
     /// Fails one replica request back to the service that issued it.
@@ -670,11 +645,8 @@ impl ActiveRelayMb {
 
     /// A replica request produced no response within the timeout window:
     /// retry with bounded exponential backoff, and once the session has
-    /// timed out `fail_threshold` requests in a row, fail the replica.
+    /// timed out `FAIL_THRESHOLD` requests in a row, fail the replica.
     fn handle_replica_timeout(&mut self, cx: &mut Cx<'_>, replica: usize, tag: IoTag) {
-        let Some(policy) = self.cfg.retry else {
-            return;
-        };
         let Some(sess) = self.replicas.get_mut(replica) else {
             return;
         };
@@ -683,14 +655,13 @@ impl ActiveRelayMb {
             return;
         };
         sess.timeouts += 1;
-        if sess.timeouts >= policy.fail_threshold {
+        if sess.timeouts >= FAIL_THRESHOLD {
             // Drains the remaining pending requests; this one was removed
             // above, so it is failed separately below.
             self.fail_replica(cx, replica);
-        } else if req.attempts < policy.max_retries {
+        } else if req.attempts < MAX_RETRIES {
             req.attempts += 1;
-            let backoff = policy.backoff(req.attempts);
-            return self.arm(cx, backoff, Timer::Retry { replica, req });
+            return self.arm(cx, backoff(req.attempts), Timer::Retry { replica, req });
         }
         // Replica gone or out of retries: this request is failed to its
         // service.
@@ -779,7 +750,7 @@ impl ActiveRelayMb {
             let mut out = self.run_chain(cx, now, dir, pair_idx, batch);
             out.cost += fault_delay;
             // Account CPU and serialize processing per flow.
-            let _ = cx.charge(out.cost, &self.cfg.label);
+            let _ = cx.charge(out.cost, CPU_LABEL);
             let done = self.pairs[pair_idx].proc.serve(now + qos_delay, out.cost);
             let deferred = Deferred {
                 pair: pair_idx,
@@ -959,7 +930,7 @@ impl ActiveRelayMb {
 
 impl App for ActiveRelayMb {
     fn on_start(&mut self, cx: &mut Cx<'_>) {
-        cx.listen(self.cfg.listen_port);
+        cx.listen(LISTEN_PORT);
         self.connect_replicas(cx);
     }
 

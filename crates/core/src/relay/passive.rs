@@ -8,28 +8,13 @@
 use std::hash::RandomState;
 
 use storm_iscsi::exchange::Exchange;
-use storm_iscsi::BHS_LEN;
+use storm_iscsi::{BHS_LEN, ISCSI_PORT};
 use storm_net::{App, Cx, FourTuple, Frame, TapVerdict};
 use storm_nvmeq::MAGIC;
 use storm_sim::trace::{flow_token, Hop, TraceEvent, TraceHook};
 use storm_sim::{IdMap, SimDuration, SimTime};
 
 use crate::service::{Dir, StorageService};
-
-/// Configuration of a passive tap.
-#[derive(Debug, Clone, Copy)]
-pub struct PassiveTapConfig {
-    /// The iSCSI port identifying storage flows (3260).
-    pub iscsi_port: u16,
-}
-
-impl Default for PassiveTapConfig {
-    fn default() -> Self {
-        PassiveTapConfig {
-            iscsi_port: storm_iscsi::ISCSI_PORT,
-        }
-    }
-}
 
 #[derive(Debug)]
 enum TrackState {
@@ -153,7 +138,6 @@ impl WireTracker {
 /// middle-box node via [`storm_net::Network::set_tap`]; transforms
 /// in-flight data through the service chain's `transform` hooks.
 pub struct PassiveTap {
-    cfg: PassiveTapConfig,
     services: Vec<Box<dyn StorageService>>,
     trackers: IdMap<(FourTuple, Dir), WireTracker, RandomState>,
     /// Each flow's open-command table; `None` for a refused flow.
@@ -164,9 +148,8 @@ pub struct PassiveTap {
 
 impl PassiveTap {
     /// Creates a tap running `services` (their `transform` hooks).
-    pub fn new(cfg: PassiveTapConfig, services: Vec<Box<dyn StorageService>>) -> Self {
+    pub fn new(services: Vec<Box<dyn StorageService>>) -> Self {
         PassiveTap {
-            cfg,
             services,
             trackers: IdMap::default(),
             cmds: IdMap::default(),
@@ -207,10 +190,12 @@ impl PassiveTap {
         self.refused_flows
     }
 
-    fn flow_key(&self, frame: &Frame) -> Option<(FourTuple, Dir)> {
-        if frame.tcp.dst_port == self.cfg.iscsi_port {
+    /// Storage flows are the ones on the iSCSI port, whichever protocol
+    /// they turn out to speak.
+    fn flow_key(frame: &Frame) -> Option<(FourTuple, Dir)> {
+        if frame.tcp.dst_port == ISCSI_PORT {
             Some((frame.tuple(), Dir::ToTarget))
-        } else if frame.tcp.src_port == self.cfg.iscsi_port {
+        } else if frame.tcp.src_port == ISCSI_PORT {
             Some((frame.tuple().reversed(), Dir::ToInitiator))
         } else {
             None
@@ -220,7 +205,7 @@ impl PassiveTap {
 
 impl App for PassiveTap {
     fn on_tap(&mut self, cx: &mut Cx<'_>, frame: &mut Frame) -> TapVerdict {
-        let Some((base_tuple, dir)) = self.flow_key(frame) else {
+        let Some((base_tuple, dir)) = Self::flow_key(frame) else {
             return TapVerdict::Forward;
         };
         if frame.tcp.payload.is_empty() {

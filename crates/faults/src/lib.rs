@@ -6,8 +6,7 @@
 //! to *cause* failures, reproducibly:
 //!
 //! - [`FaultPlan`] / [`FaultSchedule`]: a small DSL describing what fails,
-//!   when (at an instant, over a window, or once a predicate over the
-//!   cloud holds), and for how long.
+//!   when (at an instant or over a window), and for how long.
 //! - [`FaultState`]: the armed plan. It implements
 //!   [`storm_sim::FaultPoint`] and is consulted from injection sites in
 //!   the net fabric (frame loss), the storage targets (disk latency
@@ -46,6 +45,6 @@ mod plan;
 mod runner;
 mod state;
 
-pub use plan::{Fault, FaultPlan, FaultSchedule, Predicate};
+pub use plan::{Fault, FaultPlan, FaultSchedule};
 pub use runner::FaultRunner;
 pub use state::FaultState;

@@ -1,6 +1,5 @@
 //! The fault schedule DSL: what fails, when, and for how long.
 
-use storm_cloud::Cloud;
 use storm_sim::{SimDuration, SimTime};
 
 /// One injectable fault.
@@ -100,32 +99,19 @@ impl Fault {
     }
 }
 
-/// A predicate over the cloud; polled by the runner at a fixed cadence.
-pub type Predicate = Box<dyn Fn(&Cloud) -> bool + Send>;
-
 pub(crate) struct TimedEvent {
     pub at: SimTime,
     pub fault: Fault,
     pub duration: Option<SimDuration>,
 }
 
-pub(crate) struct PredicateEvent {
-    pub pred: Predicate,
-    pub fault: Fault,
-    pub duration: Option<SimDuration>,
-}
-
 /// Builder for a fault schedule.
 ///
-/// `at`/`window` inject at an instant; `when`/`when_for` inject once a
-/// predicate over the cloud first holds (polled every
-/// [`poll_every`](FaultPlan::poll_every), default 1 s). The seed drives
-/// every probabilistic decision the armed plan makes.
+/// `at`/`window` inject at an instant. The seed drives every
+/// probabilistic decision the armed plan makes.
 pub struct FaultPlan {
     seed: u64,
     timed: Vec<TimedEvent>,
-    predicates: Vec<PredicateEvent>,
-    poll: SimDuration,
 }
 
 impl FaultPlan {
@@ -134,8 +120,6 @@ impl FaultPlan {
         FaultPlan {
             seed,
             timed: Vec::new(),
-            predicates: Vec::new(),
-            poll: SimDuration::from_secs(1),
         }
     }
 
@@ -161,43 +145,6 @@ impl FaultPlan {
         self
     }
 
-    /// Injects `fault` (permanently) the first time `pred` holds.
-    pub fn when(mut self, pred: impl Fn(&Cloud) -> bool + Send + 'static, fault: Fault) -> Self {
-        self.predicates.push(PredicateEvent {
-            pred: Box::new(pred),
-            fault,
-            duration: None,
-        });
-        self
-    }
-
-    /// Injects `fault` the first time `pred` holds and heals it
-    /// `duration` later.
-    pub fn when_for(
-        mut self,
-        pred: impl Fn(&Cloud) -> bool + Send + 'static,
-        duration: SimDuration,
-        fault: Fault,
-    ) -> Self {
-        self.predicates.push(PredicateEvent {
-            pred: Box::new(pred),
-            fault,
-            duration: Some(duration),
-        });
-        self
-    }
-
-    /// Sets the predicate polling cadence (default 1 s).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `poll` is zero.
-    pub fn poll_every(mut self, poll: SimDuration) -> Self {
-        assert!(poll > SimDuration::ZERO, "poll cadence must be positive");
-        self.poll = poll;
-        self
-    }
-
     /// Compiles the plan into a time-ordered schedule.
     pub fn schedule(self) -> FaultSchedule {
         let mut timed = self.timed;
@@ -206,8 +153,6 @@ impl FaultPlan {
         FaultSchedule {
             seed: self.seed,
             timed,
-            predicates: self.predicates,
-            poll: self.poll,
         }
     }
 }
@@ -217,7 +162,6 @@ impl std::fmt::Debug for FaultPlan {
         f.debug_struct("FaultPlan")
             .field("seed", &self.seed)
             .field("timed", &self.timed.len())
-            .field("predicates", &self.predicates.len())
             .finish()
     }
 }
@@ -227,8 +171,6 @@ impl std::fmt::Debug for FaultPlan {
 pub struct FaultSchedule {
     pub(crate) seed: u64,
     pub(crate) timed: Vec<TimedEvent>,
-    pub(crate) predicates: Vec<PredicateEvent>,
-    pub(crate) poll: SimDuration,
 }
 
 impl FaultSchedule {
@@ -248,7 +190,6 @@ impl std::fmt::Debug for FaultSchedule {
         f.debug_struct("FaultSchedule")
             .field("seed", &self.seed)
             .field("timed", &self.timed.len())
-            .field("predicates", &self.predicates.len())
             .finish()
     }
 }

@@ -9,7 +9,7 @@ use storm_core::relay::{ActiveRelayMb, MbControl};
 use storm_net::{AppId, BusMsg, HostId, LinkId};
 use storm_sim::{IdMap, SimDuration, SimTime};
 
-use crate::plan::{Fault, FaultSchedule, PredicateEvent, TimedEvent};
+use crate::plan::{Fault, FaultSchedule, TimedEvent};
 use crate::state::FaultState;
 
 enum Heal {
@@ -30,10 +30,8 @@ enum Heal {
 pub struct FaultRunner {
     state: Arc<FaultState>,
     timed: VecDeque<TimedEvent>,
-    predicates: Vec<PredicateEvent>,
     heals: Vec<(SimTime, u64, Heal)>,
     next_heal_seq: u64,
-    poll: SimDuration,
     mbs: IdMap<u32, (HostId, AppId), RandomState>,
 }
 
@@ -44,10 +42,8 @@ impl FaultRunner {
         FaultRunner {
             state: FaultState::new(schedule.seed),
             timed: schedule.timed.into(),
-            predicates: schedule.predicates,
             heals: Vec::new(),
             next_heal_seq: 0,
-            poll: schedule.poll,
             mbs: IdMap::default(),
         }
     }
@@ -99,7 +95,7 @@ impl FaultRunner {
     }
 
     /// Runs the cloud to `until`, injecting scheduled faults at their
-    /// instants and polling predicates at the configured cadence.
+    /// instants.
     pub fn run(&mut self, cloud: &mut Cloud, until: SimTime) {
         loop {
             let now = cloud.net.now();
@@ -109,11 +105,6 @@ impl FaultRunner {
             }
             if let Some(t) = self.heals.iter().map(|(t, _, _)| *t).min() {
                 next = next.min(t);
-            }
-            if !self.predicates.is_empty() {
-                let p = self.poll.as_nanos();
-                let tick = SimTime::from_nanos((now.as_nanos() / p + 1) * p);
-                next = next.min(tick);
             }
             let next = next.max(now);
             cloud.net.run_until(next);
@@ -125,8 +116,7 @@ impl FaultRunner {
     }
 
     /// Applies everything due at `now`: heals first (a window ending as
-    /// another begins sees clean state), then timed events, then a
-    /// predicate poll if `now` is on the cadence.
+    /// another begins sees clean state), then timed events.
     fn fire_due(&mut self, cloud: &mut Cloud, now: SimTime) {
         let mut due: Vec<(SimTime, u64, Heal)> = Vec::new();
         self.heals.retain_mut(|entry| {
@@ -148,21 +138,6 @@ impl FaultRunner {
         while self.timed.front().is_some_and(|e| e.at <= now) {
             let e = self.timed.pop_front().expect("peeked");
             self.apply(cloud, now, e.fault, e.duration);
-        }
-        if !self.predicates.is_empty() && now.as_nanos().is_multiple_of(self.poll.as_nanos()) {
-            let mut fired = Vec::new();
-            self.predicates.retain_mut(|p| {
-                if (p.pred)(cloud) {
-                    fired.push((p.fault, p.duration));
-                    false
-                } else {
-                    true
-                }
-            });
-            for (fault, duration) in fired {
-                self.state.note(now, &format!("predicate fired: {fault:?}"));
-                self.apply(cloud, now, fault, duration);
-            }
         }
     }
 
@@ -277,7 +252,6 @@ impl std::fmt::Debug for FaultRunner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FaultRunner")
             .field("timed_remaining", &self.timed.len())
-            .field("predicates_remaining", &self.predicates.len())
             .field("heals_pending", &self.heals.len())
             .finish()
     }

@@ -1,5 +1,5 @@
 //! Runner mechanics against a real cloud: timed commands, windows with
-//! auto-heal, predicate triggers, and run-to-run trace determinism.
+//! auto-heal, and run-to-run trace determinism.
 
 use storm_cloud::{Cloud, CloudConfig};
 use storm_faults::{Fault, FaultPlan, FaultRunner};
@@ -26,11 +26,8 @@ fn plan(storage_host: u32) -> FaultPlan {
                 sectors: 8,
             },
         )
-        // A predicate event: fires at the first poll tick past t=4s.
-        .when(
-            |c: &Cloud| c.net.now() >= secs(4),
-            Fault::LinkDown { link: 0 },
-        )
+        // Link 0 goes down for good at t=4s.
+        .at(secs(4), Fault::LinkDown { link: 0 })
 }
 
 fn run_once() -> (Vec<String>, bool, bool) {
@@ -50,8 +47,7 @@ fn run_once() -> (Vec<String>, bool, bool) {
         .all(|l| !cloud.net.fabric.link(l).is_up());
 
     runner.run(&mut cloud, secs(6));
-    // Partition healed at t=3s; the predicate then took link 0 down for
-    // good at the first poll tick past t=4s.
+    // Partition healed at t=3s; link 0 then went down for good at t=4s.
     let healed_then_cut = {
         let back_up = cloud
             .net
@@ -73,18 +69,16 @@ fn scheduled_commands_apply_heal_and_trigger() {
     assert!(partitioned, "storage host must be partitioned at t=2s");
     assert!(
         healed_then_cut,
-        "partition must heal and predicate must fire"
+        "partition must heal and link 0 must go down"
     );
     let joined = trace.join("\n");
     assert!(joined.contains("partition host"), "{joined}");
     assert!(joined.contains("heal partition"), "{joined}");
     assert!(joined.contains("arm #1 MediumError"), "{joined}");
-    assert!(joined.contains("predicate fired"), "{joined}");
-    assert!(joined.contains("cmd link-down 0"), "{joined}");
-    // Ordering: partition precedes its heal precedes the predicate.
+    // Ordering: partition precedes its heal precedes the link cut.
     let p = joined.find("partition host").unwrap();
     let h = joined.find("heal partition").unwrap();
-    let f = joined.find("predicate fired").unwrap();
+    let f = joined.find("cmd link-down 0").unwrap();
     assert!(p < h && h < f, "{joined}");
 }
 

@@ -15,6 +15,16 @@ use storm_iscsi::{
 use crate::codec::{scan_connect_payload, Cqe, FrameHeader, FrameKind, SqeOp, CQE_LEN};
 use crate::stream::{FrameStream, UnitEntry};
 
+/// Ring size offered in the connect ack.
+const QUEUE_DEPTH: u16 = 32;
+/// Flush the completion queue as soon as this many CQEs are held, even
+/// before the moderation window closes.
+const CQ_MAX_BATCH: usize = 8;
+/// Interrupt-moderation window: the first held CQE starts a timer this
+/// many nanoseconds out; when it fires, everything held goes out as one
+/// completion frame.
+const CQ_WINDOW_NS: u64 = 20_000;
+
 /// Target-side queue-pair configuration.
 #[derive(Debug, Clone)]
 pub struct NvmeqTargetConfig {
@@ -22,15 +32,6 @@ pub struct NvmeqTargetConfig {
     pub target_iqn: Iqn,
     /// Exported volume capacity in 512-byte sectors.
     pub num_sectors: u64,
-    /// Ring size offered in the connect ack.
-    pub queue_depth: u16,
-    /// Flush the completion queue as soon as this many CQEs are held,
-    /// even before the moderation window closes.
-    pub cq_max_batch: usize,
-    /// Interrupt-moderation window: the first held CQE starts a timer
-    /// this many nanoseconds out; when it fires, everything held goes
-    /// out as one completion frame.
-    pub cq_window_ns: u64,
 }
 
 impl NvmeqTargetConfig {
@@ -39,9 +40,6 @@ impl NvmeqTargetConfig {
         NvmeqTargetConfig {
             target_iqn: Iqn::for_volume(1),
             num_sectors,
-            queue_depth: 32,
-            cq_max_batch: 8,
-            cq_window_ns: 20_000,
         }
     }
 }
@@ -51,7 +49,7 @@ impl NvmeqTargetConfig {
 ///
 /// Completions coalesce: `complete_*` parks the CQE instead of sending
 /// it, and the whole parked set leaves as one completion frame when
-/// either `cq_max_batch` entries are held or the interrupt-moderation
+/// either `CQ_MAX_BATCH` entries are held or the interrupt-moderation
 /// deadline passes ([`cq_deadline_ns`](Self::cq_deadline_ns) tells the
 /// hosting app when to call [`flush_cq`](Self::flush_cq)). Read payloads
 /// stay refcounted views end to end.
@@ -76,12 +74,7 @@ pub struct NvmeqTargetConn {
 
 impl NvmeqTargetConn {
     /// Creates a connection awaiting its connect frame.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cq_max_batch` is zero.
     pub fn new(cfg: NvmeqTargetConfig) -> Self {
-        assert!(cfg.cq_max_batch > 0, "zero completion batch");
         NvmeqTargetConn {
             cfg,
             stream: FrameStream::new(),
@@ -234,7 +227,7 @@ impl NvmeqTargetConn {
             kind: FrameKind::ConnectAck,
             count: 0,
             payload_len: 16,
-            queue_depth: self.cfg.queue_depth,
+            queue_depth: QUEUE_DEPTH,
         };
         self.out.push_slice(&header.encode());
         self.out.push_slice(&[status, 0, 0, 0, 0, 0, 0, 0]);
@@ -268,10 +261,10 @@ impl NvmeqTargetConn {
     fn park(&mut self, now_ns: u64, cid: u32, op: SqeOp, status: ScsiStatus, data: Bytes) {
         self.outstanding = self.outstanding.saturating_sub(1);
         self.hold(cid, op, status, data);
-        if self.pending.len() >= self.cfg.cq_max_batch {
+        if self.pending.len() >= CQ_MAX_BATCH {
             self.flush_cq(now_ns);
         } else if self.cq_deadline.is_none() {
-            self.cq_deadline = Some(now_ns + self.cfg.cq_window_ns);
+            self.cq_deadline = Some(now_ns + CQ_WINDOW_NS);
         }
     }
 
@@ -408,7 +401,7 @@ mod tests {
         assert_eq!(tgt.peer_queue_depth(), 8);
 
         // Four writes in one doorbell; target completes them all at
-        // t=1000 — under cq_max_batch, so they coalesce behind the
+        // t=1000 — under CQ_MAX_BATCH, so they coalesce behind the
         // moderation timer.
         let payloads: Vec<Bytes> = (0..4).map(|i| Bytes::from(vec![i as u8; 1024])).collect();
         for (i, p) in payloads.iter().enumerate() {
@@ -426,7 +419,7 @@ mod tests {
         assert!(tgt.take_wire().is_empty(), "completions held back");
         assert_eq!(
             tgt.cq_deadline_ns(),
-            Some(1000 + tgt.cfg.cq_window_ns),
+            Some(1000 + CQ_WINDOW_NS),
             "moderation timer armed by first completion"
         );
 
@@ -501,7 +494,7 @@ mod tests {
     #[test]
     fn batch_full_flushes_without_timer() {
         let (mut ini, mut tgt) = connected_pair(16);
-        for i in 0..tgt.cfg.cq_max_batch {
+        for i in 0..CQ_MAX_BATCH {
             ini.read(i as u64, 2);
         }
         for c in ini.take_wire() {
@@ -512,7 +505,7 @@ mod tests {
                 }
             }
         }
-        // The eighth completion hit cq_max_batch and flushed on its own.
+        // The eighth completion hit CQ_MAX_BATCH and flushed on its own.
         assert_eq!(tgt.cq_deadline_ns(), None);
         assert_eq!(tgt.cq_stats(), (1, 8));
         let mut got = 0;

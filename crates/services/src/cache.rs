@@ -37,7 +37,7 @@ use storm_core::{Dir, StorageService, SvcCtx};
 use storm_iscsi::exchange::{
     data_in_train, status_response, BlockCmd, BlockOp, Exchange, Staged, Step, Transfer,
 };
-use storm_iscsi::{DataIn, Pdu, ScsiCommand, ScsiStatus};
+use storm_iscsi::{DataIn, Pdu, ScsiCommand, ScsiStatus, SessionParams};
 use storm_sim::SimDuration;
 
 use crate::lz::{fnv32, put_field};
@@ -61,6 +61,9 @@ const CTX_FLUSH: u64 = 3 << 56;
 const CTX_CHECKPOINT: u64 = 4 << 56;
 const CTX_KIND: u64 = 0xFF << 56;
 
+/// Dirty sectors flushed per round.
+const FLUSH_BATCH: usize = 256;
+
 /// Tuning knobs for the write-back cache.
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
@@ -70,12 +73,6 @@ pub struct CacheConfig {
     pub journal_sectors: u64,
     /// Delay between flush rounds while dirty data exists.
     pub flush_delay: SimDuration,
-    /// Dirty sectors flushed per round.
-    pub flush_batch: usize,
-    /// Negotiated unsolicited-data limit (FirstBurstLength).
-    pub first_burst: usize,
-    /// Per-R2T solicitation limit (MaxBurstLength).
-    pub max_burst: usize,
 }
 
 impl Default for CacheConfig {
@@ -84,9 +81,6 @@ impl Default for CacheConfig {
             capacity_sectors: 32 * 1024, // 16 MiB
             journal_sectors: 16 * 1024,  // 8 MiB
             flush_delay: SimDuration::from_millis(5),
-            flush_batch: 256,
-            first_burst: 64 * 1024,
-            max_burst: 256 * 1024,
         }
     }
 }
@@ -321,10 +315,13 @@ impl WriteBackCacheService {
         (lba..lba + sectors as u64).all(|s| self.sectors.contains_key(&s))
     }
 
-    /// Emits the next R2T for a staged write, if one is due. The cache
-    /// numbers its R2Ts from 1 and tags each with the following number.
-    fn request_data(cx: &mut SvcCtx, cfg: &CacheConfig, itt: u32, stage: &mut Transfer) {
-        if let Some(mut r2t) = stage.next_r2t(itt, cfg.first_burst, cfg.max_burst) {
+    /// Emits the next R2T for a staged write, if one is due, within the
+    /// burst limits every session negotiates. The cache numbers its R2Ts
+    /// from 1 and tags each with the following number.
+    fn request_data(cx: &mut SvcCtx, itt: u32, stage: &mut Transfer) {
+        let params = SessionParams::default();
+        let (first, max) = (params.first_burst_length, params.max_burst_length);
+        if let Some(mut r2t) = stage.next_r2t(itt, first as usize, max as usize) {
             r2t.r2t_sn += 1;
             r2t.ttt = r2t.r2t_sn + 1;
             cx.reply(Pdu::R2t(r2t));
@@ -426,14 +423,14 @@ impl WriteBackCacheService {
         }
     }
 
-    /// Issues one flush round: up to `flush_batch` dirty sectors,
+    /// Issues one flush round: up to `FLUSH_BATCH` dirty sectors,
     /// coalesced into contiguous runs.
     fn kick_flush(&mut self, cx: &mut SvcCtx) {
         let mut picked: Vec<u64> = Vec::new();
         for (lba, s) in &self.sectors {
             if s.dirty && !s.flushing {
                 picked.push(*lba);
-                if picked.len() >= self.cfg.flush_batch {
+                if picked.len() >= FLUSH_BATCH {
                     break;
                 }
             }
@@ -514,7 +511,7 @@ impl WriteBackCacheService {
         let (itt, lba) = (c.itt, cmd.lba);
         match self.cmds.stage(itt, cmd, &c.data) {
             Staged::Complete(_, data) => self.complete_write(cx, CompletedWrite { itt, lba, data }),
-            Staged::Partial(stage) => Self::request_data(cx, &self.cfg, itt, stage),
+            Staged::Partial(stage) => Self::request_data(cx, itt, stage),
             Staged::Untracked => {}
         }
     }
@@ -526,7 +523,7 @@ impl WriteBackCacheService {
             Staged::Complete(BlockCmd { lba, .. }, data) => {
                 self.complete_write(cx, CompletedWrite { itt, lba, data })
             }
-            Staged::Partial(stage) if d.final_pdu => Self::request_data(cx, &self.cfg, itt, stage),
+            Staged::Partial(stage) if d.final_pdu => Self::request_data(cx, itt, stage),
             Staged::Partial(_) => {}
         }
     }

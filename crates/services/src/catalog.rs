@@ -55,19 +55,32 @@ pub fn relay_mode(spec: RelayModeSpec) -> RelayMode {
     }
 }
 
-/// Derives a 64-byte XTS master key from a policy-supplied passphrase.
+/// Derives a 64-byte XTS master key from a non-empty policy passphrase.
 ///
 /// Key material handling is out of the paper's scope; this is a simple
 /// expansion, not a KDF.
 fn expand_key(passphrase: &str) -> [u8; 64] {
     let mut key = [0u8; 64];
-    let bytes = passphrase.as_bytes();
-    for (i, k) in key.iter_mut().enumerate() {
-        *k = bytes[i % bytes.len().max(1)]
-            .wrapping_mul(167)
-            .wrapping_add(i as u8);
+    let cycled = key.iter_mut().zip(passphrase.bytes().cycle());
+    for (i, (k, b)) in cycled.enumerate() {
+        *k = b.wrapping_mul(167).wrapping_add(i as u8);
     }
     key
+}
+
+/// The number `param` holds, `None` when the policy leaves it out.
+fn num<T: std::str::FromStr>(
+    spec: &ServiceSpec,
+    param: &'static str,
+) -> Result<Option<T>, CatalogError> {
+    let Some(v) = spec.params.get(param) else {
+        return Ok(None);
+    };
+    let n = v.parse().map_err(|_| CatalogError::BadParam {
+        param,
+        reason: format!("not a number: {v}"),
+    })?;
+    Ok(Some(n))
 }
 
 /// Instantiates a bundled service from a validated [`ServiceSpec`].
@@ -82,6 +95,12 @@ pub fn build_service(
     spec: &ServiceSpec,
     recon: Option<Reconstructor>,
 ) -> Result<Box<dyn StorageService>, CatalogError> {
+    let bad = |param, reason: &str| {
+        Err(CatalogError::BadParam {
+            param,
+            reason: reason.into(),
+        })
+    };
     match spec.kind.as_str() {
         "monitor" => {
             let recon = recon.ok_or(CatalogError::MissingReconstructor)?;
@@ -104,46 +123,34 @@ pub fn build_service(
                 .get("key")
                 .map(String::as_str)
                 .unwrap_or("default");
+            if passphrase.is_empty() {
+                return bad("key", "the key must not be empty");
+            }
+            let key = expand_key(passphrase);
             let cipher = spec
                 .params
                 .get("cipher")
                 .map(String::as_str)
                 .unwrap_or("aes-256-xts");
             match cipher {
-                "aes-256-xts" => Ok(Box::new(EncryptionService::aes_xts(&expand_key(
-                    passphrase,
-                )))),
+                "aes-256-xts" => Ok(Box::new(EncryptionService::aes_xts(&key))),
                 "chacha20" | "stream" => {
-                    let key64 = expand_key(passphrase);
-                    let mut key = [0u8; 32];
-                    key.copy_from_slice(&key64[..32]);
+                    let mut stream_key = [0u8; 32];
+                    stream_key.copy_from_slice(&key[..32]);
                     let mut nonce = [0u8; 12];
-                    nonce.copy_from_slice(&key64[32..44]);
-                    Ok(Box::new(EncryptionService::stream_cipher(&key, &nonce)))
+                    nonce.copy_from_slice(&key[32..44]);
+                    Ok(Box::new(EncryptionService::stream_cipher(
+                        &stream_key,
+                        &nonce,
+                    )))
                 }
-                other => Err(CatalogError::BadParam {
-                    param: "cipher",
-                    reason: format!("unsupported cipher {other}"),
-                }),
+                other => bad("cipher", &format!("unsupported cipher {other}")),
             }
         }
         "replication" => {
-            let replicas: usize = spec
-                .params
-                .get("replicas")
-                .map(|v| {
-                    v.parse().map_err(|_| CatalogError::BadParam {
-                        param: "replicas",
-                        reason: format!("not a number: {v}"),
-                    })
-                })
-                .transpose()?
-                .unwrap_or(2);
+            let replicas: usize = num(spec, "replicas")?.unwrap_or(2);
             if replicas == 0 {
-                return Err(CatalogError::BadParam {
-                    param: "replicas",
-                    reason: "at least one replica required".into(),
-                });
+                return bad("replicas", "at least one replica required");
             }
             let stripe = spec
                 .params
@@ -154,97 +161,36 @@ pub fn build_service(
         }
         "cache" => {
             let mut cfg = CacheConfig::default();
-            if let Some(v) = spec.params.get("capacity_mb") {
-                let mb: u64 = v.parse().map_err(|_| CatalogError::BadParam {
-                    param: "capacity_mb",
-                    reason: format!("not a number: {v}"),
-                })?;
+            if let Some(mb) = num::<u64>(spec, "capacity_mb")? {
                 if mb == 0 {
-                    return Err(CatalogError::BadParam {
-                        param: "capacity_mb",
-                        reason: "cache capacity must be positive".into(),
-                    });
+                    return bad("capacity_mb", "cache capacity must be positive");
                 }
                 cfg.capacity_sectors = mb * 2048;
             }
-            if let Some(v) = spec.params.get("flush_ms") {
-                let ms: u64 = v.parse().map_err(|_| CatalogError::BadParam {
-                    param: "flush_ms",
-                    reason: format!("not a number: {v}"),
-                })?;
+            if let Some(ms) = num::<u64>(spec, "flush_ms")? {
                 cfg.flush_delay = SimDuration::from_millis(ms.max(1));
             }
-            if let Some(v) = spec.params.get("journal_mb") {
-                let mb: u64 = v.parse().map_err(|_| CatalogError::BadParam {
-                    param: "journal_mb",
-                    reason: format!("not a number: {v}"),
-                })?;
+            if let Some(mb) = num::<u64>(spec, "journal_mb")? {
                 cfg.journal_sectors = mb.max(1) * 2048;
             }
             Ok(Box::new(WriteBackCacheService::new(cfg)))
         }
         "dedup" => {
-            let seed: u64 = spec
-                .params
-                .get("seed")
-                .map(|v| {
-                    v.parse().map_err(|_| CatalogError::BadParam {
-                        param: "seed",
-                        reason: format!("not a number: {v}"),
-                    })
-                })
-                .transpose()?
-                .unwrap_or(0);
-            let bits: u32 = spec
-                .params
-                .get("chunk_bits")
-                .map(|v| {
-                    v.parse().map_err(|_| CatalogError::BadParam {
-                        param: "chunk_bits",
-                        reason: format!("not a number: {v}"),
-                    })
-                })
-                .transpose()?
-                .unwrap_or(12);
+            let seed = num(spec, "seed")?.unwrap_or(0);
+            let bits = num(spec, "chunk_bits")?.unwrap_or(12);
             Ok(Box::new(DedupService::new(seed, bits)))
         }
         "compress" => {
-            let extent: usize = spec
-                .params
-                .get("extent_bytes")
-                .map(|v| {
-                    v.parse().map_err(|_| CatalogError::BadParam {
-                        param: "extent_bytes",
-                        reason: format!("not a number: {v}"),
-                    })
-                })
-                .transpose()?
-                .unwrap_or(4096);
+            let extent: usize = num(spec, "extent_bytes")?.unwrap_or(4096);
             if extent < 512 || !extent.is_multiple_of(512) {
-                return Err(CatalogError::BadParam {
-                    param: "extent_bytes",
-                    reason: "extent must be a positive multiple of 512".into(),
-                });
+                return bad("extent_bytes", "extent must be a positive multiple of 512");
             }
             Ok(Box::new(CompressService::new(extent)))
         }
         "snapshot" => {
-            let extent: u64 = spec
-                .params
-                .get("extent_sectors")
-                .map(|v| {
-                    v.parse().map_err(|_| CatalogError::BadParam {
-                        param: "extent_sectors",
-                        reason: format!("not a number: {v}"),
-                    })
-                })
-                .transpose()?
-                .unwrap_or(128);
+            let extent: u64 = num(spec, "extent_sectors")?.unwrap_or(128);
             if extent == 0 {
-                return Err(CatalogError::BadParam {
-                    param: "extent_sectors",
-                    reason: "extent must be positive".into(),
-                });
+                return bad("extent_sectors", "extent must be positive");
             }
             Ok(Box::new(SnapshotService::new(extent)))
         }
@@ -381,6 +327,20 @@ mod tests {
         assert_eq!(relay_mode(RelayModeSpec::Active), RelayMode::Active);
         assert_eq!(relay_mode(RelayModeSpec::Passive), RelayMode::Passive);
         assert_eq!(relay_mode(RelayModeSpec::Forward), RelayMode::Forward);
+    }
+
+    /// An empty passphrase is a tenant input error, not a key.
+    #[test]
+    fn empty_key_is_a_bad_param_not_a_panic() {
+        for cipher in ["aes-256-xts", "chacha20"] {
+            let spec = ServiceSpec::new("encryption")
+                .param("cipher", cipher)
+                .param("key", "");
+            assert!(matches!(
+                build_service(&spec, None),
+                Err(CatalogError::BadParam { param: "key", .. })
+            ));
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Telemetry for the StorM stack: sim-time tracing, a metrics registry
-//! and a latency-attribution analyzer.
+//! Telemetry for the StorM stack: sim-time tracing and a
+//! latency-attribution analyzer.
 //!
 //! The simulator layers (`storm-net`, `storm-cloud`, `storm-core`) report
 //! span events through the [`storm_sim::trace::TraceHook`] they were armed
@@ -9,8 +9,6 @@
 //!   collects events in arrival order and exports them as JSONL. The
 //!   simulator is single-threaded and free of wall-clock time, so equal
 //!   seeds produce **byte-identical** trace files.
-//! * [`MetricsRegistry`] — named counters, gauges and log-bucketed
-//!   histograms with a deterministic text report.
 //! * [`analyze`] — parses a trace back and computes the per-hop latency
 //!   attribution of Figure 10: what fraction of end-to-end request time
 //!   was spent in virtio, forwarding, the relay framework, each tenant
@@ -46,10 +44,7 @@
 
 pub mod analyze;
 mod jsonl;
-pub mod names;
 mod recorder;
-mod registry;
 
 pub use jsonl::{parse_jsonl, parse_line};
 pub use recorder::Recorder;
-pub use registry::MetricsRegistry;

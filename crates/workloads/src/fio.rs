@@ -5,13 +5,15 @@ use bytes::Bytes;
 use storm_cloud::{IoCtx, IoKind, IoResult, ReqId, Workload};
 use storm_sim::SimDuration;
 
-/// A Fio job description (the knobs the paper sweeps).
+/// Percentage of reads: the paper's mixed random pattern is 50/50.
+const READ_PCT: u64 = 50;
+
+/// A Fio job description (the knobs the paper sweeps). Every job is the
+/// paper's random read/write mix.
 #[derive(Debug, Clone)]
 pub struct FioJob {
     /// Request size in bytes (4 KiB – 256 KiB in the paper).
     pub block_bytes: usize,
-    /// Percentage of reads (50 = the paper's mixed random pattern).
-    pub read_pct: u8,
     /// Outstanding requests ("the number of threads issuing I/O requests
     /// simultaneously").
     pub threads: usize,
@@ -19,8 +21,6 @@ pub struct FioJob {
     pub duration: SimDuration,
     /// Addressable area in sectors (the 20 GB test volume).
     pub area_sectors: u64,
-    /// Random (true) or sequential access.
-    pub random: bool,
 }
 
 impl FioJob {
@@ -28,11 +28,9 @@ impl FioJob {
     pub fn randrw(block_bytes: usize, duration: SimDuration, area_sectors: u64) -> Self {
         FioJob {
             block_bytes,
-            read_pct: 50,
             threads: 1,
             duration,
             area_sectors,
-            random: true,
         }
     }
 
@@ -52,7 +50,6 @@ impl FioJob {
 pub struct FioWorkload {
     job: FioJob,
     started_at: Option<storm_sim::SimTime>,
-    seq_pos: u64,
     issued: u64,
     /// Completed request count (reads + writes).
     pub completed: u64,
@@ -65,7 +62,6 @@ impl FioWorkload {
         FioWorkload {
             job,
             started_at: None,
-            seq_pos: 0,
             issued: 0,
             completed: 0,
             stopping: false,
@@ -75,16 +71,10 @@ impl FioWorkload {
     fn issue_one(&mut self, io: &mut IoCtx<'_>) {
         let sectors = self.job.sectors_per_req();
         let max_start = self.job.area_sectors.saturating_sub(sectors).max(1);
-        let lba = if self.job.random {
-            // Sector-size aligned random offset.
-            let slots = max_start / sectors;
-            io.rng().below(slots.max(1)) * sectors
-        } else {
-            let lba = self.seq_pos;
-            self.seq_pos = (self.seq_pos + sectors) % max_start;
-            lba
-        };
-        let read = io.rng().below(100) < self.job.read_pct as u64;
+        // Request-size aligned random offset.
+        let slots = max_start / sectors;
+        let lba = io.rng().below(slots.max(1)) * sectors;
+        let read = io.rng().below(100) < READ_PCT;
         if read {
             io.read(lba, sectors as u32);
         } else {

@@ -15,6 +15,9 @@ use storm_sim::{IdMap, SimRng};
 
 use crate::replay::{OpClass, OpGroup};
 
+/// File sizes in bytes: PostMark's small mail messages.
+const FILE_SIZES: (u64, u64) = (512, 9 * 1024);
+
 /// PostMark knobs.
 #[derive(Debug, Clone)]
 pub struct PostmarkConfig {
@@ -22,10 +25,6 @@ pub struct PostmarkConfig {
     pub initial_files: usize,
     /// Transactions to run.
     pub transactions: usize,
-    /// Smallest file size in bytes.
-    pub min_size: usize,
-    /// Largest file size in bytes.
-    pub max_size: usize,
     /// RNG seed.
     pub seed: u64,
     /// Volume size in bytes.
@@ -37,8 +36,6 @@ impl Default for PostmarkConfig {
         PostmarkConfig {
             initial_files: 100,
             transactions: 400,
-            min_size: 512,
-            max_size: 9 * 1024,
             seed: 424242,
             volume_bytes: 128 << 20,
         }
@@ -67,7 +64,7 @@ pub fn prepare(cfg: &PostmarkConfig) -> (MemDisk, Vec<OpGroup>) {
     for _ in 0..cfg.initial_files {
         let i = next_file;
         next_file += 1;
-        let size = rng.range(cfg.min_size as u64, cfg.max_size as u64) as usize;
+        let size = rng.range(FILE_SIZES.0, FILE_SIZES.1) as usize;
         fs.create(&file_name(i)).expect("create");
         fs.write_file(&file_name(i), 0, &pattern(size, i))
             .expect("write");
@@ -99,7 +96,7 @@ pub fn prepare(cfg: &PostmarkConfig) -> (MemDisk, Vec<OpGroup>) {
             2 => {
                 let i = next_file;
                 next_file += 1;
-                let size = rng.range(cfg.min_size as u64, cfg.max_size as u64) as usize;
+                let size = rng.range(FILE_SIZES.0, FILE_SIZES.1) as usize;
                 fs.create(&file_name(i)).expect("create");
                 fs.write_file(&file_name(i), 0, &pattern(size, i))
                     .expect("write");

@@ -18,8 +18,6 @@ use storm::cloud::{IoCtx, IoKind, IoResult, ReqId, Workload};
 use storm::net::AppId;
 use storm::scenario::{Replica, Run, Spec};
 use storm::services::SnapshotService;
-use storm::telemetry::names::{self, tenant_scoped};
-use storm::telemetry::MetricsRegistry;
 use storm_block::{BlockDevice, MemDisk};
 use storm_sim::SimDuration;
 
@@ -162,13 +160,4 @@ fn main() {
     live.read(0, &mut buf).unwrap();
     assert!(buf.iter().all(|&b| b == 0x60), "live volume must not move");
     println!("clone diverged independently of the live volume ✓");
-
-    // Suite counters land in the per-tenant namespace.
-    let mut registry = MetricsRegistry::new();
-    registry.inc(&tenant_scoped(names::SVC_SNAP_COW_COPIES, 0), cow_copies);
-    registry.set_gauge(
-        &tenant_scoped(names::SVC_SNAP_PRESERVED_BYTES, 0),
-        preserved_bytes as i64,
-    );
-    print!("\n[metrics]\n{}", registry.report());
 }

@@ -14,8 +14,6 @@
 
 use storm::cloud::{Cloud, CloudConfig, DiskSpec};
 use storm::qos::{DiskTier, RateLimitSpec};
-use storm::telemetry::names::tenant_scoped;
-use storm::telemetry::MetricsRegistry;
 use storm_sim::{SimDuration, SimTime};
 use storm_workloads::{FioJob, FioWorkload};
 
@@ -75,17 +73,20 @@ fn contended_run(shaped: bool) -> (f64, u64) {
     cloud.net.run_until(SimTime::from_nanos(end.as_nanos()));
 
     let (throttled, _) = cloud.target_mut(0).qos_throttle_stats();
-    let mut registry = MetricsRegistry::new();
+    let label = if shaped { "with QoS" } else { "no QoS" };
+    println!("[{label}]");
     for (tenant, host, app) in [(VICTIM, 0usize, victim), (AGGRESSOR, 1usize, aggressor)] {
         let client = cloud.client_mut(host, app);
         assert!(client.is_ready(), "tenant {tenant} login failed");
         assert_eq!(client.stats.errors, 0);
-        registry.inc(&tenant_scoped("vm.ops", tenant), client.stats.ops());
-        registry.merge_histogram(&tenant_scoped("vm.latency", tenant), &client.stats.latency);
+        let lat = &client.stats.latency;
+        println!(
+            "tenant {tenant}: ops={} latency mean={} p99={}",
+            client.stats.ops(),
+            lat.mean(),
+            lat.percentile(99.0)
+        );
     }
-    let label = if shaped { "with QoS" } else { "no QoS" };
-    println!("[{label}]");
-    print!("{}", registry.report());
     let p99 = cloud
         .client_mut(0, victim)
         .stats

@@ -11,8 +11,7 @@ use bytes::Bytes;
 use storm::cloud::{Cloud, CloudConfig, IoCtx, IoKind, IoResult, ReqId, Workload};
 use storm::core::{MbSpec, RelayMode, ServiceSpec, StormPlatform, TenantPolicy, VolumePolicy};
 use storm::services::EncryptionService;
-use storm::telemetry::names::tenant_scoped;
-use storm::telemetry::{analyze, MetricsRegistry, Recorder};
+use storm::telemetry::{analyze, Recorder};
 use storm_block::BlockDevice;
 use storm_sim::SimTime;
 
@@ -108,13 +107,15 @@ fn main() {
     assert_ne!(at_rest, secret, "the volume must hold ciphertext");
     println!("[volume] at-rest bytes differ from plaintext: encryption is transparent to the VM");
 
-    // 5. Telemetry: registry counters plus the per-hop trace breakdown.
-    let mut registry = MetricsRegistry::new();
-    let client = cloud.client_mut(0, app);
-    registry.inc(&tenant_scoped("vm.reads", 1), client.stats.reads.count());
-    registry.inc(&tenant_scoped("vm.writes", 1), client.stats.writes.count());
-    registry.merge_histogram(&tenant_scoped("vm.latency", 1), &client.stats.latency);
-    print!("[metrics]\n{}", registry.report());
+    // 5. Telemetry: the client's own stats plus the per-hop trace breakdown.
+    let stats = &cloud.client_mut(0, app).stats;
+    println!(
+        "[client] reads={} writes={} latency mean={} p99={}",
+        stats.reads.count(),
+        stats.writes.count(),
+        stats.latency.mean(),
+        stats.latency.percentile(99.0)
+    );
     let report = analyze::attribute(&recorder.events());
     print!(
         "[trace] {} events recorded\n{}",

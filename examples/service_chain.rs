@@ -16,8 +16,7 @@
 use storm::core::Reconstructor;
 use storm::scenario::Spec;
 use storm::services::{EncryptionService, MonitorConfig, MonitorService};
-use storm::telemetry::names::tenant_scoped;
-use storm::telemetry::{analyze, MetricsRegistry};
+use storm::telemetry::analyze;
 use storm::workloads::postmark::install_image;
 use storm::workloads::{OpClass, OpGroup, TraceWorkload};
 use storm_block::{MemDisk, RecordingDevice};
@@ -81,18 +80,19 @@ fn main() {
     // Telemetry: per-stage counters and the chain's latency attribution.
     // The Meta events the relay emitted at arm time label the service
     // rows by name (service:monitor, service:encryption).
-    let mut registry = MetricsRegistry::new();
     let relay = run.relay();
-    registry.inc(&tenant_scoped("mb.alerts", 0), relay.alerts().len() as u64);
-    registry.inc(
-        &tenant_scoped("mb.pdus_forwarded", 0),
-        relay.pdus_forwarded(),
+    println!(
+        "\n[relay] alerts={} pdus_forwarded={}",
+        relay.alerts().len(),
+        relay.pdus_forwarded()
     );
-    registry.inc(&tenant_scoped("mb.enc_bytes", 0), enc_bytes);
-    let client = run.client();
-    registry.inc(&tenant_scoped("vm.ops", 0), client.stats.ops());
-    registry.merge_histogram(&tenant_scoped("vm.latency", 0), &client.stats.latency);
-    print!("\n[metrics]\n{}", registry.report());
+    let stats = &run.client().stats;
+    println!(
+        "[client] ops={} latency mean={} p99={}",
+        stats.ops(),
+        stats.latency.mean(),
+        stats.latency.percentile(99.0)
+    );
     let recorder = run.recorder();
     let report = analyze::attribute(&recorder.events());
     print!("\n[trace] {} events\n{}", recorder.len(), report.table());

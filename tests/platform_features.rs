@@ -197,7 +197,6 @@ fn port_scoped_chains_are_fine_grained() {
     let gw_out = cloud.spawn_guest("gwo", 2, 1, true, true);
     let spec = sdn::ChainSpec {
         vm_port: Some(40_077),
-        iscsi_port: 3260,
         ingress_mac: gw_in.mac,
         ingress_ovs: cloud.computes[1].ovs,
         egress_mac: gw_out.mac,
@@ -206,7 +205,6 @@ fn port_scoped_chains_are_fine_grained() {
             mac: mb.mac,
             ovs: cloud.computes[3].ovs,
         }],
-        priority: 50,
     };
     sdn::install_chain(&mut cloud.net, &spec);
     let rules: Vec<_> = spec.forward_rules();

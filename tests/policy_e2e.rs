@@ -91,8 +91,9 @@ fn policy_document_deploys_and_enforces() {
 }
 
 /// Replica I/O skips the stages after the service that issues it, so
-/// replication ahead of encryption would mirror plaintext: refused. The
-/// other order encrypts what it mirrors.
+/// replication ahead of encryption would mirror plaintext (and a cache or
+/// a snapshot would flush or journal it): refused. The other order
+/// encrypts what it mirrors.
 #[test]
 fn replication_ahead_of_encryption_is_refused() {
     let policy = |kinds: [&str; 2]| TenantPolicy {
@@ -103,12 +104,11 @@ fn replication_ahead_of_encryption_is_refused() {
             services: kinds.map(ServiceSpec::new).to_vec(),
         }],
     };
-    let refused = PolicyError::ReplicaBeforeEncryption { vm: "db".into() };
-    assert_eq!(
-        policy(["replication", "encryption"]).validate(),
-        Err(refused)
-    );
-    assert_eq!(policy(["encryption", "replication"]).validate(), Ok(()));
+    for issuer in ["replication", "cache", "snapshot"] {
+        let refused = PolicyError::ReplicaBeforeEncryption { vm: "db".into() };
+        assert_eq!(policy([issuer, "encryption"]).validate(), Err(refused));
+        assert_eq!(policy(["encryption", issuer]).validate(), Ok(()));
+    }
 }
 
 #[test]
@@ -124,4 +124,56 @@ fn invalid_policies_never_reach_deployment() {
     assert!(bad.validate().is_err());
     // And the catalogue agrees even if validation were skipped.
     assert!(catalog::build_service(&bad.volumes[0].services[0], None).is_err());
+}
+
+/// Validation and the catalogue agree on every kind the catalogue builds:
+/// a policy naming it validates in active mode, and in passive mode only
+/// if the passive tap can run it (a byte-wise transform). A kind the
+/// catalogue does not know fails both.
+#[test]
+fn validation_and_catalogue_agree_on_every_kind() {
+    use storm::block::MemDisk;
+    use storm::core::policy::RelayModeSpec;
+    use storm::core::Reconstructor;
+    use storm::extfs::ExtFs;
+
+    let recon = || {
+        let fs = ExtFs::mkfs(MemDisk::with_capacity_bytes(48 << 20)).unwrap();
+        Reconstructor::from_device(&mut fs.into_device().unwrap(), "/mnt").unwrap()
+    };
+    let policy = |spec: ServiceSpec| TenantPolicy {
+        tenant: 1,
+        volumes: vec![VolumePolicy {
+            vm: "vm".into(),
+            volume_gb: 1,
+            services: vec![spec],
+        }],
+    };
+    let catalogue = [
+        "monitor",
+        "encryption",
+        "replication",
+        "passthrough",
+        "dedup",
+        "compress",
+        "cache",
+        "snapshot",
+    ];
+    for kind in catalogue {
+        let spec = ServiceSpec::new(kind);
+        assert!(
+            catalog::build_service(&spec, Some(recon())).is_ok(),
+            "{kind}"
+        );
+        assert_eq!(policy(spec.clone()).validate(), Ok(()), "{kind}");
+        let passive = ServiceSpec {
+            mode: RelayModeSpec::Passive,
+            ..spec
+        };
+        let byte_wise = kind == "encryption" || kind == "passthrough";
+        assert_eq!(policy(passive).validate().is_ok(), byte_wise, "{kind}");
+    }
+    let unknown = ServiceSpec::new("defragment");
+    assert!(catalog::build_service(&unknown, Some(recon())).is_err());
+    assert!(policy(unknown).validate().is_err());
 }
