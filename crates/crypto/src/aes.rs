@@ -421,14 +421,14 @@ mod tests {
 
     #[test]
     fn encrypt_decrypt_round_trip_random() {
-        use rand::{RngExt, SeedableRng};
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(17);
+        let mut rng = proptest::TestRng::seed_from_u64(17);
+        let mut fill = |buf: &mut [u8]| buf.fill_with(|| rng.next_u64() as u8);
         for _ in 0..50 {
             let mut key = [0u8; 32];
-            rng.fill(&mut key[..]);
+            fill(&mut key);
             let aes = Aes256::new(&key);
             let mut block = [0u8; 16];
-            rng.fill(&mut block[..]);
+            fill(&mut block);
             let orig = block;
             aes.encrypt_block(&mut block);
             assert_ne!(block, orig);

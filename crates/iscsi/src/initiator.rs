@@ -123,11 +123,6 @@ impl Initiator {
         self.out.take_chunks()
     }
 
-    /// Whether any output bytes are queued.
-    pub fn has_output(&self) -> bool {
-        !self.out.is_empty()
-    }
-
     /// Data-segment bytes memcpy'd on the encode path (small segments
     /// batched into scratch allocations).
     pub fn bytes_copied(&self) -> u64 {

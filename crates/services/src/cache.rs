@@ -42,6 +42,10 @@ use storm_sim::SimDuration;
 
 use crate::lz::{fnv32, put_field};
 
+/// CPU cost per byte of cache processing: a table lookup plus slice
+/// bookkeeping.
+const PER_BYTE: SimDuration = SimDuration::from_nanos(1);
+
 /// Journal entry header magic ("SJH1").
 const HDR_MAGIC: u32 = 0x534A_4831;
 /// Journal commit record magic ("SJC1").
@@ -147,7 +151,6 @@ struct CompletedWrite {
 pub struct WriteBackCacheService {
     armed: bool,
     cfg: CacheConfig,
-    per_byte: SimDuration,
     sectors: BTreeMap<u64, Sector>,
     lru: BTreeMap<u64, u64>,
     dirty_count: u64,
@@ -181,8 +184,6 @@ impl WriteBackCacheService {
         WriteBackCacheService {
             armed: true,
             cfg,
-            // Hash-table lookup plus slice bookkeeping per byte.
-            per_byte: SimDuration::from_nanos(1),
             sectors: BTreeMap::new(),
             lru: BTreeMap::new(),
             dirty_count: 0,
@@ -215,11 +216,6 @@ impl WriteBackCacheService {
     /// Enables or disables the cache.
     pub fn arm(&mut self, armed: bool) {
         self.armed = armed;
-    }
-
-    /// Sets the per-byte CPU cost charged for cache processing.
-    pub fn set_per_byte_cost(&mut self, cost: SimDuration) {
-        self.per_byte = cost;
     }
 
     /// Sectors currently cached.
@@ -331,7 +327,7 @@ impl WriteBackCacheService {
     /// A write transfer is fully received: journal it (or park / fall
     /// back to write-through).
     fn complete_write(&mut self, cx: &mut SvcCtx, write: CompletedWrite) {
-        cx.charge(self.per_byte * write.data.len() as u64);
+        cx.charge(PER_BYTE * write.data.len() as u64);
         if self.journal_failed {
             self.write_through(cx, write);
             return;
@@ -530,7 +526,7 @@ impl WriteBackCacheService {
 
     fn on_read_cmd(&mut self, cx: &mut SvcCtx, c: ScsiCommand, cmd: BlockCmd) {
         let BlockCmd { lba, sectors, .. } = cmd;
-        cx.charge(self.per_byte * cmd.bytes());
+        cx.charge(PER_BYTE * cmd.bytes());
         if sectors > 0 && self.full_hit(lba, sectors) {
             self.stats.read_hits += 1;
             let mut buf = BytesMut::with_capacity(cmd.bytes() as usize);
@@ -744,14 +740,6 @@ impl StorageService for WriteBackCacheService {
             cx.set_timer(self.cfg.flush_delay, 0);
         } else if self.dirty_count == 0 {
             self.maybe_checkpoint(cx);
-        }
-    }
-
-    fn per_byte_cost(&self) -> SimDuration {
-        if self.armed {
-            self.per_byte
-        } else {
-            SimDuration::ZERO
         }
     }
 }
@@ -1230,6 +1218,5 @@ mod tests {
         let acts = cx.take_actions();
         assert!(matches!(&acts[..], [SvcAction::Forward(p)] if *p == pdu));
         assert_eq!(svc.stats, CacheStats::default());
-        assert_eq!(svc.per_byte_cost(), SimDuration::ZERO);
     }
 }

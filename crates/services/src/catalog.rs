@@ -3,10 +3,11 @@
 //! Paper §III-D: "StorM provides an interface for tenants to submit these
 //! policies to the cloud provider, and the StorM platform, accordingly,
 //! parses the policies and deploys the middle-box services." This module
-//! is the parsing half: it instantiates the bundled service
-//! implementations from a validated [`ServiceSpec`].
+//! is the parsing half, and the only code that knows the service kinds:
+//! [`build_chain`] instantiates the bundled services a [`VolumePolicy`]
+//! names and refuses a chain the platform cannot run as asked.
 
-use storm_core::policy::{RelayModeSpec, ServiceSpec};
+use storm_core::policy::{ServiceSpec, VolumePolicy};
 use storm_core::service::PassthroughService;
 use storm_core::{Reconstructor, RelayMode, StorageService};
 use storm_sim::SimDuration;
@@ -16,9 +17,13 @@ use crate::{
     ReplicationService, SnapshotService, WriteBackCacheService,
 };
 
-/// Errors instantiating a service from a policy entry.
+/// Why a policy's chain was refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CatalogError {
+    /// The policy names no services.
+    EmptyChain,
+    /// A volume size of zero.
+    ZeroVolume,
     /// The kind is not in the catalogue.
     UnknownKind(String),
     /// A required parameter is missing or malformed.
@@ -30,15 +35,28 @@ pub enum CatalogError {
     },
     /// The monitor needs a bootstrapped reconstructor.
     MissingReconstructor,
+    /// A passive tap transforms bytes as they stream past and never holds
+    /// a whole PDU, so it hosts only a stream cipher and passthrough.
+    NotPassive(String),
+    /// Replication, a cache or a snapshot ahead of encryption: replica I/O
+    /// skips later stages, so mirrors, flushes and journals would hold
+    /// plaintext.
+    ReplicaBeforeEncryption,
 }
 
 impl std::fmt::Display for CatalogError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            CatalogError::EmptyChain => write!(f, "empty service chain"),
+            CatalogError::ZeroVolume => write!(f, "zero-sized volume"),
             CatalogError::UnknownKind(k) => write!(f, "unknown service kind {k}"),
             CatalogError::BadParam { param, reason } => write!(f, "parameter {param}: {reason}"),
             CatalogError::MissingReconstructor => {
                 write!(f, "monitor requires the volume's filesystem view")
+            }
+            CatalogError::NotPassive(k) => write!(f, "service {k} requires the active relay"),
+            CatalogError::ReplicaBeforeEncryption => {
+                write!(f, "replica I/O ahead of encryption")
             }
         }
     }
@@ -46,13 +64,39 @@ impl std::fmt::Display for CatalogError {
 
 impl std::error::Error for CatalogError {}
 
-/// Maps the policy's relay mode to the platform's.
-pub fn relay_mode(spec: RelayModeSpec) -> RelayMode {
-    match spec {
-        RelayModeSpec::Active => RelayMode::Active,
-        RelayModeSpec::Passive => RelayMode::Passive,
-        RelayModeSpec::Forward => RelayMode::Forward,
+/// Builds the chain `policy` names, in order, checking it on the way.
+///
+/// `recon` supplies the volume's bootstrapped filesystem view for a
+/// monitor service (built by the platform at attach time).
+///
+/// # Errors
+///
+/// The first [`CatalogError`] found: the chain is refused whole.
+pub fn build_chain(
+    policy: &VolumePolicy,
+    mut recon: Option<Reconstructor>,
+) -> Result<Vec<Box<dyn StorageService>>, CatalogError> {
+    if policy.services.is_empty() {
+        return Err(CatalogError::EmptyChain);
     }
+    if policy.volume_gb == 0 {
+        return Err(CatalogError::ZeroVolume);
+    }
+    let mut replica_issuer = false;
+    let mut chain = Vec::with_capacity(policy.services.len());
+    for spec in &policy.services {
+        let (svc, streams) = build_service(spec, &mut recon)?;
+        if policy.mode == RelayMode::Passive && !streams {
+            return Err(CatalogError::NotPassive(spec.kind.clone()));
+        }
+        match spec.kind.as_str() {
+            "encryption" if replica_issuer => return Err(CatalogError::ReplicaBeforeEncryption),
+            "replication" | "cache" | "snapshot" => replica_issuer = true,
+            _ => {}
+        }
+        chain.push(svc);
+    }
+    Ok(chain)
 }
 
 /// Derives a 64-byte XTS master key from a non-empty policy passphrase.
@@ -83,18 +127,12 @@ fn num<T: std::str::FromStr>(
     Ok(Some(n))
 }
 
-/// Instantiates a bundled service from a validated [`ServiceSpec`].
-///
-/// `recon` supplies the volume's bootstrapped filesystem view for
-/// monitor services (built by the platform at attach time).
-///
-/// # Errors
-///
-/// See [`CatalogError`].
-pub fn build_service(
+/// Instantiates one bundled service, and says whether it streams: whether
+/// it is a byte-wise, position-keyed transform a passive tap can run.
+fn build_service(
     spec: &ServiceSpec,
-    recon: Option<Reconstructor>,
-) -> Result<Box<dyn StorageService>, CatalogError> {
+    recon: &mut Option<Reconstructor>,
+) -> Result<(Box<dyn StorageService>, bool), CatalogError> {
     let bad = |param, reason: &str| {
         Err(CatalogError::BadParam {
             param,
@@ -103,19 +141,17 @@ pub fn build_service(
     };
     match spec.kind.as_str() {
         "monitor" => {
-            let recon = recon.ok_or(CatalogError::MissingReconstructor)?;
+            let recon = recon.take().ok_or(CatalogError::MissingReconstructor)?;
             let watch = spec
                 .params
                 .get("watch")
                 .map(|w| w.split(',').map(|s| s.trim().to_owned()).collect())
                 .unwrap_or_default();
-            Ok(Box::new(MonitorService::new(
-                MonitorConfig {
-                    watch,
-                    per_byte_cost: SimDuration::from_nanos(1),
-                },
-                recon,
-            )))
+            let cfg = MonitorConfig {
+                watch,
+                per_byte_cost: SimDuration::from_nanos(1),
+            };
+            Ok((Box::new(MonitorService::new(cfg, recon)), false))
         }
         "encryption" => {
             let passphrase = spec
@@ -133,16 +169,14 @@ pub fn build_service(
                 .map(String::as_str)
                 .unwrap_or("aes-256-xts");
             match cipher {
-                "aes-256-xts" => Ok(Box::new(EncryptionService::aes_xts(&key))),
+                "aes-256-xts" => Ok((Box::new(EncryptionService::aes_xts(&key)), false)),
                 "chacha20" | "stream" => {
                     let mut stream_key = [0u8; 32];
                     stream_key.copy_from_slice(&key[..32]);
                     let mut nonce = [0u8; 12];
                     nonce.copy_from_slice(&key[32..44]);
-                    Ok(Box::new(EncryptionService::stream_cipher(
-                        &stream_key,
-                        &nonce,
-                    )))
+                    let svc = EncryptionService::stream_cipher(&stream_key, &nonce);
+                    Ok((Box::new(svc), true))
                 }
                 other => bad("cipher", &format!("unsupported cipher {other}")),
             }
@@ -157,7 +191,7 @@ pub fn build_service(
                 .get("stripe_reads")
                 .map(|v| v.eq_ignore_ascii_case("true") || v == "1")
                 .unwrap_or(true);
-            Ok(Box::new(ReplicationService::new(replicas, stripe)))
+            Ok((Box::new(ReplicationService::new(replicas, stripe)), false))
         }
         "cache" => {
             let mut cfg = CacheConfig::default();
@@ -173,28 +207,28 @@ pub fn build_service(
             if let Some(mb) = num::<u64>(spec, "journal_mb")? {
                 cfg.journal_sectors = mb.max(1) * 2048;
             }
-            Ok(Box::new(WriteBackCacheService::new(cfg)))
+            Ok((Box::new(WriteBackCacheService::new(cfg)), false))
         }
         "dedup" => {
             let seed = num(spec, "seed")?.unwrap_or(0);
             let bits = num(spec, "chunk_bits")?.unwrap_or(12);
-            Ok(Box::new(DedupService::new(seed, bits)))
+            Ok((Box::new(DedupService::new(seed, bits)), false))
         }
         "compress" => {
             let extent: usize = num(spec, "extent_bytes")?.unwrap_or(4096);
             if extent < 512 || !extent.is_multiple_of(512) {
                 return bad("extent_bytes", "extent must be a positive multiple of 512");
             }
-            Ok(Box::new(CompressService::new(extent)))
+            Ok((Box::new(CompressService::new(extent)), false))
         }
         "snapshot" => {
             let extent: u64 = num(spec, "extent_sectors")?.unwrap_or(128);
             if extent == 0 {
                 return bad("extent_sectors", "extent must be positive");
             }
-            Ok(Box::new(SnapshotService::new(extent)))
+            Ok((Box::new(SnapshotService::new(extent)), false))
         }
-        "passthrough" => Ok(Box::new(PassthroughService::new())),
+        "passthrough" => Ok((Box::new(PassthroughService::new()), true)),
         other => Err(CatalogError::UnknownKind(other.to_owned())),
     }
 }
@@ -211,122 +245,110 @@ mod tests {
         Reconstructor::from_device(&mut dev, "/mnt").unwrap()
     }
 
-    #[test]
-    fn builds_every_known_kind() {
-        let enc = build_service(&ServiceSpec::new("encryption"), None).unwrap();
-        assert_eq!(enc.name(), "encryption");
-        let rep = build_service(
-            &ServiceSpec::new("replication").param("replicas", "3"),
-            None,
-        )
-        .unwrap();
-        assert_eq!(rep.name(), "replication");
-        let mon = build_service(
-            &ServiceSpec::new("monitor").param("watch", "/mnt/a, /mnt/b"),
-            Some(recon()),
-        )
-        .unwrap();
-        assert_eq!(mon.name(), "monitor");
-        let pt = build_service(&ServiceSpec::new("passthrough"), None).unwrap();
-        assert_eq!(pt.name(), "passthrough");
-        let cache = build_service(
-            &ServiceSpec::new("cache")
-                .param("capacity_mb", "8")
-                .param("flush_ms", "10"),
-            None,
-        )
-        .unwrap();
-        assert_eq!(cache.name(), "cache");
-        let dedup = build_service(
-            &ServiceSpec::new("dedup")
-                .param("seed", "7")
-                .param("chunk_bits", "11"),
-            None,
-        )
-        .unwrap();
-        assert_eq!(dedup.name(), "dedup");
-        let comp = build_service(
-            &ServiceSpec::new("compress").param("extent_bytes", "4096"),
-            None,
-        )
-        .unwrap();
-        assert_eq!(comp.name(), "compress");
-        let snap = build_service(
-            &ServiceSpec::new("snapshot").param("extent_sectors", "64"),
-            None,
-        )
-        .unwrap();
-        assert_eq!(snap.name(), "snapshot");
+    fn policy(mode: RelayMode, services: Vec<ServiceSpec>) -> VolumePolicy {
+        VolumePolicy {
+            vm: "web-1".into(),
+            volume_gb: 20,
+            mode,
+            services,
+        }
+    }
+
+    /// Why a one-service active chain without a filesystem view is
+    /// refused, if it is.
+    fn refusal(spec: ServiceSpec) -> Option<CatalogError> {
+        build_chain(&policy(RelayMode::Active, vec![spec]), None).err()
     }
 
     #[test]
-    fn monitor_without_view_is_rejected() {
+    fn builds_every_kind_in_chain_order() {
+        let specs = vec![
+            ServiceSpec::new("monitor").param("watch", "/mnt/a, /mnt/b"),
+            ServiceSpec::new("encryption").param("cipher", "aes-256-xts"),
+            ServiceSpec::new("dedup")
+                .param("seed", "7")
+                .param("chunk_bits", "11"),
+            ServiceSpec::new("compress").param("extent_bytes", "4096"),
+            ServiceSpec::new("passthrough"),
+            ServiceSpec::new("replication").param("replicas", "3"),
+            ServiceSpec::new("cache")
+                .param("capacity_mb", "8")
+                .param("flush_ms", "10"),
+            ServiceSpec::new("snapshot").param("extent_sectors", "64"),
+        ];
+        let kinds: Vec<_> = specs.iter().map(|s| s.kind.clone()).collect();
+        let chain = build_chain(&policy(RelayMode::Active, specs), Some(recon())).unwrap();
+        let names: Vec<_> = chain.iter().map(|s| s.name()).collect();
+        assert_eq!(names, kinds);
+    }
+
+    #[test]
+    fn malformed_policies_are_refused() {
         assert_eq!(
-            build_service(&ServiceSpec::new("monitor"), None).err(),
+            build_chain(&policy(RelayMode::Active, vec![]), None).err(),
+            Some(CatalogError::EmptyChain)
+        );
+        let zero = VolumePolicy {
+            volume_gb: 0,
+            ..policy(RelayMode::Active, vec![ServiceSpec::new("passthrough")])
+        };
+        assert_eq!(
+            build_chain(&zero, None).err(),
+            Some(CatalogError::ZeroVolume)
+        );
+        assert_eq!(
+            refusal(ServiceSpec::new("quantum-dedupe")),
+            Some(CatalogError::UnknownKind("quantum-dedupe".into()))
+        );
+        assert_eq!(
+            refusal(ServiceSpec::new("monitor")),
             Some(CatalogError::MissingReconstructor)
+        );
+    }
+
+    /// A passive tap never holds a whole PDU: the monitor needs one, the
+    /// stream cipher does not.
+    #[test]
+    fn passive_monitor_rejected() {
+        let passive = |spec: ServiceSpec| {
+            build_chain(&policy(RelayMode::Passive, vec![spec]), Some(recon())).err()
+        };
+        assert_eq!(
+            passive(ServiceSpec::new("monitor")),
+            Some(CatalogError::NotPassive("monitor".into()))
+        );
+        assert_eq!(
+            passive(ServiceSpec::new("encryption").param("cipher", "chacha20")),
+            None
         );
     }
 
     #[test]
     fn bad_params_are_rejected() {
-        assert!(matches!(
-            build_service(
-                &ServiceSpec::new("encryption").param("cipher", "rot13"),
-                None
-            ),
-            Err(CatalogError::BadParam {
-                param: "cipher",
-                ..
-            })
-        ));
-        assert!(matches!(
-            build_service(
-                &ServiceSpec::new("replication").param("replicas", "many"),
-                None
-            ),
-            Err(CatalogError::BadParam {
-                param: "replicas",
-                ..
-            })
-        ));
-        assert!(matches!(
-            build_service(
-                &ServiceSpec::new("replication").param("replicas", "0"),
-                None
-            ),
-            Err(CatalogError::BadParam {
-                param: "replicas",
-                ..
-            })
-        ));
-        assert!(matches!(
-            build_service(&ServiceSpec::new("cache").param("capacity_mb", "0"), None),
-            Err(CatalogError::BadParam {
-                param: "capacity_mb",
-                ..
-            })
-        ));
-        assert!(matches!(
-            build_service(
-                &ServiceSpec::new("compress").param("extent_bytes", "1000"),
-                None
-            ),
-            Err(CatalogError::BadParam {
-                param: "extent_bytes",
-                ..
-            })
-        ));
-        assert!(matches!(
-            build_service(&ServiceSpec::new("defragment"), None),
-            Err(CatalogError::UnknownKind(_))
-        ));
-    }
-
-    #[test]
-    fn relay_modes_map() {
-        assert_eq!(relay_mode(RelayModeSpec::Active), RelayMode::Active);
-        assert_eq!(relay_mode(RelayModeSpec::Passive), RelayMode::Passive);
-        assert_eq!(relay_mode(RelayModeSpec::Forward), RelayMode::Forward);
+        let bad = |spec| match refusal(spec) {
+            Some(CatalogError::BadParam { param, .. }) => param,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(
+            bad(ServiceSpec::new("encryption").param("cipher", "rot13")),
+            "cipher"
+        );
+        assert_eq!(
+            bad(ServiceSpec::new("replication").param("replicas", "many")),
+            "replicas"
+        );
+        assert_eq!(
+            bad(ServiceSpec::new("replication").param("replicas", "0")),
+            "replicas"
+        );
+        assert_eq!(
+            bad(ServiceSpec::new("cache").param("capacity_mb", "0")),
+            "capacity_mb"
+        );
+        assert_eq!(
+            bad(ServiceSpec::new("compress").param("extent_bytes", "1000")),
+            "extent_bytes"
+        );
     }
 
     /// An empty passphrase is a tenant input error, not a key.
@@ -337,8 +359,8 @@ mod tests {
                 .param("cipher", cipher)
                 .param("key", "");
             assert!(matches!(
-                build_service(&spec, None),
-                Err(CatalogError::BadParam { param: "key", .. })
+                refusal(spec),
+                Some(CatalogError::BadParam { param: "key", .. })
             ));
         }
     }

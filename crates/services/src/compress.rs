@@ -31,6 +31,9 @@ use storm_sim::SimDuration;
 
 use crate::lz::{fnv32, lz_compress, lz_decompress, put_field, ENCODER_OVERRUN};
 
+/// CPU cost per byte (de)compressed: ~500 MB/s single-core LZ.
+const PER_BYTE: SimDuration = SimDuration::from_nanos(2);
+
 /// Frame header magic ("SCZ1").
 const MAGIC: u32 = 0x5343_5A31;
 /// Frame header size in bytes.
@@ -66,7 +69,6 @@ impl CompressStats {
 pub struct CompressService {
     armed: bool,
     extent: usize,
-    per_byte: SimDuration,
     /// Measurements.
     pub stats: CompressStats,
 }
@@ -78,8 +80,6 @@ impl CompressService {
         CompressService {
             armed: true,
             extent: extent.max(512),
-            // ~500 MB/s single-core LZ.
-            per_byte: SimDuration::from_nanos(2),
             stats: CompressStats::default(),
         }
     }
@@ -95,11 +95,6 @@ impl CompressService {
     /// Enables or disables the transform.
     pub fn arm(&mut self, armed: bool) {
         self.armed = armed;
-    }
-
-    /// Sets the per-byte CPU cost charged for (de)compression.
-    pub fn set_per_byte_cost(&mut self, cost: SimDuration) {
-        self.per_byte = cost;
     }
 
     /// Whether the transform engages for a payload at `offset`.
@@ -227,35 +222,27 @@ impl StorageService for CompressService {
         }
         match (dir, pdu) {
             (Dir::ToTarget, Pdu::ScsiCommand(mut c)) if c.write && !c.data.is_empty() => {
-                cx.charge(self.per_byte * c.data.len() as u64);
+                cx.charge(PER_BYTE * c.data.len() as u64);
                 if let Some(framed) = self.encode_payload(0, &c.data) {
                     c.data = framed;
                 }
                 cx.forward(Pdu::ScsiCommand(c));
             }
             (Dir::ToTarget, Pdu::DataOut(mut d)) => {
-                cx.charge(self.per_byte * d.data.len() as u64);
+                cx.charge(PER_BYTE * d.data.len() as u64);
                 if let Some(framed) = self.encode_payload(d.buffer_offset as usize, &d.data) {
                     d.data = framed;
                 }
                 cx.forward(Pdu::DataOut(d));
             }
             (Dir::ToInitiator, Pdu::DataIn(mut d)) => {
-                cx.charge(self.per_byte * d.data.len() as u64);
+                cx.charge(PER_BYTE * d.data.len() as u64);
                 if let Some(plain) = self.decode_payload(d.buffer_offset as usize, &d.data) {
                     d.data = plain;
                 }
                 cx.forward(Pdu::DataIn(d));
             }
             (_, other) => cx.forward(other),
-        }
-    }
-
-    fn per_byte_cost(&self) -> SimDuration {
-        if self.armed {
-            self.per_byte
-        } else {
-            SimDuration::ZERO
         }
     }
 }

@@ -24,6 +24,9 @@ use storm_core::{Dir, StorageService, SvcCtx};
 use storm_iscsi::Pdu;
 use storm_sim::{SimDuration, SimRng};
 
+/// CPU cost per byte chunked and fingerprinted: ~1 GB/s on one core.
+const PER_BYTE: SimDuration = SimDuration::from_nanos(1);
+
 /// Steps after which the Gear hash (one left shift per byte, 64 bits)
 /// has forgotten a byte.
 const GEAR_MEMORY: usize = 64;
@@ -63,7 +66,6 @@ pub struct DedupService {
     min_chunk: usize,
     max_chunk: usize,
     index: BTreeMap<u128, Bytes>,
-    per_byte: SimDuration,
     /// Measurements.
     pub stats: DedupStats,
 }
@@ -88,8 +90,6 @@ impl DedupService {
             min_chunk: 1usize << (bits - 2),
             max_chunk: 4usize << bits,
             index: BTreeMap::new(),
-            // ~1 GB/s chunk+fingerprint on one core.
-            per_byte: SimDuration::from_nanos(1),
             stats: DedupStats::default(),
         }
     }
@@ -105,16 +105,6 @@ impl DedupService {
     /// Enables or disables inspection.
     pub fn arm(&mut self, armed: bool) {
         self.armed = armed;
-    }
-
-    /// Unique chunks currently indexed.
-    pub fn indexed_chunks(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Sets the per-byte CPU cost charged for chunking + fingerprinting.
-    pub fn set_per_byte_cost(&mut self, cost: SimDuration) {
-        self.per_byte = cost;
     }
 
     /// End offset of the content-defined chunk of `data` that starts at
@@ -178,7 +168,7 @@ impl DedupService {
         if data.is_empty() {
             return;
         }
-        cx.charge(self.per_byte * data.len() as u64);
+        cx.charge(PER_BYTE * data.len() as u64);
         let mut start = 0;
         while start < data.len() {
             let end = self.next_cut(data, start);
@@ -222,14 +212,6 @@ impl StorageService for DedupService {
         // Inspection only: the received PDU value is forwarded untouched,
         // preserving the relay's verbatim zero-copy fast path.
         cx.forward(pdu);
-    }
-
-    fn per_byte_cost(&self) -> SimDuration {
-        if self.armed {
-            self.per_byte
-        } else {
-            SimDuration::ZERO
-        }
     }
 }
 
@@ -438,7 +420,6 @@ mod tests {
         let acts = run(&mut svc, pdu.clone());
         assert!(matches!(&acts[..], [SvcAction::Forward(p)] if *p == pdu));
         assert_eq!(svc.stats, DedupStats::default());
-        assert_eq!(svc.per_byte_cost(), SimDuration::ZERO);
         svc.arm(true);
         run(&mut svc, write_pdu(2, patterned(4096, 2)));
         assert!(svc.stats.chunks > 0);

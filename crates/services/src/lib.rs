@@ -39,7 +39,7 @@ mod replication;
 mod snapshot;
 
 pub use cache::{recover_journal, CacheConfig, CacheStats, RecoveryReport, WriteBackCacheService};
-pub use catalog::{build_service, CatalogError};
+pub use catalog::{build_chain, CatalogError};
 pub use compress::{CompressService, CompressStats};
 pub use dedup::{DedupService, DedupStats};
 pub use encryption::{CipherKind, EncryptionService};

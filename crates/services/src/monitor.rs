@@ -149,10 +149,6 @@ impl StorageService for MonitorService {
         }
         cx.forward(pdu);
     }
-
-    fn per_byte_cost(&self) -> SimDuration {
-        self.cfg.per_byte_cost
-    }
 }
 
 impl std::fmt::Debug for MonitorService {

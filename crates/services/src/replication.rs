@@ -20,7 +20,6 @@ use bytes::Bytes;
 use storm_core::{Dir, StorageService, SvcCtx};
 use storm_iscsi::exchange::{data_in_train, BlockCmd, BlockOp, Exchange, Staged};
 use storm_iscsi::{Pdu, ScsiCommand};
-use storm_sim::SimDuration;
 
 /// Counters for the experiment harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -61,7 +60,6 @@ pub struct ReplicationService {
     pending_reads: BTreeMap<u64, PendingRead>,
     /// Measurements.
     pub stats: ReplicationStats,
-    per_byte: SimDuration,
     /// Writes whose payload is still arriving as Data-Out.
     staging: Exchange,
     /// Consecutive I/O failures per replica; at `fail_threshold` the
@@ -82,7 +80,6 @@ impl ReplicationService {
             next_ctx: 1,
             pending_reads: BTreeMap::new(),
             stats: ReplicationStats::default(),
-            per_byte: SimDuration::from_nanos(0),
             staging: Exchange::default(),
             consecutive_failures: vec![0; replica_count],
             fail_threshold: 3,
@@ -258,10 +255,6 @@ impl StorageService for ReplicationService {
                 }
             }
         }
-    }
-
-    fn per_byte_cost(&self) -> SimDuration {
-        self.per_byte
     }
 }
 

@@ -36,6 +36,10 @@ use storm_iscsi::exchange::{BlockCmd, BlockOp};
 use storm_iscsi::{Pdu, ScsiCommand};
 use storm_sim::SimDuration;
 
+/// CPU cost per byte written while a snapshot is active: an extent-map
+/// lookup per sector.
+const PER_BYTE: SimDuration = SimDuration::from_nanos(1);
+
 /// Replica session index of the primary volume (pre-image reads).
 const PRIMARY: usize = 0;
 
@@ -63,7 +67,6 @@ pub struct SnapshotService {
     broken: BTreeSet<u64>,
     /// Write-path PDUs queued behind in-flight fetches, arrival order.
     parked: Vec<Pdu>,
-    per_byte: SimDuration,
     /// Measurements.
     pub stats: SnapStats,
 }
@@ -76,8 +79,6 @@ impl SnapshotService {
             fetching: BTreeSet::new(),
             broken: BTreeSet::new(),
             parked: Vec::new(),
-            // Extent-map lookup per sector.
-            per_byte: SimDuration::from_nanos(1),
             stats: SnapStats::default(),
         }
     }
@@ -94,11 +95,6 @@ impl SnapshotService {
     /// The copy-on-write extent map (for materializing clones).
     pub fn cow(&self) -> &CowExtentMap {
         &self.cow
-    }
-
-    /// Sets the per-byte CPU cost charged while a snapshot is active.
-    pub fn set_per_byte_cost(&mut self, cost: SimDuration) {
-        self.per_byte = cost;
     }
 
     /// Whether a snapshot is active (writes may need copying).
@@ -161,7 +157,7 @@ impl StorageService for SnapshotService {
         }
         match pdu {
             Pdu::ScsiCommand(c) if c.write => {
-                cx.charge(self.per_byte * c.edtl as u64);
+                cx.charge(PER_BYTE * c.edtl as u64);
                 if !self.parked.is_empty() {
                     // Keep write order behind in-flight fetches.
                     self.stats.parked_pdus += 1;
@@ -238,14 +234,6 @@ impl StorageService for SnapshotService {
         cx.alert("snapshot: primary replica session failed; suspending copy-on-write");
         self.drain_parked(cx);
     }
-
-    fn per_byte_cost(&self) -> SimDuration {
-        if self.active() {
-            self.per_byte
-        } else {
-            SimDuration::ZERO
-        }
-    }
 }
 
 impl std::fmt::Debug for SnapshotService {
@@ -318,7 +306,6 @@ mod tests {
         let pdu = write_cmd(1, 0, vec![1u8; 4096]);
         let acts = actions(&mut svc, Dir::ToTarget, pdu.clone());
         assert!(matches!(&acts[..], [SvcAction::Forward(p)] if *p == pdu));
-        assert_eq!(svc.per_byte_cost(), SimDuration::ZERO);
         assert_eq!(svc.stats, SnapStats::default());
     }
 

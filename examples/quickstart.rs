@@ -10,7 +10,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use storm::cloud::{Cloud, CloudConfig, IoCtx, IoKind, IoResult, ReqId, Workload};
 use storm::core::{MbSpec, RelayMode, ServiceSpec, StormPlatform, TenantPolicy, VolumePolicy};
-use storm::services::EncryptionService;
+use storm::services::catalog;
 use storm::telemetry::{analyze, Recorder};
 use storm_block::BlockDevice;
 use storm_sim::SimTime;
@@ -51,14 +51,16 @@ fn main() {
         volumes: vec![VolumePolicy {
             vm: "web-1".into(),
             volume_gb: 1,
+            mode: RelayMode::Active,
             services: vec![ServiceSpec::new("encryption").param("cipher", "aes-256-xts")],
         }],
     };
-    policy.validate().expect("policy is well-formed");
+    let vp = &policy.volumes[0];
+    let services = catalog::build_chain(vp, None).expect("policy is well-formed");
     println!(
-        "[policy] validated: {} service(s) for vm {}",
-        policy.volumes[0].services.len(),
-        policy.volumes[0].vm
+        "[policy] built: {} service(s) for vm {}",
+        services.len(),
+        vp.vm
     );
 
     // 2. The provider builds the cloud and deploys the chain, with the
@@ -67,13 +69,8 @@ fn main() {
     let recorder = Arc::new(Recorder::new());
     cloud.set_trace_hook(Recorder::hook(&recorder));
     let platform = StormPlatform::default();
-    let volume = cloud.create_volume(1 << 30, 0);
-    let key = [0x42u8; 64];
-    let mbs = vec![MbSpec::with_services(
-        3,
-        RelayMode::Active,
-        vec![Box::new(EncryptionService::aes_xts(&key))],
-    )];
+    let volume = cloud.create_volume(u64::from(vp.volume_gb) << 30, 0);
+    let mbs = vec![MbSpec::with_services(3, vp.mode, services)];
     let deployment = platform.deploy_chain(&mut cloud, &volume, (1, 2), mbs);
     println!(
         "[platform] gateways on compute1/compute2, encryption middle-box on compute3 ({} chain rules)",
@@ -86,7 +83,7 @@ fn main() {
         &mut cloud,
         &deployment,
         0,
-        "vm:web-1",
+        &format!("vm:{}", vp.vm),
         &volume,
         Box::new(Quickstart {
             write: None,

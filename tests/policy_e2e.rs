@@ -1,56 +1,40 @@
-//! Policy-driven deployment: a tenant policy document, validated and
-//! instantiated through the provider catalogue, drives a full deployment.
+//! Policy-driven deployment: a tenant policy document, checked and
+//! instantiated by the provider catalogue, drives a full deployment.
 
 use storm::cloud::{Cloud, CloudConfig};
-use storm::core::policy::PolicyError;
-use storm::core::{MbSpec, ServiceSpec, StormPlatform, TenantPolicy, VolumePolicy};
-use storm::services::catalog;
+use storm::core::{MbSpec, RelayMode, ServiceSpec, StormPlatform, TenantPolicy, VolumePolicy};
+use storm::services::catalog::{self, CatalogError};
 use storm_block::BlockDevice;
 use storm_sim::SimTime;
 use storm_workloads::VerifyWorkload;
 
-#[test]
-fn policy_document_deploys_and_enforces() {
-    // 1. Tenant submits a policy.
-    let policy = TenantPolicy {
+/// A one-volume policy for tenant 9's `db-1`.
+fn policy(mode: RelayMode, services: Vec<ServiceSpec>) -> TenantPolicy {
+    TenantPolicy {
         tenant: 9,
         volumes: vec![VolumePolicy {
             vm: "db-1".into(),
             volume_gb: 1,
-            services: vec![ServiceSpec::new("encryption")
-                .param("cipher", "aes-256-xts")
-                .param("key", "tenant-9-secret")],
+            mode,
+            services,
         }],
-    };
-    policy.validate().expect("valid policy");
+    }
+}
 
-    // 2. Provider instantiates services from the catalogue and deploys.
+/// Deploys the chain the catalogue builds for the policy's volume, runs
+/// one verified 8 KiB write and read-back through it, and returns the
+/// cloud with the bytes the write left at rest.
+fn deploy(policy: &TenantPolicy) -> (Cloud, Vec<u8>) {
+    let vp = &policy.volumes[0];
+    let services = catalog::build_chain(vp, None).expect("catalogue builds the chain");
     let mut cloud = Cloud::build(CloudConfig::default());
     let platform = StormPlatform {
         tenant: policy.tenant,
         ..StormPlatform::default()
     };
-    let vp = &policy.volumes[0];
-    let volume = cloud.create_volume((vp.volume_gb as u64) << 30, 0);
-    let services: Vec<_> = vp
-        .services
-        .iter()
-        .map(|s| catalog::build_service(s, None).expect("catalogue builds it"))
-        .collect();
-    let mode = catalog::relay_mode(vp.services[0].mode);
-    let deployment = platform.deploy_chain(
-        &mut cloud,
-        &volume,
-        (1, 2),
-        vec![MbSpec {
-            host_idx: 3,
-            mode,
-            services,
-            replicas: vec![],
-        }],
-    );
-
-    // 3. Attach and run.
+    let volume = cloud.create_volume(u64::from(vp.volume_gb) << 30, 0);
+    let mb = MbSpec::with_services(3, vp.mode, services);
+    let deployment = platform.deploy_chain(&mut cloud, &volume, (1, 2), vec![mb]);
     let app = platform.attach_volume_steered(
         &mut cloud,
         &deployment,
@@ -66,28 +50,45 @@ fn policy_document_deploys_and_enforces() {
     assert!(client.is_ready());
     assert_eq!(client.stats.errors, 0);
     let workload = client.workload_ref().unwrap();
-    assert_eq!(
-        workload
-            .downcast_ref::<VerifyWorkload>()
-            .unwrap()
-            .verified(),
-        1
-    );
-
-    // 4. The policy's encryption is in force: ciphertext at rest.
+    let verify = workload.downcast_ref::<VerifyWorkload>().unwrap();
+    assert_eq!(verify.verified(), 1);
     let mut at_rest = vec![0u8; 8192];
     volume.shared.clone().read(64, &mut at_rest).unwrap();
-    assert_ne!(
-        at_rest,
-        VerifyWorkload::pattern(0, 0, 8192),
-        "policy-mandated encryption must apply"
-    );
+    (cloud, at_rest)
+}
 
-    // 5. Attribution ties the session to the policy's VM.
-    let attrs = cloud.attributions();
-    assert_eq!(attrs.len(), 1);
-    assert_eq!(attrs[0].vm_label, "vm:db-1");
-    assert!(attrs[0].tuple.is_some());
+/// The policy's encryption is in force in either relay mode: ciphertext
+/// at rest, and the session attributed to the policy's VM. A passive tap
+/// runs only the position-keyed stream cipher.
+#[test]
+fn policy_document_deploys_and_enforces() {
+    let xts = ServiceSpec::new("encryption")
+        .param("cipher", "aes-256-xts")
+        .param("key", "tenant-9-secret");
+    let stream = ServiceSpec::new("encryption").param("cipher", "chacha20");
+    for (mode, encryption) in [(RelayMode::Active, xts), (RelayMode::Passive, stream)] {
+        let (mut cloud, at_rest) = deploy(&policy(mode, vec![encryption]));
+        assert_ne!(
+            at_rest,
+            VerifyWorkload::pattern(0, 0, 8192),
+            "{mode:?}: policy-mandated encryption must apply"
+        );
+        let attrs = cloud.attributions();
+        assert_eq!(attrs.len(), 1);
+        assert_eq!(attrs[0].vm_label, "vm:db-1");
+        assert!(attrs[0].tuple.is_some());
+    }
+}
+
+/// The default cipher, AES-XTS, transforms whole sectors of whole PDUs; a
+/// passive tap cannot run it and would store the tenant's plaintext.
+#[test]
+fn passive_default_encryption_is_refused() {
+    let p = policy(RelayMode::Passive, vec![ServiceSpec::new("encryption")]);
+    assert_eq!(
+        catalog::build_chain(&p.volumes[0], None).err(),
+        Some(CatalogError::NotPassive("encryption".into()))
+    );
 }
 
 /// Replica I/O skips the stages after the service that issues it, so
@@ -96,84 +97,61 @@ fn policy_document_deploys_and_enforces() {
 /// encrypts what it mirrors.
 #[test]
 fn replication_ahead_of_encryption_is_refused() {
-    let policy = |kinds: [&str; 2]| TenantPolicy {
-        tenant: 1,
-        volumes: vec![VolumePolicy {
-            vm: "db".into(),
-            volume_gb: 1,
-            services: kinds.map(ServiceSpec::new).to_vec(),
-        }],
+    let chain = |kinds: [&str; 2]| {
+        let p = policy(RelayMode::Active, kinds.map(ServiceSpec::new).to_vec());
+        catalog::build_chain(&p.volumes[0], None).err()
     };
     for issuer in ["replication", "cache", "snapshot"] {
-        let refused = PolicyError::ReplicaBeforeEncryption { vm: "db".into() };
-        assert_eq!(policy([issuer, "encryption"]).validate(), Err(refused));
-        assert_eq!(policy(["encryption", issuer]).validate(), Ok(()));
+        assert_eq!(
+            chain([issuer, "encryption"]),
+            Some(CatalogError::ReplicaBeforeEncryption)
+        );
+        assert_eq!(chain(["encryption", issuer]), None);
     }
 }
 
 #[test]
 fn invalid_policies_never_reach_deployment() {
-    let bad = TenantPolicy {
-        tenant: 1,
-        volumes: vec![VolumePolicy {
-            vm: "x".into(),
-            volume_gb: 1,
-            services: vec![ServiceSpec::new("quantum-dedupe")],
-        }],
-    };
-    assert!(bad.validate().is_err());
-    // And the catalogue agrees even if validation were skipped.
-    assert!(catalog::build_service(&bad.volumes[0].services[0], None).is_err());
+    let bad = policy(RelayMode::Active, vec![ServiceSpec::new("quantum-dedupe")]);
+    assert_eq!(
+        catalog::build_chain(&bad.volumes[0], None).err(),
+        Some(CatalogError::UnknownKind("quantum-dedupe".into()))
+    );
 }
 
-/// Validation and the catalogue agree on every kind the catalogue builds:
-/// a policy naming it validates in active mode, and in passive mode only
-/// if the passive tap can run it (a byte-wise transform). A kind the
-/// catalogue does not know fails both.
+/// Every kind the catalogue knows builds in active mode; in passive mode
+/// only the byte-wise transforms the tap can run build: the stream cipher
+/// and passthrough. A kind the catalogue does not know builds in neither.
 #[test]
 fn validation_and_catalogue_agree_on_every_kind() {
     use storm::block::MemDisk;
-    use storm::core::policy::RelayModeSpec;
     use storm::core::Reconstructor;
     use storm::extfs::ExtFs;
 
-    let recon = || {
+    let builds = |mode, spec: &ServiceSpec| {
         let fs = ExtFs::mkfs(MemDisk::with_capacity_bytes(48 << 20)).unwrap();
-        Reconstructor::from_device(&mut fs.into_device().unwrap(), "/mnt").unwrap()
+        let recon = Reconstructor::from_device(&mut fs.into_device().unwrap(), "/mnt").unwrap();
+        let p = policy(mode, vec![spec.clone()]);
+        catalog::build_chain(&p.volumes[0], Some(recon)).is_ok()
     };
-    let policy = |spec: ServiceSpec| TenantPolicy {
-        tenant: 1,
-        volumes: vec![VolumePolicy {
-            vm: "vm".into(),
-            volume_gb: 1,
-            services: vec![spec],
-        }],
-    };
-    let catalogue = [
-        "monitor",
-        "encryption",
-        "replication",
-        "passthrough",
-        "dedup",
-        "compress",
-        "cache",
-        "snapshot",
+    let stream = ServiceSpec::new("encryption").param("cipher", "chacha20");
+    // (service, builds on a passive tap)
+    let table = [
+        (ServiceSpec::new("monitor"), false),
+        (ServiceSpec::new("encryption"), false),
+        (stream, true),
+        (ServiceSpec::new("replication"), false),
+        (ServiceSpec::new("passthrough"), true),
+        (ServiceSpec::new("dedup"), false),
+        (ServiceSpec::new("compress"), false),
+        (ServiceSpec::new("cache"), false),
+        (ServiceSpec::new("snapshot"), false),
     ];
-    for kind in catalogue {
-        let spec = ServiceSpec::new(kind);
-        assert!(
-            catalog::build_service(&spec, Some(recon())).is_ok(),
-            "{kind}"
-        );
-        assert_eq!(policy(spec.clone()).validate(), Ok(()), "{kind}");
-        let passive = ServiceSpec {
-            mode: RelayModeSpec::Passive,
-            ..spec
-        };
-        let byte_wise = kind == "encryption" || kind == "passthrough";
-        assert_eq!(policy(passive).validate().is_ok(), byte_wise, "{kind}");
+    for (spec, passive) in &table {
+        assert!(builds(RelayMode::Active, spec), "{spec:?}");
+        assert_eq!(builds(RelayMode::Passive, spec), *passive, "{spec:?}");
     }
     let unknown = ServiceSpec::new("defragment");
-    assert!(catalog::build_service(&unknown, Some(recon())).is_err());
-    assert!(policy(unknown).validate().is_err());
+    assert!(!builds(RelayMode::Active, &unknown));
+    assert!(!builds(RelayMode::Passive, &unknown));
 }
