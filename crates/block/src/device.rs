@@ -6,6 +6,9 @@ use std::fmt;
 /// Size of one device sector in bytes (the SCSI standard 512).
 pub const SECTOR_SIZE: usize = 512;
 
+/// Size of the block [`BlockDevice::lend_block`] lends: 4 KiB, a page.
+pub const BLOCK_BYTES: usize = 8 * SECTOR_SIZE;
+
 /// Errors returned by block device operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BlockError {
@@ -88,6 +91,17 @@ pub trait BlockDevice {
         Ok(())
     }
 
+    /// Lends the [`BLOCK_BYTES`] block starting at `lba` without copying
+    /// it, as the access `read` would make. `Ok(None)` means this device
+    /// does not lend that block (the default); the caller reads a copy.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`BlockDevice::read`].
+    fn lend_block(&mut self, _lba: u64) -> Result<Option<&[u8; BLOCK_BYTES]>, BlockError> {
+        Ok(None)
+    }
+
     /// Device capacity in bytes.
     fn capacity_bytes(&self) -> u64 {
         self.num_sectors() * SECTOR_SIZE as u64
@@ -123,6 +137,9 @@ impl<D: BlockDevice + ?Sized> BlockDevice for &mut D {
     fn flush(&mut self) -> Result<(), BlockError> {
         (**self).flush()
     }
+    fn lend_block(&mut self, lba: u64) -> Result<Option<&[u8; BLOCK_BYTES]>, BlockError> {
+        (**self).lend_block(lba)
+    }
 }
 
 impl<D: BlockDevice + ?Sized> BlockDevice for Box<D> {
@@ -137,6 +154,9 @@ impl<D: BlockDevice + ?Sized> BlockDevice for Box<D> {
     }
     fn flush(&mut self) -> Result<(), BlockError> {
         (**self).flush()
+    }
+    fn lend_block(&mut self, lba: u64) -> Result<Option<&[u8; BLOCK_BYTES]>, BlockError> {
+        (**self).lend_block(lba)
     }
 }
 

@@ -5,16 +5,18 @@
 //! 4 KiB write allocates exactly the bytes it stores. `read` and `write`
 //! walk the request chunk by chunk: one map lookup and one slice copy per
 //! chunk, and a write covering a whole unwritten chunk stores the caller's
-//! bytes directly instead of zero-filling a chunk first.
+//! bytes directly instead of zero-filling a chunk first. Chunks are shared
+//! copy-on-write, so a clone copies no chunk until one side writes it.
 
 use std::collections::hash_map::Entry;
 use std::hash::RandomState;
+use std::sync::Arc;
 
 use storm_sim::IdMap;
 
-use crate::device::{check_access, BlockDevice, BlockError, SECTOR_SIZE};
+use crate::device::{check_access, BlockDevice, BlockError, BLOCK_BYTES, SECTOR_SIZE};
 
-/// Sectors per allocation chunk (4 KiB chunks).
+/// Sectors per allocation chunk (4 KiB chunks, the blocks it lends).
 const CHUNK_SECTORS: u64 = 8;
 const CHUNK_BYTES: usize = CHUNK_SECTORS as usize * SECTOR_SIZE;
 
@@ -27,7 +29,7 @@ const CHUNK_BYTES: usize = CHUNK_SECTORS as usize * SECTOR_SIZE;
 #[derive(Debug, Clone, Default)]
 pub struct MemDisk {
     num_sectors: u64,
-    chunks: IdMap<u64, Box<[u8]>, RandomState>,
+    chunks: IdMap<u64, Arc<[u8]>, RandomState>,
     failed: bool,
 }
 
@@ -143,14 +145,14 @@ impl BlockDevice for MemDisk {
             let src = &data[at..at + n];
             match self.chunks.entry(chunk) {
                 Entry::Occupied(stored) => {
-                    stored.into_mut()[offset..offset + n].copy_from_slice(src)
+                    Arc::make_mut(stored.into_mut())[offset..offset + n].copy_from_slice(src)
                 }
                 // A whole-chunk write stores what was written; only a
                 // partial first touch needs the zero background.
                 Entry::Vacant(slot) if n == CHUNK_BYTES => {
                     slot.insert(src.into());
                 }
-                Entry::Vacant(slot) => slot.insert(vec![0u8; CHUNK_BYTES].into_boxed_slice())
+                Entry::Vacant(slot) => Arc::make_mut(slot.insert(vec![0u8; CHUNK_BYTES].into()))
                     [offset..offset + n]
                     .copy_from_slice(src),
             }
@@ -163,6 +165,21 @@ impl BlockDevice for MemDisk {
             return Err(BlockError::Unavailable);
         }
         Ok(())
+    }
+
+    /// Lends the stored chunk, or a zero block for one never written.
+    fn lend_block(&mut self, lba: u64) -> Result<Option<&[u8; BLOCK_BYTES]>, BlockError> {
+        if self.failed {
+            return Err(BlockError::Unavailable);
+        }
+        check_access(self.num_sectors, lba, BLOCK_BYTES)?;
+        if !lba.is_multiple_of(CHUNK_SECTORS) {
+            return Ok(None);
+        }
+        Ok(match self.chunks.get(&(lba / CHUNK_SECTORS)) {
+            Some(stored) => stored.first_chunk(),
+            None => Some(&[0; CHUNK_BYTES]),
+        })
     }
 }
 
@@ -315,6 +332,52 @@ mod tests {
         // A destination too small for the source's chunks refuses them.
         src.recover();
         assert!(src.copy_into(&mut MemDisk::new(8)).is_err());
+    }
+
+    #[test]
+    fn lends_stored_and_zero_chunks_in_range() {
+        let mut d = MemDisk::new(2 * CHUNK_SECTORS + 3);
+        d.write(CHUNK_SECTORS, &[5u8; CHUNK_BYTES]).unwrap();
+        assert_eq!(d.lend_block(CHUNK_SECTORS), Ok(Some(&[5u8; CHUNK_BYTES])));
+        assert_eq!(d.lend_block(0), Ok(Some(&[0u8; CHUNK_BYTES])));
+        // Lending an unwritten chunk does not allocate it.
+        assert_eq!(d.allocated_bytes(), CHUNK_BYTES);
+        // An unaligned block is not lent; the caller reads a copy.
+        assert_eq!(d.lend_block(1), Ok(None));
+        // The last chunk holds only three sectors: out of range, like a read.
+        assert!(matches!(
+            d.lend_block(2 * CHUNK_SECTORS),
+            Err(BlockError::OutOfRange { sectors: 8, .. })
+        ));
+        d.fail();
+        assert_eq!(d.lend_block(0), Err(BlockError::Unavailable));
+    }
+
+    /// A clone shares its chunks until one side writes: then that side
+    /// alone sees the write, partial or whole, and the other keeps its bytes.
+    #[test]
+    fn clones_copy_chunks_on_write() {
+        let mut a = MemDisk::new(4 * CHUNK_SECTORS);
+        a.write(0, &[1u8; 2 * CHUNK_BYTES]).unwrap();
+        let mut b = a.clone();
+        b.write(1, &[2u8; SECTOR_SIZE]).unwrap();
+        b.write(CHUNK_SECTORS, &[3u8; CHUNK_BYTES]).unwrap();
+        a.write(2 * CHUNK_SECTORS, &[4u8; SECTOR_SIZE]).unwrap();
+        let read = |d: &mut MemDisk| {
+            let mut all = vec![0u8; 3 * CHUNK_BYTES];
+            d.read(0, &mut all).unwrap();
+            all
+        };
+        let (a, b) = (read(&mut a), read(&mut b));
+        assert_eq!(&a[..2 * CHUNK_BYTES], &[1u8; 2 * CHUNK_BYTES][..]);
+        assert_eq!(
+            &a[2 * CHUNK_BYTES..][..SECTOR_SIZE],
+            &[4u8; SECTOR_SIZE][..]
+        );
+        assert_eq!(&b[..SECTOR_SIZE], &[1u8; SECTOR_SIZE][..]);
+        assert_eq!(&b[SECTOR_SIZE..2 * SECTOR_SIZE], &[2u8; SECTOR_SIZE][..]);
+        assert_eq!(&b[CHUNK_BYTES..2 * CHUNK_BYTES], &[3u8; CHUNK_BYTES][..]);
+        assert!(b[2 * CHUNK_BYTES..].iter().all(|&x| x == 0));
     }
 
     #[test]

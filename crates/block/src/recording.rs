@@ -7,7 +7,9 @@
 //! which is what the semantics-reconstruction experiments (Tables I–III)
 //! analyse.
 
-use crate::device::{BlockDevice, BlockError, SECTOR_SIZE};
+use bytes::Bytes;
+
+use crate::device::{BlockDevice, BlockError, BLOCK_BYTES, SECTOR_SIZE};
 
 /// Whether an access was a read or a write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -28,7 +30,7 @@ pub struct AccessRecord {
     /// Number of sectors.
     pub sectors: u64,
     /// Payload for writes (the bytes written); empty for reads.
-    pub data: Vec<u8>,
+    pub data: Bytes,
 }
 
 impl AccessRecord {
@@ -38,46 +40,43 @@ impl AccessRecord {
     }
 }
 
-/// Wraps a [`BlockDevice`] and logs every read and write.
+/// Wraps a [`BlockDevice`] and logs every read and write. Write payloads
+/// go to one buffer that [`RecordingDevice::take_log`] cuts into the
+/// records' `data` views, so recording a write allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct RecordingDevice<D> {
     inner: D,
     log: Vec<AccessRecord>,
-    record_reads: bool,
+    /// The payloads of the logged writes, in log order.
+    payloads: Vec<u8>,
 }
 
 impl<D: BlockDevice> RecordingDevice<D> {
-    /// Wraps `inner`, recording both reads and writes.
+    /// Wraps `inner`, recording reads and writes.
     pub fn new(inner: D) -> Self {
         RecordingDevice {
             inner,
             log: Vec::new(),
-            record_reads: true,
+            payloads: Vec::new(),
         }
     }
 
-    /// Wraps `inner`, recording writes only.
-    pub fn writes_only(inner: D) -> Self {
-        RecordingDevice {
-            inner,
-            log: Vec::new(),
-            record_reads: false,
-        }
-    }
-
-    /// The recorded access log, in issue order.
-    pub fn log(&self) -> &[AccessRecord] {
-        &self.log
-    }
-
-    /// Takes the access log, leaving an empty one behind.
+    /// Takes the access log, in issue order, leaving an empty one behind.
     pub fn take_log(&mut self) -> Vec<AccessRecord> {
-        std::mem::take(&mut self.log)
-    }
-
-    /// A shared view of the wrapped device.
-    pub fn inner(&self) -> &D {
-        &self.inner
+        let room = self.payloads.capacity();
+        let mut payloads = std::mem::take(&mut self.payloads);
+        // In place: the records keep only the bytes written. The next buffer
+        // gets the room this one grew to, reserved past what it gave back.
+        payloads.shrink_to_fit();
+        let payloads = Bytes::from(payloads);
+        self.payloads.reserve(room);
+        let mut at = 0;
+        for rec in self.log.iter_mut().filter(|r| r.kind == AccessKind::Write) {
+            rec.data = payloads.slice(at..at + rec.len_bytes());
+            at += rec.len_bytes();
+        }
+        let next = Vec::with_capacity(self.log.len());
+        std::mem::replace(&mut self.log, next)
     }
 
     /// A mutable view of the wrapped device (accesses made through it are
@@ -92,6 +91,16 @@ impl<D: BlockDevice> RecordingDevice<D> {
     }
 }
 
+/// Logs an access of `len` bytes; a write's payload is cut in later.
+fn record(log: &mut Vec<AccessRecord>, kind: AccessKind, lba: u64, len: usize) {
+    log.push(AccessRecord {
+        kind,
+        lba,
+        sectors: (len / SECTOR_SIZE) as u64,
+        data: Bytes::new(),
+    });
+}
+
 impl<D: BlockDevice> BlockDevice for RecordingDevice<D> {
     fn num_sectors(&self) -> u64 {
         self.inner.num_sectors()
@@ -99,30 +108,28 @@ impl<D: BlockDevice> BlockDevice for RecordingDevice<D> {
 
     fn read(&mut self, lba: u64, buf: &mut [u8]) -> Result<(), BlockError> {
         self.inner.read(lba, buf)?;
-        if self.record_reads {
-            self.log.push(AccessRecord {
-                kind: AccessKind::Read,
-                lba,
-                sectors: (buf.len() / SECTOR_SIZE) as u64,
-                data: Vec::new(),
-            });
-        }
+        record(&mut self.log, AccessKind::Read, lba, buf.len());
         Ok(())
     }
 
     fn write(&mut self, lba: u64, data: &[u8]) -> Result<(), BlockError> {
         self.inner.write(lba, data)?;
-        self.log.push(AccessRecord {
-            kind: AccessKind::Write,
-            lba,
-            sectors: (data.len() / SECTOR_SIZE) as u64,
-            data: data.to_vec(),
-        });
+        record(&mut self.log, AccessKind::Write, lba, data.len());
+        self.payloads.extend_from_slice(data);
         Ok(())
     }
 
     fn flush(&mut self) -> Result<(), BlockError> {
         self.inner.flush()
+    }
+
+    /// Lends what the inner device lends, logged as the read it stands for.
+    fn lend_block(&mut self, lba: u64) -> Result<Option<&[u8; BLOCK_BYTES]>, BlockError> {
+        let lent = self.inner.lend_block(lba)?;
+        if lent.is_some() {
+            record(&mut self.log, AccessKind::Read, lba, BLOCK_BYTES);
+        }
+        Ok(lent)
     }
 }
 
@@ -138,30 +145,41 @@ mod tests {
         let mut buf = [0u8; SECTOR_SIZE];
         d.read(3, &mut buf).unwrap();
         assert_eq!(buf[0], 9);
-        let log = d.log();
-        assert_eq!(log.len(), 2);
+        d.write(8, &[7u8; 2 * SECTOR_SIZE]).unwrap();
+        let log = d.take_log();
+        assert_eq!(log.len(), 3);
         assert_eq!(log[0].kind, AccessKind::Write);
         assert_eq!(log[0].lba, 3);
-        assert_eq!(log[0].data[0], 9);
+        assert_eq!(log[0].data, [9u8; SECTOR_SIZE]);
         assert_eq!(log[0].len_bytes(), SECTOR_SIZE);
         assert_eq!(log[1].kind, AccessKind::Read);
         assert!(log[1].data.is_empty());
+        assert_eq!(log[2].data, [7u8; 2 * SECTOR_SIZE]);
+        // The two payloads share one buffer.
+        assert!(log[0].data.try_join(&log[2].data).is_some());
     }
 
     #[test]
     fn failed_accesses_are_not_recorded() {
         let mut d = RecordingDevice::new(MemDisk::new(4));
         assert!(d.write(100, &[0u8; SECTOR_SIZE]).is_err());
-        assert!(d.log().is_empty());
+        assert!(d.take_log().is_empty());
     }
 
     #[test]
-    fn writes_only_mode_skips_reads() {
-        let mut d = RecordingDevice::writes_only(MemDisk::new(4));
-        d.write(0, &[1u8; SECTOR_SIZE]).unwrap();
-        let mut buf = [0u8; SECTOR_SIZE];
-        d.read(0, &mut buf).unwrap();
-        assert_eq!(d.log().len(), 1);
+    fn a_lent_block_is_logged_as_the_read_it_replaces() {
+        let mut lent = RecordingDevice::new(MemDisk::new(64));
+        let mut read = RecordingDevice::new(MemDisk::new(64));
+        for d in [&mut lent, &mut read] {
+            d.write(8, &[4u8; BLOCK_BYTES]).unwrap();
+        }
+        assert_eq!(lent.lend_block(8), Ok(Some(&[4u8; BLOCK_BYTES])));
+        let mut buf = [0u8; BLOCK_BYTES];
+        read.read(8, &mut buf).unwrap();
+        // Not lent, not logged: the caller's fallback read logs it.
+        assert_eq!(lent.lend_block(3), Ok(None));
+        assert!(lent.lend_block(64).is_err());
+        assert_eq!(lent.take_log(), read.take_log());
     }
 
     #[test]
@@ -170,7 +188,9 @@ mod tests {
         d.write(0, &[1u8; SECTOR_SIZE]).unwrap();
         let log = d.take_log();
         assert_eq!(log.len(), 1);
-        assert!(d.log().is_empty());
+        d.write(1, &[2u8; SECTOR_SIZE]).unwrap();
+        assert_eq!(d.take_log()[0].data, [2u8; SECTOR_SIZE]);
+        assert!(d.take_log().is_empty());
         let _ = d.into_inner();
     }
 }

@@ -6,10 +6,9 @@
 //! device stitched from those extents.
 
 use std::fmt;
-use std::hash::RandomState;
 use std::sync::{Arc, Mutex};
 
-use storm_sim::{FaultAction, FaultHook, FaultSite, IdMap, SimTime};
+use storm_sim::{FaultAction, FaultHook, FaultSite, SimTime};
 
 use crate::device::{check_access, BlockDevice, BlockError, SECTOR_SIZE};
 use crate::MemDisk;
@@ -28,11 +27,13 @@ impl fmt::Display for VolumeId {
 }
 
 /// An LVM-style volume group: an extent allocator over one physical disk.
+/// Extents are handed out in order; no scenario deletes a volume, so none
+/// is given back.
 #[derive(Debug)]
 pub struct VolumeGroup {
     backing: Arc<Mutex<MemDisk>>,
-    extent_used: Vec<bool>,
-    volumes: IdMap<VolumeId, Vec<u64>, RandomState>,
+    extents: u64,
+    next_extent: u64,
     next_id: u32,
 }
 
@@ -43,16 +44,15 @@ impl VolumeGroup {
         let extents = disk.num_sectors() / EXTENT_SECTORS;
         VolumeGroup {
             backing: Arc::new(Mutex::new(disk)),
-            extent_used: vec![false; extents as usize],
-            volumes: IdMap::default(),
+            extents,
+            next_extent: 0,
             next_id: 1,
         }
     }
 
     /// Free capacity in bytes.
     pub fn free_bytes(&self) -> u64 {
-        let free = self.extent_used.iter().filter(|u| !**u).count() as u64;
-        free * EXTENT_SECTORS * SECTOR_SIZE as u64
+        (self.extents - self.next_extent) * EXTENT_SECTORS * SECTOR_SIZE as u64
     }
 
     /// Allocates a logical volume of at least `bytes` bytes.
@@ -63,52 +63,24 @@ impl VolumeGroup {
     pub fn create_volume(&mut self, bytes: u64) -> Result<Volume, BlockError> {
         let sectors = bytes.div_ceil(SECTOR_SIZE as u64);
         let needed = sectors.div_ceil(EXTENT_SECTORS).max(1);
-        let free: Vec<u64> = self
-            .extent_used
-            .iter()
-            .enumerate()
-            .filter(|(_, used)| !**used)
-            .map(|(i, _)| i as u64)
-            .take(needed as usize)
-            .collect();
-        if (free.len() as u64) < needed {
+        if self.extents - self.next_extent < needed {
             return Err(BlockError::OutOfRange {
                 lba: 0,
                 sectors,
                 capacity: self.free_bytes() / SECTOR_SIZE as u64,
             });
         }
-        for &e in &free {
-            self.extent_used[e as usize] = true;
-        }
         let id = VolumeId(self.next_id);
         self.next_id += 1;
-        self.volumes.insert(id, free.clone());
+        self.next_extent += needed;
         Ok(Volume {
             id,
-            extents: free,
+            extents: (self.next_extent - needed..self.next_extent).collect(),
             num_sectors: needed * EXTENT_SECTORS,
             backing: Arc::clone(&self.backing),
             failed: false,
             fault: FaultHook::none(),
         })
-    }
-
-    /// Frees the extents of volume `id`.
-    ///
-    /// Deleting an unknown volume is a no-op (idempotent delete, matching
-    /// Cinder semantics).
-    pub fn delete_volume(&mut self, id: VolumeId) {
-        if let Some(extents) = self.volumes.remove(&id) {
-            for e in extents {
-                self.extent_used[e as usize] = false;
-            }
-        }
-    }
-
-    /// Number of live volumes.
-    pub fn volume_count(&self) -> usize {
-        self.volumes.len()
     }
 }
 
@@ -306,18 +278,13 @@ mod tests {
     }
 
     #[test]
-    fn allocation_exhaustion_and_reuse() {
+    fn allocation_exhaustion() {
         let mut vg = VolumeGroup::new(8 << 20); // two 4 MiB extents
-        let v1 = vg.create_volume(4 << 20).unwrap();
+        let _v1 = vg.create_volume(4 << 20).unwrap();
+        assert_eq!(vg.free_bytes(), 4 << 20);
         let _v2 = vg.create_volume(4 << 20).unwrap();
         assert_eq!(vg.free_bytes(), 0);
         assert!(vg.create_volume(1).is_err());
-        vg.delete_volume(v1.id());
-        assert_eq!(vg.free_bytes(), 4 << 20);
-        assert!(vg.create_volume(4 << 20).is_ok());
-        // Idempotent delete of unknown volume.
-        vg.delete_volume(VolumeId(999));
-        assert_eq!(vg.volume_count(), 2);
     }
 
     #[test]

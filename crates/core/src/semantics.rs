@@ -712,7 +712,7 @@ mod tests {
         for rec in log {
             let (op, data) = match rec.kind {
                 AccessKind::Read => (FsOp::Read, None),
-                AccessKind::Write => (FsOp::Write, Some(rec.data.as_slice())),
+                AccessKind::Write => (FsOp::Write, Some(&rec.data[..])),
             };
             rows.extend(recon.observe(op, rec.lba, rec.len_bytes(), data));
         }

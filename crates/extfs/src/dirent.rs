@@ -112,6 +112,15 @@ impl Dirent<'_> {
     }
 }
 
+impl RawDirent<'_> {
+    /// Whether this record binds the non-empty `name` to an inode. Last
+    /// bytes first: one directory's names often share a prefix (`msg00041`).
+    pub(crate) fn binds(&self, name: &str) -> bool {
+        let name = name.as_bytes();
+        self.name.last() == name.last() && !name.is_empty() && self.inode != 0 && self.name == name
+    }
+}
+
 /// Walks every well-formed record of a directory block in place.
 ///
 /// The walk ends at the first record that is not well formed — fewer
@@ -123,19 +132,19 @@ impl Dirent<'_> {
 pub fn raw_dirents(block: &[u8]) -> impl Iterator<Item = RawDirent<'_>> {
     let mut offset = 0usize;
     std::iter::from_fn(move || {
-        let [i0, i1, i2, i3, r0, r1, name_len, type_byte, tail @ ..] = block.get(offset..)? else {
+        let [i0, i1, i2, i3, r0, r1, name_len, type_byte] = *block.get(offset..offset + 8)? else {
             return None;
         };
-        let rec_len = u16::from_le_bytes([*r0, *r1]) as usize;
-        let name = tail.get(..*name_len as usize)?;
-        if rec_len < 8 + name.len() || rec_len > 8 + tail.len() {
+        let rec_len = u16::from_le_bytes([r0, r1]) as usize;
+        let name = block.get(offset + 8..offset + 8 + name_len as usize)?;
+        if rec_len < 8 + name.len() || rec_len > block.len() - offset {
             return None;
         }
         let rec = RawDirent {
             offset,
             rec_len,
-            inode: u32::from_le_bytes([*i0, *i1, *i2, *i3]),
-            type_byte: *type_byte,
+            inode: u32::from_le_bytes([i0, i1, i2, i3]),
+            type_byte,
             name,
         };
         offset += rec_len;
@@ -167,7 +176,7 @@ pub fn dirents(block: &[u8]) -> impl Iterator<Item = Dirent<'_>> {
 /// name never equals a `&str`, so the first hit is the same record.
 pub fn lookup(block: &[u8], name: &str) -> Option<(u32, FileType)> {
     raw_dirents(block)
-        .filter(|r| r.inode != 0 && !r.name.is_empty() && r.name == name.as_bytes())
+        .filter(|r| r.binds(name))
         .find_map(|r| Some((r.inode, FileType::from_byte(r.type_byte)?)))
 }
 

@@ -15,6 +15,7 @@ use crate::layout::{
     GroupDesc, Superblock, BLOCKS_PER_GROUP, BLOCK_SIZE, EXT_MAGIC, FIRST_FREE_INO,
     INODES_PER_GROUP, INODE_SIZE, INODE_TABLE_BLOCKS, ROOT_INO, SECTORS_PER_BLOCK,
 };
+use crate::view::FsView;
 
 /// Filesystem errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,6 +82,16 @@ fn first_clear_bit(bitmap: &[u8], limit: usize) -> Option<usize> {
         .filter(|&idx| idx < limit)
 }
 
+/// One filesystem block.
+type Block = [u8; BLOCK_SIZE];
+
+/// A bitmap block with the bits `used` set.
+fn bitmap_of(used: impl Iterator<Item = usize>) -> Block {
+    let mut bitmap = [0; BLOCK_SIZE];
+    used.for_each(|i| bitmap[i / 8] |= 1 << (i % 8));
+    bitmap
+}
+
 /// File metadata returned by [`ExtFs::stat`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stat {
@@ -104,12 +115,19 @@ pub struct Stat {
 /// back on [`ExtFs::sync`] (like a real kernel); bitmaps, inode tables and
 /// directory blocks are written through immediately, so wire observers see
 /// the metadata traffic the semantics-reconstruction engine depends on.
+/// No block read allocates: a read-only walk borrows what the device
+/// lends ([`BlockDevice::lend_block`]), a read-modify-write edits a block
+/// the filesystem owns.
 #[derive(Debug)]
 pub struct ExtFs<D> {
     dev: D,
-    sb: Superblock,
-    groups: Vec<GroupDesc>,
-    gdt_blocks: u64,
+    /// The superblock and group descriptors, counters kept current.
+    view: FsView,
+    /// The group descriptor table as `sync` writes it.
+    gdt: Vec<u8>,
+    /// The block a read-modify-write edits, and the copy a read-only walk
+    /// reads into when the device does not lend the block.
+    scratch: Box<Block>,
     clock: u32,
     sb_dirty: bool,
 }
@@ -142,41 +160,22 @@ impl<D: BlockDevice> ExtFs<D> {
             let inode_table = meta_start + 2;
             let data_start = inode_table + INODE_TABLE_BLOCKS;
             let group_end = (base + BLOCKS_PER_GROUP).min(total_blocks);
-            // Build the block bitmap: everything before data_start (within
-            // the group) is metadata; everything past group_end is padding.
-            let mut bitmap = vec![0u8; BLOCK_SIZE];
-            let mut free_in_group = 0u16;
-            for b in base..base + BLOCKS_PER_GROUP {
-                let used = b < data_start || b >= group_end;
-                if used {
-                    let idx = (b - base) as usize;
-                    bitmap[idx / 8] |= 1 << (idx % 8);
-                } else {
-                    free_in_group += 1;
-                }
-            }
-            dev.write(block_bitmap * SECTORS_PER_BLOCK, &bitmap)?;
-            // Inode bitmap: group 0 reserves inodes 1..FIRST_FREE_INO
-            // (bit index = ino - 1 within the group).
-            let mut ibitmap = vec![0u8; BLOCK_SIZE];
-            let mut free_inodes = INODES_PER_GROUP as u16;
-            if g == 0 {
-                for ino in 1..FIRST_FREE_INO {
-                    let idx = (ino - 1) as usize;
-                    ibitmap[idx / 8] |= 1 << (idx % 8);
-                    free_inodes -= 1;
-                }
-            }
-            // Inodes beyond the bitmap's group span never exist; mark the
-            // tail of the bitmap used so allocation can't pick them.
-            for idx in INODES_PER_GROUP as usize..BLOCK_SIZE * 8 {
-                ibitmap[idx / 8] |= 1 << (idx % 8);
-            }
-            dev.write(inode_bitmap * SECTORS_PER_BLOCK, &ibitmap)?;
+            // Block bitmap: everything before data_start (within the
+            // group) is metadata; everything past group_end is padding.
+            let (meta, end) = ((data_start - base) as usize, (group_end - base) as usize);
+            let used = (0..meta).chain(end.max(meta)..BLOCKS_PER_GROUP as usize);
+            dev.write(block_bitmap * SECTORS_PER_BLOCK, &bitmap_of(used))?;
+            let free_in_group = end.saturating_sub(meta) as u16;
+            // Inode bitmap: group 0 reserves inodes 1..FIRST_FREE_INO (bit
+            // index = ino - 1), and inodes beyond the group's span never
+            // exist, so the bitmap's tail is marked used too.
+            let reserved = if g == 0 { FIRST_FREE_INO - 1 } else { 0 };
+            let used = (0..reserved as usize).chain(INODES_PER_GROUP as usize..BLOCK_SIZE * 8);
+            dev.write(inode_bitmap * SECTORS_PER_BLOCK, &bitmap_of(used))?;
+            let free_inodes = (INODES_PER_GROUP - reserved) as u16;
             // Zero the inode table.
-            let zero = vec![0u8; BLOCK_SIZE];
             for b in 0..INODE_TABLE_BLOCKS {
-                dev.write((inode_table + b) * SECTORS_PER_BLOCK, &zero)?;
+                dev.write((inode_table + b) * SECTORS_PER_BLOCK, &[0; BLOCK_SIZE])?;
             }
             free_blocks_total += free_in_group as u64;
             gds.push(GroupDesc {
@@ -199,33 +198,21 @@ impl<D: BlockDevice> ExtFs<D> {
             inodes_per_group: INODES_PER_GROUP,
             magic: EXT_MAGIC,
         };
-        let mut fs = ExtFs {
-            dev,
+        let view = FsView {
             sb,
             groups: gds,
             gdt_blocks,
-            clock: 1,
-            sb_dirty: true,
         };
+        let mut fs = ExtFs::new(dev, view, true);
         // Root directory.
         let mut root = Inode::new_dir();
         let root_block = fs.alloc_block(0)?;
         root.block[0] = root_block;
         root.size = BLOCK_SIZE as u64;
         root.blocks512 = SECTORS_PER_BLOCK as u32;
-        let mut dirblock = vec![0u8; BLOCK_SIZE];
-        let r1 = rec_len_for(1);
-        write_dirent(&mut dirblock, ROOT_INO, FileType::Directory, ".", r1);
-        write_dirent(
-            &mut dirblock[r1..],
-            ROOT_INO,
-            FileType::Directory,
-            "..",
-            BLOCK_SIZE - r1,
-        );
-        fs.write_block(root_block as u64, &dirblock)?;
+        fs.write_dir_block(root_block, ROOT_INO, ROOT_INO)?;
         fs.write_inode(ROOT_INO, &root)?;
-        fs.groups[0].used_dirs_count += 1;
+        fs.view.groups[0].used_dirs_count += 1;
         fs.sync()?;
         Ok(fs)
     }
@@ -236,41 +223,44 @@ impl<D: BlockDevice> ExtFs<D> {
     ///
     /// [`FsError::BadMagic`] when the superblock is absent or corrupt.
     pub fn mount(mut dev: D) -> Result<ExtFs<D>, FsError> {
-        let mut block0 = vec![0u8; BLOCK_SIZE];
-        dev.read(0, &mut block0)?;
-        let sb = block0
-            .first_chunk()
-            .and_then(Superblock::read_from)
-            .ok_or(FsError::BadMagic)?;
-        let groups = sb.group_count();
-        let gdt_blocks = (groups as usize * GroupDesc::SIZE).div_ceil(BLOCK_SIZE) as u64;
-        let mut gdt = vec![0u8; (gdt_blocks as usize) * BLOCK_SIZE];
-        dev.read(SECTORS_PER_BLOCK, &mut gdt)?;
-        let (slots, _) = gdt.as_chunks();
-        let gds = slots
-            .iter()
-            .take(groups as usize)
-            .map(GroupDesc::read_from)
-            .collect();
-        Ok(ExtFs {
+        let view = FsView::from_device(&mut dev)?;
+        Ok(ExtFs::new(dev, view, false))
+    }
+
+    fn new(dev: D, view: FsView, sb_dirty: bool) -> ExtFs<D> {
+        ExtFs {
             dev,
-            sb,
-            groups: gds,
-            gdt_blocks,
+            gdt: vec![0; view.gdt_blocks as usize * BLOCK_SIZE],
+            view,
+            scratch: Box::new([0; BLOCK_SIZE]),
             clock: 1,
-            sb_dirty: false,
-        })
+            sb_dirty,
+        }
     }
 
     /// The cached superblock.
     pub fn superblock(&self) -> &Superblock {
-        &self.sb
+        &self.view.sb
     }
 
     /// Mutable access to the underlying device (e.g. to drain a
     /// recording log).
     pub fn device_mut(&mut self) -> &mut D {
         &mut self.dev
+    }
+
+    /// Moves the mounted filesystem onto the device `wrap` makes of its
+    /// own, keeping the in-memory state a remount would reset (the mtime
+    /// clock, the cached counters and whether they are dirty).
+    pub fn map_device<E: BlockDevice>(self, wrap: impl FnOnce(D) -> E) -> ExtFs<E> {
+        ExtFs {
+            dev: wrap(self.dev),
+            view: self.view,
+            gdt: self.gdt,
+            scratch: self.scratch,
+            clock: self.clock,
+            sb_dirty: self.sb_dirty,
+        }
     }
 
     /// Unmounts, flushing caches, and returns the device.
@@ -290,15 +280,12 @@ impl<D: BlockDevice> ExtFs<D> {
     /// Propagates device errors.
     pub fn sync(&mut self) -> Result<(), FsError> {
         if self.sb_dirty {
-            let mut block0 = vec![0u8; BLOCK_SIZE];
-            self.dev.read(0, &mut block0)?;
-            self.sb.write_to(&mut block0);
-            self.dev.write(0, &block0)?;
-            let mut gdt = vec![0u8; (self.gdt_blocks as usize) * BLOCK_SIZE];
-            for (g, gd) in self.groups.iter().enumerate() {
-                gd.write_to(&mut gdt[g * GroupDesc::SIZE..]);
+            let sb = self.view.sb;
+            self.edit_block(0, |block0| sb.write_to(block0))?;
+            for (slot, gd) in self.gdt.chunks_mut(GroupDesc::SIZE).zip(&self.view.groups) {
+                gd.write_to(slot);
             }
-            self.dev.write(SECTORS_PER_BLOCK, &gdt)?;
+            self.dev.write(SECTORS_PER_BLOCK, &self.gdt)?;
             self.sb_dirty = false;
         }
         self.dev.flush()?;
@@ -307,10 +294,44 @@ impl<D: BlockDevice> ExtFs<D> {
 
     // ---- low-level block / inode access ----
 
-    fn read_block(&mut self, bno: u64) -> Result<Vec<u8>, FsError> {
-        let mut buf = vec![0u8; BLOCK_SIZE];
-        self.dev.read(bno * SECTORS_PER_BLOCK, &mut buf)?;
-        Ok(buf)
+    /// Runs `f` on block `bno`, borrowed from the device if it lends it.
+    fn with_block<R>(&mut self, bno: u64, f: impl FnOnce(&Block) -> R) -> Result<R, FsError> {
+        let lba = bno * SECTORS_PER_BLOCK;
+        if let Some(block) = self.dev.lend_block(lba)? {
+            return Ok(f(block));
+        }
+        self.dev.read(lba, &mut self.scratch[..])?;
+        Ok(f(&self.scratch))
+    }
+
+    /// Reads block `bno` into the scratch block, edits and writes it back.
+    fn edit_block(&mut self, bno: u64, edit: impl FnOnce(&mut Block)) -> Result<(), FsError> {
+        self.edit_block_if(bno, |buf| Some(()).map(|()| edit(buf)))?;
+        Ok(())
+    }
+
+    /// [`Self::edit_block`], written back only if `edit` returns `Some`.
+    fn edit_block_if<R>(
+        &mut self,
+        bno: u64,
+        edit: impl FnOnce(&mut Block) -> Option<R>,
+    ) -> Result<Option<R>, FsError> {
+        let lba = bno * SECTORS_PER_BLOCK;
+        self.dev.read(lba, &mut self.scratch[..])?;
+        let edited = edit(&mut self.scratch);
+        if edited.is_some() {
+            self.dev.write(lba, &self.scratch[..])?;
+        }
+        Ok(edited)
+    }
+
+    /// Writes block `bno` as zeros under what `fill` writes, without
+    /// reading it: a fresh block's old bytes belong to its previous owner.
+    fn write_fresh(&mut self, bno: u64, fill: impl FnOnce(&mut Block)) -> Result<(), FsError> {
+        self.scratch.fill(0);
+        fill(&mut self.scratch);
+        self.dev.write(bno * SECTORS_PER_BLOCK, &self.scratch[..])?;
+        Ok(())
     }
 
     fn write_block(&mut self, bno: u64, data: &[u8]) -> Result<(), FsError> {
@@ -319,27 +340,25 @@ impl<D: BlockDevice> ExtFs<D> {
         Ok(())
     }
 
-    fn inode_location(&self, ino: u32) -> (u64, usize) {
-        let idx = (ino - 1) as u64;
-        let group = (idx / INODES_PER_GROUP as u64) as usize;
-        let within = (idx % INODES_PER_GROUP as u64) as usize;
-        let block = self.groups[group].inode_table + (within * INODE_SIZE / BLOCK_SIZE) as u64;
-        let offset = (within * INODE_SIZE) % BLOCK_SIZE;
-        (block, offset)
+    /// Writes `dir`'s first block: `.` and `..` (which names `parent`).
+    fn write_dir_block(&mut self, bno: u32, dir: u32, parent: u32) -> Result<(), FsError> {
+        let (r1, ft) = (rec_len_for(1), FileType::Directory);
+        self.write_fresh(bno as u64, |buf| {
+            write_dirent(buf, dir, ft, ".", r1);
+            write_dirent(&mut buf[r1..], parent, ft, "..", BLOCK_SIZE - r1)
+        })
     }
 
     fn read_inode(&mut self, ino: u32) -> Result<Inode, FsError> {
-        let (block, offset) = self.inode_location(ino);
-        let buf = self.read_block(block)?;
-        let (slots, _) = buf.as_chunks();
-        Ok(Inode::from_bytes(&slots[offset / INODE_SIZE]))
+        let (block, offset) = self.view.inode_location(ino);
+        let slot = offset / INODE_SIZE;
+        self.with_block(block, |buf| Inode::from_bytes(&buf.as_chunks().0[slot]))
     }
 
     fn write_inode(&mut self, ino: u32, inode: &Inode) -> Result<(), FsError> {
-        let (block, offset) = self.inode_location(ino);
-        let mut buf = self.read_block(block)?;
-        inode.write_to(&mut buf[offset..offset + INODE_SIZE]);
-        self.write_block(block, &buf)
+        let (block, offset) = self.view.inode_location(ino);
+        let slot = offset..offset + INODE_SIZE;
+        self.edit_block(block, |buf| inode.write_to(&mut buf[slot]))
     }
 
     // ---- allocation ----
@@ -349,26 +368,24 @@ impl<D: BlockDevice> ExtFs<D> {
         bitmap_block: u64,
         limit: usize,
     ) -> Result<Option<usize>, FsError> {
-        let mut bitmap = self.read_block(bitmap_block)?;
-        let Some(idx) = first_clear_bit(&bitmap, limit) else {
-            return Ok(None);
-        };
-        bitmap[idx / 8] |= 1 << (idx % 8);
-        self.write_block(bitmap_block, &bitmap)?;
-        Ok(Some(idx))
+        self.edit_block_if(bitmap_block, |bitmap| {
+            let idx = first_clear_bit(bitmap, limit)?;
+            bitmap[idx / 8] |= 1 << (idx % 8);
+            Some(idx)
+        })
     }
 
     fn alloc_block(&mut self, preferred_group: usize) -> Result<u32, FsError> {
-        let n = self.groups.len();
+        let n = self.view.groups.len();
         for i in 0..n {
             let g = (preferred_group + i) % n;
-            if self.groups[g].free_blocks_count == 0 {
+            if self.view.groups[g].free_blocks_count == 0 {
                 continue;
             }
-            let bitmap_block = self.groups[g].block_bitmap;
+            let bitmap_block = self.view.groups[g].block_bitmap;
             if let Some(idx) = self.alloc_from_bitmap(bitmap_block, BLOCKS_PER_GROUP as usize)? {
-                self.groups[g].free_blocks_count -= 1;
-                self.sb.free_blocks_count -= 1;
+                self.view.groups[g].free_blocks_count -= 1;
+                self.view.sb.free_blocks_count -= 1;
                 self.sb_dirty = true;
                 return Ok((g as u64 * BLOCKS_PER_GROUP + idx as u64) as u32);
             }
@@ -379,29 +396,27 @@ impl<D: BlockDevice> ExtFs<D> {
     fn free_block(&mut self, bno: u32) -> Result<(), FsError> {
         let g = (bno as u64 / BLOCKS_PER_GROUP) as usize;
         let idx = (bno as u64 % BLOCKS_PER_GROUP) as usize;
-        let bitmap_block = self.groups[g].block_bitmap;
-        let mut bitmap = self.read_block(bitmap_block)?;
-        bitmap[idx / 8] &= !(1 << (idx % 8));
-        self.write_block(bitmap_block, &bitmap)?;
-        self.groups[g].free_blocks_count += 1;
-        self.sb.free_blocks_count += 1;
+        let bitmap_block = self.view.groups[g].block_bitmap;
+        self.edit_block(bitmap_block, |bitmap| bitmap[idx / 8] &= !(1 << (idx % 8)))?;
+        self.view.groups[g].free_blocks_count += 1;
+        self.view.sb.free_blocks_count += 1;
         self.sb_dirty = true;
         Ok(())
     }
 
     fn alloc_inode(&mut self, preferred_group: usize, is_dir: bool) -> Result<u32, FsError> {
-        let n = self.groups.len();
+        let n = self.view.groups.len();
         for i in 0..n {
             let g = (preferred_group + i) % n;
-            if self.groups[g].free_inodes_count == 0 {
+            if self.view.groups[g].free_inodes_count == 0 {
                 continue;
             }
-            let bitmap_block = self.groups[g].inode_bitmap;
+            let bitmap_block = self.view.groups[g].inode_bitmap;
             if let Some(idx) = self.alloc_from_bitmap(bitmap_block, INODES_PER_GROUP as usize)? {
-                self.groups[g].free_inodes_count -= 1;
-                self.sb.free_inodes_count -= 1;
+                self.view.groups[g].free_inodes_count -= 1;
+                self.view.sb.free_inodes_count -= 1;
                 if is_dir {
-                    self.groups[g].used_dirs_count += 1;
+                    self.view.groups[g].used_dirs_count += 1;
                 }
                 self.sb_dirty = true;
                 return Ok(g as u32 * INODES_PER_GROUP + idx as u32 + 1);
@@ -414,14 +429,12 @@ impl<D: BlockDevice> ExtFs<D> {
         let idx = (ino - 1) as usize;
         let g = idx / INODES_PER_GROUP as usize;
         let within = idx % INODES_PER_GROUP as usize;
-        let bitmap_block = self.groups[g].inode_bitmap;
-        let mut bitmap = self.read_block(bitmap_block)?;
-        bitmap[within / 8] &= !(1 << (within % 8));
-        self.write_block(bitmap_block, &bitmap)?;
-        self.groups[g].free_inodes_count += 1;
-        self.sb.free_inodes_count += 1;
+        let bitmap_block = self.view.groups[g].inode_bitmap;
+        self.edit_block(bitmap_block, |map| map[within / 8] &= !(1 << (within % 8)))?;
+        self.view.groups[g].free_inodes_count += 1;
+        self.view.sb.free_inodes_count += 1;
         if was_dir {
-            self.groups[g].used_dirs_count -= 1;
+            self.view.groups[g].used_dirs_count -= 1;
         }
         self.sb_dirty = true;
         // Clear the on-disk inode (dtime semantics).
@@ -441,8 +454,7 @@ impl<D: BlockDevice> ExtFs<D> {
             if ind == 0 {
                 return Ok(None);
             }
-            let buf = self.read_block(ind as u64)?;
-            let b = pointer_at(&buf, idx);
+            let b = self.with_block(ind as u64, |buf| pointer_at(buf, idx))?;
             return Ok(if b == 0 { None } else { Some(b) });
         }
         let idx = idx - PTRS_PER_BLOCK;
@@ -451,15 +463,12 @@ impl<D: BlockDevice> ExtFs<D> {
             if dind == 0 {
                 return Ok(None);
             }
-            let outer = self.read_block(dind as u64)?;
-            let slot = idx / PTRS_PER_BLOCK;
-            let ind = pointer_at(&outer, slot);
+            let ind =
+                self.with_block(dind as u64, |outer| pointer_at(outer, idx / PTRS_PER_BLOCK))?;
             if ind == 0 {
                 return Ok(None);
             }
-            let inner = self.read_block(ind as u64)?;
-            let within = idx % PTRS_PER_BLOCK;
-            let b = pointer_at(&inner, within);
+            let b = self.with_block(ind as u64, |inner| pointer_at(inner, idx % PTRS_PER_BLOCK))?;
             return Ok(if b == 0 { None } else { Some(b) });
         }
         Ok(None) // beyond double-indirect reach
@@ -479,55 +488,63 @@ impl<D: BlockDevice> ExtFs<D> {
         if let Some(b) = self.bmap(inode, idx)? {
             return Ok((b, false));
         }
-        let data = self.alloc_block(group)?;
-        inode.blocks512 += SECTORS_PER_BLOCK as u32;
-        if idx < DIRECT_BLOCKS {
-            inode.block[idx] = data;
-            return Ok((data, true));
-        }
-        let rel = idx - DIRECT_BLOCKS;
-        if rel < PTRS_PER_BLOCK {
-            if inode.block[IND_SLOT] == 0 {
-                let ind = self.alloc_block(group)?;
-                inode.blocks512 += SECTORS_PER_BLOCK as u32;
-                self.write_block(ind as u64, &vec![0u8; BLOCK_SIZE])?;
-                inode.block[IND_SLOT] = ind;
-            }
-            let ind = inode.block[IND_SLOT] as u64;
-            let mut buf = self.read_block(ind)?;
-            buf[rel * 4..rel * 4 + 4].copy_from_slice(&data.to_le_bytes());
-            self.write_block(ind, &buf)?;
-            return Ok((data, true));
-        }
-        let rel = rel - PTRS_PER_BLOCK;
-        if rel >= PTRS_PER_BLOCK * PTRS_PER_BLOCK {
+        if idx >= DIRECT_BLOCKS + PTRS_PER_BLOCK + PTRS_PER_BLOCK * PTRS_PER_BLOCK {
             // Beyond double-indirect: treat as a full file.
-            self.free_block(data)?;
-            inode.blocks512 -= SECTORS_PER_BLOCK as u32;
             return Err(FsError::NoSpace);
         }
-        if inode.block[DIND_SLOT] == 0 {
-            let dind = self.alloc_block(group)?;
-            inode.blocks512 += SECTORS_PER_BLOCK as u32;
-            self.write_block(dind as u64, &vec![0u8; BLOCK_SIZE])?;
-            inode.block[DIND_SLOT] = dind;
+        let data = self.alloc_block(group)?;
+        inode.blocks512 += SECTORS_PER_BLOCK as u32;
+        let linked = self.link_block(inode, idx, data, group);
+        if linked.is_err() {
+            // No room for an index block to hold it: give it back.
+            self.free_block(data)?;
+            inode.blocks512 -= SECTORS_PER_BLOCK as u32;
         }
-        let dind = inode.block[DIND_SLOT] as u64;
-        let mut outer = self.read_block(dind)?;
-        let slot = rel / PTRS_PER_BLOCK;
-        let mut ind = pointer_at(&outer, slot);
-        if ind == 0 {
-            ind = self.alloc_block(group)?;
-            inode.blocks512 += SECTORS_PER_BLOCK as u32;
-            self.write_block(ind as u64, &vec![0u8; BLOCK_SIZE])?;
-            outer[slot * 4..slot * 4 + 4].copy_from_slice(&ind.to_le_bytes());
-            self.write_block(dind, &outer)?;
+        linked.map(|()| (data, true))
+    }
+
+    /// Points slot `i` (within double-indirect reach) of `file` at
+    /// data block `b`, allocating the index blocks on the way.
+    fn link_block(&mut self, file: &mut Inode, i: usize, b: u32, g: usize) -> Result<(), FsError> {
+        if i < DIRECT_BLOCKS {
+            file.block[i] = b;
+            return Ok(());
         }
-        let mut inner = self.read_block(ind as u64)?;
-        let within = rel % PTRS_PER_BLOCK;
-        inner[within * 4..within * 4 + 4].copy_from_slice(&data.to_le_bytes());
-        self.write_block(ind as u64, &inner)?;
-        Ok((data, true))
+        let rel = i - DIRECT_BLOCKS;
+        let (top, slot) = if rel < PTRS_PER_BLOCK {
+            (IND_SLOT, rel)
+        } else {
+            (DIND_SLOT, rel - PTRS_PER_BLOCK)
+        };
+        if file.block[top] == 0 {
+            file.block[top] = self.alloc_index_block(file, g)?;
+        }
+        let mut ind = file.block[top];
+        if top == DIND_SLOT {
+            // Off the scratch block: allocating a child edits a bitmap there.
+            let dind = file.block[DIND_SLOT] as u64;
+            let mut outer = [0u8; BLOCK_SIZE];
+            self.dev.read(dind * SECTORS_PER_BLOCK, &mut outer)?;
+            let at = slot / PTRS_PER_BLOCK;
+            ind = pointer_at(&outer, at);
+            if ind == 0 {
+                ind = self.alloc_index_block(file, g)?;
+                outer[at * 4..at * 4 + 4].copy_from_slice(&ind.to_le_bytes());
+                self.write_block(dind, &outer)?;
+            }
+        }
+        let within = slot % PTRS_PER_BLOCK;
+        self.edit_block(ind as u64, |buf| {
+            buf[within * 4..within * 4 + 4].copy_from_slice(&b.to_le_bytes())
+        })
+    }
+
+    /// Allocates a zeroed index block, counted in `inode`'s blocks.
+    fn alloc_index_block(&mut self, inode: &mut Inode, group: usize) -> Result<u32, FsError> {
+        let ind = self.alloc_block(group)?;
+        inode.blocks512 += SECTORS_PER_BLOCK as u32;
+        self.write_block(ind as u64, &[0; BLOCK_SIZE])?;
+        Ok(ind)
     }
 
     /// Frees every block reachable from `inode`.
@@ -538,24 +555,26 @@ impl<D: BlockDevice> ExtFs<D> {
             }
         }
         if inode.block[IND_SLOT] != 0 {
-            let buf = self.read_block(inode.block[IND_SLOT] as u64)?;
-            for b in block_pointers(&buf) {
-                self.free_block(b)?;
-            }
-            self.free_block(inode.block[IND_SLOT])?;
+            self.free_index_block(inode.block[IND_SLOT])?;
         }
         if inode.block[DIND_SLOT] != 0 {
-            let outer = self.read_block(inode.block[DIND_SLOT] as u64)?;
-            for ind in block_pointers(&outer) {
-                let inner = self.read_block(ind as u64)?;
-                for b in block_pointers(&inner) {
-                    self.free_block(b)?;
-                }
-                self.free_block(ind)?;
+            let dind = inode.block[DIND_SLOT];
+            for ind in self.with_block(dind as u64, |outer| {
+                block_pointers(outer).collect::<Vec<_>>()
+            })? {
+                self.free_index_block(ind)?;
             }
-            self.free_block(inode.block[DIND_SLOT])?;
+            self.free_block(dind)?;
         }
         Ok(())
+    }
+
+    /// Frees the data blocks an indirect block points at, then itself.
+    fn free_index_block(&mut self, ind: u32) -> Result<(), FsError> {
+        for b in self.with_block(ind as u64, |buf| block_pointers(buf).collect::<Vec<_>>())? {
+            self.free_block(b)?;
+        }
+        self.free_block(ind)
     }
 
     // ---- directories ----
@@ -578,8 +597,7 @@ impl<D: BlockDevice> ExtFs<D> {
             return Err(FsError::NotADirectory);
         }
         for b in self.dir_blocks(&dir)? {
-            let buf = self.read_block(b)?;
-            if let Some(hit) = lookup(&buf, name) {
+            if let Some(hit) = self.with_block(b, |buf| lookup(buf, name))? {
                 return Ok(Some(hit));
             }
         }
@@ -597,24 +615,26 @@ impl<D: BlockDevice> ExtFs<D> {
         let needed = rec_len_for(name.len());
         // Scan blocks for slack inside an existing record.
         for b in self.dir_blocks(&dir)? {
-            let mut buf = self.read_block(b)?;
-            // The first record with room behind its own name (all of a
-            // deleted placeholder is room).
-            let slack = raw_dirents(&buf).find_map(|r| {
-                let used = if r.inode == 0 {
-                    0
-                } else {
-                    rec_len_for(r.name.len())
-                };
-                (r.rec_len.saturating_sub(used) >= needed).then_some((r.offset, r.rec_len, used))
-            });
-            if let Some((off, rec_len, used)) = slack {
+            let added = self.edit_block_if(b, |buf| {
+                // The first record with room behind its own name (all of a
+                // deleted placeholder is room).
+                let (off, rec_len, used) = raw_dirents(buf).find_map(|r| {
+                    let used = if r.inode == 0 {
+                        0
+                    } else {
+                        rec_len_for(r.name.len())
+                    };
+                    (r.rec_len.saturating_sub(used) >= needed)
+                        .then_some((r.offset, r.rec_len, used))
+                })?;
                 // Split: shrink the existing record, place ours after.
                 if used != 0 {
                     buf[off + 4..off + 6].copy_from_slice(&(used as u16).to_le_bytes());
                 }
                 write_dirent(&mut buf[off + used..], ino, ft, name, rec_len - used);
-                self.write_block(b, &buf)?;
+                Some(())
+            })?;
+            if added.is_some() {
                 return Ok(());
             }
         }
@@ -622,9 +642,7 @@ impl<D: BlockDevice> ExtFs<D> {
         let group = ((dir_ino - 1) / INODES_PER_GROUP) as usize;
         let idx = (dir.size as usize) / BLOCK_SIZE;
         let (b, _fresh) = self.bmap_alloc(&mut dir, idx, group)?;
-        let mut buf = vec![0u8; BLOCK_SIZE];
-        write_dirent(&mut buf, ino, ft, name, BLOCK_SIZE);
-        self.write_block(b as u64, &buf)?;
+        self.write_fresh(b as u64, |buf| write_dirent(buf, ino, ft, name, BLOCK_SIZE))?;
         dir.size += BLOCK_SIZE as u64;
         dir.mtime = self.tick();
         self.write_inode(dir_ino, &dir)?;
@@ -634,17 +652,16 @@ impl<D: BlockDevice> ExtFs<D> {
     fn dir_remove(&mut self, dir_ino: u32, name: &str) -> Result<(), FsError> {
         let dir = self.read_inode(dir_ino)?;
         for b in self.dir_blocks(&dir)? {
-            let mut buf = self.read_block(b)?;
-            // The record binding `name`, and the one before it.
-            let mut prev = None;
-            let hit = raw_dirents(&buf).find_map(|r| {
-                if r.inode != 0 && r.name == name.as_bytes() {
-                    return Some((r.offset, r.rec_len, prev));
-                }
-                prev = Some((r.offset, r.rec_len));
-                None
-            });
-            if let Some((off, rec_len, prev)) = hit {
+            let removed = self.edit_block_if(b, |buf| {
+                // The record binding `name`, and the one before it.
+                let mut prev = None;
+                let (off, rec_len, prev) = raw_dirents(buf).find_map(|r| {
+                    if r.binds(name) {
+                        return Some((r.offset, r.rec_len, prev));
+                    }
+                    prev = Some((r.offset, r.rec_len));
+                    None
+                })?;
                 match prev {
                     Some((p, prev_len)) => {
                         // Merge into the previous record (classic ext2).
@@ -656,7 +673,9 @@ impl<D: BlockDevice> ExtFs<D> {
                         buf[off..off + 4].copy_from_slice(&0u32.to_le_bytes());
                     }
                 }
-                self.write_block(b, &buf)?;
+                Some(())
+            })?;
+            if removed.is_some() {
                 return Ok(());
             }
         }
@@ -739,17 +758,7 @@ impl<D: BlockDevice> ExtFs<D> {
         inode.size = BLOCK_SIZE as u64;
         inode.blocks512 = SECTORS_PER_BLOCK as u32;
         inode.mtime = self.tick();
-        let mut buf = vec![0u8; BLOCK_SIZE];
-        let r1 = rec_len_for(1);
-        write_dirent(&mut buf, ino, FileType::Directory, ".", r1);
-        write_dirent(
-            &mut buf[r1..],
-            parent,
-            FileType::Directory,
-            "..",
-            BLOCK_SIZE - r1,
-        );
-        self.write_block(b as u64, &buf)?;
+        self.write_dir_block(b, ino, parent)?;
         self.write_inode(ino, &inode)?;
         self.dir_add(parent, name, ino, FileType::Directory)?;
         // Parent gains a ".." link.
@@ -809,12 +818,13 @@ impl<D: BlockDevice> ExtFs<D> {
         }
         let mut out = Vec::new();
         for b in self.dir_blocks(&dir)? {
-            let buf = self.read_block(b)?;
-            out.extend(dirents(&buf).filter(|e| !e.is_dot()).map(|e| DirEntry {
-                inode: e.inode,
-                file_type: e.file_type,
-                name: e.name.to_owned(),
-            }));
+            self.with_block(b, |buf| {
+                out.extend(dirents(buf).filter(|e| !e.is_dot()).map(|e| DirEntry {
+                    inode: e.inode,
+                    file_type: e.file_type,
+                    name: e.name.to_owned(),
+                }))
+            })?;
         }
         Ok(out)
     }
@@ -837,41 +847,48 @@ impl<D: BlockDevice> ExtFs<D> {
         })
     }
 
+    /// Writes `data` at `offset`. When the file cannot map another block
+    /// the write is short: the inode is written back holding what was
+    /// written, and the error returned.
     fn write_ino(&mut self, ino: u32, offset: u64, data: &[u8]) -> Result<(), FsError> {
         let mut inode = self.read_inode(ino)?;
         let group = ((ino - 1) / INODES_PER_GROUP) as usize;
         let mut pos = offset;
         let mut remaining = data;
+        let mut mapped = Ok(());
         while !remaining.is_empty() {
             let idx = (pos / BLOCK_SIZE as u64) as usize;
             let within = (pos % BLOCK_SIZE as u64) as usize;
-            let n = (BLOCK_SIZE - within).min(remaining.len());
-            let (b, fresh) = self.bmap_alloc(&mut inode, idx, group)?;
-            let b = b as u64;
-            if within == 0 && n == BLOCK_SIZE {
-                self.write_block(b, &remaining[..n])?;
+            let (src, rest) = remaining.split_at((BLOCK_SIZE - within).min(remaining.len()));
+            let (b, fresh) = match self.bmap_alloc(&mut inode, idx, group) {
+                Ok(found) => found,
+                Err(e) => {
+                    mapped = Err(e);
+                    break;
+                }
+            };
+            let (b, range) = (b as u64, within..within + src.len());
+            if src.len() == BLOCK_SIZE {
+                self.write_block(b, src)?;
             } else if fresh {
                 // A newly allocated block may hold a previous owner's
                 // bytes; zero-fill around the written range.
-                let mut buf = vec![0u8; BLOCK_SIZE];
-                buf[within..within + n].copy_from_slice(&remaining[..n]);
-                self.write_block(b, &buf)?;
+                self.write_fresh(b, |buf| buf[range].copy_from_slice(src))?;
             } else {
-                let mut buf = self.read_block(b)?;
-                buf[within..within + n].copy_from_slice(&remaining[..n]);
-                self.write_block(b, &buf)?;
+                self.edit_block(b, |buf| buf[range].copy_from_slice(src))?;
             }
-            pos += n as u64;
-            remaining = &remaining[n..];
+            pos += src.len() as u64;
+            remaining = rest;
         }
-        inode.size = inode.size.max(offset + data.len() as u64);
+        inode.size = inode.size.max(pos);
         inode.mtime = self.tick();
-        self.write_inode(ino, &inode)
+        self.write_inode(ino, &inode)?;
+        mapped
     }
 
     fn read_ino(&mut self, ino: u32, offset: u64, len: usize) -> Result<Vec<u8>, FsError> {
         let inode = self.read_inode(ino)?;
-        let end = (offset + len as u64).min(inode.size);
+        let end = offset.saturating_add(len as u64).min(inode.size);
         if offset >= end {
             return Ok(Vec::new());
         }
@@ -882,10 +899,9 @@ impl<D: BlockDevice> ExtFs<D> {
             let within = (pos % BLOCK_SIZE as u64) as usize;
             let n = ((BLOCK_SIZE - within) as u64).min(end - pos) as usize;
             match self.bmap(&inode, idx)? {
-                Some(b) => {
-                    let buf = self.read_block(b as u64)?;
-                    out.extend_from_slice(&buf[within..within + n]);
-                }
+                Some(b) => self.with_block(b as u64, |buf| {
+                    out.extend_from_slice(&buf[within..within + n])
+                })?,
                 None => out.extend(std::iter::repeat_n(0u8, n)), // hole
             }
             pos += n as u64;
@@ -976,8 +992,7 @@ impl<D: BlockDevice> ExtFs<D> {
             return Err(FsError::NotADirectory);
         }
         for b in self.dir_blocks(&inode)? {
-            let buf = self.read_block(b)?;
-            if dirents(&buf).any(|e| !e.is_dot()) {
+            if self.with_block(b, |buf| dirents(buf).any(|e| !e.is_dot()))? {
                 return Err(FsError::DirNotEmpty);
             }
         }
@@ -1323,6 +1338,57 @@ mod tests {
         f.write_file("/o", 3, b"BBB").unwrap();
         assert_eq!(f.read_file_to_end("/o").unwrap(), b"aaaBBBaaaa");
         assert_eq!(f.stat("/o").unwrap().size, 10);
+    }
+
+    /// A write running past the last mappable block is short: the block
+    /// it could map stays in the file (and goes with it), none leaks.
+    #[test]
+    fn a_failed_write_leaks_no_blocks() {
+        let mut f = ExtFs::mkfs(MemDisk::with_capacity_bytes(64 << 20)).unwrap();
+        let free = f.superblock().free_blocks_count;
+        f.create("/f").unwrap();
+        let last = DIRECT_BLOCKS + PTRS_PER_BLOCK + PTRS_PER_BLOCK * PTRS_PER_BLOCK - 1;
+        let at = (last * BLOCK_SIZE) as u64;
+        let data = vec![3u8; 2 * BLOCK_SIZE];
+        assert_eq!(f.write_file("/f", at, &data), Err(FsError::NoSpace));
+        // Data, double-indirect and indirect block, all in the file.
+        assert_eq!(f.superblock().free_blocks_count, free - 3);
+        assert_eq!(
+            f.stat("/f").unwrap().blocks512,
+            3 * SECTORS_PER_BLOCK as u32
+        );
+        f.unlink("/f").unwrap();
+        assert_eq!(f.superblock().free_blocks_count, free);
+    }
+
+    /// A full disk fails the write that needs an index block after its
+    /// data block was allocated; the data block is given back.
+    #[test]
+    fn no_room_for_an_index_block_frees_the_data_block() {
+        let mut f = ExtFs::mkfs(MemDisk::with_capacity_bytes(40 << 20)).unwrap();
+        f.create("/hog").unwrap();
+        f.create("/f").unwrap();
+        let block = vec![1u8; BLOCK_SIZE];
+        f.write_file("/f", 0, &vec![2u8; DIRECT_BLOCKS * BLOCK_SIZE])
+            .unwrap();
+        let mut hog = 0;
+        while f.superblock().free_blocks_count > 1 {
+            f.write_file("/hog", hog, &block[..1]).unwrap();
+            hog += BLOCK_SIZE as u64;
+        }
+        let at = (DIRECT_BLOCKS * BLOCK_SIZE) as u64;
+        assert_eq!(f.write_file("/f", at, &block), Err(FsError::NoSpace));
+        assert_eq!(f.superblock().free_blocks_count, 1);
+        assert_eq!(f.stat("/f").unwrap().size, at);
+    }
+
+    #[test]
+    fn reads_near_the_end_of_the_offset_space_are_empty() {
+        let mut f = fs();
+        f.create("/a").unwrap();
+        f.write_file("/a", 0, b"bytes").unwrap();
+        assert_eq!(f.read_file("/a", u64::MAX - 2, 16), Ok(Vec::new()));
+        assert_eq!(f.read_file("/a", 2, usize::MAX), Ok(b"tes".to_vec()));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use storm_block::MemDisk;
+use storm_block::{BlockDevice, BlockError, MemDisk, RecordingDevice};
 use storm_extfs::{ExtFs, FsError};
 
 #[derive(Debug, Clone)]
@@ -51,6 +51,51 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 fn path(file: u8) -> String {
     format!("/f{file}")
+}
+
+/// A device that never lends a block: every block the filesystem reads
+/// is copied out of it.
+struct NeverLends(MemDisk);
+
+impl BlockDevice for NeverLends {
+    fn num_sectors(&self) -> u64 {
+        self.0.num_sectors()
+    }
+    fn read(&mut self, lba: u64, buf: &mut [u8]) -> Result<(), BlockError> {
+        self.0.read(lba, buf)
+    }
+    fn write(&mut self, lba: u64, data: &[u8]) -> Result<(), BlockError> {
+        self.0.write(lba, data)
+    }
+}
+
+/// Runs `op` and renders its outcome (errors and data read included).
+fn apply<D: BlockDevice>(fs: &mut ExtFs<D>, op: &Op) -> String {
+    match *op {
+        Op::Create(f) => format!("{:?}", fs.create(&path(f))),
+        Op::Write {
+            file,
+            offset,
+            len,
+            byte,
+        } => {
+            format!(
+                "{:?}",
+                fs.write_file(&path(file), offset as u64, &vec![byte; len as usize])
+            )
+        }
+        Op::Read { file } => format!("{:?}", fs.read_file_to_end(&path(file))),
+        Op::Unlink(f) => format!("{:?}", fs.unlink(&path(f))),
+        Op::Rename { from, to } => format!("{:?}", fs.rename(&path(from), &path(to))),
+        Op::Truncate(f) => format!("{:?}", fs.truncate(&path(f))),
+    }
+}
+
+/// Every byte of `disk`.
+fn contents(disk: &mut MemDisk) -> Vec<u8> {
+    let mut all = vec![0u8; disk.capacity_bytes() as usize];
+    disk.read(0, &mut all).unwrap();
+    all
 }
 
 proptest! {
@@ -145,6 +190,28 @@ proptest! {
             let read = fs2.read_file_to_end(&path(*f));
             prop_assert_eq!(read.as_deref(), Ok(content.as_slice()));
         }
+    }
+
+    /// Borrowing a block and reading a copy of it are the same access:
+    /// one operation sequence over a device that lends and over one that
+    /// never does records identical logs (kind, address, length, data)
+    /// and leaves identical bytes.
+    #[test]
+    fn lending_and_copying_record_the_same_trace(
+        ops in prop::collection::vec(op_strategy(), 1..40),
+    ) {
+        const BYTES: u64 = 16 << 20;
+        let mut lends = ExtFs::mkfs(RecordingDevice::new(MemDisk::with_capacity_bytes(BYTES))).unwrap();
+        let mut copies =
+            ExtFs::mkfs(RecordingDevice::new(NeverLends(MemDisk::with_capacity_bytes(BYTES)))).unwrap();
+        for op in &ops {
+            prop_assert_eq!(apply(&mut lends, op), apply(&mut copies, op), "{:?}", op);
+            prop_assert_eq!(lends.readdir("/"), copies.readdir("/"));
+            prop_assert_eq!(lends.device_mut().take_log(), copies.device_mut().take_log());
+        }
+        let (mut lent, mut copied) = (lends.into_device().unwrap(), copies.into_device().unwrap());
+        prop_assert_eq!(lent.take_log(), copied.take_log());
+        prop_assert!(contents(lent.inner_mut()) == contents(&mut copied.inner_mut().0));
     }
 
     /// Free-space accounting: allocate-then-delete returns to baseline.

@@ -193,7 +193,7 @@ mod tests {
             let mut cx = SvcCtx::new(SimTime::ZERO);
             let (op, data) = match rec.kind {
                 AccessKind::Read => (BlockOp::Read, Bytes::new()),
-                AccessKind::Write => (BlockOp::Write, Bytes::from(rec.data.clone())),
+                AccessKind::Write => (BlockOp::Write, rec.data.clone()),
             };
             let cmd = BlockCmd {
                 op,

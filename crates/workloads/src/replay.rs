@@ -6,8 +6,6 @@
 //! then replayed over the wire. Order and contents are preserved exactly,
 //! which is what the semantics-reconstruction experiments require.
 
-use bytes::Bytes;
-
 use storm_block::{AccessKind, AccessRecord};
 use storm_cloud::{IoCtx, IoKind, IoResult, ReqId, Workload};
 use storm_sim::metrics::Meter;
@@ -202,7 +200,7 @@ impl TraceWorkload {
                 }
                 AccessKind::Write => {
                     entry.bytes_written += rec.len_bytes() as u64;
-                    io.write(rec.lba, Bytes::from(rec.data.clone()));
+                    io.write(rec.lba, rec.data.clone());
                 }
             }
             return;
