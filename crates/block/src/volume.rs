@@ -6,9 +6,10 @@
 //! device stitched from those extents.
 
 use std::fmt;
+use std::hash::RandomState;
 use std::sync::{Arc, Mutex};
 
-use storm_sim::{FaultAction, FaultHook, FaultSite, SimTime};
+use storm_sim::{FaultAction, FaultHook, FaultSite, IdMap, SimTime};
 
 use crate::device::{check_access, BlockDevice, BlockError, SECTOR_SIZE};
 use crate::MemDisk;
@@ -27,13 +28,11 @@ impl fmt::Display for VolumeId {
 }
 
 /// An LVM-style volume group: an extent allocator over one physical disk.
-/// Extents are handed out in order; no scenario deletes a volume, so none
-/// is given back.
 #[derive(Debug)]
 pub struct VolumeGroup {
     backing: Arc<Mutex<MemDisk>>,
-    extents: u64,
-    next_extent: u64,
+    extent_used: Vec<bool>,
+    volumes: IdMap<VolumeId, Vec<u64>, RandomState>,
     next_id: u32,
 }
 
@@ -44,15 +43,16 @@ impl VolumeGroup {
         let extents = disk.num_sectors() / EXTENT_SECTORS;
         VolumeGroup {
             backing: Arc::new(Mutex::new(disk)),
-            extents,
-            next_extent: 0,
+            extent_used: vec![false; extents as usize],
+            volumes: IdMap::default(),
             next_id: 1,
         }
     }
 
     /// Free capacity in bytes.
     pub fn free_bytes(&self) -> u64 {
-        (self.extents - self.next_extent) * EXTENT_SECTORS * SECTOR_SIZE as u64
+        let free = self.extent_used.iter().filter(|u| !**u).count() as u64;
+        free * EXTENT_SECTORS * SECTOR_SIZE as u64
     }
 
     /// Allocates a logical volume of at least `bytes` bytes.
@@ -63,24 +63,52 @@ impl VolumeGroup {
     pub fn create_volume(&mut self, bytes: u64) -> Result<Volume, BlockError> {
         let sectors = bytes.div_ceil(SECTOR_SIZE as u64);
         let needed = sectors.div_ceil(EXTENT_SECTORS).max(1);
-        if self.extents - self.next_extent < needed {
+        let free: Vec<u64> = self
+            .extent_used
+            .iter()
+            .enumerate()
+            .filter(|(_, used)| !**used)
+            .map(|(i, _)| i as u64)
+            .take(needed as usize)
+            .collect();
+        if (free.len() as u64) < needed {
             return Err(BlockError::OutOfRange {
                 lba: 0,
                 sectors,
                 capacity: self.free_bytes() / SECTOR_SIZE as u64,
             });
         }
+        for &e in &free {
+            self.extent_used[e as usize] = true;
+        }
         let id = VolumeId(self.next_id);
         self.next_id += 1;
-        self.next_extent += needed;
+        self.volumes.insert(id, free.clone());
         Ok(Volume {
             id,
-            extents: (self.next_extent - needed..self.next_extent).collect(),
+            extents: free,
             num_sectors: needed * EXTENT_SECTORS,
             backing: Arc::clone(&self.backing),
             failed: false,
             fault: FaultHook::none(),
         })
+    }
+
+    /// Frees the extents of volume `id`.
+    ///
+    /// Deleting an unknown volume is a no-op (idempotent delete, matching
+    /// Cinder semantics).
+    pub fn delete_volume(&mut self, id: VolumeId) {
+        if let Some(extents) = self.volumes.remove(&id) {
+            for e in extents {
+                self.extent_used[e as usize] = false;
+            }
+        }
+    }
+
+    /// Number of live volumes.
+    pub fn volume_count(&self) -> usize {
+        self.volumes.len()
     }
 }
 
@@ -278,13 +306,18 @@ mod tests {
     }
 
     #[test]
-    fn allocation_exhaustion() {
+    fn allocation_exhaustion_and_reuse() {
         let mut vg = VolumeGroup::new(8 << 20); // two 4 MiB extents
-        let _v1 = vg.create_volume(4 << 20).unwrap();
-        assert_eq!(vg.free_bytes(), 4 << 20);
+        let v1 = vg.create_volume(4 << 20).unwrap();
         let _v2 = vg.create_volume(4 << 20).unwrap();
         assert_eq!(vg.free_bytes(), 0);
         assert!(vg.create_volume(1).is_err());
+        vg.delete_volume(v1.id());
+        assert_eq!(vg.free_bytes(), 4 << 20);
+        assert!(vg.create_volume(4 << 20).is_ok());
+        // Idempotent delete of unknown volume.
+        vg.delete_volume(VolumeId(999));
+        assert_eq!(vg.volume_count(), 2);
     }
 
     #[test]

@@ -113,11 +113,9 @@ impl Dirent<'_> {
 }
 
 impl RawDirent<'_> {
-    /// Whether this record binds the non-empty `name` to an inode. Last
-    /// bytes first: one directory's names often share a prefix (`msg00041`).
+    /// Whether this record binds the non-empty `name` to an inode.
     pub(crate) fn binds(&self, name: &str) -> bool {
-        let name = name.as_bytes();
-        self.name.last() == name.last() && !name.is_empty() && self.inode != 0 && self.name == name
+        self.inode != 0 && !name.is_empty() && self.name == name.as_bytes()
     }
 }
 

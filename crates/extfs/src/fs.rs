@@ -204,13 +204,8 @@ impl<D: BlockDevice> ExtFs<D> {
             gdt_blocks,
         };
         let mut fs = ExtFs::new(dev, view, true);
-        // Root directory.
         let mut root = Inode::new_dir();
-        let root_block = fs.alloc_block(0)?;
-        root.block[0] = root_block;
-        root.size = BLOCK_SIZE as u64;
-        root.blocks512 = SECTORS_PER_BLOCK as u32;
-        fs.write_dir_block(root_block, ROOT_INO, ROOT_INO)?;
+        fs.init_dir(&mut root, ROOT_INO, ROOT_INO, 0)?;
         fs.write_inode(ROOT_INO, &root)?;
         fs.view.groups[0].used_dirs_count += 1;
         fs.sync()?;
@@ -340,11 +335,22 @@ impl<D: BlockDevice> ExtFs<D> {
         Ok(())
     }
 
-    /// Writes `dir`'s first block: `.` and `..` (which names `parent`).
-    fn write_dir_block(&mut self, bno: u32, dir: u32, parent: u32) -> Result<(), FsError> {
+    /// Gives directory `dir` (inode number `ino`) its first block, holding
+    /// `.` and `..` (which names `parent`); the caller writes `dir` back.
+    fn init_dir(
+        &mut self,
+        dir: &mut Inode,
+        ino: u32,
+        parent: u32,
+        g: usize,
+    ) -> Result<(), FsError> {
+        let b = self.alloc_block(g)?;
+        dir.block[0] = b;
+        dir.size = BLOCK_SIZE as u64;
+        dir.blocks512 = SECTORS_PER_BLOCK as u32;
         let (r1, ft) = (rec_len_for(1), FileType::Directory);
-        self.write_fresh(bno as u64, |buf| {
-            write_dirent(buf, dir, ft, ".", r1);
+        self.write_fresh(b as u64, |buf| {
+            write_dirent(buf, ino, ft, ".", r1);
             write_dirent(&mut buf[r1..], parent, ft, "..", BLOCK_SIZE - r1)
         })
     }
@@ -359,6 +365,13 @@ impl<D: BlockDevice> ExtFs<D> {
         let (block, offset) = self.view.inode_location(ino);
         let slot = offset..offset + INODE_SIZE;
         self.edit_block(block, |buf| inode.write_to(&mut buf[slot]))
+    }
+
+    /// Adds `delta` to inode `ino`'s link count (a directory's `..`).
+    fn add_links(&mut self, ino: u32, delta: i16) -> Result<(), FsError> {
+        let mut inode = self.read_inode(ino)?;
+        inode.links_count = inode.links_count.saturating_add_signed(delta);
+        self.write_inode(ino, &inode)
     }
 
     // ---- allocation ----
@@ -444,34 +457,24 @@ impl<D: BlockDevice> ExtFs<D> {
     // ---- block mapping (direct + single/double indirect) ----
 
     fn bmap(&mut self, inode: &Inode, idx: usize) -> Result<Option<u32>, FsError> {
-        if idx < DIRECT_BLOCKS {
-            let b = inode.block[idx];
-            return Ok(if b == 0 { None } else { Some(b) });
-        }
-        let idx = idx - DIRECT_BLOCKS;
-        if idx < PTRS_PER_BLOCK {
-            let ind = inode.block[IND_SLOT];
-            if ind == 0 {
+        // The inode's pointer, then the slot to follow in each index block.
+        let (mut b, slots) = match idx.checked_sub(DIRECT_BLOCKS) {
+            None => (inode.block[idx], [None, None]),
+            Some(i) if i < PTRS_PER_BLOCK => (inode.block[IND_SLOT], [Some(i), None]),
+            Some(i) if i - PTRS_PER_BLOCK < PTRS_PER_BLOCK * PTRS_PER_BLOCK => {
+                let i = i - PTRS_PER_BLOCK;
+                let slots = [Some(i / PTRS_PER_BLOCK), Some(i % PTRS_PER_BLOCK)];
+                (inode.block[DIND_SLOT], slots)
+            }
+            _ => return Ok(None), // beyond double-indirect reach
+        };
+        for at in slots.into_iter().flatten() {
+            if b == 0 {
                 return Ok(None);
             }
-            let b = self.with_block(ind as u64, |buf| pointer_at(buf, idx))?;
-            return Ok(if b == 0 { None } else { Some(b) });
+            b = self.with_block(b as u64, |buf| pointer_at(buf, at))?;
         }
-        let idx = idx - PTRS_PER_BLOCK;
-        if idx < PTRS_PER_BLOCK * PTRS_PER_BLOCK {
-            let dind = inode.block[DIND_SLOT];
-            if dind == 0 {
-                return Ok(None);
-            }
-            let ind =
-                self.with_block(dind as u64, |outer| pointer_at(outer, idx / PTRS_PER_BLOCK))?;
-            if ind == 0 {
-                return Ok(None);
-            }
-            let b = self.with_block(ind as u64, |inner| pointer_at(inner, idx % PTRS_PER_BLOCK))?;
-            return Ok(if b == 0 { None } else { Some(b) });
-        }
-        Ok(None) // beyond double-indirect reach
+        Ok((b != 0).then_some(b))
     }
 
     /// Maps `idx`, allocating data and indirect blocks as needed; returns
@@ -557,11 +560,9 @@ impl<D: BlockDevice> ExtFs<D> {
         if inode.block[IND_SLOT] != 0 {
             self.free_index_block(inode.block[IND_SLOT])?;
         }
-        if inode.block[DIND_SLOT] != 0 {
-            let dind = inode.block[DIND_SLOT];
-            for ind in self.with_block(dind as u64, |outer| {
-                block_pointers(outer).collect::<Vec<_>>()
-            })? {
+        let dind = inode.block[DIND_SLOT];
+        if dind != 0 {
+            for ind in self.pointers(dind)? {
                 self.free_index_block(ind)?;
             }
             self.free_block(dind)?;
@@ -569,9 +570,14 @@ impl<D: BlockDevice> ExtFs<D> {
         Ok(())
     }
 
+    /// The non-zero pointers in index block `ind`.
+    fn pointers(&mut self, ind: u32) -> Result<Vec<u32>, FsError> {
+        self.with_block(ind as u64, |buf| block_pointers(buf).collect())
+    }
+
     /// Frees the data blocks an indirect block points at, then itself.
     fn free_index_block(&mut self, ind: u32) -> Result<(), FsError> {
-        for b in self.with_block(ind as u64, |buf| block_pointers(buf).collect::<Vec<_>>())? {
+        for b in self.pointers(ind)? {
             self.free_block(b)?;
         }
         self.free_block(ind)
@@ -662,16 +668,13 @@ impl<D: BlockDevice> ExtFs<D> {
                     prev = Some((r.offset, r.rec_len));
                     None
                 })?;
+                // Merge into the previous record (classic ext2); a first
+                // record just has its inode field cleared.
                 match prev {
-                    Some((p, prev_len)) => {
-                        // Merge into the previous record (classic ext2).
-                        let merged = (prev_len + rec_len) as u16;
-                        buf[p + 4..p + 6].copy_from_slice(&merged.to_le_bytes());
+                    Some((p, len)) => {
+                        buf[p + 4..p + 6].copy_from_slice(&((len + rec_len) as u16).to_le_bytes())
                     }
-                    None => {
-                        // First record: just clear its inode field.
-                        buf[off..off + 4].copy_from_slice(&0u32.to_le_bytes());
-                    }
+                    None => buf[off..off + 4].fill(0),
                 }
                 Some(())
             })?;
@@ -728,16 +731,8 @@ impl<D: BlockDevice> ExtFs<D> {
     /// [`FsError::AlreadyExists`] if the name is taken, path errors, or
     /// allocation failure.
     pub fn create(&mut self, path: &str) -> Result<(), FsError> {
-        let (parent, name) = self.namei_parent(path)?;
-        if self.dir_lookup(parent, name)?.is_some() {
-            return Err(FsError::AlreadyExists);
-        }
-        let group = ((parent - 1) / INODES_PER_GROUP) as usize;
-        let ino = self.alloc_inode(group, false)?;
-        let mut inode = Inode::new_file();
-        inode.mtime = self.tick();
-        self.write_inode(ino, &inode)?;
-        self.dir_add(parent, name, ino, FileType::Regular)
+        self.create_node(path, Inode::new_file(), FileType::Regular)?;
+        Ok(())
     }
 
     /// Creates a directory.
@@ -746,25 +741,8 @@ impl<D: BlockDevice> ExtFs<D> {
     ///
     /// Same conditions as [`ExtFs::create`].
     pub fn mkdir(&mut self, path: &str) -> Result<(), FsError> {
-        let (parent, name) = self.namei_parent(path)?;
-        if self.dir_lookup(parent, name)?.is_some() {
-            return Err(FsError::AlreadyExists);
-        }
-        let group = ((parent - 1) / INODES_PER_GROUP) as usize;
-        let ino = self.alloc_inode(group, true)?;
-        let mut inode = Inode::new_dir();
-        let b = self.alloc_block(group)?;
-        inode.block[0] = b;
-        inode.size = BLOCK_SIZE as u64;
-        inode.blocks512 = SECTORS_PER_BLOCK as u32;
-        inode.mtime = self.tick();
-        self.write_dir_block(b, ino, parent)?;
-        self.write_inode(ino, &inode)?;
-        self.dir_add(parent, name, ino, FileType::Directory)?;
-        // Parent gains a ".." link.
-        let mut p = self.read_inode(parent)?;
-        p.links_count += 1;
-        self.write_inode(parent, &p)
+        self.create_node(path, Inode::new_dir(), FileType::Directory)?;
+        Ok(())
     }
 
     /// Creates a symlink at `path` pointing to `target`.
@@ -773,20 +751,32 @@ impl<D: BlockDevice> ExtFs<D> {
     ///
     /// Same conditions as [`ExtFs::create`].
     pub fn symlink(&mut self, path: &str, target: &str) -> Result<(), FsError> {
+        let ino = self.create_node(path, Inode::new_symlink(), FileType::Symlink)?;
+        // Store the target as file content (no fast symlinks: keeps the
+        // on-wire traffic observable).
+        self.write_ino(ino, 0, target.as_bytes())
+    }
+
+    /// Binds a fresh `inode` of type `ft` at `path` and returns its
+    /// number; a directory gets its first block and its parent a link.
+    fn create_node(&mut self, path: &str, mut inode: Inode, ft: FileType) -> Result<u32, FsError> {
         let (parent, name) = self.namei_parent(path)?;
         if self.dir_lookup(parent, name)?.is_some() {
             return Err(FsError::AlreadyExists);
         }
         let group = ((parent - 1) / INODES_PER_GROUP) as usize;
-        let ino = self.alloc_inode(group, false)?;
-        let mut inode = Inode::new_symlink();
+        let is_dir = ft == FileType::Directory;
+        let ino = self.alloc_inode(group, is_dir)?;
+        if is_dir {
+            self.init_dir(&mut inode, ino, parent, group)?;
+        }
         inode.mtime = self.tick();
         self.write_inode(ino, &inode)?;
-        self.dir_add(parent, name, ino, FileType::Symlink)?;
-        // Store the target as file content (no fast symlinks: keeps the
-        // on-wire traffic observable).
-        self.write_ino(ino, 0, target.as_bytes())?;
-        Ok(())
+        self.dir_add(parent, name, ino, ft)?;
+        if is_dir {
+            self.add_links(parent, 1)?;
+        }
+        Ok(ino)
     }
 
     /// Reads a symlink's target.
@@ -851,21 +841,21 @@ impl<D: BlockDevice> ExtFs<D> {
     /// the write is short: the inode is written back holding what was
     /// written, and the error returned.
     fn write_ino(&mut self, ino: u32, offset: u64, data: &[u8]) -> Result<(), FsError> {
-        let mut inode = self.read_inode(ino)?;
+        let before = self.read_inode(ino)?;
+        let mut inode = before;
         let group = ((ino - 1) / INODES_PER_GROUP) as usize;
         let mut pos = offset;
         let mut remaining = data;
-        let mut mapped = Ok(());
-        while !remaining.is_empty() {
+        let mapped = loop {
+            if remaining.is_empty() {
+                break Ok(());
+            }
             let idx = (pos / BLOCK_SIZE as u64) as usize;
             let within = (pos % BLOCK_SIZE as u64) as usize;
             let (src, rest) = remaining.split_at((BLOCK_SIZE - within).min(remaining.len()));
             let (b, fresh) = match self.bmap_alloc(&mut inode, idx, group) {
                 Ok(found) => found,
-                Err(e) => {
-                    mapped = Err(e);
-                    break;
-                }
+                Err(e) => break Err(e),
             };
             let (b, range) = (b as u64, within..within + src.len());
             if src.len() == BLOCK_SIZE {
@@ -879,10 +869,17 @@ impl<D: BlockDevice> ExtFs<D> {
             }
             pos += src.len() as u64;
             remaining = rest;
+        };
+        // Only bytes written move the size; a failed write keeps the
+        // blocks it linked in, so they are freed with the file.
+        let wrote = mapped.is_ok() || pos > offset;
+        if wrote {
+            inode.size = inode.size.max(pos);
+            inode.mtime = self.tick();
         }
-        inode.size = inode.size.max(pos);
-        inode.mtime = self.tick();
-        self.write_inode(ino, &inode)?;
+        if wrote || inode != before {
+            self.write_inode(ino, &inode)?;
+        }
         mapped
     }
 
@@ -947,12 +944,7 @@ impl<D: BlockDevice> ExtFs<D> {
     ///
     /// Same conditions as [`ExtFs::read_file`].
     pub fn read_file_to_end(&mut self, path: &str) -> Result<Vec<u8>, FsError> {
-        let ino = self.namei(path)?;
-        let inode = self.read_inode(ino)?;
-        if inode.is_dir() {
-            return Err(FsError::IsADirectory);
-        }
-        self.read_ino(ino, 0, inode.size as usize)
+        self.read_file(path, 0, usize::MAX)
     }
 
     /// Removes a file or symlink.
@@ -999,9 +991,7 @@ impl<D: BlockDevice> ExtFs<D> {
         self.dir_remove(parent, name)?;
         self.free_inode_blocks(&inode)?;
         self.free_inode(ino, true)?;
-        let mut p = self.read_inode(parent)?;
-        p.links_count = p.links_count.saturating_sub(1);
-        self.write_inode(parent, &p)
+        self.add_links(parent, -1)
     }
 
     /// Renames `from` to `to` (replacing an existing regular file at
@@ -1036,12 +1026,8 @@ impl<D: BlockDevice> ExtFs<D> {
         self.dir_remove(from_parent, from_name)?;
         if file_type == FileType::Directory && from_parent != to_parent {
             // Fix "..".
-            let mut p_from = self.read_inode(from_parent)?;
-            p_from.links_count = p_from.links_count.saturating_sub(1);
-            self.write_inode(from_parent, &p_from)?;
-            let mut p_to = self.read_inode(to_parent)?;
-            p_to.links_count += 1;
-            self.write_inode(to_parent, &p_to)?;
+            self.add_links(from_parent, -1)?;
+            self.add_links(to_parent, 1)?;
         }
         Ok(())
     }
@@ -1380,6 +1366,49 @@ mod tests {
         assert_eq!(f.write_file("/f", at, &block), Err(FsError::NoSpace));
         assert_eq!(f.superblock().free_blocks_count, 1);
         assert_eq!(f.stat("/f").unwrap().size, at);
+    }
+
+    #[test]
+    fn a_write_that_maps_nothing_leaves_the_file_alone() {
+        let mut f = ExtFs::mkfs(MemDisk::with_capacity_bytes(40 << 20)).unwrap();
+        f.create("/f").unwrap();
+        let before = f.stat("/f").unwrap();
+        let free = f.superblock().free_blocks_count;
+        // Past double-indirect reach.
+        assert_eq!(f.write_file("/f", 1 << 40, b"x"), Err(FsError::NoSpace));
+        assert_eq!(f.stat("/f").unwrap(), before);
+        assert_eq!(f.superblock().free_blocks_count, free);
+        // A full disk, past the end of the file.
+        f.create("/fill").unwrap();
+        let chunk = vec![7u8; BLOCK_SIZE];
+        let mut at = 0;
+        while f.write_file("/fill", at, &chunk).is_ok() {
+            at += BLOCK_SIZE as u64;
+        }
+        assert_eq!(f.write_file("/f", 1 << 20, b"x"), Err(FsError::NoSpace));
+        assert_eq!(f.stat("/f").unwrap(), before);
+    }
+
+    /// A write that fails before writing a byte keeps the index block it
+    /// linked in, so unlinking the file frees it.
+    #[test]
+    fn a_write_that_writes_nothing_keeps_its_index_block_freeable() {
+        let mut f = ExtFs::mkfs(MemDisk::with_capacity_bytes(40 << 20)).unwrap();
+        f.create("/hog").unwrap();
+        f.create("/f").unwrap();
+        let mut hog = 0;
+        while f.superblock().free_blocks_count > 2 {
+            f.write_file("/hog", hog, b"x").unwrap();
+            hog += BLOCK_SIZE as u64;
+        }
+        assert_eq!(f.superblock().free_blocks_count, 2);
+        // Data block, then the double-indirect block; no room for the
+        // indirect block below it.
+        let at = ((DIRECT_BLOCKS + PTRS_PER_BLOCK) * BLOCK_SIZE) as u64;
+        assert_eq!(f.write_file("/f", at, b"x"), Err(FsError::NoSpace));
+        assert_eq!(f.stat("/f").unwrap().size, 0);
+        f.unlink("/f").unwrap();
+        assert_eq!(f.superblock().free_blocks_count, 2);
     }
 
     #[test]

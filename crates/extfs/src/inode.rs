@@ -79,9 +79,19 @@ impl Inode {
         self.mode & S_IFMT == S_IFDIR
     }
 
+    /// Whether this inode is a regular file.
+    pub fn is_file(&self) -> bool {
+        self.mode & S_IFMT == S_IFREG
+    }
+
     /// Whether this inode is a symlink.
     pub fn is_symlink(&self) -> bool {
         self.mode & S_IFMT == S_IFLNK
+    }
+
+    /// Whether this inode is unallocated.
+    pub fn is_free(&self) -> bool {
+        self.links_count == 0 && self.mode == 0
     }
 
     /// Serializes to a 128-byte inode-table slot.
@@ -146,9 +156,12 @@ mod tests {
 
     #[test]
     fn type_predicates() {
+        assert!(Inode::new_file().is_file());
         assert!(!Inode::new_file().is_dir());
         assert!(Inode::new_dir().is_dir());
         assert!(Inode::new_symlink().is_symlink());
+        assert!(Inode::default().is_free());
+        assert!(!Inode::new_file().is_free());
     }
 
     #[test]

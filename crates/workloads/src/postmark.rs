@@ -128,17 +128,9 @@ pub fn prepare(cfg: &PostmarkConfig) -> (MemDisk, Vec<OpGroup>) {
 /// rotated 251-byte period.
 fn pattern(len: usize, tag: usize) -> Vec<u8> {
     const PERIOD: usize = 251;
-    const TWICE: [u8; 2 * PERIOD] = {
-        let mut twice = [0; 2 * PERIOD];
-        let mut i = 0;
-        while i < twice.len() {
-            twice[i] = (i % PERIOD) as u8;
-            i += 1;
-        }
-        twice
-    };
+    let twice: [u8; 2 * PERIOD] = std::array::from_fn(|i| (i % PERIOD) as u8);
     let start = tag % PERIOD;
-    let mut out = TWICE[start..start + PERIOD].repeat(len.div_ceil(PERIOD));
+    let mut out = twice[start..start + PERIOD].repeat(len.div_ceil(PERIOD));
     out.truncate(len);
     out
 }
