@@ -79,11 +79,6 @@ impl<D: BlockDevice> RecordingDevice<D> {
         std::mem::replace(&mut self.log, next)
     }
 
-    /// A shared view of the wrapped device.
-    pub fn inner(&self) -> &D {
-        &self.inner
-    }
-
     /// A mutable view of the wrapped device (accesses made through it are
     /// not recorded).
     pub fn inner_mut(&mut self) -> &mut D {

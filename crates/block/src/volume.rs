@@ -2,14 +2,13 @@
 //!
 //! The paper's testbed creates "multiple volume groups ... from the physical
 //! volume through OpenStack's Cinder service". [`VolumeGroup`] allocates
-//! fixed-size extents from a backing physical disk; [`Volume`] is a logical
-//! device stitched from those extents.
+//! fixed-size extents from a backing physical disk, in order; [`Volume`] is
+//! a logical device over its run of extents.
 
 use std::fmt;
-use std::hash::RandomState;
 use std::sync::{Arc, Mutex};
 
-use storm_sim::{FaultAction, FaultHook, FaultSite, IdMap, SimTime};
+use storm_sim::{FaultAction, FaultHook, FaultSite, SimTime};
 
 use crate::device::{check_access, BlockDevice, BlockError, SECTOR_SIZE};
 use crate::MemDisk;
@@ -28,11 +27,13 @@ impl fmt::Display for VolumeId {
 }
 
 /// An LVM-style volume group: an extent allocator over one physical disk.
+/// Extents are handed out in order and never given back: no scenario
+/// deletes a volume.
 #[derive(Debug)]
 pub struct VolumeGroup {
     backing: Arc<Mutex<MemDisk>>,
-    extent_used: Vec<bool>,
-    volumes: IdMap<VolumeId, Vec<u64>, RandomState>,
+    extents: u64,
+    next_extent: u64,
     next_id: u32,
 }
 
@@ -40,19 +41,17 @@ impl VolumeGroup {
     /// Creates a volume group over a fresh physical disk of `bytes` bytes.
     pub fn new(bytes: u64) -> Self {
         let disk = MemDisk::with_capacity_bytes(bytes);
-        let extents = disk.num_sectors() / EXTENT_SECTORS;
         VolumeGroup {
+            extents: disk.num_sectors() / EXTENT_SECTORS,
             backing: Arc::new(Mutex::new(disk)),
-            extent_used: vec![false; extents as usize],
-            volumes: IdMap::default(),
+            next_extent: 0,
             next_id: 1,
         }
     }
 
     /// Free capacity in bytes.
     pub fn free_bytes(&self) -> u64 {
-        let free = self.extent_used.iter().filter(|u| !**u).count() as u64;
-        free * EXTENT_SECTORS * SECTOR_SIZE as u64
+        (self.extents - self.next_extent) * EXTENT_SECTORS * SECTOR_SIZE as u64
     }
 
     /// Allocates a logical volume of at least `bytes` bytes.
@@ -63,61 +62,35 @@ impl VolumeGroup {
     pub fn create_volume(&mut self, bytes: u64) -> Result<Volume, BlockError> {
         let sectors = bytes.div_ceil(SECTOR_SIZE as u64);
         let needed = sectors.div_ceil(EXTENT_SECTORS).max(1);
-        let free: Vec<u64> = self
-            .extent_used
-            .iter()
-            .enumerate()
-            .filter(|(_, used)| !**used)
-            .map(|(i, _)| i as u64)
-            .take(needed as usize)
-            .collect();
-        if (free.len() as u64) < needed {
+        if self.extents - self.next_extent < needed {
             return Err(BlockError::OutOfRange {
                 lba: 0,
                 sectors,
                 capacity: self.free_bytes() / SECTOR_SIZE as u64,
             });
         }
-        for &e in &free {
-            self.extent_used[e as usize] = true;
-        }
+        let base = self.next_extent * EXTENT_SECTORS;
+        self.next_extent += needed;
         let id = VolumeId(self.next_id);
         self.next_id += 1;
-        self.volumes.insert(id, free.clone());
         Ok(Volume {
             id,
-            extents: free,
+            base,
             num_sectors: needed * EXTENT_SECTORS,
             backing: Arc::clone(&self.backing),
             failed: false,
             fault: FaultHook::none(),
         })
     }
-
-    /// Frees the extents of volume `id`.
-    ///
-    /// Deleting an unknown volume is a no-op (idempotent delete, matching
-    /// Cinder semantics).
-    pub fn delete_volume(&mut self, id: VolumeId) {
-        if let Some(extents) = self.volumes.remove(&id) {
-            for e in extents {
-                self.extent_used[e as usize] = false;
-            }
-        }
-    }
-
-    /// Number of live volumes.
-    pub fn volume_count(&self) -> usize {
-        self.volumes.len()
-    }
 }
 
-/// A logical volume: a sector-addressed view stitched from extents of its
+/// A logical volume: a sector-addressed view of a run of extents of its
 /// volume group's physical disk.
 #[derive(Debug, Clone)]
 pub struct Volume {
     id: VolumeId,
-    extents: Vec<u64>,
+    /// First physical sector.
+    base: u64,
     num_sectors: u64,
     backing: Arc<Mutex<MemDisk>>,
     failed: bool,
@@ -162,26 +135,6 @@ impl Volume {
             FaultAction::Drop => Err(BlockError::Unavailable),
         }
     }
-
-    fn physical(&self, lba: u64) -> u64 {
-        let extent = self.extents[(lba / EXTENT_SECTORS) as usize];
-        extent * EXTENT_SECTORS + lba % EXTENT_SECTORS
-    }
-
-    /// Splits `[lba, lba+sectors)` into physically contiguous runs.
-    fn runs(&self, lba: u64, sectors: u64) -> Vec<(u64, u64, u64)> {
-        // (logical_offset_bytes_index, physical_lba, run_sectors)
-        let mut out = Vec::new();
-        let mut off = 0;
-        while off < sectors {
-            let l = lba + off;
-            let within = EXTENT_SECTORS - l % EXTENT_SECTORS;
-            let run = within.min(sectors - off);
-            out.push((off, self.physical(l), run));
-            off += run;
-        }
-        out
-    }
 }
 
 impl BlockDevice for Volume {
@@ -194,13 +147,9 @@ impl BlockDevice for Volume {
             return Err(BlockError::Unavailable);
         }
         self.check_fault(lba, false)?;
-        let sectors = check_access(self.num_sectors, lba, buf.len())?;
+        check_access(self.num_sectors, lba, buf.len())?;
         let mut disk = self.backing.lock().expect("poisoned");
-        for (off, plba, run) in self.runs(lba, sectors) {
-            let b = off as usize * SECTOR_SIZE;
-            disk.read(plba, &mut buf[b..b + run as usize * SECTOR_SIZE])?;
-        }
-        Ok(())
+        disk.read(self.base + lba, buf)
     }
 
     fn write(&mut self, lba: u64, data: &[u8]) -> Result<(), BlockError> {
@@ -208,13 +157,9 @@ impl BlockDevice for Volume {
             return Err(BlockError::Unavailable);
         }
         self.check_fault(lba, true)?;
-        let sectors = check_access(self.num_sectors, lba, data.len())?;
+        check_access(self.num_sectors, lba, data.len())?;
         let mut disk = self.backing.lock().expect("poisoned");
-        for (off, plba, run) in self.runs(lba, sectors) {
-            let b = off as usize * SECTOR_SIZE;
-            disk.write(plba, &data[b..b + run as usize * SECTOR_SIZE])?;
-        }
-        Ok(())
+        disk.write(self.base + lba, data)
     }
 
     fn flush(&mut self) -> Result<(), BlockError> {
@@ -306,18 +251,12 @@ mod tests {
     }
 
     #[test]
-    fn allocation_exhaustion_and_reuse() {
+    fn allocation_exhaustion() {
         let mut vg = VolumeGroup::new(8 << 20); // two 4 MiB extents
-        let v1 = vg.create_volume(4 << 20).unwrap();
+        let _v1 = vg.create_volume(4 << 20).unwrap();
         let _v2 = vg.create_volume(4 << 20).unwrap();
         assert_eq!(vg.free_bytes(), 0);
         assert!(vg.create_volume(1).is_err());
-        vg.delete_volume(v1.id());
-        assert_eq!(vg.free_bytes(), 4 << 20);
-        assert!(vg.create_volume(4 << 20).is_ok());
-        // Idempotent delete of unknown volume.
-        vg.delete_volume(VolumeId(999));
-        assert_eq!(vg.volume_count(), 2);
     }
 
     #[test]

@@ -40,5 +40,5 @@ pub use relay::{
     ActiveRelayConfig, ActiveRelayMb, MbControl, PassiveTap, RelayCopyStats, RelayQosConfig,
 };
 pub use semantics::{FsAccess, FsOp, FsTargetKind, Reconstructor};
-pub use service::{Dir, ReplicaIo, StorageService, SvcAction, SvcCtx};
+pub use service::{Dir, Op, ReplicaIo, StorageService, SvcAction, SvcCtx};
 pub use splice::GatewayPair;

@@ -17,21 +17,18 @@
 //! is the active relay's flow-control story.
 //!
 //! The active relay is one datapath for every wire protocol. `active`
-//! runs a single loop over *batches* of chain *units* — stream-error
-//! abort, backpressure pause, fault verdict, QoS admission, the chain walk
-//! every service output takes, CPU accounting and the deferred release
-//! each exist once — and
-//! `edge` holds the per-flow edge codec that is all the loop knows of
-//! iSCSI or nvmeq: it reassembles received bytes into batches (an iSCSI
-//! PDU is a batch of one unit, a doorbell/completion frame a batch of
-//! *n*, a handshake frame a chain-bypass batch of none), rebuilds a batch
-//! from what the chain emitted, and encodes whatever leaves the relay —
-//! forwards, chain replies and the side actions of service timers and
-//! replica completions — in the flow's own protocol.
+//! runs a single loop over *batches* of block ops — stream-error abort,
+//! backpressure pause, fault verdict, QoS admission, the chain walk every
+//! service output takes, CPU accounting and the deferred release each
+//! exist once. `edge` is all the loop knows of iSCSI or nvmeq: it
+//! reassembles each flow's bytes into batches, raises their units to ops
+//! and lowers whatever leaves the relay in the flow's own protocol, with
+//! `wire` holding the two protocols' forms of an op.
 
 mod active;
 mod edge;
 mod passive;
+mod wire;
 
 pub(crate) use active::LISTEN_PORT;
 pub use active::{
@@ -39,3 +36,4 @@ pub use active::{
     CPU_LABEL,
 };
 pub use passive::{PassiveTap, WireTracker};
+pub(crate) use wire::{lift_pdu, lower_pdus, Wire};

@@ -10,15 +10,15 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 
 use storm_iscsi::{
-    Initiator, InitiatorConfig, IoTag, Iqn, Pdu, ScsiStatus, SessionParams, TransportEvent,
+    Initiator, InitiatorConfig, IoTag, Iqn, ScsiStatus, SessionParams, TransportEvent,
 };
 use storm_net::{App, BusMsg, CloseReason, Cx, HostId, SendQueue, SockAddr, SockId};
 use storm_qos::{RateLimitSpec, RateLimiter};
 use storm_sim::trace::{flow_token, req_token, Hop, ReqToken, TraceEvent, TraceHook};
 use storm_sim::{FaultAction, FaultHook, FaultSite, IdMap, SerialResource, SimDuration, SimTime};
 
-use super::edge::{Batch, Edge, Unit, UnitOut};
-use crate::service::{Dir, ReplicaIo, StorageService, SvcAction, SvcCtx};
+use super::edge::{Batch, Edge};
+use crate::service::{Dir, Op, ReplicaIo, StorageService, SvcAction, SvcCtx};
 
 /// A replica volume the middle-box attaches for side I/O (the replication
 /// service's backup volumes).
@@ -145,16 +145,16 @@ impl FlowPair {
         }
     }
 
-    /// Encodes `units` onto the leg travelling `dir` through the flow's
-    /// edge codec; returns how many were queued.
+    /// Lowers `ops` onto the leg travelling `dir` through the flow's edge
+    /// codec; returns how many wire units were queued.
     fn queue(
         &mut self,
         dir: Dir,
-        units: impl IntoIterator<Item = UnitOut>,
+        ops: impl IntoIterator<Item = Op>,
         copy: &mut RelayCopyStats,
     ) -> u64 {
         let (edge, q, _) = self.leg(dir);
-        edge.queue(dir, units, q, copy)
+        edge.queue(dir, ops, q, copy)
     }
 
     fn pump(&mut self, cx: &mut Cx<'_>, dir: Dir) {
@@ -205,8 +205,8 @@ enum Forwards {
     /// received wire image re-emitted as is — nothing is re-encoded or
     /// copied. Counts as `units` forwarded PDUs.
     Verbatim { wire: Vec<Bytes>, units: u64 },
-    /// Rebuilt from chain outputs, encoded by the edge codec on release.
-    Rebuilt(Vec<UnitOut>),
+    /// Rebuilt from chain outputs, lowered by the edge codec on release.
+    Rebuilt(Vec<Op>),
 }
 
 /// What one batch's trip through the service chain produced.
@@ -214,10 +214,10 @@ struct ChainOut {
     /// The batch's direction of travel.
     dir: Dir,
     forwards: Forwards,
-    /// PDUs a reply's walk sent out in `dir`; they join the unit's forwards.
-    ahead: Vec<Pdu>,
-    /// PDUs headed back where the batch came from.
-    replies: Vec<Pdu>,
+    /// Ops a reply's walk sent out in `dir`; they join the unit's forwards.
+    ahead: Vec<Op>,
+    /// Ops headed back where the batch came from.
+    replies: Vec<Op>,
     replica_ops: Vec<ReplicaOp>,
     /// CPU the batch cost: `per_pdu_cost` plus service charges per unit.
     cost: SimDuration,
@@ -384,6 +384,13 @@ impl ActiveRelayMb {
         s
     }
 
+    /// Commands open across the relay's flows: each flow's edge table
+    /// holds a command from its arrival until its status (or a service's
+    /// answer) leaves. Zero once the flows are quiescent.
+    pub fn open_commands(&self) -> usize {
+        self.pairs.iter().map(|p| p.edge.open_commands()).sum()
+    }
+
     /// Access a service by index (use
     /// [`StorageService::downcast_ref`](crate::service::StorageService)
     /// to read concrete state).
@@ -409,7 +416,7 @@ impl ActiveRelayMb {
             .emit_with(now, || TraceEvent::Stage { req, hop, id, dur });
     }
 
-    /// Runs every unit of a batch through the service chain, one PDU at a
+    /// Runs every unit of a batch through the service chain, one op at a
     /// time, and rebuilds the batch from what the chain emitted. Units the
     /// chain passes untouched stay wire views; if *all* of them do, the
     /// whole received batch forwards verbatim — one iSCSI PDU or a whole
@@ -443,16 +450,14 @@ impl ActiveRelayMb {
         };
         let mut rebuilt = Vec::new();
         let mut untouched = true;
-        for Unit { pdu, src } in batch.units {
-            let req = req_token(src_port, pdu.itt());
+        let mut units = batch.units;
+        while let Some(op) = self.pairs[pair_idx].edge.lift(&mut units) {
+            let req = req_token(src_port, op.tag);
             out.cost += per_pdu_cost;
             self.stage(now, req, Hop::Relay, self.trace_mb, per_pdu_cost);
-            let mut forwards = self.walk(cx, &mut Sink::Batch(req, &mut out), dir, 0, vec![pdu]);
+            let mut forwards = self.walk(cx, &mut Sink::Batch(req, &mut out), dir, 0, vec![op]);
             forwards.append(&mut out.ahead);
-            if self.pairs[pair_idx]
-                .edge
-                .rebuild(src, forwards, &mut rebuilt)
-            {
+            if self.pairs[pair_idx].edge.rebuild(forwards, &mut rebuilt) {
                 self.copy.verbatim_forwards += 1;
             } else {
                 untouched = false;
@@ -482,14 +487,14 @@ impl ActiveRelayMb {
         cx: &mut Cx<'_>,
         svc: usize,
         origin: Option<usize>,
-        call: impl FnOnce(&mut dyn StorageService, &mut SvcCtx),
+        call: impl FnOnce(&mut dyn StorageService, &mut SvcCtx<Op>),
     ) {
         let mut scx = SvcCtx::new(cx.now());
         call(self.services[svc].as_mut(), &mut scx);
         self.emit(cx, &mut Sink::Side(origin), Dir::ToTarget, svc, scx, None);
     }
 
-    /// The chain index of the `pos`-th stage a PDU travelling `dir` meets.
+    /// The chain index of the `pos`-th stage an op travelling `dir` meets.
     fn stage_at(&self, dir: Dir, pos: usize) -> usize {
         match dir {
             Dir::ToTarget => pos,
@@ -497,7 +502,7 @@ impl ActiveRelayMb {
         }
     }
 
-    /// The one chain walk: `pdus` travel `dir` through the stages from
+    /// The one chain walk: `ops` travel `dir` through the stages from
     /// position `from` on; the survivors are returned.
     fn walk(
         &mut self,
@@ -505,26 +510,26 @@ impl ActiveRelayMb {
         sink: &mut Sink,
         dir: Dir,
         from: usize,
-        mut pdus: Vec<Pdu>,
-    ) -> Vec<Pdu> {
+        mut ops: Vec<Op>,
+    ) -> Vec<Op> {
         let now = cx.now();
         for pos in from..self.services.len() {
             let idx = self.stage_at(dir, pos);
             // A stage takes the previous stage's forwards in one round, so
             // its charges make one trace stage.
             let (mut next, mut charged) = (Vec::new(), SimDuration::ZERO);
-            for p in pdus {
+            for op in ops {
                 let mut scx = SvcCtx::new(now);
-                self.services[idx].on_pdu(&mut scx, dir, p);
+                self.services[idx].on_op(&mut scx, dir, op);
                 charged += self.emit(cx, sink, dir, pos, scx, Some(&mut next));
             }
             if let (Sink::Batch(req, out), true) = (&mut *sink, charged > SimDuration::ZERO) {
                 out.cost += charged;
                 self.stage(now, *req, Hop::Service, idx as u32, charged);
             }
-            pdus = next;
+            ops = next;
         }
-        pdus
+        ops
     }
 
     /// Carries out what the service at position `pos` emitted travelling
@@ -538,8 +543,8 @@ impl ActiveRelayMb {
         sink: &mut Sink,
         dir: Dir,
         pos: usize,
-        mut scx: SvcCtx,
-        mut next: Option<&mut Vec<Pdu>>,
+        mut scx: SvcCtx<Op>,
+        mut next: Option<&mut Vec<Op>>,
     ) -> SimDuration {
         let (idx, back) = (self.stage_at(dir, pos), self.services.len() - pos);
         let mut charged = SimDuration::ZERO;
@@ -567,27 +572,27 @@ impl ActiveRelayMb {
         charged
     }
 
-    /// Sends `pdu` on in `dir` through the stages from position `from`,
+    /// Sends `op` on in `dir` through the stages from position `from`,
     /// then out.
-    fn send(&mut self, cx: &mut Cx<'_>, sink: &mut Sink, dir: Dir, from: usize, pdu: Pdu) {
+    fn send(&mut self, cx: &mut Cx<'_>, sink: &mut Sink, dir: Dir, from: usize, op: Op) {
         if from == self.services.len() {
-            return self.leave(cx, sink, dir, pdu);
+            return self.leave(cx, sink, dir, op);
         }
-        for p in self.walk(cx, sink, dir, from, vec![pdu]) {
-            self.leave(cx, sink, dir, p);
+        for op in self.walk(cx, sink, dir, from, vec![op]) {
+            self.leave(cx, sink, dir, op);
         }
     }
 
-    /// A PDU leaves the chain travelling `dir`: into the batch, or onto
+    /// An op leaves the chain travelling `dir`: into the batch, or onto
     /// the flow in that flow's wire protocol.
-    fn leave(&mut self, cx: &mut Cx<'_>, sink: &mut Sink, dir: Dir, pdu: Pdu) {
+    fn leave(&mut self, cx: &mut Cx<'_>, sink: &mut Sink, dir: Dir, op: Op) {
         match sink {
-            Sink::Batch(_, out) if dir == out.dir => out.ahead.push(pdu),
-            Sink::Batch(_, out) => out.replies.push(pdu),
+            Sink::Batch(_, out) if dir == out.dir => out.ahead.push(op),
+            Sink::Batch(_, out) => out.replies.push(op),
             &mut Sink::Side(origin) => {
                 if let Some(i) = self.route_pair(origin) {
                     let p = &mut self.pairs[i];
-                    self.pdus_forwarded += p.queue(dir, [UnitOut::Pdu(pdu)], &mut self.copy);
+                    self.pdus_forwarded += p.queue(dir, [op], &mut self.copy);
                     p.pump(cx, dir);
                 }
             }
@@ -784,8 +789,7 @@ impl ActiveRelayMb {
         };
         // Chain replies head back where the triggering batch came from
         // (coalesced into one frame on a multi-queue flow).
-        let replies = out.replies.into_iter().map(UnitOut::Pdu);
-        let replied = p.queue(dir.flip(), replies, &mut self.copy);
+        let replied = p.queue(dir.flip(), out.replies, &mut self.copy);
         self.pdus_forwarded += forwarded + replied;
         p.buffered_in = p.buffered_in.saturating_sub(input_bytes);
         let resume = p.paused && (p.buffered_in < self.cfg.buffer_cap / 2 || p.in_flight() == 0);
@@ -976,7 +980,7 @@ impl App for ActiveRelayMb {
             server: sock,
             client,
             src_port: src_port.unwrap_or(0),
-            edge: Edge::Undecided,
+            edge: Edge::default(),
             s_out: SendQueue::new(),
             c_out: SendQueue::new(),
             buffered_in: 0,
@@ -1108,16 +1112,16 @@ mod tests {
         }
     }
 
-    /// Charges a fixed CPU cost per PDU and forwards it.
+    /// Charges a fixed CPU cost per op and forwards it.
     struct Slow(SimDuration);
 
     impl StorageService for Slow {
         fn name(&self) -> &str {
             "slow"
         }
-        fn on_pdu(&mut self, cx: &mut SvcCtx, _dir: Dir, pdu: Pdu) {
+        fn on_op(&mut self, cx: &mut SvcCtx<Op>, _dir: Dir, op: Op) {
             cx.charge(self.0);
-            cx.forward(pdu);
+            cx.forward(op);
         }
     }
 

@@ -91,7 +91,8 @@ impl WireTracker {
                     if self.hdr.len() == BHS_LEN {
                         self.pdus += 1;
                         let dsl = storm_iscsi::data_segment_length(&self.hdr).unwrap_or(0);
-                        let vol_offset = cmds.observe_header(&self.hdr).volume_offset();
+                        let (step, cmd) = cmds.observe_header(&self.hdr);
+                        let vol_offset = step.volume_offset(cmd);
                         self.hdr.clear();
                         if dsl > 0 {
                             self.state = TrackState::Data {

@@ -1,16 +1,23 @@
 //! The tenant-facing storage service API.
 //!
-//! A [`StorageService`] is the tenant's middle-box logic. StorM's relays
-//! feed it parsed iSCSI PDUs (active path) or in-flight data-segment bytes
-//! (passive path) and execute the actions it emits: forwarding, replying,
-//! issuing side I/O to replica volumes, raising alerts. Services are pure
+//! A [`StorageService`] is the tenant's middle-box logic. Services are
+//! block-level: the active relay hands each one [`Op`]s — a command, write
+//! or read data at an offset, a status — whatever wire protocol the flow
+//! speaks, and executes the actions it emits: forwarding, replying,
+//! issuing side I/O to replica volumes, raising alerts. The passive path
+//! hands a service in-flight data-segment bytes instead. Services are pure
 //! state machines — all timing flows through the relay — so the same
 //! implementation runs in the simulator and in a threaded pipeline.
 
+use std::cell::RefCell;
+
 use bytes::Bytes;
 
-use storm_iscsi::Pdu;
-use storm_sim::{SimDuration, SimTime};
+use storm_iscsi::exchange::{BlockCmd, Exchange, Step};
+use storm_iscsi::{Pdu, ScsiStatus};
+use storm_sim::{IdMap, SimDuration, SimTime};
+
+use crate::relay::{lift_pdu, lower_pdus, Wire};
 
 /// Direction of travel through the middle-box.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,13 +58,54 @@ pub enum ReplicaIo {
     },
 }
 
-/// An action emitted by a service.
+/// One block operation travelling through the chain. One the relay
+/// received leaves with the header it came with, around whatever `data` a
+/// service left in it; one a service makes ([`Op::new`]) has no wire form
+/// until the relay lowers it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Op {
+    /// What the op is.
+    pub step: Step,
+    /// The open command it belongs to, when the relay knows it.
+    pub cmd: Option<BlockCmd>,
+    /// The command's tag (iSCSI initiator task tag, nvmeq command id).
+    pub tag: u32,
+    /// The op's data: write data, read data or a command's immediate data.
+    pub data: Bytes,
+    pub(crate) wire: Option<Wire>,
+}
+
+impl Op {
+    /// An op made by a service.
+    pub fn new(step: Step, cmd: Option<BlockCmd>, tag: u32, data: Bytes) -> Op {
+        Op {
+            step,
+            cmd,
+            tag,
+            data,
+            wire: None,
+        }
+    }
+
+    /// A command issued by a service, `data` riding with it.
+    pub fn command(tag: u32, cmd: BlockCmd, data: Bytes) -> Op {
+        Op::new(Step::Command, Some(cmd), tag, data)
+    }
+
+    /// A status a service answers with.
+    pub fn status(tag: u32, status: ScsiStatus) -> Op {
+        Op::new(Step::Status(status), None, tag, Bytes::new())
+    }
+}
+
+/// An action emitted by a service, about units `U` (block ops on the
+/// relay; PDUs through [`StorageService::on_pdu`]).
 #[derive(Debug)]
-pub enum SvcAction {
-    /// Pass a PDU onward in its direction of travel.
-    Forward(Pdu),
-    /// Send a PDU back towards where the triggering PDU came from.
-    Reply(Pdu),
+pub enum SvcAction<U = Pdu> {
+    /// Pass a unit onward in its direction of travel.
+    Forward(U),
+    /// Send a unit back towards where the triggering one came from.
+    Reply(U),
     /// Issue I/O on replica session `replica`; completion arrives via
     /// [`StorageService::on_replica_done`] carrying `ctx`.
     Replica {
@@ -83,13 +131,13 @@ pub enum SvcAction {
 
 /// Action collector handed to service callbacks.
 #[derive(Debug)]
-pub struct SvcCtx {
+pub struct SvcCtx<U = Pdu> {
     /// Current simulation time.
     pub now: SimTime,
-    actions: Vec<SvcAction>,
+    actions: Vec<SvcAction<U>>,
 }
 
-impl SvcCtx {
+impl<U> SvcCtx<U> {
     /// Creates a collector at `now`.
     pub fn new(now: SimTime) -> Self {
         SvcCtx {
@@ -99,18 +147,18 @@ impl SvcCtx {
     }
 
     /// Takes the accumulated actions.
-    pub fn take_actions(&mut self) -> Vec<SvcAction> {
+    pub fn take_actions(&mut self) -> Vec<SvcAction<U>> {
         std::mem::take(&mut self.actions)
     }
 
-    /// Forwards a PDU onward.
-    pub fn forward(&mut self, pdu: Pdu) {
-        self.actions.push(SvcAction::Forward(pdu));
+    /// Forwards a unit onward.
+    pub fn forward(&mut self, unit: U) {
+        self.actions.push(SvcAction::Forward(unit));
     }
 
     /// Replies back towards the source.
-    pub fn reply(&mut self, pdu: Pdu) {
-        self.actions.push(SvcAction::Reply(pdu));
+    pub fn reply(&mut self, unit: U) {
+        self.actions.push(SvcAction::Reply(unit));
     }
 
     /// Issues a replica write.
@@ -147,10 +195,18 @@ impl SvcCtx {
     }
 }
 
+thread_local! {
+    /// [`StorageService::on_pdu`]'s command tables, one per service by
+    /// address (a service made where a dropped one lived inherits its
+    /// table, whose tags each command re-opens): the shim sees bare PDUs,
+    /// and only a table places their data.
+    static SHIM_TABLES: RefCell<IdMap<usize, Exchange>> = RefCell::default();
+}
+
 /// A tenant-defined storage middle-box service.
 ///
-/// Implementations must forward PDUs they do not consume — a service that
-/// swallows PDUs breaks the session (intentionally possible: that is what
+/// Implementations must forward ops they do not consume — a service that
+/// swallows ops breaks the session (intentionally possible: that is what
 /// an IPS-style service would do).
 ///
 /// `StorageService: Any` so harnesses can downcast deployed services (via
@@ -162,13 +218,39 @@ pub trait StorageService: std::any::Any {
     /// Service name (logging, policy matching).
     fn name(&self) -> &str;
 
-    /// Active path: a whole PDU travelling in `dir`.
-    fn on_pdu(&mut self, cx: &mut SvcCtx, dir: Dir, pdu: Pdu);
+    /// Active path: one block op travelling in `dir`.
+    fn on_op(&mut self, cx: &mut SvcCtx<Op>, dir: Dir, op: Op);
+
+    /// [`StorageService::on_op`] for a caller holding iSCSI PDUs: raises
+    /// `pdu` to an op through a command table kept per service, and
+    /// lowers the ops the service emits to PDUs exactly as the relay's
+    /// iSCSI edge does. Kept for callers that predate block ops.
+    fn on_pdu(&mut self, cx: &mut SvcCtx, dir: Dir, pdu: Pdu) {
+        let key = (self as *const Self).cast::<()>() as usize;
+        let op = SHIM_TABLES.with_borrow_mut(|t| lift_pdu(t.entry(key).or_default(), pdu, 0));
+        let mut ops = SvcCtx::new(cx.now);
+        self.on_op(&mut ops, dir, op);
+        SHIM_TABLES.with_borrow_mut(|t| {
+            let open = t.entry(key).or_default();
+            for action in ops.take_actions() {
+                match action {
+                    SvcAction::Forward(op) => lower_pdus(open, op, |p| cx.forward(p)),
+                    SvcAction::Reply(op) => lower_pdus(open, op, |p| cx.reply(p)),
+                    SvcAction::Replica { replica, io, ctx } => {
+                        cx.actions.push(SvcAction::Replica { replica, io, ctx })
+                    }
+                    SvcAction::Alert(msg) => cx.alert(msg),
+                    SvcAction::Charge(cost) => cx.charge(cost),
+                    SvcAction::Timer { delay, token } => cx.set_timer(delay, token),
+                }
+            }
+        });
+    }
 
     /// Completion of a [`SvcCtx::replica_write`] / [`SvcCtx::replica_read`].
     fn on_replica_done(
         &mut self,
-        cx: &mut SvcCtx,
+        cx: &mut SvcCtx<Op>,
         replica: usize,
         ctx: u64,
         ok: bool,
@@ -177,10 +259,10 @@ pub trait StorageService: std::any::Any {
     }
 
     /// A replica session failed (connection reset/refused).
-    fn on_replica_failed(&mut self, cx: &mut SvcCtx, replica: usize) {}
+    fn on_replica_failed(&mut self, cx: &mut SvcCtx<Op>, replica: usize) {}
 
     /// A timer requested via [`SvcCtx::set_timer`] fired.
-    fn on_timer(&mut self, cx: &mut SvcCtx, token: u64) {}
+    fn on_timer(&mut self, cx: &mut SvcCtx<Op>, token: u64) {}
 
     /// Passive path: the per-byte processing cost this service adds to
     /// forwarded packets.
@@ -212,7 +294,7 @@ impl dyn StorageService {
 /// placeholder and in tests.
 #[derive(Debug, Default)]
 pub struct PassthroughService {
-    pdus: u64,
+    ops: u64,
 }
 
 impl PassthroughService {
@@ -221,9 +303,9 @@ impl PassthroughService {
         Self::default()
     }
 
-    /// PDUs seen.
-    pub fn pdus(&self) -> u64 {
-        self.pdus
+    /// Ops seen.
+    pub fn ops(&self) -> u64 {
+        self.ops
     }
 }
 
@@ -232,15 +314,16 @@ impl StorageService for PassthroughService {
         "passthrough"
     }
 
-    fn on_pdu(&mut self, cx: &mut SvcCtx, _dir: Dir, pdu: Pdu) {
-        self.pdus += 1;
-        cx.forward(pdu);
+    fn on_op(&mut self, cx: &mut SvcCtx<Op>, _dir: Dir, op: Op) {
+        self.ops += 1;
+        cx.forward(op);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use storm_iscsi::exchange::{data_in_train, BlockOp};
     use storm_iscsi::NopOut;
 
     fn nop() -> Pdu {
@@ -288,11 +371,64 @@ mod tests {
     fn passthrough_forwards() {
         let mut svc = PassthroughService::new();
         let mut cx = SvcCtx::new(SimTime::ZERO);
-        svc.on_pdu(&mut cx, Dir::ToTarget, nop());
-        assert_eq!(svc.pdus(), 1);
+        svc.on_op(&mut cx, Dir::ToTarget, Op::status(1, ScsiStatus::Good));
+        assert_eq!(svc.ops(), 1);
         let actions = cx.take_actions();
         assert!(matches!(&actions[..], [SvcAction::Forward(_)]));
         assert_eq!(svc.per_byte_cost(), SimDuration::ZERO);
         assert_eq!(svc.name(), "passthrough");
+    }
+
+    /// Flips every byte of the block data it can place and answers each
+    /// read itself with 96 KiB of `0x5A`.
+    struct Flip;
+
+    impl StorageService for Flip {
+        fn name(&self) -> &str {
+            "flip"
+        }
+
+        fn on_op(&mut self, cx: &mut SvcCtx<Op>, _dir: Dir, mut op: Op) {
+            if op.step == Step::Command && op.cmd.is_some_and(|c| c.op == BlockOp::Read) {
+                let data = vec![0x5A; 96 << 10].into();
+                return cx.reply(Op::new(Step::ReadData(0), op.cmd, op.tag, data));
+            }
+            if op.step.volume_offset(op.cmd).is_some() {
+                op.data = op.data.iter().map(|b| !b).collect::<Vec<u8>>().into();
+            }
+            cx.forward(op);
+        }
+    }
+
+    /// The PDU shim places data through its own table, re-emits a received
+    /// PDU's header around the data the service left in it, and lowers a
+    /// service's own read answer to a 64 KiB Data-In train.
+    #[test]
+    fn on_pdu_lifts_and_lowers_like_the_iscsi_edge() {
+        use storm_iscsi::exchange::data_out_train;
+        let (mut svc, mut cx) = (Flip, SvcCtx::new(SimTime::ZERO));
+        let (op, lba, sectors) = (BlockOp::Write, 8, 2);
+        let write = BlockCmd { op, lba, sectors };
+        let payload = Bytes::from(vec![0x0F; 1024]);
+        let dout = data_out_train(3, 0xFFFF_FFFF, 1, &payload, 512..1024, 512).next();
+        for pdu in [write.command(3, 1, 1, payload.slice(..512)), dout.unwrap()] {
+            svc.on_pdu(&mut cx, Dir::ToTarget, pdu.clone());
+            let Some(SvcAction::Forward(out)) = cx.take_actions().pop() else {
+                panic!("forwarded");
+            };
+            assert_eq!(out.encode_bhs(), pdu.encode_bhs());
+            assert_eq!(&out.data()[..], &[0xF0; 512][..]);
+        }
+        let read = BlockCmd {
+            op: BlockOp::Read,
+            ..write
+        };
+        svc.on_pdu(&mut cx, Dir::ToTarget, read.command(4, 2, 1, Bytes::new()));
+        let replies = cx.take_actions().into_iter().map(|a| match a {
+            SvcAction::Reply(pdu) => pdu,
+            other => panic!("expected replies only, got {other:?}"),
+        });
+        let answer = data_in_train(4, vec![0x5A; 96 << 10].into(), 64 << 10);
+        assert!(replies.eq(answer));
     }
 }

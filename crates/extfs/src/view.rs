@@ -91,11 +91,6 @@ impl FsView {
         &self.sb
     }
 
-    /// Number of block groups.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
     /// Classifies a filesystem block number.
     pub fn classify_block(&self, bno: u64) -> Region {
         if bno >= self.sb.blocks_count {
@@ -128,11 +123,6 @@ impl FsView {
         Region::Data
     }
 
-    /// Classifies a 512-byte sector address (what iSCSI carries).
-    pub fn classify_sector(&self, lba: u64) -> Region {
-        self.classify_block(lba / SECTORS_PER_BLOCK)
-    }
-
     /// `(block, byte_offset)` of inode `ino` inside the inode table.
     pub fn inode_location(&self, ino: u32) -> (u64, usize) {
         let idx = (ino - 1) as u64;
@@ -151,27 +141,6 @@ impl FsView {
             }
             _ => None,
         }
-    }
-
-    /// A dumpe2fs-style text summary (diagnostics, example output).
-    pub fn describe(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(s, "Block count:  {}", self.sb.blocks_count);
-        let _ = writeln!(s, "Inode count:  {}", self.sb.inodes_count);
-        let _ = writeln!(s, "Block size:   {BLOCK_SIZE}");
-        let _ = writeln!(s, "Groups:       {}", self.groups.len());
-        for (g, gd) in self.groups.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "Group {g}: block bitmap {}, inode bitmap {}, inode table {}..{}",
-                gd.block_bitmap,
-                gd.inode_bitmap,
-                gd.inode_table,
-                gd.inode_table + INODE_TABLE_BLOCKS - 1
-            );
-        }
-        s
     }
 }
 
@@ -218,14 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn sector_classification_matches_blocks() {
-        let v = view();
-        assert_eq!(v.classify_sector(0), Region::Superblock);
-        assert_eq!(v.classify_sector(7), Region::Superblock);
-        assert_eq!(v.classify_sector(8), Region::GroupDescTable);
-    }
-
-    #[test]
     fn inode_locations_line_up_with_classification() {
         let v = view();
         let (block, off) = v.inode_location(2);
@@ -240,7 +201,7 @@ mod tests {
     #[test]
     fn second_group_metadata_located() {
         let v = view();
-        assert!(v.group_count() >= 2, "128 MiB should span multiple groups");
+        assert!(v.groups.len() >= 2, "128 MiB should span multiple groups");
         let gd1 = v.groups[1];
         assert_eq!(
             v.classify_block(gd1.block_bitmap),
@@ -255,14 +216,6 @@ mod tests {
             }
             other => panic!("expected inode table, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn describe_mentions_geometry() {
-        let v = view();
-        let text = v.describe();
-        assert!(text.contains("Block size:   4096"));
-        assert!(text.contains("Group 0:"));
     }
 
     #[test]

@@ -12,11 +12,12 @@
 //! * [`Exchange`] is a connection's table of open commands:
 //!   [`Exchange::observe`] says what a PDU means at block level and
 //!   retires the command on its status, wherever that arrives.
+//! * [`Staging`] assembles the writes an observer needs whole, by tag.
 //!
 //! Policy stays with the caller. Endpoints use [`Transfer`] directly (an
 //! overrun is a protocol error, a target completes a write only on a
-//! final Data-Out); observers use [`Exchange::stage`]/[`Exchange::absorb`]
-//! (clamp, complete once every byte was seen).
+//! final Data-Out); observers use [`Staging`] (clamp, complete once every
+//! byte was seen).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
@@ -160,6 +161,8 @@ pub struct Transfer {
     buf: BytesMut,
     received: usize,
     r2ts: u32,
+    /// End of the data the last R2T asked for.
+    asked: usize,
 }
 
 impl Transfer {
@@ -170,6 +173,7 @@ impl Transfer {
             buf: BytesMut::zeroed(expected),
             received: 0,
             r2ts: 0,
+            asked: 0,
         }
     }
 
@@ -204,27 +208,44 @@ impl Transfer {
         self.buf.freeze()
     }
 
-    /// The R2T for the next burst — everything still missing, capped at
-    /// `max_burst` — once the `first_burst` bytes the initiator sends
-    /// unasked are in. `r2t_sn` counts this transfer's R2Ts from zero; the
-    /// caller fills in the transfer tag and its sequence numbers.
-    pub fn next_r2t(&mut self, itt: u32, first_burst: usize, max_burst: usize) -> Option<R2t> {
+    /// Whether every byte the last R2T asked for is in (always, before
+    /// the first): an observer that solicits data itself asks for the
+    /// next burst then, where a target waits for the burst's final
+    /// Data-Out.
+    pub fn burst_done(&self) -> bool {
+        self.received >= self.asked
+    }
+
+    /// The next burst to ask for, as `(r2t_sn, buffer_offset, length)`:
+    /// everything still missing, capped at `max_burst`, once the
+    /// `first_burst` bytes the initiator sends unasked are in. `r2t_sn`
+    /// counts this transfer's requests from zero.
+    pub fn next_burst(&mut self, first_burst: usize, max_burst: usize) -> Option<(u32, u32, u32)> {
         if self.is_complete() || self.received < first_burst {
             return None;
         }
         let missing = (self.buf.len() - self.received).min(max_burst);
         self.r2ts += 1;
-        Some(R2t {
-            lun: 0,
-            itt,
-            ttt: 0,
-            stat_sn: 0,
-            exp_cmd_sn: 0,
-            max_cmd_sn: 0,
-            r2t_sn: self.r2ts - 1,
-            buffer_offset: u32::try_from(self.received).unwrap_or(u32::MAX),
-            desired_length: u32::try_from(missing).unwrap_or(u32::MAX),
-        })
+        self.asked = self.received + missing;
+        let field = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
+        Some((self.r2ts - 1, field(self.received), field(missing)))
+    }
+}
+
+/// The R2T asking for `len` bytes at buffer offset `offset` of command
+/// `itt` ([`Transfer::next_burst`]), the command's `r2t_sn`-th, under
+/// transfer tag `ttt`.
+pub fn r2t(itt: u32, r2t_sn: u32, ttt: u32, offset: u32, len: u32) -> R2t {
+    R2t {
+        lun: 0,
+        itt,
+        ttt,
+        stat_sn: 0,
+        exp_cmd_sn: 0,
+        max_cmd_sn: 0,
+        r2t_sn,
+        buffer_offset: offset,
+        desired_length: len,
     }
 }
 
@@ -315,53 +336,62 @@ pub fn status_response(itt: u32, status: ScsiStatus) -> Pdu {
     })
 }
 
-/// What a PDU means at block level (see [`Exchange::observe`]).
+/// What a PDU, or a middle-box's block op, is at block level; the
+/// command it belongs to travels beside it (see [`Exchange::observe`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Step {
-    /// A block command, now open under its task tag; immediate data, if
-    /// any, is write data at buffer offset 0.
-    Command(BlockCmd),
-    /// Data-Out of this open write, starting at this buffer offset.
-    WriteData(BlockCmd, u32),
-    /// Data-In of this open read, starting at this buffer offset; one that
-    /// is final and carries status has retired the command.
-    ReadData(BlockCmd, u32),
-    /// A SCSI Response, with the command it retired if that was open.
-    Status(Option<BlockCmd>),
-    /// Anything else: session PDUs, data for a tag that is not open, a
-    /// command [`BlockCmd::parse`] refused (which opens nothing).
+    /// A block command; its write data, if any, rides with it at offset 0.
+    Command,
+    /// Write data at this offset into its command's data.
+    WriteData(u32),
+    /// Read data at this offset. Read data a middle-box makes itself is
+    /// the read's whole answer, status good.
+    ReadData(u32),
+    /// The command's status.
+    Status(ScsiStatus),
+    /// A middle-box's request for `len` more bytes of write data at
+    /// `offset`, the command's `seq`-th (an R2T; nvmeq has no such
+    /// request, as its writes carry their data in the capsule).
+    WantData {
+        /// Where the requested data starts in the command's data.
+        offset: u32,
+        /// Bytes requested.
+        len: u32,
+        /// The request's number within its command.
+        seq: u32,
+    },
+    /// Anything else: session PDUs, a command [`BlockCmd::parse`] refused
+    /// (which opens nothing).
     Other,
 }
 
 impl Step {
-    /// Where on the volume the PDU's data segment starts, when it is
-    /// block data and the position does not overflow.
-    pub fn volume_offset(&self) -> Option<u64> {
+    /// Where on the volume the data starts, when it is block data of
+    /// `cmd` and the position does not overflow.
+    pub fn volume_offset(self, cmd: Option<BlockCmd>) -> Option<u64> {
         match self {
-            Step::Command(cmd) => cmd.volume_offset(0),
-            Step::WriteData(cmd, offset) | Step::ReadData(cmd, offset) => {
-                cmd.volume_offset(*offset)
-            }
-            Step::Status(_) | Step::Other => None,
+            Step::Command => cmd?.volume_offset(0),
+            Step::WriteData(at) | Step::ReadData(at) => cmd?.volume_offset(at),
+            _ => None,
         }
     }
 }
 
-/// Outcome of feeding write data to an observer-side staged transfer.
+/// Outcome of feeding write data to a [`Staging`].
 #[derive(Debug)]
 pub enum Staged<'a> {
-    /// No transfer is staged under that task tag.
+    /// No write is staged under that task tag.
     Untracked,
     /// Bytes are still missing.
     Partial(&'a mut Transfer),
-    /// Every byte has been seen; the command is retired.
+    /// Every byte has been seen; the write is retired.
     Complete(BlockCmd, Bytes),
 }
 
 /// One connection's open commands by initiator task tag.
 #[derive(Debug, Default)]
 pub struct Exchange {
-    open: IdMap<u32, (BlockCmd, Option<Transfer>), RandomState>,
+    open: IdMap<u32, BlockCmd, RandomState>,
 }
 
 impl Exchange {
@@ -377,78 +407,105 @@ impl Exchange {
 
     /// Opens `cmd` under `itt`, replacing whatever the tag held.
     pub fn begin(&mut self, itt: u32, cmd: BlockCmd) {
-        self.open.insert(itt, (cmd, None));
+        self.open.insert(itt, cmd);
     }
 
-    /// Classifies `pdu` and keeps the table current: a servable command
-    /// opens its tag; the final Data-In with status, or a SCSI Response,
-    /// retires it.
-    pub fn observe(&mut self, pdu: &Pdu) -> Step {
-        let open = |itt, op| self.open.get(itt).map(|o| o.0).filter(|c| c.op == op);
+    /// The command open under `itt`, if it is an `op`.
+    pub fn open(&self, itt: u32, op: BlockOp) -> Option<BlockCmd> {
+        self.open.get(&itt).copied().filter(|c| c.op == op)
+    }
+
+    /// Retires whatever `itt` held.
+    pub fn retire(&mut self, itt: u32) -> Option<BlockCmd> {
+        self.open.remove(&itt)
+    }
+
+    /// Classifies `pdu`, with the open command it belongs to (write and
+    /// read data of a tag that is not open as such have none), and keeps
+    /// the table current: a servable command opens its tag; the final
+    /// Data-In with status, or a SCSI Response, retires it.
+    pub fn observe(&mut self, pdu: &Pdu) -> (Step, Option<BlockCmd>) {
         match pdu {
             Pdu::ScsiCommand(c) => match BlockCmd::parse(c, u64::MAX) {
                 Ok(cmd) => {
                     self.begin(c.itt, cmd);
-                    Step::Command(cmd)
+                    (Step::Command, Some(cmd))
                 }
                 Err(_) => {
-                    self.open.remove(&c.itt);
-                    Step::Other
+                    self.retire(c.itt);
+                    (Step::Other, None)
                 }
             },
-            Pdu::DataOut(d) => open(&d.itt, BlockOp::Write)
-                .map_or(Step::Other, |cmd| Step::WriteData(cmd, d.buffer_offset)),
-            Pdu::DataIn(d) => open(&d.itt, BlockOp::Read).map_or(Step::Other, |cmd| {
-                if d.final_pdu && d.status_present {
-                    self.open.remove(&d.itt);
+            Pdu::DataOut(d) => (
+                Step::WriteData(d.buffer_offset),
+                self.open(d.itt, BlockOp::Write),
+            ),
+            Pdu::DataIn(d) => {
+                let cmd = self.open(d.itt, BlockOp::Read);
+                if cmd.is_some() && d.final_pdu && d.status_present {
+                    self.retire(d.itt);
                 }
-                Step::ReadData(cmd, d.buffer_offset)
-            }),
-            Pdu::ScsiResponse(r) => Step::Status(self.open.remove(&r.itt).map(|o| o.0)),
-            _ => Step::Other,
+                (Step::ReadData(d.buffer_offset), cmd)
+            }
+            Pdu::ScsiResponse(r) => (Step::Status(r.status), self.retire(r.itt)),
+            _ => (Step::Other, None),
         }
     }
 
     /// [`Exchange::observe`] for a consumer that sees only the 48-byte
     /// header (the passive tap walks payload bytes it cannot hold).
-    pub fn observe_header(&mut self, bhs: &[u8]) -> Step {
-        Pdu::decode(bhs, Bytes::new()).map_or(Step::Other, |pdu| self.observe(&pdu))
+    pub fn observe_header(&mut self, bhs: &[u8]) -> (Step, Option<BlockCmd>) {
+        Pdu::decode(bhs, Bytes::new()).map_or((Step::Other, None), |pdu| self.observe(&pdu))
     }
+}
 
-    /// Observer-side write assembly: opens `cmd` under `itt`, seeded with
-    /// the command PDU's immediate data. If that already covers the write
-    /// the payload is a view of it and nothing stays open.
-    pub fn stage(&mut self, itt: u32, cmd: BlockCmd, immediate: &Bytes) -> Staged<'_> {
-        let expected = cmd.bytes() as usize;
-        if immediate.len() >= expected {
-            self.open.remove(&itt);
-            return Staged::Complete(cmd, immediate.slice(..expected));
-        }
-        let mut xfer = Transfer::new(expected);
-        let _ = xfer.absorb(0, immediate);
-        self.open.insert(itt, (cmd, Some(xfer)));
-        self.staged(itt)
-    }
+/// Observer-side write assembly: the writes an observer needs whole (to
+/// mirror, classify or journal them), by initiator task tag.
+#[derive(Debug, Default)]
+pub struct Staging {
+    open: IdMap<u32, (BlockCmd, Transfer), RandomState>,
+}
 
-    /// Feeds Data-Out bytes to the transfer staged under `itt`, clamped to
-    /// its buffer; the write completes, and is retired, as soon as every
-    /// byte has been seen.
-    pub fn absorb(&mut self, itt: u32, offset: u32, data: &[u8]) -> Staged<'_> {
-        if let Staged::Partial(xfer) = self.staged(itt) {
-            let _ = xfer.absorb(offset, data);
-            if xfer.is_complete() {
-                if let Some((cmd, Some(xfer))) = self.open.remove(&itt) {
+impl Staging {
+    /// Feeds one op of a command's traffic: a write command opens its
+    /// write, seeded with its immediate data (a view of it, with nothing
+    /// left open, if that covers the write); write data fills it in,
+    /// clamped to its buffer; any other command or a status on the tag
+    /// drops it. A write completes, and is retired, once every byte has
+    /// been seen.
+    pub fn feed(
+        &mut self,
+        itt: u32,
+        step: Step,
+        cmd: Option<BlockCmd>,
+        data: &Bytes,
+    ) -> Staged<'_> {
+        match (step, cmd) {
+            (Step::Command, Some(cmd)) if cmd.op == BlockOp::Write => {
+                let expected = cmd.bytes() as usize;
+                if data.len() >= expected {
+                    self.open.remove(&itt);
+                    return Staged::Complete(cmd, data.slice(..expected));
+                }
+                let mut xfer = Transfer::new(expected);
+                let _ = xfer.absorb(0, data);
+                self.open.insert(itt, (cmd, xfer));
+            }
+            (Step::WriteData(at), _) => {
+                let done = self.open.get_mut(&itt).is_some_and(|(_, xfer)| {
+                    let _ = xfer.absorb(at, data);
+                    xfer.is_complete()
+                });
+                if let Some((cmd, xfer)) = done.then(|| self.open.remove(&itt)).flatten() {
                     return Staged::Complete(cmd, xfer.into_bytes());
                 }
             }
+            (Step::Command | Step::Status(_), _) => _ = self.open.remove(&itt),
+            _ => {}
         }
-        self.staged(itt)
-    }
-
-    fn staged(&mut self, itt: u32) -> Staged<'_> {
         match self.open.get_mut(&itt) {
-            Some((_, Some(xfer))) => Staged::Partial(xfer),
-            _ => Staged::Untracked,
+            Some((_, xfer)) => Staged::Partial(xfer),
+            None => Staged::Untracked,
         }
     }
 }

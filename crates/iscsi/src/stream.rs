@@ -19,12 +19,9 @@ use crate::pdu::{data_segment_length, padded, Pdu, PduError, BHS_LEN};
 /// these chunks straight into its send queue instead of re-encoding.
 #[derive(Debug, Clone)]
 pub struct PduWire {
-    /// The decoded PDU.
+    /// The decoded PDU; its data segment view shares wire storage when
+    /// the PDU arrived contiguously.
     pub pdu: Pdu,
-    /// The 48-byte basic header segment as received.
-    pub bhs: [u8; BHS_LEN],
-    /// The data segment view (shares wire storage when contiguous).
-    pub data: Bytes,
     /// The PDU's wire bytes as received, in order.
     pub wire: Vec<Bytes>,
 }
@@ -244,14 +241,9 @@ impl PduStream {
         }
         let wire = self.buf.take_wire(total).ok_or(PduError::Desync)?;
         let data = ChunkDeque::extract(&wire, BHS_LEN, dsl, &mut self.bytes_copied);
-        let pdu = Pdu::decode(&bhs, data.clone())?;
+        let pdu = Pdu::decode(&bhs, data)?;
         self.pdus_out += 1;
-        Ok(Some(PduWire {
-            pdu,
-            bhs,
-            data,
-            wire,
-        }))
+        Ok(Some(PduWire { pdu, wire }))
     }
 }
 
@@ -460,7 +452,8 @@ mod tests {
         assert_eq!(got[0].wire.len(), 1);
         assert!(got[0].wire[0].same_storage(&whole));
         assert!(got[0]
-            .data
+            .pdu
+            .data()
             .same_storage(&whole.slice(BHS_LEN..BHS_LEN + 16)));
         assert_eq!(s.bytes_copied(), 0);
         assert_eq!(s.header_bytes_copied(), BHS_LEN as u64);

@@ -16,7 +16,9 @@ use bytes::Bytes;
 use storm_sim::IdMap;
 
 use crate::cdb::{Cdb, ScsiStatus};
-use crate::exchange::{data_in_train, status_response, BlockCmd, BlockOp, CmdReject, Transfer};
+use crate::exchange::{
+    data_in_train, r2t, status_response, BlockCmd, BlockOp, CmdReject, Transfer,
+};
 use crate::iqn::Iqn;
 use crate::params::{decode_text, encode_text, SessionParams};
 use crate::pdu::{LoginResponse, LogoutResponse, NopIn, Pdu, PduError};
@@ -373,10 +375,10 @@ impl TargetConn {
             false => self.params.first_burst_length as usize,
         };
         let max_burst = self.params.max_burst_length as usize;
-        if let Some(mut r2t) = xfer.next_r2t(itt, first_burst, max_burst) {
-            r2t.ttt = self.next_ttt;
+        if let Some((r2t_sn, offset, len)) = xfer.next_burst(first_burst, max_burst) {
+            let ttt = self.next_ttt;
             self.next_ttt = self.next_ttt.wrapping_add(1);
-            self.send(Pdu::R2t(r2t));
+            self.send(Pdu::R2t(r2t(itt, r2t_sn, ttt, offset, len)));
         }
     }
 

@@ -2,7 +2,7 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use storm_iscsi::exchange::{BlockCmd, Exchange, Staged, Step, Transfer};
+use storm_iscsi::exchange::{BlockCmd, Exchange, Staged, Staging, Step, Transfer};
 use storm_iscsi::{
     data_segment_length, Cdb, DataIn, DataOut, Initiator, InitiatorConfig, LoginRequest,
     LoginResponse, LogoutRequest, LogoutResponse, NopIn, NopOut, Pdu, PduError, PduStream, R2t,
@@ -399,8 +399,8 @@ mod exchange_model {
 
         /// Every consumer of one write conversation assembles the same bytes:
         /// the target (`WriteReady`), a monitor-style observer (classify with
-        /// `Exchange::observe`, then stage/absorb) and a cache-style one
-        /// (`BlockCmd::parse`, then stage/absorb by the PDU's own offset).
+        /// `Exchange::observe`, then `Staging`) and a cache-style one
+        /// (`BlockCmd::parse`, then `Staging` by the PDU's own offset).
         /// Small negotiated limits force immediate data, the unsolicited first
         /// burst and several R2T rounds.
         #[test]
@@ -438,28 +438,26 @@ mod exchange_model {
                 (0..sectors as usize * 512).map(|i| (i as u8).wrapping_mul(seed | 1)).collect();
             let tag = ini.write(lba, Bytes::from(data.clone()));
 
-            let (mut tap, mut monitor, mut cache) = (PduStream::new(), Exchange::default(), Exchange::default());
+            let (mut tap, mut open) = (PduStream::new(), Exchange::default());
+            let (mut monitor, mut cache) = (Staging::default(), Staging::default());
             let (mut at_target, mut at_monitor, mut at_cache) = (None, None, None);
             let mut done = false;
             for _ in 0..256 {
                 let out = ini.take_output();
                 for pdu in tap.feed(&out).unwrap() {
-                    let staged = match (monitor.observe(&pdu), &pdu) {
-                        (Step::Command(cmd), Pdu::ScsiCommand(c)) => monitor.stage(c.itt, cmd, &c.data),
-                        (Step::WriteData(_, offset), Pdu::DataOut(d)) => {
-                            monitor.absorb(d.itt, offset, &d.data)
-                        }
-                        _ => Staged::Untracked,
-                    };
+                    let (step, cmd) = open.observe(&pdu);
+                    let staged = monitor.feed(pdu.itt(), step, cmd, pdu.data());
                     if let Staged::Complete(cmd, bytes) = staged {
                         at_monitor = Some((cmd.lba, bytes));
                     }
                     let staged = match &pdu {
                         Pdu::ScsiCommand(c) => {
                             let cmd = BlockCmd::parse(c, u64::MAX).unwrap();
-                            cache.stage(c.itt, cmd, &c.data)
+                            cache.feed(c.itt, Step::Command, Some(cmd), &c.data)
                         }
-                        Pdu::DataOut(d) => cache.absorb(d.itt, d.buffer_offset, &d.data),
+                        Pdu::DataOut(d) => {
+                            cache.feed(d.itt, Step::WriteData(d.buffer_offset), None, &d.data)
+                        }
                         _ => Staged::Untracked,
                     };
                     if let Staged::Complete(cmd, bytes) = staged {
@@ -494,7 +492,10 @@ mod exchange_model {
             prop_assert_eq!(&at_monitor, &want);
             prop_assert_eq!(&at_cache, &want);
             // Completion retired the command everywhere.
-            prop_assert!(monitor.is_empty() && cache.is_empty());
+            for staging in [&mut monitor, &mut cache] {
+                let left = staging.feed(tag.0, Step::Other, None, &Bytes::new());
+                prop_assert!(matches!(left, Staged::Untracked), "a write stayed staged");
+            }
         }
     }
 }

@@ -33,11 +33,9 @@ use std::collections::BTreeMap;
 use bytes::{Bytes, BytesMut};
 
 use storm_block::{BlockDevice, BlockError, SECTOR_SIZE};
-use storm_core::{Dir, StorageService, SvcCtx};
-use storm_iscsi::exchange::{
-    data_in_train, status_response, BlockCmd, BlockOp, Exchange, Staged, Step, Transfer,
-};
-use storm_iscsi::{DataIn, Pdu, ScsiCommand, ScsiStatus, SessionParams};
+use storm_core::{Dir, Op, StorageService, SvcCtx};
+use storm_iscsi::exchange::{BlockCmd, BlockOp, Staged, Staging, Step, Transfer};
+use storm_iscsi::{ScsiStatus, SessionParams};
 use storm_sim::SimDuration;
 
 use crate::lz::{fnv32, put_field};
@@ -156,9 +154,8 @@ pub struct WriteBackCacheService {
     dirty_count: u64,
     tick: u64,
     gen: u64,
-    /// Open commands: writes being staged (the cache's own R2T machine)
-    /// and miss reads awaiting the target's Data-In.
-    cmds: Exchange,
+    /// Writes being staged (the cache's own R2T machine).
+    writes: Staging,
     /// Journal cursor: next free sector (sector 0 is the checkpoint).
     tail: u64,
     next_seq: u64,
@@ -170,7 +167,7 @@ pub struct WriteBackCacheService {
     flush_waits: BTreeMap<u64, Vec<(u64, u64)>>,
     checkpoint_pending: bool,
     parked_writes: Vec<CompletedWrite>,
-    parked_syncs: Vec<Pdu>,
+    parked_syncs: Vec<Op>,
     timer_armed: bool,
     /// Journal declared dead: degrade to write-through.
     journal_failed: bool,
@@ -189,7 +186,7 @@ impl WriteBackCacheService {
             dirty_count: 0,
             tick: 0,
             gen: 0,
-            cmds: Exchange::default(),
+            writes: Staging::default(),
             tail: 1,
             next_seq: 1,
             seq_floor: 1,
@@ -205,7 +202,7 @@ impl WriteBackCacheService {
         }
     }
 
-    /// Installs the service disabled: PDUs pass through untouched until
+    /// Installs the service disabled: ops pass through untouched until
     /// [`WriteBackCacheService::arm`].
     pub fn disarmed(cfg: CacheConfig) -> Self {
         let mut s = Self::new(cfg);
@@ -311,22 +308,25 @@ impl WriteBackCacheService {
         (lba..lba + sectors as u64).all(|s| self.sectors.contains_key(&s))
     }
 
-    /// Emits the next R2T for a staged write, if one is due, within the
-    /// burst limits every session negotiates. The cache numbers its R2Ts
-    /// from 1 and tags each with the following number.
-    fn request_data(cx: &mut SvcCtx, itt: u32, stage: &mut Transfer) {
+    /// Asks for the next burst of a staged write, if one is due, within
+    /// the burst limits every session negotiates. The cache numbers its
+    /// requests from 1.
+    fn request_data(cx: &mut SvcCtx<Op>, itt: u32, stage: &mut Transfer) {
         let params = SessionParams::default();
         let (first, max) = (params.first_burst_length, params.max_burst_length);
-        if let Some(mut r2t) = stage.next_r2t(itt, first as usize, max as usize) {
-            r2t.r2t_sn += 1;
-            r2t.ttt = r2t.r2t_sn + 1;
-            cx.reply(Pdu::R2t(r2t));
+        if let Some((sn, offset, len)) = stage.next_burst(first as usize, max as usize) {
+            let want = Step::WantData {
+                offset,
+                len,
+                seq: sn + 1,
+            };
+            cx.reply(Op::new(want, None, itt, Bytes::new()));
         }
     }
 
     /// A write transfer is fully received: journal it (or park / fall
     /// back to write-through).
-    fn complete_write(&mut self, cx: &mut SvcCtx, write: CompletedWrite) {
+    fn complete_write(&mut self, cx: &mut SvcCtx<Op>, write: CompletedWrite) {
         cx.charge(PER_BYTE * write.data.len() as u64);
         if self.journal_failed {
             self.write_through(cx, write);
@@ -345,7 +345,7 @@ impl WriteBackCacheService {
         self.journal_append(cx, write, needed);
     }
 
-    fn journal_append(&mut self, cx: &mut SvcCtx, write: CompletedWrite, needed: u64) {
+    fn journal_append(&mut self, cx: &mut SvcCtx<Op>, write: CompletedWrite, needed: u64) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let at = self.tail;
@@ -378,7 +378,7 @@ impl WriteBackCacheService {
     /// updated in place (keeping any dirty bit) before forwarding, so a
     /// later flush of an overlapping dirty sector rewrites these same
     /// bytes instead of resurrecting stale data.
-    fn write_through(&mut self, cx: &mut SvcCtx, write: CompletedWrite) {
+    fn write_through(&mut self, cx: &mut SvcCtx<Op>, write: CompletedWrite) {
         self.stats.write_through += 1;
         let n = write.data.len() / SECTOR_SIZE;
         for i in 0..n {
@@ -396,11 +396,11 @@ impl WriteBackCacheService {
             lba: write.lba,
             sectors: n as u32,
         };
-        cx.forward(cmd.command(write.itt, 0, 0, write.data));
+        cx.forward(Op::command(write.itt, cmd, write.data));
     }
 
     /// Installs a committed write into the cache as dirty sectors.
-    fn apply_committed(&mut self, cx: &mut SvcCtx, write: &CompletedWrite) {
+    fn apply_committed(&mut self, cx: &mut SvcCtx<Op>, write: &CompletedWrite) {
         self.stats.journal_commits += 1;
         self.stats.writes_absorbed += 1;
         self.stats.bytes_absorbed += write.data.len() as u64;
@@ -421,7 +421,7 @@ impl WriteBackCacheService {
 
     /// Issues one flush round: up to `FLUSH_BATCH` dirty sectors,
     /// coalesced into contiguous runs.
-    fn kick_flush(&mut self, cx: &mut SvcCtx) {
+    fn kick_flush(&mut self, cx: &mut SvcCtx<Op>) {
         let mut picked: Vec<u64> = Vec::new();
         for (lba, s) in &self.sectors {
             if s.dirty && !s.flushing {
@@ -464,7 +464,7 @@ impl WriteBackCacheService {
     }
 
     /// Everything flushed: checkpoint the journal so the tail can reset.
-    fn maybe_checkpoint(&mut self, cx: &mut SvcCtx) {
+    fn maybe_checkpoint(&mut self, cx: &mut SvcCtx<Op>) {
         if self.checkpoint_pending
             || self.journal_failed
             || self.dirty_count > 0
@@ -487,44 +487,33 @@ impl WriteBackCacheService {
     }
 
     /// Releases work that was waiting for journal space / cleanliness.
-    fn release_parked(&mut self, cx: &mut SvcCtx) {
+    fn release_parked(&mut self, cx: &mut SvcCtx<Op>) {
         let parked = std::mem::take(&mut self.parked_writes);
         for write in parked {
             self.complete_write(cx, write);
         }
         if self.is_clean() {
-            for pdu in std::mem::take(&mut self.parked_syncs) {
-                cx.forward(pdu);
+            for op in std::mem::take(&mut self.parked_syncs) {
+                cx.forward(op);
             }
         }
     }
 
-    fn on_write_cmd(&mut self, cx: &mut SvcCtx, c: ScsiCommand, cmd: BlockCmd) {
-        if cmd.sectors == 0 {
-            cx.forward(Pdu::ScsiCommand(c));
-            return;
-        }
-        let (itt, lba) = (c.itt, cmd.lba);
-        match self.cmds.stage(itt, cmd, &c.data) {
-            Staged::Complete(_, data) => self.complete_write(cx, CompletedWrite { itt, lba, data }),
-            Staged::Partial(stage) => Self::request_data(cx, itt, stage),
-            Staged::Untracked => {}
-        }
-    }
-
-    fn on_data_out(&mut self, cx: &mut SvcCtx, d: storm_iscsi::DataOut) {
-        let itt = d.itt;
-        match self.cmds.absorb(itt, d.buffer_offset, &d.data) {
-            Staged::Untracked => cx.forward(Pdu::DataOut(d)),
+    /// A write command or write data: stage it, then journal the write
+    /// once whole, asking for its next burst whenever the last one is in.
+    fn on_write(&mut self, cx: &mut SvcCtx<Op>, op: Op) {
+        let itt = op.tag;
+        match self.writes.feed(op.tag, op.step, op.cmd, &op.data) {
+            Staged::Untracked => cx.forward(op),
             Staged::Complete(BlockCmd { lba, .. }, data) => {
                 self.complete_write(cx, CompletedWrite { itt, lba, data })
             }
-            Staged::Partial(stage) if d.final_pdu => Self::request_data(cx, itt, stage),
+            Staged::Partial(stage) if stage.burst_done() => Self::request_data(cx, itt, stage),
             Staged::Partial(_) => {}
         }
     }
 
-    fn on_read_cmd(&mut self, cx: &mut SvcCtx, c: ScsiCommand, cmd: BlockCmd) {
+    fn on_read_cmd(&mut self, cx: &mut SvcCtx<Op>, op: Op, cmd: BlockCmd) {
         let BlockCmd { lba, sectors, .. } = cmd;
         cx.charge(PER_BYTE * cmd.bytes());
         if sectors > 0 && self.full_hit(lba, sectors) {
@@ -540,34 +529,32 @@ impl WriteBackCacheService {
                 }
                 self.touch(s);
             }
-            for pdu in data_in_train(c.itt, buf.freeze(), 64 * 1024) {
-                cx.reply(pdu);
-            }
+            let answer = Step::ReadData(0);
+            cx.reply(Op::new(answer, Some(cmd), op.tag, buf.freeze()));
             return;
         }
         self.stats.read_misses += 1;
-        self.cmds.begin(c.itt, cmd);
-        cx.forward(Pdu::ScsiCommand(c));
+        cx.forward(op);
     }
 
-    /// Target Data-In for a miss read: patch dirty sectors in, populate
+    /// Target read data for a miss read: patch dirty sectors in, populate
     /// clean ones.
-    fn on_data_in(&mut self, cx: &mut SvcCtx, mut d: DataIn, lba: u64) {
-        let off = d.buffer_offset as usize;
-        if d.data.is_empty()
+    fn on_read_data(&mut self, cx: &mut SvcCtx<Op>, mut op: Op, off: u32, lba: u64) {
+        let off = off as usize;
+        if op.data.is_empty()
             || !off.is_multiple_of(SECTOR_SIZE)
-            || !d.data.len().is_multiple_of(SECTOR_SIZE)
+            || !op.data.len().is_multiple_of(SECTOR_SIZE)
         {
-            cx.forward(Pdu::DataIn(d));
+            cx.forward(op);
             return;
         }
         let start = lba + (off / SECTOR_SIZE) as u64;
-        let n = d.data.len() / SECTOR_SIZE;
+        let n = op.data.len() / SECTOR_SIZE;
         let any_dirty = (start..start + n as u64)
             .any(|s| self.sectors.get(&s).is_some_and(|e| e.dirty || e.flushing));
         if any_dirty {
             self.stats.dirty_patches += 1;
-            let mut buf = BytesMut::from(&d.data[..]);
+            let mut buf = BytesMut::from(&op.data[..]);
             for i in 0..n {
                 if let Some(e) = self.sectors.get(&(start + i as u64)) {
                     if e.dirty || e.flushing {
@@ -579,7 +566,7 @@ impl WriteBackCacheService {
                     }
                 }
             }
-            d.data = buf.freeze();
+            op.data = buf.freeze();
         }
         for i in 0..n {
             let s = start + i as u64;
@@ -587,13 +574,13 @@ impl WriteBackCacheService {
                 // Populate-on-read: zero-copy slices of the payload.
                 self.put_sector(
                     s,
-                    d.data.slice(i * SECTOR_SIZE..(i + 1) * SECTOR_SIZE),
+                    op.data.slice(i * SECTOR_SIZE..(i + 1) * SECTOR_SIZE),
                     false,
                 );
             }
         }
         self.enforce_capacity();
-        cx.forward(Pdu::DataIn(d));
+        cx.forward(op);
     }
 }
 
@@ -602,34 +589,33 @@ impl StorageService for WriteBackCacheService {
         "cache"
     }
 
-    fn on_pdu(&mut self, cx: &mut SvcCtx, dir: Dir, pdu: Pdu) {
+    fn on_op(&mut self, cx: &mut SvcCtx<Op>, dir: Dir, op: Op) {
         if !self.armed {
-            cx.forward(pdu);
+            cx.forward(op);
             return;
         }
-        match (dir, pdu) {
-            (Dir::ToTarget, Pdu::ScsiCommand(c)) => match BlockCmd::parse(&c, u64::MAX) {
-                Ok(cmd) if cmd.op == BlockOp::Write && c.write => self.on_write_cmd(cx, c, cmd),
-                Ok(cmd) if cmd.op == BlockOp::Read && c.read => self.on_read_cmd(cx, c, cmd),
-                Ok(cmd) if cmd.op == BlockOp::Flush && !self.is_clean() => {
-                    self.parked_syncs.push(Pdu::ScsiCommand(c));
+        match (dir, op.step, op.cmd) {
+            (Dir::ToTarget, Step::Command, Some(cmd)) => match cmd.op {
+                BlockOp::Write if cmd.sectors > 0 => self.on_write(cx, op),
+                BlockOp::Read => self.on_read_cmd(cx, op, cmd),
+                BlockOp::Flush if !self.is_clean() => {
+                    self.parked_syncs.push(op);
                     self.kick_flush(cx);
                 }
-                _ => cx.forward(Pdu::ScsiCommand(c)),
+                _ => cx.forward(op),
             },
-            (Dir::ToTarget, Pdu::DataOut(d)) => self.on_data_out(cx, d),
-            // The target's answer to a miss read (status retires it).
-            (Dir::ToInitiator, pdu) => match (self.cmds.observe(&pdu), pdu) {
-                (Step::ReadData(cmd, _), Pdu::DataIn(d)) => self.on_data_in(cx, d, cmd.lba),
-                (_, pdu) => cx.forward(pdu),
-            },
-            (_, other) => cx.forward(other),
+            (Dir::ToTarget, Step::WriteData(_), _) => self.on_write(cx, op),
+            // The target's answer to a miss read.
+            (Dir::ToInitiator, Step::ReadData(off), Some(cmd)) => {
+                self.on_read_data(cx, op, off, cmd.lba)
+            }
+            _ => cx.forward(op),
         }
     }
 
     fn on_replica_done(
         &mut self,
-        cx: &mut SvcCtx,
+        cx: &mut SvcCtx<Op>,
         _replica: usize,
         ctx: u64,
         ok: bool,
@@ -674,7 +660,7 @@ impl StorageService for WriteBackCacheService {
                     return;
                 }
                 // Commit durable: acknowledge, then install dirty sectors.
-                cx.reply(status_response(write.itt, ScsiStatus::Good));
+                cx.reply(Op::status(write.itt, ScsiStatus::Good));
                 self.apply_committed(cx, &write);
             }
             CTX_FLUSH => {
@@ -721,7 +707,7 @@ impl StorageService for WriteBackCacheService {
         }
     }
 
-    fn on_replica_failed(&mut self, cx: &mut SvcCtx, replica: usize) {
+    fn on_replica_failed(&mut self, cx: &mut SvcCtx<Op>, replica: usize) {
         if replica == JOURNAL && !self.journal_failed {
             self.journal_failed = true;
             cx.alert("cache: journal volume failed; degrading to write-through");
@@ -732,7 +718,7 @@ impl StorageService for WriteBackCacheService {
         }
     }
 
-    fn on_timer(&mut self, cx: &mut SvcCtx, _token: u64) {
+    fn on_timer(&mut self, cx: &mut SvcCtx<Op>, _token: u64) {
         self.timer_armed = false;
         self.kick_flush(cx);
         if self.dirty_count > 0 && !self.timer_armed {
@@ -850,22 +836,38 @@ mod tests {
     use super::*;
     use storm_block::MemDisk;
     use storm_core::service::{ReplicaIo, SvcAction};
-    use storm_iscsi::exchange::{data_in_final, data_out_train};
     use storm_sim::SimTime;
 
-    /// A write of `edtl` bytes carrying `data` as immediate data.
-    fn write_cmd(itt: u32, lba: u64, data: Vec<u8>, edtl: u32) -> Pdu {
-        let cmd = BlockCmd {
+    fn write(lba: u64, edtl: u32) -> BlockCmd {
+        BlockCmd {
             op: BlockOp::Write,
             lba,
             sectors: edtl / 512,
-        };
-        cmd.command(itt, 1, 1, Bytes::from(data))
+        }
     }
 
-    fn read_cmd(itt: u32, lba: u64, sectors: u32) -> Pdu {
+    /// A write of `edtl` bytes carrying `data` as immediate data.
+    fn write_cmd(itt: u32, lba: u64, data: Vec<u8>, edtl: u32) -> Op {
+        Op::command(itt, write(lba, edtl), Bytes::from(data))
+    }
+
+    fn read(lba: u64, sectors: u32) -> BlockCmd {
         let op = BlockOp::Read;
-        BlockCmd { op, lba, sectors }.command(itt, 1, 1, Bytes::new())
+        BlockCmd { op, lba, sectors }
+    }
+
+    fn read_cmd(itt: u32, lba: u64, sectors: u32) -> Op {
+        Op::command(itt, read(lba, sectors), Bytes::new())
+    }
+
+    /// Write data of `cmd` (tag 2): `payload[range]`, in 8 KiB pieces.
+    fn pieces(cmd: BlockCmd, payload: &Bytes, range: std::ops::Range<usize>) -> Vec<Op> {
+        let at = range.clone().step_by(8192);
+        at.map(|at| {
+            let data = payload.slice(at..(at + 8192).min(range.end));
+            Op::new(Step::WriteData(at as u32), Some(cmd), 2, data)
+        })
+        .collect()
     }
 
     /// A tiny relay stand-in: applies replica ops to MemDisks, loops
@@ -874,8 +876,8 @@ mod tests {
         svc: WriteBackCacheService,
         journal: MemDisk,
         primary: MemDisk,
-        replies: Vec<Pdu>,
-        forwards: Vec<Pdu>,
+        replies: Vec<Op>,
+        forwards: Vec<Op>,
         timers: u64,
         journal_ok: bool,
     }
@@ -893,7 +895,7 @@ mod tests {
             }
         }
 
-        fn drain(&mut self, mut cx: SvcCtx) {
+        fn drain(&mut self, mut cx: SvcCtx<Op>) {
             let mut pending = cx.take_actions();
             while !pending.is_empty() {
                 let mut next = SvcCtx::new(SimTime::ZERO);
@@ -942,9 +944,9 @@ mod tests {
             }
         }
 
-        fn pdu(&mut self, dir: Dir, pdu: Pdu) {
+        fn op(&mut self, dir: Dir, op: Op) {
             let mut cx = SvcCtx::new(SimTime::ZERO);
-            self.svc.on_pdu(&mut cx, dir, pdu);
+            self.svc.on_op(&mut cx, dir, op);
             self.drain(cx);
         }
 
@@ -957,14 +959,14 @@ mod tests {
         fn acked(&self, itt: u32) -> bool {
             self.replies
                 .iter()
-                .any(|p| matches!(p, Pdu::ScsiResponse(r) if r.itt == itt))
+                .any(|p| matches!(p.step, Step::Status(_)) && p.tag == itt)
         }
     }
 
     #[test]
     fn small_write_is_absorbed_journaled_and_acked() {
         let mut h = Harness::new(CacheConfig::default());
-        h.pdu(Dir::ToTarget, write_cmd(1, 10, vec![0xAB; 4096], 4096));
+        h.op(Dir::ToTarget, write_cmd(1, 10, vec![0xAB; 4096], 4096));
         assert!(h.acked(1), "write acked from the journal");
         assert!(h.forwards.is_empty(), "write never reaches the target");
         assert_eq!(h.svc.dirty_sectors(), 8);
@@ -980,70 +982,54 @@ mod tests {
     }
 
     #[test]
-    fn jumbo_write_is_solicited_with_r2ts() {
+    fn jumbo_write_is_solicited_in_bursts() {
         let mut h = Harness::new(CacheConfig::default());
-        let total = 128 * 1024usize;
+        let total = 448 * 1024usize;
         // 8 KiB immediate, rest to be solicited past the 64 KiB
         // unsolicited limit.
-        h.pdu(
+        h.op(
             Dir::ToTarget,
             write_cmd(2, 0, vec![1u8; 8192], total as u32),
         );
         assert!(!h.acked(2));
-        // Unsolicited Data-Out up to first_burst.
+        let cmd = write(0, total as u32);
         let payload = Bytes::from(vec![1u8; total]);
-        for pdu in data_out_train(2, 0xFFFF_FFFF, 1, &payload, 8192..64 * 1024, 8192) {
-            h.pdu(Dir::ToTarget, pdu);
-        }
-        let r2t = h
-            .replies
-            .iter()
-            .find_map(|p| match p {
-                Pdu::R2t(r) => Some(r.clone()),
-                _ => None,
-            })
-            .expect("cache solicits the tail");
-        assert_eq!(r2t.buffer_offset as usize, 64 * 1024);
-        assert_eq!(r2t.desired_length as usize, total - 64 * 1024);
-        // Solicited Data-Out completes the transfer.
-        for pdu in data_out_train(2, r2t.ttt, 1, &payload, 64 * 1024..total, 8192) {
-            h.pdu(Dir::ToTarget, pdu);
+        let wants = |h: &Harness| -> Vec<Step> {
+            let want = |p: &&Op| matches!(p.step, Step::WantData { .. });
+            h.replies.iter().filter(want).map(|p| p.step).collect()
+        };
+        // Unsolicited data up to first_burst, then each burst asked for:
+        // the next request comes only once the last one's data is in.
+        let bursts = [(8192, 64 << 10), (64 << 10, 320 << 10), (320 << 10, total)];
+        for (seq, (from, to)) in (0u32..).zip(bursts) {
+            let (offset, len) = (from as u32, (to - from) as u32);
+            if seq > 0 {
+                assert_eq!(wants(&h).last(), Some(&Step::WantData { offset, len, seq }));
+            }
+            for piece in pieces(cmd, &payload, from..to) {
+                assert_eq!(wants(&h).len(), seq as usize, "one request per burst");
+                h.op(Dir::ToTarget, piece);
+            }
         }
         assert!(h.acked(2), "write acked after full transfer");
         assert!(h.forwards.is_empty());
         assert_eq!(h.svc.stats.bytes_absorbed, total as u64);
     }
 
-    /// A bare tenant `edtl` used to size the staging buffer.
-    #[test]
-    fn write_whose_length_disagrees_with_its_cdb_is_forwarded_unstaged() {
-        let mut h = Harness::new(CacheConfig::default());
-        let Pdu::ScsiCommand(mut c) = write_cmd(1, 0, Vec::new(), 512) else {
-            unreachable!()
-        };
-        c.edtl = 0xFFFF_FE00;
-        h.pdu(Dir::ToTarget, Pdu::ScsiCommand(c.clone()));
-        assert!(matches!(&h.forwards[..], [Pdu::ScsiCommand(f)] if *f == c));
-        assert!(h.svc.cmds.is_empty() && h.replies.is_empty());
-    }
-
     #[test]
     fn read_hits_are_served_from_cache() {
         let mut h = Harness::new(CacheConfig::default());
-        h.pdu(Dir::ToTarget, write_cmd(1, 100, vec![0x5A; 4096], 4096));
-        h.pdu(Dir::ToTarget, read_cmd(2, 100, 8));
+        h.op(Dir::ToTarget, write_cmd(1, 100, vec![0x5A; 4096], 4096));
+        h.op(Dir::ToTarget, read_cmd(2, 100, 8));
         assert!(h.forwards.is_empty(), "hit must not reach the target");
-        let data: Vec<&DataIn> = h
-            .replies
-            .iter()
-            .filter_map(|p| match p {
-                Pdu::DataIn(d) if d.itt == 2 => Some(d),
-                _ => None,
-            })
-            .collect();
-        assert!(!data.is_empty());
-        assert!(data.last().unwrap().status_present);
-        assert!(data.iter().all(|d| d.data.iter().all(|b| *b == 0x5A)));
+        match &h.replies[..] {
+            [.., answer] => {
+                assert_eq!((answer.step, answer.tag), (Step::ReadData(0), 2));
+                assert_eq!(answer.data.len(), 4096);
+                assert!(answer.data.iter().all(|b| *b == 0x5A));
+            }
+            [] => panic!("no answer"),
+        }
         assert_eq!(h.svc.stats.read_hits, 1);
     }
 
@@ -1051,33 +1037,29 @@ mod tests {
     fn read_misses_forward_populate_and_patch_dirty() {
         let mut h = Harness::new(CacheConfig::default());
         // Sector 5 is dirty in cache with fresh bytes.
-        h.pdu(Dir::ToTarget, write_cmd(1, 5, vec![0xFF; 512], 512));
+        h.op(Dir::ToTarget, write_cmd(1, 5, vec![0xFF; 512], 512));
         // A read spanning 4..8 misses (4, 6, 7 uncached) and forwards.
-        h.pdu(Dir::ToTarget, read_cmd(2, 4, 4));
+        h.op(Dir::ToTarget, read_cmd(2, 4, 4));
         assert_eq!(h.svc.stats.read_misses, 1);
-        assert!(matches!(h.forwards.last(), Some(Pdu::ScsiCommand(c)) if c.itt == 2));
+        assert_eq!(h.forwards.last(), Some(&read_cmd(2, 4, 4)));
         // The target answers with stale bytes for sector 5.
-        h.pdu(
-            Dir::ToInitiator,
-            data_in_final(2, Bytes::from(vec![0x11; 4 * 512]), ScsiStatus::Good),
-        );
-        let out = match h.forwards.last() {
-            Some(Pdu::DataIn(d)) => d.clone(),
-            other => panic!("unexpected {other:?}"),
-        };
+        let stale = Bytes::from(vec![0x11; 4 * 512]);
+        let answer = Op::new(Step::ReadData(0), Some(read(4, 4)), 2, stale);
+        h.op(Dir::ToInitiator, answer);
+        let out = h.forwards.last().expect("answer forwarded").clone();
         // Sector 5 (second sector of the read) carries the dirty bytes.
         assert!(out.data[512..1024].iter().all(|b| *b == 0xFF));
         assert!(out.data[..512].iter().all(|b| *b == 0x11));
         assert_eq!(h.svc.stats.dirty_patches, 1);
         // Sectors 4, 6, 7 were populated: the same read now hits.
-        h.pdu(Dir::ToTarget, read_cmd(3, 4, 4));
+        h.op(Dir::ToTarget, read_cmd(3, 4, 4));
         assert_eq!(h.svc.stats.read_hits, 1);
     }
 
     #[test]
     fn timer_flush_cleans_and_checkpoints() {
         let mut h = Harness::new(CacheConfig::default());
-        h.pdu(Dir::ToTarget, write_cmd(1, 0, vec![0xCD; 8192], 8192));
+        h.op(Dir::ToTarget, write_cmd(1, 0, vec![0xCD; 8192], 8192));
         assert_eq!(h.svc.dirty_sectors(), 16);
         assert!(h.timers >= 1, "flush timer armed");
         h.fire_timer();
@@ -1103,13 +1085,13 @@ mod tests {
             ..CacheConfig::default()
         };
         let mut h = Harness::new(cfg);
-        h.pdu(Dir::ToTarget, write_cmd(1, 0, vec![1u8; 4096], 4096));
+        h.op(Dir::ToTarget, write_cmd(1, 0, vec![1u8; 4096], 4096));
         assert!(h.acked(1));
         // Second write does not fit: parked (unacked until the kicked
         // flush drains the cache and the journal resets). The harness
         // completes replica I/O synchronously, so the whole
         // park -> flush -> checkpoint -> journal -> ack chain runs here.
-        h.pdu(Dir::ToTarget, write_cmd(2, 8, vec![2u8; 4096], 4096));
+        h.op(Dir::ToTarget, write_cmd(2, 8, vec![2u8; 4096], 4096));
         assert_eq!(h.svc.stats.journal_parks, 1);
         assert!(h.acked(2), "parked write acked after journal reset");
         assert_eq!(h.svc.stats.journal_commits, 2);
@@ -1118,20 +1100,19 @@ mod tests {
     #[test]
     fn synchronize_cache_waits_for_clean() {
         let mut h = Harness::new(CacheConfig::default());
-        h.pdu(Dir::ToTarget, write_cmd(1, 0, vec![7u8; 4096], 4096));
-        let sync = BlockCmd {
+        h.op(Dir::ToTarget, write_cmd(1, 0, vec![7u8; 4096], 4096));
+        let flush = BlockCmd {
             op: BlockOp::Flush,
             lba: 0,
             sectors: 0,
-        }
-        .command(9, 2, 1, Bytes::new());
-        h.pdu(Dir::ToTarget, sync);
+        };
+        h.op(Dir::ToTarget, Op::command(9, flush, Bytes::new()));
         // The sync is parked; the kicked flush cleans the cache and the
         // checkpoint releases it to the target.
         assert!(
             h.forwards
                 .iter()
-                .any(|p| matches!(p, Pdu::ScsiCommand(c) if c.itt == 9)),
+                .any(|p| p.step == Step::Command && p.tag == 9),
             "sync released after flush: {:?}",
             h.forwards
         );
@@ -1142,16 +1123,16 @@ mod tests {
     fn journal_failure_degrades_to_write_through() {
         let mut h = Harness::new(CacheConfig::default());
         h.journal_ok = false;
-        h.pdu(Dir::ToTarget, write_cmd(1, 0, vec![3u8; 4096], 4096));
+        h.op(Dir::ToTarget, write_cmd(1, 0, vec![3u8; 4096], 4096));
         // No self-ack: the rebuilt write is forwarded to the target,
         // which will ack it.
         assert!(!h.acked(1));
-        assert!(
-            matches!(h.forwards.last(), Some(Pdu::ScsiCommand(c)) if c.itt == 1 && c.data.len() == 4096)
-        );
+        let through = h.forwards.last().expect("forwarded");
+        assert_eq!((through.step, through.tag), (Step::Command, 1));
+        assert_eq!(through.data.len(), 4096);
         assert_eq!(h.svc.stats.write_through, 1);
         // Subsequent writes keep flowing through.
-        h.pdu(Dir::ToTarget, write_cmd(2, 8, vec![4u8; 512], 512));
+        h.op(Dir::ToTarget, write_cmd(2, 8, vec![4u8; 512], 512));
         assert_eq!(h.svc.stats.write_through, 2);
     }
 
@@ -1163,11 +1144,11 @@ mod tests {
         };
         let mut h = Harness::new(cfg);
         // 8 dirty sectors fill the cache.
-        h.pdu(Dir::ToTarget, write_cmd(1, 0, vec![1u8; 4096], 4096));
+        h.op(Dir::ToTarget, write_cmd(1, 0, vec![1u8; 4096], 4096));
         // Flush them clean.
         h.fire_timer();
         // 8 more dirty sectors: the clean ones are evicted.
-        h.pdu(Dir::ToTarget, write_cmd(2, 100, vec![2u8; 4096], 4096));
+        h.op(Dir::ToTarget, write_cmd(2, 100, vec![2u8; 4096], 4096));
         assert_eq!(h.svc.cached_sectors(), 8);
         assert!(h.svc.stats.evictions >= 8);
         assert_eq!(h.svc.dirty_sectors(), 8);
@@ -1176,8 +1157,8 @@ mod tests {
     #[test]
     fn recovery_skips_torn_tail_but_replays_committed_prefix() {
         let mut h = Harness::new(CacheConfig::default());
-        h.pdu(Dir::ToTarget, write_cmd(1, 0, vec![0xA1; 512], 512));
-        h.pdu(Dir::ToTarget, write_cmd(2, 1, vec![0xB2; 512], 512));
+        h.op(Dir::ToTarget, write_cmd(1, 0, vec![0xA1; 512], 512));
+        h.op(Dir::ToTarget, write_cmd(2, 1, vec![0xB2; 512], 512));
         assert!(h.acked(1) && h.acked(2));
         // Corrupt the second entry's commit record: a torn append.
         // Each entry is header + payload + commit, one sector apiece:
@@ -1199,8 +1180,8 @@ mod tests {
     #[test]
     fn recovery_applies_overwrites_in_append_order() {
         let mut h = Harness::new(CacheConfig::default());
-        h.pdu(Dir::ToTarget, write_cmd(1, 0, vec![0x01; 512], 512));
-        h.pdu(Dir::ToTarget, write_cmd(2, 0, vec![0x02; 512], 512));
+        h.op(Dir::ToTarget, write_cmd(1, 0, vec![0x01; 512], 512));
+        h.op(Dir::ToTarget, write_cmd(2, 0, vec![0x02; 512], 512));
         let mut backing = MemDisk::with_capacity_bytes(1 << 20);
         let report = recover_journal(&mut h.journal, &mut backing).unwrap();
         assert_eq!(report.applied_entries, 2);
@@ -1212,11 +1193,11 @@ mod tests {
     #[test]
     fn disarmed_cache_forwards_everything_verbatim() {
         let mut svc = WriteBackCacheService::disarmed(CacheConfig::default());
-        let pdu = write_cmd(1, 0, vec![9u8; 4096], 4096);
+        let op = write_cmd(1, 0, vec![9u8; 4096], 4096);
         let mut cx = SvcCtx::new(SimTime::ZERO);
-        svc.on_pdu(&mut cx, Dir::ToTarget, pdu.clone());
+        svc.on_op(&mut cx, Dir::ToTarget, op.clone());
         let acts = cx.take_actions();
-        assert!(matches!(&acts[..], [SvcAction::Forward(p)] if *p == pdu));
+        assert!(matches!(&acts[..], [SvcAction::Forward(p)] if *p == op));
         assert_eq!(svc.stats, CacheStats::default());
     }
 }

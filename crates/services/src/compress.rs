@@ -25,8 +25,8 @@
 
 use bytes::Bytes;
 
-use storm_core::{Dir, StorageService, SvcCtx};
-use storm_iscsi::Pdu;
+use storm_core::{Dir, Op, StorageService, SvcCtx};
+use storm_iscsi::exchange::{BlockOp, Step};
 use storm_sim::SimDuration;
 
 use crate::lz::{fnv32, lz_compress, lz_decompress, put_field, ENCODER_OVERRUN};
@@ -84,7 +84,7 @@ impl CompressService {
         }
     }
 
-    /// Installs the service disabled: PDUs pass through untouched until
+    /// Installs the service disabled: ops pass through untouched until
     /// [`CompressService::arm`].
     pub fn disarmed(extent: usize) -> Self {
         let mut s = Self::new(extent);
@@ -215,35 +215,27 @@ impl StorageService for CompressService {
         "compress"
     }
 
-    fn on_pdu(&mut self, cx: &mut SvcCtx, dir: Dir, pdu: Pdu) {
-        if !self.armed {
-            cx.forward(pdu);
-            return;
+    fn on_op(&mut self, cx: &mut SvcCtx<Op>, dir: Dir, mut op: Op) {
+        let transformed = match (dir, op.step) {
+            _ if !self.armed || op.data.is_empty() => None,
+            (Dir::ToTarget, Step::Command) if op.cmd.is_some_and(|c| c.op == BlockOp::Write) => {
+                cx.charge(PER_BYTE * op.data.len() as u64);
+                self.encode_payload(0, &op.data)
+            }
+            (Dir::ToTarget, Step::WriteData(at)) => {
+                cx.charge(PER_BYTE * op.data.len() as u64);
+                self.encode_payload(at as usize, &op.data)
+            }
+            (Dir::ToInitiator, Step::ReadData(at)) => {
+                cx.charge(PER_BYTE * op.data.len() as u64);
+                self.decode_payload(at as usize, &op.data)
+            }
+            _ => None,
+        };
+        if let Some(data) = transformed {
+            op.data = data;
         }
-        match (dir, pdu) {
-            (Dir::ToTarget, Pdu::ScsiCommand(mut c)) if c.write && !c.data.is_empty() => {
-                cx.charge(PER_BYTE * c.data.len() as u64);
-                if let Some(framed) = self.encode_payload(0, &c.data) {
-                    c.data = framed;
-                }
-                cx.forward(Pdu::ScsiCommand(c));
-            }
-            (Dir::ToTarget, Pdu::DataOut(mut d)) => {
-                cx.charge(PER_BYTE * d.data.len() as u64);
-                if let Some(framed) = self.encode_payload(d.buffer_offset as usize, &d.data) {
-                    d.data = framed;
-                }
-                cx.forward(Pdu::DataOut(d));
-            }
-            (Dir::ToInitiator, Pdu::DataIn(mut d)) => {
-                cx.charge(PER_BYTE * d.data.len() as u64);
-                if let Some(plain) = self.decode_payload(d.buffer_offset as usize, &d.data) {
-                    d.data = plain;
-                }
-                cx.forward(Pdu::DataIn(d));
-            }
-            (_, other) => cx.forward(other),
-        }
+        cx.forward(op);
     }
 }
 
@@ -262,7 +254,6 @@ mod tests {
     use super::*;
     use crate::lz::tests::{compress_vec, decompress_vec, word_text};
     use storm_core::service::SvcAction;
-    use storm_iscsi::{DataIn, DataOut, ScsiStatus};
     use storm_sim::{SimRng, SimTime};
 
     fn compressible(len: usize) -> Vec<u8> {
@@ -293,9 +284,9 @@ mod tests {
         assert!(compress_vec(&incompressible(4096), 4096 - HEADER - 1).is_none());
     }
 
-    fn run(svc: &mut CompressService, dir: Dir, pdu: Pdu) -> Pdu {
+    fn run(svc: &mut CompressService, dir: Dir, op: Op) -> Op {
         let mut cx = SvcCtx::new(SimTime::ZERO);
-        svc.on_pdu(&mut cx, dir, pdu);
+        svc.on_op(&mut cx, dir, op);
         let fwd = cx.take_actions().into_iter().find_map(|a| match a {
             SvcAction::Forward(p) => Some(p),
             _ => None,
@@ -303,54 +294,26 @@ mod tests {
         fwd.expect("forwarded")
     }
 
-    fn data_out(offset: u32, data: Vec<u8>) -> Pdu {
-        Pdu::DataOut(DataOut {
-            final_pdu: true,
-            lun: 0,
-            itt: 1,
-            ttt: 0xFFFF_FFFF,
-            exp_stat_sn: 0,
-            data_sn: 0,
-            buffer_offset: offset,
-            data: Bytes::from(data),
-        })
+    /// Write data at `offset`; compression needs no command.
+    fn data_out(offset: u32, data: Vec<u8>) -> Op {
+        Op::new(Step::WriteData(offset), None, 1, Bytes::from(data))
     }
 
-    fn data_in(offset: u32, data: Bytes) -> Pdu {
-        Pdu::DataIn(DataIn {
-            final_pdu: true,
-            status_present: true,
-            status: ScsiStatus::Good,
-            lun: 0,
-            itt: 1,
-            ttt: 0xFFFF_FFFF,
-            stat_sn: 0,
-            exp_cmd_sn: 0,
-            max_cmd_sn: 0,
-            data_sn: 0,
-            buffer_offset: offset,
-            residual: 0,
-            data,
-        })
+    fn data_in(offset: u32, data: Bytes) -> Op {
+        Op::new(Step::ReadData(offset), None, 1, data)
     }
 
     #[test]
     fn write_read_roundtrip_through_frames() {
         let mut svc = CompressService::new(4096);
         let plain = compressible(8192);
-        let framed = match run(&mut svc, Dir::ToTarget, data_out(0, plain.clone())) {
-            Pdu::DataOut(d) => d.data,
-            other => panic!("unexpected {other:?}"),
-        };
+        let framed = run(&mut svc, Dir::ToTarget, data_out(0, plain.clone())).data;
         assert_eq!(framed.len(), plain.len(), "frames keep the stored size");
         assert_ne!(&framed[..], &plain[..]);
         assert_eq!(svc.stats.compressed_extents, 2);
         assert!(svc.stats.reduction_ratio() > 1.5, "{:?}", svc.stats);
         // Read path: the framed bytes come back from the target.
-        let decoded = match run(&mut svc, Dir::ToInitiator, data_in(0, framed)) {
-            Pdu::DataIn(d) => d.data,
-            other => panic!("unexpected {other:?}"),
-        };
+        let decoded = run(&mut svc, Dir::ToInitiator, data_in(0, framed)).data;
         assert_eq!(&decoded[..], &plain[..]);
         assert_eq!(svc.stats.decompressed_extents, 2);
     }
@@ -361,10 +324,7 @@ mod tests {
     fn frame_of_a_fixed_text_extent_is_pinned() {
         let mut svc = CompressService::new(4096);
         let plain = word_text(&mut SimRng::seed_from_u64(0x601D), 4096);
-        let framed = match run(&mut svc, Dir::ToTarget, data_out(0, plain)) {
-            Pdu::DataOut(d) => d.data,
-            other => panic!("unexpected {other:?}"),
-        };
+        let framed = run(&mut svc, Dir::ToTarget, data_out(0, plain)).data;
         assert_eq!(framed.len(), 4096);
         assert_eq!(
             (svc.stats.stored_bytes, fnv32(&framed)),
@@ -376,18 +336,12 @@ mod tests {
     fn incompressible_extents_pass_raw_and_decode_raw() {
         let mut svc = CompressService::new(4096);
         let noise = incompressible(4096);
-        let stored = match run(&mut svc, Dir::ToTarget, data_out(0, noise.clone())) {
-            Pdu::DataOut(d) => d.data,
-            other => panic!("unexpected {other:?}"),
-        };
+        let stored = run(&mut svc, Dir::ToTarget, data_out(0, noise.clone())).data;
         assert_eq!(&stored[..], &noise[..], "skipped extent stored verbatim");
         assert_eq!(svc.stats.skipped_extents, 1);
         // Raw bytes fail frame validation and pass through unchanged —
         // and without a framed sibling the original Bytes is forwarded.
-        let back = match run(&mut svc, Dir::ToInitiator, data_in(0, stored.clone())) {
-            Pdu::DataIn(d) => d.data,
-            other => panic!("unexpected {other:?}"),
-        };
+        let back = run(&mut svc, Dir::ToInitiator, data_in(0, stored.clone())).data;
         assert_eq!(&back[..], &noise[..]);
         assert_eq!(svc.stats.decompressed_extents, 0);
     }
@@ -396,10 +350,7 @@ mod tests {
     fn mixed_raw_framed_and_undecodable_extents_reassemble() {
         let mut svc = CompressService::new(4096);
         let plain = compressible(4096);
-        let framed = match run(&mut svc, Dir::ToTarget, data_out(0, plain.clone())) {
-            Pdu::DataOut(d) => d.data,
-            other => panic!("unexpected {other:?}"),
-        };
+        let framed = run(&mut svc, Dir::ToTarget, data_out(0, plain.clone())).data;
         // A well-formed header over a stream that does not decode (a match
         // with nothing before it): handed back as stored.
         let mut undecodable = incompressible(4096);
@@ -413,10 +364,7 @@ mod tests {
         let noise = incompressible(4096);
         let stored = [&noise[..], &framed, &undecodable, &noise, &framed, &noise].concat();
         let expect = [&noise[..], &plain, &undecodable, &noise, &plain, &noise].concat();
-        let back = match run(&mut svc, Dir::ToInitiator, data_in(0, Bytes::from(stored))) {
-            Pdu::DataIn(d) => d.data,
-            other => panic!("unexpected {other:?}"),
-        };
+        let back = run(&mut svc, Dir::ToInitiator, data_in(0, Bytes::from(stored))).data;
         assert_eq!(&back[..], &expect[..]);
         assert_eq!(svc.stats.decompressed_extents, 2);
     }
@@ -425,25 +373,19 @@ mod tests {
     fn unaligned_payloads_are_left_alone() {
         let mut svc = CompressService::new(4096);
         let plain = compressible(512);
-        let out = match run(&mut svc, Dir::ToTarget, data_out(0, plain.clone())) {
-            Pdu::DataOut(d) => d.data,
-            other => panic!("unexpected {other:?}"),
-        };
+        let out = run(&mut svc, Dir::ToTarget, data_out(0, plain.clone())).data;
         assert_eq!(&out[..], &plain[..]);
-        let out = match run(&mut svc, Dir::ToTarget, data_out(1024, compressible(4096))) {
-            Pdu::DataOut(d) => d.data,
-            other => panic!("unexpected {other:?}"),
-        };
+        let out = run(&mut svc, Dir::ToTarget, data_out(1024, compressible(4096))).data;
         assert_eq!(out.len(), 4096);
         assert_eq!(svc.stats.compressed_extents, 0);
     }
 
     #[test]
-    fn disarmed_service_forwards_the_same_pdu_value() {
+    fn disarmed_service_forwards_the_same_op() {
         let mut svc = CompressService::disarmed(4096);
-        let pdu = data_out(0, compressible(4096));
-        let out = run(&mut svc, Dir::ToTarget, pdu.clone());
-        assert_eq!(out, pdu);
+        let op = data_out(0, compressible(4096));
+        let out = run(&mut svc, Dir::ToTarget, op.clone());
+        assert_eq!(out, op);
         assert_eq!(svc.stats, CompressStats::default());
     }
 }

@@ -4,7 +4,7 @@
 //! (content-defined boundaries, so an insertion early in a stream does
 //! not reshuffle every later chunk), fingerprints each chunk and keeps a
 //! fingerprint → chunk index. Writes are *inspected, never modified* —
-//! the same PDU value is forwarded, so the relay's verbatim zero-copy
+//! the received op is forwarded, so the relay's verbatim zero-copy
 //! fast path survives even with dedup armed. What the index buys is the
 //! data-reduction ledger (`logical_bytes` / `unique_bytes`, the ratio a
 //! thin backing store would see) and the CPU cost model: chunking and
@@ -20,8 +20,8 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 
-use storm_core::{Dir, StorageService, SvcCtx};
-use storm_iscsi::Pdu;
+use storm_core::{Dir, Op, StorageService, SvcCtx};
+use storm_iscsi::exchange::{BlockOp, Step};
 use storm_sim::{SimDuration, SimRng};
 
 /// CPU cost per byte chunked and fingerprinted: ~1 GB/s on one core.
@@ -94,7 +94,7 @@ impl DedupService {
         }
     }
 
-    /// Installs the service disabled: PDUs pass through uninspected and
+    /// Installs the service disabled: ops pass through uninspected and
     /// uncharged until [`DedupService::arm`].
     pub fn disarmed(seed: u64, boundary_bits: u32) -> Self {
         let mut s = Self::new(seed, boundary_bits);
@@ -164,7 +164,7 @@ impl DedupService {
     }
 
     /// Chunks and indexes one write payload.
-    fn ingest(&mut self, cx: &mut SvcCtx, data: &Bytes) {
+    fn ingest(&mut self, cx: &mut SvcCtx<Op>, data: &Bytes) {
         if data.is_empty() {
             return;
         }
@@ -201,17 +201,17 @@ impl StorageService for DedupService {
         "dedup"
     }
 
-    fn on_pdu(&mut self, cx: &mut SvcCtx, dir: Dir, pdu: Pdu) {
+    fn on_op(&mut self, cx: &mut SvcCtx<Op>, dir: Dir, op: Op) {
         if self.armed && dir == Dir::ToTarget {
-            match &pdu {
-                Pdu::ScsiCommand(c) if c.write => self.ingest(cx, &c.data),
-                Pdu::DataOut(d) => self.ingest(cx, &d.data),
+            match (op.step, op.cmd) {
+                (Step::Command, Some(cmd)) if cmd.op == BlockOp::Write => self.ingest(cx, &op.data),
+                (Step::WriteData(_), _) => self.ingest(cx, &op.data),
                 _ => {}
             }
         }
-        // Inspection only: the received PDU value is forwarded untouched,
+        // Inspection only: the received op is forwarded untouched,
         // preserving the relay's verbatim zero-copy fast path.
-        cx.forward(pdu);
+        cx.forward(op);
     }
 }
 
@@ -229,21 +229,21 @@ impl std::fmt::Debug for DedupService {
 mod tests {
     use super::*;
     use storm_core::service::SvcAction;
-    use storm_iscsi::exchange::{BlockCmd, BlockOp};
+    use storm_iscsi::exchange::BlockCmd;
     use storm_sim::SimTime;
 
-    fn write_pdu(itt: u32, data: Vec<u8>) -> Pdu {
+    fn write_op(itt: u32, data: Vec<u8>) -> Op {
         let cmd = BlockCmd {
             op: BlockOp::Write,
             lba: 0,
             sectors: (data.len() / 512) as u32,
         };
-        cmd.command(itt, 1, 1, Bytes::from(data))
+        Op::command(itt, cmd, Bytes::from(data))
     }
 
-    fn run(svc: &mut DedupService, pdu: Pdu) -> Vec<SvcAction> {
+    fn run(svc: &mut DedupService, op: Op) -> Vec<SvcAction<Op>> {
         let mut cx = SvcCtx::new(SimTime::ZERO);
-        svc.on_pdu(&mut cx, Dir::ToTarget, pdu);
+        svc.on_op(&mut cx, Dir::ToTarget, op);
         cx.take_actions()
     }
 
@@ -360,17 +360,17 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_writes_dedup_and_forward_same_pdu() {
+    fn duplicate_writes_dedup_and_forward_the_same_op() {
         let mut svc = DedupService::new(1, 10);
         let mut block = vec![0u8; 8192];
         SimRng::seed_from_u64(77).fill(&mut block);
         for itt in 0..4 {
-            let pdu = write_pdu(itt, block.clone());
-            let acts = run(&mut svc, pdu.clone());
-            // The identical PDU value is forwarded (plus a CPU charge).
+            let op = write_op(itt, block.clone());
+            let acts = run(&mut svc, op.clone());
+            // The identical op is forwarded (plus a CPU charge).
             assert!(
                 acts.iter()
-                    .any(|a| matches!(a, SvcAction::Forward(p) if *p == pdu)),
+                    .any(|a| matches!(a, SvcAction::Forward(p) if *p == op)),
                 "write must be forwarded untouched"
             );
         }
@@ -388,7 +388,7 @@ mod tests {
         for itt in 0..4 {
             let mut block = vec![0u8; 8192];
             rng.fill(&mut block);
-            run(&mut svc, write_pdu(itt, block));
+            run(&mut svc, write_op(itt, block));
         }
         assert!(svc.stats.reduction_ratio() < 1.05);
     }
@@ -399,12 +399,12 @@ mod tests {
         // most chunk fingerprints (a fixed-size chunker would shift all).
         let mut base = DedupService::new(5, 9);
         let data = patterned(128 * 1024, 1);
-        run(&mut base, write_pdu(1, data.clone()));
+        run(&mut base, write_op(1, data.clone()));
         let unique_before = base.stats.unique_bytes;
         let mut shifted = Vec::with_capacity(data.len() + 64);
         shifted.extend_from_slice(&[0xEEu8; 64]);
         shifted.extend_from_slice(&data);
-        run(&mut base, write_pdu(2, shifted));
+        run(&mut base, write_op(2, shifted));
         // Far less than half the bytes re-indexed as new.
         let added = base.stats.unique_bytes - unique_before;
         assert!(
@@ -416,12 +416,12 @@ mod tests {
     #[test]
     fn disarmed_service_charges_and_indexes_nothing() {
         let mut svc = DedupService::disarmed(1, 10);
-        let pdu = write_pdu(1, patterned(4096, 2));
-        let acts = run(&mut svc, pdu.clone());
-        assert!(matches!(&acts[..], [SvcAction::Forward(p)] if *p == pdu));
+        let op = write_op(1, patterned(4096, 2));
+        let acts = run(&mut svc, op.clone());
+        assert!(matches!(&acts[..], [SvcAction::Forward(p)] if *p == op));
         assert_eq!(svc.stats, DedupStats::default());
         svc.arm(true);
-        run(&mut svc, write_pdu(2, patterned(4096, 2)));
+        run(&mut svc, write_op(2, patterned(4096, 2)));
         assert!(svc.stats.chunks > 0);
     }
 }

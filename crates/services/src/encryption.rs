@@ -22,10 +22,10 @@ use std::collections::BTreeSet;
 
 use bytes::BytesMut;
 
-use storm_core::{Dir, StorageService, SvcCtx};
+use storm_core::{Dir, Op, StorageService, SvcCtx};
 use storm_crypto::{AesXts, ChaCha20};
-use storm_iscsi::exchange::{status_response, Exchange};
-use storm_iscsi::{Pdu, ScsiStatus};
+use storm_iscsi::exchange::Step;
+use storm_iscsi::ScsiStatus;
 use storm_sim::SimDuration;
 
 /// The tenant-selected cipher.
@@ -65,7 +65,6 @@ impl CipherKind {
 pub struct EncryptionService {
     cipher: CipherKind,
     per_byte: SimDuration,
-    cmds: Exchange,
     /// Tags of writes refused for unaligned data; their later Data-Out is
     /// dropped until the tag is reused or its status passes.
     refused: BTreeSet<u32>,
@@ -92,7 +91,6 @@ impl EncryptionService {
             cipher,
             // ~1.5 GB/s single-core cipher throughput.
             per_byte: SimDuration::from_nanos(1),
-            cmds: Exchange::default(),
             refused: BTreeSet::new(),
             bytes_encrypted: 0,
             bytes_decrypted: 0,
@@ -115,30 +113,29 @@ impl StorageService for EncryptionService {
         "encryption"
     }
 
-    fn on_pdu(&mut self, cx: &mut SvcCtx, dir: Dir, mut pdu: Pdu) {
-        // Where the PDU's data segment sits on the volume, if it carries
-        // block data of an open command (immediate data, Data-Out, Data-In).
-        let at = self.cmds.observe(&pdu).volume_offset();
-        let itt = pdu.itt();
+    fn on_op(&mut self, cx: &mut SvcCtx<Op>, dir: Dir, mut op: Op) {
+        let itt = op.tag;
         // A refused write's remaining data stops here, until a new command
         // takes the tag or a status for it passes.
-        match &pdu {
-            Pdu::ScsiCommand(_) | Pdu::ScsiResponse(_) => {
+        match op.step {
+            Step::Command | Step::Status(_) => {
                 self.refused.remove(&itt);
             }
-            Pdu::DataOut(_) if self.refused.contains(&itt) => return,
+            Step::WriteData(_) if self.refused.contains(&itt) => return,
             _ => {}
         }
-        let data = match (&mut pdu, dir) {
-            (Pdu::ScsiCommand(c), Dir::ToTarget) => Some(&mut c.data),
-            (Pdu::DataOut(d), Dir::ToTarget) => Some(&mut d.data),
-            (Pdu::DataIn(d), Dir::ToInitiator) => Some(&mut d.data),
+        // Where the op's data sits on the volume, if it is block data of
+        // a known command travelling the way its step does.
+        let encrypt = dir == Dir::ToTarget;
+        let at = match (op.step, encrypt) {
+            (Step::Command | Step::WriteData(_), true) | (Step::ReadData(_), false) => {
+                op.step.volume_offset(op.cmd)
+            }
             _ => None,
         };
-        if let (Some(at), Some(data)) = (at, data.filter(|d| !d.is_empty())) {
-            let encrypt = dir == Dir::ToTarget;
+        if let (Some(at), false) = (at, op.data.is_empty()) {
             // The transform's output needs storage of its own.
-            let mut buf = BytesMut::from(&data[..]);
+            let mut buf = BytesMut::from(&op.data[..]);
             if self.cipher.apply(encrypt, at, &mut buf) {
                 cx.charge(self.per_byte * buf.len() as u64);
                 if encrypt {
@@ -146,7 +143,7 @@ impl StorageService for EncryptionService {
                 } else {
                     self.bytes_decrypted += buf.len() as u64;
                 }
-                *data = buf.freeze();
+                op.data = buf.freeze();
             } else {
                 let what = if encrypt {
                     "refused"
@@ -160,17 +157,15 @@ impl StorageService for EncryptionService {
                 ));
                 if encrypt {
                     // Fail closed: plaintext never goes on. The initiator
-                    // is told its write failed, and the tag is retired here
-                    // because the target may never answer for it.
-                    let status = status_response(itt, ScsiStatus::CheckCondition);
-                    self.cmds.observe(&status);
+                    // is told its write failed (which retires the tag at
+                    // the relay, as the target may never answer for it).
                     self.refused.insert(itt);
-                    cx.reply(status);
+                    cx.reply(Op::status(itt, ScsiStatus::CheckCondition));
                     return;
                 }
             }
         }
-        cx.forward(pdu);
+        cx.forward(op);
     }
 
     fn per_byte_cost(&self) -> SimDuration {
@@ -204,32 +199,47 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use storm_core::service::SvcAction;
-    use storm_iscsi::exchange::{
-        data_in_final, data_out_train, status_response, BlockCmd, BlockOp,
-    };
-    use storm_iscsi::ScsiStatus;
+    use storm_iscsi::exchange::{BlockCmd, BlockOp};
     use storm_sim::SimTime;
 
     fn svc() -> EncryptionService {
         EncryptionService::aes_xts(&[0x42; 64])
     }
 
-    /// A command of `sectors` sectors carrying `imm` as immediate data.
-    fn cmd(op: BlockOp, itt: u32, lba: u64, sectors: u32, imm: Bytes) -> Pdu {
-        BlockCmd { op, lba, sectors }.command(itt, 1, 1, imm)
+    fn block(op: BlockOp, lba: u64, sectors: u32) -> BlockCmd {
+        BlockCmd { op, lba, sectors }
     }
 
-    /// What one PDU made the service do, by kind.
+    /// A command of `sectors` sectors carrying `imm` as immediate data.
+    fn cmd(op: BlockOp, itt: u32, lba: u64, sectors: u32, imm: Bytes) -> Op {
+        Op::command(itt, block(op, lba, sectors), imm)
+    }
+
+    /// Data of the six-sector write `itt` at LBA 100 (or 200 for tag 8),
+    /// carrying `range` of a 3 KiB payload.
+    fn data_out(itt: u32, range: std::ops::Range<usize>) -> Op {
+        let lba = if itt == 8 { 200 } else { 100 };
+        let whole = Bytes::from(vec![0xABu8; 3072]);
+        let step = Step::WriteData(range.start as u32);
+        let write = block(BlockOp::Write, lba, 6);
+        Op::new(step, Some(write), itt, whole.slice(range))
+    }
+
+    fn read_data(itt: u32, cmd: BlockCmd, data: Bytes) -> Op {
+        Op::new(Step::ReadData(0), Some(cmd), itt, data)
+    }
+
+    /// What one op made the service do, by kind.
     #[derive(Default)]
     struct Outcome {
-        forwarded: Vec<Pdu>,
-        replies: Vec<Pdu>,
+        forwarded: Vec<Op>,
+        replies: Vec<Op>,
         alerts: usize,
     }
 
-    fn outcome(svc: &mut EncryptionService, dir: Dir, pdu: Pdu) -> Outcome {
+    fn outcome(svc: &mut EncryptionService, dir: Dir, op: Op) -> Outcome {
         let mut cx = SvcCtx::new(SimTime::ZERO);
-        svc.on_pdu(&mut cx, dir, pdu);
+        svc.on_op(&mut cx, dir, op);
         let mut out = Outcome::default();
         for action in cx.take_actions() {
             match action {
@@ -242,9 +252,9 @@ mod tests {
         out
     }
 
-    /// The PDU the service forwarded.
-    fn run(svc: &mut EncryptionService, dir: Dir, pdu: Pdu) -> Pdu {
-        outcome(svc, dir, pdu).forwarded.pop().expect("forwarded")
+    /// The op the service forwarded.
+    fn run(svc: &mut EncryptionService, dir: Dir, op: Op) -> Op {
+        outcome(svc, dir, op).forwarded.pop().expect("forwarded")
     }
 
     #[test]
@@ -253,46 +263,14 @@ mod tests {
         let plain = Bytes::from(vec![0x11u8; 4096]);
         // Write path: immediate data is encrypted.
         let write = cmd(BlockOp::Write, 1, 64, 8, plain.clone());
-        let out = run(&mut enc, Dir::ToTarget, write);
-        let stored = match &out {
-            Pdu::ScsiCommand(c) => c.data.clone(),
-            other => panic!("unexpected {other:?}"),
-        };
+        let stored = run(&mut enc, Dir::ToTarget, write).data;
         assert_ne!(stored, plain, "ciphertext must differ");
-        // Read path: a Data-In carrying the ciphertext decrypts back.
-        let _ = run(&mut enc, Dir::ToInitiator, status_of(1));
+        // Read path: read data carrying the ciphertext decrypts back.
         let read = cmd(BlockOp::Read, 2, 64, 8, Bytes::new());
         assert_eq!(run(&mut enc, Dir::ToTarget, read.clone()), read);
-        let din = data_in_final(2, stored, ScsiStatus::Good);
-        let back = run(&mut enc, Dir::ToInitiator, din);
-        match back {
-            Pdu::DataIn(d) => assert_eq!(d.data, plain),
-            other => panic!("unexpected {other:?}"),
-        }
-        let (e, d) = enc.counters();
-        assert_eq!((e, d), (4096, 4096));
-        // Status retired the write, status on the final Data-In the read.
-        assert!(enc.cmds.is_empty(), "{} commands leaked", enc.cmds.len());
-    }
-
-    fn status_of(itt: u32) -> Pdu {
-        status_response(itt, ScsiStatus::Good)
-    }
-
-    /// A successful read ends with status collapsed into its final
-    /// Data-In — no SCSI Response follows — and must still be retired.
-    #[test]
-    fn successful_read_leaves_no_table_entry() {
-        let mut enc = svc();
-        let _ = run(
-            &mut enc,
-            Dir::ToTarget,
-            cmd(BlockOp::Read, 5, 0, 1, Bytes::new()),
-        );
-        assert_eq!(enc.cmds.len(), 1);
-        let din = data_in_final(5, Bytes::from(vec![0u8; 512]), ScsiStatus::Good);
-        let _ = run(&mut enc, Dir::ToInitiator, din);
-        assert_eq!(enc.cmds.len(), 0);
+        let din = read_data(2, block(BlockOp::Read, 64, 8), stored);
+        assert_eq!(run(&mut enc, Dir::ToInitiator, din).data, plain);
+        assert_eq!(enc.counters(), (4096, 4096));
     }
 
     /// `lba * 512` overflows for a hostile LBA: no volume offset, so the
@@ -300,49 +278,33 @@ mod tests {
     #[test]
     fn overflowing_volume_offset_passes_data_untouched() {
         let mut enc = svc();
-        let write = cmd(
-            BlockOp::Write,
-            6,
-            u64::MAX - 8,
-            1,
-            Bytes::from(vec![7u8; 512]),
-        );
+        let data = Bytes::from(vec![7u8; 512]);
+        let write = cmd(BlockOp::Write, 6, u64::MAX - 8, 1, data);
         assert_eq!(run(&mut enc, Dir::ToTarget, write.clone()), write);
+        assert_eq!(enc.counters(), (0, 0));
+    }
+
+    /// Data of a tag the relay has no open command for has no volume
+    /// offset, so it passes untouched.
+    #[test]
+    fn data_without_a_command_passes_untouched() {
+        let mut enc = svc();
+        let mut stray = data_out(7, 0..512);
+        stray.cmd = None;
+        assert_eq!(run(&mut enc, Dir::ToTarget, stray.clone()), stray);
         assert_eq!(enc.counters(), (0, 0));
     }
 
     #[test]
     fn data_out_uses_buffer_offset() {
         let mut enc = svc();
-        // Establish the command context with no immediate data.
-        let _ = run(
-            &mut enc,
-            Dir::ToTarget,
-            cmd(BlockOp::Write, 7, 100, 6, Bytes::new()),
-        );
         let plain = vec![0xABu8; 1024];
-        let whole = Bytes::from([vec![0u8; 2048], plain.clone()].concat());
-        let dout = data_out_train(7, 1, 1, &whole, 2048..3072, 1024)
-            .next()
-            .unwrap();
-        let out = run(&mut enc, Dir::ToTarget, dout);
-        let cipher1 = match &out {
-            Pdu::DataOut(d) => d.data.clone(),
-            _ => unreachable!(),
-        };
+        let out = run(&mut enc, Dir::ToTarget, data_out(7, 2048..3072));
         // Same plaintext at a different offset yields different ciphertext
         // (sector tweak).
         let mut direct = plain.clone();
         AesXts::from_master_key(&[0x42; 64]).encrypt_run(100 + 4, 512, &mut direct);
-        assert_eq!(&cipher1[..], &direct[..]);
-    }
-
-    /// One Data-Out of command `itt` carrying `range` of a 3 KiB payload.
-    fn data_out(itt: u32, range: std::ops::Range<usize>) -> Pdu {
-        let whole = Bytes::from(vec![0xABu8; 3072]);
-        let max = range.len();
-        let pdu = data_out_train(itt, 1, 1, &whole, range, max).next();
-        pdu.expect("non-empty range")
+        assert_eq!(&out.data[..], &direct[..]);
     }
 
     fn assert_refused(out: &Outcome, itt: u32) {
@@ -351,34 +313,26 @@ mod tests {
             "plaintext went on: {:?}",
             out.forwarded
         );
-        assert_eq!(
-            out.replies,
-            [status_response(itt, ScsiStatus::CheckCondition)]
-        );
+        assert_eq!(out.replies, [Op::status(itt, ScsiStatus::CheckCondition)]);
         assert_eq!(out.alerts, 1);
     }
 
-    /// Segment bounds are the tenant's to choose: a Data-Out that is not
+    /// Segment bounds are the tenant's to choose: write data that is not
     /// whole sectors is refused, not a panic and not plaintext at rest.
     #[test]
     fn unaligned_data_out_length_fails_closed() {
         let mut enc = svc();
-        let write = cmd(BlockOp::Write, 7, 100, 6, Bytes::new());
-        let _ = run(&mut enc, Dir::ToTarget, write);
         assert_refused(&outcome(&mut enc, Dir::ToTarget, data_out(7, 0..100)), 7);
         assert_eq!(enc.counters(), (0, 0));
-        assert!(enc.cmds.is_empty(), "the refused command stayed open");
     }
 
     #[test]
     fn unaligned_buffer_offset_fails_closed() {
         let mut enc = svc();
-        let write = cmd(BlockOp::Write, 7, 100, 6, Bytes::new());
-        let _ = run(&mut enc, Dir::ToTarget, write);
         assert_refused(&outcome(&mut enc, Dir::ToTarget, data_out(7, 7..519)), 7);
     }
 
-    /// The command PDU itself is held back when its immediate data is the
+    /// The command itself is held back when its immediate data is the
     /// unaligned segment.
     #[test]
     fn unaligned_immediate_data_fails_closed() {
@@ -394,12 +348,6 @@ mod tests {
     fn refused_command_stays_refused_until_tag_reuse_or_status() {
         let mut enc = svc();
         let write = cmd(BlockOp::Write, 7, 100, 6, Bytes::new());
-        let _ = run(&mut enc, Dir::ToTarget, write.clone());
-        let _ = run(
-            &mut enc,
-            Dir::ToTarget,
-            cmd(BlockOp::Write, 8, 200, 6, Bytes::new()),
-        );
         assert_refused(&outcome(&mut enc, Dir::ToTarget, data_out(7, 0..100)), 7);
         let later = outcome(&mut enc, Dir::ToTarget, data_out(7, 512..1024));
         assert!(later.forwarded.is_empty() && later.replies.is_empty());
@@ -408,7 +356,8 @@ mod tests {
         let other = run(&mut enc, Dir::ToTarget, data_out(8, 0..512));
         assert_ne!(other, data_out(8, 0..512));
         // The target's own status for the tag lifts the refusal...
-        assert_eq!(run(&mut enc, Dir::ToInitiator, status_of(7)), status_of(7));
+        let status = Op::status(7, ScsiStatus::Good);
+        assert_eq!(run(&mut enc, Dir::ToInitiator, status.clone()), status);
         assert!(enc.refused.is_empty());
         // ...and so does a new command reusing it.
         let _ = run(&mut enc, Dir::ToTarget, write.clone());
@@ -424,12 +373,7 @@ mod tests {
     #[test]
     fn unaligned_data_in_passes_ciphertext_with_an_alert() {
         let mut enc = svc();
-        let _ = run(
-            &mut enc,
-            Dir::ToTarget,
-            cmd(BlockOp::Read, 9, 0, 1, Bytes::new()),
-        );
-        let din = data_in_final(9, Bytes::from(vec![3u8; 100]), ScsiStatus::Good);
+        let din = read_data(9, block(BlockOp::Read, 0, 1), Bytes::from(vec![3u8; 100]));
         let out = outcome(&mut enc, Dir::ToInitiator, din.clone());
         assert_eq!(out.forwarded, [din]);
         assert_eq!((out.alerts, out.replies.len()), (1, 0));
@@ -440,11 +384,6 @@ mod tests {
     #[test]
     fn stream_cipher_takes_unaligned_segments() {
         let mut enc = EncryptionService::stream_cipher(&[7; 32], &[9; 12]);
-        let _ = run(
-            &mut enc,
-            Dir::ToTarget,
-            cmd(BlockOp::Write, 7, 100, 6, Bytes::new()),
-        );
         let out = outcome(&mut enc, Dir::ToTarget, data_out(7, 7..107));
         assert_eq!((out.forwarded.len(), out.alerts), (1, 0));
         assert_ne!(out.forwarded[0], data_out(7, 7..107));
@@ -491,16 +430,9 @@ mod tests {
     }
 
     #[test]
-    fn non_data_pdus_pass_untouched() {
+    fn non_data_ops_pass_untouched() {
         let mut enc = svc();
-        let nop = Pdu::NopOut(storm_iscsi::NopOut {
-            itt: 9,
-            ttt: 0xFFFF_FFFF,
-            cmd_sn: 1,
-            exp_stat_sn: 1,
-            data: Bytes::from_static(b"keepalive"),
-        });
-        let out = run(&mut enc, Dir::ToTarget, nop.clone());
-        assert_eq!(out, nop);
+        let nop = Op::new(Step::Other, None, 9, Bytes::from_static(b"keepalive"));
+        assert_eq!(run(&mut enc, Dir::ToTarget, nop.clone()), nop);
     }
 }

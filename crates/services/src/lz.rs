@@ -112,7 +112,7 @@ pub(crate) fn lz_compress(input: &[u8], budget: usize, out: &mut Vec<u8>) -> boo
 }
 
 fn encode(input: &[u8], budget: usize, out: &mut Vec<u8>, mark: usize) -> bool {
-    // Positions live in the table as u32; a PDU payload is at most 16 MiB.
+    // Positions live in the table as u32; an op's payload is at most 16 MiB.
     if u32::try_from(input.len()).is_err() {
         return false;
     }

@@ -12,9 +12,8 @@
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
-use storm_core::{Dir, FsAccess, FsOp, FsTargetKind, Reconstructor, StorageService, SvcCtx};
-use storm_iscsi::exchange::{BlockOp, Exchange, Staged, Step};
-use storm_iscsi::Pdu;
+use storm_core::{Dir, FsAccess, FsOp, FsTargetKind, Op, Reconstructor, StorageService, SvcCtx};
+use storm_iscsi::exchange::{BlockOp, Staged, Staging, Step};
 use storm_sim::SimDuration;
 
 /// Monitor configuration.
@@ -47,8 +46,8 @@ pub struct MonitorService {
     recon: Reconstructor,
     log: Vec<NumberedAccess>,
     next_id: u64,
-    /// Open commands; writes assemble their payload here.
-    cmds: Exchange,
+    /// Writes assembling their payload.
+    writes: Staging,
 }
 
 impl MonitorService {
@@ -59,7 +58,7 @@ impl MonitorService {
             recon,
             log: Vec::new(),
             next_id: 1,
-            cmds: Exchange::default(),
+            writes: Staging::default(),
         }
     }
 
@@ -102,7 +101,7 @@ impl MonitorService {
             .map(|_| path.clone())
     }
 
-    fn record(&mut self, cx: &mut SvcCtx, rows: Vec<FsAccess>) {
+    fn record(&mut self, cx: &mut SvcCtx<Op>, rows: Vec<FsAccess>) {
         for row in rows {
             if let Some(path) = self.watch_hit(&row) {
                 cx.alert(format!("watched path accessed: {} ({})", path, row.op));
@@ -115,7 +114,7 @@ impl MonitorService {
         }
     }
 
-    fn observe_write(&mut self, cx: &mut SvcCtx, lba: u64, data: &[u8]) {
+    fn observe_write(&mut self, cx: &mut SvcCtx<Op>, lba: u64, data: &[u8]) {
         cx.charge(self.cfg.per_byte_cost * data.len() as u64);
         let rows = self.recon.observe(FsOp::Write, lba, data.len(), Some(data));
         self.record(cx, rows);
@@ -127,27 +126,18 @@ impl StorageService for MonitorService {
         "monitor"
     }
 
-    fn on_pdu(&mut self, cx: &mut SvcCtx, _dir: Dir, pdu: Pdu) {
-        let written = match (self.cmds.observe(&pdu), &pdu) {
-            (Step::Command(cmd), Pdu::ScsiCommand(c)) => match cmd.op {
-                BlockOp::Read => {
-                    let len = cmd.bytes() as usize;
-                    let rows = self.recon.observe(FsOp::Read, cmd.lba, len, None);
-                    self.record(cx, rows);
-                    Staged::Untracked
-                }
-                BlockOp::Write => self.cmds.stage(c.itt, cmd, &c.data),
-                BlockOp::Flush => Staged::Untracked,
-            },
-            (Step::WriteData(_, offset), Pdu::DataOut(d)) => {
-                self.cmds.absorb(d.itt, offset, &d.data)
+    fn on_op(&mut self, cx: &mut SvcCtx<Op>, _dir: Dir, op: Op) {
+        if let (Step::Command, Some(cmd)) = (op.step, op.cmd) {
+            if cmd.op == BlockOp::Read {
+                let len = cmd.bytes() as usize;
+                let rows = self.recon.observe(FsOp::Read, cmd.lba, len, None);
+                self.record(cx, rows);
             }
-            _ => Staged::Untracked,
-        };
-        if let Staged::Complete(cmd, data) = written {
+        }
+        if let Staged::Complete(cmd, data) = self.writes.feed(op.tag, op.step, op.cmd, &op.data) {
             self.observe_write(cx, cmd.lba, &data);
         }
-        cx.forward(pdu);
+        cx.forward(op);
     }
 }
 
@@ -186,8 +176,11 @@ mod tests {
         (fs, MonitorService::new(cfg, recon))
     }
 
-    /// Feeds the fs's recorded accesses to the monitor as PDUs.
-    fn feed_log(mon: &mut MonitorService, log: Vec<storm_block::AccessRecord>) -> Vec<SvcAction> {
+    /// Feeds the fs's recorded accesses to the monitor as commands.
+    fn feed_log(
+        mon: &mut MonitorService,
+        log: Vec<storm_block::AccessRecord>,
+    ) -> Vec<SvcAction<Op>> {
         let mut actions = Vec::new();
         for (itt, rec) in (101u32..).zip(log) {
             let mut cx = SvcCtx::new(SimTime::ZERO);
@@ -200,8 +193,7 @@ mod tests {
                 lba: rec.lba,
                 sectors: rec.sectors as u32,
             };
-            let pdu = cmd.command(itt, itt, 1, data);
-            mon.on_pdu(&mut cx, Dir::ToTarget, pdu);
+            mon.on_op(&mut cx, Dir::ToTarget, Op::command(itt, cmd, data));
             actions.extend(cx.take_actions());
         }
         actions
@@ -216,7 +208,7 @@ mod tests {
         let ids: Vec<u64> = mon.log().iter().map(|e| e.id).collect();
         assert!(ids.windows(2).all(|w| w[1] == w[0] + 1));
         assert_eq!(ids[0], 1);
-        // Every PDU was forwarded (the monitor is transparent).
+        // Every op was forwarded (the monitor is transparent).
         let forwards = actions
             .iter()
             .filter(|a| matches!(a, SvcAction::Forward(_)))
@@ -229,7 +221,7 @@ mod tests {
         let (mut fs, mut mon) = monitored_fs();
         let _ = fs.read_file_to_end("/box/secret.txt").unwrap();
         let actions = feed_log(&mut mon, fs.device_mut().take_log());
-        let alerts: Vec<&SvcAction> = actions
+        let alerts: Vec<&SvcAction<Op>> = actions
             .iter()
             .filter(|a| matches!(a, SvcAction::Alert(_)))
             .collect();
@@ -272,25 +264,33 @@ mod tests {
         );
     }
 
-    /// A bare tenant `edtl` used to size the staging buffer (here 4 GiB
-    /// for a one-sector CDB).
+    /// A write is classified once its payload is whole, however it was
+    /// cut; data of a write the monitor never saw is passed on unlogged.
     #[test]
-    fn write_whose_length_disagrees_with_its_cdb_is_forwarded_untracked() {
-        let (_, mut mon) = monitored_fs();
+    fn a_write_in_pieces_is_observed_once_whole() {
+        let (mut fs, mut mon) = monitored_fs();
+        fs.create("/box/late.txt").unwrap();
+        fs.sync().unwrap();
+        let log = fs.device_mut().take_log();
+        let rec = log.iter().find(|r| r.kind == AccessKind::Write).unwrap();
         let cmd = BlockCmd {
             op: BlockOp::Write,
-            lba: 0,
-            sectors: 1,
+            lba: rec.lba,
+            sectors: rec.sectors as u32,
         };
-        let Pdu::ScsiCommand(mut c) = cmd.command(1, 1, 1, Bytes::new()) else {
-            unreachable!()
+        let piece = |at: usize| {
+            let step = Step::WriteData(at as u32);
+            Op::new(step, Some(cmd), 7, rec.data.slice(at..at + 512))
         };
-        c.edtl = 0xFFFF_FE00;
         let mut cx = SvcCtx::new(SimTime::ZERO);
-        mon.on_pdu(&mut cx, Dir::ToTarget, Pdu::ScsiCommand(c.clone()));
-        let acts = cx.take_actions();
-        assert!(matches!(&acts[..], [SvcAction::Forward(Pdu::ScsiCommand(f))] if *f == c));
-        assert!(mon.cmds.is_empty() && mon.log().is_empty());
+        mon.on_op(&mut cx, Dir::ToTarget, piece(0));
+        assert!(mon.log().is_empty(), "untracked data logged");
+        mon.on_op(&mut cx, Dir::ToTarget, Op::command(7, cmd, Bytes::new()));
+        for at in (0..rec.data.len()).step_by(512) {
+            assert!(mon.log().is_empty());
+            mon.on_op(&mut cx, Dir::ToTarget, piece(at));
+        }
+        assert!(!mon.log().is_empty());
     }
 
     /// READ/WRITE with transfer length 0 is legal SCSI and parses
@@ -307,9 +307,9 @@ mod tests {
                 lba,
                 sectors: 0,
             };
-            let pdu = cmd.command(itt, itt, 1, Bytes::new());
+            let op = Op::command(itt, cmd, Bytes::new());
             let mut cx = SvcCtx::new(SimTime::ZERO);
-            mon.on_pdu(&mut cx, Dir::ToTarget, pdu.clone());
+            mon.on_op(&mut cx, Dir::ToTarget, op.clone());
             let acts = cx.take_actions();
             let forwarded: Vec<_> = acts
                 .iter()
@@ -318,8 +318,8 @@ mod tests {
                     _ => None,
                 })
                 .collect();
-            assert_eq!(forwarded, [&pdu], "{op:?} at {lba}: {acts:?}");
-            assert!(mon.log().is_empty(), "{op:?} at {lba}: {:?}", mon.log());
+            assert_eq!(forwarded, [&op], "{cmd:?}: {acts:?}");
+            assert!(mon.log().is_empty(), "{cmd:?}: {:?}", mon.log());
             assert!(mon.events().is_empty());
         }
     }

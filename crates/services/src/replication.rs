@@ -17,9 +17,8 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 
-use storm_core::{Dir, StorageService, SvcCtx};
-use storm_iscsi::exchange::{data_in_train, BlockCmd, BlockOp, Exchange, Staged};
-use storm_iscsi::{Pdu, ScsiCommand};
+use storm_core::{Dir, Op, StorageService, SvcCtx};
+use storm_iscsi::exchange::{BlockCmd, BlockOp, Staged, Staging, Step};
 
 /// Counters for the experiment harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -38,8 +37,8 @@ pub struct ReplicationStats {
 
 #[derive(Debug, Clone)]
 struct PendingRead {
-    /// The command PDU as received (forwarded if the primary must serve).
-    pdu: ScsiCommand,
+    /// The command as received (forwarded if the primary must serve).
+    op: Op,
     cmd: BlockCmd,
     replica: usize,
 }
@@ -60,8 +59,8 @@ pub struct ReplicationService {
     pending_reads: BTreeMap<u64, PendingRead>,
     /// Measurements.
     pub stats: ReplicationStats,
-    /// Writes whose payload is still arriving as Data-Out.
-    staging: Exchange,
+    /// Writes whose payload is still arriving.
+    staging: Staging,
     /// Consecutive I/O failures per replica; at `fail_threshold` the
     /// replica is declared unresponsive and removed (the paper's
     /// "eliminated from future operations").
@@ -80,7 +79,7 @@ impl ReplicationService {
             next_ctx: 1,
             pending_reads: BTreeMap::new(),
             stats: ReplicationStats::default(),
-            staging: Exchange::default(),
+            staging: Staging::default(),
             consecutive_failures: vec![0; replica_count],
             fail_threshold: 3,
         }
@@ -121,7 +120,7 @@ impl ReplicationService {
         None
     }
 
-    fn mirror_write(&mut self, cx: &mut SvcCtx, lba: u64, data: &Bytes) {
+    fn mirror_write(&mut self, cx: &mut SvcCtx<Op>, lba: u64, data: &Bytes) {
         for i in 0..self.replica_count {
             if self.alive[i] {
                 let c = self.ctx();
@@ -135,17 +134,17 @@ impl ReplicationService {
     /// completion comes back through `on_replica_done`) or, when the
     /// rotation lands on it or no replica is left, the primary. Returns
     /// whether a replica took it.
-    fn dispatch_read(&mut self, cx: &mut SvcCtx, pdu: ScsiCommand, cmd: BlockCmd) -> bool {
+    fn dispatch_read(&mut self, cx: &mut SvcCtx<Op>, op: Op, cmd: BlockCmd) -> bool {
         let source = self.pick_read_source();
         match source {
             None => {
                 self.stats.primary_reads += 1;
-                cx.forward(Pdu::ScsiCommand(pdu));
+                cx.forward(op);
             }
             Some(replica) => {
                 let ctx_id = self.ctx();
                 self.pending_reads
-                    .insert(ctx_id, PendingRead { pdu, cmd, replica });
+                    .insert(ctx_id, PendingRead { op, cmd, replica });
                 cx.replica_read(replica, cmd.lba, cmd.sectors, ctx_id);
             }
         }
@@ -158,41 +157,30 @@ impl StorageService for ReplicationService {
         "replication"
     }
 
-    fn on_pdu(&mut self, cx: &mut SvcCtx, dir: Dir, pdu: Pdu) {
+    fn on_op(&mut self, cx: &mut SvcCtx<Op>, dir: Dir, op: Op) {
         if dir == Dir::ToInitiator {
-            cx.forward(pdu);
+            cx.forward(op);
             return;
         }
-        match pdu {
-            Pdu::ScsiCommand(c) => match BlockCmd::parse(&c, u64::MAX) {
-                Ok(cmd) if cmd.op == BlockOp::Write => {
-                    // Mirror immediate data now; stage the rest.
-                    if let Staged::Complete(_, data) = self.staging.stage(c.itt, cmd, &c.data) {
-                        self.mirror_write(cx, cmd.lba, &data);
-                    }
-                    cx.forward(Pdu::ScsiCommand(c));
+        if let (Step::Command, Some(cmd)) = (op.step, op.cmd) {
+            if cmd.op == BlockOp::Read {
+                if self.dispatch_read(cx, op, cmd) {
+                    self.stats.striped_reads += 1;
                 }
-                Ok(cmd) if cmd.op == BlockOp::Read => {
-                    if self.dispatch_read(cx, c, cmd) {
-                        self.stats.striped_reads += 1;
-                    }
-                }
-                _ => cx.forward(Pdu::ScsiCommand(c)),
-            },
-            Pdu::DataOut(d) => {
-                let staged = self.staging.absorb(d.itt, d.buffer_offset, &d.data);
-                if let Staged::Complete(cmd, data) = staged {
-                    self.mirror_write(cx, cmd.lba, &data);
-                }
-                cx.forward(Pdu::DataOut(d));
+                return;
             }
-            other => cx.forward(other),
         }
+        // Mirror a write once its payload is whole: at once when it rides
+        // with the command, else when its last piece passes.
+        if let Staged::Complete(cmd, data) = self.staging.feed(op.tag, op.step, op.cmd, &op.data) {
+            self.mirror_write(cx, cmd.lba, &data);
+        }
+        cx.forward(op);
     }
 
     fn on_replica_done(
         &mut self,
-        cx: &mut SvcCtx,
+        cx: &mut SvcCtx<Op>,
         replica: usize,
         ctx: u64,
         ok: bool,
@@ -217,23 +205,20 @@ impl StorageService for ReplicationService {
         }
         if let Some(pending) = pending {
             if ok {
-                // The primary would answer in its negotiated segment size;
-                // the middle-box uses the 64 KiB default.
-                for pdu in data_in_train(pending.pdu.itt, data, 64 * 1024) {
-                    cx.reply(pdu);
-                }
+                let answer = Step::ReadData(0);
+                cx.reply(Op::new(answer, Some(pending.cmd), pending.op.tag, data));
             } else {
                 // Retry: another replica, else fall back to the primary.
                 // `pick_read_source` only ever returns alive replicas.
                 self.stats.retried_reads += 1;
-                self.dispatch_read(cx, pending.pdu, pending.cmd);
+                self.dispatch_read(cx, pending.op, pending.cmd);
             }
         } else if !ok {
             self.stats.write_failures += 1;
         }
     }
 
-    fn on_replica_failed(&mut self, cx: &mut SvcCtx, replica: usize) {
+    fn on_replica_failed(&mut self, cx: &mut SvcCtx<Op>, replica: usize) {
         if replica < self.alive.len() && self.alive[replica] {
             self.alive[replica] = false;
             cx.alert(format!(
@@ -251,7 +236,7 @@ impl StorageService for ReplicationService {
             for ctx_id in stranded {
                 if let Some(pending) = self.pending_reads.remove(&ctx_id) {
                     self.stats.retried_reads += 1;
-                    self.dispatch_read(cx, pending.pdu, pending.cmd);
+                    self.dispatch_read(cx, pending.op, pending.cmd);
                 }
             }
         }
@@ -272,24 +257,23 @@ impl std::fmt::Debug for ReplicationService {
 mod tests {
     use super::*;
     use storm_core::service::{ReplicaIo, SvcAction};
-    use storm_iscsi::exchange::{data_out_train, status_response};
     use storm_iscsi::ScsiStatus;
     use storm_sim::SimTime;
 
-    fn write_cmd(itt: u32, lba: u64, data: Bytes) -> Pdu {
+    fn write_cmd(itt: u32, lba: u64, data: Bytes) -> Op {
         let sectors = (data.len() / 512) as u32;
         let op = BlockOp::Write;
-        BlockCmd { op, lba, sectors }.command(itt, 1, 1, data)
+        Op::command(itt, BlockCmd { op, lba, sectors }, data)
     }
 
-    fn read_cmd(itt: u32, lba: u64, sectors: u32) -> Pdu {
+    fn read_cmd(itt: u32, lba: u64, sectors: u32) -> Op {
         let op = BlockOp::Read;
-        BlockCmd { op, lba, sectors }.command(itt, 1, 1, Bytes::new())
+        Op::command(itt, BlockCmd { op, lba, sectors }, Bytes::new())
     }
 
-    fn actions(svc: &mut ReplicationService, dir: Dir, pdu: Pdu) -> Vec<SvcAction> {
+    fn actions(svc: &mut ReplicationService, dir: Dir, op: Op) -> Vec<SvcAction<Op>> {
         let mut cx = SvcCtx::new(SimTime::ZERO);
-        svc.on_pdu(&mut cx, dir, pdu);
+        svc.on_op(&mut cx, dir, op);
         cx.take_actions()
     }
 
@@ -316,7 +300,7 @@ mod tests {
     }
 
     #[test]
-    fn staged_writes_mirror_after_data_out() {
+    fn staged_writes_mirror_after_their_last_data() {
         let mut svc = ReplicationService::new(1, false);
         // Command with half the data immediate.
         let mut full = vec![0u8; 2048];
@@ -330,13 +314,11 @@ mod tests {
         let acts = actions(
             &mut svc,
             Dir::ToTarget,
-            cmd.command(4, 1, 1, full.slice(..1024)),
+            Op::command(4, cmd, full.slice(..1024)),
         );
         assert!(!acts.iter().any(|a| matches!(a, SvcAction::Replica { .. })));
-        // The trailing Data-Out completes the buffer and triggers mirror.
-        let dout = data_out_train(4, 1, 1, &full, 1024..2048, 1024)
-            .next()
-            .unwrap();
+        // The trailing write data completes the buffer and triggers mirror.
+        let dout = Op::new(Step::WriteData(1024), Some(cmd), 4, full.slice(1024..));
         let acts = actions(&mut svc, Dir::ToTarget, dout);
         let mirrored = acts.iter().any(
             |a| matches!(a, SvcAction::Replica { io: ReplicaIo::Write { lba: 0, data }, .. } if data.len() == 2048),
@@ -374,7 +356,7 @@ mod tests {
     }
 
     #[test]
-    fn replica_read_completion_synthesizes_data_in() {
+    fn replica_read_completion_answers_the_read() {
         let mut svc = ReplicationService::new(1, true);
         // Force the read onto the replica (lane 1 of 2).
         svc.rr = 1;
@@ -388,12 +370,13 @@ mod tests {
             .expect("read dispatched to replica");
         let mut cx = SvcCtx::new(SimTime::ZERO);
         svc.on_replica_done(&mut cx, 0, ctx, true, Bytes::from(vec![5u8; 4096]));
-        let replies: Vec<SvcAction> = cx.take_actions();
-        match &replies[..] {
-            [SvcAction::Reply(Pdu::DataIn(d))] => {
-                assert_eq!(d.itt, 9);
-                assert!(d.final_pdu && d.status_present);
-                assert_eq!(d.data.len(), 4096);
+        match &cx.take_actions()[..] {
+            [SvcAction::Reply(op)] => {
+                assert_eq!(
+                    (op.step, op.tag, op.data.len()),
+                    (Step::ReadData(0), 9, 4096)
+                );
+                assert_eq!(op.cmd.map(|c| c.lba), Some(100));
             }
             other => panic!("unexpected: {other:?}"),
         }
@@ -560,21 +543,19 @@ mod tests {
     #[test]
     fn responses_pass_through_untouched() {
         let mut svc = ReplicationService::new(2, true);
-        let resp = status_response(3, ScsiStatus::Good);
+        let resp = Op::status(3, ScsiStatus::Good);
         let acts = actions(&mut svc, Dir::ToInitiator, resp.clone());
         assert!(matches!(&acts[..], [SvcAction::Forward(p)] if *p == resp));
     }
 
-    /// A bare tenant `edtl` used to size the staging buffer.
+    /// A command the relay could not place (one whose length disagrees
+    /// with its CDB) reaches the service as an opaque op: forwarded,
+    /// never staged or mirrored.
     #[test]
-    fn write_whose_length_disagrees_with_its_cdb_is_forwarded_unstaged() {
+    fn an_op_without_a_command_is_forwarded_unstaged() {
         let mut svc = ReplicationService::new(1, false);
-        let Pdu::ScsiCommand(mut c) = write_cmd(1, 0, Bytes::from(vec![1u8; 512])) else {
-            unreachable!()
-        };
-        c.edtl = 0xFFFF_FE00;
-        let acts = actions(&mut svc, Dir::ToTarget, Pdu::ScsiCommand(c.clone()));
-        assert!(matches!(&acts[..], [SvcAction::Forward(Pdu::ScsiCommand(f))] if *f == c));
-        assert!(svc.staging.is_empty());
+        let odd = Op::new(Step::Other, None, 1, Bytes::from(vec![1u8; 512]));
+        let acts = actions(&mut svc, Dir::ToTarget, odd.clone());
+        assert!(matches!(&acts[..], [SvcAction::Forward(f)] if *f == odd));
     }
 }

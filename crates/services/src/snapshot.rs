@@ -10,7 +10,7 @@
 //! any retained snapshot ([`CowExtentMap::materialize`]) — the
 //! backup/clone path exercised by `examples/backup_clone.rs`.
 //!
-//! While a pre-image fetch is in flight, every subsequent write-path PDU
+//! While a pre-image fetch is in flight, every subsequent write-path op
 //! queues behind it so writes reach the target in arrival order; reads
 //! may overtake parked writes (legal — those writes are unacknowledged).
 //!
@@ -18,7 +18,7 @@
 //! stage, and its middle-box needs one replica target — index 0, pointing
 //! at the primary volume itself.
 //!
-//! With no snapshot taken the service forwards the received PDU value
+//! With no snapshot taken the service forwards the received op
 //! untouched and charges nothing: the zero-copy fast path survives.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -31,9 +31,8 @@ use std::collections::BTreeSet;
 use bytes::Bytes;
 
 use storm_block::CowExtentMap;
-use storm_core::{Dir, StorageService, SvcCtx};
-use storm_iscsi::exchange::{BlockCmd, BlockOp};
-use storm_iscsi::{Pdu, ScsiCommand};
+use storm_core::{Dir, Op, StorageService, SvcCtx};
+use storm_iscsi::exchange::{BlockCmd, BlockOp, Step};
 use storm_sim::SimDuration;
 
 /// CPU cost per byte written while a snapshot is active: an extent-map
@@ -52,7 +51,7 @@ pub struct SnapStats {
     pub cow_copies: u64,
     /// Pre-image bytes preserved.
     pub preserved_bytes: u64,
-    /// Write-path PDUs parked behind a pre-image fetch.
+    /// Write-path ops parked behind a pre-image fetch.
     pub parked_pdus: u64,
     /// Pre-image fetches that failed (extent left unprotected).
     pub failed_copies: u64,
@@ -65,8 +64,8 @@ pub struct SnapshotService {
     fetching: BTreeSet<u64>,
     /// Extents we gave up protecting after a failed fetch.
     broken: BTreeSet<u64>,
-    /// Write-path PDUs queued behind in-flight fetches, arrival order.
-    parked: Vec<Pdu>,
+    /// Write-path ops queued behind in-flight fetches, arrival order.
+    parked: Vec<Op>,
     /// Measurements.
     pub stats: SnapStats,
 }
@@ -103,13 +102,8 @@ impl SnapshotService {
     }
 
     /// Starts pre-image fetches for every unprotected extent under the
-    /// write; returns true when the write must wait for at least one. A
-    /// command that fails the exchange checks touches no extent.
-    fn fetch_preimages(&mut self, cx: &mut SvcCtx, c: &ScsiCommand) -> bool {
-        let cmd = match BlockCmd::parse(c, u64::MAX) {
-            Ok(cmd) if cmd.op == BlockOp::Write => cmd,
-            _ => return false,
-        };
+    /// write; returns true when the write must wait for at least one.
+    fn fetch_preimages(&mut self, cx: &mut SvcCtx<Op>, cmd: BlockCmd) -> bool {
         let mut must_wait = false;
         for extent in self.cow.extents_of(cmd.lba, cmd.sectors as u64) {
             if self.broken.contains(&extent) {
@@ -129,20 +123,26 @@ impl SnapshotService {
         must_wait
     }
 
-    /// Releases parked PDUs in order until one needs a fetch again (or
+    /// Releases parked ops in order until one needs a fetch again (or
     /// the queue drains).
-    fn drain_parked(&mut self, cx: &mut SvcCtx) {
+    fn drain_parked(&mut self, cx: &mut SvcCtx<Op>) {
         while !self.parked.is_empty() {
-            let pdu = self.parked.remove(0);
-            if let Pdu::ScsiCommand(c) = &pdu {
-                if c.write && self.fetch_preimages(cx, c) {
-                    self.parked.insert(0, pdu);
+            let op = self.parked.remove(0);
+            if let Some(cmd) = write_cmd(&op) {
+                if self.fetch_preimages(cx, cmd) {
+                    self.parked.insert(0, op);
                     return;
                 }
             }
-            cx.forward(pdu);
+            cx.forward(op);
         }
     }
+}
+
+/// The write command `op` is, if it is one.
+fn write_cmd(op: &Op) -> Option<BlockCmd> {
+    op.cmd
+        .filter(|c| op.step == Step::Command && c.op == BlockOp::Write)
 }
 
 impl StorageService for SnapshotService {
@@ -150,49 +150,37 @@ impl StorageService for SnapshotService {
         "snapshot"
     }
 
-    fn on_pdu(&mut self, cx: &mut SvcCtx, dir: Dir, pdu: Pdu) {
+    fn on_op(&mut self, cx: &mut SvcCtx<Op>, dir: Dir, op: Op) {
         if dir == Dir::ToInitiator || !self.active() {
-            cx.forward(pdu);
+            cx.forward(op);
             return;
         }
-        match pdu {
-            Pdu::ScsiCommand(c) if c.write => {
-                cx.charge(PER_BYTE * c.edtl as u64);
-                if !self.parked.is_empty() {
-                    // Keep write order behind in-flight fetches.
-                    self.stats.parked_pdus += 1;
-                    self.parked.push(Pdu::ScsiCommand(c));
-                    return;
-                }
-                if self.fetch_preimages(cx, &c) {
-                    self.stats.parked_pdus += 1;
-                    self.parked.push(Pdu::ScsiCommand(c));
-                    return;
-                }
-                cx.forward(Pdu::ScsiCommand(c));
+        let park = match (op.step, write_cmd(&op)) {
+            (_, Some(cmd)) => {
+                cx.charge(PER_BYTE * cmd.bytes());
+                // Keep write order behind in-flight fetches.
+                !self.parked.is_empty() || self.fetch_preimages(cx, cmd)
             }
-            Pdu::DataOut(d) => {
-                // A Data-Out belongs to the most recent write with its
-                // ITT: if that write is parked, its data rides behind it
-                // (the command's full extent range is already fetching).
-                if self
-                    .parked
-                    .iter()
-                    .any(|p| matches!(p, Pdu::ScsiCommand(c) if c.itt == d.itt))
-                {
-                    self.stats.parked_pdus += 1;
-                    self.parked.push(Pdu::DataOut(d));
-                } else {
-                    cx.forward(Pdu::DataOut(d));
-                }
-            }
-            other => cx.forward(other),
+            // Write data belongs to the most recent write with its tag: if
+            // that write is parked, its data rides behind it (the
+            // command's full extent range is already fetching).
+            (Step::WriteData(_), None) => self
+                .parked
+                .iter()
+                .any(|p| p.tag == op.tag && p.step == Step::Command),
+            _ => false,
+        };
+        if park {
+            self.stats.parked_pdus += 1;
+            self.parked.push(op);
+        } else {
+            cx.forward(op);
         }
     }
 
     fn on_replica_done(
         &mut self,
-        cx: &mut SvcCtx,
+        cx: &mut SvcCtx<Op>,
         _replica: usize,
         ctx: u64,
         ok: bool,
@@ -222,7 +210,7 @@ impl StorageService for SnapshotService {
         }
     }
 
-    fn on_replica_failed(&mut self, cx: &mut SvcCtx, _replica: usize) {
+    fn on_replica_failed(&mut self, cx: &mut SvcCtx<Op>, _replica: usize) {
         // Primary session gone: stop blocking the datapath. Every extent
         // still fetching is abandoned and its writes released.
         let stranded: Vec<u64> = self.fetching.iter().copied().collect();
@@ -254,26 +242,26 @@ mod tests {
     use storm_core::service::{ReplicaIo, SvcAction};
     use storm_sim::SimTime;
 
-    fn write_cmd(itt: u32, lba: u64, data: Vec<u8>) -> Pdu {
+    fn write_cmd(itt: u32, lba: u64, data: Vec<u8>) -> Op {
         let sectors = (data.len() / 512) as u32;
         let op = BlockOp::Write;
-        BlockCmd { op, lba, sectors }.command(itt, 1, 1, Bytes::from(data))
+        Op::command(itt, BlockCmd { op, lba, sectors }, Bytes::from(data))
     }
 
-    fn read_cmd(itt: u32, lba: u64, sectors: u32) -> Pdu {
+    fn read_cmd(itt: u32, lba: u64, sectors: u32) -> Op {
         let op = BlockOp::Read;
-        BlockCmd { op, lba, sectors }.command(itt, 1, 1, Bytes::new())
+        Op::command(itt, BlockCmd { op, lba, sectors }, Bytes::new())
     }
 
-    fn actions(svc: &mut SnapshotService, dir: Dir, pdu: Pdu) -> Vec<SvcAction> {
+    fn actions(svc: &mut SnapshotService, dir: Dir, op: Op) -> Vec<SvcAction<Op>> {
         let mut cx = SvcCtx::new(SimTime::ZERO);
-        svc.on_pdu(&mut cx, dir, pdu);
+        svc.on_op(&mut cx, dir, op);
         cx.take_actions()
     }
 
     /// Runs the service against a MemDisk-backed "primary", serving its
     /// replica reads and applying released writes to the disk.
-    fn pump(svc: &mut SnapshotService, disk: &mut MemDisk, acts: Vec<SvcAction>) {
+    fn pump(svc: &mut SnapshotService, disk: &mut MemDisk, acts: Vec<SvcAction<Op>>) {
         let mut queue = acts;
         while !queue.is_empty() {
             let mut next = SvcCtx::new(SimTime::ZERO);
@@ -288,9 +276,9 @@ mod tests {
                         disk.read(lba, &mut buf).unwrap();
                         svc.on_replica_done(&mut next, 0, ctx, true, Bytes::from(buf));
                     }
-                    SvcAction::Forward(Pdu::ScsiCommand(c)) if c.write => {
-                        if let Ok(cmd) = BlockCmd::parse(&c, u64::MAX) {
-                            disk.write(cmd.lba, &c.data).unwrap();
+                    SvcAction::Forward(op) => {
+                        if let Some(cmd) = super::write_cmd(&op) {
+                            disk.write(cmd.lba, &op.data).unwrap();
                         }
                     }
                     _ => {}
@@ -303,9 +291,9 @@ mod tests {
     #[test]
     fn without_snapshot_everything_forwards_verbatim() {
         let mut svc = SnapshotService::new(8);
-        let pdu = write_cmd(1, 0, vec![1u8; 4096]);
-        let acts = actions(&mut svc, Dir::ToTarget, pdu.clone());
-        assert!(matches!(&acts[..], [SvcAction::Forward(p)] if *p == pdu));
+        let op = write_cmd(1, 0, vec![1u8; 4096]);
+        let acts = actions(&mut svc, Dir::ToTarget, op.clone());
+        assert!(matches!(&acts[..], [SvcAction::Forward(p)] if *p == op));
         assert_eq!(svc.stats, SnapStats::default());
     }
 
@@ -313,8 +301,8 @@ mod tests {
     fn first_write_after_snapshot_parks_and_preserves() {
         let mut svc = SnapshotService::new(8);
         let snap = svc.take_snapshot();
-        let pdu = write_cmd(1, 0, vec![0xEE; 4096]);
-        let acts = actions(&mut svc, Dir::ToTarget, pdu.clone());
+        let op = write_cmd(1, 0, vec![0xEE; 4096]);
+        let acts = actions(&mut svc, Dir::ToTarget, op.clone());
         // The write is held; a pre-image read goes to the primary.
         assert!(!acts.iter().any(|a| matches!(a, SvcAction::Forward(_))));
         let ctx = acts
@@ -334,7 +322,7 @@ mod tests {
         let acts = cx.take_actions();
         assert!(
             acts.iter()
-                .any(|a| matches!(a, SvcAction::Forward(p) if *p == pdu)),
+                .any(|a| matches!(a, SvcAction::Forward(p) if *p == op)),
             "parked write released: {acts:?}"
         );
         assert_eq!(svc.cow().image_at(snap, 0).unwrap()[0], 0xAA);

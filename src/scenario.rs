@@ -623,7 +623,8 @@ impl Case {
     /// ([`assert_replays`]); the guest completes I/O without errors; a
     /// fault fires; a verify job completes every round and, behind a
     /// cipher, leaves its plaintext on no volume; an active relay copies
-    /// no payload byte, and every stage of its chain sees writes.
+    /// no payload byte, ends with no command open on any flow, and every
+    /// stage of its chain sees writes.
     ///
     /// # Panics
     ///
@@ -656,6 +657,11 @@ impl Case {
         }
         if self.mode == RelayMode::Active {
             assert_eq!(run.relay().copy_stats().data_bytes_copied, 0);
+            assert_eq!(
+                run.relay().open_commands(),
+                0,
+                "a relay flow left commands open"
+            );
             for (idx, svc) in self.chain.iter().enumerate() {
                 let written = match svc {
                     Svc::Dedup => run.service::<DedupService>(idx).stats.logical_bytes,

@@ -4,7 +4,7 @@
 use storm::block::BlockDevice;
 use storm::core::{PassiveTap, RelayMode};
 use storm::iscsi::TransportKind;
-use storm::scenario::{Case, Svc};
+use storm::scenario::{Case, Load, Svc};
 use storm::workloads::VerifyWorkload;
 
 /// Whatever a service emits walks every stage between it and the wire. A
@@ -51,4 +51,35 @@ fn passive_tap_refuses_an_nvmeq_flow_it_cannot_transform() {
     let (node, app) = (run.deployment.mb_nodes[0].node, run.deployment.mb_apps[0]);
     let tap = run.cloud.net.app_mut(node, app.unwrap()).unwrap();
     assert_eq!(tap.downcast_mut::<PassiveTap>().unwrap().refused_flows(), 1);
+}
+
+/// A service answers a read larger than one 64 KiB Data-In segment itself
+/// (a cache hit, a read a replica served). Over nvmeq that answer must
+/// reach the guest as one completion carrying all of its data: the relay
+/// used to turn only the last Data-In of the service's train into a
+/// completion and drop the rest, so the guest read back short data.
+#[test]
+fn service_read_replies_over_64k_reach_an_nvmeq_guest_whole() {
+    for chain in [vec![Svc::Cache], vec![Svc::Replication]] {
+        let case = Case {
+            transport: TransportKind::Nvmeq,
+            chain,
+            load: Load::Verify(131072, 4),
+            ..Case::default()
+        };
+        case.check();
+    }
+}
+
+/// The iSCSI twin: the same answers leave as a Data-In train.
+#[test]
+fn service_read_replies_over_64k_reach_an_iscsi_guest_whole() {
+    for chain in [vec![Svc::Cache], vec![Svc::Replication]] {
+        let case = Case {
+            chain,
+            load: Load::Verify(131072, 4),
+            ..Case::default()
+        };
+        case.check();
+    }
 }

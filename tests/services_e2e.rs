@@ -284,8 +284,8 @@ fn chained_monitor_then_encryption() {
     let mut at_rest = vec![0u8; 8192];
     run.volume.shared.clone().read(1024, &mut at_rest).unwrap();
     assert_ne!(at_rest, VerifyWorkload::pattern(0, 0, 8192));
-    let pdus = run.service::<PassthroughService>(0).pdus();
-    assert!(pdus > 4, "first chain stage saw the PDUs");
+    let ops = run.service::<PassthroughService>(0).ops();
+    assert!(ops > 4, "first chain stage saw the ops");
 }
 
 /// The trust boundary of Case 2: a tenant that cuts its write data off a
