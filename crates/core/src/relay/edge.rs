@@ -29,7 +29,7 @@ use storm_nvmeq::{
 };
 
 use super::active::RelayCopyStats;
-use super::wire::{entry_of, lift_entry, lift_pdu, lower_pdus, Entry};
+use super::wire::{lift_entry, lift_pdu, lower_entry, lower_pdus, Entry};
 use crate::service::{Dir, Op};
 
 /// One reassembler per leg, keyed by the direction its bytes travel.
@@ -263,7 +263,7 @@ impl Edge {
     ) -> u64 {
         let units: Vec<(Entry, Bytes)> = ops
             .into_iter()
-            .filter_map(|op| entry_of(&mut self.open, op))
+            .filter_map(|op| lower_entry(&mut self.open, op))
             .collect();
         if units.is_empty() {
             return 0;

@@ -140,7 +140,7 @@ pub(crate) fn lower_pdus(open: &mut Exchange, op: Op, mut emit: impl FnMut(Pdu))
 /// an SQE (opening its tag), read data — a service's whole answer — or a
 /// status a CQE (retiring it; a status echoes the retired opcode). A data
 /// request has no multi-queue form: nvmeq writes carry all their data.
-pub(crate) fn entry_of(open: &mut Exchange, op: Op) -> Option<(Entry, Bytes)> {
+pub(crate) fn lower_entry(open: &mut Exchange, op: Op) -> Option<(Entry, Bytes)> {
     let (tag, data_len) = (op.tag, op.data.len() as u32);
     let cqe = |status, op| {
         Entry::Cqe(Cqe {
@@ -221,7 +221,7 @@ mod tests {
             (SqeOp::Write, 8, 8, 1)
         );
         op.data = vec![0xCD; 4096].into();
-        match (entry_of(&mut open, op), sqe(SqeOp::Write, 9, 8, 4096)) {
+        match (lower_entry(&mut open, op), sqe(SqeOp::Write, 9, 8, 4096)) {
             (Some((Entry::Sqe(s), data)), UnitEntry::Sqe(sent)) => {
                 assert_eq!((s, data[0]), (sent, 0xCD))
             }
@@ -250,7 +250,7 @@ mod tests {
     fn status_a_service_makes_echoes_the_retired_opcode() {
         let mut open = Exchange::default();
         lift(&mut open, sqe(SqeOp::Flush, 7, 0, 0), &[]);
-        let mut op_of = |status| match entry_of(&mut open, status) {
+        let mut op_of = |status| match lower_entry(&mut open, status) {
             Some((Entry::Cqe(cqe), _)) => cqe.op,
             _ => panic!("expected a CQE"),
         };
