@@ -393,7 +393,7 @@ mod tests {
         big.data = vec![0x78; SHARE_THRESHOLD].into();
         // A data request has no multi-queue form: not queued, not counted.
         let (offset, seq) = (0, 1);
-        let want = Op::new(Step::WantData { offset, len, seq }, None, 1, Bytes::new());
+        let want = Op::want_data(1, offset, len, seq);
         assert_eq!(edge.queue(Dir::ToTarget, [big, want], &mut q, &mut copy), 1);
         assert_eq!(copy.data_bytes_copied, 0, "large data travels as a view");
         assert_eq!(copy.header_bytes_copied, (FRAME_HDR_LEN + SQE_LEN) as u64);
@@ -418,10 +418,15 @@ mod tests {
         assert!(!edge.rebuild(vec![op], &mut Vec::new()));
     }
 
-    /// Feeds one frame and forwards each of its units untouched.
-    fn relay(edge: &mut Edge, dir: Dir, kind: FrameKind, entry: &[u8], data: &[u8]) -> Vec<Op> {
-        let payload_len = (entry.len() + data.len()) as u32;
-        let (count, queue_depth) = (1, 0);
+    /// Feeds one frame travelling `dir` (a doorbell towards the target, a
+    /// completion back) and forwards each of its units untouched.
+    fn relay(edge: &mut Edge, dir: Dir, entry: &[u8], data: &[u8]) -> Vec<Op> {
+        let kind = match dir {
+            Dir::ToTarget => FrameKind::Doorbell,
+            Dir::ToInitiator => FrameKind::Completion,
+        };
+        let (count, payload_len) = (1, (entry.len() + data.len()) as u32);
+        let queue_depth = 0;
         let header = FrameHeader {
             kind,
             count,
@@ -444,17 +449,7 @@ mod tests {
     fn read_sqe_then_read_cqe_leaves_no_table_entry() {
         let mut edge = Edge::default();
         let doorbell = sqe(SqeOp::Read, 5, 1, 0).encode();
-        assert_eq!(
-            relay(
-                &mut edge,
-                Dir::ToTarget,
-                FrameKind::Doorbell,
-                &doorbell,
-                &[]
-            )
-            .len(),
-            1
-        );
+        assert_eq!(relay(&mut edge, Dir::ToTarget, &doorbell, &[]).len(), 1);
         assert_eq!(edge.open_commands(), 1);
         let (cid, status, op, data_len) = (5, ScsiStatus::Good, SqeOp::Read, 512);
         let cqe = Cqe {
@@ -463,14 +458,7 @@ mod tests {
             op,
             data_len,
         };
-        let completion = (FrameKind::Completion, &cqe.encode(), &[0x3C; 512]);
-        let out = relay(
-            &mut edge,
-            Dir::ToInitiator,
-            completion.0,
-            completion.1,
-            completion.2,
-        );
+        let out = relay(&mut edge, Dir::ToInitiator, &cqe.encode(), &[0x3C; 512]);
         assert_eq!(out.len(), 1);
         assert_eq!(edge.open_commands(), 0, "edge table leaked the read");
     }
@@ -482,13 +470,7 @@ mod tests {
         for (cid, sectors) in [(1, 0x0080_0000), (2, u32::MAX)] {
             let doorbell = sqe(SqeOp::Read, cid, sectors, 0).encode();
             // Forwarded as received, for the target to reject.
-            let out = relay(
-                &mut edge,
-                Dir::ToTarget,
-                FrameKind::Doorbell,
-                &doorbell,
-                &[],
-            );
+            let out = relay(&mut edge, Dir::ToTarget, &doorbell, &[]);
             assert!(matches!(&out[..], [op] if op.step == Step::Other && op.cmd.is_none()));
         }
         assert_eq!(edge.open_commands(), 0);

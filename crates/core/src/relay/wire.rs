@@ -11,7 +11,7 @@
 
 use bytes::Bytes;
 
-use storm_iscsi::exchange::{data_in_train, r2t, status_response, BlockCmd, Exchange, Step};
+use storm_iscsi::exchange::{data_in_train, status_response, BlockCmd, Exchange, Step};
 use storm_iscsi::{Pdu, ScsiStatus};
 use storm_nvmeq::{Cqe, Sqe, SqeOp, UnitEntry, UnitWire};
 
@@ -21,14 +21,15 @@ use crate::service::Op;
 /// answers in its negotiated size, the middle-box in the 64 KiB default.
 const REPLY_SEGMENT: usize = 64 * 1024;
 
-/// How a received op arrived (an [`Op`]'s opaque wire handle), numbered
-/// in its flow's lift order.
+/// An [`Op`]'s wire form, its opaque handle: how a received op arrived,
+/// numbered in its flow's lift order from 1, or a data request's R2T
+/// ([`Op::want_data`], numbered 0).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Wire {
-    /// An iSCSI PDU.
+    /// An iSCSI PDU, and its number.
     Pdu(Pdu, u64),
-    /// An nvmeq unit: its entry and its data as received.
-    Entry { wire: Bytes, data: Bytes, seq: u64 },
+    /// An nvmeq unit: its entry and its data as received, and its number.
+    Entry(Bytes, Bytes, u64),
 }
 
 impl Wire {
@@ -37,9 +38,7 @@ impl Wire {
     pub(crate) fn is(&self, seq: u64, data: &Bytes) -> bool {
         match self {
             Wire::Pdu(pdu, s) => *s == seq && data.same_storage(pdu.data()),
-            Wire::Entry {
-                data: d, seq: s, ..
-            } => *s == seq && data.same_storage(d),
+            Wire::Entry(_, d, s) => *s == seq && data.same_storage(d),
         }
     }
 }
@@ -87,21 +86,17 @@ pub(crate) fn lift_entry(open: &mut Exchange, unit: UnitWire, seq: u64) -> Op {
         }
         UnitEntry::Cqe(cqe) => (cqe.cid, Step::Status(cqe.status), open.retire(cqe.cid)),
     };
-    let (wire, data) = (unit.entry_wire, unit.data);
+    let wire = Wire::Entry(unit.entry_wire, unit.data.clone(), seq);
     Op {
-        wire: Some(Wire::Entry {
-            wire,
-            data: data.clone(),
-            seq,
-        }),
-        ..Op::new(step, cmd, tag, data)
+        wire: Some(wire),
+        ..Op::new(step, cmd, tag, unit.data)
     }
 }
 
-/// Lowers an op to the iSCSI PDUs that carry it: a received op is its PDU
-/// around the op's data; otherwise a command (opening its tag), read data
-/// — a service's whole answer, as a Data-In train — or a status (both
-/// retiring it), or an R2T whose transfer tag is its number plus one.
+/// Lowers an op to the iSCSI PDUs that carry it: an op with a wire form
+/// (received, or a data request) is its PDU around the op's data;
+/// otherwise a command (opening its tag), read data — a service's whole
+/// answer, as a Data-In train — or a status (both retiring it).
 pub(crate) fn lower_pdus(open: &mut Exchange, op: Op, mut emit: impl FnMut(Pdu)) {
     let (tag, data) = (op.tag, op.data);
     match (op.wire, op.step, op.cmd) {
@@ -128,9 +123,6 @@ pub(crate) fn lower_pdus(open: &mut Exchange, op: Op, mut emit: impl FnMut(Pdu))
             open.retire(tag);
             emit(status_response(tag, status));
         }
-        (_, Step::WantData { offset, len, seq }, _) => {
-            emit(Pdu::R2t(r2t(tag, seq, seq.wrapping_add(1), offset, len)));
-        }
         _ => {}
     }
 }
@@ -151,9 +143,7 @@ pub(crate) fn lower_entry(open: &mut Exchange, op: Op) -> Option<(Entry, Bytes)>
         })
     };
     let entry = match (op.wire, op.step, op.cmd) {
-        (Some(Wire::Entry { wire, data, .. }), ..) if data.same_storage(&op.data) => {
-            Entry::Wire(wire)
-        }
+        (Some(Wire::Entry(wire, data, _)), ..) if data.same_storage(&op.data) => Entry::Wire(wire),
         (_, Step::Command, Some(cmd)) => {
             open.begin(tag, cmd);
             let (lba, sectors) = (cmd.lba, cmd.sectors);
@@ -180,6 +170,7 @@ pub(crate) fn lower_entry(open: &mut Exchange, op: Op) -> Option<(Entry, Bytes)>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use storm_iscsi::exchange::r2t;
 
     /// Lifts an SQE or CQE as received, with `data`.
     fn lift(open: &mut Exchange, entry: UnitEntry, data: &[u8]) -> Op {
@@ -282,7 +273,7 @@ mod tests {
     #[test]
     fn data_request_lowers_to_a_numbered_r2t() {
         let (offset, len, seq) = (64 << 10, 256 << 10, 1);
-        let op = Op::new(Step::WantData { offset, len, seq }, None, 2, Bytes::new());
+        let op = Op::want_data(2, offset, len, seq);
         let mut out = Vec::new();
         lower_pdus(&mut Exchange::default(), op, |p| out.push(p));
         assert_eq!(out, [Pdu::R2t(r2t(2, 1, 2, offset, len))]);

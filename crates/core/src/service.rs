@@ -13,7 +13,7 @@ use std::cell::RefCell;
 
 use bytes::Bytes;
 
-use storm_iscsi::exchange::{BlockCmd, Exchange, Step};
+use storm_iscsi::exchange::{r2t, BlockCmd, Exchange, Step};
 use storm_iscsi::{Pdu, ScsiStatus};
 use storm_sim::{IdMap, SimDuration, SimTime};
 
@@ -58,18 +58,16 @@ pub enum ReplicaIo {
     },
 }
 
-/// One block operation travelling through the chain. One the relay
-/// received leaves with the header it came with, around whatever `data` a
-/// service left in it; one a service makes ([`Op::new`]) has no wire form
-/// until the relay lowers it.
+/// One block operation travelling through the chain. Only its `data` can
+/// change: one the relay received leaves with the header it came with,
+/// around whatever data a service left in it. One a service makes
+/// ([`Op::new`]) has no wire form until the relay lowers it; read data a
+/// service makes is the read's whole answer, status good.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Op {
-    /// What the op is.
-    pub step: Step,
-    /// The open command it belongs to, when the relay knows it.
-    pub cmd: Option<BlockCmd>,
-    /// The command's tag (iSCSI initiator task tag, nvmeq command id).
-    pub tag: u32,
+    pub(crate) step: Step,
+    pub(crate) cmd: Option<BlockCmd>,
+    pub(crate) tag: u32,
     /// The op's data: write data, read data or a command's immediate data.
     pub data: Bytes,
     pub(crate) wire: Option<Wire>,
@@ -95,6 +93,33 @@ impl Op {
     /// A status a service answers with.
     pub fn status(tag: u32, status: ScsiStatus) -> Op {
         Op::new(Step::Status(status), None, tag, Bytes::new())
+    }
+
+    /// A service's request for `len` more bytes of write `tag`'s data at
+    /// `offset`, the write's `seq`-th. Only iSCSI has one, so it is made as
+    /// it goes out there: an R2T whose transfer tag is `seq + 1` (nvmeq
+    /// writes carry all their data, and its edge drops the request).
+    pub fn want_data(tag: u32, offset: u32, len: u32, seq: u32) -> Op {
+        let r2t = Pdu::R2t(r2t(tag, seq, seq.wrapping_add(1), offset, len));
+        Op {
+            wire: Some(Wire::Pdu(r2t, 0)),
+            ..Op::new(Step::Other, None, tag, Bytes::new())
+        }
+    }
+
+    /// What the op is.
+    pub fn step(&self) -> Step {
+        self.step
+    }
+
+    /// The open command it belongs to, when the relay knows it.
+    pub fn cmd(&self) -> Option<BlockCmd> {
+        self.cmd
+    }
+
+    /// The command's tag (iSCSI initiator task tag, nvmeq command id).
+    pub fn tag(&self) -> u32 {
+        self.tag
     }
 }
 
@@ -196,10 +221,10 @@ impl<U> SvcCtx<U> {
 }
 
 thread_local! {
-    /// [`StorageService::on_pdu`]'s command tables, one per service by
-    /// address (a service made where a dropped one lived inherits its
-    /// table, whose tags each command re-opens): the shim sees bare PDUs,
-    /// and only a table places their data.
+    /// [`StorageService::on_pdu`]'s command tables of the services with
+    /// commands open, by service address: the shim sees bare PDUs, and
+    /// only a table places their data. A table leaves the map once it is
+    /// empty, so a service made where a dropped one lived starts with none.
     static SHIM_TABLES: RefCell<IdMap<usize, Exchange>> = RefCell::default();
 }
 
@@ -243,6 +268,9 @@ pub trait StorageService: std::any::Any {
                     SvcAction::Charge(cost) => cx.charge(cost),
                     SvcAction::Timer { delay, token } => cx.set_timer(delay, token),
                 }
+            }
+            if open.is_empty() {
+                t.remove(&key);
             }
         });
     }
@@ -389,11 +417,11 @@ mod tests {
         }
 
         fn on_op(&mut self, cx: &mut SvcCtx<Op>, _dir: Dir, mut op: Op) {
-            if op.step == Step::Command && op.cmd.is_some_and(|c| c.op == BlockOp::Read) {
+            if op.step() == Step::Command && op.cmd().is_some_and(|c| c.op == BlockOp::Read) {
                 let data = vec![0x5A; 96 << 10].into();
-                return cx.reply(Op::new(Step::ReadData(0), op.cmd, op.tag, data));
+                return cx.reply(Op::new(Step::ReadData(0), op.cmd(), op.tag(), data));
             }
-            if op.step.volume_offset(op.cmd).is_some() {
+            if op.step().volume_offset(op.cmd()).is_some() {
                 op.data = op.data.iter().map(|b| !b).collect::<Vec<u8>>().into();
             }
             cx.forward(op);
@@ -401,11 +429,12 @@ mod tests {
     }
 
     /// The PDU shim places data through its own table, re-emits a received
-    /// PDU's header around the data the service left in it, and lowers a
-    /// service's own read answer to a 64 KiB Data-In train.
+    /// PDU's header around the data the service left in it, lowers a
+    /// service's own read answer to a 64 KiB Data-In train, and drops the
+    /// table once no command is open.
     #[test]
     fn on_pdu_lifts_and_lowers_like_the_iscsi_edge() {
-        use storm_iscsi::exchange::data_out_train;
+        use storm_iscsi::exchange::{data_out_train, status_response};
         let (mut svc, mut cx) = (Flip, SvcCtx::new(SimTime::ZERO));
         let (op, lba, sectors) = (BlockOp::Write, 8, 2);
         let write = BlockCmd { op, lba, sectors };
@@ -430,5 +459,14 @@ mod tests {
         });
         let answer = data_in_train(4, vec![0x5A; 96 << 10].into(), 64 << 10);
         assert!(replies.eq(answer));
+        // The write's status retires the last open command, and the
+        // service's table with it.
+        assert_eq!(SHIM_TABLES.with_borrow(|t| t.len()), 1);
+        svc.on_pdu(
+            &mut cx,
+            Dir::ToInitiator,
+            status_response(3, ScsiStatus::Good),
+        );
+        assert_eq!(SHIM_TABLES.with_borrow(|t| t.len()), 0);
     }
 }

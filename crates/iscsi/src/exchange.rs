@@ -336,30 +336,18 @@ pub fn status_response(itt: u32, status: ScsiStatus) -> Pdu {
     })
 }
 
-/// What a PDU, or a middle-box's block op, is at block level; the
-/// command it belongs to travels beside it (see [`Exchange::observe`]).
+/// What a PDU, or a block op, is at block level; the command it belongs
+/// to travels beside it (see [`Exchange::observe`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Step {
     /// A block command; its write data, if any, rides with it at offset 0.
     Command,
     /// Write data at this offset into its command's data.
     WriteData(u32),
-    /// Read data at this offset. Read data a middle-box makes itself is
-    /// the read's whole answer, status good.
+    /// Read data at this offset.
     ReadData(u32),
     /// The command's status.
     Status(ScsiStatus),
-    /// A middle-box's request for `len` more bytes of write data at
-    /// `offset`, the command's `seq`-th (an R2T; nvmeq has no such
-    /// request, as its writes carry their data in the capsule).
-    WantData {
-        /// Where the requested data starts in the command's data.
-        offset: u32,
-        /// Bytes requested.
-        len: u32,
-        /// The request's number within its command.
-        seq: u32,
-    },
     /// Anything else: session PDUs, a command [`BlockCmd::parse`] refused
     /// (which opens nothing).
     Other,
@@ -372,7 +360,7 @@ impl Step {
         match self {
             Step::Command => cmd?.volume_offset(0),
             Step::WriteData(at) | Step::ReadData(at) => cmd?.volume_offset(at),
-            _ => None,
+            Step::Status(_) | Step::Other => None,
         }
     }
 }

@@ -315,12 +315,7 @@ impl WriteBackCacheService {
         let params = SessionParams::default();
         let (first, max) = (params.first_burst_length, params.max_burst_length);
         if let Some((sn, offset, len)) = stage.next_burst(first as usize, max as usize) {
-            let want = Step::WantData {
-                offset,
-                len,
-                seq: sn + 1,
-            };
-            cx.reply(Op::new(want, None, itt, Bytes::new()));
+            cx.reply(Op::want_data(itt, offset, len, sn + 1));
         }
     }
 
@@ -502,8 +497,8 @@ impl WriteBackCacheService {
     /// A write command or write data: stage it, then journal the write
     /// once whole, asking for its next burst whenever the last one is in.
     fn on_write(&mut self, cx: &mut SvcCtx<Op>, op: Op) {
-        let itt = op.tag;
-        match self.writes.feed(op.tag, op.step, op.cmd, &op.data) {
+        let itt = op.tag();
+        match self.writes.feed(op.tag(), op.step(), op.cmd(), &op.data) {
             Staged::Untracked => cx.forward(op),
             Staged::Complete(BlockCmd { lba, .. }, data) => {
                 self.complete_write(cx, CompletedWrite { itt, lba, data })
@@ -530,7 +525,7 @@ impl WriteBackCacheService {
                 self.touch(s);
             }
             let answer = Step::ReadData(0);
-            cx.reply(Op::new(answer, Some(cmd), op.tag, buf.freeze()));
+            cx.reply(Op::new(answer, Some(cmd), op.tag(), buf.freeze()));
             return;
         }
         self.stats.read_misses += 1;
@@ -594,7 +589,7 @@ impl StorageService for WriteBackCacheService {
             cx.forward(op);
             return;
         }
-        match (dir, op.step, op.cmd) {
+        match (dir, op.step(), op.cmd()) {
             (Dir::ToTarget, Step::Command, Some(cmd)) => match cmd.op {
                 BlockOp::Write if cmd.sectors > 0 => self.on_write(cx, op),
                 BlockOp::Read => self.on_read_cmd(cx, op, cmd),
@@ -959,7 +954,7 @@ mod tests {
         fn acked(&self, itt: u32) -> bool {
             self.replies
                 .iter()
-                .any(|p| matches!(p.step, Step::Status(_)) && p.tag == itt)
+                .any(|p| matches!(p.step(), Step::Status(_)) && p.tag() == itt)
         }
     }
 
@@ -994,9 +989,9 @@ mod tests {
         assert!(!h.acked(2));
         let cmd = write(0, total as u32);
         let payload = Bytes::from(vec![1u8; total]);
-        let wants = |h: &Harness| -> Vec<Step> {
-            let want = |p: &&Op| matches!(p.step, Step::WantData { .. });
-            h.replies.iter().filter(want).map(|p| p.step).collect()
+        let wants = |h: &Harness| -> Vec<Op> {
+            let want = |p: &&Op| p.step() == Step::Other;
+            h.replies.iter().filter(want).cloned().collect()
         };
         // Unsolicited data up to first_burst, then each burst asked for:
         // the next request comes only once the last one's data is in.
@@ -1004,7 +999,7 @@ mod tests {
         for (seq, (from, to)) in (0u32..).zip(bursts) {
             let (offset, len) = (from as u32, (to - from) as u32);
             if seq > 0 {
-                assert_eq!(wants(&h).last(), Some(&Step::WantData { offset, len, seq }));
+                assert_eq!(wants(&h).last(), Some(&Op::want_data(2, offset, len, seq)));
             }
             for piece in pieces(cmd, &payload, from..to) {
                 assert_eq!(wants(&h).len(), seq as usize, "one request per burst");
@@ -1024,7 +1019,7 @@ mod tests {
         assert!(h.forwards.is_empty(), "hit must not reach the target");
         match &h.replies[..] {
             [.., answer] => {
-                assert_eq!((answer.step, answer.tag), (Step::ReadData(0), 2));
+                assert_eq!((answer.step(), answer.tag()), (Step::ReadData(0), 2));
                 assert_eq!(answer.data.len(), 4096);
                 assert!(answer.data.iter().all(|b| *b == 0x5A));
             }
@@ -1109,13 +1104,9 @@ mod tests {
         h.op(Dir::ToTarget, Op::command(9, flush, Bytes::new()));
         // The sync is parked; the kicked flush cleans the cache and the
         // checkpoint releases it to the target.
-        assert!(
-            h.forwards
-                .iter()
-                .any(|p| p.step == Step::Command && p.tag == 9),
-            "sync released after flush: {:?}",
-            h.forwards
-        );
+        let sync = |p: &Op| p.step() == Step::Command && p.tag() == 9;
+        let fwd = &h.forwards;
+        assert!(fwd.iter().any(sync), "sync not released: {fwd:?}");
         assert!(h.svc.is_clean());
     }
 
@@ -1128,7 +1119,7 @@ mod tests {
         // which will ack it.
         assert!(!h.acked(1));
         let through = h.forwards.last().expect("forwarded");
-        assert_eq!((through.step, through.tag), (Step::Command, 1));
+        assert_eq!((through.step(), through.tag()), (Step::Command, 1));
         assert_eq!(through.data.len(), 4096);
         assert_eq!(h.svc.stats.write_through, 1);
         // Subsequent writes keep flowing through.

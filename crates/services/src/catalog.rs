@@ -236,8 +236,13 @@ fn build_service(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CacheStats, ReplicationStats};
+    use bytes::Bytes;
     use storm_block::MemDisk;
+    use storm_core::{Dir, Op, SvcAction, SvcCtx};
     use storm_extfs::ExtFs;
+    use storm_iscsi::exchange::Step;
+    use storm_sim::SimTime;
 
     fn recon() -> Reconstructor {
         let fs = ExtFs::mkfs(MemDisk::with_capacity_bytes(48 << 20)).unwrap();
@@ -260,9 +265,8 @@ mod tests {
         build_chain(&policy(RelayMode::Active, vec![spec]), None).err()
     }
 
-    #[test]
-    fn builds_every_kind_in_chain_order() {
-        let specs = vec![
+    fn every_kind() -> Vec<ServiceSpec> {
+        vec![
             ServiceSpec::new("monitor").param("watch", "/mnt/a, /mnt/b"),
             ServiceSpec::new("encryption").param("cipher", "aes-256-xts"),
             ServiceSpec::new("dedup")
@@ -275,11 +279,41 @@ mod tests {
                 .param("capacity_mb", "8")
                 .param("flush_ms", "10"),
             ServiceSpec::new("snapshot").param("extent_sectors", "64"),
-        ];
+        ]
+    }
+
+    #[test]
+    fn builds_every_kind_in_chain_order() {
+        let specs = every_kind();
         let kinds: Vec<_> = specs.iter().map(|s| s.kind.clone()).collect();
         let chain = build_chain(&policy(RelayMode::Active, specs), Some(recon())).unwrap();
         let names: Vec<_> = chain.iter().map(|s| s.name()).collect();
         assert_eq!(names, kinds);
+    }
+
+    /// An op no service can place (a command whose length disagrees with
+    /// its CDB lifts to one) passes every kind as received, either way:
+    /// nothing is answered, staged, mirrored, counted or logged.
+    #[test]
+    fn every_kind_forwards_an_op_without_a_command_as_received() {
+        let policy = policy(RelayMode::Active, every_kind());
+        let mut chain = build_chain(&policy, Some(recon())).unwrap();
+        let odd = Op::new(Step::Other, None, 1, Bytes::from(vec![1u8; 512]));
+        for svc in &mut chain {
+            for dir in [Dir::ToTarget, Dir::ToInitiator] {
+                let mut cx = SvcCtx::new(SimTime::ZERO);
+                svc.on_op(&mut cx, dir, odd.clone());
+                let (acts, name) = (cx.take_actions(), svc.name());
+                let once = matches!(&acts[..], [SvcAction::Forward(f)] if *f == odd);
+                assert!(once, "{name}: {acts:?}");
+            }
+        }
+        let cache = chain[6].downcast_ref::<WriteBackCacheService>().unwrap();
+        assert_eq!(cache.stats, CacheStats::default());
+        let replication = chain[5].downcast_ref::<ReplicationService>().unwrap();
+        assert_eq!(replication.stats, ReplicationStats::default());
+        let monitor = chain[0].downcast_mut::<MonitorService>().unwrap();
+        assert!(monitor.log().is_empty() && monitor.events().is_empty());
     }
 
     #[test]
@@ -325,30 +359,18 @@ mod tests {
 
     #[test]
     fn bad_params_are_rejected() {
-        let bad = |spec| match refusal(spec) {
-            Some(CatalogError::BadParam { param, .. }) => param,
-            other => panic!("{other:?}"),
-        };
-        assert_eq!(
-            bad(ServiceSpec::new("encryption").param("cipher", "rot13")),
-            "cipher"
-        );
-        assert_eq!(
-            bad(ServiceSpec::new("replication").param("replicas", "many")),
-            "replicas"
-        );
-        assert_eq!(
-            bad(ServiceSpec::new("replication").param("replicas", "0")),
-            "replicas"
-        );
-        assert_eq!(
-            bad(ServiceSpec::new("cache").param("capacity_mb", "0")),
-            "capacity_mb"
-        );
-        assert_eq!(
-            bad(ServiceSpec::new("compress").param("extent_bytes", "1000")),
-            "extent_bytes"
-        );
+        for (kind, param, value) in [
+            ("encryption", "cipher", "rot13"),
+            ("replication", "replicas", "many"),
+            ("replication", "replicas", "0"),
+            ("cache", "capacity_mb", "0"),
+            ("compress", "extent_bytes", "1000"),
+        ] {
+            match refusal(ServiceSpec::new(kind).param(param, value)) {
+                Some(CatalogError::BadParam { param: p, .. }) => assert_eq!(p, param),
+                other => panic!("{kind} {param}={value}: {other:?}"),
+            }
+        }
     }
 
     /// An empty passphrase is a tenant input error, not a key.

@@ -216,21 +216,18 @@ impl StorageService for CompressService {
     }
 
     fn on_op(&mut self, cx: &mut SvcCtx<Op>, dir: Dir, mut op: Op) {
-        let transformed = match (dir, op.step) {
-            _ if !self.armed || op.data.is_empty() => None,
-            (Dir::ToTarget, Step::Command) if op.cmd.is_some_and(|c| c.op == BlockOp::Write) => {
-                cx.charge(PER_BYTE * op.data.len() as u64);
-                self.encode_payload(0, &op.data)
-            }
-            (Dir::ToTarget, Step::WriteData(at)) => {
-                cx.charge(PER_BYTE * op.data.len() as u64);
-                self.encode_payload(at as usize, &op.data)
-            }
-            (Dir::ToInitiator, Step::ReadData(at)) => {
-                cx.charge(PER_BYTE * op.data.len() as u64);
-                self.decode_payload(at as usize, &op.data)
-            }
-            _ => None,
+        let write = op.cmd().is_some_and(|c| c.op == BlockOp::Write);
+        let (at, encode) = match (dir, op.step()) {
+            _ if !self.armed || op.data.is_empty() => return cx.forward(op),
+            (Dir::ToTarget, Step::Command) if write => (0, true),
+            (Dir::ToTarget, Step::WriteData(at)) => (at as usize, true),
+            (Dir::ToInitiator, Step::ReadData(at)) => (at as usize, false),
+            _ => return cx.forward(op),
+        };
+        cx.charge(PER_BYTE * op.data.len() as u64);
+        let transformed = match encode {
+            true => self.encode_payload(at, &op.data),
+            false => self.decode_payload(at, &op.data),
         };
         if let Some(data) = transformed {
             op.data = data;

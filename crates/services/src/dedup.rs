@@ -203,7 +203,7 @@ impl StorageService for DedupService {
 
     fn on_op(&mut self, cx: &mut SvcCtx<Op>, dir: Dir, op: Op) {
         if self.armed && dir == Dir::ToTarget {
-            match (op.step, op.cmd) {
+            match (op.step(), op.cmd()) {
                 (Step::Command, Some(cmd)) if cmd.op == BlockOp::Write => self.ingest(cx, &op.data),
                 (Step::WriteData(_), _) => self.ingest(cx, &op.data),
                 _ => {}

@@ -114,10 +114,10 @@ impl StorageService for EncryptionService {
     }
 
     fn on_op(&mut self, cx: &mut SvcCtx<Op>, dir: Dir, mut op: Op) {
-        let itt = op.tag;
+        let itt = op.tag();
         // A refused write's remaining data stops here, until a new command
         // takes the tag or a status for it passes.
-        match op.step {
+        match op.step() {
             Step::Command | Step::Status(_) => {
                 self.refused.remove(&itt);
             }
@@ -127,9 +127,9 @@ impl StorageService for EncryptionService {
         // Where the op's data sits on the volume, if it is block data of
         // a known command travelling the way its step does.
         let encrypt = dir == Dir::ToTarget;
-        let at = match (op.step, encrypt) {
+        let at = match (op.step(), encrypt) {
             (Step::Command | Step::WriteData(_), true) | (Step::ReadData(_), false) => {
-                op.step.volume_offset(op.cmd)
+                op.step().volume_offset(op.cmd())
             }
             _ => None,
         };
@@ -289,8 +289,7 @@ mod tests {
     #[test]
     fn data_without_a_command_passes_untouched() {
         let mut enc = svc();
-        let mut stray = data_out(7, 0..512);
-        stray.cmd = None;
+        let stray = Op::new(Step::WriteData(0), None, 7, vec![0xAB; 512].into());
         assert_eq!(run(&mut enc, Dir::ToTarget, stray.clone()), stray);
         assert_eq!(enc.counters(), (0, 0));
     }

@@ -127,14 +127,15 @@ impl StorageService for MonitorService {
     }
 
     fn on_op(&mut self, cx: &mut SvcCtx<Op>, _dir: Dir, op: Op) {
-        if let (Step::Command, Some(cmd)) = (op.step, op.cmd) {
+        let (step, cmd) = (op.step(), op.cmd());
+        if let (Step::Command, Some(cmd)) = (step, cmd) {
             if cmd.op == BlockOp::Read {
                 let len = cmd.bytes() as usize;
                 let rows = self.recon.observe(FsOp::Read, cmd.lba, len, None);
                 self.record(cx, rows);
             }
         }
-        if let Staged::Complete(cmd, data) = self.writes.feed(op.tag, op.step, op.cmd, &op.data) {
+        if let Staged::Complete(cmd, data) = self.writes.feed(op.tag(), step, cmd, &op.data) {
             self.observe_write(cx, cmd.lba, &data);
         }
         cx.forward(op);

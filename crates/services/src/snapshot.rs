@@ -141,8 +141,8 @@ impl SnapshotService {
 
 /// The write command `op` is, if it is one.
 fn write_cmd(op: &Op) -> Option<BlockCmd> {
-    op.cmd
-        .filter(|c| op.step == Step::Command && c.op == BlockOp::Write)
+    op.cmd()
+        .filter(|c| op.step() == Step::Command && c.op == BlockOp::Write)
 }
 
 impl StorageService for SnapshotService {
@@ -155,7 +155,7 @@ impl StorageService for SnapshotService {
             cx.forward(op);
             return;
         }
-        let park = match (op.step, write_cmd(&op)) {
+        let park = match (op.step(), write_cmd(&op)) {
             (_, Some(cmd)) => {
                 cx.charge(PER_BYTE * cmd.bytes());
                 // Keep write order behind in-flight fetches.
@@ -167,7 +167,7 @@ impl StorageService for SnapshotService {
             (Step::WriteData(_), None) => self
                 .parked
                 .iter()
-                .any(|p| p.tag == op.tag && p.step == Step::Command),
+                .any(|p| p.tag() == op.tag() && p.step() == Step::Command),
             _ => false,
         };
         if park {
