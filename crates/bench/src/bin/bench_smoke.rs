@@ -11,15 +11,14 @@
 //! with `diff -u BENCH_baseline.json BENCH_results.json` and
 //! `git diff --exit-code BENCH_figures.md`.
 
-use storm_bench::{render_figures, render_json, Testbed, SCENARIOS};
-use storm_telemetry::analyze;
+use storm::telemetry::analyze;
+use storm_bench::{render_figures, render_json, SCENARIOS};
 
 fn main() {
-    let testbed = Testbed::default();
     let mut rows = Vec::new();
     let mut trace = None;
     for scenario in SCENARIOS {
-        let out = (scenario.run)(&testbed);
+        let out = (scenario.run)();
         let names: Vec<&str> = out.rows.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names, scenario.rows, "scenario produced undeclared rows");
         for r in &out.rows {

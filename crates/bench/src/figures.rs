@@ -260,7 +260,7 @@ pub fn render_figures(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FioPoint, PathMode};
+    use crate::FioPoint;
 
     fn row(name: &str, iops: f64, extras: &[(&'static str, f64)]) -> Row {
         let point = FioPoint {
@@ -270,7 +270,7 @@ mod tests {
             p50_ms: 0.0,
             p99_ms: 0.0,
         };
-        let mut row = Row::new(name, PathMode::Legacy, 4096, 1, 1, point);
+        let mut row = Row::new(name, None, 4096, 1, 1, point);
         row.extras = extras.to_vec();
         row
     }

@@ -7,56 +7,37 @@
 //! the claims relating them are the predicates in `figures.rs`. Sizes are
 //! reduced here, in the entry, so the whole table stays a smoke run.
 
-use storm_block::{MemDisk, RecordingDevice};
-use storm_cloud::{Cloud, CloudConfig, VolumeHandle, Workload};
-use storm_core::relay::{ReplicaTarget, CPU_LABEL};
-use storm_core::semantics::FsEvent;
-use storm_core::{FsOp, FsTargetKind, MbSpec, Reconstructor, RelayMode};
-use storm_extfs::ExtFs;
-use storm_net::{AppId, HostId};
-use storm_services::{
+use storm::block::{MemDisk, RecordingDevice};
+use storm::cloud::DiskSpec;
+use storm::core::relay::CPU_LABEL;
+use storm::core::semantics::FsEvent;
+use storm::core::{FsOp, FsTargetKind, Reconstructor, RelayMode};
+use storm::extfs::ExtFs;
+use storm::scenario::{Replica, Spec};
+use storm::services::{
     EncryptionService, MonitorConfig, MonitorService, NumberedAccess, ReplicationService,
 };
-use storm_sim::{SimDuration, SimTime};
-use storm_workloads::postmark::{self, install_image};
-use storm_workloads::{
+use storm::sim::{SimDuration, SimTime};
+use storm::workloads::postmark::{self, install_image};
+use storm::workloads::{
     malware, FtpDirection, FtpWorkload, OltpConfig, OltpWorkload, OpClass, OpGroup, TraceWorkload,
 };
 
-use crate::{
-    attach_over_path, attach_steered, build_cloud, client_point, relay_of, service_of, FioPoint,
-    Output, PathMode, Row, Testbed,
-};
+use crate::{client_point, testbed, FioPoint, Output, Row, VOLUME_BYTES};
 
-/// The tenant's workload on compute0, as its concrete type.
-fn workload_of<W: Workload>(cloud: &mut Cloud, app: AppId) -> &W {
-    cloud
-        .client_mut(0, app)
-        .workload_ref()
-        .and_then(|w| w.downcast_ref::<W>())
-        .expect("client runs the requested workload type")
-}
-
-/// Attaches `workload` to `vol` either directly (encryption stays in the
-/// guest) or through an active-relay middle-box running AES-256-XTS at
-/// `mb_cipher_per_byte`; returns the middle-box VM's node in that case.
-fn attach_encrypted(
-    cloud: &mut Cloud,
-    vol: &VolumeHandle,
-    mb_cipher_per_byte: Option<SimDuration>,
-    workload: Box<dyn Workload>,
-    testbed: &Testbed,
-) -> (PathMode, Option<HostId>, AppId) {
+/// The volume attached either directly (encryption stays in the guest) or
+/// through an active-relay middle-box running AES-256-XTS at
+/// `mb_cipher_per_byte`.
+fn encrypted_path(mb_cipher_per_byte: Option<SimDuration>) -> Spec {
     let Some(per_byte) = mb_cipher_per_byte else {
-        let mode = PathMode::Legacy;
-        let app = attach_over_path(cloud, mode, vol, workload, testbed);
-        return (mode, None, app);
+        return testbed(None);
     };
     let mut enc = EncryptionService::aes_xts(&[0x2F; 64]);
     enc.set_per_byte_cost(per_byte);
-    let spec = MbSpec::with_services(3, RelayMode::Active, vec![Box::new(enc)]);
-    let (d, app) = attach_steered(cloud, vol, spec, "vm:tenant", workload, testbed.seed);
-    (PathMode::MbActiveRelay, Some(d.mb_nodes[0].node), app)
+    Spec {
+        services: vec![Box::new(enc)],
+        ..testbed(Some(RelayMode::Active))
+    }
 }
 
 /// Upload size of the Fig 10 transfer. CPU shares are rates, so they read
@@ -70,21 +51,22 @@ const FTP_MB_CIPHER_PER_BYTE: SimDuration = SimDuration::from_nanos(4);
 
 /// Fig 10: CPU utilization during an FTP upload with AES-XTS performed in
 /// the tenant VM (dm-crypt style) vs in a StorM encryption middle-box.
-pub(crate) fn fig10(testbed: &Testbed) -> Output {
+pub(crate) fn fig10() -> Output {
     let run = |name: &str, middlebox: bool| {
-        let mut cloud = build_cloud(testbed.seed);
-        let vol = cloud.create_volume(testbed.volume_bytes, 0);
         let mut ftp = FtpWorkload::new(FtpDirection::Upload, FTP_BYTES);
         if !middlebox {
             ftp = ftp.with_vm_cipher(FTP_VM_CIPHER_PER_BYTE);
         }
-        let mb_cipher = middlebox.then_some(FTP_MB_CIPHER_PER_BYTE);
-        let (mode, mb_node, app) =
-            attach_encrypted(&mut cloud, &vol, mb_cipher, Box::new(ftp), testbed);
-        cloud.net.run_until(SimTime::from_secs(10));
-        let elapsed = workload_of::<FtpWorkload>(&mut cloud, app)
+        let spec = encrypted_path(middlebox.then_some(FTP_MB_CIPHER_PER_BYTE));
+        let mode = spec.mode;
+        let mut run = spec.build(ftp, |_, _| {});
+        run.run_until(SimTime::from_secs(10));
+        let elapsed = run
+            .workload::<FtpWorkload>()
             .elapsed()
             .expect("transfer finished");
+        let mb_node = middlebox.then(|| run.deployment().mb_nodes[0].node);
+        let cloud = &mut run.cloud;
         // Utilization against 2 vCPUs, like the paper's VMs.
         let pct = |host, labels: &[&str]| {
             let cpu = &cloud.net.host(host).cpu;
@@ -95,7 +77,7 @@ pub(crate) fn fig10(testbed: &Testbed) -> Output {
         let mb = mb_node.map_or(0.0, |node| pct(node, &[CPU_LABEL, "fwd"]));
         let target = pct(cloud.storages[0].host, &["target"]);
         // 256 KiB chunks, four in flight (`FtpWorkload::new`).
-        let point = client_point(&mut cloud, 0, app, elapsed);
+        let point = client_point(cloud, 0, run.app, elapsed);
         Row::new(name, mode, 256 * 1024, 4, 1, point)
             .extra("transfer_mib", (FTP_BYTES >> 20) as f64)
             .extra("vm_cpu_pct", vm)
@@ -119,22 +101,24 @@ const POSTMARK_MB_CIPHER_PER_BYTE: SimDuration = SimDuration::from_nanos(6);
 /// Fig 11: PostMark component throughput (100-file pool, 400 transactions
 /// replayed as real ext-filesystem block traffic), encryption in the
 /// tenant VM vs in a middle-box.
-pub(crate) fn fig11(testbed: &Testbed) -> Output {
+pub(crate) fn fig11() -> Output {
     let run = |name: &str, middlebox: bool| {
         let cfg = postmark::PostmarkConfig::default();
         let (image, groups) = postmark::prepare(&cfg);
-        let mut cloud = build_cloud(testbed.seed);
-        let vol = cloud.create_volume(cfg.volume_bytes, 0);
-        install_image(&image, &mut vol.shared.clone());
         let mut trace = TraceWorkload::new(groups);
         if !middlebox {
             trace = trace.with_vm_cipher(POSTMARK_VM_CIPHER.0, POSTMARK_VM_CIPHER.1);
         }
-        let mb_cipher = middlebox.then_some(POSTMARK_MB_CIPHER_PER_BYTE);
-        let (mode, _, app) =
-            attach_encrypted(&mut cloud, &vol, mb_cipher, Box::new(trace), testbed);
-        cloud.net.run_until(SimTime::from_secs(120));
-        let w = workload_of::<TraceWorkload>(&mut cloud, app);
+        let spec = Spec {
+            volume_bytes: cfg.volume_bytes,
+            ..encrypted_path(middlebox.then_some(POSTMARK_MB_CIPHER_PER_BYTE))
+        };
+        let mode = spec.mode;
+        let mut run = spec.build(trace, |_, vol| {
+            install_image(&image, &mut vol.shared.clone())
+        });
+        run.run_until(SimTime::from_secs(120));
+        let w = run.workload::<TraceWorkload>();
         let elapsed = w.elapsed().expect("postmark finished");
         let classes = [
             (OpClass::Read, "read_ops_s"),
@@ -154,7 +138,7 @@ pub(crate) fn fig11(testbed: &Testbed) -> Output {
         );
         extras.push(("read_mbps", per_sec(read) / 1e6));
         extras.push(("write_mbps", per_sec(written) / 1e6));
-        let point = client_point(&mut cloud, 0, app, elapsed);
+        let point = client_point(&mut run.cloud, 0, run.app, elapsed);
         let mut row = Row::new(name, mode, 4096, 1, 1, point);
         row.extras = extras;
         row
@@ -181,58 +165,50 @@ const OLTP_CACHE_BLOCKS: usize = 8_192;
 /// Fig 12/13: OLTP against a volume behind a replication middle-box with
 /// two backup replicas on separate storage hosts, one of which fails
 /// mid-run; and against the same volume attached directly.
-pub(crate) fn fig13(testbed: &Testbed) -> Output {
+pub(crate) fn fig13() -> Output {
     let run = |name: &str, replicated: bool| {
-        let mut cfg = CloudConfig {
-            storage_hosts: 3,
-            backing_bytes: 8 << 30,
-            seed: testbed.seed,
-            ..CloudConfig::default()
+        let mut spec = Spec {
+            client_seed: 77,
+            label: "vm:mysql",
+            spares: vec![VOLUME_BYTES; 2],
+            disk: DiskSpec {
+                cache_blocks: OLTP_CACHE_BLOCKS,
+                ..DiskSpec::default()
+            },
+            ..testbed(None)
         };
-        cfg.target.disk.cache_blocks = OLTP_CACHE_BLOCKS;
-        let mut cloud = Cloud::build(cfg);
-        let vols = [0, 1, 2].map(|host| cloud.create_volume(testbed.volume_bytes, host));
-        let oltp = Box::new(OltpWorkload::new(OltpConfig {
+        if replicated {
+            spec.mode = Some(RelayMode::Active);
+            spec.services = vec![Box::new(ReplicationService::new(2, true))];
+            spec.replicas = vec![Replica::Spare(0), Replica::Spare(1)];
+        }
+        let mode = spec.mode;
+        let oltp = OltpWorkload::new(OltpConfig {
             threads: OLTP_THREADS,
             reads_per_txn: 3,
             area_sectors: OLTP_AREA_SECTORS,
             duration: SimDuration::from_secs(OLTP_SECS),
-        }));
-        let fail_at = SimTime::from_secs(OLTP_FAIL_AT_SECS);
-        let (mode, deployment, app) = if replicated {
-            let spec = MbSpec {
-                host_idx: 3,
-                mode: RelayMode::Active,
-                services: vec![Box::new(ReplicationService::new(2, true))],
-                replicas: vols[1..]
-                    .iter()
-                    .map(|v| ReplicaTarget {
-                        portal: v.portal,
-                        iqn: v.iqn.clone(),
-                    })
-                    .collect(),
-            };
-            let (d, app) = attach_steered(&mut cloud, &vols[0], spec, "vm:mysql", oltp, 77);
-            cloud.net.run_until(fail_at);
-            vols[1].shared.fail();
-            (PathMode::MbActiveRelay, Some(d), app)
-        } else {
-            let app = cloud.attach_volume(0, "vm:mysql", &vols[0], oltp, 77, false);
-            (PathMode::Legacy, None, app)
-        };
-        cloud.net.run_until(SimTime::from_secs(OLTP_SECS + 2));
-        let errors = cloud.client_mut(0, app).stats.errors;
-        let w = workload_of::<OltpWorkload>(&mut cloud, app);
+        });
+        let mut run = spec.build(oltp, |_, _| {});
+        if replicated {
+            run.run_until(SimTime::from_secs(OLTP_FAIL_AT_SECS));
+            run.spares[0].shared.fail();
+        }
+        run.run_until(SimTime::from_secs(OLTP_SECS + 2));
+        let errors = run.cloud.client_mut(0, run.app).stats.errors;
+        let w = run.workload::<OltpWorkload>();
         let fail = OLTP_FAIL_AT_SECS as usize;
         let (before, after) = (
             w.mean_tps(1, fail),
             w.mean_tps(fail + 1, OLTP_SECS as usize),
         );
-        let alive = deployment.map_or(0, |d| {
-            service_of::<ReplicationService>(&mut cloud, &d).alive_replicas()
-        });
+        let alive = if replicated {
+            run.service::<ReplicationService>(0).alive_replicas()
+        } else {
+            0
+        };
         let window = SimDuration::from_secs(OLTP_SECS);
-        let point = client_point(&mut cloud, 0, app, window);
+        let point = client_point(&mut run.cloud, 0, run.app, window);
         Row::new(name, mode, 16 * 1024, OLTP_THREADS, 1, point)
             .extra("hot_set_mib", (OLTP_AREA_SECTORS >> 11) as f64)
             .extra("cache_mib", (OLTP_CACHE_BLOCKS >> 8) as f64)
@@ -284,7 +260,7 @@ impl Monitored {
     }
 
     fn row(&self, name: &str) -> Row {
-        Row::new(name, PathMode::MbActiveRelay, 4096, 1, 1, self.point)
+        Row::new(name, Some(RelayMode::Active), 4096, 1, 1, self.point)
             .extra("log_rows", self.log.len() as f64)
             .extra("alerts", self.alerts as f64)
     }
@@ -294,33 +270,36 @@ impl Monitored {
 /// from the tenant VM through a monitoring middle-box alerting on `watch`,
 /// and reads the monitor's findings back out of the relay.
 fn monitored_replay(
-    testbed: &Testbed,
     image: &MemDisk,
     groups: Vec<OpGroup>,
     mount: &str,
     watch: &[&str],
 ) -> Monitored {
-    let mut cloud = build_cloud(testbed.seed);
-    let vol = cloud.create_volume(256 << 20, 0);
-    install_image(image, &mut vol.shared.clone());
-    let recon = Reconstructor::from_device(&mut vol.shared.clone(), mount)
-        .expect("volume holds an ext filesystem");
+    // The volume holds exactly the image, so the monitor reads its
+    // filesystem off the image.
+    let recon = Reconstructor::from_device(&mut image.clone(), mount)
+        .expect("image holds an ext filesystem");
     let config = MonitorConfig {
         watch: watch.iter().map(|w| w.to_string()).collect(),
         per_byte_cost: SimDuration::ZERO,
     };
-    let monitor = MonitorService::new(config, recon);
-    let spec = MbSpec::with_services(3, RelayMode::Active, vec![Box::new(monitor)]);
-    let trace = Box::new(TraceWorkload::new(groups));
-    let (deployment, app) =
-        attach_steered(&mut cloud, &vol, spec, "vm:tenant", trace, testbed.seed);
-    cloud.net.run_until(SimTime::from_secs(30));
-    let elapsed = workload_of::<TraceWorkload>(&mut cloud, app)
+    let spec = Spec {
+        volume_bytes: 256 << 20,
+        services: vec![Box::new(MonitorService::new(config, recon))],
+        ..testbed(Some(RelayMode::Active))
+    };
+    let trace = TraceWorkload::new(groups);
+    let mut run = spec.build(trace, |_, vol| {
+        install_image(image, &mut vol.shared.clone())
+    });
+    run.run_until(SimTime::from_secs(30));
+    let elapsed = run
+        .workload::<TraceWorkload>()
         .elapsed()
         .expect("trace replay finished");
-    let point = client_point(&mut cloud, 0, app, elapsed);
-    let alerts = relay_of(&mut cloud, &deployment).alerts().len();
-    let monitor = service_of::<MonitorService>(&mut cloud, &deployment);
+    let point = client_point(&mut run.cloud, 0, run.app, elapsed);
+    let alerts = run.relay().alerts().len();
+    let monitor = run.service::<MonitorService>(0);
     Monitored {
         point,
         log: monitor.analysis(),
@@ -333,7 +312,7 @@ fn monitored_replay(
 /// at `/mnt/box` holds `name0..name9` × `1.img..10.img`; the tenant issues
 /// Table II's two file operations and the monitor must attribute their
 /// bytes to the right files from block accesses alone.
-pub(crate) fn table1(testbed: &Testbed) -> Output {
+pub(crate) fn table1() -> Output {
     let dev = RecordingDevice::new(MemDisk::with_capacity_bytes(256 << 20));
     let mut fs = ExtFs::mkfs(dev).expect("mkfs");
     for d in 0..10 {
@@ -365,7 +344,7 @@ pub(crate) fn table1(testbed: &Testbed) -> Output {
         group(OpClass::Read, "read name9/7.img", read),
     ];
     let image = fs.into_device().expect("unmount").into_inner();
-    let seen = monitored_replay(testbed, &image, groups, "/mnt/box", &["/mnt/box/name9"]);
+    let seen = monitored_replay(&image, groups, "/mnt/box", &["/mnt/box/name9"]);
     let written = seen.bytes(FsOp::Write, "/mnt/box/name1/1.img");
     let read = seen.bytes(FsOp::Read, "/mnt/box/name9/7.img");
     vec![seen
@@ -376,12 +355,12 @@ pub(crate) fn table1(testbed: &Testbed) -> Output {
 }
 
 /// Table III: the scripted re-enactment of `HEUR:Backdoor.Linux.Ganiw.a`'s
-/// installation (`storm_workloads::malware`), replayed through the
+/// installation (`storm::workloads::malware`), replayed through the
 /// monitor, which must recover every artifact of every step.
-pub(crate) fn table3(testbed: &Testbed) -> Output {
+pub(crate) fn table3() -> Output {
     let image = malware::build_system_image();
     let (groups, steps) = malware::ganiw_trace(image.clone());
-    let seen = monitored_replay(testbed, &image, groups, "", &["/etc/init.d", "/bin"]);
+    let seen = monitored_replay(&image, groups, "", &["/etc/init.d", "/bin"]);
     let artifacts: Vec<&String> = steps.iter().flat_map(|s| &s.touches).collect();
     let missed = artifacts.iter().filter(|p| !seen.recovered(p)).count();
     vec![seen

@@ -16,14 +16,14 @@
 //!   best-effort hog, its p99 blows through the ceiling, and the engine
 //!   live-migrates it to the fast tier mid-run (copy-then-cutover).
 
-use storm_cloud::{Cloud, DiskSpec, ProvisioningEngine};
-use storm_net::AppId;
-use storm_qos::{DiskTier, RateLimitSpec, VolumeSlo};
-use storm_sim::SimDuration;
-use storm_telemetry::analyze;
-use storm_workloads::{FioJob, FioWorkload};
+use storm::cloud::{Cloud, CloudConfig, DiskSpec, ProvisioningEngine};
+use storm::net::AppId;
+use storm::qos::{DiskTier, RateLimitSpec, VolumeSlo};
+use storm::sim::SimDuration;
+use storm::telemetry::analyze;
+use storm::workloads::{FioJob, FioWorkload};
 
-use crate::{build_cloud, client_point, FioPoint, Output, PathMode, Row, Testbed};
+use crate::{client_point, FioPoint, Output, Row, SEED, VOLUME_BYTES, WINDOW};
 
 /// Aggressor IOPS cap in the shaped run.
 const AGGRESSOR_IOPS: u64 = 200;
@@ -53,10 +53,16 @@ fn drive_logins(cloud: &mut Cloud, apps: &[(usize, AppId)]) {
 /// One interference case: victim always runs; the aggressor and the
 /// shaping knobs are optional. Returns the victim's point and the
 /// target-side ops that drew a shaping delay.
-fn interference_case(testbed: &Testbed, with_aggressor: bool, shaped: bool) -> (FioPoint, u64) {
-    let mut cloud = build_cloud(testbed.seed);
-    let victim_vol = cloud.create_volume(testbed.volume_bytes, 0);
-    let aggr_vol = cloud.create_volume(testbed.volume_bytes, 0);
+fn interference_case(with_aggressor: bool, shaped: bool) -> (FioPoint, u64) {
+    let mut cfg = CloudConfig {
+        seed: SEED,
+        ..CloudConfig::default()
+    };
+    // Steady-state page cache, as in every single-tenant row.
+    cfg.target.disk.prewarmed = true;
+    let mut cloud = Cloud::build(cfg);
+    let victim_vol = cloud.create_volume(VOLUME_BYTES, 0);
+    let aggr_vol = cloud.create_volume(VOLUME_BYTES, 0);
     {
         let target = cloud.target_mut(0);
         target.enable_qos(DiskSpec::fast_tier(), DiskSpec::slow_tier());
@@ -70,37 +76,37 @@ fn interference_case(testbed: &Testbed, with_aggressor: bool, shaped: bool) -> (
             target.set_tenant_weight(1, VICTIM_WEIGHT);
         }
     }
-    let victim_job = FioJob::randrw(64 * 1024, testbed.duration, victim_vol.sectors).threads(1);
+    let victim_job = FioJob::randrw(64 * 1024, WINDOW, victim_vol.sectors).threads(1);
     let victim = cloud.attach_volume(
         0,
         "vm:victim",
         &victim_vol,
         Box::new(FioWorkload::new(victim_job)),
-        testbed.seed,
+        SEED,
         false,
     );
     let mut apps = vec![(0usize, victim)];
     if with_aggressor {
-        let job = FioJob::randrw(AGGRESSOR_BLOCK, testbed.duration, aggr_vol.sectors).threads(4);
+        let job = FioJob::randrw(AGGRESSOR_BLOCK, WINDOW, aggr_vol.sectors).threads(4);
         let app = cloud.attach_volume(
             1,
             "vm:aggressor",
             &aggr_vol,
             Box::new(FioWorkload::new(job)),
-            testbed.seed + 1,
+            SEED + 1,
             false,
         );
         apps.push((1, app));
     }
     drive_logins(&mut cloud, &apps);
-    let end = cloud.net.now() + testbed.duration + SimDuration::from_secs(2);
+    let end = cloud.net.now() + WINDOW + SimDuration::from_secs(2);
     cloud.net.run_until(end);
     let (throttled, _) = cloud.target_mut(0).qos_throttle_stats();
     // Reading a point checks its tenant logged in and saw no error; the
     // victim's is the one reported.
     let points: Vec<FioPoint> = apps
         .iter()
-        .map(|&(host, app)| client_point(&mut cloud, host, app, testbed.duration))
+        .map(|&(host, app)| client_point(&mut cloud, host, app, WINDOW))
         .collect();
     (points[0], throttled)
 }
@@ -109,10 +115,10 @@ fn interference_case(testbed: &Testbed, with_aggressor: bool, shaped: bool) -> (
 /// (aggressor limited to `AGGRESSOR_IOPS`, victim WFQ weight
 /// `VICTIM_WEIGHT`). The shaped victim's p99 must stay within 20 % of its
 /// solo baseline.
-pub(crate) fn qos_interference(testbed: &Testbed) -> Output {
-    let (solo, _) = interference_case(testbed, false, false);
-    let (contended, _) = interference_case(testbed, true, false);
-    let (shaped, throttled_ops) = interference_case(testbed, true, true);
+pub(crate) fn qos_interference() -> Output {
+    let (solo, _) = interference_case(false, false);
+    let (contended, _) = interference_case(true, false);
+    let (shaped, throttled_ops) = interference_case(true, true);
     assert!(
         shaped.p99_ms <= solo.p99_ms * 1.2,
         "QoS failed to protect the victim: shaped p99 {:.3} ms vs solo {:.3} ms",
@@ -121,7 +127,7 @@ pub(crate) fn qos_interference(testbed: &Testbed) -> Output {
     );
     assert!(throttled_ops > 0, "the aggressor was never throttled");
     let name = "qos.interference.2tenant";
-    vec![Row::new(name, PathMode::Legacy, 64 * 1024, 1, 1, shaped)
+    vec![Row::new(name, None, 64 * 1024, 1, 1, shaped)
         .extra("solo_p99_ms", solo.p99_ms)
         .extra("contended_p99_ms", contended.p99_ms)
         .extra("qos_over_solo", shaped.p99_ms / solo.p99_ms)
@@ -139,8 +145,13 @@ const CHURN_P99_CEILING_US: u64 = 1_500;
 /// slow tier next to a best-effort hog, with the [`ProvisioningEngine`]
 /// ticking every 50 ms of simulated time. The control loop must
 /// live-migrate the violating volume to the fast tier mid-run.
-pub(crate) fn qos_churn(testbed: &Testbed) -> Output {
-    let mut cloud = build_cloud(testbed.seed);
+pub(crate) fn qos_churn() -> Output {
+    let mut cfg = CloudConfig {
+        seed: SEED,
+        ..CloudConfig::default()
+    };
+    cfg.target.disk.prewarmed = true;
+    let mut cloud = Cloud::build(cfg);
     cloud
         .target_mut(0)
         .enable_qos(DiskSpec::fast_tier(), DiskSpec::slow_tier());
@@ -178,28 +189,28 @@ pub(crate) fn qos_churn(testbed: &Testbed) -> Output {
         )
         .is_none();
 
-    let watched_job = FioJob::randrw(4096, testbed.duration, watched.handle.sectors).threads(1);
+    let watched_job = FioJob::randrw(4096, WINDOW, watched.handle.sectors).threads(1);
     let watched_app = cloud.attach_volume(
         0,
         "vm:slo",
         &watched.handle,
         Box::new(FioWorkload::new(watched_job)),
-        testbed.seed,
+        SEED,
         false,
     );
-    let hog_job = FioJob::randrw(64 * 1024, testbed.duration, hog.handle.sectors).threads(4);
+    let hog_job = FioJob::randrw(64 * 1024, WINDOW, hog.handle.sectors).threads(4);
     let hog_app = cloud.attach_volume(
         1,
         "vm:hog",
         &hog.handle,
         Box::new(FioWorkload::new(hog_job)),
-        testbed.seed + 1,
+        SEED + 1,
         false,
     );
     drive_logins(&mut cloud, &[(0, watched_app), (1, hog_app)]);
 
     // Run in slices, ticking the control loop between them.
-    let end = cloud.net.now() + testbed.duration + SimDuration::from_secs(2);
+    let end = cloud.net.now() + WINDOW + SimDuration::from_secs(2);
     while cloud.net.now() < end {
         cloud.net.run_for(SimDuration::from_millis(50));
         let t = cloud.net.now();
@@ -221,9 +232,9 @@ pub(crate) fn qos_churn(testbed: &Testbed) -> Output {
     );
     assert!(overload_rejected, "overload request was not rejected");
     assert!(slo_attainment > 0.0, "SLO attainment metric missing");
-    let point = client_point(&mut cloud, 0, watched_app, testbed.duration);
+    let point = client_point(&mut cloud, 0, watched_app, WINDOW);
     let name = "qos.provisioning.churn";
-    vec![Row::new(name, PathMode::Legacy, 4096, 1, 1, point)
+    vec![Row::new(name, None, 4096, 1, 1, point)
         .extra("migrations", migrations_completed as f64)
         .extra("slo_attainment", slo_attainment)]
     .into()

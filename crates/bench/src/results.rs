@@ -1,20 +1,25 @@
 //! Machine-readable benchmark results (`BENCH_results.json`).
 
-use crate::{FioPoint, PathMode};
+use storm::core::RelayMode;
+
+use crate::FioPoint;
 
 /// One row of `BENCH_results.json`: a measured scenario point.
 #[derive(Debug, Clone)]
 pub struct Row {
     /// Row name, e.g. `fig5.active.64k`.
     pub name: String,
-    /// The data path measured.
-    pub mode: PathMode,
+    /// The data path measured: the middle-box's mode, `None` for a guest
+    /// attached directly (LEGACY).
+    pub mode: Option<RelayMode>,
     /// Request size in bytes.
     pub block_bytes: usize,
     /// Outstanding requests.
     pub threads: usize,
-    /// Transport submission-queue depth the session ran with (1 for the
-    /// serial iSCSI scenarios) — makes QD-sweep rows self-describing.
+    /// Requests the client kept outstanding in the transport-lab and
+    /// zero-copy rows (32 in `transport.nvmeq_vs_iscsi.64k`, on iSCSI); 1
+    /// in every other row, whose concurrency is `threads`. Makes QD-sweep
+    /// rows self-describing.
     pub queue_depth: usize,
     /// The measured point.
     pub point: FioPoint,
@@ -28,7 +33,7 @@ impl Row {
     /// A row without extras.
     pub fn new(
         name: &str,
-        mode: PathMode,
+        mode: Option<RelayMode>,
         block_bytes: usize,
         threads: usize,
         queue_depth: usize,
@@ -69,6 +74,16 @@ impl Row {
     }
 }
 
+/// The paper's name for the data path `mode` measures.
+fn path_label(mode: Option<RelayMode>) -> &'static str {
+    match mode {
+        None => "LEGACY",
+        Some(RelayMode::Forward) => "MB-FWD",
+        Some(RelayMode::Passive) => "MB-PASSIVE-RELAY",
+        Some(RelayMode::Active) => "MB-ACTIVE-RELAY",
+    }
+}
+
 /// Serializes `rows` as the `BENCH_results.json` document.
 ///
 /// The JSON is hand-rolled with fixed key order and fixed-precision
@@ -88,7 +103,7 @@ pub fn render_json(rows: &[Row]) -> String {
              \"queue_depth\":{},\"ops\":{},\"iops\":{:.1},\"throughput_mbps\":{:.2},\
              \"mean_ms\":{:.3},\"p50_ms\":{:.3},\"p99_ms\":{:.3}",
             s.name,
-            s.mode,
+            path_label(s.mode),
             s.block_bytes,
             s.threads,
             s.queue_depth,
@@ -118,7 +133,7 @@ mod tests {
         let rows = [
             Row::new(
                 "fig4.legacy.4k",
-                PathMode::Legacy,
+                None,
                 4096,
                 1,
                 1,
@@ -132,7 +147,7 @@ mod tests {
             ),
             Row::new(
                 "fig5.active.64k",
-                PathMode::MbActiveRelay,
+                Some(RelayMode::Active),
                 65536,
                 1,
                 32,

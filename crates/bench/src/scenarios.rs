@@ -14,18 +14,17 @@
 
 use std::sync::Arc;
 
-use storm_cloud::{Cloud, CloudConfig, VolumeHandle};
-use storm_core::{MbSpec, RelayCopyStats, RelayMode};
-use storm_iscsi::TransportKind;
-use storm_net::{AppId, LinkSpec};
-use storm_sim::SimDuration;
-use storm_telemetry::{analyze, Recorder};
-use storm_workloads::{FioJob, FioWorkload};
+use storm::core::{RelayCopyStats, RelayMode};
+use storm::iscsi::TransportKind;
+use storm::net::LinkSpec;
+use storm::scenario::{Run, Spec};
+use storm::sim::SimDuration;
+use storm::telemetry::{analyze, Recorder};
 
 use crate::figures::Claim;
 use crate::{
-    attach_steered, build_cloud, figures, fio_point, fio_point_traced, paper, qos, ratio, relay_of,
-    run_and_measure, run_fleet, services_suite, FioPoint, FleetConfig, PathMode, Row, Testbed,
+    figure_path, figures, fio, paper, qos, ratio, run_fleet, services_suite, testbed, FioPoint,
+    FleetConfig, Row,
 };
 
 /// What running one [`Scenario`] hands back.
@@ -47,7 +46,7 @@ pub struct Scenario {
     /// Names of the rows `run` produces, in order.
     pub rows: &'static [&'static str],
     /// Runs the scenario, checks its invariants and returns its rows.
-    pub run: fn(&Testbed) -> Output,
+    pub run: fn() -> Output,
     /// Paper claims this entry answers for, checked over its rows and
     /// those of the entries before it.
     pub claims: &'static [Claim],
@@ -188,7 +187,7 @@ pub const SCENARIOS: &[Scenario] = &[
 const BLOCK: usize = 64 * 1024;
 
 /// Fleet-scale executor run: 1000 closed-loop tenants, a million requests.
-fn fleet(_: &Testbed) -> Output {
+fn fleet() -> Output {
     let cfg = FleetConfig {
         tenants: 1_000,
         requests_per_tenant: 1_000,
@@ -209,7 +208,7 @@ fn fleet(_: &Testbed) -> Output {
     };
     vec![Row::new(
         "fleet.1k_tenants.1m_requests",
-        PathMode::Legacy,
+        None,
         4096,
         cfg.shards,
         1,
@@ -219,24 +218,28 @@ fn fleet(_: &Testbed) -> Output {
 }
 
 /// LEGACY, MB-FWD and MB-PASSIVE-RELAY at one outstanding request.
-fn fig_paths(testbed: &Testbed) -> Output {
+fn fig_paths() -> Output {
     [
-        ("fig4.legacy.64k", PathMode::Legacy),
-        ("fig4.fwd.64k", PathMode::MbFwd),
-        ("fig5.passive.64k", PathMode::MbPassiveRelay),
+        ("fig4.legacy.64k", None),
+        ("fig4.fwd.64k", Some(RelayMode::Forward)),
+        ("fig5.passive.64k", Some(RelayMode::Passive)),
     ]
     .into_iter()
-    .map(|(name, mode)| Row::new(name, mode, BLOCK, 1, 1, fio_point(mode, BLOCK, 1, testbed)))
+    .map(|(name, mode)| Row::new(name, mode, BLOCK, 1, 1, fio(figure_path(mode), BLOCK, 1).1))
     .collect::<Vec<_>>()
     .into()
 }
 
 /// MB-ACTIVE-RELAY with the recorder armed: its trace is the uploaded
 /// artifact and must attribute every nanosecond of request latency.
-fn fig5_active_traced(testbed: &Testbed) -> Output {
-    let rec = Arc::new(Recorder::new());
-    let mode = PathMode::MbActiveRelay;
-    let p = fio_point_traced(mode, BLOCK, 1, testbed, Recorder::hook(&rec));
+fn fig5_active_traced() -> Output {
+    let mode = Some(RelayMode::Active);
+    let spec = Spec {
+        traced: true,
+        ..figure_path(mode)
+    };
+    let (run, p) = fio(spec, BLOCK, 1);
+    let rec = Arc::clone(run.recorder());
     let report = analyze::attribute(&rec.events());
     assert!(report.requests > 0, "traced run completed no requests");
     let share_sum: f64 = report.rows.iter().map(|r| r.share).sum();
@@ -251,21 +254,21 @@ fn fig5_active_traced(testbed: &Testbed) -> Output {
 }
 
 /// The four path modes in sweep-row order, with their row-name stems.
-const MODES: [(&str, PathMode); 4] = [
-    ("legacy", PathMode::Legacy),
-    ("fwd", PathMode::MbFwd),
-    ("passive", PathMode::MbPassiveRelay),
-    ("active", PathMode::MbActiveRelay),
+const MODES: [(&str, Option<RelayMode>); 4] = [
+    ("legacy", None),
+    ("fwd", Some(RelayMode::Forward)),
+    ("passive", Some(RelayMode::Passive)),
+    ("active", Some(RelayMode::Active)),
 ];
 
 /// Fig 4/5/7/8: one outstanding request at 4, 16 and 256 KiB over the four
 /// path modes. The 64 KiB column is the four rows above, computed once.
-fn size_sweep(testbed: &Testbed) -> Output {
+fn size_sweep() -> Output {
     let mut rows = Vec::new();
     for kib in [4, 16, 256] {
         for (stem, mode) in MODES {
             let name = figures::sweep_row(stem, &format!("{kib}k"));
-            let point = fio_point(mode, kib * 1024, 1, testbed);
+            let point = fio(figure_path(mode), kib * 1024, 1).1;
             rows.push(Row::new(&name, mode, kib * 1024, 1, 1, point));
         }
     }
@@ -275,17 +278,17 @@ fn size_sweep(testbed: &Testbed) -> Output {
 /// Fig 6/9: 16 KiB requests at 4-32 fio threads over the four path modes.
 /// The active row carries its ratio to LEGACY, the reproduction's one
 /// known gap ([`figures::ACTIVE_NEAR_LEGACY`]).
-fn thread_sweep(testbed: &Testbed) -> Output {
+fn thread_sweep() -> Output {
     let mut rows = Vec::new();
     for threads in [4, 8, 16, 32] {
         let mut legacy_iops = 0.0;
         for (stem, mode) in MODES {
             let name = figures::sweep_row(stem, &format!("t{threads}"));
-            let point = fio_point(mode, 16 * 1024, threads, testbed);
+            let point = fio(figure_path(mode), 16 * 1024, threads).1;
             let mut row = Row::new(&name, mode, 16 * 1024, threads, 1, point);
             match mode {
-                PathMode::Legacy => legacy_iops = point.iops,
-                PathMode::MbActiveRelay => {
+                None => legacy_iops = point.iops,
+                Some(RelayMode::Active) => {
                     row = row.extra("active_over_legacy", point.iops / legacy_iops);
                 }
                 _ => {}
@@ -297,53 +300,35 @@ fn thread_sweep(testbed: &Testbed) -> Output {
 }
 
 /// 64 KiB fio with `depth` requests outstanding through the active relay
-/// `spec` on `cloud`. However many commands are in flight, the relay must
-/// forward every data segment verbatim (only the fixed 48-byte header
-/// copies are allowed). Returns the row, carrying `bytes_copied_per_pdu`,
-/// plus the client app and the relay's copy counters for further extras.
-fn verbatim_row(
-    name: &str,
-    cloud: &mut Cloud,
-    vol: &VolumeHandle,
-    spec: MbSpec,
-    depth: usize,
-    testbed: &Testbed,
-) -> (Row, AppId, RelayCopyStats) {
-    let job = FioJob::randrw(BLOCK, testbed.duration, vol.sectors).threads(depth);
-    let workload = Box::new(FioWorkload::new(job));
-    let (deployment, app) = attach_steered(cloud, vol, spec, "vm:tenant", workload, testbed.seed);
-    let point = run_and_measure(cloud, app, testbed);
-    let relay = relay_of(cloud, &deployment);
+/// of `spec`. However many commands are in flight, the relay must forward
+/// every data segment verbatim (only the fixed 48-byte header copies are
+/// allowed). Returns the row, carrying `bytes_copied_per_pdu`, plus the
+/// run and the relay's copy counters for further extras.
+fn verbatim_row(name: &str, spec: Spec, depth: usize) -> (Row, Run, RelayCopyStats) {
+    let (mut run, point) = fio(spec, BLOCK, depth);
+    let relay = run.relay();
     let (pdus, copy) = (relay.pdus_forwarded(), relay.copy_stats());
     assert!(pdus > 0, "{name}: nothing was forwarded");
     assert_eq!(
         copy.data_bytes_copied, 0,
         "{name}: chain must not copy data segments"
     );
-    let row = Row::new(name, PathMode::MbActiveRelay, BLOCK, depth, depth, point)
+    let mode = Some(RelayMode::Active);
+    let row = Row::new(name, mode, BLOCK, depth, depth, point)
         .extra("bytes_copied_per_pdu", ratio(copy.data_bytes_copied, pdus));
-    (row, app, copy)
+    (row, run, copy)
 }
 
 /// The shared body of a zero-copy acceptance scenario: one outstanding
 /// request through `spec`, every PDU a verbatim forward.
-pub(crate) fn zerocopy_row(
-    name: &str,
-    mut cloud: Cloud,
-    vol: &VolumeHandle,
-    spec: MbSpec,
-    testbed: &Testbed,
-) -> Output {
-    let (row, _, copy) = verbatim_row(name, &mut cloud, vol, spec, 1, testbed);
+pub(crate) fn zerocopy_row(name: &str, spec: Spec) -> Output {
+    let (row, _, copy) = verbatim_row(name, spec, 1);
     vec![row.extra("verbatim_forwards", copy.verbatim_forwards as f64)].into()
 }
 
 /// An active relay with an **empty** service chain (pure passthrough).
-fn zerocopy_passthrough(testbed: &Testbed) -> Output {
-    let mut cloud = build_cloud(testbed.seed);
-    let vol = cloud.create_volume(testbed.volume_bytes, 0);
-    let spec = MbSpec::bare(3, RelayMode::Active);
-    zerocopy_row("zerocopy.passthrough.64k", cloud, &vol, spec, testbed)
+fn zerocopy_passthrough() -> Output {
+    zerocopy_row("zerocopy.passthrough.64k", testbed(Some(RelayMode::Active)))
 }
 
 /// One transport-lab point: `kind` at `queue_depth` through a **bare**
@@ -355,11 +340,9 @@ fn zerocopy_passthrough(testbed: &Testbed) -> Output {
 /// duplex, no 7 µs per-packet software copy) — the sweep measures how
 /// deep queues amortize per-command costs, and either software ceiling
 /// would clip the QD=32 point at ~110 MB/s before the rings matter.
-fn transport_row(name: &str, kind: TransportKind, queue_depth: u16, testbed: &Testbed) -> Row {
-    let mut cfg = CloudConfig {
-        seed: testbed.seed,
-        backing_bytes: 64 << 30,
-        transport: kind,
+fn transport_row(name: &str, transport: TransportKind, queue_depth: u16) -> Row {
+    let spec = Spec {
+        transport,
         queue_depth,
         phys_link: LinkSpec {
             bandwidth_bps: 10_000_000_000,
@@ -370,15 +353,10 @@ fn transport_row(name: &str, kind: TransportKind, queue_depth: u16, testbed: &Te
             half_duplex: false,
             ..LinkSpec::virtio()
         },
-        ..CloudConfig::default()
+        ..testbed(Some(RelayMode::Active))
     };
-    cfg.target.disk.prewarmed = true;
-    let mut cloud = Cloud::build(cfg);
-    let vol = cloud.create_volume(testbed.volume_bytes, 0);
-    let spec = MbSpec::bare(3, RelayMode::Active);
-    let depth = usize::from(queue_depth);
-    let (row, app, _) = verbatim_row(name, &mut cloud, &vol, spec, depth, testbed);
-    let t = cloud.client_mut(0, app).transport();
+    let (row, mut run, _) = verbatim_row(name, spec, usize::from(queue_depth));
+    let t = run.client().transport();
     let ((doorbells, sqes), (frames, cqes)) = (t.doorbell_stats(), t.cq_stats());
     row.extra("sq_peak", t.sq_peak() as f64)
         .extra("doorbell_batch", ratio(sqes, doorbells))
@@ -389,10 +367,10 @@ fn transport_row(name: &str, kind: TransportKind, queue_depth: u16, testbed: &Te
 /// submission-queue depth through a bare active relay on a 10G fabric,
 /// then the serial protocol head-to-head at the deepest point. Deep
 /// pipelining must close the middle-box throughput gap.
-fn transport_lab(testbed: &Testbed) -> Output {
+fn transport_lab() -> Output {
     let sweep = |qd| {
         let name = format!("transport.qd_sweep.qd{qd}");
-        transport_row(&name, TransportKind::Nvmeq, qd, testbed)
+        transport_row(&name, TransportKind::Nvmeq, qd)
     };
     let mut rows = vec![sweep(1), sweep(8), sweep(32)];
     let metric = |r: &Row, key| r.metric(key).expect("transport rows carry it");
@@ -414,7 +392,7 @@ fn transport_lab(testbed: &Testbed) -> Output {
     // with 32 outstanding commands is the row; the extras carry the
     // multi-queue side of the comparison.
     let name = "transport.nvmeq_vs_iscsi.64k";
-    let mut iscsi = transport_row(name, TransportKind::Iscsi, 32, testbed);
+    let mut iscsi = transport_row(name, TransportKind::Iscsi, 32);
     let iscsi_mbps = metric(&iscsi, "throughput_mbps");
     iscsi.extras = vec![
         ("nvmeq_mbps", qd32),

@@ -15,30 +15,19 @@
 //! path targets, so flushed data lands where misses read from.
 
 use bytes::Bytes;
-use storm_cloud::{Cloud, CloudConfig, IoCtx, IoKind, IoResult, ReqId, VolumeHandle, Workload};
-use storm_core::relay::ReplicaTarget;
-use storm_core::service::StorageService;
-use storm_core::{MbSpec, RelayMode};
-use storm_services::{
+use storm::cloud::{IoCtx, IoKind, IoResult, ReqId, Workload};
+use storm::core::RelayMode;
+use storm::scenario::{Replica, Spec};
+use storm::services::{
     CacheConfig, CompressService, DedupService, SnapshotService, WriteBackCacheService,
 };
-use storm_sim::{SimDuration, SimRng};
+use storm::sim::{SimDuration, SimRng};
 
 use crate::scenarios::zerocopy_row;
-use crate::{attach_steered, client_point, service_of, Output, PathMode, Row, Testbed};
+use crate::{client_point, testbed, Output, Row, SEED, WINDOW};
 
-/// Cloud for the suite scenarios: the standard compute layout plus a
-/// second storage host that exports the cache's journal volume.
-fn build_suite_cloud(seed: u64) -> Cloud {
-    let mut cfg = CloudConfig {
-        seed,
-        storage_hosts: 2,
-        backing_bytes: 64 << 30,
-        ..CloudConfig::default()
-    };
-    cfg.target.disk.prewarmed = true;
-    Cloud::build(cfg)
-}
+/// The cache's journal, on a second storage host.
+const JOURNAL_BYTES: u64 = 64 << 20;
 
 /// 4 KiB blocks: writes a hot set once, then reads it repeatedly with a
 /// 20% sprinkle of cold (never re-read) blocks — a cache-friendly mix
@@ -104,23 +93,19 @@ impl Workload for HotSetWorkload {
 /// `services.cache.hit`: the hot-set workload through an armed write-back
 /// cache middle-box. Reads must mostly hit, and the flush must reach the
 /// primary volume.
-pub(crate) fn cache_hit(testbed: &Testbed) -> Output {
-    let mut cloud = build_suite_cloud(testbed.seed);
-    let vol = cloud.create_volume(1 << 30, 0);
-    let journal = cloud.create_volume(64 << 20, 1);
-    let spec = MbSpec {
-        host_idx: 3,
-        mode: RelayMode::Active,
+pub(crate) fn cache_hit() -> Output {
+    let spec = Spec {
+        label: "vm:cache",
+        spares: vec![JOURNAL_BYTES],
         services: vec![Box::new(WriteBackCacheService::new(CacheConfig::default()))],
-        replicas: journal_and_primary(&journal, &vol),
+        replicas: vec![Replica::Spare(0), Replica::Primary],
+        ..testbed(Some(RelayMode::Active))
     };
-    let workload = Box::new(HotSetWorkload::new(64, 2000));
-    let (deployment, app) =
-        attach_steered(&mut cloud, &vol, spec, "vm:cache", workload, testbed.seed);
-    let horizon = testbed.duration + SimDuration::from_secs(5);
-    cloud.net.run_for(horizon);
-    let point = client_point(&mut cloud, 0, app, horizon);
-    let stats = service_of::<WriteBackCacheService>(&mut cloud, &deployment).stats;
+    let mut run = spec.build(HotSetWorkload::new(64, 2000), |_, _| {});
+    let horizon = WINDOW + SimDuration::from_secs(5);
+    run.cloud.net.run_for(horizon);
+    let point = client_point(&mut run.cloud, 0, run.app, horizon);
+    let stats = run.service::<WriteBackCacheService>(0).stats;
     let hit_rate = stats.hit_rate();
     assert!(
         hit_rate > 0.5,
@@ -131,22 +116,17 @@ pub(crate) fn cache_hit(testbed: &Testbed) -> Output {
         stats.flushed_bytes > 0,
         "cache flush never reached the volume"
     );
-    let mode = PathMode::MbActiveRelay;
-    vec![Row::new("services.cache.hit", mode, 4096, 1, 1, point)
-        .extra("hit_rate", hit_rate)
-        .extra("absorbed_writes", stats.writes_absorbed as f64)]
+    vec![Row::new(
+        "services.cache.hit",
+        Some(RelayMode::Active),
+        4096,
+        1,
+        1,
+        point,
+    )
+    .extra("hit_rate", hit_rate)
+    .extra("absorbed_writes", stats.writes_absorbed as f64)]
     .into()
-}
-
-/// The two replica sessions the cache service expects: 0 is the journal,
-/// 1 the primary volume.
-fn journal_and_primary(journal: &VolumeHandle, primary: &VolumeHandle) -> Vec<ReplicaTarget> {
-    [journal, primary]
-        .map(|v| ReplicaTarget {
-            portal: v.portal,
-            iqn: v.iqn.clone(),
-        })
-        .into()
 }
 
 /// Writes 64 KiB blocks to distinct offsets, cycling a small set of
@@ -204,24 +184,23 @@ impl Workload for DupWorkload {
 
 /// `services.dedup.ratio`: the duplicate-heavy workload through an armed
 /// CDC dedup middle-box, which must reduce it at least 1.5x.
-pub(crate) fn dedup_ratio(testbed: &Testbed) -> Output {
-    let mut cloud = build_suite_cloud(testbed.seed);
-    let vol = cloud.create_volume(1 << 30, 0);
-    let dedup = DedupService::new(testbed.seed, 12);
-    let spec = MbSpec::with_services(3, RelayMode::Active, vec![Box::new(dedup)]);
-    let workload = Box::new(DupWorkload::new(testbed.seed, 4, 48));
-    let (deployment, app) =
-        attach_steered(&mut cloud, &vol, spec, "vm:dedup", workload, testbed.seed);
-    let horizon = testbed.duration + SimDuration::from_secs(5);
-    cloud.net.run_for(horizon);
-    let point = client_point(&mut cloud, 0, app, horizon);
-    let stats = service_of::<DedupService>(&mut cloud, &deployment).stats;
+pub(crate) fn dedup_ratio() -> Output {
+    let spec = Spec {
+        label: "vm:dedup",
+        services: vec![Box::new(DedupService::new(SEED, 12))],
+        ..testbed(Some(RelayMode::Active))
+    };
+    let mut run = spec.build(DupWorkload::new(SEED, 4, 48), |_, _| {});
+    let horizon = WINDOW + SimDuration::from_secs(5);
+    run.cloud.net.run_for(horizon);
+    let point = client_point(&mut run.cloud, 0, run.app, horizon);
+    let stats = run.service::<DedupService>(0).stats;
     let ratio = stats.reduction_ratio();
     assert!(
         ratio >= 1.5 && stats.duplicate_chunks > 0,
         "duplicate-heavy workload must reduce >= 1.5x: {stats:?}"
     );
-    let mode = PathMode::MbActiveRelay;
+    let mode = Some(RelayMode::Active);
     vec![Row::new("services.dedup.ratio", mode, 65536, 1, 1, point)
         .extra("dedup_ratio", ratio)
         .extra("duplicate_chunks", stats.duplicate_chunks as f64)]
@@ -231,23 +210,19 @@ pub(crate) fn dedup_ratio(testbed: &Testbed) -> Output {
 /// `zerocopy.suite_idle.64k`: the whole suite installed but idle (disarmed
 /// cache, dedup and compression plus a snapshot service with no snapshot
 /// taken). Every data PDU must still take the verbatim fast path.
-pub(crate) fn zerocopy_suite_idle(testbed: &Testbed) -> Output {
-    let mut cloud = build_suite_cloud(testbed.seed);
-    let vol = cloud.create_volume(testbed.volume_bytes, 0);
-    let journal = cloud.create_volume(64 << 20, 1);
-    let services: Vec<Box<dyn StorageService>> = vec![
-        Box::new(WriteBackCacheService::disarmed(CacheConfig::default())),
-        Box::new(DedupService::disarmed(testbed.seed, 12)),
-        Box::new(CompressService::disarmed(4096)),
-        Box::new(SnapshotService::new(128)),
-    ];
-    let spec = MbSpec {
-        host_idx: 3,
-        mode: RelayMode::Active,
-        services,
-        replicas: journal_and_primary(&journal, &vol),
+pub(crate) fn zerocopy_suite_idle() -> Output {
+    let spec = Spec {
+        spares: vec![JOURNAL_BYTES],
+        services: vec![
+            Box::new(WriteBackCacheService::disarmed(CacheConfig::default())),
+            Box::new(DedupService::disarmed(SEED, 12)),
+            Box::new(CompressService::disarmed(4096)),
+            Box::new(SnapshotService::new(128)),
+        ],
+        replicas: vec![Replica::Spare(0), Replica::Primary],
+        ..testbed(Some(RelayMode::Active))
     };
-    zerocopy_row("zerocopy.suite_idle.64k", cloud, &vol, spec, testbed)
+    zerocopy_row("zerocopy.suite_idle.64k", spec)
 }
 
 #[cfg(test)]
@@ -258,16 +233,16 @@ mod tests {
 
     #[test]
     fn hot_set_workload_hits_the_cache() {
-        cache_hit(&Testbed::default());
+        cache_hit();
     }
 
     #[test]
     fn duplicate_heavy_workload_deduplicates() {
-        dedup_ratio(&Testbed::default());
+        dedup_ratio();
     }
 
     #[test]
     fn idle_suite_preserves_zero_copy() {
-        zerocopy_suite_idle(&Testbed::default());
+        zerocopy_suite_idle();
     }
 }

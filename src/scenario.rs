@@ -11,9 +11,10 @@
 //! 3. create the primary volume, then the spares;
 //! 4. run the caller's `prepare` (target-side QoS, filesystem images);
 //! 5. deploy the chain: gateways on compute1/compute2, the middle-box on
-//!    compute3;
-//! 6. attach the volume on compute0 through the atomic steering window
-//!    (the simulation runs until the login completes);
+//!    compute3 (skipped when the guest attaches directly);
+//! 6. attach the volume on compute0, through the atomic steering window
+//!    if a chain is deployed (either way the simulation runs until the
+//!    login completes);
 //! 7. arm the fault plan on the fabric, the targets and the relay.
 //!
 //! That order is part of the golden-trace contract
@@ -27,7 +28,7 @@
 //! placement above, `backing_bytes` (the `CloudConfig` default; volume
 //! groups are sparse) and `timeline = false`. Each field of [`Spec`] is
 //! set to different values by at least two callers in `tests/`,
-//! `examples/` and [`Case`]:
+//! `examples/`, `storm-bench` and [`Case`]:
 //!
 //! | field | one caller | another |
 //! |---|---|---|
@@ -40,15 +41,18 @@
 //! | `spares` | [`Case`] (one, 64 MiB) | `failover_recovery` (two, 1 GiB) |
 //! | `disk` | `ablations` (prewarmed cache) | `failover_recovery` (128 MiB page cache) |
 //! | `mode` | [`Case`] (all three) | `services_e2e` (passive stream cipher) |
+//! | `mode: None` (direct attach) | `storm-bench`'s LEGACY rows | `fault_injection` (a failing storage link) |
+//! | `phys_link` | `storm-bench`'s figure rows (1 GbE) | its transport lab (10 GbE) |
+//! | `virtio_link` | `storm-bench`'s figure rows (vhost copies) | its transport lab (passthrough vNICs) |
 //! | `services` | `relay_golden_trace` (dedup, compress, XTS) | [`Case`] (none to four) |
 //! | `replicas` | [`Case`] (journal, then primary) | `examples/backup_clone` (primary only) |
 //! | `platform` | `ablations` (`tso`, `buffer_cap`) | [`Case`] (relay QoS) |
 //! | `faults` | `cache_crash_consistency` (`MbCrash`) | `failover_recovery` (`MuteTarget`) |
 //! | `traced` | [`Case`] (on) | `ablations` (off: 3 s at depth 16) |
 //!
-//! Multi-tenant, direct-attach and scripted-initiator set-ups are not this
-//! shape and stay on [`Cloud`] and [`StormPlatform`] directly;
-//! `examples/quickstart.rs` shows the three calls `build` expands to.
+//! Multi-tenant and scripted-initiator set-ups are not this shape and stay
+//! on [`Cloud`] and [`StormPlatform`] directly; `examples/quickstart.rs`
+//! shows the three calls `build` expands to.
 //!
 //! # Generated cases
 //!
@@ -66,7 +70,7 @@ use storm_core::service::StorageService;
 use storm_core::{ChainDeployment, MbSpec, RelayMode, RelayQosConfig, StormPlatform};
 use storm_faults::{Fault, FaultPlan, FaultRunner};
 use storm_iscsi::TransportKind;
-use storm_net::AppId;
+use storm_net::{AppId, LinkSpec};
 use storm_qos::{DiskTier, RateLimitSpec};
 use storm_services::{
     CacheConfig, CompressService, DedupService, EncryptionService, ReplicationService,
@@ -104,8 +108,14 @@ pub struct Spec {
     pub spares: Vec<u64>,
     /// Disk and page-cache model of every storage host.
     pub disk: DiskSpec,
-    /// How the middle-box intercepts the flow.
-    pub mode: RelayMode,
+    /// Physical (storage and uplink) links.
+    pub phys_link: LinkSpec,
+    /// VM vifs.
+    pub virtio_link: LinkSpec,
+    /// How the middle-box intercepts the flow; `None` deploys no chain
+    /// (`services` and `replicas` go unused) and attaches the guest
+    /// directly (the paper's LEGACY).
+    pub mode: Option<RelayMode>,
     /// The service chain inside the middle-box, in write-path order.
     pub services: Vec<Box<dyn StorageService>>,
     /// The relay's replica sessions, in the order services index them.
@@ -132,7 +142,9 @@ impl Default for Spec {
             volume_bytes: 64 << 20,
             spares: Vec::new(),
             disk: cloud.target.disk,
-            mode: RelayMode::Active,
+            phys_link: cloud.phys_link,
+            virtio_link: cloud.virtio_link,
+            mode: Some(RelayMode::Active),
             services: Vec::new(),
             replicas: Vec::new(),
             platform: StormPlatform::default(),
@@ -160,6 +172,8 @@ impl Spec {
             transport: self.transport,
             queue_depth: self.queue_depth,
             storage_hosts: 1 + self.spares.len(),
+            phys_link: self.phys_link,
+            virtio_link: self.virtio_link,
             ..CloudConfig::default()
         };
         cfg.target.disk = self.disk;
@@ -184,24 +198,29 @@ impl Spec {
                 iqn: v.iqn.clone(),
             })
             .collect();
-        let mb = MbSpec {
-            host_idx: 3,
-            mode: self.mode,
-            services: self.services,
-            replicas,
-        };
         let platform = self.platform;
-        let deployment = platform.deploy_chain(&mut cloud, &volume, (1, 2), vec![mb]);
-        let app = platform.attach_volume_steered(
-            &mut cloud,
-            &deployment,
-            0,
-            self.label,
-            &volume,
-            Box::new(workload),
-            self.client_seed,
-            false,
-        );
+        let deployment = self.mode.map(|mode| {
+            let mb = MbSpec {
+                host_idx: 3,
+                mode,
+                services: self.services,
+                replicas,
+            };
+            platform.deploy_chain(&mut cloud, &volume, (1, 2), vec![mb])
+        });
+        let (workload, seed) = (Box::new(workload), self.client_seed);
+        let app = match &deployment {
+            Some(d) => platform.attach_volume_steered(
+                &mut cloud, d, 0, self.label, &volume, workload, seed, false,
+            ),
+            None => {
+                let app = cloud.attach_volume(0, self.label, &volume, workload, seed, false);
+                // The platform's login wait, with no steering rule to drop.
+                let deadline = cloud.net.now() + SimDuration::from_secs(5);
+                while !cloud.client_mut(0, app).is_ready() && cloud.net.step_until(deadline) {}
+                app
+            }
+        };
         let mut run = Run {
             cloud,
             volume,
@@ -228,10 +247,9 @@ pub struct Run {
     pub volume: VolumeHandle,
     /// The spare volumes, in [`Spec::spares`] order.
     pub spares: Vec<VolumeHandle>,
-    /// Gateways, middle-box node and the installed chains.
-    pub deployment: ChainDeployment,
     /// The tenant's client app on compute0.
     pub app: AppId,
+    deployment: Option<ChainDeployment>,
     platform: StormPlatform,
     recorder: Option<Arc<Recorder>>,
     faults: Option<FaultRunner>,
@@ -242,14 +260,24 @@ impl Run {
     fn arm(&mut self, plan: FaultPlan) {
         let mut runner = FaultRunner::new(plan.schedule());
         runner.arm_cloud(&mut self.cloud);
-        // Forward and passive chains run no relay app to arm; fabric and
-        // target faults still fire.
-        let d = &self.deployment;
-        if let (RelayMode::Active, Some(mb_app)) = (d.modes[0], d.mb_apps[0]) {
-            let armed = runner.arm_mb(&mut self.cloud, 0, d.mb_nodes[0].node, mb_app);
-            assert!(armed, "active middle-box runs an ActiveRelayMb");
+        // Direct attach, forward and passive chains run no relay app to
+        // arm; fabric and target faults still fire.
+        if let Some(d) = &self.deployment {
+            if let (RelayMode::Active, Some(mb_app)) = (d.modes[0], d.mb_apps[0]) {
+                let armed = runner.arm_mb(&mut self.cloud, 0, d.mb_nodes[0].node, mb_app);
+                assert!(armed, "active middle-box runs an ActiveRelayMb");
+            }
         }
         self.faults = Some(runner);
+    }
+
+    /// Gateways, middle-box node and the installed chains.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the guest attached directly.
+    pub fn deployment(&self) -> &ChainDeployment {
+        self.deployment.as_ref().expect(NO_MIDDLE_BOX)
     }
 
     /// Runs the simulation to `end`, firing the fault plan on the way.
@@ -283,6 +311,10 @@ impl Run {
 
     /// Attaches one more guest to the same volume through the same chain,
     /// on compute host `host_idx` (a second initiator, a later phase).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the guest attached directly.
     pub fn attach(
         &mut self,
         host_idx: usize,
@@ -292,7 +324,7 @@ impl Run {
     ) -> AppId {
         self.platform.attach_volume_steered(
             &mut self.cloud,
-            &self.deployment,
+            self.deployment.as_ref().expect(NO_MIDDLE_BOX),
             host_idx,
             label,
             &self.volume,
@@ -319,10 +351,12 @@ impl Run {
     ///
     /// # Panics
     ///
-    /// Panics on a forward or passive chain, which runs none.
+    /// Panics on a forward or passive chain, which runs none, and if the
+    /// guest attached directly.
     pub fn relay(&mut self) -> &mut ActiveRelayMb {
-        let (mode, node) = (self.deployment.modes[0], self.deployment.mb_nodes[0].node);
-        let app = match (mode, self.deployment.mb_apps[0]) {
+        let d = self.deployment();
+        let (mode, node, app) = (d.modes[0], d.mb_nodes[0].node, d.mb_apps[0]);
+        let app = match (mode, app) {
             (RelayMode::Active, Some(app)) => app,
             _ => panic!("no active relay: the chain's mode is {mode:?}"),
         };
@@ -345,7 +379,7 @@ impl Run {
     /// # Panics
     ///
     /// Panics unless the spec was `traced`.
-    pub fn recorder(&self) -> &Recorder {
+    pub fn recorder(&self) -> &Arc<Recorder> {
         self.recorder.as_ref().expect("Spec::traced was off")
     }
 
@@ -359,6 +393,8 @@ impl Run {
         self.faults.as_ref().map_or_else(Vec::new, |f| f.trace())
     }
 }
+
+const NO_MIDDLE_BOX: &str = "no middle-box: the guest attached directly";
 
 /// Equal seed ⇒ byte-identical trace, and the export parses back: runs
 /// `scenario(seed)` twice and returns the trace for further checks.
@@ -558,7 +594,7 @@ impl Case {
             queue_depth: self.queue_depth,
             label: "vm:case",
             spares: vec![64 << 20; spares],
-            mode: self.mode,
+            mode: Some(self.mode),
             services: self.chain.iter().map(|s| s.service(self.seed)).collect(),
             replicas,
             platform: StormPlatform {
@@ -706,5 +742,23 @@ mod tests {
     #[should_panic(expected = "no active relay: the chain's mode is Forward")]
     fn relay_on_a_forward_chain_names_the_mode() {
         forward(None).run().relay();
+    }
+
+    /// LEGACY: no chain is deployed, the guest still logs in and completes
+    /// I/O, and asking for the relay says there is no middle-box.
+    #[test]
+    #[should_panic(expected = "no middle-box: the guest attached directly")]
+    fn a_direct_attach_deploys_nothing_and_has_no_relay() {
+        let spec = Spec {
+            mode: None,
+            ..Spec::default()
+        };
+        let job = FioJob::randrw(4096, SimDuration::from_millis(50), 1 << 16);
+        let mut run = spec.build(FioWorkload::new(job), |_, _| {});
+        run.run_until(run.cloud.net.now() + SimDuration::from_millis(100));
+        let stats = &run.client().stats;
+        assert!(stats.ops() > 0 && stats.errors == 0, "{stats:?}");
+        assert!(run.deployment.is_none());
+        run.relay();
     }
 }

@@ -3,7 +3,8 @@
 //! right party.
 
 use bytes::Bytes;
-use storm::cloud::{Cloud, CloudConfig, IoCtx, IoKind, IoResult, ReqId, Workload};
+use storm::cloud::{IoCtx, IoKind, IoResult, ReqId, Workload};
+use storm::scenario::{Run, Spec};
 use storm_block::BlockDevice;
 use storm_sim::{SimDuration, SimTime};
 
@@ -29,33 +30,37 @@ impl Workload for Forever {
     }
 }
 
+/// A guest on compute0 writing forever to a 32 MiB volume it attached
+/// directly, with no middle-box in between.
+fn direct_forever() -> Run {
+    let spec = Spec {
+        client_seed: 4,
+        label: "vm:f",
+        volume_bytes: 32 << 20,
+        mode: None,
+        ..Spec::default()
+    };
+    spec.build(Forever { ok: 0, failed: 0 }, |_, _| {})
+}
+
 /// Cutting the storage link mid-run stalls I/O without corrupting
 /// anything; the backing volume holds only fully-acknowledged writes.
 #[test]
 fn storage_link_failure_stalls_but_does_not_corrupt() {
-    let mut cloud = Cloud::build(CloudConfig::default());
-    let vol = cloud.create_volume(32 << 20, 0);
-    let app = cloud.attach_volume(
-        0,
-        "vm:f",
-        &vol,
-        Box::new(Forever { ok: 0, failed: 0 }),
-        4,
-        false,
-    );
-    cloud.net.run_until(SimTime::from_nanos(1_000_000_000));
+    let mut run = direct_forever();
+    run.run_until(SimTime::from_nanos(1_000_000_000));
     let ok_before = {
-        let c = cloud.client_mut(0, app);
+        let c = run.cloud.client_mut(0, run.app);
         assert!(c.is_ready());
         c.stats.writes.count()
     };
     assert!(ok_before > 100);
     // Cut the storage host's link.
-    let storage_host = cloud.storages[0].host;
-    let link = cloud.net.host(storage_host).ifaces[0].link.unwrap();
-    cloud.net.fabric.set_link_up(link, false);
-    cloud.net.run_until(SimTime::from_nanos(2_000_000_000));
-    let ok_during = cloud.client_mut(0, app).stats.writes.count();
+    let storage_host = run.cloud.storages[0].host;
+    let link = run.cloud.net.host(storage_host).ifaces[0].link.unwrap();
+    run.cloud.net.fabric.set_link_up(link, false);
+    run.run_until(SimTime::from_nanos(2_000_000_000));
+    let ok_during = run.cloud.client_mut(0, run.app).stats.writes.count();
     // Progress stops (at most a few in-flight completions drain).
     assert!(
         ok_during - ok_before < 20,
@@ -63,9 +68,9 @@ fn storage_link_failure_stalls_but_does_not_corrupt() {
     );
     // Restore: (no retransmission is modelled, so the stalled session does
     // not resume — but the fabric and volume stay consistent.)
-    cloud.net.fabric.set_link_up(link, true);
+    run.cloud.net.fabric.set_link_up(link, true);
     let mut buf = vec![0u8; 4096];
-    vol.shared.clone().read(0, &mut buf).unwrap();
+    run.volume.shared.clone().read(0, &mut buf).unwrap();
     assert!(
         buf.iter().all(|&b| b == 1),
         "acknowledged data must persist"
@@ -76,47 +81,22 @@ fn storage_link_failure_stalls_but_does_not_corrupt() {
 /// client sees CHECK CONDITION, not silent corruption.
 #[test]
 fn volume_failure_surfaces_scsi_errors() {
-    let mut cloud = Cloud::build(CloudConfig::default());
-    let vol = cloud.create_volume(32 << 20, 0);
-    let app = cloud.attach_volume(
-        0,
-        "vm:f",
-        &vol,
-        Box::new(Forever { ok: 0, failed: 0 }),
-        4,
-        false,
-    );
-    cloud.net.run_until(SimTime::from_nanos(500_000_000));
-    vol.shared.fail();
-    cloud.net.run_until(SimTime::from_nanos(1_500_000_000));
-    let client = cloud.client_mut(0, app);
+    let mut run = direct_forever();
+    run.run_until(SimTime::from_nanos(500_000_000));
+    run.volume.shared.fail();
+    run.run_until(SimTime::from_nanos(1_500_000_000));
+    let client = run.cloud.client_mut(0, run.app);
     assert!(
         client.stats.errors > 0,
         "device failure must surface as I/O errors"
     );
-    let w = client
-        .workload_ref()
-        .unwrap()
-        .downcast_ref::<Forever>()
-        .unwrap();
+    let w = run.workload::<Forever>();
     assert!(w.failed > 0);
     // Recovery: I/O flows again.
-    vol.shared.recover();
-    let ok_now = cloud
-        .client_mut(0, app)
-        .workload_ref()
-        .unwrap()
-        .downcast_ref::<Forever>()
-        .unwrap()
-        .ok;
-    cloud.net.run_until(SimTime::from_nanos(2_500_000_000));
-    let w = cloud.client_mut(0, app);
-    let after = w
-        .workload_ref()
-        .unwrap()
-        .downcast_ref::<Forever>()
-        .unwrap()
-        .ok;
+    run.volume.shared.recover();
+    let ok_now = run.workload::<Forever>().ok;
+    run.run_until(SimTime::from_nanos(2_500_000_000));
+    let after = run.workload::<Forever>().ok;
     assert!(after > ok_now, "I/O must resume after recovery");
 }
 

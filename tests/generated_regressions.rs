@@ -48,7 +48,8 @@ fn passive_tap_refuses_an_nvmeq_flow_it_cannot_transform() {
         "plaintext at rest"
     );
     assert!(!run.cloud.client_mut(0, run.app).is_ready());
-    let (node, app) = (run.deployment.mb_nodes[0].node, run.deployment.mb_apps[0]);
+    let d = run.deployment();
+    let (node, app) = (d.mb_nodes[0].node, d.mb_apps[0]);
     let tap = run.cloud.net.app_mut(node, app.unwrap()).unwrap();
     assert_eq!(tap.downcast_mut::<PassiveTap>().unwrap().refused_flows(), 1);
 }

@@ -53,7 +53,7 @@ fn passive_stream_cipher_encrypts_at_rest() {
     let spec = Spec {
         client_seed: 8,
         label: "vm:stream",
-        mode: RelayMode::Passive,
+        mode: Some(RelayMode::Passive),
         services: vec![Box::new(EncryptionService::stream_cipher(
             &[0x77; 32],
             &[0x13; 12],

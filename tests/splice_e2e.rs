@@ -24,7 +24,7 @@ fn round_trip(mode: RelayMode, bytes: usize) {
     assert_eq!(buf, VerifyWorkload::pattern(0, 0, 512), "mode {mode:?}");
     // The middle-box VM actually carried traffic: its node forwarded
     // packets or terminated connections.
-    let host = run.cloud.net.host(run.deployment.mb_nodes[0].node);
+    let host = run.cloud.net.host(run.deployment().mb_nodes[0].node);
     let saw_traffic = match mode {
         RelayMode::Forward | RelayMode::Passive => host.cpu.busy_for("fwd") > SimDuration::ZERO,
         RelayMode::Active => host.tcp.counters().segs_in > 0,
@@ -67,7 +67,7 @@ fn active_mode_round_trip_large() {
 fn atomic_attachment_scopes_steering() {
     let spec = Spec {
         label: "vm:steered",
-        mode: RelayMode::Forward,
+        mode: Some(RelayMode::Forward),
         ..Spec::default()
     };
     let mut run = spec.build(VerifyWorkload::new(100, 4096), |_, _| {});
@@ -110,10 +110,10 @@ fn masquerading_hides_storage_addresses() {
     // The active relay terminated connections on the MB: its TCP stack's
     // view of peers must be gateway instance addresses, not 10.1/16
     // storage addresses.
-    let mb = run.deployment.mb_nodes[0];
+    let mb = run.deployment().mb_nodes[0];
     let counters = run.cloud.net.host(mb.node).tcp.counters();
     assert!(counters.segs_in > 0, "MB saw no traffic");
-    let gw_in = run.deployment.gateways.ingress.instance_ip;
-    let gw_out = run.deployment.gateways.egress.instance_ip;
+    let gw_in = run.deployment().gateways.ingress.instance_ip;
+    let gw_out = run.deployment().gateways.egress.instance_ip;
     assert!(gw_in.octets()[0] == 192 && gw_out.octets()[0] == 192);
 }
