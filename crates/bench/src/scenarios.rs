@@ -14,8 +14,8 @@
 
 use std::sync::Arc;
 
+use storm::block::transport::TransportKind;
 use storm::core::{RelayCopyStats, RelayMode};
-use storm::iscsi::TransportKind;
 use storm::net::LinkSpec;
 use storm::scenario::{Run, Spec};
 use storm::sim::SimDuration;

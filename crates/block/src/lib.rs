@@ -11,6 +11,8 @@
 //!   replay a VM's block stream through the simulated fabric.
 //! * [`VolumeGroup`] / [`Volume`] — LVM-style extent allocation, the Cinder
 //!   backend model.
+//! * [`transport`] — the protocol-neutral block transport layer that
+//!   `storm-iscsi` and `storm-nvmeq` both build on (and depends on neither).
 //!
 //! # Example
 //!
@@ -33,6 +35,7 @@ mod cow;
 mod device;
 mod mem;
 mod recording;
+pub mod transport;
 mod volume;
 
 pub use cow::CowExtentMap;

@@ -1,4 +1,4 @@
-//! iSCSI qualified names.
+//! iSCSI qualified names, which every transport's connect carries.
 
 use std::fmt;
 

@@ -14,8 +14,8 @@
 //! and (2) is read from the client session (initiator side) and the
 //! target's login log.
 
+use storm_block::transport::Iqn;
 use storm_block::VolumeId;
-use storm_iscsi::Iqn;
 use storm_net::{AppId, FourTuple};
 
 use crate::topology::Cloud;

@@ -13,9 +13,8 @@
 
 use bytes::Bytes;
 
-use storm_iscsi::{
-    Initiator, InitiatorConfig, IoTag, ScsiStatus, Transport, TransportEvent, TransportKind,
-};
+use storm_block::transport::{IoTag, ScsiStatus, Transport, TransportEvent, TransportKind};
+use storm_iscsi::{Initiator, InitiatorConfig};
 use storm_net::{App, CloseReason, Cx, SendQueue, SockAddr, SockId};
 use storm_nvmeq::{NvmeqConfig, NvmeqInitiator};
 use storm_sim::hist::Histogram;

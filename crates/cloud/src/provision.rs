@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use storm_iscsi::Iqn;
+use storm_block::transport::Iqn;
 use storm_qos::{AdmissionController, AdmissionDecision, PlacementEngine, VolumeSlo};
 use storm_sim::trace::{Hop, TraceEvent};
 use storm_sim::SimTime;

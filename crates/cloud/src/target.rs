@@ -20,7 +20,7 @@
 //! `handle_events` admits them in one dispatch tick (every command
 //! reaches the disk model before the first completes), and held
 //! completions go out when the connection's interrupt-moderation timer
-//! fires ([`storm_iscsi::TargetTransport::cq_deadline_ns`]).
+//! fires ([`storm_block::transport::TargetTransport::cq_deadline_ns`]).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
@@ -33,11 +33,9 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 
+use storm_block::transport::{Iqn, ScsiStatus, TargetEvent, TargetTransport};
 use storm_block::{BlockDevice, SharedVolume};
-use storm_iscsi::{
-    Iqn, ScsiStatus, SessionParams, TargetConfig, TargetConn, TargetEvent, TargetTransport,
-    ISCSI_PORT,
-};
+use storm_iscsi::{SessionParams, TargetConfig, TargetConn, ISCSI_PORT};
 use storm_net::{App, CloseReason, Cx, FourTuple, SendQueue, SockId};
 use storm_nvmeq::{scan_connect_payload, NvmeqTargetConfig, NvmeqTargetConn, MAGIC, NVMEQ_PORT};
 use storm_qos::{DiskTier, RateLimitSpec, RateLimiter, WeightedFairQueue};

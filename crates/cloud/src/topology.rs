@@ -2,8 +2,9 @@
 
 use std::net::Ipv4Addr;
 
+use storm_block::transport::{Iqn, TransportKind};
 use storm_block::{SharedVolume, VolumeGroup, VolumeId};
-use storm_iscsi::{InitiatorConfig, Iqn, SessionParams, TransportKind, ISCSI_PORT};
+use storm_iscsi::{InitiatorConfig, SessionParams, ISCSI_PORT};
 use storm_net::{AppId, HostId, IfaceId, LinkSpec, MacAddr, Network, PortNo, SockAddr, SwitchId};
 use storm_sim::trace::TraceHook;
 use storm_sim::SimDuration;

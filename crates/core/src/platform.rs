@@ -6,9 +6,9 @@
 //! forwarding rules ... lastly, StorM connects the volumes to their VMs
 //! with the middle-box services enabled."
 
+use storm_block::transport::Iqn;
 use storm_cloud::sdn::{self, ChainHop, ChainSpec};
 use storm_cloud::{Cloud, GuestVm, VolumeHandle, Workload};
-use storm_iscsi::Iqn;
 use storm_net::{AppId, DnatRule, SockAddr, TapConfig};
 use storm_sim::SimDuration;
 

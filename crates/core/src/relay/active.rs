@@ -9,9 +9,8 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 
-use storm_iscsi::{
-    Initiator, InitiatorConfig, IoTag, Iqn, ScsiStatus, SessionParams, TransportEvent,
-};
+use storm_block::transport::{IoTag, Iqn, ScsiStatus, TransportEvent};
+use storm_iscsi::{Initiator, InitiatorConfig, SessionParams};
 use storm_net::{App, BusMsg, CloseReason, Cx, HostId, SendQueue, SockAddr, SockId};
 use storm_qos::{RateLimitSpec, RateLimiter};
 use storm_sim::trace::{flow_token, req_token, Hop, ReqToken, TraceEvent, TraceHook};

@@ -20,8 +20,9 @@
 
 use bytes::Bytes;
 
+use storm_block::transport::SHARE_THRESHOLD;
 use storm_iscsi::exchange::Exchange;
-use storm_iscsi::{Pdu, PduStream, PduWire, SHARE_THRESHOLD};
+use storm_iscsi::{Pdu, PduStream, PduWire};
 use storm_net::SendQueue;
 use storm_nvmeq::{
     FrameHeader, FrameKind, FrameStream, FrameWire, UnitEntry, UnitWire, CQE_LEN, FRAME_HDR_LEN,
@@ -332,8 +333,8 @@ fn push_data(q: &mut SendQueue, data: Bytes, copy: &mut RelayCopyStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use storm_iscsi::exchange::{BlockCmd, Step};
-    use storm_iscsi::{ScsiStatus, BHS_LEN};
+    use storm_block::transport::{BlockCmd, ScsiStatus, Step};
+    use storm_iscsi::BHS_LEN;
     use storm_nvmeq::{Cqe, Sqe, SqeOp};
 
     fn sqe(op: SqeOp, cid: u32, sectors: u32, data_len: u32) -> Sqe {

@@ -278,8 +278,9 @@ impl std::fmt::Debug for PassiveTap {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use storm_iscsi::exchange::{data_in_final, data_out_train, BlockCmd, BlockOp};
-    use storm_iscsi::{Pdu, ScsiStatus};
+    use storm_block::transport::{BlockCmd, BlockOp, ScsiStatus};
+    use storm_iscsi::exchange::{data_in_final, data_out_train, scsi_command};
+    use storm_iscsi::Pdu;
 
     fn write_cmd(itt: u32, lba: u64, edtl: u32, imm: &[u8]) -> Vec<u8> {
         let cmd = BlockCmd {
@@ -287,7 +288,7 @@ mod tests {
             lba,
             sectors: edtl / 512,
         };
-        cmd.command(itt, 1, 1, Bytes::copy_from_slice(imm)).encode()
+        scsi_command(cmd, itt, 1, 1, Bytes::copy_from_slice(imm)).encode()
     }
 
     #[test]
@@ -372,7 +373,7 @@ mod tests {
             lba: 6,
             sectors: 1,
         };
-        let cmd = read.command(4, 1, 1, Bytes::new()).encode();
+        let cmd = scsi_command(read, 4, 1, 1, Bytes::new()).encode();
         assert!(to_target.walk(&cmd, &mut cmds).is_empty());
         assert_eq!(cmds.len(), 1);
         let din = data_in_final(4, Bytes::from(vec![0xDD; 512]), ScsiStatus::Good);

@@ -11,8 +11,9 @@
 
 use bytes::Bytes;
 
-use storm_iscsi::exchange::{data_in_train, status_response, BlockCmd, Exchange, Step};
-use storm_iscsi::{Pdu, ScsiStatus};
+use storm_block::transport::{BlockCmd, ScsiStatus, Step};
+use storm_iscsi::exchange::{data_in_train, scsi_command, status_response, Exchange};
+use storm_iscsi::Pdu;
 use storm_nvmeq::{Cqe, Sqe, SqeOp, UnitEntry, UnitWire};
 
 use crate::service::Op;
@@ -113,7 +114,7 @@ pub(crate) fn lower_pdus(open: &mut Exchange, op: Op, mut emit: impl FnMut(Pdu))
         }
         (_, Step::Command, Some(cmd)) => {
             open.begin(tag, cmd);
-            emit(cmd.command(tag, 0, 0, data));
+            emit(scsi_command(cmd, tag, 0, 0, data));
         }
         (_, Step::ReadData(_), _) => {
             open.retire(tag);
@@ -256,7 +257,7 @@ mod tests {
     #[test]
     fn command_whose_length_disagrees_with_its_cdb_lifts_to_other() {
         let write = BlockCmd::checked(SqeOp::Write, 0, 1, u64::MAX).unwrap();
-        let Pdu::ScsiCommand(mut c) = write.command(1, 1, 1, vec![1u8; 512].into()) else {
+        let Pdu::ScsiCommand(mut c) = scsi_command(write, 1, 1, 1, vec![1u8; 512].into()) else {
             unreachable!()
         };
         c.edtl = 0xFFFF_FE00;

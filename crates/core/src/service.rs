@@ -13,8 +13,9 @@ use std::cell::RefCell;
 
 use bytes::Bytes;
 
-use storm_iscsi::exchange::{r2t, BlockCmd, Exchange, Step};
-use storm_iscsi::{Pdu, ScsiStatus};
+use storm_block::transport::{BlockCmd, ScsiStatus, Step, Transfer};
+use storm_iscsi::exchange::{r2t, Exchange};
+use storm_iscsi::{Pdu, SessionParams};
 use storm_sim::{IdMap, SimDuration, SimTime};
 
 use crate::relay::{lift_pdu, lower_pdus, Wire};
@@ -105,6 +106,16 @@ impl Op {
             wire: Some(Wire::Pdu(r2t, 0)),
             ..Op::new(Step::Other, None, tag, Bytes::new())
         }
+    }
+
+    /// The next [`want_data`](Op::want_data) for write `tag`, whose data
+    /// `stage` assembles, if one is due within the burst limits every
+    /// session negotiates; a service numbers its requests from 1.
+    pub fn want_next(tag: u32, stage: &mut Transfer) -> Option<Op> {
+        let params = SessionParams::default();
+        let (first, max) = (params.first_burst_length, params.max_burst_length);
+        let (sn, offset, len) = stage.next_burst(first as usize, max as usize)?;
+        Some(Op::want_data(tag, offset, len, sn + 1))
     }
 
     /// What the op is.
@@ -351,7 +362,8 @@ impl StorageService for PassthroughService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use storm_iscsi::exchange::{data_in_train, BlockOp};
+    use storm_block::transport::BlockOp;
+    use storm_iscsi::exchange::{data_in_train, scsi_command};
     use storm_iscsi::NopOut;
 
     fn nop() -> Pdu {
@@ -440,7 +452,8 @@ mod tests {
         let write = BlockCmd { op, lba, sectors };
         let payload = Bytes::from(vec![0x0F; 1024]);
         let dout = data_out_train(3, 0xFFFF_FFFF, 1, &payload, 512..1024, 512).next();
-        for pdu in [write.command(3, 1, 1, payload.slice(..512)), dout.unwrap()] {
+        let cmd = scsi_command(write, 3, 1, 1, payload.slice(..512));
+        for pdu in [cmd, dout.unwrap()] {
             svc.on_pdu(&mut cx, Dir::ToTarget, pdu.clone());
             let Some(SvcAction::Forward(out)) = cx.take_actions().pop() else {
                 panic!("forwarded");
@@ -452,7 +465,8 @@ mod tests {
             op: BlockOp::Read,
             ..write
         };
-        svc.on_pdu(&mut cx, Dir::ToTarget, read.command(4, 2, 1, Bytes::new()));
+        let cmd = scsi_command(read, 4, 2, 1, Bytes::new());
+        svc.on_pdu(&mut cx, Dir::ToTarget, cmd);
         let replies = cx.take_actions().into_iter().map(|a| match a {
             SvcAction::Reply(pdu) => pdu,
             other => panic!("expected replies only, got {other:?}"),

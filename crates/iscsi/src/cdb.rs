@@ -1,48 +1,5 @@
 //! SCSI command descriptor blocks (the subset block storage needs).
 
-use std::fmt;
-
-/// SCSI command completion status.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ScsiStatus {
-    /// Command completed successfully.
-    Good,
-    /// Check condition (sense data would describe the error).
-    CheckCondition,
-    /// Device busy.
-    Busy,
-}
-
-impl ScsiStatus {
-    /// Wire encoding (SAM-5 status codes).
-    pub fn to_byte(self) -> u8 {
-        match self {
-            ScsiStatus::Good => 0x00,
-            ScsiStatus::CheckCondition => 0x02,
-            ScsiStatus::Busy => 0x08,
-        }
-    }
-
-    /// Decodes a status byte (unknown codes map to `CheckCondition`).
-    pub fn from_byte(b: u8) -> ScsiStatus {
-        match b {
-            0x00 => ScsiStatus::Good,
-            0x08 => ScsiStatus::Busy,
-            _ => ScsiStatus::CheckCondition,
-        }
-    }
-}
-
-impl fmt::Display for ScsiStatus {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ScsiStatus::Good => write!(f, "GOOD"),
-            ScsiStatus::CheckCondition => write!(f, "CHECK CONDITION"),
-            ScsiStatus::Busy => write!(f, "BUSY"),
-        }
-    }
-}
-
 /// A parsed SCSI CDB.
 ///
 /// LBAs and transfer lengths are in 512-byte sectors.
@@ -187,18 +144,5 @@ mod tests {
         let mut b = [0u8; 16];
         b[0] = 0xEE;
         assert_eq!(Cdb::parse(&b), Err(0xEE));
-    }
-
-    #[test]
-    fn status_round_trip() {
-        for s in [
-            ScsiStatus::Good,
-            ScsiStatus::CheckCondition,
-            ScsiStatus::Busy,
-        ] {
-            assert_eq!(ScsiStatus::from_byte(s.to_byte()), s);
-        }
-        assert_eq!(ScsiStatus::from_byte(0x42), ScsiStatus::CheckCondition);
-        assert_eq!(ScsiStatus::Good.to_string(), "GOOD");
     }
 }

@@ -5,23 +5,14 @@ use std::hash::RandomState;
 use bytes::Bytes;
 use storm_sim::IdMap;
 
-use crate::exchange::{data_out_train, BlockCmd, BlockOp, Transfer};
-use crate::iqn::Iqn;
+use storm_block::transport::{
+    BlockCmd, BlockOp, IoTag, Iqn, Transfer, Transport, TransportEvent, TransportKind, WireBuf,
+};
+
+use crate::exchange::{data_out_train, scsi_command};
 use crate::params::{decode_text, encode_text, SessionParams};
 use crate::pdu::{LoginRequest, LogoutRequest, NopOut, Pdu};
-use crate::stream::{PduStream, WireBuf};
-use crate::transport::TransportEvent;
-
-/// Identifies an outstanding I/O issued through [`Initiator`].
-///
-/// The tag becomes the initiator task tag (ITT) of the SCSI command PDU,
-/// so it is visible to every hop that parses the wire — middle-box relays
-/// and targets alike. Telemetry leans on this: a request token is the
-/// initiator's TCP source port combined with this tag, which lets the
-/// guest, the middle-box, and the target stamp trace spans for the same
-/// request without any side channel (`storm_sim::req_token`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct IoTag(pub u32);
+use crate::stream::{push_pdu, PduStream};
 
 /// Initiator configuration.
 #[derive(Debug, Clone)]
@@ -63,8 +54,8 @@ enum Pending {
     Flush,
 }
 
-/// The initiator state machine: bytes in ([`Initiator::feed`]), bytes out
-/// ([`Initiator::take_output`]), events out.
+/// The initiator state machine: bytes in ([`Initiator::feed_bytes`]),
+/// bytes out ([`Initiator::take_wire`]), events out.
 #[derive(Debug)]
 pub struct Initiator {
     cfg: InitiatorConfig,
@@ -110,12 +101,6 @@ impl Initiator {
         self.pending.len()
     }
 
-    /// Drains the bytes this machine wants to put on the wire (flat copy;
-    /// see [`Initiator::take_wire`] for the zero-copy chunk form).
-    pub fn take_output(&mut self) -> Vec<u8> {
-        self.out.take_output()
-    }
-
     /// Drains the queued wire bytes as refcounted chunks: large data
     /// segments are views of the caller's write buffers, so replica
     /// fan-out and the simulated TCP stack share one allocation.
@@ -152,7 +137,7 @@ impl Initiator {
             exp_stat_sn: self.exp_stat_sn,
             data: encode_text(&keys).into(),
         });
-        self.out.push_pdu(&pdu);
+        push_pdu(&mut self.out, &pdu);
         self.state = State::LoginSent;
     }
 
@@ -184,8 +169,8 @@ impl Initiator {
     fn issue(&mut self, op: BlockOp, lba: u64, sectors: u32, imm: Bytes, wait: Pending) -> IoTag {
         let itt = self.alloc_itt();
         let cmd = BlockCmd { op, lba, sectors };
-        let pdu = cmd.command(itt, self.bump_cmd_sn(), self.exp_stat_sn, imm);
-        self.out.push_pdu(&pdu);
+        let pdu = scsi_command(cmd, itt, self.bump_cmd_sn(), self.exp_stat_sn, imm);
+        push_pdu(&mut self.out, &pdu);
         self.pending.insert(itt, wait);
         IoTag(itt)
     }
@@ -194,7 +179,7 @@ impl Initiator {
     fn send_data(&mut self, itt: u32, ttt: u32, data: &Bytes, range: std::ops::Range<usize>) {
         let mrdsl = self.params.max_recv_data_segment_length as usize;
         for pdu in data_out_train(itt, ttt, self.exp_stat_sn, data, range, mrdsl) {
-            self.out.push_pdu(&pdu);
+            push_pdu(&mut self.out, &pdu);
         }
     }
 
@@ -255,7 +240,7 @@ impl Initiator {
             cmd_sn: self.bump_cmd_sn(),
             exp_stat_sn: self.exp_stat_sn,
         });
-        self.out.push_pdu(&pdu);
+        push_pdu(&mut self.out, &pdu);
         self.state = State::LogoutSent;
     }
 
@@ -263,11 +248,6 @@ impl Initiator {
         let sn = self.cmd_sn;
         self.cmd_sn = self.cmd_sn.wrapping_add(1);
         sn
-    }
-
-    /// Feeds received bytes; returns completed events.
-    pub fn feed(&mut self, bytes: &[u8]) -> Vec<TransportEvent> {
-        self.feed_bytes(Bytes::copy_from_slice(bytes))
     }
 
     /// Feeds a received chunk by reference (no copy into the
@@ -378,7 +358,7 @@ impl Initiator {
                         exp_stat_sn: self.exp_stat_sn,
                         data: n.data,
                     });
-                    self.out.push_pdu(&pong);
+                    push_pdu(&mut self.out, &pong);
                 }
             }
             Pdu::LogoutResponse(_) => {
@@ -392,11 +372,62 @@ impl Initiator {
     }
 }
 
+impl Transport for Initiator {
+    fn kind(&self) -> TransportKind {
+        TransportKind::Iscsi
+    }
+
+    fn start(&mut self) {
+        self.start_login();
+    }
+
+    fn is_ready(&self) -> bool {
+        self.is_logged_in()
+    }
+
+    fn read(&mut self, lba: u64, sectors: u32) -> IoTag {
+        Initiator::read(self, lba, sectors)
+    }
+
+    fn write(&mut self, lba: u64, data: Bytes) -> IoTag {
+        Initiator::write(self, lba, data)
+    }
+
+    fn flush(&mut self) -> IoTag {
+        Initiator::flush(self)
+    }
+
+    fn shutdown(&mut self) {
+        self.logout();
+    }
+
+    fn in_flight(&self) -> usize {
+        Initiator::in_flight(self)
+    }
+
+    fn feed_bytes(&mut self, bytes: Bytes) -> Vec<TransportEvent> {
+        Initiator::feed_bytes(self, bytes)
+    }
+
+    fn take_wire(&mut self) -> Vec<Bytes> {
+        Initiator::take_wire(self)
+    }
+
+    fn bytes_copied(&self) -> u64 {
+        Initiator::bytes_copied(self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cdb::ScsiStatus;
-    use crate::target::{TargetConfig, TargetConn, TargetEvent};
+    use crate::target::{TargetConfig, TargetConn};
+    use storm_block::transport::{ScsiStatus, TargetEvent};
+
+    /// A drained wire image as one chunk.
+    fn flat(wire: Vec<Bytes>) -> Bytes {
+        wire.concat().into()
+    }
 
     fn logged_in_pair() -> (Initiator, TargetConn) {
         let mut ini = Initiator::new(InitiatorConfig::example());
@@ -404,8 +435,8 @@ mod tests {
         ini.start_login();
         let mut ok = false;
         for _ in 0..4 {
-            let _ = tgt.feed(&ini.take_output());
-            for ev in ini.feed(&tgt.take_output()) {
+            let _ = tgt.feed_bytes(flat(ini.take_wire()));
+            for ev in ini.feed_bytes(flat(tgt.take_wire())) {
                 if ev == TransportEvent::Ready {
                     ok = true;
                 }
@@ -426,8 +457,8 @@ mod tests {
     ) -> Vec<TransportEvent> {
         let mut events = Vec::new();
         for _ in 0..64 {
-            let out = ini.take_output();
-            let tevs = tgt.feed(&out);
+            let out = flat(ini.take_wire());
+            let tevs = tgt.feed_bytes(out.clone());
             for tev in tevs {
                 match tev {
                     TargetEvent::WriteReady { itt, lba, data } => {
@@ -449,11 +480,11 @@ mod tests {
                     _ => {}
                 }
             }
-            let back = tgt.take_output();
+            let back = flat(tgt.take_wire());
             if out.is_empty() && back.is_empty() {
                 break;
             }
-            events.extend(ini.feed(&back));
+            events.extend(ini.feed_bytes(back));
         }
         events
     }
@@ -553,7 +584,7 @@ mod tests {
         // A full BHS with a reserved opcode and zero data-segment length.
         let mut junk = [0u8; 48];
         junk[0] = 0x3F;
-        let evs = ini.feed(&junk);
+        let evs = ini.feed_bytes(Bytes::copy_from_slice(&junk));
         assert!(matches!(evs[0], TransportEvent::ProtocolError(_)));
     }
 }

@@ -11,29 +11,31 @@
 //! * [`Cdb`] — SCSI CDBs (READ/WRITE 10/16, READ CAPACITY, INQUIRY, TEST
 //!   UNIT READY, SYNCHRONIZE CACHE).
 //! * [`PduStream`] — incremental framing over a TCP byte stream.
-//! * [`exchange`] — the one model of a command conversation every
-//!   consumer shares: checked [`exchange::BlockCmd`]s, the
-//!   [`exchange::Transfer`] assembler, the [`exchange::Exchange`] table.
+//! * [`exchange`] — how an iSCSI command conversation maps to block I/O:
+//!   the checked command decoder, the PDU builders, the
+//!   [`exchange::Exchange`] table.
 //! * [`Initiator`] / [`TargetConn`] — sans-io session state machines:
 //!   bytes in, events + bytes out; no I/O or clock dependencies, so they
-//!   run both inside the simulator and in threaded pipelines.
+//!   run both inside the simulator and in threaded pipelines. They
+//!   implement the traits of [`storm_block::transport`], and speak its
+//!   block vocabulary.
 //!
 //! # Example: login and a 4 KiB write, initiator against target
 //!
 //! ```
-//! use storm_iscsi::{Initiator, InitiatorConfig, TargetConn, TargetConfig, TargetEvent,
-//!                   TransportEvent, ScsiStatus};
+//! use storm_block::transport::{ScsiStatus, TargetEvent, TransportEvent};
+//! use storm_iscsi::{Initiator, InitiatorConfig, TargetConn, TargetConfig};
 //!
 //! let mut ini = Initiator::new(InitiatorConfig::example());
 //! let mut tgt = TargetConn::new(TargetConfig::example(2048));
 //!
 //! ini.start_login();
-//! // Shuttle bytes until the session reaches full-feature phase.
+//! // Shuttle wire chunks until the session reaches full-feature phase.
 //! let mut logged_in = false;
 //! for _ in 0..8 {
-//!     for ev in tgt.feed(&ini.take_output()) { let _ = ev; }
-//!     for ev in ini.feed(&tgt.take_output()) {
-//!         if matches!(ev, TransportEvent::Ready) { logged_in = true; }
+//!     for chunk in ini.take_wire() { let _ = tgt.feed_bytes(chunk); }
+//!     for chunk in tgt.take_wire() {
+//!         logged_in |= ini.feed_bytes(chunk).contains(&TransportEvent::Ready);
 //!     }
 //! }
 //! assert!(logged_in);
@@ -41,14 +43,15 @@
 //! let tag = ini.write(0, bytes::Bytes::from(vec![0xAA; 4096]));
 //! let mut done = false;
 //! for _ in 0..8 {
-//!     for ev in tgt.feed(&ini.take_output()) {
+//!     let wire = ini.take_wire();
+//!     for ev in wire.into_iter().flat_map(|c| tgt.feed_bytes(c)).collect::<Vec<_>>() {
 //!         if let TargetEvent::WriteReady { itt, lba, data } = ev {
 //!             assert_eq!(lba, 0);
 //!             assert_eq!(data.len(), 4096);
 //!             tgt.complete_write(itt, ScsiStatus::Good);
 //!         }
 //!     }
-//!     for ev in ini.feed(&tgt.take_output()) {
+//!     for ev in tgt.take_wire().into_iter().flat_map(|c| ini.feed_bytes(c)) {
 //!         if let TransportEvent::WriteDone { tag: t, status } = ev {
 //!             assert_eq!(t, tag);
 //!             assert_eq!(status, ScsiStatus::Good);
@@ -64,25 +67,25 @@
 mod cdb;
 pub mod exchange;
 mod initiator;
-mod iqn;
 mod params;
 mod pdu;
 mod stream;
 mod target;
-mod transport;
 
-pub use cdb::{Cdb, ScsiStatus};
-pub use initiator::{Initiator, InitiatorConfig, IoTag};
-pub use iqn::Iqn;
+pub use cdb::Cdb;
+pub use initiator::{Initiator, InitiatorConfig};
 pub use params::SessionParams;
 pub use pdu::{
     data_segment_length, DataIn, DataOut, LoginRequest, LoginResponse, LogoutRequest,
     LogoutResponse, NopIn, NopOut, Pdu, PduError, R2t, ScsiCommand, ScsiResponse, TextRequest,
     TextResponse, WireChunks, BHS_LEN,
 };
-pub use stream::{ChunkDeque, PduStream, PduWire, WireBuf, SHARE_THRESHOLD};
-pub use target::{TargetConfig, TargetConn, TargetEvent};
-pub use transport::{TargetTransport, Transport, TransportEvent, TransportKind};
+pub use stream::{PduStream, PduWire};
+pub use target::{TargetConfig, TargetConn};
+
+// These live in `storm_block::transport`; the frozen benchmark imports
+// them from here. Delete this line with the next benchmark PR.
+pub use storm_block::transport::{ScsiStatus, TargetEvent, Transport, TransportKind};
 
 /// The IANA-assigned iSCSI target port.
 pub const ISCSI_PORT: u16 = 3260;

@@ -7,7 +7,7 @@
 
 use bytes::Bytes;
 
-use crate::cdb::ScsiStatus;
+use storm_block::transport::ScsiStatus;
 
 /// Errors from PDU decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]

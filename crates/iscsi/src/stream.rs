@@ -5,9 +5,8 @@
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
-use std::collections::VecDeque;
-
 use bytes::Bytes;
+use storm_block::transport::{ChunkDeque, WireBuf};
 
 use crate::pdu::{data_segment_length, padded, Pdu, PduError, BHS_LEN};
 
@@ -24,123 +23,6 @@ pub struct PduWire {
     pub pdu: Pdu,
     /// The PDU's wire bytes as received, in order.
     pub wire: Vec<Bytes>,
-}
-
-/// The reassembly buffer under [`PduStream`] and `storm_nvmeq`'s
-/// `FrameStream`: a deque of refcounted [`Bytes`] chunks, never one flat
-/// buffer. Adjacent chunks that continue the same backing storage re-join
-/// for free ([`Bytes::try_join`]), so a message cut into TCP segments on
-/// the sender side comes back out as zero-copy slices of the sender's
-/// original allocation. The protocol streams on top keep only their
-/// header and unit parsing.
-#[derive(Debug, Default)]
-pub struct ChunkDeque {
-    chunks: VecDeque<Bytes>,
-    len: usize,
-}
-
-impl ChunkDeque {
-    /// Bytes buffered.
-    pub fn buffered(&self) -> usize {
-        self.len
-    }
-
-    /// Appends a received chunk by reference.
-    pub fn push_chunk(&mut self, bytes: Bytes) {
-        self.len += bytes.len();
-        if let Some(last) = self.chunks.back_mut() {
-            if let Some(joined) = last.try_join(&bytes) {
-                *last = joined;
-                return;
-            }
-        }
-        self.chunks.push_back(bytes);
-    }
-
-    /// Copies the first `dst.len()` buffered bytes into `dst` without
-    /// consuming (the fixed-size header peek; the caller checks
-    /// [`buffered`](Self::buffered) first).
-    pub fn peek_into(&self, dst: &mut [u8]) {
-        let mut off = 0;
-        for c in &self.chunks {
-            if off == dst.len() {
-                break;
-            }
-            let take = (dst.len() - off).min(c.len());
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "the fixed-size header decode copy, permitted by design and counted separately."
-            )]
-            dst[off..off + take].copy_from_slice(&c.chunk()[..take]);
-            off += take;
-        }
-        debug_assert_eq!(off, dst.len());
-    }
-
-    /// Pops the next `total` bytes as wire chunks. `None` if the chunk
-    /// list runs dry first — `len` accounting no longer matches the
-    /// buffered chunks. The caller checks [`buffered`](Self::buffered)
-    /// first, so this only fires on an internal bookkeeping bug;
-    /// reporting it as the protocol's `Desync` error (instead of
-    /// panicking) lets a relay drop the one poisoned connection and keep
-    /// serving the rest.
-    pub fn take_wire(&mut self, mut total: usize) -> Option<Vec<Bytes>> {
-        // The wire image owns its chunk list by contract: one exact-sized
-        // Vec per completed message, not per byte; payload Bytes stay
-        // refcounted.
-        let mut wire = Vec::with_capacity(1);
-        while total > 0 {
-            let front = self.chunks.front_mut()?;
-            if front.len() <= total {
-                total -= front.len();
-                self.len -= front.len();
-                wire.push(self.chunks.pop_front()?);
-            } else {
-                let head = front.slice(..total);
-                *front = front.slice(total..);
-                self.len -= total;
-                wire.push(head);
-                total = 0;
-            }
-        }
-        Some(wire)
-    }
-
-    /// Extracts `[start, start+len)` of a wire image as one `Bytes`: a
-    /// zero-copy slice when the range sits inside a single chunk, an
-    /// assembled copy (added to `copied`) otherwise.
-    pub fn extract(wire: &[Bytes], start: usize, len: usize, copied: &mut u64) -> Bytes {
-        if len == 0 {
-            return Bytes::new();
-        }
-        let mut off = 0;
-        for c in wire {
-            if start >= off && start + len <= off + c.len() {
-                return c.slice(start - off..start - off + len);
-            }
-            off += c.len();
-        }
-        // Straddles chunk boundaries: assemble (the counted slow path).
-        *copied += len as u64;
-        // The one allocation is here, on the counted slow path for ranges
-        // straddling a chunk boundary; the fast path above returns a
-        // refcounted slice without allocating.
-        let mut buf = Vec::with_capacity(len);
-        let mut off = 0;
-        for c in wire {
-            let c_start = start.max(off);
-            let c_end = (start + len).min(off + c.len());
-            if c_start < c_end {
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "counted slow path (`copied` above); zero on the relay fast path."
-                )]
-                buf.extend_from_slice(&c.chunk()[c_start - off..c_end - off]);
-            }
-            off += c.len();
-        }
-        Bytes::from(buf)
-    }
 }
 
 /// Reassembles PDUs from arbitrarily fragmented stream bytes.
@@ -168,23 +50,6 @@ impl PduStream {
     /// Creates an empty reassembler.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Appends stream bytes and returns every PDU completed by them
-    /// (copying convenience wrapper over [`PduStream::feed_bytes`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PduError`] for undecodable headers; the stream is
-    /// unusable afterwards (callers drop the connection, as a real
-    /// initiator/target would).
-    pub fn feed(&mut self, bytes: &[u8]) -> Result<Vec<Pdu>, PduError> {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "documented copying convenience wrapper; hot callers use feed_bytes."
-        )]
-        let out = self.feed_bytes(Bytes::copy_from_slice(bytes))?;
-        Ok(out.into_iter().map(|p| p.pdu).collect())
     }
 
     /// Appends a received chunk *by reference* and returns every PDU
@@ -247,125 +112,27 @@ impl PduStream {
     }
 }
 
-/// Data segments at least this long are enqueued as shared [`Bytes`]
-/// chunks instead of being copied into the scratch buffer. Control PDUs
-/// (login, text, sense data) stay below it and coalesce into a single
-/// allocation; sector-sized payloads ride above it copy-free.
-pub const SHARE_THRESHOLD: usize = 512;
-
-/// Chunked wire-output builder for PDU senders.
-///
-/// The legacy path appended every encoded PDU to one flat `Vec<u8>`,
-/// memcpy'ing each data segment on the way out. `WireBuf` instead
-/// accumulates an ordered chunk list: headers, pads, and small data
-/// segments batch into a scratch allocation, while large data segments
-/// are pushed as refcounted [`Bytes`] views of the caller's buffer.
-/// [`bytes_copied`](WireBuf::bytes_copied) counts every data-segment
-/// byte that went through the scratch copy.
-#[derive(Debug, Default)]
-pub struct WireBuf {
-    scratch: Vec<u8>,
-    chunks: Vec<Bytes>,
-    len: usize,
-    bytes_copied: u64,
-}
-
-impl WireBuf {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Total bytes queued.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Data-segment bytes that were memcpy'd into the scratch buffer
-    /// (small segments below [`SHARE_THRESHOLD`]).
-    pub fn bytes_copied(&self) -> u64 {
-        self.bytes_copied
-    }
-
-    fn flush_scratch(&mut self) {
-        if !self.scratch.is_empty() {
-            let batch = std::mem::take(&mut self.scratch);
-            self.chunks.push(Bytes::from(batch));
-        }
-    }
-
-    /// Appends raw bytes by copy (headers, handshake payloads).
-    pub fn push_slice(&mut self, bytes: &[u8]) {
-        self.len += bytes.len();
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "header/pad scratch batch; data segments above SHARE_THRESHOLD never take this path, and push_pdu counts every data byte that does."
-        )]
-        self.scratch.extend_from_slice(bytes);
-    }
-
-    /// Appends a shared chunk without copying.
-    pub fn push_bytes(&mut self, bytes: Bytes) {
-        if bytes.is_empty() {
-            return;
-        }
-        self.len += bytes.len();
-        self.flush_scratch();
-        if let Some(last) = self.chunks.last_mut() {
-            if let Some(joined) = last.try_join(&bytes) {
-                *last = joined;
-                return;
-            }
-        }
-        self.chunks.push(bytes);
-    }
-
-    /// Encodes a PDU into the buffer: header and pad go to scratch; the
-    /// data segment is shared when large, copied (and counted) when
-    /// below [`SHARE_THRESHOLD`].
-    pub fn push_pdu(&mut self, pdu: &Pdu) {
-        let w = pdu.wire_chunks();
-        self.push_slice(&w.header);
-        if w.data.len() >= SHARE_THRESHOLD {
-            self.push_bytes(w.data);
-        } else {
-            self.bytes_copied += w.data.len() as u64;
-            self.push_slice(&w.data);
-        }
-        self.push_slice(w.pad);
-    }
-
-    /// Drains the queued wire image as ordered chunks.
-    pub fn take_chunks(&mut self) -> Vec<Bytes> {
-        self.flush_scratch();
-        self.len = 0;
-        std::mem::take(&mut self.chunks)
-    }
-
-    /// Drains the queued wire image as one flat vector (copying
-    /// compatibility path for tests and non-hot callers).
-    pub fn take_output(&mut self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.len);
-        for c in self.take_chunks() {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "flattening compatibility path for tests and non-hot callers."
-            )]
-            out.extend_from_slice(&c);
-        }
-        out
-    }
+/// Encodes a PDU into `out`: header and pad go to its scratch batch, the
+/// data segment by [`WireBuf::push_data`] (shared when large, copied and
+/// counted when small).
+pub(crate) fn push_pdu(out: &mut WireBuf, pdu: &Pdu) {
+    let w = pdu.wire_chunks();
+    out.push_slice(&w.header);
+    out.push_data(w.data);
+    out.push_slice(w.pad);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pdu::{NopOut, TextRequest};
+    use storm_block::transport::SHARE_THRESHOLD;
+
+    /// Feeds a copy of `bytes`, returning the PDUs it completed.
+    fn feed(s: &mut PduStream, bytes: &[u8]) -> Result<Vec<Pdu>, PduError> {
+        let got = s.feed_bytes(Bytes::copy_from_slice(bytes))?;
+        Ok(got.into_iter().map(|p| p.pdu).collect())
+    }
 
     fn nop(data: &'static [u8]) -> Pdu {
         Pdu::NopOut(NopOut {
@@ -381,7 +148,7 @@ mod tests {
     fn whole_pdus_parse() {
         let mut s = PduStream::new();
         let wire = nop(b"hello").encode();
-        let got = s.feed(&wire).unwrap();
+        let got = feed(&mut s, &wire).unwrap();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0], nop(b"hello"));
         assert_eq!(s.pending_bytes(), 0);
@@ -394,7 +161,7 @@ mod tests {
         let wire = nop(b"fragmented!").encode();
         let mut got = Vec::new();
         for b in &wire {
-            got.extend(s.feed(std::slice::from_ref(b)).unwrap());
+            got.extend(feed(&mut s, std::slice::from_ref(b)).unwrap());
         }
         assert_eq!(got, vec![nop(b"fragmented!")]);
     }
@@ -415,7 +182,7 @@ mod tests {
             })
             .encode(),
         );
-        let got = s.feed(&wire).unwrap();
+        let got = feed(&mut s, &wire).unwrap();
         assert_eq!(got.len(), 3);
         assert!(matches!(got[2], Pdu::TextRequest(_)));
     }
@@ -425,9 +192,9 @@ mod tests {
         let mut s = PduStream::new();
         let wire = nop(b"partial-data-segment").encode();
         let (a, b) = wire.split_at(BHS_LEN + 3);
-        assert!(s.feed(a).unwrap().is_empty());
+        assert!(feed(&mut s, a).unwrap().is_empty());
         assert_eq!(s.pending_bytes(), a.len());
-        let got = s.feed(b).unwrap();
+        let got = feed(&mut s, b).unwrap();
         assert_eq!(got.len(), 1);
     }
 
@@ -436,7 +203,7 @@ mod tests {
         let mut s = PduStream::new();
         let mut junk = [0u8; BHS_LEN];
         junk[0] = 0x3F;
-        assert!(s.feed(&junk).is_err());
+        assert!(feed(&mut s, &junk).is_err());
     }
 
     #[test]
@@ -491,8 +258,8 @@ mod tests {
         });
         let small_pdu = nop(b"small");
         let mut w = WireBuf::new();
-        w.push_pdu(&small_pdu);
-        w.push_pdu(&big_pdu);
+        push_pdu(&mut w, &small_pdu);
+        push_pdu(&mut w, &big_pdu);
         assert_eq!(w.len(), small_pdu.wire_len() + big_pdu.wire_len());
         let chunks = w.take_chunks();
         // scratch batch (small pdu + big header), shared data, (no pad: aligned)
@@ -500,14 +267,10 @@ mod tests {
         assert!(chunks[1].same_storage(&big));
         assert_eq!(w.bytes_copied(), 5, "only the small data segment copies");
         assert!(w.is_empty());
-
         // Flattened output must equal the legacy encoding.
-        let mut w2 = WireBuf::new();
-        w2.push_pdu(&small_pdu);
-        w2.push_pdu(&big_pdu);
         let mut legacy = small_pdu.encode();
         legacy.extend(big_pdu.encode());
-        assert_eq!(w2.take_output(), legacy);
+        assert_eq!(chunks.concat(), legacy);
     }
 
     #[test]

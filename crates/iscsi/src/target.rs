@@ -15,14 +15,16 @@ use std::hash::RandomState;
 use bytes::Bytes;
 use storm_sim::IdMap;
 
-use crate::cdb::{Cdb, ScsiStatus};
-use crate::exchange::{
-    data_in_train, r2t, status_response, BlockCmd, BlockOp, CmdReject, Transfer,
+use storm_block::transport::{
+    BlockCmd, BlockOp, CmdReject, Iqn, ScsiStatus, TargetEvent, TargetTransport, Transfer,
+    TransportKind, WireBuf,
 };
-use crate::iqn::Iqn;
+
+use crate::cdb::Cdb;
+use crate::exchange::{data_in_train, parse_command, r2t, status_response};
 use crate::params::{decode_text, encode_text, SessionParams};
-use crate::pdu::{LoginResponse, LogoutResponse, NopIn, Pdu, PduError};
-use crate::stream::{PduStream, WireBuf};
+use crate::pdu::{LoginResponse, LogoutResponse, NopIn, Pdu};
+use crate::stream::{push_pdu, PduStream};
 
 /// Standard INQUIRY data: direct-access block device, SPC-4, 31 more
 /// bytes of vendor / product / revision.
@@ -51,45 +53,6 @@ impl TargetConfig {
             tsih: 1,
         }
     }
-}
-
-/// Events surfaced to the application hosting the target.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TargetEvent {
-    /// Login completed; the connection is in full-feature phase.
-    LoggedIn {
-        /// The initiator's IQN (connection attribution reads this).
-        initiator_name: String,
-    },
-    /// A read command wants `sectors` sectors at `lba`; answer with
-    /// [`TargetConn::complete_read`].
-    ReadReady {
-        /// Task tag to echo back.
-        itt: u32,
-        /// First sector.
-        lba: u64,
-        /// Sector count.
-        sectors: u32,
-    },
-    /// A write command's data is fully assembled; answer with
-    /// [`TargetConn::complete_write`].
-    WriteReady {
-        /// Task tag to echo back.
-        itt: u32,
-        /// First sector.
-        lba: u64,
-        /// The complete write payload.
-        data: Bytes,
-    },
-    /// A flush command arrived; answer with [`TargetConn::complete_flush`].
-    FlushReady {
-        /// Task tag to echo back.
-        itt: u32,
-    },
-    /// The initiator logged out.
-    LoggedOut,
-    /// Protocol violation; drop the connection.
-    ProtocolError(String),
 }
 
 /// One target-side connection state machine.
@@ -155,12 +118,6 @@ impl TargetConn {
         self.logged_in
     }
 
-    /// Drains bytes to put on the wire (flat copy; see
-    /// [`TargetConn::take_wire`] for the zero-copy chunk form).
-    pub fn take_output(&mut self) -> Vec<u8> {
-        self.out.take_output()
-    }
-
     /// Drains the queued wire bytes as refcounted chunks: Data-In
     /// payloads are views of the disk read buffer, not copies.
     pub fn take_wire(&mut self) -> Vec<bytes::Bytes> {
@@ -179,27 +136,14 @@ impl TargetConn {
         sn
     }
 
-    /// Feeds received bytes (copied into the reassembler; see
-    /// [`TargetConn::feed_bytes`]); returns events for the hosting app.
-    pub fn feed(&mut self, bytes: &[u8]) -> Vec<TargetEvent> {
-        let pdus = self.stream.feed(bytes);
-        self.handle_all(pdus)
-    }
-
     /// Feeds a received chunk by reference (no copy into the
     /// reassembler); returns events for the hosting app.
     pub fn feed_bytes(&mut self, bytes: Bytes) -> Vec<TargetEvent> {
-        let pdus = self.stream.feed_bytes(bytes);
-        self.handle_all(pdus.map(|pdus| pdus.into_iter().map(|pw| pw.pdu)))
-    }
-
-    fn handle_all(
-        &mut self,
-        pdus: Result<impl IntoIterator<Item = Pdu>, PduError>,
-    ) -> Vec<TargetEvent> {
         let mut events = Vec::new();
-        match pdus {
-            Ok(pdus) => pdus.into_iter().for_each(|p| self.handle(p, &mut events)),
+        match self.stream.feed_bytes(bytes) {
+            Ok(pdus) => pdus
+                .into_iter()
+                .for_each(|pw| self.handle(pw.pdu, &mut events)),
             Err(e) => events.push(TargetEvent::ProtocolError(e.to_string())),
         }
         events
@@ -228,20 +172,20 @@ impl TargetConn {
                     status_detail: 0,
                     data: encode_text(&keys).into(),
                 });
-                self.out.push_pdu(&resp);
+                push_pdu(&mut self.out, &resp);
                 self.logged_in = true;
                 events.push(TargetEvent::LoggedIn { initiator_name });
             }
             Pdu::ScsiCommand(c) => {
                 self.exp_cmd_sn = c.cmd_sn.wrapping_add(1);
-                let cmd = match BlockCmd::parse(&c, self.cfg.num_sectors) {
+                let cmd = match parse_command(&c, self.cfg.num_sectors) {
                     Ok(cmd) => cmd,
-                    Err(CmdReject::NotBlockIo(cdb)) => {
-                        let data = match cdb {
-                            Cdb::Inquiry { alloc } => {
+                    Err(CmdReject::NotBlockIo) => {
+                        let data = match Cdb::parse(&c.cdb) {
+                            Ok(Cdb::Inquiry { alloc }) => {
                                 Bytes::from_static(&INQUIRY[..INQUIRY.len().min(alloc as usize)])
                             }
-                            Cdb::ReadCapacity10 => {
+                            Ok(Cdb::ReadCapacity10) => {
                                 let last = self.cfg.num_sectors.saturating_sub(1);
                                 let [a, b, c, d] =
                                     u32::try_from(last).unwrap_or(u32::MAX).to_be_bytes();
@@ -325,7 +269,7 @@ impl TargetConn {
                         max_cmd_sn: self.exp_cmd_sn.wrapping_add(64),
                         data: n.data,
                     });
-                    self.out.push_pdu(&pong);
+                    push_pdu(&mut self.out, &pong);
                 }
             }
             Pdu::LogoutRequest(r) => {
@@ -336,7 +280,7 @@ impl TargetConn {
                     exp_cmd_sn: self.exp_cmd_sn,
                     max_cmd_sn: self.exp_cmd_sn.wrapping_add(64),
                 });
-                self.out.push_pdu(&resp);
+                push_pdu(&mut self.out, &resp);
                 self.logged_in = false;
                 events.push(TargetEvent::LoggedOut);
             }
@@ -357,7 +301,7 @@ impl TargetConn {
             Pdu::R2t(p) => (p.stat_sn, p.exp_cmd_sn, p.max_cmd_sn) = sn,
             _ => {}
         }
-        self.out.push_pdu(&pdu);
+        push_pdu(&mut self.out, &pdu);
     }
 
     fn write_ready(&mut self, itt: u32, lba: u64, xfer: Transfer, events: &mut Vec<TargetEvent>) {
@@ -425,18 +369,72 @@ impl TargetConn {
     }
 }
 
+impl TargetTransport for TargetConn {
+    fn kind(&self) -> TransportKind {
+        TransportKind::Iscsi
+    }
+
+    fn feed_bytes(&mut self, bytes: Bytes) -> Vec<TargetEvent> {
+        TargetConn::feed_bytes(self, bytes)
+    }
+
+    fn complete_read(&mut self, _now_ns: u64, itt: u32, data: Bytes, status: ScsiStatus) {
+        TargetConn::complete_read(self, itt, data, status);
+    }
+
+    fn complete_write(&mut self, _now_ns: u64, itt: u32, status: ScsiStatus) {
+        TargetConn::complete_write(self, itt, status);
+    }
+
+    fn complete_flush(&mut self, _now_ns: u64, itt: u32, status: ScsiStatus) {
+        TargetConn::complete_flush(self, itt, status);
+    }
+
+    fn take_wire(&mut self) -> Vec<Bytes> {
+        TargetConn::take_wire(self)
+    }
+
+    fn is_logged_in(&self) -> bool {
+        TargetConn::is_logged_in(self)
+    }
+
+    fn bytes_copied(&self) -> u64 {
+        TargetConn::bytes_copied(self)
+    }
+
+    fn in_flight(&self) -> usize {
+        TargetConn::in_flight(self)
+    }
+
+    fn occupancy_peak(&self) -> usize {
+        TargetConn::occupancy_peak(self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exchange::scsi_command;
     use crate::initiator::{Initiator, InitiatorConfig};
-    use crate::transport::TransportEvent;
+    use storm_block::transport::{Transport, TransportEvent};
+
+    /// A drained wire image as one chunk.
+    fn flat(wire: Vec<Bytes>) -> Bytes {
+        wire.concat().into()
+    }
+
+    /// The PDUs a drained wire image holds.
+    fn decode(wire: Vec<Bytes>) -> Vec<Pdu> {
+        let pdus = PduStream::new().feed_bytes(flat(wire)).unwrap();
+        pdus.into_iter().map(|pw| pw.pdu).collect()
+    }
 
     #[test]
     fn login_reports_initiator_name_for_attribution() {
         let mut ini = Initiator::new(InitiatorConfig::example());
         let mut tgt = TargetConn::new(TargetConfig::example(1024));
         ini.start_login();
-        let evs = tgt.feed(&ini.take_output());
+        let evs = tgt.feed_bytes(flat(ini.take_wire()));
         match &evs[0] {
             TargetEvent::LoggedIn { initiator_name } => {
                 assert_eq!(
@@ -447,7 +445,7 @@ mod tests {
             other => panic!("expected login, got {other:?}"),
         }
         assert!(tgt.is_logged_in());
-        let evs = ini.feed(&tgt.take_output());
+        let evs = ini.feed_bytes(flat(tgt.take_wire()));
         assert!(evs.contains(&TransportEvent::Ready));
     }
 
@@ -456,11 +454,11 @@ mod tests {
         let mut ini = Initiator::new(InitiatorConfig::example());
         let mut tgt = TargetConn::new(TargetConfig::example(8));
         ini.start_login();
-        let _ = tgt.feed(&ini.take_output());
-        let _ = ini.feed(&tgt.take_output());
+        let _ = tgt.feed_bytes(flat(ini.take_wire()));
+        let _ = ini.feed_bytes(flat(tgt.take_wire()));
         let tag = ini.read(100, 4);
-        let _ = tgt.feed(&ini.take_output());
-        let evs = ini.feed(&tgt.take_output());
+        let _ = tgt.feed_bytes(flat(ini.take_wire()));
+        let evs = ini.feed_bytes(flat(tgt.take_wire()));
         assert!(evs.iter().any(|e| matches!(
             e,
             TransportEvent::ReadDone { tag: t, status: ScsiStatus::CheckCondition, .. }
@@ -473,16 +471,20 @@ mod tests {
         let mut ini = Initiator::new(InitiatorConfig::example());
         let mut tgt = TargetConn::new(TargetConfig::example(64));
         ini.start_login();
-        let _ = tgt.feed(&ini.take_output());
+        let _ = tgt.feed_bytes(flat(ini.take_wire()));
         let cmd = BlockCmd {
             op: BlockOp::Read,
             lba: 0,
             sectors: 1,
         };
-        let read = |cmd_sn| cmd.command(9, cmd_sn, 2, Bytes::new()).encode();
-        let evs = tgt.feed(&read(2));
+        let read = |cmd_sn| {
+            scsi_command(cmd, 9, cmd_sn, 2, Bytes::new())
+                .encode()
+                .into()
+        };
+        let evs = tgt.feed_bytes(read(2));
         assert!(matches!(evs[..], [TargetEvent::ReadReady { itt: 9, .. }]));
-        let evs = tgt.feed(&read(3));
+        let evs = tgt.feed_bytes(read(3));
         assert!(
             matches!(evs[..], [TargetEvent::ProtocolError(_)]),
             "{evs:?}"
@@ -499,8 +501,8 @@ mod tests {
         let mut ini = Initiator::new(InitiatorConfig::example());
         let mut tgt = TargetConn::new(TargetConfig::example(64));
         ini.start_login();
-        let _ = tgt.feed(&ini.take_output());
-        let _ = tgt.take_output();
+        let _ = tgt.feed_bytes(flat(ini.take_wire()));
+        let _ = tgt.take_wire();
         let hostile = [
             (BlockOp::Read, u64::MAX, 1),
             (BlockOp::Write, u64::MAX - 3, 8),
@@ -509,9 +511,9 @@ mod tests {
         ];
         for (n, (op, lba, sectors)) in (2u32..).zip(hostile) {
             let cmd = BlockCmd { op, lba, sectors };
-            let evs = tgt.feed(&cmd.command(n, n, 2, Bytes::new()).encode());
+            let evs = tgt.feed_bytes(scsi_command(cmd, n, n, 2, Bytes::new()).encode().into());
             assert!(evs.is_empty(), "{cmd:?}: {evs:?}");
-            let out = PduStream::new().feed(&tgt.take_output()).unwrap();
+            let out = decode(tgt.take_wire());
             assert!(
                 matches!(&out[..], [Pdu::ScsiResponse(r)]
                     if r.itt == n && r.status == ScsiStatus::CheckCondition),
@@ -525,7 +527,7 @@ mod tests {
             lba: 0,
             sectors: 1,
         };
-        let evs = tgt.feed(&ok.command(9, 9, 2, Bytes::new()).encode());
+        let evs = tgt.feed_bytes(scsi_command(ok, 9, 9, 2, Bytes::new()).encode().into());
         assert!(matches!(evs[..], [TargetEvent::ReadReady { itt: 9, .. }]));
     }
 
@@ -539,11 +541,9 @@ mod tests {
             exp_stat_sn: 1,
             data: Bytes::from_static(b"hb"),
         });
-        let evs = tgt.feed(&ping.encode());
+        let evs = tgt.feed_bytes(ping.encode().into());
         assert!(evs.is_empty());
-        let out = tgt.take_output();
-        let mut stream = PduStream::new();
-        let pdus = stream.feed(&out).unwrap();
+        let pdus = decode(tgt.take_wire());
         match &pdus[0] {
             Pdu::NopIn(n) => {
                 assert_eq!(n.itt, 55);
@@ -558,8 +558,8 @@ mod tests {
         let mut ini = Initiator::new(InitiatorConfig::example());
         let mut tgt = TargetConn::new(TargetConfig::example(2048));
         ini.start_login();
-        let _ = tgt.feed(&ini.take_output());
-        let _ = ini.feed(&tgt.take_output());
+        let _ = tgt.feed_bytes(flat(ini.take_wire()));
+        let _ = ini.feed_bytes(flat(tgt.take_wire()));
         // Drive a raw READ CAPACITY through the target.
         let cmd = Pdu::ScsiCommand(crate::pdu::ScsiCommand {
             immediate: false,
@@ -574,10 +574,9 @@ mod tests {
             cdb: Cdb::ReadCapacity10.to_bytes(),
             data: Bytes::new(),
         });
-        let evs = tgt.feed(&cmd.encode());
+        let evs = tgt.feed_bytes(cmd.encode().into());
         assert!(evs.is_empty(), "capacity served internally: {evs:?}");
-        let out = tgt.take_output();
-        let pdus = PduStream::new().feed(&out).unwrap();
+        let pdus = decode(tgt.take_wire());
         match &pdus[0] {
             Pdu::DataIn(d) => {
                 assert!(d.status_present);
@@ -588,5 +587,57 @@ mod tests {
             }
             other => panic!("expected data-in, got {other:?}"),
         }
+    }
+
+    /// The full write/read cycle from the crate example, driven purely
+    /// through the trait objects — no iSCSI types leak through.
+    #[test]
+    fn iscsi_session_through_trait_objects() {
+        let mut ini: Box<dyn Transport> = Box::new(Initiator::new(InitiatorConfig::example()));
+        let mut tgt: Box<dyn TargetTransport> =
+            Box::new(TargetConn::new(TargetConfig::example(2048)));
+        assert_eq!(ini.kind(), TransportKind::Iscsi);
+        assert_eq!(tgt.kind(), TransportKind::Iscsi);
+
+        ini.start();
+        let mut ready = false;
+        for _ in 0..8 {
+            for c in ini.take_wire() {
+                let _ = tgt.feed_bytes(c);
+            }
+            for c in tgt.take_wire() {
+                ready |= ini
+                    .feed_bytes(c)
+                    .iter()
+                    .any(|e| matches!(e, TransportEvent::Ready));
+            }
+        }
+        assert!(ready && ini.is_ready() && tgt.is_logged_in());
+        assert_eq!(tgt.cq_deadline_ns(), None, "iscsi never coalesces");
+
+        let wtag = ini.write(0, Bytes::from(vec![0xAA; 4096]));
+        let mut done = false;
+        for _ in 0..8 {
+            for c in ini.take_wire() {
+                for ev in tgt.feed_bytes(c) {
+                    if let TargetEvent::WriteReady { itt, lba, data } = ev {
+                        assert_eq!((lba, data.len()), (0, 4096));
+                        tgt.complete_write(0, itt, ScsiStatus::Good);
+                    }
+                }
+            }
+            for c in tgt.take_wire() {
+                for ev in ini.feed_bytes(c) {
+                    if let TransportEvent::WriteDone { tag, status } = ev {
+                        assert_eq!((tag, status), (wtag, ScsiStatus::Good));
+                        done = true;
+                    }
+                }
+            }
+        }
+        assert!(done);
+        assert_eq!(ini.in_flight(), 0);
+        assert_eq!(tgt.in_flight(), 0);
+        assert!(tgt.occupancy_peak() >= 1);
     }
 }

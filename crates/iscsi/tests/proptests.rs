@@ -2,13 +2,25 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use storm_iscsi::exchange::{BlockCmd, Exchange, Staged, Staging, Step, Transfer};
+use storm_block::transport::{ScsiStatus, Staged, Staging, Step, TargetEvent, TransportEvent};
+use storm_iscsi::exchange::{parse_command, Exchange};
 use storm_iscsi::{
     data_segment_length, Cdb, DataIn, DataOut, Initiator, InitiatorConfig, LoginRequest,
     LoginResponse, LogoutRequest, LogoutResponse, NopIn, NopOut, Pdu, PduError, PduStream, R2t,
-    ScsiCommand, ScsiResponse, ScsiStatus, SessionParams, TargetConfig, TargetConn, TargetEvent,
-    TextRequest, TextResponse, TransportEvent, BHS_LEN,
+    ScsiCommand, ScsiResponse, SessionParams, TargetConfig, TargetConn, TextRequest, TextResponse,
+    BHS_LEN,
 };
+
+/// Feeds a copy of `bytes` to `s`, returning the PDUs it completed.
+fn feed(s: &mut PduStream, bytes: &[u8]) -> Result<Vec<Pdu>, PduError> {
+    let got = s.feed_bytes(Bytes::copy_from_slice(bytes))?;
+    Ok(got.into_iter().map(|pw| pw.pdu).collect())
+}
+
+/// A drained wire image as one chunk.
+fn flat(wire: Vec<Bytes>) -> Bytes {
+    wire.concat().into()
+}
 
 /// A data segment deliberately biased toward non-4-byte-aligned lengths,
 /// so padding paths get exercised on every run.
@@ -271,7 +283,7 @@ proptest! {
         let mut s = PduStream::new();
         let mut got = Vec::new();
         for piece in wire.chunks(chunk) {
-            got.extend(s.feed(piece).unwrap());
+            got.extend(feed(&mut s, piece).unwrap());
         }
         prop_assert_eq!(got, pdus);
         prop_assert_eq!(s.pending_bytes(), 0);
@@ -298,8 +310,8 @@ proptest! {
         let mut tgt = TargetConn::new(TargetConfig::example(1 << 20));
         ini.start_login();
         for _ in 0..4 {
-            let _ = tgt.feed(&ini.take_output());
-            let _ = ini.feed(&tgt.take_output());
+            let _ = tgt.feed_bytes(flat(ini.take_wire()));
+            let _ = ini.feed_bytes(flat(tgt.take_wire()));
         }
         prop_assert!(ini.is_logged_in());
         let data: Vec<u8> =
@@ -311,8 +323,8 @@ proptest! {
         let mut read_back: Option<Bytes> = None;
         let mut rtag = None;
         for _ in 0..128 {
-            let out = ini.take_output();
-            for ev in tgt.feed(&out) {
+            let out = flat(ini.take_wire());
+            for ev in tgt.feed_bytes(out.clone()) {
                 match ev {
                     TargetEvent::WriteReady { itt, lba, data } => {
                         for (i, sector) in data.chunks(512).enumerate() {
@@ -330,8 +342,8 @@ proptest! {
                     _ => {}
                 }
             }
-            let back = tgt.take_output();
-            for ev in ini.feed(&back) {
+            let back = flat(tgt.take_wire());
+            for ev in ini.feed_bytes(back) {
                 match ev {
                     TransportEvent::WriteDone { tag: t, status } if t == tag => {
                         prop_assert_eq!(status, ScsiStatus::Good);
@@ -356,51 +368,14 @@ proptest! {
     }
 }
 
-/// An offset biased to the interesting places: inside the buffer, around
-/// its end, and at the top of the field.
-fn buffer_offset(kind: u8, raw: u32, expected: u32) -> u32 {
-    match kind % 4 {
-        0 => raw % (expected + 1),
-        1 => expected.saturating_sub(8) + raw % 72,
-        2 => u32::MAX,
-        _ => u32::MAX - raw % 600,
-    }
-}
-
 mod exchange_model {
     use super::*;
 
     proptest! {
-        /// `Transfer` against a plain `Vec` model: any `(offset, data)`
-        /// sequence — overlapping, past the end, at `u32::MAX` — never panics,
-        /// reports an overrun exactly when bytes fell outside the buffer, and
-        /// assembles what the model (which keeps the in-range prefix) holds.
-        #[test]
-        fn transfer_matches_vec_model(
-            expected in 0u32..2048,
-            ops in prop::collection::vec((any::<u8>(), any::<u32>(), 0usize..600, any::<u8>()), 0..12),
-        ) {
-            let mut xfer = Transfer::new(expected as usize);
-            let mut model = vec![0u8; expected as usize];
-            let mut received = 0usize;
-            for (kind, raw, len, fill) in ops {
-                let offset = buffer_offset(kind, raw, expected);
-                let data = vec![fill; len];
-                let start = (offset as usize).min(model.len());
-                let take = len.min(model.len() - start);
-                model[start..start + take].copy_from_slice(&data[..take]);
-                received += take;
-                let overrun = offset as u64 + len as u64 > expected as u64;
-                prop_assert_eq!(xfer.absorb(offset, &data).is_err(), overrun);
-                prop_assert_eq!(xfer.is_complete(), received >= model.len());
-            }
-            prop_assert_eq!(&xfer.into_bytes()[..], &model[..]);
-        }
-
         /// Every consumer of one write conversation assembles the same bytes:
         /// the target (`WriteReady`), a monitor-style observer (classify with
         /// `Exchange::observe`, then `Staging`) and a cache-style one
-        /// (`BlockCmd::parse`, then `Staging` by the PDU's own offset).
+        /// (`parse_command`, then `Staging` by the PDU's own offset).
         /// Small negotiated limits force immediate data, the unsolicited first
         /// burst and several R2T rounds.
         #[test]
@@ -430,8 +405,8 @@ mod exchange_model {
             });
             ini.start_login();
             for _ in 0..4 {
-                let _ = tgt.feed(&ini.take_output());
-                let _ = ini.feed(&tgt.take_output());
+                let _ = tgt.feed_bytes(flat(ini.take_wire()));
+                let _ = ini.feed_bytes(flat(tgt.take_wire()));
             }
             prop_assert!(ini.is_logged_in());
             let data: Vec<u8> =
@@ -443,8 +418,8 @@ mod exchange_model {
             let (mut at_target, mut at_monitor, mut at_cache) = (None, None, None);
             let mut done = false;
             for _ in 0..256 {
-                let out = ini.take_output();
-                for pdu in tap.feed(&out).unwrap() {
+                let out = flat(ini.take_wire());
+                for pdu in feed(&mut tap, &out).unwrap() {
                     let (step, cmd) = open.observe(&pdu);
                     let staged = monitor.feed(pdu.itt(), step, cmd, pdu.data());
                     if let Staged::Complete(cmd, bytes) = staged {
@@ -452,7 +427,7 @@ mod exchange_model {
                     }
                     let staged = match &pdu {
                         Pdu::ScsiCommand(c) => {
-                            let cmd = BlockCmd::parse(c, u64::MAX).unwrap();
+                            let cmd = parse_command(c, u64::MAX).unwrap();
                             cache.feed(c.itt, Step::Command, Some(cmd), &c.data)
                         }
                         Pdu::DataOut(d) => {
@@ -464,7 +439,7 @@ mod exchange_model {
                         at_cache = Some((cmd.lba, bytes));
                     }
                 }
-                for ev in tgt.feed(&out) {
+                for ev in tgt.feed_bytes(out.clone()) {
                     match ev {
                         TargetEvent::WriteReady { itt, lba, data } => {
                             at_target = Some((lba, data));
@@ -473,7 +448,7 @@ mod exchange_model {
                         other => prop_assert!(false, "unexpected target event {other:?}"),
                     }
                 }
-                for ev in ini.feed(&tgt.take_output()) {
+                for ev in ini.feed_bytes(flat(tgt.take_wire())) {
                     match ev {
                         TransportEvent::WriteDone { tag: t, status } => {
                             prop_assert_eq!((t, status), (tag, ScsiStatus::Good));
@@ -535,7 +510,7 @@ mod zero_copy {
 
             // And the stream decodes it all back to the same PDU.
             let mut s = PduStream::new();
-            let got = s.feed(&legacy).unwrap();
+            let got = feed(&mut s, &legacy).unwrap();
             prop_assert_eq!(got, vec![pdu]);
         }
 
@@ -553,7 +528,7 @@ mod zero_copy {
         #[test]
         fn garbage_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..400)) {
             let mut s = PduStream::new();
-            match s.feed(&bytes) {
+            match feed(&mut s, &bytes) {
                 Ok(pdus) => {
                     // Whatever parsed must re-encode to a prefix of the input.
                     let mut wire = Vec::new();

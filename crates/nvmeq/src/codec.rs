@@ -15,7 +15,7 @@
 
 use std::fmt;
 
-use storm_iscsi::ScsiStatus;
+use storm_block::transport::ScsiStatus;
 
 /// First byte of every frame; iSCSI's first login byte is `0x43`, so one
 /// peek at a new connection's first byte identifies the protocol.
@@ -78,7 +78,7 @@ impl FrameKind {
 }
 
 /// Codec failure. Any of these means the stream is unusable and the
-/// connection must drop — same contract as `storm_iscsi::PduError`.
+/// connection must drop — same contract as the iSCSI stream's `PduError`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NvmeqError {
     /// First byte of a frame wasn't [`MAGIC`].
@@ -181,7 +181,7 @@ impl FrameHeader {
 
 /// SQE opcode: the protocol-neutral block operation, so a command crosses
 /// the transports without a mapping table.
-pub use storm_iscsi::exchange::BlockOp as SqeOp;
+pub use storm_block::transport::BlockOp as SqeOp;
 
 fn op_to_byte(op: SqeOp) -> u8 {
     match op {

@@ -8,7 +8,7 @@ use bytes::Bytes;
 
 use storm_sim::IdMap;
 
-use storm_iscsi::{IoTag, Iqn, Transport, TransportEvent, TransportKind, WireBuf, SHARE_THRESHOLD};
+use storm_block::transport::{IoTag, Iqn, Transport, TransportEvent, TransportKind, WireBuf};
 
 use crate::codec::{encode_connect_payload, Cqe, FrameHeader, FrameKind, Sqe, SqeOp, SQE_LEN};
 use crate::stream::{FrameStream, UnitEntry};
@@ -82,7 +82,6 @@ pub struct NvmeqInitiator {
     overflow: VecDeque<Staged>,
     stream: FrameStream,
     out: WireBuf,
-    data_bytes_copied: u64,
     num_sectors: u64,
     doorbells: u64,
     sqes_sent: u64,
@@ -109,7 +108,6 @@ impl NvmeqInitiator {
             overflow: VecDeque::new(),
             stream: FrameStream::new(),
             out: WireBuf::new(),
-            data_bytes_copied: 0,
             num_sectors: 0,
             doorbells: 0,
             sqes_sent: 0,
@@ -187,12 +185,7 @@ impl NvmeqInitiator {
             self.out.push_slice(&s.sqe.encode());
         }
         for s in batch {
-            if s.data.len() >= SHARE_THRESHOLD {
-                self.out.push_bytes(s.data);
-            } else {
-                self.data_bytes_copied += s.data.len() as u64;
-                self.out.push_slice(&s.data);
-            }
+            self.out.push_data(s.data);
         }
         self.doorbells += 1;
         self.sqes_sent += header.count as u64;
@@ -385,7 +378,7 @@ impl Transport for NvmeqInitiator {
     }
 
     fn bytes_copied(&self) -> u64 {
-        self.data_bytes_copied + self.stream.bytes_copied()
+        self.out.bytes_copied() + self.stream.bytes_copied()
     }
 
     fn sq_peak(&self) -> usize {
@@ -405,7 +398,7 @@ impl Transport for NvmeqInitiator {
 mod tests {
     use super::*;
     use crate::codec::FRAME_HDR_LEN;
-    use storm_iscsi::ScsiStatus;
+    use storm_block::transport::ScsiStatus;
 
     #[test]
     fn batch_rides_one_doorbell_frame() {

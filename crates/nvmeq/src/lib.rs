@@ -9,7 +9,9 @@
 //! This crate models that protocol over the simulator's TCP fabric,
 //! behind the same [`Transport`]/[`TargetTransport`] traits the iSCSI
 //! stack implements, proving StorM's interception API is wire-protocol
-//! agnostic and opening offload-vs-relay benchmarks.
+//! agnostic and opening offload-vs-relay benchmarks. Those traits and the
+//! block vocabulary live in [`storm_block::transport`], so this crate
+//! does not depend on the protocol it is the alternative to.
 //!
 //! Wire format (all integers big-endian, like iSCSI):
 //!
@@ -31,8 +33,8 @@
 //! iSCSI `PduStream`), so the relay's zero-copy invariant holds on this
 //! transport too.
 //!
-//! [`Transport`]: storm_iscsi::Transport
-//! [`TargetTransport`]: storm_iscsi::TargetTransport
+//! [`Transport`]: storm_block::transport::Transport
+//! [`TargetTransport`]: storm_block::transport::TargetTransport
 
 #![warn(missing_docs)]
 

@@ -1,6 +1,6 @@
 //! Incremental frame reassembly over a TCP byte stream.
 //!
-//! Buffers in the same [`ChunkDeque`] as `storm_iscsi::PduStream` (chunks
+//! Buffers in the same [`ChunkDeque`] as the iSCSI `PduStream` (chunks
 //! of one allocation re-join for free, fixed-size headers are peeked into
 //! stack arrays, payload bytes are copied *only* when a segment genuinely
 //! straddles two receive allocations, and every such byte is counted), so
@@ -13,7 +13,7 @@
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 use bytes::Bytes;
-use storm_iscsi::ChunkDeque;
+use storm_block::transport::ChunkDeque;
 
 use crate::codec::{Cqe, FrameHeader, FrameKind, NvmeqError, Sqe, CQE_LEN, FRAME_HDR_LEN, SQE_LEN};
 
@@ -198,7 +198,7 @@ impl FrameStream {
 mod tests {
     use super::*;
     use crate::codec::SqeOp;
-    use storm_iscsi::ScsiStatus;
+    use storm_block::transport::ScsiStatus;
 
     /// Encodes a doorbell frame with the given write payloads.
     fn doorbell(cmds: &[(Sqe, &[u8])]) -> Vec<u8> {

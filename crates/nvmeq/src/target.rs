@@ -7,9 +7,8 @@
 
 use bytes::Bytes;
 
-use storm_iscsi::exchange::BlockCmd;
-use storm_iscsi::{
-    Iqn, ScsiStatus, TargetEvent, TargetTransport, TransportKind, WireBuf, SHARE_THRESHOLD,
+use storm_block::transport::{
+    BlockCmd, Iqn, ScsiStatus, TargetEvent, TargetTransport, TransportKind, WireBuf,
 };
 
 use crate::codec::{scan_connect_payload, Cqe, FrameHeader, FrameKind, SqeOp, CQE_LEN};
@@ -69,7 +68,6 @@ pub struct NvmeqTargetConn {
     cq_deadline: Option<u64>,
     cq_flushes: u64,
     cqes_flushed: u64,
-    data_bytes_copied: u64,
 }
 
 impl NvmeqTargetConn {
@@ -87,7 +85,6 @@ impl NvmeqTargetConn {
             cq_deadline: None,
             cq_flushes: 0,
             cqes_flushed: 0,
-            data_bytes_copied: 0,
         }
     }
 
@@ -119,7 +116,7 @@ impl NvmeqTargetConn {
 
     /// Payload bytes memcpy'd by this endpoint.
     pub fn bytes_copied(&self) -> u64 {
-        self.data_bytes_copied + self.stream.bytes_copied()
+        self.out.bytes_copied() + self.stream.bytes_copied()
     }
 
     /// Drains queued wire bytes as refcounted chunks.
@@ -308,12 +305,7 @@ impl NvmeqTargetConn {
         self.cq_flushes += 1;
         self.cqes_flushed += header.count as u64;
         for (_, data) in pending {
-            if data.len() >= SHARE_THRESHOLD {
-                self.out.push_bytes(data);
-            } else {
-                self.data_bytes_copied += data.len() as u64;
-                self.out.push_slice(&data);
-            }
+            self.out.push_data(data);
         }
     }
 }
@@ -373,7 +365,7 @@ mod tests {
     use super::*;
     use crate::codec::{Sqe, SQE_LEN};
     use crate::initiator::{NvmeqConfig, NvmeqInitiator};
-    use storm_iscsi::{Transport, TransportEvent};
+    use storm_block::transport::{Transport, TransportEvent};
 
     fn connected_pair(qd: u16) -> (NvmeqInitiator, NvmeqTargetConn) {
         let mut ini = NvmeqInitiator::new(NvmeqConfig::example(qd));

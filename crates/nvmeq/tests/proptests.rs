@@ -45,7 +45,7 @@ fn cqe_strategy() -> impl Strategy<Value = Cqe> {
     )
         .prop_map(|(cid, status, op, data_len)| Cqe {
             cid,
-            status: storm_iscsi::ScsiStatus::from_byte(status),
+            status: storm_block::transport::ScsiStatus::from_byte(status),
             op,
             data_len: if op == SqeOp::Read { data_len } else { 0 },
         })

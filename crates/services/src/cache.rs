@@ -32,10 +32,9 @@ use std::collections::BTreeMap;
 
 use bytes::{Bytes, BytesMut};
 
+use storm_block::transport::{BlockCmd, BlockOp, ScsiStatus, Staged, Staging, Step};
 use storm_block::{BlockDevice, BlockError, SECTOR_SIZE};
 use storm_core::{Dir, Op, StorageService, SvcCtx};
-use storm_iscsi::exchange::{BlockCmd, BlockOp, Staged, Staging, Step, Transfer};
-use storm_iscsi::{ScsiStatus, SessionParams};
 use storm_sim::SimDuration;
 
 use crate::lz::{fnv32, put_field};
@@ -308,17 +307,6 @@ impl WriteBackCacheService {
         (lba..lba + sectors as u64).all(|s| self.sectors.contains_key(&s))
     }
 
-    /// Asks for the next burst of a staged write, if one is due, within
-    /// the burst limits every session negotiates. The cache numbers its
-    /// requests from 1.
-    fn request_data(cx: &mut SvcCtx<Op>, itt: u32, stage: &mut Transfer) {
-        let params = SessionParams::default();
-        let (first, max) = (params.first_burst_length, params.max_burst_length);
-        if let Some((sn, offset, len)) = stage.next_burst(first as usize, max as usize) {
-            cx.reply(Op::want_data(itt, offset, len, sn + 1));
-        }
-    }
-
     /// A write transfer is fully received: journal it (or park / fall
     /// back to write-through).
     fn complete_write(&mut self, cx: &mut SvcCtx<Op>, write: CompletedWrite) {
@@ -503,7 +491,11 @@ impl WriteBackCacheService {
             Staged::Complete(BlockCmd { lba, .. }, data) => {
                 self.complete_write(cx, CompletedWrite { itt, lba, data })
             }
-            Staged::Partial(stage) if stage.burst_done() => Self::request_data(cx, itt, stage),
+            Staged::Partial(stage) if stage.burst_done() => {
+                if let Some(want) = Op::want_next(itt, stage) {
+                    cx.reply(want);
+                }
+            }
             Staged::Partial(_) => {}
         }
     }

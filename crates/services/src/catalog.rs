@@ -238,10 +238,10 @@ mod tests {
     use super::*;
     use crate::{CacheStats, ReplicationStats};
     use bytes::Bytes;
+    use storm_block::transport::Step;
     use storm_block::MemDisk;
     use storm_core::{Dir, Op, SvcAction, SvcCtx};
     use storm_extfs::ExtFs;
-    use storm_iscsi::exchange::Step;
     use storm_sim::SimTime;
 
     fn recon() -> Reconstructor {

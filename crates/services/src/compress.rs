@@ -25,8 +25,8 @@
 
 use bytes::Bytes;
 
+use storm_block::transport::{BlockOp, Step};
 use storm_core::{Dir, Op, StorageService, SvcCtx};
-use storm_iscsi::exchange::{BlockOp, Step};
 use storm_sim::SimDuration;
 
 use crate::lz::{fnv32, lz_compress, lz_decompress, put_field, ENCODER_OVERRUN};

@@ -20,8 +20,8 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 
+use storm_block::transport::{BlockOp, Step};
 use storm_core::{Dir, Op, StorageService, SvcCtx};
-use storm_iscsi::exchange::{BlockOp, Step};
 use storm_sim::{SimDuration, SimRng};
 
 /// CPU cost per byte chunked and fingerprinted: ~1 GB/s on one core.
@@ -228,8 +228,8 @@ impl std::fmt::Debug for DedupService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use storm_block::transport::BlockCmd;
     use storm_core::service::SvcAction;
-    use storm_iscsi::exchange::BlockCmd;
     use storm_sim::SimTime;
 
     fn write_op(itt: u32, data: Vec<u8>) -> Op {

@@ -22,10 +22,10 @@ use std::collections::BTreeSet;
 
 use bytes::BytesMut;
 
+use storm_block::transport::ScsiStatus;
+use storm_block::transport::Step;
 use storm_core::{Dir, Op, StorageService, SvcCtx};
 use storm_crypto::{AesXts, ChaCha20};
-use storm_iscsi::exchange::Step;
-use storm_iscsi::ScsiStatus;
 use storm_sim::SimDuration;
 
 /// The tenant-selected cipher.
@@ -198,8 +198,8 @@ impl std::fmt::Debug for EncryptionService {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use storm_block::transport::{BlockCmd, BlockOp};
     use storm_core::service::SvcAction;
-    use storm_iscsi::exchange::{BlockCmd, BlockOp};
     use storm_sim::SimTime;
 
     fn svc() -> EncryptionService {

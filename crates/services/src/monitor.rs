@@ -12,8 +12,8 @@
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
+use storm_block::transport::{BlockOp, Staged, Staging, Step};
 use storm_core::{Dir, FsAccess, FsOp, FsTargetKind, Op, Reconstructor, StorageService, SvcCtx};
-use storm_iscsi::exchange::{BlockOp, Staged, Staging, Step};
 use storm_sim::SimDuration;
 
 /// Monitor configuration.
@@ -155,10 +155,10 @@ impl std::fmt::Debug for MonitorService {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use storm_block::transport::BlockCmd;
     use storm_block::{AccessKind, MemDisk, RecordingDevice};
     use storm_core::service::SvcAction;
     use storm_extfs::ExtFs;
-    use storm_iscsi::exchange::BlockCmd;
     use storm_sim::SimTime;
 
     fn monitored_fs() -> (ExtFs<RecordingDevice<MemDisk>>, MonitorService) {

@@ -17,8 +17,8 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 
+use storm_block::transport::{BlockCmd, BlockOp, Staged, Staging, Step};
 use storm_core::{Dir, Op, StorageService, SvcCtx};
-use storm_iscsi::exchange::{BlockCmd, BlockOp, Staged, Staging, Step};
 
 /// Counters for the experiment harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -257,8 +257,8 @@ impl std::fmt::Debug for ReplicationService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use storm_block::transport::ScsiStatus;
     use storm_core::service::{ReplicaIo, SvcAction};
-    use storm_iscsi::ScsiStatus;
     use storm_sim::SimTime;
 
     fn write_cmd(itt: u32, lba: u64, data: Bytes) -> Op {

@@ -30,9 +30,9 @@ use std::collections::BTreeSet;
 
 use bytes::Bytes;
 
+use storm_block::transport::{BlockCmd, BlockOp, Step};
 use storm_block::CowExtentMap;
 use storm_core::{Dir, Op, StorageService, SvcCtx};
-use storm_iscsi::exchange::{BlockCmd, BlockOp, Step};
 use storm_sim::SimDuration;
 
 /// CPU cost per byte written while a snapshot is active: an extent-map

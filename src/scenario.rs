@@ -63,13 +63,13 @@
 
 use std::sync::Arc;
 
+use storm_block::transport::TransportKind;
 use storm_block::BlockDevice;
 use storm_cloud::{Cloud, CloudConfig, DiskSpec, VolumeClient, VolumeHandle, Workload};
 use storm_core::relay::{ActiveRelayMb, ReplicaTarget};
 use storm_core::service::StorageService;
 use storm_core::{ChainDeployment, MbSpec, RelayMode, RelayQosConfig, StormPlatform};
 use storm_faults::{Fault, FaultPlan, FaultRunner};
-use storm_iscsi::TransportKind;
 use storm_net::{AppId, LinkSpec};
 use storm_qos::{DiskTier, RateLimitSpec};
 use storm_services::{

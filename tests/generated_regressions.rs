@@ -1,9 +1,9 @@
 //! Defects the `Case` generator found, pinned as the literals that
 //! reproduce them.
 
+use storm::block::transport::TransportKind;
 use storm::block::BlockDevice;
 use storm::core::{PassiveTap, RelayMode};
-use storm::iscsi::TransportKind;
 use storm::scenario::{Case, Load, Svc};
 use storm::workloads::VerifyWorkload;
 

@@ -5,7 +5,7 @@
 //! bridges frame units through the chain, and none of it may draw on
 //! ambient state.
 
-use storm::iscsi::TransportKind;
+use storm::block::transport::TransportKind;
 use storm::scenario::{Case, Load};
 
 fn nvmeq(case: &Case) -> bool {

@@ -6,7 +6,7 @@
 //! stream and killed the session. Both cases run twelve verified 16 KiB
 //! rounds over nvmeq through an active relay, held to [`Case::check`].
 
-use storm::iscsi::TransportKind;
+use storm::block::transport::TransportKind;
 use storm::scenario::{Case, Load, Run, Svc};
 use storm::services::{ReplicationService, WriteBackCacheService};
 

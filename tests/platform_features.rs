@@ -164,7 +164,7 @@ fn tenant_tags_isolate_guest_traffic() {
     let ovs = cloud.computes[0].ovs;
     // Craft a frame from tenant 1's port to an unknown MAC (floods).
     use storm_net::{Frame, MacAddr, TcpFlags, TcpSegment};
-    let frame = Frame {
+    let mut frame = Frame {
         src_mac: a.mac,
         dst_mac: MacAddr::nth(9999),
         src_ip: a.instance_ip,
@@ -180,9 +180,11 @@ fn tenant_tags_isolate_guest_traffic() {
         },
         hops: 0,
     };
-    let out = cloud.net.fabric.switch_mut(ovs).process(frame, a.ovs_port);
+    let mut out = Vec::new();
+    let ovs = cloud.net.fabric.switch_mut(ovs);
+    ovs.forward_in_place(&mut frame, a.ovs_port, &mut out);
     assert!(
-        out.iter().all(|(port, _)| *port != b.ovs_port),
+        out.iter().all(|port| *port != b.ovs_port),
         "flooded frame must not reach the other tenant's vif"
     );
 }

@@ -8,9 +8,9 @@
 //! failure prints the new values; re-record them only for a change that
 //! is *meant* to move the relay's timing, token order or copy accounting.
 
+use storm::block::transport::TransportKind;
 use storm::core::service::StorageService;
 use storm::core::{RelayCopyStats, RelayQosConfig, StormPlatform};
-use storm::iscsi::TransportKind;
 use storm::qos::RateLimitSpec;
 use storm::scenario::Spec;
 use storm::services::{CompressService, DedupService, EncryptionService};

@@ -294,10 +294,17 @@ fn chained_monitor_then_encryption() {
 /// on to complete a well-formed write.
 #[test]
 fn encryption_middlebox_refuses_unaligned_write_and_carries_on() {
+    use storm::block::transport::{BlockCmd, BlockOp, ScsiStatus};
     use storm::core::ActiveRelayConfig;
-    use storm::iscsi::exchange::{data_out_train, status_response, BlockCmd, BlockOp};
-    use storm::iscsi::{Pdu, PduStream, ScsiStatus};
+    use storm::iscsi::exchange::{data_out_train, scsi_command, status_response};
+    use storm::iscsi::{Pdu, PduStream};
     use storm::net::{App, Cx, LinkSpec, Network, SendQueue, SockAddr, SockId};
+
+    /// The PDUs `data` completes on `stream`.
+    fn decode(stream: &mut PduStream, data: Bytes) -> Vec<Pdu> {
+        let pdus = stream.feed_bytes(data).unwrap();
+        pdus.into_iter().map(|pw| pw.pdu).collect()
+    }
 
     /// A raw initiator: streams a prepared wire image, decodes what returns.
     struct Tenant {
@@ -317,7 +324,7 @@ fn encryption_middlebox_refuses_unaligned_write_and_carries_on() {
             self.q.pump(cx, sock);
         }
         fn on_data(&mut self, _cx: &mut Cx<'_>, _sock: SockId, data: Bytes) {
-            self.got.extend(self.stream.feed(&data).unwrap());
+            self.got.extend(decode(&mut self.stream, data));
         }
     }
 
@@ -333,7 +340,7 @@ fn encryption_middlebox_refuses_unaligned_write_and_carries_on() {
             cx.listen(3260);
         }
         fn on_data(&mut self, cx: &mut Cx<'_>, sock: SockId, data: Bytes) {
-            for pdu in self.stream.feed(&data).unwrap() {
+            for pdu in decode(&mut self.stream, data) {
                 if let Pdu::ScsiCommand(c) = &pdu {
                     if c.data.len() == c.edtl as usize {
                         cx.send(sock, &status_response(c.itt, ScsiStatus::Good).encode());
@@ -351,12 +358,12 @@ fn encryption_middlebox_refuses_unaligned_write_and_carries_on() {
     };
     let plain = Bytes::from((0..3072).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
     let good = plain.slice(..1024);
-    let mut wire = vec![write(100, 6).command(1, 1, 1, Bytes::new())];
+    let mut wire = vec![scsi_command(write(100, 6), 1, 1, 1, Bytes::new())];
     // 100 bytes of a sector, then a well-formed rest that must not pass
     // either: its command is dead.
     wire.extend(data_out_train(1, 1, 1, &plain, 0..100, 100));
     wire.extend(data_out_train(1, 1, 1, &plain, 512..3072, 1024));
-    wire.push(write(8, 2).command(2, 2, 1, good.clone()));
+    wire.push(scsi_command(write(8, 2), 2, 2, 1, good.clone()));
 
     let mut net = Network::new(7);
     let sw = net.add_switch("sw", 8);
@@ -396,7 +403,7 @@ fn encryption_middlebox_refuses_unaligned_write_and_carries_on() {
         storage.got,
         [
             wire[0].clone(),
-            write(8, 2).command(2, 2, 1, Bytes::from(stored))
+            scsi_command(write(8, 2), 2, 2, 1, Bytes::from(stored))
         ]
     );
     // The tenant heard about both.

@@ -11,8 +11,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use storm::block::transport::TransportKind;
 use storm::cloud::{Cloud, CloudConfig, DiskSpec, VolumeHandle};
-use storm::iscsi::TransportKind;
 use storm::qos::{DiskTier, RateLimitSpec};
 use storm::telemetry::Recorder;
 use storm_faults::{Fault, FaultPlan, FaultRunner};

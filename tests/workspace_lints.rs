@@ -18,3 +18,26 @@ fn every_member_inherits_the_workspace_lints() {
         assert!(inherits, "{manifest} lacks `[lints] workspace = true`");
     }
 }
+
+/// The block transport layer is protocol-neutral: `storm-block` depends on
+/// no wire protocol, and the nvmeq transport and the services, which speak
+/// its block vocabulary, do not depend on iSCSI (DESIGN.md §2).
+#[test]
+fn protocol_neutral_crates_list_no_protocol_crate() {
+    let rules: [(&str, &[&str]); 3] = [
+        ("block", &["storm-iscsi", "storm-nvmeq"]),
+        ("nvmeq", &["storm-iscsi"]),
+        ("services", &["storm-iscsi"]),
+    ];
+    for (member, banned) in rules {
+        let manifest = format!("{}/crates/{member}/Cargo.toml", env!("CARGO_MANIFEST_DIR"));
+        let toml = std::fs::read_to_string(&manifest).expect("member manifest reads");
+        let keys: Vec<&str> = toml
+            .lines()
+            .filter_map(|l| l.split(['.', ' ', '=']).next())
+            .collect();
+        for dep in banned {
+            assert!(!keys.contains(dep), "{manifest} lists {dep}");
+        }
+    }
+}

@@ -2,7 +2,7 @@
 //! verbatim, and side-action routing stays correct with multiple
 //! initiators sharing one middle-box.
 
-use storm::iscsi::TransportKind;
+use storm::block::transport::TransportKind;
 use storm::scenario::{Case, Load, Replica, Spec};
 use storm::services::ReplicationService;
 use storm_sim::SimTime;
