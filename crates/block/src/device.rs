@@ -28,12 +28,6 @@ pub enum BlockError {
     },
     /// The device has failed or been detached (fault injection).
     Unavailable,
-    /// A medium error at a specific sector (fault injection): the rest of
-    /// the device stays readable, like a real grown defect.
-    Medium {
-        /// First sector of the failed access.
-        lba: u64,
-    },
 }
 
 impl fmt::Display for BlockError {
@@ -51,7 +45,6 @@ impl fmt::Display for BlockError {
                 write!(f, "buffer of {len} bytes is not sector aligned")
             }
             BlockError::Unavailable => write!(f, "device unavailable"),
-            BlockError::Medium { lba } => write!(f, "medium error at lba {lba}"),
         }
     }
 }

@@ -30,7 +30,6 @@ const CHUNK_BYTES: usize = CHUNK_SECTORS as usize * SECTOR_SIZE;
 pub struct MemDisk {
     num_sectors: u64,
     chunks: IdMap<u64, Arc<[u8]>, RandomState>,
-    failed: bool,
 }
 
 /// Splits the byte range starting at sector `lba`, `len` bytes long, at
@@ -59,7 +58,6 @@ impl MemDisk {
         MemDisk {
             num_sectors,
             chunks: IdMap::default(),
-            failed: false,
         }
     }
 
@@ -67,23 +65,6 @@ impl MemDisk {
     /// whole number of sectors).
     pub fn with_capacity_bytes(bytes: u64) -> Self {
         Self::new(bytes / SECTOR_SIZE as u64)
-    }
-
-    /// Marks the device as failed; all subsequent operations return
-    /// [`BlockError::Unavailable`]. Used for fault injection in the
-    /// replication experiments.
-    pub fn fail(&mut self) {
-        self.failed = true;
-    }
-
-    /// Clears a previously injected failure.
-    pub fn recover(&mut self) {
-        self.failed = false;
-    }
-
-    /// Whether the device is currently failed.
-    pub fn is_failed(&self) -> bool {
-        self.failed
     }
 
     /// Number of bytes actually allocated (sparse footprint).
@@ -98,12 +79,8 @@ impl MemDisk {
     ///
     /// # Errors
     ///
-    /// [`BlockError::Unavailable`] if this disk is failed, or the first
-    /// error `dst` returns.
+    /// The first error `dst` returns.
     pub fn copy_into<D: BlockDevice>(&self, dst: &mut D) -> Result<(), BlockError> {
-        if self.failed {
-            return Err(BlockError::Unavailable);
-        }
         for (&chunk, stored) in self.chunks.sorted() {
             let lba = chunk * CHUNK_SECTORS;
             // The last chunk may run past a capacity that is not a whole
@@ -121,9 +98,6 @@ impl BlockDevice for MemDisk {
     }
 
     fn read(&mut self, lba: u64, buf: &mut [u8]) -> Result<(), BlockError> {
-        if self.failed {
-            return Err(BlockError::Unavailable);
-        }
         check_access(self.num_sectors, lba, buf.len())?;
         // Read without allocating: absent chunks are zero.
         for (chunk, offset, at, n) in chunk_spans(lba, buf.len()) {
@@ -137,9 +111,6 @@ impl BlockDevice for MemDisk {
     }
 
     fn write(&mut self, lba: u64, data: &[u8]) -> Result<(), BlockError> {
-        if self.failed {
-            return Err(BlockError::Unavailable);
-        }
         check_access(self.num_sectors, lba, data.len())?;
         for (chunk, offset, at, n) in chunk_spans(lba, data.len()) {
             let src = &data[at..at + n];
@@ -160,18 +131,8 @@ impl BlockDevice for MemDisk {
         Ok(())
     }
 
-    fn flush(&mut self) -> Result<(), BlockError> {
-        if self.failed {
-            return Err(BlockError::Unavailable);
-        }
-        Ok(())
-    }
-
     /// Lends the stored chunk, or a zero block for one never written.
     fn lend_block(&mut self, lba: u64) -> Result<Option<&[u8; BLOCK_BYTES]>, BlockError> {
-        if self.failed {
-            return Err(BlockError::Unavailable);
-        }
         check_access(self.num_sectors, lba, BLOCK_BYTES)?;
         if !lba.is_multiple_of(CHUNK_SECTORS) {
             return Ok(None);
@@ -233,12 +194,10 @@ mod tests {
         /// 1..=24 sectors anywhere on a 20-chunk disk — inside one chunk,
         /// straddling two or three, covering whole chunks, over written and
         /// unwritten ground — read back what the flat model holds, and the
-        /// footprint is exactly the chunks some write touched. `op` 0
-        /// toggles an injected failure, which must refuse both paths and
-        /// leave the stored bytes alone.
+        /// footprint is exactly the chunks some write touched.
         #[test]
         fn matches_flat_model(steps in prop::collection::vec(
-            (0u8..9, 0u64..160, 1u64..25, 1u8..255), 1..60,
+            (1u8..9, 0u64..160, 1u64..25, 1u8..255), 1..60,
         )) {
             const SECTORS: u64 = 20 * CHUNK_SECTORS;
             let mut disk = MemDisk::new(SECTORS);
@@ -249,12 +208,7 @@ mod tests {
                 let (lo, len) = (lba as usize * SECTOR_SIZE, sectors as usize * SECTOR_SIZE);
                 let data: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
                 let mut buf = vec![0xEEu8; len];
-                if op == 0 {
-                    if disk.is_failed() { disk.recover() } else { disk.fail() }
-                } else if disk.is_failed() {
-                    prop_assert_eq!(disk.write(lba, &data), Err(BlockError::Unavailable));
-                    prop_assert_eq!(disk.read(lba, &mut buf), Err(BlockError::Unavailable));
-                } else if op % 2 == 1 {
+                if op % 2 == 1 {
                     disk.write(lba, &data).unwrap();
                     flat[lo..lo + len].copy_from_slice(&data);
                     touched.extend(lba / CHUNK_SECTORS..=(lba + sectors - 1) / CHUNK_SECTORS);
@@ -264,7 +218,6 @@ mod tests {
                 }
                 prop_assert_eq!(disk.allocated_bytes(), touched.len() * CHUNK_BYTES);
             }
-            disk.recover();
             let mut all = vec![0xEEu8; flat.len()];
             disk.read(0, &mut all).unwrap();
             prop_assert_eq!(all, flat);
@@ -322,15 +275,9 @@ mod tests {
     }
 
     #[test]
-    fn copy_from_a_failed_disk_writes_nothing() {
+    fn copy_into_a_smaller_disk_is_refused() {
         let mut src = MemDisk::new(64);
         src.write(8, &[3u8; SECTOR_SIZE]).unwrap();
-        src.fail();
-        let mut dst = MemDisk::new(64);
-        assert_eq!(src.copy_into(&mut dst), Err(BlockError::Unavailable));
-        assert_eq!(dst.allocated_bytes(), 0);
-        // A destination too small for the source's chunks refuses them.
-        src.recover();
         assert!(src.copy_into(&mut MemDisk::new(8)).is_err());
     }
 
@@ -349,8 +296,6 @@ mod tests {
             d.lend_block(2 * CHUNK_SECTORS),
             Err(BlockError::OutOfRange { sectors: 8, .. })
         ));
-        d.fail();
-        assert_eq!(d.lend_block(0), Err(BlockError::Unavailable));
     }
 
     /// A clone shares its chunks until one side writes: then that side
@@ -378,23 +323,5 @@ mod tests {
         assert_eq!(&b[SECTOR_SIZE..2 * SECTOR_SIZE], &[2u8; SECTOR_SIZE][..]);
         assert_eq!(&b[CHUNK_BYTES..2 * CHUNK_BYTES], &[3u8; CHUNK_BYTES][..]);
         assert!(b[2 * CHUNK_BYTES..].iter().all(|&x| x == 0));
-    }
-
-    #[test]
-    fn failure_injection() {
-        let mut d = MemDisk::new(8);
-        d.write(0, &[7u8; SECTOR_SIZE]).unwrap();
-        d.fail();
-        assert!(d.is_failed());
-        assert_eq!(
-            d.write(0, &[0u8; SECTOR_SIZE]),
-            Err(BlockError::Unavailable)
-        );
-        let mut buf = [0u8; SECTOR_SIZE];
-        assert_eq!(d.read(0, &mut buf), Err(BlockError::Unavailable));
-        assert_eq!(d.flush(), Err(BlockError::Unavailable));
-        d.recover();
-        d.read(0, &mut buf).unwrap();
-        assert_eq!(buf[0], 7);
     }
 }

@@ -8,8 +8,6 @@
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use storm_sim::{FaultAction, FaultHook, FaultSite, SimTime};
-
 use crate::device::{check_access, BlockDevice, BlockError, SECTOR_SIZE};
 use crate::MemDisk;
 
@@ -79,7 +77,6 @@ impl VolumeGroup {
             num_sectors: needed * EXTENT_SECTORS,
             backing: Arc::clone(&self.backing),
             failed: false,
-            fault: FaultHook::none(),
         })
     }
 }
@@ -94,7 +91,6 @@ pub struct Volume {
     num_sectors: u64,
     backing: Arc<Mutex<MemDisk>>,
     failed: bool,
-    fault: FaultHook,
 }
 
 impl Volume {
@@ -103,8 +99,8 @@ impl Volume {
         self.id
     }
 
-    /// Marks this volume handle failed (fault injection); I/O returns
-    /// [`BlockError::Unavailable`].
+    /// Marks this volume handle failed (fault injection); read, write and
+    /// flush return [`BlockError::Unavailable`].
     pub fn fail(&mut self) {
         self.failed = true;
     }
@@ -112,28 +108,6 @@ impl Volume {
     /// Clears an injected failure.
     pub fn recover(&mut self) {
         self.failed = false;
-    }
-
-    /// Arms the volume's fault hook (site [`FaultSite::VolumeIo`]).
-    ///
-    /// The block layer has no simulation clock, so the hook is consulted
-    /// with [`SimTime::ZERO`]; only time-independent decisions (medium
-    /// errors) make sense here.
-    pub fn set_fault_hook(&mut self, hook: FaultHook) {
-        self.fault = hook;
-    }
-
-    fn check_fault(&self, lba: u64, write: bool) -> Result<(), BlockError> {
-        let site = FaultSite::VolumeIo {
-            volume: self.id.0,
-            lba,
-            write,
-        };
-        match self.fault.decide(SimTime::ZERO, site) {
-            FaultAction::Proceed | FaultAction::Delay(_) => Ok(()),
-            FaultAction::Fail => Err(BlockError::Medium { lba }),
-            FaultAction::Drop => Err(BlockError::Unavailable),
-        }
     }
 }
 
@@ -146,7 +120,6 @@ impl BlockDevice for Volume {
         if self.failed {
             return Err(BlockError::Unavailable);
         }
-        self.check_fault(lba, false)?;
         check_access(self.num_sectors, lba, buf.len())?;
         let mut disk = self.backing.lock().expect("poisoned");
         disk.read(self.base + lba, buf)
@@ -156,13 +129,15 @@ impl BlockDevice for Volume {
         if self.failed {
             return Err(BlockError::Unavailable);
         }
-        self.check_fault(lba, true)?;
         check_access(self.num_sectors, lba, data.len())?;
         let mut disk = self.backing.lock().expect("poisoned");
         disk.write(self.base + lba, data)
     }
 
     fn flush(&mut self) -> Result<(), BlockError> {
+        if self.failed {
+            return Err(BlockError::Unavailable);
+        }
         self.backing.lock().expect("poisoned").flush()
     }
 }
@@ -194,11 +169,6 @@ impl SharedVolume {
     /// Clears an injected failure.
     pub fn recover(&self) {
         self.0.lock().expect("poisoned").recover();
-    }
-
-    /// Arms the wrapped volume's fault hook.
-    pub fn set_fault_hook(&self, hook: FaultHook) {
-        self.0.lock().expect("poisoned").set_fault_hook(hook);
     }
 }
 
@@ -273,6 +243,16 @@ mod tests {
         assert_eq!(h1.read(5, &mut buf), Err(BlockError::Unavailable));
         h1.recover();
         assert!(h1.flush().is_ok());
+    }
+
+    #[test]
+    fn a_failed_volume_refuses_flush_too() {
+        let mut vg = VolumeGroup::new(16 << 20);
+        let mut v = vg.create_volume(4 << 20).unwrap();
+        v.fail();
+        assert_eq!(v.flush(), Err(BlockError::Unavailable));
+        v.recover();
+        assert!(v.flush().is_ok());
     }
 
     #[test]

@@ -721,22 +721,15 @@ impl ActiveRelayMb {
         }
         for batch in batches {
             let input_bytes = if inbound { batch.wire_len } else { 0 };
-            // Fault injection: an armed plan may drop or slow batch
-            // processing inside the middle-box.
-            let mut fault_delay = SimDuration::ZERO;
-            match self
+            // Fault injection: an armed plan may slow batch processing
+            // inside the middle-box.
+            let fault_delay = match self
                 .fault
                 .decide(now, FaultSite::MbProcess { mb: self.fault_mb })
             {
-                FaultAction::Proceed => {}
-                FaultAction::Drop | FaultAction::Fail => {
-                    // Keep the persistence-buffer accounting draining.
-                    let p = &mut self.pairs[pair_idx];
-                    p.buffered_in = p.buffered_in.saturating_sub(input_bytes);
-                    continue;
-                }
-                FaultAction::Delay(d) => fault_delay = d,
-            }
+                FaultAction::Delay(d) => d,
+                _ => SimDuration::ZERO,
+            };
             // Tenant rate limiting: request-direction batches draw from
             // the token bucket, one admit per batch (a doorbell is one
             // shaping decision, matching its one network transfer); the

@@ -5,29 +5,10 @@ use storm_sim::{SimDuration, SimTime};
 /// One injectable fault.
 ///
 /// Identifiers are the raw integers the injection sites report
-/// ([`storm_sim::FaultSite`]): link ids (`LinkId.0`), storage host
-/// indexes, volume ids (`VolumeId.0`) and middle-box indexes assigned at
-/// arm time.
+/// ([`storm_sim::FaultSite`]): storage host indexes and middle-box
+/// indexes assigned at arm time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Fault {
-    /// Takes a fabric link administratively down (applied by the runner).
-    LinkDown {
-        /// Raw link identifier.
-        link: u32,
-    },
-    /// Random frame loss on a link while armed.
-    LinkLoss {
-        /// Raw link identifier.
-        link: u32,
-        /// Per-frame loss probability in `[0, 1]`.
-        prob: f64,
-    },
-    /// Partitions a host off the fabric: every link on its interfaces
-    /// goes down (applied by the runner).
-    Partition {
-        /// Raw host identifier (`HostId.0`).
-        host: u32,
-    },
     /// Extra service latency on a storage host's disk while armed (a
     /// latency spike, e.g. a background scrub or a failing spindle).
     DiskDelay {
@@ -37,16 +18,6 @@ pub enum Fault {
         extra: SimDuration,
         /// Per-access probability of the spike in `[0, 1]`.
         prob: f64,
-    },
-    /// A grown defect: accesses touching the sector range fail with a
-    /// medium error while armed; the rest of the volume stays readable.
-    MediumError {
-        /// Raw volume identifier.
-        volume: u32,
-        /// First bad sector.
-        lba: u64,
-        /// Length of the bad range in sectors.
-        sectors: u64,
     },
     /// A storage host's target goes mute while armed: requests are served
     /// but responses never leave the host. Detectable only by timeout —
@@ -66,14 +37,6 @@ pub enum Fault {
         /// Middle-box index registered with the runner.
         mb: u32,
     },
-    /// The middle-box drops PDUs while armed (overload shedding, a wedged
-    /// worker thread).
-    MbDrop {
-        /// Middle-box index assigned at arm time.
-        mb: u32,
-        /// Per-PDU drop probability in `[0, 1]`.
-        prob: f64,
-    },
     /// The middle-box processes PDUs slower while armed.
     MbDelay {
         /// Middle-box index assigned at arm time.
@@ -92,10 +55,7 @@ impl Fault {
     ///
     /// [`FaultState`]: crate::FaultState
     pub fn is_command(&self) -> bool {
-        matches!(
-            self,
-            Fault::LinkDown { .. } | Fault::Partition { .. } | Fault::MbCrash { .. }
-        )
+        matches!(self, Fault::MbCrash { .. })
     }
 }
 
@@ -105,7 +65,7 @@ pub(crate) struct TimedEvent {
     pub duration: Option<SimDuration>,
 }
 
-/// Builder for a fault schedule.
+/// A fault schedule, run by a [`FaultRunner`](crate::FaultRunner).
 ///
 /// `at`/`window` inject at an instant. The seed drives every
 /// probabilistic decision the armed plan makes.
@@ -134,8 +94,7 @@ impl FaultPlan {
     }
 
     /// Injects `fault` at instant `at` and heals it `duration` later
-    /// (link comes back up, partition heals, middle-box restarts,
-    /// condition disarms).
+    /// (middle-box restarts, condition disarms).
     pub fn window(mut self, at: SimTime, duration: SimDuration, fault: Fault) -> Self {
         self.timed.push(TimedEvent {
             at,
@@ -145,15 +104,12 @@ impl FaultPlan {
         self
     }
 
-    /// Compiles the plan into a time-ordered schedule.
-    pub fn schedule(self) -> FaultSchedule {
+    /// The seed and the events in time order; events at the same instant
+    /// keep insertion order.
+    pub(crate) fn into_timed(self) -> (u64, Vec<TimedEvent>) {
         let mut timed = self.timed;
-        // Stable: events at the same instant keep insertion order.
         timed.sort_by_key(|e| e.at);
-        FaultSchedule {
-            seed: self.seed,
-            timed,
-        }
+        (self.seed, timed)
     }
 }
 
@@ -166,67 +122,37 @@ impl std::fmt::Debug for FaultPlan {
     }
 }
 
-/// A compiled, time-ordered fault schedule, ready for a
-/// [`FaultRunner`](crate::FaultRunner).
-pub struct FaultSchedule {
-    pub(crate) seed: u64,
-    pub(crate) timed: Vec<TimedEvent>,
-}
-
-impl FaultSchedule {
-    /// The seed the plan was built with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Number of time-triggered events.
-    pub fn timed_len(&self) -> usize {
-        self.timed.len()
-    }
-}
-
-impl std::fmt::Debug for FaultSchedule {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FaultSchedule")
-            .field("seed", &self.seed)
-            .field("timed", &self.timed.len())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn schedule_orders_events_by_time() {
+    fn plans_order_events_by_time() {
+        let delay = Fault::MbDelay {
+            mb: 0,
+            delay: SimDuration::from_micros(5),
+            prob: 0.5,
+        };
         let plan = FaultPlan::new(1)
-            .at(SimTime::from_secs(30), Fault::LinkDown { link: 0 })
+            .at(SimTime::from_secs(30), Fault::MbCrash { mb: 0 })
             .at(SimTime::from_secs(10), Fault::MuteTarget { host: 1 })
-            .window(
-                SimTime::from_secs(10),
-                SimDuration::from_secs(2),
-                Fault::LinkLoss { link: 2, prob: 0.5 },
-            );
-        let s = plan.schedule();
-        assert_eq!(s.timed_len(), 3);
-        assert_eq!(s.timed[0].at, SimTime::from_secs(10));
-        assert!(matches!(s.timed[0].fault, Fault::MuteTarget { host: 1 }));
-        assert!(matches!(s.timed[1].fault, Fault::LinkLoss { .. }));
-        assert_eq!(s.timed[2].at, SimTime::from_secs(30));
+            .window(SimTime::from_secs(10), SimDuration::from_secs(2), delay);
+        let (seed, timed) = plan.into_timed();
+        assert_eq!((seed, timed.len()), (1, 3));
+        assert_eq!(timed[0].at, SimTime::from_secs(10));
+        assert!(matches!(timed[0].fault, Fault::MuteTarget { host: 1 }));
+        assert!(matches!(timed[1].fault, Fault::MbDelay { .. }));
+        assert_eq!(timed[2].at, SimTime::from_secs(30));
     }
 
     #[test]
     fn command_vs_condition_classes() {
-        assert!(Fault::LinkDown { link: 0 }.is_command());
-        assert!(Fault::Partition { host: 0 }.is_command());
         assert!(Fault::MbCrash { mb: 0 }.is_command());
-        assert!(!Fault::LinkLoss { link: 0, prob: 0.1 }.is_command());
         assert!(!Fault::MuteTarget { host: 0 }.is_command());
-        assert!(!Fault::MediumError {
-            volume: 1,
-            lba: 0,
-            sectors: 8
+        assert!(!Fault::DiskDelay {
+            host: 0,
+            extra: SimDuration::from_micros(1),
+            prob: 0.1
         }
         .is_command());
     }

@@ -13,27 +13,14 @@ use storm_sim::{FaultPoint, FaultSite, SimDuration, SimRng, SimTime};
 
 /// Draws a random condition fault from `rng`.
 fn random_fault(rng: &mut SimRng) -> Fault {
-    match rng.below(6) {
-        0 => Fault::LinkLoss {
-            link: rng.below(4) as u32,
-            prob: rng.unit(),
-        },
-        1 => Fault::DiskDelay {
+    match rng.below(3) {
+        0 => Fault::DiskDelay {
             host: rng.below(3) as u32,
             extra: SimDuration::from_micros(rng.range(1, 500)),
             prob: rng.unit(),
         },
-        2 => Fault::MediumError {
-            volume: rng.below(3) as u32,
-            lba: rng.below(1 << 20),
-            sectors: rng.range(1, 64),
-        },
-        3 => Fault::MuteTarget {
+        1 => Fault::MuteTarget {
             host: rng.below(3) as u32,
-        },
-        4 => Fault::MbDrop {
-            mb: rng.below(2) as u32,
-            prob: rng.unit(),
         },
         _ => Fault::MbDelay {
             mb: rng.below(2) as u32,
@@ -45,21 +32,13 @@ fn random_fault(rng: &mut SimRng) -> Fault {
 
 /// Draws a random injection site from `rng`.
 fn random_site(rng: &mut SimRng) -> FaultSite {
-    match rng.below(5) {
-        0 => FaultSite::LinkTransmit {
-            link: rng.below(4) as u32,
-        },
-        1 => FaultSite::DiskServe {
+    match rng.below(3) {
+        0 => FaultSite::DiskServe {
             host: rng.below(3) as u32,
             write: rng.chance(0.5),
         },
-        2 => FaultSite::TargetRespond {
+        1 => FaultSite::TargetRespond {
             host: rng.below(3) as u32,
-        },
-        3 => FaultSite::VolumeIo {
-            volume: rng.below(3) as u32,
-            lba: rng.below(1 << 20),
-            write: rng.chance(0.5),
         },
         _ => FaultSite::MbProcess {
             mb: rng.below(2) as u32,

@@ -22,7 +22,7 @@
 
 use std::net::Ipv4Addr;
 
-use storm_sim::{FaultAction, FaultHook, FaultSite, IdMap, SerialResource, SimDuration, SimTime};
+use storm_sim::{IdMap, SerialResource, SimDuration, SimTime};
 
 use crate::addr::MacAddr;
 use crate::frame::Frame;
@@ -176,7 +176,6 @@ pub struct Fabric {
     port_links: Vec<Vec<Option<LinkId>>>,
     arp: IdMap<Ipv4Addr, MacAddr>,
     dropped: u64,
-    fault: FaultHook,
     /// Scratch for one switch hop's egress ports, reused across hops so
     /// forwarding allocates nothing. `switch_forward` takes it and puts
     /// it back; nothing it calls comes back into the fabric.
@@ -270,11 +269,6 @@ impl Fabric {
         *self.port_links.get(sw.0 as usize)?.get(port.0 as usize)?
     }
 
-    /// Arms (or, with an unarmed hook, clears) the fabric's fault hook.
-    pub fn set_fault_hook(&mut self, hook: FaultHook) {
-        self.fault = hook;
-    }
-
     /// Frames dropped by the fabric (down links, unwired ports).
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -289,18 +283,6 @@ impl Fabric {
         frame: Box<Frame>,
         now: SimTime,
     ) -> Option<Delivery> {
-        // Fault injection: an armed plan may drop or delay the frame.
-        let extra_latency = match self
-            .fault
-            .decide(now, FaultSite::LinkTransmit { link: id.0 })
-        {
-            FaultAction::Proceed => SimDuration::ZERO,
-            FaultAction::Drop | FaultAction::Fail => {
-                self.dropped += 1;
-                return None;
-            }
-            FaultAction::Delay(d) => d,
-        };
         let link = &mut self.links[id.0 as usize];
         if !link.up {
             self.dropped += 1;
@@ -328,7 +310,7 @@ impl Fabric {
         link.frames += 1;
         link.bytes += frame.wire_len() as u64;
         Some(Delivery {
-            at: done + link.spec.latency + extra_latency,
+            at: done + link.spec.latency,
             to,
             frame,
         })

@@ -12,8 +12,9 @@
 //!   injection).
 //!
 //! Loss and retransmission are not modelled: the simulated fabric delivers
-//! reliably and in order (failures abort connections instead), matching a
-//! healthy datacenter storage network.
+//! reliably and in order, matching a healthy datacenter storage network. A
+//! link taken down drops every frame sent over it, so the flows crossing it
+//! stall rather than abort; nothing resends what was dropped.
 //!
 //! The per-segment entry points ([`TcpStack::input_into`],
 //! [`TcpStack::send_bytes`], [`TcpStack::send_chunks_into`],

@@ -1,9 +1,9 @@
 //! The fault-injection hook shared by every layer of the stack.
 //!
-//! `storm-faults` arms a [`FaultPoint`] implementation; the net, block,
-//! cloud and core crates consult it through a [`FaultHook`] at their
-//! injection sites. An unarmed hook is a `None` — the hot path pays one
-//! branch and nothing else.
+//! `storm-faults` arms a [`FaultPoint`] implementation; the storage
+//! targets (`storm-cloud`) and the active relay (`storm-core`) consult it
+//! through a [`FaultHook`] at their injection sites. An unarmed hook is a
+//! `None` — the hot path pays one branch and nothing else.
 
 use std::sync::Arc;
 
@@ -16,11 +16,6 @@ use crate::{SimDuration, SimTime};
 /// types downward.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
-    /// The fabric is about to carry a frame over link `link`.
-    LinkTransmit {
-        /// Raw link identifier (`LinkId.0`).
-        link: u32,
-    },
     /// A storage host's disk model is about to serve an access.
     DiskServe {
         /// Storage host index.
@@ -33,16 +28,9 @@ pub enum FaultSite {
         /// Storage host index.
         host: u32,
     },
-    /// A logical volume is about to perform a sector access.
-    VolumeIo {
-        /// Raw volume identifier (`VolumeId.0`).
-        volume: u32,
-        /// First sector of the access.
-        lba: u64,
-        /// Whether the access is a write.
-        write: bool,
-    },
-    /// A middle-box is about to process a PDU.
+    /// A middle-box is about to process a PDU. Only a
+    /// [`FaultAction::Delay`] applies here; a middle-box that stops
+    /// answering is crashed over the hypervisor bus instead.
     MbProcess {
         /// Middle-box identifier assigned at arm time.
         mb: u32,
@@ -54,7 +42,7 @@ pub enum FaultSite {
 pub enum FaultAction {
     /// No fault: the operation proceeds normally.
     Proceed,
-    /// The operation vanishes silently (lost frame, swallowed response).
+    /// The operation vanishes silently (a swallowed request or response).
     Drop,
     /// The operation fails with an error visible to the caller.
     Fail,
@@ -69,10 +57,6 @@ pub enum FaultAction {
 /// identical schedules replay identically.
 pub trait FaultPoint: Send + Sync {
     /// Decides the fate of the operation at `site` at time `now`.
-    ///
-    /// Sites outside the simulation clock (the block layer) pass
-    /// [`SimTime::ZERO`]; time-windowed faults therefore only make sense
-    /// at clocked sites.
     fn decide(&self, now: SimTime, site: FaultSite) -> FaultAction;
 }
 
@@ -135,7 +119,7 @@ mod tests {
         let hook = FaultHook::none();
         assert!(!hook.is_armed());
         assert_eq!(
-            hook.decide(SimTime::ZERO, FaultSite::LinkTransmit { link: 0 }),
+            hook.decide(SimTime::ZERO, FaultSite::TargetRespond { host: 0 }),
             FaultAction::Proceed
         );
     }

@@ -256,12 +256,12 @@ pub struct Run {
 }
 
 impl Run {
-    /// Arms `plan` on the fabric, the targets and the relay.
+    /// Arms `plan` on the targets and the relay.
     fn arm(&mut self, plan: FaultPlan) {
-        let mut runner = FaultRunner::new(plan.schedule());
+        let mut runner = FaultRunner::new(plan);
         runner.arm_cloud(&mut self.cloud);
         // Direct attach, forward and passive chains run no relay app to
-        // arm; fabric and target faults still fire.
+        // arm; target faults still fire.
         if let Some(d) = &self.deployment {
             if let (RelayMode::Active, Some(mb_app)) = (d.modes[0], d.mb_apps[0]) {
                 let armed = runner.arm_mb(&mut self.cloud, 0, d.mb_nodes[0].node, mb_app);
@@ -656,11 +656,12 @@ impl Case {
 
     /// Runs the case twice and holds it to every oracle, returning the
     /// second run: equal seeds replay byte-identically
-    /// ([`assert_replays`]); the guest completes I/O without errors; a
-    /// fault fires; a verify job completes every round and, behind a
-    /// cipher, leaves its plaintext on no volume; an active relay copies
-    /// no payload byte, ends with no command open on any flow, and every
-    /// stage of its chain sees writes.
+    /// ([`assert_replays`]); the guest completes I/O without errors and
+    /// has no command in flight when the window ends; a fault fires; a
+    /// verify job completes every round and, behind a cipher, leaves its
+    /// plaintext on no volume; an active relay copies no payload byte,
+    /// ends with no command open on any flow, and every stage of its
+    /// chain sees writes.
     ///
     /// # Panics
     ///
@@ -674,6 +675,8 @@ impl Case {
         let mut run = last.expect("ran");
         let stats = &run.client().stats;
         assert!(stats.ops() > 0 && stats.errors == 0, "{stats:?}");
+        let in_flight = run.client().transport().in_flight();
+        assert_eq!(in_flight, 0, "a guest command never completed");
         let faults = run.fault_trace();
         let fired = faults.iter().any(|l| l.contains(" -> "));
         assert!(fired || self.fault.is_none(), "no fault fired: {faults:?}");

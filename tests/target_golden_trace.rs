@@ -167,7 +167,7 @@ fn direct_path_under_disk_delay_and_mute_windows() {
             SimDuration::from_micros(400),
             Fault::MuteTarget { host: 0 },
         );
-    let mut runner = FaultRunner::new(plan.schedule());
+    let mut runner = FaultRunner::new(plan);
     runner.arm_cloud(&mut cloud);
     runner.run(&mut cloud, UNTIL);
     let faults = runner.trace();
