@@ -356,11 +356,7 @@ fn transport_row(name: &str, transport: TransportKind, queue_depth: u16) -> Row 
         ..testbed(Some(RelayMode::Active))
     };
     let (row, mut run, _) = verbatim_row(name, spec, usize::from(queue_depth));
-    let t = run.client().transport();
-    let ((doorbells, sqes), (frames, cqes)) = (t.doorbell_stats(), t.cq_stats());
-    row.extra("sq_peak", t.sq_peak() as f64)
-        .extra("doorbell_batch", ratio(sqes, doorbells))
-        .extra("cq_batch_avg", ratio(cqes, frames))
+    row.extra("sq_peak", run.client().transport().sq_peak() as f64)
 }
 
 /// Transport lab (offload-vs-relay): sweep the multi-queue protocol over
@@ -381,11 +377,6 @@ fn transport_lab() -> Output {
     assert!(
         qd32 >= 4.0 * qd1,
         "deep queues must close the relay gap: qd32 {qd32:.1} MB/s vs qd1 {qd1:.1} MB/s"
-    );
-    let cq_batch = metric(&rows[2], "cq_batch_avg");
-    assert!(
-        cq_batch > 1.0,
-        "interrupt moderation never coalesced completions: {cq_batch:.2} cqes/frame"
     );
 
     // Head-to-head at the same depth: the serial protocol's best effort

@@ -7,10 +7,7 @@
 //! [`Step`], [`Staging`]) and the wire buffers under every stream
 //! ([`ChunkDeque`], [`WireBuf`]).
 //!
-//! Both traits stay sans-io: no clocks, no sockets. The one concession to
-//! time is completion coalescing: the hosting app passes the simulation
-//! time as plain nanoseconds and arms its own timer for
-//! [`TargetTransport::cq_deadline_ns`].
+//! Both traits stay sans-io: no clocks, no sockets.
 
 use std::fmt;
 
@@ -33,8 +30,8 @@ pub enum TransportKind {
     #[default]
     Iscsi,
     /// The NVMe-oF-style paired submission/completion queue protocol
-    /// (`storm-nvmeq`): 64-byte SQEs, batched doorbell frames, coalesced
-    /// completions.
+    /// (`storm-nvmeq`): 64-byte SQEs, one doorbell frame per command and
+    /// one completion frame per CQE.
     Nvmeq,
 }
 
@@ -230,15 +227,14 @@ pub trait Transport: fmt::Debug {
         0
     }
 
-    /// `(doorbell frames sent, SQEs they carried)` — batching efficiency
-    /// of the submission path. `(0, 0)` for protocols without doorbells.
+    /// `(doorbell frames sent, SQEs they carried)`; a frame carries one
+    /// SQE. `(0, 0)` for protocols without doorbells.
     fn doorbell_stats(&self) -> (u64, u64) {
         (0, 0)
     }
 
-    /// `(completion frames received, CQEs they carried)` — coalescing
-    /// efficiency of the completion path. `(0, 0)` for protocols without
-    /// completion queues.
+    /// `(completion frames received, CQEs they carried)`; a frame carries
+    /// one CQE. `(0, 0)` for protocols without completion queues.
     fn cq_stats(&self) -> (u64, u64) {
         (0, 0)
     }
@@ -248,9 +244,8 @@ pub trait Transport: fmt::Debug {
 ///
 /// The hosting app feeds received bytes, serves the surfaced
 /// [`TargetEvent`]s against its disk model, and answers with the
-/// `complete_*` calls. `now_ns` is the current simulation time in
-/// nanoseconds; protocols with completion coalescing (nvmeq) use it to
-/// run the interrupt-moderation clock, iSCSI ignores it.
+/// `complete_*` calls, which queue the answer at once. `now_ns` is the
+/// current simulation time in nanoseconds; no protocol reads it.
 pub trait TargetTransport: fmt::Debug {
     /// The protocol this connection speaks.
     fn kind(&self) -> TransportKind;
@@ -275,18 +270,6 @@ pub trait TargetTransport: fmt::Debug {
 
     /// Payload bytes memcpy'd on the encode path.
     fn bytes_copied(&self) -> u64;
-
-    /// When the interrupt-moderation timer should next fire, if
-    /// completions are being held for coalescing. The hosting app arms a
-    /// timer for this instant and calls [`flush_cq`](Self::flush_cq)
-    /// when it fires. `None` for protocols without coalescing.
-    fn cq_deadline_ns(&self) -> Option<u64> {
-        None
-    }
-
-    /// Flushes held completions to the wire (interrupt-moderation timer
-    /// fired). No-op for protocols without coalescing.
-    fn flush_cq(&mut self, _now_ns: u64) {}
 
     /// Commands accepted but not yet completed (queue occupancy).
     fn in_flight(&self) -> usize;

@@ -7,7 +7,7 @@
 //! holds a `Box<dyn Transport>` and [`TransportKind`] in the config picks
 //! iSCSI (the paper's deployment) or the nvmeq multi-queue protocol,
 //! whose submission ring keeps up to `queue_depth` tagged commands in
-//! flight and batches each burst into one doorbell frame. CPU spent
+//! flight, each rung as its own doorbell frame. CPU spent
 //! issuing and completing I/O is charged to the VM's label, which is how
 //! the Figure-10 utilization breakdown gets its per-VM numbers.
 
@@ -298,7 +298,7 @@ impl VolumeClient {
         self.workload.as_deref()
     }
 
-    /// The session's transport (ring/doorbell/coalescing counters).
+    /// The session's transport (ring and frame counters).
     pub fn transport(&self) -> &dyn Transport {
         self.ini.as_ref()
     }

@@ -16,11 +16,11 @@
 //! bucket, per-tier WFQ gate) that only registered volumes enter, not a
 //! path beside it.
 //!
-//! An nvmeq doorbell delivers a whole batch of submissions in one frame;
-//! `handle_events` admits them in one dispatch tick (every command
-//! reaches the disk model before the first completes), and held
-//! completions go out when the connection's interrupt-moderation timer
-//! fires ([`storm_block::transport::TargetTransport::cq_deadline_ns`]).
+//! Every command, on either protocol, arrives as its own message and is
+//! answered by its own message, sent the moment the job responds.
+//! `handle_events` admits everything one delivery of bytes completed in
+//! one dispatch tick (every such command reaches the disk model before
+//! the first completes).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
@@ -79,9 +79,6 @@ struct Session {
     /// The initiator name seen at login (connection attribution).
     initiator: Option<Iqn>,
     tuple: Option<FourTuple>,
-    /// The coalescing deadline a timer is currently armed for, so one
-    /// deadline never arms two timers.
-    armed_cq: Option<u64>,
 }
 
 impl Session {
@@ -118,7 +115,7 @@ impl DiskOp {
 /// admit ──► shape ──► schedule ──► serve ──► respond
 ///  CPU      token     per-tier     disk      complete_* on the
 ///  write    bucket    WFQ gate     model     connection, flush
-///  verdict  (QoS volumes only)     timer     wire, arm CQ timer
+///  verdict  (QoS volumes only)     timer     wire
 /// ```
 #[derive(Debug)]
 struct DiskJob {
@@ -154,8 +151,6 @@ enum Answer {
 /// What a timer token stands for.
 #[derive(Debug)]
 enum Timer {
-    /// Interrupt moderation: flush the session's held completions.
-    CqFlush(SockId),
     /// A shaping delay elapsed: the job becomes scheduler-eligible. The
     /// shaper runs *before* the scheduler: a throttled job must not hold
     /// the dispatch gate or a WFQ tag while its token debt drains, or it
@@ -445,24 +440,6 @@ impl TargetHostApp {
         cx.set_timer(after, token);
     }
 
-    /// Arms the interrupt-moderation timer for `sock`'s held
-    /// completions, at most one timer per deadline. Stale timers no-op
-    /// (a batch-full flush clears the deadline before they fire).
-    fn arm_cq(&mut self, cx: &mut Cx<'_>, sock: SockId) {
-        let Some(sess) = self.sessions.get_mut(&sock) else {
-            return;
-        };
-        let deadline = sess.conn.cq_deadline_ns();
-        if deadline == sess.armed_cq {
-            return;
-        }
-        sess.armed_cq = deadline;
-        if let Some(d) = deadline {
-            let wait = SimDuration::from_nanos(d.saturating_sub(cx.now().as_nanos()));
-            self.arm(cx, wait, Timer::CqFlush(sock));
-        }
-    }
-
     /// Admit stage, entered by every Read/Write/Flush a transport
     /// surfaces: charges target CPU, takes the [`FaultSite::DiskServe`]
     /// verdict and hands the job on. `ok` is false when the functional
@@ -593,12 +570,11 @@ impl TargetHostApp {
             }
         }
         sess.flush_wire(cx, job.sock);
-        self.arm_cq(cx, job.sock);
     }
 
     fn handle_events(&mut self, cx: &mut Cx<'_>, sock: SockId, events: Vec<TargetEvent>) {
-        // One call = one dispatch tick: a doorbell's whole submission
-        // batch is admitted to the disk model before anything completes.
+        // One call = one dispatch tick: every command the delivered bytes
+        // completed is admitted to the disk model before any completes.
         let mut admitted = 0usize;
         for ev in events {
             let (itt, op, ok) = match ev {
@@ -651,7 +627,6 @@ impl TargetHostApp {
         if let Some(sess) = self.sessions.get_mut(&sock) {
             sess.flush_wire(cx, sock);
         }
-        self.arm_cq(cx, sock);
     }
 }
 
@@ -682,7 +657,6 @@ impl App for TargetHostApp {
                 sendq: SendQueue::new(),
                 initiator: None,
                 tuple: None,
-                armed_cq: None,
             },
         );
     }
@@ -740,20 +714,6 @@ impl App for TargetHostApp {
 
     fn on_timer(&mut self, cx: &mut Cx<'_>, token: u64) {
         match self.timers.remove(&token) {
-            // Flush the session's held completions — unless a batch-full
-            // flush already drained them, or the deadline moved: then
-            // re-arm for the new instant.
-            Some(Timer::CqFlush(sock)) => {
-                let now_ns = cx.now().as_nanos();
-                if let Some(sess) = self.sessions.get_mut(&sock) {
-                    sess.armed_cq = None;
-                    if sess.conn.cq_deadline_ns().is_some_and(|d| d <= now_ns) {
-                        sess.conn.flush_cq(now_ns);
-                        sess.flush_wire(cx, sock);
-                    }
-                }
-                self.arm_cq(cx, sock);
-            }
             Some(Timer::Admit(job)) => self.schedule(cx, job),
             Some(Timer::Done { job, slot }) => {
                 // A finished job frees its tier's dispatch slot whatever

@@ -479,7 +479,7 @@ mod tests {
 
     /// The same smoke cycle with the cloud speaking nvmeq: the target
     /// sniffs the protocol on the shared portal, the connect binds the
-    /// volume, and the coalescing timer delivers completions.
+    /// volume, and each command rides one doorbell and one completion.
     #[test]
     fn end_to_end_write_read_over_nvmeq() {
         let mut cloud = Cloud::build(CloudConfig {
@@ -506,7 +506,7 @@ mod tests {
         assert_eq!(client.stats.writes.count(), 1);
         assert_eq!(client.stats.errors, 0);
         let (doorbells, sqes) = client.transport().doorbell_stats();
-        assert!(doorbells >= 1 && sqes == 2, "both commands doorbelled");
+        assert_eq!((doorbells, sqes), (2, 2), "one doorbell per command");
         use storm_block::BlockDevice as _;
         let mut shared = vol.shared.clone();
         let mut buf = vec![0u8; 4096];

@@ -17,13 +17,14 @@
 //! is the active relay's flow-control story.
 //!
 //! The active relay is one datapath for every wire protocol. `active`
-//! runs a single loop over *batches* of block ops — stream-error abort,
-//! backpressure pause, fault verdict, QoS admission, the chain walk every
-//! service output takes, CPU accounting and the deferred release each
-//! exist once. `edge` is all the loop knows of iSCSI or nvmeq: it
-//! reassembles each flow's bytes into batches, raises their units to ops
-//! and lowers whatever leaves the relay in the flow's own protocol, with
-//! `wire` holding the two protocols' forms of an op.
+//! runs a single loop over *batches*, each one received message carrying
+//! at most one block op — stream-error abort, backpressure pause, fault
+//! verdict, QoS admission, the chain walk every service output takes, CPU
+//! accounting and the deferred release each exist once. `edge` is all the
+//! loop knows of iSCSI or nvmeq: it reassembles each flow's bytes into
+//! batches, raises each batch's unit to an op and lowers whatever leaves
+//! the relay in the flow's own protocol, with `wire` holding the two
+//! protocols' forms of an op.
 
 mod active;
 mod edge;

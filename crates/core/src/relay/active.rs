@@ -200,10 +200,10 @@ type ReplicaOp = (usize, usize, ReplicaIo, u64);
 
 /// A batch's forwards, headed onward in its direction of travel.
 enum Forwards {
-    /// Every unit passed the chain untouched (or bypassed it): the
-    /// received wire image re-emitted as is — nothing is re-encoded or
-    /// copied. Counts as `units` forwarded PDUs.
-    Verbatim { wire: Vec<Bytes>, units: u64 },
+    /// The unit passed the chain untouched (or the batch bypassed it):
+    /// the received wire image re-emitted as is — nothing is re-encoded
+    /// or copied. Counts as one forwarded PDU.
+    Verbatim(Vec<Bytes>),
     /// Rebuilt from chain outputs, lowered by the edge codec on release.
     Rebuilt(Vec<Op>),
 }
@@ -218,7 +218,7 @@ struct ChainOut {
     /// Ops headed back where the batch came from.
     replies: Vec<Op>,
     replica_ops: Vec<ReplicaOp>,
-    /// CPU the batch cost: `per_pdu_cost` plus service charges per unit.
+    /// CPU the batch cost: `per_pdu_cost` plus service charges.
     cost: SimDuration,
 }
 
@@ -415,11 +415,10 @@ impl ActiveRelayMb {
             .emit_with(now, || TraceEvent::Stage { req, hop, id, dur });
     }
 
-    /// Runs every unit of a batch through the service chain, one op at a
-    /// time, and rebuilds the batch from what the chain emitted. Units the
-    /// chain passes untouched stay wire views; if *all* of them do, the
-    /// whole received batch forwards verbatim — one iSCSI PDU or a whole
-    /// doorbell frame alike.
+    /// Runs a batch's unit through the service chain as one op and
+    /// rebuilds the batch from what the chain emitted. If the chain passed
+    /// the unit untouched, or the batch bypasses the chain, the received
+    /// batch forwards verbatim — an iSCSI PDU or an nvmeq frame alike.
     fn run_chain(
         &mut self,
         cx: &mut Cx<'_>,
@@ -428,42 +427,28 @@ impl ActiveRelayMb {
         pair_idx: usize,
         batch: Batch,
     ) -> ChainOut {
-        let src_port = self.pairs[pair_idx].src_port;
         let per_pdu_cost = self.cfg.per_pdu_cost;
-        let n_units = batch.units.len();
         let mut out = ChainOut {
             dir,
-            forwards: Forwards::Verbatim {
-                wire: batch.wire,
-                units: (n_units as u64).max(1),
-            },
+            forwards: Forwards::Verbatim(batch.wire),
             ahead: Vec::new(),
             replies: Vec::new(),
             replica_ops: Vec::new(),
-            // A chain-bypass batch still costs one decapsulation.
-            cost: if n_units == 0 {
-                per_pdu_cost
-            } else {
-                SimDuration::ZERO
-            },
+            // One decapsulation, whether or not the batch meets the chain.
+            cost: per_pdu_cost,
         };
-        let mut rebuilt = Vec::new();
-        let mut untouched = true;
-        let mut units = batch.units;
-        while let Some(op) = self.pairs[pair_idx].edge.lift(&mut units) {
-            let req = req_token(src_port, op.tag);
-            out.cost += per_pdu_cost;
+        if let Some(unit) = batch.unit {
+            let op = self.pairs[pair_idx].edge.lift(unit);
+            let req = req_token(self.pairs[pair_idx].src_port, op.tag);
             self.stage(now, req, Hop::Relay, self.trace_mb, per_pdu_cost);
             let mut forwards = self.walk(cx, &mut Sink::Batch(req, &mut out), dir, 0, vec![op]);
             forwards.append(&mut out.ahead);
-            if self.pairs[pair_idx].edge.rebuild(forwards, &mut rebuilt) {
-                self.copy.verbatim_forwards += 1;
-            } else {
-                untouched = false;
+            if !self.pairs[pair_idx].edge.untouched(&forwards) {
+                out.forwards = Forwards::Rebuilt(forwards);
             }
         }
-        if !untouched {
-            out.forwards = Forwards::Rebuilt(rebuilt);
+        if let Forwards::Verbatim(_) = out.forwards {
+            self.copy.verbatim_forwards += 1;
         }
         out
     }
@@ -731,11 +716,10 @@ impl ActiveRelayMb {
                 _ => SimDuration::ZERO,
             };
             // Tenant rate limiting: request-direction batches draw from
-            // the token bucket, one admit per batch (a doorbell is one
-            // shaping decision, matching its one network transfer); the
-            // shaping delay is queueing (a later serve start), not CPU, so
-            // an under-limit tenant's datapath is byte-identical to the
-            // unlimited one.
+            // the token bucket, one admit per batch (a PDU or a doorbell
+            // frame, each one network transfer); the shaping delay is
+            // queueing (a later serve start), not CPU, so an under-limit
+            // tenant's datapath is byte-identical to the unlimited one.
             let qos_delay = match &mut self.limiter {
                 Some(l) if inbound => l.admit(now, batch.wire_len as u64),
                 _ => SimDuration::ZERO,
@@ -773,14 +757,13 @@ impl ActiveRelayMb {
         }
         let p = &mut self.pairs[pair];
         let forwarded = match out.forwards {
-            Forwards::Verbatim { wire, units } => {
+            Forwards::Verbatim(wire) => {
                 p.leg(dir).1.push_all(wire);
-                units
+                1
             }
             Forwards::Rebuilt(units) => p.queue(dir, units, &mut self.copy),
         };
-        // Chain replies head back where the triggering batch came from
-        // (coalesced into one frame on a multi-queue flow).
+        // Chain replies head back where the triggering batch came from.
         let replied = p.queue(dir.flip(), out.replies, &mut self.copy);
         self.pdus_forwarded += forwarded + replied;
         p.buffered_in = p.buffered_in.saturating_sub(input_bytes);

@@ -2,16 +2,16 @@
 //!
 //! The service chain speaks block [`Op`]s and the relay loop in
 //! `active.rs` speaks *batches*; one [`Edge`] per flow stands between.
-//! [`Edge::feed`] reassembles received bytes into [`Batch`]es (an iSCSI
-//! PDU is a batch of one unit, a doorbell/completion frame a batch of one
-//! unit per SQE or CQE, a handshake frame a batch of none, which bypasses
-//! the chain); [`Edge::lift`] raises each unit to an op (`wire.rs`);
-//! [`Edge::rebuild`] says whether the chain passed it through untouched
-//! (a batch of such units is forwarded as received); [`Edge::queue`]
+//! [`Edge::feed`] reassembles received bytes into [`Batch`]es: an iSCSI
+//! PDU and a doorbell/completion frame are each a batch of one unit, a
+//! handshake frame a batch of none, which bypasses the chain.
+//! [`Edge::lift`] raises the unit to an op (`wire.rs`);
+//! [`Edge::untouched`] says whether the chain passed it through as it
+//! came (the batch is then forwarded as received); [`Edge::queue`]
 //! lowers ops in the flow's own protocol — forwards, chain replies and
-//! side actions alike. Re-encodes are bounded metadata copies (counted);
-//! data travels as refcounted views, so the zero-copy invariant holds on
-//! both transports.
+//! side actions alike, one PDU or frame each. Re-encodes are bounded
+//! metadata copies (counted); data travels as refcounted views, so the
+//! zero-copy invariant holds on both transports.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
@@ -75,7 +75,7 @@ pub(crate) struct Edge {
     proto: Proto,
     open: Exchange,
     /// Units lifted so far (the last one's number is what
-    /// [`Edge::rebuild`] looks for).
+    /// [`Edge::untouched`] looks for).
     lifted: u64,
 }
 
@@ -91,9 +91,9 @@ pub(crate) enum Batches {
 /// CPU accounting and store-and-forward release.
 #[derive(Debug)]
 pub(crate) struct Batch {
-    /// Chain inputs in wire order; none for a chain-bypass batch.
-    pub units: Units,
-    /// The first unit's task tag / command id (zero without units).
+    /// The chain's input; none for a chain-bypass batch.
+    pub unit: Option<Unit>,
+    /// The unit's task tag / command id (zero without a unit).
     pub tag: u32,
     /// The batch's wire bytes as received, in order.
     pub wire: Vec<Bytes>,
@@ -101,12 +101,12 @@ pub(crate) struct Batch {
     pub wire_len: usize,
 }
 
-/// A batch's received units, for [`Edge::lift`]: an iSCSI batch's one
-/// PDU, or an nvmeq frame's command units.
+/// A batch's received unit, for [`Edge::lift`]: an iSCSI PDU, or an
+/// nvmeq frame's SQE or CQE.
 #[derive(Debug)]
-pub(crate) enum Units {
-    Pdu(Option<Pdu>),
-    Frame(std::vec::IntoIter<UnitWire>),
+pub(crate) enum Unit {
+    Pdu(Pdu),
+    Entry(UnitWire),
 }
 
 impl Iterator for Batches {
@@ -117,31 +117,21 @@ impl Iterator for Batches {
             Batches::Iscsi(pdus) => pdus.next().map(|pw| Batch {
                 tag: pw.pdu.itt(),
                 wire_len: pw.pdu.wire_len(),
-                units: Units::Pdu(Some(pw.pdu)),
+                unit: Some(Unit::Pdu(pw.pdu)),
                 wire: pw.wire,
             }),
-            // Handshake frames carry no units: the relay forwards the
+            // Handshake frames carry no unit: the relay forwards the
             // connect/disconnect exchange as received, like splicing does
             // for iSCSI login on the passive path.
             Batches::Nvmeq(frames) => frames.next().map(|fw| Batch {
-                tag: fw.units.first().map_or(0, |u| match &u.entry {
+                tag: fw.unit.as_ref().map_or(0, |u| match &u.entry {
                     UnitEntry::Sqe(sqe) => sqe.cid,
                     UnitEntry::Cqe(cqe) => cqe.cid,
                 }),
                 wire_len: FRAME_HDR_LEN + fw.header.payload_len as usize,
-                units: Units::Frame(fw.units.into_iter()),
+                unit: fw.unit.map(Unit::Entry),
                 wire: fw.wire,
             }),
-        }
-    }
-}
-
-impl Units {
-    /// Units not yet pulled.
-    pub fn len(&self) -> usize {
-        match self {
-            Units::Pdu(pdu) => usize::from(pdu.is_some()),
-            Units::Frame(units) => units.len(),
         }
     }
 }
@@ -201,35 +191,26 @@ impl Edge {
         s.header_bytes_copied += header;
     }
 
-    /// Raises the next of a batch's `units` to the op the chain
-    /// processes.
-    pub fn lift(&mut self, units: &mut Units) -> Option<Op> {
+    /// Raises a batch's unit to the op the chain processes.
+    pub fn lift(&mut self, unit: Unit) -> Op {
         self.lifted += 1;
-        match units {
-            Units::Pdu(pdu) => pdu
-                .take()
-                .map(|pdu| lift_pdu(&mut self.open, pdu, self.lifted)),
-            Units::Frame(u) => u.next().map(|u| lift_entry(&mut self.open, u, self.lifted)),
+        match unit {
+            Unit::Pdu(pdu) => lift_pdu(&mut self.open, pdu, self.lifted),
+            Unit::Entry(u) => lift_entry(&mut self.open, u, self.lifted),
         }
     }
 
-    /// Takes the chain's `forwards` for the op lifted last into `out` and
-    /// says whether they are exactly that op, data storage unchanged (a
-    /// service that rewrote the payload made new storage): such a unit
-    /// leaves as received. An iSCSI batch is one unit, so an untouched
-    /// one is never rebuilt.
-    pub fn rebuild(&self, forwards: Vec<Op>, out: &mut Vec<Op>) -> bool {
-        let untouched = matches!(&forwards[..],
-            [op] if op.wire.as_ref().is_some_and(|w| w.is(self.lifted, &op.data)));
-        if !untouched || matches!(self.proto, Proto::Nvmeq(_)) {
-            out.extend(forwards);
-        }
-        untouched
+    /// Whether the chain's `forwards` for the op lifted last are exactly
+    /// that op, data storage unchanged (a service that rewrote the
+    /// payload made new storage): its batch then leaves as received.
+    pub fn untouched(&self, forwards: &[Op]) -> bool {
+        matches!(forwards,
+            [op] if op.wire.as_ref().is_some_and(|w| w.is(self.lifted, &op.data)))
     }
 
     /// Lowers `ops` travelling `dir` onto `q` in this flow's protocol and
-    /// returns how many wire units were queued: iSCSI PDUs, or the units
-    /// of one nvmeq frame. An undecided flow queues iSCSI.
+    /// returns how many wire units were queued: iSCSI PDUs or nvmeq
+    /// frames. An undecided flow queues iSCSI.
     pub fn queue(
         &mut self,
         dir: Dir,
@@ -238,7 +219,7 @@ impl Edge {
         copy: &mut RelayCopyStats,
     ) -> u64 {
         if let Proto::Nvmeq(_) = self.proto {
-            return self.queue_frame(dir, ops, q, copy);
+            return self.queue_frames(dir, ops, q, copy);
         }
         let mut queued = 0;
         for op in ops {
@@ -250,61 +231,46 @@ impl Edge {
         queued
     }
 
-    /// Assembles one outbound frame — fresh header, entry block, then data
-    /// segments in entry order — onto a send queue; no units, no frame.
-    /// Fixed-size metadata (header plus re-encoded entries) is copied and
-    /// counted as header bytes; untouched entries and their data travel as
-    /// the received views, chain-produced data by [`push_data`].
-    fn queue_frame(
+    /// Lowers each op to one outbound frame — fresh header, entry, then
+    /// data segment — onto a send queue. Fixed-size metadata (header plus
+    /// a re-encoded entry) is copied and counted as header bytes; an
+    /// untouched entry and its data travel as the received views,
+    /// chain-produced data by [`push_data`].
+    fn queue_frames(
         &mut self,
         dir: Dir,
         ops: impl IntoIterator<Item = Op>,
         q: &mut SendQueue,
         copy: &mut RelayCopyStats,
     ) -> u64 {
-        let units: Vec<(Entry, Bytes)> = ops
-            .into_iter()
-            .filter_map(|op| lower_entry(&mut self.open, op))
-            .collect();
-        if units.is_empty() {
-            return 0;
-        }
-        let entry_len = |e: &Entry| match e {
-            Entry::Wire(w) => w.len(),
-            Entry::Sqe(_) => SQE_LEN,
-            Entry::Cqe(_) => CQE_LEN,
+        let kind = match dir {
+            Dir::ToTarget => FrameKind::Doorbell,
+            Dir::ToInitiator => FrameKind::Completion,
         };
-        let payload_len: usize = units.iter().map(|(e, d)| entry_len(e) + d.len()).sum();
-        let header = FrameHeader {
-            kind: match dir {
-                Dir::ToTarget => FrameKind::Doorbell,
-                Dir::ToInitiator => FrameKind::Completion,
-            },
-            count: units.len() as u16,
-            payload_len: payload_len as u32,
-            queue_depth: 0,
-        };
-        copy.header_bytes_copied += FRAME_HDR_LEN as u64;
-        q.push(&header.encode());
-        for (entry, _) in &units {
+        let mut queued = 0;
+        for op in ops {
+            let Some((entry, data)) = lower_entry(&mut self.open, op) else {
+                continue;
+            };
+            copy.header_bytes_copied += FRAME_HDR_LEN as u64;
+            q.push(&FrameHeader::unit(kind, data.len()).encode());
             match entry {
-                Entry::Wire(w) => q.push_bytes(w.clone()),
+                Entry::Wire(w) => {
+                    q.push_bytes(w);
+                    q.push_bytes(data);
+                }
                 Entry::Sqe(sqe) => {
                     copy.header_bytes_copied += SQE_LEN as u64;
                     q.push(&sqe.encode());
+                    push_data(q, data, copy);
                 }
                 Entry::Cqe(cqe) => {
                     copy.header_bytes_copied += CQE_LEN as u64;
                     q.push(&cqe.encode());
+                    push_data(q, data, copy);
                 }
             }
-        }
-        let queued = units.len() as u64;
-        for (entry, data) in units {
-            match entry {
-                Entry::Wire(_) => q.push_bytes(data),
-                _ => push_data(q, data, copy),
-            }
+            queued += 1;
         }
         queued
     }
@@ -356,8 +322,7 @@ mod tests {
             entry_wire: Bytes::copy_from_slice(&sqe.encode()),
             data: Bytes::copy_from_slice(data),
         };
-        edge.lift(&mut Units::Frame(vec![unit].into_iter()))
-            .unwrap()
+        edge.lift(Unit::Entry(unit))
     }
 
     /// A service answers a read larger than one Data-In segment: nvmeq
@@ -409,18 +374,35 @@ mod tests {
         let (mut edge, mut q) = (Edge::default(), SendQueue::new());
         let mut copy = RelayCopyStats::default();
         let op = lift(&mut edge, sqe(SqeOp::Write, 2, 1, 512), &[0x11; 512]);
-        let mut out = Vec::new();
-        assert!(edge.rebuild(vec![op.clone()], &mut out));
-        assert_eq!(edge.queue(Dir::ToTarget, out, &mut q, &mut copy), 1);
+        assert!(edge.untouched(std::slice::from_ref(&op)));
+        assert_eq!(
+            edge.queue(Dir::ToTarget, [op.clone()], &mut q, &mut copy),
+            1
+        );
         assert_eq!(copy.data_bytes_copied, 0);
         assert_eq!(copy.header_bytes_copied, FRAME_HDR_LEN as u64);
-        // An op lifted earlier is not the unit being rebuilt.
+        // An op lifted earlier is not the unit being forwarded.
         lift(&mut edge, sqe(SqeOp::Write, 3, 1, 512), &[0x11; 512]);
-        assert!(!edge.rebuild(vec![op], &mut Vec::new()));
+        assert!(!edge.untouched(&[op]));
+    }
+
+    /// A chain that emits two ops for one unit sends two frames of one
+    /// entry each: the stream refuses a frame of two.
+    #[test]
+    fn each_op_leaves_as_its_own_frame() {
+        let (mut edge, mut q) = (Edge::default(), SendQueue::new());
+        let mut copy = RelayCopyStats::default();
+        let op = lift(&mut edge, sqe(SqeOp::Write, 2, 1, 512), &[0x11; 512]);
+        let flush = BlockCmd::checked(SqeOp::Flush, 0, 0, u64::MAX).ok();
+        let extra = Op::new(Step::Command, flush, 9, Bytes::new());
+        assert_eq!(edge.queue(Dir::ToTarget, [op, extra], &mut q, &mut copy), 2);
+        assert_eq!(q.backlog(), 2 * (FRAME_HDR_LEN + SQE_LEN) + 512);
+        let fresh = 2 * FRAME_HDR_LEN + SQE_LEN;
+        assert_eq!(copy.header_bytes_copied, fresh as u64);
     }
 
     /// Feeds one frame travelling `dir` (a doorbell towards the target, a
-    /// completion back) and forwards each of its units untouched.
+    /// completion back) and lifts its unit, which must pass untouched.
     fn relay(edge: &mut Edge, dir: Dir, entry: &[u8], data: &[u8]) -> Vec<Op> {
         let kind = match dir {
             Dir::ToTarget => FrameKind::Doorbell,
@@ -436,10 +418,10 @@ mod tests {
         };
         let mut out = Vec::new();
         let wire = Bytes::from([&header.encode()[..], entry, data].concat());
-        for mut batch in edge.feed(dir, wire).expect("decodes") {
-            while let Some(op) = edge.lift(&mut batch.units) {
-                assert!(edge.rebuild(vec![op], &mut out));
-            }
+        for batch in edge.feed(dir, wire).expect("decodes") {
+            let op = edge.lift(batch.unit.expect("a command frame"));
+            assert!(edge.untouched(std::slice::from_ref(&op)));
+            out.push(op);
         }
         out
     }
@@ -482,19 +464,17 @@ mod tests {
         let mut edge = Edge::default();
         let nop = Pdu::decode(&[0u8; BHS_LEN], Bytes::new()).expect("NOP-Out");
         let wire = Bytes::from(nop.encode());
-        let mut out = Vec::new();
         for swallow in [false, true] {
             let mut batches = edge.feed(Dir::ToTarget, wire.clone()).expect("decodes");
             assert!(matches!(edge.proto, Proto::Iscsi(_)));
-            let mut batch = batches.next().expect("one PDU");
-            assert_eq!((batch.units.len(), batch.wire_len), (1, wire.len()));
-            let op = edge.lift(&mut batch.units).expect("one unit");
+            let batch = batches.next().expect("one PDU");
+            assert_eq!(batch.wire_len, wire.len());
+            let op = edge.lift(batch.unit.expect("one unit"));
             assert_eq!((op.step, op.tag), (Step::Other, 0));
             let forwards = if swallow { Vec::new() } else { vec![op] };
-            assert_eq!(edge.rebuild(forwards, &mut out), !swallow);
+            // Untouched, the batch forwards verbatim; swallowed, it
+            // rebuilds as nothing.
+            assert_eq!(edge.untouched(&forwards), !swallow);
         }
-        // Untouched, the whole batch forwards verbatim; swallowed, it
-        // rebuilds as nothing.
-        assert!(out.is_empty());
     }
 }

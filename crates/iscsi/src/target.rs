@@ -613,7 +613,6 @@ mod tests {
             }
         }
         assert!(ready && ini.is_ready() && tgt.is_logged_in());
-        assert_eq!(tgt.cq_deadline_ns(), None, "iscsi never coalesces");
 
         let wtag = ini.write(0, Bytes::from(vec![0xAA; 4096]));
         let mut done = false;

@@ -40,11 +40,10 @@ pub enum FrameKind {
     /// Target → host: connect verdict (16-byte payload: status byte,
     /// volume size in sectors).
     ConnectAck,
-    /// Host → target: a doorbell write flushing `count` SQEs plus their
-    /// in-capsule write data, in order.
+    /// Host → target: a doorbell write carrying one SQE plus its
+    /// in-capsule write data (`count` = 1).
     Doorbell,
-    /// Target → host: `count` coalesced CQEs plus read payloads, in
-    /// order.
+    /// Target → host: one CQE plus its read payload (`count` = 1).
     Completion,
     /// Host → target: clean shutdown request.
     Disconnect,
@@ -61,6 +60,16 @@ impl FrameKind {
             FrameKind::Completion => 4,
             FrameKind::Disconnect => 5,
             FrameKind::DisconnectAck => 6,
+        }
+    }
+
+    /// The size of the one entry this kind of frame carries (zero for
+    /// handshake frames, which carry none).
+    pub fn entry_len(self) -> usize {
+        match self {
+            FrameKind::Doorbell => SQE_LEN,
+            FrameKind::Completion => CQE_LEN,
+            _ => 0,
         }
     }
 
@@ -89,11 +98,20 @@ pub enum NvmeqError {
     UnknownOpcode(u8),
     /// An entry or payload was shorter than its header promised.
     Truncated,
-    /// Declared payload exceeds [`MAX_PAYLOAD`] or can't hold `count`
-    /// entries.
+    /// Declared payload exceeds [`MAX_PAYLOAD`] or can't hold the
+    /// frame's entry.
     Oversized {
         /// The declared payload length.
         payload_len: u32,
+    },
+    /// A doorbell or completion frame whose `count` is not 1, or a
+    /// handshake frame whose `count` is not 0: a frame carries one
+    /// command or none.
+    BadCount {
+        /// The frame's kind.
+        kind: FrameKind,
+        /// The declared entry count.
+        count: u16,
     },
     /// Internal bookkeeping no longer matches buffered bytes.
     Desync,
@@ -109,6 +127,9 @@ impl fmt::Display for NvmeqError {
             NvmeqError::Oversized { payload_len } => {
                 write!(f, "implausible payload length {payload_len}")
             }
+            NvmeqError::BadCount { kind, count } => {
+                write!(f, "{kind:?} frame declares {count} entries")
+            }
             NvmeqError::Desync => write!(f, "stream desync"),
         }
     }
@@ -121,8 +142,8 @@ impl std::error::Error for NvmeqError {}
 pub struct FrameHeader {
     /// What the frame carries.
     pub kind: FrameKind,
-    /// Number of fixed-size entries in the payload (SQEs or CQEs; zero
-    /// for handshake frames).
+    /// Number of fixed-size entries in the payload: one SQE or CQE, zero
+    /// for handshake frames.
     pub count: u16,
     /// Payload bytes following the header.
     pub payload_len: u32,
@@ -132,6 +153,17 @@ pub struct FrameHeader {
 }
 
 impl FrameHeader {
+    /// The header of a doorbell or completion frame carrying its one
+    /// entry and `data_len` data bytes.
+    pub fn unit(kind: FrameKind, data_len: usize) -> FrameHeader {
+        FrameHeader {
+            kind,
+            count: 1,
+            payload_len: (kind.entry_len() + data_len) as u32,
+            queue_depth: 0,
+        }
+    }
+
     /// Serializes the header.
     pub fn encode(&self) -> [u8; FRAME_HDR_LEN] {
         let mut b = [0u8; FRAME_HDR_LEN];
@@ -147,10 +179,10 @@ impl FrameHeader {
     ///
     /// # Errors
     ///
-    /// [`NvmeqError::BadMagic`], [`NvmeqError::UnknownFrameType`], or
-    /// [`NvmeqError::Oversized`] when the declared payload exceeds
-    /// [`MAX_PAYLOAD`] or is too small for `count` entries of the frame's
-    /// entry size.
+    /// [`NvmeqError::BadMagic`], [`NvmeqError::UnknownFrameType`],
+    /// [`NvmeqError::BadCount`] for a `count` other than the kind's one
+    /// entry (or none), or [`NvmeqError::Oversized`] when the declared
+    /// payload exceeds [`MAX_PAYLOAD`] or is too small for the entry.
     pub fn decode(b: &[u8; FRAME_HDR_LEN]) -> Result<FrameHeader, NvmeqError> {
         if b[0] != MAGIC {
             return Err(NvmeqError::BadMagic(b[0]));
@@ -159,15 +191,10 @@ impl FrameHeader {
         let count = u16::from_be_bytes([b[2], b[3]]);
         let payload_len = u32::from_be_bytes([b[4], b[5], b[6], b[7]]);
         let queue_depth = u16::from_be_bytes([b[8], b[9]]);
-        if payload_len > MAX_PAYLOAD {
-            return Err(NvmeqError::Oversized { payload_len });
+        if count != u16::from(kind.entry_len() > 0) {
+            return Err(NvmeqError::BadCount { kind, count });
         }
-        let entry_len = match kind {
-            FrameKind::Doorbell => SQE_LEN,
-            FrameKind::Completion => CQE_LEN,
-            _ => 0,
-        };
-        if (count as usize) * entry_len > payload_len as usize {
+        if payload_len > MAX_PAYLOAD || kind.entry_len() > payload_len as usize {
             return Err(NvmeqError::Oversized { payload_len });
         }
         Ok(FrameHeader {
@@ -330,12 +357,8 @@ mod tests {
 
     #[test]
     fn frame_header_round_trip() {
-        let h = FrameHeader {
-            kind: FrameKind::Doorbell,
-            count: 3,
-            payload_len: 3 * SQE_LEN as u32 + 65536,
-            queue_depth: 0,
-        };
+        let h = FrameHeader::unit(FrameKind::Doorbell, 65536);
+        assert_eq!(h.payload_len, SQE_LEN as u32 + 65536);
         assert_eq!(FrameHeader::decode(&h.encode()), Ok(h));
         for kind in [
             FrameKind::Connect,
@@ -346,7 +369,7 @@ mod tests {
         ] {
             let h = FrameHeader {
                 kind,
-                count: if kind == FrameKind::Completion { 2 } else { 0 },
+                count: u16::from(kind == FrameKind::Completion),
                 payload_len: 64,
                 queue_depth: 32,
             };
@@ -371,12 +394,10 @@ mod tests {
             FrameHeader::decode(&b),
             Err(NvmeqError::UnknownFrameType(99))
         );
-        // Payload too small to hold the declared entry count.
+        // Payload too small to hold the frame's entry.
         let h = FrameHeader {
-            kind: FrameKind::Completion,
-            count: 5,
-            payload_len: CQE_LEN as u32, // room for one
-            queue_depth: 0,
+            payload_len: CQE_LEN as u32 - 1,
+            ..FrameHeader::unit(FrameKind::Completion, 0)
         };
         assert!(matches!(
             FrameHeader::decode(&h.encode()),
@@ -384,10 +405,8 @@ mod tests {
         ));
         // Payload beyond the global bound.
         let h = FrameHeader {
-            kind: FrameKind::Doorbell,
-            count: 0,
             payload_len: MAX_PAYLOAD + 1,
-            queue_depth: 0,
+            ..FrameHeader::unit(FrameKind::Doorbell, 0)
         };
         assert!(matches!(
             FrameHeader::decode(&h.encode()),

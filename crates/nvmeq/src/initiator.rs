@@ -1,5 +1,5 @@
-//! Host-side queue pair: submission ring, batched doorbells, overflow
-//! software queue.
+//! Host-side queue pair: submission ring, one doorbell per command,
+//! overflow software queue.
 
 use std::collections::VecDeque;
 use std::hash::RandomState;
@@ -10,8 +10,8 @@ use storm_sim::IdMap;
 
 use storm_block::transport::{IoTag, Iqn, Transport, TransportEvent, TransportKind, WireBuf};
 
-use crate::codec::{encode_connect_payload, Cqe, FrameHeader, FrameKind, Sqe, SqeOp, SQE_LEN};
-use crate::stream::{FrameStream, UnitEntry};
+use crate::codec::{encode_connect_payload, Cqe, FrameHeader, FrameKind, Sqe, SqeOp};
+use crate::stream::{FrameStream, UnitEntry, UnitWire};
 
 /// Host-side queue-pair configuration.
 #[derive(Debug, Clone)]
@@ -45,7 +45,7 @@ enum State {
     Closed,
 }
 
-/// One queued-but-not-yet-doorbelled command.
+/// A command waiting for a free ring slot.
 #[derive(Debug)]
 struct Staged {
     sqe: Sqe,
@@ -57,10 +57,9 @@ struct Staged {
 ///
 /// Sans-io like every protocol machine in the workspace: commands go in
 /// via `read`/`write`/`flush`, wire bytes drain through
-/// [`take_wire`](Transport::take_wire) — which is the doorbell write:
-/// every SQE staged since the last drain leaves as **one** doorbell
-/// frame, so a guest that submits a burst of commands pays one frame
-/// header and one send for the whole burst. The submission ring holds at
+/// [`take_wire`](Transport::take_wire). A command rings its doorbell as
+/// it enters the submission ring: its SQE and in-capsule data are
+/// encoded then, as one doorbell frame of their own. The ring holds at
 /// most `queue_depth` commands; extras park in a software overflow queue
 /// and enter the ring as completions retire slots, which is what keeps
 /// `queue_depth` commands on the wire continuously during a deep sweep.
@@ -72,20 +71,16 @@ pub struct NvmeqInitiator {
     /// cid → opcode for every command issued and not yet completed
     /// (ring + overflow). Lookup/remove only — never iterated.
     issued: IdMap<u32, SqeOp, RandomState>,
-    /// Commands occupying ring slots (staged, doorbelled, or in
-    /// flight at the target).
+    /// Commands occupying ring slots (doorbelled, or in flight at the
+    /// target).
     in_sq: usize,
     sq_peak: usize,
-    /// SQEs staged for the next doorbell.
-    batch: Vec<Staged>,
     /// Commands waiting for a free ring slot.
     overflow: VecDeque<Staged>,
     stream: FrameStream,
     out: WireBuf,
     num_sectors: u64,
-    doorbells: u64,
     sqes_sent: u64,
-    cq_frames: u64,
     cqes_received: u64,
 }
 
@@ -104,14 +99,11 @@ impl NvmeqInitiator {
             issued: IdMap::default(),
             in_sq: 0,
             sq_peak: 0,
-            batch: Vec::new(),
             overflow: VecDeque::new(),
             stream: FrameStream::new(),
             out: WireBuf::new(),
             num_sectors: 0,
-            doorbells: 0,
             sqes_sent: 0,
-            cq_frames: 0,
             cqes_received: 0,
         }
     }
@@ -121,16 +113,14 @@ impl NvmeqInitiator {
         self.num_sectors
     }
 
-    /// Doorbell frames sent and SQEs they carried; the ratio is the
-    /// realized submission batch size.
+    /// Doorbell frames sent and SQEs they carried: one each.
     pub fn doorbell_stats(&self) -> (u64, u64) {
-        (self.doorbells, self.sqes_sent)
+        (self.sqes_sent, self.sqes_sent)
     }
 
-    /// Completion frames received and CQEs they carried; the ratio is
-    /// the realized interrupt-coalescing batch size.
+    /// Completion frames received and CQEs they carried: one each.
     pub fn cq_stats(&self) -> (u64, u64) {
-        (self.cq_frames, self.cqes_received)
+        (self.cqes_received, self.cqes_received)
     }
 
     /// High-water mark of submission-ring occupancy.
@@ -144,7 +134,7 @@ impl NvmeqInitiator {
         cid
     }
 
-    /// Stages a command: into the ring if a slot is free, else onto the
+    /// Queues a command: into the ring if a slot is free, else onto the
     /// overflow queue.
     fn submit(&mut self, sqe: Sqe, data: Bytes) -> IoTag {
         assert_eq!(self.state, State::Ready, "submit before connect");
@@ -159,36 +149,16 @@ impl NvmeqInitiator {
         tag
     }
 
+    /// Puts a command in a ring slot and rings its doorbell: one frame
+    /// holding its SQE, then its data as a shared view.
     fn ring_in(&mut self, staged: Staged) {
         self.in_sq += 1;
         self.sq_peak = self.sq_peak.max(self.in_sq);
-        self.batch.push(staged);
-    }
-
-    /// Encodes every staged SQE as one doorbell frame. This is the
-    /// doorbell write: called from `take_wire`, so the whole batch rides
-    /// one frame header and the data segments stay shared views.
-    fn flush_batch(&mut self) {
-        if self.batch.is_empty() {
-            return;
-        }
-        let batch = std::mem::take(&mut self.batch);
-        let data_len: usize = batch.iter().map(|s| s.data.len()).sum();
-        let header = FrameHeader {
-            kind: FrameKind::Doorbell,
-            count: batch.len() as u16,
-            payload_len: (batch.len() * SQE_LEN + data_len) as u32,
-            queue_depth: 0,
-        };
+        let header = FrameHeader::unit(FrameKind::Doorbell, staged.data.len());
         self.out.push_slice(&header.encode());
-        for s in &batch {
-            self.out.push_slice(&s.sqe.encode());
-        }
-        for s in batch {
-            self.out.push_data(s.data);
-        }
-        self.doorbells += 1;
-        self.sqes_sent += header.count as u64;
+        self.out.push_slice(&staged.sqe.encode());
+        self.out.push_data(staged.data);
+        self.sqes_sent += 1;
     }
 
     fn complete(&mut self, cqe: &Cqe, data: Bytes, events: &mut Vec<TransportEvent>) {
@@ -298,8 +268,6 @@ impl Transport for NvmeqInitiator {
         if self.state == State::Closing || self.state == State::Closed {
             return;
         }
-        // Any staged commands go out ahead of the disconnect.
-        self.flush_batch();
         let header = FrameHeader {
             kind: FrameKind::Disconnect,
             count: 0,
@@ -348,18 +316,19 @@ impl Transport for NvmeqInitiator {
                         });
                     }
                 }
-                FrameKind::Completion => {
-                    self.cq_frames += 1;
-                    self.cqes_received += fw.units.len() as u64;
-                    for unit in fw.units {
-                        match unit.entry {
-                            UnitEntry::Cqe(cqe) => self.complete(&cqe, unit.data, &mut events),
-                            UnitEntry::Sqe(_) => events.push(TransportEvent::ProtocolError(
-                                "SQE in completion frame".to_string(),
-                            )),
-                        }
+                FrameKind::Completion => match fw.unit {
+                    Some(UnitWire {
+                        entry: UnitEntry::Cqe(cqe),
+                        data,
+                        ..
+                    }) => {
+                        self.cqes_received += 1;
+                        self.complete(&cqe, data, &mut events);
                     }
-                }
+                    _ => events.push(TransportEvent::ProtocolError(
+                        "SQE in completion frame".to_string(),
+                    )),
+                },
                 FrameKind::DisconnectAck => {
                     self.state = State::Closed;
                     events.push(TransportEvent::Closed);
@@ -373,7 +342,6 @@ impl Transport for NvmeqInitiator {
     }
 
     fn take_wire(&mut self) -> Vec<Bytes> {
-        self.flush_batch();
         self.out.take_chunks()
     }
 
@@ -397,11 +365,29 @@ impl Transport for NvmeqInitiator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::FRAME_HDR_LEN;
+    use crate::stream::FrameWire;
     use storm_block::transport::ScsiStatus;
 
+    /// Reassembles drained wire chunks into frames.
+    fn frames(chunks: Vec<Bytes>) -> Vec<FrameWire> {
+        let mut s = FrameStream::new();
+        let frames: Vec<_> = chunks
+            .into_iter()
+            .flat_map(|c| s.feed_bytes(c).unwrap())
+            .collect();
+        assert_eq!(s.pending_bytes(), 0);
+        frames
+    }
+
+    fn sqe(fw: &FrameWire) -> Sqe {
+        match fw.unit.as_ref().map(|u| &u.entry) {
+            Some(UnitEntry::Sqe(sqe)) => *sqe,
+            other => panic!("not a doorbell: {other:?}"),
+        }
+    }
+
     #[test]
-    fn batch_rides_one_doorbell_frame() {
+    fn each_command_rings_its_own_doorbell() {
         let mut ini = NvmeqInitiator::new(NvmeqConfig::example(8));
         ini.start();
         let _ = ini.take_wire();
@@ -423,21 +409,22 @@ mod tests {
         assert!(matches!(evs[..], [TransportEvent::Ready]));
         assert_eq!(ini.num_sectors(), 2048);
 
-        // Three commands staged, one take_wire: a single frame whose
-        // header announces all three SQEs.
-        ini.read(0, 8);
-        ini.write(8, Bytes::from(vec![0xAA; 4096]));
-        ini.flush();
+        // Three commands, one take_wire: three frames of one SQE each.
+        let tags = [
+            ini.read(0, 8),
+            ini.write(8, Bytes::from(vec![0xAA; 4096])),
+            ini.flush(),
+        ];
         assert_eq!(ini.in_flight(), 3);
-        let chunks = ini.take_wire();
-        let mut hdr = [0u8; FRAME_HDR_LEN];
-        hdr.copy_from_slice(&chunks[0][..FRAME_HDR_LEN]);
-        let h = FrameHeader::decode(&hdr).unwrap();
-        assert_eq!((h.kind, h.count), (FrameKind::Doorbell, 3));
-        assert_eq!(ini.doorbell_stats(), (1, 3));
+        let got = frames(ini.take_wire());
+        assert_eq!(got.len(), 3);
+        for (fw, tag) in got.iter().zip(tags) {
+            assert_eq!((fw.header.kind, fw.header.count), (FrameKind::Doorbell, 1));
+            assert_eq!(IoTag(sqe(fw).cid), tag);
+        }
+        assert_eq!(ini.doorbell_stats(), (3, 3));
         // The 4 KiB write payload is a shared view, not a copy.
         assert_eq!(ini.bytes_copied(), 0);
-        assert!(chunks.len() >= 2, "scratch batch + shared data");
     }
 
     #[test]
@@ -448,11 +435,11 @@ mod tests {
         let _t2 = ini.read(1, 1);
         let t3 = ini.read(2, 1);
         assert_eq!(ini.in_flight(), 3, "all issued commands count");
-        let chunks = ini.take_wire();
-        let mut hdr = [0u8; FRAME_HDR_LEN];
-        hdr.copy_from_slice(&chunks[0][..FRAME_HDR_LEN]);
-        let h = FrameHeader::decode(&hdr).unwrap();
-        assert_eq!(h.count, 2, "third command parked in overflow");
+        assert_eq!(
+            frames(ini.take_wire()).len(),
+            2,
+            "third command parked in overflow"
+        );
         assert_eq!(ini.sq_peak(), 2);
 
         // Completing one ring command promotes the parked one.
@@ -462,25 +449,16 @@ mod tests {
             op: SqeOp::Read,
             data_len: 512,
         };
-        let mut frame = FrameHeader {
-            kind: FrameKind::Completion,
-            count: 1,
-            payload_len: (crate::codec::CQE_LEN + 512) as u32,
-            queue_depth: 0,
-        }
-        .encode()
-        .to_vec();
+        let mut frame = FrameHeader::unit(FrameKind::Completion, 512)
+            .encode()
+            .to_vec();
         frame.extend_from_slice(&cqe.encode());
         frame.extend_from_slice(&[0x11; 512]);
         let evs = ini.feed_bytes(Bytes::from(frame));
         assert!(matches!(&evs[..], [TransportEvent::ReadDone { tag, .. }] if *tag == t1));
-        let chunks = ini.take_wire();
-        let mut hdr = [0u8; FRAME_HDR_LEN];
-        hdr.copy_from_slice(&chunks[0][..FRAME_HDR_LEN]);
-        let h = FrameHeader::decode(&hdr).unwrap();
-        assert_eq!(h.count, 1, "promoted overflow command doorbells");
-        let sqe = Sqe::decode(&chunks[0][FRAME_HDR_LEN..]).unwrap();
-        assert_eq!(IoTag(sqe.cid), t3);
+        let got = frames(ini.take_wire());
+        assert_eq!(got.len(), 1, "promoted overflow command doorbells");
+        assert_eq!(IoTag(sqe(&got[0]).cid), t3);
         assert_eq!(ini.in_flight(), 2);
         assert_eq!(ini.cq_stats(), (1, 1));
     }

@@ -3,29 +3,33 @@
 //! The paper's deployment speaks iSCSI, whose command model is one
 //! in-order conversation per connection: at 64 KiB and queue depth 1 the
 //! relay tax dominates (Figure 5). FlexBSO-style offload stacks instead
-//! expose paired submission/completion rings — the host batches 64-byte
-//! submission queue entries and rings a doorbell once per batch, the
-//! device coalesces completions behind an interrupt-moderation timer.
-//! This crate models that protocol over the simulator's TCP fabric,
-//! behind the same [`Transport`]/[`TargetTransport`] traits the iSCSI
-//! stack implements, proving StorM's interception API is wire-protocol
-//! agnostic and opening offload-vs-relay benchmarks. Those traits and the
-//! block vocabulary live in [`storm_block::transport`], so this crate
-//! does not depend on the protocol it is the alternative to.
+//! expose paired submission/completion rings that keep many tagged
+//! commands in flight at once. This crate models that protocol over the
+//! simulator's TCP fabric, behind the same [`Transport`]/[`TargetTransport`]
+//! traits the iSCSI stack implements, proving StorM's interception API is
+//! wire-protocol agnostic and opening offload-vs-relay benchmarks. Queue
+//! depth is the whole difference: like NVMe/TCP, which carries one
+//! command capsule per PDU, each command rides its own doorbell frame
+//! and each completion its own completion frame, so a relay sees one
+//! command per message on both protocols. Those traits and the block
+//! vocabulary live in [`storm_block::transport`], so this crate does not
+//! depend on the protocol it is the alternative to.
 //!
 //! Wire format (all integers big-endian, like iSCSI):
 //!
 //! * every frame starts with a 16-byte header: magic `0xB5`, frame type,
 //!   entry count, payload length, advertised queue depth;
-//! * `DOORBELL` frames carry `count` 64-byte SQEs followed by their
-//!   in-capsule write data segments in SQE order — one doorbell write
-//!   flushes a whole batch of commands in one frame;
-//! * `COMPLETION` frames carry `count` 16-byte CQEs followed by read
-//!   payloads in CQE order — the target holds completions until
-//!   [`NvmeqTargetConn::flush_cq`] (batch full or moderation deadline);
-//! * `CONNECT`/`CONNECT_ACK` bind the connection to a volume by IQN,
-//!   reusing the iSCSI `key=value\0` text idiom so connection
-//!   attribution works unchanged.
+//! * a `DOORBELL` frame carries one 64-byte SQE (`count` = 1) followed by
+//!   its in-capsule write data; the host rings it when the command enters
+//!   the submission ring;
+//! * a `COMPLETION` frame carries one 16-byte CQE (`count` = 1) followed
+//!   by its read payload; the target sends it the moment the command
+//!   completes;
+//! * `CONNECT`/`CONNECT_ACK` (`count` = 0) bind the connection to a
+//!   volume by IQN, reusing the iSCSI `key=value\0` text idiom so
+//!   connection attribution works unchanged;
+//! * any other `count` is a protocol error ([`NvmeqError::BadCount`]),
+//!   refused as soon as the header arrives.
 //!
 //! Everything is sans-io and allocation-shy: payloads ride as refcounted
 //! [`bytes::Bytes`] views end to end (the [`FrameStream`] reassembler

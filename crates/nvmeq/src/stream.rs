@@ -15,7 +15,7 @@
 use bytes::Bytes;
 use storm_block::transport::ChunkDeque;
 
-use crate::codec::{Cqe, FrameHeader, FrameKind, NvmeqError, Sqe, CQE_LEN, FRAME_HDR_LEN, SQE_LEN};
+use crate::codec::{Cqe, FrameHeader, NvmeqError, Sqe, FRAME_HDR_LEN, SQE_LEN};
 
 /// The decoded entry of one command unit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,7 +26,7 @@ pub enum UnitEntry {
     Cqe(Cqe),
 }
 
-/// One command unit of a doorbell or completion frame: the decoded
+/// The command unit of a doorbell or completion frame: the decoded
 /// entry, its wire image, and its data segment — both views sharing the
 /// receive allocation whenever the frame arrived contiguously, so a
 /// relay can re-emit the unit verbatim without touching payload bytes.
@@ -46,10 +46,10 @@ pub struct UnitWire {
 pub struct FrameWire {
     /// The decoded header.
     pub header: FrameHeader,
-    /// Command units, in entry order (doorbell/completion frames only).
-    pub units: Vec<UnitWire>,
+    /// The frame's one command unit (doorbell/completion frames only).
+    pub unit: Option<UnitWire>,
     /// The raw payload (handshake frames only; empty for
-    /// doorbell/completion, whose payload is split into `units`).
+    /// doorbell/completion, whose payload is the `unit`).
     pub payload: Bytes,
     /// The frame's wire bytes as received, in order.
     pub wire: Vec<Bytes>,
@@ -106,7 +106,7 @@ impl FrameStream {
     }
 
     /// Protocol-metadata bytes copied to decode scratch (16 per frame
-    /// header, plus any entry block that straddled allocations — the
+    /// header, plus any entry that straddled allocations — the
     /// allowed fixed-size copies).
     pub fn header_bytes_copied(&self) -> u64 {
         self.header_bytes_copied
@@ -125,82 +125,65 @@ impl FrameStream {
             return Ok(None);
         }
         let wire = self.buf.take_wire(total).ok_or(NvmeqError::Desync)?;
-        let (units, payload) = match header.kind {
-            FrameKind::Doorbell => (self.split_units(&wire, &header, SQE_LEN)?, Bytes::new()),
-            FrameKind::Completion => (self.split_units(&wire, &header, CQE_LEN)?, Bytes::new()),
-            _ => {
-                let payload = ChunkDeque::extract(
-                    &wire,
-                    FRAME_HDR_LEN,
-                    header.payload_len as usize,
-                    &mut self.bytes_copied,
-                );
-                (Vec::new(), payload)
+        let (unit, payload) = match header.kind.entry_len() {
+            0 => {
+                let len = header.payload_len as usize;
+                let payload =
+                    ChunkDeque::extract(&wire, FRAME_HDR_LEN, len, &mut self.bytes_copied);
+                (None, payload)
             }
+            entry_len => (Some(self.unit(&wire, &header, entry_len)?), Bytes::new()),
         };
         self.frames_out += 1;
         Ok(Some(FrameWire {
             header,
-            units,
+            unit,
             payload,
             wire,
         }))
     }
 
-    /// Splits a doorbell/completion payload into command units: `count`
-    /// entries of `entry_len`, then each unit's data segment in entry
-    /// order. The per-entry `data_len` fields must tile the remaining
-    /// payload exactly.
-    fn split_units(
+    /// Splits a doorbell/completion payload into its command unit: the
+    /// entry of `entry_len`, then its data segment, whose `data_len` must
+    /// fill the rest of the payload exactly.
+    fn unit(
         &mut self,
         wire: &[Bytes],
         header: &FrameHeader,
         entry_len: usize,
-    ) -> Result<Vec<UnitWire>, NvmeqError> {
-        let count = header.count as usize;
-        let total = FRAME_HDR_LEN + header.payload_len as usize;
-        let mut units = Vec::with_capacity(count);
-        let mut data_off = FRAME_HDR_LEN + count * entry_len;
-        for i in 0..count {
-            let entry_wire = ChunkDeque::extract(
-                wire,
-                FRAME_HDR_LEN + i * entry_len,
-                entry_len,
-                &mut self.header_bytes_copied,
-            );
-            let (entry, data_len) = if entry_len == SQE_LEN {
-                let sqe = Sqe::decode(&entry_wire)?;
-                (UnitEntry::Sqe(sqe), sqe.data_len as usize)
-            } else {
-                let cqe = Cqe::decode(&entry_wire)?;
-                (UnitEntry::Cqe(cqe), cqe.data_len as usize)
-            };
-            if data_off + data_len > total {
-                return Err(NvmeqError::Truncated);
-            }
-            let data = ChunkDeque::extract(wire, data_off, data_len, &mut self.bytes_copied);
-            data_off += data_len;
-            units.push(UnitWire {
-                entry,
-                entry_wire,
-                data,
-            });
-        }
-        if data_off != total {
-            // Trailing payload no entry claims: the stream is desynced.
+    ) -> Result<UnitWire, NvmeqError> {
+        let hdr_copies = &mut self.header_bytes_copied;
+        let entry_wire = ChunkDeque::extract(wire, FRAME_HDR_LEN, entry_len, hdr_copies);
+        let (entry, data_len) = if entry_len == SQE_LEN {
+            let sqe = Sqe::decode(&entry_wire)?;
+            (UnitEntry::Sqe(sqe), sqe.data_len as usize)
+        } else {
+            let cqe = Cqe::decode(&entry_wire)?;
+            (UnitEntry::Cqe(cqe), cqe.data_len as usize)
+        };
+        if entry_len + data_len != header.payload_len as usize {
+            // Too short for its data, or trailing bytes nothing claims:
+            // the stream is desynced.
             return Err(NvmeqError::Truncated);
         }
-        Ok(units)
+        let data_off = FRAME_HDR_LEN + entry_len;
+        let data = ChunkDeque::extract(wire, data_off, data_len, &mut self.bytes_copied);
+        Ok(UnitWire {
+            entry,
+            entry_wire,
+            data,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::SqeOp;
+    use crate::codec::{FrameKind, SqeOp, CQE_LEN};
     use storm_block::transport::ScsiStatus;
 
-    /// Encodes a doorbell frame with the given write payloads.
+    /// Encodes a doorbell frame with the given write payloads; more than
+    /// one makes a frame the stream must refuse.
     fn doorbell(cmds: &[(Sqe, &[u8])]) -> Vec<u8> {
         let data: usize = cmds.iter().map(|(_, d)| d.len()).sum();
         let h = FrameHeader {
@@ -238,13 +221,11 @@ mod tests {
         assert_eq!(got.len(), 1);
         let fw = &got[0];
         assert_eq!(fw.header.kind, FrameKind::Doorbell);
-        assert_eq!(fw.units.len(), 1);
-        assert_eq!(fw.units[0].entry, UnitEntry::Sqe(wsqe(1, 4096)));
-        assert_eq!(fw.units[0].data.len(), 4096);
+        let unit = fw.unit.as_ref().expect("a doorbell carries its SQE");
+        assert_eq!(unit.entry, UnitEntry::Sqe(wsqe(1, 4096)));
         let data_off = FRAME_HDR_LEN + SQE_LEN;
         assert!(
-            fw.units[0]
-                .data
+            unit.data
                 .same_storage(&whole.slice(data_off..data_off + 4096)),
             "payload is a view"
         );
@@ -287,31 +268,37 @@ mod tests {
         assert_eq!(s.bytes_copied(), 1024, "straddling data copy is counted");
     }
 
+    /// A frame carries one command or none: a two-SQE doorbell, a
+    /// two-CQE completion and a connect claiming an entry are refused
+    /// with the typed error as soon as their header arrives.
     #[test]
-    fn multi_unit_doorbell_splits_in_order() {
-        let a = vec![0xAA; 512];
-        let b = vec![0xBB; 1024];
-        let whole = Bytes::from(doorbell(&[
-            (wsqe(1, 512), &a),
-            (
-                Sqe {
-                    op: SqeOp::Read,
-                    cid: 2,
-                    lba: 64,
-                    sectors: 16,
-                    data_len: 0,
-                },
-                &[],
-            ),
-            (wsqe(3, 1024), &b),
-        ]));
-        let mut s = FrameStream::new();
-        let got = s.feed_bytes(whole).unwrap();
-        assert_eq!(got[0].units.len(), 3);
-        assert_eq!(got[0].units[0].data.as_ref(), &a[..]);
-        assert!(got[0].units[1].data.is_empty());
-        assert_eq!(got[0].units[2].data.as_ref(), &b[..]);
-        assert_eq!(s.bytes_copied(), 0);
+    fn a_frame_carries_one_command_or_none() {
+        let refused = |wire: Vec<u8>, kind, count| {
+            let mut s = FrameStream::new();
+            let got = s.feed_bytes(Bytes::copy_from_slice(&wire[..FRAME_HDR_LEN]));
+            assert_eq!(got.unwrap_err(), NvmeqError::BadCount { kind, count });
+        };
+        let two_sqes = doorbell(&[(wsqe(1, 512), &[0xAA; 512]), (wsqe(2, 512), &[0xBB; 512])]);
+        refused(two_sqes, FrameKind::Doorbell, 2);
+        let two_cqes = FrameHeader {
+            count: 2,
+            payload_len: 2 * CQE_LEN as u32,
+            ..FrameHeader::unit(FrameKind::Completion, 0)
+        };
+        refused(two_cqes.encode().to_vec(), FrameKind::Completion, 2);
+        let connect = FrameHeader {
+            kind: FrameKind::Connect,
+            count: 1,
+            payload_len: 64,
+            queue_depth: 32,
+        };
+        refused(connect.encode().to_vec(), FrameKind::Connect, 1);
+        // A doorbell with no SQE is refused too.
+        let empty = FrameHeader {
+            count: 0,
+            ..FrameHeader::unit(FrameKind::Doorbell, 0)
+        };
+        refused(empty.encode().to_vec(), FrameKind::Doorbell, 0);
     }
 
     #[test]
@@ -323,19 +310,16 @@ mod tests {
             op: SqeOp::Read,
             data_len: 512,
         };
-        let h = FrameHeader {
-            kind: FrameKind::Completion,
-            count: 1,
-            payload_len: (CQE_LEN + 512) as u32,
-            queue_depth: 0,
-        };
-        let mut wire = h.encode().to_vec();
+        let mut wire = FrameHeader::unit(FrameKind::Completion, 512)
+            .encode()
+            .to_vec();
         wire.extend_from_slice(&cqe.encode());
         wire.extend_from_slice(&data);
         let mut s = FrameStream::new();
         let got = s.feed_bytes(Bytes::from(wire)).unwrap();
-        assert_eq!(got[0].units[0].entry, UnitEntry::Cqe(cqe));
-        assert_eq!(got[0].units[0].data.len(), 512);
+        let unit = got[0].unit.as_ref().expect("a completion carries its CQE");
+        assert_eq!(unit.entry, UnitEntry::Cqe(cqe));
+        assert_eq!(unit.data.len(), 512);
     }
 
     #[test]

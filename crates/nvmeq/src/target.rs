@@ -1,4 +1,4 @@
-//! Target-side queue pair: submission drain, completion coalescing.
+//! Target-side queue pair: one completion frame per command.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
@@ -11,18 +11,11 @@ use storm_block::transport::{
     BlockCmd, Iqn, ScsiStatus, TargetEvent, TargetTransport, TransportKind, WireBuf,
 };
 
-use crate::codec::{scan_connect_payload, Cqe, FrameHeader, FrameKind, SqeOp, CQE_LEN};
-use crate::stream::{FrameStream, UnitEntry};
+use crate::codec::{scan_connect_payload, Cqe, FrameHeader, FrameKind, SqeOp};
+use crate::stream::{FrameStream, UnitEntry, UnitWire};
 
 /// Ring size offered in the connect ack.
 const QUEUE_DEPTH: u16 = 32;
-/// Flush the completion queue as soon as this many CQEs are held, even
-/// before the moderation window closes.
-const CQ_MAX_BATCH: usize = 8;
-/// Interrupt-moderation window: the first held CQE starts a timer this
-/// many nanoseconds out; when it fires, everything held goes out as one
-/// completion frame.
-const CQ_WINDOW_NS: u64 = 20_000;
 
 /// Target-side queue-pair configuration.
 #[derive(Debug, Clone)]
@@ -46,12 +39,9 @@ impl NvmeqTargetConfig {
 /// The target side of an NVMe-oF-style queue pair, implementing
 /// [`TargetTransport`].
 ///
-/// Completions coalesce: `complete_*` parks the CQE instead of sending
-/// it, and the whole parked set leaves as one completion frame when
-/// either `CQ_MAX_BATCH` entries are held or the interrupt-moderation
-/// deadline passes ([`cq_deadline_ns`](Self::cq_deadline_ns) tells the
-/// hosting app when to call [`flush_cq`](Self::flush_cq)). Read payloads
-/// stay refcounted views end to end.
+/// Each `complete_*` call queues its CQE at once, as one completion
+/// frame with the read payload (if any) behind it. Read payloads stay
+/// refcounted views end to end.
 #[derive(Debug)]
 pub struct NvmeqTargetConn {
     cfg: NvmeqTargetConfig,
@@ -63,11 +53,6 @@ pub struct NvmeqTargetConn {
     peer_queue_depth: u16,
     outstanding: usize,
     peak: usize,
-    /// CQEs held for the next completion frame.
-    pending: Vec<(Cqe, Bytes)>,
-    cq_deadline: Option<u64>,
-    cq_flushes: u64,
-    cqes_flushed: u64,
 }
 
 impl NvmeqTargetConn {
@@ -81,22 +66,12 @@ impl NvmeqTargetConn {
             peer_queue_depth: 0,
             outstanding: 0,
             peak: 0,
-            pending: Vec::new(),
-            cq_deadline: None,
-            cq_flushes: 0,
-            cqes_flushed: 0,
         }
     }
 
     /// The ring size the host advertised at connect.
     pub fn peer_queue_depth(&self) -> u16 {
         self.peer_queue_depth
-    }
-
-    /// Completion frames flushed and CQEs they carried; the ratio is the
-    /// realized coalescing batch size.
-    pub fn cq_stats(&self) -> (u64, u64) {
-        (self.cq_flushes, self.cqes_flushed)
     }
 
     /// Whether session establishment completed.
@@ -124,12 +99,6 @@ impl NvmeqTargetConn {
         self.out.take_chunks()
     }
 
-    /// When the interrupt-moderation timer should next fire, if any
-    /// completions are held.
-    pub fn cq_deadline_ns(&self) -> Option<u64> {
-        self.cq_deadline
-    }
-
     fn note_ready(&mut self) {
         self.outstanding += 1;
         self.peak = self.peak.max(self.outstanding);
@@ -148,47 +117,41 @@ impl NvmeqTargetConn {
                     self.on_connect(&fw.payload, fw.header.queue_depth, &mut events)
                 }
                 FrameKind::Doorbell => {
-                    let capacity = self.cfg.num_sectors;
-                    for unit in fw.units {
-                        let UnitEntry::Sqe(sqe) = unit.entry else {
-                            events.push(TargetEvent::ProtocolError(
-                                "CQE in doorbell frame".to_string(),
-                            ));
-                            continue;
-                        };
-                        if !self.logged_in {
-                            events.push(TargetEvent::ProtocolError(
-                                "doorbell before connect".to_string(),
-                            ));
-                            continue;
-                        }
-                        // Same admission as the iSCSI target: range,
-                        // transfer ceiling, and in-capsule data that
-                        // matches the sector count.
-                        let cmd = BlockCmd::checked(sqe.op, sqe.lba, sqe.sectors, capacity)
-                            .ok()
-                            .filter(|c| {
-                                sqe.op != SqeOp::Write || unit.data.len() as u64 == c.bytes()
-                            });
-                        let Some(BlockCmd { lba, sectors, .. }) = cmd else {
-                            // An error CQE, sent at once (no clock here to
-                            // open a moderation window); the queue stays up.
-                            self.hold(sqe.cid, sqe.op, ScsiStatus::CheckCondition, Bytes::new());
-                            self.flush_cq(0);
-                            continue;
-                        };
-                        self.note_ready();
-                        let itt = sqe.cid;
-                        events.push(match sqe.op {
-                            SqeOp::Read => TargetEvent::ReadReady { itt, lba, sectors },
-                            SqeOp::Write => TargetEvent::WriteReady {
-                                itt,
-                                lba,
-                                data: unit.data,
-                            },
-                            SqeOp::Flush => TargetEvent::FlushReady { itt },
-                        });
+                    let Some(UnitWire {
+                        entry: UnitEntry::Sqe(sqe),
+                        data,
+                        ..
+                    }) = fw.unit
+                    else {
+                        events.push(TargetEvent::ProtocolError(
+                            "CQE in doorbell frame".to_string(),
+                        ));
+                        continue;
+                    };
+                    if !self.logged_in {
+                        events.push(TargetEvent::ProtocolError(
+                            "doorbell before connect".to_string(),
+                        ));
+                        continue;
                     }
+                    // Same admission as the iSCSI target: range, transfer
+                    // ceiling, and in-capsule data that matches the
+                    // sector count.
+                    let cmd = BlockCmd::checked(sqe.op, sqe.lba, sqe.sectors, self.cfg.num_sectors)
+                        .ok()
+                        .filter(|c| sqe.op != SqeOp::Write || data.len() as u64 == c.bytes());
+                    let Some(BlockCmd { lba, sectors, .. }) = cmd else {
+                        // An error CQE; the queue stays up.
+                        self.answer(sqe.cid, sqe.op, ScsiStatus::CheckCondition, Bytes::new());
+                        continue;
+                    };
+                    self.note_ready();
+                    let itt = sqe.cid;
+                    events.push(match sqe.op {
+                        SqeOp::Read => TargetEvent::ReadReady { itt, lba, sectors },
+                        SqeOp::Write => TargetEvent::WriteReady { itt, lba, data },
+                        SqeOp::Flush => TargetEvent::FlushReady { itt },
+                    });
                 }
                 FrameKind::Disconnect => {
                     let header = FrameHeader {
@@ -242,9 +205,9 @@ impl NvmeqTargetConn {
         }
     }
 
-    /// Holds one command's CQE (and read payload) for the next completion
-    /// frame.
-    fn hold(&mut self, cid: u32, op: SqeOp, status: ScsiStatus, data: Bytes) {
+    /// Queues one command's completion frame: its CQE, then the read
+    /// payload as a shared view.
+    fn answer(&mut self, cid: u32, op: SqeOp, status: ScsiStatus, data: Bytes) {
         let data_len = data.len() as u32;
         let cqe = Cqe {
             cid,
@@ -252,62 +215,36 @@ impl NvmeqTargetConn {
             op,
             data_len,
         };
-        self.pending.push((cqe, data));
+        let header = FrameHeader::unit(FrameKind::Completion, data.len());
+        self.out.push_slice(&header.encode());
+        self.out.push_slice(&cqe.encode());
+        self.out.push_data(data);
     }
 
-    fn park(&mut self, now_ns: u64, cid: u32, op: SqeOp, status: ScsiStatus, data: Bytes) {
+    fn retire(&mut self, cid: u32, op: SqeOp, status: ScsiStatus, data: Bytes) {
         self.outstanding = self.outstanding.saturating_sub(1);
-        self.hold(cid, op, status, data);
-        if self.pending.len() >= CQ_MAX_BATCH {
-            self.flush_cq(now_ns);
-        } else if self.cq_deadline.is_none() {
-            self.cq_deadline = Some(now_ns + CQ_WINDOW_NS);
-        }
+        self.answer(cid, op, status, data);
     }
 
-    /// Completes a read surfaced by [`TargetEvent::ReadReady`]; the CQE
-    /// is held for coalescing.
-    pub fn complete_read(&mut self, now_ns: u64, itt: u32, data: Bytes, status: ScsiStatus) {
-        self.park(now_ns, itt, SqeOp::Read, status, data);
+    /// Completes a read surfaced by [`TargetEvent::ReadReady`]. `now_ns`
+    /// is unused: completions leave at once.
+    pub fn complete_read(&mut self, _now_ns: u64, itt: u32, data: Bytes, status: ScsiStatus) {
+        self.retire(itt, SqeOp::Read, status, data);
     }
 
     /// Completes a write surfaced by [`TargetEvent::WriteReady`].
-    pub fn complete_write(&mut self, now_ns: u64, itt: u32, status: ScsiStatus) {
-        self.park(now_ns, itt, SqeOp::Write, status, Bytes::new());
+    pub fn complete_write(&mut self, _now_ns: u64, itt: u32, status: ScsiStatus) {
+        self.retire(itt, SqeOp::Write, status, Bytes::new());
     }
 
     /// Completes a flush surfaced by [`TargetEvent::FlushReady`].
-    pub fn complete_flush(&mut self, now_ns: u64, itt: u32, status: ScsiStatus) {
-        self.park(now_ns, itt, SqeOp::Flush, status, Bytes::new());
+    pub fn complete_flush(&mut self, _now_ns: u64, itt: u32, status: ScsiStatus) {
+        self.retire(itt, SqeOp::Flush, status, Bytes::new());
     }
 
-    /// Flushes every held completion as one frame (the hosting app calls
-    /// this when the timer armed for [`cq_deadline_ns`](Self::cq_deadline_ns)
-    /// fires; a batch-full flush may already have drained the queue, in
-    /// which case this is a no-op).
-    pub fn flush_cq(&mut self, _now_ns: u64) {
-        self.cq_deadline = None;
-        if self.pending.is_empty() {
-            return;
-        }
-        let pending = std::mem::take(&mut self.pending);
-        let data_len: usize = pending.iter().map(|(_, d)| d.len()).sum();
-        let header = FrameHeader {
-            kind: FrameKind::Completion,
-            count: pending.len() as u16,
-            payload_len: (pending.len() * CQE_LEN + data_len) as u32,
-            queue_depth: 0,
-        };
-        self.out.push_slice(&header.encode());
-        for (cqe, _) in &pending {
-            self.out.push_slice(&cqe.encode());
-        }
-        self.cq_flushes += 1;
-        self.cqes_flushed += header.count as u64;
-        for (_, data) in pending {
-            self.out.push_data(data);
-        }
-    }
+    /// Does nothing: every completion is on the wire queue as soon as it
+    /// is made. Kept because the `benchmark/` probes call it.
+    pub fn flush_cq(&mut self, _now_ns: u64) {}
 }
 
 impl TargetTransport for NvmeqTargetConn {
@@ -343,14 +280,6 @@ impl TargetTransport for NvmeqTargetConn {
         NvmeqTargetConn::bytes_copied(self)
     }
 
-    fn cq_deadline_ns(&self) -> Option<u64> {
-        NvmeqTargetConn::cq_deadline_ns(self)
-    }
-
-    fn flush_cq(&mut self, now_ns: u64) {
-        NvmeqTargetConn::flush_cq(self, now_ns);
-    }
-
     fn in_flight(&self) -> usize {
         NvmeqTargetConn::in_flight(self)
     }
@@ -363,7 +292,7 @@ impl TargetTransport for NvmeqTargetConn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{Sqe, SQE_LEN};
+    use crate::codec::Sqe;
     use crate::initiator::{NvmeqConfig, NvmeqInitiator};
     use storm_block::transport::{Transport, TransportEvent};
 
@@ -388,50 +317,51 @@ mod tests {
     }
 
     #[test]
-    fn full_session_with_coalescing() {
+    fn full_session_answers_each_command_at_once() {
         let (mut ini, mut tgt) = connected_pair(8);
         assert_eq!(tgt.peer_queue_depth(), 8);
 
-        // Four writes in one doorbell; target completes them all at
-        // t=1000 — under CQ_MAX_BATCH, so they coalesce behind the
-        // moderation timer.
-        let payloads: Vec<Bytes> = (0..4).map(|i| Bytes::from(vec![i as u8; 1024])).collect();
-        for (i, p) in payloads.iter().enumerate() {
-            ini.write(i as u64 * 2, p.clone());
+        // Four writes and four reads, all completed at t=1000: each
+        // completion is on the wire as its own frame the moment it is
+        // made, and read payloads travel as views.
+        for i in 0..4u8 {
+            ini.write(u64::from(i) * 2, Bytes::from(vec![i; 1024]));
+            ini.read(u64::from(i) * 2, 2);
         }
         for c in ini.take_wire() {
             for ev in tgt.feed_bytes(c) {
-                if let TargetEvent::WriteReady { itt, data, .. } = ev {
-                    assert_eq!(data.len(), 1024);
-                    TargetTransport::complete_write(&mut tgt, 1000, itt, ScsiStatus::Good);
+                match ev {
+                    TargetEvent::WriteReady { itt, data, .. } => {
+                        assert_eq!(data.len(), 1024);
+                        TargetTransport::complete_write(&mut tgt, 1000, itt, ScsiStatus::Good);
+                    }
+                    TargetEvent::ReadReady { itt, sectors, .. } => {
+                        let data = Bytes::from(vec![0xFE; sectors as usize * 512]);
+                        TargetTransport::complete_read(&mut tgt, 1000, itt, data, ScsiStatus::Good);
+                    }
+                    other => panic!("{other:?}"),
                 }
             }
         }
-        assert_eq!(tgt.occupancy_peak(), 4, "all four held concurrently");
-        assert!(tgt.take_wire().is_empty(), "completions held back");
-        assert_eq!(
-            tgt.cq_deadline_ns(),
-            Some(1000 + CQ_WINDOW_NS),
-            "moderation timer armed by first completion"
-        );
-
-        // Timer fires: one frame with all four CQEs.
-        tgt.flush_cq(21_000);
-        assert_eq!(tgt.cq_deadline_ns(), None);
+        assert_eq!(tgt.in_flight(), 0);
         let mut done = 0;
         for c in tgt.take_wire() {
             for ev in ini.feed_bytes(c) {
-                if matches!(ev, TransportEvent::WriteDone { status, .. } if status == ScsiStatus::Good)
-                {
-                    done += 1;
+                match ev {
+                    TransportEvent::WriteDone { status, .. } => {
+                        assert_eq!(status, ScsiStatus::Good)
+                    }
+                    TransportEvent::ReadDone { data, status, .. } => {
+                        assert_eq!((data.len(), status), (1024, ScsiStatus::Good));
+                    }
+                    other => panic!("{other:?}"),
                 }
+                done += 1;
             }
         }
-        assert_eq!(done, 4);
-        assert_eq!(ini.cq_stats(), (1, 4), "four CQEs in one frame");
-        assert_eq!(tgt.cq_stats(), (1, 4));
+        assert_eq!(done, 8);
+        assert_eq!(ini.cq_stats(), (8, 8), "one CQE per frame");
         assert_eq!(ini.in_flight(), 0);
-        assert_eq!(tgt.in_flight(), 0);
         assert_eq!(ini.bytes_copied() + tgt.bytes_copied(), 0);
     }
 
@@ -441,12 +371,7 @@ mod tests {
     fn hostile_sqe_gets_an_error_cqe_and_the_queue_stays_up() {
         let (mut ini, mut tgt) = connected_pair(8);
         let doorbell = |sqe: Sqe, data: &[u8]| {
-            let header = FrameHeader {
-                kind: FrameKind::Doorbell,
-                count: 1,
-                payload_len: (SQE_LEN + data.len()) as u32,
-                queue_depth: 0,
-            };
+            let header = FrameHeader::unit(FrameKind::Doorbell, data.len());
             let mut wire = header.encode().to_vec();
             wire.extend_from_slice(&sqe.encode());
             wire.extend_from_slice(data);
@@ -481,36 +406,6 @@ mod tests {
         assert!(tgt.is_logged_in());
         let evs = tgt.feed_bytes(doorbell(sqe(SqeOp::Read, 9, 0, 8, 0), &[]));
         assert!(matches!(evs[..], [TargetEvent::ReadReady { itt: 9, .. }]));
-    }
-
-    #[test]
-    fn batch_full_flushes_without_timer() {
-        let (mut ini, mut tgt) = connected_pair(16);
-        for i in 0..CQ_MAX_BATCH {
-            ini.read(i as u64, 2);
-        }
-        for c in ini.take_wire() {
-            for ev in tgt.feed_bytes(c) {
-                if let TargetEvent::ReadReady { itt, sectors, .. } = ev {
-                    let data = Bytes::from(vec![0xFE; sectors as usize * 512]);
-                    TargetTransport::complete_read(&mut tgt, 500, itt, data, ScsiStatus::Good);
-                }
-            }
-        }
-        // The eighth completion hit CQ_MAX_BATCH and flushed on its own.
-        assert_eq!(tgt.cq_deadline_ns(), None);
-        assert_eq!(tgt.cq_stats(), (1, 8));
-        let mut got = 0;
-        for c in tgt.take_wire() {
-            for ev in ini.feed_bytes(c) {
-                if let TransportEvent::ReadDone { data, status, .. } = ev {
-                    assert_eq!((data.len(), status), (1024, ScsiStatus::Good));
-                    got += 1;
-                }
-            }
-        }
-        assert_eq!(got, 8);
-        assert_eq!(ini.bytes_copied() + tgt.bytes_copied(), 0, "reads share");
     }
 
     #[test]

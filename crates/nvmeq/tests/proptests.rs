@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use storm_nvmeq::{
     Cqe, FrameHeader, FrameKind, FrameStream, NvmeqError, Sqe, SqeOp, UnitEntry, CQE_LEN,
-    FRAME_HDR_LEN, MAGIC, SQE_LEN,
+    FRAME_HDR_LEN, MAGIC,
 };
 
 fn sqe_strategy() -> impl Strategy<Value = (Sqe, Vec<u8>)> {
@@ -51,20 +51,13 @@ fn cqe_strategy() -> impl Strategy<Value = Cqe> {
         })
 }
 
-fn encode_doorbell(cmds: &[(Sqe, Vec<u8>)]) -> Vec<u8> {
-    let data: usize = cmds.iter().map(|(_, d)| d.len()).sum();
-    let h = FrameHeader {
-        kind: FrameKind::Doorbell,
-        count: cmds.len() as u16,
-        payload_len: (cmds.len() * SQE_LEN + data) as u32,
-        queue_depth: 0,
-    };
-    let mut out = h.encode().to_vec();
-    for (sqe, _) in cmds {
+/// Encodes each command as its own doorbell frame, back to back.
+fn encode_doorbells(cmds: &[(Sqe, Vec<u8>)]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for (sqe, data) in cmds {
+        out.extend_from_slice(&FrameHeader::unit(FrameKind::Doorbell, data.len()).encode());
         out.extend_from_slice(&sqe.encode());
-    }
-    for (_, d) in cmds {
-        out.extend_from_slice(d);
+        out.extend_from_slice(data);
     }
     out
 }
@@ -81,22 +74,23 @@ proptest! {
         prop_assert_eq!(Cqe::decode(&cqe.encode()), Ok(cqe));
     }
 
-    /// A batch of commands encoded into one doorbell frame survives any
-    /// stream fragmentation and comes back in order with its data.
+    /// A train of one-command doorbell frames survives any stream
+    /// fragmentation and comes back in order, each frame with its data.
     #[test]
     fn doorbell_round_trip_any_fragmentation(
-        cmds in prop::collection::vec(sqe_strategy(), 1..8),
+        cmds in prop::collection::vec(sqe_strategy(), 1..9),
         chunk in 1usize..200,
     ) {
-        let wire = encode_doorbell(&cmds);
+        let wire = encode_doorbells(&cmds);
         let mut s = FrameStream::new();
         let mut frames = Vec::new();
         for piece in wire.chunks(chunk) {
             frames.extend(s.feed_bytes(Bytes::copy_from_slice(piece)).unwrap());
         }
-        prop_assert_eq!(frames.len(), 1);
-        prop_assert_eq!(frames[0].units.len(), cmds.len());
-        for (unit, (sqe, data)) in frames[0].units.iter().zip(&cmds) {
+        prop_assert_eq!(frames.len(), cmds.len());
+        for (frame, (sqe, data)) in frames.iter().zip(&cmds) {
+            prop_assert_eq!(frame.header.count, 1);
+            let unit = frame.unit.as_ref().expect("a doorbell carries its SQE");
             prop_assert_eq!(&unit.entry, &UnitEntry::Sqe(*sqe));
             prop_assert_eq!(unit.data.as_ref(), &data[..]);
         }
@@ -107,10 +101,10 @@ proptest! {
     /// waiting) or a clean error — never a bogus frame, never a panic.
     #[test]
     fn truncated_frames_are_never_misparsed(
-        cmds in prop::collection::vec(sqe_strategy(), 1..4),
+        cmd in sqe_strategy(),
         cut_frac in 0.0f64..1.0,
     ) {
-        let wire = encode_doorbell(&cmds);
+        let wire = encode_doorbells(&[cmd]);
         let cut = ((wire.len() - 1) as f64 * cut_frac) as usize;
         let mut s = FrameStream::new();
         if let Ok(frames) = s.feed_bytes(Bytes::copy_from_slice(&wire[..cut])) {

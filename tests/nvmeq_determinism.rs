@@ -1,9 +1,9 @@
 //! Equal seeds ⇒ byte-identical traces on the multi-queue transport.
 //!
-//! `trace_determinism.rs` with the transport pinned to nvmeq: the target
-//! coalesces CQEs under its interrupt-moderation timer and an active relay
-//! bridges frame units through the chain, and none of it may draw on
-//! ambient state.
+//! `trace_determinism.rs` with the transport pinned to nvmeq: the guest
+//! rings one doorbell per command, the target answers each with its own
+//! completion frame, and an active relay bridges each frame's unit
+//! through the chain; none of it may draw on ambient state.
 
 use storm::block::transport::TransportKind;
 use storm::scenario::{Case, Load};

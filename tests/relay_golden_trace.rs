@@ -138,11 +138,14 @@ fn iscsi_chacha_qos_and_mb_delay_fault() {
     );
 }
 
+/// Re-recorded when nvmeq frames became one command each: every SQE and
+/// CQE now pays its own frame header, and the two handshake frames count
+/// as the verbatim forwards they are.
 #[test]
 fn nvmeq_qd8_chacha() {
     assert_eq!(
         run(TransportKind::Nvmeq, 8, chacha(), false, false),
-        golden(8333511684803542242, 1162760, 1440, [0, 93616, 719]),
+        golden(16690498211268419988, 1244247, 1442, [0, 97728, 722]),
         "{DRIFT}"
     );
 }

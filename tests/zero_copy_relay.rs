@@ -8,10 +8,11 @@ use storm::services::ReplicationService;
 use storm_sim::SimTime;
 use storm_workloads::VerifyWorkload;
 
-/// Tentpole acceptance, on either wire protocol: a bare active-relay
-/// chain forwards every data segment verbatim. [`Case::check`] holds it
-/// to byte-identical read-back and zero data bytes copied; only
-/// fixed-size header copies into reassembly scratch are allowed.
+/// On either wire protocol a bare active-relay chain forwards every
+/// message verbatim — PDUs, doorbell and completion frames, and the nvmeq
+/// handshake that bypasses the chain. [`Case::check`] holds it to
+/// byte-identical read-back and zero data bytes copied; only fixed-size
+/// header copies into reassembly scratch are allowed.
 fn passthrough_stays_zero_copy(transport: TransportKind) {
     let case = Case {
         transport,
@@ -20,21 +21,12 @@ fn passthrough_stays_zero_copy(transport: TransportKind) {
     };
     let mut run = case.check();
     let relay = run.relay();
-    let copy = relay.copy_stats();
     assert!(relay.pdus_forwarded() > 0, "chain must have carried PDUs");
-    match transport {
-        TransportKind::Iscsi => assert_eq!(
-            copy.verbatim_forwards,
-            relay.pdus_forwarded(),
-            "every forwarded PDU must take the verbatim fast path"
-        ),
-        // The relay bridges doorbell/completion units; the command units
-        // among them are the ones forwarded verbatim.
-        TransportKind::Nvmeq => assert!(
-            copy.verbatim_forwards > 0,
-            "command units must take the verbatim fast path"
-        ),
-    }
+    assert_eq!(
+        relay.copy_stats().verbatim_forwards,
+        relay.pdus_forwarded(),
+        "every forwarded message must take the verbatim fast path"
+    );
 }
 
 #[test]
@@ -42,8 +34,9 @@ fn passthrough_relay_forwards_verbatim_with_zero_copies() {
     passthrough_stays_zero_copy(TransportKind::Iscsi);
 }
 
-/// The relay sniffs the nvmeq magic byte and bridges units through the
-/// (empty) chain: the zero-copy invariant is wire-protocol agnostic.
+/// The relay sniffs the nvmeq magic byte and bridges each frame's unit
+/// through the (empty) chain: the zero-copy invariant is wire-protocol
+/// agnostic.
 #[test]
 fn passthrough_relay_stays_zero_copy_over_nvmeq() {
     passthrough_stays_zero_copy(TransportKind::Nvmeq);
