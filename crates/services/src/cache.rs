@@ -15,8 +15,10 @@
 //!
 //! Reads are served from cache on a full hit; misses forward to the
 //! target and the returning Data-In both populates the cache and is
-//! patched with any dirty sectors the cache holds (the cache is the
-//! point of truth until a flush lands).
+//! patched with every sector the cache holds (the cache is the point of
+//! truth: the volume may answer before a flush lands, even one that has
+//! completed by the time the answer passes). A sector a miss read covers
+//! is not evicted until the read retires.
 //!
 //! Deployment: the cache must be the *last* service in the chain (its
 //! journal and flush writes go out over replica sessions, past no later
@@ -93,8 +95,8 @@ pub struct CacheStats {
     pub read_hits: u64,
     /// Reads forwarded to the target.
     pub read_misses: u64,
-    /// Forwarded reads that still had dirty sectors patched in.
-    pub dirty_patches: u64,
+    /// Forwarded reads that had cached sectors patched in.
+    pub patched_misses: u64,
     /// Writes absorbed (acked from the journal, never forwarded).
     pub writes_absorbed: u64,
     /// Bytes absorbed.
@@ -163,6 +165,8 @@ pub struct WriteBackCacheService {
     next_io: u64,
     /// io id -> (write, seq, reserved journal base sector).
     journal_waits: BTreeMap<u64, (CompletedWrite, u64, u64)>,
+    /// Miss reads out at the target, by tag: `(lba, sectors)`.
+    misses: BTreeMap<u32, (u64, u32)>,
     flush_waits: BTreeMap<u64, Vec<(u64, u64)>>,
     checkpoint_pending: bool,
     parked_writes: Vec<CompletedWrite>,
@@ -191,6 +195,7 @@ impl WriteBackCacheService {
             seq_floor: 1,
             next_io: 1,
             journal_waits: BTreeMap::new(),
+            misses: BTreeMap::new(),
             flush_waits: BTreeMap::new(),
             checkpoint_pending: false,
             parked_writes: Vec::new(),
@@ -209,9 +214,13 @@ impl WriteBackCacheService {
         s
     }
 
-    /// Enables or disables the cache.
+    /// Enables or disables the cache. A disarmed cache sees no answer,
+    /// so it forgets the miss reads it has out.
     pub fn arm(&mut self, armed: bool) {
         self.armed = armed;
+        if !armed {
+            self.misses.clear();
+        }
     }
 
     /// Sectors currently cached.
@@ -281,13 +290,20 @@ impl WriteBackCacheService {
         }
     }
 
-    /// Evicts least-recently-used *clean* sectors down to capacity.
+    /// Evicts least-recently-used *clean* sectors no miss read covers
+    /// down to capacity.
     fn enforce_capacity(&mut self) {
         while self.sectors.len() as u64 > self.cfg.capacity_sectors {
-            let victim = self.lru.values().copied().find(|lba| {
-                self.sectors
-                    .get(lba)
-                    .is_some_and(|s| !s.dirty && !s.flushing)
+            let pinned = |lba: u64| {
+                let mut misses = self.misses.values();
+                misses.any(|&(at, n)| (at..at + u64::from(n)).contains(&lba))
+            };
+            let victim = self.lru.values().copied().find(|&lba| {
+                let clean = self
+                    .sectors
+                    .get(&lba)
+                    .is_some_and(|s| !s.dirty && !s.flushing);
+                clean && !pinned(lba)
             });
             match victim {
                 Some(lba) => {
@@ -521,11 +537,12 @@ impl WriteBackCacheService {
             return;
         }
         self.stats.read_misses += 1;
+        self.misses.insert(op.tag(), (lba, sectors));
         cx.forward(op);
     }
 
-    /// Target read data for a miss read: patch dirty sectors in, populate
-    /// clean ones.
+    /// Target read data for a miss read: patch cached sectors in,
+    /// populate the others.
     fn on_read_data(&mut self, cx: &mut SvcCtx<Op>, mut op: Op, off: u32, lba: u64) {
         let off = off as usize;
         if op.data.is_empty()
@@ -537,20 +554,17 @@ impl WriteBackCacheService {
         }
         let start = lba + (off / SECTOR_SIZE) as u64;
         let n = op.data.len() / SECTOR_SIZE;
-        let any_dirty = (start..start + n as u64)
-            .any(|s| self.sectors.get(&s).is_some_and(|e| e.dirty || e.flushing));
-        if any_dirty {
-            self.stats.dirty_patches += 1;
+        let any_cached = (start..start + n as u64).any(|s| self.sectors.contains_key(&s));
+        if any_cached {
+            self.stats.patched_misses += 1;
             let mut buf = BytesMut::from(&op.data[..]);
             for i in 0..n {
                 if let Some(e) = self.sectors.get(&(start + i as u64)) {
-                    if e.dirty || e.flushing {
-                        #[expect(
-                            clippy::disallowed_methods,
-                            reason = "armed dirty-sector overlay onto the miss reply."
-                        )]
-                        buf[i * SECTOR_SIZE..(i + 1) * SECTOR_SIZE].copy_from_slice(&e.data);
-                    }
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "armed cached-sector overlay onto the miss reply."
+                    )]
+                    buf[i * SECTOR_SIZE..(i + 1) * SECTOR_SIZE].copy_from_slice(&e.data);
                 }
             }
             op.data = buf.freeze();
@@ -592,9 +606,19 @@ impl StorageService for WriteBackCacheService {
                 _ => cx.forward(op),
             },
             (Dir::ToTarget, Step::WriteData(_), _) => self.on_write(cx, op),
-            // The target's answer to a miss read.
+            // The target's answer to a miss read. Its last bytes, a read
+            // CQE without data (failed) or a status retire the read and
+            // release its sectors to eviction.
             (Dir::ToInitiator, Step::ReadData(off), Some(cmd)) => {
-                self.on_read_data(cx, op, off, cmd.lba)
+                let (tag, len) = (op.tag(), op.data.len() as u64);
+                self.on_read_data(cx, op, off, cmd.lba);
+                if len == 0 || u64::from(off) + len >= cmd.bytes() {
+                    self.misses.remove(&tag);
+                }
+            }
+            (Dir::ToInitiator, Step::Status(_), _) => {
+                self.misses.remove(&op.tag());
+                cx.forward(op);
             }
             _ => cx.forward(op),
         }
@@ -1021,24 +1045,27 @@ mod tests {
     }
 
     #[test]
-    fn read_misses_forward_populate_and_patch_dirty() {
+    fn read_misses_forward_populate_and_patch_cached_sectors() {
         let mut h = Harness::new(CacheConfig::default());
-        // Sector 5 is dirty in cache with fresh bytes.
+        // Sector 6 is cached clean, its flush done; sector 5 is dirty.
+        h.op(Dir::ToTarget, write_cmd(1, 6, vec![0xEE; 512], 512));
+        h.fire_timer();
         h.op(Dir::ToTarget, write_cmd(1, 5, vec![0xFF; 512], 512));
-        // A read spanning 4..8 misses (4, 6, 7 uncached) and forwards.
+        // A read spanning 4..8 misses (4, 7 uncached) and forwards.
         h.op(Dir::ToTarget, read_cmd(2, 4, 4));
         assert_eq!(h.svc.stats.read_misses, 1);
         assert_eq!(h.forwards.last(), Some(&read_cmd(2, 4, 4)));
-        // The target answers with stale bytes for sector 5.
+        // The volume read before either write landed: stale bytes.
         let stale = Bytes::from(vec![0x11; 4 * 512]);
         let answer = Op::new(Step::ReadData(0), Some(read(4, 4)), 2, stale);
         h.op(Dir::ToInitiator, answer);
         let out = h.forwards.last().expect("answer forwarded").clone();
-        // Sector 5 (second sector of the read) carries the dirty bytes.
+        // Sectors 5 and 6 carry the cached bytes, dirty or clean.
         assert!(out.data[512..1024].iter().all(|b| *b == 0xFF));
+        assert!(out.data[1024..1536].iter().all(|b| *b == 0xEE));
         assert!(out.data[..512].iter().all(|b| *b == 0x11));
-        assert_eq!(h.svc.stats.dirty_patches, 1);
-        // Sectors 4, 6, 7 were populated: the same read now hits.
+        assert_eq!(h.svc.stats.patched_misses, 1);
+        // Sectors 4 and 7 were populated: the same read now hits.
         h.op(Dir::ToTarget, read_cmd(3, 4, 4));
         assert_eq!(h.svc.stats.read_hits, 1);
     }
@@ -1135,6 +1162,30 @@ mod tests {
         assert_eq!(h.svc.cached_sectors(), 8);
         assert!(h.svc.stats.evictions >= 8);
         assert_eq!(h.svc.dirty_sectors(), 8);
+    }
+
+    #[test]
+    fn a_miss_read_pins_its_sectors_until_it_retires() {
+        let cfg = CacheConfig {
+            capacity_sectors: 8,
+            ..CacheConfig::default()
+        };
+        let mut h = Harness::new(cfg);
+        // Sectors 0..8 cached clean; a read of 0..16 misses and goes out.
+        h.op(Dir::ToTarget, write_cmd(1, 0, vec![1u8; 4096], 4096));
+        h.fire_timer();
+        h.op(Dir::ToTarget, read_cmd(2, 0, 16));
+        // 8 dirty sectors would evict 0..8, but the miss covers them: its
+        // answer must be patched with them.
+        h.op(Dir::ToTarget, write_cmd(3, 100, vec![2u8; 4096], 4096));
+        assert_eq!(h.svc.cached_sectors(), 16);
+        // The read fails (an nvmeq CQE without data) and retires: the
+        // next insertion evicts both clean runs.
+        let failed = Op::new(Step::ReadData(0), Some(read(0, 16)), 2, Bytes::new());
+        h.op(Dir::ToInitiator, failed);
+        h.fire_timer();
+        h.op(Dir::ToTarget, write_cmd(4, 200, vec![3u8; 4096], 4096));
+        assert_eq!(h.svc.cached_sectors(), 8);
     }
 
     #[test]

@@ -42,6 +42,9 @@ pub enum CatalogError {
     /// skips later stages, so mirrors, flushes and journals would hold
     /// plaintext.
     ReplicaBeforeEncryption,
+    /// Encryption or compression ahead of the monitor: it would parse
+    /// rewritten payloads as filesystem blocks and miss paths and alerts.
+    RewriteBeforeMonitor,
 }
 
 impl std::fmt::Display for CatalogError {
@@ -58,6 +61,7 @@ impl std::fmt::Display for CatalogError {
             CatalogError::ReplicaBeforeEncryption => {
                 write!(f, "replica I/O ahead of encryption")
             }
+            CatalogError::RewriteBeforeMonitor => write!(f, "payload rewrite ahead of monitor"),
         }
     }
 }
@@ -82,7 +86,7 @@ pub fn build_chain(
     if policy.volume_gb == 0 {
         return Err(CatalogError::ZeroVolume);
     }
-    let mut replica_issuer = false;
+    let (mut replica_issuer, mut rewriter) = (false, false);
     let mut chain = Vec::with_capacity(policy.services.len());
     for spec in &policy.services {
         let (svc, streams) = build_service(spec, &mut recon)?;
@@ -91,7 +95,9 @@ pub fn build_chain(
         }
         match spec.kind.as_str() {
             "encryption" if replica_issuer => return Err(CatalogError::ReplicaBeforeEncryption),
+            "monitor" if rewriter => return Err(CatalogError::RewriteBeforeMonitor),
             "replication" | "cache" | "snapshot" => replica_issuer = true,
+            "encryption" | "compress" => rewriter = true,
             _ => {}
         }
         chain.push(svc);

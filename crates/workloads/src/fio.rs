@@ -39,10 +39,6 @@ impl FioJob {
         self.threads = n;
         self
     }
-
-    fn sectors_per_req(&self) -> u64 {
-        (self.block_bytes / 512) as u64
-    }
 }
 
 /// The Fio workload: keeps `threads` requests in flight for `duration`.
@@ -50,7 +46,6 @@ impl FioJob {
 pub struct FioWorkload {
     job: FioJob,
     started_at: Option<storm_sim::SimTime>,
-    issued: u64,
     /// Completed request count (reads + writes).
     pub completed: u64,
     stopping: bool,
@@ -62,14 +57,13 @@ impl FioWorkload {
         FioWorkload {
             job,
             started_at: None,
-            issued: 0,
             completed: 0,
             stopping: false,
         }
     }
 
     fn issue_one(&mut self, io: &mut IoCtx<'_>) {
-        let sectors = self.job.sectors_per_req();
+        let sectors = (self.job.block_bytes / 512) as u64;
         let max_start = self.job.area_sectors.saturating_sub(sectors).max(1);
         // Request-size aligned random offset.
         let slots = max_start / sectors;
@@ -80,7 +74,6 @@ impl FioWorkload {
         } else {
             io.write(lba, Bytes::from(vec![0xA5u8; self.job.block_bytes]));
         }
-        self.issued += 1;
     }
 }
 
@@ -109,28 +102,12 @@ impl Workload for FioWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use storm_cloud::{Cloud, CloudConfig};
-    use storm_sim::SimTime;
 
+    /// A two-second job's ops and IOPS.
     fn run_fio(job: FioJob) -> (u64, f64) {
-        let mut cloud = Cloud::build(CloudConfig::default());
-        let vol = cloud.create_volume(256 << 20, 0);
-        let app = cloud.attach_volume(
-            0,
-            "vm:fio",
-            &vol,
-            Box::new(FioWorkload::new(job.clone())),
-            11,
-            false,
-        );
-        cloud.net.run_until(SimTime::from_nanos(
-            (job.duration + SimDuration::from_secs(1)).as_nanos(),
-        ));
-        let client = cloud.client_mut(0, app);
-        let ops = client.stats.ops();
-        let iops = client.stats.iops(job.duration);
-        assert_eq!(client.stats.errors, 0);
-        (ops, iops)
+        let fio = FioWorkload::new(job);
+        let secs = SimDuration::from_secs(2);
+        crate::solo(fio, 11, 3, |c, _, _| (c.stats.ops(), c.stats.iops(secs)))
     }
 
     #[test]

@@ -66,8 +66,7 @@ impl FtpWorkload {
 
     /// Achieved throughput in MB/s, if finished.
     pub fn throughput_mbps(&self) -> Option<f64> {
-        let elapsed = self.finished?.since(self.started?);
-        Some(self.done_bytes as f64 / 1e6 / elapsed.as_secs_f64())
+        Some(self.done_bytes as f64 / 1e6 / self.elapsed()?.as_secs_f64())
     }
 
     /// Transfer duration, if finished.
@@ -124,31 +123,14 @@ impl Workload for FtpWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use storm_cloud::{Cloud, CloudConfig};
 
     fn run(direction: FtpDirection, bytes: u64) -> (u64, f64) {
-        let mut cloud = Cloud::build(CloudConfig::default());
-        let vol = cloud.create_volume(256 << 20, 0);
-        let app = cloud.attach_volume(
-            0,
-            "vm:ftp",
-            &vol,
-            Box::new(FtpWorkload::new(direction, bytes)),
-            5,
-            false,
-        );
-        cloud.net.run_until(SimTime::from_nanos(20_000_000_000));
-        let client = cloud.client_mut(0, app);
-        assert_eq!(client.stats.errors, 0);
-        let w = client
-            .workload_ref()
-            .unwrap()
-            .downcast_ref::<FtpWorkload>()
-            .unwrap();
-        (
-            w.done_bytes,
-            w.throughput_mbps().expect("transfer finished"),
-        )
+        crate::solo(FtpWorkload::new(direction, bytes), 5, 20, |_, w, _| {
+            (
+                w.done_bytes,
+                w.throughput_mbps().expect("transfer finished"),
+            )
+        })
     }
 
     #[test]

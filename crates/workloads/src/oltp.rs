@@ -48,17 +48,12 @@ enum Phase {
     Idle,
 }
 
-#[derive(Debug)]
-struct Thread {
-    phase: Phase,
-    pending: Option<ReqId>,
-}
-
 /// The OLTP workload.
 #[derive(Debug)]
 pub struct OltpWorkload {
     cfg: OltpConfig,
-    threads: Vec<Thread>,
+    /// Per thread, its phase and the request it waits on.
+    threads: Vec<(Phase, Option<ReqId>)>,
     log_pos: u64,
     started: Option<SimTime>,
     /// Completed transactions.
@@ -70,15 +65,9 @@ pub struct OltpWorkload {
 impl OltpWorkload {
     /// Creates the workload.
     pub fn new(cfg: OltpConfig) -> Self {
-        let threads = (0..cfg.threads)
-            .map(|_| Thread {
-                phase: Phase::Idle,
-                pending: None,
-            })
-            .collect();
         OltpWorkload {
+            threads: vec![(Phase::Idle, None); cfg.threads],
             cfg,
-            threads,
             log_pos: 0,
             started: None,
             transactions: 0,
@@ -100,23 +89,19 @@ impl OltpWorkload {
     fn begin_txn(&mut self, io: &mut IoCtx<'_>, t: usize) {
         let deadline = self.started.map(|s| s + self.cfg.duration);
         if deadline.is_some_and(|d| io.now >= d) {
-            self.threads[t].phase = Phase::Idle;
-            self.threads[t].pending = None;
-            if self.threads.iter().all(|th| th.phase == Phase::Idle) {
+            self.threads[t] = (Phase::Idle, None);
+            if self.threads.iter().all(|th| th.0 == Phase::Idle) {
                 io.stop();
             }
             return;
         }
         let page = self.random_page(io);
-        let req = io.read(page, 32);
-        self.threads[t].phase = Phase::ReadInFlight {
-            remaining: self.cfg.reads_per_txn - 1,
-        };
-        self.threads[t].pending = Some(req);
+        let remaining = self.cfg.reads_per_txn - 1;
+        self.threads[t] = (Phase::ReadInFlight { remaining }, Some(io.read(page, 32)));
     }
 
     fn thread_of(&self, req: ReqId) -> Option<usize> {
-        self.threads.iter().position(|t| t.pending == Some(req))
+        self.threads.iter().position(|t| t.1 == Some(req))
     }
 }
 
@@ -132,28 +117,23 @@ impl Workload for OltpWorkload {
         let Some(t) = self.thread_of(req) else {
             return;
         };
-        match self.threads[t].phase {
+        match self.threads[t].0 {
             Phase::ReadInFlight { remaining } if remaining > 0 => {
                 let page = self.random_page(io);
-                let req = io.read(page, 32);
-                self.threads[t].phase = Phase::ReadInFlight {
-                    remaining: remaining - 1,
-                };
-                self.threads[t].pending = Some(req);
+                let remaining = remaining - 1;
+                self.threads[t] = (Phase::ReadInFlight { remaining }, Some(io.read(page, 32)));
             }
             Phase::ReadInFlight { .. } => {
                 // Sequential 8 KiB redo-log append in a dedicated region.
                 let lba = self.cfg.area_sectors + (self.log_pos % 2048) * 16;
                 self.log_pos += 1;
                 let req = io.write(lba, Bytes::from(vec![0x10u8; 8192]));
-                self.threads[t].phase = Phase::LogInFlight;
-                self.threads[t].pending = Some(req);
+                self.threads[t] = (Phase::LogInFlight, Some(req));
             }
             Phase::LogInFlight => {
                 let page = self.random_page(io);
                 let req = io.write(page, Bytes::from(vec![0x20u8; 16384]));
-                self.threads[t].phase = Phase::PageInFlight;
-                self.threads[t].pending = Some(req);
+                self.threads[t] = (Phase::PageInFlight, Some(req));
             }
             Phase::PageInFlight => {
                 self.transactions += 1;
@@ -168,65 +148,32 @@ impl Workload for OltpWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use storm_cloud::{Cloud, CloudConfig};
+
+    /// `threads` threads issuing for `secs` seconds, and two more to
+    /// drain: the transactions and their per-second series.
+    fn oltp(threads: usize, secs: u64, seed: u64) -> (u64, Timeline) {
+        let duration = SimDuration::from_secs(secs);
+        let cfg = OltpConfig {
+            threads,
+            duration,
+            ..OltpConfig::default()
+        };
+        let w = OltpWorkload::new(cfg);
+        crate::solo(w, seed, secs + 2, |_, w, _| (w.transactions, w.tps.clone()))
+    }
 
     #[test]
     fn transactions_flow_and_timeline_fills() {
-        let mut cloud = Cloud::build(CloudConfig::default());
-        let vol = cloud.create_volume(256 << 20, 0);
-        let cfg = OltpConfig {
-            duration: SimDuration::from_secs(5),
-            ..OltpConfig::default()
-        };
-        let app = cloud.attach_volume(
-            0,
-            "vm:oltp",
-            &vol,
-            Box::new(OltpWorkload::new(cfg)),
-            21,
-            false,
-        );
-        cloud.net.run_until(SimTime::from_nanos(7_000_000_000));
-        let client = cloud.client_mut(0, app);
-        assert_eq!(client.stats.errors, 0);
-        let w = client
-            .workload_ref()
-            .unwrap()
-            .downcast_ref::<OltpWorkload>()
-            .unwrap();
-        assert!(w.transactions > 50, "got {} transactions", w.transactions);
+        let (transactions, tps) = oltp(6, 5, 21);
+        assert!(transactions > 50, "got {transactions} transactions");
         // The per-second series must cover the run and be non-trivial.
-        assert!(w.tps.series().len() >= 4);
-        assert!(w.mean_tps(1, 4) > 5.0, "series: {:?}", w.tps.series());
+        assert!(tps.series().len() >= 4);
+        assert!(tps.mean_over(1, 4) > 5.0, "series: {:?}", tps.series());
     }
 
     #[test]
     fn more_threads_more_tps() {
-        let tps_for = |threads: usize| {
-            let mut cloud = Cloud::build(CloudConfig::default());
-            let vol = cloud.create_volume(256 << 20, 0);
-            let cfg = OltpConfig {
-                threads,
-                duration: SimDuration::from_secs(4),
-                ..OltpConfig::default()
-            };
-            let app = cloud.attach_volume(
-                0,
-                "vm:oltp",
-                &vol,
-                Box::new(OltpWorkload::new(cfg)),
-                22,
-                false,
-            );
-            cloud.net.run_until(SimTime::from_nanos(6_000_000_000));
-            let client = cloud.client_mut(0, app);
-            client
-                .workload_ref()
-                .unwrap()
-                .downcast_ref::<OltpWorkload>()
-                .unwrap()
-                .transactions
-        };
+        let tps_for = |threads| oltp(threads, 4, 22).0;
         let one = tps_for(1);
         let six = tps_for(6);
         assert!(six > one * 2, "{one} vs {six}");

@@ -79,9 +79,8 @@ pub struct TraceWorkload {
     pub think: SimDuration,
     started: Option<SimTime>,
     finished: Option<SimTime>,
-    /// Per-class stats (indexed by [`OpClass`] discriminants via
-    /// [`TraceWorkload::class_stats`]).
-    stats: Vec<(OpClass, ClassStats)>,
+    /// Per-class stats, indexed by [`OpClass`] discriminant.
+    stats: [ClassStats; 5],
     /// Completed groups.
     pub groups_done: u64,
 }
@@ -89,16 +88,6 @@ pub struct TraceWorkload {
 impl TraceWorkload {
     /// Creates a replay of `groups`.
     pub fn new(groups: Vec<OpGroup>) -> Self {
-        let stats = [
-            OpClass::Read,
-            OpClass::Append,
-            OpClass::Create,
-            OpClass::Delete,
-            OpClass::Other,
-        ]
-        .into_iter()
-        .map(|c| (c, ClassStats::default()))
-        .collect();
         TraceWorkload {
             groups,
             group_idx: 0,
@@ -109,7 +98,7 @@ impl TraceWorkload {
             think: SimDuration::ZERO,
             started: None,
             finished: None,
-            stats,
+            stats: Default::default(),
             groups_done: 0,
         }
     }
@@ -125,12 +114,7 @@ impl TraceWorkload {
 
     /// Stats for one class.
     pub fn class_stats(&self, class: OpClass) -> &ClassStats {
-        &self
-            .stats
-            .iter()
-            .find(|(c, _)| *c == class)
-            .expect("all classes present")
-            .1
+        &self.stats[class as usize]
     }
 
     /// Wall-clock of the replay (start to last completion), if finished.
@@ -153,14 +137,7 @@ impl TraceWorkload {
             let group = &self.groups[self.group_idx];
             if self.access_idx >= group.accesses.len() {
                 // Group complete.
-                let class = group.class;
-                let entry = &mut self
-                    .stats
-                    .iter_mut()
-                    .find(|(c, _)| *c == class)
-                    .expect("all classes present")
-                    .1;
-                entry.ops.record(0);
+                self.stats[group.class as usize].ops.record(0);
                 self.groups_done += 1;
                 self.group_idx += 1;
                 self.access_idx = 0;
@@ -186,13 +163,7 @@ impl TraceWorkload {
             self.cipher_delayed = false;
             let rec = &group.accesses[self.access_idx];
             self.access_idx += 1;
-            let class = group.class;
-            let entry = &mut self
-                .stats
-                .iter_mut()
-                .find(|(c, _)| *c == class)
-                .expect("all classes present")
-                .1;
+            let entry = &mut self.stats[group.class as usize];
             match rec.kind {
                 AccessKind::Read => {
                     entry.bytes_read += rec.len_bytes() as u64;
@@ -237,9 +208,7 @@ impl std::fmt::Debug for TraceWorkload {
 mod tests {
     use super::*;
     use storm_block::{MemDisk, RecordingDevice};
-    use storm_cloud::{Cloud, CloudConfig};
     use storm_extfs::ExtFs;
-    use storm_sim::SimTime;
 
     /// Builds a tiny trace: create + write + read of one file.
     fn tiny_trace() -> Vec<OpGroup> {
@@ -271,29 +240,13 @@ mod tests {
         let groups = tiny_trace();
         let total_accesses: usize = groups.iter().map(|g| g.accesses.len()).sum();
         assert!(total_accesses > 3);
-        let mut cloud = Cloud::build(CloudConfig::default());
-        let vol = cloud.create_volume(64 << 20, 0);
-        let app = cloud.attach_volume(
-            0,
-            "vm:replay",
-            &vol,
-            Box::new(TraceWorkload::new(groups)),
-            3,
-            false,
-        );
-        cloud.net.run_until(SimTime::from_nanos(5_000_000_000));
-        let client = cloud.client_mut(0, app);
-        assert_eq!(client.stats.errors, 0);
-        let w = client
-            .workload_ref()
-            .expect("workload present")
-            .downcast_ref::<TraceWorkload>()
-            .unwrap();
-        assert!(w.is_finished(), "replay must finish");
-        assert_eq!(w.groups_done, 2);
-        assert_eq!(w.class_stats(OpClass::Create).ops.count(), 1);
-        assert_eq!(w.class_stats(OpClass::Read).ops.count(), 1);
-        assert!(w.class_stats(OpClass::Read).bytes_read >= 8192);
-        assert!(w.elapsed().unwrap() > SimDuration::ZERO);
+        crate::solo(TraceWorkload::new(groups), 3, 5, |_, w, _| {
+            assert!(w.is_finished(), "replay must finish");
+            assert_eq!(w.groups_done, 2);
+            assert_eq!(w.class_stats(OpClass::Create).ops.count(), 1);
+            assert_eq!(w.class_stats(OpClass::Read).ops.count(), 1);
+            assert!(w.class_stats(OpClass::Read).bytes_read >= 8192);
+            assert!(w.elapsed().unwrap() > SimDuration::ZERO);
+        });
     }
 }

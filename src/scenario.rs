@@ -78,7 +78,7 @@ use storm_services::{
 };
 use storm_sim::{SimDuration, SimRng, SimTime};
 use storm_telemetry::{parse_jsonl, Recorder};
-use storm_workloads::{FioJob, FioWorkload, VerifyWorkload};
+use storm_workloads::{FioJob, FioWorkload, ShadowWorkload};
 
 /// A volume the relay opens its own session to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -434,13 +434,20 @@ pub enum Svc {
 }
 
 impl Svc {
-    fn service(self, seed: u64) -> Box<dyn StorageService> {
+    fn service(self, case: &Case) -> Box<dyn StorageService> {
         match self {
-            Svc::Dedup => Box::new(DedupService::new(seed, 12)),
+            Svc::Dedup => Box::new(DedupService::new(case.seed, 12)),
             Svc::Compress => Box::new(CompressService::new(4096)),
             Svc::Xts => Box::new(EncryptionService::aes_xts(&[0x5C; 64])),
             Svc::ChaCha => Box::new(EncryptionService::stream_cipher(&[7; 32], &[3; 12])),
-            Svc::Cache => Box::new(WriteBackCacheService::new(CacheConfig::default())),
+            Svc::Cache => {
+                // Under a concurrent verify load, half its footprint: reads hit and miss.
+                let mut cfg = CacheConfig::default();
+                if let (Load::Verify(block, rounds), 2..) = (case.load, case.queue_depth) {
+                    cfg.capacity_sectors = (rounds * block / 1024) as u64;
+                }
+                Box::new(WriteBackCacheService::new(cfg))
+            }
             Svc::Snapshot => {
                 let mut snap = SnapshotService::new(128);
                 snap.take_snapshot();
@@ -456,7 +463,8 @@ impl Svc {
 pub enum Load {
     /// 50/50 random fio: `(request bytes, threads, milliseconds)`.
     Fio(usize, usize, u64),
-    /// [`VerifyWorkload`] at sector 64: `(bytes per round, rounds)`.
+    /// [`ShadowWorkload`] at sector 64, as many requests in flight as
+    /// the case's queue depth: `(bytes per round, rounds)`.
     Verify(usize, usize),
 }
 
@@ -482,7 +490,8 @@ pub struct Case {
     pub seed: u64,
     /// Wire protocol.
     pub transport: TransportKind,
-    /// nvmeq ring depth.
+    /// nvmeq ring depth, and the verify load's requests in flight on
+    /// either wire protocol.
     pub queue_depth: u16,
     /// Interception mode.
     pub mode: RelayMode,
@@ -595,7 +604,7 @@ impl Case {
             label: "vm:case",
             spares: vec![64 << 20; spares],
             mode: Some(self.mode),
-            services: self.chain.iter().map(|s| s.service(self.seed)).collect(),
+            services: self.chain.iter().map(|s| s.service(self)).collect(),
             replicas,
             platform: StormPlatform {
                 qos,
@@ -608,7 +617,8 @@ impl Case {
 
     /// Builds the case, arms its fault `at_ms` after the guest logged in
     /// and runs to the end of the job's window: a fio job's time plus
-    /// 300 ms to drain, or 2 s for the verify rounds.
+    /// 300 ms to drain, or the verify load's 2 s (10 s when it keeps
+    /// `queue_depth > 1` requests in flight).
     pub fn run(&self) -> Run {
         let prepare = |cloud: &mut Cloud, vol: &VolumeHandle| {
             if self.qos {
@@ -626,8 +636,11 @@ impl Case {
                 (spec.build(fio, prepare), ms + 300)
             }
             Load::Verify(block, rounds) => {
-                let verify = VerifyWorkload::new(64, block).rounds(rounds);
-                (spec.build(verify, prepare), 2000)
+                let depth = usize::from(self.queue_depth);
+                let verify = ShadowWorkload::new(64, block).rounds(rounds).depth(depth);
+                // Up to 2 × rounds × depth requests pass QoS at 600 IOPS.
+                let window = if depth > 1 { 10_000 } else { 2000 };
+                (spec.build(verify, prepare), window)
             }
         };
         let start = run.cloud.net.now();
@@ -658,10 +671,11 @@ impl Case {
     /// second run: equal seeds replay byte-identically
     /// ([`assert_replays`]); the guest completes I/O without errors and
     /// has no command in flight when the window ends; a fault fires; a
-    /// verify job completes every round and, behind a cipher, leaves its
-    /// plaintext on no volume; an active relay copies no payload byte,
-    /// ends with no command open on any flow, and every stage of its
-    /// chain sees writes.
+    /// verify job checks `rounds × queue_depth` reads against its shadow
+    /// model and, behind a cipher, leaves no footprint sector on any
+    /// volume equal to what a write to it carried; an active relay copies
+    /// no payload byte, ends with no command open on any flow, and every
+    /// stage of its chain sees writes.
     ///
     /// # Panics
     ///
@@ -681,16 +695,17 @@ impl Case {
         let fired = faults.iter().any(|l| l.contains(" -> "));
         assert!(fired || self.fault.is_none(), "no fault fired: {faults:?}");
         if let Load::Verify(block, rounds) = self.load {
-            assert_eq!(run.workload::<VerifyWorkload>().verified(), rounds);
             let ciphered = self.chain.contains(&Svc::Xts) || self.chain.contains(&Svc::ChaCha);
-            let mut at_rest = vec![0u8; block];
             let volumes = std::iter::once(&run.volume).chain(&run.spares);
-            for mut disk in volumes.filter(|_| ciphered).map(|v| v.shared.clone()) {
-                for round in 0..rounds {
-                    let lba = 64 + (round * block / 512) as u64;
-                    disk.read(lba, &mut at_rest).expect("in range");
-                    let plain = VerifyWorkload::pattern(0, round, block);
-                    assert!(at_rest != plain, "plaintext at rest at sector {lba}");
+            let disks: Vec<_> = volumes.map(|v| v.shared.clone()).collect();
+            let shadow = run.workload::<ShadowWorkload>();
+            assert_eq!(shadow.verified(), rounds * usize::from(self.queue_depth));
+            let mut sector = [0u8; 512];
+            for mut disk in disks.into_iter().filter(|_| ciphered) {
+                for lba in 64..64 + (rounds * block / 512) as u64 {
+                    disk.read(lba, &mut sector).expect("in range");
+                    let plain = shadow.wrote(lba, &sector);
+                    assert!(!plain, "plaintext at rest at sector {lba}");
                 }
             }
         }

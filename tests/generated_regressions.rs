@@ -4,8 +4,8 @@
 use storm::block::transport::TransportKind;
 use storm::block::BlockDevice;
 use storm::core::{PassiveTap, RelayMode};
-use storm::scenario::{Case, Load, Svc};
-use storm::workloads::VerifyWorkload;
+use storm::scenario::{Case, Delay, Load, Svc};
+use storm::workloads::ShadowWorkload;
 
 /// Whatever a service emits walks every stage between it and the wire. A
 /// cache hit, a read a replica served and a write a snapshot released
@@ -44,7 +44,7 @@ fn passive_tap_refuses_an_nvmeq_flow_it_cannot_transform() {
     run.volume.shared.clone().read(64, &mut at_rest).unwrap();
     assert_ne!(
         at_rest,
-        VerifyWorkload::pattern(0, 0, 16 * 1024),
+        ShadowWorkload::payload(0, 0, 16 * 1024),
         "plaintext at rest"
     );
     assert!(!run.cloud.client_mut(0, run.app).is_ready());
@@ -83,4 +83,26 @@ fn service_read_replies_over_64k_reach_an_iscsi_guest_whole() {
         };
         case.check();
     }
+}
+
+/// A cache holding half a concurrent verify load's footprint answered a
+/// miss read with a sector older than a write acknowledged before the
+/// read was issued. The volume may serve a read before a flush lands, and
+/// by the time its answer passes the cache that flush has completed: the
+/// sector was clean, so not patched in, or already evicted. Every cached
+/// sector now patches the answer, and a sector a miss read covers stays
+/// cached until the answer has passed; this case fails with either half
+/// undone.
+#[test]
+fn cache_miss_answers_are_no_older_than_acknowledged_writes() {
+    let case = Case {
+        seed: 11905,
+        transport: TransportKind::Nvmeq,
+        queue_depth: 8,
+        chain: vec![Svc::Cache],
+        fault: Some(Delay::Disk(0, 90)),
+        load: Load::Verify(65536, 6),
+        ..Case::default()
+    };
+    case.check();
 }

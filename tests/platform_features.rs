@@ -2,35 +2,11 @@
 //! VMs, dynamic SDN scale-down, attribution lookups and tenant isolation.
 
 use bytes::Bytes;
-use storm::cloud::{sdn, Cloud, CloudConfig, IoCtx, IoKind, IoResult, ReqId, Workload};
+use storm::cloud::{sdn, Cloud, CloudConfig};
 use storm::core::service::PassthroughService;
 use storm::core::{MbSpec, RelayMode, StormPlatform};
+use storm::workloads::ShadowWorkload;
 use storm_sim::{SimDuration, SimTime};
-
-struct Pump {
-    rounds: usize,
-    done: usize,
-}
-
-impl Workload for Pump {
-    fn start(&mut self, io: &mut IoCtx<'_>) {
-        io.write(0, Bytes::from(vec![1u8; 4096]));
-    }
-    fn completed(&mut self, io: &mut IoCtx<'_>, _r: ReqId, _k: IoKind, result: IoResult) {
-        assert!(result.ok);
-        self.done += 1;
-        if self.done >= self.rounds {
-            io.stop();
-        } else if self.done.is_multiple_of(2) {
-            io.read((self.done as u64 % 32) * 8, 8);
-        } else {
-            io.write(
-                (self.done as u64 % 32) * 8,
-                Bytes::from(vec![self.done as u8; 4096]),
-            );
-        }
-    }
-}
 
 /// Two middle-box VMs chained on the same flow (paper §II-B's bundle):
 /// traffic must traverse both, in order.
@@ -58,10 +34,7 @@ fn two_middlebox_chain_forwards_through_both() {
         0,
         "vm:chained",
         &vol,
-        Box::new(Pump {
-            rounds: 40,
-            done: 0,
-        }),
+        Box::new(ShadowWorkload::new(0, 4096).rounds(20)),
         13,
         false,
     );
@@ -117,26 +90,12 @@ fn chain_rules_can_be_removed_dynamically() {
 #[test]
 fn attribution_maps_ports_to_vms() {
     let mut cloud = Cloud::build(CloudConfig::default());
-    let v1 = cloud.create_volume(32 << 20, 0);
-    let v2 = cloud.create_volume(32 << 20, 0);
-    let a1 = cloud.attach_volume(
-        0,
-        "vm:alpha",
-        &v1,
-        Box::new(Pump { rounds: 4, done: 0 }),
-        1,
-        false,
-    );
-    let a2 = cloud.attach_volume(
-        0,
-        "vm:beta",
-        &v2,
-        Box::new(Pump { rounds: 4, done: 0 }),
-        2,
-        false,
-    );
+    let volumes = [0, 1].map(|_| cloud.create_volume(32 << 20, 0));
+    for (seed, label, vol) in [(1, "vm:alpha", &volumes[0]), (2, "vm:beta", &volumes[1])] {
+        let shadow = Box::new(ShadowWorkload::new(0, 4096).rounds(2));
+        cloud.attach_volume(0, label, vol, shadow, seed, false);
+    }
     cloud.net.run_until(SimTime::from_nanos(3_000_000_000));
-    let _ = (a1, a2);
     let attrs = cloud.attributions();
     assert_eq!(attrs.len(), 2);
     for a in &attrs {

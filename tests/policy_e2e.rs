@@ -1,12 +1,17 @@
 //! Policy-driven deployment: a tenant policy document, checked and
 //! instantiated by the provider catalogue, drives a full deployment.
 
-use storm::cloud::{Cloud, CloudConfig};
-use storm::core::{MbSpec, RelayMode, ServiceSpec, StormPlatform, TenantPolicy, VolumePolicy};
+use storm::block::MemDisk;
+use storm::cloud::Cloud;
+use storm::core::{
+    Reconstructor, RelayMode, ServiceSpec, StormPlatform, TenantPolicy, VolumePolicy,
+};
+use storm::extfs::ExtFs;
+use storm::scenario::Spec;
 use storm::services::catalog::{self, CatalogError};
 use storm_block::BlockDevice;
 use storm_sim::SimTime;
-use storm_workloads::VerifyWorkload;
+use storm_workloads::ShadowWorkload;
 
 /// A one-volume policy for tenant 9's `db-1`.
 fn policy(mode: RelayMode, services: Vec<ServiceSpec>) -> TenantPolicy {
@@ -21,40 +26,45 @@ fn policy(mode: RelayMode, services: Vec<ServiceSpec>) -> TenantPolicy {
     }
 }
 
+/// A monitor's view of a freshly made filesystem.
+fn recon() -> Reconstructor {
+    let fs = ExtFs::mkfs(MemDisk::with_capacity_bytes(48 << 20)).unwrap();
+    Reconstructor::from_device(&mut fs.into_device().unwrap(), "/mnt").unwrap()
+}
+
+/// Why the catalogue refuses an active two-service chain, if it does.
+fn refusal(kinds: [&str; 2]) -> Option<CatalogError> {
+    let p = policy(RelayMode::Active, kinds.map(ServiceSpec::new).to_vec());
+    catalog::build_chain(&p.volumes[0], Some(recon())).err()
+}
+
 /// Deploys the chain the catalogue builds for the policy's volume, runs
 /// one verified 8 KiB write and read-back through it, and returns the
 /// cloud with the bytes the write left at rest.
 fn deploy(policy: &TenantPolicy) -> (Cloud, Vec<u8>) {
     let vp = &policy.volumes[0];
-    let services = catalog::build_chain(vp, None).expect("catalogue builds the chain");
-    let mut cloud = Cloud::build(CloudConfig::default());
-    let platform = StormPlatform {
-        tenant: policy.tenant,
-        ..StormPlatform::default()
+    let spec = Spec {
+        client_seed: 9,
+        label: "vm:db-1",
+        volume_bytes: u64::from(vp.volume_gb) << 30,
+        mode: Some(vp.mode),
+        services: catalog::build_chain(vp, None).expect("catalogue builds the chain"),
+        platform: StormPlatform {
+            tenant: policy.tenant,
+            ..StormPlatform::default()
+        },
+        ..Spec::default()
     };
-    let volume = cloud.create_volume(u64::from(vp.volume_gb) << 30, 0);
-    let mb = MbSpec::with_services(3, vp.mode, services);
-    let deployment = platform.deploy_chain(&mut cloud, &volume, (1, 2), vec![mb]);
-    let app = platform.attach_volume_steered(
-        &mut cloud,
-        &deployment,
-        0,
-        &format!("vm:{}", vp.vm),
-        &volume,
-        Box::new(VerifyWorkload::new(64, 8192)),
-        9,
-        false,
-    );
-    cloud.net.run_until(SimTime::from_nanos(5_000_000_000));
-    let client = cloud.client_mut(0, app);
-    assert!(client.is_ready());
-    assert_eq!(client.stats.errors, 0);
-    let workload = client.workload_ref().unwrap();
-    let verify = workload.downcast_ref::<VerifyWorkload>().unwrap();
-    assert_eq!(verify.verified(), 1);
+    // The attribution the tests check is the policy's VM.
+    assert_eq!(spec.label, format!("vm:{}", vp.vm));
+    let mut run = spec.build(ShadowWorkload::new(64, 8192), |_, _| {});
+    run.run_until(SimTime::from_nanos(5_000_000_000));
+    // `Run::client` asserts the session is still logged in.
+    assert_eq!(run.client().stats.errors, 0);
+    assert_eq!(run.workload::<ShadowWorkload>().verified(), 1);
     let mut at_rest = vec![0u8; 8192];
-    volume.shared.clone().read(64, &mut at_rest).unwrap();
-    (cloud, at_rest)
+    run.volume.shared.clone().read(64, &mut at_rest).unwrap();
+    (run.cloud, at_rest)
 }
 
 /// The policy's encryption is in force in either relay mode: ciphertext
@@ -70,7 +80,7 @@ fn policy_document_deploys_and_enforces() {
         let (mut cloud, at_rest) = deploy(&policy(mode, vec![encryption]));
         assert_ne!(
             at_rest,
-            VerifyWorkload::pattern(0, 0, 8192),
+            ShadowWorkload::payload(0, 0, 8192),
             "{mode:?}: policy-mandated encryption must apply"
         );
         let attrs = cloud.attributions();
@@ -97,16 +107,25 @@ fn passive_default_encryption_is_refused() {
 /// encrypts what it mirrors.
 #[test]
 fn replication_ahead_of_encryption_is_refused() {
-    let chain = |kinds: [&str; 2]| {
-        let p = policy(RelayMode::Active, kinds.map(ServiceSpec::new).to_vec());
-        catalog::build_chain(&p.volumes[0], None).err()
-    };
     for issuer in ["replication", "cache", "snapshot"] {
         assert_eq!(
-            chain([issuer, "encryption"]),
+            refusal([issuer, "encryption"]),
             Some(CatalogError::ReplicaBeforeEncryption)
         );
-        assert_eq!(chain(["encryption", issuer]), None);
+        assert_eq!(refusal(["encryption", issuer]), None);
+    }
+}
+
+/// The monitor parses write payloads as filesystem blocks. Behind a
+/// cipher or a compressor it sees rewritten bytes, resolves few paths and
+/// raises few alerts, and nothing errs: refused. The other order
+/// monitors plaintext.
+#[test]
+fn monitor_behind_a_payload_rewrite_is_refused() {
+    for rewriter in ["encryption", "compress"] {
+        let refused = Some(CatalogError::RewriteBeforeMonitor);
+        assert_eq!(refusal([rewriter, "monitor"]), refused);
+        assert_eq!(refusal(["monitor", rewriter]), None);
     }
 }
 
@@ -124,15 +143,9 @@ fn invalid_policies_never_reach_deployment() {
 /// and passthrough. A kind the catalogue does not know builds in neither.
 #[test]
 fn validation_and_catalogue_agree_on_every_kind() {
-    use storm::block::MemDisk;
-    use storm::core::Reconstructor;
-    use storm::extfs::ExtFs;
-
     let builds = |mode, spec: &ServiceSpec| {
-        let fs = ExtFs::mkfs(MemDisk::with_capacity_bytes(48 << 20)).unwrap();
-        let recon = Reconstructor::from_device(&mut fs.into_device().unwrap(), "/mnt").unwrap();
         let p = policy(mode, vec![spec.clone()]);
-        catalog::build_chain(&p.volumes[0], Some(recon)).is_ok()
+        catalog::build_chain(&p.volumes[0], Some(recon())).is_ok()
     };
     let stream = ServiceSpec::new("encryption").param("cipher", "chacha20");
     // (service, builds on a passive tap)

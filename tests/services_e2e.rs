@@ -2,7 +2,6 @@
 //! middle-boxes on the full spliced path.
 
 use bytes::Bytes;
-use storm::cloud::{IoCtx, IoKind, IoResult, ReqId, Workload};
 use storm::core::relay::ActiveRelayMb;
 use storm::core::service::PassthroughService;
 use storm::core::{FsOp, FsTargetKind, Reconstructor, RelayMode};
@@ -10,7 +9,7 @@ use storm::scenario::{Replica, Spec};
 use storm::services::{
     DedupService, EncryptionService, MonitorConfig, MonitorService, ReplicationService,
 };
-use storm::workloads::{malware, postmark, TraceWorkload, VerifyWorkload};
+use storm::workloads::{malware, postmark, ShadowWorkload, TraceWorkload};
 use storm_block::BlockDevice;
 use storm_sim::{SimDuration, SimTime};
 
@@ -19,10 +18,10 @@ const TEN_SECS: SimTime = SimTime::from_nanos(10_000_000_000);
 /// Runs one verified round of `bytes` at `lba` through `spec` and returns
 /// what the volume holds there afterwards.
 fn verified_at_rest(spec: Spec, lba: u64, bytes: usize) -> Vec<u8> {
-    let mut run = spec.build(VerifyWorkload::new(lba, bytes), |_, _| {});
+    let mut run = spec.build(ShadowWorkload::new(lba, bytes), |_, _| {});
     run.run_until(TEN_SECS);
     assert_eq!(run.client().stats.errors, 0);
-    assert_eq!(run.workload::<VerifyWorkload>().verified(), 1);
+    assert_eq!(run.workload::<ShadowWorkload>().verified(), 1);
     let mut at_rest = vec![0u8; bytes];
     run.volume.shared.clone().read(lba, &mut at_rest).unwrap();
     at_rest
@@ -38,7 +37,7 @@ fn encryption_middlebox_encrypts_at_rest() {
         ..Spec::default()
     };
     let mut at_rest = verified_at_rest(spec, 4096, 32 * 1024);
-    let plain = VerifyWorkload::pattern(0, 0, 32 * 1024);
+    let plain = ShadowWorkload::payload(0, 0, 32 * 1024);
     assert_ne!(at_rest, plain, "volume must hold ciphertext");
     // Decrypting at rest with the tenant key yields the plaintext.
     let xts = storm_crypto::AesXts::from_master_key(&[0x5C; 64]);
@@ -61,7 +60,7 @@ fn passive_stream_cipher_encrypts_at_rest() {
         ..Spec::default()
     };
     let mut at_rest = verified_at_rest(spec, 512, 16 * 1024);
-    let plain = VerifyWorkload::pattern(0, 0, 16 * 1024);
+    let plain = ShadowWorkload::payload(0, 0, 16 * 1024);
     assert_ne!(at_rest, plain, "volume must hold ciphertext");
     // The keystream at the right volume offset recovers the data.
     let c = storm_crypto::ChaCha20::new(&[0x77; 32], &[0x13; 12]);
@@ -125,32 +124,6 @@ fn monitor_reconstructs_malware_install_over_the_wire() {
 /// removed while the client keeps running (the Figure 13 scenario).
 #[test]
 fn replication_mirrors_and_survives_replica_failure() {
-    /// Writes then reads blocks repeatedly; tolerates no errors.
-    struct Churn {
-        rounds: usize,
-        issued: usize,
-        next_is_read: bool,
-    }
-    impl Workload for Churn {
-        fn start(&mut self, io: &mut IoCtx<'_>) {
-            io.write(0, Bytes::from(vec![1u8; 4096]));
-        }
-        fn completed(&mut self, io: &mut IoCtx<'_>, _r: ReqId, _k: IoKind, result: IoResult) {
-            assert!(result.ok, "client I/O failed");
-            self.issued += 1;
-            if self.issued >= self.rounds {
-                io.stop();
-                return;
-            }
-            let lba = (self.issued as u64 % 64) * 8;
-            if self.next_is_read {
-                io.read(lba, 8);
-            } else {
-                io.write(lba, Bytes::from(vec![(self.issued % 251) as u8; 4096]));
-            }
-            self.next_is_read = !self.next_is_read;
-        }
-    }
     let spec = Spec {
         client_seed: 10,
         label: "vm:db",
@@ -159,12 +132,7 @@ fn replication_mirrors_and_survives_replica_failure() {
         replicas: vec![Replica::Spare(0), Replica::Spare(1)],
         ..Spec::default()
     };
-    let churn = Churn {
-        rounds: 3000,
-        issued: 0,
-        next_is_read: false,
-    };
-    let mut run = spec.build(churn, |_, _| {});
+    let mut run = spec.build(ShadowWorkload::new(0, 4096).rounds(1500), |_, _| {});
     // Run briefly, then fail replica 1's backing volume mid-workload.
     run.cloud.net.run_for(SimDuration::from_millis(50));
     run.spares[0].shared.fail();
@@ -181,13 +149,11 @@ fn replication_mirrors_and_survives_replica_failure() {
     let alerts = run.relay().alerts();
     assert!(alerts.iter().any(|(_, m)| m.contains("replica")));
     // The surviving replica holds the mirrored writes: block 0 was written
-    // with 1s before the failure.
+    // before the failure.
     let mut buf = vec![0u8; 4096];
     run.spares[1].shared.clone().read(0, &mut buf).unwrap();
-    assert!(
-        buf.iter().all(|&b| b == 1),
-        "replica 2 missing mirrored write"
-    );
+    let wrote = ShadowWorkload::payload(0, 0, 4096);
+    assert_eq!(buf, wrote, "replica 2 missing mirrored write");
 }
 
 const DEDUP_ROUNDS: usize = 5;
@@ -198,7 +164,8 @@ const DEDUP_BYTES: usize = 32 * 1024;
 /// one armed dedup middle-box. Verifies every byte round-trips and
 /// survives at rest, and returns the service's stats.
 ///
-/// The payloads are [`VerifyWorkload`]'s seeded noise: periodic data
+/// The payloads are [`ShadowWorkload`]'s seeded noise, keyed by write
+/// and not by address, so equal salts write equal extents: periodic data
 /// degenerates CDC to fixed max-size cuts, hiding the behaviour under
 /// test.
 fn dedup_roundtrip(seed: u64, vms: usize) -> storm::services::DedupStats {
@@ -209,7 +176,7 @@ fn dedup_roundtrip(seed: u64, vms: usize) -> storm::services::DedupStats {
         ..Spec::default()
     };
     let workload =
-        |vm: usize| VerifyWorkload::new(vm as u64 * 1024, DEDUP_BYTES).rounds(DEDUP_ROUNDS);
+        |vm: usize| ShadowWorkload::new(vm as u64 * 1024, DEDUP_BYTES).rounds(DEDUP_ROUNDS);
     let mut run = spec.build(workload(0), |_, _| {});
     let mut clients = vec![(0, run.app)];
     for vm in 1..vms {
@@ -221,12 +188,12 @@ fn dedup_roundtrip(seed: u64, vms: usize) -> storm::services::DedupStats {
     let mut shared = run.volume.shared.clone();
     let mut at_rest = vec![0u8; DEDUP_BYTES];
     for (vm, app) in clients {
-        let verified = run.workload_of::<VerifyWorkload>(vm, app).verified();
+        let verified = run.workload_of::<ShadowWorkload>(vm, app).verified();
         assert_eq!(verified, DEDUP_ROUNDS, "vm {vm}");
         for round in 0..DEDUP_ROUNDS {
             let lba = (vm * 1024 + round * DEDUP_BYTES / 512) as u64;
             shared.read(lba, &mut at_rest).unwrap();
-            let wrote = VerifyWorkload::pattern(0, round, DEDUP_BYTES);
+            let wrote = ShadowWorkload::payload(0, round, DEDUP_BYTES);
             assert_eq!(at_rest, wrote, "at-rest bytes diverge at {lba}");
         }
     }
@@ -276,14 +243,14 @@ fn chained_monitor_then_encryption() {
         ],
         ..Spec::default()
     };
-    let mut run = spec.build(VerifyWorkload::new(1024, 8192), |_, _| {});
+    let mut run = spec.build(ShadowWorkload::new(1024, 8192), |_, _| {});
     run.run_until(TEN_SECS);
-    assert_eq!(run.workload::<VerifyWorkload>().verified(), 1);
+    assert_eq!(run.workload::<ShadowWorkload>().verified(), 1);
     // Ciphertext at rest proves the encryption stage ran *after* the
     // monitor stage on the write path.
     let mut at_rest = vec![0u8; 8192];
     run.volume.shared.clone().read(1024, &mut at_rest).unwrap();
-    assert_ne!(at_rest, VerifyWorkload::pattern(0, 0, 8192));
+    assert_ne!(at_rest, ShadowWorkload::payload(0, 0, 8192));
     let ops = run.service::<PassthroughService>(0).ops();
     assert!(ops > 4, "first chain stage saw the ops");
 }

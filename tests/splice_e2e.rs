@@ -5,7 +5,7 @@ use storm::core::RelayMode;
 use storm::scenario::{Case, Load, Spec};
 use storm_block::BlockDevice;
 use storm_sim::{SimDuration, SimTime};
-use storm_workloads::VerifyWorkload;
+use storm_workloads::ShadowWorkload;
 
 /// Runs one verified round through a bare one-middle-box chain in `mode`,
 /// held to [`Case::check`], and checks both ends: the bytes at rest and
@@ -21,7 +21,7 @@ fn round_trip(mode: RelayMode, bytes: usize) {
     // cipher in a bare chain, so at rest is plaintext in every mode.
     let mut buf = vec![0u8; 512];
     run.volume.shared.clone().read(64, &mut buf).unwrap();
-    assert_eq!(buf, VerifyWorkload::pattern(0, 0, 512), "mode {mode:?}");
+    assert_eq!(buf, ShadowWorkload::payload(0, 0, 512), "mode {mode:?}");
     // The middle-box VM actually carried traffic: its node forwarded
     // packets or terminated connections.
     let host = run.cloud.net.host(run.deployment().mb_nodes[0].node);
@@ -70,17 +70,17 @@ fn atomic_attachment_scopes_steering() {
         mode: Some(RelayMode::Forward),
         ..Spec::default()
     };
-    let mut run = spec.build(VerifyWorkload::new(100, 4096), |_, _| {});
+    let mut run = spec.build(ShadowWorkload::new(100, 4096), |_, _| {});
     // The steering rule is gone now; attach the second volume plainly.
     let vol2 = run.cloud.create_volume(64 << 20, 0);
-    let direct = Box::new(VerifyWorkload::new(100, 4096));
+    let direct = Box::new(ShadowWorkload::new(100, 4096));
     let app2 = run
         .cloud
         .attach_volume(0, "vm:direct", &vol2, direct, 2, false);
     run.run_until(SimTime::from_nanos(10_000_000_000));
     for app in [run.app, app2] {
         assert!(run.cloud.client_mut(0, app).is_ready());
-        assert_eq!(run.workload_of::<VerifyWorkload>(0, app).verified(), 1);
+        assert_eq!(run.workload_of::<ShadowWorkload>(0, app).verified(), 1);
     }
     // Flow pinning: exactly one flow remains pinned on the compute host.
     let compute = run.cloud.computes[0].host;
@@ -105,7 +105,7 @@ fn masquerading_hides_storage_addresses() {
         label: "vm:masq",
         ..Spec::default()
     };
-    let mut run = spec.build(VerifyWorkload::new(8, 4096), |_, _| {});
+    let mut run = spec.build(ShadowWorkload::new(8, 4096), |_, _| {});
     run.run_until(SimTime::from_nanos(5_000_000_000));
     // The active relay terminated connections on the MB: its TCP stack's
     // view of peers must be gateway instance addresses, not 10.1/16

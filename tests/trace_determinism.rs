@@ -7,6 +7,7 @@
 //! with the one dimension its name is about pinned.
 
 use storm::scenario::{Case, Load, Svc};
+use storm::services::WriteBackCacheService;
 
 /// Draws the case with no dimension pinned.
 #[test]
@@ -43,6 +44,27 @@ fn different_seeds_diverge() {
         .check();
         assert_ne!(run.trace(), reseeded.trace());
     }
+}
+
+/// A verify load deeper than one request checks reads that overlap
+/// concurrent writes, partly and wholly, against the shadow model. Among
+/// the draws are a cipher (the at-rest check) and a cache holding half
+/// the footprint, which both hits and misses.
+#[test]
+fn concurrent_reads_match_the_shadow_model() {
+    let deep = |c: &Case| matches!(c.load, Load::Verify(..)) && c.queue_depth > 1;
+    let (mut ciphered, mut missed) = (false, false);
+    for (case, mut run) in Case::check_draws(500, 8, deep) {
+        ciphered |= case.chain.contains(&Svc::Xts) || case.chain.contains(&Svc::ChaCha);
+        if let Some(idx) = case.chain.iter().position(|s| *s == Svc::Cache) {
+            let stats = run.service::<WriteBackCacheService>(idx).stats;
+            missed |= stats.read_hits > 0 && stats.read_misses > 0;
+        }
+    }
+    assert!(
+        ciphered && missed,
+        "no cipher, or no cache that hit and missed"
+    );
 }
 
 mod suite_determinism {

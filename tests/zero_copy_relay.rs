@@ -6,7 +6,7 @@ use storm::block::transport::TransportKind;
 use storm::scenario::{Case, Load, Replica, Spec};
 use storm::services::ReplicationService;
 use storm_sim::SimTime;
-use storm_workloads::VerifyWorkload;
+use storm_workloads::ShadowWorkload;
 
 /// On either wire protocol a bare active-relay chain forwards every
 /// message verbatim — PDUs, doorbell and completion frames, and the nvmeq
@@ -58,27 +58,20 @@ fn two_initiators_side_actions_route_to_originating_pair() {
         ..Spec::default()
     };
     // Two clients on different compute hosts, disjoint LBA ranges,
-    // different data patterns.
-    let pattern_a = VerifyWorkload::new(0, 16 * 1024).rounds(24).salt(17);
-    let pattern_b = VerifyWorkload::new(32 * 1024, 16 * 1024)
+    // different payloads.
+    let a = ShadowWorkload::new(0, 16 * 1024).rounds(24).salt(17);
+    let b = ShadowWorkload::new(32 * 1024, 16 * 1024)
         .rounds(24)
         .salt(91);
-    let mut run = spec.build(pattern_a, |_, _| {});
-    let app_b = run.attach(1, "vm:tenant-b", pattern_b, 23);
+    let mut run = spec.build(a, |_, _| {});
+    let app_b = run.attach(1, "vm:tenant-b", b, 23);
     run.run_until(SimTime::from_nanos(30_000_000_000));
 
     for (idx, app) in [(0, run.app), (1, app_b)] {
-        let client = run.cloud.client_mut(idx, app);
-        assert_eq!(client.stats.errors, 0, "client {idx} saw errors");
-        let workload = client.workload_ref().unwrap();
-        assert_eq!(
-            workload
-                .downcast_ref::<VerifyWorkload>()
-                .unwrap()
-                .verified(),
-            24,
-            "client {idx} must verify all rounds"
-        );
+        let errors = run.cloud.client_mut(idx, app).stats.errors;
+        assert_eq!(errors, 0, "client {idx} saw errors");
+        let verified = run.workload_of::<ShadowWorkload>(idx, app).verified();
+        assert_eq!(verified, 24, "client {idx} must verify all rounds");
     }
 
     // The replies were genuinely served by side actions: reads striped to
