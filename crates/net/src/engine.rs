@@ -16,7 +16,7 @@ use storm_sim::trace::{flow_token, Hop, TraceEvent, TraceHook};
 use storm_sim::{EventQueue, SimDuration, SimRng, SimTime};
 
 use crate::addr::{FourTuple, SockAddr};
-use crate::fabric::{Delivery, Endpoint, Fabric, LinkId, LinkSpec};
+use crate::fabric::{Delivery, Early, EarlyRef, End, Endpoint, Fabric, LinkId, LinkSpec};
 use crate::frame::Frame;
 use crate::host::{AppId, CloseReason, Host, HostId, Iface, IfaceId, Route, SteerRule, TapConfig};
 use crate::nat::{DnatRule, SnatRule};
@@ -62,6 +62,9 @@ pub enum TapVerdict {
 }
 
 /// A simulation event.
+///
+/// Switch hops and gateway egresses that the engine resolves early
+/// (DESIGN §3.1) are not events; the other hops are.
 #[derive(Debug)]
 pub enum Ev {
     /// Application start-up hook.
@@ -124,6 +127,9 @@ pub enum Ev {
     },
 }
 
+// The queue moves events by value: DESIGN §3.1 keeps them at 32 bytes.
+const _: () = assert!(std::mem::size_of::<Ev>() == 32);
+
 /// An application running on a host.
 ///
 /// All methods have no-op defaults; implement the ones the app cares
@@ -179,6 +185,13 @@ pub struct Network {
     /// dispatch loop of `local_input` / `Ev::Resume`; callbacks only send
     /// (through `seg_buf`) and schedule events, they never re-enter either.
     tcp_events: Vec<(AppId, TcpEvent)>,
+    /// The `end` of the `run_until` in progress: hops due by then may be
+    /// resolved early. `None` outside one, so a bare `step_until` resolves
+    /// nothing early (its callers act between steps).
+    horizon: Option<SimTime>,
+    /// Scratch for an early hop's egress ports (the ordinary hop around it
+    /// may hold `Fabric::egress_ports`).
+    early_ports: Vec<PortNo>,
 }
 
 impl std::fmt::Debug for Network {
@@ -205,6 +218,8 @@ impl Network {
             trace: TraceHook::none(),
             seg_buf: Vec::new(),
             tcp_events: Vec::new(),
+            horizon: None,
+            early_ports: Vec::new(),
         }
     }
 
@@ -426,6 +441,10 @@ impl Network {
     /// until the client is ready") that would otherwise poll in
     /// fixed-size `run_for` quanta, re-checking the condition thousands
     /// of times at fleet scale.
+    ///
+    /// Every hop is an event here: a caller may change the fabric between
+    /// two steps, and a frame reaches a switch or leaves a gateway under
+    /// the rules in force at that hop's instant.
     pub fn step_until(&mut self, end: SimTime) -> bool {
         let Some((t, ev)) = self.q.pop_if(|t| t <= end) else {
             return false;
@@ -438,8 +457,17 @@ impl Network {
 
     /// Runs until the queue drains or `end` is reached; time advances to
     /// `end` on return.
+    ///
+    /// Inside the call, a switch hop or gateway egress due by `end` may be
+    /// resolved when its frame is handed over, not queued (DESIGN §3.1):
+    /// nothing outside the engine can change the fabric before `end`, so
+    /// the outcome is the queued one, except that the resolved hop's
+    /// onward event is pushed earlier and may pop in another order among
+    /// events due at the same instant.
     pub fn run_until(&mut self, end: SimTime) {
+        self.horizon = Some(end);
         while self.step_until(end) {}
+        self.horizon = None;
         self.now = end;
     }
 
@@ -449,7 +477,9 @@ impl Network {
         self.run_until(end);
     }
 
-    /// Total events delivered (diagnostics).
+    /// Total events delivered (diagnostics). A hop resolved early is not
+    /// an event, so the count depends on how the run was cut into
+    /// `run_until` and `step_until` calls, not only on what it did.
     pub fn events_delivered(&self) -> u64 {
         self.q.delivered()
     }
@@ -458,11 +488,7 @@ impl Network {
         match ev {
             Ev::Start { host, app } => self.dispatch(host, app, Callback::Start),
             Ev::Arrive { to, frame } => match to {
-                Endpoint::Switch { sw, port } => {
-                    let q = &mut self.q;
-                    self.fabric
-                        .switch_forward(sw, port, frame, self.now, |d| push_delivery(q, d));
-                }
+                Endpoint::Switch { sw, port } => self.switch_hop(sw, port, frame),
                 Endpoint::Host { host, iface } => self.host_input(host, iface, frame),
             },
             Ev::Egress { host, iface, frame } => self.emit(host, iface, frame),
@@ -596,26 +622,259 @@ impl Network {
                 );
             }
         }
-        self.q.push(
-            done,
-            Ev::Egress {
-                host,
-                iface: out_iface,
-                frame,
-            },
-        );
+        if let Err(frame) = self.egress_early(host, out_iface, frame, done) {
+            self.queue_egress(host, out_iface, frame, done);
+        }
     }
 
     /// Emits a frame out of a host interface onto its link.
     fn emit(&mut self, host: HostId, iface: IfaceId, frame: Box<Frame>) {
-        let h = &self.hosts[host.0 as usize];
-        let Some(link) = h.ifaces[iface.0 as usize].link else {
+        if let Some(from) = self.iface_end(host, iface) {
+            self.send(from, from, frame);
+        }
+    }
+
+    /// The link end a host interface is, if it is wired.
+    fn iface_end(&self, host: HostId, iface: IfaceId) -> Option<End> {
+        let link = self.hosts[host.0 as usize].ifaces[iface.0 as usize].link?;
+        self.fabric.end_of(link, Endpoint::Host { host, iface })
+    }
+
+    /// An ordinary switch hop, at its instant: the switch forwards the
+    /// frame in place and each egress port sends it on (a flood clones it
+    /// for all ports but the last).
+    fn switch_hop(&mut self, sw: SwitchId, port: PortNo, mut frame: Box<Frame>) {
+        let mut ports = std::mem::take(&mut self.fabric.egress_ports);
+        let switch = self.fabric.switch_mut(sw);
+        let effects = switch.plan(&mut frame, port, &mut ports);
+        if switch.apply(effects, port) {
+            self.undo_hops_at(sw);
+        }
+        if let (Some((&last, rest)), Some(by)) =
+            (ports.split_last(), self.fabric.port_end(sw, port))
+        {
+            for &out in rest {
+                self.switch_send(sw, out, by, frame.clone());
+            }
+            self.switch_send(sw, last, by, frame);
+        }
+        self.fabric.egress_ports = ports;
+    }
+
+    fn switch_send(&mut self, sw: SwitchId, port: PortNo, by: End, frame: Box<Frame>) {
+        match self.fabric.port_end(sw, port) {
+            Some(from) => self.send(from, by, frame),
+            None => self.fabric.dropped += 1,
+        }
+    }
+
+    /// An ordinary request, at its instant: link end `from` sends `frame`
+    /// for `by`, the switch ingress port the frame came through or the
+    /// sending host interface itself. Early services it overtakes are
+    /// undone first.
+    fn send(&mut self, from: End, by: End, frame: Box<Frame>) {
+        if self.fabric.claim(from, by, self.now) {
+            while let Some(newest) = self.fabric.newest_after(from, self.now) {
+                self.undo(newest);
+            }
+        }
+        if let Some(d) = self.fabric.transmit(from, frame, self.now) {
+            self.deliver(d, from.far(), false);
+        }
+    }
+
+    /// Hands a frame just put on a link to its far end, `end`. Switch hops
+    /// that qualify are resolved on the spot, one after another; the first
+    /// that does not, or the host at the end, gets a queued `Ev::Arrive`.
+    /// `chained`: an early service put the frame on the link.
+    fn deliver(&mut self, d: Delivery, mut end: End, mut chained: bool) {
+        let Delivery {
+            mut at,
+            mut to,
+            mut frame,
+        } = d;
+        while let Endpoint::Switch { sw, port } = to {
+            match self.hop_early(sw, port, end, frame, at) {
+                Ok((onward, from)) => {
+                    (at, to, frame) = (onward.at, onward.to, onward.frame);
+                    (end, chained) = (from.far(), true);
+                }
+                Err(back) => {
+                    frame = back;
+                    self.fabric.mark_queued(end, at);
+                    break;
+                }
+            }
+        }
+        let token = self.q.push_cancelable(at, Ev::Arrive { to, frame });
+        if chained {
+            self.fabric.end_chain(token);
+        }
+    }
+
+    /// Resolves the hop of a frame reaching switch `sw` on `port` (link end
+    /// `ingress`) at `at` now, when (a) `at` is due within the running
+    /// `run_until`, (b) no arrival is queued on the port, (c) forwarding
+    /// only rewrites the frame and counts a rule hit (the sender is learned
+    /// on the port, one egress port, nothing dropped), and (d) the port has
+    /// been the egress queue's only requester. Returns the onward delivery
+    /// and the egress port's link end, or the frame as it came.
+    fn hop_early(
+        &mut self,
+        sw: SwitchId,
+        port: PortNo,
+        ingress: End,
+        mut frame: Box<Frame>,
+        at: SimTime,
+    ) -> Result<(Delivery, End), Box<Frame>> {
+        if !self.due_in_run(at) || self.fabric.has_queued(ingress, self.now) {
+            return Err(frame);
+        }
+        let (src_mac, dst_mac, hops) = (frame.src_mac, frame.dst_mac, frame.hops);
+        let mut ports = std::mem::take(&mut self.early_ports);
+        let effects = self.fabric.switch(sw).plan(&mut frame, port, &mut ports);
+        let from = match *ports {
+            [out] if effects.only_counts_a_hit() => self.fabric.port_end(sw, out),
+            _ => None,
+        };
+        self.early_ports = ports;
+        let Some(from) = from.filter(|&from| self.fabric.may_serve_early(from, ingress, at)) else {
+            (frame.src_mac, frame.dst_mac, frame.hops) = (src_mac, dst_mac, hops);
+            return Err(frame);
+        };
+        self.fabric.switch_mut(sw).apply(effects, port);
+        let early = Early {
+            at,
+            from,
+            ingress,
+            before: self.fabric.queue_state(from),
+            src_mac,
+            dst_mac,
+            hops,
+            rule: effects.rule,
+            queued: None,
+            undone: false,
+        };
+        Ok((self.serve_early(frame, early), from))
+    }
+
+    /// Sends a forwarded frame out of `host` at `at` now, when the host
+    /// runs no apps (so only forwarding uses the link), the link is full
+    /// duplex (so nothing else queues there) and (a), (b) and (d) of
+    /// [`hop_early`](Self::hop_early) hold for the interface.
+    fn egress_early(
+        &mut self,
+        host: HostId,
+        iface: IfaceId,
+        frame: Box<Frame>,
+        at: SimTime,
+    ) -> Result<(), Box<Frame>> {
+        let no_apps = self.hosts[host.0 as usize].apps.is_empty();
+        let from = self.iface_end(host, iface).filter(|&from| {
+            no_apps
+                && self.due_in_run(at)
+                && !self.fabric.is_half_duplex(from.link())
+                && !self.fabric.has_queued(from, self.now)
+                && self.fabric.may_serve_early(from, from, at)
+        });
+        let Some(from) = from else {
+            return Err(frame);
+        };
+        let early = Early {
+            at,
+            from,
+            ingress: from,
+            before: self.fabric.queue_state(from),
+            src_mac: frame.src_mac,
+            dst_mac: frame.dst_mac,
+            hops: frame.hops,
+            rule: None,
+            queued: None,
+            undone: false,
+        };
+        let onward = self.serve_early(frame, early);
+        self.deliver(onward, from.far(), true);
+        Ok(())
+    }
+
+    /// Rule (a): `at` is due within the `run_until` in progress.
+    fn due_in_run(&self, at: SimTime) -> bool {
+        self.horizon.is_some_and(|end| at <= end)
+    }
+
+    /// Serves `frame` from `early.from` at its instant and journals the
+    /// service.
+    fn serve_early(&mut self, frame: Box<Frame>, early: Early) -> Delivery {
+        let onward = self
+            .fabric
+            .transmit(early.from, frame, early.at)
+            .expect("the link is up");
+        self.fabric.record(early, self.now);
+        onward
+    }
+
+    /// Undoes the early service `r` and, newest first, every later one on
+    /// its queue: each frame is queued again as an ordinary event at the
+    /// instant it reached the queue. A service whose frame went on to
+    /// another early hop undoes that hop first.
+    fn undo(&mut self, r: EarlyRef) {
+        let Some(from) = self.fabric.early_mut(r).map(|e| e.from) else {
             return;
         };
-        let from = Endpoint::Host { host, iface };
-        if let Some(d) = self.fabric.transmit(link, from, frame, self.now) {
-            push_delivery(&mut self.q, d);
+        while let Some(newest) = self.fabric.newest_after(from, self.now).filter(|&n| n >= r) {
+            let queued = |net: &mut Self| net.fabric.early_mut(newest).and_then(|e| e.queued);
+            if queued(self).is_none() {
+                // The next hop queues the frame again and hands this entry
+                // the event.
+                self.undo(newest.next());
+            }
+            let Some(token) = queued(self) else {
+                unreachable!("an early hop's frame has moved on");
+            };
+            let Some(Ev::Arrive { mut frame, .. }) = self.q.cancel(token) else {
+                unreachable!("an early hop's frame is queued as an arrival");
+            };
+            let e = self
+                .fabric
+                .unserve(newest, frame.wire_len())
+                .expect("the entry is journaled");
+            let (at, ingress, rule) = (e.at, e.ingress, e.rule);
+            (frame.src_mac, frame.dst_mac, frame.hops) = (e.src_mac, e.dst_mac, e.hops);
+            let ev = match self.fabric.endpoint(ingress) {
+                to @ Endpoint::Switch { sw, .. } => {
+                    if let Some(rule) = rule {
+                        self.fabric
+                            .switch_mut(sw)
+                            .flows_mut()
+                            .count_hit(rule, false);
+                    }
+                    Ev::Arrive { to, frame }
+                }
+                Endpoint::Host { host, iface } => Ev::Egress { host, iface, frame },
+            };
+            self.fabric.mark_queued(ingress, at);
+            let token = self.q.push_cancelable(at, ev);
+            if let Some(parent) = self.fabric.parent_of(newest) {
+                parent.queued = Some(token);
+            }
         }
+    }
+
+    /// A MAC moved to another port of `sw`. The early hops resolved there
+    /// read the table before the move, so those still ahead are undone.
+    fn undo_hops_at(&mut self, sw: SwitchId) {
+        while let Some(r) = self.fabric.oldest_hop_at(sw, self.now) {
+            self.undo(r);
+        }
+    }
+
+    /// Queues a forwarding host's egress, noting it at the interface for
+    /// rule (b).
+    fn queue_egress(&mut self, host: HostId, iface: IfaceId, frame: Box<Frame>, at: SimTime) {
+        if let Some(from) = self.iface_end(host, iface) {
+            self.fabric.mark_queued(from, at);
+        }
+        self.q.push(at, Ev::Egress { host, iface, frame });
     }
 
     /// Delivers a frame to the local TCP stack and dispatches app events.
@@ -719,16 +978,6 @@ impl Network {
         }
         self.hosts[host.0 as usize].apps[app.0 as usize] = Some(a);
     }
-}
-
-fn push_delivery(q: &mut EventQueue<Ev>, d: Delivery) {
-    q.push(
-        d.at,
-        Ev::Arrive {
-            to: d.to,
-            frame: d.frame,
-        },
-    );
 }
 
 impl dyn App {
@@ -951,6 +1200,9 @@ impl<'a> Cx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::MacAddr;
+    use crate::flow::FlowMatch;
+    use crate::frame::{TcpFlags, TcpSegment};
     use std::net::Ipv4Addr;
 
     /// Sink server: counts bytes, echoes nothing.
@@ -1079,6 +1331,287 @@ mod tests {
         }
         let t = done_at.expect("transfer finished").as_millis();
         assert!((30..200).contains(&t), "took {t} ms");
+    }
+
+    fn mac(net: &Network, host: HostId) -> MacAddr {
+        net.host(host).ifaces[0].mac
+    }
+
+    /// A frame of `payload` bytes (`payload + 54` on the wire) to an
+    /// address no host owns, so delivering it changes nothing.
+    fn frame(src: MacAddr, dst: MacAddr, payload: usize) -> Box<Frame> {
+        Box::new(Frame {
+            src_mac: src,
+            dst_mac: dst,
+            src_ip: Ipv4Addr::new(10, 0, 0, 1),
+            dst_ip: Ipv4Addr::new(10, 0, 9, 9),
+            tcp: TcpSegment {
+                src_port: 40000,
+                dst_port: 3260,
+                seq: 0,
+                ack: 0,
+                flags: TcpFlags::ACK,
+                wnd: 0,
+                payload: Bytes::from(vec![0u8; payload]).into(),
+            },
+            hops: 0,
+        })
+    }
+
+    /// `from` emits a 1446-byte frame to `to`'s MAC as an app would
+    /// inside `run_until(end)`.
+    fn emit_in_run(net: &mut Network, end: u64, from: HostId, to: HostId) {
+        let f = frame(mac(net, from), mac(net, to), 1446);
+        emit_frame_in_run(net, end, from, f);
+    }
+
+    fn emit_frame_in_run(net: &mut Network, end: u64, from: HostId, frame: Box<Frame>) {
+        net.horizon = Some(SimTime::from_nanos(end));
+        net.emit(from, IfaceId(0), frame);
+        net.horizon = None;
+    }
+
+    /// Delivers every event due by `end` as `step_until` does (or as
+    /// `run_until` does, with `resolve`), except that frames reaching a
+    /// host are taken off instead: `(instant, host)` per frame.
+    fn step_recording(net: &mut Network, end: u64, resolve: bool) -> Vec<(u64, HostId)> {
+        let end = SimTime::from_nanos(end);
+        net.horizon = resolve.then_some(end);
+        let mut seen = Vec::new();
+        while let Some((t, ev)) = net.q.pop_if(|t| t <= end) {
+            net.now = t;
+            match ev {
+                Ev::Arrive {
+                    to: Endpoint::Host { host, .. },
+                    ..
+                } => seen.push((t.as_nanos(), host)),
+                ev => net.handle(ev),
+            }
+        }
+        net.horizon = None;
+        seen
+    }
+
+    /// `a — sw1 — sw2 — b` on gigabit links, each switch knowing both
+    /// hosts' ports; `c` hangs off `sw2` too. Returns the hosts and
+    /// switches.
+    fn line() -> (Network, [HostId; 3], [SwitchId; 2]) {
+        let mut net = Network::new(3);
+        let hosts = ["a", "b", "c"].map(|name| net.add_host(name, 1));
+        for (i, &h) in hosts.iter().enumerate() {
+            net.add_iface(h, Ipv4Addr::new(10, 0, 0, 1 + i as u8));
+        }
+        let sw = ["sw1", "sw2"].map(|name| net.add_switch(name, 4));
+        net.link_host_switch(hosts[0], IfaceId(0), sw[0], LinkSpec::gigabit());
+        let (_, p1, p2) = net.link_switches(sw[0], sw[1], LinkSpec::gigabit());
+        for &h in &hosts[1..] {
+            net.link_host_switch(h, IfaceId(0), sw[1], LinkSpec::gigabit());
+            let m = mac(&net, h);
+            net.fabric.switch_mut(sw[0]).learn(m, p1);
+        }
+        let m = mac(&net, hosts[0]);
+        net.fabric.switch_mut(sw[1]).learn(m, p2);
+        (net, hosts, sw)
+    }
+
+    /// 1446 payload bytes are 1500 on the wire: 12 µs at 1 Gbps, plus the
+    /// gigabit link's 300 ns per packet and 500 ns of latency per hop, so
+    /// the frame reaches sw1 at 12.8 µs, sw2 at 25.6 µs and b at 38.4 µs.
+    #[test]
+    fn resolved_path_arrives_when_the_queued_one_does() {
+        let (mut net, [a, b, _], _) = line();
+        let f = frame(mac(&net, a), mac(&net, b), 1446);
+        net.emit(a, IfaceId(0), f);
+        let queued = net.q.len();
+        assert_eq!(step_recording(&mut net, 100_000, false), [(38_400, b)]);
+        assert_eq!((queued, net.events_delivered()), (1, 3), "sw1, sw2, b");
+
+        let (mut net, [a, b, _], _) = line();
+        emit_in_run(&mut net, 100_000, a, b);
+        assert_eq!(step_recording(&mut net, 100_000, true), [(38_400, b)]);
+        assert_eq!(net.events_delivered(), 1, "both switch hops resolved");
+    }
+
+    /// `a`, `b` and `c` on one switch; `a`'s link is slow (100 µs, no
+    /// per-packet cost), the others gigabit. Also returns the link to `c`.
+    fn star() -> (Network, [HostId; 3], LinkId) {
+        let mut net = Network::new(4);
+        let hosts = ["a", "b", "c"].map(|name| net.add_host(name, 1));
+        for (i, &h) in hosts.iter().enumerate() {
+            net.add_iface(h, Ipv4Addr::new(10, 0, 0, 1 + i as u8));
+        }
+        let sw = net.add_switch("sw", 4);
+        let slow = LinkSpec {
+            latency: SimDuration::from_micros(100),
+            per_packet: SimDuration::ZERO,
+            ..LinkSpec::gigabit()
+        };
+        net.link_host_switch(hosts[0], IfaceId(0), sw, slow);
+        net.link_host_switch(hosts[1], IfaceId(0), sw, LinkSpec::gigabit());
+        let to_c = net.link_host_switch(hosts[2], IfaceId(0), sw, LinkSpec::gigabit());
+        (net, hosts, to_c)
+    }
+
+    /// `a`'s slow link (100 µs, no per-packet cost) brings its frames to
+    /// the switch at 112 and 124 µs; both hops are resolved when `a`
+    /// emits, so the queue to `c` is served early for them. `b`'s frame,
+    /// emitted after, reaches the switch at 12.8 µs: it is the queue's
+    /// second requester, so its hop is queued, and when it is served it
+    /// finds the two early services still ahead of their instants. They
+    /// are undone, `b` is served first (c at 25.6 µs), and `a`'s frames
+    /// follow at their own instants (c at 124.8 and 137.1 µs).
+    #[test]
+    fn a_second_requester_undoes_the_early_services_it_overtakes() {
+        let (mut net, [a, b, c], to_c) = star();
+        let end = 1_000_000;
+        for _ in 0..2 {
+            emit_in_run(&mut net, end, a, c);
+        }
+        let next = |net: &mut Network| net.q.peek_time().map(SimTime::as_nanos);
+        assert_eq!(next(&mut net), Some(124_800), "both hops resolved");
+        emit_in_run(&mut net, end, b, c);
+        assert_eq!(
+            step_recording(&mut net, end, true),
+            [(25_600, c), (124_800, c), (137_100, c)]
+        );
+        assert_eq!(net.fabric.link(to_c).frames(), 3);
+        assert_eq!(
+            net.events_delivered(),
+            6,
+            "three switch hops, three arrivals"
+        );
+        // The queue to `c` is shared now: `a`'s next hop is an event again.
+        let start = net.now().as_nanos();
+        emit_in_run(&mut net, start + end, a, c);
+        assert_eq!(next(&mut net), Some(start + 112_000), "the hop is queued");
+        let seen = step_recording(&mut net, start + end, true);
+        assert_eq!(seen, [(start + 124_800, c)]);
+        assert_eq!(net.events_delivered(), 8);
+    }
+
+    /// `a`'s frame to `b` is resolved when `a` emits it, to reach the
+    /// switch at 112 µs. Meanwhile a 100-byte frame from `c` with `b`'s
+    /// MAC as its source (154 bytes, 1.232 µs on the wire) reaches the
+    /// switch at 2.032 µs and moves `b` to `c`'s port. The move undoes the
+    /// early hop, so at 112 µs the switch sends `a`'s frame where `b` now
+    /// is: `c`, at 124.8 µs. `c`'s frame reaches `a` at 103.264 µs.
+    #[test]
+    fn a_mac_move_undoes_the_early_hops_that_read_the_old_port() {
+        let (mut net, [a, b, c], _) = star();
+        let end = 1_000_000;
+        emit_in_run(&mut net, end, a, b);
+        let moved = frame(mac(&net, b), mac(&net, a), 100);
+        emit_frame_in_run(&mut net, end, c, moved);
+        assert_eq!(
+            step_recording(&mut net, end, true),
+            [(103_264, a), (124_800, c)]
+        );
+    }
+
+    /// Two frames from `a` are emitted before sw1's steering rule is
+    /// removed, between two `step_until` calls, and both reach sw1's far
+    /// side after the removal. The first was emitted inside `run_until`
+    /// and crossed sw1 (12.8 µs) by the run's end, so it stays steered to
+    /// `c`. The second was emitted outside a run: its hop at sw1 (25.6 µs)
+    /// is an event, so the removal reaches it and it goes to `b`, behind
+    /// the first on the trunk (51.2 µs).
+    #[test]
+    fn a_removed_steering_rule_still_steered_the_frames_that_crossed_it() {
+        let (mut net, [a, b, c], [sw1, _]) = line();
+        let steer = FlowMatch::any().dst_mac(mac(&net, b));
+        let rule = crate::switch::steering_rule(10, steer, mac(&net, c));
+        net.fabric.switch_mut(sw1).flows_mut().install(rule);
+        emit_in_run(&mut net, 12_800, a, b);
+        net.run_until(SimTime::from_nanos(12_800));
+        net.emit(a, IfaceId(0), frame(mac(&net, a), mac(&net, b), 1446));
+        assert!(
+            net.step_until(SimTime::from_nanos(25_600)),
+            "the first frame's hop at sw2"
+        );
+        assert_eq!(net.fabric.switch_mut(sw1).flows_mut().remove(&steer), 1);
+        assert_eq!(
+            step_recording(&mut net, 100_000, false),
+            [(38_400, c), (51_200, b)]
+        );
+    }
+
+    #[test]
+    fn a_switch_hop_moves_the_frame_to_the_learned_port() {
+        let mut net = Network::new(5);
+        let hosts = ["a", "b"].map(|name| net.add_host(name, 1));
+        let sw = net.add_switch("sw", 4);
+        for (i, &h) in hosts.iter().enumerate() {
+            net.add_iface(h, Ipv4Addr::new(10, 0, 0, 1 + i as u8));
+            net.link_host_switch(h, IfaceId(0), sw, LinkSpec::instant());
+        }
+        let f = frame(mac(&net, hosts[0]), mac(&net, hosts[1]), 100);
+        let sent: *const Frame = &*f;
+        net.switch_hop(sw, PortNo(0), f);
+        let Some((_, Ev::Arrive { to, frame })) = net.q.pop() else {
+            panic!("one arrival queued");
+        };
+        assert_eq!(
+            to,
+            Endpoint::Host {
+                host: hosts[1],
+                iface: IfaceId(0)
+            }
+        );
+        // A unicast hop moves the frame: same heap object, rewritten in place.
+        assert!(std::ptr::eq(&*frame, sent));
+        assert_eq!(frame.hops, 1);
+        assert!(net.q.is_empty());
+    }
+
+    #[test]
+    fn flood_clones_share_payload_storage() {
+        let mut net = Network::new(6);
+        let hosts = ["a", "b", "c", "d"].map(|name| net.add_host(name, 1));
+        let sw = net.add_switch("sw", 4);
+        for (i, &h) in hosts.iter().enumerate() {
+            net.add_iface(h, Ipv4Addr::new(10, 0, 0, 1 + i as u8));
+            net.link_host_switch(h, IfaceId(0), sw, LinkSpec::instant());
+        }
+        // Unknown destination: one frame per other port, in port order,
+        // the sender's own box last.
+        let f = frame(mac(&net, hosts[0]), MacAddr::nth(99), 100);
+        let sent: *const Frame = &*f;
+        let storage = f.tcp.payload.chunks()[0].clone();
+        net.switch_hop(sw, PortNo(0), f);
+        let deliveries: Vec<(Endpoint, Box<Frame>)> = std::iter::from_fn(|| net.q.pop())
+            .map(|(_, ev)| match ev {
+                Ev::Arrive { to, frame } => (to, frame),
+                ev => panic!("unexpected {ev:?}"),
+            })
+            .collect();
+        let to: Vec<Endpoint> = deliveries.iter().map(|d| d.0).collect();
+        let host_end = |h: HostId| Endpoint::Host {
+            host: h,
+            iface: IfaceId(0),
+        };
+        assert_eq!(
+            to,
+            hosts[1..].iter().map(|&h| host_end(h)).collect::<Vec<_>>()
+        );
+        for (_, f) in &deliveries {
+            assert!(f.tcp.payload.chunks()[0].same_storage(&storage));
+            assert_eq!(f.hops, 1);
+        }
+        assert!(std::ptr::eq(&*deliveries[2].1, sent));
+        assert!(!std::ptr::eq(&*deliveries[0].1, sent));
+    }
+
+    #[test]
+    fn unwired_flood_ports_count_drops() {
+        let mut net = Network::new(7);
+        let a = net.add_host("a", 1);
+        net.add_iface(a, Ipv4Addr::new(10, 0, 0, 1));
+        let sw = net.add_switch("sw", 3);
+        net.link_host_switch(a, IfaceId(0), sw, LinkSpec::instant());
+        // Unknown destination floods to ports 1 and 2, neither wired.
+        net.switch_hop(sw, PortNo(0), frame(mac(&net, a), MacAddr::nth(99), 10));
+        assert!(net.q.is_empty());
+        assert_eq!(net.fabric.dropped(), 2);
     }
 
     /// Two hosts with no switch path cannot talk; no panic, no delivery.

@@ -15,14 +15,23 @@
 //! # Frame ownership
 //!
 //! A frame in flight is one heap object (`Box<Frame>`), allocated where a
-//! host emits it. [`Fabric::transmit`] and [`Fabric::switch_forward`]
-//! take the box and hand it on inside the [`Delivery`]: a link or switch
-//! hop moves a pointer and allocates nothing. The one exception is a
-//! flood, which clones the frame for every egress port but the last.
+//! host emits it. [`Fabric::transmit`] takes the box and hands it on
+//! inside the [`Delivery`]: a link or switch hop moves a pointer and
+//! allocates nothing. The one exception is a flood, which clones the
+//! frame for every egress port but the last.
+//!
+//! # Early services
+//!
+//! The engine may serve a link queue before the instant the request would
+//! have reached it (DESIGN §3.1). Each link queue keeps who has asked it
+//! for service ([`Claim`]) and the instant of its latest early service,
+//! and the fabric journals the services done ahead of their instant
+//! ([`Early`]), so that a conflicting request can undo them.
 
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
-use storm_sim::{IdMap, SerialResource, SimDuration, SimTime};
+use storm_sim::{CancelToken, IdMap, SerialResource, SimDuration, SimTime};
 
 use crate::addr::MacAddr;
 use crate::frame::Frame;
@@ -132,6 +141,13 @@ pub struct Link {
     up: bool,
     frames: u64,
     bytes: u64,
+    /// Who has requested each queue so far.
+    claims: [Claim; 2],
+    /// Per queue, the instant of its latest early service.
+    early_until: [SimTime; 2],
+    /// Per end, the instant of the latest frame event queued towards it:
+    /// an arrival at a switch port, an egress of a host interface.
+    queued_until: [Option<SimTime>; 2],
 }
 
 impl Link {
@@ -167,19 +183,103 @@ pub struct Delivery {
     pub frame: Box<Frame>,
 }
 
+/// One end of one link, as a number: a switch port or host interface
+/// names itself by the link wired to it. A frame sent from an end leaves
+/// in that end's direction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct End(u32);
+
+impl End {
+    fn new(link: LinkId, end: usize) -> End {
+        End(link.0 << 1 | end as u32)
+    }
+
+    pub(crate) fn link(self) -> LinkId {
+        LinkId(self.0 >> 1)
+    }
+
+    /// The other end of the link.
+    pub(crate) fn far(self) -> End {
+        End(self.0 ^ 1)
+    }
+
+    fn index(self) -> usize {
+        (self.0 & 1) as usize
+    }
+}
+
+/// Who has requested a link queue so far.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum Claim {
+    /// Nobody yet.
+    #[default]
+    Free,
+    /// One requester: the switch ingress port or host interface the
+    /// frames came through.
+    One(End),
+    /// A second requester came, or an early service was undone; no
+    /// service is done early here again.
+    Shared,
+}
+
+/// Names an [`Early`] entry by its place in the fabric's journal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct EarlyRef(u64);
+
+impl EarlyRef {
+    /// The entry journaled right after this one: the next hop of the
+    /// chain, if this entry's frame went on to one.
+    pub(crate) fn next(self) -> EarlyRef {
+        EarlyRef(self.0 + 1)
+    }
+}
+
+/// A link-queue service done ahead of its instant, and what undoing it
+/// takes. The hops of one chain are journaled one after another, so an
+/// entry without a `queued` event handed its frame to the next entry.
+#[derive(Debug)]
+pub(crate) struct Early {
+    /// When the request would have reached the queue.
+    pub(crate) at: SimTime,
+    /// The end that sent the frame: the queue served is its direction's.
+    pub(crate) from: End,
+    /// The requester, where the frame was at `at`: a switch ingress port
+    /// (queued again as an `Ev::Arrive` if the service is undone) or a
+    /// forwarding host's interface (an `Ev::Egress`).
+    pub(crate) ingress: End,
+    /// The queue before the service.
+    pub(crate) before: SerialResource,
+    /// The frame's addressing and hop count before the hop.
+    pub(crate) src_mac: MacAddr,
+    pub(crate) dst_mac: MacAddr,
+    pub(crate) hops: u8,
+    /// The flow rule the switch hop hit.
+    pub(crate) rule: Option<u32>,
+    /// The `Ev::Arrive` the chain ended in, if it ended here.
+    pub(crate) queued: Option<CancelToken>,
+    /// Whether the service has been undone.
+    pub(crate) undone: bool,
+}
+
 /// The wiring graph: switches, links and the (static) ARP map.
 #[derive(Debug, Default)]
 pub struct Fabric {
     switches: Vec<VirtualSwitch>,
     links: Vec<Link>,
-    /// The link wired to each switch port: `[switch][port]`.
-    port_links: Vec<Vec<Option<LinkId>>>,
+    /// The link end wired to each switch port: `[switch][port]`.
+    port_ends: Vec<Vec<Option<End>>>,
     arp: IdMap<Ipv4Addr, MacAddr>,
-    dropped: u64,
+    pub(crate) dropped: u64,
     /// Scratch for one switch hop's egress ports, reused across hops so
-    /// forwarding allocates nothing. `switch_forward` takes it and puts
-    /// it back; nothing it calls comes back into the fabric.
-    egress_ports: Vec<PortNo>,
+    /// forwarding allocates nothing. The engine's switch hop takes it and
+    /// puts it back; an early hop inside it uses a scratch of its own.
+    pub(crate) egress_ports: Vec<PortNo>,
+    /// Early services not yet known to be settled, in the order they were
+    /// done (DESIGN §3.1).
+    journal: VecDeque<Early>,
+    /// Entries dropped from the journal's front so far: entry `i` is
+    /// `journal[i - settled]`.
+    settled: u64,
 }
 
 impl Fabric {
@@ -190,7 +290,7 @@ impl Fabric {
 
     /// Adds a switch, returning its id.
     pub fn add_switch(&mut self, sw: VirtualSwitch) -> SwitchId {
-        self.port_links.push(vec![None; sw.port_count()]);
+        self.port_ends.push(vec![None; sw.port_count()]);
         self.switches.push(sw);
         SwitchId(self.switches.len() as u32 - 1)
     }
@@ -216,13 +316,13 @@ impl Fabric {
     /// Panics if a switch port is already wired.
     pub fn add_link(&mut self, a: Endpoint, b: Endpoint, spec: LinkSpec) -> LinkId {
         let id = LinkId(self.links.len() as u32);
-        for end in [a, b] {
+        for (i, end) in [a, b].into_iter().enumerate() {
             if let Endpoint::Switch { sw, port } = end {
-                let ports = &mut self.port_links[sw.0 as usize];
+                let ports = &mut self.port_ends[sw.0 as usize];
                 if ports.len() <= port.0 as usize {
                     ports.resize(port.0 as usize + 1, None);
                 }
-                let prev = ports[port.0 as usize].replace(id);
+                let prev = ports[port.0 as usize].replace(End::new(id, i));
                 assert!(prev.is_none(), "switch port {sw}:{port} wired twice");
             }
         }
@@ -233,6 +333,9 @@ impl Fabric {
             up: true,
             frames: 0,
             bytes: 0,
+            claims: [Claim::Free; 2],
+            early_until: [SimTime::ZERO; 2],
+            queued_until: [None; 2],
         });
         id
     }
@@ -266,7 +369,12 @@ impl Fabric {
 
     /// The link wired to a switch port, if any.
     pub fn link_at(&self, sw: SwitchId, port: PortNo) -> Option<LinkId> {
-        *self.port_links.get(sw.0 as usize)?.get(port.0 as usize)?
+        self.port_end(sw, port).map(End::link)
+    }
+
+    /// The link end wired to a switch port, if any.
+    pub(crate) fn port_end(&self, sw: SwitchId, port: PortNo) -> Option<End> {
+        *self.port_ends.get(sw.0 as usize)?.get(port.0 as usize)?
     }
 
     /// Frames dropped by the fabric (down links, unwired ports).
@@ -274,29 +382,21 @@ impl Fabric {
         self.dropped
     }
 
-    /// Transmits `frame` from endpoint `from` over link `id`, returning the
-    /// resulting delivery, or `None` if the frame is dropped.
-    pub fn transmit(
+    /// Transmits `frame` from link end `from` over its link, returning the
+    /// resulting delivery, or `None` if the link is down.
+    pub(crate) fn transmit(
         &mut self,
-        id: LinkId,
-        from: Endpoint,
+        from: End,
         frame: Box<Frame>,
         now: SimTime,
     ) -> Option<Delivery> {
-        let link = &mut self.links[id.0 as usize];
+        let queue = self.queue_of(from);
+        let link = &mut self.links[from.link().0 as usize];
         if !link.up {
             self.dropped += 1;
             return None;
         }
-        let dir = if link.ends[0] == from {
-            0
-        } else if link.ends[1] == from {
-            1
-        } else {
-            self.dropped += 1;
-            return None;
-        };
-        let to = link.ends[1 - dir];
+        let to = link.ends[from.far().index()];
         // Control frames (bare acks) copy far less than full data packets.
         let per_packet = if frame.tcp.payload.is_empty() {
             link.spec.per_packet / 4
@@ -305,7 +405,6 @@ impl Fabric {
         };
         let occupancy =
             per_packet + SimDuration::transmission(frame.wire_len(), link.spec.bandwidth_bps);
-        let queue = if link.spec.half_duplex { 0 } else { dir };
         let done = link.queues[queue].serve(now, occupancy);
         link.frames += 1;
         link.bytes += frame.wire_len() as u64;
@@ -316,45 +415,165 @@ impl Fabric {
         })
     }
 
-    /// Runs switch forwarding for a frame arriving at `sw` on `port` and
-    /// transmits the results, handing every onward delivery to `sink`.
-    ///
-    /// The switch rewrites the frame in place; the frame itself moves to
-    /// the last egress port and is cloned only for the others (a flood).
-    pub fn switch_forward(
-        &mut self,
-        sw: SwitchId,
-        port: PortNo,
-        mut frame: Box<Frame>,
-        now: SimTime,
-        mut sink: impl FnMut(Delivery),
-    ) {
-        let mut ports = std::mem::take(&mut self.egress_ports);
-        self.switches[sw.0 as usize].forward_in_place(&mut frame, port, &mut ports);
-        if let Some((&last, rest)) = ports.split_last() {
-            for &out_port in rest {
-                self.switch_output(sw, out_port, frame.clone(), now, &mut sink);
-            }
-            self.switch_output(sw, last, frame, now, &mut sink);
-        }
-        self.egress_ports = ports;
+    /// The end of link `id` that `endpoint` is, if it is one.
+    pub(crate) fn end_of(&self, id: LinkId, endpoint: Endpoint) -> Option<End> {
+        let i = self.links[id.0 as usize]
+            .ends
+            .iter()
+            .position(|&e| e == endpoint)?;
+        Some(End::new(id, i))
     }
 
-    fn switch_output(
-        &mut self,
-        sw: SwitchId,
-        port: PortNo,
-        frame: Box<Frame>,
-        now: SimTime,
-        sink: &mut impl FnMut(Delivery),
-    ) {
-        let Some(link) = self.link_at(sw, port) else {
-            self.dropped += 1;
-            return;
-        };
-        if let Some(d) = self.transmit(link, Endpoint::Switch { sw, port }, frame, now) {
-            sink(d);
+    /// The endpoint at an end.
+    pub(crate) fn endpoint(&self, end: End) -> Endpoint {
+        self.links[end.link().0 as usize].ends[end.index()]
+    }
+
+    /// The queue frames sent from `from` use: its direction's, or the one
+    /// both directions of a half-duplex link share.
+    fn queue_of(&self, from: End) -> usize {
+        if self.links[from.link().0 as usize].spec.half_duplex {
+            0
+        } else {
+            from.index()
         }
+    }
+
+    /// The link and queue frames sent from `from` use.
+    fn queue_key(&self, from: End) -> (LinkId, usize) {
+        (from.link(), self.queue_of(from))
+    }
+
+    /// Notes a frame event queued towards `end` for instant `at`.
+    pub(crate) fn mark_queued(&mut self, end: End, at: SimTime) {
+        let until = &mut self.links[end.link().0 as usize].queued_until[end.index()];
+        *until = (*until).max(Some(at));
+    }
+
+    /// Rule (b) of §3.1: whether a frame event queued towards `end` may not
+    /// have been delivered by `now`. Events towards one end are due in the
+    /// order they were queued, so only the latest counts; one due exactly
+    /// at `now` counts as pending.
+    pub(crate) fn has_queued(&self, end: End, now: SimTime) -> bool {
+        self.links[end.link().0 as usize].queued_until[end.index()].is_some_and(|t| t >= now)
+    }
+
+    /// Registers an ordinary request by `by` on the queue `from` sends on,
+    /// at `now`: rule (d)'s bookkeeping. Returns whether early services
+    /// after `now` are outstanding there; the caller undoes them before it
+    /// is served, and the queue is shared from then on.
+    pub(crate) fn claim(&mut self, from: End, by: End, now: SimTime) -> bool {
+        let queue = self.queue_of(from);
+        let link = &mut self.links[from.link().0 as usize];
+        let conflict = link.early_until[queue] > now;
+        let claim = &mut link.claims[queue];
+        *claim = match *claim {
+            Claim::Free if !conflict => Claim::One(by),
+            Claim::One(owner) if owner == by && !conflict => Claim::One(owner),
+            _ => Claim::Shared,
+        };
+        conflict
+    }
+
+    /// Whether `by` may be served early at `at` on the queue `from` sends
+    /// on: the link is up, nobody else has requested the queue (rule (d)),
+    /// and nothing served there early is due later, so FIFO order holds.
+    pub(crate) fn may_serve_early(&self, from: End, by: End, at: SimTime) -> bool {
+        let queue = self.queue_of(from);
+        let link = &self.links[from.link().0 as usize];
+        link.up
+            && (link.claims[queue] == Claim::Free || link.claims[queue] == Claim::One(by))
+            && link.early_until[queue] <= at
+    }
+
+    /// Whether a link's directions share one queue.
+    pub(crate) fn is_half_duplex(&self, id: LinkId) -> bool {
+        self.links[id.0 as usize].spec.half_duplex
+    }
+
+    /// The state of the queue `from` sends on, kept by a journal entry
+    /// before an early service.
+    pub(crate) fn queue_state(&self, from: End) -> SerialResource {
+        self.links[from.link().0 as usize].queues[self.queue_of(from)].clone()
+    }
+
+    /// Journals an early service just done and claims its queue for the
+    /// requester. Settled entries (due by `now`) leave the journal's front
+    /// on the way.
+    pub(crate) fn record(&mut self, e: Early, now: SimTime) {
+        while self.journal.front().is_some_and(|e| e.at <= now) {
+            self.journal.pop_front();
+            self.settled += 1;
+        }
+        let queue = self.queue_of(e.from);
+        let link = &mut self.links[e.from.link().0 as usize];
+        if link.claims[queue] == Claim::Free {
+            link.claims[queue] = Claim::One(e.ingress);
+        }
+        link.early_until[queue] = e.at;
+        self.journal.push_back(e);
+    }
+
+    /// Ends the chain just journaled: its frame is queued as `token`.
+    pub(crate) fn end_chain(&mut self, token: CancelToken) {
+        if let Some(e) = self.journal.back_mut() {
+            e.queued = Some(token);
+        }
+    }
+
+    /// A journal entry, unless it has settled.
+    pub(crate) fn early_mut(&mut self, r: EarlyRef) -> Option<&mut Early> {
+        let i = usize::try_from(r.0.checked_sub(self.settled)?).ok()?;
+        self.journal.get_mut(i)
+    }
+
+    /// The live journal entries, newest first.
+    fn live(&self) -> impl Iterator<Item = (EarlyRef, &Early)> {
+        let settled = self.settled;
+        (self.journal.iter().enumerate().rev())
+            .filter(|(_, e)| !e.undone)
+            .map(move |(i, e)| (EarlyRef(settled + i as u64), e))
+    }
+
+    /// The newest early service still to be undone on the queue `from`
+    /// sends on, if it is due after `now`.
+    pub(crate) fn newest_after(&self, from: End, now: SimTime) -> Option<EarlyRef> {
+        let key = self.queue_key(from);
+        let (r, e) = self.live().find(|(_, e)| self.queue_key(e.from) == key)?;
+        (e.at > now).then_some(r)
+    }
+
+    /// The oldest early hop at switch `sw` that is due after `now`.
+    pub(crate) fn oldest_hop_at(&self, sw: SwitchId, now: SimTime) -> Option<EarlyRef> {
+        let at_sw = |e: &Early| matches!(self.endpoint(e.ingress), Endpoint::Switch { sw: s, .. } if s == sw);
+        self.live()
+            .filter(|(_, e)| e.at > now && at_sw(e))
+            .last()
+            .map(|(r, _)| r)
+    }
+
+    /// The early hop that handed `r`'s frame over, if it is journaled.
+    pub(crate) fn parent_of(&mut self, r: EarlyRef) -> Option<&mut Early> {
+        let p = self.early_mut(EarlyRef(r.0.checked_sub(1)?))?;
+        (!p.undone && p.queued.is_none()).then_some(p)
+    }
+
+    /// Takes an early service back, the newest on its queue: the queue
+    /// state and the link's counters return to what they were before it.
+    pub(crate) fn unserve(&mut self, r: EarlyRef, wire_len: usize) -> Option<&Early> {
+        let e = self.early_mut(r)?;
+        e.undone = true;
+        let (from, before) = (e.from, e.before.clone());
+        let key = self.queue_key(from);
+        let until = self.live().find(|(_, e)| self.queue_key(e.from) == key);
+        let until = until.map_or(SimTime::ZERO, |(_, e)| e.at);
+        let (id, queue) = key;
+        let link = &mut self.links[id.0 as usize];
+        link.queues[queue] = before;
+        link.early_until[queue] = until;
+        link.frames -= 1;
+        link.bytes -= wire_len as u64;
+        self.early_mut(r).map(|e| &*e)
     }
 }
 
@@ -383,6 +602,12 @@ mod tests {
         })
     }
 
+    /// Transmits from host endpoint `from` over link `l`.
+    fn send(f: &mut Fabric, l: LinkId, from: Endpoint, frame: Box<Frame>) -> Option<Delivery> {
+        let end = f.end_of(l, from).unwrap();
+        f.transmit(end, frame, SimTime::ZERO)
+    }
+
     fn host_end(h: u32, i: u32) -> Endpoint {
         Endpoint::Host {
             host: HostId(h),
@@ -401,20 +626,14 @@ mod tests {
         };
         let l = f.add_link(host_end(0, 0), host_end(1, 0), spec);
         // 1446-byte payload + 54 header = 1500 bytes = 12 us at 1 Gbps.
-        let d = f
-            .transmit(l, host_end(0, 0), frame(1446), SimTime::ZERO)
-            .unwrap();
+        let d = send(&mut f, l, host_end(0, 0), frame(1446)).unwrap();
         assert_eq!(d.at.as_micros(), 112);
         assert_eq!(d.to, host_end(1, 0));
         // Second frame queues behind the first (FIFO serialization).
-        let d2 = f
-            .transmit(l, host_end(0, 0), frame(1446), SimTime::ZERO)
-            .unwrap();
+        let d2 = send(&mut f, l, host_end(0, 0), frame(1446)).unwrap();
         assert_eq!(d2.at.as_micros(), 124);
         // Reverse direction has its own queue (full duplex).
-        let d3 = f
-            .transmit(l, host_end(1, 0), frame(1446), SimTime::ZERO)
-            .unwrap();
+        let d3 = send(&mut f, l, host_end(1, 0), frame(1446)).unwrap();
         assert_eq!(d3.at.as_micros(), 112);
         assert_eq!(f.link(l).frames(), 3);
         assert_eq!(f.link(l).bytes(), 3 * 1500);
@@ -426,95 +645,10 @@ mod tests {
         let l = f.add_link(host_end(0, 0), host_end(1, 0), LinkSpec::instant());
         f.set_link_up(l, false);
         assert!(!f.link(l).is_up());
-        assert!(f
-            .transmit(l, host_end(0, 0), frame(10), SimTime::ZERO)
-            .is_none());
+        assert!(send(&mut f, l, host_end(0, 0), frame(10)).is_none());
         assert_eq!(f.dropped(), 1);
         f.set_link_up(l, true);
-        assert!(f
-            .transmit(l, host_end(0, 0), frame(10), SimTime::ZERO)
-            .is_some());
-    }
-
-    #[test]
-    fn switch_forward_moves_the_frame_to_the_learned_port() {
-        let mut f = Fabric::new();
-        let sw = f.add_switch(VirtualSwitch::new("sw", 4));
-        let la = f.add_link(
-            host_end(0, 0),
-            Endpoint::Switch {
-                sw,
-                port: PortNo(0),
-            },
-            LinkSpec::instant(),
-        );
-        let _lb = f.add_link(
-            host_end(1, 0),
-            Endpoint::Switch {
-                sw,
-                port: PortNo(1),
-            },
-            LinkSpec::instant(),
-        );
-        assert_eq!(f.link_at(sw, PortNo(0)), Some(la));
-        f.switch_mut(sw).learn(MacAddr::nth(2), PortNo(1));
-        let frame = frame(100);
-        let sent: *const Frame = &*frame;
-        let mut deliveries = Vec::new();
-        f.switch_forward(sw, PortNo(0), frame, SimTime::ZERO, |d| deliveries.push(d));
-        assert_eq!(deliveries.len(), 1);
-        assert_eq!(deliveries[0].to, host_end(1, 0));
-        // A unicast hop moves the frame: same heap object, rewritten in place.
-        assert!(std::ptr::eq(&*deliveries[0].frame, sent));
-        assert_eq!(deliveries[0].frame.hops, 1);
-    }
-
-    #[test]
-    fn flood_clones_share_payload_storage() {
-        let mut f = Fabric::new();
-        let sw = f.add_switch(VirtualSwitch::new("sw", 4));
-        for p in 0..4 {
-            let port = PortNo(p as u16);
-            f.add_link(
-                host_end(p, 0),
-                Endpoint::Switch { sw, port },
-                LinkSpec::instant(),
-            );
-        }
-        // Unknown destination: one frame per other port, in port order,
-        // the sender's own box last.
-        let frame = frame(100);
-        let sent: *const Frame = &*frame;
-        let storage = frame.tcp.payload.chunks()[0].clone();
-        let mut deliveries = Vec::new();
-        f.switch_forward(sw, PortNo(0), frame, SimTime::ZERO, |d| deliveries.push(d));
-        let to: Vec<Endpoint> = deliveries.iter().map(|d| d.to).collect();
-        assert_eq!(to, [host_end(1, 0), host_end(2, 0), host_end(3, 0)]);
-        for d in &deliveries {
-            assert!(d.frame.tcp.payload.chunks()[0].same_storage(&storage));
-            assert_eq!(d.frame.hops, 1);
-        }
-        assert!(std::ptr::eq(&*deliveries[2].frame, sent));
-        assert!(!std::ptr::eq(&*deliveries[0].frame, sent));
-    }
-
-    #[test]
-    fn unwired_flood_ports_count_drops() {
-        let mut f = Fabric::new();
-        let sw = f.add_switch(VirtualSwitch::new("sw", 3));
-        f.add_link(
-            host_end(0, 0),
-            Endpoint::Switch {
-                sw,
-                port: PortNo(0),
-            },
-            LinkSpec::instant(),
-        );
-        // Unknown destination floods to ports 1 and 2, neither wired.
-        let mut deliveries = 0;
-        f.switch_forward(sw, PortNo(0), frame(10), SimTime::ZERO, |_| deliveries += 1);
-        assert_eq!(deliveries, 0);
-        assert_eq!(f.dropped(), 2);
+        assert!(send(&mut f, l, host_end(0, 0), frame(10)).is_some());
     }
 
     #[test]

@@ -155,13 +155,27 @@ impl FlowTable {
     /// Finds the highest-priority rule matching `frame` on `port`,
     /// incrementing its hit counter.
     pub fn lookup(&mut self, frame: &Frame, port: PortNo) -> Option<&FlowRule> {
-        for (rule, hits) in &mut self.rules {
-            if rule.matching.matches(frame, port) {
-                *hits += 1;
-                return Some(rule);
-            }
-        }
-        None
+        let i = self.find(frame, port)?;
+        self.count_hit(i, true);
+        Some(self.rule(i))
+    }
+
+    /// The position of the highest-priority rule matching `frame` on
+    /// `port`, counting nothing.
+    pub(crate) fn find(&self, frame: &Frame, port: PortNo) -> Option<u32> {
+        let i = (self.rules.iter()).position(|(rule, _)| rule.matching.matches(frame, port))?;
+        Some(i as u32)
+    }
+
+    /// The rule at a position [`find`](Self::find) returned.
+    pub(crate) fn rule(&self, i: u32) -> &FlowRule {
+        &self.rules[i as usize].0
+    }
+
+    /// Counts a hit on the rule at position `i`, or takes one back.
+    pub(crate) fn count_hit(&mut self, i: u32, hit: bool) {
+        let hits = &mut self.rules[i as usize].1;
+        *hits = if hit { *hits + 1 } else { *hits - 1 };
     }
 
     /// Number of installed rules.

@@ -111,38 +111,61 @@ impl VirtualSwitch {
     /// allocated once `out` has grown to the switch's port count — the
     /// caller moves or clones the frame per port as it sees fit.
     pub fn forward_in_place(&mut self, frame: &mut Frame, in_port: PortNo, out: &mut Vec<PortNo>) {
+        let effects = self.plan(frame, in_port, out);
+        self.apply(effects, in_port);
+    }
+
+    /// The read half of [`forward_in_place`](Self::forward_in_place): rewrites
+    /// `frame` and fills `out` as forwarding would, leaving the switch as it
+    /// is and returning what forwarding does to it.
+    pub(crate) fn plan(
+        &self,
+        frame: &mut Frame,
+        in_port: PortNo,
+        out: &mut Vec<PortNo>,
+    ) -> Effects {
         out.clear();
         if frame.hops >= Frame::MAX_HOPS {
-            self.dropped += 1;
-            return;
+            return Effects {
+                dropped: 1,
+                ..Effects::default()
+            };
         }
         frame.hops += 1;
         // Learn the sender's location. The table changes at topology
         // build and on a move, not per frame: a read is all most frames pay.
-        if self.fdb.get(&frame.src_mac) != Some(&in_port) {
-            self.fdb.insert(frame.src_mac, in_port);
-        }
-
-        let mut normal = true;
-        if let Some(rule) = self.flows.lookup(frame, in_port) {
-            normal = false;
-            for action in &rule.actions {
+        let learn = (self.fdb.get(&frame.src_mac) != Some(&in_port)).then_some(frame.src_mac);
+        let rule = self.flows.find(frame, in_port);
+        let mut effects = Effects {
+            learn,
+            rule,
+            dropped: 0,
+        };
+        let mut normal = rule.is_none();
+        if let Some(rule) = rule {
+            for action in &self.flows.rule(rule).actions {
                 match *action {
                     FlowAction::SetDstMac(m) => frame.dst_mac = m,
                     FlowAction::SetSrcMac(m) => frame.src_mac = m,
                     FlowAction::Output(p) => out.push(p),
                     FlowAction::Normal => normal = true,
                     FlowAction::Drop => {
-                        self.dropped += 1;
+                        effects.dropped = 1;
                         out.clear();
-                        return;
+                        return effects;
                     }
                 }
             }
         }
         if normal {
-            match self.fdb.get(&frame.dst_mac) {
-                Some(&p) if p != in_port => out.push(p),
+            // The sender is learned before the destination is looked up.
+            let known = if learn == Some(frame.dst_mac) {
+                Some(in_port)
+            } else {
+                self.fdb.get(&frame.dst_mac).copied()
+            };
+            match known {
+                Some(p) if p != in_port => out.push(p),
                 Some(_) => {
                     // Destination is behind the ingress port: nothing to do.
                 }
@@ -157,8 +180,22 @@ impl VirtualSwitch {
         if let Some(in_tenant) = self.tenant_tags.get(&in_port) {
             let before = out.len();
             out.retain(|p| self.tenant_tags.get(p).is_none_or(|t| t == in_tenant));
-            self.dropped += (before - out.len()) as u64;
+            effects.dropped += (before - out.len()) as u64;
         }
+        effects
+    }
+
+    /// The write half: learns, counts the rule hit and the drops that
+    /// [`plan`](Self::plan) found. Returns whether a MAC the table already
+    /// placed moved to the ingress port.
+    pub(crate) fn apply(&mut self, effects: Effects, in_port: PortNo) -> bool {
+        if let Some(rule) = effects.rule {
+            self.flows.count_hit(rule, true);
+        }
+        self.dropped += effects.dropped;
+        effects
+            .learn
+            .is_some_and(|mac| self.fdb.insert(mac, in_port).is_some())
     }
 
     /// [`forward_in_place`](Self::forward_in_place) for callers that want
@@ -167,6 +204,27 @@ impl VirtualSwitch {
         let mut ports = Vec::new();
         self.forward_in_place(&mut frame, in_port, &mut ports);
         ports.into_iter().map(|p| (p, frame.clone())).collect()
+    }
+}
+
+/// What forwarding one frame does to the switch itself, beside rewriting
+/// the frame.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Effects {
+    /// The sender's MAC, when the learning table does not yet place it on
+    /// the ingress port.
+    learn: Option<MacAddr>,
+    /// The flow rule that matched; its hit counter goes up.
+    pub(crate) rule: Option<u32>,
+    /// Frames, or flood copies, dropped.
+    dropped: u64,
+}
+
+impl Effects {
+    /// Whether forwarding changes nothing on the switch but a rule's hit
+    /// count.
+    pub(crate) fn only_counts_a_hit(&self) -> bool {
+        self.learn.is_none() && self.dropped == 0
     }
 }
 
