@@ -463,7 +463,10 @@ impl Network {
     /// nothing outside the engine can change the fabric before `end`, so
     /// the outcome is the queued one, except that the resolved hop's
     /// onward event is pushed earlier and may pop in another order among
-    /// events due at the same instant.
+    /// events due at the same instant. Which hops are resolved depends on
+    /// `end`, so results repeat for a given seed and a given sequence of
+    /// `run_until` / `step_until` calls; cutting the same run into other
+    /// quanta may move that tie order, and with it sim output.
     pub fn run_until(&mut self, end: SimTime) {
         self.horizon = Some(end);
         while self.step_until(end) {}
@@ -694,7 +697,7 @@ impl Network {
             mut frame,
         } = d;
         while let Endpoint::Switch { sw, port } = to {
-            match self.hop_early(sw, port, end, frame, at) {
+            match self.hop_early(sw, port, end, frame, at, chained) {
                 Ok((onward, from)) => {
                     (at, to, frame) = (onward.at, onward.to, onward.frame);
                     (end, chained) = (from.far(), true);
@@ -717,8 +720,9 @@ impl Network {
     /// `run_until`, (b) no arrival is queued on the port, (c) forwarding
     /// only rewrites the frame and counts a rule hit (the sender is learned
     /// on the port, one egress port, nothing dropped), and (d) the port has
-    /// been the egress queue's only requester. Returns the onward delivery
-    /// and the egress port's link end, or the frame as it came.
+    /// been the egress queue's only requester. `chained`: the early service
+    /// journaled last put the frame on the link. Returns the onward
+    /// delivery and the egress port's link end, or the frame as it came.
     fn hop_early(
         &mut self,
         sw: SwitchId,
@@ -726,6 +730,7 @@ impl Network {
         ingress: End,
         mut frame: Box<Frame>,
         at: SimTime,
+        chained: bool,
     ) -> Result<(Delivery, End), Box<Frame>> {
         if !self.due_in_run(at) || self.fabric.has_queued(ingress, self.now) {
             return Err(frame);
@@ -755,7 +760,7 @@ impl Network {
             queued: None,
             undone: false,
         };
-        Ok((self.serve_early(frame, early), from))
+        Ok((self.serve_early(frame, early, chained), from))
     }
 
     /// Sends a forwarded frame out of `host` at `at` now, when the host
@@ -792,7 +797,7 @@ impl Network {
             queued: None,
             undone: false,
         };
-        let onward = self.serve_early(frame, early);
+        let onward = self.serve_early(frame, early, false);
         self.deliver(onward, from.far(), true);
         Ok(())
     }
@@ -803,13 +808,13 @@ impl Network {
     }
 
     /// Serves `frame` from `early.from` at its instant and journals the
-    /// service.
-    fn serve_early(&mut self, frame: Box<Frame>, early: Early) -> Delivery {
+    /// service (`chained` as for [`Fabric::record`]).
+    fn serve_early(&mut self, frame: Box<Frame>, early: Early, chained: bool) -> Delivery {
         let onward = self
             .fabric
             .transmit(early.from, frame, early.at)
             .expect("the link is up");
-        self.fabric.record(early, self.now);
+        self.fabric.record(early, self.now, chained);
         onward
     }
 
@@ -822,13 +827,12 @@ impl Network {
             return;
         };
         while let Some(newest) = self.fabric.newest_after(from, self.now).filter(|&n| n >= r) {
-            let queued = |net: &mut Self| net.fabric.early_mut(newest).and_then(|e| e.queued);
-            if queued(self).is_none() {
+            if let Some(child) = self.fabric.child_of(newest) {
                 // The next hop queues the frame again and hands this entry
                 // the event.
-                self.undo(newest.next());
+                self.undo(child);
             }
-            let Some(token) = queued(self) else {
+            let Some(token) = self.fabric.early_mut(newest).and_then(|e| e.queued) else {
                 unreachable!("an early hop's frame has moved on");
             };
             let Some(Ev::Arrive { mut frame, .. }) = self.q.cancel(token) else {
@@ -1540,9 +1544,18 @@ mod tests {
         let mut net = Network::new(5);
         let hosts = ["a", "b"].map(|name| net.add_host(name, 1));
         let sw = net.add_switch("sw", 4);
+        let mut links = Vec::new();
         for (i, &h) in hosts.iter().enumerate() {
             net.add_iface(h, Ipv4Addr::new(10, 0, 0, 1 + i as u8));
-            net.link_host_switch(h, IfaceId(0), sw, LinkSpec::instant());
+            links.push(net.link_host_switch(h, IfaceId(0), sw, LinkSpec::instant()));
+        }
+        // Each switch port maps back to its link, and the link's far end
+        // from the port is the host's interface.
+        for (p, (&h, &link)) in hosts.iter().zip(&links).enumerate() {
+            let port = PortNo(p as u16);
+            assert_eq!(net.fabric.link_at(sw, port), Some(link));
+            let far = net.fabric.port_end(sw, port).map(End::far);
+            assert_eq!(far, net.iface_end(h, IfaceId(0)));
         }
         let f = frame(mac(&net, hosts[0]), mac(&net, hosts[1]), 100);
         let sent: *const Frame = &*f;

@@ -217,8 +217,9 @@ enum Claim {
     /// One requester: the switch ingress port or host interface the
     /// frames came through.
     One(End),
-    /// A second requester came, or an early service was undone; no
-    /// service is done early here again.
+    /// A second requester came (an ordinary request that found early
+    /// services ahead of it undid them); no service is done early here
+    /// again.
     Shared,
 }
 
@@ -226,17 +227,11 @@ enum Claim {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct EarlyRef(u64);
 
-impl EarlyRef {
-    /// The entry journaled right after this one: the next hop of the
-    /// chain, if this entry's frame went on to one.
-    pub(crate) fn next(self) -> EarlyRef {
-        EarlyRef(self.0 + 1)
-    }
-}
-
 /// A link-queue service done ahead of its instant, and what undoing it
 /// takes. The hops of one chain are journaled one after another, so an
-/// entry without a `queued` event handed its frame to the next entry.
+/// entry without a `queued` event handed its frame to the next entry
+/// ([`Fabric::child_of`], [`Fabric::parent_of`]; [`Fabric::record`]
+/// checks it).
 #[derive(Debug)]
 pub(crate) struct Early {
     /// When the request would have reached the queue.
@@ -498,9 +493,16 @@ impl Fabric {
     }
 
     /// Journals an early service just done and claims its queue for the
-    /// requester. Settled entries (due by `now`) leave the journal's front
-    /// on the way.
-    pub(crate) fn record(&mut self, e: Early, now: SimTime) {
+    /// requester. `chained`: the entry journaled just before handed the
+    /// frame over, and it holds no queued event yet; any other entry
+    /// starts a chain, so every entry before it holds one. Settled entries
+    /// (due by `now`) leave the journal's front on the way.
+    pub(crate) fn record(&mut self, e: Early, now: SimTime, chained: bool) {
+        debug_assert_eq!(
+            chained,
+            self.journal.back().is_some_and(|b| b.queued.is_none()),
+            "a chain's hops are journaled one after another"
+        );
         while self.journal.front().is_some_and(|e| e.at <= now) {
             self.journal.pop_front();
             self.settled += 1;
@@ -521,9 +523,18 @@ impl Fabric {
         }
     }
 
+    /// Where a journal entry sits in the journal, unless it has settled.
+    fn slot(&self, r: EarlyRef) -> Option<usize> {
+        usize::try_from(r.0.checked_sub(self.settled)?).ok()
+    }
+
+    fn early(&self, r: EarlyRef) -> Option<&Early> {
+        self.journal.get(self.slot(r)?)
+    }
+
     /// A journal entry, unless it has settled.
     pub(crate) fn early_mut(&mut self, r: EarlyRef) -> Option<&mut Early> {
-        let i = usize::try_from(r.0.checked_sub(self.settled)?).ok()?;
+        let i = self.slot(r)?;
         self.journal.get_mut(i)
     }
 
@@ -552,7 +563,16 @@ impl Fabric {
             .map(|(r, _)| r)
     }
 
-    /// The early hop that handed `r`'s frame over, if it is journaled.
+    /// The early hop `r`'s frame went on to, if it did: the entry
+    /// journaled right after it, when `r` holds no queued event.
+    pub(crate) fn child_of(&self, r: EarlyRef) -> Option<EarlyRef> {
+        let e = self.early(r)?;
+        (!e.undone && e.queued.is_none()).then_some(EarlyRef(r.0 + 1))
+    }
+
+    /// The early hop that handed `r`'s frame over, if it is journaled: the
+    /// entry journaled right before it, when that one holds no queued
+    /// event.
     pub(crate) fn parent_of(&mut self, r: EarlyRef) -> Option<&mut Early> {
         let p = self.early_mut(EarlyRef(r.0.checked_sub(1)?))?;
         (!p.undone && p.queued.is_none()).then_some(p)
