@@ -3,11 +3,10 @@
 use std::error::Error;
 use std::fmt;
 
+use bytes::Bytes;
+
 /// Size of one device sector in bytes (the SCSI standard 512).
 pub const SECTOR_SIZE: usize = 512;
-
-/// Size of the block [`BlockDevice::lend_block`] lends: 4 KiB, a page.
-pub const BLOCK_BYTES: usize = 8 * SECTOR_SIZE;
 
 /// Errors returned by block device operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,15 +83,26 @@ pub trait BlockDevice {
         Ok(())
     }
 
-    /// Lends the [`BLOCK_BYTES`] block starting at `lba` without copying
-    /// it, as the access `read` would make. `Ok(None)` means this device
-    /// does not lend that block (the default); the caller reads a copy.
+    /// Writes `data` at `lba` as [`BlockDevice::write`] does; a device may
+    /// keep views of `data` instead of copying it (the default copies).
     ///
     /// # Errors
     ///
     /// Same conditions as [`BlockDevice::read`].
-    fn lend_block(&mut self, _lba: u64) -> Result<Option<&[u8; BLOCK_BYTES]>, BlockError> {
-        Ok(None)
+    fn write_bytes(&mut self, lba: u64, data: Bytes) -> Result<(), BlockError> {
+        self.write(lba, &data)
+    }
+
+    /// Reads `len` bytes at `lba` as [`BlockDevice::read`] does; a device
+    /// may answer with views of what it stores (the default copies).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`BlockDevice::read`].
+    fn read_bytes(&mut self, lba: u64, len: usize) -> Result<Bytes, BlockError> {
+        let mut buf = vec![0; len];
+        self.read(lba, &mut buf)?;
+        Ok(buf.into())
     }
 
     /// Device capacity in bytes.
@@ -117,41 +127,33 @@ pub(crate) fn check_access(capacity: u64, lba: u64, len: usize) -> Result<u64, B
     Ok(sectors)
 }
 
-impl<D: BlockDevice + ?Sized> BlockDevice for &mut D {
-    fn num_sectors(&self) -> u64 {
-        (**self).num_sectors()
-    }
-    fn read(&mut self, lba: u64, buf: &mut [u8]) -> Result<(), BlockError> {
-        (**self).read(lba, buf)
-    }
-    fn write(&mut self, lba: u64, data: &[u8]) -> Result<(), BlockError> {
-        (**self).write(lba, data)
-    }
-    fn flush(&mut self) -> Result<(), BlockError> {
-        (**self).flush()
-    }
-    fn lend_block(&mut self, lba: u64) -> Result<Option<&[u8; BLOCK_BYTES]>, BlockError> {
-        (**self).lend_block(lba)
-    }
+/// Forwards every method to the device behind the pointer.
+macro_rules! forward_block_device {
+    ($($ptr:ty),*) => {$(
+        impl<D: BlockDevice + ?Sized> BlockDevice for $ptr {
+            fn num_sectors(&self) -> u64 {
+                (**self).num_sectors()
+            }
+            fn read(&mut self, lba: u64, buf: &mut [u8]) -> Result<(), BlockError> {
+                (**self).read(lba, buf)
+            }
+            fn write(&mut self, lba: u64, data: &[u8]) -> Result<(), BlockError> {
+                (**self).write(lba, data)
+            }
+            fn flush(&mut self) -> Result<(), BlockError> {
+                (**self).flush()
+            }
+            fn write_bytes(&mut self, lba: u64, data: Bytes) -> Result<(), BlockError> {
+                (**self).write_bytes(lba, data)
+            }
+            fn read_bytes(&mut self, lba: u64, len: usize) -> Result<Bytes, BlockError> {
+                (**self).read_bytes(lba, len)
+            }
+        }
+    )*};
 }
 
-impl<D: BlockDevice + ?Sized> BlockDevice for Box<D> {
-    fn num_sectors(&self) -> u64 {
-        (**self).num_sectors()
-    }
-    fn read(&mut self, lba: u64, buf: &mut [u8]) -> Result<(), BlockError> {
-        (**self).read(lba, buf)
-    }
-    fn write(&mut self, lba: u64, data: &[u8]) -> Result<(), BlockError> {
-        (**self).write(lba, data)
-    }
-    fn flush(&mut self) -> Result<(), BlockError> {
-        (**self).flush()
-    }
-    fn lend_block(&mut self, lba: u64) -> Result<Option<&[u8; BLOCK_BYTES]>, BlockError> {
-        (**self).lend_block(lba)
-    }
-}
+forward_block_device!(&mut D, Box<D>);
 
 #[cfg(test)]
 mod tests {

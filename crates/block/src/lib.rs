@@ -39,7 +39,7 @@ pub mod transport;
 mod volume;
 
 pub use cow::CowExtentMap;
-pub use device::{BlockDevice, BlockError, BLOCK_BYTES, SECTOR_SIZE};
+pub use device::{BlockDevice, BlockError, SECTOR_SIZE};
 pub use mem::MemDisk;
 pub use recording::{AccessKind, AccessRecord, RecordingDevice};
 pub use volume::{SharedVolume, Volume, VolumeGroup, VolumeId};

@@ -9,7 +9,7 @@
 
 use bytes::Bytes;
 
-use crate::device::{BlockDevice, BlockError, BLOCK_BYTES, SECTOR_SIZE};
+use crate::device::{BlockDevice, BlockError, SECTOR_SIZE};
 
 /// Whether an access was a read or a write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -123,13 +123,17 @@ impl<D: BlockDevice> BlockDevice for RecordingDevice<D> {
         self.inner.flush()
     }
 
-    /// Lends what the inner device lends, logged as the read it stands for.
-    fn lend_block(&mut self, lba: u64) -> Result<Option<&[u8; BLOCK_BYTES]>, BlockError> {
-        let lent = self.inner.lend_block(lba)?;
-        if lent.is_some() {
-            record(&mut self.log, AccessKind::Read, lba, BLOCK_BYTES);
-        }
-        Ok(lent)
+    fn write_bytes(&mut self, lba: u64, data: Bytes) -> Result<(), BlockError> {
+        self.inner.write_bytes(lba, data.clone())?;
+        record(&mut self.log, AccessKind::Write, lba, data.len());
+        self.payloads.extend_from_slice(&data);
+        Ok(())
+    }
+
+    fn read_bytes(&mut self, lba: u64, len: usize) -> Result<Bytes, BlockError> {
+        let view = self.inner.read_bytes(lba, len)?;
+        record(&mut self.log, AccessKind::Read, lba, len);
+        Ok(view)
     }
 }
 
@@ -137,6 +141,8 @@ impl<D: BlockDevice> BlockDevice for RecordingDevice<D> {
 mod tests {
     use super::*;
     use crate::MemDisk;
+
+    const BLOCK_BYTES: usize = 8 * SECTOR_SIZE;
 
     #[test]
     fn records_reads_and_writes_in_order() {
@@ -170,15 +176,17 @@ mod tests {
     fn a_lent_block_is_logged_as_the_read_it_replaces() {
         let mut lent = RecordingDevice::new(MemDisk::new(64));
         let mut read = RecordingDevice::new(MemDisk::new(64));
-        for d in [&mut lent, &mut read] {
-            d.write(8, &[4u8; BLOCK_BYTES]).unwrap();
-        }
-        assert_eq!(lent.lend_block(8), Ok(Some(&[4u8; BLOCK_BYTES])));
+        lent.write_bytes(8, Bytes::from(vec![4u8; BLOCK_BYTES]))
+            .unwrap();
+        read.write(8, &[4u8; BLOCK_BYTES]).unwrap();
+        assert_eq!(lent.read_bytes(8, BLOCK_BYTES).unwrap(), [4u8; BLOCK_BYTES]);
         let mut buf = [0u8; BLOCK_BYTES];
         read.read(8, &mut buf).unwrap();
-        // Not lent, not logged: the caller's fallback read logs it.
-        assert_eq!(lent.lend_block(3), Ok(None));
-        assert!(lent.lend_block(64).is_err());
+        // A refused access is not logged.
+        assert!(lent.read_bytes(64, BLOCK_BYTES).is_err());
+        assert!(lent
+            .write_bytes(64, Bytes::from(vec![0u8; SECTOR_SIZE]))
+            .is_err());
         assert_eq!(lent.take_log(), read.take_log());
     }
 

@@ -6,7 +6,9 @@
 //! a logical device over its run of extents.
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
+
+use bytes::Bytes;
 
 use crate::device::{check_access, BlockDevice, BlockError, SECTOR_SIZE};
 use crate::MemDisk;
@@ -109,6 +111,16 @@ impl Volume {
     pub fn recover(&mut self) {
         self.failed = false;
     }
+
+    /// Checks an access of `len` bytes at `lba`: the locked backing disk
+    /// and the physical sector the access starts at.
+    fn disk(&self, lba: u64, len: usize) -> Result<(MutexGuard<'_, MemDisk>, u64), BlockError> {
+        if self.failed {
+            return Err(BlockError::Unavailable);
+        }
+        check_access(self.num_sectors, lba, len)?;
+        Ok((self.backing.lock().expect("poisoned"), self.base + lba))
+    }
 }
 
 impl BlockDevice for Volume {
@@ -117,21 +129,13 @@ impl BlockDevice for Volume {
     }
 
     fn read(&mut self, lba: u64, buf: &mut [u8]) -> Result<(), BlockError> {
-        if self.failed {
-            return Err(BlockError::Unavailable);
-        }
-        check_access(self.num_sectors, lba, buf.len())?;
-        let mut disk = self.backing.lock().expect("poisoned");
-        disk.read(self.base + lba, buf)
+        let (mut disk, at) = self.disk(lba, buf.len())?;
+        disk.read(at, buf)
     }
 
     fn write(&mut self, lba: u64, data: &[u8]) -> Result<(), BlockError> {
-        if self.failed {
-            return Err(BlockError::Unavailable);
-        }
-        check_access(self.num_sectors, lba, data.len())?;
-        let mut disk = self.backing.lock().expect("poisoned");
-        disk.write(self.base + lba, data)
+        let (mut disk, at) = self.disk(lba, data.len())?;
+        disk.write(at, data)
     }
 
     fn flush(&mut self) -> Result<(), BlockError> {
@@ -139,6 +143,16 @@ impl BlockDevice for Volume {
             return Err(BlockError::Unavailable);
         }
         self.backing.lock().expect("poisoned").flush()
+    }
+
+    fn write_bytes(&mut self, lba: u64, data: Bytes) -> Result<(), BlockError> {
+        let (mut disk, at) = self.disk(lba, data.len())?;
+        disk.write_bytes(at, data)
+    }
+
+    fn read_bytes(&mut self, lba: u64, len: usize) -> Result<Bytes, BlockError> {
+        let (mut disk, at) = self.disk(lba, len)?;
+        disk.read_bytes(at, len)
     }
 }
 
@@ -184,6 +198,12 @@ impl BlockDevice for SharedVolume {
     }
     fn flush(&mut self) -> Result<(), BlockError> {
         self.0.lock().expect("poisoned").flush()
+    }
+    fn write_bytes(&mut self, lba: u64, data: Bytes) -> Result<(), BlockError> {
+        self.0.lock().expect("poisoned").write_bytes(lba, data)
+    }
+    fn read_bytes(&mut self, lba: u64, len: usize) -> Result<Bytes, BlockError> {
+        self.0.lock().expect("poisoned").read_bytes(lba, len)
     }
 }
 
@@ -239,8 +259,12 @@ mod tests {
         let mut buf = [0u8; SECTOR_SIZE];
         h2.read(5, &mut buf).unwrap();
         assert_eq!(buf[0], 42);
+        h1.write_bytes(6, Bytes::from(vec![43u8; SECTOR_SIZE]))
+            .unwrap();
+        assert_eq!(h2.read_bytes(5, 2 * SECTOR_SIZE).unwrap()[SECTOR_SIZE], 43);
         h2.fail();
         assert_eq!(h1.read(5, &mut buf), Err(BlockError::Unavailable));
+        assert_eq!(h1.read_bytes(5, SECTOR_SIZE), Err(BlockError::Unavailable));
         h1.recover();
         assert!(h1.flush().is_ok());
     }

@@ -558,10 +558,12 @@ impl TargetHostApp {
                     Answer::Rejected => 0,
                     _ => sectors as usize * 512,
                 };
-                let mut buf = vec![0u8; len];
-                let ok = volume.is_some_and(|v| v.read(lba, &mut buf).is_ok());
-                sess.conn
-                    .complete_read(now_ns, job.itt, Bytes::from(buf), status(ok));
+                // A served read answers with the volume's own views; a
+                // failed one with zeros of the length it asked for.
+                let data = volume.and_then(|v| v.read_bytes(lba, len).ok());
+                let ok = data.is_some();
+                let data = data.unwrap_or_else(|| Bytes::from(vec![0u8; len]));
+                sess.conn.complete_read(now_ns, job.itt, data, status(ok));
             }
             DiskOp::Write { .. } => sess.conn.complete_write(now_ns, job.itt, status(ok)),
             DiskOp::Flush => {
@@ -610,8 +612,8 @@ impl TargetHostApp {
                     // Functional write happens immediately; the response
                     // waits for the disk model.
                     let volume = self.sessions.get_mut(&sock).and_then(|s| s.volume.as_mut());
-                    let ok = volume.is_some_and(|v| v.write(lba, &data).is_ok());
                     let bytes = data.len();
+                    let ok = volume.is_some_and(|v| v.write_bytes(lba, data).is_ok());
                     (itt, DiskOp::Write { lba, bytes }, ok)
                 }
                 TargetEvent::FlushReady { itt } => (itt, DiskOp::Flush, true),

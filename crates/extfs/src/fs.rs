@@ -115,9 +115,9 @@ pub struct Stat {
 /// back on [`ExtFs::sync`] (like a real kernel); bitmaps, inode tables and
 /// directory blocks are written through immediately, so wire observers see
 /// the metadata traffic the semantics-reconstruction engine depends on.
-/// No block read allocates: a read-only walk borrows what the device
-/// lends ([`BlockDevice::lend_block`]), a read-modify-write edits a block
-/// the filesystem owns.
+/// A read-only walk borrows the block views the device lends
+/// ([`BlockDevice::read_bytes`]), so on a [`storm_block::MemDisk`] no block
+/// read copies; a read-modify-write edits a block the filesystem owns.
 #[derive(Debug)]
 pub struct ExtFs<D> {
     dev: D,
@@ -125,8 +125,7 @@ pub struct ExtFs<D> {
     view: FsView,
     /// The group descriptor table as `sync` writes it.
     gdt: Vec<u8>,
-    /// The block a read-modify-write edits, and the copy a read-only walk
-    /// reads into when the device does not lend the block.
+    /// The block a read-modify-write edits.
     scratch: Box<Block>,
     clock: u32,
     sb_dirty: bool,
@@ -289,14 +288,14 @@ impl<D: BlockDevice> ExtFs<D> {
 
     // ---- low-level block / inode access ----
 
-    /// Runs `f` on block `bno`, borrowed from the device if it lends it.
+    /// Runs `f` on block `bno` as [`BlockDevice::read_bytes`] answers it:
+    /// a view of what the device stores, if it lends one.
     fn with_block<R>(&mut self, bno: u64, f: impl FnOnce(&Block) -> R) -> Result<R, FsError> {
-        let lba = bno * SECTORS_PER_BLOCK;
-        if let Some(block) = self.dev.lend_block(lba)? {
-            return Ok(f(block));
-        }
-        self.dev.read(lba, &mut self.scratch[..])?;
-        Ok(f(&self.scratch))
+        let block = self.dev.read_bytes(bno * SECTORS_PER_BLOCK, BLOCK_SIZE)?;
+        let block = block
+            .first_chunk()
+            .ok_or(BlockError::Misaligned { len: block.len() })?;
+        Ok(f(block))
     }
 
     /// Reads block `bno` into the scratch block, edits and writes it back.

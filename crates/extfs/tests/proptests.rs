@@ -53,8 +53,9 @@ fn path(file: u8) -> String {
     format!("/f{file}")
 }
 
-/// A device that never lends a block: every block the filesystem reads
-/// is copied out of it.
+/// A device that never lends a block: it keeps the copying defaults of
+/// `read_bytes` and `write_bytes`, so every block the filesystem reads is
+/// copied out of it.
 struct NeverLends(MemDisk);
 
 impl BlockDevice for NeverLends {

@@ -45,6 +45,9 @@ impl FioJob {
 #[derive(Debug)]
 pub struct FioWorkload {
     job: FioJob,
+    /// The constant payload every write carries: built once per job and
+    /// shared, as real fio reuses its I/O buffers.
+    payload: Bytes,
     started_at: Option<storm_sim::SimTime>,
     /// Completed request count (reads + writes).
     pub completed: u64,
@@ -55,6 +58,7 @@ impl FioWorkload {
     /// Creates the workload.
     pub fn new(job: FioJob) -> Self {
         FioWorkload {
+            payload: Bytes::from(vec![0xA5u8; job.block_bytes]),
             job,
             started_at: None,
             completed: 0,
@@ -72,7 +76,7 @@ impl FioWorkload {
         if read {
             io.read(lba, sectors as u32);
         } else {
-            io.write(lba, Bytes::from(vec![0xA5u8; self.job.block_bytes]));
+            io.write(lba, self.payload.clone());
         }
     }
 }
@@ -102,12 +106,34 @@ impl Workload for FioWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use storm_block::BlockDevice;
 
     /// A two-second job's ops and IOPS.
     fn run_fio(job: FioJob) -> (u64, f64) {
         let fio = FioWorkload::new(job);
         let secs = SimDuration::from_secs(2);
         crate::solo(fio, 11, 3, |c, _, _| (c.stats.ops(), c.stats.iops(secs)))
+    }
+
+    /// Every write of a job carries the job's one payload buffer: over
+    /// nvmeq the disk keeps that buffer, so each extent written is a view
+    /// of it.
+    #[test]
+    fn writes_of_one_job_share_one_buffer() {
+        let fio = FioWorkload::new(FioJob::randrw(4096, SimDuration::from_secs(1), 64).threads(4));
+        let payload = fio.payload.clone();
+        let transport = storm_block::transport::TransportKind::Nvmeq;
+        let cfg = storm_cloud::CloudConfig {
+            transport,
+            ..Default::default()
+        };
+        let mut cloud = storm_cloud::Cloud::build(cfg);
+        let vol = cloud.create_volume(256 << 20, 0);
+        cloud.attach_volume(0, "vm:fio", &vol, Box::new(fio), 11, false);
+        cloud.net.run_until(storm_sim::SimTime::from_secs(2));
+        let mut disk = vol.shared.clone();
+        let extent = |slot: u64| disk.read_bytes(slot * 8, 4096).unwrap();
+        assert!((0..7).map(extent).all(|e| e.same_storage(&payload)));
     }
 
     #[test]
