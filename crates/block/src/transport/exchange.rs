@@ -118,6 +118,20 @@ impl Transfer {
         }
     }
 
+    /// Starts a transfer of `expected` bytes seeded at offset 0 with
+    /// `first`, a command's immediate data (bytes beyond the buffer are
+    /// dropped): `Ok` with a view of `first` when that covers the
+    /// transfer, so nothing is assembled, else `Err` with the started
+    /// transfer.
+    pub fn start(expected: usize, first: &Bytes) -> Result<Bytes, Transfer> {
+        if first.len() >= expected {
+            return Ok(first.slice(..expected));
+        }
+        let mut xfer = Transfer::new(expected);
+        let _ = xfer.absorb(0, first);
+        Err(xfer)
+    }
+
     /// Whether every expected byte has arrived (overlaps count twice).
     pub fn is_complete(&self) -> bool {
         self.received >= self.buf.len()
@@ -134,7 +148,7 @@ impl Transfer {
         let take = data.len().min(self.buf.len() - start);
         #[expect(
             clippy::disallowed_methods,
-            reason = "the one reassembly copy of a segmented data phase; single-PDU payloads never reach it."
+            reason = "the one reassembly copy of a segmented data phase (and of an initiator's read data); a covered write takes `start`'s view instead."
         )]
         self.buf[start..start + take].copy_from_slice(&data[..take]);
         self.received += take;
@@ -236,14 +250,13 @@ impl Staging {
     ) -> Staged<'_> {
         match (step, cmd) {
             (Step::Command, Some(cmd)) if cmd.op == BlockOp::Write => {
-                let expected = cmd.bytes() as usize;
-                if data.len() >= expected {
-                    self.open.remove(&itt);
-                    return Staged::Complete(cmd, data.slice(..expected));
+                match Transfer::start(cmd.bytes() as usize, data) {
+                    Ok(whole) => {
+                        self.open.remove(&itt);
+                        return Staged::Complete(cmd, whole);
+                    }
+                    Err(xfer) => _ = self.open.insert(itt, (cmd, xfer)),
                 }
-                let mut xfer = Transfer::new(expected);
-                let _ = xfer.absorb(0, data);
-                self.open.insert(itt, (cmd, xfer));
             }
             (Step::WriteData(at), _) => {
                 let done = self.open.get_mut(&itt).is_some_and(|(_, xfer)| {

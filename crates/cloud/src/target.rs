@@ -467,7 +467,6 @@ impl TargetHostApp {
         };
         let site = FaultSite::DiskServe {
             host: self.fault_host,
-            write: !matches!(op, DiskOp::Read { .. }),
         };
         match self.fault.decide(now, site) {
             FaultAction::Proceed if ok => {}

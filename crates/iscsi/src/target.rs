@@ -221,17 +221,15 @@ impl TargetConn {
                         let itt = c.itt;
                         events.push(TargetEvent::ReadReady { itt, lba, sectors });
                     }
-                    BlockOp::Write => {
-                        let mut xfer = Transfer::new(cmd.bytes() as usize);
-                        // Immediate data beyond the buffer is dropped.
-                        let _ = xfer.absorb(0, &c.data);
-                        if xfer.is_complete() {
-                            self.write_ready(c.itt, lba, xfer, events);
-                        } else {
+                    // Immediate data that covers the write is handed on
+                    // as a view of the received PDU.
+                    BlockOp::Write => match Transfer::start(cmd.bytes() as usize, &c.data) {
+                        Ok(data) => self.write_ready(c.itt, lba, data, events),
+                        Err(mut xfer) => {
                             self.request_data(c.itt, &mut xfer);
                             self.writes.insert(c.itt, (lba, xfer));
                         }
-                    }
+                    },
                     BlockOp::Flush => {
                         self.note_ready();
                         events.push(TargetEvent::FlushReady { itt: c.itt });
@@ -252,7 +250,7 @@ impl TargetConn {
                         "data-out for itt {itt} overruns its buffer"
                     )));
                 } else if d.final_pdu && xfer.is_complete() {
-                    return self.write_ready(d.itt, lba, xfer, events);
+                    return self.write_ready(d.itt, lba, xfer.into_bytes(), events);
                 } else if d.final_pdu {
                     // The burst is in; solicit the next one.
                     self.request_data(d.itt, &mut xfer);
@@ -304,9 +302,8 @@ impl TargetConn {
         push_pdu(&mut self.out, &pdu);
     }
 
-    fn write_ready(&mut self, itt: u32, lba: u64, xfer: Transfer, events: &mut Vec<TargetEvent>) {
+    fn write_ready(&mut self, itt: u32, lba: u64, data: Bytes, events: &mut Vec<TargetEvent>) {
         self.note_ready();
-        let data = xfer.into_bytes();
         events.push(TargetEvent::WriteReady { itt, lba, data });
     }
 
@@ -414,8 +411,9 @@ impl TargetTransport for TargetConn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exchange::scsi_command;
+    use crate::exchange::{data_out_train, scsi_command};
     use crate::initiator::{Initiator, InitiatorConfig};
+    use crate::pdu::BHS_LEN;
     use storm_block::transport::{Transport, TransportEvent};
 
     /// A drained wire image as one chunk.
@@ -529,6 +527,48 @@ mod tests {
         };
         let evs = tgt.feed_bytes(scsi_command(ok, 9, 9, 2, Bytes::new()).encode().into());
         assert!(matches!(evs[..], [TargetEvent::ReadReady { itt: 9, .. }]));
+    }
+
+    /// A write whose immediate data covers it reaches the app as a view
+    /// of the fed bytes; a partial one still assembles through an R2T.
+    #[test]
+    fn covered_writes_are_views_and_partial_ones_solicit_the_rest() {
+        let mut cfg = TargetConfig::example(64);
+        cfg.params.initial_r2t = true;
+        let mut tgt = TargetConn::new(cfg);
+        let cmd = BlockCmd {
+            op: BlockOp::Write,
+            lba: 8,
+            sectors: 8,
+        };
+        let data = Bytes::from(vec![0x5A; 4096]);
+        let wire: Bytes = scsi_command(cmd, 1, 1, 1, data.clone()).encode().into();
+        let fed = wire.slice(BHS_LEN..BHS_LEN + 4096);
+        let evs = tgt.feed_bytes(wire);
+        assert!(
+            matches!(&evs[..], [TargetEvent::WriteReady { itt: 1, lba: 8, data: got }]
+                if got.same_storage(&fed)),
+            "{evs:?}"
+        );
+
+        let wire = scsi_command(cmd, 2, 2, 1, data.slice(..1024)).encode();
+        assert!(tgt.feed_bytes(wire.into()).is_empty());
+        let [Pdu::R2t(r2t)] = &decode(tgt.take_wire())[..] else {
+            panic!("the missing bytes were not solicited");
+        };
+        assert_eq!(
+            (r2t.itt, r2t.buffer_offset, r2t.desired_length),
+            (2, 1024, 3072)
+        );
+        let mut evs = Vec::new();
+        for pdu in data_out_train(2, r2t.ttt, 1, &data, 1024..4096, 2048) {
+            evs.extend(tgt.feed_bytes(pdu.encode().into()));
+        }
+        assert!(
+            matches!(&evs[..], [TargetEvent::WriteReady { itt: 2, lba: 8, data: got }]
+                if *got == data),
+            "{evs:?}"
+        );
     }
 
     #[test]

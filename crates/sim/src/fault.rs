@@ -1,9 +1,10 @@
 //! The fault-injection hook shared by every layer of the stack.
 //!
-//! `storm-faults` arms a [`FaultPoint`] implementation; the storage
-//! targets (`storm-cloud`) and the active relay (`storm-core`) consult it
-//! through a [`FaultHook`] at their injection sites. An unarmed hook is a
-//! `None` — the hot path pays one branch and nothing else.
+//! The umbrella crate's `storm::faults` arms a [`FaultPoint`]
+//! implementation; the storage targets (`storm-cloud`) and the active
+//! relay (`storm-core`) consult it through a [`FaultHook`] at their
+//! injection sites. An unarmed hook is a `None` — the hot path pays one
+//! branch and nothing else.
 
 use std::sync::Arc;
 
@@ -20,8 +21,6 @@ pub enum FaultSite {
     DiskServe {
         /// Storage host index.
         host: u32,
-        /// Whether the access is a write.
-        write: bool,
     },
     /// A storage host's target is about to send an I/O response.
     TargetRespond {
@@ -53,7 +52,7 @@ pub enum FaultAction {
 /// A decision point consulted by instrumented layers.
 ///
 /// Implementations must be deterministic given the simulation time and the
-/// site — `storm-faults` derives all randomness from a seeded RNG so that
+/// site — `storm::faults` derives all randomness from a seeded RNG so that
 /// identical schedules replay identically.
 pub trait FaultPoint: Send + Sync {
     /// Decides the fate of the operation at `site` at time `now`.
@@ -80,11 +79,6 @@ impl FaultHook {
         FaultHook { point: Some(point) }
     }
 
-    /// Whether a plan is armed.
-    pub fn is_armed(&self) -> bool {
-        self.point.is_some()
-    }
-
     /// Consults the armed plan, or proceeds when unarmed.
     #[inline]
     pub fn decide(&self, now: SimTime, site: FaultSite) -> FaultAction {
@@ -98,7 +92,7 @@ impl FaultHook {
 impl std::fmt::Debug for FaultHook {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FaultHook")
-            .field("armed", &self.is_armed())
+            .field("armed", &self.point.is_some())
             .finish()
     }
 }
@@ -117,7 +111,6 @@ mod tests {
     #[test]
     fn unarmed_hook_proceeds() {
         let hook = FaultHook::none();
-        assert!(!hook.is_armed());
         assert_eq!(
             hook.decide(SimTime::ZERO, FaultSite::TargetRespond { host: 0 }),
             FaultAction::Proceed
@@ -127,15 +120,8 @@ mod tests {
     #[test]
     fn armed_hook_consults_the_point() {
         let hook = FaultHook::armed(Arc::new(DropEverything));
-        assert!(hook.is_armed());
         assert_eq!(
-            hook.decide(
-                SimTime::ZERO,
-                FaultSite::DiskServe {
-                    host: 1,
-                    write: false
-                }
-            ),
+            hook.decide(SimTime::ZERO, FaultSite::DiskServe { host: 1 }),
             FaultAction::Drop
         );
     }

@@ -1,4 +1,4 @@
-//! Fault injection: replay the paper's Figure-13 failure with `storm-faults`.
+//! Fault injection: replay the paper's Figure-13 failure with `storm::faults`.
 //!
 //! An OLTP database runs through a replication middle-box with two backup
 //! replicas. A fault plan mutes one replica's storage host at t=4s — it

@@ -69,7 +69,6 @@ use storm_cloud::{Cloud, CloudConfig, DiskSpec, VolumeClient, VolumeHandle, Work
 use storm_core::relay::{ActiveRelayMb, ReplicaTarget};
 use storm_core::service::StorageService;
 use storm_core::{ChainDeployment, MbSpec, RelayMode, RelayQosConfig, StormPlatform};
-use storm_faults::{Fault, FaultPlan, FaultRunner};
 use storm_net::{AppId, LinkSpec};
 use storm_qos::{DiskTier, RateLimitSpec};
 use storm_services::{
@@ -79,6 +78,8 @@ use storm_services::{
 use storm_sim::{SimDuration, SimRng, SimTime};
 use storm_telemetry::{parse_jsonl, Recorder};
 use storm_workloads::{FioJob, FioWorkload, ShadowWorkload};
+
+use crate::faults::{Fault, FaultPlan, FaultRunner};
 
 /// A volume the relay opens its own session to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

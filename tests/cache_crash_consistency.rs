@@ -13,9 +13,9 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use storm::cloud::{IoCtx, IoKind, IoResult, ReqId, Workload};
+use storm::faults::{Fault, FaultPlan};
 use storm::scenario::{Replica, Spec};
 use storm_block::BlockDevice;
-use storm_faults::{Fault, FaultPlan};
 use storm_services::{recover_journal, CacheConfig, WriteBackCacheService};
 use storm_sim::SimTime;
 

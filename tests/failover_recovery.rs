@@ -1,4 +1,4 @@
-//! Figure-13 failover scenario, end to end, driven by `storm-faults`.
+//! Figure-13 failover scenario, end to end, driven by `storm::faults`.
 //!
 //! An OLTP guest runs through a replication middle-box with two backup
 //! replicas (replication factor 3). Mid-run the fault plan mutes the
@@ -10,9 +10,9 @@
 //! and throughput dips then recovers on the surviving lanes.
 
 use storm::cloud::DiskSpec;
+use storm::faults::{Fault, FaultPlan};
 use storm::scenario::{Replica, Spec};
 use storm::telemetry::analyze;
-use storm_faults::{Fault, FaultPlan};
 use storm_services::ReplicationService;
 use storm_sim::{SimDuration, SimTime};
 use storm_workloads::{OltpConfig, OltpWorkload};

@@ -11,10 +11,10 @@
 use storm::block::transport::TransportKind;
 use storm::core::service::StorageService;
 use storm::core::{RelayCopyStats, RelayQosConfig, StormPlatform};
+use storm::faults::{Fault, FaultPlan};
 use storm::qos::RateLimitSpec;
 use storm::scenario::Spec;
 use storm::services::{CompressService, DedupService, EncryptionService};
-use storm_faults::{Fault, FaultPlan};
 use storm_sim::{SimDuration, SimTime};
 use storm_workloads::{FioJob, FioWorkload};
 

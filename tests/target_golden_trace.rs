@@ -13,9 +13,9 @@ use std::sync::Arc;
 
 use storm::block::transport::TransportKind;
 use storm::cloud::{Cloud, CloudConfig, DiskSpec, VolumeHandle};
+use storm::faults::{Fault, FaultPlan, FaultRunner};
 use storm::qos::{DiskTier, RateLimitSpec};
 use storm::telemetry::Recorder;
-use storm_faults::{Fault, FaultPlan, FaultRunner};
 use storm_net::AppId;
 use storm_sim::{FaultAction, FaultHook, FaultPoint, FaultSite, SimDuration, SimTime};
 use storm_workloads::{FioJob, FioWorkload};

@@ -10,9 +10,28 @@ fn every_member_inherits_the_workspace_lints() {
     cargo.args(["metadata", "--no-deps", "--offline", "--format-version=1"]);
     let out = cargo.output().expect("cargo metadata runs");
     let json = String::from_utf8_lossy(&out.stdout);
-    let members: Vec<&str> = json.split("\"manifest_path\":\"").skip(1).collect();
-    assert!(members.len() > 15, "{json}");
-    for manifest in members.iter().filter_map(|m| m.split('"').next()) {
+    let mut members: Vec<String> = json
+        .split("\"manifest_path\":\"")
+        .skip(1)
+        .filter_map(|m| m.split('"').next())
+        .map(String::from)
+        .collect();
+    // The metadata must list every member and nothing else: the root,
+    // each crate under `crates/` and each vendored stand-in (a path
+    // dependency inside the workspace is a member).
+    let root = env!("CARGO_MANIFEST_DIR");
+    let mut expected: Vec<String> = ["crates", "vendor"]
+        .iter()
+        .flat_map(|dir| std::fs::read_dir(format!("{root}/{dir}")).expect("directory lists"))
+        .map(|e| e.expect("entry reads").path().join("Cargo.toml"))
+        .filter(|manifest| manifest.exists())
+        .map(|manifest| manifest.display().to_string())
+        .chain([format!("{root}/Cargo.toml")])
+        .collect();
+    members.sort();
+    expected.sort();
+    assert_eq!(members, expected, "{json}");
+    for manifest in &members {
         let toml = std::fs::read_to_string(manifest).expect("member manifest reads");
         let inherits = toml.contains("\n[lints]\nworkspace = true\n");
         assert!(inherits, "{manifest} lacks `[lints] workspace = true`");
