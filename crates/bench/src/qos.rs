@@ -189,20 +189,20 @@ pub(crate) fn qos_churn() -> Output {
         )
         .is_none();
 
-    let watched_job = FioJob::randrw(4096, WINDOW, watched.handle.sectors).threads(1);
+    let watched_job = FioJob::randrw(4096, WINDOW, watched.sectors).threads(1);
     let watched_app = cloud.attach_volume(
         0,
         "vm:slo",
-        &watched.handle,
+        &watched,
         Box::new(FioWorkload::new(watched_job)),
         SEED,
         false,
     );
-    let hog_job = FioJob::randrw(64 * 1024, WINDOW, hog.handle.sectors).threads(4);
+    let hog_job = FioJob::randrw(64 * 1024, WINDOW, hog.sectors).threads(4);
     let hog_app = cloud.attach_volume(
         1,
         "vm:hog",
-        &hog.handle,
+        &hog,
         Box::new(FioWorkload::new(hog_job)),
         SEED + 1,
         false,
@@ -220,9 +220,9 @@ pub(crate) fn qos_churn() -> Output {
     let ceiling = SimDuration::from_micros(CHURN_P99_CEILING_US);
     let (migrations_completed, slo_attainment) = {
         let t = cloud.target_mut(0);
-        t.poll_migration(end, &watched.handle.iqn);
+        t.poll_migration(end, &watched.iqn);
         let attainment = t
-            .volume_latency(&watched.handle.iqn)
+            .volume_latency(&watched.iqn)
             .map_or(1.0, |h| analyze::slo_attainment(h, ceiling));
         (t.completed_migrations(), attainment)
     };

@@ -148,7 +148,7 @@ impl Transfer {
         let take = data.len().min(self.buf.len() - start);
         #[expect(
             clippy::disallowed_methods,
-            reason = "the one reassembly copy of a segmented data phase (and of an initiator's read data); a covered write takes `start`'s view instead."
+            reason = "the one reassembly copy of a segmented data phase (a write's, or a read's that spans several Data-Ins); a covered write takes `start`'s view instead, and a read one Data-In answers whole is handed on as it came."
         )]
         self.buf[start..start + take].copy_from_slice(&data[..take]);
         self.received += take;

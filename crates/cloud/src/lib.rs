@@ -14,6 +14,8 @@
 //! * [`VolumeClient`] + [`Workload`] — a tenant VM's virtio-blk path: the
 //!   host-side iSCSI initiator driven by a pluggable workload, with
 //!   per-VM CPU labels feeding the Figure-10 utilization breakdown.
+//! * [`qos`] + [`ProvisioningEngine`] — per-tenant rate limits, weighted
+//!   fair dispatch and SLO-driven tier placement on the storage hosts.
 //! * [`sdn`] — the SDN controller primitives that install Figure-3 chain
 //!   rules.
 //! * [`Attribution`] — connection attribution: which VM owns which iSCSI
@@ -25,6 +27,7 @@ mod attribution;
 mod client;
 mod disk;
 mod provision;
+pub mod qos;
 pub mod sdn;
 mod target;
 mod topology;
@@ -34,6 +37,6 @@ pub use client::{
     ClientStats, IoCtx, IoKind, IoResult, ReqId, VolumeClient, VolumeClientConfig, Workload,
 };
 pub use disk::{DiskModel, DiskSpec};
-pub use provision::{ProvisionedVolume, ProvisioningEngine};
+pub use provision::ProvisioningEngine;
 pub use target::{TargetHostApp, TargetHostConfig};
 pub use topology::{Cloud, CloudConfig, ComputeHost, GuestVm, StorageHost, VolumeHandle};

@@ -38,11 +38,11 @@ use storm_block::{BlockDevice, SharedVolume};
 use storm_iscsi::{SessionParams, TargetConfig, TargetConn, ISCSI_PORT};
 use storm_net::{App, CloseReason, Cx, FourTuple, SendQueue, SockId};
 use storm_nvmeq::{scan_connect_payload, NvmeqTargetConfig, NvmeqTargetConn, MAGIC, NVMEQ_PORT};
-use storm_qos::{DiskTier, RateLimitSpec, RateLimiter, WeightedFairQueue};
 use storm_sim::trace::{req_token, Hop, TraceEvent, TraceHook};
 use storm_sim::{FaultAction, FaultHook, FaultSite, Histogram, IdMap, SimDuration, SimTime};
 
 use crate::disk::{DiskModel, DiskSpec};
+use crate::qos::{DiskTier, RateLimitSpec, RateLimiter, WeightedFairQueue};
 
 /// Configuration of a storage host's target service.
 #[derive(Debug, Clone)]
@@ -163,13 +163,6 @@ enum Timer {
     },
 }
 
-fn tier_idx(tier: DiskTier) -> usize {
-    match tier {
-        DiskTier::Fast => 0,
-        DiskTier::Slow => 1,
-    }
-}
-
 fn status(ok: bool) -> ScsiStatus {
     if ok {
         ScsiStatus::Good
@@ -179,38 +172,40 @@ fn status(ok: bool) -> ScsiStatus {
 }
 
 /// Per-host QoS enforcement: tenant rate limiters, one WFQ dispatch gate
-/// per disk tier, tiered disk models and the volume → tier map.
+/// per disk tier, tiered disk models and the registered volumes.
 struct QosState {
     limiters: BTreeMap<u32, RateLimiter>,
     wfq: [WeightedFairQueue<DiskJob>; 2],
     /// One job in service per tier; the next is popped at completion —
     /// the "dispatch queue" the WFQ actually orders.
     busy: [bool; 2],
-    /// Tier disks indexed by [`tier_idx`]: fast then slow.
+    /// Tier disks indexed by [`DiskTier::index`]: fast then slow.
     disks: [DiskModel; 2],
-    tier_of: BTreeMap<String, DiskTier>,
-    tenant_of: BTreeMap<String, u32>,
-    /// In-flight copy-then-cutover migrations: the tier flip commits
-    /// lazily once the copy's cutover instant has passed.
-    pending_cutover: BTreeMap<String, (DiskTier, SimTime)>,
-    /// Per-volume service latency (arrival → completion) histograms.
-    latency: BTreeMap<Rc<str>, Histogram>,
-    /// Committed tier migrations.
-    migrations_done: u64,
+    volumes: BTreeMap<Rc<str>, QosVolume>,
 }
 
-impl QosState {
-    /// Current tier of `iqn`, committing any cutover whose instant has
-    /// passed. Unregistered volumes default to the slow tier.
-    fn tier_of(&mut self, iqn: &str, now: SimTime) -> DiskTier {
-        if let Some(&(to, at)) = self.pending_cutover.get(iqn) {
-            if at <= now {
-                self.pending_cutover.remove(iqn);
-                self.tier_of.insert(iqn.to_string(), to);
-                self.migrations_done += 1;
-            }
+/// A volume registered for QoS.
+struct QosVolume {
+    tenant: u32,
+    tier: DiskTier,
+    /// An in-flight copy-then-cutover migration: the tier flip commits
+    /// lazily once the copy's cutover instant has passed.
+    cutover: Option<(DiskTier, SimTime)>,
+    /// Committed tier migrations.
+    migrations: u64,
+    /// Service latency (arrival → completion).
+    latency: Histogram,
+}
+
+impl QosVolume {
+    /// The current tier, committing a cutover whose instant has passed.
+    fn tier(&mut self, now: SimTime) -> DiskTier {
+        if let Some((to, _)) = self.cutover.filter(|&(_, at)| at <= now) {
+            self.cutover = None;
+            self.tier = to;
+            self.migrations += 1;
         }
-        self.tier_of.get(iqn).copied().unwrap_or(DiskTier::Slow)
+        self.tier
     }
 }
 
@@ -324,14 +319,10 @@ impl TargetHostApp {
     pub fn enable_qos(&mut self, fast: DiskSpec, slow: DiskSpec) {
         self.qos = Some(QosState {
             limiters: BTreeMap::new(),
-            wfq: [WeightedFairQueue::new(), WeightedFairQueue::new()],
+            wfq: Default::default(),
             busy: [false; 2],
             disks: [DiskModel::new(fast), DiskModel::new(slow)],
-            tier_of: BTreeMap::new(),
-            tenant_of: BTreeMap::new(),
-            pending_cutover: BTreeMap::new(),
-            latency: BTreeMap::new(),
-            migrations_done: 0,
+            volumes: BTreeMap::new(),
         });
     }
 
@@ -354,8 +345,14 @@ impl TargetHostApp {
     /// Places `iqn` under QoS scheduling for `tenant` on `tier`.
     pub fn register_qos_volume(&mut self, iqn: &Iqn, tenant: u32, tier: DiskTier) {
         if let Some(qos) = &mut self.qos {
-            qos.tier_of.insert(iqn.to_string(), tier);
-            qos.tenant_of.insert(iqn.to_string(), tenant);
+            let vol = QosVolume {
+                tenant,
+                tier,
+                cutover: None,
+                migrations: 0,
+                latency: Histogram::default(),
+            };
+            qos.volumes.insert(Rc::from(iqn.as_str()), vol);
         }
     }
 
@@ -363,20 +360,22 @@ impl TargetHostApp {
     /// disks are occupied streaming the volume's bytes, and the tier map
     /// flips once the copy finishes (in-flight jobs drain on the old
     /// tier). Returns the cutover instant, or `None` when QoS is off,
-    /// the volume is unknown, or it is already on `to`.
+    /// the volume is unknown or not registered for QoS, a migration of
+    /// it is in flight, or it is already on `to`.
     pub fn migrate_volume(&mut self, now: SimTime, iqn: &Iqn, to: DiskTier) -> Option<SimTime> {
         let bytes = self.volumes.get(iqn.as_str())?.clone().num_sectors() * 512;
         let qos = self.qos.as_mut()?;
-        let from = qos.tier_of(iqn.as_str(), now);
-        if from == to || qos.pending_cutover.contains_key(iqn.as_str()) {
+        let vol = qos.volumes.get_mut(iqn.as_str())?;
+        let from = vol.tier(now);
+        if from == to || vol.cutover.is_some() {
             return None;
         }
-        let src_work = qos.disks[tier_idx(from)].bulk_copy_time(bytes);
-        let dst_work = qos.disks[tier_idx(to)].bulk_copy_time(bytes);
-        let src_done = qos.disks[tier_idx(from)].busy_for(now, src_work);
-        let dst_done = qos.disks[tier_idx(to)].busy_for(now, dst_work);
+        let src_work = qos.disks[from.index()].bulk_copy_time(bytes);
+        let dst_work = qos.disks[to.index()].bulk_copy_time(bytes);
+        let src_done = qos.disks[from.index()].busy_for(now, src_work);
+        let dst_done = qos.disks[to.index()].busy_for(now, dst_work);
         let cutover = src_done.max(dst_done);
-        qos.pending_cutover.insert(iqn.to_string(), (to, cutover));
+        vol.cutover = Some((to, cutover));
         self.trace.emit_with(now, || TraceEvent::Meta {
             hop: Hop::Qos,
             id: self.trace_host,
@@ -387,23 +386,25 @@ impl TargetHostApp {
 
     /// Committed tier migrations so far.
     pub fn completed_migrations(&self) -> u64 {
-        self.qos.as_ref().map_or(0, |q| q.migrations_done)
+        self.qos
+            .as_ref()
+            .map_or(0, |q| q.volumes.values().map(|v| v.migrations).sum())
     }
 
     /// Forces any due cutover for `iqn` to commit at `now` (the control
     /// loop calls this so migration counts are visible without waiting
-    /// for the volume's next I/O).
-    pub fn poll_migration(&mut self, now: SimTime, iqn: &Iqn) -> DiskTier {
-        match &mut self.qos {
-            Some(qos) => qos.tier_of(iqn.as_str(), now),
-            None => DiskTier::Slow,
-        }
+    /// for the volume's next I/O) and returns the volume's tier, `None`
+    /// when it is not registered for QoS.
+    pub fn poll_migration(&mut self, now: SimTime, iqn: &Iqn) -> Option<DiskTier> {
+        Some(self.qos.as_mut()?.volumes.get_mut(iqn.as_str())?.tier(now))
     }
 
     /// Per-volume service-latency histogram (arrival to completion at
-    /// this target, including shaping and WFQ queueing).
+    /// this target, including shaping and WFQ queueing); `None` until
+    /// the volume served a job under QoS.
     pub fn volume_latency(&self, iqn: &Iqn) -> Option<&Histogram> {
-        self.qos.as_ref()?.latency.get(iqn.as_str())
+        let vol = self.qos.as_ref()?.volumes.get(iqn.as_str())?;
+        Some(&vol.latency).filter(|h| h.count() > 0)
     }
 
     /// `(throttled ops, total shaping delay)` summed over all tenants.
@@ -480,7 +481,7 @@ impl TargetHostApp {
             (Some(qos), Some((tenant, _))) => qos
                 .limiters
                 .get_mut(tenant)
-                .map_or(SimDuration::ZERO, |l| l.admit(now, op.bytes())),
+                .map_or(SimDuration::ZERO, |l| l.admit(now)),
             _ => SimDuration::ZERO,
         };
         if delay > SimDuration::ZERO {
@@ -496,7 +497,7 @@ impl TargetHostApp {
     fn qos_binding(&self, sock: SockId) -> Option<(u32, Rc<str>)> {
         let qos = self.qos.as_ref()?;
         let iqn = self.sessions.get(&sock)?.iqn.as_ref()?;
-        Some((*qos.tenant_of.get(&**iqn)?, Rc::clone(iqn)))
+        Some((qos.volumes.get(&**iqn)?.tenant, Rc::clone(iqn)))
     }
 
     /// Schedule stage: a QoS job goes into service if its tier's dispatch
@@ -506,11 +507,15 @@ impl TargetHostApp {
         let (Some(qos), Some((tenant, iqn))) = (&mut self.qos, &job.qos) else {
             return self.serve(cx, None, job);
         };
-        let tier = qos.tier_of(iqn, cx.now());
-        if qos.busy[tier_idx(tier)] {
+        let now = cx.now();
+        let tier = qos
+            .volumes
+            .get_mut(iqn)
+            .map_or(DiskTier::Slow, |v| v.tier(now));
+        if qos.busy[tier.index()] {
             // Fairness is byte-weighted: large ops cost more credit.
             let (tenant, cost) = (*tenant, job.op.bytes().max(512));
-            qos.wfq[tier_idx(tier)].push(tenant, cost, job);
+            qos.wfq[tier.index()].push(tenant, cost, job);
         } else {
             self.serve(cx, Some(tier), job);
         }
@@ -524,8 +529,8 @@ impl TargetHostApp {
         let start = job.earliest.max(now);
         let disk = match (&mut self.qos, slot) {
             (Some(qos), Some(tier)) => {
-                qos.busy[tier_idx(tier)] = true;
-                &mut qos.disks[tier_idx(tier)]
+                qos.busy[tier.index()] = true;
+                &mut qos.disks[tier.index()]
             }
             _ => &mut self.disk,
         };
@@ -535,8 +540,9 @@ impl TargetHostApp {
             DiskOp::Flush => disk.serve_flush(start),
         } + job.extra;
         if let (Some(qos), Some((_, iqn))) = (&mut self.qos, &job.qos) {
-            let latency = qos.latency.entry(Rc::clone(iqn)).or_default();
-            latency.record(done - job.arrived);
+            if let Some(vol) = qos.volumes.get_mut(iqn) {
+                vol.latency.record(done - job.arrived);
+            }
         }
         self.trace_serve(now, &job, start - job.arrived, done - start);
         self.arm(cx, done - now, Timer::Done { job, slot });
@@ -722,9 +728,9 @@ impl App for TargetHostApp {
                 // done: the next WFQ job goes into service, or the gate
                 // opens if the queue is dry.
                 if let (Some(qos), Some(tier)) = (&mut self.qos, slot) {
-                    match qos.wfq[tier_idx(tier)].pop() {
+                    match qos.wfq[tier.index()].pop() {
                         Some((_tenant, next)) => self.serve(cx, slot, next),
-                        None => qos.busy[tier_idx(tier)] = false,
+                        None => qos.busy[tier.index()] = false,
                     }
                 }
                 // Fault injection on the response path: a muted target
@@ -787,15 +793,23 @@ mod tests {
             .expect("starts");
         assert!(cutover > now, "copy takes time");
         // Before the cutover instant the volume still serves from slow.
-        assert_eq!(app.poll_migration(now, &iqn), DiskTier::Slow);
+        assert_eq!(app.poll_migration(now, &iqn), Some(DiskTier::Slow));
         assert_eq!(app.completed_migrations(), 0);
         // Re-migrating while one is in flight is refused.
         assert!(app.migrate_volume(now, &iqn, DiskTier::Fast).is_none());
         // After the cutover instant the tier flips and the count commits.
-        assert_eq!(app.poll_migration(cutover, &iqn), DiskTier::Fast);
+        assert_eq!(app.poll_migration(cutover, &iqn), Some(DiskTier::Fast));
         assert_eq!(app.completed_migrations(), 1);
         // Migrating to the tier it is already on is a no-op.
         assert!(app.migrate_volume(cutover, &iqn, DiskTier::Fast).is_none());
+        // A volume not registered for QoS has no tier to leave.
+        let other = vg.create_volume(16 << 20).unwrap();
+        let other_iqn = Iqn::for_volume(other.id().0);
+        app.register_volume(other_iqn.clone(), SharedVolume::new(other));
+        assert!(app
+            .migrate_volume(cutover, &other_iqn, DiskTier::Fast)
+            .is_none());
+        assert_eq!(app.poll_migration(cutover, &other_iqn), None);
     }
 
     /// Streams one prepared TCP segment at the storage host.

@@ -36,9 +36,7 @@ pub mod splice;
 
 pub use platform::{ChainDeployment, MbSpec, RelayMode, StormPlatform};
 pub use policy::{ServiceSpec, TenantPolicy, VolumePolicy};
-pub use relay::{
-    ActiveRelayConfig, ActiveRelayMb, MbControl, PassiveTap, RelayCopyStats, RelayQosConfig,
-};
+pub use relay::{ActiveRelayConfig, ActiveRelayMb, MbControl, PassiveTap, RelayCopyStats};
 pub use semantics::{FsAccess, FsOp, FsTargetKind, Reconstructor};
 pub use service::{Dir, Op, ReplicaIo, StorageService, SvcAction, SvcCtx};
 pub use splice::GatewayPair;

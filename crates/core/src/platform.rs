@@ -7,14 +7,13 @@
 //! with the middle-box services enabled."
 
 use storm_block::transport::Iqn;
+use storm_cloud::qos::RateLimitSpec;
 use storm_cloud::sdn::{self, ChainHop, ChainSpec};
 use storm_cloud::{Cloud, GuestVm, VolumeHandle, Workload};
 use storm_net::{AppId, DnatRule, SockAddr, TapConfig};
 use storm_sim::SimDuration;
 
-use crate::relay::{
-    ActiveRelayConfig, ActiveRelayMb, PassiveTap, RelayQosConfig, ReplicaTarget, LISTEN_PORT,
-};
+use crate::relay::{ActiveRelayConfig, ActiveRelayMb, PassiveTap, ReplicaTarget, LISTEN_PORT};
 use crate::service::StorageService;
 use crate::splice::{self, GatewayPair};
 
@@ -118,7 +117,7 @@ pub struct StormPlatform {
     pub tso: bool,
     /// Per-tenant rate shaping applied at every active relay this
     /// platform deploys; `None` (default) admits everything unshaped.
-    pub qos: Option<RelayQosConfig>,
+    pub qos: Option<RateLimitSpec>,
 }
 
 impl Default for StormPlatform {
@@ -202,7 +201,7 @@ impl StormPlatform {
                     cfg.buffer_cap = self.buffer_cap;
                     cfg.replicas = spec.replicas;
                     cfg.initiator_iqn = Iqn::for_host(&format!("mb{i}-t{}", self.tenant));
-                    cfg.qos = self.qos.clone();
+                    cfg.qos = self.qos;
                     let mut relay = ActiveRelayMb::new(cfg, spec.services);
                     relay.set_trace_hook(cloud.trace_hook(), i as u32);
                     let app = cloud.net.add_app(guest.node, Box::new(relay));

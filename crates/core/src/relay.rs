@@ -33,8 +33,7 @@ mod wire;
 
 pub(crate) use active::LISTEN_PORT;
 pub use active::{
-    ActiveRelayConfig, ActiveRelayMb, MbControl, RelayCopyStats, RelayQosConfig, ReplicaTarget,
-    CPU_LABEL,
+    ActiveRelayConfig, ActiveRelayMb, MbControl, RelayCopyStats, ReplicaTarget, CPU_LABEL,
 };
 pub use passive::{PassiveTap, WireTracker};
 pub(crate) use wire::{lift_pdu, lower_pdus, Wire};

@@ -10,9 +10,9 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 
 use storm_block::transport::{IoTag, Iqn, ScsiStatus, TransportEvent};
+use storm_cloud::qos::{RateLimitSpec, RateLimiter};
 use storm_iscsi::{Initiator, InitiatorConfig, SessionParams};
 use storm_net::{App, BusMsg, CloseReason, Cx, HostId, SendQueue, SockAddr, SockId};
-use storm_qos::{RateLimitSpec, RateLimiter};
 use storm_sim::trace::{flow_token, req_token, Hop, ReqToken, TraceEvent, TraceHook};
 use storm_sim::{FaultAction, FaultHook, FaultSite, IdMap, SerialResource, SimDuration, SimTime};
 
@@ -66,22 +66,6 @@ pub enum MbControl {
     Restart,
 }
 
-/// Tenant QoS shaping at the relay admission point.
-///
-/// The relay is the tenant's entry into the platform, so per-tenant rate
-/// limits are enforced here: request-direction PDUs that exceed the
-/// tenant's token buckets have their processing start pushed back by the
-/// shaping delay. The delay is *queueing*, not CPU — the relay core stays
-/// free for other flows — and a tenant under its limit sees a zero delay
-/// and a byte-identical datapath.
-#[derive(Debug, Clone)]
-pub struct RelayQosConfig {
-    /// Tenant this relay serves (trace/metric attribution).
-    pub tenant: u32,
-    /// IOPS + bandwidth buckets applied to request-direction PDUs.
-    pub limit: RateLimitSpec,
-}
-
 /// Active relay configuration.
 #[derive(Debug, Clone)]
 pub struct ActiveRelayConfig {
@@ -97,8 +81,14 @@ pub struct ActiveRelayConfig {
     pub replicas: Vec<ReplicaTarget>,
     /// Initiator identity for replica sessions.
     pub initiator_iqn: Iqn,
-    /// Per-tenant rate shaping; `None` (default) admits everything.
-    pub qos: Option<RelayQosConfig>,
+    /// The tenant's rate limit, enforced here because the relay is the
+    /// tenant's entry into the platform: request-direction batches that
+    /// exceed it have their processing start pushed back by the shaping
+    /// delay. The delay is *queueing*, not CPU — the relay core stays
+    /// free for other flows — and a tenant under its limit sees a zero
+    /// delay and a byte-identical datapath. `None` (default) admits
+    /// everything.
+    pub qos: Option<RateLimitSpec>,
 }
 
 impl ActiveRelayConfig {
@@ -300,7 +290,7 @@ impl ActiveRelayMb {
     /// Creates the relay with a service chain (may be empty = pure
     /// store-and-forward, the paper's MB-ACTIVE-RELAY baseline).
     pub fn new(cfg: ActiveRelayConfig, services: Vec<Box<dyn StorageService>>) -> Self {
-        let limiter = cfg.qos.as_ref().map(|q| RateLimiter::new(q.limit));
+        let limiter = cfg.qos.map(RateLimiter::new);
         ActiveRelayMb {
             cfg,
             limiter,
@@ -721,7 +711,7 @@ impl ActiveRelayMb {
             // queueing (a later serve start), not CPU, so an under-limit
             // tenant's datapath is byte-identical to the unlimited one.
             let qos_delay = match &mut self.limiter {
-                Some(l) if inbound => l.admit(now, batch.wire_len as u64),
+                Some(l) if inbound => l.admit(now),
                 _ => SimDuration::ZERO,
             };
             if qos_delay > SimDuration::ZERO {

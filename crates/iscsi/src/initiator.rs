@@ -49,8 +49,15 @@ enum State {
 
 #[derive(Debug)]
 enum Pending {
-    Read(Transfer),
-    Write { data: Bytes },
+    /// A read of `len` bytes; `xfer` assembles it once a second Data-In,
+    /// or one not at offset 0, shows it does not arrive whole.
+    Read {
+        len: usize,
+        xfer: Option<Transfer>,
+    },
+    Write {
+        data: Bytes,
+    },
     Flush,
 }
 
@@ -155,14 +162,9 @@ impl Initiator {
     pub fn read(&mut self, lba: u64, sectors: u32) -> IoTag {
         assert_eq!(self.state, State::FullFeature, "read before login");
         assert!(sectors > 0, "zero-length read");
-        let xfer = Transfer::new(sectors as usize * 512);
-        self.issue(
-            BlockOp::Read,
-            lba,
-            sectors,
-            Bytes::new(),
-            Pending::Read(xfer),
-        )
+        let len = sectors as usize * 512;
+        let wait = Pending::Read { len, xfer: None };
+        self.issue(BlockOp::Read, lba, sectors, Bytes::new(), wait)
     }
 
     /// Queues the command PDU for a new task and records what it awaits.
@@ -291,20 +293,36 @@ impl Initiator {
             }
             Pdu::DataIn(d) => {
                 self.exp_stat_sn = d.stat_sn.wrapping_add(1);
-                let Some(Pending::Read(xfer)) = self.pending.get_mut(&d.itt) else {
+                let Some(Pending::Read { len, xfer }) = self.pending.get_mut(&d.itt) else {
                     events.push(TransportEvent::ProtocolError(format!(
                         "data-in for unknown itt {}",
                         d.itt
                     )));
                     return;
                 };
+                let done = d.final_pdu && d.status_present;
+                // A read one Data-In answers whole is handed on as that
+                // PDU's data: nothing is assembled.
+                if xfer.is_none() && done && d.buffer_offset == 0 && d.data.len() == *len {
+                    self.pending.remove(&d.itt);
+                    events.push(TransportEvent::ReadDone {
+                        tag: IoTag(d.itt),
+                        status: d.status,
+                        data: d.data,
+                    });
+                    return;
+                }
+                let xfer = xfer.get_or_insert_with(|| Transfer::new(*len));
                 if xfer.absorb(d.buffer_offset, &d.data).is_err() {
                     events.push(TransportEvent::ProtocolError(format!(
                         "data-in for itt {} overruns its buffer",
                         d.itt
                     )));
-                } else if d.final_pdu && d.status_present {
-                    if let Some(Pending::Read(xfer)) = self.pending.remove(&d.itt) {
+                } else if done {
+                    if let Some(Pending::Read {
+                        xfer: Some(xfer), ..
+                    }) = self.pending.remove(&d.itt)
+                    {
                         events.push(TransportEvent::ReadDone {
                             tag: IoTag(d.itt),
                             status: d.status,
@@ -337,7 +355,7 @@ impl Initiator {
                         tag: IoTag(r.itt),
                         status: r.status,
                     }),
-                    Some(Pending::Read(_)) => events.push(TransportEvent::ReadDone {
+                    Some(Pending::Read { .. }) => events.push(TransportEvent::ReadDone {
                         tag: IoTag(r.itt),
                         status: r.status,
                         data: Bytes::new(),
@@ -554,6 +572,33 @@ mod tests {
             .expect("read completed");
         assert_eq!(got.len(), 128 * 1024);
         assert!(got.iter().all(|&b| b == 7));
+    }
+
+    /// A read one Data-In answers whole completes with a view of the fed
+    /// bytes: no buffer is assembled for it.
+    #[test]
+    fn read_answered_by_one_data_in_is_handed_on_whole() {
+        let (mut ini, mut tgt) = logged_in_pair();
+        let rtag = ini.read(8, 8);
+        let itt = tgt
+            .feed_bytes(flat(ini.take_wire()))
+            .into_iter()
+            .find_map(|e| match e {
+                TargetEvent::ReadReady { itt, .. } => Some(itt),
+                _ => None,
+            })
+            .expect("read reached the target");
+        tgt.complete_read(itt, Bytes::from(vec![9u8; 4096]), ScsiStatus::Good);
+        let chunk = flat(tgt.take_wire());
+        let evs = ini.feed_bytes(chunk.clone());
+        let [TransportEvent::ReadDone { tag, status, data }] = &evs[..] else {
+            panic!("expected one ReadDone, got {evs:?}");
+        };
+        assert_eq!((*tag, *status), (rtag, ScsiStatus::Good));
+        assert_eq!(&data[..], &[9u8; 4096][..]);
+        // The Data-In's segment closes the chunk (4 KiB needs no pad).
+        assert!(data.same_storage(&chunk.slice(chunk.len() - 4096..)));
+        assert_eq!(ini.in_flight(), 0);
     }
 
     #[test]

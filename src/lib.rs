@@ -13,13 +13,13 @@ pub mod scenario;
 
 pub use storm_block as block;
 pub use storm_cloud as cloud;
+pub use storm_cloud::qos;
 pub use storm_core as core;
 pub use storm_crypto as crypto;
 pub use storm_extfs as extfs;
 pub use storm_iscsi as iscsi;
 pub use storm_net as net;
 pub use storm_nvmeq as nvmeq;
-pub use storm_qos as qos;
 pub use storm_services as services;
 pub use storm_sim as sim;
 pub use storm_telemetry as telemetry;

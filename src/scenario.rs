@@ -65,12 +65,12 @@ use std::sync::Arc;
 
 use storm_block::transport::TransportKind;
 use storm_block::BlockDevice;
+use storm_cloud::qos::{DiskTier, RateLimitSpec};
 use storm_cloud::{Cloud, CloudConfig, DiskSpec, VolumeClient, VolumeHandle, Workload};
 use storm_core::relay::{ActiveRelayMb, ReplicaTarget};
 use storm_core::service::StorageService;
-use storm_core::{ChainDeployment, MbSpec, RelayMode, RelayQosConfig, StormPlatform};
+use storm_core::{ChainDeployment, MbSpec, RelayMode, StormPlatform};
 use storm_net::{AppId, LinkSpec};
-use storm_qos::{DiskTier, RateLimitSpec};
 use storm_services::{
     CacheConfig, CompressService, DedupService, EncryptionService, ReplicationService,
     SnapshotService, WriteBackCacheService,
@@ -595,8 +595,6 @@ impl Case {
             _ => None,
         };
         let (spares, replicas) = self.chain.iter().find_map(wiring).unwrap_or_default();
-        let limit = QOS_LIMIT;
-        let qos = self.qos.then_some(RelayQosConfig { tenant: 1, limit });
         Spec {
             seed: self.seed,
             client_seed: self.seed ^ 0x5EED,
@@ -608,7 +606,7 @@ impl Case {
             services: self.chain.iter().map(|s| s.service(self)).collect(),
             replicas,
             platform: StormPlatform {
-                qos,
+                qos: self.qos.then_some(QOS_LIMIT),
                 ..StormPlatform::default()
             },
             traced: true,

@@ -10,7 +10,7 @@
 
 use storm::block::transport::TransportKind;
 use storm::core::service::StorageService;
-use storm::core::{RelayCopyStats, RelayQosConfig, StormPlatform};
+use storm::core::{RelayCopyStats, StormPlatform};
 use storm::faults::{Fault, FaultPlan};
 use storm::qos::RateLimitSpec;
 use storm::scenario::Spec;
@@ -45,10 +45,6 @@ fn run(
     qos: bool,
     mb_fault: bool,
 ) -> Golden {
-    let qos_config = RelayQosConfig {
-        tenant: 1,
-        limit: RateLimitSpec::iops_limit(600, 4),
-    };
     let mb_delay = FaultPlan::new(SEED ^ 0xFA17).at(
         SimTime::from_millis(150),
         Fault::MbDelay {
@@ -66,7 +62,7 @@ fn run(
         volume_bytes: VOLUME_BYTES,
         services,
         platform: StormPlatform {
-            qos: qos.then_some(qos_config),
+            qos: qos.then_some(RateLimitSpec::iops_limit(600, 4)),
             ..StormPlatform::default()
         },
         faults: mb_fault.then_some(mb_delay),
