@@ -113,6 +113,10 @@ impl DiskModel {
         if self.spec.cache_blocks == 0 {
             return false;
         }
+        if self.spec.prewarmed {
+            // Every access hits, so what is resident never matters.
+            return true;
+        }
         self.stamp += 1;
         let previous = self.cache.insert(block, self.stamp);
         if let Some(stale) = previous {
@@ -125,7 +129,7 @@ impl DiskModel {
                 self.cache.remove(&lru);
             }
         }
-        previous.is_some() || self.spec.prewarmed
+        previous.is_some()
     }
 
     fn transfer(&self, bytes: usize) -> SimDuration {
@@ -252,6 +256,19 @@ mod tests {
         );
         let (hits, misses) = d.cache_stats();
         assert_eq!((hits, misses), (1, 1));
+    }
+
+    #[test]
+    fn prewarmed_disk_hits_without_tracking_blocks() {
+        let mut d = DiskModel::new(DiskSpec {
+            prewarmed: true,
+            ..DiskSpec::default()
+        });
+        let done = d.serve_read(at(0), 0, 65536);
+        d.serve_write(done, 1 << 20, 65536);
+        assert_eq!(d.cache_stats(), (1, 0));
+        assert!(d.cache.is_empty() && d.by_stamp.is_empty());
+        assert_eq!(d.busy_total(), SimDuration::ZERO);
     }
 
     #[test]

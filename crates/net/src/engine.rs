@@ -63,8 +63,10 @@ pub enum TapVerdict {
 
 /// A simulation event.
 ///
-/// Switch hops and gateway egresses that the engine resolves early
-/// (DESIGN §3.1) are not events; the other hops are.
+/// A frame is queued only as an [`Arrive`](Ev::Arrive) or an
+/// [`Egress`](Ev::Egress); switch hops and gateway egresses that the engine
+/// resolves early (DESIGN §3.1) are not events. No app addresses its own
+/// host, so there is no loopback path.
 #[derive(Debug)]
 pub enum Ev {
     /// Application start-up hook.
@@ -87,13 +89,6 @@ pub enum Ev {
         host: HostId,
         /// Egress interface.
         iface: IfaceId,
-        /// The frame.
-        frame: Box<Frame>,
-    },
-    /// Loopback / local delivery.
-    Local {
-        /// The host.
-        host: HostId,
         /// The frame.
         frame: Box<Frame>,
     },
@@ -495,7 +490,6 @@ impl Network {
                 Endpoint::Host { host, iface } => self.host_input(host, iface, frame),
             },
             Ev::Egress { host, iface, frame } => self.emit(host, iface, frame),
-            Ev::Local { host, frame } => self.local_input(host, *frame),
             Ev::Timer { host, app, token } => self.dispatch(host, app, Callback::Timer(token)),
             Ev::Bus {
                 host,
@@ -899,23 +893,6 @@ impl Network {
         // OUTPUT path: conntrack only (reply rewriting for redirected
         // flows); PREROUTING rules never apply to local output.
         let tuple = h.nat.translate_output(seg.tuple);
-        // Loopback delivery for local destinations.
-        if h.has_ip(tuple.dst.ip) {
-            let mut frame = Box::new(Frame {
-                src_mac: crate::addr::MacAddr::nth(0),
-                dst_mac: crate::addr::MacAddr::nth(0),
-                src_ip: tuple.src.ip,
-                dst_ip: tuple.dst.ip,
-                tcp: seg.seg,
-                hops: 0,
-            });
-            frame.set_tuple(tuple);
-            self.q.push(
-                self.now + SimDuration::from_micros(1),
-                Ev::Local { host, frame },
-            );
-            return;
-        }
         let Some((out_iface, next_hop)) = h.route_for_flow(&tuple, is_syn) else {
             h.dropped_no_route += 1;
             return;
@@ -953,13 +930,13 @@ impl Network {
         verdict
     }
 
+    /// Runs one callback of `app`. Only [`handle`](Self::handle) gets
+    /// here, and a callback's `Cx` calls queue events instead of handling
+    /// them, so the app is always in its slot.
     fn dispatch(&mut self, host: HostId, app: AppId, cb: Callback) {
-        let Some(mut a) = self.hosts[host.0 as usize].apps[app.0 as usize].take() else {
-            // App is already on the stack (re-entrant event): requeue just
-            // after now to preserve ordering without recursion.
-            self.q.push(self.now, cb.requeue(host, app));
-            return;
-        };
+        let mut a = self.hosts[host.0 as usize].apps[app.0 as usize]
+            .take()
+            .expect("app callbacks never nest");
         {
             let mut cx = Cx {
                 net: self,
@@ -1003,27 +980,6 @@ enum Callback {
     Timer(u64),
     Bus(HostId, BusMsg),
     Tcp(TcpEvent),
-}
-
-impl Callback {
-    fn requeue(self, host: HostId, app: AppId) -> Ev {
-        match self {
-            Callback::Start => Ev::Start { host, app },
-            Callback::Timer(token) => Ev::Timer { host, app, token },
-            Callback::Bus(from, msg) => Ev::Bus {
-                host,
-                app,
-                from,
-                msg,
-            },
-            Callback::Tcp(_) => {
-                // TCP events cannot be requeued without re-entering the
-                // stack; in practice apps never trigger same-app TCP events
-                // synchronously (resume is deferred via Ev::Resume).
-                unreachable!("re-entrant TCP dispatch")
-            }
-        }
-    }
 }
 
 /// The capability handle given to [`App`] callbacks.

@@ -161,11 +161,6 @@ impl Link {
         self.bytes
     }
 
-    /// Whether the link is up.
-    pub fn is_up(&self) -> bool {
-        self.up
-    }
-
     /// The link's endpoints.
     pub fn ends(&self) -> [Endpoint; 2] {
         self.ends
@@ -664,11 +659,11 @@ mod tests {
         let mut f = Fabric::new();
         let l = f.add_link(host_end(0, 0), host_end(1, 0), LinkSpec::instant());
         f.set_link_up(l, false);
-        assert!(!f.link(l).is_up());
         assert!(send(&mut f, l, host_end(0, 0), frame(10)).is_none());
         assert_eq!(f.dropped(), 1);
         f.set_link_up(l, true);
         assert!(send(&mut f, l, host_end(0, 0), frame(10)).is_some());
+        assert_eq!(f.dropped(), 1, "an up link drops nothing");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! OpenFlow-style match/action flow tables.
+//! The SDN flow table behind the paper's forwarding plane.
 //!
 //! StorM's SDN controller steers storage flows through middle-box chains by
 //! installing rules like the ones in the paper's Figure 3:
@@ -8,11 +8,10 @@
 //! Actions:        mod_dst_mac: ovs2_mac -> mb1_mac
 //! ```
 //!
-//! [`FlowMatch`] expresses the (wildcard-able) match fields, [`FlowAction`]
-//! the rewrite/output actions, and [`FlowTable`] performs priority-ordered
-//! lookup.
-
-use std::net::Ipv4Addr;
+//! That is the one rule shape this model has: a [`FlowRule`] matches the
+//! (wildcard-able) [`FlowMatch`] fields, rewrites the destination MAC to
+//! its `next_mac`, and the switch then forwards the frame by L2 learning.
+//! [`FlowTable`] performs the priority-ordered lookup.
 
 use crate::addr::MacAddr;
 use crate::frame::Frame;
@@ -21,16 +20,10 @@ use crate::switch::PortNo;
 /// Match fields; `None` wildcards a field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FlowMatch {
-    /// Ingress port.
-    pub in_port: Option<PortNo>,
     /// Source MAC.
     pub src_mac: Option<MacAddr>,
     /// Destination MAC.
     pub dst_mac: Option<MacAddr>,
-    /// Source IPv4.
-    pub src_ip: Option<Ipv4Addr>,
-    /// Destination IPv4.
-    pub dst_ip: Option<Ipv4Addr>,
     /// TCP source port.
     pub src_port: Option<u16>,
     /// TCP destination port.
@@ -43,12 +36,6 @@ impl FlowMatch {
         Self::default()
     }
 
-    /// Restricts to an ingress port.
-    pub fn in_port(mut self, p: PortNo) -> Self {
-        self.in_port = Some(p);
-        self
-    }
-
     /// Restricts the source MAC.
     pub fn src_mac(mut self, m: MacAddr) -> Self {
         self.src_mac = Some(m);
@@ -58,18 +45,6 @@ impl FlowMatch {
     /// Restricts the destination MAC.
     pub fn dst_mac(mut self, m: MacAddr) -> Self {
         self.dst_mac = Some(m);
-        self
-    }
-
-    /// Restricts the source IP.
-    pub fn src_ip(mut self, ip: Ipv4Addr) -> Self {
-        self.src_ip = Some(ip);
-        self
-    }
-
-    /// Restricts the destination IP.
-    pub fn dst_ip(mut self, ip: Ipv4Addr) -> Self {
-        self.dst_ip = Some(ip);
         self
     }
 
@@ -85,43 +60,25 @@ impl FlowMatch {
         self
     }
 
-    /// Whether `frame` arriving on `port` satisfies this match.
-    pub fn matches(&self, frame: &Frame, port: PortNo) -> bool {
-        self.in_port.is_none_or(|p| p == port)
-            && self.src_mac.is_none_or(|m| m == frame.src_mac)
+    /// Whether `frame` satisfies this match.
+    pub fn matches(&self, frame: &Frame) -> bool {
+        self.src_mac.is_none_or(|m| m == frame.src_mac)
             && self.dst_mac.is_none_or(|m| m == frame.dst_mac)
-            && self.src_ip.is_none_or(|ip| ip == frame.src_ip)
-            && self.dst_ip.is_none_or(|ip| ip == frame.dst_ip)
             && self.src_port.is_none_or(|p| p == frame.tcp.src_port)
             && self.dst_port.is_none_or(|p| p == frame.tcp.dst_port)
     }
 }
 
-/// An action applied to a matched frame, in order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlowAction {
-    /// Rewrite the destination MAC (`mod_dst_mac`), the paper's steering
-    /// primitive.
-    SetDstMac(MacAddr),
-    /// Rewrite the source MAC.
-    SetSrcMac(MacAddr),
-    /// Emit on a specific port.
-    Output(PortNo),
-    /// Fall back to normal L2 forwarding (MAC learning table).
-    Normal,
-    /// Drop the frame.
-    Drop,
-}
-
-/// A prioritized flow rule.
+/// A prioritized steering rule: a matched frame's destination MAC becomes
+/// `next_mac` (`mod_dst_mac`), then the frame is L2-forwarded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlowRule {
     /// Higher priorities are evaluated first.
     pub priority: u16,
     /// Match fields.
     pub matching: FlowMatch,
-    /// Actions applied on match.
-    pub actions: Vec<FlowAction>,
+    /// The MAC a matched frame is steered to.
+    pub next_mac: MacAddr,
 }
 
 /// A priority-ordered flow table with per-rule hit counters.
@@ -152,18 +109,18 @@ impl FlowTable {
         before - self.rules.len()
     }
 
-    /// Finds the highest-priority rule matching `frame` on `port`,
-    /// incrementing its hit counter.
-    pub fn lookup(&mut self, frame: &Frame, port: PortNo) -> Option<&FlowRule> {
-        let i = self.find(frame, port)?;
+    /// Finds the highest-priority rule matching `frame`, incrementing its
+    /// hit counter. A rule matches no ingress port, so `_port` is unread.
+    pub fn lookup(&mut self, frame: &Frame, _port: PortNo) -> Option<&FlowRule> {
+        let i = self.find(frame)?;
         self.count_hit(i, true);
         Some(self.rule(i))
     }
 
-    /// The position of the highest-priority rule matching `frame` on
-    /// `port`, counting nothing.
-    pub(crate) fn find(&self, frame: &Frame, port: PortNo) -> Option<u32> {
-        let i = (self.rules.iter()).position(|(rule, _)| rule.matching.matches(frame, port))?;
+    /// The position of the highest-priority rule matching `frame`,
+    /// counting nothing.
+    pub(crate) fn find(&self, frame: &Frame) -> Option<u32> {
+        let i = (self.rules.iter()).position(|(rule, _)| rule.matching.matches(frame))?;
         Some(i as u32)
     }
 
@@ -199,6 +156,7 @@ mod tests {
     use super::*;
     use crate::frame::{TcpFlags, TcpSegment};
     use bytes::Bytes;
+    use std::net::Ipv4Addr;
 
     fn frame(dst_port: u16) -> Frame {
         Frame {
@@ -219,34 +177,33 @@ mod tests {
         }
     }
 
+    fn rule(priority: u16, matching: FlowMatch) -> FlowRule {
+        FlowRule {
+            priority,
+            matching,
+            next_mac: MacAddr::nth(9),
+        }
+    }
+
     #[test]
     fn wildcard_match_matches_everything() {
-        assert!(FlowMatch::any().matches(&frame(80), PortNo(3)));
+        assert!(FlowMatch::any().matches(&frame(80)));
     }
 
     #[test]
     fn field_mismatch_fails() {
         let m = FlowMatch::any().dst_port(3260).src_mac(MacAddr::nth(1));
-        assert!(m.matches(&frame(3260), PortNo(0)));
-        assert!(!m.matches(&frame(80), PortNo(0)));
-        let m2 = m.in_port(PortNo(7));
-        assert!(!m2.matches(&frame(3260), PortNo(0)));
-        assert!(m2.matches(&frame(3260), PortNo(7)));
+        assert!(m.matches(&frame(3260)));
+        assert!(!m.matches(&frame(80)));
+        assert!(!m.src_port(7).matches(&frame(3260)));
+        assert!(m.src_port(5555).matches(&frame(3260)));
     }
 
     #[test]
     fn priority_order_wins() {
         let mut t = FlowTable::new();
-        t.install(FlowRule {
-            priority: 1,
-            matching: FlowMatch::any(),
-            actions: vec![FlowAction::Normal],
-        });
-        t.install(FlowRule {
-            priority: 10,
-            matching: FlowMatch::any().dst_port(3260),
-            actions: vec![FlowAction::SetDstMac(MacAddr::nth(9)), FlowAction::Normal],
-        });
+        t.install(rule(1, FlowMatch::any()));
+        t.install(rule(10, FlowMatch::any().dst_port(3260)));
         let hit = t.lookup(&frame(3260), PortNo(0)).unwrap();
         assert_eq!(hit.priority, 10);
         let miss = t.lookup(&frame(80), PortNo(0)).unwrap();
@@ -259,16 +216,8 @@ mod tests {
     fn remove_by_match() {
         let mut t = FlowTable::new();
         let m = FlowMatch::any().dst_port(3260);
-        t.install(FlowRule {
-            priority: 5,
-            matching: m,
-            actions: vec![FlowAction::Drop],
-        });
-        t.install(FlowRule {
-            priority: 0,
-            matching: FlowMatch::any(),
-            actions: vec![FlowAction::Normal],
-        });
+        t.install(rule(5, m));
+        t.install(rule(0, FlowMatch::any()));
         assert_eq!(t.len(), 2);
         assert_eq!(t.remove(&m), 1);
         assert_eq!(t.len(), 1);

@@ -5,8 +5,8 @@
 //!
 //! * [`Frame`] — Ethernet/IP/TCP frames carrying real payload bytes.
 //! * [`VirtualSwitch`] — OVS-like switches with priority [`FlowTable`]s
-//!   (match on L2–L4 fields, actions such as `mod_dst_mac`), the mechanism
-//!   behind the paper's Figure 3 forwarding plane.
+//!   (match on MACs and TCP ports, then one `mod_dst_mac` rewrite before
+//!   L2 forwarding), the paper's Figure 3 forwarding plane.
 //! * [`Nat`] — iptables-style DNAT/SNAT with connection tracking, used for
 //!   the storage-gateway redirection and IP masquerading.
 //! * [`Fabric`] — links with latency, bandwidth serialization and per-packet
@@ -81,7 +81,7 @@ mod util;
 pub use addr::{FourTuple, MacAddr, SockAddr};
 pub use engine::{App, BusMsg, Cx, Ev, Network, TapVerdict};
 pub use fabric::{Endpoint, Fabric, LinkId, LinkSpec};
-pub use flow::{FlowAction, FlowMatch, FlowRule, FlowTable};
+pub use flow::{FlowMatch, FlowRule, FlowTable};
 pub use frame::{Frame, Payload, TcpFlags, TcpSegment};
 pub use host::{AppId, CloseReason, Host, HostId, Iface, IfaceId, Route, SteerRule, TapConfig};
 pub use nat::{DnatRule, Nat, SnatRule};

@@ -93,13 +93,6 @@ impl Nat {
         self.snat.push(rule);
     }
 
-    /// Removes DNAT rules equal to `rule`; established flows keep their
-    /// conntrack entries (the paper's atomic-attachment step depends on
-    /// this: "the removal of NAT rules does not impact established flows").
-    pub fn remove_dnat(&mut self, rule: &DnatRule) {
-        self.dnat.retain(|r| r != rule);
-    }
-
     /// Number of live conntrack entries.
     pub fn conntrack_len(&self) -> usize {
         self.forward.len()
@@ -176,19 +169,6 @@ impl Nat {
             return e.orig.reversed();
         }
         tuple
-    }
-
-    /// Drops the conntrack entry for `tuple` (either direction), if any.
-    pub fn untrack(&mut self, tuple: FourTuple) {
-        let entry = self
-            .forward
-            .get(&tuple)
-            .copied()
-            .or_else(|| self.reply.get(&tuple).copied());
-        if let Some(e) = entry {
-            self.forward.remove(&e.orig);
-            self.reply.remove(&e.xlat.reversed());
-        }
     }
 }
 
@@ -276,24 +256,20 @@ mod tests {
     }
 
     #[test]
-    fn rule_removal_keeps_established_flows() {
+    fn established_flows_keep_their_translation() {
         let mut nat = Nat::new();
-        let rule = DnatRule {
+        nat.add_dnat(DnatRule {
             match_dst_ip: Ipv4Addr::new(10, 0, 0, 9),
             match_dst_port: None,
             match_src_ip: None,
             to: sa(7, 3260),
-        };
-        nat.add_dnat(rule);
+        });
         let orig = FourTuple::new(sa(1, 40000), sa(9, 3260));
         let fwd = nat.translate(orig, true);
-        nat.remove_dnat(&rule);
-        assert_eq!(nat.rule_counts(), (0, 0));
+        assert_eq!(nat.rule_counts(), (1, 0));
         // Established flow still translated via conntrack.
         assert_eq!(nat.translate(orig, false), fwd);
-        // A *new* flow (different source port) is no longer translated.
-        let fresh = FourTuple::new(sa(1, 40001), sa(9, 3260));
-        assert_eq!(nat.translate(fresh, true), fresh);
+        assert_eq!(nat.conntrack_len(), 1);
     }
 
     #[test]
@@ -307,21 +283,6 @@ mod tests {
         });
         let t = FourTuple::new(sa(1, 2), sa(9, 3));
         assert_eq!(nat.translate(t, false), t);
-        assert_eq!(nat.conntrack_len(), 0);
-    }
-
-    #[test]
-    fn untrack_removes_both_directions() {
-        let mut nat = Nat::new();
-        nat.add_dnat(DnatRule {
-            match_dst_ip: Ipv4Addr::new(10, 0, 0, 9),
-            match_dst_port: None,
-            match_src_ip: None,
-            to: sa(7, 3260),
-        });
-        let orig = FourTuple::new(sa(1, 40000), sa(9, 3260));
-        let fwd = nat.translate(orig, true);
-        nat.untrack(fwd.reversed());
         assert_eq!(nat.conntrack_len(), 0);
     }
 

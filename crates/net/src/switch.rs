@@ -1,4 +1,4 @@
-//! Virtual switches: flow-table steering with an L2 learning fallback.
+//! Virtual switches: one steering rewrite, then L2 learning forwarding.
 //!
 //! A switch never owns a frame. [`VirtualSwitch::forward_in_place`]
 //! rewrites the caller's frame where it lies and reports the egress ports
@@ -12,7 +12,7 @@ use std::fmt;
 use storm_sim::IdMap;
 
 use crate::addr::MacAddr;
-use crate::flow::{FlowAction, FlowRule, FlowTable};
+use crate::flow::{FlowMatch, FlowRule, FlowTable};
 use crate::frame::Frame;
 
 /// Index of a switch within the fabric.
@@ -37,11 +37,12 @@ impl fmt::Display for PortNo {
 
 /// An Open vSwitch-like virtual switch.
 ///
-/// Frames are first matched against the SDN [`FlowTable`]; the `Normal`
-/// action (or an empty table) falls through to ordinary L2 forwarding with
-/// MAC learning. Ports may carry a tenant tag: frames are only forwarded
-/// between ports of the same tenant (or untagged infrastructure ports),
-/// modelling Neutron's tenant isolation.
+/// Frames are first matched against the SDN [`FlowTable`]: a matching
+/// rule rewrites the destination MAC (the paper's `mod_dst_mac`). Every
+/// frame then takes ordinary L2 forwarding with MAC learning. Ports may
+/// carry a tenant tag: frames are only forwarded between ports of the same
+/// tenant (or untagged infrastructure ports), modelling Neutron's tenant
+/// isolation.
 #[derive(Debug)]
 pub struct VirtualSwitch {
     name: String,
@@ -106,7 +107,7 @@ impl VirtualSwitch {
 
     /// Forwards a frame arriving on `in_port`, in place: bumps its hop
     /// count, learns the sender's port, applies the matching flow rule's
-    /// rewrites to `frame` itself and leaves the egress ports in `out`
+    /// rewrite to `frame` itself and leaves the egress ports in `out`
     /// (cleared first; several on a flood, none on a drop). Nothing is
     /// allocated once `out` has grown to the switch's port count — the
     /// caller moves or clones the frame per port as it sees fit.
@@ -135,54 +136,39 @@ impl VirtualSwitch {
         // Learn the sender's location. The table changes at topology
         // build and on a move, not per frame: a read is all most frames pay.
         let learn = (self.fdb.get(&frame.src_mac) != Some(&in_port)).then_some(frame.src_mac);
-        let rule = self.flows.find(frame, in_port);
-        let mut effects = Effects {
-            learn,
-            rule,
-            dropped: 0,
-        };
-        let mut normal = rule.is_none();
+        let rule = self.flows.find(frame);
         if let Some(rule) = rule {
-            for action in &self.flows.rule(rule).actions {
-                match *action {
-                    FlowAction::SetDstMac(m) => frame.dst_mac = m,
-                    FlowAction::SetSrcMac(m) => frame.src_mac = m,
-                    FlowAction::Output(p) => out.push(p),
-                    FlowAction::Normal => normal = true,
-                    FlowAction::Drop => {
-                        effects.dropped = 1;
-                        out.clear();
-                        return effects;
-                    }
-                }
-            }
+            frame.dst_mac = self.flows.rule(rule).next_mac;
         }
-        if normal {
-            // The sender is learned before the destination is looked up.
-            let known = if learn == Some(frame.dst_mac) {
-                Some(in_port)
-            } else {
-                self.fdb.get(&frame.dst_mac).copied()
-            };
-            match known {
-                Some(p) if p != in_port => out.push(p),
-                Some(_) => {
-                    // Destination is behind the ingress port: nothing to do.
-                }
-                None => {
-                    // Unknown destination: flood.
-                    out.extend((0..self.ports as u16).map(PortNo).filter(|&p| p != in_port));
-                }
+        // The sender is learned before the destination is looked up.
+        let known = if learn == Some(frame.dst_mac) {
+            Some(in_port)
+        } else {
+            self.fdb.get(&frame.dst_mac).copied()
+        };
+        match known {
+            Some(p) if p != in_port => out.push(p),
+            Some(_) => {
+                // Destination is behind the ingress port: nothing to do.
+            }
+            None => {
+                // Unknown destination: flood.
+                out.extend((0..self.ports as u16).map(PortNo).filter(|&p| p != in_port));
             }
         }
         // Tenant isolation: only emit to ports compatible with the ingress
         // tenant tag (untagged ports are infrastructure and always allowed).
+        let mut dropped = 0;
         if let Some(in_tenant) = self.tenant_tags.get(&in_port) {
             let before = out.len();
             out.retain(|p| self.tenant_tags.get(p).is_none_or(|t| t == in_tenant));
-            effects.dropped += (before - out.len()) as u64;
+            dropped = (before - out.len()) as u64;
         }
-        effects
+        Effects {
+            learn,
+            rule,
+            dropped,
+        }
     }
 
     /// The write half: learns, counts the rule hit and the drops that
@@ -196,14 +182,6 @@ impl VirtualSwitch {
         effects
             .learn
             .is_some_and(|mac| self.fdb.insert(mac, in_port).is_some())
-    }
-
-    /// [`forward_in_place`](Self::forward_in_place) for callers that want
-    /// owned `(out_port, frame)` pairs: one clone of the frame per port.
-    pub fn process(&mut self, mut frame: Frame, in_port: PortNo) -> Vec<(PortNo, Frame)> {
-        let mut ports = Vec::new();
-        self.forward_in_place(&mut frame, in_port, &mut ports);
-        ports.into_iter().map(|p| (p, frame.clone())).collect()
     }
 }
 
@@ -228,24 +206,19 @@ impl Effects {
     }
 }
 
-/// Installs a Figure-3 style steering rule: frames matching `matching` get
-/// their destination MAC rewritten to `next_mac` and are then L2-forwarded.
-pub fn steering_rule(
-    priority: u16,
-    matching: crate::flow::FlowMatch,
-    next_mac: MacAddr,
-) -> FlowRule {
+/// A Figure-3 style steering rule: frames matching `matching` get their
+/// destination MAC rewritten to `next_mac` and are then L2-forwarded.
+pub fn steering_rule(priority: u16, matching: FlowMatch, next_mac: MacAddr) -> FlowRule {
     FlowRule {
         priority,
         matching,
-        actions: vec![FlowAction::SetDstMac(next_mac), FlowAction::Normal],
+        next_mac,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::FlowMatch;
     use crate::frame::{TcpFlags, TcpSegment};
     use bytes::Bytes;
     use std::net::Ipv4Addr;
@@ -269,27 +242,32 @@ mod tests {
         }
     }
 
+    /// Forwards `frame` arriving on `in_port`: the egress ports and the
+    /// frame as the switch rewrote it.
+    fn forward(sw: &mut VirtualSwitch, mut frame: Frame, in_port: PortNo) -> (Vec<PortNo>, Frame) {
+        let mut out = Vec::new();
+        sw.forward_in_place(&mut frame, in_port, &mut out);
+        (out, frame)
+    }
+
     #[test]
     fn learning_then_unicast() {
         let mut sw = VirtualSwitch::new("sw", 4);
         let a = MacAddr::nth(1);
         let b = MacAddr::nth(2);
         // Unknown destination: flood to all but ingress.
-        let out = sw.process(frame(a, b), PortNo(0));
-        assert_eq!(out.len(), 3);
+        let (out, _) = forward(&mut sw, frame(a, b), PortNo(0));
+        assert_eq!(out, [PortNo(1), PortNo(2), PortNo(3)]);
         // B replies from port 2; A is now known on port 0.
-        let out = sw.process(frame(b, a), PortNo(2));
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, PortNo(0));
+        let (out, _) = forward(&mut sw, frame(b, a), PortNo(2));
+        assert_eq!(out, [PortNo(0)]);
         // Now A -> B is unicast to port 2.
-        let out = sw.process(frame(a, b), PortNo(0));
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, PortNo(2));
+        let (out, _) = forward(&mut sw, frame(a, b), PortNo(0));
+        assert_eq!(out, [PortNo(2)]);
         // B moves to port 3: its next frame re-learns it.
-        sw.process(frame(b, a), PortNo(3));
-        let out = sw.process(frame(a, b), PortNo(0));
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, PortNo(3));
+        forward(&mut sw, frame(b, a), PortNo(3));
+        let (out, _) = forward(&mut sw, frame(a, b), PortNo(0));
+        assert_eq!(out, [PortNo(3)]);
     }
 
     #[test]
@@ -304,10 +282,10 @@ mod tests {
             FlowMatch::any().src_mac(vm).dst_mac(gw).dst_port(3260),
             mb,
         ));
-        let out = sw.process(frame(vm, gw), PortNo(0));
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, PortNo(3));
-        assert_eq!(out[0].1.dst_mac, mb);
+        let (out, steered) = forward(&mut sw, frame(vm, gw), PortNo(0));
+        assert_eq!(out, [PortNo(3)]);
+        assert_eq!(steered.dst_mac, mb);
+        assert_eq!(sw.flows().iter().map(|(_, h)| h).sum::<u64>(), 1);
     }
 
     #[test]
@@ -315,7 +293,7 @@ mod tests {
         let mut sw = VirtualSwitch::new("sw", 2);
         let mut f = frame(MacAddr::nth(1), MacAddr::nth(2));
         f.hops = Frame::MAX_HOPS;
-        assert!(sw.process(f, PortNo(0)).is_empty());
+        assert!(forward(&mut sw, f, PortNo(0)).0.is_empty());
         assert_eq!(sw.dropped(), 1);
     }
 
@@ -327,23 +305,8 @@ mod tests {
         sw.set_tenant(PortNo(2), 1);
         // Flood from tenant 1: reaches port 2 (tenant 1) and port 3
         // (untagged infra), never port 1 (tenant 2).
-        let out = sw.process(frame(MacAddr::nth(1), MacAddr::nth(9)), PortNo(0));
-        let ports: Vec<u16> = out.iter().map(|(p, _)| p.0).collect();
-        assert_eq!(ports, vec![2, 3]);
+        let (out, _) = forward(&mut sw, frame(MacAddr::nth(1), MacAddr::nth(9)), PortNo(0));
+        assert_eq!(out, [PortNo(2), PortNo(3)]);
         assert!(sw.dropped() >= 1);
-    }
-
-    #[test]
-    fn drop_action_drops() {
-        let mut sw = VirtualSwitch::new("sw", 2);
-        sw.flows_mut().install(FlowRule {
-            priority: 10,
-            matching: FlowMatch::any().dst_port(3260),
-            actions: vec![FlowAction::Drop],
-        });
-        assert!(sw
-            .process(frame(MacAddr::nth(1), MacAddr::nth(2)), PortNo(0))
-            .is_empty());
-        assert_eq!(sw.dropped(), 1);
     }
 }

@@ -326,11 +326,6 @@ impl TcpStack {
         self.conns.get(&sock.0).map(|t| t.key())
     }
 
-    /// Owning app of a socket.
-    pub fn app_of(&self, sock: SockId) -> Option<AppId> {
-        self.conns.get(&sock.0).map(|t| t.app)
-    }
-
     /// Queues up to `data.len()` bytes for sending, appending the segments
     /// to transmit to `out`; returns how many bytes were accepted. Copying
     /// wrapper over [`TcpStack::send_bytes`].
@@ -1188,7 +1183,7 @@ mod tests {
         assert_ne!(s1, s2);
         assert_ne!(o1.tuple.src.port, o2.tuple.src.port);
         assert_eq!(a.tuple_of(s1).unwrap().dst.port, 3260);
-        assert_eq!(a.app_of(s1), Some(AppId(0)));
+        assert_eq!(a.tuple_of(s2).unwrap().src.port, o2.tuple.src.port);
     }
 
     #[test]

@@ -24,7 +24,6 @@ use crate::tcp::SockId;
 pub struct SendQueue {
     chunks: VecDeque<Bytes>,
     len: usize,
-    sent: u64,
 }
 
 impl SendQueue {
@@ -64,14 +63,7 @@ impl SendQueue {
     pub fn pump(&mut self, cx: &mut Cx<'_>, sock: SockId) -> usize {
         let n = cx.send_chunks(sock, &mut self.chunks);
         self.len -= n;
-        self.sent += n as u64;
         n
-    }
-
-    /// Pushes then pumps in one call.
-    pub fn send(&mut self, cx: &mut Cx<'_>, sock: SockId, bytes: &[u8]) -> usize {
-        self.push(bytes);
-        self.pump(cx, sock)
     }
 
     /// Appends a whole batch of shared chunks — a multi-chunk frame or a
@@ -87,16 +79,6 @@ impl SendQueue {
     pub fn backlog(&self) -> usize {
         self.len
     }
-
-    /// Whether everything has been handed to TCP.
-    pub fn is_drained(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Total bytes successfully handed to TCP.
-    pub fn total_sent(&self) -> u64 {
-        self.sent
-    }
 }
 
 #[cfg(test)]
@@ -106,12 +88,10 @@ mod tests {
     #[test]
     fn backlog_tracks_pushes() {
         let mut q = SendQueue::new();
-        assert!(q.is_drained());
+        assert_eq!(q.backlog(), 0);
         q.push(&[1, 2, 3]);
         q.push(&[4]);
         assert_eq!(q.backlog(), 4);
-        assert!(!q.is_drained());
-        assert_eq!(q.total_sent(), 0);
     }
 
     #[test]

@@ -7,8 +7,8 @@ use std::net::Ipv4Addr;
 use proptest::prelude::*;
 use storm_net::tcp::{TcpConfig, TcpStack};
 use storm_net::{
-    AppId, DnatRule, FlowAction, FlowMatch, FlowRule, FlowTable, FourTuple, Frame, MacAddr, Nat,
-    Payload, PortNo, SnatRule, SockAddr, TcpFlags, TcpSegment, VirtualSwitch,
+    AppId, DnatRule, FlowMatch, FlowRule, FlowTable, FourTuple, Frame, MacAddr, Nat, Payload,
+    PortNo, SnatRule, SockAddr, TcpFlags, TcpSegment, VirtualSwitch,
 };
 
 fn sockaddr() -> impl Strategy<Value = SockAddr> {
@@ -17,8 +17,8 @@ fn sockaddr() -> impl Strategy<Value = SockAddr> {
 }
 
 /// The switch forwarding procedure as it stood before the in-place core:
-/// by-value frame, cloned action list, one frame clone per egress port.
-/// Kept as the oracle `VirtualSwitch::forward_in_place` is tested against.
+/// by-value frame, one frame clone per egress port. Kept as the oracle
+/// `VirtualSwitch::forward_in_place` is tested against.
 struct ReferenceSwitch {
     ports: u16,
     fdb: BTreeMap<MacAddr, PortNo>,
@@ -35,29 +35,14 @@ impl ReferenceSwitch {
         }
         frame.hops += 1;
         self.fdb.insert(frame.src_mac, in_port);
-        let mut outputs = Vec::new();
-        let mut normal = true;
         if let Some(rule) = self.flows.lookup(&frame, in_port) {
-            normal = false;
-            for action in rule.actions.clone() {
-                match action {
-                    FlowAction::SetDstMac(m) => frame.dst_mac = m,
-                    FlowAction::SetSrcMac(m) => frame.src_mac = m,
-                    FlowAction::Output(p) => outputs.push(p),
-                    FlowAction::Normal => normal = true,
-                    FlowAction::Drop => {
-                        self.dropped += 1;
-                        return Vec::new();
-                    }
-                }
-            }
+            frame.dst_mac = rule.next_mac;
         }
-        if normal {
-            match self.fdb.get(&frame.dst_mac) {
-                Some(&p) if p != in_port => outputs.push(p),
-                Some(_) => {}
-                None => outputs.extend((0..self.ports).map(PortNo).filter(|&p| p != in_port)),
-            }
+        let mut outputs = Vec::new();
+        match self.fdb.get(&frame.dst_mac) {
+            Some(&p) if p != in_port => outputs.push(p),
+            Some(_) => {}
+            None => outputs.extend((0..self.ports).map(PortNo).filter(|&p| p != in_port)),
         }
         let in_tenant = self.tenant_tags.get(&in_port).copied();
         let before = outputs.len();
@@ -87,27 +72,12 @@ fn maybe<S: Strategy>(s: S) -> impl Strategy<Value = Option<S::Value>> {
     (any::<bool>(), s).prop_map(|(on, v)| on.then_some(v))
 }
 
+/// A steering rule as the SDN controller installs them: optional source
+/// and destination MACs, optionally iSCSI only, and the next hop's MAC.
 fn flow_rule() -> impl Strategy<Value = FlowRule> {
-    let action = prop_oneof![
-        mac().prop_map(FlowAction::SetDstMac),
-        mac().prop_map(FlowAction::SetSrcMac),
-        port().prop_map(FlowAction::Output),
-        Just(FlowAction::Normal),
-        Just(FlowAction::Drop),
-    ];
-    (
-        0u16..4,
-        maybe(port()),
-        maybe(mac()),
-        maybe(mac()),
-        any::<bool>(),
-        prop::collection::vec(action, 0..4),
-    )
-        .prop_map(|(priority, in_port, src, dst, iscsi_only, actions)| {
+    (0u16..4, maybe(mac()), maybe(mac()), any::<bool>(), mac()).prop_map(
+        |(priority, src, dst, iscsi_only, next_mac)| {
             let mut matching = FlowMatch::any();
-            if let Some(p) = in_port {
-                matching = matching.in_port(p);
-            }
             if let Some(m) = src {
                 matching = matching.src_mac(m);
             }
@@ -120,9 +90,10 @@ fn flow_rule() -> impl Strategy<Value = FlowRule> {
             FlowRule {
                 priority,
                 matching,
-                actions,
+                next_mac,
             }
-        })
+        },
+    )
 }
 
 fn switch_frame(src: MacAddr, dst: MacAddr, dst_port: u16, hops: u8) -> Frame {
@@ -145,10 +116,10 @@ fn switch_frame(src: MacAddr, dst: MacAddr, dst_port: u16, hops: u8) -> Frame {
 }
 
 proptest! {
-    /// The in-place switch core, its `process` wrapper and the by-value
-    /// procedure they replaced agree on every frame of any sequence, over
-    /// any table: egress ports in order, rewritten headers and hop count,
-    /// the drop counter and every rule's hit counter.
+    /// The in-place switch core and the by-value procedure it replaced
+    /// agree on every frame of any sequence, over any table: egress ports
+    /// in order, rewritten headers and hop count, the drop counter and
+    /// every rule's hit counter.
     #[test]
     fn switch_in_place_matches_by_value_reference(
         rules in prop::collection::vec(flow_rule(), 0..6),
@@ -158,7 +129,6 @@ proptest! {
             (mac(), mac(), port(), any::<bool>(), 0u8..8), 1..40),
     ) {
         let mut core = VirtualSwitch::new("core", SWITCH_PORTS as usize);
-        let mut wrapper = VirtualSwitch::new("wrapper", SWITCH_PORTS as usize);
         let mut reference = ReferenceSwitch {
             ports: SWITCH_PORTS,
             fdb: BTreeMap::new(),
@@ -168,17 +138,14 @@ proptest! {
         };
         for rule in &rules {
             core.flows_mut().install(rule.clone());
-            wrapper.flows_mut().install(rule.clone());
             reference.flows.install(rule.clone());
         }
         for &(m, p) in &learned {
             core.learn(m, p);
-            wrapper.learn(m, p);
             reference.fdb.insert(m, p);
         }
         for &(p, tenant) in &tags {
             core.set_tenant(p, tenant);
-            wrapper.set_tenant(p, tenant);
             reference.tenant_tags.insert(p, tenant);
         }
         // Scratch with stale content: the core must clear it.
@@ -188,7 +155,6 @@ proptest! {
             let hops = if limit == 0 { Frame::MAX_HOPS } else { limit };
             let frame = switch_frame(src, dst, if iscsi { 3260 } else { 80 }, hops);
             let expect = reference.process(frame.clone(), in_port);
-            prop_assert_eq!(&wrapper.process(frame.clone(), in_port), &expect);
             let mut in_place = frame;
             core.forward_in_place(&mut in_place, in_port, &mut ports);
             let expect_ports: Vec<PortNo> = expect.iter().map(|(p, _)| *p).collect();
@@ -196,11 +162,9 @@ proptest! {
             for (_, out) in &expect {
                 prop_assert_eq!(out, &in_place);
             }
-            for sw in [&core, &wrapper] {
-                prop_assert_eq!(sw.dropped(), reference.dropped);
-                let hits = |t: &FlowTable| t.iter().map(|(_, h)| h).collect::<Vec<u64>>();
-                prop_assert_eq!(hits(sw.flows()), hits(&reference.flows));
-            }
+            prop_assert_eq!(core.dropped(), reference.dropped);
+            let hits = |t: &FlowTable| t.iter().map(|(_, h)| h).collect::<Vec<u64>>();
+            prop_assert_eq!(hits(core.flows()), hits(&reference.flows));
         }
     }
 
@@ -268,11 +232,10 @@ proptest! {
         frame.tcp.src_port = port;
         let base = FlowMatch::any().dst_port(3260);
         let constrained = base.src_port(other);
-        let p = PortNo(0);
-        if constrained.matches(&frame, p) {
-            prop_assert!(base.matches(&frame, p));
+        if constrained.matches(&frame) {
+            prop_assert!(base.matches(&frame));
         }
-        prop_assert_eq!(constrained.matches(&frame, p), other == port);
+        prop_assert_eq!(constrained.matches(&frame), other == port);
     }
 
     /// TCP: any sequence of sends from A arrives at B intact and in order,
