@@ -50,11 +50,9 @@ pub struct BlockCmd {
 /// Why a command is not a servable [`BlockCmd`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmdReject {
-    /// Opcode outside the supported subset.
+    /// Opcode outside the block I/O subset (read, write, flush); a
+    /// command that moves no block data, such as INQUIRY, is one too.
     Opcode(u8),
-    /// Valid, but moves no block data (TEST UNIT READY, INQUIRY, READ
-    /// CAPACITY): targets answer it themselves.
-    NotBlockIo,
     /// Length disagrees with the command or exceeds [`MAX_TRANSFER`], or
     /// the sector range overflows or passes the end of the volume.
     Invalid,

@@ -134,8 +134,6 @@ pub enum TransportEvent {
         /// Completion status.
         status: ScsiStatus,
     },
-    /// The session shut down cleanly.
-    Closed,
     /// The peer violated the protocol; drop the connection.
     ProtocolError(String),
 }
@@ -173,8 +171,6 @@ pub enum TargetEvent {
         /// Task tag to echo back.
         itt: u32,
     },
-    /// The initiator logged out.
-    LoggedOut,
     /// Protocol violation; drop the connection.
     ProtocolError(String),
 }
@@ -205,9 +201,6 @@ pub trait Transport: fmt::Debug {
 
     /// Issues a tagged flush/barrier.
     fn flush(&mut self) -> IoTag;
-
-    /// Begins a clean shutdown.
-    fn shutdown(&mut self);
 
     /// Commands issued but not yet completed.
     fn in_flight(&self) -> usize;

@@ -513,9 +513,6 @@ impl App for VolumeClient {
                         });
                     }
                 }
-                TransportEvent::Closed => {
-                    self.ready = false;
-                }
                 TransportEvent::ProtocolError(_) => {
                     if let Some(sock) = self.sock {
                         cx.abort(sock);

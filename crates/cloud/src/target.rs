@@ -601,8 +601,6 @@ impl TargetHostApp {
                     }
                     continue;
                 }
-                // Keep the session until the TCP close arrives.
-                TargetEvent::LoggedOut => continue,
                 TargetEvent::ProtocolError(_) => {
                     // Real targets drop offending connections, and
                     // whatever followed the offence in this batch.
@@ -858,26 +856,41 @@ mod tests {
     #[test]
     fn iscsi_pdu_after_protocol_error_aborts_instead_of_panicking() {
         use storm_iscsi::{Initiator, InitiatorConfig, Pdu, ScsiCommand};
-        let mut cdb = [0u8; 16];
-        cdb[0] = 0xEE;
-        let mut segment = Pdu::ScsiCommand(ScsiCommand {
-            immediate: false,
-            final_pdu: true,
-            read: false,
-            write: false,
-            lun: 0,
-            itt: 7,
-            edtl: 0,
-            cmd_sn: 1,
-            exp_stat_sn: 1,
-            cdb,
-            data: Bytes::new(),
-        })
-        .encode();
-        let mut ini = Initiator::new(InitiatorConfig::example());
-        ini.start_login();
-        segment.extend(ini.take_wire().iter().flat_map(|c| c.to_vec()));
-        assert_eq!(sessions_after(ISCSI_PORT, segment), 0);
+        let command = |op| {
+            let mut cdb = [0u8; 16];
+            cdb[0] = op;
+            Pdu::ScsiCommand(ScsiCommand {
+                immediate: false,
+                final_pdu: true,
+                read: false,
+                write: false,
+                lun: 0,
+                itt: 7,
+                edtl: 0,
+                cmd_sn: 1,
+                exp_stat_sn: 1,
+                cdb,
+                data: Bytes::new(),
+            })
+            .encode()
+        };
+        let header = |op| {
+            let mut bhs = vec![0u8; 48];
+            (bhs[0], bhs[1], bhs[19]) = (op, 0x80, 7);
+            bhs
+        };
+        // An unknown CDB, the CDBs that move no block data (TEST UNIT
+        // READY, INQUIRY, READ CAPACITY) and the session-control opcodes
+        // (NOP-Out, Text, Logout) are each refused; the login behind them
+        // names a registered volume and would succeed.
+        let leads = [0xEE, 0x00, 0x12, 0x25].map(command);
+        for lead in leads.into_iter().chain([0x00, 0x04, 0x06].map(header)) {
+            let mut ini = Initiator::new(InitiatorConfig::example());
+            ini.start_login();
+            let mut segment = lead.clone();
+            segment.extend(ini.take_wire().iter().flat_map(|c| c.to_vec()));
+            assert_eq!(sessions_after(ISCSI_PORT, segment), 0, "{:#04x}", lead[0]);
+        }
     }
 
     #[test]
@@ -895,12 +908,16 @@ mod tests {
             f.extend_from_slice(payload);
             f
         };
-        // An ack-kind frame is refused on the target side; the connect
-        // behind it names a registered volume and would log in.
-        let mut segment = frame(FrameKind::ConnectAck, &[]);
+        // An ack-kind frame and frame types 5 and 6 (no kind) are refused
+        // on the target side; the connect behind each names a registered
+        // volume and would log in.
         let connect = encode_connect_payload("iqn.x:host", Iqn::for_volume(1).as_str());
-        segment.extend(frame(FrameKind::Connect, &connect));
-        assert_eq!(sessions_after(NVMEQ_PORT, segment), 0);
+        for kind in [2, 5, 6] {
+            let mut segment = frame(FrameKind::ConnectAck, &[]);
+            segment[1] = kind;
+            segment.extend(frame(FrameKind::Connect, &connect));
+            assert_eq!(sessions_after(NVMEQ_PORT, segment), 0, "frame type {kind}");
+        }
     }
 
     #[test]

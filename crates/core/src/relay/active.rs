@@ -781,7 +781,9 @@ impl ActiveRelayMb {
                         self.issue_replica(cx, svc_idx, idx, io, ctx, origin);
                     }
                 }
-                TransportEvent::ConnectFailed { .. } => self.fail_replica(cx, idx),
+                TransportEvent::ConnectFailed { .. } | TransportEvent::ProtocolError(_) => {
+                    self.fail_replica(cx, idx)
+                }
                 TransportEvent::WriteDone { tag, status }
                 | TransportEvent::FlushDone { tag, status } => {
                     if let Some(req) = self.replicas[idx].pending.remove(&tag) {
@@ -801,8 +803,6 @@ impl ActiveRelayMb {
                         });
                     }
                 }
-                TransportEvent::Closed => self.fail_replica(cx, idx),
-                TransportEvent::ProtocolError(_) => self.fail_replica(cx, idx),
             }
         }
         self.flush_replica(cx, idx);
@@ -1129,10 +1129,10 @@ mod tests {
         (got, forwarded, pauses.0.load(Ordering::Relaxed))
     }
 
-    /// A NOP-Out header announcing `dsl` data bytes, then the bytes.
+    /// A Login Request header announcing `dsl` data bytes, then the bytes.
     fn iscsi_message(dsl: usize) -> Vec<Bytes> {
         let mut bhs = [0u8; BHS_LEN];
-        bhs[1] = 0x80;
+        (bhs[0], bhs[1]) = (0x43, 0x80);
         bhs[5..8].copy_from_slice(&(dsl as u32).to_be_bytes()[1..]);
         vec![Bytes::copy_from_slice(&bhs), Bytes::from(vec![0x5A; dsl])]
     }

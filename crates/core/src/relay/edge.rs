@@ -462,8 +462,10 @@ mod tests {
     #[test]
     fn iscsi_pdu_is_a_batch_of_one_and_a_swallowed_pdu_is_detected() {
         let mut edge = Edge::default();
-        let nop = Pdu::decode(&[0u8; BHS_LEN], Bytes::new()).expect("NOP-Out");
-        let wire = Bytes::from(nop.encode());
+        let mut bhs = [0u8; BHS_LEN];
+        bhs[0] = 0x43;
+        let login = Pdu::decode(&bhs, Bytes::new()).expect("Login Request");
+        let wire = Bytes::from(login.encode());
         for swallow in [false, true] {
             let mut batches = edge.feed(Dir::ToTarget, wire.clone()).expect("decodes");
             assert!(matches!(edge.proto, Proto::Iscsi(_)));

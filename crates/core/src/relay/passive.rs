@@ -349,16 +349,21 @@ mod tests {
     fn non_data_pdus_produce_no_runs() {
         let mut t = WireTracker::new();
         let mut cmds = Exchange::default();
-        let nop = Pdu::NopOut(storm_iscsi::NopOut {
+        let login = Pdu::LoginRequest(storm_iscsi::LoginRequest {
+            transit: true,
+            csg: 1,
+            nsg: 3,
+            isid: [0; 6],
+            tsih: 0,
             itt: 5,
-            ttt: 0xFFFF_FFFF,
+            cid: 0,
             cmd_sn: 1,
-            exp_stat_sn: 1,
-            data: Bytes::from_static(b"ping"),
+            exp_stat_sn: 0,
+            data: Bytes::from_static(b"k=v\0"),
         })
         .encode();
-        // NOP payload is a data segment but has no volume offset.
-        assert!(t.walk(&nop, &mut cmds).is_empty());
+        // Login text is a data segment but has no volume offset.
+        assert!(t.walk(&login, &mut cmds).is_empty());
         assert_eq!(t.pdus(), 1);
     }
 

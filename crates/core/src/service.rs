@@ -364,16 +364,15 @@ mod tests {
     use super::*;
     use storm_block::transport::BlockOp;
     use storm_iscsi::exchange::{data_in_train, scsi_command};
-    use storm_iscsi::NopOut;
 
-    fn nop() -> Pdu {
-        Pdu::NopOut(NopOut {
-            itt: 1,
-            ttt: 0xFFFF_FFFF,
-            cmd_sn: 1,
-            exp_stat_sn: 1,
-            data: Bytes::new(),
-        })
+    /// A PDU with no data segment.
+    fn flush() -> Pdu {
+        let cmd = BlockCmd {
+            op: BlockOp::Flush,
+            lba: 0,
+            sectors: 0,
+        };
+        scsi_command(cmd, 1, 1, 1, Bytes::new())
     }
 
     #[test]
@@ -386,7 +385,7 @@ mod tests {
     fn ctx_collects_actions_in_order() {
         let mut cx = SvcCtx::new(SimTime::ZERO);
         cx.charge(SimDuration::from_micros(5));
-        cx.forward(nop());
+        cx.forward(flush());
         cx.alert("suspicious");
         cx.replica_write(1, 100, Bytes::from_static(&[0u8; 512]), 7);
         cx.set_timer(SimDuration::from_millis(1), 9);

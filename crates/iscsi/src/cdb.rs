@@ -1,19 +1,11 @@
-//! SCSI command descriptor blocks (the subset block storage needs).
+//! SCSI command descriptor blocks: the block I/O subset (read, write,
+//! flush).
 
 /// A parsed SCSI CDB.
 ///
 /// LBAs and transfer lengths are in 512-byte sectors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Cdb {
-    /// TEST UNIT READY (6).
-    TestUnitReady,
-    /// INQUIRY (6): asks for device identification.
-    Inquiry {
-        /// Allocation length.
-        alloc: u16,
-    },
-    /// READ CAPACITY (10): returns last LBA + block size.
-    ReadCapacity10,
     /// READ (10) / READ (16).
     Read {
         /// First sector.
@@ -38,12 +30,6 @@ impl Cdb {
     pub fn to_bytes(self) -> [u8; 16] {
         let mut b = [0u8; 16];
         match self {
-            Cdb::TestUnitReady => {}
-            Cdb::Inquiry { alloc } => {
-                b[0] = 0x12;
-                b[3..5].copy_from_slice(&alloc.to_be_bytes());
-            }
-            Cdb::ReadCapacity10 => b[0] = 0x25,
             Cdb::Read { lba, sectors } => {
                 b[0] = 0x88; // READ(16)
                 b[2..10].copy_from_slice(&lba.to_be_bytes());
@@ -67,11 +53,6 @@ impl Cdb {
     /// Returns the unknown opcode byte.
     pub fn parse(b: &[u8; 16]) -> Result<Cdb, u8> {
         Ok(match b[0] {
-            0x00 => Cdb::TestUnitReady,
-            0x12 => Cdb::Inquiry {
-                alloc: u16::from_be_bytes([b[3], b[4]]),
-            },
-            0x25 => Cdb::ReadCapacity10,
             0x28 => Cdb::Read {
                 lba: u32::from_be_bytes([b[2], b[3], b[4], b[5]]) as u64,
                 sectors: u16::from_be_bytes([b[7], b[8]]) as u32,
@@ -101,9 +82,6 @@ mod tests {
     #[test]
     fn round_trip_all_commands() {
         let cases = [
-            Cdb::TestUnitReady,
-            Cdb::Inquiry { alloc: 96 },
-            Cdb::ReadCapacity10,
             Cdb::Read {
                 lba: 1 << 40,
                 sectors: 2048,
@@ -142,7 +120,10 @@ mod tests {
     #[test]
     fn unknown_opcode_is_error() {
         let mut b = [0u8; 16];
-        b[0] = 0xEE;
-        assert_eq!(Cdb::parse(&b), Err(0xEE));
+        // TEST UNIT READY, INQUIRY and READ CAPACITY (10) are not block I/O.
+        for op in [0xEE, 0x00, 0x12, 0x25] {
+            b[0] = op;
+            assert_eq!(Cdb::parse(&b), Err(op));
+        }
     }
 }

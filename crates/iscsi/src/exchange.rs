@@ -29,7 +29,6 @@ pub fn parse_command(c: &ScsiCommand, capacity: u64) -> Result<BlockCmd, CmdReje
         Cdb::Read { lba, sectors } => (BlockOp::Read, lba, sectors),
         Cdb::Write { lba, sectors } => (BlockOp::Write, lba, sectors),
         Cdb::SynchronizeCache => (BlockOp::Flush, 0, 0),
-        _ => return Err(CmdReject::NotBlockIo),
     };
     let cmd = BlockCmd::checked(op, lba, sectors, capacity)?;
     if cmd.bytes() != c.edtl as u64 {

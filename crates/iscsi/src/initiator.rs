@@ -11,7 +11,7 @@ use storm_block::transport::{
 
 use crate::exchange::{data_out_train, scsi_command};
 use crate::params::{decode_text, encode_text, SessionParams};
-use crate::pdu::{LoginRequest, LogoutRequest, NopOut, Pdu};
+use crate::pdu::{LoginRequest, Pdu};
 use crate::stream::{push_pdu, PduStream};
 
 /// Initiator configuration.
@@ -44,7 +44,6 @@ enum State {
     Idle,
     LoginSent,
     FullFeature,
-    LogoutSent,
 }
 
 #[derive(Debug)]
@@ -229,23 +228,6 @@ impl Initiator {
         self.issue(BlockOp::Flush, 0, 0, Bytes::new(), Pending::Flush)
     }
 
-    /// Requests a session logout.
-    pub fn logout(&mut self) {
-        if self.state != State::FullFeature {
-            return;
-        }
-        let itt = self.alloc_itt();
-        let pdu = Pdu::LogoutRequest(LogoutRequest {
-            reason: 0,
-            itt,
-            cid: 0,
-            cmd_sn: self.bump_cmd_sn(),
-            exp_stat_sn: self.exp_stat_sn,
-        });
-        push_pdu(&mut self.out, &pdu);
-        self.state = State::LogoutSent;
-    }
-
     fn bump_cmd_sn(&mut self) -> u32 {
         let sn = self.cmd_sn;
         self.cmd_sn = self.cmd_sn.wrapping_add(1);
@@ -366,23 +348,6 @@ impl Initiator {
                     ))),
                 }
             }
-            Pdu::NopIn(n) => {
-                // Target ping: echo it back.
-                if n.itt == 0xFFFF_FFFF {
-                    let pong = Pdu::NopOut(NopOut {
-                        itt: 0xFFFF_FFFF,
-                        ttt: n.ttt,
-                        cmd_sn: self.cmd_sn,
-                        exp_stat_sn: self.exp_stat_sn,
-                        data: n.data,
-                    });
-                    push_pdu(&mut self.out, &pong);
-                }
-            }
-            Pdu::LogoutResponse(_) => {
-                self.state = State::Idle;
-                events.push(TransportEvent::Closed);
-            }
             other => events.push(TransportEvent::ProtocolError(format!(
                 "unexpected pdu at initiator: {other:?}"
             ))),
@@ -413,10 +378,6 @@ impl Transport for Initiator {
 
     fn flush(&mut self) -> IoTag {
         Initiator::flush(self)
-    }
-
-    fn shutdown(&mut self) {
-        self.logout();
     }
 
     fn in_flight(&self) -> usize {
@@ -602,7 +563,7 @@ mod tests {
     }
 
     #[test]
-    fn flush_and_logout() {
+    fn flush_completes() {
         let (mut ini, mut tgt) = logged_in_pair();
         let tag = ini.flush();
         let evs = drive(&mut ini, &mut tgt);
@@ -610,10 +571,7 @@ mod tests {
             tag,
             status: ScsiStatus::Good
         }));
-        ini.logout();
-        let evs = drive(&mut ini, &mut tgt);
-        assert!(evs.contains(&TransportEvent::Closed));
-        assert!(!ini.is_logged_in());
+        assert_eq!(ini.in_flight(), 0);
     }
 
     #[test]

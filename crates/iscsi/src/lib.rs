@@ -6,10 +6,9 @@
 //! packets". No maintained Rust iSCSI crate exists, so this crate
 //! implements the needed subset of RFC 7143 from scratch:
 //!
-//! * [`Pdu`] — typed PDUs (Login, SCSI Command/Response, Data-In/Out, R2T,
-//!   NOP, Text, Logout) with exact 48-byte BHS encode/decode.
-//! * [`Cdb`] — SCSI CDBs (READ/WRITE 10/16, READ CAPACITY, INQUIRY, TEST
-//!   UNIT READY, SYNCHRONIZE CACHE).
+//! * [`Pdu`] — typed PDUs (Login, SCSI Command/Response, Data-In/Out, R2T)
+//!   with exact 48-byte BHS encode/decode; any other opcode is refused.
+//! * [`Cdb`] — SCSI CDBs (READ/WRITE 10/16, SYNCHRONIZE CACHE).
 //! * [`PduStream`] — incremental framing over a TCP byte stream.
 //! * [`exchange`] — how an iSCSI command conversation maps to block I/O:
 //!   the checked command decoder, the PDU builders, the
@@ -76,9 +75,8 @@ pub use cdb::Cdb;
 pub use initiator::{Initiator, InitiatorConfig};
 pub use params::SessionParams;
 pub use pdu::{
-    data_segment_length, DataIn, DataOut, LoginRequest, LoginResponse, LogoutRequest,
-    LogoutResponse, NopIn, NopOut, Pdu, PduError, R2t, ScsiCommand, ScsiResponse, TextRequest,
-    TextResponse, WireChunks, BHS_LEN,
+    data_segment_length, DataIn, DataOut, LoginRequest, LoginResponse, Pdu, PduError, R2t,
+    ScsiCommand, ScsiResponse, WireChunks, BHS_LEN,
 };
 pub use stream::{PduStream, PduWire};
 pub use target::{TargetConfig, TargetConn};

@@ -39,19 +39,13 @@ impl std::error::Error for PduError {}
 pub const BHS_LEN: usize = 48;
 
 // Opcodes (initiator → target).
-const OP_NOP_OUT: u8 = 0x00;
 const OP_SCSI_CMD: u8 = 0x01;
 const OP_LOGIN_REQ: u8 = 0x03;
-const OP_TEXT_REQ: u8 = 0x04;
 const OP_DATA_OUT: u8 = 0x05;
-const OP_LOGOUT_REQ: u8 = 0x06;
 // Opcodes (target → initiator).
-const OP_NOP_IN: u8 = 0x20;
 const OP_SCSI_RESP: u8 = 0x21;
 const OP_LOGIN_RESP: u8 = 0x23;
-const OP_TEXT_RESP: u8 = 0x24;
 const OP_DATA_IN: u8 = 0x25;
-const OP_LOGOUT_RESP: u8 = 0x26;
 const OP_R2T: u8 = 0x31;
 
 /// Login Request PDU.
@@ -232,104 +226,6 @@ pub struct R2t {
     pub desired_length: u32,
 }
 
-/// NOP-Out (ping / keepalive).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NopOut {
-    /// Initiator task tag (0xffffffff = no response wanted).
-    pub itt: u32,
-    /// Target transfer tag being echoed (0xffffffff if unsolicited).
-    pub ttt: u32,
-    /// Command sequence number.
-    pub cmd_sn: u32,
-    /// Expected status sequence number.
-    pub exp_stat_sn: u32,
-    /// Optional ping payload.
-    pub data: Bytes,
-}
-
-/// NOP-In (pong / target ping).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NopIn {
-    /// Initiator task tag echoed (0xffffffff for target pings).
-    pub itt: u32,
-    /// Target transfer tag.
-    pub ttt: u32,
-    /// Status sequence number.
-    pub stat_sn: u32,
-    /// Expected command sequence number.
-    pub exp_cmd_sn: u32,
-    /// Highest acceptable command sequence number.
-    pub max_cmd_sn: u32,
-    /// Echoed payload.
-    pub data: Bytes,
-}
-
-/// Text Request PDU.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TextRequest {
-    /// Final text PDU of the exchange.
-    pub final_pdu: bool,
-    /// Initiator task tag.
-    pub itt: u32,
-    /// Target transfer tag for continuations.
-    pub ttt: u32,
-    /// Command sequence number.
-    pub cmd_sn: u32,
-    /// Expected status sequence number.
-    pub exp_stat_sn: u32,
-    /// key=value text.
-    pub data: Bytes,
-}
-
-/// Text Response PDU.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TextResponse {
-    /// Final text PDU of the exchange.
-    pub final_pdu: bool,
-    /// Initiator task tag.
-    pub itt: u32,
-    /// Target transfer tag for continuations.
-    pub ttt: u32,
-    /// Status sequence number.
-    pub stat_sn: u32,
-    /// Expected command sequence number.
-    pub exp_cmd_sn: u32,
-    /// Highest acceptable command sequence number.
-    pub max_cmd_sn: u32,
-    /// key=value text.
-    pub data: Bytes,
-}
-
-/// Logout Request PDU.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogoutRequest {
-    /// Reason code (0 = close session).
-    pub reason: u8,
-    /// Initiator task tag.
-    pub itt: u32,
-    /// Connection id to log out.
-    pub cid: u16,
-    /// Command sequence number.
-    pub cmd_sn: u32,
-    /// Expected status sequence number.
-    pub exp_stat_sn: u32,
-}
-
-/// Logout Response PDU.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogoutResponse {
-    /// Response code (0 = closed successfully).
-    pub response: u8,
-    /// Initiator task tag.
-    pub itt: u32,
-    /// Status sequence number.
-    pub stat_sn: u32,
-    /// Expected command sequence number.
-    pub exp_cmd_sn: u32,
-    /// Highest acceptable command sequence number.
-    pub max_cmd_sn: u32,
-}
-
 /// Any iSCSI PDU.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Pdu {
@@ -347,18 +243,6 @@ pub enum Pdu {
     DataIn(DataIn),
     /// Ready To Transfer.
     R2t(R2t),
-    /// NOP-Out.
-    NopOut(NopOut),
-    /// NOP-In.
-    NopIn(NopIn),
-    /// Text Request.
-    TextRequest(TextRequest),
-    /// Text Response.
-    TextResponse(TextResponse),
-    /// Logout Request.
-    LogoutRequest(LogoutRequest),
-    /// Logout Response.
-    LogoutResponse(LogoutResponse),
 }
 
 fn put_u16(b: &mut [u8], off: usize, v: u16) {
@@ -454,11 +338,7 @@ impl Pdu {
             Pdu::ScsiResponse(p) => &p.data,
             Pdu::DataOut(p) => &p.data,
             Pdu::DataIn(p) => &p.data,
-            Pdu::NopOut(p) => &p.data,
-            Pdu::NopIn(p) => &p.data,
-            Pdu::TextRequest(p) => &p.data,
-            Pdu::TextResponse(p) => &p.data,
-            Pdu::R2t(_) | Pdu::LogoutRequest(_) | Pdu::LogoutResponse(_) => &EMPTY,
+            Pdu::R2t(_) => &EMPTY,
         }
     }
 
@@ -478,12 +358,6 @@ impl Pdu {
             Pdu::DataOut(p) => p.itt,
             Pdu::DataIn(p) => p.itt,
             Pdu::R2t(p) => p.itt,
-            Pdu::NopOut(p) => p.itt,
-            Pdu::NopIn(p) => p.itt,
-            Pdu::TextRequest(p) => p.itt,
-            Pdu::TextResponse(p) => p.itt,
-            Pdu::LogoutRequest(p) => p.itt,
-            Pdu::LogoutResponse(p) => p.itt,
         }
     }
 
@@ -610,57 +484,6 @@ impl Pdu {
                 put_u32(&mut b, 40, p.buffer_offset);
                 put_u32(&mut b, 44, p.desired_length);
             }
-            Pdu::NopOut(p) => {
-                b[0] = OP_NOP_OUT | 0x40;
-                b[1] = 0x80;
-                put_u32(&mut b, 16, p.itt);
-                put_u32(&mut b, 20, p.ttt);
-                put_u32(&mut b, 24, p.cmd_sn);
-                put_u32(&mut b, 28, p.exp_stat_sn);
-            }
-            Pdu::NopIn(p) => {
-                b[0] = OP_NOP_IN;
-                b[1] = 0x80;
-                put_u32(&mut b, 16, p.itt);
-                put_u32(&mut b, 20, p.ttt);
-                put_u32(&mut b, 24, p.stat_sn);
-                put_u32(&mut b, 28, p.exp_cmd_sn);
-                put_u32(&mut b, 32, p.max_cmd_sn);
-            }
-            Pdu::TextRequest(p) => {
-                b[0] = OP_TEXT_REQ | 0x40;
-                b[1] = if p.final_pdu { 0x80 } else { 0 };
-                put_u32(&mut b, 16, p.itt);
-                put_u32(&mut b, 20, p.ttt);
-                put_u32(&mut b, 24, p.cmd_sn);
-                put_u32(&mut b, 28, p.exp_stat_sn);
-            }
-            Pdu::TextResponse(p) => {
-                b[0] = OP_TEXT_RESP;
-                b[1] = if p.final_pdu { 0x80 } else { 0 };
-                put_u32(&mut b, 16, p.itt);
-                put_u32(&mut b, 20, p.ttt);
-                put_u32(&mut b, 24, p.stat_sn);
-                put_u32(&mut b, 28, p.exp_cmd_sn);
-                put_u32(&mut b, 32, p.max_cmd_sn);
-            }
-            Pdu::LogoutRequest(p) => {
-                b[0] = OP_LOGOUT_REQ | 0x40;
-                b[1] = 0x80 | (p.reason & 0x7F);
-                put_u32(&mut b, 16, p.itt);
-                put_u16(&mut b, 20, p.cid);
-                put_u32(&mut b, 24, p.cmd_sn);
-                put_u32(&mut b, 28, p.exp_stat_sn);
-            }
-            Pdu::LogoutResponse(p) => {
-                b[0] = OP_LOGOUT_RESP;
-                b[1] = 0x80;
-                b[2] = p.response;
-                put_u32(&mut b, 16, p.itt);
-                put_u32(&mut b, 24, p.stat_sn);
-                put_u32(&mut b, 28, p.exp_cmd_sn);
-                put_u32(&mut b, 32, p.max_cmd_sn);
-            }
         }
         put_dsl(&mut b, self.data().len());
         b
@@ -764,52 +587,6 @@ impl Pdu {
                 r2t_sn: get_u32(bhs, 36),
                 buffer_offset: get_u32(bhs, 40),
                 desired_length: get_u32(bhs, 44),
-            }),
-            OP_NOP_OUT => Pdu::NopOut(NopOut {
-                itt: get_u32(bhs, 16),
-                ttt: get_u32(bhs, 20),
-                cmd_sn: get_u32(bhs, 24),
-                exp_stat_sn: get_u32(bhs, 28),
-                data,
-            }),
-            OP_NOP_IN => Pdu::NopIn(NopIn {
-                itt: get_u32(bhs, 16),
-                ttt: get_u32(bhs, 20),
-                stat_sn: get_u32(bhs, 24),
-                exp_cmd_sn: get_u32(bhs, 28),
-                max_cmd_sn: get_u32(bhs, 32),
-                data,
-            }),
-            OP_TEXT_REQ => Pdu::TextRequest(TextRequest {
-                final_pdu: f,
-                itt: get_u32(bhs, 16),
-                ttt: get_u32(bhs, 20),
-                cmd_sn: get_u32(bhs, 24),
-                exp_stat_sn: get_u32(bhs, 28),
-                data,
-            }),
-            OP_TEXT_RESP => Pdu::TextResponse(TextResponse {
-                final_pdu: f,
-                itt: get_u32(bhs, 16),
-                ttt: get_u32(bhs, 20),
-                stat_sn: get_u32(bhs, 24),
-                exp_cmd_sn: get_u32(bhs, 28),
-                max_cmd_sn: get_u32(bhs, 32),
-                data,
-            }),
-            OP_LOGOUT_REQ => Pdu::LogoutRequest(LogoutRequest {
-                reason: bhs[1] & 0x7F,
-                itt: get_u32(bhs, 16),
-                cid: get_u16(bhs, 20),
-                cmd_sn: get_u32(bhs, 24),
-                exp_stat_sn: get_u32(bhs, 28),
-            }),
-            OP_LOGOUT_RESP => Pdu::LogoutResponse(LogoutResponse {
-                response: bhs[2],
-                itt: get_u32(bhs, 16),
-                stat_sn: get_u32(bhs, 24),
-                exp_cmd_sn: get_u32(bhs, 28),
-                max_cmd_sn: get_u32(bhs, 32),
             }),
             op => return Err(PduError::UnknownOpcode(op)),
         })
@@ -927,61 +704,18 @@ mod tests {
             buffer_offset: 65536,
             desired_length: 196608,
         }));
-        round_trip(Pdu::NopOut(NopOut {
-            itt: 11,
-            ttt: 0xFFFF_FFFF,
-            cmd_sn: 8,
-            exp_stat_sn: 7,
-            data: Bytes::from_static(b"ping"),
-        }));
-        round_trip(Pdu::NopIn(NopIn {
-            itt: 11,
-            ttt: 0xFFFF_FFFF,
-            stat_sn: 8,
-            exp_cmd_sn: 9,
-            max_cmd_sn: 72,
-            data: Bytes::from_static(b"ping"),
-        }));
-        round_trip(Pdu::TextRequest(TextRequest {
-            final_pdu: true,
-            itt: 13,
-            ttt: 0xFFFF_FFFF,
-            cmd_sn: 10,
-            exp_stat_sn: 9,
-            data: Bytes::from_static(b"SendTargets=All\0"),
-        }));
-        round_trip(Pdu::TextResponse(TextResponse {
-            final_pdu: true,
-            itt: 13,
-            ttt: 0xFFFF_FFFF,
-            stat_sn: 10,
-            exp_cmd_sn: 11,
-            max_cmd_sn: 74,
-            data: Bytes::from_static(b"TargetName=iqn.2016-04.org.storm:volume-1\0"),
-        }));
-        round_trip(Pdu::LogoutRequest(LogoutRequest {
-            reason: 0,
-            itt: 15,
-            cid: 0,
-            cmd_sn: 12,
-            exp_stat_sn: 11,
-        }));
-        round_trip(Pdu::LogoutResponse(LogoutResponse {
-            response: 0,
-            itt: 15,
-            stat_sn: 12,
-            exp_cmd_sn: 13,
-            max_cmd_sn: 76,
-        }));
     }
 
     #[test]
     fn data_is_padded_to_four_bytes() {
-        let pdu = Pdu::NopOut(NopOut {
+        let pdu = Pdu::DataOut(DataOut {
+            final_pdu: true,
+            lun: 0,
             itt: 1,
             ttt: 0xFFFF_FFFF,
-            cmd_sn: 1,
             exp_stat_sn: 1,
+            data_sn: 0,
+            buffer_offset: 0,
             data: Bytes::from_static(b"abcde"), // 5 bytes -> pad to 8
         });
         let wire = pdu.encode();
@@ -996,11 +730,16 @@ mod tests {
     #[test]
     fn unknown_opcode_rejected() {
         let mut bhs = [0u8; BHS_LEN];
+        // NOP-Out/In, Text Request/Response and Logout Request/Response are
+        // refused like any opcode outside the subset the cloud drives.
+        for op in [0x3B, 0x00, 0x04, 0x06, 0x20, 0x24, 0x26] {
+            bhs[0] = op;
+            assert_eq!(
+                Pdu::decode(&bhs, Bytes::new()),
+                Err(PduError::UnknownOpcode(op))
+            );
+        }
         bhs[0] = 0x3B;
-        assert_eq!(
-            Pdu::decode(&bhs, Bytes::new()),
-            Err(PduError::UnknownOpcode(0x3B))
-        );
         assert_eq!(
             Pdu::decode(&bhs[..10], Bytes::new()),
             Err(PduError::Truncated)

@@ -125,7 +125,7 @@ pub(crate) fn push_pdu(out: &mut WireBuf, pdu: &Pdu) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pdu::{NopOut, TextRequest};
+    use crate::pdu::{DataOut, LoginRequest};
     use storm_block::transport::SHARE_THRESHOLD;
 
     /// Feeds a copy of `bytes`, returning the PDUs it completed.
@@ -134,12 +134,16 @@ mod tests {
         Ok(got.into_iter().map(|p| p.pdu).collect())
     }
 
-    fn nop(data: &'static [u8]) -> Pdu {
-        Pdu::NopOut(NopOut {
+    /// A Data-Out carrying `data`.
+    fn data_out(data: &'static [u8]) -> Pdu {
+        Pdu::DataOut(DataOut {
+            final_pdu: true,
+            lun: 0,
             itt: 1,
             ttt: 0xFFFF_FFFF,
-            cmd_sn: 1,
             exp_stat_sn: 1,
+            data_sn: 0,
+            buffer_offset: 0,
             data: Bytes::from_static(data),
         })
     }
@@ -147,10 +151,10 @@ mod tests {
     #[test]
     fn whole_pdus_parse() {
         let mut s = PduStream::new();
-        let wire = nop(b"hello").encode();
+        let wire = data_out(b"hello").encode();
         let got = feed(&mut s, &wire).unwrap();
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0], nop(b"hello"));
+        assert_eq!(got[0], data_out(b"hello"));
         assert_eq!(s.pending_bytes(), 0);
         assert_eq!(s.pdus_out(), 1);
     }
@@ -158,24 +162,28 @@ mod tests {
     #[test]
     fn byte_at_a_time_parse() {
         let mut s = PduStream::new();
-        let wire = nop(b"fragmented!").encode();
+        let wire = data_out(b"fragmented!").encode();
         let mut got = Vec::new();
         for b in &wire {
             got.extend(feed(&mut s, std::slice::from_ref(b)).unwrap());
         }
-        assert_eq!(got, vec![nop(b"fragmented!")]);
+        assert_eq!(got, vec![data_out(b"fragmented!")]);
     }
 
     #[test]
     fn multiple_pdus_in_one_chunk() {
         let mut s = PduStream::new();
-        let mut wire = nop(b"one").encode();
-        wire.extend(nop(b"two").encode());
+        let mut wire = data_out(b"one").encode();
+        wire.extend(data_out(b"two").encode());
         wire.extend(
-            Pdu::TextRequest(TextRequest {
-                final_pdu: true,
+            Pdu::LoginRequest(LoginRequest {
+                transit: true,
+                csg: 1,
+                nsg: 3,
+                isid: [0; 6],
+                tsih: 0,
                 itt: 2,
-                ttt: 0xFFFF_FFFF,
+                cid: 0,
                 cmd_sn: 2,
                 exp_stat_sn: 1,
                 data: Bytes::from_static(b"k=v\0"),
@@ -184,13 +192,13 @@ mod tests {
         );
         let got = feed(&mut s, &wire).unwrap();
         assert_eq!(got.len(), 3);
-        assert!(matches!(got[2], Pdu::TextRequest(_)));
+        assert!(matches!(got[2], Pdu::LoginRequest(_)));
     }
 
     #[test]
     fn partial_then_rest() {
         let mut s = PduStream::new();
-        let wire = nop(b"partial-data-segment").encode();
+        let wire = data_out(b"partial-data-segment").encode();
         let (a, b) = wire.split_at(BHS_LEN + 3);
         assert!(feed(&mut s, a).unwrap().is_empty());
         assert_eq!(s.pending_bytes(), a.len());
@@ -210,7 +218,7 @@ mod tests {
     fn feed_bytes_keeps_wire_and_skips_copies() {
         // One allocation holding a whole PDU: the data view and the wire
         // image must share it, with zero data-segment copies.
-        let pdu = nop(b"zero-copy-path!!");
+        let pdu = data_out(b"zero-copy-path!!");
         let whole = Bytes::from(pdu.encode());
         let mut s = PduStream::new();
         let got = s.feed_bytes(whole.clone()).unwrap();
@@ -230,7 +238,7 @@ mod tests {
     fn split_segments_of_one_allocation_rejoin() {
         // Simulate sender-side TCP segmentation: slices of one allocation
         // arrive one by one and must re-join into a zero-copy data view.
-        let pdu = nop(b"travels in many segments, one allocation");
+        let pdu = data_out(b"travels in many segments, one allocation");
         let whole = Bytes::from(pdu.encode());
         let mut s = PduStream::new();
         let mut got = Vec::new();
@@ -248,15 +256,9 @@ mod tests {
 
     #[test]
     fn wirebuf_shares_large_segments_and_batches_small() {
-        let big = Bytes::from(vec![0xAB; SHARE_THRESHOLD]);
-        let big_pdu = Pdu::NopOut(NopOut {
-            itt: 7,
-            ttt: 0xFFFF_FFFF,
-            cmd_sn: 3,
-            exp_stat_sn: 1,
-            data: big.clone(),
-        });
-        let small_pdu = nop(b"small");
+        let big_pdu = data_out(&[0xAB; SHARE_THRESHOLD]);
+        let big = big_pdu.data().clone();
+        let small_pdu = data_out(b"small");
         let mut w = WireBuf::new();
         push_pdu(&mut w, &small_pdu);
         push_pdu(&mut w, &big_pdu);
@@ -277,7 +279,7 @@ mod tests {
     fn foreign_chunks_count_copies() {
         // Two separate allocations carrying one PDU: the data segment
         // straddles them, so reassembly must copy and count it.
-        let pdu = nop(b"straddles allocations");
+        let pdu = data_out(b"straddles allocations");
         let wire = pdu.encode();
         let cut = BHS_LEN + 4;
         let mut s = PduStream::new();

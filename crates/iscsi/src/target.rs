@@ -20,15 +20,10 @@ use storm_block::transport::{
     TransportKind, WireBuf,
 };
 
-use crate::cdb::Cdb;
 use crate::exchange::{data_in_train, parse_command, r2t, status_response};
 use crate::params::{decode_text, encode_text, SessionParams};
-use crate::pdu::{LoginResponse, LogoutResponse, NopIn, Pdu};
+use crate::pdu::{LoginResponse, Pdu};
 use crate::stream::{push_pdu, PduStream};
-
-/// Standard INQUIRY data: direct-access block device, SPC-4, 31 more
-/// bytes of vendor / product / revision.
-const INQUIRY: &[u8; 36] = b"\x00\x00\x06\x00\x1f\x00\x00\x00STORM   VIRTUAL VOLUME  0001";
 
 /// Target-side configuration.
 #[derive(Debug, Clone)]
@@ -180,21 +175,6 @@ impl TargetConn {
                 self.exp_cmd_sn = c.cmd_sn.wrapping_add(1);
                 let cmd = match parse_command(&c, self.cfg.num_sectors) {
                     Ok(cmd) => cmd,
-                    Err(CmdReject::NotBlockIo) => {
-                        let data = match Cdb::parse(&c.cdb) {
-                            Ok(Cdb::Inquiry { alloc }) => {
-                                Bytes::from_static(&INQUIRY[..INQUIRY.len().min(alloc as usize)])
-                            }
-                            Ok(Cdb::ReadCapacity10) => {
-                                let last = self.cfg.num_sectors.saturating_sub(1);
-                                let [a, b, c, d] =
-                                    u32::try_from(last).unwrap_or(u32::MAX).to_be_bytes();
-                                Bytes::from(vec![a, b, c, d, 0, 0, 2, 0]) // 512-byte blocks
-                            }
-                            _ => return self.scsi_response(c.itt, ScsiStatus::Good), // TEST UNIT READY
-                        };
-                        return self.data_in_with_status(c.itt, data);
-                    }
                     Err(reject) => {
                         self.scsi_response(c.itt, ScsiStatus::CheckCondition);
                         if let CmdReject::Opcode(op) = reject {
@@ -256,31 +236,6 @@ impl TargetConn {
                     self.request_data(d.itt, &mut xfer);
                 }
                 self.writes.insert(d.itt, (lba, xfer));
-            }
-            Pdu::NopOut(n) => {
-                if n.itt != 0xFFFF_FFFF {
-                    let pong = Pdu::NopIn(NopIn {
-                        itt: n.itt,
-                        ttt: 0xFFFF_FFFF,
-                        stat_sn: self.stat_sn,
-                        exp_cmd_sn: self.exp_cmd_sn,
-                        max_cmd_sn: self.exp_cmd_sn.wrapping_add(64),
-                        data: n.data,
-                    });
-                    push_pdu(&mut self.out, &pong);
-                }
-            }
-            Pdu::LogoutRequest(r) => {
-                let resp = Pdu::LogoutResponse(LogoutResponse {
-                    response: 0,
-                    itt: r.itt,
-                    stat_sn: self.bump_stat_sn(),
-                    exp_cmd_sn: self.exp_cmd_sn,
-                    max_cmd_sn: self.exp_cmd_sn.wrapping_add(64),
-                });
-                push_pdu(&mut self.out, &resp);
-                self.logged_in = false;
-                events.push(TargetEvent::LoggedOut);
             }
             other => events.push(TargetEvent::ProtocolError(format!(
                 "unexpected pdu at target: {other:?}"
@@ -571,61 +526,39 @@ mod tests {
         );
     }
 
+    /// An unknown CDB gets CHECK CONDITION and a protocol error; TEST
+    /// UNIT READY, INQUIRY and READ CAPACITY move no block data and are
+    /// refused the same way.
     #[test]
-    fn nop_ping_pong() {
-        let mut tgt = TargetConn::new(TargetConfig::example(8));
-        let ping = Pdu::NopOut(crate::pdu::NopOut {
-            itt: 55,
-            ttt: 0xFFFF_FFFF,
-            cmd_sn: 1,
-            exp_stat_sn: 1,
-            data: Bytes::from_static(b"hb"),
-        });
-        let evs = tgt.feed_bytes(ping.encode().into());
-        assert!(evs.is_empty());
-        let pdus = decode(tgt.take_wire());
-        match &pdus[0] {
-            Pdu::NopIn(n) => {
-                assert_eq!(n.itt, 55);
-                assert_eq!(&n.data[..], b"hb");
-            }
-            other => panic!("expected nop-in, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn inquiry_and_read_capacity() {
-        let mut ini = Initiator::new(InitiatorConfig::example());
+    fn unknown_cdbs_get_check_condition_and_a_protocol_error() {
         let mut tgt = TargetConn::new(TargetConfig::example(2048));
-        ini.start_login();
-        let _ = tgt.feed_bytes(flat(ini.take_wire()));
-        let _ = ini.feed_bytes(flat(tgt.take_wire()));
-        // Drive a raw READ CAPACITY through the target.
-        let cmd = Pdu::ScsiCommand(crate::pdu::ScsiCommand {
-            immediate: false,
-            final_pdu: true,
-            read: true,
-            write: false,
-            lun: 0,
-            itt: 99,
-            edtl: 8,
-            cmd_sn: 50,
-            exp_stat_sn: 2,
-            cdb: Cdb::ReadCapacity10.to_bytes(),
-            data: Bytes::new(),
-        });
-        let evs = tgt.feed_bytes(cmd.encode().into());
-        assert!(evs.is_empty(), "capacity served internally: {evs:?}");
-        let pdus = decode(tgt.take_wire());
-        match &pdus[0] {
-            Pdu::DataIn(d) => {
-                assert!(d.status_present);
-                let last_lba = u32::from_be_bytes(d.data[0..4].try_into().unwrap());
-                let block = u32::from_be_bytes(d.data[4..8].try_into().unwrap());
-                assert_eq!(last_lba, 2047);
-                assert_eq!(block, 512);
-            }
-            other => panic!("expected data-in, got {other:?}"),
+        for (itt, op) in [(1, 0xEE), (2, 0x00), (3, 0x12), (4, 0x25)] {
+            let mut cdb = [0u8; 16];
+            cdb[0] = op;
+            let cmd = Pdu::ScsiCommand(crate::pdu::ScsiCommand {
+                immediate: false,
+                final_pdu: true,
+                read: true,
+                write: false,
+                lun: 0,
+                itt,
+                edtl: 8,
+                cmd_sn: itt,
+                exp_stat_sn: 1,
+                cdb,
+                data: Bytes::new(),
+            });
+            let evs = tgt.feed_bytes(cmd.encode().into());
+            assert!(
+                matches!(evs[..], [TargetEvent::ProtocolError(_)]),
+                "{evs:?}"
+            );
+            let out = decode(tgt.take_wire());
+            assert!(
+                matches!(&out[..], [Pdu::ScsiResponse(r)]
+                    if r.itt == itt && r.status == ScsiStatus::CheckCondition),
+                "{out:?}"
+            );
         }
     }
 

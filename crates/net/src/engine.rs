@@ -916,48 +916,48 @@ impl Network {
         self.emit(host, out_iface, frame);
     }
 
-    fn dispatch_tap(&mut self, host: HostId, app: AppId, frame: &mut Frame) -> TapVerdict {
-        let Some(mut a) = self.hosts[host.0 as usize].apps[app.0 as usize].take() else {
-            return TapVerdict::Forward;
-        };
+    /// Runs `f` on `app` with its `Cx`. Only [`handle`](Self::handle)
+    /// gets here (a tap through `forward`), and a callback's `Cx` calls
+    /// queue events instead of handling them, so the app is always in its
+    /// slot.
+    fn with_app<R>(
+        &mut self,
+        host: HostId,
+        app: AppId,
+        f: impl FnOnce(&mut dyn App, &mut Cx<'_>) -> R,
+    ) -> R {
+        let mut a = self.hosts[host.0 as usize].apps[app.0 as usize]
+            .take()
+            .expect("app callbacks never nest");
         let mut cx = Cx {
             net: self,
             host,
             app,
         };
-        let verdict = a.on_tap(&mut cx, frame);
+        let r = f(&mut *a, &mut cx);
         self.hosts[host.0 as usize].apps[app.0 as usize] = Some(a);
-        verdict
+        r
     }
 
-    /// Runs one callback of `app`. Only [`handle`](Self::handle) gets
-    /// here, and a callback's `Cx` calls queue events instead of handling
-    /// them, so the app is always in its slot.
+    fn dispatch_tap(&mut self, host: HostId, app: AppId, frame: &mut Frame) -> TapVerdict {
+        self.with_app(host, app, |a, cx| a.on_tap(cx, frame))
+    }
+
+    /// Runs one callback of `app`.
     fn dispatch(&mut self, host: HostId, app: AppId, cb: Callback) {
-        let mut a = self.hosts[host.0 as usize].apps[app.0 as usize]
-            .take()
-            .expect("app callbacks never nest");
-        {
-            let mut cx = Cx {
-                net: self,
-                host,
-                app,
-            };
-            match cb {
-                Callback::Start => a.on_start(&mut cx),
-                Callback::Timer(token) => a.on_timer(&mut cx, token),
-                Callback::Bus(from, msg) => a.on_bus(&mut cx, from, msg),
-                Callback::Tcp(ev) => match ev {
-                    TcpEvent::Connected(s) => a.on_connected(&mut cx, s),
-                    TcpEvent::ConnectFailed(s) => a.on_connect_failed(&mut cx, s),
-                    TcpEvent::Accepted { port, sock } => a.on_accepted(&mut cx, port, sock),
-                    TcpEvent::Data { sock, data } => a.on_data(&mut cx, sock, data),
-                    TcpEvent::Writable(s) => a.on_writable(&mut cx, s),
-                    TcpEvent::Closed { sock, kind } => a.on_closed(&mut cx, sock, kind),
-                },
-            }
-        }
-        self.hosts[host.0 as usize].apps[app.0 as usize] = Some(a);
+        self.with_app(host, app, |a, cx| match cb {
+            Callback::Start => a.on_start(cx),
+            Callback::Timer(token) => a.on_timer(cx, token),
+            Callback::Bus(from, msg) => a.on_bus(cx, from, msg),
+            Callback::Tcp(ev) => match ev {
+                TcpEvent::Connected(s) => a.on_connected(cx, s),
+                TcpEvent::ConnectFailed(s) => a.on_connect_failed(cx, s),
+                TcpEvent::Accepted { port, sock } => a.on_accepted(cx, port, sock),
+                TcpEvent::Data { sock, data } => a.on_data(cx, sock, data),
+                TcpEvent::Writable(s) => a.on_writable(cx, s),
+                TcpEvent::Closed { sock, kind } => a.on_closed(cx, sock, kind),
+            },
+        });
     }
 }
 

@@ -45,10 +45,6 @@ pub enum FrameKind {
     Doorbell,
     /// Target → host: one CQE plus its read payload (`count` = 1).
     Completion,
-    /// Host → target: clean shutdown request.
-    Disconnect,
-    /// Target → host: shutdown acknowledged.
-    DisconnectAck,
 }
 
 impl FrameKind {
@@ -58,8 +54,6 @@ impl FrameKind {
             FrameKind::ConnectAck => 2,
             FrameKind::Doorbell => 3,
             FrameKind::Completion => 4,
-            FrameKind::Disconnect => 5,
-            FrameKind::DisconnectAck => 6,
         }
     }
 
@@ -79,8 +73,6 @@ impl FrameKind {
             2 => FrameKind::ConnectAck,
             3 => FrameKind::Doorbell,
             4 => FrameKind::Completion,
-            5 => FrameKind::Disconnect,
-            6 => FrameKind::DisconnectAck,
             other => return Err(NvmeqError::UnknownFrameType(other)),
         })
     }
@@ -364,8 +356,6 @@ mod tests {
             FrameKind::Connect,
             FrameKind::ConnectAck,
             FrameKind::Completion,
-            FrameKind::Disconnect,
-            FrameKind::DisconnectAck,
         ] {
             let h = FrameHeader {
                 kind,
@@ -389,11 +379,14 @@ mod tests {
         b[0] = 0x43; // iSCSI login, not nvmeq
         assert_eq!(FrameHeader::decode(&b), Err(NvmeqError::BadMagic(0x43)));
         b[0] = MAGIC;
-        b[1] = 99;
-        assert_eq!(
-            FrameHeader::decode(&b),
-            Err(NvmeqError::UnknownFrameType(99))
-        );
+        // Every type but the four handshake and unit kinds is refused.
+        for kind in [99, 0, 5, 6] {
+            b[1] = kind;
+            assert_eq!(
+                FrameHeader::decode(&b),
+                Err(NvmeqError::UnknownFrameType(kind))
+            );
+        }
         // Payload too small to hold the frame's entry.
         let h = FrameHeader {
             payload_len: CQE_LEN as u32 - 1,

@@ -41,7 +41,7 @@ enum State {
     Idle,
     ConnectSent,
     Ready,
-    Closing,
+    /// The target refused the connect.
     Closed,
 }
 
@@ -264,20 +264,6 @@ impl Transport for NvmeqInitiator {
         )
     }
 
-    fn shutdown(&mut self) {
-        if self.state == State::Closing || self.state == State::Closed {
-            return;
-        }
-        let header = FrameHeader {
-            kind: FrameKind::Disconnect,
-            count: 0,
-            payload_len: 0,
-            queue_depth: 0,
-        };
-        self.out.push_slice(&header.encode());
-        self.state = State::Closing;
-    }
-
     fn in_flight(&self) -> usize {
         self.issued.len()
     }
@@ -329,10 +315,6 @@ impl Transport for NvmeqInitiator {
                         "SQE in completion frame".to_string(),
                     )),
                 },
-                FrameKind::DisconnectAck => {
-                    self.state = State::Closed;
-                    events.push(TransportEvent::Closed);
-                }
                 other => events.push(TransportEvent::ProtocolError(format!(
                     "unexpected frame {other:?} on host side"
                 ))),

@@ -59,7 +59,6 @@ pub struct FrameWire {
 #[derive(Debug, Default)]
 pub struct FrameStream {
     buf: ChunkDeque,
-    frames_out: u64,
     bytes_copied: u64,
     header_bytes_copied: u64,
 }
@@ -92,11 +91,6 @@ impl FrameStream {
     /// Bytes buffered awaiting a complete frame.
     pub fn pending_bytes(&self) -> usize {
         self.buf.buffered()
-    }
-
-    /// Total frames produced.
-    pub fn frames_out(&self) -> u64 {
-        self.frames_out
     }
 
     /// Data-segment bytes memcpy'd during reassembly (segments straddling
@@ -134,7 +128,6 @@ impl FrameStream {
             }
             entry_len => (Some(self.unit(&wire, &header, entry_len)?), Bytes::new()),
         };
-        self.frames_out += 1;
         Ok(Some(FrameWire {
             header,
             unit,
@@ -233,7 +226,6 @@ mod tests {
         assert!(fw.wire[0].same_storage(&whole));
         assert_eq!(s.bytes_copied(), 0);
         assert_eq!(s.pending_bytes(), 0);
-        assert_eq!(s.frames_out(), 1);
     }
 
     #[test]

@@ -48,9 +48,6 @@ pub struct NvmeqTargetConn {
     stream: FrameStream,
     out: WireBuf,
     logged_in: bool,
-    /// The host's advertised ring size (informational; the host enforces
-    /// its own cap).
-    peer_queue_depth: u16,
     outstanding: usize,
     peak: usize,
 }
@@ -63,15 +60,9 @@ impl NvmeqTargetConn {
             stream: FrameStream::new(),
             out: WireBuf::new(),
             logged_in: false,
-            peer_queue_depth: 0,
             outstanding: 0,
             peak: 0,
         }
-    }
-
-    /// The ring size the host advertised at connect.
-    pub fn peer_queue_depth(&self) -> u16 {
-        self.peer_queue_depth
     }
 
     /// Whether session establishment completed.
@@ -113,9 +104,7 @@ impl NvmeqTargetConn {
         let mut events = Vec::new();
         for fw in frames {
             match fw.header.kind {
-                FrameKind::Connect => {
-                    self.on_connect(&fw.payload, fw.header.queue_depth, &mut events)
-                }
+                FrameKind::Connect => self.on_connect(&fw.payload, &mut events),
                 FrameKind::Doorbell => {
                     let Some(UnitWire {
                         entry: UnitEntry::Sqe(sqe),
@@ -153,17 +142,6 @@ impl NvmeqTargetConn {
                         SqeOp::Flush => TargetEvent::FlushReady { itt },
                     });
                 }
-                FrameKind::Disconnect => {
-                    let header = FrameHeader {
-                        kind: FrameKind::DisconnectAck,
-                        count: 0,
-                        payload_len: 0,
-                        queue_depth: 0,
-                    };
-                    self.out.push_slice(&header.encode());
-                    self.logged_in = false;
-                    events.push(TargetEvent::LoggedOut);
-                }
                 other => events.push(TargetEvent::ProtocolError(format!(
                     "unexpected frame {other:?} on target side"
                 ))),
@@ -172,7 +150,7 @@ impl NvmeqTargetConn {
         events
     }
 
-    fn on_connect(&mut self, payload: &Bytes, peer_qd: u16, events: &mut Vec<TargetEvent>) {
+    fn on_connect(&mut self, payload: &Bytes, events: &mut Vec<TargetEvent>) {
         let initiator_name = scan_connect_payload(payload, "InitiatorName");
         let target_name = scan_connect_payload(payload, "TargetName");
         let accept = matches!(&target_name, Some(t) if t == self.cfg.target_iqn.as_str());
@@ -193,7 +171,6 @@ impl NvmeqTargetConn {
         self.out.push_slice(&[status, 0, 0, 0, 0, 0, 0, 0]);
         self.out.push_slice(&capacity.to_be_bytes());
         if accept {
-            self.peer_queue_depth = peer_qd;
             self.logged_in = true;
             events.push(TargetEvent::LoggedIn {
                 initiator_name: initiator_name.unwrap_or_default(),
@@ -319,7 +296,6 @@ mod tests {
     #[test]
     fn full_session_answers_each_command_at_once() {
         let (mut ini, mut tgt) = connected_pair(8);
-        assert_eq!(tgt.peer_queue_depth(), 8);
 
         // Four writes and four reads, all completed at t=1000: each
         // completion is on the wire as its own frame the moment it is
@@ -409,27 +385,7 @@ mod tests {
     }
 
     #[test]
-    fn disconnect_round_trip_and_bad_target() {
-        let (mut ini, mut tgt) = connected_pair(4);
-        ini.shutdown();
-        let mut out = false;
-        for c in ini.take_wire() {
-            out |= tgt
-                .feed_bytes(c)
-                .iter()
-                .any(|e| matches!(e, TargetEvent::LoggedOut));
-        }
-        assert!(out && !tgt.is_logged_in());
-        let mut closed = false;
-        for c in tgt.take_wire() {
-            closed |= ini
-                .feed_bytes(c)
-                .iter()
-                .any(|e| matches!(e, TransportEvent::Closed));
-        }
-        assert!(closed);
-
-        // A connect naming the wrong volume is refused.
+    fn connect_naming_the_wrong_volume_is_refused() {
         let mut ini2 = NvmeqInitiator::new(NvmeqConfig {
             target_iqn: Iqn::for_volume(999),
             ..NvmeqConfig::example(4)
