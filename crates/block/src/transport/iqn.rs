@@ -1,4 +1,6 @@
-//! iSCSI qualified names, which every transport's connect carries.
+//! iSCSI qualified names, and the handshake text that carries them on
+//! every transport's connect: the iSCSI login data segment and the nvmeq
+//! Connect payload are both `key=value` entries, each NUL-terminated.
 
 use std::fmt;
 
@@ -64,6 +66,28 @@ impl AsRef<str> for Iqn {
     }
 }
 
+/// Encodes `key=value` pairs, in the order given, as handshake text.
+pub fn encode_text(pairs: &[(&str, &str)]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(pairs.iter().map(|(k, v)| k.len() + v.len() + 2).sum());
+    for (k, v) in pairs {
+        out.extend_from_slice(k.as_bytes());
+        out.push(b'=');
+        out.extend_from_slice(v.as_bytes());
+        out.push(0);
+    }
+    out
+}
+
+/// The value of the first handshake-text entry whose key is exactly
+/// `key`. Entries end at NUL bytes; one that is not UTF-8 (a frame header
+/// ahead of the text, when the storage host scans a connection's first
+/// bytes) or has no `=` is skipped.
+pub fn scan_text(text: &[u8], key: &str) -> Option<String> {
+    text.split(|&b| b == 0)
+        .filter_map(|entry| std::str::from_utf8(entry).ok()?.split_once('='))
+        .find_map(|(k, v)| (k == key).then(|| v.to_string()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,5 +113,56 @@ mod tests {
         assert!(Iqn::parse(Iqn::for_volume(3).as_str()).is_ok());
         assert!(Iqn::parse(Iqn::for_host("compute1").as_str()).is_ok());
         assert_ne!(Iqn::for_volume(1), Iqn::for_volume(2));
+    }
+
+    #[test]
+    fn text_round_trip() {
+        let host = Iqn::for_host("c1");
+        let text = encode_text(&[
+            ("InitiatorName", host.as_str()),
+            ("MaxBurstLength", "262144"),
+        ]);
+        assert_eq!(
+            text,
+            b"InitiatorName=iqn.2016-04.org.storm:host-c1\0MaxBurstLength=262144\0"
+        );
+        assert_eq!(
+            scan_text(&text, "InitiatorName").as_deref(),
+            Some(host.as_str())
+        );
+        assert_eq!(
+            scan_text(&text, "MaxBurstLength").as_deref(),
+            Some("262144")
+        );
+        assert_eq!(scan_text(&text, "Missing"), None);
+    }
+
+    #[test]
+    fn decode_skips_garbage() {
+        let text = b"ok=1\0novalue\0\0\xff\xfe=2\0k=v\0";
+        assert_eq!(scan_text(text, "ok").as_deref(), Some("1"));
+        assert_eq!(scan_text(text, "k").as_deref(), Some("v"));
+        assert_eq!(scan_text(text, "novalue"), None);
+        assert_eq!(scan_text(b"\xff\xfe", "X"), None);
+        // The first of two entries with one key wins.
+        assert_eq!(scan_text(b"k=a\0k=b\0", "k").as_deref(), Some("a"));
+    }
+
+    /// The storage host scans a connection's raw first bytes, header
+    /// included, and binds the volume an exact `TargetName` key names.
+    #[test]
+    fn scan_target_name_finds_key() {
+        let mut login = vec![0x43, 0x87, 0, 0, 0, 0, 0, 0x9c];
+        login.extend_from_slice(b"InitiatorName=iqn.2016-04.org.storm:host-a\0");
+        login.extend_from_slice(b"TargetName=iqn.2016-04.org.storm:volume-7\0");
+        assert_eq!(
+            scan_text(&login, "TargetName").as_deref(),
+            Some("iqn.2016-04.org.storm:volume-7")
+        );
+        assert_eq!(scan_text(b"NoKeyHere\0", "TargetName"), None);
+        // A key that merely ends in `TargetName` names nothing.
+        let text = b"XTargetName=a\0TargetName=b\0";
+        assert_eq!(scan_text(text, "TargetName").as_deref(), Some("b"));
+        assert_eq!(scan_text(b"XTargetName=a\0", "TargetName"), None);
     }
 }

@@ -4,8 +4,9 @@
 //! and `storm-nvmeq` implement both, and the guest client, the cloud
 //! target host and the benches pick one with [`TransportKind`]. Beside
 //! them: the block half of the exchange model ([`BlockCmd`], [`Transfer`],
-//! [`Step`], [`Staging`]) and the wire buffers under every stream
-//! ([`ChunkDeque`], [`WireBuf`]).
+//! [`Step`], [`Staging`]), the handshake text both protocols' connects
+//! carry ([`encode_text`], [`scan_text`]) and the wire buffers under
+//! every stream ([`ChunkDeque`], [`WireBuf`]).
 //!
 //! Both traits stay sans-io: no clocks, no sockets.
 
@@ -20,7 +21,7 @@ mod wire;
 pub use exchange::{
     BlockCmd, BlockOp, CmdReject, Overrun, Staged, Staging, Step, Transfer, MAX_TRANSFER,
 };
-pub use iqn::Iqn;
+pub use iqn::{encode_text, scan_text, Iqn};
 pub use wire::{ChunkDeque, WireBuf, SHARE_THRESHOLD};
 
 /// Which wire protocol a session speaks.

@@ -33,11 +33,11 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 
-use storm_block::transport::{Iqn, ScsiStatus, TargetEvent, TargetTransport};
+use storm_block::transport::{scan_text, Iqn, ScsiStatus, TargetEvent, TargetTransport};
 use storm_block::{BlockDevice, SharedVolume};
-use storm_iscsi::{SessionParams, TargetConfig, TargetConn, ISCSI_PORT};
+use storm_iscsi::{TargetConfig, TargetConn, ISCSI_PORT};
 use storm_net::{App, CloseReason, Cx, FourTuple, SendQueue, SockId};
-use storm_nvmeq::{scan_connect_payload, NvmeqTargetConfig, NvmeqTargetConn, MAGIC, NVMEQ_PORT};
+use storm_nvmeq::{NvmeqTargetConfig, NvmeqTargetConn, MAGIC, NVMEQ_PORT};
 use storm_sim::trace::{req_token, Hop, TraceEvent, TraceHook};
 use storm_sim::{FaultAction, FaultHook, FaultSite, Histogram, IdMap, SimDuration, SimTime};
 
@@ -49,8 +49,6 @@ use crate::qos::{DiskTier, RateLimitSpec, RateLimiter, WeightedFairQueue};
 pub struct TargetHostConfig {
     /// Disk performance parameters.
     pub disk: DiskSpec,
-    /// Session parameters offered to initiators.
-    pub params: SessionParams,
     /// Per-I/O target CPU cost (request parsing, SCSI dispatch).
     pub per_io_cpu: SimDuration,
     /// Per-byte target CPU cost (TCP + page-cache copies).
@@ -61,7 +59,6 @@ impl Default for TargetHostConfig {
     fn default() -> Self {
         TargetHostConfig {
             disk: DiskSpec::default(),
-            params: SessionParams::default(),
             per_io_cpu: SimDuration::from_micros(20),
             per_byte_cpu: SimDuration::from_nanos(4),
         }
@@ -649,9 +646,7 @@ impl App for TargetHostApp {
         // magic.
         let conn = Box::new(TargetConn::new(TargetConfig {
             target_iqn: Iqn::for_volume(0),
-            params: self.cfg.params.clone(),
             num_sectors: 0,
-            tsih: 1,
         }));
         self.sessions.insert(
             sock,
@@ -670,17 +665,12 @@ impl App for TargetHostApp {
         let Some(sess) = self.sessions.get_mut(&sock) else {
             return;
         };
-        // Bind the volume on the first bytes if not yet bound: sniff the
-        // protocol by magic byte, then peek the login/connect TargetName.
-        // The state machines handle real parsing; we pre-scan for the key
-        // (cheap linear scan over the handshake text).
+        // Bind the volume on the first bytes if not yet bound: peek the
+        // login/connect TargetName (both protocols carry the same
+        // handshake text), then sniff the protocol by magic byte. The
+        // state machines handle real parsing.
         if sess.volume.is_none() {
-            let nvmeq = data.first() == Some(&MAGIC);
-            let name = if nvmeq {
-                scan_connect_payload(&data, "TargetName")
-            } else {
-                scan_target_name(&data)
-            };
+            let name = scan_text(&data, "TargetName");
             let bound = name.and_then(|n| Some((self.volumes.get(&n)?.clone(), n)));
             let num_sectors = bound.as_ref().map_or(0, |(v, _)| v.clone().num_sectors());
             let target_iqn = match &bound {
@@ -689,7 +679,7 @@ impl App for TargetHostApp {
                 // connection, which refuses the connect itself.
                 None => Iqn::for_volume(u32::MAX),
             };
-            if nvmeq {
+            if data.first() == Some(&MAGIC) {
                 sess.conn = Box::new(NvmeqTargetConn::new(NvmeqTargetConfig {
                     target_iqn,
                     num_sectors,
@@ -697,9 +687,7 @@ impl App for TargetHostApp {
             } else if bound.is_some() {
                 sess.conn = Box::new(TargetConn::new(TargetConfig {
                     target_iqn,
-                    params: self.cfg.params.clone(),
                     num_sectors,
-                    tsih: 1,
                 }));
             }
             if let Some((volume, name)) = bound {
@@ -760,15 +748,6 @@ impl std::fmt::Debug for TargetHostApp {
             .field("sessions", &self.sessions.len())
             .finish_non_exhaustive()
     }
-}
-
-/// Scans raw login bytes for `TargetName=...` (NUL-terminated).
-fn scan_target_name(data: &[u8]) -> Option<String> {
-    let needle = b"TargetName=";
-    let pos = data.windows(needle.len()).position(|w| w == needle)?;
-    let rest = &data[pos + needle.len()..];
-    let end = rest.iter().position(|&b| b == 0).unwrap_or(rest.len());
-    Some(String::from_utf8_lossy(&rest[..end]).into_owned())
 }
 
 #[cfg(test)]
@@ -853,20 +832,62 @@ mod tests {
         app.downcast_mut::<TargetHostApp>().unwrap().session_count()
     }
 
+    /// The handshake both protocols send, pinned to the bytes: a login's
+    /// size on the wire sets when each session's first command can go.
+    #[test]
+    fn handshake_bytes_are_pinned() {
+        use storm_block::transport::{Transport, TransportEvent};
+        use storm_iscsi::{Initiator, InitiatorConfig, PduStream};
+        use storm_nvmeq::{NvmeqConfig, NvmeqInitiator, FRAME_HDR_LEN};
+        let data_segment = |wire: Bytes| {
+            let pdus = PduStream::new().feed_bytes(wire).unwrap();
+            assert_eq!(pdus.len(), 1);
+            pdus[0].pdu.data().clone()
+        };
+        let mut ini = Initiator::new(InitiatorConfig::example());
+        let mut tgt = TargetConn::new(TargetConfig::example(2048));
+        ini.start_login();
+        let request: Bytes = ini.take_wire().concat().into();
+        let _ = tgt.feed_bytes(request.clone());
+        let response: Bytes = tgt.take_wire().concat().into();
+        assert_eq!(
+            &data_segment(request)[..],
+            b"FirstBurstLength=65536\0ImmediateData=Yes\0InitialR2T=No\0\
+              InitiatorName=iqn.2016-04.org.storm:host-example\0MaxBurstLength=262144\0\
+              MaxRecvDataSegmentLength=8192\0SessionType=Normal\0\
+              TargetName=iqn.2016-04.org.storm:volume-1\0"
+        );
+        assert_eq!(
+            &data_segment(response)[..],
+            b"FirstBurstLength=65536\0ImmediateData=Yes\0InitialR2T=No\0\
+              MaxBurstLength=262144\0MaxRecvDataSegmentLength=8192\0TargetPortalGroupTag=1\0"
+        );
+
+        let mut host = NvmeqInitiator::new(NvmeqConfig::example(32));
+        let mut conn = NvmeqTargetConn::new(NvmeqTargetConfig::example(2048));
+        host.start();
+        let connect: Bytes = host.take_wire().concat().into();
+        let _ = conn.feed_bytes(connect.clone());
+        let ack: Bytes = conn.take_wire().concat().into();
+        assert_eq!(
+            (connect.len(), ack.len()),
+            (FRAME_HDR_LEN + 91, FRAME_HDR_LEN + 16)
+        );
+        assert!(host.feed_bytes(ack).contains(&TransportEvent::Ready));
+    }
+
     #[test]
     fn iscsi_pdu_after_protocol_error_aborts_instead_of_panicking() {
         use storm_iscsi::{Initiator, InitiatorConfig, Pdu, ScsiCommand};
-        let command = |op| {
-            let mut cdb = [0u8; 16];
-            cdb[0] = op;
+        let command = |cdb, edtl| {
             Pdu::ScsiCommand(ScsiCommand {
                 immediate: false,
                 final_pdu: true,
-                read: false,
+                read: edtl > 0,
                 write: false,
                 lun: 0,
                 itt: 7,
-                edtl: 0,
+                edtl,
                 cmd_sn: 1,
                 exp_stat_sn: 1,
                 cdb,
@@ -874,6 +895,21 @@ mod tests {
             })
             .encode()
         };
+        let opcode = |op| {
+            let mut cdb = [0u8; 16];
+            cdb[0] = op;
+            command(cdb, 0)
+        };
+        // READ(10) of eight sectors at LBA 0: a valid command, refused
+        // because no login precedes it, alone or ahead of one.
+        let mut read10 = [0u8; 16];
+        (read10[0], read10[8]) = (0x28, 8);
+        let read = command(read10, 4096);
+        assert_eq!(
+            sessions_after(ISCSI_PORT, read.clone()),
+            0,
+            "read, no login"
+        );
         let header = |op| {
             let mut bhs = vec![0u8; 48];
             (bhs[0], bhs[1], bhs[19]) = (op, 0x80, 7);
@@ -881,10 +917,12 @@ mod tests {
         };
         // An unknown CDB, the CDBs that move no block data (TEST UNIT
         // READY, INQUIRY, READ CAPACITY) and the session-control opcodes
-        // (NOP-Out, Text, Logout) are each refused; the login behind them
-        // names a registered volume and would succeed.
-        let leads = [0xEE, 0x00, 0x12, 0x25].map(command);
-        for lead in leads.into_iter().chain([0x00, 0x04, 0x06].map(header)) {
+        // (NOP-Out, Text, Logout) are each refused, and so is the read;
+        // the login behind them names a registered volume and would
+        // succeed.
+        let leads = [0xEE, 0x00, 0x12, 0x25].map(opcode);
+        let leads = leads.into_iter().chain([0x00, 0x04, 0x06].map(header));
+        for lead in leads.chain([read]) {
             let mut ini = Initiator::new(InitiatorConfig::example());
             ini.start_login();
             let mut segment = lead.clone();
@@ -895,13 +933,13 @@ mod tests {
 
     #[test]
     fn nvmeq_frame_after_protocol_error_aborts_instead_of_panicking() {
-        use storm_nvmeq::{encode_connect_payload, FrameHeader, FrameKind};
+        use storm_block::transport::encode_text;
+        use storm_nvmeq::{FrameHeader, FrameKind};
         let frame = |kind, payload: &[u8]| {
             let mut f = FrameHeader {
                 kind,
                 count: 0,
                 payload_len: payload.len() as u32,
-                queue_depth: 8,
             }
             .encode()
             .to_vec();
@@ -911,23 +949,16 @@ mod tests {
         // An ack-kind frame and frame types 5 and 6 (no kind) are refused
         // on the target side; the connect behind each names a registered
         // volume and would log in.
-        let connect = encode_connect_payload("iqn.x:host", Iqn::for_volume(1).as_str());
+        let volume = Iqn::for_volume(1);
+        let connect = encode_text(&[
+            ("InitiatorName", "iqn.x:host"),
+            ("TargetName", volume.as_str()),
+        ]);
         for kind in [2, 5, 6] {
             let mut segment = frame(FrameKind::ConnectAck, &[]);
             segment[1] = kind;
             segment.extend(frame(FrameKind::Connect, &connect));
             assert_eq!(sessions_after(NVMEQ_PORT, segment), 0, "frame type {kind}");
         }
-    }
-
-    #[test]
-    fn scan_target_name_finds_key() {
-        let mut login = b"InitiatorName=iqn.2016-04.org.storm:host-a\0".to_vec();
-        login.extend_from_slice(b"TargetName=iqn.2016-04.org.storm:volume-7\0");
-        assert_eq!(
-            scan_target_name(&login).as_deref(),
-            Some("iqn.2016-04.org.storm:volume-7")
-        );
-        assert_eq!(scan_target_name(b"NoKeyHere\0"), None);
     }
 }

@@ -4,7 +4,7 @@ use std::net::Ipv4Addr;
 
 use storm_block::transport::{Iqn, TransportKind};
 use storm_block::{SharedVolume, VolumeGroup, VolumeId};
-use storm_iscsi::{InitiatorConfig, SessionParams, ISCSI_PORT};
+use storm_iscsi::{InitiatorConfig, ISCSI_PORT};
 use storm_net::{AppId, HostId, IfaceId, LinkSpec, MacAddr, Network, PortNo, SockAddr, SwitchId};
 use storm_sim::trace::TraceHook;
 use storm_sim::SimDuration;
@@ -290,7 +290,6 @@ impl Cloud {
         let initiator = InitiatorConfig {
             initiator_iqn: Iqn::for_host(&format!("compute{host_idx}-{vm_label}")),
             target_iqn: volume.iqn.clone(),
-            params: SessionParams::default(),
             isid: [
                 0x80,
                 0,

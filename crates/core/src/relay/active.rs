@@ -11,7 +11,7 @@ use bytes::Bytes;
 
 use storm_block::transport::{IoTag, Iqn, ScsiStatus, TransportEvent};
 use storm_cloud::qos::{RateLimitSpec, RateLimiter};
-use storm_iscsi::{Initiator, InitiatorConfig, SessionParams};
+use storm_iscsi::{Initiator, InitiatorConfig};
 use storm_net::{App, BusMsg, CloseReason, Cx, HostId, SendQueue, SockAddr, SockId};
 use storm_sim::trace::{flow_token, req_token, Hop, ReqToken, TraceEvent, TraceHook};
 use storm_sim::{FaultAction, FaultHook, FaultSite, IdMap, SerialResource, SimDuration, SimTime};
@@ -818,7 +818,6 @@ impl ActiveRelayMb {
             let ini = Initiator::new(InitiatorConfig {
                 initiator_iqn: self.cfg.initiator_iqn.clone(),
                 target_iqn: self.cfg.replicas[i].iqn.clone(),
-                params: SessionParams::default(),
                 isid: [0x80, 0, 0, 0x10, 0, self.replicas.len() as u8],
             });
             let idx = self.replicas.len();
@@ -1143,7 +1142,6 @@ mod tests {
             kind: FrameKind::Doorbell,
             count: 1,
             payload_len: (SQE_LEN + len) as u32,
-            queue_depth: 0,
         };
         let sqe = Sqe {
             op: SqeOp::Write,

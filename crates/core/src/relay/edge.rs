@@ -409,12 +409,10 @@ mod tests {
             Dir::ToInitiator => FrameKind::Completion,
         };
         let (count, payload_len) = (1, (entry.len() + data.len()) as u32);
-        let queue_depth = 0;
         let header = FrameHeader {
             kind,
             count,
             payload_len,
-            queue_depth,
         };
         let mut out = Vec::new();
         let wire = Bytes::from([&header.encode()[..], entry, data].concat());

@@ -18,8 +18,10 @@ use storm_nvmeq::{Cqe, Sqe, SqeOp, UnitEntry, UnitWire};
 
 use crate::service::Op;
 
-/// Data-In segment size of a read answer a service makes itself: a target
-/// answers in its negotiated size, the middle-box in the 64 KiB default.
+/// Data-In segment size of a read answer a service makes itself. A target
+/// answers in segments of the 8 KiB MaxRecvDataSegmentLength every session
+/// declares ([`storm_iscsi::MAX_RECV_DATA_SEGMENT_LENGTH`]); these 64 KiB
+/// segments exceed it, and the simulated initiator accepts them.
 const REPLY_SEGMENT: usize = 64 * 1024;
 
 /// An [`Op`]'s wire form, its opaque handle: how a received op arrived,

@@ -15,7 +15,7 @@ use bytes::Bytes;
 
 use storm_block::transport::{BlockCmd, ScsiStatus, Step, Transfer};
 use storm_iscsi::exchange::{r2t, Exchange};
-use storm_iscsi::{Pdu, SessionParams};
+use storm_iscsi::{Pdu, FIRST_BURST_LENGTH, MAX_BURST_LENGTH};
 use storm_sim::{IdMap, SimDuration, SimTime};
 
 use crate::relay::{lift_pdu, lower_pdus, Wire};
@@ -110,11 +110,9 @@ impl Op {
 
     /// The next [`want_data`](Op::want_data) for write `tag`, whose data
     /// `stage` assembles, if one is due within the burst limits every
-    /// session negotiates; a service numbers its requests from 1.
+    /// session declares; a service numbers its requests from 1.
     pub fn want_next(tag: u32, stage: &mut Transfer) -> Option<Op> {
-        let params = SessionParams::default();
-        let (first, max) = (params.first_burst_length, params.max_burst_length);
-        let (sn, offset, len) = stage.next_burst(first as usize, max as usize)?;
+        let (sn, offset, len) = stage.next_burst(FIRST_BURST_LENGTH, MAX_BURST_LENGTH)?;
         Some(Op::want_data(tag, offset, len, sn + 1))
     }
 

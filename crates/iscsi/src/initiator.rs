@@ -10,7 +10,7 @@ use storm_block::transport::{
 };
 
 use crate::exchange::{data_out_train, scsi_command};
-use crate::params::{decode_text, encode_text, SessionParams};
+use crate::params::{login_text, FIRST_BURST_LENGTH, MAX_RECV_DATA_SEGMENT_LENGTH};
 use crate::pdu::{LoginRequest, Pdu};
 use crate::stream::{push_pdu, PduStream};
 
@@ -21,8 +21,6 @@ pub struct InitiatorConfig {
     pub initiator_iqn: Iqn,
     /// The target to log in to.
     pub target_iqn: Iqn,
-    /// Offered session parameters.
-    pub params: SessionParams,
     /// Initiator session id.
     pub isid: [u8; 6],
 }
@@ -33,7 +31,6 @@ impl InitiatorConfig {
         InitiatorConfig {
             initiator_iqn: Iqn::for_host("example"),
             target_iqn: Iqn::for_volume(1),
-            params: SessionParams::default(),
             isid: [0x80, 0, 0, 0x01, 0, 1],
         }
     }
@@ -65,7 +62,6 @@ enum Pending {
 #[derive(Debug)]
 pub struct Initiator {
     cfg: InitiatorConfig,
-    params: SessionParams,
     state: State,
     stream: PduStream,
     out: WireBuf,
@@ -78,10 +74,8 @@ pub struct Initiator {
 impl Initiator {
     /// Creates an initiator in the idle state.
     pub fn new(cfg: InitiatorConfig) -> Self {
-        let params = cfg.params.clone();
         Initiator {
             cfg,
-            params,
             state: State::Idle,
             stream: PduStream::new(),
             out: WireBuf::new(),
@@ -90,11 +84,6 @@ impl Initiator {
             exp_stat_sn: 0,
             pending: IdMap::default(),
         }
-    }
-
-    /// The negotiated session parameters (valid after login).
-    pub fn params(&self) -> &SessionParams {
-        &self.params
     }
 
     /// Whether the session is in full-feature phase.
@@ -127,10 +116,11 @@ impl Initiator {
     /// Panics if called in any state but idle.
     pub fn start_login(&mut self) {
         assert_eq!(self.state, State::Idle, "login from non-idle state");
-        let mut keys = self.cfg.params.to_keys();
-        keys.insert("InitiatorName".into(), self.cfg.initiator_iqn.to_string());
-        keys.insert("TargetName".into(), self.cfg.target_iqn.to_string());
-        keys.insert("SessionType".into(), "Normal".into());
+        let data = login_text(&[
+            ("InitiatorName", self.cfg.initiator_iqn.as_str()),
+            ("SessionType", "Normal"),
+            ("TargetName", self.cfg.target_iqn.as_str()),
+        ]);
         let pdu = Pdu::LoginRequest(LoginRequest {
             transit: true,
             csg: 1,
@@ -141,7 +131,7 @@ impl Initiator {
             cid: 0,
             cmd_sn: self.cmd_sn,
             exp_stat_sn: self.exp_stat_sn,
-            data: encode_text(&keys).into(),
+            data,
         });
         push_pdu(&mut self.out, &pdu);
         self.state = State::LoginSent;
@@ -178,7 +168,7 @@ impl Initiator {
 
     /// Queues `data[range]` as Data-Out PDUs answering transfer tag `ttt`.
     fn send_data(&mut self, itt: u32, ttt: u32, data: &Bytes, range: std::ops::Range<usize>) {
-        let mrdsl = self.params.max_recv_data_segment_length as usize;
+        let mrdsl = MAX_RECV_DATA_SEGMENT_LENGTH;
         for pdu in data_out_train(itt, ttt, self.exp_stat_sn, data, range, mrdsl) {
             push_pdu(&mut self.out, &pdu);
         }
@@ -186,8 +176,9 @@ impl Initiator {
 
     /// Issues a write of `data` (a whole number of sectors) at `lba`.
     ///
-    /// Data up to the negotiated immediate/first-burst limit rides with the
-    /// command PDU; the target solicits the remainder with R2Ts.
+    /// One segment rides with the command PDU as immediate data and the
+    /// rest of the first burst follows unsolicited; the target solicits
+    /// the remainder with R2Ts.
     ///
     /// # Panics
     ///
@@ -199,22 +190,13 @@ impl Initiator {
             "unaligned write"
         );
         let sectors = (data.len() / 512) as u32;
-        let mrdsl = self.params.max_recv_data_segment_length as usize;
-        let first_burst = self.params.first_burst_length as usize;
         // Immediate data rides in the command PDU (ImmediateData=Yes).
-        let immediate_limit = if self.params.immediate_data {
-            first_burst.min(mrdsl)
-        } else {
-            0
-        };
-        let imm = data.len().min(immediate_limit);
+        let imm = data.len().min(MAX_RECV_DATA_SEGMENT_LENGTH);
         let wait = Pending::Write { data: data.clone() };
         let tag = self.issue(BlockOp::Write, lba, sectors, data.slice(..imm), wait);
         // InitialR2T=No: the rest of the first burst flows as unsolicited
         // Data-Out (ttt = 0xffffffff) without waiting for an R2T.
-        if !self.params.initial_r2t {
-            self.send_data(tag.0, 0xFFFF_FFFF, &data, imm..first_burst);
-        }
+        self.send_data(tag.0, 0xFFFF_FFFF, &data, imm..FIRST_BURST_LENGTH);
         tag
     }
 
@@ -266,8 +248,6 @@ impl Initiator {
                     });
                     return;
                 }
-                let peer = decode_text(&r.data);
-                self.params = self.cfg.params.negotiate(&peer);
                 if r.transit && r.nsg == 3 {
                     self.state = State::FullFeature;
                     events.push(TransportEvent::Ready);

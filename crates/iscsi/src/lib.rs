@@ -18,6 +18,11 @@
 //!   run both inside the simulator and in threaded pipelines. They
 //!   implement the traits of [`storm_block::transport`], and speak its
 //!   block vocabulary.
+//! * Session parameters are fixed, not negotiated: every login declares
+//!   InitialR2T=No, ImmediateData=Yes and the limits
+//!   [`MAX_RECV_DATA_SEGMENT_LENGTH`], [`FIRST_BURST_LENGTH`] and
+//!   [`MAX_BURST_LENGTH`], and neither end reads the other's keys beyond
+//!   the names ([`storm_block::transport::scan_text`]).
 //!
 //! # Example: login and a 4 KiB write, initiator against target
 //!
@@ -73,7 +78,7 @@ mod target;
 
 pub use cdb::Cdb;
 pub use initiator::{Initiator, InitiatorConfig};
-pub use params::SessionParams;
+pub use params::{FIRST_BURST_LENGTH, MAX_BURST_LENGTH, MAX_RECV_DATA_SEGMENT_LENGTH};
 pub use pdu::{
     data_segment_length, DataIn, DataOut, LoginRequest, LoginResponse, Pdu, PduError, R2t,
     ScsiCommand, ScsiResponse, WireChunks, BHS_LEN,

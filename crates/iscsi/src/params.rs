@@ -1,116 +1,36 @@
-//! Session parameter negotiation (login key=value text).
+//! Fixed session parameters and the login text that declares them.
+//!
+//! Every session runs on the values an Open-iSCSI ↔ LIO pairing
+//! typically settles on: InitialR2T=No and ImmediateData=Yes, with the
+//! three limits below. Both ends declare them at login and neither reads
+//! the other's declaration.
 
-use std::collections::BTreeMap;
+use bytes::Bytes;
+use storm_block::transport::encode_text;
 
-/// Negotiated session parameters.
-///
-/// Defaults follow what an Open-iSCSI ↔ LIO pairing typically settles on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SessionParams {
-    /// Largest data segment either side will send in one PDU.
-    pub max_recv_data_segment_length: u32,
-    /// Largest total transfer per R2T sequence.
-    pub max_burst_length: u32,
-    /// Largest unsolicited (immediate + first burst) write transfer.
-    pub first_burst_length: u32,
-    /// Whether the target requires an R2T before any solicited data.
-    pub initial_r2t: bool,
-    /// Whether write data may ride along with the SCSI command PDU.
-    pub immediate_data: bool,
-}
+/// Largest data segment either side sends in one PDU (LIO's default
+/// MaxRecvDataSegmentLength).
+pub const MAX_RECV_DATA_SEGMENT_LENGTH: usize = 8 * 1024;
+/// Largest unsolicited write transfer: immediate data plus the first
+/// burst of Data-Out the initiator sends unasked.
+pub const FIRST_BURST_LENGTH: usize = 64 * 1024;
+/// Largest transfer one R2T solicits.
+pub const MAX_BURST_LENGTH: usize = 256 * 1024;
 
-impl Default for SessionParams {
-    fn default() -> Self {
-        SessionParams {
-            // LIO's default MaxRecvDataSegmentLength.
-            max_recv_data_segment_length: 8192,
-            max_burst_length: 256 * 1024,
-            first_burst_length: 64 * 1024,
-            initial_r2t: false,
-            immediate_data: true,
-        }
-    }
-}
+/// The session keys both ends declare.
+const SESSION_KEYS: [(&str, &str); 5] = [
+    ("FirstBurstLength", "65536"),
+    ("ImmediateData", "Yes"),
+    ("InitialR2T", "No"),
+    ("MaxBurstLength", "262144"),
+    ("MaxRecvDataSegmentLength", "8192"),
+];
 
-impl SessionParams {
-    /// Serializes to login text keys.
-    pub fn to_keys(&self) -> BTreeMap<String, String> {
-        let mut m = BTreeMap::new();
-        m.insert(
-            "MaxRecvDataSegmentLength".into(),
-            self.max_recv_data_segment_length.to_string(),
-        );
-        m.insert("MaxBurstLength".into(), self.max_burst_length.to_string());
-        m.insert(
-            "FirstBurstLength".into(),
-            self.first_burst_length.to_string(),
-        );
-        m.insert("InitialR2T".into(), yes_no(self.initial_r2t).into());
-        m.insert("ImmediateData".into(), yes_no(self.immediate_data).into());
-        m
-    }
-
-    /// Resolves this side's offer against a peer's keys, RFC-style:
-    /// numeric limits take the minimum, `InitialR2T` is OR-ed,
-    /// `ImmediateData` is AND-ed.
-    pub fn negotiate(&self, peer: &BTreeMap<String, String>) -> SessionParams {
-        let num = |key: &str, ours: u32| -> u32 {
-            peer.get(key)
-                .and_then(|v| v.parse::<u32>().ok())
-                .map(|theirs| theirs.min(ours))
-                .unwrap_or(ours)
-        };
-        let boolean =
-            |key: &str| -> Option<bool> { peer.get(key).map(|v| v.eq_ignore_ascii_case("yes")) };
-        SessionParams {
-            max_recv_data_segment_length: num(
-                "MaxRecvDataSegmentLength",
-                self.max_recv_data_segment_length,
-            ),
-            max_burst_length: num("MaxBurstLength", self.max_burst_length),
-            first_burst_length: num("FirstBurstLength", self.first_burst_length),
-            initial_r2t: boolean("InitialR2T").map_or(self.initial_r2t, |t| t || self.initial_r2t),
-            immediate_data: boolean("ImmediateData")
-                .map_or(self.immediate_data, |t| t && self.immediate_data),
-        }
-    }
-}
-
-fn yes_no(b: bool) -> &'static str {
-    if b {
-        "Yes"
-    } else {
-        "No"
-    }
-}
-
-/// Encodes key=value pairs as NUL-separated login/text data.
-pub fn encode_text(keys: &BTreeMap<String, String>) -> Vec<u8> {
-    let mut out = Vec::new();
-    for (k, v) in keys {
-        out.extend_from_slice(k.as_bytes());
-        out.push(b'=');
-        out.extend_from_slice(v.as_bytes());
-        out.push(0);
-    }
-    out
-}
-
-/// Decodes NUL-separated key=value login/text data (ignores malformed
-/// entries).
-pub fn decode_text(data: &[u8]) -> BTreeMap<String, String> {
-    let mut m = BTreeMap::new();
-    for entry in data.split(|&b| b == 0) {
-        if entry.is_empty() {
-            continue;
-        }
-        if let Some(eq) = entry.iter().position(|&b| b == b'=') {
-            let k = String::from_utf8_lossy(&entry[..eq]).into_owned();
-            let v = String::from_utf8_lossy(&entry[eq + 1..]).into_owned();
-            m.insert(k, v);
-        }
-    }
-    m
+/// One end's login text: the session keys and `own`, in key order.
+pub(crate) fn login_text(own: &[(&str, &str)]) -> Bytes {
+    let mut keys: Vec<_> = SESSION_KEYS.iter().chain(own).copied().collect();
+    keys.sort_unstable_by_key(|&(key, _)| key);
+    encode_text(&keys).into()
 }
 
 #[cfg(test)]
@@ -118,53 +38,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn text_round_trip() {
-        let mut keys = BTreeMap::new();
-        keys.insert(
-            "InitiatorName".to_string(),
-            "iqn.2016-04.org.storm:host-c1".to_string(),
-        );
-        keys.insert("MaxBurstLength".to_string(), "262144".to_string());
-        let encoded = encode_text(&keys);
-        assert_eq!(decode_text(&encoded), keys);
-    }
-
-    #[test]
-    fn decode_skips_garbage() {
-        let m = decode_text(b"ok=1\0novalue\0\0k=v\0");
-        assert_eq!(m.len(), 2);
-        assert_eq!(m["ok"], "1");
-        assert_eq!(m["k"], "v");
-    }
-
-    #[test]
-    fn negotiation_takes_minimum_of_numeric_limits() {
-        let ours = SessionParams::default();
-        let mut peer = BTreeMap::new();
-        peer.insert("MaxRecvDataSegmentLength".to_string(), "8192".to_string());
-        peer.insert("MaxBurstLength".to_string(), "1048576".to_string());
-        let got = ours.negotiate(&peer);
-        assert_eq!(got.max_recv_data_segment_length, 8192);
-        assert_eq!(got.max_burst_length, 256 * 1024); // ours was smaller
-        assert_eq!(got.first_burst_length, 64 * 1024); // peer silent: keep ours
-    }
-
-    #[test]
-    fn negotiation_boolean_semantics() {
-        let ours = SessionParams::default(); // initial_r2t=No, immediate=Yes
-        let mut peer = BTreeMap::new();
-        peer.insert("InitialR2T".to_string(), "Yes".to_string());
-        peer.insert("ImmediateData".to_string(), "No".to_string());
-        let got = ours.negotiate(&peer);
-        assert!(got.initial_r2t, "InitialR2T is OR-ed");
-        assert!(!got.immediate_data, "ImmediateData is AND-ed");
-    }
-
-    #[test]
-    fn params_to_keys_and_back_is_stable() {
-        let p = SessionParams::default();
-        let keys = p.to_keys();
-        // Negotiating against our own keys must be a fixed point.
-        assert_eq!(p.negotiate(&keys), p);
+    fn declared_keys_are_the_constants() {
+        let limits = [
+            ("FirstBurstLength", FIRST_BURST_LENGTH),
+            ("MaxBurstLength", MAX_BURST_LENGTH),
+            ("MaxRecvDataSegmentLength", MAX_RECV_DATA_SEGMENT_LENGTH),
+        ];
+        for (key, value) in limits {
+            assert!(
+                SESSION_KEYS.contains(&(key, value.to_string().as_str())),
+                "{key}"
+            );
+        }
     }
 }

@@ -16,12 +16,14 @@ use bytes::Bytes;
 use storm_sim::IdMap;
 
 use storm_block::transport::{
-    BlockCmd, BlockOp, CmdReject, Iqn, ScsiStatus, TargetEvent, TargetTransport, Transfer,
-    TransportKind, WireBuf,
+    scan_text, BlockCmd, BlockOp, CmdReject, Iqn, ScsiStatus, TargetEvent, TargetTransport,
+    Transfer, TransportKind, WireBuf,
 };
 
 use crate::exchange::{data_in_train, parse_command, r2t, status_response};
-use crate::params::{decode_text, encode_text, SessionParams};
+use crate::params::{
+    login_text, FIRST_BURST_LENGTH, MAX_BURST_LENGTH, MAX_RECV_DATA_SEGMENT_LENGTH,
+};
 use crate::pdu::{LoginResponse, Pdu};
 use crate::stream::{push_pdu, PduStream};
 
@@ -30,12 +32,8 @@ use crate::stream::{push_pdu, PduStream};
 pub struct TargetConfig {
     /// This target's name.
     pub target_iqn: Iqn,
-    /// Offered session parameters.
-    pub params: SessionParams,
     /// Exported LUN capacity in 512-byte sectors.
     pub num_sectors: u64,
-    /// Session handle to assign at login.
-    pub tsih: u16,
 }
 
 impl TargetConfig {
@@ -43,9 +41,7 @@ impl TargetConfig {
     pub fn example(num_sectors: u64) -> Self {
         TargetConfig {
             target_iqn: Iqn::for_volume(1),
-            params: SessionParams::default(),
             num_sectors,
-            tsih: 1,
         }
     }
 }
@@ -54,7 +50,6 @@ impl TargetConfig {
 #[derive(Debug)]
 pub struct TargetConn {
     cfg: TargetConfig,
-    params: SessionParams,
     stream: PduStream,
     out: WireBuf,
     stat_sn: u32,
@@ -71,10 +66,8 @@ pub struct TargetConn {
 impl TargetConn {
     /// Creates a connection awaiting login.
     pub fn new(cfg: TargetConfig) -> Self {
-        let params = cfg.params.clone();
         TargetConn {
             cfg,
-            params,
             stream: PduStream::new(),
             out: WireBuf::new(),
             stat_sn: 1,
@@ -101,11 +94,6 @@ impl TargetConn {
     fn note_ready(&mut self) {
         self.outstanding += 1;
         self.peak = self.peak.max(self.outstanding);
-    }
-
-    /// The negotiated session parameters.
-    pub fn params(&self) -> &SessionParams {
-        &self.params
     }
 
     /// Whether login completed.
@@ -147,29 +135,31 @@ impl TargetConn {
     fn handle(&mut self, pdu: Pdu, events: &mut Vec<TargetEvent>) {
         match pdu {
             Pdu::LoginRequest(r) => {
-                let peer = decode_text(&r.data);
-                self.params = self.cfg.params.negotiate(&peer);
                 self.exp_cmd_sn = r.cmd_sn.wrapping_add(1);
-                let initiator_name = peer.get("InitiatorName").cloned().unwrap_or_default();
-                let mut keys = self.cfg.params.to_keys();
-                keys.insert("TargetPortalGroupTag".into(), "1".into());
+                let initiator_name = scan_text(&r.data, "InitiatorName").unwrap_or_default();
                 let resp = Pdu::LoginResponse(LoginResponse {
                     transit: true,
                     csg: 1,
                     nsg: 3,
                     isid: r.isid,
-                    tsih: self.cfg.tsih,
+                    tsih: 1,
                     itt: r.itt,
                     stat_sn: self.bump_stat_sn(),
                     exp_cmd_sn: self.exp_cmd_sn,
                     max_cmd_sn: self.exp_cmd_sn.wrapping_add(64),
                     status_class: 0,
                     status_detail: 0,
-                    data: encode_text(&keys).into(),
+                    data: login_text(&[("TargetPortalGroupTag", "1")]),
                 });
                 push_pdu(&mut self.out, &resp);
                 self.logged_in = true;
                 events.push(TargetEvent::LoggedIn { initiator_name });
+            }
+            Pdu::ScsiCommand(_) | Pdu::DataOut(_) if !self.logged_in => {
+                events.push(TargetEvent::ProtocolError(format!(
+                    "itt {} before login",
+                    pdu.itt()
+                )));
             }
             Pdu::ScsiCommand(c) => {
                 self.exp_cmd_sn = c.cmd_sn.wrapping_add(1);
@@ -263,15 +253,10 @@ impl TargetConn {
     }
 
     /// Solicits the next burst of an incomplete write with an R2T, once
-    /// the data the initiator pushes unasked (immediate + first burst;
-    /// none beyond immediate under InitialR2T) is in.
+    /// the data the initiator pushes unasked (immediate + first burst) is
+    /// in.
     fn request_data(&mut self, itt: u32, xfer: &mut Transfer) {
-        let first_burst = match self.params.initial_r2t {
-            true => 0,
-            false => self.params.first_burst_length as usize,
-        };
-        let max_burst = self.params.max_burst_length as usize;
-        if let Some((r2t_sn, offset, len)) = xfer.next_burst(first_burst, max_burst) {
+        if let Some((r2t_sn, offset, len)) = xfer.next_burst(FIRST_BURST_LENGTH, MAX_BURST_LENGTH) {
             let ttt = self.next_ttt;
             self.next_ttt = self.next_ttt.wrapping_add(1);
             self.send(Pdu::R2t(r2t(itt, r2t_sn, ttt, offset, len)));
@@ -286,8 +271,7 @@ impl TargetConn {
     /// Sends read payload as Data-In PDUs with phase-collapsed status on
     /// the final one.
     fn data_in_with_status(&mut self, itt: u32, data: Bytes) {
-        let mrdsl = self.params.max_recv_data_segment_length as usize;
-        for pdu in data_in_train(itt, data, mrdsl) {
+        for pdu in data_in_train(itt, data, MAX_RECV_DATA_SEGMENT_LENGTH) {
             self.send(pdu);
         }
         self.bump_stat_sn();
@@ -380,6 +364,17 @@ mod tests {
     fn decode(wire: Vec<Bytes>) -> Vec<Pdu> {
         let pdus = PduStream::new().feed_bytes(flat(wire)).unwrap();
         pdus.into_iter().map(|pw| pw.pdu).collect()
+    }
+
+    /// A connection exporting `num_sectors`, logged in by the example
+    /// initiator, its Login Response drained.
+    fn logged_in(num_sectors: u64) -> TargetConn {
+        let mut ini = Initiator::new(InitiatorConfig::example());
+        let mut tgt = TargetConn::new(TargetConfig::example(num_sectors));
+        ini.start_login();
+        let _ = tgt.feed_bytes(flat(ini.take_wire()));
+        let _ = tgt.take_wire();
+        tgt
     }
 
     #[test]
@@ -485,19 +480,19 @@ mod tests {
     }
 
     /// A write whose immediate data covers it reaches the app as a view
-    /// of the fed bytes; a partial one still assembles through an R2T.
+    /// of the fed bytes; one larger than the first burst takes its
+    /// immediate data and the unsolicited rest of the first burst, then
+    /// solicits what is missing with an R2T.
     #[test]
     fn covered_writes_are_views_and_partial_ones_solicit_the_rest() {
-        let mut cfg = TargetConfig::example(64);
-        cfg.params.initial_r2t = true;
-        let mut tgt = TargetConn::new(cfg);
-        let cmd = BlockCmd {
+        let mut tgt = logged_in(1024);
+        let cmd = |sectors| BlockCmd {
             op: BlockOp::Write,
             lba: 8,
-            sectors: 8,
+            sectors,
         };
         let data = Bytes::from(vec![0x5A; 4096]);
-        let wire: Bytes = scsi_command(cmd, 1, 1, 1, data.clone()).encode().into();
+        let wire: Bytes = scsi_command(cmd(8), 1, 1, 1, data.clone()).encode().into();
         let fed = wire.slice(BHS_LEN..BHS_LEN + 4096);
         let evs = tgt.feed_bytes(wire);
         assert!(
@@ -506,17 +501,22 @@ mod tests {
             "{evs:?}"
         );
 
-        let wire = scsi_command(cmd, 2, 2, 1, data.slice(..1024)).encode();
+        let mrdsl = MAX_RECV_DATA_SEGMENT_LENGTH;
+        let data = Bytes::from_iter((0..80 * 1024).map(|i| (i % 251) as u8));
+        let wire = scsi_command(cmd(160), 2, 2, 1, data.slice(..mrdsl)).encode();
         assert!(tgt.feed_bytes(wire.into()).is_empty());
+        for pdu in data_out_train(2, 0xFFFF_FFFF, 1, &data, mrdsl..FIRST_BURST_LENGTH, mrdsl) {
+            assert!(tgt.feed_bytes(pdu.encode().into()).is_empty());
+        }
         let [Pdu::R2t(r2t)] = &decode(tgt.take_wire())[..] else {
             panic!("the missing bytes were not solicited");
         };
         assert_eq!(
             (r2t.itt, r2t.buffer_offset, r2t.desired_length),
-            (2, 1024, 3072)
+            (2, 64 * 1024, 16 * 1024)
         );
         let mut evs = Vec::new();
-        for pdu in data_out_train(2, r2t.ttt, 1, &data, 1024..4096, 2048) {
+        for pdu in data_out_train(2, r2t.ttt, 1, &data, 64 * 1024..80 * 1024, mrdsl) {
             evs.extend(tgt.feed_bytes(pdu.encode().into()));
         }
         assert!(
@@ -526,12 +526,39 @@ mod tests {
         );
     }
 
+    /// A SCSI Command or Data-Out ahead of the login is a protocol error:
+    /// nothing reaches the app.
+    #[test]
+    fn commands_before_login_are_protocol_errors() {
+        let mut tgt = TargetConn::new(TargetConfig::example(64));
+        let read = BlockCmd {
+            op: BlockOp::Read,
+            lba: 0,
+            sectors: 1,
+        };
+        let data = Bytes::from(vec![0u8; 512]);
+        let data_out = data_out_train(1, 0xFFFF_FFFF, 1, &data, 0..512, 512);
+        for pdu in [scsi_command(read, 1, 1, 1, Bytes::new())]
+            .into_iter()
+            .chain(data_out)
+        {
+            let evs = tgt.feed_bytes(pdu.encode().into());
+            assert!(
+                matches!(evs[..], [TargetEvent::ProtocolError(_)]),
+                "{evs:?}"
+            );
+        }
+        assert!(tgt.take_wire().is_empty());
+        assert!(!tgt.is_logged_in());
+        assert_eq!(tgt.in_flight(), 0);
+    }
+
     /// An unknown CDB gets CHECK CONDITION and a protocol error; TEST
     /// UNIT READY, INQUIRY and READ CAPACITY move no block data and are
     /// refused the same way.
     #[test]
     fn unknown_cdbs_get_check_condition_and_a_protocol_error() {
-        let mut tgt = TargetConn::new(TargetConfig::example(2048));
+        let mut tgt = logged_in(2048);
         for (itt, op) in [(1, 0xEE), (2, 0x00), (3, 0x12), (4, 0x25)] {
             let mut cdb = [0u8; 16];
             cdb[0] = op;

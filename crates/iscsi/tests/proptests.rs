@@ -6,8 +6,8 @@ use storm_block::transport::{ScsiStatus, Staged, Staging, Step, TargetEvent, Tra
 use storm_iscsi::exchange::{parse_command, Exchange};
 use storm_iscsi::{
     data_segment_length, Cdb, DataIn, DataOut, Initiator, InitiatorConfig, LoginRequest,
-    LoginResponse, Pdu, PduError, PduStream, R2t, ScsiCommand, ScsiResponse, SessionParams,
-    TargetConfig, TargetConn, BHS_LEN,
+    LoginResponse, Pdu, PduError, PduStream, R2t, ScsiCommand, ScsiResponse, TargetConfig,
+    TargetConn, BHS_LEN,
 };
 
 /// Feeds a copy of `bytes` to `s`, returning the PDUs it completed.
@@ -298,39 +298,67 @@ proptest! {
 
 mod exchange_model {
     use super::*;
+    use storm_block::transport::{BlockCmd, BlockOp};
+    use storm_iscsi::exchange::{data_out_train, scsi_command};
+
+    /// Two observers of an initiator's PDUs, each with the last write it
+    /// assembled: a monitor-style one (classify with `Exchange::observe`,
+    /// then `Staging`) and a cache-style one (`parse_command`, then
+    /// `Staging` by the PDU's own offset).
+    #[derive(Default)]
+    struct Observers {
+        open: Exchange,
+        monitor: Staging,
+        cache: Staging,
+        at_monitor: Option<(u64, Bytes)>,
+        at_cache: Option<(u64, Bytes)>,
+    }
+
+    impl Observers {
+        fn see(&mut self, pdu: &Pdu) {
+            let (step, cmd) = self.open.observe(pdu);
+            if let Staged::Complete(cmd, bytes) =
+                self.monitor.feed(pdu.itt(), step, cmd, pdu.data())
+            {
+                self.at_monitor = Some((cmd.lba, bytes));
+            }
+            let staged = match pdu {
+                Pdu::ScsiCommand(c) => {
+                    let cmd = parse_command(c, u64::MAX).unwrap();
+                    self.cache.feed(c.itt, Step::Command, Some(cmd), &c.data)
+                }
+                Pdu::DataOut(d) => {
+                    self.cache
+                        .feed(d.itt, Step::WriteData(d.buffer_offset), None, &d.data)
+                }
+                _ => Staged::Untracked,
+            };
+            if let Staged::Complete(cmd, bytes) = staged {
+                self.at_cache = Some((cmd.lba, bytes));
+            }
+        }
+    }
 
     proptest! {
-        /// Every consumer of one write conversation assembles the same bytes:
-        /// the target (`WriteReady`), a monitor-style observer (classify with
-        /// `Exchange::observe`, then `Staging`) and a cache-style one
-        /// (`parse_command`, then `Staging` by the PDU's own offset).
-        /// Small negotiated limits force immediate data, the unsolicited first
-        /// burst and several R2T rounds.
+        /// Every consumer of one write conversation assembles the same
+        /// bytes: the target (`WriteReady`) and both [`Observers`]. The
+        /// initiator and target talk at the fixed session limits, over
+        /// writes that fit the immediate data, end in the unsolicited
+        /// first burst, or take one or two R2T rounds. The observers
+        /// also take the same write in a Data-Out layout drawn directly
+        /// (immediate length, segment size, burst split), as a guest that
+        /// ignores the session limits sends it.
         #[test]
         fn every_consumer_assembles_the_same_write(
-            sectors in 1u32..96,
+            sectors in prop_oneof![1u32..17, 17u32..129, 129u32..641, 641u32..1101],
             lba in 0u64..1000,
-            mrdsl in 1u32..9,           // x 512 bytes
-            first_burst in 0u32..17,    // x 512 bytes
-            max_burst in 1u32..17,      // x 512 bytes
-            flags in 0u8..4,
+            imm in 0usize..17,          // x 512 bytes
+            segment in 1usize..9,       // x 512 bytes
+            burst in 1usize..17,        // x 512 bytes
             seed in any::<u8>(),
         ) {
-            let params = SessionParams {
-                max_recv_data_segment_length: mrdsl * 512,
-                first_burst_length: first_burst * 512,
-                max_burst_length: max_burst * 512,
-                initial_r2t: flags & 1 != 0,
-                immediate_data: flags & 2 != 0,
-            };
-            let mut ini = Initiator::new(InitiatorConfig {
-                params: params.clone(),
-                ..InitiatorConfig::example()
-            });
-            let mut tgt = TargetConn::new(TargetConfig {
-                params,
-                ..TargetConfig::example(1 << 20)
-            });
+            let mut ini = Initiator::new(InitiatorConfig::example());
+            let mut tgt = TargetConn::new(TargetConfig::example(1 << 20));
             ini.start_login();
             for _ in 0..4 {
                 let _ = tgt.feed_bytes(flat(ini.take_wire()));
@@ -339,33 +367,18 @@ mod exchange_model {
             prop_assert!(ini.is_logged_in());
             let data: Vec<u8> =
                 (0..sectors as usize * 512).map(|i| (i as u8).wrapping_mul(seed | 1)).collect();
-            let tag = ini.write(lba, Bytes::from(data.clone()));
+            let data = Bytes::from(data);
+            let want = Some((lba, data.clone()));
+            let tag = ini.write(lba, data.clone());
 
-            let (mut tap, mut open) = (PduStream::new(), Exchange::default());
-            let (mut monitor, mut cache) = (Staging::default(), Staging::default());
-            let (mut at_target, mut at_monitor, mut at_cache) = (None, None, None);
+            let mut tap = PduStream::new();
+            let mut seen = Observers::default();
+            let mut at_target = None;
             let mut done = false;
             for _ in 0..256 {
                 let out = flat(ini.take_wire());
                 for pdu in feed(&mut tap, &out).unwrap() {
-                    let (step, cmd) = open.observe(&pdu);
-                    let staged = monitor.feed(pdu.itt(), step, cmd, pdu.data());
-                    if let Staged::Complete(cmd, bytes) = staged {
-                        at_monitor = Some((cmd.lba, bytes));
-                    }
-                    let staged = match &pdu {
-                        Pdu::ScsiCommand(c) => {
-                            let cmd = parse_command(c, u64::MAX).unwrap();
-                            cache.feed(c.itt, Step::Command, Some(cmd), &c.data)
-                        }
-                        Pdu::DataOut(d) => {
-                            cache.feed(d.itt, Step::WriteData(d.buffer_offset), None, &d.data)
-                        }
-                        _ => Staged::Untracked,
-                    };
-                    if let Staged::Complete(cmd, bytes) = staged {
-                        at_cache = Some((cmd.lba, bytes));
-                    }
+                    seen.see(&pdu);
                 }
                 for ev in tgt.feed_bytes(out.clone()) {
                     match ev {
@@ -390,15 +403,29 @@ mod exchange_model {
                 }
             }
             prop_assert!(done, "write did not complete");
-            let want = Some((lba, Bytes::from(data)));
             prop_assert_eq!(&at_target, &want);
-            prop_assert_eq!(&at_monitor, &want);
-            prop_assert_eq!(&at_cache, &want);
+            prop_assert_eq!(&seen.at_monitor, &want);
+            prop_assert_eq!(&seen.at_cache, &want);
             // Completion retired the command everywhere.
-            for staging in [&mut monitor, &mut cache] {
+            for staging in [&mut seen.monitor, &mut seen.cache] {
                 let left = staging.feed(tag.0, Step::Other, None, &Bytes::new());
                 prop_assert!(matches!(left, Staged::Untracked), "a write stayed staged");
             }
+
+            // The drawn layout: immediate data, then bursts of Data-Out.
+            let mut seen = Observers::default();
+            let cmd = BlockCmd { op: BlockOp::Write, lba, sectors };
+            let imm = (imm * 512).min(data.len());
+            seen.see(&scsi_command(cmd, 5, 1, 1, data.slice(..imm)));
+            let bursts = (imm..data.len()).step_by(burst * 512);
+            for (ttt, start) in (0u32..).zip(bursts) {
+                let range = start..start + burst * 512;
+                for pdu in data_out_train(5, ttt, 1, &data, range, segment * 512) {
+                    seen.see(&pdu);
+                }
+            }
+            prop_assert_eq!(&seen.at_monitor, &want);
+            prop_assert_eq!(&seen.at_cache, &want);
         }
     }
 }

@@ -5,8 +5,7 @@
 //!
 //! ```text
 //! frame header (16 B): [0] magic 0xB5   [1] frame type   [2..4]  count
-//!                      [4..8] payload_len                [8..10] queue_depth
-//!                      [10..16] reserved (zero)
+//!                      [4..8] payload_len                [8..16] reserved (zero)
 //! SQE (64 B):          [0] opcode       [4..8] cid       [8..16] lba
 //!                      [16..20] sectors [20..24] data_len  rest reserved
 //! CQE (16 B):          [0..4] cid       [4] status       [5] opcode echo
@@ -34,8 +33,7 @@ pub const MAX_PAYLOAD: u32 = 16 << 20;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
     /// Host → target: bind the connection to a volume (`count` = 0,
-    /// payload = `key=value\0` text; `queue_depth` advertises the ring
-    /// size).
+    /// payload = handshake text naming the host and the volume).
     Connect,
     /// Target → host: connect verdict (16-byte payload: status byte,
     /// volume size in sectors).
@@ -139,9 +137,6 @@ pub struct FrameHeader {
     pub count: u16,
     /// Payload bytes following the header.
     pub payload_len: u32,
-    /// On `Connect`/`ConnectAck`: the ring size each side offers. Zero
-    /// elsewhere.
-    pub queue_depth: u16,
 }
 
 impl FrameHeader {
@@ -152,7 +147,6 @@ impl FrameHeader {
             kind,
             count: 1,
             payload_len: (kind.entry_len() + data_len) as u32,
-            queue_depth: 0,
         }
     }
 
@@ -163,7 +157,6 @@ impl FrameHeader {
         b[1] = self.kind.to_byte();
         b[2..4].copy_from_slice(&self.count.to_be_bytes());
         b[4..8].copy_from_slice(&self.payload_len.to_be_bytes());
-        b[8..10].copy_from_slice(&self.queue_depth.to_be_bytes());
         b
     }
 
@@ -182,7 +175,6 @@ impl FrameHeader {
         let kind = FrameKind::from_byte(b[1])?;
         let count = u16::from_be_bytes([b[2], b[3]]);
         let payload_len = u32::from_be_bytes([b[4], b[5], b[6], b[7]]);
-        let queue_depth = u16::from_be_bytes([b[8], b[9]]);
         if count != u16::from(kind.entry_len() > 0) {
             return Err(NvmeqError::BadCount { kind, count });
         }
@@ -193,7 +185,6 @@ impl FrameHeader {
             kind,
             count,
             payload_len,
-            queue_depth,
         })
     }
 }
@@ -313,36 +304,6 @@ impl Cqe {
     }
 }
 
-/// Encodes the `Connect` payload (the iSCSI login text idiom, so the
-/// cloud's connection-attribution scanner reads both protocols).
-pub fn encode_connect_payload(initiator_name: &str, target_name: &str) -> Vec<u8> {
-    let mut out = Vec::with_capacity(initiator_name.len() + target_name.len() + 32);
-    out.extend_from_slice(b"InitiatorName=");
-    out.extend_from_slice(initiator_name.as_bytes());
-    out.push(0);
-    out.extend_from_slice(b"TargetName=");
-    out.extend_from_slice(target_name.as_bytes());
-    out.push(0);
-    out
-}
-
-/// Extracts `key`'s value from a `Connect` payload.
-pub fn scan_connect_payload(payload: &[u8], key: &str) -> Option<String> {
-    for kv in payload.split(|&b| b == 0) {
-        // Non-text segments (e.g. a frame header ahead of the payload
-        // when a sniffer scans raw connection bytes) are skipped.
-        let Ok(kv) = std::str::from_utf8(kv) else {
-            continue;
-        };
-        if let Some((k, v)) = kv.split_once('=') {
-            if k == key {
-                return Some(v.to_string());
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,7 +322,6 @@ mod tests {
                 kind,
                 count: u16::from(kind == FrameKind::Completion),
                 payload_len: 64,
-                queue_depth: 32,
             };
             assert_eq!(FrameHeader::decode(&h.encode()), Ok(h));
         }
@@ -373,7 +333,6 @@ mod tests {
             kind: FrameKind::Doorbell,
             count: 1,
             payload_len: SQE_LEN as u32,
-            queue_depth: 0,
         }
         .encode();
         b[0] = 0x43; // iSCSI login, not nvmeq
@@ -465,20 +424,5 @@ mod tests {
             assert_eq!(Cqe::decode(&cqe.encode()), Ok(cqe));
         }
         assert_eq!(Cqe::decode(&[0u8; 3]), Err(NvmeqError::Truncated));
-    }
-
-    #[test]
-    fn connect_payload_scans() {
-        let p = encode_connect_payload("iqn.2026-01.io.storm:guest0", "iqn.2026-01.io.storm:vol0");
-        assert_eq!(
-            scan_connect_payload(&p, "InitiatorName").as_deref(),
-            Some("iqn.2026-01.io.storm:guest0")
-        );
-        assert_eq!(
-            scan_connect_payload(&p, "TargetName").as_deref(),
-            Some("iqn.2026-01.io.storm:vol0")
-        );
-        assert_eq!(scan_connect_payload(&p, "Missing"), None);
-        assert_eq!(scan_connect_payload(b"\xff\xfe", "X"), None);
     }
 }

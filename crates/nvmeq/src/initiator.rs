@@ -8,9 +8,11 @@ use bytes::Bytes;
 
 use storm_sim::IdMap;
 
-use storm_block::transport::{IoTag, Iqn, Transport, TransportEvent, TransportKind, WireBuf};
+use storm_block::transport::{
+    encode_text, IoTag, Iqn, Transport, TransportEvent, TransportKind, WireBuf,
+};
 
-use crate::codec::{encode_connect_payload, Cqe, FrameHeader, FrameKind, Sqe, SqeOp};
+use crate::codec::{Cqe, FrameHeader, FrameKind, Sqe, SqeOp};
 use crate::stream::{FrameStream, UnitEntry, UnitWire};
 
 /// Host-side queue-pair configuration.
@@ -200,15 +202,14 @@ impl Transport for NvmeqInitiator {
 
     fn start(&mut self) {
         assert_eq!(self.state, State::Idle, "connect already started");
-        let payload = encode_connect_payload(
-            self.cfg.initiator_iqn.as_str(),
-            self.cfg.target_iqn.as_str(),
-        );
+        let payload = encode_text(&[
+            ("InitiatorName", self.cfg.initiator_iqn.as_str()),
+            ("TargetName", self.cfg.target_iqn.as_str()),
+        ]);
         let header = FrameHeader {
             kind: FrameKind::Connect,
             count: 0,
             payload_len: payload.len() as u32,
-            queue_depth: self.cfg.queue_depth,
         };
         self.out.push_slice(&header.encode());
         self.out.push_slice(&payload);
@@ -288,10 +289,6 @@ impl Transport for NvmeqInitiator {
                         let mut ns = [0u8; 8];
                         ns.copy_from_slice(&fw.payload[8..16]);
                         self.num_sectors = u64::from_be_bytes(ns);
-                        // The ring never exceeds what the target offers.
-                        if fw.header.queue_depth > 0 {
-                            self.cfg.queue_depth = self.cfg.queue_depth.min(fw.header.queue_depth);
-                        }
                         self.state = State::Ready;
                         events.push(TransportEvent::Ready);
                     } else {
@@ -382,7 +379,6 @@ mod tests {
                 kind: FrameKind::ConnectAck,
                 count: 0,
                 payload_len: 16,
-                queue_depth: 32,
             }
             .encode(),
         );

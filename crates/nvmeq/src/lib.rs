@@ -18,7 +18,7 @@
 //! Wire format (all integers big-endian, like iSCSI):
 //!
 //! * every frame starts with a 16-byte header: magic `0xB5`, frame type,
-//!   entry count, payload length, advertised queue depth;
+//!   entry count, payload length, then reserved zero bytes;
 //! * a `DOORBELL` frame carries one 64-byte SQE (`count` = 1) followed by
 //!   its in-capsule write data; the host rings it when the command enters
 //!   the submission ring;
@@ -26,8 +26,10 @@
 //!   by its read payload; the target sends it the moment the command
 //!   completes;
 //! * `CONNECT`/`CONNECT_ACK` (`count` = 0) bind the connection to a
-//!   volume by IQN, reusing the iSCSI `key=value\0` text idiom so
-//!   connection attribution works unchanged;
+//!   volume by IQN, in the handshake text iSCSI's login carries
+//!   ([`storm_block::transport::encode_text`]), so one scanner reads the
+//!   volume name for both protocols; they negotiate nothing (the host's
+//!   ring depth is its own);
 //! * any other `count` is a protocol error ([`NvmeqError::BadCount`]),
 //!   refused as soon as the header arrives.
 //!
@@ -48,8 +50,8 @@ mod stream;
 mod target;
 
 pub use codec::{
-    encode_connect_payload, scan_connect_payload, Cqe, FrameHeader, FrameKind, NvmeqError, Sqe,
-    SqeOp, CQE_LEN, FRAME_HDR_LEN, MAGIC, MAX_PAYLOAD, SQE_LEN,
+    Cqe, FrameHeader, FrameKind, NvmeqError, Sqe, SqeOp, CQE_LEN, FRAME_HDR_LEN, MAGIC,
+    MAX_PAYLOAD, SQE_LEN,
 };
 pub use initiator::{NvmeqConfig, NvmeqInitiator};
 pub use stream::{FrameStream, FrameWire, UnitEntry, UnitWire};

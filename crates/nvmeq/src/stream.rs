@@ -183,7 +183,6 @@ mod tests {
             kind: FrameKind::Doorbell,
             count: cmds.len() as u16,
             payload_len: (cmds.len() * SQE_LEN + data) as u32,
-            queue_depth: 0,
         };
         let mut out = h.encode().to_vec();
         for (sqe, _) in cmds {
@@ -282,7 +281,6 @@ mod tests {
             kind: FrameKind::Connect,
             count: 1,
             payload_len: 64,
-            queue_depth: 32,
         };
         refused(connect.encode().to_vec(), FrameKind::Connect, 1);
         // A doorbell with no SQE is refused too.

@@ -8,14 +8,11 @@
 use bytes::Bytes;
 
 use storm_block::transport::{
-    BlockCmd, Iqn, ScsiStatus, TargetEvent, TargetTransport, TransportKind, WireBuf,
+    scan_text, BlockCmd, Iqn, ScsiStatus, TargetEvent, TargetTransport, TransportKind, WireBuf,
 };
 
-use crate::codec::{scan_connect_payload, Cqe, FrameHeader, FrameKind, SqeOp};
+use crate::codec::{Cqe, FrameHeader, FrameKind, SqeOp};
 use crate::stream::{FrameStream, UnitEntry, UnitWire};
-
-/// Ring size offered in the connect ack.
-const QUEUE_DEPTH: u16 = 32;
 
 /// Target-side queue-pair configuration.
 #[derive(Debug, Clone)]
@@ -151,8 +148,8 @@ impl NvmeqTargetConn {
     }
 
     fn on_connect(&mut self, payload: &Bytes, events: &mut Vec<TargetEvent>) {
-        let initiator_name = scan_connect_payload(payload, "InitiatorName");
-        let target_name = scan_connect_payload(payload, "TargetName");
+        let initiator_name = scan_text(payload, "InitiatorName");
+        let target_name = scan_text(payload, "TargetName");
         let accept = matches!(&target_name, Some(t) if t == self.cfg.target_iqn.as_str());
         // Ack payload: status byte (1 = no such target), 7 reserved, then
         // the capacity in sectors.
@@ -165,7 +162,6 @@ impl NvmeqTargetConn {
             kind: FrameKind::ConnectAck,
             count: 0,
             payload_len: 16,
-            queue_depth: QUEUE_DEPTH,
         };
         self.out.push_slice(&header.encode());
         self.out.push_slice(&[status, 0, 0, 0, 0, 0, 0, 0]);

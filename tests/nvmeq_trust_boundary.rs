@@ -25,7 +25,6 @@ fn two_sqe_doorbell() -> Vec<u8> {
         kind: FrameKind::Doorbell,
         count: 2,
         payload_len: (2 * (SQE_LEN + 512)) as u32,
-        queue_depth: 0,
     };
     let sqe = |cid: u32| Sqe {
         op: SqeOp::Write,
