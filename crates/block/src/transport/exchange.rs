@@ -226,10 +226,11 @@ pub enum Staged<'a> {
 }
 
 /// Observer-side write assembly: the writes an observer needs whole (to
-/// mirror, classify or journal them), by initiator task tag.
+/// mirror, classify or journal them), by tag: a relay op's, which names
+/// its flow, or a bare initiator task tag.
 #[derive(Debug, Default)]
 pub struct Staging {
-    open: IdMap<u32, (BlockCmd, Transfer), RandomState>,
+    open: IdMap<u64, (BlockCmd, Transfer), RandomState>,
 }
 
 impl Staging {
@@ -241,7 +242,7 @@ impl Staging {
     /// been seen.
     pub fn feed(
         &mut self,
-        itt: u32,
+        tag: u64,
         step: Step,
         cmd: Option<BlockCmd>,
         data: &Bytes,
@@ -250,25 +251,25 @@ impl Staging {
             (Step::Command, Some(cmd)) if cmd.op == BlockOp::Write => {
                 match Transfer::start(cmd.bytes() as usize, data) {
                     Ok(whole) => {
-                        self.open.remove(&itt);
+                        self.open.remove(&tag);
                         return Staged::Complete(cmd, whole);
                     }
-                    Err(xfer) => _ = self.open.insert(itt, (cmd, xfer)),
+                    Err(xfer) => _ = self.open.insert(tag, (cmd, xfer)),
                 }
             }
             (Step::WriteData(at), _) => {
-                let done = self.open.get_mut(&itt).is_some_and(|(_, xfer)| {
+                let done = self.open.get_mut(&tag).is_some_and(|(_, xfer)| {
                     let _ = xfer.absorb(at, data);
                     xfer.is_complete()
                 });
-                if let Some((cmd, xfer)) = done.then(|| self.open.remove(&itt)).flatten() {
+                if let Some((cmd, xfer)) = done.then(|| self.open.remove(&tag)).flatten() {
                     return Staged::Complete(cmd, xfer.into_bytes());
                 }
             }
-            (Step::Command | Step::Status(_), _) => _ = self.open.remove(&itt),
+            (Step::Command | Step::Status(_), _) => _ = self.open.remove(&tag),
             _ => {}
         }
-        match self.open.get_mut(&itt) {
+        match self.open.get_mut(&tag) {
             Some((_, xfer)) => Staged::Partial(xfer),
             None => Staged::Untracked,
         }

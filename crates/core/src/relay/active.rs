@@ -159,15 +159,12 @@ impl FlowPair {
 }
 
 /// One in-flight replica request: the owning service, its completion
-/// context, the request itself (kept for retries), the attempt count, and
-/// the flow pair whose PDU triggered it (side actions the completion
-/// produces route back to that pair, not to an arbitrary open flow).
+/// context, the request itself (kept for retries) and the attempt count.
 struct PendingIo {
     svc: usize,
     ctx: u64,
     io: ReplicaIo,
     attempts: u32,
-    origin: Option<usize>,
 }
 
 struct ReplicaSession {
@@ -178,7 +175,8 @@ struct ReplicaSession {
     // back to its service, and that sweep must run in tag order — with a
     // HashMap the eviction trace depended on hasher state.
     pending: BTreeMap<IoTag, PendingIo>,
-    parked: Vec<(usize, ReplicaIo, u64, Option<usize>)>,
+    /// Requests issued before the session logged in.
+    parked: Vec<PendingIo>,
     up: bool,
     failed: bool,
     /// Consecutive request timeouts (reset by any completion).
@@ -200,12 +198,15 @@ enum Forwards {
 
 /// What one batch's trip through the service chain produced.
 struct ChainOut {
+    /// The flow pair the batch came in on.
+    pair: usize,
     /// The batch's direction of travel.
     dir: Dir,
     forwards: Forwards,
-    /// Ops a reply's walk sent out in `dir`; they join the unit's forwards.
+    /// Ops on the batch's flow a reply's walk sent out in `dir`; they join
+    /// the unit's forwards.
     ahead: Vec<Op>,
-    /// Ops headed back where the batch came from.
+    /// Ops on the batch's flow headed back where the batch came from.
     replies: Vec<Op>,
     replica_ops: Vec<ReplicaOp>,
     /// CPU the batch cost: `per_pdu_cost` plus service charges.
@@ -215,17 +216,16 @@ struct ChainOut {
 /// Where a chain walk's output goes: into a batch on the data path, whose
 /// release waits for the charges (one [`Hop::Service`] stage per stage,
 /// under the unit's token) and carries its replica I/O; or, from a replica
-/// completion or a timer, out at once in emission order, on the flow the
-/// PDU that led there came in on.
+/// completion or a timer, out at once in emission order. Either way an op
+/// leaves on the flow its tag names: a batch keeps only its own flow's.
 enum Sink<'a> {
     Batch(ReqToken, &'a mut ChainOut),
-    Side(Option<usize>),
+    Side,
 }
 
 /// A processed batch waiting out its processing time in the persistence
 /// buffer; [`ActiveRelayMb::release`] puts it on the wire.
 struct Deferred {
-    pair: usize,
     out: ChainOut,
     /// Persistence-buffer bytes the batch holds (tenant side only).
     input_bytes: usize,
@@ -277,7 +277,7 @@ pub struct ActiveRelayMb {
     /// Verbatim forwards, encode-side copies (small-segment batching,
     /// fresh nvmeq frame headers and re-encoded entries — the multi-queue
     /// analogue of BHS decode scratch) and the reassembly copies of
-    /// streams whose pairs a crash dropped.
+    /// flows whose edges a crash dropped.
     copy: RelayCopyStats,
     crashed: bool,
     fault: FaultHook,
@@ -405,10 +405,11 @@ impl ActiveRelayMb {
             .emit_with(now, || TraceEvent::Stage { req, hop, id, dur });
     }
 
-    /// Runs a batch's unit through the service chain as one op and
-    /// rebuilds the batch from what the chain emitted. If the chain passed
-    /// the unit untouched, or the batch bypasses the chain, the received
-    /// batch forwards verbatim — an iSCSI PDU or an nvmeq frame alike.
+    /// Runs a batch's unit through the service chain as one op, its tag
+    /// naming the pair, and rebuilds the batch from what the chain
+    /// emitted. If the chain passed the unit untouched, or the batch
+    /// bypasses the chain, the received batch forwards verbatim — an iSCSI
+    /// PDU or an nvmeq frame alike.
     fn run_chain(
         &mut self,
         cx: &mut Cx<'_>,
@@ -419,6 +420,7 @@ impl ActiveRelayMb {
     ) -> ChainOut {
         let per_pdu_cost = self.cfg.per_pdu_cost;
         let mut out = ChainOut {
+            pair: pair_idx,
             dir,
             forwards: Forwards::Verbatim(batch.wire),
             ahead: Vec::new(),
@@ -428,8 +430,9 @@ impl ActiveRelayMb {
             cost: per_pdu_cost,
         };
         if let Some(unit) = batch.unit {
-            let op = self.pairs[pair_idx].edge.lift(unit);
-            let req = req_token(self.pairs[pair_idx].src_port, op.tag);
+            let mut op = self.pairs[pair_idx].edge.lift(unit);
+            let req = req_token(self.pairs[pair_idx].src_port, op.tag as u32);
+            op.tag |= (pair_idx as u64) << 32;
             self.stage(now, req, Hop::Relay, self.trace_mb, per_pdu_cost);
             let mut forwards = self.walk(cx, &mut Sink::Batch(req, &mut out), dir, 0, vec![op]);
             forwards.append(&mut out.ahead);
@@ -443,29 +446,17 @@ impl ActiveRelayMb {
         out
     }
 
-    /// The flow pair side actions should route to: the originating pair
-    /// when known and still open, otherwise the first open pair (timers
-    /// and other flow-less contexts).
-    fn route_pair(&self, origin: Option<usize>) -> Option<usize> {
-        match origin {
-            Some(i) if i < self.pairs.len() && !self.pairs[i].closed => Some(i),
-            _ => self.pairs.iter().position(|p| !p.closed),
-        }
-    }
-
     /// Calls service `svc` outside the data path (replica completions,
-    /// timers) and executes what it emits. `origin` is the flow pair whose
-    /// PDU led here, when there is one.
+    /// timers) and executes what it emits.
     fn run_side(
         &mut self,
         cx: &mut Cx<'_>,
         svc: usize,
-        origin: Option<usize>,
         call: impl FnOnce(&mut dyn StorageService, &mut SvcCtx<Op>),
     ) {
         let mut scx = SvcCtx::new(cx.now());
         call(self.services[svc].as_mut(), &mut scx);
-        self.emit(cx, &mut Sink::Side(origin), Dir::ToTarget, svc, scx, None);
+        self.emit(cx, &mut Sink::Side, Dir::ToTarget, svc, scx, None);
     }
 
     /// The chain index of the `pos`-th stage an op travelling `dir` meets.
@@ -532,12 +523,12 @@ impl ActiveRelayMb {
                 (SvcAction::Replica { replica, io, ctx }, Sink::Batch(_, out)) => {
                     out.replica_ops.push((idx, replica, io, ctx))
                 }
-                (SvcAction::Replica { replica, io, ctx }, &mut Sink::Side(origin)) => {
-                    self.issue_replica(cx, idx, replica, io, ctx, origin)
+                (SvcAction::Replica { replica, io, ctx }, Sink::Side) => {
+                    self.issue_replica(cx, idx, replica, io, ctx)
                 }
                 (SvcAction::Alert(msg), _) => self.alerts.push((cx.now(), msg)),
                 (SvcAction::Charge(c), Sink::Batch(..)) => charged += c,
-                (SvcAction::Charge(c), Sink::Side(_)) => _ = cx.charge(c, CPU_LABEL),
+                (SvcAction::Charge(c), Sink::Side) => _ = cx.charge(c, CPU_LABEL),
                 (SvcAction::Timer { delay, token }, _) => {
                     self.arm(cx, delay, Timer::Service { svc: idx, token })
                 }
@@ -557,15 +548,15 @@ impl ActiveRelayMb {
         }
     }
 
-    /// An op leaves the chain travelling `dir`: into the batch, or onto
-    /// the flow in that flow's wire protocol.
+    /// An op leaves the chain travelling `dir` on the flow its tag names:
+    /// into the batch when that is the batch's flow, else onto the flow at
+    /// once in its wire protocol (dropped if the flow has closed).
     fn leave(&mut self, cx: &mut Cx<'_>, sink: &mut Sink, dir: Dir, op: Op) {
         match sink {
-            Sink::Batch(_, out) if dir == out.dir => out.ahead.push(op),
-            Sink::Batch(_, out) => out.replies.push(op),
-            &mut Sink::Side(origin) => {
-                if let Some(i) = self.route_pair(origin) {
-                    let p = &mut self.pairs[i];
+            Sink::Batch(_, out) if op.pair() == out.pair && dir == out.dir => out.ahead.push(op),
+            Sink::Batch(_, out) if op.pair() == out.pair => out.replies.push(op),
+            _ => {
+                if let Some(p) = self.pairs.get_mut(op.pair()).filter(|p| !p.closed) {
                     self.pdus_forwarded += p.queue(dir, [op], &mut self.copy);
                     p.pump(cx, dir);
                 }
@@ -576,23 +567,18 @@ impl ActiveRelayMb {
     fn issue_replica(
         &mut self,
         cx: &mut Cx<'_>,
-        svc_idx: usize,
+        svc: usize,
         replica: usize,
         io: ReplicaIo,
         ctx: u64,
-        origin: Option<usize>,
     ) {
-        self.issue_replica_attempt(
-            cx,
-            replica,
-            PendingIo {
-                svc: svc_idx,
-                ctx,
-                io,
-                attempts: 0,
-                origin,
-            },
-        );
+        let req = PendingIo {
+            svc,
+            ctx,
+            io,
+            attempts: 0,
+        };
+        self.issue_replica_attempt(cx, replica, req);
     }
 
     fn issue_replica_attempt(&mut self, cx: &mut Cx<'_>, replica: usize, req: PendingIo) {
@@ -603,7 +589,7 @@ impl ActiveRelayMb {
             return self.fail_io(cx, replica, &req);
         }
         if !sess.up {
-            sess.parked.push((req.svc, req.io, req.ctx, req.origin));
+            sess.parked.push(req);
             return;
         }
         let tag = match &req.io {
@@ -617,7 +603,7 @@ impl ActiveRelayMb {
 
     /// Fails one replica request back to the service that issued it.
     fn fail_io(&mut self, cx: &mut Cx<'_>, replica: usize, req: &PendingIo) {
-        self.run_side(cx, req.svc, req.origin, |s, scx| {
+        self.run_side(cx, req.svc, |s, scx| {
             s.on_replica_done(scx, replica, req.ctx, false, Bytes::new())
         });
     }
@@ -723,27 +709,19 @@ impl ActiveRelayMb {
             // Account CPU and serialize processing per flow.
             let _ = cx.charge(out.cost, CPU_LABEL);
             let done = self.pairs[pair_idx].proc.serve(now + qos_delay, out.cost);
-            let deferred = Deferred {
-                pair: pair_idx,
-                out,
-                input_bytes,
-            };
+            let deferred = Deferred { out, input_bytes };
             self.arm(cx, done - now, Timer::Release(deferred));
         }
     }
 
     fn release(&mut self, cx: &mut Cx<'_>, d: Deferred) {
-        let Deferred {
-            pair,
-            out,
-            input_bytes,
-        } = d;
+        let Deferred { out, input_bytes } = d;
+        let (pair, dir) = (out.pair, out.dir);
         if pair >= self.pairs.len() || self.pairs[pair].closed {
             return;
         }
-        let dir = out.dir;
         for (svc_idx, replica, io, ctx) in out.replica_ops {
-            self.issue_replica(cx, svc_idx, replica, io, ctx, Some(pair));
+            self.issue_replica(cx, svc_idx, replica, io, ctx);
         }
         let p = &mut self.pairs[pair];
         let forwarded = match out.forwards {
@@ -777,8 +755,8 @@ impl ActiveRelayMb {
                         sess.up = true;
                         std::mem::take(&mut sess.parked)
                     };
-                    for (svc_idx, io, ctx, origin) in parked {
-                        self.issue_replica(cx, svc_idx, idx, io, ctx, origin);
+                    for req in parked {
+                        self.issue_replica_attempt(cx, idx, req);
                     }
                 }
                 TransportEvent::ConnectFailed { .. } | TransportEvent::ProtocolError(_) => {
@@ -789,7 +767,7 @@ impl ActiveRelayMb {
                     if let Some(req) = self.replicas[idx].pending.remove(&tag) {
                         self.replicas[idx].timeouts = 0;
                         let ok = status == ScsiStatus::Good;
-                        self.run_side(cx, req.svc, req.origin, |s, scx| {
+                        self.run_side(cx, req.svc, |s, scx| {
                             s.on_replica_done(scx, idx, req.ctx, ok, Bytes::new())
                         });
                     }
@@ -798,7 +776,7 @@ impl ActiveRelayMb {
                     if let Some(req) = self.replicas[idx].pending.remove(&tag) {
                         self.replicas[idx].timeouts = 0;
                         let ok = status == ScsiStatus::Good;
-                        self.run_side(cx, req.svc, req.origin, |s, scx| {
+                        self.run_side(cx, req.svc, |s, scx| {
                             s.on_replica_done(scx, idx, req.ctx, ok, data)
                         });
                     }
@@ -842,15 +820,16 @@ impl ActiveRelayMb {
             return;
         }
         self.crashed = true;
+        // A cut flow keeps its index, so ops a service still holds for it
+        // are dropped rather than sent on a flow opened after the restart.
         for pair in &mut self.pairs {
             if !pair.closed {
                 pair.closed = true;
                 cx.abort(pair.server);
                 cx.abort(pair.client);
             }
-            pair.edge.add_stream_copies(&mut self.copy);
+            std::mem::take(&mut pair.edge).add_stream_copies(&mut self.copy);
         }
-        self.pairs.clear();
         self.by_sock.clear();
         for sess in &mut self.replicas {
             if let Some(sock) = sess.sock.take() {
@@ -891,7 +870,7 @@ impl ActiveRelayMb {
             self.fail_io(cx, idx, &req);
         }
         for svc in 0..self.services.len() {
-            self.run_side(cx, svc, None, |s, scx| s.on_replica_failed(scx, idx));
+            self.run_side(cx, svc, |s, scx| s.on_replica_failed(scx, idx));
         }
     }
 }
@@ -982,7 +961,7 @@ impl App for ActiveRelayMb {
         match self.timers.remove(&token) {
             Some(Timer::Release(d)) => self.release(cx, d),
             Some(Timer::Service { svc, token }) => {
-                self.run_side(cx, svc, None, |s, scx| s.on_timer(scx, token))
+                self.run_side(cx, svc, |s, scx| s.on_timer(scx, token))
             }
             Some(Timer::Watchdog { replica, tag }) => self.handle_replica_timeout(cx, replica, tag),
             Some(Timer::Retry { replica, req }) => {

@@ -3,6 +3,8 @@
 //! flow's [`Exchange`] of open commands current both ways. A received op
 //! keeps an opaque handle on its wire form ([`Wire`]) and is re-emitted
 //! with the header it came with; an op a service made lowers by its fields.
+//! A lifted op's tag is its wire tag, on flow 0 until the relay names its
+//! flow; lowering reads the wire tag back from the tag's low half.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
@@ -57,7 +59,7 @@ pub(crate) enum Entry {
 /// ([`Exchange::observe`]).
 pub(crate) fn lift_pdu(open: &mut Exchange, pdu: Pdu, seq: u64) -> Op {
     let (step, cmd) = open.observe(&pdu);
-    let op = Op::new(step, cmd, pdu.itt(), pdu.data().clone());
+    let op = Op::new(step, cmd, pdu.itt().into(), pdu.data().clone());
     Op {
         wire: Some(Wire::Pdu(pdu, seq)),
         ..op
@@ -92,16 +94,16 @@ pub(crate) fn lift_entry(open: &mut Exchange, unit: UnitWire, seq: u64) -> Op {
     let wire = Wire::Entry(unit.entry_wire, unit.data.clone(), seq);
     Op {
         wire: Some(wire),
-        ..Op::new(step, cmd, tag, unit.data)
+        ..Op::new(step, cmd, tag.into(), unit.data)
     }
 }
 
 /// Lowers an op to the iSCSI PDUs that carry it: an op with a wire form
 /// (received, or a data request) is its PDU around the op's data;
-/// otherwise a command (opening its tag), read data — a service's whole
-/// answer, as a Data-In train — or a status (both retiring it).
+/// otherwise a command (opening its wire tag), read data — a service's
+/// whole answer, as a Data-In train — or a status (both retiring it).
 pub(crate) fn lower_pdus(open: &mut Exchange, op: Op, mut emit: impl FnMut(Pdu)) {
-    let (tag, data) = (op.tag, op.data);
+    let (tag, data) = (op.tag as u32, op.data);
     match (op.wire, op.step, op.cmd) {
         (Some(Wire::Pdu(mut pdu, _)), ..) => {
             if !data.same_storage(pdu.data()) {
@@ -132,11 +134,11 @@ pub(crate) fn lower_pdus(open: &mut Exchange, op: Op, mut emit: impl FnMut(Pdu))
 
 /// Lowers an op to a frame entry plus data segment: a received op whose
 /// data is as received is its entry as received; otherwise a command is
-/// an SQE (opening its tag), read data — a service's whole answer — or a
-/// status a CQE (retiring it; a status echoes the retired opcode). A data
-/// request has no multi-queue form: nvmeq writes carry all their data.
+/// an SQE (opening its wire tag), read data — a service's whole answer —
+/// or a status a CQE (retiring it; a status echoes the retired opcode). A
+/// data request has no multi-queue form: nvmeq writes carry all their data.
 pub(crate) fn lower_entry(open: &mut Exchange, op: Op) -> Option<(Entry, Bytes)> {
-    let (tag, data_len) = (op.tag, op.data.len() as u32);
+    let (tag, data_len) = (op.tag as u32, op.data.len() as u32);
     let cqe = |status, op| {
         Entry::Cqe(Cqe {
             cid: tag,

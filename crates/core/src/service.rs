@@ -64,11 +64,17 @@ pub enum ReplicaIo {
 /// around whatever data a service left in it. One a service makes
 /// ([`Op::new`]) has no wire form until the relay lowers it; read data a
 /// service makes is the read's whole answer, status good.
+///
+/// Its tag names the command across every flow the relay carries: the
+/// flow in the high 32 bits, the command's wire tag (iSCSI initiator
+/// task tag, nvmeq command id) in the low 32. A service keys per-command
+/// state by it and gives an op it makes the tag of the op it answers; the
+/// relay sends every op on the flow its tag names.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Op {
     pub(crate) step: Step,
     pub(crate) cmd: Option<BlockCmd>,
-    pub(crate) tag: u32,
+    pub(crate) tag: u64,
     /// The op's data: write data, read data or a command's immediate data.
     pub data: Bytes,
     pub(crate) wire: Option<Wire>,
@@ -76,7 +82,7 @@ pub struct Op {
 
 impl Op {
     /// An op made by a service.
-    pub fn new(step: Step, cmd: Option<BlockCmd>, tag: u32, data: Bytes) -> Op {
+    pub fn new(step: Step, cmd: Option<BlockCmd>, tag: u64, data: Bytes) -> Op {
         Op {
             step,
             cmd,
@@ -87,12 +93,12 @@ impl Op {
     }
 
     /// A command issued by a service, `data` riding with it.
-    pub fn command(tag: u32, cmd: BlockCmd, data: Bytes) -> Op {
+    pub fn command(tag: u64, cmd: BlockCmd, data: Bytes) -> Op {
         Op::new(Step::Command, Some(cmd), tag, data)
     }
 
     /// A status a service answers with.
-    pub fn status(tag: u32, status: ScsiStatus) -> Op {
+    pub fn status(tag: u64, status: ScsiStatus) -> Op {
         Op::new(Step::Status(status), None, tag, Bytes::new())
     }
 
@@ -100,8 +106,8 @@ impl Op {
     /// `offset`, the write's `seq`-th. Only iSCSI has one, so it is made as
     /// it goes out there: an R2T whose transfer tag is `seq + 1` (nvmeq
     /// writes carry all their data, and its edge drops the request).
-    pub fn want_data(tag: u32, offset: u32, len: u32, seq: u32) -> Op {
-        let r2t = Pdu::R2t(r2t(tag, seq, seq.wrapping_add(1), offset, len));
+    pub fn want_data(tag: u64, offset: u32, len: u32, seq: u32) -> Op {
+        let r2t = Pdu::R2t(r2t(tag as u32, seq, seq.wrapping_add(1), offset, len));
         Op {
             wire: Some(Wire::Pdu(r2t, 0)),
             ..Op::new(Step::Other, None, tag, Bytes::new())
@@ -111,7 +117,7 @@ impl Op {
     /// The next [`want_data`](Op::want_data) for write `tag`, whose data
     /// `stage` assembles, if one is due within the burst limits every
     /// session declares; a service numbers its requests from 1.
-    pub fn want_next(tag: u32, stage: &mut Transfer) -> Option<Op> {
+    pub fn want_next(tag: u64, stage: &mut Transfer) -> Option<Op> {
         let (sn, offset, len) = stage.next_burst(FIRST_BURST_LENGTH, MAX_BURST_LENGTH)?;
         Some(Op::want_data(tag, offset, len, sn + 1))
     }
@@ -126,19 +132,27 @@ impl Op {
         self.cmd
     }
 
-    /// The command's tag (iSCSI initiator task tag, nvmeq command id).
-    pub fn tag(&self) -> u32 {
+    /// The command's tag: its flow and its wire tag (see [`Op`]).
+    pub fn tag(&self) -> u64 {
         self.tag
+    }
+
+    /// The relay flow the tag names.
+    pub(crate) fn pair(&self) -> usize {
+        (self.tag >> 32) as usize
     }
 }
 
 /// An action emitted by a service, about units `U` (block ops on the
-/// relay; PDUs through [`StorageService::on_pdu`]).
+/// relay; PDUs through [`StorageService::on_pdu`]). On the relay a unit
+/// travels on the flow its tag names ([`Op`]), whichever flow's op, replica
+/// completion or timer the service was handling when it emitted it.
 #[derive(Debug)]
 pub enum SvcAction<U = Pdu> {
     /// Pass a unit onward in its direction of travel.
     Forward(U),
-    /// Send a unit back towards where the triggering one came from.
+    /// Send a unit back towards where the triggering one came from
+    /// (towards the guest from a replica completion or a timer).
     Reply(U),
     /// Issue I/O on replica session `replica`; completion arrives via
     /// [`StorageService::on_replica_done`] carrying `ctx`.

@@ -317,19 +317,18 @@ mod exchange_model {
     impl Observers {
         fn see(&mut self, pdu: &Pdu) {
             let (step, cmd) = self.open.observe(pdu);
-            if let Staged::Complete(cmd, bytes) =
-                self.monitor.feed(pdu.itt(), step, cmd, pdu.data())
-            {
+            let itt = pdu.itt().into();
+            if let Staged::Complete(cmd, bytes) = self.monitor.feed(itt, step, cmd, pdu.data()) {
                 self.at_monitor = Some((cmd.lba, bytes));
             }
             let staged = match pdu {
                 Pdu::ScsiCommand(c) => {
                     let cmd = parse_command(c, u64::MAX).unwrap();
-                    self.cache.feed(c.itt, Step::Command, Some(cmd), &c.data)
+                    self.cache.feed(itt, Step::Command, Some(cmd), &c.data)
                 }
                 Pdu::DataOut(d) => {
                     self.cache
-                        .feed(d.itt, Step::WriteData(d.buffer_offset), None, &d.data)
+                        .feed(itt, Step::WriteData(d.buffer_offset), None, &d.data)
                 }
                 _ => Staged::Untracked,
             };
@@ -408,7 +407,7 @@ mod exchange_model {
             prop_assert_eq!(&seen.at_cache, &want);
             // Completion retired the command everywhere.
             for staging in [&mut seen.monitor, &mut seen.cache] {
-                let left = staging.feed(tag.0, Step::Other, None, &Bytes::new());
+                let left = staging.feed(tag.0.into(), Step::Other, None, &Bytes::new());
                 prop_assert!(matches!(left, Staged::Untracked), "a write stayed staged");
             }
 

@@ -141,7 +141,7 @@ struct Sector {
 /// A fully received write waiting on (or parked for) the journal.
 #[derive(Debug, Clone)]
 struct CompletedWrite {
-    itt: u32,
+    tag: u64,
     lba: u64,
     data: Bytes,
 }
@@ -166,7 +166,7 @@ pub struct WriteBackCacheService {
     /// io id -> (write, seq, reserved journal base sector).
     journal_waits: BTreeMap<u64, (CompletedWrite, u64, u64)>,
     /// Miss reads out at the target, by tag: `(lba, sectors)`.
-    misses: BTreeMap<u32, (u64, u32)>,
+    misses: BTreeMap<u64, (u64, u32)>,
     flush_waits: BTreeMap<u64, Vec<(u64, u64)>>,
     checkpoint_pending: bool,
     parked_writes: Vec<CompletedWrite>,
@@ -395,7 +395,7 @@ impl WriteBackCacheService {
             lba: write.lba,
             sectors: n as u32,
         };
-        cx.forward(Op::command(write.itt, cmd, write.data));
+        cx.forward(Op::command(write.tag, cmd, write.data));
     }
 
     /// Installs a committed write into the cache as dirty sectors.
@@ -501,14 +501,14 @@ impl WriteBackCacheService {
     /// A write command or write data: stage it, then journal the write
     /// once whole, asking for its next burst whenever the last one is in.
     fn on_write(&mut self, cx: &mut SvcCtx<Op>, op: Op) {
-        let itt = op.tag();
-        match self.writes.feed(op.tag(), op.step(), op.cmd(), &op.data) {
+        let tag = op.tag();
+        match self.writes.feed(tag, op.step(), op.cmd(), &op.data) {
             Staged::Untracked => cx.forward(op),
             Staged::Complete(BlockCmd { lba, .. }, data) => {
-                self.complete_write(cx, CompletedWrite { itt, lba, data })
+                self.complete_write(cx, CompletedWrite { tag, lba, data })
             }
             Staged::Partial(stage) if stage.burst_done() => {
-                if let Some(want) = Op::want_next(itt, stage) {
+                if let Some(want) = Op::want_next(tag, stage) {
                     cx.reply(want);
                 }
             }
@@ -671,7 +671,7 @@ impl StorageService for WriteBackCacheService {
                     return;
                 }
                 // Commit durable: acknowledge, then install dirty sectors.
-                cx.reply(Op::status(write.itt, ScsiStatus::Good));
+                cx.reply(Op::status(write.tag, ScsiStatus::Good));
                 self.apply_committed(cx, &write);
             }
             CTX_FLUSH => {
@@ -858,7 +858,7 @@ mod tests {
     }
 
     /// A write of `edtl` bytes carrying `data` as immediate data.
-    fn write_cmd(itt: u32, lba: u64, data: Vec<u8>, edtl: u32) -> Op {
+    fn write_cmd(itt: u64, lba: u64, data: Vec<u8>, edtl: u32) -> Op {
         Op::command(itt, write(lba, edtl), Bytes::from(data))
     }
 
@@ -867,7 +867,7 @@ mod tests {
         BlockCmd { op, lba, sectors }
     }
 
-    fn read_cmd(itt: u32, lba: u64, sectors: u32) -> Op {
+    fn read_cmd(itt: u64, lba: u64, sectors: u32) -> Op {
         Op::command(itt, read(lba, sectors), Bytes::new())
     }
 
@@ -967,7 +967,7 @@ mod tests {
             self.drain(cx);
         }
 
-        fn acked(&self, itt: u32) -> bool {
+        fn acked(&self, itt: u64) -> bool {
             self.replies
                 .iter()
                 .any(|p| matches!(p.step(), Step::Status(_)) && p.tag() == itt)

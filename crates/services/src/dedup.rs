@@ -232,7 +232,7 @@ mod tests {
     use storm_core::service::SvcAction;
     use storm_sim::SimTime;
 
-    fn write_op(itt: u32, data: Vec<u8>) -> Op {
+    fn write_op(itt: u64, data: Vec<u8>) -> Op {
         let cmd = BlockCmd {
             op: BlockOp::Write,
             lba: 0,

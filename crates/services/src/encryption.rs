@@ -67,7 +67,7 @@ pub struct EncryptionService {
     per_byte: SimDuration,
     /// Tags of writes refused for unaligned data; their later Data-Out is
     /// dropped until the tag is reused or its status passes.
-    refused: BTreeSet<u32>,
+    refused: BTreeSet<u64>,
     bytes_encrypted: u64,
     bytes_decrypted: u64,
 }
@@ -114,14 +114,14 @@ impl StorageService for EncryptionService {
     }
 
     fn on_op(&mut self, cx: &mut SvcCtx<Op>, dir: Dir, mut op: Op) {
-        let itt = op.tag();
+        let tag = op.tag();
         // A refused write's remaining data stops here, until a new command
         // takes the tag or a status for it passes.
         match op.step() {
             Step::Command | Step::Status(_) => {
-                self.refused.remove(&itt);
+                self.refused.remove(&tag);
             }
-            Step::WriteData(_) if self.refused.contains(&itt) => return,
+            Step::WriteData(_) if self.refused.contains(&tag) => return,
             _ => {}
         }
         // Where the op's data sits on the volume, if it is block data of
@@ -151,7 +151,7 @@ impl StorageService for EncryptionService {
                     "passed undecrypted"
                 };
                 cx.alert(format!(
-                    "encryption: {what} command {itt:#x}, {} bytes at volume offset {at} \
+                    "encryption: {what} command {tag:#x}, {} bytes at volume offset {at} \
                      are not whole sectors",
                     buf.len()
                 ));
@@ -159,8 +159,8 @@ impl StorageService for EncryptionService {
                     // Fail closed: plaintext never goes on. The initiator
                     // is told its write failed (which retires the tag at
                     // the relay, as the target may never answer for it).
-                    self.refused.insert(itt);
-                    cx.reply(Op::status(itt, ScsiStatus::CheckCondition));
+                    self.refused.insert(tag);
+                    cx.reply(Op::status(tag, ScsiStatus::CheckCondition));
                     return;
                 }
             }
@@ -211,13 +211,13 @@ mod tests {
     }
 
     /// A command of `sectors` sectors carrying `imm` as immediate data.
-    fn cmd(op: BlockOp, itt: u32, lba: u64, sectors: u32, imm: Bytes) -> Op {
+    fn cmd(op: BlockOp, itt: u64, lba: u64, sectors: u32, imm: Bytes) -> Op {
         Op::command(itt, block(op, lba, sectors), imm)
     }
 
     /// Data of the six-sector write `itt` at LBA 100 (or 200 for tag 8),
     /// carrying `range` of a 3 KiB payload.
-    fn data_out(itt: u32, range: std::ops::Range<usize>) -> Op {
+    fn data_out(itt: u64, range: std::ops::Range<usize>) -> Op {
         let lba = if itt == 8 { 200 } else { 100 };
         let whole = Bytes::from(vec![0xABu8; 3072]);
         let step = Step::WriteData(range.start as u32);
@@ -225,7 +225,7 @@ mod tests {
         Op::new(step, Some(write), itt, whole.slice(range))
     }
 
-    fn read_data(itt: u32, cmd: BlockCmd, data: Bytes) -> Op {
+    fn read_data(itt: u64, cmd: BlockCmd, data: Bytes) -> Op {
         Op::new(Step::ReadData(0), Some(cmd), itt, data)
     }
 
@@ -306,7 +306,7 @@ mod tests {
         assert_eq!(&out.data[..], &direct[..]);
     }
 
-    fn assert_refused(out: &Outcome, itt: u32) {
+    fn assert_refused(out: &Outcome, itt: u64) {
         assert!(
             out.forwarded.is_empty(),
             "plaintext went on: {:?}",

@@ -183,7 +183,7 @@ mod tests {
         log: Vec<storm_block::AccessRecord>,
     ) -> Vec<SvcAction<Op>> {
         let mut actions = Vec::new();
-        for (itt, rec) in (101u32..).zip(log) {
+        for (itt, rec) in (101u64..).zip(log) {
             let mut cx = SvcCtx::new(SimTime::ZERO);
             let (op, data) = match rec.kind {
                 AccessKind::Read => (BlockOp::Read, Bytes::new()),
@@ -302,7 +302,7 @@ mod tests {
         let cases = [BlockOp::Read, BlockOp::Write]
             .into_iter()
             .flat_map(|op| [0, 8, 1 << 33].map(|lba| (op, lba)));
-        for (itt, (op, lba)) in (1u32..).zip(cases) {
+        for (itt, (op, lba)) in (1u64..).zip(cases) {
             let cmd = BlockCmd {
                 op,
                 lba,

@@ -261,13 +261,13 @@ mod tests {
     use storm_core::service::{ReplicaIo, SvcAction};
     use storm_sim::SimTime;
 
-    fn write_cmd(itt: u32, lba: u64, data: Bytes) -> Op {
+    fn write_cmd(itt: u64, lba: u64, data: Bytes) -> Op {
         let sectors = (data.len() / 512) as u32;
         let op = BlockOp::Write;
         Op::command(itt, BlockCmd { op, lba, sectors }, data)
     }
 
-    fn read_cmd(itt: u32, lba: u64, sectors: u32) -> Op {
+    fn read_cmd(itt: u64, lba: u64, sectors: u32) -> Op {
         let op = BlockOp::Read;
         Op::command(itt, BlockCmd { op, lba, sectors }, Bytes::new())
     }
@@ -502,7 +502,7 @@ mod tests {
         // must be claimed before the eviction re-dispatches stranded reads,
         // otherwise it is retried twice and write_failures is bumped.
         let mut svc = ReplicationService::new(2, true);
-        let fail_read = |svc: &mut ReplicationService, itt: u32| {
+        let fail_read = |svc: &mut ReplicationService, itt: u64| {
             svc.rr = 1; // force replica 0
             let acts = actions(svc, Dir::ToTarget, read_cmd(itt, 0, 8));
             let ctx = acts

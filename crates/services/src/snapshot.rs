@@ -242,13 +242,13 @@ mod tests {
     use storm_core::service::{ReplicaIo, SvcAction};
     use storm_sim::SimTime;
 
-    fn write_cmd(itt: u32, lba: u64, data: Vec<u8>) -> Op {
+    fn write_cmd(itt: u64, lba: u64, data: Vec<u8>) -> Op {
         let sectors = (data.len() / 512) as u32;
         let op = BlockOp::Write;
         Op::command(itt, BlockCmd { op, lba, sectors }, Bytes::from(data))
     }
 
-    fn read_cmd(itt: u32, lba: u64, sectors: u32) -> Op {
+    fn read_cmd(itt: u64, lba: u64, sectors: u32) -> Op {
         let op = BlockOp::Read;
         Op::command(itt, BlockCmd { op, lba, sectors }, Bytes::new())
     }

@@ -50,9 +50,14 @@
 //! | `faults` | `cache_crash_consistency` (`MbCrash`) | `failover_recovery` (`MuteTarget`) |
 //! | `traced` | [`Case`] (on) | `ablations` (off: 3 s at depth 16) |
 //!
-//! Multi-tenant and scripted-initiator set-ups are not this shape and stay
-//! on [`Cloud`] and [`StormPlatform`] directly; `examples/quickstart.rs`
-//! shows the three calls `build` expands to.
+//! [`Run::attach`] adds a guest to a built run: one more initiator on the
+//! same volume, through the same chain and the same service instances,
+//! which tell the guests' commands apart by the flow their tags name
+//! (`zero_copy_relay`'s two guests, behind every service that answers
+//! or parks I/O outside the data path). Multi-tenant and
+//! scripted-initiator set-ups are not this shape and stay on [`Cloud`]
+//! and [`StormPlatform`] directly; `examples/quickstart.rs` shows the
+//! three calls `build` expands to.
 //!
 //! # Generated cases
 //!
@@ -311,7 +316,8 @@ impl Run {
     }
 
     /// Attaches one more guest to the same volume through the same chain,
-    /// on compute host `host_idx` (a second initiator, a later phase).
+    /// on compute host `host_idx` (a second initiator, a later phase). The
+    /// relay carries it on a flow of its own.
     ///
     /// # Panics
     ///

@@ -1,11 +1,12 @@
 //! Zero-copy relay datapath: the passthrough chain forwards wire bytes
-//! verbatim, and side-action routing stays correct with multiple
-//! initiators sharing one middle-box.
+//! verbatim, and every op reaches the right guest with several initiators
+//! sharing one middle-box.
 
 use storm::block::transport::TransportKind;
+use storm::core::StorageService;
 use storm::scenario::{Case, Load, Replica, Spec};
-use storm::services::ReplicationService;
-use storm_sim::SimTime;
+use storm::services::{CacheConfig, ReplicationService, SnapshotService, WriteBackCacheService};
+use storm_sim::SimDuration;
 use storm_workloads::ShadowWorkload;
 
 /// On either wire protocol a bare active-relay chain forwards every
@@ -42,44 +43,70 @@ fn passthrough_relay_stays_zero_copy_over_nvmeq() {
     passthrough_stays_zero_copy(TransportKind::Nvmeq);
 }
 
-/// Regression test for side-action routing: with TWO initiators on one
-/// middle-box, replica replies and forwards must go back to the
-/// originating pair. (The relay used to emit side actions on whichever
-/// pair was processed last, which cross-delivered replies once a second
-/// initiator logged in.)
+/// The chains whose services answer, park or stage guest I/O outside the
+/// data path, each with the replica wiring its service indexes.
+fn side_action_chain(svc: &str) -> (Box<dyn StorageService>, Vec<u64>, Vec<Replica>) {
+    match svc {
+        "replication" => (
+            Box::new(ReplicationService::new(1, true)),
+            vec![64 << 20],
+            vec![Replica::Spare(0)],
+        ),
+        "cache" => (
+            Box::new(WriteBackCacheService::new(CacheConfig::default())),
+            vec![64 << 20],
+            vec![Replica::Spare(0), Replica::Primary],
+        ),
+        _ => {
+            let mut snap = SnapshotService::new(128);
+            snap.take_snapshot();
+            (Box::new(snap), Vec::new(), vec![Replica::Primary])
+        }
+    }
+}
+
+/// Two guests share one relay, and every op leaves on the flow its tag
+/// names. Wire tags are unique only within a flow, and both guests number
+/// theirs alike, so a service keying state by the wire tag alone mixed
+/// the guests' writes, and side outputs routed by a remembered origin
+/// sent one guest's parked writes down the other's flow. Both guests keep
+/// their sessions and verify every read, on either wire protocol, behind
+/// replication, a write-back cache and a snapshot, at depths 1 and 4.
 #[test]
 fn two_initiators_side_actions_route_to_originating_pair() {
-    let spec = Spec {
-        client_seed: 22,
-        label: "vm:tenant-a",
-        spares: vec![64 << 20],
-        services: vec![Box::new(ReplicationService::new(1, true))],
-        replicas: vec![Replica::Spare(0)],
-        ..Spec::default()
-    };
-    // Two clients on different compute hosts, disjoint LBA ranges,
-    // different payloads.
-    let a = ShadowWorkload::new(0, 16 * 1024).rounds(24).salt(17);
-    let b = ShadowWorkload::new(32 * 1024, 16 * 1024)
-        .rounds(24)
-        .salt(91);
-    let mut run = spec.build(a, |_, _| {});
-    let app_b = run.attach(1, "vm:tenant-b", b, 23);
-    run.run_until(SimTime::from_nanos(30_000_000_000));
-
-    for (idx, app) in [(0, run.app), (1, app_b)] {
-        let errors = run.cloud.client_mut(idx, app).stats.errors;
-        assert_eq!(errors, 0, "client {idx} saw errors");
-        let verified = run.workload_of::<ShadowWorkload>(idx, app).verified();
-        assert_eq!(verified, 24, "client {idx} must verify all rounds");
+    let rounds = 8;
+    for transport in [TransportKind::Iscsi, TransportKind::Nvmeq] {
+        for svc in ["replication", "cache", "snapshot"] {
+            for depth in [1, 4] {
+                let (service, spares, replicas) = side_action_chain(svc);
+                let spec = Spec {
+                    client_seed: 22,
+                    transport,
+                    queue_depth: depth as u16,
+                    label: "vm:tenant-a",
+                    spares,
+                    services: vec![service],
+                    replicas,
+                    ..Spec::default()
+                };
+                // Two clients on different compute hosts, disjoint LBA
+                // ranges, different payloads.
+                let shadow = |lba, salt| {
+                    let w = ShadowWorkload::new(lba, 64 * 1024);
+                    w.rounds(rounds).depth(depth).salt(salt)
+                };
+                let mut run = spec.build(shadow(64, 17), |_, _| {});
+                let app_b = run.attach(1, "vm:tenant-b", shadow(16384, 91), 23);
+                run.run_until(run.cloud.net.now() + SimDuration::from_secs(10));
+                for (idx, app) in [(0, run.app), (1, app_b)] {
+                    let what = format!("{transport:?} {svc} depth {depth}: client {idx}");
+                    let client = run.cloud.client_mut(idx, app);
+                    assert!(client.is_ready(), "{what} lost its session");
+                    assert_eq!(client.stats.errors, 0, "{what} saw errors");
+                    let verified = run.workload_of::<ShadowWorkload>(idx, app).verified();
+                    assert_eq!(verified, rounds * depth, "{what} verified too few reads");
+                }
+            }
+        }
     }
-
-    // The replies were genuinely served by side actions: reads striped to
-    // the replica produce Reply actions, writes produce replica Forwards.
-    let stats = run.service::<ReplicationService>(0).stats;
-    assert!(stats.replica_writes > 0, "writes must mirror to replica");
-    assert!(
-        stats.striped_reads > 0,
-        "reads must stripe to the replica (Reply side actions)"
-    );
 }
