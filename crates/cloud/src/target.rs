@@ -1,11 +1,12 @@
 //! The storage host application: block targets over the disk model.
 //!
-//! One `TargetHostApp` per storage host listens on the iSCSI (3260) and
-//! nvmeq (4420) portals and serves every volume exported from that host
-//! (sessions select their volume by `TargetName` at login/connect). The
-//! wire protocol is sniffed per connection from the first byte — nvmeq
-//! frames open with magic `0xB5`, iSCSI logins with opcode `0x43` — so
-//! steering rules written for one portal cover both.
+//! One `TargetHostApp` per storage host listens on the iSCSI portal (3260)
+//! and serves every volume exported from that host over either transport.
+//! A connection is bound on its first bytes: the login/connect names its
+//! volume by `TargetName`, and one naming no exported volume is aborted.
+//! The wire protocol is sniffed from the first byte — nvmeq frames open
+//! with magic `0xB5`, iSCSI logins with opcode `0x43` — so one portal and
+//! one steering rule serve both.
 //!
 //! Every Read/Write/Flush either transport surfaces becomes one `DiskJob`
 //! and walks one pipeline — admit → shape → schedule → serve → respond —
@@ -37,7 +38,7 @@ use storm_block::transport::{scan_text, Iqn, ScsiStatus, TargetEvent, TargetTran
 use storm_block::{BlockDevice, SharedVolume};
 use storm_iscsi::{TargetConfig, TargetConn, ISCSI_PORT};
 use storm_net::{App, CloseReason, Cx, FourTuple, SendQueue, SockId};
-use storm_nvmeq::{NvmeqTargetConfig, NvmeqTargetConn, MAGIC, NVMEQ_PORT};
+use storm_nvmeq::{NvmeqTargetConfig, NvmeqTargetConn, MAGIC};
 use storm_sim::trace::{req_token, Hop, TraceEvent, TraceHook};
 use storm_sim::{FaultAction, FaultHook, FaultSite, Histogram, IdMap, SimDuration, SimTime};
 
@@ -68,10 +69,10 @@ impl Default for TargetHostConfig {
 #[derive(Debug)]
 struct Session {
     conn: Box<dyn TargetTransport>,
-    volume: Option<SharedVolume>,
+    volume: SharedVolume,
     /// IQN the session bound to (QoS tenant/tier lookups); shared with
     /// the session's jobs, so admitting a command never copies it.
-    iqn: Option<Rc<str>>,
+    iqn: Rc<str>,
     sendq: SendQueue,
     /// The initiator name seen at login (connection attribution).
     initiator: Option<Iqn>,
@@ -493,7 +494,7 @@ impl TargetHostApp {
     /// QoS off this is one `None` check: no lookup, no allocation.
     fn qos_binding(&self, sock: SockId) -> Option<(u32, Rc<str>)> {
         let qos = self.qos.as_ref()?;
-        let iqn = self.sessions.get(&sock)?.iqn.as_ref()?;
+        let iqn = &self.sessions.get(&sock)?.iqn;
         Some((qos.volumes.get(&**iqn)?.tenant, Rc::clone(iqn)))
     }
 
@@ -553,7 +554,7 @@ impl TargetHostApp {
             return;
         };
         let ok = answer == Answer::Served;
-        let volume = sess.volume.as_mut().filter(|_| ok);
+        let volume = Some(&mut sess.volume).filter(|_| ok);
         match job.op {
             DiskOp::Read { lba, sectors } => {
                 let len = match answer {
@@ -611,9 +612,9 @@ impl TargetHostApp {
                 TargetEvent::WriteReady { itt, lba, data } => {
                     // Functional write happens immediately; the response
                     // waits for the disk model.
-                    let volume = self.sessions.get_mut(&sock).and_then(|s| s.volume.as_mut());
+                    let sess = self.sessions.get_mut(&sock);
                     let bytes = data.len();
-                    let ok = volume.is_some_and(|v| v.write_bytes(lba, data).is_ok());
+                    let ok = sess.is_some_and(|s| s.volume.write_bytes(lba, data).is_ok());
                     (itt, DiskOp::Write { lba, bytes }, ok)
                 }
                 TargetEvent::FlushReady { itt } => (itt, DiskOp::Flush, true),
@@ -635,66 +636,45 @@ impl TargetHostApp {
 impl App for TargetHostApp {
     fn on_start(&mut self, cx: &mut Cx<'_>) {
         cx.listen(ISCSI_PORT);
-        cx.listen(NVMEQ_PORT);
-    }
-
-    fn on_accepted(&mut self, _cx: &mut Cx<'_>, _port: u16, sock: SockId) {
-        // The volume is bound after login (TargetName key); per-session
-        // capacity is fixed at bind time. The protocol is unknown until
-        // the first bytes arrive: start with an iSCSI placeholder and
-        // swap in an nvmeq connection if the first byte is the nvmeq
-        // magic.
-        let conn = Box::new(TargetConn::new(TargetConfig {
-            target_iqn: Iqn::for_volume(0),
-            num_sectors: 0,
-        }));
-        self.sessions.insert(
-            sock,
-            Session {
-                conn,
-                volume: None,
-                iqn: None,
-                sendq: SendQueue::new(),
-                initiator: None,
-                tuple: None,
-            },
-        );
     }
 
     fn on_data(&mut self, cx: &mut Cx<'_>, sock: SockId, data: Bytes) {
+        if !self.sessions.contains_key(&sock) {
+            // Bind on the first bytes: peek the login/connect TargetName
+            // (both protocols carry the same handshake text) and sniff the
+            // protocol by magic byte; the connection's state machine does
+            // the real parsing. A name no volume here is exported under,
+            // or none at all, ends the connection.
+            let bound = scan_text(&data, "TargetName")
+                .and_then(|n| Some((self.volumes.get(&n)?.clone(), Iqn::parse(n).ok()?)));
+            let Some((volume, target_iqn)) = bound else {
+                return cx.abort(sock);
+            };
+            let num_sectors = volume.clone().num_sectors();
+            let iqn = Rc::from(target_iqn.as_str());
+            let conn: Box<dyn TargetTransport> = match data.first() {
+                Some(&MAGIC) => Box::new(NvmeqTargetConn::new(NvmeqTargetConfig {
+                    target_iqn,
+                    num_sectors,
+                })),
+                _ => Box::new(TargetConn::new(TargetConfig {
+                    target_iqn,
+                    num_sectors,
+                })),
+            };
+            let sess = Session {
+                conn,
+                volume,
+                iqn,
+                sendq: SendQueue::new(),
+                initiator: None,
+                tuple: None,
+            };
+            self.sessions.insert(sock, sess);
+        }
         let Some(sess) = self.sessions.get_mut(&sock) else {
             return;
         };
-        // Bind the volume on the first bytes if not yet bound: peek the
-        // login/connect TargetName (both protocols carry the same
-        // handshake text), then sniff the protocol by magic byte. The
-        // state machines handle real parsing.
-        if sess.volume.is_none() {
-            let name = scan_text(&data, "TargetName");
-            let bound = name.and_then(|n| Some((self.volumes.get(&n)?.clone(), n)));
-            let num_sectors = bound.as_ref().map_or(0, |(v, _)| v.clone().num_sectors());
-            let target_iqn = match &bound {
-                Some((_, n)) => Iqn::parse(n.clone()).unwrap_or_else(|_| Iqn::for_volume(0)),
-                // An unknown TargetName gets a deliberately unbound
-                // connection, which refuses the connect itself.
-                None => Iqn::for_volume(u32::MAX),
-            };
-            if data.first() == Some(&MAGIC) {
-                sess.conn = Box::new(NvmeqTargetConn::new(NvmeqTargetConfig {
-                    target_iqn,
-                    num_sectors,
-                }));
-            } else if bound.is_some() {
-                sess.conn = Box::new(TargetConn::new(TargetConfig {
-                    target_iqn,
-                    num_sectors,
-                }));
-            }
-            if let Some((volume, name)) = bound {
-                sess.volume = Some(volume);
-                sess.iqn = Some(Rc::from(name));
-            }
-        }
         let events = sess.conn.feed_bytes(data);
         self.handle_events(cx, sock, events);
     }
@@ -804,9 +784,9 @@ mod tests {
         }
     }
 
-    /// Delivers `segment` to a storage host exporting volume 1 on `port`
-    /// and returns how many sessions the host still holds afterwards.
-    fn sessions_after(port: u16, segment: Vec<u8>) -> usize {
+    /// Delivers `segment` to a storage host exporting volume 1 and returns
+    /// how many sessions the host still holds afterwards.
+    fn sessions_after(segment: Vec<u8>) -> usize {
         use storm_block::VolumeGroup;
         use storm_net::{LinkSpec, Network, SockAddr};
         let mut net = Network::new(7);
@@ -825,7 +805,7 @@ mod tests {
         let target = net.add_app(hosts[1], Box::new(app));
         let mut q = SendQueue::new();
         q.push_bytes(Bytes::from(segment));
-        let to = SockAddr::new([10, 0, 0, 2].into(), port);
+        let to = SockAddr::new([10, 0, 0, 2].into(), ISCSI_PORT);
         net.add_app(hosts[0], Box::new(Source { to, q }));
         net.run_until(SimTime::from_millis(50));
         let app = net.app_mut(hosts[1], target).unwrap();
@@ -905,11 +885,7 @@ mod tests {
         let mut read10 = [0u8; 16];
         (read10[0], read10[8]) = (0x28, 8);
         let read = command(read10, 4096);
-        assert_eq!(
-            sessions_after(ISCSI_PORT, read.clone()),
-            0,
-            "read, no login"
-        );
+        assert_eq!(sessions_after(read.clone()), 0, "read, no login");
         let header = |op| {
             let mut bhs = vec![0u8; 48];
             (bhs[0], bhs[1], bhs[19]) = (op, 0x80, 7);
@@ -927,7 +903,7 @@ mod tests {
             ini.start_login();
             let mut segment = lead.clone();
             segment.extend(ini.take_wire().iter().flat_map(|c| c.to_vec()));
-            assert_eq!(sessions_after(ISCSI_PORT, segment), 0, "{:#04x}", lead[0]);
+            assert_eq!(sessions_after(segment), 0, "{:#04x}", lead[0]);
         }
     }
 
@@ -958,7 +934,34 @@ mod tests {
             let mut segment = frame(FrameKind::ConnectAck, &[]);
             segment[1] = kind;
             segment.extend(frame(FrameKind::Connect, &connect));
-            assert_eq!(sessions_after(NVMEQ_PORT, segment), 0, "frame type {kind}");
+            assert_eq!(sessions_after(segment), 0, "frame type {kind}");
+        }
+    }
+
+    /// A login or connect naming a volume the host does not export ends
+    /// the connection, on either protocol; naming the exported one keeps
+    /// a session.
+    #[test]
+    fn a_handshake_naming_an_unexported_volume_is_refused() {
+        use storm_block::transport::Transport;
+        use storm_iscsi::{Initiator, InitiatorConfig};
+        use storm_nvmeq::{NvmeqConfig, NvmeqInitiator};
+        for (volume, sessions) in [(1, 1), (2, 0)] {
+            let target_iqn = Iqn::for_volume(volume);
+            let mut ini = Initiator::new(InitiatorConfig {
+                target_iqn: target_iqn.clone(),
+                ..InitiatorConfig::example()
+            });
+            ini.start_login();
+            let login = ini.take_wire().concat();
+            assert_eq!(sessions_after(login), sessions, "iSCSI, volume {volume}");
+            let mut host = NvmeqInitiator::new(NvmeqConfig {
+                target_iqn,
+                ..NvmeqConfig::example(8)
+            });
+            host.start();
+            let connect = host.take_wire().concat();
+            assert_eq!(sessions_after(connect), sessions, "nvmeq, volume {volume}");
         }
     }
 }

@@ -90,5 +90,6 @@ pub use target::{TargetConfig, TargetConn};
 // them from here. Delete this line with the next benchmark PR.
 pub use storm_block::transport::{ScsiStatus, TargetEvent, Transport, TransportKind};
 
-/// The IANA-assigned iSCSI target port.
+/// The IANA-assigned iSCSI target port. A storage host serves nvmeq on it
+/// too: it tells the protocols apart by a connection's first byte.
 pub const ISCSI_PORT: u16 = 3260;

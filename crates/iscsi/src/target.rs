@@ -136,9 +136,16 @@ impl TargetConn {
         match pdu {
             Pdu::LoginRequest(r) => {
                 self.exp_cmd_sn = r.cmd_sn.wrapping_add(1);
-                let initiator_name = scan_text(&r.data, "InitiatorName").unwrap_or_default();
+                // A login naming another target is refused with status
+                // class 2 (initiator error), detail 3 (not found).
+                let target_name = scan_text(&r.data, "TargetName");
+                let found = target_name.as_deref() == Some(self.cfg.target_iqn.as_str());
+                let (status_class, status_detail, data) = match found {
+                    true => (0, 0, login_text(&[("TargetPortalGroupTag", "1")])),
+                    false => (2, 3, Bytes::new()),
+                };
                 let resp = Pdu::LoginResponse(LoginResponse {
-                    transit: true,
+                    transit: found,
                     csg: 1,
                     nsg: 3,
                     isid: r.isid,
@@ -147,12 +154,17 @@ impl TargetConn {
                     stat_sn: self.bump_stat_sn(),
                     exp_cmd_sn: self.exp_cmd_sn,
                     max_cmd_sn: self.exp_cmd_sn.wrapping_add(64),
-                    status_class: 0,
-                    status_detail: 0,
-                    data: login_text(&[("TargetPortalGroupTag", "1")]),
+                    status_class,
+                    status_detail,
+                    data,
                 });
                 push_pdu(&mut self.out, &resp);
+                if !found {
+                    let error = format!("login for unknown target {target_name:?}");
+                    return events.push(TargetEvent::ProtocolError(error));
+                }
                 self.logged_in = true;
+                let initiator_name = scan_text(&r.data, "InitiatorName").unwrap_or_default();
                 events.push(TargetEvent::LoggedIn { initiator_name });
             }
             Pdu::ScsiCommand(_) | Pdu::DataOut(_) if !self.logged_in => {
@@ -395,6 +407,31 @@ mod tests {
         assert!(tgt.is_logged_in());
         let evs = ini.feed_bytes(flat(tgt.take_wire()));
         assert!(evs.contains(&TransportEvent::Ready));
+    }
+
+    /// A login naming a volume this connection does not export is
+    /// answered "not found" and raises a protocol error; a command after
+    /// it is refused like one before any login.
+    #[test]
+    fn login_to_another_target_is_refused() {
+        let mut ini = Initiator::new(InitiatorConfig {
+            target_iqn: Iqn::for_volume(2),
+            ..InitiatorConfig::example()
+        });
+        let mut tgt = TargetConn::new(TargetConfig::example(1024));
+        ini.start_login();
+        let evs = tgt.feed_bytes(flat(ini.take_wire()));
+        let refused = |evs: &[TargetEvent]| matches!(evs, [TargetEvent::ProtocolError(_)]);
+        assert!(refused(&evs) && !tgt.is_logged_in(), "{evs:?}");
+        let wire = tgt.take_wire();
+        let evs = ini.feed_bytes(flat(wire));
+        assert!(evs.contains(&TransportEvent::ConnectFailed {
+            class: 2,
+            detail: 3
+        }));
+        let read = BlockCmd::checked(BlockOp::Read, 0, 1, 1024).unwrap();
+        let evs = tgt.feed_bytes(scsi_command(read, 1, 2, 2, Bytes::new()).encode().into());
+        assert!(refused(&evs), "{evs:?}");
     }
 
     #[test]

@@ -56,8 +56,3 @@ pub use codec::{
 pub use initiator::{NvmeqConfig, NvmeqInitiator};
 pub use stream::{FrameStream, FrameWire, UnitEntry, UnitWire};
 pub use target::{NvmeqTargetConfig, NvmeqTargetConn};
-
-/// The IANA-assigned NVMe-oF port (the fabric also accepts nvmeq frames
-/// on the iSCSI portal — sessions are sniffed by magic byte, so steering
-/// rules written for one portal cover both protocols).
-pub const NVMEQ_PORT: u16 = 4420;

@@ -45,6 +45,11 @@ pub enum CatalogError {
     /// Encryption or compression ahead of the monitor: it would parse
     /// rewritten payloads as filesystem blocks and miss paths and alerts.
     RewriteBeforeMonitor,
+    /// A write-back cache ahead of the monitor: the cache acknowledges
+    /// writes and flushes them over replica I/O, which passes no later
+    /// stage, and answers read hits itself, so the monitor would see
+    /// neither.
+    CacheBeforeMonitor,
 }
 
 impl std::fmt::Display for CatalogError {
@@ -62,6 +67,7 @@ impl std::fmt::Display for CatalogError {
                 write!(f, "replica I/O ahead of encryption")
             }
             CatalogError::RewriteBeforeMonitor => write!(f, "payload rewrite ahead of monitor"),
+            CatalogError::CacheBeforeMonitor => write!(f, "write-back cache ahead of monitor"),
         }
     }
 }
@@ -86,7 +92,7 @@ pub fn build_chain(
     if policy.volume_gb == 0 {
         return Err(CatalogError::ZeroVolume);
     }
-    let (mut replica_issuer, mut rewriter) = (false, false);
+    let (mut replica_issuer, mut rewriter, mut cache) = (false, false, false);
     let mut chain = Vec::with_capacity(policy.services.len());
     for spec in &policy.services {
         let (svc, streams) = build_service(spec, &mut recon)?;
@@ -96,7 +102,9 @@ pub fn build_chain(
         match spec.kind.as_str() {
             "encryption" if replica_issuer => return Err(CatalogError::ReplicaBeforeEncryption),
             "monitor" if rewriter => return Err(CatalogError::RewriteBeforeMonitor),
-            "replication" | "cache" | "snapshot" => replica_issuer = true,
+            "monitor" if cache => return Err(CatalogError::CacheBeforeMonitor),
+            "replication" | "snapshot" => replica_issuer = true,
+            "cache" => (replica_issuer, cache) = (true, true),
             "encryption" | "compress" => rewriter = true,
             _ => {}
         }

@@ -13,10 +13,9 @@ use storm::block::transport::{Iqn, Transport, TransportEvent};
 use storm::block::{BlockDevice, SharedVolume, VolumeGroup};
 use storm::cloud::{TargetHostApp, TargetHostConfig};
 use storm::core::{ActiveRelayConfig, ActiveRelayMb};
+use storm::iscsi::ISCSI_PORT;
 use storm::net::{App, AppId, CloseReason, Cx, HostId, LinkSpec, Network, SockAddr, SockId};
-use storm::nvmeq::{
-    FrameHeader, FrameKind, NvmeqConfig, NvmeqInitiator, Sqe, SqeOp, NVMEQ_PORT, SQE_LEN,
-};
+use storm::nvmeq::{FrameHeader, FrameKind, NvmeqConfig, NvmeqInitiator, Sqe, SqeOp, SQE_LEN};
 use storm::sim::SimTime;
 
 /// A two-SQE doorbell: two 512-byte writes at sectors 0 and 1.
@@ -115,7 +114,7 @@ fn run(relay: Option<ActiveRelayMb>) -> (Outcome, Option<AppId>) {
             let mb = net.add_app(hosts[1], Box::new(relay));
             (SockAddr::new([10, 0, 0, 2].into(), 13260), Some(mb))
         }
-        None => (SockAddr::new([10, 0, 0, 3].into(), NVMEQ_PORT), None),
+        None => (SockAddr::new([10, 0, 0, 3].into(), ISCSI_PORT), None),
     };
     let guest = Guest {
         to,
@@ -167,7 +166,7 @@ fn a_two_sqe_doorbell_makes_the_target_abort_the_connection() {
 
 #[test]
 fn a_two_sqe_doorbell_makes_the_relay_drop_the_flow() {
-    let upstream = SockAddr::new([10, 0, 0, 3].into(), NVMEQ_PORT);
+    let upstream = SockAddr::new([10, 0, 0, 3].into(), ISCSI_PORT);
     let relay = ActiveRelayMb::new(ActiveRelayConfig::new(upstream), Vec::new());
     let (mut out, mb) = run(Some(relay));
     assert_refused(&mut out);

@@ -129,6 +129,17 @@ fn monitor_behind_a_payload_rewrite_is_refused() {
     }
 }
 
+/// A write-back cache acknowledges writes and flushes them over replica
+/// I/O, which passes no later stage, and answers read hits itself: a
+/// monitor behind it sees neither, and nothing errs. Refused; the other
+/// order monitors every write the guest sends.
+#[test]
+fn monitor_behind_a_write_back_cache_is_refused() {
+    let refused = Some(CatalogError::CacheBeforeMonitor);
+    assert_eq!(refusal(["cache", "monitor"]), refused);
+    assert_eq!(refusal(["monitor", "cache"]), None);
+}
+
 #[test]
 fn invalid_policies_never_reach_deployment() {
     let bad = policy(RelayMode::Active, vec![ServiceSpec::new("quantum-dedupe")]);
