@@ -326,8 +326,8 @@ mod tests {
     }
 
     /// A service answers a read larger than one Data-In segment: nvmeq
-    /// carries the whole answer in one CQE, iSCSI as a 64 KiB train; both
-    /// retire the read.
+    /// carries the whole answer in one CQE, iSCSI as a train of the 8 KiB
+    /// segments every session declares; both retire the read.
     #[test]
     fn a_service_read_answer_is_one_cqe_or_a_data_in_train() {
         let (mut q, mut copy) = (SendQueue::new(), RelayCopyStats::default());
@@ -343,10 +343,10 @@ mod tests {
         iscsi.open.begin(5, read.unwrap());
         assert_eq!(
             iscsi.queue(Dir::ToInitiator, [answer], &mut q, &mut copy),
-            2
+            16
         );
         assert_eq!(iscsi.open_commands(), 0);
-        assert_eq!(q.backlog(), 2 * (BHS_LEN + (64 << 10)));
+        assert_eq!(q.backlog(), 16 * (BHS_LEN + (8 << 10)));
         assert_eq!(copy.data_bytes_copied, 0, "answers travel as views");
     }
 

@@ -20,12 +20,6 @@ use storm_nvmeq::{Cqe, Sqe, SqeOp, UnitEntry, UnitWire};
 
 use crate::service::Op;
 
-/// Data-In segment size of a read answer a service makes itself. A target
-/// answers in segments of the 8 KiB MaxRecvDataSegmentLength every session
-/// declares ([`storm_iscsi::MAX_RECV_DATA_SEGMENT_LENGTH`]); these 64 KiB
-/// segments exceed it, and the simulated initiator accepts them.
-const REPLY_SEGMENT: usize = 64 * 1024;
-
 /// An [`Op`]'s wire form, its opaque handle: how a received op arrived,
 /// numbered in its flow's lift order from 1, or a data request's R2T
 /// ([`Op::want_data`], numbered 0).
@@ -122,7 +116,7 @@ pub(crate) fn lower_pdus(open: &mut Exchange, op: Op, mut emit: impl FnMut(Pdu))
         }
         (_, Step::ReadData(_), _) => {
             open.retire(tag);
-            data_in_train(tag, data, REPLY_SEGMENT).for_each(emit);
+            data_in_train(tag, data).for_each(emit);
         }
         (_, Step::Status(status), _) => {
             open.retire(tag);

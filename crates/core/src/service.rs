@@ -453,8 +453,8 @@ mod tests {
 
     /// The PDU shim places data through its own table, re-emits a received
     /// PDU's header around the data the service left in it, lowers a
-    /// service's own read answer to a 64 KiB Data-In train, and drops the
-    /// table once no command is open.
+    /// service's own read answer to a Data-In train of 8 KiB segments, and
+    /// drops the table once no command is open.
     #[test]
     fn on_pdu_lifts_and_lowers_like_the_iscsi_edge() {
         use storm_iscsi::exchange::{data_out_train, status_response};
@@ -482,7 +482,7 @@ mod tests {
             SvcAction::Reply(pdu) => pdu,
             other => panic!("expected replies only, got {other:?}"),
         });
-        let answer = data_in_train(4, vec![0x5A; 96 << 10].into(), 64 << 10);
+        let answer = data_in_train(4, vec![0x5A; 96 << 10].into());
         assert!(replies.eq(answer));
         // The write's status retires the last open command, and the
         // service's table with it.

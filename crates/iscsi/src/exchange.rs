@@ -16,6 +16,7 @@ use storm_block::transport::{BlockCmd, BlockOp, CmdReject, ScsiStatus, Step};
 use storm_sim::IdMap;
 
 use crate::cdb::Cdb;
+use crate::params::MAX_RECV_DATA_SEGMENT_LENGTH;
 use crate::pdu::{DataIn, DataOut, Pdu, R2t, ScsiCommand, ScsiResponse};
 
 /// The one checked constructor of a [`BlockCmd`] from a SCSI Command
@@ -101,13 +102,15 @@ pub fn data_in_final(itt: u32, data: Bytes, status: ScsiStatus) -> Pdu {
     })
 }
 
-/// A successful read's answer as Data-In PDUs of at most `max_segment`
-/// bytes, status collapsed into the last (an empty payload is one PDU).
-pub fn data_in_train(itt: u32, data: Bytes, max_segment: usize) -> impl Iterator<Item = Pdu> {
+/// A successful read's answer as Data-In PDUs of at most the
+/// MaxRecvDataSegmentLength every session declares
+/// ([`MAX_RECV_DATA_SEGMENT_LENGTH`]), status collapsed into the last (an
+/// empty payload is one PDU).
+pub fn data_in_train(itt: u32, data: Bytes) -> impl Iterator<Item = Pdu> {
     let mut next = Some((0u32, 0usize));
     std::iter::from_fn(move || {
         let (data_sn, off) = next?;
-        let end = off.saturating_add(max_segment.max(1)).min(data.len());
+        let end = (off + MAX_RECV_DATA_SEGMENT_LENGTH).min(data.len());
         let last = end == data.len();
         next = (!last).then_some((data_sn + 1, end));
         let mut pdu = data_in_final(itt, data.slice(off..end), ScsiStatus::Good);

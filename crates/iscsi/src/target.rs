@@ -21,9 +21,7 @@ use storm_block::transport::{
 };
 
 use crate::exchange::{data_in_train, parse_command, r2t, status_response};
-use crate::params::{
-    login_text, FIRST_BURST_LENGTH, MAX_BURST_LENGTH, MAX_RECV_DATA_SEGMENT_LENGTH,
-};
+use crate::params::{login_text, FIRST_BURST_LENGTH, MAX_BURST_LENGTH};
 use crate::pdu::{LoginResponse, Pdu};
 use crate::stream::{push_pdu, PduStream};
 
@@ -283,7 +281,7 @@ impl TargetConn {
     /// Sends read payload as Data-In PDUs with phase-collapsed status on
     /// the final one.
     fn data_in_with_status(&mut self, itt: u32, data: Bytes) {
-        for pdu in data_in_train(itt, data, MAX_RECV_DATA_SEGMENT_LENGTH) {
+        for pdu in data_in_train(itt, data) {
             self.send(pdu);
         }
         self.bump_stat_sn();
@@ -538,7 +536,7 @@ mod tests {
             "{evs:?}"
         );
 
-        let mrdsl = MAX_RECV_DATA_SEGMENT_LENGTH;
+        let mrdsl = crate::MAX_RECV_DATA_SEGMENT_LENGTH;
         let data = Bytes::from_iter((0..80 * 1024).map(|i| (i % 251) as u8));
         let wire = scsi_command(cmd(160), 2, 2, 1, data.slice(..mrdsl)).encode();
         assert!(tgt.feed_bytes(wire.into()).is_empty());

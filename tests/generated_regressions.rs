@@ -54,7 +54,7 @@ fn passive_tap_refuses_an_nvmeq_flow_it_cannot_transform() {
     assert_eq!(tap.downcast_mut::<PassiveTap>().unwrap().refused_flows(), 1);
 }
 
-/// A service answers a read larger than one 64 KiB Data-In segment itself
+/// A service answers a read larger than 64 KiB itself
 /// (a cache hit, a read a replica served). Over nvmeq that answer must
 /// reach the guest as one completion carrying all of its data: the relay
 /// used to turn only the last Data-In of the service's train into a
