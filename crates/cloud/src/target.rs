@@ -74,8 +74,6 @@ struct Session {
     /// the session's jobs, so admitting a command never copies it.
     iqn: Rc<str>,
     sendq: SendQueue,
-    /// The initiator name seen at login (connection attribution).
-    initiator: Option<Iqn>,
     tuple: Option<FourTuple>,
 }
 
@@ -590,12 +588,9 @@ impl TargetHostApp {
                         break;
                     };
                     sess.tuple = cx.tuple_of(sock);
-                    if let Ok(iqn) = Iqn::parse(initiator_name) {
-                        sess.initiator = Some(iqn.clone());
-                        if let Some(t) = sess.tuple {
-                            // Record in initiator -> target orientation.
-                            self.logins.push((iqn, t.reversed()));
-                        }
+                    if let (Ok(iqn), Some(t)) = (Iqn::parse(initiator_name), sess.tuple) {
+                        // Record in initiator -> target orientation.
+                        self.logins.push((iqn, t.reversed()));
                     }
                     continue;
                 }
@@ -667,7 +662,6 @@ impl App for TargetHostApp {
                 volume,
                 iqn,
                 sendq: SendQueue::new(),
-                initiator: None,
                 tuple: None,
             };
             self.sessions.insert(sock, sess);
@@ -947,21 +941,15 @@ mod tests {
         use storm_iscsi::{Initiator, InitiatorConfig};
         use storm_nvmeq::{NvmeqConfig, NvmeqInitiator};
         for (volume, sessions) in [(1, 1), (2, 0)] {
-            let target_iqn = Iqn::for_volume(volume);
-            let mut ini = Initiator::new(InitiatorConfig {
-                target_iqn: target_iqn.clone(),
-                ..InitiatorConfig::example()
-            });
-            ini.start_login();
-            let login = ini.take_wire().concat();
-            assert_eq!(sessions_after(login), sessions, "iSCSI, volume {volume}");
-            let mut host = NvmeqInitiator::new(NvmeqConfig {
-                target_iqn,
-                ..NvmeqConfig::example(8)
-            });
-            host.start();
-            let connect = host.take_wire().concat();
-            assert_eq!(sessions_after(connect), sessions, "nvmeq, volume {volume}");
+            let (mut iscsi, mut nvmeq) = (InitiatorConfig::example(), NvmeqConfig::example(8));
+            (iscsi.target_iqn, nvmeq.target_iqn) =
+                (Iqn::for_volume(volume), Iqn::for_volume(volume));
+            let iscsi: Box<dyn Transport> = Box::new(Initiator::new(iscsi));
+            for mut ini in [iscsi, Box::new(NvmeqInitiator::new(nvmeq))] {
+                ini.start();
+                let handshake = ini.take_wire().concat();
+                assert_eq!(sessions_after(handshake), sessions, "{:?}", ini.kind());
+            }
         }
     }
 }

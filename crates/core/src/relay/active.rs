@@ -183,9 +183,6 @@ struct ReplicaSession {
     timeouts: u32,
 }
 
-/// A side I/O a chain service asked for: `(service, replica, io, ctx)`.
-type ReplicaOp = (usize, usize, ReplicaIo, u64);
-
 /// A batch's forwards, headed onward in its direction of travel.
 enum Forwards {
     /// The unit passed the chain untouched (or the batch bypassed it):
@@ -196,19 +193,24 @@ enum Forwards {
     Rebuilt(Vec<Op>),
 }
 
-/// What one batch's trip through the service chain produced.
+/// What one batch's trip through the service chain produced. It waits
+/// out its processing time in the persistence buffer;
+/// [`ActiveRelayMb::release`] puts it on the wire.
 struct ChainOut {
     /// The flow pair the batch came in on.
     pair: usize,
     /// The batch's direction of travel.
     dir: Dir,
+    /// Persistence-buffer bytes the batch holds (tenant side only).
+    input_bytes: usize,
     forwards: Forwards,
     /// Ops on the batch's flow a reply's walk sent out in `dir`; they join
     /// the unit's forwards.
     ahead: Vec<Op>,
     /// Ops on the batch's flow headed back where the batch came from.
     replies: Vec<Op>,
-    replica_ops: Vec<ReplicaOp>,
+    /// Side I/O the chain asked for: the replica and the request.
+    replica_ops: Vec<(usize, PendingIo)>,
     /// CPU the batch cost: `per_pdu_cost` plus service charges.
     cost: SimDuration,
 }
@@ -223,18 +225,10 @@ enum Sink<'a> {
     Side,
 }
 
-/// A processed batch waiting out its processing time in the persistence
-/// buffer; [`ActiveRelayMb::release`] puts it on the wire.
-struct Deferred {
-    out: ChainOut,
-    /// Persistence-buffer bytes the batch holds (tenant side only).
-    input_bytes: usize,
-}
-
 /// Everything the relay has a timer armed for, by timer token.
 enum Timer {
     /// A processed batch finished its processing time: release it.
-    Release(Deferred),
+    Release(ChainOut),
     /// A chain service's own timer and the token it chose.
     Service { svc: usize, token: u64 },
     /// The watchdog of one replica request.
@@ -422,6 +416,7 @@ impl ActiveRelayMb {
         let mut out = ChainOut {
             pair: pair_idx,
             dir,
+            input_bytes: usize::from(dir == Dir::ToTarget) * batch.wire_len,
             forwards: Forwards::Verbatim(batch.wire),
             ahead: Vec::new(),
             replies: Vec::new(),
@@ -520,11 +515,18 @@ impl ActiveRelayMb {
                     None => self.send(cx, sink, dir, pos + 1, p),
                 },
                 (SvcAction::Reply(p), _) => self.send(cx, sink, dir.flip(), back, p),
-                (SvcAction::Replica { replica, io, ctx }, Sink::Batch(_, out)) => {
-                    out.replica_ops.push((idx, replica, io, ctx))
-                }
-                (SvcAction::Replica { replica, io, ctx }, Sink::Side) => {
-                    self.issue_replica(cx, idx, replica, io, ctx)
+                (SvcAction::Replica { replica, io, ctx }, sink) => {
+                    let (svc, attempts) = (idx, 0);
+                    let req = PendingIo {
+                        svc,
+                        ctx,
+                        io,
+                        attempts,
+                    };
+                    match sink {
+                        Sink::Batch(_, out) => out.replica_ops.push((replica, req)),
+                        Sink::Side => self.issue_replica(cx, replica, req),
+                    }
                 }
                 (SvcAction::Alert(msg), _) => self.alerts.push((cx.now(), msg)),
                 (SvcAction::Charge(c), Sink::Batch(..)) => charged += c,
@@ -552,11 +554,12 @@ impl ActiveRelayMb {
     /// into the batch when that is the batch's flow, else onto the flow at
     /// once in its wire protocol (dropped if the flow has closed).
     fn leave(&mut self, cx: &mut Cx<'_>, sink: &mut Sink, dir: Dir, op: Op) {
+        let pair = (op.tag >> 32) as usize;
         match sink {
-            Sink::Batch(_, out) if op.pair() == out.pair && dir == out.dir => out.ahead.push(op),
-            Sink::Batch(_, out) if op.pair() == out.pair => out.replies.push(op),
+            Sink::Batch(_, out) if pair == out.pair && dir == out.dir => out.ahead.push(op),
+            Sink::Batch(_, out) if pair == out.pair => out.replies.push(op),
             _ => {
-                if let Some(p) = self.pairs.get_mut(op.pair()).filter(|p| !p.closed) {
+                if let Some(p) = self.pairs.get_mut(pair).filter(|p| !p.closed) {
                     self.pdus_forwarded += p.queue(dir, [op], &mut self.copy);
                     p.pump(cx, dir);
                 }
@@ -564,24 +567,9 @@ impl ActiveRelayMb {
         }
     }
 
-    fn issue_replica(
-        &mut self,
-        cx: &mut Cx<'_>,
-        svc: usize,
-        replica: usize,
-        io: ReplicaIo,
-        ctx: u64,
-    ) {
-        let req = PendingIo {
-            svc,
-            ctx,
-            io,
-            attempts: 0,
-        };
-        self.issue_replica_attempt(cx, replica, req);
-    }
-
-    fn issue_replica_attempt(&mut self, cx: &mut Cx<'_>, replica: usize, req: PendingIo) {
+    /// Sends `req` on its replica session (parked until the session logs
+    /// in, failed back at once if the replica has failed) under a watchdog.
+    fn issue_replica(&mut self, cx: &mut Cx<'_>, replica: usize, req: PendingIo) {
         let Some(sess) = self.replicas.get_mut(replica) else {
             return;
         };
@@ -681,7 +669,6 @@ impl ActiveRelayMb {
             });
         }
         for batch in batches {
-            let input_bytes = if inbound { batch.wire_len } else { 0 };
             // Fault injection: an armed plan may slow batch processing
             // inside the middle-box.
             let fault_delay = match self
@@ -709,19 +696,17 @@ impl ActiveRelayMb {
             // Account CPU and serialize processing per flow.
             let _ = cx.charge(out.cost, CPU_LABEL);
             let done = self.pairs[pair_idx].proc.serve(now + qos_delay, out.cost);
-            let deferred = Deferred { out, input_bytes };
-            self.arm(cx, done - now, Timer::Release(deferred));
+            self.arm(cx, done - now, Timer::Release(out));
         }
     }
 
-    fn release(&mut self, cx: &mut Cx<'_>, d: Deferred) {
-        let Deferred { out, input_bytes } = d;
+    fn release(&mut self, cx: &mut Cx<'_>, out: ChainOut) {
         let (pair, dir) = (out.pair, out.dir);
         if pair >= self.pairs.len() || self.pairs[pair].closed {
             return;
         }
-        for (svc_idx, replica, io, ctx) in out.replica_ops {
-            self.issue_replica(cx, svc_idx, replica, io, ctx);
+        for (replica, req) in out.replica_ops {
+            self.issue_replica(cx, replica, req);
         }
         let p = &mut self.pairs[pair];
         let forwarded = match out.forwards {
@@ -734,7 +719,7 @@ impl ActiveRelayMb {
         // Chain replies head back where the triggering batch came from.
         let replied = p.queue(dir.flip(), out.replies, &mut self.copy);
         self.pdus_forwarded += forwarded + replied;
-        p.buffered_in = p.buffered_in.saturating_sub(input_bytes);
+        p.buffered_in = p.buffered_in.saturating_sub(out.input_bytes);
         let resume = p.paused && (p.buffered_in < self.cfg.buffer_cap / 2 || p.in_flight() == 0);
         if resume {
             p.paused = false;
@@ -748,7 +733,7 @@ impl ActiveRelayMb {
 
     fn handle_replica_events(&mut self, cx: &mut Cx<'_>, idx: usize, events: Vec<TransportEvent>) {
         for ev in events {
-            match ev {
+            let (tag, status, data) = match ev {
                 TransportEvent::Ready => {
                     let parked = {
                         let sess = &mut self.replicas[idx];
@@ -756,31 +741,24 @@ impl ActiveRelayMb {
                         std::mem::take(&mut sess.parked)
                     };
                     for req in parked {
-                        self.issue_replica_attempt(cx, idx, req);
+                        self.issue_replica(cx, idx, req);
                     }
+                    continue;
                 }
                 TransportEvent::ConnectFailed { .. } | TransportEvent::ProtocolError(_) => {
-                    self.fail_replica(cx, idx)
+                    self.fail_replica(cx, idx);
+                    continue;
                 }
                 TransportEvent::WriteDone { tag, status }
-                | TransportEvent::FlushDone { tag, status } => {
-                    if let Some(req) = self.replicas[idx].pending.remove(&tag) {
-                        self.replicas[idx].timeouts = 0;
-                        let ok = status == ScsiStatus::Good;
-                        self.run_side(cx, req.svc, |s, scx| {
-                            s.on_replica_done(scx, idx, req.ctx, ok, Bytes::new())
-                        });
-                    }
-                }
-                TransportEvent::ReadDone { tag, status, data } => {
-                    if let Some(req) = self.replicas[idx].pending.remove(&tag) {
-                        self.replicas[idx].timeouts = 0;
-                        let ok = status == ScsiStatus::Good;
-                        self.run_side(cx, req.svc, |s, scx| {
-                            s.on_replica_done(scx, idx, req.ctx, ok, data)
-                        });
-                    }
-                }
+                | TransportEvent::FlushDone { tag, status } => (tag, status, Bytes::new()),
+                TransportEvent::ReadDone { tag, status, data } => (tag, status, data),
+            };
+            if let Some(req) = self.replicas[idx].pending.remove(&tag) {
+                self.replicas[idx].timeouts = 0;
+                let ok = status == ScsiStatus::Good;
+                self.run_side(cx, req.svc, |s, scx| {
+                    s.on_replica_done(scx, idx, req.ctx, ok, data)
+                });
             }
         }
         self.flush_replica(cx, idx);
@@ -959,13 +937,13 @@ impl App for ActiveRelayMb {
 
     fn on_timer(&mut self, cx: &mut Cx<'_>, token: u64) {
         match self.timers.remove(&token) {
-            Some(Timer::Release(d)) => self.release(cx, d),
+            Some(Timer::Release(out)) => self.release(cx, out),
             Some(Timer::Service { svc, token }) => {
                 self.run_side(cx, svc, |s, scx| s.on_timer(scx, token))
             }
             Some(Timer::Watchdog { replica, tag }) => self.handle_replica_timeout(cx, replica, tag),
             Some(Timer::Retry { replica, req }) => {
-                self.issue_replica_attempt(cx, replica, req);
+                self.issue_replica(cx, replica, req);
                 self.flush_replica(cx, replica);
             }
             None => {}

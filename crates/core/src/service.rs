@@ -136,11 +136,6 @@ impl Op {
     pub fn tag(&self) -> u64 {
         self.tag
     }
-
-    /// The relay flow the tag names.
-    pub(crate) fn pair(&self) -> usize {
-        (self.tag >> 32) as usize
-    }
 }
 
 /// An action emitted by a service, about units `U` (block ops on the

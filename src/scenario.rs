@@ -50,14 +50,11 @@
 //! | `faults` | `cache_crash_consistency` (`MbCrash`) | `failover_recovery` (`MuteTarget`) |
 //! | `traced` | [`Case`] (on) | `ablations` (off: 3 s at depth 16) |
 //!
-//! [`Run::attach`] adds a guest to a built run: one more initiator on the
-//! same volume, through the same chain and the same service instances,
-//! which tell the guests' commands apart by the flow their tags name
-//! (`zero_copy_relay`'s two guests, behind every service that answers
-//! or parks I/O outside the data path). Multi-tenant and
-//! scripted-initiator set-ups are not this shape and stay on [`Cloud`]
-//! and [`StormPlatform`] directly; `examples/quickstart.rs` shows the
-//! three calls `build` expands to.
+//! [`Run::attach`] adds one more guest of the same volume and chain (the
+//! services tell guests apart by the flow an op's tag names). Multi-tenant
+//! and scripted-initiator set-ups are not this shape and stay on [`Cloud`]
+//! and [`StormPlatform`] directly; `examples/quickstart.rs` shows the three
+//! calls `build` expands to.
 //!
 //! # Generated cases
 //!
@@ -316,8 +313,7 @@ impl Run {
     }
 
     /// Attaches one more guest to the same volume through the same chain,
-    /// on compute host `host_idx` (a second initiator, a later phase). The
-    /// relay carries it on a flow of its own.
+    /// on compute host `host_idx` (a second initiator, a later phase).
     ///
     /// # Panics
     ///
@@ -593,7 +589,7 @@ impl Case {
 
     /// The case's testbed, traced: a 64 MiB primary, plus a 64 MiB spare
     /// when the chain journals or mirrors to one.
-    fn spec(&self) -> Spec {
+    pub fn spec(&self) -> Spec {
         let wiring = |svc: &Svc| match svc {
             Svc::Cache => Some((1, vec![Replica::Spare(0), Replica::Primary])),
             Svc::Snapshot => Some((0, vec![Replica::Primary])),

@@ -3,9 +3,7 @@
 //! sharing one middle-box.
 
 use storm::block::transport::TransportKind;
-use storm::core::StorageService;
-use storm::scenario::{Case, Load, Replica, Spec};
-use storm::services::{CacheConfig, ReplicationService, SnapshotService, WriteBackCacheService};
+use storm::scenario::{Case, Load, Svc};
 use storm_sim::SimDuration;
 use storm_workloads::ShadowWorkload;
 
@@ -43,28 +41,6 @@ fn passthrough_relay_stays_zero_copy_over_nvmeq() {
     passthrough_stays_zero_copy(TransportKind::Nvmeq);
 }
 
-/// The chains whose services answer, park or stage guest I/O outside the
-/// data path, each with the replica wiring its service indexes.
-fn side_action_chain(svc: &str) -> (Box<dyn StorageService>, Vec<u64>, Vec<Replica>) {
-    match svc {
-        "replication" => (
-            Box::new(ReplicationService::new(1, true)),
-            vec![64 << 20],
-            vec![Replica::Spare(0)],
-        ),
-        "cache" => (
-            Box::new(WriteBackCacheService::new(CacheConfig::default())),
-            vec![64 << 20],
-            vec![Replica::Spare(0), Replica::Primary],
-        ),
-        _ => {
-            let mut snap = SnapshotService::new(128);
-            snap.take_snapshot();
-            (Box::new(snap), Vec::new(), vec![Replica::Primary])
-        }
-    }
-}
-
 /// Two guests share one relay, and every op leaves on the flow its tag
 /// names. Wire tags are unique only within a flow, and both guests number
 /// theirs alike, so a service keying state by the wire tag alone mixed
@@ -74,32 +50,24 @@ fn side_action_chain(svc: &str) -> (Box<dyn StorageService>, Vec<u64>, Vec<Repli
 /// replication, a write-back cache and a snapshot, at depths 1 and 4.
 #[test]
 fn two_initiators_side_actions_route_to_originating_pair() {
-    let rounds = 8;
+    let (rounds, block) = (8, 64 * 1024);
     for transport in [TransportKind::Iscsi, TransportKind::Nvmeq] {
-        for svc in ["replication", "cache", "snapshot"] {
+        for svc in [Svc::Replication, Svc::Cache, Svc::Snapshot] {
             for depth in [1, 4] {
-                let (service, spares, replicas) = side_action_chain(svc);
-                let spec = Spec {
-                    client_seed: 22,
-                    transport,
-                    queue_depth: depth as u16,
-                    label: "vm:tenant-a",
-                    spares,
-                    services: vec![service],
-                    replicas,
-                    ..Spec::default()
-                };
+                let mut case = Case::default();
+                (case.transport, case.queue_depth) = (transport, depth as u16);
+                (case.chain, case.load) = (vec![svc], Load::Verify(block, rounds));
                 // Two clients on different compute hosts, disjoint LBA
                 // ranges, different payloads.
                 let shadow = |lba, salt| {
-                    let w = ShadowWorkload::new(lba, 64 * 1024);
+                    let w = ShadowWorkload::new(lba, block);
                     w.rounds(rounds).depth(depth).salt(salt)
                 };
-                let mut run = spec.build(shadow(64, 17), |_, _| {});
+                let mut run = case.spec().build(shadow(64, 17), |_, _| {});
                 let app_b = run.attach(1, "vm:tenant-b", shadow(16384, 91), 23);
                 run.run_until(run.cloud.net.now() + SimDuration::from_secs(10));
                 for (idx, app) in [(0, run.app), (1, app_b)] {
-                    let what = format!("{transport:?} {svc} depth {depth}: client {idx}");
+                    let what = format!("{transport:?} {svc:?} depth {depth}: client {idx}");
                     let client = run.cloud.client_mut(idx, app);
                     assert!(client.is_ready(), "{what} lost its session");
                     assert_eq!(client.stats.errors, 0, "{what} saw errors");
