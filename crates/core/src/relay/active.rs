@@ -516,12 +516,11 @@ impl ActiveRelayMb {
                 },
                 (SvcAction::Reply(p), _) => self.send(cx, sink, dir.flip(), back, p),
                 (SvcAction::Replica { replica, io, ctx }, sink) => {
-                    let (svc, attempts) = (idx, 0);
                     let req = PendingIo {
-                        svc,
+                        svc: idx,
                         ctx,
                         io,
-                        attempts,
+                        attempts: 0,
                     };
                     match sink {
                         Sink::Batch(_, out) => out.replica_ops.push((replica, req)),
