@@ -5,7 +5,11 @@
 //! parses the policies and deploys the middle-box services." This module
 //! is the parsing half, and the only code that knows the service kinds:
 //! [`build_chain`] instantiates the bundled services a [`VolumePolicy`]
-//! names and refuses a chain the platform cannot run as asked.
+//! names and refuses a chain the platform cannot run as asked. Its order
+//! is one rule, [`check_order`], which the scenario generator asks too:
+//! each kind declares what it hides from later stages and what it must see.
+
+use std::str::FromStr;
 
 use storm_core::policy::{ServiceSpec, VolumePolicy};
 use storm_core::service::PassthroughService;
@@ -38,18 +42,13 @@ pub enum CatalogError {
     /// A passive tap transforms bytes as they stream past and never holds
     /// a whole PDU, so it hosts only a stream cipher and passthrough.
     NotPassive(String),
-    /// Replication, a cache or a snapshot ahead of encryption: replica I/O
-    /// skips later stages, so mirrors, flushes and journals would hold
-    /// plaintext.
-    ReplicaBeforeEncryption,
-    /// Encryption or compression ahead of the monitor: it would parse
-    /// rewritten payloads as filesystem blocks and miss paths and alerts.
-    RewriteBeforeMonitor,
-    /// A write-back cache ahead of the monitor: the cache acknowledges
-    /// writes and flushes them over replica I/O, which passes no later
-    /// stage, and answers read hits itself, so the monitor would see
-    /// neither.
-    CacheBeforeMonitor,
+    /// `stage` sits behind `behind`, which hides what `stage` must see.
+    Hidden {
+        /// The refused stage's kind.
+        stage: &'static str,
+        /// The earliest kind ahead of it that hides what it must see.
+        behind: &'static str,
+    },
 }
 
 impl std::fmt::Display for CatalogError {
@@ -63,11 +62,7 @@ impl std::fmt::Display for CatalogError {
                 write!(f, "monitor requires the volume's filesystem view")
             }
             CatalogError::NotPassive(k) => write!(f, "service {k} requires the active relay"),
-            CatalogError::ReplicaBeforeEncryption => {
-                write!(f, "replica I/O ahead of encryption")
-            }
-            CatalogError::RewriteBeforeMonitor => write!(f, "payload rewrite ahead of monitor"),
-            CatalogError::CacheBeforeMonitor => write!(f, "write-back cache ahead of monitor"),
+            CatalogError::Hidden { stage, behind } => write!(f, "{stage} behind {behind}"),
         }
     }
 }
@@ -92,25 +87,48 @@ pub fn build_chain(
     if policy.volume_gb == 0 {
         return Err(CatalogError::ZeroVolume);
     }
-    let (mut replica_issuer, mut rewriter, mut cache) = (false, false, false);
     let mut chain = Vec::with_capacity(policy.services.len());
     for spec in &policy.services {
         let (svc, streams) = build_service(spec, &mut recon)?;
         if policy.mode == RelayMode::Passive && !streams {
             return Err(CatalogError::NotPassive(spec.kind.clone()));
         }
-        match spec.kind.as_str() {
-            "encryption" if replica_issuer => return Err(CatalogError::ReplicaBeforeEncryption),
-            "monitor" if rewriter => return Err(CatalogError::RewriteBeforeMonitor),
-            "monitor" if cache => return Err(CatalogError::CacheBeforeMonitor),
-            "replication" | "snapshot" => replica_issuer = true,
-            "cache" => (replica_issuer, cache) = (true, true),
-            "encryption" | "compress" => rewriter = true,
-            _ => {}
-        }
         chain.push(svc);
     }
+    check_order(policy.services.iter().map(|s| s.kind.as_str()))?;
     Ok(chain)
+}
+
+// What a kind can hide from the stages after it, and what one must see.
+const PAYLOAD: u8 = 1; // it rewrites payloads
+const WRITES: u8 = 2; // it acknowledges guest writes itself
+const READS: u8 = 4; // it answers guest reads itself
+const DISK: u8 = 8; // it sends disk I/O past the later stages
+const REPLICAS: u8 = 16; // it owns the relay's replica sessions
+
+/// Each kind, what it hides and what it must see (passthrough: neither).
+const ORDER: [(&str, u8, u8); 7] = [
+    ("monitor", 0, PAYLOAD | WRITES | READS),
+    ("encryption", PAYLOAD, DISK),
+    ("compress", PAYLOAD, WRITES),
+    ("dedup", 0, WRITES),
+    ("cache", WRITES | READS | DISK | REPLICAS, REPLICAS),
+    ("replication", READS | DISK | REPLICAS, WRITES | REPLICAS),
+    ("snapshot", DISK | REPLICAS, WRITES | REPLICAS),
+];
+
+/// Refuses the first of `kinds`, in write-path order, that sits behind a
+/// kind hiding what it must see ([`CatalogError::Hidden`]).
+pub fn check_order<'a>(kinds: impl IntoIterator<Item = &'a str>) -> Result<(), CatalogError> {
+    let decls: Vec<_> = (kinds.into_iter())
+        .filter_map(|k| ORDER.iter().find(|d| d.0 == k))
+        .collect();
+    for (i, &&(stage, _, needs)) in decls.iter().enumerate() {
+        if let Some((behind, ..)) = decls[..i].iter().find(|d| d.1 & needs != 0) {
+            return Err(CatalogError::Hidden { stage, behind });
+        }
+    }
+    Ok(())
 }
 
 /// Derives a 64-byte XTS master key from a non-empty policy passphrase.
@@ -127,18 +145,23 @@ fn expand_key(passphrase: &str) -> [u8; 64] {
 }
 
 /// The number `param` holds, `None` when the policy leaves it out.
-fn num<T: std::str::FromStr>(
-    spec: &ServiceSpec,
-    param: &'static str,
-) -> Result<Option<T>, CatalogError> {
-    let Some(v) = spec.params.get(param) else {
-        return Ok(None);
-    };
-    let n = v.parse().map_err(|_| CatalogError::BadParam {
-        param,
-        reason: format!("not a number: {v}"),
-    })?;
-    Ok(Some(n))
+fn num<T: FromStr>(spec: &ServiceSpec, param: &'static str) -> Result<Option<T>, CatalogError> {
+    match spec.params.get(param).map(|v| (v, v.parse())) {
+        None => Ok(None),
+        Some((_, Ok(n))) => Ok(Some(n)),
+        Some((v, Err(_))) => bad(param, format!("not a number: {v}")),
+    }
+}
+
+/// Refuses `param` for `reason`.
+fn bad<T>(param: &'static str, reason: impl Into<String>) -> Result<T, CatalogError> {
+    let reason = reason.into();
+    Err(CatalogError::BadParam { param, reason })
+}
+
+/// The text `param` holds, `default` when the policy leaves it out.
+fn text<'a>(spec: &'a ServiceSpec, param: &str, default: &'a str) -> &'a str {
+    spec.params.get(param).map_or(default, String::as_str)
 }
 
 /// Instantiates one bundled service, and says whether it streams: whether
@@ -147,20 +170,14 @@ fn build_service(
     spec: &ServiceSpec,
     recon: &mut Option<Reconstructor>,
 ) -> Result<(Box<dyn StorageService>, bool), CatalogError> {
-    let bad = |param, reason: &str| {
-        Err(CatalogError::BadParam {
-            param,
-            reason: reason.into(),
-        })
-    };
     match spec.kind.as_str() {
         "monitor" => {
             let recon = recon.take().ok_or(CatalogError::MissingReconstructor)?;
             let watch = spec
                 .params
                 .get("watch")
-                .map(|w| w.split(',').map(|s| s.trim().to_owned()).collect())
-                .unwrap_or_default();
+                .map(|w| w.split(',').map(str::trim));
+            let watch = watch.into_iter().flatten().map(String::from).collect();
             let cfg = MonitorConfig {
                 watch,
                 per_byte_cost: SimDuration::from_nanos(1),
@@ -168,31 +185,19 @@ fn build_service(
             Ok((Box::new(MonitorService::new(cfg, recon)), false))
         }
         "encryption" => {
-            let passphrase = spec
-                .params
-                .get("key")
-                .map(String::as_str)
-                .unwrap_or("default");
-            if passphrase.is_empty() {
-                return bad("key", "the key must not be empty");
-            }
-            let key = expand_key(passphrase);
-            let cipher = spec
-                .params
-                .get("cipher")
-                .map(String::as_str)
-                .unwrap_or("aes-256-xts");
-            match cipher {
+            let key = match text(spec, "key", "default") {
+                "" => return bad("key", "the key must not be empty"),
+                passphrase => expand_key(passphrase),
+            };
+            match text(spec, "cipher", "aes-256-xts") {
                 "aes-256-xts" => Ok((Box::new(EncryptionService::aes_xts(&key)), false)),
                 "chacha20" | "stream" => {
-                    let mut stream_key = [0u8; 32];
-                    stream_key.copy_from_slice(&key[..32]);
-                    let mut nonce = [0u8; 12];
-                    nonce.copy_from_slice(&key[32..44]);
+                    let stream_key: [u8; 32] = std::array::from_fn(|i| key[i]);
+                    let nonce: [u8; 12] = std::array::from_fn(|i| key[32 + i]);
                     let svc = EncryptionService::stream_cipher(&stream_key, &nonce);
                     Ok((Box::new(svc), true))
                 }
-                other => bad("cipher", &format!("unsupported cipher {other}")),
+                other => bad("cipher", format!("unsupported cipher {other}")),
             }
         }
         "replication" => {
@@ -200,20 +205,16 @@ fn build_service(
             if replicas == 0 {
                 return bad("replicas", "at least one replica required");
             }
-            let stripe = spec
-                .params
-                .get("stripe_reads")
-                .map(|v| v.eq_ignore_ascii_case("true") || v == "1")
-                .unwrap_or(true);
+            let stripe = text(spec, "stripe_reads", "true");
+            let stripe = stripe.eq_ignore_ascii_case("true") || stripe == "1";
             Ok((Box::new(ReplicationService::new(replicas, stripe)), false))
         }
         "cache" => {
             let mut cfg = CacheConfig::default();
-            if let Some(mb) = num::<u64>(spec, "capacity_mb")? {
-                if mb == 0 {
-                    return bad("capacity_mb", "cache capacity must be positive");
-                }
-                cfg.capacity_sectors = mb * 2048;
+            match num::<u64>(spec, "capacity_mb")? {
+                Some(0) => return bad("capacity_mb", "cache capacity must be positive"),
+                Some(mb) => cfg.capacity_sectors = mb * 2048,
+                None => {}
             }
             if let Some(ms) = num::<u64>(spec, "flush_ms")? {
                 cfg.flush_delay = SimDuration::from_millis(ms.max(1));
@@ -228,20 +229,16 @@ fn build_service(
             let bits = num(spec, "chunk_bits")?.unwrap_or(12);
             Ok((Box::new(DedupService::new(seed, bits)), false))
         }
-        "compress" => {
-            let extent: usize = num(spec, "extent_bytes")?.unwrap_or(4096);
-            if extent < 512 || !extent.is_multiple_of(512) {
-                return bad("extent_bytes", "extent must be a positive multiple of 512");
+        "compress" => match num::<usize>(spec, "extent_bytes")?.unwrap_or(4096) {
+            e if e < 512 || !e.is_multiple_of(512) => {
+                bad("extent_bytes", "extent must be a positive multiple of 512")
             }
-            Ok((Box::new(CompressService::new(extent)), false))
-        }
-        "snapshot" => {
-            let extent: u64 = num(spec, "extent_sectors")?.unwrap_or(128);
-            if extent == 0 {
-                return bad("extent_sectors", "extent must be positive");
-            }
-            Ok((Box::new(SnapshotService::new(extent)), false))
-        }
+            extent => Ok((Box::new(CompressService::new(extent)), false)),
+        },
+        "snapshot" => match num(spec, "extent_sectors")?.unwrap_or(128) {
+            0 => bad("extent_sectors", "extent must be positive"),
+            extent => Ok((Box::new(SnapshotService::new(extent)), false)),
+        },
         "passthrough" => Ok((Box::new(PassthroughService::new()), true)),
         other => Err(CatalogError::UnknownKind(other.to_owned())),
     }
@@ -296,11 +293,19 @@ mod tests {
         ]
     }
 
+    /// [`every_kind`] built as three chains the order rule accepts, each
+    /// with one owner of the replica sessions, laid end to end.
+    fn build_every_kind() -> Vec<Box<dyn StorageService>> {
+        let specs = every_kind();
+        let build = |c: &[_]| build_chain(&policy(RelayMode::Active, c.to_vec()), Some(recon()));
+        let chains = [&specs[..6], &specs[6..7], &specs[7..]];
+        chains.into_iter().flat_map(|c| build(c).unwrap()).collect()
+    }
+
     #[test]
     fn builds_every_kind_in_chain_order() {
-        let specs = every_kind();
-        let kinds: Vec<_> = specs.iter().map(|s| s.kind.clone()).collect();
-        let chain = build_chain(&policy(RelayMode::Active, specs), Some(recon())).unwrap();
+        let kinds: Vec<_> = every_kind().into_iter().map(|s| s.kind).collect();
+        let chain = build_every_kind();
         let names: Vec<_> = chain.iter().map(|s| s.name()).collect();
         assert_eq!(names, kinds);
     }
@@ -310,8 +315,7 @@ mod tests {
     /// nothing is answered, staged, mirrored, counted or logged.
     #[test]
     fn every_kind_forwards_an_op_without_a_command_as_received() {
-        let policy = policy(RelayMode::Active, every_kind());
-        let mut chain = build_chain(&policy, Some(recon())).unwrap();
+        let mut chain = build_every_kind();
         let odd = Op::new(Step::Other, None, 1, Bytes::from(vec![1u8; 512]));
         for svc in &mut chain {
             for dir in [Dir::ToTarget, Dir::ToInitiator] {

@@ -13,7 +13,7 @@
 //!   failure detection and removal (Case 3; Figure 13).
 //!
 //! Beyond the paper's three case studies, the data-reduction & caching
-//! suite extends the catalogue along ROADMAP item 3:
+//! suite extends the catalogue:
 //!
 //! * [`WriteBackCacheService`] — journal-backed write-back block cache:
 //!   absorbs write bursts at journal latency, flushes lazily, recovers

@@ -59,9 +59,10 @@
 //! # Generated cases
 //!
 //! [`Case`] is a drawn `Spec` plus workload and fault: [`Case::draw`]
-//! picks transport, depth, mode, an order-valid chain, QoS, workload and a
-//! fault inside the job's window from a seed, and [`Case::check`] holds
-//! it to every oracle the determinism tests share.
+//! picks transport, depth, mode, a chain in an order the service catalogue
+//! accepts, QoS, workload and a fault inside the job's window from a
+//! seed, and [`Case::check`] holds it to every oracle the determinism
+//! tests share.
 
 use std::sync::Arc;
 
@@ -71,15 +72,15 @@ use storm_cloud::qos::{DiskTier, RateLimitSpec};
 use storm_cloud::{Cloud, CloudConfig, DiskSpec, VolumeClient, VolumeHandle, Workload};
 use storm_core::relay::{ActiveRelayMb, ReplicaTarget};
 use storm_core::service::StorageService;
-use storm_core::{ChainDeployment, MbSpec, RelayMode, StormPlatform};
+use storm_core::{ChainDeployment, FsOp, MbSpec, Reconstructor, RelayMode, StormPlatform};
 use storm_net::{AppId, LinkSpec};
 use storm_services::{
-    CacheConfig, CompressService, DedupService, EncryptionService, ReplicationService,
-    SnapshotService, WriteBackCacheService,
+    catalog, CacheConfig, CompressService, DedupService, EncryptionService, MonitorConfig,
+    MonitorService, ReplicationService, SnapshotService, WriteBackCacheService,
 };
 use storm_sim::{SimDuration, SimRng, SimTime};
 use storm_telemetry::{parse_jsonl, Recorder};
-use storm_workloads::{FioJob, FioWorkload, ShadowWorkload};
+use storm_workloads::{malware, postmark, FioJob, FioWorkload, ShadowWorkload, TraceWorkload};
 
 use crate::faults::{Fault, FaultPlan, FaultRunner};
 
@@ -417,9 +418,12 @@ pub fn assert_replays(seed: u64, mut scenario: impl FnMut(u64) -> String) -> Str
     trace
 }
 
-/// A service [`Case::draw`] can put in a chain.
+/// A service a [`Case`] can put in a chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Svc {
+    /// The access monitor, bootstrapped from the malware load's system
+    /// image and watching `/etc/init.d` (not drawn).
+    Monitor,
     /// Content-defined dedup.
     Dedup,
     /// Inline compression in 4 KiB extents.
@@ -437,8 +441,29 @@ pub enum Svc {
 }
 
 impl Svc {
+    /// The service catalogue's name for this kind.
+    pub fn kind(self) -> &'static str {
+        match self {
+            Svc::Monitor => "monitor",
+            Svc::Dedup => "dedup",
+            Svc::Compress => "compress",
+            Svc::Xts | Svc::ChaCha => "encryption",
+            Svc::Cache => "cache",
+            Svc::Snapshot => "snapshot",
+            Svc::Replication => "replication",
+        }
+    }
+
     fn service(self, case: &Case) -> Box<dyn StorageService> {
         match self {
+            Svc::Monitor => {
+                let recon = Reconstructor::from_device(&mut malware::build_system_image(), "");
+                let cfg = MonitorConfig {
+                    watch: vec!["/etc/init.d".into()],
+                    per_byte_cost: SimDuration::ZERO,
+                };
+                Box::new(MonitorService::new(cfg, recon.expect("the image mounts")))
+            }
             Svc::Dedup => Box::new(DedupService::new(case.seed, 12)),
             Svc::Compress => Box::new(CompressService::new(4096)),
             Svc::Xts => Box::new(EncryptionService::aes_xts(&[0x5C; 64])),
@@ -469,6 +494,9 @@ pub enum Load {
     /// [`ShadowWorkload`] at sector 64, as many requests in flight as
     /// the case's queue depth: `(bytes per round, rounds)`.
     Verify(usize, usize),
+    /// The Table III malware installation, replayed over the system image
+    /// the volume holds (not drawn).
+    Malware,
 }
 
 /// A latency fault armed `at_ms` into the job and never healed.
@@ -527,12 +555,12 @@ impl Default for Case {
 const QOS_LIMIT: RateLimitSpec = RateLimitSpec::iops_limit(600, 4);
 
 impl Case {
-    /// Draws transport × queue depth × mode × an order-valid chain × QoS
-    /// × workload × fault from `seed`. A chain is dedup, compress and one
-    /// cipher, each or not, in any order, then at most one service that
-    /// issues replica I/O, placed last because that I/O skips the stages
-    /// after it (DESIGN §3.3). A passive tap runs iSCSI and at most the
-    /// stream cipher; a forward chain runs nothing.
+    /// Draws transport × queue depth × mode × chain × QoS × workload ×
+    /// fault from `seed`. An active chain is dedup, compress, one cipher,
+    /// the cache, the snapshot and replication, each or not, in any order:
+    /// drawn again until the service catalogue accepts it (DESIGN §3.3). A
+    /// passive tap runs iSCSI and at most the stream cipher; a forward
+    /// chain runs nothing.
     pub fn draw(seed: u64) -> Case {
         use {RelayMode::*, Svc::*};
         let mut rng = SimRng::seed_from_u64(seed);
@@ -545,13 +573,20 @@ impl Case {
             chain.push(ChaCha);
         }
         if mode == Active {
-            for svc in [Dedup, Compress, *rng.pick(&[Xts, ChaCha])] {
-                if rng.chance(0.5) {
-                    // Uniform insertion points make a uniform order.
-                    chain.insert(rng.below(chain.len() as u64 + 1) as usize, svc);
+            let cipher = *rng.pick(&[Xts, ChaCha]);
+            chain = loop {
+                // Each service or not, at uniform insertion points: a uniform
+                // order. The catalogue decides which orders to keep.
+                let mut order = Vec::new();
+                for svc in [Dedup, Compress, cipher, Cache, Snapshot, Replication] {
+                    if rng.chance(0.5) {
+                        order.insert(rng.below(order.len() as u64 + 1) as usize, svc);
+                    }
                 }
-            }
-            chain.extend(*rng.pick(&[None, Some(Cache), Some(Snapshot), Some(Replication)]));
+                if catalog::check_order(order.iter().map(|s| s.kind())).is_ok() {
+                    break order;
+                }
+            };
         }
         let qos = rng.chance(0.3);
         let block = *rng.pick(&[4096, 16384, 65536]);
@@ -563,7 +598,7 @@ impl Case {
         // A verify job may last a few milliseconds only: armed at its start.
         let at_ms = match load {
             Load::Fio(_, _, ms) => rng.below(ms / 2),
-            Load::Verify(..) => 0,
+            Load::Verify(..) | Load::Malware => 0,
         };
         let (us, percent) = (rng.range(20, 200), *rng.pick(&[50, 100]));
         let delays = [Delay::Disk(at_ms, us), Delay::Mb(at_ms, us, percent)];
@@ -587,7 +622,8 @@ impl Case {
         draws.map(|case| (case.clone(), case.check())).collect()
     }
 
-    /// The case's testbed, traced: a 64 MiB primary, plus a 64 MiB spare
+    /// The case's testbed, traced: a 64 MiB primary (128 MiB, the system
+    /// image's size, under the malware load), plus a spare of that size
     /// when the chain journals or mirrors to one.
     pub fn spec(&self) -> Spec {
         let wiring = |svc: &Svc| match svc {
@@ -597,13 +633,19 @@ impl Case {
             _ => None,
         };
         let (spares, replicas) = self.chain.iter().find_map(wiring).unwrap_or_default();
+        let volume_bytes = if self.load == Load::Malware {
+            128 << 20
+        } else {
+            64 << 20
+        };
         Spec {
             seed: self.seed,
             client_seed: self.seed ^ 0x5EED,
             transport: self.transport,
             queue_depth: self.queue_depth,
             label: "vm:case",
-            spares: vec![64 << 20; spares],
+            volume_bytes,
+            spares: vec![volume_bytes; spares],
             mode: Some(self.mode),
             services: self.chain.iter().map(|s| s.service(self)).collect(),
             replicas,
@@ -618,8 +660,8 @@ impl Case {
 
     /// Builds the case, arms its fault `at_ms` after the guest logged in
     /// and runs to the end of the job's window: a fio job's time plus
-    /// 300 ms to drain, or the verify load's 2 s (10 s when it keeps
-    /// `queue_depth > 1` requests in flight).
+    /// 300 ms to drain, the verify load's 2 s (10 s when it keeps
+    /// `queue_depth > 1` requests in flight), or the malware load's 2 s.
     pub fn run(&self) -> Run {
         let prepare = |cloud: &mut Cloud, vol: &VolumeHandle| {
             if self.qos {
@@ -642,6 +684,15 @@ impl Case {
                 // Up to 2 × rounds × depth requests pass QoS at 600 IOPS.
                 let window = if depth > 1 { 10_000 } else { 2000 };
                 (spec.build(verify, prepare), window)
+            }
+            Load::Malware => {
+                let image = malware::build_system_image();
+                let (groups, _) = malware::ganiw_trace(image.clone());
+                let install = |cloud: &mut Cloud, vol: &VolumeHandle| {
+                    prepare(cloud, vol);
+                    postmark::install_image(&image, &mut vol.shared.clone());
+                };
+                (spec.build(TraceWorkload::new(groups), install), 2000)
             }
         };
         let start = run.cloud.net.now();
@@ -719,6 +770,10 @@ impl Case {
             );
             for (idx, svc) in self.chain.iter().enumerate() {
                 let written = match svc {
+                    Svc::Monitor => {
+                        let log = run.service::<MonitorService>(idx).log();
+                        log.iter().filter(|e| e.row.op == FsOp::Write).count() as u64
+                    }
                     Svc::Dedup => run.service::<DedupService>(idx).stats.logical_bytes,
                     Svc::Compress => run.service::<CompressService>(idx).stats.logical_bytes,
                     Svc::Xts | Svc::ChaCha => run.service::<EncryptionService>(idx).counters().0,

@@ -5,6 +5,7 @@ use storm::block::transport::TransportKind;
 use storm::block::BlockDevice;
 use storm::core::{PassiveTap, RelayMode};
 use storm::scenario::{Case, Delay, Load, Svc};
+use storm::services::catalog::{check_order, CatalogError};
 use storm::workloads::ShadowWorkload;
 
 /// Whatever a service emits walks every stage between it and the wire. A
@@ -105,4 +106,17 @@ fn cache_miss_answers_are_no_older_than_acknowledged_writes() {
         ..Case::default()
     };
     case.check();
+}
+
+/// Replica indices are fixed per service: the cache journals to session 0
+/// and flushes to 1, a snapshot reads pre-images from 0. As a `Case`,
+/// `[Snapshot, Cache]` passed every oracle of [`Case::check`] while the
+/// cache journalled into the snapshot's session 0, the primary,
+/// overwriting 63 of its sectors 0–63 (none with the cache alone). Two
+/// owners of the replica sessions are refused.
+#[test]
+fn two_replica_session_owners_are_refused() {
+    let (stage, behind) = ("cache", "snapshot");
+    let order = check_order([Svc::Snapshot, Svc::Cache].map(Svc::kind));
+    assert_eq!(order, Err(CatalogError::Hidden { stage, behind }));
 }

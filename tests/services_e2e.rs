@@ -3,14 +3,11 @@
 
 use bytes::Bytes;
 use storm::core::relay::ActiveRelayMb;
-use storm::core::service::PassthroughService;
-use storm::core::{FsOp, FsTargetKind, Reconstructor, RelayMode};
-use storm::scenario::{Replica, Spec};
-use storm::services::{
-    DedupService, EncryptionService, MonitorConfig, MonitorService, ReplicationService,
-};
-use storm::workloads::{malware, postmark, ShadowWorkload, TraceWorkload};
-use storm_block::BlockDevice;
+use storm::core::{FsOp, FsTargetKind, RelayMode};
+use storm::scenario::{Case, Load, Replica, Spec, Svc};
+use storm::services::{DedupService, EncryptionService, MonitorService, ReplicationService};
+use storm::workloads::{malware, ShadowWorkload, TraceWorkload};
+use storm_block::{AccessKind, BlockDevice};
 use storm_sim::{SimDuration, SimTime};
 
 const TEN_SECS: SimTime = SimTime::from_nanos(10_000_000_000);
@@ -69,34 +66,18 @@ fn passive_stream_cipher_encrypts_at_rest() {
 }
 
 /// Case 1 (monitor): file operations replayed over the wire are
-/// reconstructed with paths, through the whole spliced chain.
+/// reconstructed with paths, through the whole spliced chain. The volume
+/// holds the pre-infection system image and the monitor is bootstrapped
+/// from it (what the platform does at attach time).
 #[test]
 fn monitor_reconstructs_malware_install_over_the_wire() {
-    // The pre-infection system image the volume is provisioned with, and
-    // the monitor bootstrapped from it (what the platform does at attach
-    // time).
-    let mut image = malware::build_system_image();
-    let (groups, steps) = malware::ganiw_trace(image.clone());
-    let recon = Reconstructor::from_device(&mut image, "").unwrap();
-    let monitor = MonitorService::new(
-        MonitorConfig {
-            watch: vec!["/etc/init.d".into()],
-            per_byte_cost: SimDuration::ZERO,
-        },
-        recon,
-    );
-    let spec = Spec {
-        client_seed: 9,
-        label: "vm:victim",
-        volume_bytes: 192 << 20,
-        services: vec![Box::new(monitor)],
-        ..Spec::default()
-    };
-    let mut run = spec.build(TraceWorkload::new(groups), |_, vol| {
-        postmark::install_image(&image, &mut vol.shared.clone());
-    });
-    run.run_until(SimTime::from_nanos(30_000_000_000));
-    assert_eq!(run.client().stats.errors, 0);
+    let chain = vec![Svc::Monitor];
+    let mut run = Case {
+        chain,
+        load: Load::Malware,
+        ..Case::default()
+    }
+    .check();
     assert!(run.workload::<TraceWorkload>().is_finished());
 
     // Read the monitor's analysis out of the middle-box.
@@ -106,6 +87,7 @@ fn monitor_reconstructs_malware_install_over_the_wire() {
     let rows = run.service::<MonitorService>(0).analysis();
     assert!(!rows.is_empty());
     // Every Table III artifact the steps name must appear in the log.
+    let (_, steps) = malware::ganiw_trace(malware::build_system_image());
     for step in &steps {
         for touched in &step.touches {
             let seen = rows.iter().any(|e| match &e.row.target {
@@ -232,27 +214,25 @@ fn dedup_is_honest_on_incompressible_workload() {
 /// the monitor sees plaintext, the volume sees ciphertext.
 #[test]
 fn chained_monitor_then_encryption() {
-    // A raw (unformatted) volume has nothing to reconstruct; stage one is
-    // a counting passthrough standing in for any inspection service.
-    let spec = Spec {
-        client_seed: 11,
-        label: "vm:chain",
-        services: vec![
-            Box::new(PassthroughService::new()),
-            Box::new(EncryptionService::aes_xts(&[0xD4; 64])),
-        ],
-        ..Spec::default()
-    };
-    let mut run = spec.build(ShadowWorkload::new(1024, 8192), |_, _| {});
-    run.run_until(TEN_SECS);
-    assert_eq!(run.workload::<ShadowWorkload>().verified(), 1);
-    // Ciphertext at rest proves the encryption stage ran *after* the
-    // monitor stage on the write path.
-    let mut at_rest = vec![0u8; 8192];
-    run.volume.shared.clone().read(1024, &mut at_rest).unwrap();
-    assert_ne!(at_rest, ShadowWorkload::payload(0, 0, 8192));
-    let ops = run.service::<PassthroughService>(0).ops();
-    assert!(ops > 4, "first chain stage saw the ops");
+    let chain = vec![Svc::Monitor, Svc::Xts];
+    let mut run = Case {
+        chain,
+        load: Load::Malware,
+        ..Case::default()
+    }
+    .check();
+    // All eight watched-path alerts of the trace: the monitor parsed what
+    // the guest wrote, ahead of the cipher.
+    assert_eq!(run.relay().alerts().len(), 8);
+    // No block the trace wrote is at rest as written.
+    let (groups, _) = malware::ganiw_trace(malware::build_system_image());
+    let mut shared = run.volume.shared.clone();
+    let accesses = groups.iter().flat_map(|g| &g.accesses);
+    for write in accesses.filter(|a| a.kind == AccessKind::Write) {
+        let mut at_rest = vec![0u8; write.data.len()];
+        shared.read(write.lba, &mut at_rest).unwrap();
+        assert_ne!(at_rest, write.data, "plaintext at rest at {}", write.lba);
+    }
 }
 
 /// The trust boundary of Case 2: a tenant that cuts its write data off a

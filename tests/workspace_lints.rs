@@ -10,16 +10,22 @@ fn every_member_inherits_the_workspace_lints() {
     cargo.args(["metadata", "--no-deps", "--offline", "--format-version=1"]);
     let out = cargo.output().expect("cargo metadata runs");
     let json = String::from_utf8_lossy(&out.stdout);
-    let mut members: Vec<String> = json
-        .split("\"manifest_path\":\"")
-        .skip(1)
-        .filter_map(|m| m.split('"').next())
-        .map(String::from)
-        .collect();
+    let values = |key: &str| -> Vec<String> {
+        let after = format!("\"{key}\":\"");
+        (json.split(&after).skip(1))
+            .filter_map(|v| v.split('"').next())
+            .map(String::from)
+            .collect()
+    };
+    let mut members = values("manifest_path");
     // The metadata must list every member and nothing else: the root,
     // each crate under `crates/` and each vendored stand-in (a path
-    // dependency inside the workspace is a member).
-    let root = env!("CARGO_MANIFEST_DIR");
+    // dependency inside the workspace is a member). The root is the one
+    // the same call reports, so a test binary built in another checkout
+    // compares like with like.
+    let root = values("workspace_root")
+        .pop()
+        .expect("metadata names the root");
     let mut expected: Vec<String> = ["crates", "vendor"]
         .iter()
         .flat_map(|dir| std::fs::read_dir(format!("{root}/{dir}")).expect("directory lists"))
