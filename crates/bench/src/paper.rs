@@ -20,7 +20,8 @@ use storm::services::{
 use storm::sim::{SimDuration, SimTime};
 use storm::workloads::postmark::{self, install_image};
 use storm::workloads::{
-    malware, FtpDirection, FtpWorkload, OltpConfig, OltpWorkload, OpClass, OpGroup, TraceWorkload,
+    malware, Accesses, FtpDirection, FtpWorkload, OltpConfig, OltpWorkload, OpClass, OpGroup,
+    TraceWorkload,
 };
 
 use crate::{client_point, testbed, FioPoint, Output, Row, VOLUME_BYTES};
@@ -334,10 +335,10 @@ pub(crate) fn table1() -> Output {
     // Table II, op 2: read /mnt/box/name9/7.img 4096.
     fs.read_file_to_end("/name9/7.img").expect("read");
     let read = fs.device_mut().take_log();
-    let group = |class, label: &str, accesses| OpGroup {
+    let group = |class, label: &str, log| OpGroup {
         class,
         label: label.into(),
-        accesses,
+        accesses: Accesses::from_log(log),
     };
     let groups = vec![
         group(OpClass::Append, "write name1/1.img", write),

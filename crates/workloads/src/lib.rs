@@ -35,7 +35,7 @@ mod shadow;
 pub use fio::{FioJob, FioWorkload};
 pub use ftp::{FtpDirection, FtpWorkload};
 pub use oltp::{OltpConfig, OltpWorkload};
-pub use replay::{OpClass, OpGroup, TraceWorkload};
+pub use replay::{AccessIter, Accesses, OpClass, OpGroup, TraceWorkload};
 pub use shadow::ShadowWorkload;
 
 /// Runs `workload` alone on a fresh 256 MiB volume for `secs` simulated

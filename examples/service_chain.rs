@@ -18,7 +18,7 @@ use storm::scenario::Spec;
 use storm::services::{EncryptionService, MonitorConfig, MonitorService};
 use storm::telemetry::analyze;
 use storm::workloads::postmark::install_image;
-use storm::workloads::{OpClass, OpGroup, TraceWorkload};
+use storm::workloads::{Accesses, OpClass, OpGroup, TraceWorkload};
 use storm_block::{MemDisk, RecordingDevice};
 use storm_extfs::ExtFs;
 use storm_sim::{SimDuration, SimTime};
@@ -58,7 +58,7 @@ fn main() {
     let groups = vec![OpGroup {
         class: OpClass::Create,
         label: "create+write /finance/q3-forecast.xlsx".into(),
-        accesses: ops,
+        accesses: Accesses::from_log(ops),
     }];
     let mut run = spec.build(TraceWorkload::new(groups), |_, volume| {
         install_image(&image, &mut volume.shared.clone());

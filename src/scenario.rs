@@ -625,6 +625,11 @@ impl Case {
     /// The case's testbed, traced: a 64 MiB primary (128 MiB, the system
     /// image's size, under the malware load), plus a spare of that size
     /// when the chain journals or mirrors to one.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming both, if two stages issue replica I/O: the relay's
+    /// replica sessions have one owner (the catalogue refuses such chains).
     pub fn spec(&self) -> Spec {
         let wiring = |svc: &Svc| match svc {
             Svc::Cache => Some((1, vec![Replica::Spare(0), Replica::Primary])),
@@ -632,7 +637,16 @@ impl Case {
             Svc::Replication => Some((1, vec![Replica::Spare(0)])),
             _ => None,
         };
-        let (spares, replicas) = self.chain.iter().find_map(wiring).unwrap_or_default();
+        let mut issuers = self
+            .chain
+            .iter()
+            .filter_map(|svc| Some((svc, wiring(svc)?)));
+        let (spares, replicas) = match (issuers.next(), issuers.next()) {
+            (Some((first, _)), Some((second, _))) => {
+                panic!("two stages issue replica I/O: {first:?} and {second:?}")
+            }
+            (issuer, _) => issuer.map(|(_, wired)| wired).unwrap_or_default(),
+        };
         let volume_bytes = if self.load == Load::Malware {
             128 << 20
         } else {
@@ -810,6 +824,20 @@ mod tests {
     fn faults_on_a_forward_chain_arm_the_cloud_only() {
         let faults = forward(Some(Delay::Disk(0, 150))).check().fault_trace();
         assert!(faults.iter().any(|l| l.contains("DiskServe")), "{faults:?}");
+    }
+
+    /// The replica sessions have one owner: a literal with two would run
+    /// the second one's sessions on the first one's volumes (a snapshot
+    /// ahead of replication mirrors onto the primary itself).
+    #[test]
+    #[should_panic(expected = "two stages issue replica I/O: Snapshot and Replication")]
+    fn two_replica_io_issuers_name_both() {
+        let chain = vec![Svc::Snapshot, Svc::Replication];
+        Case {
+            chain,
+            ..Case::default()
+        }
+        .spec();
     }
 
     #[test]
