@@ -5,8 +5,8 @@
 //! target host and the benches pick one with [`TransportKind`]. Beside
 //! them: the block half of the exchange model ([`BlockCmd`], [`Transfer`],
 //! [`Step`], [`Staging`]), the handshake text both protocols' connects
-//! carry ([`encode_text`], [`scan_text`]) and the wire buffers under
-//! every stream ([`ChunkDeque`], [`WireBuf`]).
+//! carry ([`encode_text`], [`scan_text`]) and the one chunk queue under
+//! every stream and in front of every socket ([`WireBuf`]).
 //!
 //! Both traits stay sans-io: no clocks, no sockets.
 
@@ -22,7 +22,7 @@ pub use exchange::{
     BlockCmd, BlockOp, CmdReject, Overrun, Staged, Staging, Step, Transfer, MAX_TRANSFER,
 };
 pub use iqn::{encode_text, scan_text, Iqn};
-pub use wire::{ChunkDeque, WireBuf, SHARE_THRESHOLD};
+pub use wire::{WireBuf, SHARE_THRESHOLD};
 
 /// Which wire protocol a session speaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -179,11 +179,11 @@ pub enum TargetEvent {
 /// Guest-side block transport: a sans-io session state machine.
 ///
 /// Bytes from the socket go into [`feed_bytes`](Transport::feed_bytes),
-/// completed events come out; queued wire bytes drain through
-/// [`take_wire`](Transport::take_wire) as refcounted chunks so payloads
-/// travel by reference. Commands are tagged with [`IoTag`]s that the
-/// transport guarantees unique among in-flight I/O, which is what lets a
-/// client keep `queue_depth` commands outstanding concurrently.
+/// completed events come out; the hosting app drains the outbound
+/// [`wire`](Transport::wire) into its socket, payloads by reference.
+/// Commands are tagged with [`IoTag`]s that the transport guarantees
+/// unique among in-flight I/O, which is what lets a client keep
+/// `queue_depth` commands outstanding concurrently.
 pub trait Transport: fmt::Debug {
     /// The protocol this session speaks.
     fn kind(&self) -> TransportKind;
@@ -209,11 +209,8 @@ pub trait Transport: fmt::Debug {
     /// Feeds received bytes; returns completed events.
     fn feed_bytes(&mut self, bytes: Bytes) -> Vec<TransportEvent>;
 
-    /// Drains queued wire bytes as refcounted chunks.
-    fn take_wire(&mut self) -> Vec<Bytes>;
-
-    /// Payload bytes memcpy'd by this endpoint (encode + reassembly).
-    fn bytes_copied(&self) -> u64;
+    /// The outbound chunk queue, drained with [`WireBuf::send`].
+    fn wire(&mut self) -> &mut WireBuf;
 
     /// High-water mark of commands simultaneously in the submission
     /// ring. `0` for protocols without rings.
@@ -256,21 +253,8 @@ pub trait TargetTransport: fmt::Debug {
     /// Completes a flush surfaced by [`TargetEvent::FlushReady`].
     fn complete_flush(&mut self, now_ns: u64, itt: u32, status: ScsiStatus);
 
-    /// Drains queued wire bytes as refcounted chunks.
-    fn take_wire(&mut self) -> Vec<Bytes>;
-
-    /// Whether session establishment completed.
-    fn is_logged_in(&self) -> bool;
-
-    /// Payload bytes memcpy'd on the encode path.
-    fn bytes_copied(&self) -> u64;
-
-    /// Commands accepted but not yet completed (queue occupancy).
-    fn in_flight(&self) -> usize;
-
-    /// High-water mark of [`in_flight`](Self::in_flight) over the
-    /// connection's lifetime.
-    fn occupancy_peak(&self) -> usize;
+    /// The outbound chunk queue, drained with [`WireBuf::send`].
+    fn wire(&mut self) -> &mut WireBuf;
 }
 
 #[cfg(test)]

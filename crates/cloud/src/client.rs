@@ -15,7 +15,7 @@ use bytes::Bytes;
 
 use storm_block::transport::{IoTag, ScsiStatus, Transport, TransportEvent, TransportKind};
 use storm_iscsi::{Initiator, InitiatorConfig};
-use storm_net::{App, CloseReason, Cx, SendQueue, SockAddr, SockId};
+use storm_net::{App, CloseReason, Cx, SockAddr, SockId};
 use storm_nvmeq::{NvmeqConfig, NvmeqInitiator};
 use storm_sim::hist::Histogram;
 use storm_sim::metrics::{Meter, Timeline};
@@ -236,7 +236,6 @@ pub struct VolumeClient {
     cfg: VolumeClientConfig,
     ini: Box<dyn Transport>,
     sock: Option<SockId>,
-    sendq: SendQueue,
     workload: Option<Box<dyn Workload>>,
     pending: IdMap<IoTag, (ReqId, IoKind, SimTime, usize)>,
     next_req: u64,
@@ -267,7 +266,6 @@ impl VolumeClient {
             cfg,
             ini,
             sock: None,
-            sendq: SendQueue::new(),
             workload: Some(workload),
             pending: IdMap::default(),
             next_req: 0,
@@ -303,12 +301,11 @@ impl VolumeClient {
         self.ini.as_ref()
     }
 
+    /// Drains the session's queued wire bytes into the socket; what TCP
+    /// does not accept stays queued for `on_writable`.
     fn flush_out(&mut self, cx: &mut Cx<'_>) {
         if let Some(sock) = self.sock {
-            for c in self.ini.take_wire() {
-                self.sendq.push_bytes(c);
-            }
-            self.sendq.pump(cx, sock);
+            self.ini.wire().send(|c| cx.send_chunks(sock, c));
         }
     }
 
@@ -524,7 +521,7 @@ impl App for VolumeClient {
     }
 
     fn on_writable(&mut self, cx: &mut Cx<'_>, sock: SockId) {
-        self.sendq.pump(cx, sock);
+        self.ini.wire().send(|c| cx.send_chunks(sock, c));
     }
 
     fn on_timer(&mut self, cx: &mut Cx<'_>, token: u64) {

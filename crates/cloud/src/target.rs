@@ -37,7 +37,7 @@ use bytes::Bytes;
 use storm_block::transport::{scan_text, Iqn, ScsiStatus, TargetEvent, TargetTransport};
 use storm_block::{BlockDevice, SharedVolume};
 use storm_iscsi::{TargetConfig, TargetConn, ISCSI_PORT};
-use storm_net::{App, CloseReason, Cx, FourTuple, SendQueue, SockId};
+use storm_net::{App, CloseReason, Cx, FourTuple, SockId};
 use storm_nvmeq::{NvmeqTargetConfig, NvmeqTargetConn, MAGIC};
 use storm_sim::trace::{req_token, Hop, TraceEvent, TraceHook};
 use storm_sim::{FaultAction, FaultHook, FaultSite, Histogram, IdMap, SimDuration, SimTime};
@@ -73,15 +73,14 @@ struct Session {
     /// IQN the session bound to (QoS tenant/tier lookups); shared with
     /// the session's jobs, so admitting a command never copies it.
     iqn: Rc<str>,
-    sendq: SendQueue,
     tuple: Option<FourTuple>,
 }
 
 impl Session {
-    /// Moves the connection's queued wire bytes to the socket.
+    /// Drains the connection's queued wire bytes into the socket; what
+    /// TCP does not accept stays queued for `on_writable`.
     fn flush_wire(&mut self, cx: &mut Cx<'_>, sock: SockId) {
-        self.sendq.push_all(self.conn.take_wire());
-        self.sendq.pump(cx, sock);
+        self.conn.wire().send(|c| cx.send_chunks(sock, c));
     }
 }
 
@@ -661,7 +660,6 @@ impl App for TargetHostApp {
                 conn,
                 volume,
                 iqn,
-                sendq: SendQueue::new(),
                 tuple: None,
             };
             self.sessions.insert(sock, sess);
@@ -675,7 +673,7 @@ impl App for TargetHostApp {
 
     fn on_writable(&mut self, cx: &mut Cx<'_>, sock: SockId) {
         if let Some(sess) = self.sessions.get_mut(&sock) {
-            sess.sendq.pump(cx, sock);
+            sess.flush_wire(cx, sock);
         }
     }
 
@@ -727,6 +725,7 @@ impl std::fmt::Debug for TargetHostApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use storm_block::transport::WireBuf;
 
     #[test]
     fn migrate_volume_copies_then_cuts_over() {
@@ -766,7 +765,7 @@ mod tests {
     /// Streams one prepared TCP segment at the storage host.
     struct Source {
         to: storm_net::SockAddr,
-        q: SendQueue,
+        q: WireBuf,
     }
 
     impl App for Source {
@@ -774,7 +773,7 @@ mod tests {
             cx.connect(self.to);
         }
         fn on_connected(&mut self, cx: &mut Cx<'_>, sock: SockId) {
-            self.q.pump(cx, sock);
+            self.q.send(|c| cx.send_chunks(sock, c));
         }
     }
 
@@ -797,7 +796,7 @@ mod tests {
         let vol = VolumeGroup::new(8 << 20).create_volume(4 << 20).unwrap();
         app.register_volume(Iqn::for_volume(1), SharedVolume::new(vol));
         let target = net.add_app(hosts[1], Box::new(app));
-        let mut q = SendQueue::new();
+        let mut q = WireBuf::new();
         q.push_bytes(Bytes::from(segment));
         let to = SockAddr::new([10, 0, 0, 2].into(), ISCSI_PORT);
         net.add_app(hosts[0], Box::new(Source { to, q }));
@@ -947,7 +946,8 @@ mod tests {
             let iscsi: Box<dyn Transport> = Box::new(Initiator::new(iscsi));
             for mut ini in [iscsi, Box::new(NvmeqInitiator::new(nvmeq))] {
                 ini.start();
-                let handshake = ini.take_wire().concat();
+                let out = ini.wire();
+                let handshake = out.take_wire(out.len()).unwrap().concat();
                 assert_eq!(sessions_after(handshake), sessions, "{:?}", ini.kind());
             }
         }

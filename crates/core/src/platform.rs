@@ -13,7 +13,10 @@ use storm_cloud::{Cloud, GuestVm, VolumeHandle, Workload};
 use storm_net::{AppId, DnatRule, SockAddr, TapConfig};
 use storm_sim::SimDuration;
 
-use crate::relay::{ActiveRelayConfig, ActiveRelayMb, PassiveTap, ReplicaTarget, LISTEN_PORT};
+use crate::relay::{
+    ActiveRelayConfig, ActiveRelayMb, PassiveTap, ReplicaTarget, BUFFER_CAP, LISTEN_PORT,
+    PER_PDU_COST,
+};
 use crate::service::StorageService;
 use crate::splice::{self, GatewayPair};
 
@@ -126,8 +129,8 @@ impl Default for StormPlatform {
             tenant: 1,
             forward_cost: SimDuration::from_nanos(300),
             tap_cost: SimDuration::from_micros(3),
-            per_pdu_cost: SimDuration::from_micros(2),
-            buffer_cap: 8 << 20,
+            per_pdu_cost: PER_PDU_COST,
+            buffer_cap: BUFFER_CAP,
             tso: true,
             qos: None,
         }

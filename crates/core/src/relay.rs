@@ -31,9 +31,9 @@ mod edge;
 mod passive;
 mod wire;
 
-pub(crate) use active::LISTEN_PORT;
 pub use active::{
     ActiveRelayConfig, ActiveRelayMb, MbControl, RelayCopyStats, ReplicaTarget, CPU_LABEL,
 };
+pub(crate) use active::{BUFFER_CAP, LISTEN_PORT, PER_PDU_COST};
 pub use passive::{PassiveTap, WireTracker};
 pub(crate) use wire::{lift_pdu, lower_pdus, Wire};

@@ -9,10 +9,10 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 
-use storm_block::transport::{IoTag, Iqn, ScsiStatus, TransportEvent};
+use storm_block::transport::{IoTag, Iqn, ScsiStatus, Transport, TransportEvent, WireBuf};
 use storm_cloud::qos::{RateLimitSpec, RateLimiter};
 use storm_iscsi::{Initiator, InitiatorConfig};
-use storm_net::{App, BusMsg, CloseReason, Cx, HostId, SendQueue, SockAddr, SockId};
+use storm_net::{App, BusMsg, CloseReason, Cx, HostId, SockAddr, SockId};
 use storm_sim::trace::{flow_token, req_token, Hop, ReqToken, TraceEvent, TraceHook};
 use storm_sim::{FaultAction, FaultHook, FaultSite, IdMap, SerialResource, SimDuration, SimTime};
 
@@ -53,6 +53,12 @@ fn backoff(attempt: u32) -> SimDuration {
 /// The port the pseudo-server listens on; the platform DNAT-redirects
 /// steered flows here.
 pub(crate) const LISTEN_PORT: u16 = 13260;
+/// Per-PDU API cost of every relay unless configured otherwise: the
+/// platform deploys relays at it and [`ActiveRelayConfig::new`] starts
+/// from it, so a relay built directly runs the cost a deployed one does.
+pub(crate) const PER_PDU_COST: SimDuration = SimDuration::from_micros(2);
+/// Persistence buffer capacity, likewise shared.
+pub(crate) const BUFFER_CAP: usize = 8 << 20;
 /// The CPU accounting label every relay charges (Figure 10's middle-box
 /// row sums it).
 pub const CPU_LABEL: &str = "mb";
@@ -92,12 +98,12 @@ pub struct ActiveRelayConfig {
 }
 
 impl ActiveRelayConfig {
-    /// Defaults: 8 MiB buffer, 4 µs per PDU.
+    /// Defaults: the platform's 8 MiB buffer and 2 µs per PDU.
     pub fn new(upstream: SockAddr) -> Self {
         ActiveRelayConfig {
             upstream,
-            buffer_cap: 8 << 20,
-            per_pdu_cost: SimDuration::from_micros(4),
+            buffer_cap: BUFFER_CAP,
+            per_pdu_cost: PER_PDU_COST,
             replicas: Vec::new(),
             initiator_iqn: Iqn::for_host("middlebox"),
             qos: None,
@@ -115,8 +121,8 @@ struct FlowPair {
     /// prefix shared with the guest and the target.
     src_port: u16,
     edge: Edge,
-    s_out: SendQueue,
-    c_out: SendQueue,
+    s_out: WireBuf,
+    c_out: WireBuf,
     /// Bytes received from the server side, not yet released upstream.
     buffered_in: usize,
     paused: bool,
@@ -125,9 +131,9 @@ struct FlowPair {
 }
 
 impl FlowPair {
-    /// The edge codec plus the send queue and socket of the leg carrying
-    /// bytes in `dir`.
-    fn leg(&mut self, dir: Dir) -> (&mut Edge, &mut SendQueue, SockId) {
+    /// The edge codec plus the outbound queue and socket of the leg
+    /// carrying bytes in `dir`.
+    fn leg(&mut self, dir: Dir) -> (&mut Edge, &mut WireBuf, SockId) {
         match dir {
             Dir::ToTarget => (&mut self.edge, &mut self.c_out, self.client),
             Dir::ToInitiator => (&mut self.edge, &mut self.s_out, self.server),
@@ -148,7 +154,7 @@ impl FlowPair {
 
     fn pump(&mut self, cx: &mut Cx<'_>, dir: Dir) {
         let (_, q, sock) = self.leg(dir);
-        q.pump(cx, sock);
+        q.send(|c| cx.send_chunks(sock, c));
     }
 
     /// Persistence-buffer bytes held by whole messages awaiting release
@@ -170,7 +176,6 @@ struct PendingIo {
 struct ReplicaSession {
     ini: Initiator,
     sock: Option<SockId>,
-    sendq: SendQueue,
     // BTreeMap: on replica failure every outstanding request is failed
     // back to its service, and that sweep must run in tag order — with a
     // HashMap the eviction trace depended on hasher state.
@@ -268,10 +273,9 @@ pub struct ActiveRelayMb {
     next_token: u64,
     alerts: Vec<(SimTime, String)>,
     pdus_forwarded: u64,
-    /// Verbatim forwards, encode-side copies (small-segment batching,
-    /// fresh nvmeq frame headers and re-encoded entries — the multi-queue
-    /// analogue of BHS decode scratch) and the reassembly copies of
-    /// flows whose edges a crash dropped.
+    /// Verbatim forwards, fresh nvmeq frame headers and re-encoded
+    /// entries (the multi-queue analogue of BHS decode scratch) and the
+    /// reassembly copies of flows whose edges a crash dropped.
     copy: RelayCopyStats,
     crashed: bool,
     fault: FaultHook,
@@ -357,12 +361,14 @@ impl ActiveRelayMb {
     }
 
     /// Memcpy accounting across the relay's datapath: reassembly copies
-    /// on both flow streams plus small-segment batching on encode. Feeds
-    /// the zero-copy bench rows and acceptance test.
+    /// on both flow streams plus small-segment batching on encode (each
+    /// leg's queue counts its own). Feeds the zero-copy bench rows and
+    /// acceptance test.
     pub fn copy_stats(&self) -> RelayCopyStats {
         let mut s = self.copy;
         for p in &self.pairs {
             p.edge.add_stream_copies(&mut s);
+            s.data_bytes_copied += p.s_out.bytes_copied() + p.c_out.bytes_copied();
         }
         s
     }
@@ -623,10 +629,7 @@ impl ActiveRelayMb {
     fn flush_replica(&mut self, cx: &mut Cx<'_>, idx: usize) {
         if let Some(sess) = self.replicas.get_mut(idx) {
             if let Some(sock) = sess.sock {
-                for c in sess.ini.take_wire() {
-                    sess.sendq.push_bytes(c);
-                }
-                sess.sendq.pump(cx, sock);
+                sess.ini.wire().send(|c| cx.send_chunks(sock, c));
             }
         }
     }
@@ -779,7 +782,6 @@ impl ActiveRelayMb {
             self.replicas.push(ReplicaSession {
                 ini,
                 sock: Some(sock),
-                sendq: SendQueue::new(),
                 pending: BTreeMap::new(),
                 parked: Vec::new(),
                 up: false,
@@ -901,8 +903,8 @@ impl App for ActiveRelayMb {
             client,
             src_port: src_port.unwrap_or(0),
             edge: Edge::default(),
-            s_out: SendQueue::new(),
-            c_out: SendQueue::new(),
+            s_out: WireBuf::new(),
+            c_out: WireBuf::new(),
             buffered_in: 0,
             paused: false,
             proc: SerialResource::new(),
@@ -989,7 +991,7 @@ mod tests {
     /// Streams a prepared wire image at the relay.
     struct Source {
         to: SockAddr,
-        q: SendQueue,
+        q: WireBuf,
     }
 
     impl App for Source {
@@ -997,10 +999,10 @@ mod tests {
             cx.connect(self.to);
         }
         fn on_connected(&mut self, cx: &mut Cx<'_>, sock: SockId) {
-            self.q.pump(cx, sock);
+            self.q.send(|c| cx.send_chunks(sock, c));
         }
         fn on_writable(&mut self, cx: &mut Cx<'_>, sock: SockId) {
-            self.q.pump(cx, sock);
+            self.q.send(|c| cx.send_chunks(sock, c));
         }
     }
 
@@ -1069,7 +1071,7 @@ mod tests {
         relay.set_trace_hook(TraceHook::armed(pauses.clone()), 0);
         let sink = net.add_app(hosts[2], Box::new(Sink::default()));
         let mb = net.add_app(hosts[1], Box::new(relay));
-        let mut q = SendQueue::new();
+        let mut q = WireBuf::new();
         q.push_all(wire);
         let to = SockAddr::new([10, 0, 0, 2].into(), 13260);
         net.add_app(hosts[0], Box::new(Source { to, q }));

@@ -9,9 +9,11 @@
 //! [`Edge::untouched`] says whether the chain passed it through as it
 //! came (the batch is then forwarded as received); [`Edge::queue`]
 //! lowers ops in the flow's own protocol — forwards, chain replies and
-//! side actions alike, one PDU or frame each. Re-encodes are bounded
-//! metadata copies (counted); data travels as refcounted views, so the
-//! zero-copy invariant holds on both transports.
+//! side actions alike, one PDU or frame each — onto the leg's
+//! [`WireBuf`], through the encoders the endpoints use
+//! ([`storm_iscsi::push_pdu`], [`storm_nvmeq::push_unit`]). Re-encodes
+//! are bounded metadata copies (counted); data travels as refcounted
+//! views, so the zero-copy invariant holds on both transports.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
@@ -20,13 +22,12 @@
 
 use bytes::Bytes;
 
-use storm_block::transport::SHARE_THRESHOLD;
+use storm_block::transport::WireBuf;
 use storm_iscsi::exchange::Exchange;
-use storm_iscsi::{Pdu, PduStream, PduWire};
-use storm_net::SendQueue;
+use storm_iscsi::{push_pdu, Pdu, PduStream, PduWire};
 use storm_nvmeq::{
-    FrameHeader, FrameKind, FrameStream, FrameWire, UnitEntry, UnitWire, CQE_LEN, FRAME_HDR_LEN,
-    MAGIC, SQE_LEN,
+    push_unit, FrameHeader, FrameKind, FrameStream, FrameWire, UnitEntry, UnitWire, CQE_LEN,
+    FRAME_HDR_LEN, MAGIC, SQE_LEN,
 };
 
 use super::active::RelayCopyStats;
@@ -210,12 +211,13 @@ impl Edge {
 
     /// Lowers `ops` travelling `dir` onto `q` in this flow's protocol and
     /// returns how many wire units were queued: iSCSI PDUs or nvmeq
-    /// frames. An undecided flow queues iSCSI.
+    /// frames. An undecided flow queues iSCSI. Small data segments are
+    /// copied by `q`, which counts them.
     pub fn queue(
         &mut self,
         dir: Dir,
         ops: impl IntoIterator<Item = Op>,
-        q: &mut SendQueue,
+        q: &mut WireBuf,
         copy: &mut RelayCopyStats,
     ) -> u64 {
         if let Proto::Nvmeq(_) = self.proto {
@@ -224,7 +226,7 @@ impl Edge {
         let mut queued = 0;
         for op in ops {
             lower_pdus(&mut self.open, op, |pdu| {
-                queue_pdu(q, &pdu, copy);
+                push_pdu(q, &pdu);
                 queued += 1;
             });
         }
@@ -232,15 +234,15 @@ impl Edge {
     }
 
     /// Lowers each op to one outbound frame — fresh header, entry, then
-    /// data segment — onto a send queue. Fixed-size metadata (header plus
-    /// a re-encoded entry) is copied and counted as header bytes; an
-    /// untouched entry and its data travel as the received views,
-    /// chain-produced data by [`push_data`].
+    /// data segment. Fixed-size metadata (header plus a re-encoded entry)
+    /// is copied and counted as header bytes; an untouched entry and its
+    /// data travel as the received views, chain-produced data by
+    /// [`push_unit`].
     fn queue_frames(
         &mut self,
         dir: Dir,
         ops: impl IntoIterator<Item = Op>,
-        q: &mut SendQueue,
+        q: &mut WireBuf,
         copy: &mut RelayCopyStats,
     ) -> u64 {
         let kind = match dir {
@@ -253,21 +255,19 @@ impl Edge {
                 continue;
             };
             copy.header_bytes_copied += FRAME_HDR_LEN as u64;
-            q.push(&FrameHeader::unit(kind, data.len()).encode());
             match entry {
                 Entry::Wire(w) => {
+                    q.push_slice(&FrameHeader::unit(kind, data.len()).encode());
                     q.push_bytes(w);
                     q.push_bytes(data);
                 }
                 Entry::Sqe(sqe) => {
                     copy.header_bytes_copied += SQE_LEN as u64;
-                    q.push(&sqe.encode());
-                    push_data(q, data, copy);
+                    push_unit(q, kind, &sqe.encode(), data);
                 }
                 Entry::Cqe(cqe) => {
                     copy.header_bytes_copied += CQE_LEN as u64;
-                    q.push(&cqe.encode());
-                    push_data(q, data, copy);
+                    push_unit(q, kind, &cqe.encode(), data);
                 }
             }
             queued += 1;
@@ -276,30 +276,10 @@ impl Edge {
     }
 }
 
-/// Encodes a PDU onto a send queue as chunks: the header by copy, the
-/// data segment by [`push_data`], then the pad.
-fn queue_pdu(q: &mut SendQueue, pdu: &Pdu, copy: &mut RelayCopyStats) {
-    let w = pdu.wire_chunks();
-    q.push(&w.header);
-    push_data(q, w.data, copy);
-    q.push(w.pad);
-}
-
-/// Queues a chain-produced data segment: a large one as a shared view of
-/// the service's buffer, a small one batched by copy (counted).
-fn push_data(q: &mut SendQueue, data: Bytes, copy: &mut RelayCopyStats) {
-    if data.len() >= SHARE_THRESHOLD {
-        q.push_bytes(data);
-    } else {
-        copy.data_bytes_copied += data.len() as u64;
-        q.push(&data);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use storm_block::transport::{BlockCmd, ScsiStatus, Step};
+    use storm_block::transport::{BlockCmd, ScsiStatus, Step, SHARE_THRESHOLD};
     use storm_iscsi::BHS_LEN;
     use storm_nvmeq::{Cqe, Sqe, SqeOp};
 
@@ -330,29 +310,29 @@ mod tests {
     /// segments every session declares; both retire the read.
     #[test]
     fn a_service_read_answer_is_one_cqe_or_a_data_in_train() {
-        let (mut q, mut copy) = (SendQueue::new(), RelayCopyStats::default());
+        let (mut q, mut copy) = (WireBuf::new(), RelayCopyStats::default());
         let read = BlockCmd::checked(SqeOp::Read, 8, 256, u64::MAX).ok();
         let answer = Op::new(Step::ReadData(0), read, 5, vec![0x11; 128 << 10].into());
         let mut edge = Edge::default();
         lift(&mut edge, sqe(SqeOp::Read, 5, 256, 0), &[]);
         let queued = edge.queue(Dir::ToInitiator, [answer.clone()], &mut q, &mut copy);
         assert_eq!((queued, edge.open_commands()), (1, 0));
-        assert_eq!(q.backlog(), FRAME_HDR_LEN + CQE_LEN + (128 << 10));
+        assert_eq!(q.len(), FRAME_HDR_LEN + CQE_LEN + (128 << 10));
 
-        let (mut iscsi, mut q) = (Edge::default(), SendQueue::new());
+        let (mut iscsi, mut q) = (Edge::default(), WireBuf::new());
         iscsi.open.begin(5, read.unwrap());
         assert_eq!(
             iscsi.queue(Dir::ToInitiator, [answer], &mut q, &mut copy),
             16
         );
         assert_eq!(iscsi.open_commands(), 0);
-        assert_eq!(q.backlog(), 16 * (BHS_LEN + (8 << 10)));
-        assert_eq!(copy.data_bytes_copied, 0, "answers travel as views");
+        assert_eq!(q.len(), 16 * (BHS_LEN + (8 << 10)));
+        assert_eq!(q.bytes_copied(), 0, "answers travel as views");
     }
 
     #[test]
     fn frame_reencodes_metadata_only() {
-        let (mut edge, mut q) = (Edge::default(), SendQueue::new());
+        let (mut edge, mut q) = (Edge::default(), WireBuf::new());
         let mut copy = RelayCopyStats::default();
         let len = SHARE_THRESHOLD as u32;
         let mut big = lift(&mut edge, sqe(SqeOp::Write, 1, 1, len), &[0x77; 512]);
@@ -361,17 +341,17 @@ mod tests {
         let (offset, seq) = (0, 1);
         let want = Op::want_data(1, offset, len, seq);
         assert_eq!(edge.queue(Dir::ToTarget, [big, want], &mut q, &mut copy), 1);
-        assert_eq!(copy.data_bytes_copied, 0, "large data travels as a view");
+        assert_eq!(q.bytes_copied(), 0, "large data travels as a view");
         assert_eq!(copy.header_bytes_copied, (FRAME_HDR_LEN + SQE_LEN) as u64);
-        assert_eq!(q.backlog(), FRAME_HDR_LEN + SQE_LEN + SHARE_THRESHOLD);
+        assert_eq!(q.len(), FRAME_HDR_LEN + SQE_LEN + SHARE_THRESHOLD);
         // Nothing to say, nothing on the wire.
         assert_eq!(edge.queue(Dir::ToTarget, [], &mut q, &mut copy), 0);
-        assert_eq!(q.backlog(), FRAME_HDR_LEN + SQE_LEN + SHARE_THRESHOLD);
+        assert_eq!(q.len(), FRAME_HDR_LEN + SQE_LEN + SHARE_THRESHOLD);
     }
 
     #[test]
     fn untouched_units_copy_nothing_but_the_frame_header() {
-        let (mut edge, mut q) = (Edge::default(), SendQueue::new());
+        let (mut edge, mut q) = (Edge::default(), WireBuf::new());
         let mut copy = RelayCopyStats::default();
         let op = lift(&mut edge, sqe(SqeOp::Write, 2, 1, 512), &[0x11; 512]);
         assert!(edge.untouched(std::slice::from_ref(&op)));
@@ -379,7 +359,7 @@ mod tests {
             edge.queue(Dir::ToTarget, [op.clone()], &mut q, &mut copy),
             1
         );
-        assert_eq!(copy.data_bytes_copied, 0);
+        assert_eq!(q.bytes_copied(), 0);
         assert_eq!(copy.header_bytes_copied, FRAME_HDR_LEN as u64);
         // An op lifted earlier is not the unit being forwarded.
         lift(&mut edge, sqe(SqeOp::Write, 3, 1, 512), &[0x11; 512]);
@@ -390,13 +370,13 @@ mod tests {
     /// entry each: the stream refuses a frame of two.
     #[test]
     fn each_op_leaves_as_its_own_frame() {
-        let (mut edge, mut q) = (Edge::default(), SendQueue::new());
+        let (mut edge, mut q) = (Edge::default(), WireBuf::new());
         let mut copy = RelayCopyStats::default();
         let op = lift(&mut edge, sqe(SqeOp::Write, 2, 1, 512), &[0x11; 512]);
         let flush = BlockCmd::checked(SqeOp::Flush, 0, 0, u64::MAX).ok();
         let extra = Op::new(Step::Command, flush, 9, Bytes::new());
         assert_eq!(edge.queue(Dir::ToTarget, [op, extra], &mut q, &mut copy), 2);
-        assert_eq!(q.backlog(), 2 * (FRAME_HDR_LEN + SQE_LEN) + 512);
+        assert_eq!(q.len(), 2 * (FRAME_HDR_LEN + SQE_LEN) + 512);
         let fresh = 2 * FRAME_HDR_LEN + SQE_LEN;
         assert_eq!(copy.header_bytes_copied, fresh as u64);
     }

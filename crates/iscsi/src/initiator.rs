@@ -58,7 +58,7 @@ enum Pending {
 }
 
 /// The initiator state machine: bytes in ([`Initiator::feed_bytes`]),
-/// bytes out ([`Initiator::take_wire`]), events out.
+/// bytes out ([`Transport::wire`]), events out.
 #[derive(Debug)]
 pub struct Initiator {
     cfg: InitiatorConfig,
@@ -96,17 +96,12 @@ impl Initiator {
         self.pending.len()
     }
 
-    /// Drains the queued wire bytes as refcounted chunks: large data
-    /// segments are views of the caller's write buffers, so replica
-    /// fan-out and the simulated TCP stack share one allocation.
-    pub fn take_wire(&mut self) -> Vec<bytes::Bytes> {
-        self.out.take_chunks()
-    }
-
-    /// Data-segment bytes memcpy'd on the encode path (small segments
-    /// batched into scratch allocations).
-    pub fn bytes_copied(&self) -> u64 {
-        self.out.bytes_copied()
+    /// Takes everything queued on [`Transport::wire`] as refcounted
+    /// chunks: large data segments are views of the caller's write
+    /// buffers, so replica fan-out and the simulated TCP stack share one
+    /// allocation.
+    pub fn take_wire(&mut self) -> Vec<Bytes> {
+        self.out.take_wire(self.out.len()).unwrap_or_default()
     }
 
     /// Queues the login request.
@@ -368,12 +363,8 @@ impl Transport for Initiator {
         Initiator::feed_bytes(self, bytes)
     }
 
-    fn take_wire(&mut self) -> Vec<Bytes> {
-        Initiator::take_wire(self)
-    }
-
-    fn bytes_copied(&self) -> u64 {
-        Initiator::bytes_copied(self)
+    fn wire(&mut self) -> &mut WireBuf {
+        &mut self.out
     }
 }
 

@@ -9,7 +9,8 @@
 //! * [`Pdu`] — typed PDUs (Login, SCSI Command/Response, Data-In/Out, R2T)
 //!   with exact 48-byte BHS encode/decode; any other opcode is refused.
 //! * [`Cdb`] — SCSI CDBs (READ/WRITE 10/16, SYNCHRONIZE CACHE).
-//! * [`PduStream`] — incremental framing over a TCP byte stream.
+//! * [`PduStream`] / [`push_pdu`] — incremental framing over a TCP byte
+//!   stream, and the PDU encoder every sender shares.
 //! * [`exchange`] — how an iSCSI command conversation maps to block I/O:
 //!   the checked command decoder, the PDU builders, the
 //!   [`exchange::Exchange`] table.
@@ -83,7 +84,7 @@ pub use pdu::{
     data_segment_length, DataIn, DataOut, LoginRequest, LoginResponse, Pdu, PduError, R2t,
     ScsiCommand, ScsiResponse, WireChunks, BHS_LEN,
 };
-pub use stream::{PduStream, PduWire};
+pub use stream::{push_pdu, PduStream, PduWire};
 pub use target::{TargetConfig, TargetConn};
 
 // These live in `storm_block::transport`; the frozen benchmark imports

@@ -298,7 +298,7 @@ static ZERO_PAD: [u8; 4] = [0; 4];
 /// static zero-pad slice to the 4-byte boundary.
 ///
 /// This is the zero-copy alternative to [`Pdu::encode`]: senders push the
-/// three chunks into a chunked send queue and the data segment travels by
+/// three chunks into a `WireBuf` and the data segment travels by
 /// reference all the way into TCP segments.
 #[derive(Debug, Clone)]
 pub struct WireChunks {

@@ -1,4 +1,6 @@
-//! Incremental PDU framing over a TCP byte stream.
+//! Incremental PDU framing over a TCP byte stream, and the one PDU
+//! encoder ([`push_pdu`]) the endpoints and the relay's edge share. Both
+//! directions run on [`WireBuf`], the chunk queue every wire path shares.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
@@ -6,7 +8,7 @@
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 use bytes::Bytes;
-use storm_block::transport::{ChunkDeque, WireBuf};
+use storm_block::transport::WireBuf;
 
 use crate::pdu::{data_segment_length, padded, Pdu, PduError, BHS_LEN};
 
@@ -15,7 +17,8 @@ use crate::pdu::{data_segment_length, padded, Pdu, PduError, BHS_LEN};
 /// `wire` holds the exact received bytes of the PDU (header, data, pad) as
 /// refcounted chunks in order — usually a single chunk once adjacent TCP
 /// segments re-join. An active relay forwarding the PDU verbatim pushes
-/// these chunks straight into its send queue instead of re-encoding.
+/// these chunks straight into its outbound [`WireBuf`] instead of
+/// re-encoding.
 #[derive(Debug, Clone)]
 pub struct PduWire {
     /// The decoded PDU; its data segment view shares wire storage when
@@ -31,7 +34,7 @@ pub struct PduWire {
 /// pseudo-client processes feed received TCP bytes in and get whole PDUs
 /// out, regardless of how the network segmented them.
 ///
-/// Buffering is a [`ChunkDeque`]. The only unconditional copy is the
+/// Buffering is a [`WireBuf`]. The only unconditional copy is the
 /// 48-byte header (read into a stack array for decoding); data-segment
 /// bytes are copied *only* when a segment genuinely straddles two
 /// allocations, and [`bytes_copied`] counts every such byte so fast paths
@@ -40,7 +43,7 @@ pub struct PduWire {
 /// [`bytes_copied`]: PduStream::bytes_copied
 #[derive(Debug, Default)]
 pub struct PduStream {
-    buf: ChunkDeque,
+    buf: WireBuf,
     pdus_out: u64,
     bytes_copied: u64,
     header_bytes_copied: u64,
@@ -59,9 +62,7 @@ impl PduStream {
     ///
     /// Propagates [`PduError`] for undecodable headers.
     pub fn feed_bytes(&mut self, bytes: Bytes) -> Result<Vec<PduWire>, PduError> {
-        if !bytes.is_empty() {
-            self.buf.push_chunk(bytes);
-        }
+        self.buf.push_bytes(bytes);
         let mut out = Vec::new();
         while let Some(pw) = self.next_pdu()? {
             out.push(pw);
@@ -71,7 +72,7 @@ impl PduStream {
 
     /// Bytes buffered awaiting a complete PDU.
     pub fn pending_bytes(&self) -> usize {
-        self.buf.buffered()
+        self.buf.len()
     }
 
     /// Total PDUs produced.
@@ -93,7 +94,7 @@ impl PduStream {
     }
 
     fn next_pdu(&mut self) -> Result<Option<PduWire>, PduError> {
-        if self.buf.buffered() < BHS_LEN {
+        if self.buf.len() < BHS_LEN {
             return Ok(None);
         }
         let mut bhs = [0u8; BHS_LEN];
@@ -101,11 +102,11 @@ impl PduStream {
         self.header_bytes_copied += BHS_LEN as u64;
         let dsl = data_segment_length(&bhs)?;
         let total = BHS_LEN + padded(dsl);
-        if self.buf.buffered() < total {
+        if self.buf.len() < total {
             return Ok(None);
         }
         let wire = self.buf.take_wire(total).ok_or(PduError::Desync)?;
-        let data = ChunkDeque::extract(&wire, BHS_LEN, dsl, &mut self.bytes_copied);
+        let data = WireBuf::extract(&wire, BHS_LEN, dsl, &mut self.bytes_copied);
         let pdu = Pdu::decode(&bhs, data)?;
         self.pdus_out += 1;
         Ok(Some(PduWire { pdu, wire }))
@@ -115,7 +116,7 @@ impl PduStream {
 /// Encodes a PDU into `out`: header and pad go to its scratch batch, the
 /// data segment by [`WireBuf::push_data`] (shared when large, copied and
 /// counted when small).
-pub(crate) fn push_pdu(out: &mut WireBuf, pdu: &Pdu) {
+pub fn push_pdu(out: &mut WireBuf, pdu: &Pdu) {
     let w = pdu.wire_chunks();
     out.push_slice(&w.header);
     out.push_data(w.data);
@@ -263,7 +264,7 @@ mod tests {
         push_pdu(&mut w, &small_pdu);
         push_pdu(&mut w, &big_pdu);
         assert_eq!(w.len(), small_pdu.wire_len() + big_pdu.wire_len());
-        let chunks = w.take_chunks();
+        let chunks = w.take_wire(w.len()).unwrap();
         // scratch batch (small pdu + big header), shared data, (no pad: aligned)
         assert_eq!(chunks.len(), 2);
         assert!(chunks[1].same_storage(&big));

@@ -58,7 +58,6 @@ pub struct TargetConn {
     reads: IdMap<u32, (), RandomState>,
     next_ttt: u32,
     outstanding: usize,
-    peak: usize,
 }
 
 impl TargetConn {
@@ -75,7 +74,6 @@ impl TargetConn {
             reads: IdMap::default(),
             next_ttt: 1,
             outstanding: 0,
-            peak: 0,
         }
     }
 
@@ -84,31 +82,16 @@ impl TargetConn {
         self.outstanding
     }
 
-    /// High-water mark of [`TargetConn::in_flight`] (queue occupancy).
-    pub fn occupancy_peak(&self) -> usize {
-        self.peak
-    }
-
-    fn note_ready(&mut self) {
-        self.outstanding += 1;
-        self.peak = self.peak.max(self.outstanding);
-    }
-
     /// Whether login completed.
     pub fn is_logged_in(&self) -> bool {
         self.logged_in
     }
 
-    /// Drains the queued wire bytes as refcounted chunks: Data-In
-    /// payloads are views of the disk read buffer, not copies.
-    pub fn take_wire(&mut self) -> Vec<bytes::Bytes> {
-        self.out.take_chunks()
-    }
-
-    /// Data-segment bytes memcpy'd on the encode path (small segments
-    /// batched into scratch allocations).
-    pub fn bytes_copied(&self) -> u64 {
-        self.out.bytes_copied()
+    /// Takes everything queued on [`TargetTransport::wire`] as
+    /// refcounted chunks: Data-In payloads are views of the disk read
+    /// buffer, not copies.
+    pub fn take_wire(&mut self) -> Vec<Bytes> {
+        self.out.take_wire(self.out.len()).unwrap_or_default()
     }
 
     fn bump_stat_sn(&mut self) -> u32 {
@@ -197,7 +180,7 @@ impl TargetConn {
                             )));
                             return;
                         }
-                        self.note_ready();
+                        self.outstanding += 1;
                         let itt = c.itt;
                         events.push(TargetEvent::ReadReady { itt, lba, sectors });
                     }
@@ -211,7 +194,7 @@ impl TargetConn {
                         }
                     },
                     BlockOp::Flush => {
-                        self.note_ready();
+                        self.outstanding += 1;
                         events.push(TargetEvent::FlushReady { itt: c.itt });
                     }
                 }
@@ -258,7 +241,7 @@ impl TargetConn {
     }
 
     fn write_ready(&mut self, itt: u32, lba: u64, data: Bytes, events: &mut Vec<TargetEvent>) {
-        self.note_ready();
+        self.outstanding += 1;
         events.push(TargetEvent::WriteReady { itt, lba, data });
     }
 
@@ -336,24 +319,8 @@ impl TargetTransport for TargetConn {
         TargetConn::complete_flush(self, itt, status);
     }
 
-    fn take_wire(&mut self) -> Vec<Bytes> {
-        TargetConn::take_wire(self)
-    }
-
-    fn is_logged_in(&self) -> bool {
-        TargetConn::is_logged_in(self)
-    }
-
-    fn bytes_copied(&self) -> u64 {
-        TargetConn::bytes_copied(self)
-    }
-
-    fn in_flight(&self) -> usize {
-        TargetConn::in_flight(self)
-    }
-
-    fn occupancy_peak(&self) -> usize {
-        TargetConn::occupancy_peak(self)
+    fn wire(&mut self) -> &mut WireBuf {
+        &mut self.out
     }
 }
 
@@ -617,35 +584,41 @@ mod tests {
         }
     }
 
+    /// Everything a session queued on its outbound wire.
+    fn drain(out: &mut WireBuf) -> Vec<Bytes> {
+        out.take_wire(out.len()).unwrap()
+    }
+
     /// The full write/read cycle from the crate example, driven purely
     /// through the trait objects — no iSCSI types leak through.
     #[test]
     fn iscsi_session_through_trait_objects() {
         let mut ini: Box<dyn Transport> = Box::new(Initiator::new(InitiatorConfig::example()));
-        let mut tgt: Box<dyn TargetTransport> =
-            Box::new(TargetConn::new(TargetConfig::example(2048)));
+        let mut conn = TargetConn::new(TargetConfig::example(2048));
+        let tgt: &mut dyn TargetTransport = &mut conn;
         assert_eq!(ini.kind(), TransportKind::Iscsi);
         assert_eq!(tgt.kind(), TransportKind::Iscsi);
 
         ini.start();
         let mut ready = false;
         for _ in 0..8 {
-            for c in ini.take_wire() {
+            for c in drain(ini.wire()) {
                 let _ = tgt.feed_bytes(c);
             }
-            for c in tgt.take_wire() {
+            for c in drain(tgt.wire()) {
                 ready |= ini
                     .feed_bytes(c)
                     .iter()
                     .any(|e| matches!(e, TransportEvent::Ready));
             }
         }
-        assert!(ready && ini.is_ready() && tgt.is_logged_in());
+        assert!(ready && ini.is_ready() && conn.is_logged_in());
 
+        let tgt: &mut dyn TargetTransport = &mut conn;
         let wtag = ini.write(0, Bytes::from(vec![0xAA; 4096]));
         let mut done = false;
         for _ in 0..8 {
-            for c in ini.take_wire() {
+            for c in drain(ini.wire()) {
                 for ev in tgt.feed_bytes(c) {
                     if let TargetEvent::WriteReady { itt, lba, data } = ev {
                         assert_eq!((lba, data.len()), (0, 4096));
@@ -653,7 +626,7 @@ mod tests {
                     }
                 }
             }
-            for c in tgt.take_wire() {
+            for c in drain(tgt.wire()) {
                 for ev in ini.feed_bytes(c) {
                     if let TransportEvent::WriteDone { tag, status } = ev {
                         assert_eq!((tag, status), (wtag, ScsiStatus::Good));
@@ -663,8 +636,6 @@ mod tests {
             }
         }
         assert!(done);
-        assert_eq!(ini.in_flight(), 0);
-        assert_eq!(tgt.in_flight(), 0);
-        assert!(tgt.occupancy_peak() >= 1);
+        assert_eq!((ini.in_flight(), conn.in_flight()), (0, 0));
     }
 }

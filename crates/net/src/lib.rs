@@ -76,7 +76,6 @@ mod host;
 mod nat;
 mod switch;
 pub mod tcp;
-mod util;
 
 pub use addr::{FourTuple, MacAddr, SockAddr};
 pub use engine::{App, BusMsg, Cx, Ev, Network, TapVerdict};
@@ -87,4 +86,3 @@ pub use host::{AppId, CloseReason, Host, HostId, Iface, IfaceId, Route, SteerRul
 pub use nat::{DnatRule, Nat, SnatRule};
 pub use switch::{steering_rule, PortNo, SwitchId, VirtualSwitch};
 pub use tcp::SockId;
-pub use util::SendQueue;

@@ -13,7 +13,7 @@ use storm_block::transport::{
 };
 
 use crate::codec::{Cqe, FrameHeader, FrameKind, Sqe, SqeOp};
-use crate::stream::{FrameStream, UnitEntry, UnitWire};
+use crate::stream::{push_unit, FrameStream, UnitEntry, UnitWire};
 
 /// Host-side queue-pair configuration.
 #[derive(Debug, Clone)]
@@ -58,8 +58,8 @@ struct Staged {
 /// [`Transport`].
 ///
 /// Sans-io like every protocol machine in the workspace: commands go in
-/// via `read`/`write`/`flush`, wire bytes drain through
-/// [`take_wire`](Transport::take_wire). A command rings its doorbell as
+/// via `read`/`write`/`flush`, wire bytes queue on
+/// [`wire`](Transport::wire). A command rings its doorbell as
 /// it enters the submission ring: its SQE and in-capsule data are
 /// encoded then, as one doorbell frame of their own. The ring holds at
 /// most `queue_depth` commands; extras park in a software overflow queue
@@ -79,7 +79,8 @@ pub struct NvmeqInitiator {
     sq_peak: usize,
     /// Commands waiting for a free ring slot.
     overflow: VecDeque<Staged>,
-    stream: FrameStream,
+    /// Completion reassembly (the target's tests read its copy count).
+    pub(crate) stream: FrameStream,
     out: WireBuf,
     num_sectors: u64,
     sqes_sent: u64,
@@ -130,6 +131,12 @@ impl NvmeqInitiator {
         self.sq_peak
     }
 
+    /// Takes everything queued on [`Transport::wire`] as refcounted
+    /// chunks.
+    pub fn take_wire(&mut self) -> Vec<Bytes> {
+        self.out.take_wire(self.out.len()).unwrap_or_default()
+    }
+
     fn alloc_cid(&mut self) -> u32 {
         let cid = self.next_cid;
         self.next_cid = self.next_cid.wrapping_add(1);
@@ -156,10 +163,8 @@ impl NvmeqInitiator {
     fn ring_in(&mut self, staged: Staged) {
         self.in_sq += 1;
         self.sq_peak = self.sq_peak.max(self.in_sq);
-        let header = FrameHeader::unit(FrameKind::Doorbell, staged.data.len());
-        self.out.push_slice(&header.encode());
-        self.out.push_slice(&staged.sqe.encode());
-        self.out.push_data(staged.data);
+        let entry = staged.sqe.encode();
+        push_unit(&mut self.out, FrameKind::Doorbell, &entry, staged.data);
         self.sqes_sent += 1;
     }
 
@@ -320,12 +325,8 @@ impl Transport for NvmeqInitiator {
         events
     }
 
-    fn take_wire(&mut self) -> Vec<Bytes> {
-        self.out.take_chunks()
-    }
-
-    fn bytes_copied(&self) -> u64 {
-        self.out.bytes_copied() + self.stream.bytes_copied()
+    fn wire(&mut self) -> &mut WireBuf {
+        &mut self.out
     }
 
     fn sq_peak(&self) -> usize {
@@ -402,7 +403,7 @@ mod tests {
         }
         assert_eq!(ini.doorbell_stats(), (3, 3));
         // The 4 KiB write payload is a shared view, not a copy.
-        assert_eq!(ini.bytes_copied(), 0);
+        assert_eq!(ini.out.bytes_copied(), 0);
     }
 
     #[test]

@@ -54,5 +54,5 @@ pub use codec::{
     MAX_PAYLOAD, SQE_LEN,
 };
 pub use initiator::{NvmeqConfig, NvmeqInitiator};
-pub use stream::{FrameStream, FrameWire, UnitEntry, UnitWire};
+pub use stream::{push_unit, FrameStream, FrameWire, UnitEntry, UnitWire};
 pub use target::{NvmeqTargetConfig, NvmeqTargetConn};

@@ -1,11 +1,14 @@
-//! Incremental frame reassembly over a TCP byte stream.
+//! Incremental frame reassembly over a TCP byte stream, and the one
+//! doorbell/completion frame encoder ([`push_unit`]) the initiator, the
+//! target and the relay's edge share.
 //!
-//! Buffers in the same [`ChunkDeque`] as the iSCSI `PduStream` (chunks
-//! of one allocation re-join for free, fixed-size headers are peeked into
-//! stack arrays, payload bytes are copied *only* when a segment genuinely
-//! straddles two receive allocations, and every such byte is counted), so
-//! the relay fast path can prove itself copy-free on this transport too.
-//! What lives here is the frame header and command-unit parsing.
+//! Both directions run on [`WireBuf`], the chunk queue under the iSCSI
+//! `PduStream` too (chunks of one allocation re-join for free, fixed-size
+//! headers are peeked into stack arrays, payload bytes are copied *only*
+//! when a segment genuinely straddles two receive allocations, and every
+//! such byte is counted), so the relay fast path can prove itself
+//! copy-free on this transport too. What lives here is the frame header
+//! and command-unit parsing.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
@@ -13,9 +16,9 @@
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 use bytes::Bytes;
-use storm_block::transport::ChunkDeque;
+use storm_block::transport::WireBuf;
 
-use crate::codec::{Cqe, FrameHeader, NvmeqError, Sqe, FRAME_HDR_LEN, SQE_LEN};
+use crate::codec::{Cqe, FrameHeader, FrameKind, NvmeqError, Sqe, FRAME_HDR_LEN, SQE_LEN};
 
 /// The decoded entry of one command unit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,7 +61,7 @@ pub struct FrameWire {
 /// Reassembles frames from arbitrarily fragmented stream bytes.
 #[derive(Debug, Default)]
 pub struct FrameStream {
-    buf: ChunkDeque,
+    buf: WireBuf,
     bytes_copied: u64,
     header_bytes_copied: u64,
 }
@@ -78,9 +81,7 @@ impl FrameStream {
     /// inconsistent with their header; the stream is unusable afterwards
     /// (callers drop the connection).
     pub fn feed_bytes(&mut self, bytes: Bytes) -> Result<Vec<FrameWire>, NvmeqError> {
-        if !bytes.is_empty() {
-            self.buf.push_chunk(bytes);
-        }
+        self.buf.push_bytes(bytes);
         let mut out = Vec::new();
         while let Some(fw) = self.next_frame()? {
             out.push(fw);
@@ -90,7 +91,7 @@ impl FrameStream {
 
     /// Bytes buffered awaiting a complete frame.
     pub fn pending_bytes(&self) -> usize {
-        self.buf.buffered()
+        self.buf.len()
     }
 
     /// Data-segment bytes memcpy'd during reassembly (segments straddling
@@ -107,7 +108,7 @@ impl FrameStream {
     }
 
     fn next_frame(&mut self) -> Result<Option<FrameWire>, NvmeqError> {
-        if self.buf.buffered() < FRAME_HDR_LEN {
+        if self.buf.len() < FRAME_HDR_LEN {
             return Ok(None);
         }
         let mut hdr = [0u8; FRAME_HDR_LEN];
@@ -115,15 +116,14 @@ impl FrameStream {
         self.header_bytes_copied += FRAME_HDR_LEN as u64;
         let header = FrameHeader::decode(&hdr)?;
         let total = FRAME_HDR_LEN + header.payload_len as usize;
-        if self.buf.buffered() < total {
+        if self.buf.len() < total {
             return Ok(None);
         }
         let wire = self.buf.take_wire(total).ok_or(NvmeqError::Desync)?;
         let (unit, payload) = match header.kind.entry_len() {
             0 => {
                 let len = header.payload_len as usize;
-                let payload =
-                    ChunkDeque::extract(&wire, FRAME_HDR_LEN, len, &mut self.bytes_copied);
+                let payload = WireBuf::extract(&wire, FRAME_HDR_LEN, len, &mut self.bytes_copied);
                 (None, payload)
             }
             entry_len => (Some(self.unit(&wire, &header, entry_len)?), Bytes::new()),
@@ -146,7 +146,7 @@ impl FrameStream {
         entry_len: usize,
     ) -> Result<UnitWire, NvmeqError> {
         let hdr_copies = &mut self.header_bytes_copied;
-        let entry_wire = ChunkDeque::extract(wire, FRAME_HDR_LEN, entry_len, hdr_copies);
+        let entry_wire = WireBuf::extract(wire, FRAME_HDR_LEN, entry_len, hdr_copies);
         let (entry, data_len) = if entry_len == SQE_LEN {
             let sqe = Sqe::decode(&entry_wire)?;
             (UnitEntry::Sqe(sqe), sqe.data_len as usize)
@@ -160,13 +160,23 @@ impl FrameStream {
             return Err(NvmeqError::Truncated);
         }
         let data_off = FRAME_HDR_LEN + entry_len;
-        let data = ChunkDeque::extract(wire, data_off, data_len, &mut self.bytes_copied);
+        let data = WireBuf::extract(wire, data_off, data_len, &mut self.bytes_copied);
         Ok(UnitWire {
             entry,
             entry_wire,
             data,
         })
     }
+}
+
+/// Queues one doorbell or completion frame: a fresh header and `entry`
+/// (an encoded SQE or CQE) by copy, then `data` by
+/// [`WireBuf::push_data`] (shared when large, copied and counted when
+/// small).
+pub fn push_unit(out: &mut WireBuf, kind: FrameKind, entry: &[u8], data: Bytes) {
+    out.push_slice(&FrameHeader::unit(kind, data.len()).encode());
+    out.push_slice(entry);
+    out.push_data(data);
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use storm_block::transport::{
 };
 
 use crate::codec::{Cqe, FrameHeader, FrameKind, SqeOp};
-use crate::stream::{FrameStream, UnitEntry, UnitWire};
+use crate::stream::{push_unit, FrameStream, UnitEntry, UnitWire};
 
 /// Target-side queue-pair configuration.
 #[derive(Debug, Clone)]
@@ -46,7 +46,6 @@ pub struct NvmeqTargetConn {
     out: WireBuf,
     logged_in: bool,
     outstanding: usize,
-    peak: usize,
 }
 
 impl NvmeqTargetConn {
@@ -58,7 +57,6 @@ impl NvmeqTargetConn {
             out: WireBuf::new(),
             logged_in: false,
             outstanding: 0,
-            peak: 0,
         }
     }
 
@@ -72,24 +70,10 @@ impl NvmeqTargetConn {
         self.outstanding
     }
 
-    /// High-water mark of [`in_flight`](Self::in_flight).
-    pub fn occupancy_peak(&self) -> usize {
-        self.peak
-    }
-
-    /// Payload bytes memcpy'd by this endpoint.
-    pub fn bytes_copied(&self) -> u64 {
-        self.out.bytes_copied() + self.stream.bytes_copied()
-    }
-
-    /// Drains queued wire bytes as refcounted chunks.
+    /// Takes everything queued on [`TargetTransport::wire`] as
+    /// refcounted chunks.
     pub fn take_wire(&mut self) -> Vec<Bytes> {
-        self.out.take_chunks()
-    }
-
-    fn note_ready(&mut self) {
-        self.outstanding += 1;
-        self.peak = self.peak.max(self.outstanding);
+        self.out.take_wire(self.out.len()).unwrap_or_default()
     }
 
     /// Feeds received bytes; returns events for the hosting app.
@@ -131,7 +115,7 @@ impl NvmeqTargetConn {
                         self.answer(sqe.cid, sqe.op, ScsiStatus::CheckCondition, Bytes::new());
                         continue;
                     };
-                    self.note_ready();
+                    self.outstanding += 1;
                     let itt = sqe.cid;
                     events.push(match sqe.op {
                         SqeOp::Read => TargetEvent::ReadReady { itt, lba, sectors },
@@ -188,10 +172,7 @@ impl NvmeqTargetConn {
             op,
             data_len,
         };
-        let header = FrameHeader::unit(FrameKind::Completion, data.len());
-        self.out.push_slice(&header.encode());
-        self.out.push_slice(&cqe.encode());
-        self.out.push_data(data);
+        push_unit(&mut self.out, FrameKind::Completion, &cqe.encode(), data);
     }
 
     fn retire(&mut self, cid: u32, op: SqeOp, status: ScsiStatus, data: Bytes) {
@@ -241,24 +222,8 @@ impl TargetTransport for NvmeqTargetConn {
         NvmeqTargetConn::complete_flush(self, now_ns, itt, status);
     }
 
-    fn take_wire(&mut self) -> Vec<Bytes> {
-        NvmeqTargetConn::take_wire(self)
-    }
-
-    fn is_logged_in(&self) -> bool {
-        NvmeqTargetConn::is_logged_in(self)
-    }
-
-    fn bytes_copied(&self) -> u64 {
-        NvmeqTargetConn::bytes_copied(self)
-    }
-
-    fn in_flight(&self) -> usize {
-        NvmeqTargetConn::in_flight(self)
-    }
-
-    fn occupancy_peak(&self) -> usize {
-        NvmeqTargetConn::occupancy_peak(self)
+    fn wire(&mut self) -> &mut WireBuf {
+        &mut self.out
     }
 }
 
@@ -334,7 +299,9 @@ mod tests {
         assert_eq!(done, 8);
         assert_eq!(ini.cq_stats(), (8, 8), "one CQE per frame");
         assert_eq!(ini.in_flight(), 0);
-        assert_eq!(ini.bytes_copied() + tgt.bytes_copied(), 0);
+        let encoded = ini.wire().bytes_copied() + tgt.wire().bytes_copied();
+        let decoded = ini.stream.bytes_copied() + tgt.stream.bytes_copied();
+        assert_eq!(encoded + decoded, 0);
     }
 
     /// The target used to surface any SQE as an event, so the host sized

@@ -739,7 +739,8 @@ impl Case {
     /// has no command in flight when the window ends; a fault fires; a
     /// verify job checks `rounds × queue_depth` reads against its shadow
     /// model and, behind a cipher, leaves no footprint sector on any
-    /// volume equal to what a write to it carried; an active relay copies
+    /// volume equal to what a write to it carried, and nothing below the
+    /// footprint on the primary or a mirror; an active relay copies
     /// no payload byte, ends with no command open on any flow, and every
     /// stage of its chain sees writes.
     ///
@@ -766,12 +767,23 @@ impl Case {
             let disks: Vec<_> = volumes.map(|v| v.shared.clone()).collect();
             let shadow = run.workload::<ShadowWorkload>();
             assert_eq!(shadow.verified(), rounds * usize::from(self.queue_depth));
+            let mirrored = self.chain.contains(&Svc::Replication);
             let mut sector = [0u8; 512];
-            for mut disk in disks.into_iter().filter(|_| ciphered) {
-                for lba in 64..64 + (rounds * block / 512) as u64 {
+            for (volume, mut disk) in disks.into_iter().enumerate() {
+                for lba in (64..64 + (rounds * block / 512) as u64).filter(|_| ciphered) {
                     disk.read(lba, &mut sector).expect("in range");
                     let plain = shadow.wrote(lba, &sector);
                     assert!(!plain, "plaintext at rest at sector {lba}");
+                }
+                // Below the footprint only a cache's journal, on its own
+                // spare, writes: the primary and a mirror read zero.
+                for lba in (0..64).filter(|_| volume == 0 || mirrored) {
+                    disk.read(lba, &mut sector).expect("in range");
+                    let zero = sector.iter().all(|&b| b == 0);
+                    assert!(
+                        zero,
+                        "volume {volume} written at sector {lba}, below the footprint"
+                    );
                 }
             }
         }

@@ -241,11 +241,11 @@ fn chained_monitor_then_encryption() {
 /// on to complete a well-formed write.
 #[test]
 fn encryption_middlebox_refuses_unaligned_write_and_carries_on() {
-    use storm::block::transport::{BlockCmd, BlockOp, ScsiStatus};
+    use storm::block::transport::{BlockCmd, BlockOp, ScsiStatus, WireBuf};
     use storm::core::ActiveRelayConfig;
     use storm::iscsi::exchange::{data_out_train, scsi_command, status_response};
     use storm::iscsi::{Pdu, PduStream};
-    use storm::net::{App, Cx, LinkSpec, Network, SendQueue, SockAddr, SockId};
+    use storm::net::{App, Cx, LinkSpec, Network, SockAddr, SockId};
 
     /// The PDUs `data` completes on `stream`.
     fn decode(stream: &mut PduStream, data: Bytes) -> Vec<Pdu> {
@@ -256,7 +256,7 @@ fn encryption_middlebox_refuses_unaligned_write_and_carries_on() {
     /// A raw initiator: streams a prepared wire image, decodes what returns.
     struct Tenant {
         to: SockAddr,
-        q: SendQueue,
+        q: WireBuf,
         stream: PduStream,
         got: Vec<Pdu>,
     }
@@ -265,10 +265,10 @@ fn encryption_middlebox_refuses_unaligned_write_and_carries_on() {
             cx.connect(self.to);
         }
         fn on_connected(&mut self, cx: &mut Cx<'_>, sock: SockId) {
-            self.q.pump(cx, sock);
+            self.q.send(|c| cx.send_chunks(sock, c));
         }
         fn on_writable(&mut self, cx: &mut Cx<'_>, sock: SockId) {
-            self.q.pump(cx, sock);
+            self.q.send(|c| cx.send_chunks(sock, c));
         }
         fn on_data(&mut self, _cx: &mut Cx<'_>, _sock: SockId, data: Bytes) {
             self.got.extend(decode(&mut self.stream, data));
@@ -327,7 +327,7 @@ fn encryption_middlebox_refuses_unaligned_write_and_carries_on() {
     let relay = ActiveRelayMb::new(cfg, vec![Box::new(enc)]);
     let storage = net.add_app(hosts[2], Box::new(Storage::default()));
     let mb = net.add_app(hosts[1], Box::new(relay));
-    let mut q = SendQueue::new();
+    let mut q = WireBuf::new();
     q.push_all(wire.iter().map(|p| Bytes::from(p.encode())));
     let tenant = net.add_app(
         hosts[0],
