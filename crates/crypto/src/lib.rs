@@ -10,7 +10,14 @@
 //!   lookups per column and round in either direction; the tables and
 //!   both S-boxes are derived from the field definition at compile time.
 //! * [`AesXts`] — XTS sector mode, the dm-crypt default, used by the
-//!   encryption middle-box for data-at-rest (Figures 10 and 11).
+//!   encryption middle-box for data-at-rest (Figures 10 and 11). A run of
+//!   8 KiB or more is split at a sector boundary: the caller encrypts one
+//!   half while one helper thread, started on the first split and only
+//!   when the process may use two or more CPUs, encrypts a copy of the
+//!   other. If the helper has not started its half by the time the
+//!   caller's is done, the caller takes it back, so a descheduled helper
+//!   never delays it. Only the pure kernel crosses threads; the output is
+//!   byte-identical to the sector-by-sector loop.
 //! * [`ChaCha20`] — a position-seekable stream cipher, used as the paper's
 //!   "stream cipher service that operates on each bit of the raw data"
 //!   (Figures 5, 6, 8 and 9). Four blocks per pass, in a shape the
@@ -42,6 +49,7 @@
 
 mod aes;
 mod chacha;
+mod par;
 mod xts;
 
 pub use aes::{Aes256, BLOCK_SIZE};

@@ -5,7 +5,10 @@
 //! random sector I/O needs no chaining state. The StorM encryption
 //! middle-box applies it per SCSI sector.
 
+use std::cell::Cell;
+
 use crate::aes::{Aes256, BLOCK_SIZE};
+use crate::par;
 
 /// AES-256-XTS for 512-byte sectors.
 #[derive(Debug, Clone)]
@@ -111,9 +114,79 @@ impl AesXts {
             "data length {} is not a whole number of {sector_bytes}-byte sectors",
             data.len()
         );
+        let sectors = data.len() / sector_bytes;
+        if data.len() < SPLIT_BYTES || sectors < 2 {
+            return self.each_sector(first_sector, sector_bytes, data, encrypt);
+        }
+        // The caller keeps the larger half; the helper's works on a copy
+        // (only owned data crosses threads), which comes back here.
+        let kept = sectors.div_ceil(2);
+        let (here, there) = data.split_at_mut(kept * sector_bytes);
+        let there_first = first_sector.wrapping_add(kept as u64);
+        let offer = || {
+            let mut buf = SPARE.take();
+            buf.clear();
+            buf.extend_from_slice(there);
+            Half::new(self, there_first, sector_bytes, encrypt, buf)
+        };
+        let here_run = || self.each_sector(first_sector, sector_bytes, here, encrypt);
+        match par::join(here_run, offer) {
+            Some(half) => {
+                there.copy_from_slice(&half.data);
+                SPARE.set(half.data);
+            }
+            None => self.each_sector(there_first, sector_bytes, there, encrypt),
+        }
+    }
+
+    fn each_sector(&self, first_sector: u64, sector_bytes: usize, data: &mut [u8], encrypt: bool) {
         for (i, sector) in data.chunks_exact_mut(sector_bytes).enumerate() {
             self.process(first_sector.wrapping_add(i as u64), sector, encrypt);
         }
+    }
+}
+
+/// Runs from this length up are split across the helper core: each half
+/// is then at least 4 KiB, ≈ 20 µs of kernel, against a hand-over of a
+/// few hundred nanoseconds while the helper spins.
+const SPLIT_BYTES: usize = 8 * 1024;
+
+thread_local! {
+    /// The buffer the helper's half travels in, kept between splits.
+    static SPARE: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// The half of a split run that crosses to the helper: its cipher, where
+/// it starts and its bytes, all owned.
+pub(crate) struct Half {
+    xts: AesXts,
+    first_sector: u64,
+    sector_bytes: usize,
+    encrypt: bool,
+    pub(crate) data: Vec<u8>,
+}
+
+impl Half {
+    pub(crate) fn new(
+        xts: &AesXts,
+        first_sector: u64,
+        sector_bytes: usize,
+        encrypt: bool,
+        data: Vec<u8>,
+    ) -> Self {
+        Half {
+            xts: xts.clone(),
+            first_sector,
+            sector_bytes,
+            encrypt,
+            data,
+        }
+    }
+
+    /// Runs the half's sectors in place.
+    pub(crate) fn run(&mut self) {
+        let (first, bytes, encrypt) = (self.first_sector, self.sector_bytes, self.encrypt);
+        self.xts.each_sector(first, bytes, &mut self.data, encrypt);
     }
 }
 
@@ -275,6 +348,59 @@ mod tests {
         assert_eq!(run, individually);
         xts.decrypt_run(u64::MAX, 512, &mut run);
         assert_eq!(&run[..4], &[0, 1, 2, 3]);
+    }
+
+    /// Split runs (8 KiB and up) against the sector-by-sector kernel, on
+    /// 256 distinct keys, first sectors and lengths from one sector under
+    /// the split to 64 KiB, both sector sizes and both directions.
+    #[test]
+    fn split_runs_equal_the_sector_kernel() {
+        let _serial = par::serial();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for case in 0..256 {
+            let master: [u8; 64] = core::array::from_fn(|_| next() as u8);
+            let xts = AesXts::from_master_key(&master);
+            let sector_bytes = if case % 2 == 0 { 512 } else { 4096 };
+            let (lo, hi) = ((SPLIT_BYTES - sector_bytes) / sector_bytes, 64 << 10);
+            let sectors = lo + next() as usize % (hi / sector_bytes - lo + 1);
+            // Every fourth run starts just short of the wrap.
+            let first = match case % 4 {
+                3 => u64::MAX - next() % 8,
+                _ => next(),
+            };
+            let plain: Vec<u8> = (0..sectors * sector_bytes).map(|_| next() as u8).collect();
+            let by_sector = |encrypt: bool, data: &mut [u8]| {
+                for (i, sector) in data.chunks_exact_mut(sector_bytes).enumerate() {
+                    let n = first.wrapping_add(i as u64);
+                    if encrypt {
+                        xts.encrypt_sector(n, sector);
+                    } else {
+                        xts.decrypt_sector(n, sector);
+                    }
+                }
+            };
+            let mut want = plain.clone();
+            by_sector(true, &mut want);
+            let mut run = plain.clone();
+            xts.encrypt_run(first, sector_bytes, &mut run);
+            assert_eq!(
+                run, want,
+                "encrypt, case {case}: {sectors} x {sector_bytes}"
+            );
+            by_sector(false, &mut want);
+            xts.decrypt_run(first, sector_bytes, &mut run);
+            assert_eq!(
+                run, want,
+                "decrypt, case {case}: {sectors} x {sector_bytes}"
+            );
+            assert_eq!(run, plain);
+        }
     }
 
     #[test]
