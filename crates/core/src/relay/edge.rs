@@ -24,7 +24,7 @@ use bytes::Bytes;
 
 use storm_block::transport::WireBuf;
 use storm_iscsi::exchange::Exchange;
-use storm_iscsi::{push_pdu, Pdu, PduStream, PduWire};
+use storm_iscsi::{push_pdu, Pdu, PduStream, PduWire, BHS_LEN};
 use storm_nvmeq::{
     push_unit, FrameHeader, FrameKind, FrameStream, FrameWire, UnitEntry, UnitWire, CQE_LEN,
     FRAME_HDR_LEN, MAGIC, SQE_LEN,
@@ -211,7 +211,8 @@ impl Edge {
 
     /// Lowers `ops` travelling `dir` onto `q` in this flow's protocol and
     /// returns how many wire units were queued: iSCSI PDUs or nvmeq
-    /// frames. An undecided flow queues iSCSI. Small data segments are
+    /// frames. An undecided flow queues iSCSI. Each PDU's 48-byte header
+    /// is copied and counted as header bytes; small data segments are
     /// copied by `q`, which counts them.
     pub fn queue(
         &mut self,
@@ -230,6 +231,7 @@ impl Edge {
                 queued += 1;
             });
         }
+        copy.header_bytes_copied += queued * BHS_LEN as u64;
         queued
     }
 
@@ -280,7 +282,6 @@ impl Edge {
 mod tests {
     use super::*;
     use storm_block::transport::{BlockCmd, ScsiStatus, Step, SHARE_THRESHOLD};
-    use storm_iscsi::BHS_LEN;
     use storm_nvmeq::{Cqe, Sqe, SqeOp};
 
     fn sqe(op: SqeOp, cid: u32, sectors: u32, data_len: u32) -> Sqe {
@@ -347,6 +348,21 @@ mod tests {
         // Nothing to say, nothing on the wire.
         assert_eq!(edge.queue(Dir::ToTarget, [], &mut q, &mut copy), 0);
         assert_eq!(q.len(), FRAME_HDR_LEN + SQE_LEN + SHARE_THRESHOLD);
+    }
+
+    /// A rebuilt iSCSI PDU copies its 48-byte header, as a rebuilt frame
+    /// copies its header and entry; its data travels as a view.
+    #[test]
+    fn pdu_reencodes_its_header_only() {
+        let (mut edge, mut q) = (Edge::default(), WireBuf::new());
+        let mut copy = RelayCopyStats::default();
+        let read = BlockCmd::checked(SqeOp::Read, 8, 32, u64::MAX).ok();
+        edge.open.begin(5, read.unwrap());
+        let answer = Op::new(Step::ReadData(0), read, 5, vec![0x11; 16 << 10].into());
+        assert_eq!(edge.queue(Dir::ToInitiator, [answer], &mut q, &mut copy), 2);
+        assert_eq!(copy.header_bytes_copied, 2 * BHS_LEN as u64);
+        assert_eq!(q.bytes_copied(), 0, "data travels as a view");
+        assert_eq!(q.len(), 2 * (BHS_LEN + (8 << 10)));
     }
 
     #[test]
