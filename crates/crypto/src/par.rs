@@ -38,7 +38,9 @@ const TAKEN: u8 = 3;
 /// The helper's result waits for the caller.
 const DONE: u8 = 4;
 
-/// The one slot between the callers and the helper.
+/// The one slot between the callers and the helper. Each move of `state`
+/// hands the slot to the other side: a store that gives it away is
+/// `Release` (or `SeqCst`), the load or exchange that takes it `Acquire`.
 struct Slot {
     state: AtomicU8,
     /// Set by the helper before it parks; an offer then unparks it.
@@ -70,7 +72,8 @@ fn cell() -> MutexGuard<'static, Option<thread::Result<Half>>> {
 }
 
 /// The helper thread, started on first use; `None` on one CPU or when the
-/// thread cannot be spawned.
+/// thread cannot be spawned. It is never joined: it lives as long as the
+/// process, parked when idle, and catches each half's panic.
 fn helper() -> Option<&'static Thread> {
     static HELPER: OnceLock<Option<Thread>> = OnceLock::new();
     HELPER
