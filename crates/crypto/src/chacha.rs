@@ -23,12 +23,20 @@
 //! unrelated keystreams under one key therefore have to differ in their
 //! last eight bytes, not only in the first four.
 
+use crate::par::{self, Keystream};
+
 /// ChaCha20 with a 256-bit key and 96-bit nonce.
 #[derive(Clone)]
 pub struct ChaCha20 {
     key: [u32; 8],
     nonce: [u32; 3],
 }
+
+/// What a keystream piece of the helper's pool holds before its first job.
+pub(crate) const UNKEYED: ChaCha20 = ChaCha20 {
+    key: [0; 8],
+    nonce: [0; 3],
+};
 
 impl std::fmt::Debug for ChaCha20 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -202,6 +210,15 @@ impl ChaCha20 {
     /// Encrypts/decrypts `data` in place from keystream position 0.
     pub fn apply_keystream(&self, data: &mut [u8]) {
         self.apply_keystream_at(0, data);
+    }
+
+    /// Starts computing the keystream of bytes `first..first + len` on the
+    /// helper core, in 8 KiB pieces, while the caller goes on; the data
+    /// then takes it with [`Keystream::apply`]. `None` on one CPU, when the
+    /// helper's pool has no room for the range, or when it is empty or
+    /// runs past the end of the byte space.
+    pub fn ahead(&self, first: u64, len: u64) -> Option<Keystream> {
+        par::ahead(self, first, len)
     }
 }
 

@@ -23,7 +23,11 @@
 //!   (Figures 5, 6, 8 and 9). Four blocks per pass, in a shape the
 //!   compiler vectorises; a 64-bit block counter, so the keystream does
 //!   not repeat anywhere in a volume's byte space (RFC 7539 below
-//!   256 GiB).
+//!   256 GiB). [`ChaCha20::ahead`] queues a range's keystream for the
+//!   same helper thread, in 8 KiB pieces of a pool of 64 reused buffers,
+//!   before its data arrives; [`Keystream::apply`] XORs data with it only
+//!   when every piece the data spans is done, and otherwise leaves the
+//!   caller to compute the bytes itself, so the caller never waits.
 //!
 //! These implementations are **not** side-channel hardened (AES indexes
 //! tables by secret bytes, and `unsafe` is forbidden, so there is no
@@ -54,4 +58,5 @@ mod xts;
 
 pub use aes::{Aes256, BLOCK_SIZE};
 pub use chacha::ChaCha20;
+pub use par::Keystream;
 pub use xts::AesXts;

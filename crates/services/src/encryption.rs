@@ -11,21 +11,22 @@
 //! * [`CipherKind::Stream`] — the byte-wise "stream cipher" used in the
 //!   paper's API-overhead experiments (Figures 5/6/8/9); position-keyed,
 //!   so it also works on the passive path where data crosses in arbitrary
-//!   packet-sized pieces.
+//!   packet-sized pieces. In the active relay the keystream of a command's
+//!   data is computed ahead on a helper core ([`ChaCha20::ahead`]) from
+//!   the moment the command passes.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 use bytes::BytesMut;
 
-use storm_block::transport::ScsiStatus;
-use storm_block::transport::Step;
+use storm_block::transport::{BlockOp, ScsiStatus, Step};
 use storm_core::{Dir, Op, StorageService, SvcCtx};
-use storm_crypto::{AesXts, ChaCha20};
+use storm_crypto::{AesXts, ChaCha20, Keystream};
 use storm_sim::SimDuration;
 
 /// The tenant-selected cipher.
@@ -61,13 +62,33 @@ impl CipherKind {
     }
 }
 
+/// Commands [`EncryptionService`] follows at once; when the table is full,
+/// a new entry drops the oldest.
+const OPEN_BOUND: usize = 256;
+
+/// What the service keeps for one command until its last data byte, a
+/// status for its tag or a new command on it.
+struct Open {
+    /// Opening order: a full table drops the lowest.
+    seq: u64,
+    /// Bytes of data the command moves; the op that reaches them is its
+    /// last.
+    bytes: u64,
+    /// The keystream of the data still to come, computed ahead, or `None`
+    /// for a write refused for unaligned data, whose later data is
+    /// dropped.
+    ahead: Option<Keystream>,
+}
+
 /// The encryption middle-box service.
 pub struct EncryptionService {
     cipher: CipherKind,
     per_byte: SimDuration,
-    /// Tags of writes refused for unaligned data; their later Data-Out is
-    /// dropped until the tag is reused or its status passes.
-    refused: BTreeSet<u64>,
+    /// The commands whose data is still to come and that the service
+    /// keeps something for, by tag.
+    open: BTreeMap<u64, Open>,
+    /// Entries opened so far: the last one's `seq`.
+    opened: u64,
     bytes_encrypted: u64,
     bytes_decrypted: u64,
 }
@@ -91,7 +112,8 @@ impl EncryptionService {
             cipher,
             // ~1.5 GB/s single-core cipher throughput.
             per_byte: SimDuration::from_nanos(1),
-            refused: BTreeSet::new(),
+            open: BTreeMap::new(),
+            opened: 0,
             bytes_encrypted: 0,
             bytes_decrypted: 0,
         }
@@ -106,6 +128,60 @@ impl EncryptionService {
     pub fn counters(&self) -> (u64, u64) {
         (self.bytes_encrypted, self.bytes_decrypted)
     }
+
+    /// Commands the service keeps state for: a keystream computed ahead,
+    /// or a refused write whose data is still to come.
+    pub fn open_commands(&self) -> usize {
+        self.open.len()
+    }
+
+    /// Keeps `ahead` for command `tag` until its data reaches `bytes`,
+    /// dropping the oldest entry if the table is full.
+    fn track(&mut self, tag: u64, bytes: u64, ahead: Option<Keystream>) {
+        if self.open.len() >= OPEN_BOUND && !self.open.contains_key(&tag) {
+            let oldest = self.open.iter().min_by_key(|(_, o)| o.seq).map(|(&t, _)| t);
+            if let Some(oldest) = oldest {
+                self.open.remove(&oldest);
+            }
+        }
+        self.opened += 1;
+        let seq = self.opened;
+        self.open.insert(tag, Open { seq, bytes, ahead });
+    }
+
+    /// Starts the keystream of the data that follows command `op` (a read's
+    /// whole range, a write's data past what the command carries), when
+    /// the cipher is ChaCha20.
+    fn start_ahead(&mut self, op: &Op, at: u64) {
+        let (CipherKind::Stream(c), Some(cmd)) = (&self.cipher, op.cmd()) else {
+            return;
+        };
+        let carried = match cmd.op {
+            BlockOp::Read => 0,
+            BlockOp::Write => op.data.len() as u64,
+            _ => return,
+        };
+        let Some(rest) = cmd.bytes().checked_sub(carried).filter(|&n| n > 0) else {
+            return;
+        };
+        if let Some(ks) = at.checked_add(carried).and_then(|from| c.ahead(from, rest)) {
+            self.track(op.tag(), cmd.bytes(), Some(ks));
+        }
+    }
+}
+
+/// Whether `op` carries the last data byte of a command of `bytes`, so no
+/// data of the command follows it: its data (a command's own, or a data
+/// op's at its offset) reaches the end, or it is a read answer without
+/// data (a failed nvmeq read).
+fn ends_data(op: &Op, bytes: u64) -> bool {
+    let (off, read) = match op.step() {
+        Step::Command => (0, false),
+        Step::WriteData(off) => (off, false),
+        Step::ReadData(off) => (off, true),
+        Step::Status(_) | Step::Other => return false,
+    };
+    u64::from(off) + op.data.len() as u64 >= bytes || (read && op.data.is_empty())
 }
 
 impl StorageService for EncryptionService {
@@ -115,13 +191,23 @@ impl StorageService for EncryptionService {
 
     fn on_op(&mut self, cx: &mut SvcCtx<Op>, dir: Dir, mut op: Op) {
         let tag = op.tag();
-        // A refused write's remaining data stops here, until a new command
-        // takes the tag or a status for it passes.
+        // A new command on the tag, or a status for it, ends what was kept
+        // for the tag. A refused write's remaining data stops here.
         match op.step() {
             Step::Command | Step::Status(_) => {
-                self.refused.remove(&tag);
+                self.open.remove(&tag);
             }
-            Step::WriteData(_) if self.refused.contains(&tag) => return,
+            Step::WriteData(_) => {
+                if let Some(&Open {
+                    bytes, ahead: None, ..
+                }) = self.open.get(&tag)
+                {
+                    if ends_data(&op, bytes) {
+                        self.open.remove(&tag);
+                    }
+                    return;
+                }
+            }
             _ => {}
         }
         // Where the op's data sits on the volume, if it is block data of
@@ -133,10 +219,16 @@ impl StorageService for EncryptionService {
             }
             _ => None,
         };
+        if let (Step::Command, Some(at)) = (op.step(), at) {
+            self.start_ahead(&op, at);
+        }
         if let (Some(at), false) = (at, op.data.is_empty()) {
             // The transform's output needs storage of its own.
             let mut buf = BytesMut::from(&op.data[..]);
-            if self.cipher.apply(encrypt, at, &mut buf) {
+            let ahead = self.open.get(&tag).and_then(|o| o.ahead.as_ref());
+            if ahead.is_some_and(|ks| ks.apply(at, &mut buf))
+                || self.cipher.apply(encrypt, at, &mut buf)
+            {
                 cx.charge(self.per_byte * buf.len() as u64);
                 if encrypt {
                     self.bytes_encrypted += buf.len() as u64;
@@ -159,11 +251,20 @@ impl StorageService for EncryptionService {
                     // Fail closed: plaintext never goes on. The initiator
                     // is told its write failed (which retires the tag at
                     // the relay, as the target may never answer for it).
-                    self.refused.insert(tag);
+                    // Its data still to come is dropped.
+                    let bytes = op.cmd().map_or(0, |c| c.bytes());
+                    if ends_data(&op, bytes) {
+                        self.open.remove(&tag);
+                    } else {
+                        self.track(tag, bytes, None);
+                    }
                     cx.reply(Op::status(tag, ScsiStatus::CheckCondition));
                     return;
                 }
             }
+        }
+        if self.open.get(&tag).is_some_and(|o| ends_data(&op, o.bytes)) {
+            self.open.remove(&tag);
         }
         cx.forward(op);
     }
@@ -357,7 +458,7 @@ mod tests {
         // The target's own status for the tag lifts the refusal...
         let status = Op::status(7, ScsiStatus::Good);
         assert_eq!(run(&mut enc, Dir::ToInitiator, status.clone()), status);
-        assert!(enc.refused.is_empty());
+        assert_eq!(enc.open_commands(), 0);
         // ...and so does a new command reusing it.
         let _ = run(&mut enc, Dir::ToTarget, write.clone());
         assert_refused(&outcome(&mut enc, Dir::ToTarget, data_out(7, 0..100)), 7);
@@ -365,6 +466,62 @@ mod tests {
         let again = run(&mut enc, Dir::ToTarget, data_out(7, 512..1024));
         assert_ne!(again, data_out(7, 512..1024));
         assert_eq!(enc.counters().0, 1024);
+    }
+
+    /// A refused write is kept only while its data is still to come: N
+    /// writes refused at their command or at a Data-Out, each followed by
+    /// the rest of its data, leave nothing behind, and a refusal of the
+    /// last data byte keeps nothing at all.
+    #[test]
+    fn refused_writes_leave_the_table_once_their_data_is_done() {
+        let mut enc = svc();
+        for itt in 0..100 {
+            let unaligned = Bytes::from(vec![1u8; 100]);
+            let write = cmd(BlockOp::Write, itt, 100, 6, unaligned);
+            assert_refused(&outcome(&mut enc, Dir::ToTarget, write), itt);
+            assert_eq!(enc.open_commands(), 1);
+            for range in [100..1124, 1124..2148, 2148..3072] {
+                let later = outcome(&mut enc, Dir::ToTarget, data_out(itt, range));
+                assert!(later.forwarded.is_empty() && later.replies.is_empty());
+            }
+            assert_eq!(enc.open_commands(), 0, "write {itt}");
+        }
+        for itt in 100..200 {
+            let _ = run(
+                &mut enc,
+                Dir::ToTarget,
+                cmd(BlockOp::Write, itt, 100, 6, Bytes::new()),
+            );
+            assert_refused(
+                &outcome(&mut enc, Dir::ToTarget, data_out(itt, 0..100)),
+                itt,
+            );
+            let _ = outcome(&mut enc, Dir::ToTarget, data_out(itt, 100..3072));
+            assert_eq!(enc.open_commands(), 0, "write {itt}");
+        }
+        assert_refused(
+            &outcome(&mut enc, Dir::ToTarget, data_out(7, 3000..3072)),
+            7,
+        );
+        assert_eq!(enc.open_commands(), 0);
+    }
+
+    /// Writes refused while their data never comes (its connection went,
+    /// say: the service is told nothing of that) fill the table up to its
+    /// bound and no further; the oldest go first.
+    #[test]
+    fn refused_writes_whose_data_never_comes_stay_within_the_bound() {
+        let mut enc = svc();
+        let n = 2 * OPEN_BOUND as u64;
+        for (flow, itt) in (0..n).map(|i| (i % 2, i)) {
+            let tag = flow << 32 | itt;
+            let write = cmd(BlockOp::Write, tag, 100, 6, Bytes::from(vec![1u8; 100]));
+            assert_refused(&outcome(&mut enc, Dir::ToTarget, write), tag);
+            assert!(enc.open_commands() <= OPEN_BOUND);
+        }
+        assert_eq!(enc.open_commands(), OPEN_BOUND);
+        let kept = |itt: u64| enc.open.contains_key(&((itt % 2) << 32 | itt));
+        assert!(!kept(n - OPEN_BOUND as u64 - 1) && kept(n - OPEN_BOUND as u64));
     }
 
     /// Ciphertext the target segments off a sector boundary cannot be
@@ -387,6 +544,70 @@ mod tests {
         assert_eq!((out.forwarded.len(), out.alerts), (1, 0));
         assert_ne!(out.forwarded[0], data_out(7, 7..107));
         assert_eq!(enc.counters(), (100, 0));
+    }
+
+    /// With ChaCha20 a read's keystream, and a write's past the data its
+    /// command carries, are computed ahead. Whatever share the helper core
+    /// had ready, each op's bytes are the inline cipher's, and what was
+    /// kept for the command goes at its last data byte (or at an empty
+    /// read answer, a status, or a new command on the tag).
+    #[test]
+    fn stream_cipher_ahead_equals_inline_and_ends_with_the_data() {
+        let (key, nonce) = ([7; 32], [9; 12]);
+        let mut enc = EncryptionService::stream_cipher(&key, &nonce);
+        let c = ChaCha20::new(&key, &nonce);
+        let piece = |k: usize| Bytes::from(vec![k as u8; 8192]);
+        let expect = |at: u64, data: &Bytes| {
+            let mut out = data.to_vec();
+            c.apply_keystream_at(at, &mut out);
+            out
+        };
+        // A 64 KiB read at LBA 40, answered by eight 8 KiB Data-Ins.
+        let read = block(BlockOp::Read, 40, 128);
+        let _ = run(&mut enc, Dir::ToTarget, Op::command(1, read, Bytes::new()));
+        assert!(enc.open_commands() <= 1);
+        for k in 0..8 {
+            let din = Op::new(Step::ReadData(k * 8192), Some(read), 1, piece(k as usize));
+            let out = run(&mut enc, Dir::ToInitiator, din);
+            assert_eq!(
+                out.data,
+                expect(40 * 512 + u64::from(k) * 8192, &piece(k as usize))
+            );
+        }
+        assert_eq!(enc.open_commands(), 0);
+        // The same read answered at once (nvmeq), then one that failed.
+        for data in [Bytes::from(vec![5u8; 65536]), Bytes::new()] {
+            let _ = run(&mut enc, Dir::ToTarget, Op::command(2, read, Bytes::new()));
+            let out = run(&mut enc, Dir::ToInitiator, read_data(2, read, data.clone()));
+            assert_eq!(out.data, expect(40 * 512, &data));
+            assert_eq!(enc.open_commands(), 0);
+        }
+        // A 64 KiB write: 8 KiB with its command, seven Data-Outs.
+        let write = block(BlockOp::Write, 8, 128);
+        let out = run(&mut enc, Dir::ToTarget, Op::command(3, write, piece(0)));
+        assert_eq!(out.data, expect(8 * 512, &piece(0)));
+        for k in 1..8 {
+            let dout = Op::new(Step::WriteData(k * 8192), Some(write), 3, piece(k as usize));
+            let out = run(&mut enc, Dir::ToTarget, dout);
+            assert_eq!(
+                out.data,
+                expect(8 * 512 + u64::from(k) * 8192, &piece(k as usize))
+            );
+        }
+        assert_eq!(enc.open_commands(), 0);
+        // A status, or a new command on the tag, ends a read whose data
+        // never came.
+        let _ = run(&mut enc, Dir::ToTarget, Op::command(4, read, Bytes::new()));
+        let _ = run(
+            &mut enc,
+            Dir::ToInitiator,
+            Op::status(4, ScsiStatus::CheckCondition),
+        );
+        assert_eq!(enc.open_commands(), 0);
+        let _ = run(&mut enc, Dir::ToTarget, Op::command(5, read, Bytes::new()));
+        let _ = run(&mut enc, Dir::ToTarget, Op::command(5, write, piece(0)));
+        assert!(enc.open_commands() <= 1);
+        assert_eq!(enc.counters(), (8 * 8192 + 8192, 8 * 8192 + 65536));
     }
 
     #[test]

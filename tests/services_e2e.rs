@@ -65,6 +65,43 @@ fn passive_stream_cipher_encrypts_at_rest() {
     assert_eq!(at_rest, plain);
 }
 
+/// Case 2 with the stream cipher in the active relay, on both transports:
+/// reads and writes of 4–64 KiB, some in flight at once, verify against
+/// the shadow model whatever share of the keystream the helper core
+/// computed ahead, and once the guest is idle the service keeps nothing
+/// for any command.
+#[test]
+fn stream_cipher_keeps_no_command_once_the_guest_is_idle() {
+    use storm::block::transport::TransportKind;
+    for transport in [TransportKind::Iscsi, TransportKind::Nvmeq] {
+        let spec = Spec {
+            client_seed: 11,
+            transport,
+            label: "vm:stream",
+            services: vec![Box::new(EncryptionService::stream_cipher(
+                &[0x77; 32],
+                &[0x13; 12],
+            ))],
+            ..Spec::default()
+        };
+        let load = ShadowWorkload::new(64, 64 * 1024).rounds(4).depth(4);
+        let mut run = spec.build(load, |_, _| {});
+        run.run_until(TEN_SECS);
+        assert_eq!(run.client().stats.errors, 0, "{transport:?}");
+        assert_eq!(
+            run.workload::<ShadowWorkload>().verified(),
+            16,
+            "{transport:?}"
+        );
+        let enc = run.service::<EncryptionService>(0);
+        assert!(
+            enc.counters().0 > 0 && enc.counters().1 > 0,
+            "{transport:?}"
+        );
+        assert_eq!(enc.open_commands(), 0, "{transport:?}");
+    }
+}
+
 /// Case 1 (monitor): file operations replayed over the wire are
 /// reconstructed with paths, through the whole spliced chain. The volume
 /// holds the pre-infection system image and the monitor is bootstrapped
@@ -364,4 +401,12 @@ fn encryption_middlebox_refuses_unaligned_write_and_carries_on() {
     );
     let relay: &mut ActiveRelayMb = net.app_mut(hosts[1], mb).unwrap().downcast_mut().unwrap();
     assert_eq!(relay.alerts().len(), 1, "{:?}", relay.alerts());
+    // The refused write's last data byte went by: nothing is kept for it.
+    let enc = relay.service_mut(0).unwrap();
+    assert_eq!(
+        enc.downcast_mut::<EncryptionService>()
+            .unwrap()
+            .open_commands(),
+        0
+    );
 }
